@@ -1026,8 +1026,7 @@ fn maintenance_report(scale: usize, repeats: usize) -> Result<MaintenanceReport>
     let model = model_with_mem(64.0);
     let opts = ExecOptions::with_threads(1);
 
-    // Both strategies pay the identical base-table mutation cost
-    // (immutable tables rebuild + re-analyze on every DML), so the
+    // Both strategies pay the identical base-table mutation cost, so the
     // clock covers *maintenance work only*: the Z-set delta pass on one
     // side, the per-change `REFRESH` rebuilds on the other. Mutations
     // run outside the timed regions.

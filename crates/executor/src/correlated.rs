@@ -63,10 +63,8 @@ pub fn execute_correlated(
 ) -> Result<CorrelatedResult> {
     let outer = catalog.get(&q.outer)?;
     let inner = catalog.get(&q.inner)?;
-    let outer_bytes: usize = outer.rows().iter().map(Tuple::width).sum();
-    let inner_bytes: usize = inner.rows().iter().map(Tuple::width).sum();
-    let outer_pages = model.page.pages_for_bytes(outer_bytes as f64);
-    let inner_pages = model.page.pages_for_bytes(inner_bytes as f64);
+    let outer_pages = model.page.pages_for_bytes(outer.byte_size() as f64);
+    let inner_pages = model.page.pages_for_bytes(inner.byte_size() as f64);
 
     // Bind outer filters positionally (they use RelId(0) base columns).
     let bound: Vec<_> = q

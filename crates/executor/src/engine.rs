@@ -345,8 +345,7 @@ impl<'a> Engine<'a> {
         ctx.gov.check_interrupt()?;
         maybe_fault(ctx.faults, &format!("storage.scan.{table}"))?;
         let t = self.catalog.get(table)?;
-        let bytes: usize = t.rows().iter().map(Tuple::width).sum();
-        let pages = self.model.page.pages_for_bytes(bytes as f64);
+        let pages = self.model.page.pages_for_bytes(t.byte_size() as f64);
         ctx.breakdown.push(IoBreakdown {
             op: format!("extent-scan {table} (matview {view})"),
             pages: ops::scan_io(pages),
@@ -448,8 +447,7 @@ impl<'a> Engine<'a> {
         maybe_fault(ctx.faults, &format!("storage.scan.{table}"))?;
         let t = self.catalog.get(table)?;
         // The scan reads the whole table.
-        let bytes: usize = t.rows().iter().map(Tuple::width).sum();
-        let pages = self.model.page.pages_for_bytes(bytes as f64);
+        let pages = self.model.page.pages_for_bytes(t.byte_size() as f64);
         ctx.breakdown.push(IoBreakdown {
             op: format!("scan {table}"),
             pages: ops::scan_io(pages),
@@ -1123,7 +1121,7 @@ impl<'a> Engine<'a> {
         match plan {
             Plan::Scan { table, .. } | Plan::ExtentScan { table, .. } => {
                 if self.catalog.stats_fresh(table) {
-                    Some(self.catalog.get(table).ok()?.stats().rows as usize)
+                    Some(self.catalog.get(table).ok()?.len())
                 } else {
                     None
                 }
@@ -1155,7 +1153,7 @@ fn layout_map(cols: &[Col]) -> HashMap<Col, usize> {
 fn bytes_of_data(d: &Data) -> u64 {
     match d {
         Data::Rows(r) => r.iter().map(|t| t.width() as u64).sum(),
-        Data::Batch(b) => b.total_bytes() as u64,
+        Data::Batch(b) => b.total_bytes(),
     }
 }
 

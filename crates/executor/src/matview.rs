@@ -9,20 +9,16 @@
 //! by its mergeable partial-state components (Figure 2 of the paper)
 //! when the function stores state.
 //!
-//! Incremental maintenance ([`apply_delta`]) runs the same SPJ plan
-//! over a *delta-substituted* catalog (the modified table replaced by a
-//! delta-only table, every other table untouched), reconstructs the
-//! extent's [`GroupTable`] from its stored partial states, and folds
-//! the delta in with [`GroupTable::merge_from`] — the exact coalescing
-//! merge the parallel executor uses. Views whose aggregates do not all
-//! store partial state (STDDEV), or that reference the modified table
-//! more than once (self-join delta algebra), fall back to a full
+//! Incremental maintenance lives in [`crate::delta`]; it shares this
+//! module's SPJ plan, fold and row rendering, and falls back to a full
 //! rebuild ([`build_extent`], also the implementation of
-//! `REFRESH MATERIALIZED VIEW`).
+//! `REFRESH MATERIALIZED VIEW`) for views whose aggregates do not all
+//! store partial state (STDDEV) or that reference the modified table
+//! more than once (self-join delta algebra).
 
 use crate::engine::{Engine, ResultSet};
 use crate::parallel::ExecOptions;
-use crate::partition::{AggInput, GroupTable};
+use crate::partition::{AggInput, Group, GroupTable};
 use aggview_common::{AggFunc, AggViewError, Col, Predicate, RelId, Result, Tuple};
 use aggview_core::cost::CostModel;
 use aggview_core::governor::ResourceGovernor;
@@ -53,8 +49,11 @@ pub fn build_extent(
     let env = QueryEnv::new(def.tables.clone());
     let engine = Engine::new(catalog, &env, model).with_options(options);
     let rs = engine.execute_governed(&plan, gov, None)?;
-    let gt = fold(def, &rs)?;
-    let rows = rows_of(gt, def)?;
+    let rows: Vec<Tuple> = fold(def, &rs)?
+        .groups
+        .into_iter()
+        .map(|g| row_of(g, def))
+        .collect::<Result<_>>()?;
     let n = rows.len();
     let extent = materialize(def, catalog, rows)?;
     catalog.add_or_replace(extent)?;
@@ -87,123 +86,13 @@ pub fn refresh(
     build_extent(&meta.def, catalog, model, options, gov)
 }
 
-/// Incrementally fold an insert delta on base `table` into the extent
-/// of `view`. Returns `Ok(false)` — extent untouched — when the view
-/// cannot be maintained incrementally: an aggregate stores no partial
-/// state, the view references the modified table more than once, or
-/// the base tables have drifted from the versions recorded when the
-/// extent was built (the extent needs more than exactly this delta);
-/// the caller falls back to [`build_extent`].
-///
-/// The delta must already be applied to the modified base table (its
-/// data version one past the recorded one — the table's full contents
-/// are never read here, only its version is checked).
-pub fn apply_delta(
-    view: &str,
-    table: &str,
-    delta: &[Tuple],
-    catalog: &Catalog,
-    model: CostModel,
-    options: ExecOptions,
-    gov: &ResourceGovernor,
-) -> Result<bool> {
-    let mut meta = catalog
-        .matview(view)
-        .ok_or_else(|| AggViewError::Catalog(format!("unknown materialized view `{view}`")))?;
-    let def = meta.def.clone();
-    let def = &def;
-    let occurrences = def
-        .tables
-        .iter()
-        .filter(|t| t.eq_ignore_ascii_case(table))
-        .count();
-    if occurrences != 1 || !def.aggs.iter().all(|a| stores_partial_state(a.func)) {
-        return Ok(false);
-    }
-
-    // The extent can absorb exactly this delta only if the modified
-    // table is one data version past the version recorded at the last
-    // build (the append that produced `delta`) and every other base
-    // table is unchanged. Any other drift means the extent is missing
-    // rows this delta does not carry; merging anyway would stamp it
-    // fresh while silently wrong, so refuse and let the caller rebuild.
-    let versions: Vec<u64> = def.tables.iter().map(|t| catalog.data_version(t)).collect();
-    let in_sync = def
-        .tables
-        .iter()
-        .zip(&meta.base_versions)
-        .zip(&versions)
-        .all(|((name, &recorded), &current)| {
-            if name.eq_ignore_ascii_case(table) {
-                current == recorded + 1
-            } else {
-                current == recorded
-            }
-        });
-    if !in_sync {
-        return Ok(false);
-    }
-
-    // Delta-substituted catalog: the modified table holds only the
-    // delta rows, every other base table is shared as-is.
-    let base = catalog.get(table)?;
-    let mut builder = Table::builder(base.name(), base.schema().clone());
-    for r in delta {
-        builder.push(r.clone())?;
-    }
-    let delta_table = builder.build()?;
-    let tmp = Catalog::new();
-    for name in &def.tables {
-        if name.eq_ignore_ascii_case(table) {
-            tmp.add_or_replace(Arc::clone(&delta_table))?;
-        } else {
-            tmp.add_or_replace(catalog.get(name)?)?;
-        }
-    }
-    let plan = spj_plan(def, &tmp)?;
-    let env = QueryEnv::new(def.tables.clone());
-    let engine = Engine::new(&tmp, &env, model).with_options(options);
-    let rs = engine.execute_governed(&plan, gov, None)?;
-    let delta_gt = fold(def, &rs)?;
-
-    // Reconstruct the extent's group table from its stored partial
-    // states, then coalesce the delta groups in.
-    let extent = catalog.get(&meta.extent)?;
-    let key_pos: Vec<usize> = (0..meta.layout.key_cols).collect();
-    let inputs: Vec<AggInput> = meta
-        .layout
-        .aggs
-        .iter()
-        .map(|a| AggInput::Partial(a.components.clone()))
-        .collect();
-    let funcs: Vec<AggFunc> = def.aggs.iter().map(|a| a.func).collect();
-    let mut gt = GroupTable::new();
-    for r in extent.rows() {
-        gov.charge_rows(1)?;
-        gt.accumulate(r, &key_pos, &inputs, &funcs)?;
-    }
-    gt.merge_from(delta_gt)?;
-
-    let rows = rows_of(gt, def)?;
-    let rebuilt = materialize(def, catalog, rows)?;
-    catalog.add_or_replace(rebuilt)?;
-    // Stamp the versions verified above, not a re-read: a concurrent
-    // modification between the check and here must leave the extent
-    // marked stale, not be laundered into "fresh".
-    meta.base_versions = versions;
-    catalog.update_matview(meta)?;
-    Ok(true)
-}
-
 /// Maintain every registered view that references `table` after an
 /// insert of `delta` rows (already applied to the base table):
 /// incremental merge where possible, full rebuild otherwise. Returns
 /// the names of the views maintained.
 ///
 /// Thin wrapper over [`crate::delta::maintain_after_dml`] with the
-/// insert-only Z-set `{row × +1, ...}` — the general path charges
-/// maintenance work (extent reconstruction, merged output) against the
-/// governor, which this entry point historically did not.
+/// insert-only Z-set `{row × +1, ...}`.
 pub fn maintain_after_insert(
     table: &str,
     delta: &[Tuple],
@@ -320,22 +209,19 @@ pub(crate) fn fold(def: &MatViewDef, rs: &ResultSet) -> Result<GroupTable> {
     Ok(gt)
 }
 
-/// Render finished groups as extent rows: keys, then per aggregate the
-/// finalized value followed by the partial-state components of
-/// state-storing functions. Row width matches [`ExtentLayout::of`].
-pub(crate) fn rows_of(gt: GroupTable, def: &MatViewDef) -> Result<Vec<Tuple>> {
-    let mut out = Vec::with_capacity(gt.len());
-    for g in gt.groups {
-        let mut vals = g.key.into_values();
-        for (s, a) in g.states.iter().zip(&def.aggs) {
-            vals.push(s.finalize()?);
-            if stores_partial_state(a.func) {
-                vals.extend(s.components().iter().cloned());
-            }
+/// Render one finished group as its extent row: keys, then per
+/// aggregate the finalized value followed by the partial-state
+/// components of state-storing functions. Row width matches
+/// [`ExtentLayout::of`].
+pub(crate) fn row_of(g: Group, def: &MatViewDef) -> Result<Tuple> {
+    let mut vals = g.key.into_values();
+    for (s, a) in g.states.iter().zip(&def.aggs) {
+        vals.push(s.finalize()?);
+        if stores_partial_state(a.func) {
+            vals.extend(s.components().iter().cloned());
         }
-        out.push(Tuple::new(vals));
     }
-    Ok(out)
+    Ok(Tuple::new(vals))
 }
 
 /// Build the extent table: the schema from the base tables' types, a
@@ -407,54 +293,13 @@ mod tests {
     }
 
     #[test]
-    fn build_then_incremental_equals_refresh() {
+    fn insert_past_a_drifted_extent_rebuilds() {
         let cat = setup();
         let (model, opts, gov) = exec_env();
         let def = dept_sal_view();
         let n = build_extent(&def, &cat, model, opts, &gov).unwrap();
         assert!(n > 0);
         assert!(!cat.matview("dsal").unwrap().is_stale(&cat));
-
-        // Insert two young employees into dept 0 and maintain.
-        let delta = vec![
-            Tuple::new(vec![
-                Value::Int(9001),
-                "pat".into(),
-                Value::Int(0),
-                Value::Float(1234.5),
-                Value::Int(25),
-            ]),
-            Tuple::new(vec![
-                Value::Int(9002),
-                "sam".into(),
-                Value::Int(0),
-                Value::Float(765.5),
-                Value::Int(40), // filtered out by age < 30
-            ]),
-        ];
-        cat.append_rows("emp", delta.clone()).unwrap();
-        assert!(cat.matview("dsal").unwrap().is_stale(&cat));
-        let did = apply_delta("dsal", "emp", &delta, &cat, model, opts, &gov).unwrap();
-        assert!(did);
-        assert!(!cat.matview("dsal").unwrap().is_stale(&cat));
-        let incremental = cat.get("__mv_dsal").unwrap();
-
-        // A from-scratch refresh over the same base data must agree.
-        refresh("dsal", &cat, model, opts, &gov).unwrap();
-        let rebuilt = cat.get("__mv_dsal").unwrap();
-        let mut a = incremental.rows().to_vec();
-        let mut b = rebuilt.rows().to_vec();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn drifted_extent_refuses_incremental_and_rebuilds() {
-        let cat = setup();
-        let (model, opts, gov) = exec_env();
-        let def = dept_sal_view();
-        build_extent(&def, &cat, model, opts, &gov).unwrap();
 
         // An out-of-band append the extent never saw...
         cat.append_rows(
@@ -468,8 +313,10 @@ mod tests {
             ])],
         )
         .unwrap();
-        // ...followed by a second insert: folding only the second delta
-        // would launder the first one's staleness.
+        assert!(cat.matview("dsal").unwrap().is_stale(&cat));
+        // ...followed by a maintained insert: folding only the second
+        // delta would launder the first one's staleness, so the round
+        // falls back to a full rebuild.
         let delta = vec![Tuple::new(vec![
             Value::Int(9051),
             "ada".into(),
@@ -478,89 +325,16 @@ mod tests {
             Value::Int(24),
         ])];
         cat.append_rows("emp", delta.clone()).unwrap();
-        assert!(
-            !apply_delta("dsal", "emp", &delta, &cat, model, opts, &gov).unwrap(),
-            "version drift must refuse incremental maintenance"
-        );
-        assert!(cat.matview("dsal").unwrap().is_stale(&cat));
-
-        // maintain_after_insert falls back to a full rebuild.
         let names = maintain_after_insert("emp", &delta, &cat, model, opts, &gov).unwrap();
         assert_eq!(names, vec!["dsal".to_string()]);
         assert!(!cat.matview("dsal").unwrap().is_stale(&cat));
-    }
 
-    #[test]
-    fn stddev_views_refuse_incremental() {
-        let cat = setup();
-        let (model, opts, gov) = exec_env();
-        let mut def = dept_sal_view();
-        def.name = "dstd".into();
-        def.aggs = vec![AggSpec::new(
-            AggFunc::StdDev,
-            Expr::col(Col::base(RelId(0), 3)),
-        )];
-        def.column_names = vec!["dno".into(), "sd".into()];
-        build_extent(&def, &cat, model, opts, &gov).unwrap();
-        let did = apply_delta("dstd", "emp", &[], &cat, model, opts, &gov).unwrap();
-        assert!(!did, "stddev stores no partial state");
-    }
-
-    #[test]
-    fn join_view_builds_and_maintains() {
-        let cat = setup();
-        let (model, opts, gov) = exec_env();
-        // SELECT e.dno, AVG(sal) FROM emp e, dept d
-        // WHERE e.dno = d.dno GROUP BY e.dno
-        let def = MatViewDef {
-            name: "jv".into(),
-            tables: vec!["emp".into(), "dept".into()],
-            preds: vec![Predicate::eq_cols(
-                Col::base(RelId(0), 2),
-                Col::base(RelId(1), 0),
-            )],
-            group_cols: vec![Col::base(RelId(0), 2)],
-            aggs: vec![AggSpec::new(
-                AggFunc::Avg,
-                Expr::col(Col::base(RelId(0), 3)),
-            )],
-            column_names: vec!["dno".into(), "asal".into()],
-        };
-        let n = build_extent(&def, &cat, model, opts, &gov).unwrap();
-        assert_eq!(n, 6);
-        let delta = vec![Tuple::new(vec![
-            Value::Int(9100),
-            "lee".into(),
-            Value::Int(3),
-            Value::Float(500.0),
-            Value::Int(33),
-        ])];
-        cat.append_rows("emp", delta.clone()).unwrap();
-        assert!(
-            apply_delta("jv", "emp", &delta, &cat, model, opts, &gov).unwrap(),
-            "single-occurrence join views maintain incrementally"
+        // The rebuilt extent is what a refresh produces.
+        let rebuilt = cat.get("__mv_dsal").unwrap().rows().to_vec();
+        assert_eq!(
+            refresh("dsal", &cat, model, opts, &gov).unwrap(),
+            rebuilt.len()
         );
-        refresh("jv", &cat, model, opts, &gov).unwrap();
-        // refresh after incremental: both paths already verified equal in
-        // build_then_incremental_equals_refresh; here we check freshness.
-        assert!(!cat.matview("jv").unwrap().is_stale(&cat));
-
-        // Drift on the *other* base table also refuses incremental:
-        // the delta-substituted plan would read dept rows the recorded
-        // versions never covered.
-        cat.mark_modified("dept").unwrap();
-        let delta2 = vec![Tuple::new(vec![
-            Value::Int(9101),
-            "kai".into(),
-            Value::Int(4),
-            Value::Float(600.0),
-            Value::Int(28),
-        ])];
-        cat.append_rows("emp", delta2.clone()).unwrap();
-        assert!(
-            !apply_delta("jv", "emp", &delta2, &cat, model, opts, &gov).unwrap(),
-            "other-table drift must refuse incremental maintenance"
-        );
-        assert!(cat.matview("jv").unwrap().is_stale(&cat));
+        assert_eq!(cat.get("__mv_dsal").unwrap().rows(), rebuilt);
     }
 }

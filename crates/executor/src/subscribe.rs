@@ -81,6 +81,44 @@ pub fn visible_projection(layout: &ExtentLayout, row: &Tuple) -> Tuple {
     row.project(&pos)
 }
 
+/// The extent rows one incremental maintenance round replaced, removed
+/// and added (what [`crate::delta::apply_zset_delta`] reports): the
+/// round's events follow from these alone, without reading the extent.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ExtentChange {
+    /// `(old, new)` extent rows of groups that were already stored.
+    pub updated: Vec<(Tuple, Tuple)>,
+    /// Extent rows of groups that disappeared.
+    pub deleted: Vec<Tuple>,
+    /// Extent rows of groups that appeared.
+    pub created: Vec<Tuple>,
+}
+
+/// The consolidated events of one incremental round: Updated (groups
+/// whose visible values changed, in extent order), then Created, then
+/// Deleted.
+pub fn change_round(view: &str, layout: &ExtentLayout, change: &ExtentChange) -> Vec<ViewEvent> {
+    let visible = |row| visible_projection(layout, row);
+    let view = || view.to_string();
+    let updated = change.updated.iter().filter_map(|(old, new)| {
+        let (old, new) = (visible(old), visible(new));
+        (old != new).then(|| ViewEvent::Updated {
+            view: view(),
+            old,
+            new,
+        })
+    });
+    let created = change.created.iter().map(|row| ViewEvent::Created {
+        view: view(),
+        row: visible(row),
+    });
+    let deleted = change.deleted.iter().map(|row| ViewEvent::Deleted {
+        view: view(),
+        row: visible(row),
+    });
+    updated.chain(created).chain(deleted).collect()
+}
+
 /// Diff two extent snapshots into the consolidated events of one
 /// maintenance round, keyed on the group key (the leading
 /// `layout.key_cols` columns). Created/Updated events follow the
@@ -233,9 +271,16 @@ impl SubscriptionHub {
         }
     }
 
+    /// Publish an incremental round from the rows it changed (see
+    /// [`change_round`]).
+    pub fn publish_change(&self, view: &str, layout: &ExtentLayout, change: &ExtentChange) {
+        self.publish(view, &change_round(view, layout, change));
+    }
+
     /// Diff two extent snapshots and publish the round (see
-    /// [`diff_round`]); the common caller-side shape around a
-    /// maintenance or refresh round.
+    /// [`diff_round`]): the caller-side shape around a round that
+    /// rebuilds the extent (REFRESH, the maintenance fallback), where
+    /// no [`ExtentChange`] exists.
     pub fn publish_diff(
         &self,
         view: &str,
@@ -307,6 +352,36 @@ mod tests {
                 row: tuple![1i64, 7.0f64, 1i64],
             }
         );
+    }
+
+    #[test]
+    fn change_round_agrees_with_the_snapshot_diff() {
+        let l = layout();
+        let before = vec![
+            tuple![0i64, 10.0f64, 10.0f64, 2i64, 2i64],
+            tuple![1i64, 7.0f64, 7.0f64, 1i64, 1i64],
+            tuple![3i64, 1.0f64, 1.0f64, 1i64, 1i64],
+        ];
+        let change = ExtentChange {
+            updated: vec![
+                (
+                    before[0].clone(),
+                    tuple![0i64, 15.0f64, 15.0f64, 3i64, 3i64],
+                ),
+                // Components moved, the visible projection did not.
+                (before[2].clone(), tuple![3i64, 1.0f64, 9.0f64, 1i64, 9i64]),
+            ],
+            deleted: vec![before[1].clone()],
+            created: vec![tuple![2i64, 4.0f64, 4.0f64, 1i64, 1i64]],
+        };
+        let after = vec![
+            change.updated[0].1.clone(),
+            change.updated[1].1.clone(),
+            change.created[0].clone(),
+        ];
+        let ev = change_round("v", &l, &change);
+        assert_eq!(ev, diff_round("v", &l, &before, &after));
+        assert_eq!(ev.len(), 3, "{ev:?}");
     }
 
     #[test]

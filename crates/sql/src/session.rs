@@ -351,6 +351,8 @@ impl Session {
             }
             replacements.push(Tuple::new(vals));
         }
+        // A table still referenced here would be copied, not edited.
+        drop(t);
         let pairs = self.catalog.update_rows(table, &indices, replacements)?;
         let n = pairs.len();
         let mut delta = ZSet::new();
@@ -382,9 +384,11 @@ impl Session {
         let schema = t.schema().clone();
         let gov = ResourceGovernor::new(self.limits);
         let indices = matched_indices(table, &schema, t.rows(), preds, &gov)?;
+        let remaining = t.len() - indices.len();
+        // A table still referenced here would be copied, not edited.
+        drop(t);
         let removed = self.catalog.delete_rows(table, &indices)?;
         let n = removed.len();
-        let remaining = self.catalog.get(table)?.len();
         let delta = ZSet::from_deletes(removed);
         let maintained = aggview_executor::delta::maintain_after_dml(
             table,

@@ -30,7 +30,7 @@
 use crate::matview::MatViewMeta;
 use crate::snapshot::{Snapshot, TableSnap};
 use crate::stats::TableStats;
-use crate::table::Table;
+use crate::table::{Displaced, RowPatch, Table};
 use crate::wal::{WalContents, WalReader, WalRecord, WalWriter};
 use aggview_common::{AggViewError, FaultInjector, NoFaults, Result, Tuple};
 use parking_lot::{Mutex, RwLock};
@@ -45,11 +45,12 @@ pub const WAL_FILE: &str = "wal.agv";
 /// Per-table modification bookkeeping.
 ///
 /// `data` increments on every registration or data change; `stats` records
-/// the data version the table's statistics were computed from. The two
-/// stay equal under the normal immutable-rebuild discipline (rebuilding a
-/// table re-runs `analyze`), so `stats != data` flags a logic error where
-/// statistics would silently go stale — the cost model debug-asserts on
-/// it via [`Catalog::stats_fresh`].
+/// the data version the table's statistics reflect. The two stay equal
+/// under every mutator of this module (registration analyzes the rows,
+/// a row patch carries the statistics forward with them — see
+/// [`crate::stats`]); only [`Catalog::mark_modified`] moves `data` alone.
+/// `stats != data` therefore flags statistics that went stale silently —
+/// the cost model debug-asserts on it via [`Catalog::stats_fresh`].
 #[derive(Debug, Clone, Copy, Default)]
 struct TableVersions {
     data: u64,
@@ -87,8 +88,8 @@ pub struct Catalog {
 fn bump_entry(vers: &mut BTreeMap<String, TableVersions>, key: &str) {
     let e = vers.entry(key.to_string()).or_default();
     e.data += 1;
-    // The immutable-rebuild discipline recomputes statistics with the
-    // data, so registration brings them back in sync.
+    // Registration and row patches both leave the table's statistics
+    // describing its new rows.
     e.stats = e.data;
 }
 
@@ -135,48 +136,8 @@ fn rebuild_table(snap: &TableSnap) -> Result<Arc<Table>> {
     b.build()
 }
 
-/// Start a builder with the same name, schema, and key declarations as
-/// `old` (no rows) — the first half of every immutable-table rebuild.
-fn builder_like(old: &Table) -> Result<crate::table::TableBuilder> {
-    let mut b = Table::builder(old.name(), old.schema().clone());
-    if let Some(pk) = old.primary_key() {
-        let names: Vec<String> = pk
-            .cols
-            .iter()
-            .map(|&i| old.schema().field(i).name.clone())
-            .collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        b = b.primary_key(&refs)?;
-    }
-    for fk in old.foreign_keys() {
-        let names: Vec<String> = fk
-            .cols
-            .iter()
-            .map(|&i| old.schema().field(i).name.clone())
-            .collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        b = b.foreign_key(&refs, &fk.parent, &fk.parent_cols)?;
-    }
-    Ok(b)
-}
-
-/// Positional DML operates on strictly increasing, in-bounds row
-/// positions: that is what makes the WAL's positional records replay
-/// deterministically (and lets the rebuild walk old rows once).
-fn check_positions(name: &str, indices: &[usize], len: usize) -> Result<()> {
-    for (k, &i) in indices.iter().enumerate() {
-        if i >= len {
-            return Err(AggViewError::Catalog(format!(
-                "row position {i} out of bounds for `{name}` ({len} rows)"
-            )));
-        }
-        if k > 0 && indices[k - 1] >= i {
-            return Err(AggViewError::Catalog(format!(
-                "row positions for `{name}` must be strictly increasing"
-            )));
-        }
-    }
-    Ok(())
+fn unknown_table(name: &str) -> AggViewError {
+    AggViewError::Catalog(format!("unknown table `{name}`"))
 }
 
 impl Catalog {
@@ -322,7 +283,14 @@ impl Catalog {
                 indices,
                 rows,
             } => {
-                self.update_rows_impl(table, indices, rows, false)?;
+                self.update_rows_impl(table, indices, rows.clone(), false)?;
+            }
+            WalRecord::PatchExtent {
+                view,
+                patch,
+                base_versions,
+            } => {
+                self.patch_extent_impl(view, patch.clone(), base_versions.clone(), false)?;
             }
         }
         Ok(())
@@ -399,7 +367,7 @@ impl Catalog {
             .read()
             .get(&name.to_ascii_lowercase())
             .cloned()
-            .ok_or_else(|| AggViewError::Catalog(format!("unknown table `{name}`")))
+            .ok_or_else(|| unknown_table(name))
     }
 
     /// True if a table with this name exists.
@@ -468,55 +436,64 @@ impl Catalog {
         Ok(stats)
     }
 
-    /// Append rows to a table, preserving its schema and key declarations.
+    /// The one way rows of a registered table change: check `patch`
+    /// against the table, write `record` ahead (durable catalogs, and
+    /// only when `log` — replay passes `false`), apply the patch and
+    /// bump the table's version, all under the tables write lock, so
+    /// concurrent mutations of one table serialize and none is lost.
+    /// Returns the row count before the patch and the rows it displaced.
     ///
-    /// The immutable-table discipline means "append" rebuilds the table
-    /// (re-validating primary-key uniqueness and re-analyzing statistics)
-    /// and swaps it into the catalog, bumping the data version. Callers
-    /// maintaining materialized views use the returned previous row count
-    /// to locate the delta.
+    /// The table is edited through `Arc::make_mut`: in place when the
+    /// catalog holds the only reference, on a copy when a reader still
+    /// holds the `Arc` it got from [`Catalog::get`] — that reader keeps
+    /// seeing the rows it started with. A patch that fails its check
+    /// changes nothing and logs nothing; one that fails its write-ahead
+    /// append changes nothing either.
+    fn patch_rows(
+        &self,
+        name: &str,
+        patch: RowPatch,
+        record: impl FnOnce(String, &RowPatch) -> WalRecord,
+        log: bool,
+    ) -> Result<(usize, Displaced)> {
+        let key = name.to_ascii_lowercase();
+        let mut map = self.tables.write();
+        let table = Arc::make_mut(map.get_mut(&key).ok_or_else(|| unknown_table(name))?);
+        table.check_patch(&patch)?;
+        let mut vers = self.versions.write();
+        if log {
+            self.log_with(|| record(key.clone(), &patch))?;
+        }
+        let before = table.len();
+        let displaced = table.apply_patch(patch);
+        bump_entry(&mut vers, &key);
+        Ok((before, displaced))
+    }
+
+    /// Append rows to a table, returning its previous row count (callers
+    /// maintaining materialized views use it to locate the delta).
     ///
-    /// The tables write lock is held across the read-rebuild-swap, so
-    /// concurrent appends to the same table serialize and neither batch
-    /// is lost (readers block for the rebuild's duration). On a durable
-    /// catalog the batch is validated *before* it is logged: a batch
-    /// that fails validation (arity, type, duplicate key) produces no
-    /// WAL record at all.
+    /// Arity, types and primary-key uniqueness of the batch are checked
+    /// — the keys against the table's carried key index, not by
+    /// re-reading the table — *before* anything is logged or applied: a
+    /// rejected batch produces no WAL record and leaves rows, keys,
+    /// statistics and versions as they were. An accepted one costs work
+    /// proportional to the batch (see `patch_rows` for the locking and
+    /// copy-on-write rules every mutator shares).
     pub fn append_rows(&self, name: &str, rows: Vec<Tuple>) -> Result<usize> {
         self.append_rows_impl(name, rows, true)
     }
 
     fn append_rows_impl(&self, name: &str, rows: Vec<Tuple>, log: bool) -> Result<usize> {
-        let key = name.to_ascii_lowercase();
-        let mut map = self.tables.write();
-        let old = map
-            .get(&key)
-            .cloned()
-            .ok_or_else(|| AggViewError::Catalog(format!("unknown table `{name}`")))?;
-        let prev_len = old.len();
-        let mut b = builder_like(&old)?;
-        for row in old.rows() {
-            b.push(row.clone())?;
-        }
-        let logged_rows = if log && self.durable.is_some() {
-            Some(rows.clone())
-        } else {
-            None
+        let patch = RowPatch {
+            inserts: rows,
+            ..RowPatch::default()
         };
-        for row in rows {
-            b.push(row)?;
-        }
-        let table = b.build()?;
-        let mut vers = self.versions.write();
-        if let Some(batch) = logged_rows {
-            self.log_with(|| WalRecord::InsertBatch {
-                table: key.clone(),
-                rows: batch,
-            })?;
-        }
-        map.insert(key.clone(), table);
-        bump_entry(&mut vers, &key);
-        Ok(prev_len)
+        let record = |table, p: &RowPatch| WalRecord::InsertBatch {
+            table,
+            rows: p.inserts.clone(),
+        };
+        Ok(self.patch_rows(name, patch, record, log)?.0)
     }
 
     /// Remove the rows at the given positions (which must be strictly
@@ -524,80 +501,55 @@ impl Catalog {
     /// order. Callers maintaining materialized views turn the result
     /// into the negative half of a Z-set delta.
     ///
-    /// Same discipline as [`append_rows`](Catalog::append_rows): the
-    /// table is rebuilt without the victims (re-analyzing statistics),
-    /// logged positionally (tables are immutable ordered row vectors,
-    /// so positions replay deterministically), swapped in, and the data
-    /// version bumped — all under the tables write lock.
+    /// Same discipline as [`append_rows`](Catalog::append_rows); the
+    /// record is positional (every mutator keeps the surviving rows in
+    /// order, so positions replay deterministically). An empty position
+    /// list is a no-op that logs and bumps nothing.
     pub fn delete_rows(&self, name: &str, indices: &[usize]) -> Result<Vec<Tuple>> {
         self.delete_rows_impl(name, indices, true)
     }
 
     fn delete_rows_impl(&self, name: &str, indices: &[usize], log: bool) -> Result<Vec<Tuple>> {
-        let key = name.to_ascii_lowercase();
-        let mut map = self.tables.write();
-        let old = map
-            .get(&key)
-            .cloned()
-            .ok_or_else(|| AggViewError::Catalog(format!("unknown table `{name}`")))?;
-        check_positions(name, indices, old.len())?;
         if indices.is_empty() {
-            return Ok(Vec::new());
+            return self.get(name).map(|_| Vec::new());
         }
-        let mut b = builder_like(&old)?;
-        let mut removed = Vec::with_capacity(indices.len());
-        let mut next = indices.iter().copied().peekable();
-        for (i, row) in old.rows().iter().enumerate() {
-            if next.peek() == Some(&i) {
-                next.next();
-                removed.push(row.clone());
-            } else {
-                b.push(row.clone())?;
-            }
-        }
-        let table = b.build()?;
-        let mut vers = self.versions.write();
-        if log {
-            self.log_with(|| WalRecord::DeleteBatch {
-                table: key.clone(),
-                indices: indices.to_vec(),
-            })?;
-        }
-        map.insert(key.clone(), table);
-        bump_entry(&mut vers, &key);
-        Ok(removed)
+        let patch = RowPatch {
+            deletes: indices.to_vec(),
+            ..RowPatch::default()
+        };
+        let record = |table, p: &RowPatch| WalRecord::DeleteBatch {
+            table,
+            indices: p.deletes.clone(),
+        };
+        Ok(self.patch_rows(name, patch, record, log)?.1.removed)
     }
 
     /// Replace the rows at the given positions (strictly increasing, in
     /// bounds) with `rows[i]`, returning `(old, new)` pairs in position
     /// order. The pairs become a Z-set delta: `-old ⊕ +new` per row.
     ///
-    /// The rebuild re-validates primary-key uniqueness over the whole
-    /// table, so an update that would collide two keys fails atomically
-    /// with nothing logged or applied.
+    /// Primary-key uniqueness is checked on the table as it will be
+    /// after the whole batch (two rows may swap keys), so an update that
+    /// would collide two keys fails atomically with nothing logged or
+    /// applied.
     pub fn update_rows(
         &self,
         name: &str,
         indices: &[usize],
         rows: Vec<Tuple>,
     ) -> Result<Vec<(Tuple, Tuple)>> {
-        self.update_rows_impl(name, indices, &rows, true)
+        let old = self.update_rows_impl(name, indices, rows.clone(), true)?;
+        Ok(old.into_iter().zip(rows).collect())
     }
 
+    /// Returns the replaced rows, in position order.
     fn update_rows_impl(
         &self,
         name: &str,
         indices: &[usize],
-        rows: &[Tuple],
+        rows: Vec<Tuple>,
         log: bool,
-    ) -> Result<Vec<(Tuple, Tuple)>> {
-        let key = name.to_ascii_lowercase();
-        let mut map = self.tables.write();
-        let old = map
-            .get(&key)
-            .cloned()
-            .ok_or_else(|| AggViewError::Catalog(format!("unknown table `{name}`")))?;
-        check_positions(name, indices, old.len())?;
+    ) -> Result<Vec<Tuple>> {
         if indices.len() != rows.len() {
             return Err(AggViewError::Catalog(format!(
                 "update of `{name}`: {} positions but {} replacement rows",
@@ -606,33 +558,18 @@ impl Catalog {
             )));
         }
         if indices.is_empty() {
-            return Ok(Vec::new());
+            return self.get(name).map(|_| Vec::new());
         }
-        let mut b = builder_like(&old)?;
-        let mut pairs = Vec::with_capacity(indices.len());
-        let mut next = indices.iter().copied().enumerate().peekable();
-        for (i, row) in old.rows().iter().enumerate() {
-            match next.peek() {
-                Some(&(k, pos)) if pos == i => {
-                    next.next();
-                    b.push(rows[k].clone())?;
-                    pairs.push((row.clone(), rows[k].clone()));
-                }
-                _ => b.push(row.clone())?,
-            }
-        }
-        let table = b.build()?;
-        let mut vers = self.versions.write();
-        if log {
-            self.log_with(|| WalRecord::UpdateBatch {
-                table: key.clone(),
-                indices: indices.to_vec(),
-                rows: rows.to_vec(),
-            })?;
-        }
-        map.insert(key.clone(), table);
-        bump_entry(&mut vers, &key);
-        Ok(pairs)
+        let patch = RowPatch {
+            updates: indices.iter().copied().zip(rows).collect(),
+            ..RowPatch::default()
+        };
+        let record = |table, p: &RowPatch| WalRecord::UpdateBatch {
+            table,
+            indices: p.updates.iter().map(|(i, _)| *i).collect(),
+            rows: p.updates.iter().map(|(_, r)| r.clone()).collect(),
+        };
+        Ok(self.patch_rows(name, patch, record, log)?.1.replaced)
     }
 
     // ---- materialized views ----------------------------------------
@@ -659,6 +596,69 @@ impl Catalog {
         self.log_with(|| WalRecord::PutMatView { meta: meta.clone() })?;
         map.insert(key, meta);
         Ok(())
+    }
+
+    /// Commit one maintenance round of `view`: apply `patch` to its
+    /// extent table and record `base_versions` as the base-table
+    /// versions the extent now reflects — one WAL record, one critical
+    /// section (`tables → versions → matviews → wal`), so no reader and
+    /// no crash sees the extent patched but not stamped or the reverse.
+    /// The extent goes through the same check-log-apply steps as any
+    /// table (`patch_rows`); an empty patch only restamps. Returns the
+    /// extent rows the patch displaced.
+    pub fn patch_extent(
+        &self,
+        view: &str,
+        patch: RowPatch,
+        base_versions: Vec<u64>,
+    ) -> Result<Displaced> {
+        self.patch_extent_impl(view, patch, base_versions, true)
+    }
+
+    fn patch_extent_impl(
+        &self,
+        view: &str,
+        patch: RowPatch,
+        base_versions: Vec<u64>,
+        log: bool,
+    ) -> Result<Displaced> {
+        let mut map = self.tables.write();
+        let mut vers = self.versions.write();
+        let mut mvs = self.matviews.write();
+        let meta = mvs
+            .get_mut(&view.to_ascii_lowercase())
+            .ok_or_else(|| AggViewError::Catalog(format!("unknown materialized view `{view}`")))?;
+        if base_versions.len() != meta.def.tables.len() {
+            return Err(AggViewError::Catalog(format!(
+                "view `{view}`: {} base versions for {} tables",
+                base_versions.len(),
+                meta.def.tables.len()
+            )));
+        }
+        let key = meta.extent.to_ascii_lowercase();
+        let slot = map
+            .get_mut(&key)
+            .ok_or_else(|| unknown_table(&meta.extent))?;
+        // An empty patch must not cost a copy of a shared extent.
+        let mut table = (!patch.is_empty()).then(|| Arc::make_mut(slot));
+        if let Some(t) = &mut table {
+            t.check_patch(&patch)?;
+        }
+        if log {
+            self.log_with(|| WalRecord::PatchExtent {
+                view: view.to_string(),
+                patch: patch.clone(),
+                base_versions: base_versions.clone(),
+            })?;
+        }
+        meta.base_versions = base_versions;
+        Ok(match table {
+            Some(t) => {
+                bump_entry(&mut vers, &key);
+                t.apply_patch(patch)
+            }
+            None => Displaced::default(),
+        })
     }
 
     /// Metadata for one materialized view.
@@ -905,7 +905,7 @@ mod tests {
     }
 
     #[test]
-    fn append_rows_preserves_keys_and_reanalyzes() {
+    fn append_rows_preserves_keys_and_keeps_stats_current() {
         let c = Catalog::new();
         let t = Table::builder(
             "k",
@@ -928,6 +928,119 @@ mod tests {
         // Duplicate primary key in the delta is rejected.
         assert!(c.append_rows("k", vec![tuple![1i64, 99i64]]).is_err());
         assert!(c.append_rows("ghost", vec![]).is_err());
+    }
+
+    fn keyed(rows: &[(i64, i64)]) -> Arc<Table> {
+        let mut b = Table::builder(
+            "k",
+            Schema::of(&[("id", DataType::Int), ("v", DataType::Int)]),
+        )
+        .primary_key(&["id"])
+        .unwrap();
+        for &(id, v) in rows {
+            b.push(tuple![id, v]).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_reader_keeps_its_rows_across_mutations() {
+        let c = Catalog::new();
+        c.add(keyed(&[(1, 10), (2, 20)])).unwrap();
+        let reader = c.get("k").unwrap();
+        c.append_rows("k", vec![tuple![3i64, 30i64]]).unwrap();
+        c.update_rows("k", &[0], vec![tuple![1i64, 11i64]]).unwrap();
+        c.delete_rows("k", &[1]).unwrap();
+        // The snapshot the reader took is untouched, statistics included.
+        assert_eq!(reader.rows(), &[tuple![1i64, 10i64], tuple![2i64, 20i64]]);
+        assert_eq!(reader.stats().rows, 2);
+        assert_eq!(reader.stats().columns[1].max, Some(20.0));
+        let now = c.get("k").unwrap();
+        assert_eq!(now.rows(), &[tuple![1i64, 11i64], tuple![3i64, 30i64]]);
+        assert_eq!(now.stats().columns[1].max, Some(30.0));
+        // Copied once, for the reader's sake; then edited in place.
+        assert!(!Arc::ptr_eq(&reader, &now));
+        let at = Arc::as_ptr(&now);
+        drop((reader, now));
+        c.append_rows("k", vec![tuple![4i64, 40i64]]).unwrap();
+        assert_eq!(Arc::as_ptr(&c.get("k").unwrap()), at);
+    }
+
+    #[test]
+    fn patch_extent_edits_and_stamps_as_one() {
+        use crate::matview::{ExtentLayout, MatViewDef};
+        use aggview_common::{AggSpec, Col, RelId};
+        let c = Catalog::new();
+        c.add(keyed(&[(1, 10)])).unwrap();
+        let def = MatViewDef {
+            name: "by_v".into(),
+            tables: vec!["k".into()],
+            preds: vec![],
+            group_cols: vec![Col::base(RelId(0), 1)],
+            aggs: vec![AggSpec::count_star()],
+            column_names: vec!["v".into(), "n".into()],
+        };
+        let extent = Table::builder(
+            "__mv_by_v",
+            Schema::of(&[
+                ("v", DataType::Int),
+                ("n", DataType::Int),
+                ("__n_p0", DataType::Int),
+            ]),
+        )
+        .primary_key(&["v"])
+        .unwrap()
+        .row(vec![10i64.into(), 1i64.into(), 1i64.into()])
+        .unwrap()
+        .build()
+        .unwrap();
+        c.add(extent).unwrap();
+        c.register_matview(MatViewMeta {
+            layout: ExtentLayout::of(&def),
+            extent: "__mv_by_v".into(),
+            base_versions: vec![c.data_version("k")],
+            def,
+        })
+        .unwrap();
+
+        c.append_rows("k", vec![tuple![2i64, 10i64], tuple![3i64, 30i64]])
+            .unwrap();
+        assert!(c.matview("by_v").unwrap().is_stale(&c));
+        let patch = RowPatch {
+            updates: vec![(0, tuple![10i64, 2i64, 2i64])],
+            deletes: vec![],
+            inserts: vec![tuple![30i64, 1i64, 1i64]],
+        };
+        let displaced = c
+            .patch_extent("by_v", patch, vec![c.data_version("k")])
+            .unwrap();
+        assert_eq!(displaced.replaced, vec![tuple![10i64, 1i64, 1i64]]);
+        assert!(!c.matview("by_v").unwrap().is_stale(&c));
+        assert_eq!(c.get("__mv_by_v").unwrap().len(), 2);
+        assert_eq!(c.data_version("__mv_by_v"), 2);
+
+        // A patch that fails its check changes neither rows nor stamp.
+        c.mark_modified("k").unwrap();
+        let dup = RowPatch {
+            inserts: vec![tuple![30i64, 9i64, 9i64]],
+            ..RowPatch::default()
+        };
+        assert!(c
+            .patch_extent("by_v", dup, vec![c.data_version("k")])
+            .is_err());
+        assert!(c.matview("by_v").unwrap().is_stale(&c));
+        assert_eq!(c.data_version("__mv_by_v"), 2);
+
+        // An empty patch restamps without touching the extent.
+        c.patch_extent("by_v", RowPatch::default(), vec![c.data_version("k")])
+            .unwrap();
+        assert!(!c.matview("by_v").unwrap().is_stale(&c));
+        assert_eq!(c.data_version("__mv_by_v"), 2);
+
+        assert!(c
+            .patch_extent("ghost", RowPatch::default(), vec![1])
+            .is_err());
+        assert!(c.patch_extent("by_v", RowPatch::default(), vec![]).is_err());
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use crate::keys::{ForeignKey, PrimaryKey};
 use crate::matview::{ExtentLayout, MatViewDef, MatViewMeta};
+use crate::table::RowPatch;
 use aggview_common::{
     AggFunc, AggSpec, AggViewError, BinaryOp, CmpOp, Col, ColRef, DataType, Expr, Field, Predicate,
     RelId, Result, Schema, Tuple, Value, ViewId,
@@ -82,6 +83,13 @@ impl Enc {
         self.u32(v.len() as u32);
         for &i in v {
             self.u64(i as u64);
+        }
+    }
+
+    pub fn u64s(&mut self, v: &[u64]) {
+        self.u32(v.len() as u32);
+        for &x in v {
+            self.u64(x);
         }
     }
 }
@@ -167,6 +175,11 @@ impl<'a> Dec<'a> {
         let n = self.len("index list")?;
         (0..n).map(|_| Ok(self.u64()? as usize)).collect()
     }
+
+    pub fn u64s(&mut self, what: &str) -> Result<Vec<u64>> {
+        let n = self.len(what)?;
+        (0..n).map(|_| self.u64()).collect()
+    }
 }
 
 // ---- scalar values and tuples ---------------------------------------
@@ -225,6 +238,28 @@ pub fn enc_rows(e: &mut Enc, rows: &[Tuple]) {
 pub fn dec_rows(d: &mut Dec) -> Result<Vec<Tuple>> {
     let n = d.len("row count")?;
     (0..n).map(|_| dec_tuple(d)).collect()
+}
+
+pub fn enc_row_patch(e: &mut Enc, p: &RowPatch) {
+    e.u32(p.updates.len() as u32);
+    for (i, row) in &p.updates {
+        e.u64(*i as u64);
+        enc_tuple(e, row);
+    }
+    e.usizes(&p.deletes);
+    enc_rows(e, &p.inserts);
+}
+
+pub fn dec_row_patch(d: &mut Dec) -> Result<RowPatch> {
+    let n = d.len("updated row")?;
+    let updates = (0..n)
+        .map(|_| Ok((d.u64()? as usize, dec_tuple(d)?)))
+        .collect::<Result<_>>()?;
+    Ok(RowPatch {
+        updates,
+        deletes: d.usizes()?,
+        inserts: dec_rows(d)?,
+    })
 }
 
 // ---- schemas ---------------------------------------------------------
@@ -571,17 +606,13 @@ pub fn dec_matview_def(d: &mut Dec) -> Result<MatViewDef> {
 pub fn enc_matview_meta(e: &mut Enc, meta: &MatViewMeta) {
     enc_matview_def(e, &meta.def);
     e.str(&meta.extent);
-    e.u32(meta.base_versions.len() as u32);
-    for &v in &meta.base_versions {
-        e.u64(v);
-    }
+    e.u64s(&meta.base_versions);
 }
 
 pub fn dec_matview_meta(d: &mut Dec) -> Result<MatViewMeta> {
     let def = dec_matview_def(d)?;
     let extent = d.str()?;
-    let n = d.len("base version")?;
-    let base_versions = (0..n).map(|_| d.u64()).collect::<Result<Vec<_>>>()?;
+    let base_versions = d.u64s("base version")?;
     if base_versions.len() != def.tables.len() {
         return Err(d.corrupt(format!(
             "view `{}` records {} base versions for {} tables",
@@ -703,6 +734,17 @@ mod tests {
         e.u8(0xFE);
         let err = Dec::new(&e.into_bytes()).str().unwrap_err();
         assert!(err.message().contains("UTF-8"));
+    }
+
+    #[test]
+    fn row_patches_round_trip() {
+        round_trip(&RowPatch::default(), enc_row_patch, dec_row_patch);
+        let patch = RowPatch {
+            updates: vec![(3, Tuple::new(vec![Value::Int(1), Value::Float(2.5)]))],
+            deletes: vec![0, 7],
+            inserts: vec![Tuple::new(vec![Value::Int(9), Value::Float(0.0)])],
+        };
+        round_trip(&patch, enc_row_patch, dec_row_patch);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The paper was evaluated inside a full DBMS; this crate provides the
 //! equivalent substrate, built from scratch:
 //!
-//! * [`Table`] / [`TableBuilder`] — immutable in-memory relations with
-//!   declared primary and foreign keys (the pull-up transformation's
-//!   correctness hinges on key information; see paper Definition 1),
+//! * [`Table`] / [`TableBuilder`] — in-memory relations with declared
+//!   primary and foreign keys (the pull-up transformation's correctness
+//!   hinges on key information; see paper Definition 1), shared behind
+//!   `Arc` and edited copy-on-write by [`RowPatch`]es,
 //! * [`Catalog`] — a concurrent name → table registry,
 //! * [`TableStats`] / [`ColumnStats`] — row counts, distinct counts,
 //!   min/max, average widths and equi-depth histograms feeding the cost
@@ -35,5 +36,5 @@ pub use matview::{stores_partial_state, AggColumns, ExtentLayout, MatViewDef, Ma
 pub use page::PageModel;
 pub use snapshot::Snapshot;
 pub use stats::{ColumnStats, Histogram, TableStats};
-pub use table::{Table, TableBuilder};
+pub use table::{Displaced, RowPatch, Table, TableBuilder};
 pub use wal::{WalReader, WalRecord, WalWriter};

@@ -6,10 +6,30 @@
 //! [`analyze`] — a luxury a disk-based system doesn't have, but the right
 //! choice for a reproduction: estimation error is then a controlled,
 //! measurable quantity (experiment E9) rather than noise.
+//!
+//! ## The contract under DML
+//!
+//! A table that is mutated keeps a [`StatsSummary`] — one value →
+//! multiplicity map per column — and derives its [`TableStats`] from it
+//! after every mutation, in time proportional to the rows changed:
+//!
+//! * `rows`, `row_width`, and per column `avg_width`, `distinct`, `min`
+//!   and `max` are **exact** and equal to what [`analyze`] computes over
+//!   the same rows (on NaN-free columns; the engine has no NaN literal).
+//!   The plan dataflow analysis prunes on `min`/`max`, so these may
+//!   never lag.
+//! * the equi-depth `histogram` may **lag by at most
+//!   `rows / HISTOGRAM_BUCKETS` changed rows** — one bucket's depth, its
+//!   own resolution. When a mutation takes the lag past that, every
+//!   histogram of the table is rebuilt from the summary and is then
+//!   equal to [`analyze`]'s again. Tables under [`HISTOGRAM_BUCKETS`]
+//!   rows therefore never lag.
+//!
+//! A table that is never mutated never builds a summary.
 
 use aggview_common::{CmpOp, Tuple, Value};
 use serde::Serialize;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// Statistics for one column.
 #[derive(Debug, Clone, Serialize)]
@@ -100,16 +120,35 @@ impl Histogram {
     /// Build an equi-depth histogram with up to `buckets` buckets from
     /// numeric samples. Returns `None` for empty input.
     pub fn equi_depth(mut samples: Vec<f64>, buckets: usize) -> Option<Histogram> {
-        if samples.is_empty() || buckets == 0 {
-            return None;
-        }
         samples.sort_by(f64::total_cmp);
         let n = samples.len();
-        let lo = samples[0];
+        Histogram::from_sorted_runs(samples.into_iter().map(|x| (x, 1)), n, buckets)
+    }
+
+    /// [`equi_depth`](Histogram::equi_depth) over samples already in
+    /// `f64::total_cmp` order and run-length encoded as
+    /// `(value, multiplicity)`; `n` is the total multiplicity.
+    fn from_sorted_runs(
+        runs: impl IntoIterator<Item = (f64, u64)>,
+        n: usize,
+        buckets: usize,
+    ) -> Option<Histogram> {
+        if n == 0 || buckets == 0 {
+            return None;
+        }
+        let mut runs = runs.into_iter();
+        let (mut value, mut seen) = runs.next()?;
+        let lo = value;
         let mut bounds = Vec::with_capacity(buckets);
         for b in 1..=buckets {
-            let idx = (b * n / buckets).saturating_sub(1).min(n - 1);
-            bounds.push(samples[idx]);
+            // Bucket `b` ends at the sample of this rank.
+            let rank = (b * n / buckets).saturating_sub(1).min(n - 1) as u64;
+            while seen <= rank {
+                let (v, count) = runs.next()?;
+                value = v;
+                seen += count;
+            }
+            bounds.push(value);
         }
         bounds.dedup_by(|a, b| a == b);
         Some(Histogram { lo, bounds })
@@ -178,8 +217,14 @@ pub const HISTOGRAM_BUCKETS: usize = 128;
 
 /// Compute exact statistics over `rows` of arity `ncols`.
 pub fn analyze(rows: &[Tuple], ncols: usize) -> TableStats {
+    analyze_sized(rows, ncols).0
+}
+
+/// [`analyze`], plus the sum of [`Tuple::width`] over `rows` that it
+/// adds up on the way.
+pub(crate) fn analyze_sized(rows: &[Tuple], ncols: usize) -> (TableStats, u64) {
     if rows.is_empty() {
-        return TableStats::empty(ncols);
+        return (TableStats::empty(ncols), 0);
     }
     let mut columns = Vec::with_capacity(ncols);
     let mut total_width = 0usize;
@@ -217,11 +262,145 @@ pub fn analyze(rows: &[Tuple], ncols: usize) -> TableStats {
             histogram,
         });
     }
-    TableStats {
+    let stats = TableStats {
         rows: rows.len() as u64,
         row_width: total_width as f64 / rows.len() as f64,
         columns,
         version: 0,
+    };
+    (stats, total_width as u64)
+}
+
+/// One column's values as a multiset, ordered as [`Value`] orders them
+/// (numerics by `f64::total_cmp` of their float view — the order
+/// [`Histogram::equi_depth`] sorts by).
+#[derive(Debug, Clone, Default)]
+struct ColumnSummary {
+    counts: BTreeMap<Value, u64>,
+    /// Sum of [`Value::width`] over the column.
+    width: u64,
+    /// Values without a float view; one is enough to switch `min`,
+    /// `max` and the histogram off, as in [`analyze`].
+    non_numeric: u64,
+}
+
+impl ColumnSummary {
+    fn add(&mut self, v: &Value) {
+        match self.counts.get_mut(v) {
+            Some(n) => *n += 1,
+            None => {
+                self.counts.insert(v.clone(), 1);
+            }
+        }
+        self.width += v.width() as u64;
+        self.non_numeric += u64::from(v.as_f64().is_none());
+    }
+
+    fn remove(&mut self, v: &Value) {
+        if let Some(n) = self.counts.get_mut(v) {
+            *n -= 1;
+            if *n == 0 {
+                self.counts.remove(v);
+            }
+            self.width -= v.width() as u64;
+            self.non_numeric -= u64::from(v.as_f64().is_none());
+        }
+    }
+
+    /// `(min, max)` of an all-numeric column.
+    fn range(&self) -> (Option<f64>, Option<f64>) {
+        if self.non_numeric > 0 {
+            return (None, None);
+        }
+        let mut keys = self.counts.keys().filter_map(Value::as_f64);
+        let min = keys.next();
+        (min, keys.next_back().or(min))
+    }
+
+    fn histogram(&self, rows: u64) -> Option<Histogram> {
+        if self.non_numeric > 0 {
+            return None;
+        }
+        let runs = self
+            .counts
+            .iter()
+            .filter_map(|(v, &n)| v.as_f64().map(|x| (x, n)));
+        Histogram::from_sorted_runs(runs, rows as usize, HISTOGRAM_BUCKETS)
+    }
+}
+
+/// What a mutated table keeps so that its [`TableStats`] follow every
+/// mutation at a cost proportional to the rows changed (module docs:
+/// the contract under DML).
+#[derive(Debug, Clone)]
+pub(crate) struct StatsSummary {
+    rows: u64,
+    columns: Vec<ColumnSummary>,
+    /// Rows changed since the histograms were last rebuilt.
+    histogram_lag: u64,
+}
+
+impl StatsSummary {
+    /// Summarize `rows`, whose current histograms are exact.
+    pub(crate) fn of(rows: &[Tuple], ncols: usize) -> StatsSummary {
+        let mut summary = StatsSummary {
+            rows: 0,
+            columns: vec![ColumnSummary::default(); ncols],
+            histogram_lag: 0,
+        };
+        for row in rows {
+            summary.add(row);
+        }
+        summary
+    }
+
+    pub(crate) fn add(&mut self, row: &Tuple) {
+        self.rows += 1;
+        for (c, v) in self.columns.iter_mut().zip(row.values()) {
+            c.add(v);
+        }
+    }
+
+    pub(crate) fn remove(&mut self, row: &Tuple) {
+        self.rows -= 1;
+        for (c, v) in self.columns.iter_mut().zip(row.values()) {
+            c.remove(v);
+        }
+    }
+
+    /// Sum of [`Tuple::width`] over the summarized rows.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.columns.iter().map(|c| c.width).sum()
+    }
+
+    /// Bring `stats` up to date with the summary after a mutation that
+    /// changed `changed` rows: the exact fields always, the histograms
+    /// when their lag passes one bucket's depth.
+    pub(crate) fn refresh(&mut self, stats: &mut TableStats, changed: u64) {
+        let rows = self.rows;
+        if rows == 0 {
+            self.histogram_lag = 0;
+            *stats = TableStats {
+                version: stats.version,
+                ..TableStats::empty(self.columns.len())
+            };
+            return;
+        }
+        self.histogram_lag += changed;
+        let rebuild = self.histogram_lag > rows / HISTOGRAM_BUCKETS as u64;
+        if rebuild {
+            self.histogram_lag = 0;
+        }
+        stats.rows = rows;
+        stats.row_width = self.bytes() as f64 / rows as f64;
+        for (c, out) in self.columns.iter().zip(&mut stats.columns) {
+            out.distinct = c.counts.len() as u64;
+            (out.min, out.max) = c.range();
+            out.avg_width = c.width as f64 / rows as f64;
+            if rebuild {
+                out.histogram = c.histogram(rows);
+            }
+        }
     }
 }
 

@@ -1,20 +1,23 @@
-//! Immutable in-memory tables.
+//! In-memory tables: built in bulk, then edited copy-on-write.
 
 use crate::keys::{ForeignKey, PrimaryKey};
-use crate::stats::{analyze, TableStats};
+use crate::stats::{analyze_sized, StatsSummary, TableStats};
 use aggview_common::{AggViewError, DataType, Result, Schema, Tuple, Value};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// An immutable relation: schema, rows, key declarations, statistics.
+/// A relation: schema, rows, key declarations, statistics.
 ///
-/// Tables are built once via [`TableBuilder`] (which validates arity,
-/// types and key uniqueness, then computes exact statistics) and then
-/// shared read-only behind `Arc` — the workload of a decision-support
-/// optimizer is read-dominated, and immutability keeps statistics
-/// trustworthy by construction.
-#[derive(Debug)]
+/// Tables are built via [`TableBuilder`] (which validates arity, types
+/// and key uniqueness, then computes exact statistics) and shared behind
+/// `Arc`. Readers hold the `Arc` and see the rows it had when they took
+/// it: the catalog's mutators edit a table through `Arc::make_mut` — in
+/// place when no reader holds it, on a private copy when one does — one
+/// [`RowPatch`] at a time, and every patch leaves rows, key index and
+/// statistics consistent with each other (see [`crate::stats`] for what
+/// "consistent" means for histograms).
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
@@ -22,6 +25,56 @@ pub struct Table {
     primary_key: Option<PrimaryKey>,
     foreign_keys: Vec<ForeignKey>,
     stats: TableStats,
+    /// Sum of [`Tuple::width`] over `rows`.
+    bytes: u64,
+    /// Built by the first patch and carried forward; a table that is
+    /// only ever read never allocates it.
+    live: Option<Box<Live>>,
+}
+
+/// What a table under DML carries from one patch to the next, so that
+/// neither key uniqueness nor statistics are recomputed from the rows.
+#[derive(Debug, Clone)]
+struct Live {
+    /// Primary-key value → an upper bound on its row's position (exact
+    /// when written; deletions only ever move rows towards the front).
+    /// `None` for a table without a primary key.
+    keys: Option<HashMap<Tuple, usize>>,
+    summary: StatsSummary,
+}
+
+/// A positional edit of a table's row vector. Positions refer to the
+/// rows *before* the patch; `updates` and `deletes` are each strictly
+/// increasing and share no position. Replacements happen in place, the
+/// deleted rows are then removed (later rows keep their order), and
+/// `inserts` are appended.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RowPatch {
+    /// `(position, replacement row)`.
+    pub updates: Vec<(usize, Tuple)>,
+    pub deletes: Vec<usize>,
+    pub inserts: Vec<Tuple>,
+}
+
+impl RowPatch {
+    /// Number of rows the patch changes.
+    pub fn len(&self) -> usize {
+        self.updates.len() + self.deletes.len() + self.inserts.len()
+    }
+
+    /// True when the patch changes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// The rows a [`RowPatch`] displaced, in position order.
+#[derive(Debug, Default, PartialEq)]
+pub struct Displaced {
+    /// Previous content of each updated position.
+    pub replaced: Vec<Tuple>,
+    /// The deleted rows.
+    pub removed: Vec<Tuple>,
 }
 
 impl Table {
@@ -61,6 +114,11 @@ impl Table {
         self.rows.is_empty()
     }
 
+    /// Sum of [`Tuple::width`] over all rows — what a scan reads.
+    pub fn byte_size(&self) -> u64 {
+        self.bytes
+    }
+
     /// Declared primary key, if any.
     pub fn primary_key(&self) -> Option<&PrimaryKey> {
         self.primary_key.as_ref()
@@ -71,7 +129,8 @@ impl Table {
         &self.foreign_keys
     }
 
-    /// Exact statistics computed at build time.
+    /// Statistics of the current rows: exact at build time, kept under
+    /// the [`crate::stats`] contract by every patch.
     pub fn stats(&self) -> &TableStats {
         &self.stats
     }
@@ -86,6 +145,209 @@ impl Table {
             None => false,
         }
     }
+
+    /// Position of the row whose primary-key columns equal `key`.
+    /// Answered from the key index once a patch has built it (walking
+    /// back over as many rows as were deleted in front of the row since
+    /// its entry was last written), by a scan before that.
+    pub fn find_key(&self, key: &Tuple) -> Option<usize> {
+        let pk = self.primary_key.as_ref()?;
+        if key.arity() != pk.cols.len() {
+            return None;
+        }
+        let is_key = |row: &Tuple| {
+            pk.cols
+                .iter()
+                .zip(key.values())
+                .all(|(&c, k)| row.get(c) == k)
+        };
+        match self.live.as_ref().and_then(|l| l.keys.as_ref()) {
+            Some(keys) => {
+                let bound = *keys.get(key)?;
+                let end = self.rows.len().min(bound + 1);
+                self.rows[..end].iter().rposition(is_key)
+            }
+            None => self.rows.iter().position(is_key),
+        }
+    }
+
+    /// Check everything that can make `patch` fail — positions, row
+    /// arity and types, primary-key uniqueness of the result — without
+    /// changing rows, keys or statistics, so that a rejected patch
+    /// leaves no trace and an accepted one cannot fail half-way.
+    pub(crate) fn check_patch(&mut self, patch: &RowPatch) -> Result<()> {
+        let Table {
+            name,
+            schema,
+            rows,
+            primary_key,
+            live,
+            ..
+        } = self;
+        let positions: Vec<usize> = patch.updates.iter().map(|(i, _)| *i).collect();
+        check_positions(name, &positions, rows.len())?;
+        check_positions(name, &patch.deletes, rows.len())?;
+        if let Some(i) = positions
+            .iter()
+            .find(|i| patch.deletes.binary_search(i).is_ok())
+        {
+            return Err(AggViewError::Catalog(format!(
+                "row position {i} of `{name}` is both updated and deleted"
+            )));
+        }
+        let incoming = || patch.updates.iter().map(|(_, r)| r).chain(&patch.inserts);
+        for row in incoming() {
+            check_row(name, schema, row)?;
+        }
+        let live = Live::of(live, rows, primary_key.as_ref(), schema.len());
+        let (Some(pk), Some(keys)) = (primary_key, &live.keys) else {
+            return Ok(());
+        };
+        // The result is duplicate-free when every arriving key is new to
+        // the patch and either absent from the table or on its way out.
+        let outgoing: HashSet<Tuple> = positions
+            .iter()
+            .chain(&patch.deletes)
+            .map(|&i| rows[i].project(&pk.cols))
+            .collect();
+        let mut arriving = HashSet::with_capacity(patch.updates.len() + patch.inserts.len());
+        for row in incoming() {
+            let key = row.project(&pk.cols);
+            let held = keys.contains_key(&key) && !outgoing.contains(&key);
+            if held || !arriving.insert(key) {
+                return Err(AggViewError::Schema(format!(
+                    "table `{name}`: duplicate primary key value in row {row}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply a patch that [`check_patch`](Table::check_patch) accepted.
+    pub(crate) fn apply_patch(&mut self, patch: RowPatch) -> Displaced {
+        let Table {
+            schema,
+            rows,
+            primary_key,
+            stats,
+            bytes,
+            live,
+            ..
+        } = self;
+        let changed = patch.len() as u64;
+        let Live { keys, summary } = Live::of(live, rows, primary_key.as_ref(), schema.len());
+        // Both are `Some` or both `None`: a key index exists iff a key does.
+        let mut keyed = keys.as_mut().zip(primary_key.as_ref());
+        let mut out = Displaced::default();
+
+        // Everything leaving goes before anything arriving: a patch may
+        // hand a key from one row to another.
+        for &i in patch.updates.iter().map(|(i, _)| i).chain(&patch.deletes) {
+            summary.remove(&rows[i]);
+            if let Some((keys, pk)) = &mut keyed {
+                keys.remove(&rows[i].project(&pk.cols));
+            }
+        }
+        for (i, new) in patch.updates {
+            summary.add(&new);
+            if let Some((keys, pk)) = &mut keyed {
+                keys.insert(new.project(&pk.cols), i);
+            }
+            out.replaced.push(std::mem::replace(&mut rows[i], new));
+        }
+        for &i in &patch.deletes {
+            out.removed.push(std::mem::take(&mut rows[i]));
+        }
+        if let Some(&first) = patch.deletes.first() {
+            // Close the gaps, keeping the survivors' order.
+            let mut doomed = patch.deletes.iter().copied().peekable();
+            let mut to = first;
+            for from in first..rows.len() {
+                if doomed.next_if_eq(&from).is_none() {
+                    rows.swap(to, from);
+                    to += 1;
+                }
+            }
+            rows.truncate(to);
+        }
+
+        for row in patch.inserts {
+            summary.add(&row);
+            if let Some((keys, pk)) = &mut keyed {
+                keys.insert(row.project(&pk.cols), rows.len());
+            }
+            rows.push(row);
+        }
+
+        summary.refresh(stats, changed);
+        *bytes = summary.bytes();
+        out
+    }
+}
+
+impl Live {
+    /// The table's carried state, built from its rows on first use.
+    fn of<'a>(
+        slot: &'a mut Option<Box<Live>>,
+        rows: &[Tuple],
+        pk: Option<&PrimaryKey>,
+        ncols: usize,
+    ) -> &'a mut Live {
+        slot.get_or_insert_with(|| {
+            Box::new(Live {
+                keys: pk.map(|pk| {
+                    rows.iter()
+                        .enumerate()
+                        .map(|(i, r)| (r.project(&pk.cols), i))
+                        .collect()
+                }),
+                summary: StatsSummary::of(rows, ncols),
+            })
+        })
+    }
+}
+
+/// Positional DML operates on strictly increasing, in-bounds row
+/// positions: that is what makes the WAL's positional records replay
+/// deterministically.
+fn check_positions(name: &str, indices: &[usize], len: usize) -> Result<()> {
+    for (k, &i) in indices.iter().enumerate() {
+        if i >= len {
+            return Err(AggViewError::Catalog(format!(
+                "row position {i} out of bounds for `{name}` ({len} rows)"
+            )));
+        }
+        if k > 0 && indices[k - 1] >= i {
+            return Err(AggViewError::Catalog(format!(
+                "row positions for `{name}` must be strictly increasing"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Arity and column types of one row against a table's schema.
+fn check_row(table: &str, schema: &Schema, row: &Tuple) -> Result<()> {
+    if row.arity() != schema.len() {
+        return Err(AggViewError::Schema(format!(
+            "table `{table}` expects {} columns, row has {}",
+            schema.len(),
+            row.arity()
+        )));
+    }
+    for (i, v) in row.values().iter().enumerate() {
+        let expect = schema.field(i).ty;
+        let got = v.data_type();
+        // Int is acceptable where Float is declared (numeric widening).
+        let ok = got == expect || (expect == DataType::Float && got == DataType::Int);
+        if !ok {
+            return Err(AggViewError::Schema(format!(
+                "table `{table}` column `{}` expects {expect}, got {got}",
+                schema.field(i).name
+            )));
+        }
+    }
+    Ok(())
 }
 
 impl fmt::Display for Table {
@@ -141,27 +403,7 @@ impl TableBuilder {
 
     /// Append a row (non-consuming form for loops).
     pub fn push(&mut self, row: Tuple) -> Result<()> {
-        if row.arity() != self.schema.len() {
-            return Err(AggViewError::Schema(format!(
-                "table `{}` expects {} columns, row has {}",
-                self.name,
-                self.schema.len(),
-                row.arity()
-            )));
-        }
-        for (i, v) in row.values().iter().enumerate() {
-            let expect = self.schema.field(i).ty;
-            let got = v.data_type();
-            // Int is acceptable where Float is declared (numeric widening).
-            let ok = got == expect || (expect == DataType::Float && got == DataType::Int);
-            if !ok {
-                return Err(AggViewError::Schema(format!(
-                    "table `{}` column `{}` expects {expect}, got {got}",
-                    self.name,
-                    self.schema.field(i).name
-                )));
-            }
-        }
+        check_row(&self.name, &self.schema, &row)?;
         self.rows.push(row);
         Ok(())
     }
@@ -180,7 +422,7 @@ impl TableBuilder {
                 }
             }
         }
-        let stats = analyze(&self.rows, self.schema.len());
+        let (stats, bytes) = analyze_sized(&self.rows, self.schema.len());
         Ok(Arc::new(Table {
             name: self.name,
             schema: self.schema,
@@ -188,6 +430,8 @@ impl TableBuilder {
             primary_key: self.primary_key,
             foreign_keys: self.foreign_keys,
             stats,
+            bytes,
+            live: None,
         }))
     }
 }

@@ -1,9 +1,9 @@
 //! Write-ahead log for catalog mutations.
 //!
 //! The WAL is *logical*: one record per catalog mutation (table
-//! registration, insert batch, modification mark, materialized-view
-//! metadata upsert), replayed through the catalog's own non-logging
-//! apply path on recovery. Logging at mutation granularity keeps the
+//! registration, insert/delete/update batch, modification mark,
+//! materialized-view metadata upsert, extent patch), replayed through
+//! the catalog's own non-logging apply path on recovery. Logging at mutation granularity keeps the
 //! format small and makes replay trivially deterministic — the same
 //! records through the same code produce the same tables, statistics,
 //! and version counters.
@@ -36,6 +36,7 @@
 use crate::codec::{self, crc32, Dec, Enc};
 use crate::keys::{ForeignKey, PrimaryKey};
 use crate::matview::MatViewMeta;
+use crate::table::RowPatch;
 use aggview_common::{AggViewError, FaultInjector, IoFaultKind, Result, Schema, Tuple};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -56,9 +57,10 @@ const MAX_RECORD: u32 = 1 << 28;
 pub enum WalRecord {
     /// A table was registered (`replace: false` — `Catalog::add`) or
     /// overwritten (`replace: true` — `Catalog::add_or_replace`). The
-    /// record carries the full table content: tables in this system are
-    /// immutable values, so registration is the only point where rows
-    /// enter wholesale.
+    /// record carries the full table content — registration (base
+    /// tables, and extents when they are built or rebuilt) is the only
+    /// point where rows enter wholesale; DML and view maintenance log
+    /// the rows they change.
     PutTable {
         name: String,
         schema: Schema,
@@ -76,9 +78,9 @@ pub enum WalRecord {
     PutMatView { meta: MatViewMeta },
     /// Rows removed from an existing table (`Catalog::delete_rows`).
     /// Logged as *positions* into the table's row vector at log time:
-    /// tables are immutable ordered row vectors, so positional replay
-    /// against the same committed prefix is deterministic and the record
-    /// stays small.
+    /// every mutator preserves row order, so positional replay against
+    /// the same committed prefix is deterministic and the record stays
+    /// small.
     DeleteBatch { table: String, indices: Vec<usize> },
     /// Rows replaced in place (`Catalog::update_rows`): `rows[i]` is the
     /// new content of the row at position `indices[i]`. Same positional
@@ -87,6 +89,16 @@ pub enum WalRecord {
         table: String,
         indices: Vec<usize>,
         rows: Vec<Tuple>,
+    },
+    /// One maintenance round of one materialized view
+    /// (`Catalog::patch_extent`): the positional patch to its extent
+    /// table and the base-table versions the extent reflects afterwards.
+    /// One record, applied under one set of locks, so a crash can leave
+    /// the view stale (record absent) but never patched-and-unstamped.
+    PatchExtent {
+        view: String,
+        patch: RowPatch,
+        base_versions: Vec<u64>,
     },
 }
 
@@ -111,6 +123,7 @@ impl WalRecord {
             WalRecord::PutMatView { .. } => 3,
             WalRecord::DeleteBatch { .. } => 4,
             WalRecord::UpdateBatch { .. } => 5,
+            WalRecord::PatchExtent { .. } => 6,
         }
     }
 
@@ -153,6 +166,15 @@ impl WalRecord {
                 e.usizes(indices);
                 codec::enc_rows(&mut e, rows);
             }
+            WalRecord::PatchExtent {
+                view,
+                patch,
+                base_versions,
+            } => {
+                e.str(view);
+                codec::enc_row_patch(&mut e, patch);
+                e.u64s(base_versions);
+            }
         }
         e.into_bytes()
     }
@@ -194,6 +216,11 @@ impl WalRecord {
                 table: d.str()?,
                 indices: d.usizes()?,
                 rows: codec::dec_rows(&mut d)?,
+            },
+            6 => WalRecord::PatchExtent {
+                view: d.str()?,
+                patch: codec::dec_row_patch(&mut d)?,
+                base_versions: d.u64s("base version")?,
             },
             t => return Err(d.corrupt(format!("unknown WAL record kind {t}"))),
         };
@@ -499,6 +526,15 @@ mod tests {
                 indices: vec![1],
                 rows: vec![Tuple::new(vec![Value::Int(2), Value::Float(25.0)])],
             },
+            WalRecord::PatchExtent {
+                view: "by_dno".into(),
+                patch: RowPatch {
+                    updates: vec![(0, Tuple::new(vec![Value::Int(0), Value::Int(3)]))],
+                    deletes: vec![1],
+                    inserts: vec![Tuple::new(vec![Value::Int(7), Value::Int(1)])],
+                },
+                base_versions: vec![4],
+            },
         ]
     }
 
@@ -517,15 +553,15 @@ mod tests {
         let path = dir.join("wal.agv");
         let recs = sample_records();
         let w = write_log(&path, &recs);
-        assert_eq!(w.next_lsn(), 5);
+        assert_eq!(w.next_lsn(), recs.len() as u64);
         let back = WalReader::read_committed(&path).unwrap();
-        assert_eq!(back.records.len(), 5);
+        assert_eq!(back.records.len(), recs.len());
         for (i, (lsn, rec)) in back.records.iter().enumerate() {
             assert_eq!(*lsn, i as u64);
             assert_eq!(rec, &recs[i]);
         }
         assert_eq!(back.committed_len, *back.frame_ends.last().unwrap());
-        assert_eq!(back.next_lsn(), 5);
+        assert_eq!(back.next_lsn(), recs.len() as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -558,7 +594,7 @@ mod tests {
         bytes.extend_from_slice(&[0x13, 0x37, 0xFF, 0x00, 0x42]);
         std::fs::write(&path, &bytes).unwrap();
         let back = WalReader::read_committed(&path).unwrap();
-        assert_eq!(back.records.len(), 5);
+        assert_eq!(back.records.len(), 6);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -634,7 +670,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let contents = WalReader::read_committed(&path).unwrap();
         let mut w = WalWriter::open(&path, &contents, 0).unwrap();
-        assert_eq!(w.next_lsn(), 5);
+        assert_eq!(w.next_lsn(), 6);
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
             contents.committed_len,
@@ -643,9 +679,9 @@ mod tests {
         let lsn = w
             .append(&WalRecord::MarkModified { table: "x".into() }, &NoFaults)
             .unwrap();
-        assert_eq!(lsn, 5);
+        assert_eq!(lsn, 6);
         let back = WalReader::read_committed(&path).unwrap();
-        assert_eq!(back.records.len(), 6);
+        assert_eq!(back.records.len(), 7);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -657,14 +693,14 @@ mod tests {
         let inj = ScheduledIoFaults::at("wal.truncate", 0, IoFaultKind::Error);
         let err = w.truncate_all(&inj).unwrap_err();
         assert_eq!(err.kind(), "io");
-        assert_eq!(WalReader::read_committed(&path).unwrap().records.len(), 5);
+        assert_eq!(WalReader::read_committed(&path).unwrap().records.len(), 6);
         w.truncate_all(&NoFaults).unwrap();
         let back = WalReader::read_committed(&path).unwrap();
         assert!(back.records.is_empty());
         let lsn = w
             .append(&WalRecord::MarkModified { table: "x".into() }, &NoFaults)
             .unwrap();
-        assert_eq!(lsn, 5, "LSNs are never reused after truncation");
+        assert_eq!(lsn, 6, "LSNs are never reused after truncation");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

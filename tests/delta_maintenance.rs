@@ -26,6 +26,12 @@ const N_DEPTS: i64 = 4;
 /// multiples of 12.5, even slots young (age < 30).
 fn seed_catalog() -> Catalog {
     let cat = Catalog::new();
+    cat.add(emp_table(6)).unwrap();
+    cat
+}
+
+/// `emp` with `per_dept` employees in each of the 4 departments.
+fn emp_table(per_dept: i64) -> std::sync::Arc<Table> {
     let mut e = Table::builder(
         "emp",
         Schema::of(&[
@@ -40,8 +46,8 @@ fn seed_catalog() -> Catalog {
     .unwrap();
     let mut eno = 0i64;
     for dno in 0..N_DEPTS {
-        for k in 0..6i64 {
-            let sal = 1000.0 + (dno * 6 + k) as f64 * 12.5;
+        for k in 0..per_dept {
+            let sal = 1000.0 + (dno * per_dept + k) as f64 * 12.5;
             let age = if k % 2 == 0 { 21 + k } else { 31 + k };
             e.push(Tuple::new(vec![
                 Value::Int(eno),
@@ -54,8 +60,7 @@ fn seed_catalog() -> Catalog {
             eno += 1;
         }
     }
-    cat.add(e.build().unwrap()).unwrap();
-    cat
+    e.build().unwrap()
 }
 
 const VIEWS: &[(&str, &str)] = &[
@@ -218,4 +223,52 @@ fn directed_retraction_gauntlet() {
             .iter()
             .any(|r| r.get(0) == &Value::Int(3)));
     }
+}
+
+/// DML costs what it changes, not what it leaves alone: the log of a
+/// one-row INSERT maintained into three views is 1 + 3 records whose
+/// bytes do not depend on the size of the base table.
+#[test]
+fn wal_bytes_of_a_one_row_insert_do_not_depend_on_table_size() {
+    use aggview::storage::catalog::WAL_FILE;
+    use aggview::storage::{WalReader, WalRecord};
+    let logged = |per_dept: i64| -> u64 {
+        let dir =
+            std::env::temp_dir().join(format!("aggview-walsize-{per_dept}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = Session::open(&dir).unwrap();
+        s.catalog().add(emp_table(per_dept)).unwrap();
+        for (_, create) in VIEWS {
+            s.execute(create).unwrap();
+        }
+        s.checkpoint().unwrap();
+        let wal = dir.join(WAL_FILE);
+        let empty = std::fs::metadata(&wal).unwrap().len();
+        s.execute("insert into emp values (999999, 'late', 0, 512.5, 22)")
+            .unwrap();
+        let contents = WalReader::read_committed(&wal).unwrap();
+        let kinds: Vec<&WalRecord> = contents.records.iter().map(|(_, r)| r).collect();
+        assert!(
+            matches!(
+                kinds[..],
+                [
+                    WalRecord::InsertBatch { .. },
+                    WalRecord::PatchExtent { .. },
+                    WalRecord::PatchExtent { .. },
+                    WalRecord::PatchExtent { .. }
+                ]
+            ),
+            "{kinds:?}"
+        );
+        for (view, _) in VIEWS {
+            assert!(!s.catalog().matview(view).unwrap().is_stale(s.catalog()));
+        }
+        let bytes = contents.committed_len - empty;
+        drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
+        bytes
+    };
+    let (small, large) = (logged(250), logged(4000));
+    assert_eq!(small, large, "1 000 vs 16 000 base rows");
+    assert!(small < 1024, "{small} bytes for one row and three groups");
 }

@@ -17,10 +17,12 @@
 //!    to stale is legal, promotion to fresh never is).
 
 use aggview::common::{tuple, IoFaultKind, ScheduledIoFaults};
+use aggview::sql::Session;
+use aggview::storage::catalog::WAL_FILE;
 use aggview::storage::matview::{ExtentLayout, MatViewDef, MatViewMeta};
-use aggview::storage::{Catalog, Table};
+use aggview::storage::{Catalog, RowPatch, Table, WalReader, WalRecord};
 use aggview::{AggSpec, Col, DataType, RelId, Schema};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The IO sites a durable catalog consults, in first-use order.
@@ -137,10 +139,36 @@ fn run_workload(cat: &Catalog, reference: &Catalog) {
             });
         }
     }
+    // A maintenance round on the (empty) extent: two groups appear.
+    // Gated on the meta so both catalogs hold the view when it runs.
+    let round =
+        |c: &Catalog, patch: RowPatch| c.patch_extent("by_dno", patch, vec![c.data_version("emp")]);
+    if cat.matview("by_dno").is_some() {
+        let patch = RowPatch {
+            inserts: vec![tuple![0, 1, 1], tuple![1, 2, 2]],
+            ..RowPatch::default()
+        };
+        both(round(cat, patch.clone()).is_ok(), &|r| {
+            round(r, patch.clone()).unwrap();
+        });
+    }
     let _ = cat.checkpoint();
     both(cat.append_rows("emp", vec![tuple![13, 0]]).is_ok(), &|r| {
         r.append_rows("emp", vec![tuple![13, 0]]).unwrap();
     });
+    // A round with all three edits, replayed from the WAL tail over the
+    // snapshot image: positions are only valid when the first round
+    // committed, so it is gated on the extent's row count.
+    if cat.get("__mv_by_dno").is_ok_and(|t| t.len() == 2) {
+        let patch = RowPatch {
+            updates: vec![(0, tuple![0, 2, 2])],
+            deletes: vec![1],
+            inserts: vec![tuple![7, 1, 1]],
+        };
+        both(round(cat, patch.clone()).is_ok(), &|r| {
+            round(r, patch.clone()).unwrap();
+        });
+    }
     // Mixed DML after a checkpoint: both record kinds (UpdateBatch,
     // DeleteBatch) land in the live WAL tail, so every crash point in
     // this suffix exercises their replay. Positions are only valid when
@@ -259,5 +287,134 @@ fn recovery_after_failed_recovery_is_clean() {
     drop(cat);
     let clean = Catalog::open(&dir).unwrap();
     assert_state_eq(&clean, &reference, "clean reopen");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Copy a durable directory, keeping only the first `cut` bytes of its
+/// WAL.
+fn clone_with_cut(src: &Path, dst: &Path, cut: usize) {
+    let _ = std::fs::remove_dir_all(dst);
+    std::fs::create_dir_all(dst).unwrap();
+    for entry in std::fs::read_dir(src).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+    }
+    let wal = std::fs::read(dst.join(WAL_FILE)).unwrap();
+    std::fs::write(dst.join(WAL_FILE), &wal[..cut]).unwrap();
+}
+
+/// A crash that tears the extent-patch record at any byte loses exactly
+/// that record: the base-table change before it is recovered, the
+/// extent keeps its old rows and old stamp — stale, never half-patched —
+/// and a second recovery agrees with the first.
+#[test]
+fn torn_extent_patch_recovers_stale_not_torn() {
+    let dir = tmpdir("tornpatch");
+    let scratch = tmpdir("tornpatch-cut");
+    let mut s = Session::open(&dir).unwrap();
+    let cat = s.catalog();
+    cat.add(emp()).unwrap();
+    cat.append_rows("emp", vec![tuple![10, 0], tuple![11, 1]])
+        .unwrap();
+    s.execute(
+        "create materialized view by_dno(dno, n) as \
+         select dno, count(*) from emp group by dno",
+    )
+    .unwrap();
+    let stale_extent = s.catalog().get("__mv_by_dno").unwrap().rows().to_vec();
+    s.execute("insert into emp values (12, 1), (13, 5)")
+        .unwrap();
+    let committed = s.catalog().describe_state();
+    drop(s);
+
+    let wal = dir.join(WAL_FILE);
+    let contents = WalReader::read_committed(&wal).unwrap();
+    let n = contents.records.len();
+    assert!(
+        matches!(contents.records[n - 1].1, WalRecord::PatchExtent { .. }),
+        "maintenance logs the round as its last record"
+    );
+    assert!(matches!(
+        contents.records[n - 2].1,
+        WalRecord::InsertBatch { .. }
+    ));
+    let (start, end) = (
+        contents.frame_ends[n - 2] as usize,
+        contents.committed_len as usize,
+    );
+    for cut in start..end {
+        clone_with_cut(&dir, &scratch, cut);
+        let recovered = Catalog::open(&scratch).unwrap();
+        assert_eq!(recovered.get("emp").unwrap().len(), 4, "cut at {cut}");
+        assert_eq!(
+            recovered.get("__mv_by_dno").unwrap().rows(),
+            stale_extent,
+            "cut at {cut}"
+        );
+        assert!(
+            recovered.matview("by_dno").unwrap().is_stale(&recovered),
+            "cut at {cut}: a lost patch must leave the view stale"
+        );
+        let once = recovered.describe_state();
+        drop(recovered);
+        let again = Catalog::open(&scratch).unwrap();
+        assert_eq!(
+            again.describe_state(),
+            once,
+            "cut at {cut} (second recovery)"
+        );
+    }
+    clone_with_cut(&dir, &scratch, end);
+    let whole = Catalog::open(&scratch).unwrap();
+    assert_eq!(whole.describe_state(), committed);
+    assert!(!whole.matview("by_dno").unwrap().is_stale(&whole));
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&scratch).unwrap();
+}
+
+/// A log written by the commit before extent patches existed (record
+/// kinds 0–5 only: every maintenance round a whole-extent `PutTable`
+/// plus a `PutMatView`) replays to the state that commit printed, and
+/// the recovered views are then maintained by patches.
+#[test]
+fn log_in_the_previous_format_replays() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wal_pr11");
+    let dir = tmpdir("oldlog");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(fixture.join(WAL_FILE), dir.join(WAL_FILE)).unwrap();
+    let contents = WalReader::read_committed(&dir.join(WAL_FILE)).unwrap();
+    assert!(contents
+        .records
+        .iter()
+        .all(|(_, r)| !matches!(r, WalRecord::PatchExtent { .. })));
+    let expected = std::fs::read_to_string(fixture.join("state.txt")).unwrap();
+
+    let mut s = Session::open(&dir).unwrap();
+    assert_eq!(s.catalog().describe_state(), expected);
+    for view in ["vsum", "vrange"] {
+        assert!(!s.catalog().matview(view).unwrap().is_stale(s.catalog()));
+    }
+    let before = contents.records.len();
+    s.execute("insert into emp values (200, 'n200', 0, 2000.0, 30)")
+        .unwrap();
+    drop(s);
+    let contents = WalReader::read_committed(&dir.join(WAL_FILE)).unwrap();
+    let kinds: Vec<&WalRecord> = contents.records[before..].iter().map(|(_, r)| r).collect();
+    assert!(
+        matches!(
+            kinds[..],
+            [
+                WalRecord::InsertBatch { .. },
+                WalRecord::PatchExtent { .. },
+                WalRecord::PatchExtent { .. }
+            ]
+        ),
+        "{kinds:?}"
+    );
+    let reopened = Catalog::open(&dir).unwrap();
+    assert_eq!(
+        reopened.get("__mv_vsum").unwrap().rows()[0],
+        tuple![0, 4137.5, 4137.5, 3, 3]
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
