@@ -86,7 +86,7 @@ fn shape_of(plan: &Plan) -> &'static str {
             Plan::GroupBy { input, spec, .. } if spec.owner == ViewId::View(0) => {
                 Some(input.rel_set())
             }
-            Plan::GroupBy { input, .. } | Plan::PartialGroupBy { input, .. } => find_gb(input),
+            Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => find_gb(input),
             Plan::Join { left, right, .. } => find_gb(left).or_else(|| find_gb(right)),
             Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => None,
         }

@@ -5,16 +5,11 @@
 //! coalescing group-by) and three operator micro-workloads (scan+filter,
 //! hash join, hash aggregation), each at `threads = 1` and
 //! `threads = N`, reporting wall-clock, rows/sec, parallel speedup and
-//! peak intermediate bytes. A separate *serial kernel* section has
-//! three parts: `clone_key` times the current hash-then-compare
-//! join/group-by kernels against a re-implementation of the old
-//! clone-a-`Vec<Value>`-key-per-row baseline; `batch_vs_row` times the
-//! vectorized column-at-a-time kernels (filter, hash join, group-by)
-//! against the row-at-a-time reference path on identical inputs; and
-//! `row_micro` times individual row-path micro-kernels against the
-//! per-row-allocation variants they replaced. A *matview* section
-//! measures the
-//! same aggregate query cold (inlined), answered from a materialized
+//! peak intermediate bytes. A separate *serial kernel* section times
+//! the three vectorized kernels the engine runs (filter, hash join,
+//! group-by) on their own, outside any plan. A *matview* section
+//! measures the same aggregate query cold (inlined), answered from a
+//! materialized
 //! view extent, and after staleness + `REFRESH`, and checks that
 //! incremental `INSERT` maintenance reproduces the rebuilt extent. An
 //! *eager_agg* section A/B-tests eager partial aggregation pushed below
@@ -27,10 +22,10 @@
 //! any multi-core machine) is where the scaling numbers are meaningful.
 
 use crate::model_with_mem;
-use aggview_common::predicate::{self, BoundPredicate};
+use aggview_common::predicate::BoundPredicate;
 use aggview_common::{
-    AggFunc, AggSpec, AggViewError, Batch, CmpOp, Col, DataType, Expr, PartialAggState, Predicate,
-    RelId, Result, Schema, Tuple, Value, ViewId,
+    AggFunc, AggSpec, AggViewError, Batch, CmpOp, Col, DataType, Expr, Predicate, RelId, Result,
+    Schema, Tuple, Value, ViewId,
 };
 use aggview_core::analyze::PlanAnalyzer;
 use aggview_core::governor::ResourceGovernor;
@@ -39,9 +34,6 @@ use aggview_core::plan::{all_cols, GroupBySpec, Plan};
 use aggview_core::query::examples::{dept, emp, example1_query};
 use aggview_core::query::{CanonicalQuery, QueryEnv, TopGroup, ViewDef};
 use aggview_core::OptimizerConfig;
-use aggview_executor::parallel::{
-    accumulate_groups, build_index, filter_project, probe_join, JoinEmit,
-};
 use aggview_executor::partition::AggInput;
 use aggview_executor::{vector, Engine, ExecOptions};
 use aggview_storage::datagen::{gen_empdept, gen_star, EmpDeptConfig, StarConfig};
@@ -168,43 +160,20 @@ pub struct DurabilityReport {
     pub recover_after_checkpoint_ms: f64,
 }
 
-/// Current serial kernel vs. the per-row-allocation baseline it
-/// replaced (clone-a-key-per-row for the join/group kernels, an
-/// owned-`Value` or concatenated-tuple evaluation for the micro
-/// kernels).
+/// One serial vectorized kernel, timed outside any plan.
 #[derive(Debug, Clone)]
-pub struct KernelReport {
+pub struct KernelTiming {
     pub name: &'static str,
     pub input_rows: u64,
-    pub legacy_clone_key_ms: f64,
-    pub current_ms: f64,
-    /// `legacy_clone_key_ms / current_ms` — > 1 means the current
-    /// kernel is faster.
-    pub improvement: f64,
-}
-
-/// Serial vectorized kernel vs. the row-at-a-time reference on
-/// identical inputs.
-#[derive(Debug, Clone)]
-pub struct BatchKernelReport {
-    pub name: &'static str,
-    pub input_rows: u64,
-    pub row_ms: f64,
-    pub batch_ms: f64,
-    /// `row_ms / batch_ms` — > 1 means the batch kernel is faster.
-    pub speedup: f64,
+    pub ms: f64,
+    pub rows_per_sec: f64,
 }
 
 /// The serial-kernel section of the report.
 #[derive(Debug, Clone)]
 pub struct SerialKernels {
-    /// Current row kernels vs. the clone-a-`Vec<Value>`-key baseline.
-    pub clone_key: Vec<KernelReport>,
-    /// Vectorized batch kernels vs. the row-at-a-time reference path.
-    pub batch_vs_row: Vec<BatchKernelReport>,
-    /// Row-path micro-kernels vs. the per-row-allocation variants they
-    /// replaced.
-    pub row_micro: Vec<KernelReport>,
+    /// The engine's filter, hash-join and group-by kernels.
+    pub kernels: Vec<KernelTiming>,
     /// Typed-column demotions to `ColumnVec::Mixed` observed across the
     /// timed workloads and kernels. The corpus certifies Mixed-free, so
     /// a non-zero count is a regression in the type lattice or the
@@ -513,18 +482,10 @@ pub fn run_exec_bench(cfg: &ExecBenchConfig) -> Result<ExecBenchReport> {
         .map(|f| f.ty)
         .collect();
     let serial_kernels = SerialKernels {
-        clone_key: vec![
-            join_kernel_report(&emp_rows, &dept_rows, repeats)?,
-            group_kernel_report(&emp_rows, repeats)?,
-        ],
-        batch_vs_row: vec![
-            batch_filter_report(&emp_rows, &emp_types, repeats)?,
-            batch_join_report(&emp_rows, &emp_types, &dept_rows, &dept_types, repeats)?,
-            batch_group_report(&emp_rows, &emp_types, repeats)?,
-        ],
-        row_micro: vec![
-            predicate_eval_report(&emp_rows, repeats)?,
-            probe_residual_report(&emp_rows, repeats)?,
+        kernels: vec![
+            filter_kernel(&emp_rows, &emp_types, repeats)?,
+            join_kernel(&emp_rows, &emp_types, &dept_rows, &dept_types, repeats)?,
+            group_kernel(&emp_rows, &emp_types, repeats)?,
         ],
         mixed_demotions: aggview_common::mixed_demotions().saturating_sub(demotions_before),
     };
@@ -593,15 +554,15 @@ fn eager_selfjoin_query() -> CanonicalQuery {
     }
 }
 
+/// Does the plan hold an *eager* partial aggregate (one carrying a
+/// duplicate factor; simple coalescing carries none)?
 fn contains_partial_aggregate(p: &Plan) -> bool {
     match p {
-        Plan::PartialAggregate { .. } => true,
+        Plan::PartialAggregate { spec, .. } => spec.count.is_some(),
         Plan::Join { left, right, .. } => {
             contains_partial_aggregate(left) || contains_partial_aggregate(right)
         }
-        Plan::GroupBy { input, .. } | Plan::PartialGroupBy { input, .. } => {
-            contains_partial_aggregate(input)
-        }
+        Plan::GroupBy { input, .. } => contains_partial_aggregate(input),
         Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => false,
     }
 }
@@ -645,7 +606,16 @@ fn eager_agg_report(
         ("eager_agg_on", &eager_plan),
         ("eager_agg_off", &plain_plan),
     ] {
-        analyze_workload(name, empdept, model, plan, &q.env, Some(&q), checked, passed)?;
+        analyze_workload(
+            name,
+            empdept,
+            model,
+            plan,
+            &q.env,
+            Some(&q),
+            checked,
+            passed,
+        )?;
         shapes.push(run_workload(
             name, empdept, &q.env, model, plan, input_rows, threads, repeats,
         )?);
@@ -1202,145 +1172,7 @@ fn rate(rows: u64, ms: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Serial kernel comparison: current hash-then-compare kernels vs. the
-// clone-key baseline they replaced.
-// ---------------------------------------------------------------------
-
-/// The old join kernel, as the engine ran it before the rework: clone a
-/// `Vec<Value>` key per build AND probe row, materialize the
-/// concatenated tuple, project, and charge the governor per output —
-/// the charging is identical on both sides of the comparison, so the
-/// measured difference is the key handling alone.
-fn legacy_join(
-    gov: &ResourceGovernor,
-    build: &[Tuple],
-    probe: &[Tuple],
-    build_pos: &[usize],
-    probe_pos: &[usize],
-    positions: &[usize],
-) -> Result<Vec<Tuple>> {
-    let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-    for (i, b) in build.iter().enumerate() {
-        let key: Vec<Value> = build_pos.iter().map(|&p| b.get(p).clone()).collect();
-        table.entry(key).or_default().push(i as u32);
-    }
-    let mut out = Vec::new();
-    for p in probe {
-        let key: Vec<Value> = probe_pos.iter().map(|&i| p.get(i).clone()).collect();
-        if let Some(matches) = table.get(&key) {
-            for &bi in matches {
-                let t = build[bi as usize].concat(p).project(positions);
-                gov.charge_output(1, t.width() as u64)?;
-                out.push(t);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// The old group-by kernel: clone a `Vec<Value>` key per input row.
-fn legacy_group_by(
-    gov: &ResourceGovernor,
-    rows: &[Tuple],
-    key_pos: &[usize],
-    funcs: &[AggFunc],
-    inputs: &[AggInput],
-) -> Result<Vec<Tuple>> {
-    let mut table: HashMap<Vec<Value>, Vec<PartialAggState>> = HashMap::new();
-    for row in rows {
-        let key: Vec<Value> = key_pos.iter().map(|&p| row.get(p).clone()).collect();
-        let states = table
-            .entry(key)
-            .or_insert_with(|| funcs.iter().map(|&f| PartialAggState::empty(f)).collect());
-        for (input, state) in inputs.iter().zip(states.iter_mut()) {
-            input.absorb(state, row)?;
-        }
-    }
-    table
-        .into_iter()
-        .map(|(key, states)| {
-            let mut vals = key;
-            for s in states {
-                vals.push(s.finalize()?);
-            }
-            let t: Tuple = vals.into_iter().collect();
-            gov.charge_output(1, t.width() as u64)?;
-            Ok(t)
-        })
-        .collect()
-}
-
-fn join_kernel_report(
-    emp_rows: &[Tuple],
-    dept_rows: &[Tuple],
-    repeats: usize,
-) -> Result<KernelReport> {
-    let gov = ResourceGovernor::unlimited();
-    let opts = ExecOptions::with_threads(1);
-    let build_pos = [dept::DNO];
-    let probe_pos = [emp::DNO];
-    // Combined layout dept ++ emp: all dept columns plus emp name+sal.
-    let positions = [0usize, 1, 2, 3, 4 + 1, 4 + emp::SAL];
-    let emit = JoinEmit::new(&positions, 4, true);
-
-    let (current_ms, current) = time_best(repeats, || {
-        let index = build_index(&opts, &gov, dept_rows, &build_pos, None)?;
-        probe_join(
-            &opts,
-            &gov,
-            dept_rows,
-            emp_rows,
-            &index,
-            &build_pos,
-            &probe_pos,
-            &[],
-            true,
-            &emit,
-        )
-    })?;
-    let (legacy_ms, legacy) = time_best(repeats, || {
-        legacy_join(
-            &gov, dept_rows, emp_rows, &build_pos, &probe_pos, &positions,
-        )
-    })?;
-    assert_eq!(current.0.len(), legacy.len(), "join kernels must agree");
-    Ok(KernelReport {
-        name: "hash_join",
-        input_rows: (emp_rows.len() + dept_rows.len()) as u64,
-        legacy_clone_key_ms: legacy_ms,
-        current_ms,
-        improvement: legacy_ms / current_ms.max(1e-9),
-    })
-}
-
-fn group_kernel_report(emp_rows: &[Tuple], repeats: usize) -> Result<KernelReport> {
-    let gov = ResourceGovernor::unlimited();
-    let opts = ExecOptions::with_threads(1);
-    let key_pos = [emp::DNO];
-    let funcs = [AggFunc::Count, AggFunc::Avg];
-    let sal = Expr::col(Col::base(RelId(0), emp::SAL))
-        .bind(&|c: Col| (c == Col::base(RelId(0), emp::SAL)).then_some(emp::SAL))?;
-    let inputs = [AggInput::RawCountStar, AggInput::Raw(sal)];
-
-    let (current_ms, table) = time_best(repeats, || {
-        accumulate_groups(&opts, &gov, emp_rows, &key_pos, &inputs, &funcs)
-    })?;
-    let (legacy_ms, legacy) = time_best(repeats, || {
-        legacy_group_by(&gov, emp_rows, &key_pos, &funcs, &inputs)
-    })?;
-    assert_eq!(table.groups.len(), legacy.len(), "group kernels must agree");
-    Ok(KernelReport {
-        name: "group_by",
-        input_rows: emp_rows.len() as u64,
-        legacy_clone_key_ms: legacy_ms,
-        current_ms,
-        improvement: legacy_ms / current_ms.max(1e-9),
-    })
-}
-
-// ---------------------------------------------------------------------
-// Batch vs. row: the vectorized serial kernels against the
-// row-at-a-time reference path on identical inputs.
+// Serial kernels: the engine's vectorized kernels timed on their own.
 // ---------------------------------------------------------------------
 
 /// Layout binder for a tuple laid out as emp's five base columns.
@@ -1352,107 +1184,69 @@ fn identity(n: usize) -> Vec<usize> {
     (0..n).collect()
 }
 
-/// Batch scan+filter+project vs. the row reference on the same rows.
-/// Mirrors the engine's compact-scan layout — only the columns the
-/// predicates and projection touch are transposed — so the batch side
-/// pays the tuple-to-column transposition cost it pays at a real scan
-/// boundary.
-fn batch_filter_report(
+fn timing(name: &'static str, input_rows: usize, ms: f64) -> KernelTiming {
+    KernelTiming {
+        name,
+        input_rows: input_rows as u64,
+        ms,
+        rows_per_sec: rate(input_rows as u64, ms),
+    }
+}
+
+/// Scan+filter+project. Mirrors the engine's compact-scan layout — only
+/// the columns the predicates and projection touch are transposed — so
+/// the kernel pays the tuple-to-column transposition cost it pays at a
+/// real scan boundary.
+fn filter_kernel(
     emp_rows: &[Tuple],
     emp_types: &[DataType],
     repeats: usize,
-) -> Result<BatchKernelReport> {
+) -> Result<KernelTiming> {
     let gov = ResourceGovernor::unlimited();
     let opts = ExecOptions::with_threads(1);
-    // SELECT dno, sal FROM emp WHERE sal >= 800 AND age < 40.
-    let preds = [
+    // SELECT dno, sal FROM emp WHERE sal >= 800 AND age < 40, over the
+    // compact physical layout {dno, sal, age}: eno and name are unused.
+    let phys = [emp::DNO, emp::SAL, emp::AGE];
+    let types: Vec<DataType> = phys.iter().map(|&p| emp_types[p]).collect();
+    let compact =
+        |c: Col| -> Option<usize> { emp_layout(c).and_then(|p| phys.iter().position(|&q| q == p)) };
+    let preds: Vec<BoundPredicate> = [
         Predicate::cmp_const(
             Col::base(RelId(0), emp::SAL),
             CmpOp::Ge,
             Value::Float(800.0),
         ),
         Predicate::cmp_const(Col::base(RelId(0), emp::AGE), CmpOp::Lt, Value::Int(40)),
-    ];
-    let row_positions = [emp::DNO, emp::SAL];
-    let row_preds: Vec<BoundPredicate> = preds
-        .iter()
-        .map(|p| p.bind(&emp_layout))
-        .collect::<Result<_>>()?;
-    let (row_ms, row_out) = time_best(repeats, || {
-        filter_project(&opts, &gov, emp_rows, &row_preds, &row_positions)
+    ]
+    .iter()
+    .map(|p| p.bind(&compact))
+    .collect::<Result<_>>()?;
+    let (ms, _) = time_best(repeats, || {
+        vector::scan_filter_project(&opts, &gov, emp_rows, &phys, &types, &preds, &[0, 1])
     })?;
-
-    // Compact physical layout {dno, sal, age}: eno and name are unused.
-    let phys = [emp::DNO, emp::SAL, emp::AGE];
-    let types: Vec<DataType> = phys.iter().map(|&p| emp_types[p]).collect();
-    let compact =
-        |c: Col| -> Option<usize> { emp_layout(c).and_then(|p| phys.iter().position(|&q| q == p)) };
-    let batch_preds: Vec<BoundPredicate> = preds
-        .iter()
-        .map(|p| p.bind(&compact))
-        .collect::<Result<_>>()?;
-    let positions = [0usize, 1];
-    let (batch_ms, batch_out) = time_best(repeats, || {
-        vector::scan_filter_project(
-            &opts,
-            &gov,
-            emp_rows,
-            &phys,
-            &types,
-            &batch_preds,
-            &positions,
-        )
-    })?;
-    assert_eq!(
-        row_out.0.len(),
-        batch_out.0.len(),
-        "filter kernels must agree"
-    );
-    Ok(BatchKernelReport {
-        name: "filter",
-        input_rows: emp_rows.len() as u64,
-        row_ms,
-        batch_ms,
-        speedup: row_ms / batch_ms.max(1e-9),
-    })
+    Ok(timing("filter", emp_rows.len(), ms))
 }
 
-/// Batch hash join (fx-prehashed key columns) vs. the row build/probe
-/// kernels. Inputs are transposed outside the timed region: in the
-/// engine a join consumes batches produced upstream, so transposition
-/// belongs to the scan (the `filter` entry), not the join.
-fn batch_join_report(
+/// Hash join build + probe (fx-prehashed key columns). Inputs are
+/// transposed outside the timed region: in the engine a join consumes
+/// batches produced upstream, so transposition belongs to the scan (the
+/// `filter` entry), not the join.
+fn join_kernel(
     emp_rows: &[Tuple],
     emp_types: &[DataType],
     dept_rows: &[Tuple],
     dept_types: &[DataType],
     repeats: usize,
-) -> Result<BatchKernelReport> {
+) -> Result<KernelTiming> {
     let gov = ResourceGovernor::unlimited();
     let opts = ExecOptions::with_threads(1);
     let build_pos = [dept::DNO];
     let probe_pos = [emp::DNO];
     // Combined layout dept ++ emp: all dept columns plus emp name+sal.
     let positions = [0usize, 1, 2, 3, 4 + 1, 4 + emp::SAL];
-    let emit = JoinEmit::new(&positions, 4, true);
-    let (row_ms, row_out) = time_best(repeats, || {
-        let index = build_index(&opts, &gov, dept_rows, &build_pos, None)?;
-        probe_join(
-            &opts,
-            &gov,
-            dept_rows,
-            emp_rows,
-            &index,
-            &build_pos,
-            &probe_pos,
-            &[],
-            true,
-            &emit,
-        )
-    })?;
     let build = Batch::from_tuples(dept_rows, &identity(dept_types.len()), dept_types);
     let probe = Batch::from_tuples(emp_rows, &identity(emp_types.len()), emp_types);
-    let (batch_ms, batch_out) = time_best(repeats, || {
+    let (ms, _) = time_best(repeats, || {
         let index = vector::build_index(&opts, &gov, &build, &build_pos, None)?;
         vector::probe_join(
             &opts,
@@ -1468,162 +1262,26 @@ fn batch_join_report(
             &positions,
         )
     })?;
-    assert_eq!(
-        row_out.0.len(),
-        batch_out.0.len(),
-        "join kernels must agree"
-    );
-    Ok(BatchKernelReport {
-        name: "hash_join",
-        input_rows: (emp_rows.len() + dept_rows.len()) as u64,
-        row_ms,
-        batch_ms,
-        speedup: row_ms / batch_ms.max(1e-9),
-    })
+    Ok(timing("hash_join", emp_rows.len() + dept_rows.len(), ms))
 }
 
-/// Batch hash aggregation (tile-prehashed keys, flat state storage) vs.
-/// the row accumulate kernel. As with the join, the input batch is
-/// transposed outside the timed region.
-fn batch_group_report(
+/// Hash aggregation (tile-prehashed keys, flat state storage). As with
+/// the join, the input batch is transposed outside the timed region.
+fn group_kernel(
     emp_rows: &[Tuple],
     emp_types: &[DataType],
     repeats: usize,
-) -> Result<BatchKernelReport> {
+) -> Result<KernelTiming> {
     let gov = ResourceGovernor::unlimited();
     let opts = ExecOptions::with_threads(1);
-    let key_pos = [emp::DNO];
-    let funcs = [AggFunc::Count, AggFunc::Avg];
-    let sal = Expr::col(Col::base(RelId(0), emp::SAL))
-        .bind(&|c: Col| (c == Col::base(RelId(0), emp::SAL)).then_some(emp::SAL))?;
+    let sal = Expr::col(Col::base(RelId(0), emp::SAL)).bind(&emp_layout)?;
     let inputs = [AggInput::RawCountStar, AggInput::Raw(sal)];
-    let (row_ms, table) = time_best(repeats, || {
-        accumulate_groups(&opts, &gov, emp_rows, &key_pos, &inputs, &funcs)
+    let funcs = [AggFunc::Count, AggFunc::Avg];
+    let batch = Batch::from_tuples(emp_rows, &identity(emp_types.len()), emp_types);
+    let (ms, _) = time_best(repeats, || {
+        vector::accumulate_groups(&opts, &gov, &batch, &[emp::DNO], &inputs, &funcs)
     })?;
-    let batch_in = Batch::from_tuples(emp_rows, &identity(emp_types.len()), emp_types);
-    let (batch_ms, btable) = time_best(repeats, || {
-        vector::accumulate_groups(&opts, &gov, &batch_in, &key_pos, &inputs, &funcs)
-    })?;
-    assert_eq!(table.groups.len(), btable.len(), "group kernels must agree");
-    Ok(BatchKernelReport {
-        name: "group_by",
-        input_rows: emp_rows.len() as u64,
-        row_ms,
-        batch_ms,
-        speedup: row_ms / batch_ms.max(1e-9),
-    })
-}
-
-// ---------------------------------------------------------------------
-// Row-path micro-kernels vs. the per-row-allocation variants they
-// replaced.
-// ---------------------------------------------------------------------
-
-/// `BoundPredicate::eval`'s reference-walking fast path vs. the owned
-/// evaluation it replaced: `eval_with` over a cloning getter has
-/// exactly the old shape — every operand cloned out of the tuple per
-/// row (a heap allocation per string comparand).
-fn predicate_eval_report(emp_rows: &[Tuple], repeats: usize) -> Result<KernelReport> {
-    let bound: Vec<BoundPredicate> = [
-        Predicate::cmp_const(Col::base(RelId(0), emp::NAME), CmpOp::Ge, Value::str("e")),
-        Predicate::cmp_const(
-            Col::base(RelId(0), emp::SAL),
-            CmpOp::Ge,
-            Value::Float(800.0),
-        ),
-    ]
-    .iter()
-    .map(|p| p.bind(&emp_layout))
-    .collect::<Result<_>>()?;
-    let (legacy_ms, legacy_hits) = time_best(repeats, || {
-        let mut hits = 0u64;
-        for t in emp_rows {
-            let mut ok = true;
-            for p in &bound {
-                if !p.eval_with(&|i| t.get(i).clone())? {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                hits += 1;
-            }
-        }
-        Ok(hits)
-    })?;
-    let (current_ms, hits) = time_best(repeats, || {
-        let mut hits = 0u64;
-        for t in emp_rows {
-            if predicate::eval_conjunction(&bound, t)? {
-                hits += 1;
-            }
-        }
-        Ok(hits)
-    })?;
-    assert_eq!(hits, legacy_hits, "predicate kernels must agree");
-    Ok(KernelReport {
-        name: "predicate_eval",
-        input_rows: emp_rows.len() as u64,
-        legacy_clone_key_ms: legacy_ms,
-        current_ms,
-        improvement: legacy_ms / current_ms.max(1e-9),
-    })
-}
-
-/// Residual evaluation at a join probe: the split evaluator reads build
-/// and probe tuples in place vs. the legacy shape that concatenated the
-/// candidate pair into a fresh tuple before evaluating.
-fn probe_residual_report(emp_rows: &[Tuple], repeats: usize) -> Result<KernelReport> {
-    // Combined layout emp ++ emp (a self-join's residual).
-    let combined = |c: Col| -> Option<usize> {
-        (0..5)
-            .find(|&i| c == Col::base(RelId(0), i))
-            .or_else(|| (0..5).find(|&i| c == Col::base(RelId(1), i)).map(|i| 5 + i))
-    };
-    let bound: Vec<BoundPredicate> = [
-        Predicate::new(
-            Expr::col(Col::base(RelId(0), emp::SAL)),
-            CmpOp::Gt,
-            Expr::col(Col::base(RelId(1), emp::SAL)),
-        ),
-        Predicate::new(
-            Expr::col(Col::base(RelId(0), emp::AGE)),
-            CmpOp::Le,
-            Expr::col(Col::base(RelId(1), emp::AGE)),
-        ),
-    ]
-    .iter()
-    .map(|p| p.bind(&combined))
-    .collect::<Result<_>>()?;
-    let n = emp_rows.len().max(1);
-    let (legacy_ms, legacy_hits) = time_best(repeats, || {
-        let mut hits = 0u64;
-        for (i, l) in emp_rows.iter().enumerate() {
-            let r = &emp_rows[(i + 1) % n];
-            if predicate::eval_conjunction(&bound, &l.concat(r))? {
-                hits += 1;
-            }
-        }
-        Ok(hits)
-    })?;
-    let (current_ms, hits) = time_best(repeats, || {
-        let mut hits = 0u64;
-        for (i, l) in emp_rows.iter().enumerate() {
-            let r = &emp_rows[(i + 1) % n];
-            if predicate::eval_conjunction_split(&bound, l, r, 5)? {
-                hits += 1;
-            }
-        }
-        Ok(hits)
-    })?;
-    assert_eq!(hits, legacy_hits, "residual kernels must agree");
-    Ok(KernelReport {
-        name: "probe_residual",
-        input_rows: emp_rows.len() as u64,
-        legacy_clone_key_ms: legacy_ms,
-        current_ms,
-        improvement: legacy_ms / current_ms.max(1e-9),
-    })
+    Ok(timing("group_by", emp_rows.len(), ms))
 }
 
 // ---------------------------------------------------------------------
@@ -1770,23 +1428,20 @@ impl ExecBenchReport {
             num(d.recover_after_checkpoint_ms),
         ));
         s.push_str("  \"serial_kernels\": {\n");
-        push_kernel_list(&mut s, "clone_key", &self.serial_kernels.clone_key, true);
-        s.push_str("    \"batch_vs_row\": [\n");
-        let bvr = &self.serial_kernels.batch_vs_row;
-        for (i, k) in bvr.iter().enumerate() {
+        s.push_str("    \"kernels\": [\n");
+        let ks = &self.serial_kernels.kernels;
+        for (i, k) in ks.iter().enumerate() {
             s.push_str(&format!(
-                "      {{\"name\": \"{}\", \"input_rows\": {}, \
-                 \"row_ms\": {}, \"batch_ms\": {}, \"speedup\": {}}}{}\n",
+                "      {{\"name\": \"{}\", \"input_rows\": {}, \"ms\": {}, \
+                 \"rows_per_sec\": {}}}{}\n",
                 k.name,
                 k.input_rows,
-                num(k.row_ms),
-                num(k.batch_ms),
-                num(k.speedup),
-                comma(i, bvr.len()),
+                num(k.ms),
+                num(k.rows_per_sec),
+                comma(i, ks.len()),
             ));
         }
         s.push_str("    ],\n");
-        push_kernel_list(&mut s, "row_micro", &self.serial_kernels.row_micro, true);
         s.push_str(&format!(
             "    \"mixed_demotions\": {}\n",
             self.serial_kernels.mixed_demotions
@@ -1860,29 +1515,15 @@ impl ExecBenchReport {
                  JSON report); run on a multi-core host for scaling numbers\n",
             );
         }
-        s.push_str("serial kernels vs clone-key baseline:\n");
-        for k in &self.serial_kernels.clone_key {
-            s.push_str(&format!(
-                "{:<14} {:>10} legacy {:>8.2} ms  current {:>8.2} ms  {:>5.2}x faster\n",
-                k.name, k.input_rows, k.legacy_clone_key_ms, k.current_ms, k.improvement
-            ));
-        }
         s.push_str(&format!(
-            "batch vs row (serial): {}\n",
+            "serial kernels: {}\n",
             self.serial_kernels
-                .batch_vs_row
+                .kernels
                 .iter()
-                .map(|k| format!("{} {:.2}x", k.name, k.speedup))
+                .map(|k| format!("{} {:.2} ms ({:.0} rows/s)", k.name, k.ms, k.rows_per_sec))
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
-        s.push_str("row micro-kernels vs per-row-allocation baseline:\n");
-        for k in &self.serial_kernels.row_micro {
-            s.push_str(&format!(
-                "{:<14} {:>10} legacy {:>8.2} ms  current {:>8.2} ms  {:>5.2}x faster\n",
-                k.name, k.input_rows, k.legacy_clone_key_ms, k.current_ms, k.improvement
-            ));
-        }
         let m = &self.matview;
         s.push_str(&format!(
             "matview ({} base rows -> {} extent rows): cold {:.2} ms, \
@@ -1951,27 +1592,6 @@ impl ExecBenchReport {
         ));
         s
     }
-}
-
-fn push_kernel_list(s: &mut String, key: &str, ks: &[KernelReport], trailing_comma: bool) {
-    s.push_str(&format!("    \"{key}\": [\n"));
-    for (i, k) in ks.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"name\": \"{}\", \"input_rows\": {}, \
-             \"legacy_clone_key_ms\": {}, \"current_ms\": {}, \"improvement\": {}}}{}\n",
-            k.name,
-            k.input_rows,
-            num(k.legacy_clone_key_ms),
-            num(k.current_ms),
-            num(k.improvement),
-            comma(i, ks.len()),
-        ));
-    }
-    s.push_str(if trailing_comma {
-        "    ],\n"
-    } else {
-        "    ]\n"
-    });
 }
 
 /// Check fresh workload peaks against a committed baseline report
@@ -2085,24 +1705,16 @@ mod tests {
         })
         .unwrap();
         assert_eq!(report.workloads.len(), 6);
-        assert_eq!(report.serial_kernels.clone_key.len(), 2);
-        let bvr_names: Vec<_> = report
+        let kernel_names: Vec<_> = report
             .serial_kernels
-            .batch_vs_row
+            .kernels
             .iter()
             .map(|k| k.name)
             .collect();
-        assert_eq!(bvr_names, ["filter", "hash_join", "group_by"]);
-        for k in &report.serial_kernels.batch_vs_row {
-            assert!(k.row_ms > 0.0 && k.batch_ms > 0.0, "{} times", k.name);
+        assert_eq!(kernel_names, ["filter", "hash_join", "group_by"]);
+        for k in &report.serial_kernels.kernels {
+            assert!(k.ms > 0.0 && k.rows_per_sec > 0.0, "{} times", k.name);
         }
-        let micro_names: Vec<_> = report
-            .serial_kernels
-            .row_micro
-            .iter()
-            .map(|k| k.name)
-            .collect();
-        assert_eq!(micro_names, ["predicate_eval", "probe_residual"]);
         for w in &report.workloads {
             assert!(w.input_rows > 0, "{} input", w.name);
             assert!(w.serial_ms > 0.0 && w.parallel_ms > 0.0, "{} times", w.name);
@@ -2174,9 +1786,7 @@ mod tests {
         assert!(json.contains("\"maintenance\""));
         assert!(json.contains("\"e8_groupby\""));
         assert!(json.contains("\"serial_kernels\""));
-        assert!(json.contains("\"clone_key\""));
-        assert!(json.contains("\"batch_vs_row\""));
-        assert!(json.contains("\"row_micro\""));
+        assert!(json.contains("\"kernels\""));
         assert!(json.contains("\"mixed_demotions\": 0"));
         assert!(json.contains("\"static_analysis\""));
         assert!(json.contains("\"plans_analyzed\": 5"));
@@ -2226,7 +1836,7 @@ mod tests {
              \"peak_intermediate_bytes\": 2000}\n",
             "  ],\n",
             // Kernel entries have a name but no peak: must be ignored.
-            "      {\"name\": \"group_by\", \"improvement\": 2.0}\n",
+            "      {\"name\": \"group_by\", \"ms\": 2.0}\n",
         );
 
         // Within tolerance (exactly 10% over rounds up via ceil).
@@ -2242,22 +1852,5 @@ mod tests {
         let err = check_peak_regression(baseline, &bad, 1.10).unwrap_err();
         assert!(err.contains("scan_filter"), "{err}");
         assert!(!err.contains("hash_join"), "{err}");
-    }
-
-    #[test]
-    fn legacy_kernels_agree_with_current_results() {
-        let cat = gen_empdept(&EmpDeptConfig {
-            n_depts: 10,
-            emps_per_dept: 30,
-            young_fraction: 0.2,
-            low_budget_fraction: 0.3,
-            seed: 5,
-        })
-        .unwrap();
-        let emp_rows = cat.get("emp").unwrap().rows().to_vec();
-        let dept_rows = cat.get("dept").unwrap().rows().to_vec();
-        // The asserts inside the report builders cross-check row counts.
-        join_kernel_report(&emp_rows, &dept_rows, 1).unwrap();
-        group_kernel_report(&emp_rows, 1).unwrap();
     }
 }

@@ -29,7 +29,7 @@ pub const REGISTERED_FAULT_SITES: &[&str] = &[
     "storage.scan",
     "exec.join",
     "exec.groupby",
-    "exec.partial-groupby",
+    "exec.partial-agg",
     // Durability IO sites (consulted via `io_fault()`).
     "wal.append",
     "wal.fsync",

@@ -41,15 +41,6 @@ pub fn hash_values(values: &[Value]) -> u64 {
     h.finish()
 }
 
-/// Positional key equality: `a[a_pos[i]] == b[b_pos[i]]` for all `i`.
-///
-/// Used to confirm hash matches; `a_pos` and `b_pos` must have equal
-/// length (the operator builds both from the same equi-key list).
-pub fn keys_equal(a: &Tuple, a_pos: &[usize], b: &Tuple, b_pos: &[usize]) -> bool {
-    debug_assert_eq!(a_pos.len(), b_pos.len());
-    a_pos.iter().zip(b_pos).all(|(&i, &j)| a.get(i) == b.get(j))
-}
-
 /// Key equality between an already-projected key tuple (`key[i]`) and
 /// the projection `pos` of `row`.
 pub fn key_matches_row(key: &Tuple, row: &Tuple, pos: &[usize]) -> bool {
@@ -102,16 +93,17 @@ pub const FX_SEED: u64 = 0x517c_c1b7_2722_0a95;
 
 /// One multiply-rotate mixing step for the columnar hash chain.
 ///
-/// The row-at-a-time operators hash through [`std::collections::hash_map::DefaultHasher`]
+/// The row-major tables ([`hash_key`], [`hash_values`]: extent folds,
+/// Z-sets) hash through [`std::collections::hash_map::DefaultHasher`]
 /// (SipHash), which costs more per value than some whole batch kernels.
-/// Columnar operators instead fold each key column into a per-row `u64`
-/// with this multiply-rotate step. The hash function is a *private*
-/// detail of each operator execution — candidates are always confirmed
-/// by comparing the key values, and group/candidate order never depends
-/// on hash values — so the batch path is free to use a cheaper mix than
-/// the row path. Equal keys must still collide: numerics are fed as
+/// The executor's columnar operators instead fold each key column into
+/// a per-row `u64` with this multiply-rotate step. The hash function is
+/// a *private* detail of each operator execution — candidates are always
+/// confirmed by comparing the key values, and group/candidate order
+/// never depends on hash values — so the kernels are free to use a
+/// cheap mix. Equal keys must still collide: numerics are fed as
 /// their `f64` bit pattern with a shared tag, exactly like
-/// [`Value`](crate::Value)'s `Hash` impl.
+/// [`Value`]'s `Hash` impl.
 #[inline]
 pub fn fx_mix(h: u64, x: u64) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -176,7 +168,7 @@ mod tests {
         let b = tuple!["pad", 1i64, 3.5f64, "x"];
         // a[0,1,2] vs b[1,3,2] project the same key.
         assert_eq!(hash_key(&a, &[0, 1, 2]), hash_key(&b, &[1, 3, 2]));
-        assert!(keys_equal(&a, &[0, 1, 2], &b, &[1, 3, 2]));
+        assert!(key_matches_row(&a, &b, &[1, 3, 2]));
     }
 
     #[test]
@@ -184,14 +176,14 @@ mod tests {
         let a = tuple![3i64];
         let b = tuple![3.0f64];
         assert_eq!(hash_key(&a, &[0]), hash_key(&b, &[0]));
-        assert!(keys_equal(&a, &[0], &b, &[0]));
+        assert!(key_matches_row(&a, &b, &[0]));
     }
 
     #[test]
     fn different_keys_compare_unequal() {
         let a = tuple![1i64, 2i64];
         let b = tuple![1i64, 3i64];
-        assert!(!keys_equal(&a, &[0, 1], &b, &[0, 1]));
+        assert!(!key_matches_row(&a, &b, &[0, 1]));
     }
 
     #[test]
@@ -222,6 +214,5 @@ mod tests {
         let a = tuple![1i64];
         let b = tuple!["z"];
         assert_eq!(hash_key(&a, &[]), hash_key(&b, &[]));
-        assert!(keys_equal(&a, &[], &b, &[]));
     }
 }

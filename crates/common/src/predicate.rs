@@ -199,33 +199,6 @@ impl BoundPredicate {
         self.cmp_values(l, r)
     }
 
-    /// Evaluate against the virtual concatenation `left ++ right`, where
-    /// `left` has arity `split` — without materializing the combined
-    /// tuple. Used for join residual predicates bound against the
-    /// combined layout.
-    pub fn eval_split(&self, left: &Tuple, right: &Tuple, split: usize) -> Result<bool> {
-        let at = |i: usize| {
-            if i < split {
-                left.get(i)
-            } else {
-                right.get(i - split)
-            }
-        };
-        let (l, r): (&crate::Value, &crate::Value) = match (&self.left, &self.right) {
-            (BoundExpr::Col(i), BoundExpr::Col(j)) => (at(*i), at(*j)),
-            (BoundExpr::Col(i), BoundExpr::Const(v)) => (at(*i), v),
-            (BoundExpr::Const(v), BoundExpr::Col(j)) => (v, at(*j)),
-            (BoundExpr::Const(a), BoundExpr::Const(b)) => (a, b),
-            _ => {
-                let get = |i: usize| at(i).clone();
-                let l = self.left.eval_with(&get)?;
-                let r = self.right.eval_with(&get)?;
-                return self.cmp_values(&l, &r);
-            }
-        };
-        self.cmp_values(l, r)
-    }
-
     /// Evaluate with an arbitrary position-to-value accessor (batch rows
     /// that are not materialized as tuples). Semantics and error
     /// messages match [`eval`](Self::eval).
@@ -250,22 +223,6 @@ impl BoundPredicate {
 pub fn eval_conjunction(preds: &[BoundPredicate], t: &Tuple) -> Result<bool> {
     for p in preds {
         if !p.eval(t)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// Evaluate a conjunction against the virtual concatenation
-/// `left ++ right` (see [`BoundPredicate::eval_split`]).
-pub fn eval_conjunction_split(
-    preds: &[BoundPredicate],
-    left: &Tuple,
-    right: &Tuple,
-    split: usize,
-) -> Result<bool> {
-    for p in preds {
-        if !p.eval_split(left, right, split)? {
             return Ok(false);
         }
     }
@@ -352,43 +309,6 @@ mod tests {
         assert!(!eval_conjunction(&preds, &t).unwrap());
         assert!(eval_conjunction(&preds[..1], &t).unwrap());
         assert!(eval_conjunction(&[], &t).unwrap());
-    }
-
-    #[test]
-    fn eval_split_matches_concat_eval() {
-        // Positions 0..2 come from the left tuple, 2..4 from the right.
-        let layout = |c: Col| match c {
-            Col::Base(cr) if cr.rel == RelId(0) => Some(cr.col as usize),
-            Col::Base(cr) if cr.rel == RelId(1) => Some(2 + cr.col as usize),
-            _ => None,
-        };
-        let l = tuple![1i64, 5.0f64];
-        let r = tuple![5i64, "x"];
-        for p in [
-            Predicate::eq_cols(Col::base(RelId(0), 1), Col::base(RelId(1), 0)),
-            Predicate::cmp_const(Col::base(RelId(1), 0), CmpOp::Gt, 4i64),
-            Predicate::new(
-                Expr::col(Col::base(RelId(0), 0))
-                    .binary(crate::BinaryOp::Add, Expr::col(Col::base(RelId(1), 0))),
-                CmpOp::Eq,
-                Expr::val(6i64),
-            ),
-        ] {
-            let b = p.bind(&layout).unwrap();
-            assert_eq!(
-                b.eval_split(&l, &r, 2).unwrap(),
-                b.eval(&l.concat(&r)).unwrap(),
-                "split/concat disagree on {p}"
-            );
-        }
-        // Error parity, including the message.
-        let bad = Predicate::eq_cols(Col::base(RelId(0), 0), Col::base(RelId(1), 1))
-            .bind(&layout)
-            .unwrap();
-        let e1 = bad.eval_split(&l, &r, 2).unwrap_err().to_string();
-        let e2 = bad.eval(&l.concat(&r)).unwrap_err().to_string();
-        assert_eq!(e1, e2);
-        assert!(eval_conjunction_split(&[], &l, &r, 2).unwrap());
     }
 
     #[test]

@@ -55,9 +55,7 @@ fn props_checked(
                 _ => return None,
             }
         }
-        Plan::GroupBy { input, .. }
-        | Plan::PartialGroupBy { input, .. }
-        | Plan::PartialAggregate { input, .. } => {
+        Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
             vec![props_checked(input, est, catalog, out)?]
         }
     };
@@ -149,7 +147,7 @@ fn props_checked(
                 );
             }
         }
-        Plan::GroupBy { .. } | Plan::PartialGroupBy { .. } | Plan::PartialAggregate { .. } => {
+        Plan::GroupBy { .. } | Plan::PartialAggregate { .. } => {
             // The estimator floors group counts at one, so a grouping of
             // a sub-row estimate may legitimately report one group.
             let bound = children[0].card.max(1.0);

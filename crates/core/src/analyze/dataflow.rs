@@ -760,36 +760,6 @@ fn summarize(plan: &Plan, path: &str, cx: &mut Cx<'_>) -> Node {
             };
             finish(cx, project, &avail, min_rows, empty, typed)
         }
-        Plan::PartialGroupBy {
-            input,
-            spec,
-            project,
-            ..
-        } => {
-            let i = summarize(input, &format!("{path}.in"), cx);
-            let mut avail = DomainMap::new();
-            let mut typed = i.typed;
-            for g in &spec.group_cols {
-                match i.cols.get(g) {
-                    Some(d) => {
-                        avail.insert(*g, d.clone());
-                    }
-                    None => {
-                        typed = false;
-                        avail.insert(*g, ColDomain::unknown(None));
-                    }
-                }
-            }
-            for (aref, a) in &spec.aggs {
-                let parts = partial_domains(a.func, a.arg.as_ref(), &i.cols);
-                for (k, d) in parts.into_iter().enumerate() {
-                    typed &= d.ty.is_some();
-                    avail.insert(Col::part(*aref, k), d);
-                }
-            }
-            let min_rows = if !i.empty && i.min_rows >= 1 { 1 } else { 0 };
-            finish(cx, project, &avail, min_rows, i.empty, typed)
-        }
         Plan::PartialAggregate {
             input,
             spec,

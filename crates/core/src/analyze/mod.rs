@@ -74,7 +74,6 @@ pub fn code_for(rule: &str) -> &'static str {
         "matview-extent" => "AV005",
         "degraded-shape" => "AV006",
         "cost-sanity" => "AV007",
-        "partial-aggregate" => "AV008",
         "dataflow-domain" => "DF001",
         "dataflow-type" => "DF002",
         "dataflow-bounds" => "DF003",
@@ -265,7 +264,6 @@ impl<'a> PlanAnalyzer<'a> {
         }
         rules::check_invariant_grouping(plan, self.catalog, &mut violations);
         rules::check_coalescing(plan, &mut violations);
-        rules::check_partial_aggregate(plan, &mut violations);
         rules::check_matview(plan, self.catalog, &mut violations);
         if let (Some(model), Some(env)) = (self.model, self.env) {
             cost::check(plan, model, self.catalog, env, &mut violations);

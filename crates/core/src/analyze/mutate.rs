@@ -117,17 +117,6 @@ fn map_first(plan: &Plan, f: &mut impl FnMut(&Plan) -> Option<Plan>) -> Option<P
             spec: spec.clone(),
             project: project.clone(),
         }),
-        Plan::PartialGroupBy {
-            algo,
-            input,
-            spec,
-            project,
-        } => map_first(input, f).map(|i| Plan::PartialGroupBy {
-            algo: *algo,
-            input: Box::new(i),
-            spec: spec.clone(),
-            project: project.clone(),
-        }),
         Plan::PartialAggregate {
             algo,
             input,
@@ -246,13 +235,13 @@ fn swap_coalesce_func(node: &Plan) -> Option<Plan> {
     })
 }
 
-/// Drop one partial-state component from a partial group-by's output,
+/// Drop one partial-state component from a partial aggregate's output,
 /// orphaning the merge stage above. Only components the analyzer can
 /// prove missing are dropped: a non-zero component, or component 0 of
 /// an aggregate with an argument (whose base columns are unavailable
-/// above the partial group-by).
+/// above the partial aggregate).
 fn drop_partial_component(node: &Plan) -> Option<Plan> {
-    let Plan::PartialGroupBy {
+    let Plan::PartialAggregate {
         algo,
         input,
         spec,
@@ -273,7 +262,7 @@ fn drop_partial_component(node: &Plan) -> Option<Plan> {
     })?;
     let mut project = project.clone();
     project.remove(pos);
-    Some(Plan::PartialGroupBy {
+    Some(Plan::PartialAggregate {
         algo: *algo,
         input: input.clone(),
         spec: spec.clone(),
@@ -485,7 +474,7 @@ fn contradictory_filter(node: &Plan) -> Option<Plan> {
 }
 
 /// Flip one declared output type of an `EmptyScan`: the recorded schema
-/// no longer matches the catalog's, which the executor's batch path
+/// no longer matches the catalog's, which the executor
 /// would silently absorb as a Mixed demotion — a `dataflow-type` error.
 fn empty_scan_type_lie(node: &Plan) -> Option<Plan> {
     let Plan::EmptyScan {
@@ -533,7 +522,7 @@ fn empty_scan_phantom_cover(node: &Plan) -> Option<Plan> {
     })
 }
 
-/// Remove one pushed grouping column from an eager partial aggregate
+/// Remove one pushed grouping column from a partial aggregate
 /// (and its projection): early grouping then merges rows the merge
 /// stage above still needs to tell apart (Definition 1, dualized).
 fn eager_drop_pushed_key(node: &Plan) -> Option<Plan> {
@@ -548,9 +537,6 @@ fn eager_drop_pushed_key(node: &Plan) -> Option<Plan> {
     };
     let mut spec = spec.clone();
     let g = spec.group_cols.pop()?;
-    if spec.group_cols.is_empty() {
-        return None; // plan-level validation would trip first
-    }
     let project: Vec<Col> = project.iter().copied().filter(|c| *c != g).collect();
     Some(Plan::PartialAggregate {
         algo: *algo,
@@ -560,7 +546,7 @@ fn eager_drop_pushed_key(node: &Plan) -> Option<Plan> {
     })
 }
 
-/// Strip the duplicate-factor count column from an eager partial
+/// Strip the duplicate-factor count column from a partial
 /// aggregate: kept duplicate-sensitive aggregates above the join are
 /// then merged without compensation for join replication.
 fn eager_drop_count(node: &Plan) -> Option<Plan> {

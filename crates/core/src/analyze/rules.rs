@@ -9,10 +9,12 @@
 //! * **Invariant grouping** (Section 4.1): once the top group-by's
 //!   finalized groups cross a join, that join must match at most one
 //!   tuple per group — a key join into the other side.
-//! * **Coalescing merge stage** (Section 4.2, Figure 2): every partial
-//!   group-by's aggregates must be decomposable and re-assembled by the
-//!   nearest full group-by above under the same identity, function and
-//!   argument.
+//! * **Partial-aggregation merge stage** (Section 4.2, Figure 2): every
+//!   partial aggregate's states must be re-assembled by the nearest full
+//!   group-by above under the same identity, function and argument; its
+//!   pushed keys must cover what the merge and the joins between still
+//!   read; and it must carry a duplicate factor when the merge keeps a
+//!   duplicate-sensitive aggregate.
 //! * **Degraded shape**: a governor-degraded plan must be the
 //!   traditional two-phase form — no partial aggregation, every view
 //!   aggregated over exactly its own relations, the top group-by at the
@@ -31,7 +33,6 @@ pub(crate) const RULE_INVARIANT: &str = "invariant-grouping";
 pub(crate) const RULE_COALESCE: &str = "coalescing-merge";
 pub(crate) const RULE_DEGRADED: &str = "degraded-shape";
 pub(crate) const RULE_MATVIEW: &str = "matview-extent";
-pub(crate) const RULE_PARTIAL_AGG: &str = "partial-aggregate";
 
 // ---------------------------------------------------------------------
 // Pull-up key rule (Definition 1).
@@ -157,30 +158,47 @@ fn exposes_top_group(plan: &Plan) -> bool {
         Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => false,
         Plan::Join { left, right, .. } => exposes_top_group(left) || exposes_top_group(right),
         Plan::GroupBy { spec, .. } => spec.owner == ViewId::Top,
-        Plan::PartialGroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
-            exposes_top_group(input)
-        }
+        Plan::PartialAggregate { input, .. } => exposes_top_group(input),
     }
 }
 
 // ---------------------------------------------------------------------
-// Coalescing merge stage (Section 4.2, Figure 2).
+// Partial-aggregation merge stage (Section 4.2, Figure 2; push-down
+// duality).
 // ---------------------------------------------------------------------
 
-/// Check that each partial group-by's states are coalesced by the
-/// nearest full group-by above it, under matching aggregate identity,
-/// function and argument. (Decomposability and component availability
-/// are enforced by the schema pass.)
+/// Check every partial aggregate — simple coalescing and eager
+/// push-down alike — against the nearest full group-by above it:
+///
+/// * **merge stage** — each pushed aggregate must be re-assembled under
+///   the same identity, function and argument (Figure 2), and stored
+///   partial states exposed by an extent scan need a group-by above just
+///   the same. (Decomposability and component availability are enforced
+///   by the schema pass.)
+/// * **pushed keys** (Definition 1, dualized) — the pushed grouping
+///   columns must cover every final grouping column this subtree
+///   produces *and* every subtree column referenced by a predicate
+///   evaluated between this node and the merge, or early grouping would
+///   merge rows the joins and filters above still need to tell apart;
+/// * **duplicate factor** — when the merge re-aggregates partner-side
+///   duplicate-sensitive aggregates, the node must carry the per-group
+///   count column that scales them for join replication (vacuous for
+///   coalescing, which keeps nothing).
 pub(crate) fn check_coalescing(plan: &Plan, out: &mut Vec<Violation>) {
-    coalescing_walk(plan, None, out);
+    merge_walk(plan, None, &mut Vec::new(), out);
 }
 
-fn coalescing_walk<'p>(plan: &'p Plan, nearest: Option<&'p GroupBySpec>, out: &mut Vec<Violation>) {
+fn merge_walk<'p>(
+    plan: &'p Plan,
+    nearest: Option<&'p GroupBySpec>,
+    preds_above: &mut Vec<&'p Predicate>,
+    out: &mut Vec<Violation>,
+) {
     match plan {
         Plan::Scan { .. } | Plan::EmptyScan { .. } => {}
         Plan::ExtentScan { outputs, .. } => {
             // Stored partial states must be coalesced by a group-by above,
-            // exactly like the output of a partial group-by.
+            // exactly like the output of a partial aggregate.
             if nearest.is_none() && outputs.iter().any(|c| matches!(c, Col::Part(_))) {
                 out.push(Violation::new(
                     RULE_COALESCE,
@@ -190,120 +208,26 @@ fn coalescing_walk<'p>(plan: &'p Plan, nearest: Option<&'p GroupBySpec>, out: &m
                 ));
             }
         }
-        Plan::Join { left, right, .. } => {
-            coalescing_walk(left, nearest, out);
-            coalescing_walk(right, nearest, out);
-        }
-        Plan::GroupBy { input, spec, .. } => coalescing_walk(input, Some(spec), out),
-        Plan::PartialGroupBy { input, spec, .. } => {
-            match nearest {
-                None => out.push(Violation::new(
-                    RULE_COALESCE,
-                    "partial group-by produces partial aggregate states but no group-by \
-                     above coalesces them (Figure 2)"
-                        .into(),
-                )),
-                Some(g) => {
-                    for (aref, a) in &spec.aggs {
-                        if aref.owner != g.owner {
-                            out.push(Violation::new(
-                                RULE_COALESCE,
-                                format!(
-                                    "partial group-by decomposes {aref} but the nearest \
-                                     group-by above is {} (Figure 2 merge-stage mismatch)",
-                                    g.owner
-                                ),
-                            ));
-                            continue;
-                        }
-                        match g.aggs.get(aref.idx as usize) {
-                            None => out.push(Violation::new(
-                                RULE_COALESCE,
-                                format!(
-                                    "partial group-by decomposes {aref} but {} declares \
-                                     only {} aggregate(s)",
-                                    g.owner,
-                                    g.aggs.len()
-                                ),
-                            )),
-                            Some(up) if up.func != a.func => out.push(Violation::new(
-                                RULE_COALESCE,
-                                format!(
-                                    "coalescing mismatch for {aref}: the partial stage \
-                                     computes `{a}` but the merge stage expects `{up}`",
-                                ),
-                            )),
-                            Some(up) if up.arg != a.arg => out.push(Violation::new(
-                                RULE_COALESCE,
-                                format!(
-                                    "coalescing mismatch for {aref}: the partial stage \
-                                     aggregates `{a}` but the merge stage declares `{up}`",
-                                ),
-                            )),
-                            Some(_) => {}
-                        }
-                    }
-                }
-            }
-            coalescing_walk(input, nearest, out);
-        }
-        // The eager partial aggregate's merge relationship is governed by
-        // the dedicated partial-aggregate rule; only recurse here.
-        Plan::PartialAggregate { input, .. } => coalescing_walk(input, nearest, out),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Eager partial aggregation (pull-up/push-down duality).
-// ---------------------------------------------------------------------
-
-/// Check every eager partial aggregate against the push-down legality
-/// conditions dual to the paper's pull-up rule:
-///
-/// * **merge stage** — each pushed aggregate must be re-assembled by the
-///   nearest full group-by above under the same identity, function and
-///   argument (Figure 2);
-/// * **pushed keys** (Definition 1, dualized) — the pushed grouping
-///   columns must cover every final grouping column this subtree
-///   produces *and* every subtree column referenced by a predicate
-///   evaluated between this node and the merge, or early grouping would
-///   merge rows the joins and filters above still need to tell apart;
-/// * **duplicate factor** — when the merge re-aggregates partner-side
-///   duplicate-sensitive aggregates, the node must carry the per-group
-///   count column that scales them for join replication.
-pub(crate) fn check_partial_aggregate(plan: &Plan, out: &mut Vec<Violation>) {
-    pa_walk(plan, None, &mut Vec::new(), out);
-}
-
-fn pa_walk<'p>(
-    plan: &'p Plan,
-    nearest: Option<&'p GroupBySpec>,
-    preds_above: &mut Vec<&'p Predicate>,
-    out: &mut Vec<Violation>,
-) {
-    match plan {
-        Plan::Scan { .. } | Plan::EmptyScan { .. } | Plan::ExtentScan { .. } => {}
         Plan::Join {
             left, right, preds, ..
         } => {
             let n = preds_above.len();
             preds_above.extend(preds.iter());
-            pa_walk(left, nearest, preds_above, out);
-            pa_walk(right, nearest, preds_above, out);
+            merge_walk(left, nearest, preds_above, out);
+            merge_walk(right, nearest, preds_above, out);
             preds_above.truncate(n);
         }
         // A full group-by finalizes: predicates above it no longer see
         // pre-aggregation rows, so the pending set restarts.
-        Plan::GroupBy { input, spec, .. } => pa_walk(input, Some(spec), &mut Vec::new(), out),
-        Plan::PartialGroupBy { input, .. } => pa_walk(input, nearest, preds_above, out),
+        Plan::GroupBy { input, spec, .. } => merge_walk(input, Some(spec), &mut Vec::new(), out),
         Plan::PartialAggregate { input, spec, .. } => {
-            check_eager_node(input, spec, nearest, preds_above, out);
-            pa_walk(input, nearest, preds_above, out);
+            check_partial_node(input, spec, nearest, preds_above, out);
+            merge_walk(input, nearest, preds_above, out);
         }
     }
 }
 
-fn check_eager_node(
+fn check_partial_node(
     input: &Plan,
     spec: &PartialAggSpec,
     nearest: Option<&GroupBySpec>,
@@ -312,9 +236,9 @@ fn check_eager_node(
 ) {
     let Some(g) = nearest else {
         out.push(Violation::new(
-            RULE_PARTIAL_AGG,
-            "eager partial aggregate produces partial states but no group-by above \
-             merges them (Figure 2)"
+            RULE_COALESCE,
+            "partial aggregate produces partial states but no group-by above merges them \
+             (Figure 2)"
                 .into(),
         ));
         return;
@@ -323,10 +247,10 @@ fn check_eager_node(
     for (aref, a) in &spec.aggs {
         if aref.owner != g.owner {
             out.push(Violation::new(
-                RULE_PARTIAL_AGG,
+                RULE_COALESCE,
                 format!(
-                    "eager partial aggregate decomposes {aref} but the nearest group-by \
-                     above is {} (Figure 2 merge-stage mismatch)",
+                    "partial aggregate decomposes {aref} but the nearest group-by above is \
+                     {} (Figure 2 merge-stage mismatch)",
                     g.owner
                 ),
             ));
@@ -334,19 +258,18 @@ fn check_eager_node(
         }
         match g.aggs.get(aref.idx as usize) {
             None => out.push(Violation::new(
-                RULE_PARTIAL_AGG,
+                RULE_COALESCE,
                 format!(
-                    "eager partial aggregate decomposes {aref} but {} declares only {} \
-                     aggregate(s)",
+                    "partial aggregate decomposes {aref} but {} declares only {} aggregate(s)",
                     g.owner,
                     g.aggs.len()
                 ),
             )),
             Some(up) if up.func != a.func || up.arg != a.arg => out.push(Violation::new(
-                RULE_PARTIAL_AGG,
+                RULE_COALESCE,
                 format!(
-                    "eager merge mismatch for {aref}: the partial stage computes `{a}` \
-                     but the merge stage expects `{up}`"
+                    "coalescing mismatch for {aref}: the partial stage computes `{a}` but \
+                     the merge stage expects `{up}`"
                 ),
             )),
             Some(_) => {}
@@ -368,10 +291,10 @@ fn check_eager_node(
     for c in required {
         if !pushed.contains(&c) {
             out.push(Violation::new(
-                RULE_PARTIAL_AGG,
+                RULE_COALESCE,
                 format!(
-                    "eager partial aggregate drops {c} from its pushed grouping columns, \
-                     but the merge above still groups or joins on it (Definition 1)"
+                    "partial aggregate drops {c} from its pushed grouping columns, but the \
+                     merge above still groups or joins on it (Definition 1)"
                 ),
             ));
         }
@@ -391,8 +314,8 @@ fn check_eager_node(
         .any(|(i, a)| !decomposed.contains(&(i as u32)) && a.func.is_duplicate_sensitive());
     if kept_dup_sensitive && spec.count.is_none() {
         out.push(Violation::new(
-            RULE_PARTIAL_AGG,
-            "merge above the eager partial aggregate re-aggregates duplicate-sensitive \
+            RULE_COALESCE,
+            "merge above the partial aggregate re-aggregates duplicate-sensitive \
              partner-side aggregates, but the node carries no per-group count column to \
              scale them (duplicate-factor compensation)"
                 .into(),
@@ -487,16 +410,10 @@ pub(crate) fn check_matview(plan: &Plan, catalog: &Catalog, out: &mut Vec<Violat
 pub(crate) fn check_degraded_shape(plan: &Plan, query: &CanonicalQuery, out: &mut Vec<Violation>) {
     let mut top_count = 0usize;
     walk(plan, &mut |node| match node {
-        Plan::PartialGroupBy { .. } => out.push(Violation::new(
-            RULE_DEGRADED,
-            "degraded plan contains a partial group-by; the traditional two-phase plan \
-             performs no coalescing"
-                .into(),
-        )),
         Plan::PartialAggregate { .. } => out.push(Violation::new(
             RULE_DEGRADED,
-            "degraded plan contains an eager partial aggregate; the traditional two-phase \
-             plan performs no early aggregation"
+            "degraded plan contains a partial aggregate; the traditional two-phase plan \
+             performs no early aggregation"
                 .into(),
         )),
         Plan::GroupBy { input, spec, .. } => match spec.owner {
@@ -556,9 +473,7 @@ fn walk<'p>(plan: &'p Plan, f: &mut impl FnMut(&'p Plan)) {
             walk(left, f);
             walk(right, f);
         }
-        Plan::GroupBy { input, .. }
-        | Plan::PartialGroupBy { input, .. }
-        | Plan::PartialAggregate { input, .. } => walk(input, f),
+        Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => walk(input, f),
     }
 }
 
@@ -582,10 +497,9 @@ impl EquivClasses {
             let preds = match node {
                 Plan::Scan { filters, .. } | Plan::ExtentScan { filters, .. } => filters.as_slice(),
                 Plan::Join { preds, .. } => preds.as_slice(),
-                Plan::GroupBy { .. }
-                | Plan::PartialGroupBy { .. }
-                | Plan::PartialAggregate { .. }
-                | Plan::EmptyScan { .. } => &[],
+                Plan::GroupBy { .. } | Plan::PartialAggregate { .. } | Plan::EmptyScan { .. } => {
+                    &[]
+                }
             };
             for p in preds {
                 if let Some(pair) = p.as_col_eq_col() {

@@ -254,7 +254,7 @@ fn typed_cols(
             }
             project_types(project, &avail, &who, out)
         }
-        Plan::PartialGroupBy {
+        Plan::PartialAggregate {
             input,
             spec,
             project,
@@ -269,7 +269,9 @@ fn typed_cols(
                     }
                     None => push(
                         out,
-                        format!("partial group-by groups on {g}, which its input does not produce"),
+                        format!(
+                            "partial aggregate groups on {g}, which its input does not produce"
+                        ),
                     ),
                 }
             }
@@ -277,7 +279,7 @@ fn typed_cols(
                 if !a.func.is_decomposable() {
                     push(
                         out,
-                        format!("partial group-by decomposes non-decomposable aggregate `{a}`"),
+                        format!("partial aggregate decomposes non-decomposable aggregate `{a}`"),
                     );
                     continue;
                 }
@@ -299,64 +301,11 @@ fn typed_cols(
                     Err(e) => push(out, format!("partial aggregate `{a}`: {}", e.message())),
                 }
             }
-            project_types(project, &avail, "partial group-by", out)
-        }
-        Plan::PartialAggregate {
-            input,
-            spec,
-            project,
-            ..
-        } => {
-            let child = typed_cols(input, catalog, rel_tables, out)?;
-            let mut avail = TypeMap::new();
-            for g in &spec.group_cols {
-                match child.get(g) {
-                    Some(&ty) => {
-                        avail.insert(*g, ty);
-                    }
-                    None => push(
-                        out,
-                        format!(
-                            "eager partial aggregate groups on {g}, which its input does \
-                             not produce"
-                        ),
-                    ),
-                }
-            }
-            for (aref, a) in &spec.aggs {
-                if !a.func.is_decomposable() {
-                    push(
-                        out,
-                        format!(
-                            "eager partial aggregate decomposes non-decomposable \
-                             aggregate `{a}`"
-                        ),
-                    );
-                    continue;
-                }
-                let arg_ty = match &a.arg {
-                    Some(e) => {
-                        match expr_type(e, &child, &format!("eager partial aggregate `{a}`"), out) {
-                            Some(t) => Some(t),
-                            None => continue,
-                        }
-                    }
-                    None => None,
-                };
-                match a.func.partial_types(arg_ty) {
-                    Ok(tys) => {
-                        for (k, t) in tys.into_iter().enumerate() {
-                            avail.insert(Col::part(*aref, k), t);
-                        }
-                    }
-                    Err(e) => push(out, format!("eager partial aggregate `{a}`: {}", e.message())),
-                }
-            }
             // The duplicate-factor column is a per-group COUNT(*): Int.
             if let Some(c) = spec.count_col() {
                 avail.insert(c, DataType::Int);
             }
-            project_types(project, &avail, "eager partial aggregate", out)
+            project_types(project, &avail, "partial aggregate", out)
         }
     }
 }

@@ -14,7 +14,7 @@
 //! take advantage of the selectivity of the join predicate", Section 3).
 
 use crate::cost::ops::{self, IoParams, JoinSides};
-use crate::plan::{AggAlgo, JoinAlgo, Plan};
+use crate::plan::{JoinAlgo, Plan};
 use crate::query::QueryEnv;
 use aggview_common::{AggViewError, Col, ColRef, Expr, Predicate, Result};
 use aggview_storage::{Catalog, PageModel};
@@ -314,65 +314,10 @@ impl<'a> CardEstimator<'a> {
                 let width: f64 = project.iter().map(|c| self.col_width(*c)).sum();
                 let in_pages = i.pages(&self.model.page);
                 let out_pages = self.model.page.pages_for(groups, width.max(1.0));
-                let io = self.model.io;
-                let extra = match algo {
-                    AggAlgo::Auto => ops::best_agg(in_pages, out_pages, &io).1,
-                    AggAlgo::Hash => ops::hash_agg_io(in_pages, out_pages, &io),
-                    AggAlgo::Sort => ops::sort_agg_io(in_pages, io.mem_pages),
-                };
+                let extra = ops::agg_io(*algo, in_pages, out_pages, &self.model.io).1;
                 Ok(PlanProps {
                     cost: i.cost + extra,
                     card,
-                    width,
-                    peak_bytes: i.peak_bytes.max(groups * width),
-                    distinct,
-                })
-            }
-            Plan::PartialGroupBy {
-                algo,
-                input,
-                spec,
-                project,
-            } => {
-                let i = self.cost_plan(input)?;
-                let domain: f64 = spec
-                    .group_cols
-                    .iter()
-                    .map(|c| i.distinct.get(c).copied().unwrap_or(DEFAULT_AGG_DISTINCT))
-                    .fold(1.0, |a, b| (a * b).min(1e18));
-                let groups = Self::yao_distinct(domain, i.card);
-                let mut distinct: BTreeMap<Col, f64> = spec
-                    .group_cols
-                    .iter()
-                    .map(|c| {
-                        (
-                            *c,
-                            i.distinct
-                                .get(c)
-                                .copied()
-                                .unwrap_or(DEFAULT_AGG_DISTINCT)
-                                .min(groups.max(1.0)),
-                        )
-                    })
-                    .collect();
-                for (idx, _) in spec.aggs.iter().enumerate() {
-                    for k in 0..spec.aggs[idx].1.func.partial_arity() {
-                        distinct.insert(Col::part(spec.aggs[idx].0, k), groups.max(1.0));
-                    }
-                }
-                distinct.retain(|c, _| project.contains(c));
-                let width: f64 = project.iter().map(|c| self.col_width(*c)).sum();
-                let in_pages = i.pages(&self.model.page);
-                let out_pages = self.model.page.pages_for(groups, width.max(1.0));
-                let io = self.model.io;
-                let extra = match algo {
-                    AggAlgo::Auto => ops::best_agg(in_pages, out_pages, &io).1,
-                    AggAlgo::Hash => ops::hash_agg_io(in_pages, out_pages, &io),
-                    AggAlgo::Sort => ops::sort_agg_io(in_pages, io.mem_pages),
-                };
-                Ok(PlanProps {
-                    cost: i.cost + extra,
-                    card: groups,
                     width,
                     peak_bytes: i.peak_bytes.max(groups * width),
                     distinct,
@@ -417,12 +362,7 @@ impl<'a> CardEstimator<'a> {
                 let width: f64 = project.iter().map(|c| self.col_width(*c)).sum();
                 let in_pages = i.pages(&self.model.page);
                 let out_pages = self.model.page.pages_for(groups, width.max(1.0));
-                let io = self.model.io;
-                let extra = match algo {
-                    AggAlgo::Auto => ops::best_agg(in_pages, out_pages, &io).1,
-                    AggAlgo::Hash => ops::hash_agg_io(in_pages, out_pages, &io),
-                    AggAlgo::Sort => ops::sort_agg_io(in_pages, io.mem_pages),
-                };
+                let extra = ops::agg_io(*algo, in_pages, out_pages, &self.model.io).1;
                 Ok(PlanProps {
                     cost: i.cost + extra,
                     card: groups,
@@ -526,9 +466,9 @@ impl<'a> CardEstimator<'a> {
                 self.collect_peaks(left, out);
                 self.collect_peaks(right, out);
             }
-            Plan::GroupBy { input, .. }
-            | Plan::PartialGroupBy { input, .. }
-            | Plan::PartialAggregate { input, .. } => self.collect_peaks(input, out),
+            Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
+                self.collect_peaks(input, out)
+            }
             Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => {}
         }
     }

@@ -184,6 +184,23 @@ pub fn best_agg(input_pages: f64, output_pages: f64, io: &IoParams) -> (crate::p
     }
 }
 
+/// The algorithm an aggregation annotated `algo` runs (`Auto` resolves
+/// to the cheapest) and its extra IO — the one charging rule the cost
+/// model and the executor share.
+pub fn agg_io(
+    algo: crate::plan::AggAlgo,
+    input_pages: f64,
+    output_pages: f64,
+    io: &IoParams,
+) -> (crate::plan::AggAlgo, f64) {
+    use crate::plan::AggAlgo;
+    match algo {
+        AggAlgo::Auto => best_agg(input_pages, output_pages, io),
+        AggAlgo::Hash => (algo, hash_agg_io(input_pages, output_pages, io)),
+        AggAlgo::Sort => (algo, sort_agg_io(input_pages, io.mem_pages)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

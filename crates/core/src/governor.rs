@@ -287,11 +287,10 @@ impl ResourceGovernor {
     /// one atomic RMW per tuple. A plain bulk `fetch_add` would instead
     /// let a single tile overshoot a cap by `batch_rows - 1` — visible to
     /// the governance tests, which pin the overshoot to at most one row
-    /// per worker. [`charge_clamped`](Self::charge_clamped) reconciles
-    /// the two: it adds the whole tile, and on crossing a cap rolls the
-    /// counter back to exactly `cap + 1` before reporting exhaustion, so
-    /// observed usage is identical to the row-at-a-time path's
-    /// first-overrunning-charge state.
+    /// per worker. `charge_clamped` reconciles the two: it adds the whole
+    /// tile, and on crossing a cap rolls the counter back to exactly
+    /// `cap + 1` before reporting exhaustion, so observed usage is what
+    /// charging row by row would leave at its first overrunning charge.
     pub fn charge_output_bulk(&self, rows: u64, bytes: u64) -> Result<()> {
         Self::charge_clamped(&self.rows, self.limits.max_rows, rows, "row")
             .map_err(AggViewError::ResourceExhausted)?;

@@ -388,7 +388,9 @@ mod tests {
                     left, right, preds, ..
                 } => !preds.is_empty() && no_cross(left) && no_cross(right),
                 Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => true,
-                Plan::GroupBy { input, .. } | Plan::PartialGroupBy { input, .. } => no_cross(input),
+                Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
+                    no_cross(input)
+                }
             }
         }
         assert!(no_cross(&entry.plan), "{}", entry.plan.explain());

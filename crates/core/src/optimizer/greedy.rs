@@ -28,7 +28,7 @@ use crate::governor::ResourceGovernor;
 use crate::optimizer::dp::{DpEntry, DpItem};
 use crate::optimizer::stats::SearchStats;
 use crate::optimizer::OptimizerConfig;
-use crate::plan::{GroupBySpec, PartialAggSpec, PartialGroupSpec, Plan};
+use crate::plan::{GroupBySpec, PartialAggSpec, Plan};
 use crate::transform::props::output_key;
 use aggview_common::{AggRef, AggViewError, Col, Predicate, Result};
 use aggview_storage::Catalog;
@@ -494,7 +494,8 @@ impl Ctx<'_, '_> {
         Plan::partial_aggregate_all(prior_plan.clone(), spec)
     }
 
-    /// Build the partial group-by node over `prior_plan`.
+    /// Build the simple-coalescing partial aggregate over `prior_plan`:
+    /// every aggregate decomposed, no duplicate factor.
     fn make_partial(&self, prior_plan: &Plan) -> Plan {
         let g = self.q.group.as_ref().expect("checked by caller");
         let avail: BTreeSet<Col> = prior_plan.output_cols().iter().copied().collect();
@@ -511,7 +512,7 @@ impl Ctx<'_, '_> {
         for c in self.needed_above(&avail) {
             add(c, &mut seen, &mut group_cols);
         }
-        let spec = PartialGroupSpec {
+        let spec = PartialAggSpec {
             group_cols,
             aggs: g
                 .aggs
@@ -519,8 +520,9 @@ impl Ctx<'_, '_> {
                 .enumerate()
                 .map(|(i, a)| (AggRef::new(g.owner, i), a.clone()))
                 .collect(),
+            count: None,
         };
-        Plan::partial_group_by_all(prior_plan.clone(), spec)
+        Plan::partial_aggregate_all(prior_plan.clone(), spec)
     }
 
     /// Build the full group-by node over `plan` and re-project the block

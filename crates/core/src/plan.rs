@@ -107,50 +107,25 @@ impl GroupBySpec {
     }
 }
 
-/// A *partial* group-by added by simple coalescing grouping (paper
-/// Section 4.2): computes decomposed aggregate states that an upper
-/// group-by with the same `AggRef` identities later coalesces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialGroupSpec {
-    /// Grouping columns (must include the original grouping columns
-    /// restricted to this side plus any join columns that flow upward).
-    pub group_cols: Vec<Col>,
-    /// The logical aggregates being decomposed, with their identities.
-    pub aggs: Vec<(AggRef, AggSpec)>,
-}
-
-impl PartialGroupSpec {
-    /// The partial-state component columns produced for aggregate `i`.
-    pub fn part_cols(&self, i: usize) -> Vec<Col> {
-        let (aref, spec) = &self.aggs[i];
-        (0..spec.func.partial_arity())
-            .map(|k| Col::part(*aref, k))
-            .collect()
-    }
-
-    /// All partial-state columns produced, in aggregate order.
-    pub fn all_part_cols(&self) -> Vec<Col> {
-        (0..self.aggs.len())
-            .flat_map(|i| self.part_cols(i))
-            .collect()
-    }
-}
-
-/// An *eager* partial aggregate placed below a join input (the paper's
-/// push-down direction, Yan–Larson eager aggregation): folds one join
-/// input down to its groups **before** the join materializes anything,
-/// so the join sees |group × joinkey| rows instead of |R|.
+/// The one partial-aggregation node: the *local* phase of Figure 2,
+/// computed below a join and merged by the nearest full group-by above
+/// under the same [`AggRef`] identities. Both early-aggregation
+/// transformations build it:
 ///
-/// Structurally it produces the same partial-state columns as
-/// [`PartialGroupSpec`], plus (when `count` is set) a per-group row
-/// count the merge above the join uses as the duplicate factor: each
-/// duplicate-sensitive aggregate kept on the *partner* side must be
-/// scaled by how many pushed-side rows its join match stands for.
+/// * **simple coalescing** (paper Section 4.2) decomposes *every*
+///   aggregate of the final group-by and carries no count
+///   (`count: None`) — nothing is kept for the merge to scale;
+/// * **eager aggregation** (the push-down direction, Yan–Larson) pushes
+///   only the aggregates whose arguments live inside the subtree and
+///   sets `count`: a per-group row count the merge uses as the duplicate
+///   factor, because each duplicate-sensitive aggregate kept on the
+///   *partner* side must be scaled by how many pushed-side rows its join
+///   match stands for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialAggSpec {
     /// Pushed grouping columns: the final grouping columns this side
-    /// produces, extended with the join keys that flow upward
-    /// (Definition 1: pushed keys ⊇ pull-up keys).
+    /// produces, extended with every column of this side that later
+    /// predicates read (Definition 1: pushed keys ⊇ pull-up keys).
     pub group_cols: Vec<Col>,
     /// The final aggregates whose *local* phase is computed here, with
     /// their identities in the merge group-by above.
@@ -225,20 +200,11 @@ pub enum Plan {
         /// Output columns (grouping columns and aggregate outputs).
         project: Vec<Col>,
     },
-    /// Partial group-by (simple coalescing): produces partial aggregate
-    /// states, no HAVING (predicates over aggregates must wait for the
-    /// coalescing operator).
-    PartialGroupBy {
-        algo: AggAlgo,
-        input: Box<Plan>,
-        spec: PartialGroupSpec,
-        /// Output columns (grouping columns and partial-state columns).
-        project: Vec<Col>,
-    },
-    /// Eager partial aggregation below a join (push-down): produces
-    /// pushed group keys, partial aggregate states, and (optionally)
-    /// the per-group duplicate-factor count. No HAVING — predicates
-    /// over aggregates wait for the merge group-by above the join.
+    /// Partial aggregation below a join (simple coalescing or eager
+    /// push-down): produces pushed group keys, partial aggregate
+    /// states, and (optionally) the per-group duplicate-factor count.
+    /// No HAVING — predicates over aggregates wait for the merge
+    /// group-by above the join.
     PartialAggregate {
         algo: AggAlgo,
         input: Box<Plan>,
@@ -344,19 +310,7 @@ impl Plan {
         }
     }
 
-    /// Partial group-by projecting all grouping and partial columns.
-    pub fn partial_group_by_all(input: Plan, spec: PartialGroupSpec) -> Plan {
-        let mut project = spec.group_cols.clone();
-        project.extend(spec.all_part_cols());
-        Plan::PartialGroupBy {
-            algo: AggAlgo::Auto,
-            input: Box::new(input),
-            spec,
-            project,
-        }
-    }
-
-    /// Eager partial aggregate projecting all pushed keys, partial
+    /// Partial aggregate projecting all pushed keys, partial
     /// columns, and the count column (if any).
     pub fn partial_aggregate_all(input: Plan, spec: PartialAggSpec) -> Plan {
         let mut project = spec.group_cols.clone();
@@ -412,7 +366,6 @@ impl Plan {
             Plan::Scan { project, .. }
             | Plan::Join { project, .. }
             | Plan::GroupBy { project, .. }
-            | Plan::PartialGroupBy { project, .. }
             | Plan::PartialAggregate { project, .. }
             | Plan::ExtentScan { project, .. }
             | Plan::EmptyScan { project, .. } => project,
@@ -426,7 +379,6 @@ impl Plan {
             Plan::Scan { project, .. }
             | Plan::Join { project, .. }
             | Plan::GroupBy { project, .. }
-            | Plan::PartialGroupBy { project, .. }
             | Plan::PartialAggregate { project, .. }
             | Plan::ExtentScan { project, .. } => *project = new_project,
             Plan::EmptyScan { project, types, .. } => {
@@ -455,9 +407,7 @@ impl Plan {
         match self {
             Plan::Scan { rel, .. } => rel.bit(),
             Plan::Join { left, right, .. } => left.rel_set() | right.rel_set(),
-            Plan::GroupBy { input, .. }
-            | Plan::PartialGroupBy { input, .. }
-            | Plan::PartialAggregate { input, .. } => input.rel_set(),
+            Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => input.rel_set(),
             Plan::ExtentScan { covers, .. } | Plan::EmptyScan { covers, .. } => {
                 covers.iter().fold(0, |s, r| s | r.bit())
             }
@@ -475,9 +425,9 @@ impl Plan {
         match self {
             Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => 0,
             Plan::Join { left, right, .. } => left.group_by_count() + right.group_by_count(),
-            Plan::GroupBy { input, .. }
-            | Plan::PartialGroupBy { input, .. }
-            | Plan::PartialAggregate { input, .. } => 1 + input.group_by_count(),
+            Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
+                1 + input.group_by_count()
+            }
         }
     }
 
@@ -486,9 +436,9 @@ impl Plan {
         match self {
             Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => 0,
             Plan::Join { left, right, .. } => 1 + left.join_count() + right.join_count(),
-            Plan::GroupBy { input, .. }
-            | Plan::PartialGroupBy { input, .. }
-            | Plan::PartialAggregate { input, .. } => input.join_count(),
+            Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
+                input.join_count()
+            }
         }
     }
 
@@ -633,7 +583,7 @@ impl Plan {
                 }
                 Ok(project.iter().copied().collect())
             }
-            Plan::PartialGroupBy {
+            Plan::PartialAggregate {
                 input,
                 spec,
                 project,
@@ -643,14 +593,14 @@ impl Plan {
                 for g in &spec.group_cols {
                     if !child.contains(g) {
                         return Err(AggViewError::Plan(format!(
-                            "partial group-by groups on unavailable column {g}"
+                            "partial aggregate groups on unavailable column {g}"
                         )));
                     }
                 }
                 for (_, a) in &spec.aggs {
                     if !a.func.is_decomposable() {
                         return Err(AggViewError::Plan(format!(
-                            "partial group-by over non-decomposable aggregate `{a}`"
+                            "partial aggregate over non-decomposable aggregate `{a}`"
                         )));
                     }
                     for c in a.cols_used() {
@@ -666,51 +616,7 @@ impl Plan {
                 for c in project {
                     if !avail.contains(c) {
                         return Err(AggViewError::Plan(format!(
-                            "partial group-by projects unavailable column {c}"
-                        )));
-                    }
-                }
-                Ok(project.iter().copied().collect())
-            }
-            Plan::PartialAggregate {
-                input,
-                spec,
-                project,
-                ..
-            } => {
-                let child = input.validate_inner(catalog, rel_tables)?;
-                if spec.group_cols.is_empty() {
-                    return Err(AggViewError::Plan(
-                        "eager partial aggregate with no pushed grouping columns".into(),
-                    ));
-                }
-                for g in &spec.group_cols {
-                    if !child.contains(g) {
-                        return Err(AggViewError::Plan(format!(
-                            "eager partial aggregate groups on unavailable column {g}"
-                        )));
-                    }
-                }
-                for (_, a) in &spec.aggs {
-                    if !a.func.is_decomposable() {
-                        return Err(AggViewError::Plan(format!(
-                            "eager partial aggregate over non-decomposable aggregate `{a}`"
-                        )));
-                    }
-                    for c in a.cols_used() {
-                        if !child.contains(&c) {
-                            return Err(AggViewError::Plan(format!(
-                                "eager partial aggregate `{a}` reads unavailable column {c}"
-                            )));
-                        }
-                    }
-                }
-                let mut avail: BTreeSet<Col> = spec.group_cols.iter().copied().collect();
-                avail.extend(spec.all_part_cols());
-                for c in project {
-                    if !avail.contains(c) {
-                        return Err(AggViewError::Plan(format!(
-                            "eager partial aggregate projects unavailable column {c}"
+                            "partial aggregate projects unavailable column {c}"
                         )));
                     }
                 }
@@ -841,23 +747,6 @@ impl Plan {
                     let _ = write!(out, " having [{}]", hs.join(" AND "));
                 }
                 let _ = writeln!(out);
-                input.explain_into(out, depth + 1);
-            }
-            Plan::PartialGroupBy {
-                algo, input, spec, ..
-            } => {
-                let gs: Vec<String> = spec.group_cols.iter().map(|c| c.to_string()).collect();
-                let aggs: Vec<String> = spec
-                    .aggs
-                    .iter()
-                    .map(|(r, a)| format!("{a} as {r}"))
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "{pad}PartialGroupBy[{algo}] by [{}] agg [{}]",
-                    gs.join(", "),
-                    aggs.join(", ")
-                );
                 input.explain_into(out, depth + 1);
             }
             Plan::PartialAggregate {
@@ -1084,17 +973,18 @@ mod tests {
     }
 
     #[test]
-    fn partial_group_by_produces_component_columns() {
+    fn partial_aggregate_produces_component_columns() {
         let (cat, rels) = setup();
         let aref = AggRef::new(ViewId::View(0), 0);
-        let spec = PartialGroupSpec {
+        let spec = PartialAggSpec {
             group_cols: vec![Col::base(RelId(0), 2)],
             aggs: vec![(
                 aref,
                 AggSpec::new(AggFunc::Avg, Expr::col(Col::base(RelId(0), 3))),
             )],
+            count: None,
         };
-        let p = Plan::partial_group_by_all(emp_scan(), spec);
+        let p = Plan::partial_aggregate_all(emp_scan(), spec);
         p.validate(&cat, &rels).unwrap();
         assert_eq!(
             p.output_cols(),
@@ -1108,15 +998,16 @@ mod tests {
 
     #[test]
     fn coalescing_pipeline_validates() {
-        // PartialGroupBy → Join → GroupBy coalescing.
+        // PartialAggregate (no count) → Join → GroupBy coalescing.
         let (cat, rels) = setup();
         let aref = AggRef::new(ViewId::Top, 0);
         let agg = AggSpec::new(AggFunc::Sum, Expr::col(Col::base(RelId(0), 3)));
-        let partial = Plan::partial_group_by_all(
+        let partial = Plan::partial_aggregate_all(
             emp_scan(),
-            PartialGroupSpec {
+            PartialAggSpec {
                 group_cols: vec![Col::base(RelId(0), 2)],
                 aggs: vec![(aref, agg.clone())],
+                count: None,
             },
         );
         let join = Plan::join_all(
@@ -1188,21 +1079,9 @@ mod tests {
     }
 
     #[test]
-    fn eager_requires_pushed_keys_and_available_columns() {
+    fn partial_aggregate_requires_available_columns() {
         let (cat, rels) = setup();
         let aref = AggRef::new(ViewId::Top, 0);
-        let keyless = Plan::partial_aggregate_all(
-            emp_scan(),
-            PartialAggSpec {
-                group_cols: vec![],
-                aggs: vec![(
-                    aref,
-                    AggSpec::new(AggFunc::Sum, Expr::col(Col::base(RelId(0), 3))),
-                )],
-                count: None,
-            },
-        );
-        assert!(keyless.validate(&cat, &rels).is_err());
         let foreign = Plan::partial_aggregate_all(
             emp_scan(),
             PartialAggSpec {

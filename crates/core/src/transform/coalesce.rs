@@ -18,7 +18,7 @@
 //! inputs by their [`aggview_common::PartRef`] columns) and applies
 //! HAVING as before.
 
-use crate::plan::{PartialGroupSpec, Plan};
+use crate::plan::{PartialAggSpec, Plan};
 use aggview_common::{AggRef, AggSpec, Col, Predicate, RelId, ViewId};
 use std::collections::BTreeSet;
 
@@ -53,7 +53,8 @@ pub fn coalescing_applicable(aggs: &[AggSpec], subset: u64, block_rels: u64) -> 
 /// other side, and deferred selections); they join the partial grouping
 /// columns so the later joins see them.
 ///
-/// Returns the `PartialGroupBy` plan; the caller joins it onward and
+/// Returns the `PartialAggregate` plan (no duplicate factor: every
+/// aggregate is decomposed, so the merge keeps nothing to scale); the caller joins it onward and
 /// finally applies the unchanged `G1`, whose executor coalesces the
 /// partial states.
 pub fn make_coalescing_pair(
@@ -71,15 +72,16 @@ pub fn make_coalescing_pair(
             group_cols.push(*c);
         }
     }
-    let spec = PartialGroupSpec {
+    let spec = PartialAggSpec {
         group_cols,
         aggs: aggs
             .iter()
             .enumerate()
             .map(|(i, a)| (AggRef::new(owner, i), a.clone()))
             .collect(),
+        count: None,
     };
-    Plan::partial_group_by_all(input, spec)
+    Plan::partial_aggregate_all(input, spec)
 }
 
 /// The early-side columns later predicates read: for each predicate that
@@ -195,7 +197,7 @@ mod tests {
             &lpc,
         );
         // Partial grouping cols: e.dno once (group col == join col here).
-        let Plan::PartialGroupBy { spec, .. } = &partial else {
+        let Plan::PartialAggregate { spec, .. } = &partial else {
             panic!("partial expected")
         };
         assert_eq!(spec.group_cols, vec![Col::base(e, 1)]);
@@ -235,7 +237,7 @@ mod tests {
             &aggs,
             &lpc,
         );
-        let Plan::PartialGroupBy { spec, .. } = &partial else {
+        let Plan::PartialAggregate { spec, .. } = &partial else {
             panic!()
         };
         assert_eq!(spec.group_cols, vec![Col::base(e, 1), Col::base(e, 0)]);

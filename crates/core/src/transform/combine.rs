@@ -123,17 +123,6 @@ pub fn combine_all(plan: &Plan) -> Plan {
             spec: spec.clone(),
             project: project.clone(),
         },
-        Plan::PartialGroupBy {
-            algo,
-            input,
-            spec,
-            project,
-        } => Plan::PartialGroupBy {
-            algo: *algo,
-            input: Box::new(combine_all(input)),
-            spec: spec.clone(),
-            project: project.clone(),
-        },
         Plan::PartialAggregate {
             algo,
             input,

@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 ///   derivable and projected.
 /// * **GroupBy** — the grouping columns (one output tuple per group), if
 ///   projected.
-/// * **PartialGroupBy** — its grouping columns, likewise.
+/// * **PartialAggregate** — its pushed grouping columns, likewise.
 pub fn output_key(plan: &Plan, catalog: &Catalog) -> Result<Option<Vec<Col>>> {
     let out: BTreeSet<Col> = plan.output_cols().iter().copied().collect();
     let key = match plan {
@@ -44,7 +44,6 @@ pub fn output_key(plan: &Plan, catalog: &Catalog) -> Result<Option<Vec<Col>>> {
             }
         }
         Plan::GroupBy { spec, .. } => Some(spec.group_cols.clone()),
-        Plan::PartialGroupBy { spec, .. } => Some(spec.group_cols.clone()),
         Plan::PartialAggregate { spec, .. } => Some(spec.group_cols.clone()),
         // Zero rows trivially satisfy any key, but claiming one would
         // let invariant-grouping reason from a vacuous property.

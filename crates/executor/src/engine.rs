@@ -1,24 +1,21 @@
 //! The recursive plan evaluator.
 //!
-//! Evaluation is materialized (each operator consumes and produces
-//! `Vec<Tuple>` in row mode, a columnar [`Batch`] in the default batch
-//! mode); IO is *accounted*, not performed: every operator charges the
-//! pages the paper's cost model says it would transfer, computed from
-//! the **actual** sizes of its inputs and outputs via the shared
-//! formulas in [`aggview_core::cost::ops`].
+//! Evaluation is materialized and columnar: each operator consumes and
+//! produces a column-major [`Batch`], folded tile-wise by the kernels in
+//! [`crate::vector`]; rows are materialized only at the plan boundary
+//! ([`ResultSet::rows`]). IO is *accounted*, not performed: every
+//! operator charges the pages the paper's cost model says it would
+//! transfer, computed from the **actual** sizes of its inputs and
+//! outputs via the shared formulas in [`aggview_core::cost::ops`].
 //!
-//! The two modes ([`crate::parallel::ExecMode`]) are observationally
-//! identical — same rows in the same order, same IO pages, same peak
-//! intermediate bytes, same governor/fault/analyzer behavior — and the
-//! row path is kept as the executable reference the differential tests
-//! compare the vectorized path against. Batches materialize back to
-//! rows only at the plan boundary ([`ResultSet::rows`]).
+//! The differential oracle for this engine is the naive interpreter in
+//! [`crate::reference`], which shares none of this code.
 
-use crate::parallel::{self, ExecMode, ExecOptions, JoinEmit};
+use crate::parallel::ExecOptions;
 use crate::partition::AggInput;
 use crate::vector;
-use aggview_common::expr::BoundExpr;
 use aggview_common::fault::{maybe_fault, FaultInjector};
+use aggview_common::predicate::BoundPredicate;
 use aggview_common::{
     AggFunc, AggRef, AggViewError, Batch, Col, ColumnVec, DataType, Predicate, RelId, Result, Tuple,
 };
@@ -26,7 +23,7 @@ use aggview_core::analyze::dataflow;
 use aggview_core::cost::ops::{self, JoinSides};
 use aggview_core::cost::CostModel;
 use aggview_core::governor::ResourceGovernor;
-use aggview_core::plan::{AggAlgo, GroupBySpec, JoinAlgo, PartialAggSpec, PartialGroupSpec, Plan};
+use aggview_core::plan::{AggAlgo, GroupBySpec, JoinAlgo, PartialAggSpec, Plan};
 use aggview_core::query::QueryEnv;
 use aggview_storage::Catalog;
 use std::collections::HashMap;
@@ -75,7 +72,7 @@ pub struct Engine<'a> {
     pub catalog: &'a Catalog,
     pub env: &'a QueryEnv,
     pub model: CostModel,
-    /// Parallelism and morsel tuning for data-parallel operators.
+    /// Parallelism and tile tuning for data-parallel operators.
     pub options: ExecOptions,
 }
 
@@ -91,15 +88,6 @@ struct ExecCtx<'e> {
 }
 
 impl ExecCtx<'_> {
-    /// Charge one materialized output tuple against the row and byte
-    /// budgets. Called exactly once per tuple an operator produces, at
-    /// the moment it is produced, so a budget overrun aborts within the
-    /// operator that crossed it.
-    fn charge_tuple(&self, t: &Tuple) -> Result<()> {
-        self.gov.charge_rows(1)?;
-        self.gov.charge_bytes(t.width() as u64)
-    }
-
     /// Record one operator's materialized output size for the peak
     /// intermediate high-water mark.
     fn note_op_output(&mut self, bytes: u64) {
@@ -107,48 +95,13 @@ impl ExecCtx<'_> {
     }
 }
 
-/// One operator's materialized output: row-major in row mode, columnar
-/// in batch mode. The mode is fixed per execution, so an operator's
-/// children always hand it the representation it expects; rows are
-/// materialized from batches only at the plan boundary.
-enum Data {
-    Rows(Vec<Tuple>),
-    Batch(Batch),
-}
-
-impl Data {
-    fn len(&self) -> usize {
-        match self {
-            Data::Rows(r) => r.len(),
-            Data::Batch(b) => b.len(),
-        }
-    }
-
-    /// Late materialization: row-major output at the plan boundary.
-    fn into_rows(self) -> Vec<Tuple> {
-        match self {
-            Data::Rows(r) => r,
-            Data::Batch(b) => b.to_tuples(),
-        }
-    }
-}
-
-/// Collect every input position a bound predicate reads.
-fn bound_cols(preds: &[aggview_common::predicate::BoundPredicate], out: &mut Vec<usize>) {
-    fn walk(e: &BoundExpr, out: &mut Vec<usize>) {
-        match e {
-            BoundExpr::Col(i) => out.push(*i),
-            BoundExpr::Const(_) => {}
-            BoundExpr::Binary { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-        }
-    }
-    for p in preds {
-        walk(&p.left, out);
-        walk(&p.right, out);
-    }
+/// The two aggregation nodes, as seen by the one body that runs both
+/// ([`Engine::exec_aggregate`]): a full group-by finalizes its states
+/// and applies HAVING, a partial aggregate emits the state components.
+#[derive(Clone, Copy)]
+enum AggNode<'p> {
+    Full(&'p GroupBySpec),
+    Partial(&'p PartialAggSpec),
 }
 
 impl<'a> Engine<'a> {
@@ -161,7 +114,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Replace the executor options (thread count, morsel size).
+    /// Replace the executor options (thread count, tile size).
     pub fn with_options(mut self, options: ExecOptions) -> Self {
         self.options = options;
         self
@@ -216,7 +169,7 @@ impl<'a> Engine<'a> {
         let io_pages = ctx.breakdown.iter().map(|b| b.pages).sum();
         Ok(ResultSet {
             cols,
-            rows: data.into_rows(),
+            rows: data.to_tuples(),
             io_pages,
             breakdown: ctx.breakdown,
             peak_intermediate_bytes: ctx.peak_bytes,
@@ -255,7 +208,7 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    fn exec(&self, plan: &Plan, ctx: &mut ExecCtx<'_>) -> Result<(Vec<Col>, Data)> {
+    fn exec(&self, plan: &Plan, ctx: &mut ExecCtx<'_>) -> Result<(Vec<Col>, Batch)> {
         match plan {
             Plan::Scan {
                 rel,
@@ -275,19 +228,13 @@ impl<'a> Engine<'a> {
                 input,
                 spec,
                 project,
-            } => self.exec_group_by(plan, *algo, input, spec, project, ctx),
-            Plan::PartialGroupBy {
-                algo,
-                input,
-                spec,
-                project,
-            } => self.exec_partial_group_by(plan, *algo, input, spec, project, ctx),
+            } => self.exec_aggregate(plan, AggNode::Full(spec), *algo, input, project, ctx),
             Plan::PartialAggregate {
                 algo,
                 input,
                 spec,
                 project,
-            } => self.exec_partial_aggregate(plan, *algo, input, spec, project, ctx),
+            } => self.exec_aggregate(plan, AggNode::Partial(spec), *algo, input, project, ctx),
             Plan::EmptyScan { project, types, .. } => self.exec_empty_scan(project, types, ctx),
             Plan::ExtentScan {
                 view,
@@ -303,27 +250,21 @@ impl<'a> Engine<'a> {
 
     /// A subtree the dataflow pass proved empty: produce the declared
     /// layout with zero rows, charging no IO and touching no storage.
-    /// In batch mode the (empty) columns are typed from the operator's
-    /// recorded schema so downstream kernels stay on their fast paths.
+    /// The (empty) columns are typed from the operator's recorded schema
+    /// so downstream kernels stay on their fast paths.
     fn exec_empty_scan(
         &self,
         project: &[Col],
         types: &[DataType],
         ctx: &mut ExecCtx<'_>,
-    ) -> Result<(Vec<Col>, Data)> {
+    ) -> Result<(Vec<Col>, Batch)> {
         ctx.gov.check_interrupt()?;
         ctx.breakdown.push(IoBreakdown {
             op: "empty-scan".into(),
             pages: 0.0,
         });
         ctx.note_op_output(0);
-        let data = match ctx.options.mode {
-            ExecMode::Row => Data::Rows(Vec::new()),
-            ExecMode::Batch => Data::Batch(Batch::from_parts(
-                types.iter().map(|&t| ColumnVec::with_type(t)).collect(),
-                0,
-            )),
-        };
+        let data = Batch::from_parts(types.iter().map(|&t| ColumnVec::with_type(t)).collect(), 0);
         Ok((project.to_vec(), data))
     }
 
@@ -341,98 +282,11 @@ impl<'a> Engine<'a> {
         filters: &[Predicate],
         project: &[Col],
         ctx: &mut ExecCtx<'_>,
-    ) -> Result<(Vec<Col>, Data)> {
-        ctx.gov.check_interrupt()?;
-        maybe_fault(ctx.faults, &format!("storage.scan.{table}"))?;
-        let t = self.catalog.get(table)?;
-        let pages = self.model.page.pages_for_bytes(t.byte_size() as f64);
-        ctx.breakdown.push(IoBreakdown {
-            op: format!("extent-scan {table} (matview {view})"),
-            pages: ops::scan_io(pages),
-        });
+    ) -> Result<(Vec<Col>, Batch)> {
+        let op = format!("extent-scan {table} (matview {view})");
         // Logical identity `outputs[i]` lives at physical column `cols[i]`.
-        let layout: HashMap<Col, usize> = outputs
-            .iter()
-            .enumerate()
-            .map(|(i, &o)| (o, cols[i]))
-            .collect();
-        let bound: Vec<_> = filters
-            .iter()
-            .map(|p| p.bind(&|c| layout.get(&c).copied()))
-            .collect::<Result<_>>()?;
-        let positions: Vec<usize> = project
-            .iter()
-            .map(|c| {
-                layout.get(c).copied().ok_or_else(|| {
-                    AggViewError::Plan(format!("extent scan projects unmapped column {c}"))
-                })
-            })
-            .collect::<Result<_>>()?;
-        let data = self.scan_tail(
-            ctx,
-            t.rows(),
-            t.schema(),
-            filters,
-            &layout,
-            &bound,
-            &positions,
-        )?;
-        Ok((project.to_vec(), data))
-    }
-
-    /// Shared tail of both scan operators: run the pushed-down filters
-    /// and the projection over the table's rows in the active mode.
-    ///
-    /// `layout` maps logical columns to *physical* tuple positions, and
-    /// `bound` are `filters` already bound against it (so any
-    /// unknown-column error has already surfaced). The batch path
-    /// transposes only the physical columns the filters and projection
-    /// actually touch, re-binding onto that compact layout — which
-    /// cannot fail — before running the columnar kernel.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_tail(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        rows: &[Tuple],
-        schema: &aggview_common::Schema,
-        filters: &[Predicate],
-        layout: &HashMap<Col, usize>,
-        bound: &[aggview_common::predicate::BoundPredicate],
-        positions: &[usize],
-    ) -> Result<Data> {
-        match ctx.options.mode {
-            ExecMode::Row => {
-                let (out, out_bytes) =
-                    parallel::filter_project(&ctx.options, ctx.gov, rows, bound, positions)?;
-                ctx.note_op_output(out_bytes);
-                Ok(Data::Rows(out))
-            }
-            ExecMode::Batch => {
-                let mut used: Vec<usize> = positions.to_vec();
-                bound_cols(bound, &mut used);
-                used.sort_unstable();
-                used.dedup();
-                let remap: HashMap<usize, usize> =
-                    used.iter().enumerate().map(|(n, &p)| (p, n)).collect();
-                let types: Vec<DataType> = used.iter().map(|&p| schema.field(p).ty).collect();
-                let bound_c: Vec<_> = filters
-                    .iter()
-                    .map(|p| p.bind(&|c| layout.get(&c).and_then(|fp| remap.get(fp)).copied()))
-                    .collect::<Result<_>>()?;
-                let cpos: Vec<usize> = positions.iter().map(|p| remap[p]).collect();
-                let (out, out_bytes) = vector::scan_filter_project(
-                    &ctx.options,
-                    ctx.gov,
-                    rows,
-                    &used,
-                    &types,
-                    &bound_c,
-                    &cpos,
-                )?;
-                ctx.note_op_output(out_bytes);
-                Ok(Data::Batch(out))
-            }
-        }
+        let layout = |_arity| outputs.iter().copied().zip(cols.iter().copied()).collect();
+        self.scan_table(ctx, table, op, layout, filters, project)
     }
 
     fn exec_scan(
@@ -442,41 +296,66 @@ impl<'a> Engine<'a> {
         filters: &[Predicate],
         project: &[Col],
         ctx: &mut ExecCtx<'_>,
-    ) -> Result<(Vec<Col>, Data)> {
+    ) -> Result<(Vec<Col>, Batch)> {
+        let layout = |arity| (0..arity).map(|c| (Col::base(rel, c), c)).collect();
+        self.scan_table(
+            ctx,
+            table,
+            format!("scan {table}"),
+            layout,
+            filters,
+            project,
+        )
+    }
+
+    /// Shared body of both scan operators: charge the whole-table read,
+    /// then run the pushed-down filters and the projection over the
+    /// table's rows. `layout_of` maps logical columns to *physical* tuple
+    /// positions given the table's arity; only the physical columns the
+    /// filters and projection actually touch are transposed into the
+    /// columnar kernel, which sees them under a compact re-numbering.
+    fn scan_table(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        table: &str,
+        op: String,
+        layout_of: impl FnOnce(usize) -> HashMap<Col, usize>,
+        filters: &[Predicate],
+        project: &[Col],
+    ) -> Result<(Vec<Col>, Batch)> {
         ctx.gov.check_interrupt()?;
         maybe_fault(ctx.faults, &format!("storage.scan.{table}"))?;
         let t = self.catalog.get(table)?;
         // The scan reads the whole table.
         let pages = self.model.page.pages_for_bytes(t.byte_size() as f64);
         ctx.breakdown.push(IoBreakdown {
-            op: format!("scan {table}"),
+            op,
             pages: ops::scan_io(pages),
         });
-        // Bind filters against the base layout.
-        let base_cols: Vec<Col> = (0..t.schema().len()).map(|c| Col::base(rel, c)).collect();
-        let layout = layout_map(&base_cols);
-        let bound: Vec<_> = filters
+        let layout = layout_of(t.schema().len());
+        let mut used = positions_of(project, &layout, "scan projects")?;
+        for f in filters {
+            let cols: Vec<Col> = f.cols_used().into_iter().collect();
+            used.extend(positions_of(&cols, &layout, "scan filters on")?);
+        }
+        used.sort_unstable();
+        used.dedup();
+        let compact: HashMap<Col, usize> = layout
             .iter()
-            .map(|p| p.bind(&|c| layout.get(&c).copied()))
-            .collect::<Result<_>>()?;
-        let positions: Vec<usize> = project
-            .iter()
-            .map(|c| {
-                layout.get(c).copied().ok_or_else(|| {
-                    AggViewError::Plan(format!("scan projection of foreign column {c}"))
-                })
-            })
-            .collect::<Result<_>>()?;
-        let data = self.scan_tail(
-            ctx,
+            .filter_map(|(&c, p)| used.binary_search(p).ok().map(|n| (c, n)))
+            .collect();
+        let types: Vec<DataType> = used.iter().map(|&p| t.schema().field(p).ty).collect();
+        let (out, out_bytes) = vector::scan_filter_project(
+            &ctx.options,
+            ctx.gov,
             t.rows(),
-            t.schema(),
-            filters,
-            &layout,
-            &bound,
-            &positions,
+            &used,
+            &types,
+            &bind_all(filters, &compact)?,
+            &positions_of(project, &compact, "scan projects")?,
         )?;
-        Ok((project.to_vec(), data))
+        ctx.note_op_output(out_bytes);
+        Ok((project.to_vec(), out))
     }
 
     fn exec_join(
@@ -487,16 +366,16 @@ impl<'a> Engine<'a> {
         preds: &[Predicate],
         project: &[Col],
         ctx: &mut ExecCtx<'_>,
-    ) -> Result<(Vec<Col>, Data)> {
+    ) -> Result<(Vec<Col>, Batch)> {
         ctx.gov.check_interrupt()?;
         maybe_fault(ctx.faults, "exec.join")?;
-        let (lcols, ldata) = self.exec(left, ctx)?;
-        let (rcols, rdata) = self.exec(right, ctx)?;
+        let (lcols, lb) = self.exec(left, ctx)?;
+        let (rcols, rb) = self.exec(right, ctx)?;
         let sides = JoinSides {
-            left_rows: ldata.len() as f64,
-            left_pages: self.pages_of_data(&ldata),
-            right_rows: rdata.len() as f64,
-            right_pages: self.pages_of_data(&rdata),
+            left_rows: lb.len() as f64,
+            left_pages: self.pages_of(&lb),
+            right_rows: rb.len() as f64,
+            right_pages: self.pages_of(&rb),
         };
         let mem = self.model.io.mem_pages;
         let (algo, charge) = match algo {
@@ -525,594 +404,163 @@ impl<'a> Engine<'a> {
         // Split predicates once, by reference: hashable equalities become
         // positional key pairs, everything else stays residual.
         let mut eq_keys: Vec<(usize, usize)> = Vec::new(); // (left pos, right pos)
-        let mut residual: Vec<&Predicate> = Vec::new();
+        let mut residual: Vec<BoundPredicate> = Vec::new();
         for p in preds {
-            match p.as_col_eq_col() {
-                Some((a, b)) => {
-                    match (llayout.get(&a), rlayout.get(&b)) {
-                        (Some(&la), Some(&rb)) => {
-                            eq_keys.push((la, rb));
-                            continue;
-                        }
-                        _ => {
-                            if let (Some(&lb), Some(&ra)) = (llayout.get(&b), rlayout.get(&a)) {
-                                eq_keys.push((lb, ra));
-                                continue;
-                            }
-                        }
-                    }
-                    residual.push(p);
-                }
-                None => residual.push(p),
+            let key =
+                p.as_col_eq_col()
+                    .and_then(|(a, b)| match (llayout.get(&a), rlayout.get(&b)) {
+                        (Some(&la), Some(&rb)) => Some((la, rb)),
+                        _ => Some((*llayout.get(&b)?, *rlayout.get(&a)?)),
+                    });
+            match key {
+                Some(k) => eq_keys.push(k),
+                None => residual.push(p.bind(&|c| layout.get(&c).copied())?),
             }
         }
-        let bound_residual: Vec<_> = residual
-            .iter()
-            .map(|p| p.bind(&|c| layout.get(&c).copied()))
-            .collect::<Result<_>>()?;
-        let positions: Vec<usize> = project
-            .iter()
-            .map(|c| {
-                layout.get(c).copied().ok_or_else(|| {
-                    AggViewError::Plan(format!("join projects unavailable column {c}"))
-                })
-            })
-            .collect::<Result<_>>()?;
+        let positions = positions_of(project, &layout, "join projects")?;
 
         // Build on the smaller input, probe the larger (hash join only).
-        let build_left = ldata.len() <= rdata.len();
+        let build_left = lb.len() <= rb.len();
+        let (build, probe, build_plan) = if build_left {
+            (&lb, &rb, left)
+        } else {
+            (&rb, &lb, right)
+        };
         let (build_pos, probe_pos): (Vec<usize>, Vec<usize>) = if build_left {
             eq_keys.iter().copied().unzip()
         } else {
             eq_keys.iter().map(|&(l, r)| (r, l)).unzip()
         };
+        let (out, out_bytes) = if eq_keys.is_empty() {
+            vector::nested_loop_join(&ctx.options, ctx.gov, &lb, &rb, &residual, &positions)?
+        } else {
+            let build_hint = self.stats_rows_hint(build_plan);
+            let index = vector::build_index(&ctx.options, ctx.gov, build, &build_pos, build_hint)?;
+            vector::probe_join(
+                &ctx.options,
+                ctx.gov,
+                build,
+                probe,
+                &index,
+                &build_pos,
+                &probe_pos,
+                &residual,
+                build_left,
+                lcols.len(),
+                &positions,
+            )?
+        };
         // Peak accounting: the hash path holds the entire build side
         // resident while probing, and the nested-loop path materializes
         // the same side as its inner input — charge both uniformly, the
         // same way the cost model's Join arm prices build residency.
-        let held_bytes = if build_left {
-            bytes_of_data(&ldata)
-        } else {
-            bytes_of_data(&rdata)
-        };
-        let build_hint = if build_left {
-            self.stats_rows_hint(left)
-        } else {
-            self.stats_rows_hint(right)
-        };
-
-        let (out, out_bytes) = match (ldata, rdata) {
-            (Data::Rows(lrows), Data::Rows(rrows)) => {
-                let (out, bytes) = if eq_keys.is_empty() {
-                    parallel::nested_loop_join(
-                        &ctx.options,
-                        ctx.gov,
-                        &lrows,
-                        &rrows,
-                        &bound_residual,
-                        &positions,
-                    )?
-                } else {
-                    let (build, probe) = if build_left {
-                        (&lrows, &rrows)
-                    } else {
-                        (&rrows, &lrows)
-                    };
-                    let index =
-                        parallel::build_index(&ctx.options, ctx.gov, build, &build_pos, build_hint)?;
-                    let emit = JoinEmit::new(&positions, lcols.len(), build_left);
-                    parallel::probe_join(
-                        &ctx.options,
-                        ctx.gov,
-                        build,
-                        probe,
-                        &index,
-                        &build_pos,
-                        &probe_pos,
-                        &bound_residual,
-                        build_left,
-                        &emit,
-                    )?
-                };
-                (Data::Rows(out), bytes)
-            }
-            (Data::Batch(lb), Data::Batch(rb)) => {
-                let (out, bytes) = if eq_keys.is_empty() {
-                    vector::nested_loop_join(
-                        &ctx.options,
-                        ctx.gov,
-                        &lb,
-                        &rb,
-                        &bound_residual,
-                        &positions,
-                    )?
-                } else {
-                    let (build, probe) = if build_left { (&lb, &rb) } else { (&rb, &lb) };
-                    let index =
-                        vector::build_index(&ctx.options, ctx.gov, build, &build_pos, build_hint)?;
-                    vector::probe_join(
-                        &ctx.options,
-                        ctx.gov,
-                        build,
-                        probe,
-                        &index,
-                        &build_pos,
-                        &probe_pos,
-                        &bound_residual,
-                        build_left,
-                        lcols.len(),
-                        &positions,
-                    )?
-                };
-                (Data::Batch(out), bytes)
-            }
-            // The mode is fixed per execution, so siblings always agree.
-            _ => {
-                return Err(AggViewError::Exec(
-                    "join inputs in mixed row/batch representations".into(),
-                ))
-            }
-        };
-        ctx.note_op_output(out_bytes + held_bytes);
+        ctx.note_op_output(out_bytes + build.total_bytes());
         Ok((project.to_vec(), out))
     }
 
-    fn exec_group_by(
+    /// The one aggregation body, shared by the full group-by and the
+    /// partial aggregate: bind the grouping keys and per-aggregate
+    /// inputs, fold the input tile-wise into a group table, emit one row
+    /// per group (finalized values filtered by HAVING, or raw state
+    /// components), and charge the aggregation's IO.
+    fn exec_aggregate(
         &self,
         node: &Plan,
+        agg: AggNode<'_>,
         algo: AggAlgo,
         input: &Plan,
-        spec: &GroupBySpec,
         project: &[Col],
         ctx: &mut ExecCtx<'_>,
-    ) -> Result<(Vec<Col>, Data)> {
-        ctx.gov.check_interrupt()?;
-        maybe_fault(ctx.faults, "exec.groupby")?;
-        let (icols, idata) = self.exec(input, ctx)?;
-        let layout = layout_map(&icols);
-
-        // Group-key positions.
-        let key_pos: Vec<usize> = spec
-            .group_cols
-            .iter()
-            .map(|c| {
-                layout.get(c).copied().ok_or_else(|| {
-                    AggViewError::Plan(format!("grouping column {c} missing from input"))
-                })
-            })
-            .collect::<Result<_>>()?;
-
-        // Per-aggregate input mode: raw expression or partial components.
-        // When an eager partial aggregate below the join pre-folded one
-        // side, its duplicate-factor count rides one slot past the real
-        // aggregates; duplicate-sensitive raw aggregates scale by it.
-        let cnt_pos = layout
-            .get(&Col::part(AggRef::new(spec.owner, spec.aggs.len()), 0))
-            .copied();
-        let mut inputs = Vec::with_capacity(spec.aggs.len());
-        for (i, a) in spec.aggs.iter().enumerate() {
-            let aref = spec.agg_ref(i);
-            let first = Col::part(aref, 0);
-            if layout.contains_key(&first) {
-                let comps: Vec<usize> = (0..a.func.partial_arity())
-                    .map(|k| {
-                        layout.get(&Col::part(aref, k)).copied().ok_or_else(|| {
-                            AggViewError::Plan(format!("partial component {k} of {aref} missing"))
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                inputs.push(AggInput::Partial(comps));
-            } else {
-                match (&a.arg, cnt_pos) {
-                    (arg, Some(cpos)) if a.func.is_duplicate_sensitive() => {
-                        let bound = match arg {
-                            Some(e) => Some(e.bind(&|c| layout.get(&c).copied())?),
-                            None => None,
-                        };
-                        inputs.push(AggInput::Scaled(bound, cpos));
-                    }
-                    (Some(e), _) => {
-                        inputs.push(AggInput::Raw(e.bind(&|c| layout.get(&c).copied())?));
-                    }
-                    (None, _) => inputs.push(AggInput::RawCountStar),
-                }
-            }
-        }
-
-        // Accumulate (two-phase when parallel: per-worker tables, then a
-        // coalescing merge).
-        let funcs: Vec<AggFunc> = spec.aggs.iter().map(|a| a.func).collect();
-
-        // Finalize, apply HAVING, project.
-        let mut out_cols: Vec<Col> = spec.group_cols.clone();
-        out_cols.extend(spec.agg_cols());
-        let out_layout = layout_map(&out_cols);
-        let bound_having: Vec<_> = spec
-            .having
-            .iter()
-            .map(|p| p.bind(&|c| out_layout.get(&c).copied()))
-            .collect::<Result<_>>()?;
-        let positions: Vec<usize> = project
-            .iter()
-            .map(|c| {
-                out_layout.get(c).copied().ok_or_else(|| {
-                    AggViewError::Plan(format!("group-by projects unavailable column {c}"))
-                })
-            })
-            .collect::<Result<_>>()?;
-
-        let in_pages = self.pages_of_data(&idata);
-        let (out_data, out_bytes) = match idata {
-            Data::Rows(irows) => {
-                let table = parallel::accumulate_groups(
-                    &ctx.options,
-                    ctx.gov,
-                    &irows,
-                    &key_pos,
-                    &inputs,
-                    &funcs,
-                )?;
-                let mut out = Vec::with_capacity(table.len());
-                let mut out_bytes = 0u64;
-                for g in table.groups {
-                    let mut values = g.key.into_values();
-                    for s in &g.states {
-                        values.push(s.finalize()?);
-                    }
-                    let full = Tuple::new(values);
-                    if eval_all(&bound_having, &full)? {
-                        let t = full.project(&positions);
-                        ctx.charge_tuple(&t)?;
-                        out_bytes += t.width() as u64;
-                        out.push(t);
-                    }
-                }
-                (Data::Rows(out), out_bytes)
-            }
-            Data::Batch(ib) => {
-                let table = vector::accumulate_groups(
-                    &ctx.options,
-                    ctx.gov,
-                    &ib,
-                    &key_pos,
-                    &inputs,
-                    &funcs,
-                )?;
-                let ngroups = table.len();
-                let (keys, states, n_aggs) = table.into_key_columns();
-                // Finalize into aggregate columns, visiting states in the
-                // row path's group-major order so any finalize error is
-                // the same one it would surface. Columns are pre-typed
-                // from the dataflow certificate where it resolves one
-                // (projected aggregates of a Mixed-free plan); anything
-                // unresolved — e.g. a HAVING-only aggregate — stays on
-                // the Mixed fallback rather than risking a counted
-                // demotion.
-                let node_types = dataflow::output_types(node, self.catalog);
-                let mut cols = keys;
-                cols.extend(spec.agg_cols().iter().map(|c| {
-                    match node_types.as_ref().and_then(|m| m.get(c)) {
-                        Some(&ty) => ColumnVec::with_type(ty),
-                        None => ColumnVec::Mixed(Vec::with_capacity(ngroups)),
-                    }
-                }));
-                let agg_base = cols.len() - n_aggs;
-                for g in 0..ngroups {
-                    for j in 0..n_aggs {
-                        let v = states[g * n_aggs + j].finalize()?;
-                        cols[agg_base + j].push_value(v);
-                    }
-                }
-                let full = Batch::from_parts(cols, ngroups);
-                let sel = vector::filter_tile(&bound_having, &full)?;
-                let mut out = Batch::from_parts(
-                    positions
-                        .iter()
-                        .map(|&p| full.col(p).empty_like())
-                        .collect(),
-                    0,
-                );
-                let bytes = out.gather_from(&full, &positions, sel.as_deref(), 0..ngroups);
-                ctx.gov.charge_output_bulk(out.len() as u64, bytes)?;
-                (Data::Batch(out), bytes)
-            }
+    ) -> Result<(Vec<Col>, Batch)> {
+        let (site, group_cols, value_cols, having) = match agg {
+            AggNode::Full(s) => ("exec.groupby", &s.group_cols, s.agg_cols(), &s.having[..]),
+            AggNode::Partial(s) => (
+                "exec.partial-agg",
+                &s.group_cols,
+                s.all_part_cols(),
+                &[][..],
+            ),
         };
-        ctx.note_op_output(out_bytes);
-
-        // Charge: group-by over the materialized input.
-        let out_pages = self.model.page.pages_for_bytes(out_bytes as f64);
-        let io = self.model.io;
-        let (algo, charge) = match algo {
-            AggAlgo::Auto => ops::best_agg(in_pages, out_pages, &io),
-            AggAlgo::Hash => (AggAlgo::Hash, ops::hash_agg_io(in_pages, out_pages, &io)),
-            AggAlgo::Sort => (AggAlgo::Sort, ops::sort_agg_io(in_pages, io.mem_pages)),
-        };
-        ctx.breakdown.push(IoBreakdown {
-            op: format!("groupby[{algo}] {}", spec.owner),
-            pages: charge,
-        });
-        Ok((project.to_vec(), out_data))
-    }
-
-    fn exec_partial_group_by(
-        &self,
-        node: &Plan,
-        algo: AggAlgo,
-        input: &Plan,
-        spec: &PartialGroupSpec,
-        project: &[Col],
-        ctx: &mut ExecCtx<'_>,
-    ) -> Result<(Vec<Col>, Data)> {
         ctx.gov.check_interrupt()?;
-        maybe_fault(ctx.faults, "exec.partial-groupby")?;
-        let (icols, idata) = self.exec(input, ctx)?;
+        maybe_fault(ctx.faults, site)?;
+        let (icols, ib) = self.exec(input, ctx)?;
         let layout = layout_map(&icols);
-        let key_pos: Vec<usize> = spec
-            .group_cols
-            .iter()
-            .map(|c| {
-                layout.get(c).copied().ok_or_else(|| {
-                    AggViewError::Plan(format!("partial grouping column {c} missing"))
-                })
-            })
-            .collect::<Result<_>>()?;
-        let inputs: Vec<AggInput> = spec
-            .aggs
-            .iter()
-            .map(|(_, a)| match &a.arg {
-                Some(e) => Ok(AggInput::Raw(e.bind(&|c| layout.get(&c).copied())?)),
-                None => Ok(AggInput::RawCountStar),
-            })
-            .collect::<Result<_>>()?;
-        let funcs: Vec<AggFunc> = spec.aggs.iter().map(|(_, a)| a.func).collect();
+        let key_pos = positions_of(group_cols, &layout, "aggregation groups on")?;
+        let (funcs, inputs) = match agg {
+            AggNode::Full(spec) => merge_inputs(spec, &layout)?,
+            AggNode::Partial(spec) => local_inputs(spec, &layout)?,
+        };
 
-        // Output layout: group cols then partial components per agg.
-        let mut out_cols: Vec<Col> = spec.group_cols.clone();
-        out_cols.extend(spec.all_part_cols());
+        // Output layout: grouping columns, then one column per finalized
+        // aggregate (full) or per partial-state component (partial).
+        let mut out_cols: Vec<Col> = group_cols.clone();
+        out_cols.extend(value_cols.iter().copied());
         let out_layout = layout_map(&out_cols);
-        let positions: Vec<usize> = project
-            .iter()
-            .map(|c| {
-                out_layout.get(c).copied().ok_or_else(|| {
-                    AggViewError::Plan(format!("partial group-by projects unavailable column {c}"))
-                })
-            })
-            .collect::<Result<_>>()?;
+        let bound_having = bind_all(having, &out_layout)?;
+        let positions = positions_of(project, &out_layout, "aggregation projects")?;
 
-        let in_pages = self.pages_of_data(&idata);
-        let (out_data, out_bytes) = match idata {
-            Data::Rows(irows) => {
-                let table = parallel::accumulate_groups(
-                    &ctx.options,
-                    ctx.gov,
-                    &irows,
-                    &key_pos,
-                    &inputs,
-                    &funcs,
-                )?;
-                let mut out = Vec::with_capacity(table.len());
-                let mut out_bytes = 0u64;
-                for g in table.groups {
-                    let mut values = g.key.into_values();
-                    for s in &g.states {
-                        // Non-empty groups always have full component vectors.
-                        values.extend(s.components().iter().cloned());
+        let in_pages = self.pages_of(&ib);
+        let table =
+            vector::accumulate_groups(&ctx.options, ctx.gov, &ib, &key_pos, &inputs, &funcs)?;
+        let ngroups = table.len();
+        let (keys, states, n_aggs) = table.into_key_columns();
+        // Value columns are pre-typed from the dataflow certificate where
+        // it resolves one (projected columns of a Mixed-free plan);
+        // anything unresolved — e.g. a HAVING-only aggregate — stays on
+        // the Mixed fallback rather than risking a counted demotion.
+        let node_types = dataflow::output_types(node, self.catalog);
+        let mut cols = keys;
+        let value_base = cols.len();
+        cols.extend(
+            value_cols
+                .iter()
+                .map(|c| match node_types.as_ref().and_then(|m| m.get(c)) {
+                    Some(&ty) => ColumnVec::with_type(ty),
+                    None => ColumnVec::Mixed(Vec::with_capacity(ngroups)),
+                }),
+        );
+        for group_states in states.chunks(n_aggs.max(1)) {
+            let mut c = value_base;
+            for s in group_states {
+                match agg {
+                    AggNode::Full(_) => {
+                        cols[c].push_value(s.finalize()?);
+                        c += 1;
                     }
-                    let full = Tuple::new(values);
-                    let t = full.project(&positions);
-                    ctx.charge_tuple(&t)?;
-                    out_bytes += t.width() as u64;
-                    out.push(t);
-                }
-                (Data::Rows(out), out_bytes)
-            }
-            Data::Batch(ib) => {
-                let table = vector::accumulate_groups(
-                    &ctx.options,
-                    ctx.gov,
-                    &ib,
-                    &key_pos,
-                    &inputs,
-                    &funcs,
-                )?;
-                let ngroups = table.len();
-                let (keys, states, n_aggs) = table.into_key_columns();
-                let n_comps: usize = funcs.iter().map(|f| f.partial_arity()).sum();
-                // Pre-type the partial-state component columns from the
-                // dataflow certificate (same contract as the full
-                // group-by's aggregate columns).
-                let node_types = dataflow::output_types(node, self.catalog);
-                let mut cols = keys;
-                cols.extend(spec.all_part_cols().iter().map(|c| {
-                    match node_types.as_ref().and_then(|m| m.get(c)) {
-                        Some(&ty) => ColumnVec::with_type(ty),
-                        None => ColumnVec::Mixed(Vec::with_capacity(ngroups)),
-                    }
-                }));
-                let comp_base = cols.len() - n_comps;
-                for g in 0..ngroups {
-                    let mut cc = comp_base;
-                    for j in 0..n_aggs {
-                        for v in states[g * n_aggs + j].components() {
-                            cols[cc].push_value(v.clone());
-                            cc += 1;
+                    // Non-empty groups always have full component vectors.
+                    AggNode::Partial(_) => {
+                        for v in s.components() {
+                            cols[c].push_value(v.clone());
+                            c += 1;
                         }
                     }
                 }
-                let full = Batch::from_parts(cols, ngroups);
-                let mut out = Batch::from_parts(
-                    positions
-                        .iter()
-                        .map(|&p| full.col(p).empty_like())
-                        .collect(),
-                    0,
-                );
-                let bytes = out.gather_from(&full, &positions, None, 0..ngroups);
-                ctx.gov.charge_output_bulk(out.len() as u64, bytes)?;
-                (Data::Batch(out), bytes)
             }
-        };
-        ctx.note_op_output(out_bytes);
-
-        let out_pages = self.model.page.pages_for_bytes(out_bytes as f64);
-        let io = self.model.io;
-        let (algo, charge) = match algo {
-            AggAlgo::Auto => ops::best_agg(in_pages, out_pages, &io),
-            AggAlgo::Hash => (AggAlgo::Hash, ops::hash_agg_io(in_pages, out_pages, &io)),
-            AggAlgo::Sort => (AggAlgo::Sort, ops::sort_agg_io(in_pages, io.mem_pages)),
-        };
-        ctx.breakdown.push(IoBreakdown {
-            op: format!("partial-groupby[{algo}]"),
-            pages: charge,
-        });
-        Ok((project.to_vec(), out_data))
-    }
-
-    /// Eager partial aggregation below a join (Yan–Larson push-down):
-    /// fold the input into per-group partial states *before* the join,
-    /// optionally carrying a per-group COUNT(*) so the merge above can
-    /// scale the partner side's duplicate-sensitive aggregates.
-    fn exec_partial_aggregate(
-        &self,
-        node: &Plan,
-        algo: AggAlgo,
-        input: &Plan,
-        spec: &PartialAggSpec,
-        project: &[Col],
-        ctx: &mut ExecCtx<'_>,
-    ) -> Result<(Vec<Col>, Data)> {
-        ctx.gov.check_interrupt()?;
-        maybe_fault(ctx.faults, "exec.partial-agg")?;
-        let (icols, idata) = self.exec(input, ctx)?;
-        let layout = layout_map(&icols);
-        let key_pos: Vec<usize> = spec
-            .group_cols
-            .iter()
-            .map(|c| {
-                layout.get(c).copied().ok_or_else(|| {
-                    AggViewError::Plan(format!("eager grouping column {c} missing from input"))
-                })
-            })
-            .collect::<Result<_>>()?;
-        // Pushed aggregates plus, when the node carries one, the
-        // duplicate-factor COUNT(*) as a final synthetic aggregate.
-        let mut inputs: Vec<AggInput> = spec
-            .aggs
-            .iter()
-            .map(|(_, a)| match &a.arg {
-                Some(e) => Ok(AggInput::Raw(e.bind(&|c| layout.get(&c).copied())?)),
-                None => Ok(AggInput::RawCountStar),
-            })
-            .collect::<Result<_>>()?;
-        let mut funcs: Vec<AggFunc> = spec.aggs.iter().map(|(_, a)| a.func).collect();
-        if spec.count.is_some() {
-            funcs.push(AggFunc::Count);
-            inputs.push(AggInput::RawCountStar);
         }
-
-        // Output layout: group cols, partial components per agg, then
-        // the count column last (matching the synthetic Count's order).
-        let mut out_cols: Vec<Col> = spec.group_cols.clone();
-        out_cols.extend(spec.all_part_cols());
-        let out_layout = layout_map(&out_cols);
-        let positions: Vec<usize> = project
-            .iter()
-            .map(|c| {
-                out_layout.get(c).copied().ok_or_else(|| {
-                    AggViewError::Plan(format!(
-                        "eager partial aggregate projects unavailable column {c}"
-                    ))
-                })
-            })
-            .collect::<Result<_>>()?;
-
-        let in_pages = self.pages_of_data(&idata);
-        let (out_data, out_bytes) = match idata {
-            Data::Rows(irows) => {
-                let table = parallel::accumulate_groups(
-                    &ctx.options,
-                    ctx.gov,
-                    &irows,
-                    &key_pos,
-                    &inputs,
-                    &funcs,
-                )?;
-                let mut out = Vec::with_capacity(table.len());
-                let mut out_bytes = 0u64;
-                for g in table.groups {
-                    let mut values = g.key.into_values();
-                    for s in &g.states {
-                        // Non-empty groups always have full component vectors.
-                        values.extend(s.components().iter().cloned());
-                    }
-                    let full = Tuple::new(values);
-                    let t = full.project(&positions);
-                    ctx.charge_tuple(&t)?;
-                    out_bytes += t.width() as u64;
-                    out.push(t);
-                }
-                (Data::Rows(out), out_bytes)
-            }
-            Data::Batch(ib) => {
-                let table = vector::accumulate_groups(
-                    &ctx.options,
-                    ctx.gov,
-                    &ib,
-                    &key_pos,
-                    &inputs,
-                    &funcs,
-                )?;
-                let ngroups = table.len();
-                let (keys, states, n_aggs) = table.into_key_columns();
-                let n_comps: usize = funcs.iter().map(|f| f.partial_arity()).sum();
-                // Pre-type the partial-state component columns from the
-                // dataflow certificate (same contract as the full
-                // group-by's aggregate columns).
-                let node_types = dataflow::output_types(node, self.catalog);
-                let mut cols = keys;
-                cols.extend(spec.all_part_cols().iter().map(|c| {
-                    match node_types.as_ref().and_then(|m| m.get(c)) {
-                        Some(&ty) => ColumnVec::with_type(ty),
-                        None => ColumnVec::Mixed(Vec::with_capacity(ngroups)),
-                    }
-                }));
-                let comp_base = cols.len() - n_comps;
-                for g in 0..ngroups {
-                    let mut cc = comp_base;
-                    for j in 0..n_aggs {
-                        for v in states[g * n_aggs + j].components() {
-                            cols[cc].push_value(v.clone());
-                            cc += 1;
-                        }
-                    }
-                }
-                let full = Batch::from_parts(cols, ngroups);
-                let mut out = Batch::from_parts(
-                    positions
-                        .iter()
-                        .map(|&p| full.col(p).empty_like())
-                        .collect(),
-                    0,
-                );
-                let bytes = out.gather_from(&full, &positions, None, 0..ngroups);
-                ctx.gov.charge_output_bulk(out.len() as u64, bytes)?;
-                (Data::Batch(out), bytes)
-            }
-        };
+        let full = Batch::from_parts(cols, ngroups);
+        let sel = vector::filter_tile(&bound_having, &full)?;
+        let mut out = Batch::from_parts(
+            positions
+                .iter()
+                .map(|&p| full.col(p).empty_like())
+                .collect(),
+            0,
+        );
+        let out_bytes = out.gather_from(&full, &positions, sel.as_deref(), 0..ngroups);
+        ctx.gov.charge_output_bulk(out.len() as u64, out_bytes)?;
         ctx.note_op_output(out_bytes);
 
+        // Charge: aggregation over the materialized input.
         let out_pages = self.model.page.pages_for_bytes(out_bytes as f64);
-        let io = self.model.io;
-        let (algo, charge) = match algo {
-            AggAlgo::Auto => ops::best_agg(in_pages, out_pages, &io),
-            AggAlgo::Hash => (AggAlgo::Hash, ops::hash_agg_io(in_pages, out_pages, &io)),
-            AggAlgo::Sort => (AggAlgo::Sort, ops::sort_agg_io(in_pages, io.mem_pages)),
-        };
+        let (algo, charge) = ops::agg_io(algo, in_pages, out_pages, &self.model.io);
         ctx.breakdown.push(IoBreakdown {
-            op: format!("partial-agg[{algo}]"),
+            op: match agg {
+                AggNode::Full(spec) => format!("groupby[{algo}] {}", spec.owner),
+                AggNode::Partial(_) => format!("partial-agg[{algo}]"),
+            },
             pages: charge,
         });
-        Ok((project.to_vec(), out_data))
+        Ok((project.to_vec(), out))
     }
 
     /// Row-count hint for pre-sizing a hash-join build table: available
@@ -1130,43 +578,93 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn pages_of(&self, rows: &[Tuple]) -> f64 {
-        let bytes: usize = rows.iter().map(Tuple::width).sum();
-        self.model.page.pages_for_bytes(bytes as f64)
+    /// Page count of an operator output (batch byte totals equal the
+    /// widths of the tuples they materialize to).
+    fn pages_of(&self, b: &Batch) -> f64 {
+        self.model.page.pages_for_bytes(b.total_bytes() as f64)
     }
+}
 
-    /// Mode-independent page count of an operator output (batch byte
-    /// totals equal the widths of the tuples they materialize to).
-    fn pages_of_data(&self, d: &Data) -> f64 {
-        match d {
-            Data::Rows(r) => self.pages_of(r),
-            Data::Batch(b) => self.model.page.pages_for_bytes(b.total_bytes() as f64),
-        }
+/// Aggregate inputs of the local phase: every pushed aggregate reads
+/// its raw argument, and the duplicate-factor COUNT(*) — when the node
+/// carries one — rides last, matching `all_part_cols`' column order.
+fn local_inputs(
+    spec: &PartialAggSpec,
+    layout: &HashMap<Col, usize>,
+) -> Result<(Vec<AggFunc>, Vec<AggInput>)> {
+    let mut funcs = Vec::with_capacity(spec.aggs.len() + 1);
+    let mut inputs = Vec::with_capacity(spec.aggs.len() + 1);
+    for (_, a) in &spec.aggs {
+        funcs.push(a.func);
+        inputs.push(match &a.arg {
+            Some(e) => AggInput::Raw(e.bind(&|c| layout.get(&c).copied())?),
+            None => AggInput::RawCountStar,
+        });
     }
+    if spec.count.is_some() {
+        funcs.push(AggFunc::Count);
+        inputs.push(AggInput::RawCountStar);
+    }
+    Ok((funcs, inputs))
+}
+
+/// Aggregate inputs of the merge (or plain) phase, per aggregate: the
+/// partial-state components when a partial aggregate below produced
+/// them; otherwise the raw argument — scaled, for duplicate-sensitive
+/// functions, by the duplicate-factor count an eager partial aggregate
+/// on the partner side carries one slot past the real aggregates.
+fn merge_inputs(
+    spec: &GroupBySpec,
+    layout: &HashMap<Col, usize>,
+) -> Result<(Vec<AggFunc>, Vec<AggInput>)> {
+    let cnt_pos = layout
+        .get(&Col::part(AggRef::new(spec.owner, spec.aggs.len()), 0))
+        .copied();
+    let mut inputs = Vec::with_capacity(spec.aggs.len());
+    for (i, a) in spec.aggs.iter().enumerate() {
+        let aref = spec.agg_ref(i);
+        inputs.push(if layout.contains_key(&Col::part(aref, 0)) {
+            let comps: Vec<Col> = (0..a.func.partial_arity())
+                .map(|k| Col::part(aref, k))
+                .collect();
+            AggInput::Partial(positions_of(&comps, layout, "merge stage reads")?)
+        } else {
+            let arg = match &a.arg {
+                Some(e) => Some(e.bind(&|c| layout.get(&c).copied())?),
+                None => None,
+            };
+            match (arg, cnt_pos) {
+                (arg, Some(cpos)) if a.func.is_duplicate_sensitive() => AggInput::Scaled(arg, cpos),
+                (Some(e), _) => AggInput::Raw(e),
+                (None, _) => AggInput::RawCountStar,
+            }
+        });
+    }
+    Ok((spec.aggs.iter().map(|a| a.func).collect(), inputs))
 }
 
 fn layout_map(cols: &[Col]) -> HashMap<Col, usize> {
     cols.iter().enumerate().map(|(i, c)| (*c, i)).collect()
 }
 
-/// Mode-independent byte size of a materialized operator input.
-fn bytes_of_data(d: &Data) -> u64 {
-    match d {
-        Data::Rows(r) => r.iter().map(|t| t.width() as u64).sum(),
-        Data::Batch(b) => b.total_bytes(),
-    }
+/// Positions of `cols` in `layout`; `what` names the consumer in the
+/// error for a column the layout does not hold.
+fn positions_of(cols: &[Col], layout: &HashMap<Col, usize>, what: &str) -> Result<Vec<usize>> {
+    cols.iter()
+        .map(|c| {
+            layout
+                .get(c)
+                .copied()
+                .ok_or_else(|| AggViewError::Plan(format!("{what} unavailable column {c}")))
+        })
+        .collect()
 }
 
-pub(crate) fn eval_all(
-    preds: &[aggview_common::predicate::BoundPredicate],
-    t: &Tuple,
-) -> Result<bool> {
-    for p in preds {
-        if !p.eval(t)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+fn bind_all(preds: &[Predicate], layout: &HashMap<Col, usize>) -> Result<Vec<BoundPredicate>> {
+    preds
+        .iter()
+        .map(|p| p.bind(&|c| layout.get(&c).copied()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1340,11 +838,12 @@ mod tests {
         );
 
         let aref = aggview_common::AggRef::new(ViewId::Top, 0);
-        let partial = Plan::partial_group_by_all(
+        let partial = Plan::partial_aggregate_all(
             Plan::scan(RelId(0), "emp", vec![], all_cols(RelId(0), 5)),
-            PartialGroupSpec {
+            PartialAggSpec {
                 group_cols: vec![Col::base(RelId(0), emp::DNO)],
                 aggs: vec![(aref, agg.clone())],
+                count: None,
             },
         );
         let coalesced = Plan::group_by_all(

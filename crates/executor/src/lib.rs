@@ -8,26 +8,30 @@
 //! measured cost therefore differ only by estimation error, which
 //! experiment E9 quantifies.
 //!
-//! * [`engine`] — the recursive evaluator: scans with pushed-down
-//!   filters, hash/nested-loop joins, hash aggregation with HAVING, and
-//!   partial aggregation with coalescing (the executor detects partial
-//!   aggregate states in a group-by's input by their
-//!   [`aggview_common::PartRef`] columns and merges instead of
-//!   re-aggregating);
-//! * [`parallel`] / [`partition`] — the morsel-driven parallel path:
-//!   contiguous worker chunks over a `std::thread::scope` pool,
-//!   hash-partitioned join builds, and two-phase aggregation (per-worker
-//!   [`partition::GroupTable`]s coalesced by a global merge — the
-//!   physical form of the paper's simple coalescing grouping). Thread
-//!   count and morsel size come from [`ExecOptions`]
+//! * [`engine`] — the recursive evaluator over columnar batches: scans
+//!   with pushed-down filters, hash/nested-loop joins, and one
+//!   aggregation body that serves both the full group-by (finalize +
+//!   HAVING) and the partial aggregate (emit Figure-2 state components);
+//!   a group-by whose input carries [`aggview_common::PartRef`] columns
+//!   merges those states instead of re-aggregating;
+//! * [`vector`] — the columnar kernels the engine runs: tile-wise
+//!   filter, join and hash aggregation over typed column vectors;
+//! * [`parallel`] / [`partition`] — data parallelism: contiguous worker
+//!   chunks over a `std::thread::scope` pool, hash-partitioned join
+//!   builds, and two-phase aggregation (per-worker tables coalesced by a
+//!   global merge — the physical form of the paper's simple coalescing
+//!   grouping). Thread count and tile size come from [`ExecOptions`]
 //!   (`AGGVIEW_THREADS`, REPL `.set threads N`);
-//! * [`matview`] — building and maintaining materialized aggregate-view
-//!   extents: full builds/refreshes through the governed engine, and
-//!   incremental insert maintenance that coalesces a delta into the
-//!   stored partial states via [`partition::GroupTable::merge_from`];
+//! * [`matview`] / [`delta`] — building and maintaining materialized
+//!   aggregate-view extents: full builds/refreshes through the governed
+//!   engine, and Z-set delta maintenance that merges, retracts or
+//!   recomputes exactly the stored groups a DML statement touched;
 //! * [`correlated`] — naive tuple-at-a-time evaluation of correlated
 //!   aggregate subqueries (Kim's type-JA shape), the baseline the
 //!   flattening pathway (experiment E7) is measured against;
+//! * [`mod@reference`] — a naive interpreter for every [`aggview_core::Plan`]
+//!   variant (nested loops, `BTreeMap` groups), never called by the
+//!   engine: the oracle of the differential tests;
 //! * [`verify`] — multiset result comparison used by every
 //!   plan-equivalence test.
 
@@ -39,12 +43,13 @@ pub mod engine;
 pub mod matview;
 pub mod parallel;
 pub mod partition;
+pub mod reference;
 pub mod subscribe;
 pub mod vector;
 pub mod verify;
 
 pub use delta::{dependency_graph, DependencyGraph};
 pub use engine::{Engine, IoBreakdown, ResultSet};
-pub use parallel::{ExecMode, ExecOptions};
+pub use parallel::ExecOptions;
 pub use subscribe::{SubscriptionHub, ViewEvent};
 pub use verify::{assert_equivalent, canonical_rows};

@@ -1,61 +1,20 @@
-//! Morsel-driven parallel operators.
+//! Data-parallel execution: the options every operator reads and the
+//! scoped worker pool the kernels in [`crate::vector`] run on.
 //!
 //! Every data-parallel operator follows the same shape: the input is
-//! split into contiguous per-worker chunks ([`chunk_ranges`]), a scoped
-//! worker pool (`std::thread::scope`) processes the chunks, and results
-//! are stitched back together **in chunk order** — so the parallel scan,
-//! nested-loop join and hash-probe emit tuples in exactly the order the
-//! serial path would. Aggregation is two-phase: each worker builds a
-//! local [`GroupTable`] (the paper's partial aggregation), and the
-//! tables coalesce into one with [`GroupTable::merge_from`] (simple
-//! coalescing grouping, run as the physical merge step).
-//!
-//! Inside a chunk, workers advance in *morsels* of
-//! [`ExecOptions::morsel_rows`] rows, checking governor cancellation and
-//! the wall-clock deadline at each morsel boundary; every output tuple
-//! is charged against the shared atomic row/byte budgets as it is
-//! produced. A budget crossed on one worker aborts every worker at its
-//! next morsel boundary, so the total overshoot is bounded by roughly
-//! one morsel's output per worker.
+//! split into contiguous per-worker chunks
+//! ([`crate::partition::chunk_ranges`]), a scoped worker pool
+//! (`std::thread::scope`) processes the chunks, and results are stitched
+//! back together **in chunk order** — so a parallel scan, join or probe
+//! emits rows in exactly the order the one-chunk run would.
 //!
 //! With `threads == 1` (or an input below
 //! [`ExecOptions::parallel_threshold`]) the same code runs inline on the
 //! caller's thread — the serial path *is* the one-chunk special case,
 //! so there is exactly one implementation of each operator to test.
 
-use crate::partition::{chunk_ranges, AggInput, GroupTable, JoinIndex};
-use aggview_common::predicate::{eval_conjunction_split, BoundPredicate};
-use aggview_common::{hash_key, keys_equal, AggFunc, AggViewError, PrehashedMap, Result, Tuple};
-use aggview_core::governor::ResourceGovernor;
+use aggview_common::{AggViewError, Result};
 use std::ops::Range;
-
-/// Which operator implementation the engine runs.
-///
-/// Both modes produce byte-identical results (rows, IO pages, peak
-/// intermediate bytes) — `Row` is kept as the differential-testing
-/// reference and as an escape hatch, `Batch` is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Tuple-at-a-time operators over `Vec<Tuple>`.
-    Row,
-    /// Vectorized operators over column-major [`aggview_common::Batch`]es.
-    Batch,
-}
-
-impl ExecMode {
-    /// `AGGVIEW_EXEC_MODE` when set to `row` or `batch`; `Batch`
-    /// otherwise.
-    fn from_env() -> ExecMode {
-        match std::env::var("AGGVIEW_EXEC_MODE")
-            .ok()
-            .as_deref()
-            .map(str::trim)
-        {
-            Some("row") => ExecMode::Row,
-            _ => ExecMode::Batch,
-        }
-    }
-}
 
 /// Executor tuning knobs, threaded from the session/REPL into every
 /// operator.
@@ -63,25 +22,19 @@ impl ExecMode {
 pub struct ExecOptions {
     /// Worker threads for data-parallel operators (`1` = serial).
     pub threads: usize,
-    /// Rows per morsel — the granularity of cancellation/deadline checks
-    /// inside a worker chunk.
-    pub morsel_rows: usize,
     /// Inputs with fewer rows than this stay on the single-chunk path
     /// regardless of `threads`: thread spawn costs more than the work,
     /// and small inputs are where float-merge order differences would be
     /// most visible relative to the data.
     pub parallel_threshold: usize,
-    /// Row vs. columnar operator implementations.
-    pub mode: ExecMode,
-    /// Rows per columnar tile in batch mode. Tiles are also the
-    /// granularity of cancellation checks and bulk governor charges on
-    /// the batch path.
+    /// Rows per columnar tile — also the granularity of cancellation
+    /// checks and bulk governor charges inside a worker chunk.
     pub batch_rows: usize,
 }
 
 impl Default for ExecOptions {
     /// `AGGVIEW_THREADS` when set (≥ 1), otherwise the host's available
-    /// parallelism. Execution mode honors `AGGVIEW_EXEC_MODE`.
+    /// parallelism.
     fn default() -> Self {
         let threads = std::env::var("AGGVIEW_THREADS")
             .ok()
@@ -92,23 +45,16 @@ impl Default for ExecOptions {
                     .map(std::num::NonZeroUsize::get)
                     .unwrap_or(1)
             });
-        ExecOptions {
-            threads,
-            ..Self::serial()
-        }
+        ExecOptions::with_threads(threads)
     }
 }
 
 impl ExecOptions {
-    /// Single-threaded options (thread count independent of the
-    /// environment; execution mode still honors `AGGVIEW_EXEC_MODE` so
-    /// the whole suite can be driven through either path).
+    /// Single-threaded options, independent of the environment.
     pub fn serial() -> Self {
         ExecOptions {
             threads: 1,
-            morsel_rows: 1024,
             parallel_threshold: 4096,
-            mode: ExecMode::from_env(),
             batch_rows: 1024,
         }
     }
@@ -156,376 +102,4 @@ where
             .collect()
     });
     results.into_iter().collect()
-}
-
-/// Drive `body` over `range` in morsels, checking the governor at each
-/// morsel boundary.
-fn for_each_morsel(
-    gov: &ResourceGovernor,
-    range: Range<usize>,
-    morsel_rows: usize,
-    mut body: impl FnMut(usize) -> Result<()>,
-) -> Result<()> {
-    let step = morsel_rows.max(1);
-    let mut i = range.start;
-    while i < range.end {
-        gov.check_interrupt()?;
-        let end = (i + step).min(range.end);
-        for j in i..end {
-            body(j)?;
-        }
-        i = end;
-    }
-    Ok(())
-}
-
-/// Stitch per-chunk `(tuples, bytes)` results back together in order.
-fn stitch(parts: Vec<(Vec<Tuple>, u64)>) -> (Vec<Tuple>, u64) {
-    let total_rows = parts.iter().map(|(p, _)| p.len()).sum();
-    let mut rows = Vec::with_capacity(total_rows);
-    let mut bytes = 0u64;
-    for (part, b) in parts {
-        rows.extend(part);
-        bytes += b;
-    }
-    (rows, bytes)
-}
-
-/// Filter `rows` by the conjunction `preds` and project `positions`.
-/// Survivors come back in input order; the second component is their
-/// total byte width.
-pub fn filter_project(
-    opts: &ExecOptions,
-    gov: &ResourceGovernor,
-    rows: &[Tuple],
-    preds: &[BoundPredicate],
-    positions: &[usize],
-) -> Result<(Vec<Tuple>, u64)> {
-    let chunks = chunk_ranges(rows.len(), opts.workers_for(rows.len()));
-    let parts = run_chunks(chunks, |range| {
-        let mut out = Vec::new();
-        let mut bytes = 0u64;
-        for_each_morsel(gov, range, opts.morsel_rows, |i| {
-            let row = &rows[i];
-            for p in preds {
-                if !p.eval(row)? {
-                    return Ok(());
-                }
-            }
-            let t = row.project(positions);
-            let w = t.width() as u64;
-            gov.charge_output(1, w)?;
-            bytes += w;
-            out.push(t);
-            Ok(())
-        })?;
-        Ok((out, bytes))
-    })?;
-    Ok(stitch(parts))
-}
-
-/// Where each projected join-output column reads from, precomputed once
-/// per join so emitting a match never consults the combined layout (and
-/// never materializes a concatenated tuple unless a residual predicate
-/// needs one).
-pub struct JoinEmit {
-    slots: Vec<Src>,
-}
-
-enum Src {
-    Build(usize),
-    Probe(usize),
-}
-
-impl JoinEmit {
-    /// `positions` index into the combined `left ++ right` layout of
-    /// `left_arity + right_arity` columns.
-    pub fn new(positions: &[usize], left_arity: usize, build_left: bool) -> JoinEmit {
-        let slots = positions
-            .iter()
-            .map(|&p| {
-                let (left_side, i) = if p < left_arity {
-                    (true, p)
-                } else {
-                    (false, p - left_arity)
-                };
-                if left_side == build_left {
-                    Src::Build(i)
-                } else {
-                    Src::Probe(i)
-                }
-            })
-            .collect();
-        JoinEmit { slots }
-    }
-
-    fn emit(&self, build: &Tuple, probe: &Tuple) -> Tuple {
-        self.slots
-            .iter()
-            .map(|s| match *s {
-                Src::Build(i) => build.get(i).clone(),
-                Src::Probe(i) => probe.get(i).clone(),
-            })
-            .collect()
-    }
-}
-
-/// Build the hash-join index over `build`. Below the parallel threshold
-/// this is the pre-sized single-partition build; above it, workers
-/// scatter `(hash, row)` pairs by `hash % workers` and then each worker
-/// assembles one partition's map, keeping candidate lists in ascending
-/// build-row order either way.
-///
-/// `rows_hint` carries a fresh-statistics row count for the build input
-/// (when the planner knows one) so the parallel scatter buckets start
-/// at their expected size instead of growing through doublings.
-pub fn build_index(
-    opts: &ExecOptions,
-    gov: &ResourceGovernor,
-    build: &[Tuple],
-    key_pos: &[usize],
-    rows_hint: Option<usize>,
-) -> Result<JoinIndex> {
-    let workers = opts.workers_for(build.len());
-    if workers <= 1 {
-        gov.check_interrupt()?;
-        return Ok(JoinIndex::build_serial(build, key_pos));
-    }
-    let nparts = workers;
-    let per_bucket = rows_hint
-        .map(|h| h.min(build.len()) / (workers * nparts) + 1)
-        .unwrap_or(0);
-    let chunks = chunk_ranges(build.len(), workers);
-    let scattered = run_chunks(chunks, |range| {
-        let mut buckets: Vec<Vec<(u64, u32)>> =
-            vec![Vec::with_capacity(per_bucket); nparts];
-        for_each_morsel(gov, range, opts.morsel_rows, |i| {
-            let h = hash_key(&build[i], key_pos);
-            buckets[(h % nparts as u64) as usize].push((h, i as u32));
-            Ok(())
-        })?;
-        Ok(buckets)
-    })?;
-    // Worker p owns partition p. Visiting scatter buckets in worker
-    // (= ascending chunk) order keeps each candidate list ascending.
-    let scattered = &scattered;
-    let parts = run_chunks(chunk_ranges(nparts, nparts), |range| {
-        let p = range.start;
-        gov.check_interrupt()?;
-        let cap: usize = scattered.iter().map(|b| b[p].len()).sum();
-        let mut map: PrehashedMap<Vec<u32>> =
-            PrehashedMap::with_capacity_and_hasher(cap, Default::default());
-        for buckets in scattered {
-            for &(h, i) in &buckets[p] {
-                map.entry(h).or_default().push(i);
-            }
-        }
-        Ok(map)
-    })?;
-    Ok(JoinIndex::from_parts(parts))
-}
-
-/// Probe phase of the hash join: workers split the probe side, look up
-/// candidates by key hash, confirm by comparing key columns, apply
-/// residual predicates, and emit projected outputs — in probe order,
-/// matching the serial join exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn probe_join(
-    opts: &ExecOptions,
-    gov: &ResourceGovernor,
-    build: &[Tuple],
-    probe: &[Tuple],
-    index: &JoinIndex,
-    build_pos: &[usize],
-    probe_pos: &[usize],
-    residual: &[BoundPredicate],
-    build_left: bool,
-    emit: &JoinEmit,
-) -> Result<(Vec<Tuple>, u64)> {
-    let chunks = chunk_ranges(probe.len(), opts.workers_for(probe.len()));
-    let parts = run_chunks(chunks, |range| {
-        let mut out = Vec::new();
-        let mut bytes = 0u64;
-        for_each_morsel(gov, range, opts.morsel_rows, |i| {
-            let p = &probe[i];
-            let h = hash_key(p, probe_pos);
-            for &bi in index.candidates(h) {
-                let b = &build[bi as usize];
-                if !keys_equal(b, build_pos, p, probe_pos) {
-                    continue;
-                }
-                if !residual.is_empty() {
-                    // Evaluate against the virtual concatenation — no
-                    // combined tuple is ever materialized.
-                    let ok = if build_left {
-                        eval_conjunction_split(residual, b, p, b.arity())?
-                    } else {
-                        eval_conjunction_split(residual, p, b, p.arity())?
-                    };
-                    if !ok {
-                        continue;
-                    }
-                }
-                let t = emit.emit(b, p);
-                let w = t.width() as u64;
-                gov.charge_output(1, w)?;
-                bytes += w;
-                out.push(t);
-            }
-            Ok(())
-        })?;
-        Ok((out, bytes))
-    })?;
-    Ok(stitch(parts))
-}
-
-/// Nested-loop join for predicate sets with no hashable equality:
-/// workers split the outer (left) side; outputs come back in the serial
-/// `for l { for r }` order.
-pub fn nested_loop_join(
-    opts: &ExecOptions,
-    gov: &ResourceGovernor,
-    lrows: &[Tuple],
-    rrows: &[Tuple],
-    preds: &[BoundPredicate],
-    positions: &[usize],
-) -> Result<(Vec<Tuple>, u64)> {
-    let l_arity = lrows.first().map_or(0, Tuple::arity);
-    let chunks = chunk_ranges(lrows.len(), opts.workers_for(lrows.len()));
-    let parts = run_chunks(chunks, |range| {
-        let mut out = Vec::new();
-        let mut bytes = 0u64;
-        for_each_morsel(gov, range, opts.morsel_rows.max(1), |i| {
-            let l = &lrows[i];
-            for r in rrows {
-                if eval_conjunction_split(preds, l, r, l_arity)? {
-                    // Emit straight from the two sides — the combined
-                    // tuple is never materialized.
-                    let t: Tuple = positions
-                        .iter()
-                        .map(|&p| {
-                            if p < l_arity {
-                                l.get(p).clone()
-                            } else {
-                                r.get(p - l_arity).clone()
-                            }
-                        })
-                        .collect();
-                    let w = t.width() as u64;
-                    gov.charge_output(1, w)?;
-                    bytes += w;
-                    out.push(t);
-                }
-            }
-            Ok(())
-        })?;
-        Ok((out, bytes))
-    })?;
-    Ok(stitch(parts))
-}
-
-/// Two-phase parallel aggregation: each worker accumulates its chunk
-/// into a local [`GroupTable`] (phase 1 — partial aggregation), then the
-/// tables coalesce in worker order (phase 2 — the global merge). With
-/// one worker this degenerates to the serial hash aggregation.
-pub fn accumulate_groups(
-    opts: &ExecOptions,
-    gov: &ResourceGovernor,
-    rows: &[Tuple],
-    key_pos: &[usize],
-    inputs: &[AggInput],
-    funcs: &[AggFunc],
-) -> Result<GroupTable> {
-    let chunks = chunk_ranges(rows.len(), opts.workers_for(rows.len()));
-    let tables = run_chunks(chunks, |range| {
-        let mut table = GroupTable::new();
-        for_each_morsel(gov, range, opts.morsel_rows, |i| {
-            table.accumulate(&rows[i], key_pos, inputs, funcs)
-        })?;
-        Ok(table)
-    })?;
-    let mut iter = tables.into_iter();
-    let mut global = iter.next().unwrap_or_default();
-    for t in iter {
-        global.merge_from(t)?;
-    }
-    Ok(global)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use aggview_common::tuple;
-
-    fn rows(n: usize) -> Vec<Tuple> {
-        (0..n).map(|i| tuple![(i % 13) as i64, i as i64]).collect()
-    }
-
-    fn par(threads: usize) -> ExecOptions {
-        ExecOptions {
-            threads,
-            morsel_rows: 64,
-            parallel_threshold: 1, // force the parallel path on tiny inputs
-            ..ExecOptions::serial()
-        }
-    }
-
-    #[test]
-    fn parallel_filter_preserves_input_order() {
-        let input = rows(1000);
-        let gov = ResourceGovernor::unlimited();
-        let (serial, sb) =
-            filter_project(&ExecOptions::serial(), &gov, &input, &[], &[1, 0]).unwrap();
-        let (parallel, pb) = filter_project(&par(4), &gov, &input, &[], &[1, 0]).unwrap();
-        assert_eq!(serial, parallel);
-        assert_eq!(sb, pb);
-    }
-
-    #[test]
-    fn parallel_index_matches_serial_candidates() {
-        let input = rows(500);
-        let gov = ResourceGovernor::unlimited();
-        let serial = JoinIndex::build_serial(&input, &[0]);
-        let parallel = build_index(&par(4), &gov, &input, &[0], None).unwrap();
-        assert!(parallel.partitions() > 1);
-        for probe in &input {
-            let h = hash_key(probe, &[0]);
-            assert_eq!(serial.candidates(h), parallel.candidates(h));
-        }
-    }
-
-    #[test]
-    fn parallel_group_matches_serial_after_sort() {
-        let input = rows(1000);
-        let gov = ResourceGovernor::unlimited();
-        let inputs = [AggInput::RawCountStar];
-        let funcs = [AggFunc::Count];
-        let serial =
-            accumulate_groups(&ExecOptions::serial(), &gov, &input, &[0], &inputs, &funcs).unwrap();
-        let parallel = accumulate_groups(&par(4), &gov, &input, &[0], &inputs, &funcs).unwrap();
-        let render = |t: &GroupTable| {
-            let mut v: Vec<(Tuple, i64)> = t
-                .groups
-                .iter()
-                .map(|g| {
-                    (
-                        g.key.clone(),
-                        g.states[0].finalize().unwrap().as_i64().unwrap(),
-                    )
-                })
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(render(&serial), render(&parallel));
-    }
-
-    #[test]
-    fn cancellation_aborts_parallel_workers() {
-        let input = rows(2000);
-        let gov = ResourceGovernor::unlimited();
-        gov.token().cancel();
-        let err = filter_project(&par(4), &gov, &input, &[], &[0]).unwrap_err();
-        assert_eq!(err.kind(), "cancelled");
-    }
 }

@@ -1,19 +1,23 @@
-//! Partitioned hash structures shared by the serial and parallel
-//! execution paths.
+//! Partitioned hash structures shared by the executor's kernels and
+//! the materialized-view maintenance paths.
 //!
-//! Three pieces live here:
+//! Four pieces live here:
 //!
-//! * [`chunk_ranges`] — the morsel math: split `n` input rows into
-//!   contiguous, near-equal worker chunks;
+//! * [`chunk_ranges`] — split `n` input rows into contiguous, near-equal
+//!   worker chunks;
 //! * [`JoinIndex`] — a hash-partitioned build-side index for hash
 //!   joins: `key hash → build-row indices`, resolved to real matches by
 //!   comparing the key columns themselves (hash-then-compare — no
 //!   `Vec<Value>` key is ever materialized);
-//! * [`GroupTable`] — an insertion-ordered hash-aggregation table whose
-//!   groups carry [`PartialAggState`]s, so a per-worker table from the
-//!   parallel phase coalesces into the global table with
-//!   [`GroupTable::merge_from`] — the physical form of the paper's
-//!   simple-coalescing transformation (Section 4.2).
+//! * [`AggInput`] — how one aggregate reads its per-row input (raw
+//!   argument, partial-state components, or a duplicate-factor-scaled
+//!   argument), shared by the columnar aggregation kernel and the
+//!   row-major extent folds;
+//! * [`GroupTable`] — an insertion-ordered, row-major hash-aggregation
+//!   table whose groups carry [`PartialAggState`]s; extent builds and
+//!   delta maintenance fold into it and coalesce a delta's groups into
+//!   stored ones with [`GroupTable::merge_from`] — the physical form of
+//!   the paper's simple-coalescing transformation (Section 4.2).
 //!
 //! All lookups key on a 64-bit hash computed in place over the key
 //! columns ([`aggview_common::hash`]); candidate lists store `u32` row
@@ -49,11 +53,12 @@ pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
 /// A hash-partitioned build-side index: partition `hash % nparts`, then
 /// `hash → ascending build-row indices` within the partition.
 ///
-/// With `nparts == 1` this is the serial hash-join table; the parallel
-/// build scatters `(hash, row)` pairs by partition so independent
-/// workers can each own one partition's map. Candidate lists are kept in
-/// ascending build-row order regardless of how the index was built, so
-/// serial and parallel joins emit matches in the same order.
+/// With one partition this is the serial hash-join table; the parallel
+/// build ([`crate::vector::build_index`]) scatters `(hash, row)` pairs
+/// by partition so independent workers can each own one partition's
+/// map. Candidate lists are kept in ascending build-row order regardless
+/// of how the index was built, so serial and parallel joins emit matches
+/// in the same order.
 #[derive(Debug)]
 pub struct JoinIndex {
     nparts: usize,
@@ -61,22 +66,7 @@ pub struct JoinIndex {
 }
 
 impl JoinIndex {
-    /// Build serially in one partition, pre-sized from the build-side
-    /// cardinality (the estimate is exact here: the input is
-    /// materialized).
-    pub fn build_serial(rows: &[Tuple], key_pos: &[usize]) -> JoinIndex {
-        let mut map: PrehashedMap<Vec<u32>> =
-            PrehashedMap::with_capacity_and_hasher(rows.len(), Default::default());
-        for (i, t) in rows.iter().enumerate() {
-            map.entry(hash_key(t, key_pos)).or_default().push(i as u32);
-        }
-        JoinIndex {
-            nparts: 1,
-            parts: vec![map],
-        }
-    }
-
-    /// Assemble from per-partition maps built by parallel workers.
+    /// Assemble from per-partition maps (one map = the serial table).
     pub fn from_parts(parts: Vec<PrehashedMap<Vec<u32>>>) -> JoinIndex {
         JoinIndex {
             nparts: parts.len().max(1),
@@ -84,23 +74,13 @@ impl JoinIndex {
         }
     }
 
-    /// The partition a key hash routes to.
-    pub fn part_of(&self, hash: u64) -> usize {
-        (hash % self.nparts as u64) as usize
-    }
-
     /// Build-row indices whose key hashed to `hash` (candidates — the
     /// caller must confirm with a key comparison).
     pub fn candidates(&self, hash: u64) -> &[u32] {
         self.parts
-            .get(self.part_of(hash))
+            .get((hash % self.nparts as u64) as usize)
             .and_then(|m| m.get(&hash))
             .map_or(&[], Vec::as_slice)
-    }
-
-    /// Number of hash partitions.
-    pub fn partitions(&self) -> usize {
-        self.nparts
     }
 }
 
@@ -156,7 +136,7 @@ impl AggInput {
     }
 
     /// Absorb a row exposed through a position accessor instead of a
-    /// materialized [`Tuple`] — the batch path's equivalent of
+    /// materialized [`Tuple`] — the columnar kernels' equivalent of
     /// [`absorb`](Self::absorb), with identical update semantics.
     pub fn absorb_with(
         &self,
@@ -333,24 +313,6 @@ mod tests {
                 assert!(ranges.len() <= parts);
             }
         }
-    }
-
-    #[test]
-    fn join_index_candidates_ascend_and_confirm_by_key() {
-        let rows = vec![tuple![1i64, "a"], tuple![2i64, "b"], tuple![1i64, "c"]];
-        let idx = JoinIndex::build_serial(&rows, &[0]);
-        let probe = tuple![1i64];
-        let h = aggview_common::hash_key(&probe, &[0]);
-        let cands = idx.candidates(h);
-        // Both key-1 rows, in build order (hash collisions with row 1
-        // would also appear here — callers re-compare keys).
-        assert!(cands.windows(2).all(|w| w[0] < w[1]));
-        let confirmed: Vec<u32> = cands
-            .iter()
-            .copied()
-            .filter(|&i| aggview_common::keys_equal(&rows[i as usize], &[0], &probe, &[0]))
-            .collect();
-        assert_eq!(confirmed, vec![0, 2]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Vectorized (columnar) operator kernels.
 //!
-//! These are the batch-mode counterparts of the row-at-a-time operators
-//! in [`crate::parallel`], processing fixed-size column-major tiles of
+//! The engine's operators process fixed-size column-major tiles of
 //! [`ExecOptions::batch_rows`] rows with tight per-column loops:
 //!
 //! * [`scan_filter_project`] — transpose, filter via selection vectors,
@@ -12,19 +11,19 @@
 //! * [`accumulate_groups`] — hash aggregation into a
 //!   [`BatchGroupTable`] whose keys stay column-major.
 //!
-//! The contracts of the row path carry over unchanged: inputs split into
-//! the **same** [`chunk_ranges`] worker chunks (so parallel float-merge
-//! order is identical), outputs are emitted in the same order the serial
-//! row path would produce, the governor is charged per tile via
-//! [`ResourceGovernor::charge_output_bulk`] (clamped so budget overshoot
-//! still reads as at most one row past the cap), and cancellation is
-//! checked at every tile boundary.
+//! Contracts every kernel keeps: inputs split into [`chunk_ranges`]
+//! worker chunks and outputs stitch back in chunk order (so a parallel
+//! run emits the rows of the serial one, and the two-phase aggregation's
+//! float-merge order is fixed by the chunking alone), the governor is
+//! charged per tile via [`ResourceGovernor::charge_output_bulk`]
+//! (clamped so budget overshoot still reads as at most one row past the
+//! cap), and cancellation is checked at every tile boundary.
 //!
-//! Key hashing uses the fx chain ([`Batch::hash_rows`]) instead of the
-//! row path's SipHash: the hash function is private to one operator
-//! execution — candidates are always confirmed by comparing key values,
-//! and group/candidate order never depends on hash values — so a cheaper
-//! mix changes no observable output.
+//! Key hashing uses the fx chain ([`Batch::hash_rows`]): the hash
+//! function is private to one operator execution — candidates are
+//! always confirmed by comparing key values, and group/candidate order
+//! never depends on hash values — so a cheap mix changes no observable
+//! output.
 
 use crate::parallel::{run_chunks, ExecOptions};
 use crate::partition::{chunk_ranges, AggInput, JoinIndex};
@@ -130,7 +129,7 @@ fn sel_by_eval(
 
 /// Typed column-vs-constant sweep. Returns `false` when no typed
 /// specialization applies (caller falls back to generic evaluation,
-/// which also produces the exact row-path error for incomparable types).
+/// which also produces the row-wise evaluator's error for incomparable types).
 fn sel_col_const(
     op: aggview_common::CmpOp,
     col: &ColumnVec,
@@ -293,10 +292,15 @@ pub fn scan_filter_project(
 // Joins
 // ---------------------------------------------------------------------
 
-/// Build the hash-join index over the build-side batch, mirroring
-/// [`crate::parallel::build_index`] (serial pre-sized map below the
-/// parallel threshold, hash-scattered partitions above it) but hashing
-/// key columns tile-wise with the fx chain.
+/// Build the hash-join index over the build-side batch: a serial
+/// pre-sized map below the parallel threshold; above it, workers scatter
+/// `(hash, row)` pairs by `hash % workers` and then each worker
+/// assembles one partition's map, keeping candidate lists in ascending
+/// build-row order either way. Key columns hash tile-wise.
+///
+/// `rows_hint` carries a fresh-statistics row count for the build input
+/// (when the planner knows one) so the parallel scatter buckets start
+/// at their expected size instead of growing through doublings.
 pub fn build_index(
     opts: &ExecOptions,
     gov: &ResourceGovernor,
@@ -325,8 +329,7 @@ pub fn build_index(
         .unwrap_or(0);
     let chunks = chunk_ranges(n, workers);
     let scattered = run_chunks(chunks, |range| {
-        let mut buckets: Vec<Vec<(u64, u32)>> =
-            vec![Vec::with_capacity(per_bucket); nparts];
+        let mut buckets: Vec<Vec<(u64, u32)>> = vec![Vec::with_capacity(per_bucket); nparts];
         let mut hashes = Vec::new();
         for_each_tile(gov, range, opts.batch_rows, |r| {
             build.hash_rows(key_pos, r.clone(), &mut hashes);
@@ -642,9 +645,9 @@ fn dir_index(hash: u64, mask: usize) -> usize {
 /// stay column-major (one [`ColumnVec`] per grouping column) and whose
 /// aggregate states live in a flat `Vec` with stride `n_aggs`.
 ///
-/// Group order, state update order, and merge order are identical to the
-/// row path's [`crate::partition::GroupTable`], so finalized values are
-/// bitwise identical.
+/// Groups are emitted in first-appearance order; rows fold into a
+/// group's states in input order within a worker chunk, and chunk tables
+/// merge in chunk order.
 pub struct BatchGroupTable {
     index: SlotDir,
     hashes: Vec<u64>,
@@ -821,8 +824,7 @@ impl BatchGroupTable {
         Ok(())
     }
 
-    /// Coalesce `other`'s groups into `self` in `other`'s group order —
-    /// the same merge order as the row path's two-phase aggregation.
+    /// Coalesce `other`'s groups into `self` in `other`'s group order.
     fn merge_from(&mut self, other: BatchGroupTable, funcs: &[AggFunc]) -> Result<()> {
         for g in 0..other.len {
             let hash = other.hashes[g];
@@ -1034,9 +1036,10 @@ fn count_inc(n: i64, what: &str) -> Result<i64> {
         .ok_or_else(|| AggViewError::Exec(format!("{what} overflow")))
 }
 
-/// Two-phase columnar aggregation over the same worker chunks as the row
-/// path: per-chunk tables accumulate tile-wise, then coalesce in worker
-/// order. With one worker this is the serial hash aggregation.
+/// Two-phase columnar aggregation: per-chunk tables accumulate
+/// tile-wise (phase 1 — the paper's partial aggregation), then coalesce
+/// in worker order (phase 2 — the global merge). With one worker this is
+/// the serial hash aggregation.
 pub fn accumulate_groups(
     opts: &ExecOptions,
     gov: &ResourceGovernor,
@@ -1065,12 +1068,28 @@ pub fn accumulate_groups(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aggview_common::{tuple, CmpOp, Col, DataType, Expr, Predicate, RelId};
+    use crate::reference;
+    use aggview_common::{
+        tuple, AggSpec, CmpOp, Col, DataType, Expr, Predicate, RelId, Schema, ViewId,
+    };
+    use aggview_core::plan::{all_cols, GroupBySpec, Plan};
+    use aggview_storage::{Catalog, Table};
+
+    const TYPES: [DataType; 3] = [DataType::Int, DataType::Int, DataType::Str];
 
     fn opts() -> ExecOptions {
         ExecOptions {
             batch_rows: 7, // force multi-tile on small inputs
             ..ExecOptions::serial()
+        }
+    }
+
+    /// Multi-worker options that split even tiny inputs.
+    fn par(threads: usize) -> ExecOptions {
+        ExecOptions {
+            threads,
+            parallel_threshold: 1,
+            ..opts()
         }
     }
 
@@ -1087,61 +1106,78 @@ mod tests {
             .collect()
     }
 
+    /// A catalog holding `input_rows(n)` as table `name(k, n, s)` for
+    /// each `(name, n)` — what the reference interpreter reads to
+    /// produce the kernels' expected outputs.
+    fn catalog(tables: &[(&str, usize)]) -> Catalog {
+        let cat = Catalog::new();
+        for &(name, n) in tables {
+            let schema = Schema::of(&[("k", TYPES[0]), ("n", TYPES[1]), ("s", TYPES[2])]);
+            let mut b = Table::builder(name, schema);
+            for r in input_rows(n) {
+                b.push(r).unwrap();
+            }
+            cat.add(b.build().unwrap()).unwrap();
+        }
+        cat
+    }
+
+    fn bytes_of(rows: &[Tuple]) -> u64 {
+        rows.iter().map(|t| t.width() as u64).sum()
+    }
+
     #[test]
-    fn batch_scan_matches_row_scan() {
+    fn scan_matches_reference() {
         let rows = input_rows(50);
         let gov = ResourceGovernor::unlimited();
-        let pred = Predicate::cmp_const(Col::base(RelId(0), 0), CmpOp::Ge, 2i64)
-            .bind(&|c| layout(c))
-            .unwrap();
-        let types = [DataType::Int, DataType::Int, DataType::Str];
-        let (batch, b_bytes) = scan_filter_project(
+        let pred = Predicate::cmp_const(Col::base(RelId(0), 0), CmpOp::Ge, 2i64);
+        let bound = pred.bind(&|c| layout(c)).unwrap();
+        let (batch, bytes) = scan_filter_project(
             &opts(),
             &gov,
             &rows,
             &[0, 1, 2],
-            &types,
-            std::slice::from_ref(&pred),
+            &TYPES,
+            std::slice::from_ref(&bound),
             &[2, 0],
         )
         .unwrap();
-        let (expect, r_bytes) = crate::parallel::filter_project(
-            &ExecOptions::serial(),
-            &gov,
-            &rows,
-            std::slice::from_ref(&pred),
-            &[2, 0],
-        )
-        .unwrap();
-        assert_eq!(batch.to_tuples(), expect);
-        assert_eq!(b_bytes, r_bytes);
+        let plan = Plan::scan(
+            RelId(0),
+            "t",
+            vec![pred],
+            vec![Col::base(RelId(0), 2), Col::base(RelId(0), 0)],
+        );
+        let expect = reference::evaluate(&plan, &catalog(&[("t", 50)])).unwrap();
+        assert_eq!(batch.to_tuples(), expect.rows);
+        assert_eq!(bytes, bytes_of(&expect.rows));
     }
 
     #[test]
-    fn batch_hash_join_matches_row_join() {
-        let lrows = input_rows(40);
-        let rrows = input_rows(25);
+    fn hash_join_matches_reference() {
         let gov = ResourceGovernor::unlimited();
-        let types = [DataType::Int, DataType::Int, DataType::Str];
-        let lb = Batch::from_tuples(&lrows, &[0, 1, 2], &types);
-        let rb = Batch::from_tuples(&rrows, &[0, 1, 2], &types);
+        let lb = Batch::from_tuples(&input_rows(40), &[0, 1, 2], &TYPES);
+        let rb = Batch::from_tuples(&input_rows(25), &[0, 1, 2], &TYPES);
         // Join on col 0 with a residual on the right row number.
+        let eq = Predicate::eq_cols(Col::base(RelId(0), 0), Col::base(RelId(1), 0));
         let residual = Predicate::new(
             Expr::col(Col::base(RelId(0), 1)),
             CmpOp::Ge,
             Expr::col(Col::base(RelId(1), 1)),
-        )
-        .bind(&|c| match c {
-            Col::Base(b) if b.rel == RelId(0) => Some(b.col as usize),
-            Col::Base(b) => Some(3 + b.col as usize),
-            _ => None,
-        })
-        .unwrap();
+        );
+        let bound = residual
+            .bind(&|c| match c {
+                Col::Base(b) if b.rel == RelId(0) => Some(b.col as usize),
+                Col::Base(b) => Some(3 + b.col as usize),
+                _ => None,
+            })
+            .unwrap();
         let positions = [1usize, 4, 2];
-        // build on the smaller (right) side, like the engine would
-        let build_left = false;
+        // Build on the smaller (right) side, like the engine would; the
+        // probe then walks the left side in order with ascending
+        // candidates — the reference's `for l { for r }` order.
         let index = build_index(&opts(), &gov, &rb, &[0], None).unwrap();
-        let (got, gb) = probe_join(
+        let (got, bytes) = probe_join(
             &opts(),
             &gov,
             &rb,
@@ -1149,70 +1185,93 @@ mod tests {
             &index,
             &[0],
             &[0],
-            std::slice::from_ref(&residual),
-            build_left,
+            std::slice::from_ref(&bound),
+            false,
             3,
             &positions,
         )
         .unwrap();
-
-        let row_index =
-            crate::parallel::build_index(&ExecOptions::serial(), &gov, &rrows, &[0], None).unwrap();
-        let emit = crate::parallel::JoinEmit::new(&positions, 3, build_left);
-        let (expect, eb) = crate::parallel::probe_join(
-            &ExecOptions::serial(),
-            &gov,
-            &rrows,
-            &lrows,
-            &row_index,
-            &[0],
-            &[0],
-            std::slice::from_ref(&residual),
-            build_left,
-            &emit,
-        )
-        .unwrap();
-        assert_eq!(got.to_tuples(), expect);
-        assert_eq!(gb, eb);
-        assert!(!expect.is_empty());
+        let plan = Plan::join(
+            Plan::scan(RelId(0), "l", vec![], all_cols(RelId(0), 3)),
+            Plan::scan(RelId(1), "r", vec![], all_cols(RelId(1), 3)),
+            vec![eq, residual],
+            vec![
+                Col::base(RelId(0), 1),
+                Col::base(RelId(1), 1),
+                Col::base(RelId(0), 2),
+            ],
+        );
+        let expect = reference::evaluate(&plan, &catalog(&[("l", 40), ("r", 25)])).unwrap();
+        assert!(!expect.rows.is_empty());
+        assert_eq!(got.to_tuples(), expect.rows);
+        assert_eq!(bytes, bytes_of(&expect.rows));
     }
 
     #[test]
-    fn batch_groups_match_row_groups_bitwise() {
-        let rows = input_rows(60);
+    fn parallel_index_matches_serial_candidates() {
         let gov = ResourceGovernor::unlimited();
-        let types = [DataType::Int, DataType::Int, DataType::Str];
-        let batch = Batch::from_tuples(&rows, &[0, 1, 2], &types);
+        let batch = Batch::from_tuples(&input_rows(500), &[0, 1, 2], &TYPES);
+        let serial = build_index(&opts(), &gov, &batch, &[0], None).unwrap();
+        let parallel = build_index(&par(4), &gov, &batch, &[0], Some(500)).unwrap();
+        let mut hashes = Vec::new();
+        batch.hash_rows(&[0], 0..batch.len(), &mut hashes);
+        for h in hashes {
+            let c = serial.candidates(h);
+            assert!(c.windows(2).all(|w| w[0] < w[1]), "candidates ascend");
+            assert_eq!(c, parallel.candidates(h));
+        }
+    }
+
+    #[test]
+    fn groups_match_reference_bitwise() {
+        let gov = ResourceGovernor::unlimited();
+        let batch = Batch::from_tuples(&input_rows(60), &[0, 1, 2], &TYPES);
+        let n = Expr::col(Col::base(RelId(0), 1));
         let inputs = [
             AggInput::RawCountStar,
-            AggInput::Raw(
-                Expr::col(Col::base(RelId(0), 1))
-                    .bind(&|c| layout(c))
-                    .unwrap(),
-            ),
+            AggInput::Raw(n.bind(&|c| layout(c)).unwrap()),
         ];
         let funcs = [AggFunc::Count, AggFunc::Avg];
         let got = accumulate_groups(&opts(), &gov, &batch, &[0], &inputs, &funcs).unwrap();
-        let mut expect = crate::partition::GroupTable::new();
-        for r in &rows {
-            expect.accumulate(r, &[0], &inputs, &funcs).unwrap();
-        }
-        assert_eq!(got.len(), expect.len());
-        for (g, group) in expect.groups.iter().enumerate() {
-            assert_eq!(got.keys[0].value_at(g), group.key.get(0).clone());
-            for j in 0..funcs.len() {
-                assert_eq!(
-                    got.state(g, j).finalize().unwrap(),
-                    group.states[j].finalize().unwrap()
-                );
-            }
-        }
+        let mut got_rows: Vec<Tuple> = (0..got.len())
+            .map(|g| {
+                tuple![
+                    got.keys[0].value_at(g),
+                    got.state(g, 0).finalize().unwrap(),
+                    got.state(g, 1).finalize().unwrap()
+                ]
+            })
+            .collect();
+        got_rows.sort();
+        let plan = Plan::group_by_all(
+            Plan::scan(RelId(0), "t", vec![], all_cols(RelId(0), 3)),
+            GroupBySpec {
+                owner: ViewId::Top,
+                group_cols: vec![Col::base(RelId(0), 0)],
+                aggs: vec![AggSpec::count_star(), AggSpec::new(AggFunc::Avg, n)],
+                having: vec![],
+            },
+        );
+        // The reference emits groups in key order; both sides sum each
+        // group's rows in input order, so the averages agree bit for bit.
+        let expect = reference::evaluate(&plan, &catalog(&[("t", 60)])).unwrap();
+        assert_eq!(format!("{got_rows:?}"), format!("{:?}", expect.rows));
+    }
+
+    #[test]
+    fn cancellation_aborts_parallel_workers() {
+        let rows = input_rows(2000);
+        let gov = ResourceGovernor::unlimited();
+        gov.token().cancel();
+        let err =
+            scan_filter_project(&par(4), &gov, &rows, &[0, 1, 2], &TYPES, &[], &[0]).unwrap_err();
+        assert_eq!(err.kind(), "cancelled");
     }
 
     #[test]
     fn filter_tile_errors_match_row_errors() {
         // Comparing a string column to an int constant must produce the
-        // row path's exact message.
+        // row-wise evaluator's exact message.
         let rows = vec![tuple![1i64, "x"]];
         let tile = Batch::from_tuples(&rows, &[0, 1], &[DataType::Int, DataType::Str]);
         let p = Predicate::cmp_const(Col::base(RelId(0), 1), CmpOp::Lt, 3i64)

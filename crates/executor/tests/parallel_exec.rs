@@ -1,9 +1,11 @@
-//! Parallel execution correctness: for every operator, the morsel-driven
+//! Parallel execution correctness: for every operator, the chunked
 //! parallel path at `threads ∈ {2, 4, 8}` must produce the same results
 //! as the serial path on randomized databases — *exactly* (same rows,
 //! same order) for scans and joins, whose chunked outputs are stitched
 //! in input order, and as an equivalent multiset for aggregation, where
-//! the two-phase merge may associate float sums differently.
+//! the two-phase merge may associate float sums differently — and the
+//! same accounting: IO pages, per-operator breakdown and peak
+//! intermediate bytes do not depend on the thread count.
 //!
 //! The governance tests check the other half of the contract: shared
 //! row/byte budgets and cancellation are honoured from inside a
@@ -15,7 +17,7 @@ use aggview_core::cost::CostModel;
 use aggview_core::governor::{ResourceGovernor, ResourceLimits};
 use aggview_core::plan::{all_cols, GroupBySpec, Plan};
 use aggview_core::query::QueryEnv;
-use aggview_executor::{assert_equivalent, Engine, ExecOptions};
+use aggview_executor::{assert_equivalent, Engine, ExecOptions, ResultSet};
 use aggview_storage::datagen::{gen_random_catalog, RandomCatalogConfig};
 use aggview_storage::Catalog;
 use proptest::prelude::*;
@@ -35,13 +37,23 @@ fn setup(seed: u64, max_rows: usize) -> (Catalog, QueryEnv) {
 fn par(threads: usize) -> ExecOptions {
     ExecOptions {
         threads,
-        morsel_rows: 32,
         parallel_threshold: 1,
         ..ExecOptions::serial()
     }
 }
 
 const THREADS: [usize; 3] = [2, 4, 8];
+
+/// IO pages, per-operator breakdown and peak bytes are bit-identical.
+fn same_accounting(a: &ResultSet, b: &ResultSet) -> bool {
+    a.io_pages.to_bits() == b.io_pages.to_bits()
+        && a.peak_intermediate_bytes == b.peak_intermediate_bytes
+        && a.breakdown.len() == b.breakdown.len()
+        && a.breakdown
+            .iter()
+            .zip(&b.breakdown)
+            .all(|(x, y)| x.op == y.op && x.pages.to_bits() == y.pages.to_bits())
+}
 
 fn filter_scan() -> Plan {
     Plan::scan(
@@ -103,7 +115,7 @@ proptest! {
             let a = serial.execute(&plan).unwrap();
             let b = parallel.execute(&plan).unwrap();
             prop_assert_eq!(&a.rows, &b.rows, "row order diverged");
-            prop_assert_eq!(a.peak_intermediate_bytes, b.peak_intermediate_bytes);
+            prop_assert!(same_accounting(&a, &b), "accounting depends on threads");
         }
     }
 
@@ -133,6 +145,7 @@ proptest! {
             funcs[fidx],
             THREADS[t_idx]
         );
+        prop_assert!(same_accounting(&a, &b), "accounting depends on threads");
     }
 
     /// HAVING filters see fully coalesced groups — a group split across

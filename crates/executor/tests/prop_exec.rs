@@ -4,7 +4,7 @@
 
 use aggview_common::{AggFunc, AggRef, AggSpec, Col, Expr, Predicate, RelId, ViewId};
 use aggview_core::cost::CostModel;
-use aggview_core::plan::{all_cols, GroupBySpec, JoinAlgo, PartialGroupSpec, Plan};
+use aggview_core::plan::{all_cols, GroupBySpec, JoinAlgo, PartialAggSpec, Plan};
 use aggview_core::query::QueryEnv;
 use aggview_executor::{assert_equivalent, Engine};
 use aggview_storage::datagen::{gen_random_catalog, RandomCatalogConfig};
@@ -79,11 +79,12 @@ proptest! {
         );
 
         let aref = AggRef::new(ViewId::Top, 0);
-        let partial = Plan::partial_group_by_all(
+        let partial = Plan::partial_aggregate_all(
             Plan::scan(RelId(0), "t0", vec![], all_cols(RelId(0), 4)),
-            PartialGroupSpec {
+            PartialAggSpec {
                 group_cols: vec![Col::base(RelId(0), 1)],
                 aggs: vec![(aref, agg)],
+                count: None,
             },
         );
         let coalesced = Plan::group_by_all(

@@ -109,7 +109,8 @@ pub struct Session {
     /// statement. Non-retryable errors — cancellation, budget
     /// exhaustion, plan/bind errors — never retry.
     pub max_retries: u32,
-    /// Executor parallelism and morsel tuning (REPL `.set threads N`).
+    /// Executor parallelism and tile size (REPL `.set threads N`,
+    /// `.set batch_rows N`).
     pub exec: ExecOptions,
     /// Live view subscriptions: every DML/refresh maintenance round
     /// publishes each maintained view's consolidated visible delta here

@@ -9,7 +9,7 @@
 //!
 //! ## The contract under DML
 //!
-//! A table that is mutated keeps a [`StatsSummary`] — one value →
+//! A table that is mutated keeps a `StatsSummary` — one value →
 //! multiplicity map per column — and derives its [`TableStats`] from it
 //! after every mutation, in time proportional to the rows changed:
 //!

@@ -16,8 +16,7 @@
 //! `.gen star [customers]`, `.mem <pages>`, `.mode <traditional|pushdown|full>`,
 //! `.set <key> <value>` (resource governance: `timeout_ms`, `max_rows`,
 //! `max_bytes`, `max_plans`, `max_memo`, `retries`; `off` clears a limit;
-//! plus `threads`, `batch_rows` and `exec_mode <row|batch>` for the
-//! executor), `.limits`,
+//! plus `threads` and `batch_rows` for the executor), `.limits`,
 //! `.bench [threads]` (executor scaling benchmark), `.explain <sql>`,
 //! `.open <dir>` (durable catalog: WAL + checkpoints), `.checkpoint`,
 //! `.subscribe <view>` / `.unsubscribe <view>` (live view-change feed:
@@ -130,8 +129,6 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
                  \u{20}                            max_bytes, max_plans, max_memo, retries;\n\
                  \u{20}                            threads (parallel executor workers);\n\
                  \u{20}                            batch_rows (vectorized tile size);\n\
-                 \u{20}                            exec_mode <row|batch> (reference vs\n\
-                 \u{20}                            vectorized execution);\n\
                  \u{20}                            eager_agg <on|off> (eager partial\n\
                  \u{20}                            aggregation below joins)\n\
                  .limits                      show current resource limits\n\
@@ -331,7 +328,7 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
             let l = &session.limits;
             let show = |v: Option<u64>| v.map_or("off".to_string(), |n| n.to_string());
             println!(
-                "timeout_ms {}  max_rows {}  max_bytes {}  max_plans {}  max_memo {}  retries {}  threads {}  batch_rows {}  exec_mode {}  eager_agg {}",
+                "timeout_ms {}  max_rows {}  max_bytes {}  max_plans {}  max_memo {}  retries {}  threads {}  batch_rows {}  eager_agg {}",
                 l.timeout
                     .map_or("off".to_string(), |t| t.as_millis().to_string()),
                 show(l.max_rows),
@@ -341,7 +338,6 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
                 session.max_retries,
                 session.exec.threads,
                 session.exec.batch_rows,
-                mode_name(session.exec.mode),
                 if session.config.use_eager_agg {
                     "on"
                 } else {
@@ -429,29 +425,7 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
     true
 }
 
-fn mode_name(mode: aggview::executor::ExecMode) -> &'static str {
-    match mode {
-        aggview::executor::ExecMode::Row => "row",
-        aggview::executor::ExecMode::Batch => "batch",
-    }
-}
-
 fn set_limit(session: &mut Session, key: &str, val: &str) {
-    if key == "exec_mode" {
-        // Not a governor limit: `off` restores the environment default
-        // (AGGVIEW_EXEC_MODE, else batch).
-        session.exec.mode = match val {
-            "row" => aggview::executor::ExecMode::Row,
-            "batch" => aggview::executor::ExecMode::Batch,
-            _ if val.eq_ignore_ascii_case("off") => aggview::executor::ExecOptions::default().mode,
-            other => {
-                println!("`{other}` is not an exec mode — row | batch | off");
-                return;
-            }
-        };
-        println!("exec_mode = {}", mode_name(session.exec.mode));
-        return;
-    }
     if key == "eager_agg" {
         // Not a governor limit: `off` disables the plan alternative,
         // `on` re-enables it (the environment default honors
@@ -515,7 +489,7 @@ fn set_limit(session: &mut Session, key: &str, val: &str) {
             None => session.max_retries = 0,
         },
         other => {
-            println!("unknown limit `{other}` — keys: timeout_ms max_rows max_bytes max_plans max_memo retries threads batch_rows exec_mode eager_agg");
+            println!("unknown limit `{other}` — keys: timeout_ms max_rows max_bytes max_plans max_memo retries threads batch_rows eager_agg");
             return;
         }
     }

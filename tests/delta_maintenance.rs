@@ -177,7 +177,7 @@ proptest! {
         run_differential(seed, 10, 1);
     }
 
-    /// Same property with the 4-thread morsel-driven executor: partial
+    /// Same property with the 4-thread executor: partial
     /// folds race across workers, but the merged extent must still be
     /// exact.
     #[test]

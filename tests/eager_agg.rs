@@ -111,11 +111,7 @@ fn selfjoin_query(aggs: Vec<AggSpec>) -> CanonicalQuery {
 
 /// Execute `plan` and return the projected rows, sorted (plans may
 /// emit groups in different orders).
-fn run_sorted(
-    engine: &Engine,
-    plan: &Plan,
-    projection: &[Col],
-) -> (Vec<Tuple>, u64) {
+fn run_sorted(engine: &Engine, plan: &Plan, projection: &[Col]) -> (Vec<Tuple>, u64) {
     let rs = engine.execute(plan).unwrap();
     let positions: Vec<usize> = projection
         .iter()
@@ -129,15 +125,15 @@ fn run_sorted(
     (rows, rs.peak_intermediate_bytes)
 }
 
+/// Does the plan hold an *eager* partial aggregate (one carrying a
+/// duplicate factor; simple coalescing carries none)?
 fn contains_partial_aggregate(p: &Plan) -> bool {
     match p {
-        Plan::PartialAggregate { .. } => true,
+        Plan::PartialAggregate { spec, .. } => spec.count.is_some(),
         Plan::Join { left, right, .. } => {
             contains_partial_aggregate(left) || contains_partial_aggregate(right)
         }
-        Plan::GroupBy { input, .. } | Plan::PartialGroupBy { input, .. } => {
-            contains_partial_aggregate(input)
-        }
+        Plan::GroupBy { input, .. } => contains_partial_aggregate(input),
         Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => false,
     }
 }
@@ -217,9 +213,18 @@ fn eager_fires_and_matches_on_large_selfjoin() {
     // Integer aggregate arguments (plus float MIN, which never rounds)
     // keep this large case exact without constraining the generator.
     let q = selfjoin_query(vec![
-        AggSpec::new(AggFunc::Avg, Expr::col(Col::base(aggview::RelId(0), emp::AGE))),
-        AggSpec::new(AggFunc::Min, Expr::col(Col::base(aggview::RelId(1), emp::SAL))),
-        AggSpec::new(AggFunc::Sum, Expr::col(Col::base(aggview::RelId(1), emp::AGE))),
+        AggSpec::new(
+            AggFunc::Avg,
+            Expr::col(Col::base(aggview::RelId(0), emp::AGE)),
+        ),
+        AggSpec::new(
+            AggFunc::Min,
+            Expr::col(Col::base(aggview::RelId(1), emp::SAL)),
+        ),
+        AggSpec::new(
+            AggFunc::Sum,
+            Expr::col(Col::base(aggview::RelId(1), emp::AGE)),
+        ),
         AggSpec::count_star(),
     ]);
     let model = tight_model();
@@ -317,8 +322,14 @@ fn eager_declines_aggregate_spanning_the_join() {
 fn cost_tie_keeps_traditional_shape() {
     let cat = random_catalog(6, 80, 3);
     let q = selfjoin_query(vec![
-        AggSpec::new(AggFunc::Sum, Expr::col(Col::base(aggview::RelId(1), emp::SAL))),
-        AggSpec::new(AggFunc::Avg, Expr::col(Col::base(aggview::RelId(0), emp::SAL))),
+        AggSpec::new(
+            AggFunc::Sum,
+            Expr::col(Col::base(aggview::RelId(1), emp::SAL)),
+        ),
+        AggSpec::new(
+            AggFunc::Avg,
+            Expr::col(Col::base(aggview::RelId(0), emp::SAL)),
+        ),
     ]);
     // Default memory budget: both the build side and the aggregate
     // output fit, so every candidate costs the same IO.
@@ -341,8 +352,14 @@ fn cost_tie_keeps_traditional_shape() {
 fn eager_requires_a_kept_aggregate() {
     let cat = random_catalog(8, 150, 11);
     let q = selfjoin_query(vec![
-        AggSpec::new(AggFunc::Sum, Expr::col(Col::base(aggview::RelId(1), emp::SAL))),
-        AggSpec::new(AggFunc::Min, Expr::col(Col::base(aggview::RelId(1), emp::SAL))),
+        AggSpec::new(
+            AggFunc::Sum,
+            Expr::col(Col::base(aggview::RelId(1), emp::SAL)),
+        ),
+        AggSpec::new(
+            AggFunc::Min,
+            Expr::col(Col::base(aggview::RelId(1), emp::SAL)),
+        ),
     ]);
     let model = tight_model();
     let eager = optimize(&q, &cat, model, &eager_on()).unwrap();
@@ -368,8 +385,14 @@ fn stale_stats_skip_presizing_still_correct() {
     })
     .unwrap();
     let q = selfjoin_query(vec![
-        AggSpec::new(AggFunc::Sum, Expr::col(Col::base(aggview::RelId(1), emp::AGE))),
-        AggSpec::new(AggFunc::Avg, Expr::col(Col::base(aggview::RelId(0), emp::AGE))),
+        AggSpec::new(
+            AggFunc::Sum,
+            Expr::col(Col::base(aggview::RelId(1), emp::AGE)),
+        ),
+        AggSpec::new(
+            AggFunc::Avg,
+            Expr::col(Col::base(aggview::RelId(0), emp::AGE)),
+        ),
     ]);
     let model = tight_model();
     let eager = optimize(&q, &cat, model, &eager_on()).unwrap();

@@ -8,7 +8,7 @@
 use aggview::common::ids::AggRef;
 use aggview::common::{registered_site, RecordingFaults, REGISTERED_FAULT_SITES};
 use aggview::core::governor::ResourceGovernor;
-use aggview::core::plan::{all_cols, GroupBySpec, PartialGroupSpec, Plan};
+use aggview::core::plan::{all_cols, GroupBySpec, PartialAggSpec, Plan};
 use aggview::core::query::examples::{dept, emp};
 use aggview::core::query::QueryEnv;
 use aggview::core::CostModel;
@@ -47,7 +47,7 @@ fn representative_workload_consults_every_registered_site() {
     let rec = Arc::new(RecordingFaults::new());
 
     // Execution-time sites: a plan with a scan under a partial
-    // group-by, joined, then coalesced by a final group-by touches
+    // aggregate, joined, then merged by a final group-by touches
     // every operator entry the registry names.
     let catalog = gen_empdept(&EmpDeptConfig {
         n_depts: 5,
@@ -60,11 +60,12 @@ fn representative_workload_consults_every_registered_site() {
     let agg = AggSpec::new(AggFunc::Sum, Expr::col(Col::base(RelId(0), emp::SAL)));
     let plan = Plan::group_by_all(
         Plan::join_all(
-            Plan::partial_group_by_all(
+            Plan::partial_aggregate_all(
                 Plan::scan(RelId(0), "emp", vec![], all_cols(RelId(0), 5)),
-                PartialGroupSpec {
+                PartialAggSpec {
                     group_cols: vec![Col::base(RelId(0), emp::DNO)],
                     aggs: vec![(AggRef::new(ViewId::Top, 0), agg.clone())],
+                    count: None,
                 },
             ),
             Plan::scan(RelId(1), "dept", vec![], all_cols(RelId(1), 4)),

@@ -153,7 +153,6 @@ fn byte_budget_aborts_with_structured_error() {
 fn parallel_options(threads: usize) -> ExecOptions {
     ExecOptions {
         threads,
-        morsel_rows: 32,
         parallel_threshold: 1,
         ..ExecOptions::serial()
     }

@@ -26,8 +26,8 @@ use aggview::core::query::examples::{
 };
 use aggview::core::query::{CanonicalQuery, QueryEnv, TopGroup};
 use aggview::core::{
-    optimize, optimize_governed, CostModel, GroupBySpec, JoinAlgo, OptimizerConfig,
-    PartialGroupSpec, Plan, PlanAnalyzer, PullUpLevel, ResourceGovernor, ResourceLimits,
+    optimize, optimize_governed, CostModel, GroupBySpec, JoinAlgo, OptimizerConfig, Plan,
+    PlanAnalyzer, PullUpLevel, ResourceGovernor, ResourceLimits,
 };
 use aggview::executor::{Engine, ExecOptions};
 use aggview::sql::Session;
@@ -77,11 +77,12 @@ fn coalescing_plan() -> Plan {
     let e = env.add_rel("emp");
     let aref = AggRef::new(ViewId::Top, 0);
     let agg = AggSpec::new(AggFunc::Sum, Expr::col(Col::base(e, emp::SAL)));
-    let partial = Plan::partial_group_by_all(
+    let partial = Plan::partial_aggregate_all(
         scan_emp(e),
-        PartialGroupSpec {
+        PartialAggSpec {
             group_cols: vec![Col::base(e, emp::DNO)],
             aggs: vec![(aref, agg.clone())],
+            count: None,
         },
     );
     Plan::group_by_all(
@@ -235,15 +236,15 @@ fn eager_plan() -> Plan {
     )
 }
 
+/// Does the plan hold an *eager* partial aggregate (one carrying a
+/// duplicate factor; simple coalescing carries none)?
 fn contains_partial_aggregate(p: &Plan) -> bool {
     match p {
-        Plan::PartialAggregate { .. } => true,
+        Plan::PartialAggregate { spec, .. } => spec.count.is_some(),
         Plan::Join { left, right, .. } => {
             contains_partial_aggregate(left) || contains_partial_aggregate(right)
         }
-        Plan::GroupBy { input, .. } | Plan::PartialGroupBy { input, .. } => {
-            contains_partial_aggregate(input)
-        }
+        Plan::GroupBy { input, .. } => contains_partial_aggregate(input),
         Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => false,
     }
 }
@@ -519,17 +520,18 @@ fn partial_aggregation_requires_a_matching_merge_stage() {
     let mut env = QueryEnv::default();
     let e = env.add_rel("emp");
     let aref = AggRef::new(ViewId::Top, 0);
-    let partial = Plan::partial_group_by_all(
+    let partial = Plan::partial_aggregate_all(
         scan_emp(e),
-        PartialGroupSpec {
+        PartialAggSpec {
             group_cols: vec![Col::base(e, emp::DNO)],
             aggs: vec![(
                 aref,
                 AggSpec::new(AggFunc::Sum, Expr::col(Col::base(e, emp::SAL))),
             )],
+            count: None,
         },
     );
-    // A partial group-by with no merge group-by above leaks raw
+    // A partial aggregate with no merge group-by above leaks raw
     // partial states as the result — Figure 2 requires the second stage.
     let report = PlanAnalyzer::new(&catalog).analyze(&partial);
     assert!(

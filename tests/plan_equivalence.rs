@@ -169,9 +169,9 @@ fn pull_up_transformation_preserves_results() {
                     find_join_over_gb(left).or_else(|| find_join_over_gb(right))
                 }
             }
-            Plan::GroupBy { input, .. }
-            | Plan::PartialGroupBy { input, .. }
-            | Plan::PartialAggregate { input, .. } => find_join_over_gb(input),
+            Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
+                find_join_over_gb(input)
+            }
             Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => None,
         }
     }
