@@ -37,7 +37,7 @@ use aggview_core::OptimizerConfig;
 use aggview_executor::partition::AggInput;
 use aggview_executor::{vector, Engine, ExecOptions};
 use aggview_storage::datagen::{gen_empdept, gen_star, EmpDeptConfig, StarConfig};
-use aggview_storage::Catalog;
+use aggview_storage::{Catalog, Table};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -483,7 +483,7 @@ pub fn run_exec_bench(cfg: &ExecBenchConfig) -> Result<ExecBenchReport> {
         .collect();
     let serial_kernels = SerialKernels {
         kernels: vec![
-            filter_kernel(&emp_rows, &emp_types, repeats)?,
+            filter_kernel(empdept.get("emp")?.as_ref(), repeats)?,
             join_kernel(&emp_rows, &emp_types, &dept_rows, &dept_types, repeats)?,
             group_kernel(&emp_rows, &emp_types, repeats)?,
         ],
@@ -1193,23 +1193,13 @@ fn timing(name: &'static str, input_rows: usize, ms: f64) -> KernelTiming {
     }
 }
 
-/// Scan+filter+project. Mirrors the engine's compact-scan layout — only
-/// the columns the predicates and projection touch are transposed — so
-/// the kernel pays the tuple-to-column transposition cost it pays at a
-/// real scan boundary.
-fn filter_kernel(
-    emp_rows: &[Tuple],
-    emp_types: &[DataType],
-    repeats: usize,
-) -> Result<KernelTiming> {
+/// Scan+filter+project of the emp table, as the engine's scan runs it:
+/// over the table's column image. Whichever scan names a column first
+/// transposes it; best-of-`repeats` times the scans after that one.
+fn filter_kernel(table: &Table, repeats: usize) -> Result<KernelTiming> {
     let gov = ResourceGovernor::unlimited();
     let opts = ExecOptions::with_threads(1);
-    // SELECT dno, sal FROM emp WHERE sal >= 800 AND age < 40, over the
-    // compact physical layout {dno, sal, age}: eno and name are unused.
-    let phys = [emp::DNO, emp::SAL, emp::AGE];
-    let types: Vec<DataType> = phys.iter().map(|&p| emp_types[p]).collect();
-    let compact =
-        |c: Col| -> Option<usize> { emp_layout(c).and_then(|p| phys.iter().position(|&q| q == p)) };
+    // SELECT dno, sal FROM emp WHERE sal >= 800 AND age < 40.
     let preds: Vec<BoundPredicate> = [
         Predicate::cmp_const(
             Col::base(RelId(0), emp::SAL),
@@ -1219,12 +1209,12 @@ fn filter_kernel(
         Predicate::cmp_const(Col::base(RelId(0), emp::AGE), CmpOp::Lt, Value::Int(40)),
     ]
     .iter()
-    .map(|p| p.bind(&compact))
+    .map(|p| p.bind(&emp_layout))
     .collect::<Result<_>>()?;
     let (ms, _) = time_best(repeats, || {
-        vector::scan_filter_project(&opts, &gov, emp_rows, &phys, &types, &preds, &[0, 1])
+        vector::scan_table(&opts, &gov, table, &preds, &[emp::DNO, emp::SAL])
     })?;
-    Ok(timing("filter", emp_rows.len(), ms))
+    Ok(timing("filter", table.len(), ms))
 }
 
 /// Hash join build + probe (fx-prehashed key columns). Inputs are
@@ -1247,7 +1237,7 @@ fn join_kernel(
     let build = Batch::from_tuples(dept_rows, &identity(dept_types.len()), dept_types);
     let probe = Batch::from_tuples(emp_rows, &identity(emp_types.len()), emp_types);
     let (ms, _) = time_best(repeats, || {
-        let index = vector::build_index(&opts, &gov, &build, &build_pos, None)?;
+        let index = vector::build_index(&opts, &gov, &build, &build_pos)?;
         vector::probe_join(
             &opts,
             &gov,

@@ -2,10 +2,10 @@
 //!
 //! A [`Batch`] is a set of equal-length [`ColumnVec`]s plus an explicit
 //! row count (so zero-column projections still know how many rows they
-//! carry). Operators transpose base-table tuples into batches at scans,
-//! process fixed-size tiles with per-column kernels, and materialize
-//! back to `Vec<Tuple>` ([`Batch::to_tuples`]) only at plan boundaries —
-//! the result set, matview extent builds, and verification.
+//! carry). Scans gather batches out of their table's column image;
+//! operators process fixed-size tiles with per-column kernels and
+//! materialize back to `Vec<Tuple>` ([`Batch::to_tuples`]) only at plan
+//! boundaries — the result set, matview extent builds, and verification.
 //!
 //! Byte accounting is representation-independent: a batch's
 //! [`total_bytes`](Batch::total_bytes) equals the sum of

@@ -12,8 +12,8 @@
 //! The hasher is a fixed-key SipHash-1-3-style mix via
 //! [`std::collections::hash_map::DefaultHasher`] seeded identically on
 //! every thread, so **the same key hashes to the same bucket on every
-//! worker** — the property partitioned parallel operators rely on to
-//! route build and probe rows of one key to the same partition.
+//! worker** — per-worker group tables merge by it, and a join's probe
+//! workers all read the one index its build made.
 
 use crate::tuple::Tuple;
 use crate::value::Value;

@@ -15,7 +15,7 @@
 //!   decomposability machinery needed by the *simple coalescing grouping*
 //!   transformation (partial/combine/finalize states),
 //! * [`hash`] — allocation-free, thread-consistent key hashing used by
-//!   the executor's hash join, hash aggregation, and the partitioned
+//!   the executor's hash join, hash aggregation, and the chunked
 //!   parallel operators built on them,
 //! * [`ColumnVec`] / [`Batch`] — typed column vectors and column-major
 //!   batches, the data representation of the vectorized executor,

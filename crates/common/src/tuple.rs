@@ -11,13 +11,17 @@ use std::ops::Index;
 /// happens once, at plan-build time, producing positional indexes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Tuple {
-    values: Vec<Value>,
+    /// Boxed, not a `Vec`: a stored row never grows, and the capacity
+    /// word would cost 8 bytes on every row of every table.
+    values: Box<[Value]>,
 }
 
 impl Tuple {
-    /// Construct from values.
+    /// Construct from values (no copy when `values` is at capacity).
     pub fn new(values: Vec<Value>) -> Tuple {
-        Tuple { values }
+        Tuple {
+            values: values.into_boxed_slice(),
+        }
     }
 
     /// Arity of the tuple.
@@ -37,7 +41,7 @@ impl Tuple {
 
     /// Consume and return the underlying values.
     pub fn into_values(self) -> Vec<Value> {
-        self.values
+        self.values.into_vec()
     }
 
     /// Concatenate two tuples (used by join operators).
@@ -45,7 +49,7 @@ impl Tuple {
         let mut values = Vec::with_capacity(self.arity() + other.arity());
         values.extend_from_slice(&self.values);
         values.extend_from_slice(&other.values);
-        Tuple { values }
+        Tuple::new(values)
     }
 
     /// Project positions `idxs` into a new tuple.
@@ -70,7 +74,7 @@ impl Index<usize> for Tuple {
 
 impl From<Vec<Value>> for Tuple {
     fn from(values: Vec<Value>) -> Tuple {
-        Tuple { values }
+        Tuple::new(values)
     }
 }
 

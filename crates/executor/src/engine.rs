@@ -310,10 +310,10 @@ impl<'a> Engine<'a> {
 
     /// Shared body of both scan operators: charge the whole-table read,
     /// then run the pushed-down filters and the projection over the
-    /// table's rows. `layout_of` maps logical columns to *physical* tuple
-    /// positions given the table's arity; only the physical columns the
-    /// filters and projection actually touch are transposed into the
-    /// columnar kernel, which sees them under a compact re-numbering.
+    /// table's column image. `layout_of` maps logical columns to
+    /// *physical* column positions given the table's arity; filters and
+    /// projection are bound to those, and the image holds only the
+    /// columns some scan has named.
     fn scan_table(
         &self,
         ctx: &mut ExecCtx<'_>,
@@ -333,26 +333,12 @@ impl<'a> Engine<'a> {
             pages: ops::scan_io(pages),
         });
         let layout = layout_of(t.schema().len());
-        let mut used = positions_of(project, &layout, "scan projects")?;
-        for f in filters {
-            let cols: Vec<Col> = f.cols_used().into_iter().collect();
-            used.extend(positions_of(&cols, &layout, "scan filters on")?);
-        }
-        used.sort_unstable();
-        used.dedup();
-        let compact: HashMap<Col, usize> = layout
-            .iter()
-            .filter_map(|(&c, p)| used.binary_search(p).ok().map(|n| (c, n)))
-            .collect();
-        let types: Vec<DataType> = used.iter().map(|&p| t.schema().field(p).ty).collect();
-        let (out, out_bytes) = vector::scan_filter_project(
+        let (out, out_bytes) = vector::scan_table(
             &ctx.options,
             ctx.gov,
-            t.rows(),
-            &used,
-            &types,
-            &bind_all(filters, &compact)?,
-            &positions_of(project, &compact, "scan projects")?,
+            &t,
+            &bind_all(filters, &layout)?,
+            &positions_of(project, &layout, "scan projects")?,
         )?;
         ctx.note_op_output(out_bytes);
         Ok((project.to_vec(), out))
@@ -421,11 +407,7 @@ impl<'a> Engine<'a> {
 
         // Build on the smaller input, probe the larger (hash join only).
         let build_left = lb.len() <= rb.len();
-        let (build, probe, build_plan) = if build_left {
-            (&lb, &rb, left)
-        } else {
-            (&rb, &lb, right)
-        };
+        let (build, probe) = if build_left { (&lb, &rb) } else { (&rb, &lb) };
         let (build_pos, probe_pos): (Vec<usize>, Vec<usize>) = if build_left {
             eq_keys.iter().copied().unzip()
         } else {
@@ -434,8 +416,7 @@ impl<'a> Engine<'a> {
         let (out, out_bytes) = if eq_keys.is_empty() {
             vector::nested_loop_join(&ctx.options, ctx.gov, &lb, &rb, &residual, &positions)?
         } else {
-            let build_hint = self.stats_rows_hint(build_plan);
-            let index = vector::build_index(&ctx.options, ctx.gov, build, &build_pos, build_hint)?;
+            let index = vector::build_index(&ctx.options, ctx.gov, build, &build_pos)?;
             vector::probe_join(
                 &ctx.options,
                 ctx.gov,
@@ -538,7 +519,7 @@ impl<'a> Engine<'a> {
             }
         }
         let full = Batch::from_parts(cols, ngroups);
-        let sel = vector::filter_tile(&bound_having, &full)?;
+        let sel = vector::filter_rows(&bound_having, &|i| full.col(i), 0..ngroups)?;
         let mut out = Batch::from_parts(
             positions
                 .iter()
@@ -561,21 +542,6 @@ impl<'a> Engine<'a> {
             pages: charge,
         });
         Ok((project.to_vec(), out))
-    }
-
-    /// Row-count hint for pre-sizing a hash-join build table: available
-    /// when the build input is a bare table scan with fresh statistics.
-    fn stats_rows_hint(&self, plan: &Plan) -> Option<usize> {
-        match plan {
-            Plan::Scan { table, .. } | Plan::ExtentScan { table, .. } => {
-                if self.catalog.stats_fresh(table) {
-                    Some(self.catalog.get(table).ok()?.len())
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
     }
 
     /// Page count of an operator output (batch byte totals equal the
@@ -712,6 +678,44 @@ mod tests {
         // Every surviving row satisfies the filter.
         let age = rs.col_index(Col::base(RelId(0), emp::AGE)).unwrap();
         assert!(rs.rows.iter().all(|r| r.get(age).as_i64().unwrap() < 22));
+    }
+
+    #[test]
+    fn a_held_table_scans_its_old_rows_after_a_patch() {
+        let (cat, env) = setup();
+        let e = engine(&cat, &env);
+        let plan = Plan::scan(RelId(1), "dept", vec![], all_cols(RelId(1), 4));
+        let held = cat.get("dept").unwrap();
+        let scan_held = || {
+            let gov = ResourceGovernor::unlimited();
+            vector::scan_table(&ExecOptions::serial(), &gov, &held, &[], &[0, 1, 2, 3])
+                .unwrap()
+                .0
+                .to_tuples()
+        };
+        // The engine scans the very table `held` points at, so its image
+        // exists before the patch arrives.
+        let before = e.execute(&plan).unwrap().rows;
+        assert_eq!(scan_held(), before);
+
+        // `held` is shared: the patch edits a copy, which starts without
+        // an image; the reader's table and image stay as they were.
+        cat.delete_rows("dept", &[0]).unwrap();
+        assert_eq!(scan_held(), before);
+        let after = e.execute(&plan).unwrap().rows;
+        assert_eq!(after, before[1..]);
+
+        // Nobody holds the new table: the next patch edits it in place
+        // and must drop the image the scan above built.
+        let mut renamed = after[0].values().to_vec();
+        renamed[dept::DNAME] = Value::str("renamed");
+        let renamed = Tuple::new(renamed);
+        cat.update_rows("dept", &[0], vec![renamed.clone()])
+            .unwrap();
+        let last = e.execute(&plan).unwrap().rows;
+        assert_eq!(last, cat.get("dept").unwrap().rows());
+        assert_eq!(last[0], renamed);
+        assert_eq!(scan_held(), before);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! experiment E9 quantifies.
 //!
 //! * [`engine`] — the recursive evaluator over columnar batches: scans
-//!   with pushed-down filters, hash/nested-loop joins, and one
+//!   of the tables' column images with pushed-down filters, hash/nested-loop joins, and one
 //!   aggregation body that serves both the full group-by (finalize +
 //!   HAVING) and the partial aggregate (emit Figure-2 state components);
 //!   a group-by whose input carries [`aggview_common::PartRef`] columns
@@ -17,10 +17,10 @@
 //! * [`vector`] — the columnar kernels the engine runs: tile-wise
 //!   filter, join and hash aggregation over typed column vectors;
 //! * [`parallel`] / [`partition`] — data parallelism: contiguous worker
-//!   chunks over a `std::thread::scope` pool, hash-partitioned join
-//!   builds, and two-phase aggregation (per-worker tables coalesced by a
-//!   global merge — the physical form of the paper's simple coalescing
-//!   grouping). Thread count and tile size come from [`ExecOptions`]
+//!   chunks over a `std::thread::scope` pool, the flat join index every
+//!   probe worker reads, and two-phase aggregation (per-worker tables
+//!   coalesced by a global merge — the physical form of the paper's
+//!   simple coalescing grouping). Thread count and tile size come from [`ExecOptions`]
 //!   (`AGGVIEW_THREADS`, REPL `.set threads N`);
 //! * [`matview`] / [`delta`] — building and maintaining materialized
 //!   aggregate-view extents: full builds/refreshes through the governed

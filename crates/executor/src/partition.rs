@@ -1,14 +1,15 @@
-//! Partitioned hash structures shared by the executor's kernels and
+//! Hash structures shared by the executor's kernels and
 //! the materialized-view maintenance paths.
 //!
 //! Four pieces live here:
 //!
 //! * [`chunk_ranges`] — split `n` input rows into contiguous, near-equal
 //!   worker chunks;
-//! * [`JoinIndex`] — a hash-partitioned build-side index for hash
-//!   joins: `key hash → build-row indices`, resolved to real matches by
-//!   comparing the key columns themselves (hash-then-compare — no
-//!   `Vec<Value>` key is ever materialized);
+//! * [`JoinIndex`] — the flat build-side index of hash joins: `key
+//!   hash → build-row indices`, resolved to real matches by comparing
+//!   the key columns themselves (hash-then-compare — no `Vec<Value>` key
+//!   is ever materialized), over the directory rule [`dir_index`] that
+//!   the group table shares;
 //! * [`AggInput`] — how one aggregate reads its per-row input (raw
 //!   argument, partial-state components, or a duplicate-factor-scaled
 //!   argument), shared by the columnar aggregation kernel and the
@@ -50,37 +51,72 @@ pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// A hash-partitioned build-side index: partition `hash % nparts`, then
-/// `hash → ascending build-row indices` within the partition.
+/// Home cell of `hash` in a directory of `1 << bits` cells (`bits` in
+/// `1..64`): the top `bits` bits. The fx chain ends in a multiply, which
+/// pushes a key's entropy towards the high end of the word — the low
+/// bits of hashed small integers barely differ. The one rule for every
+/// directory in the executor, [`JoinIndex`] and the group table alike.
+#[inline]
+pub fn dir_index(hash: u64, bits: u32) -> usize {
+    (hash >> (64 - bits)) as usize
+}
+
+/// The build side of a hash join as three flat arrays: `buckets[cell]`
+/// heads the chain of build rows whose key hash is homed in `cell`
+/// ([`dir_index`]), `next[row]` links to the following row of that
+/// chain, and `hashes[row]` tells rows of other keys sharing the cell
+/// apart without touching the key columns. Links are `row + 1`, `0`
+/// ends a chain. At least two cells per row keep the chains short.
 ///
-/// With one partition this is the serial hash-join table; the parallel
-/// build ([`crate::vector::build_index`]) scatters `(hash, row)` pairs
-/// by partition so independent workers can each own one partition's
-/// map. Candidate lists are kept in ascending build-row order regardless
-/// of how the index was built, so serial and parallel joins emit matches
-/// in the same order.
+/// Every chain ascends by build row, so a probe row meets its matches
+/// in build order whatever the hash function does.
 #[derive(Debug)]
 pub struct JoinIndex {
-    nparts: usize,
-    parts: Vec<PrehashedMap<Vec<u32>>>,
+    buckets: Vec<u32>,
+    bits: u32,
+    next: Vec<u32>,
+    hashes: Vec<u64>,
 }
 
 impl JoinIndex {
-    /// Assemble from per-partition maps (one map = the serial table).
-    pub fn from_parts(parts: Vec<PrehashedMap<Vec<u32>>>) -> JoinIndex {
+    /// Index build rows `0..hashes.len()` by their key hashes. Rows are
+    /// linked in from the last to the first, each at the head of its
+    /// chain, which is what leaves the chains ascending.
+    pub fn new(hashes: Vec<u64>) -> JoinIndex {
+        let cells = (hashes.len() * 2).next_power_of_two().max(16);
+        let bits = cells.trailing_zeros();
+        let mut buckets = vec![0u32; cells];
+        let mut next = vec![0u32; hashes.len()];
+        for (row, &h) in hashes.iter().enumerate().rev() {
+            let head = &mut buckets[dir_index(h, bits)];
+            next[row] = *head;
+            *head = row as u32 + 1;
+        }
         JoinIndex {
-            nparts: parts.len().max(1),
-            parts,
+            buckets,
+            bits,
+            next,
+            hashes,
         }
     }
 
-    /// Build-row indices whose key hashed to `hash` (candidates — the
-    /// caller must confirm with a key comparison).
-    pub fn candidates(&self, hash: u64) -> &[u32] {
-        self.parts
-            .get((hash % self.nparts as u64) as usize)
-            .and_then(|m| m.get(&hash))
-            .map_or(&[], Vec::as_slice)
+    /// The build rows homed in `hash`'s cell, ascending — candidates
+    /// only. Rows of other hashes share the cell, and equal hashes do not
+    /// make equal keys: skip the first kind with
+    /// [`hash_of`](Self::hash_of) (or, where that is as cheap, by the
+    /// key itself) and always confirm with a key comparison.
+    pub fn chain(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
+        let mut at = self.buckets[dir_index(hash, self.bits)];
+        std::iter::from_fn(move || {
+            let row = at.checked_sub(1)?;
+            at = self.next[row as usize];
+            Some(row)
+        })
+    }
+
+    /// The key hash build row `row` was indexed under.
+    pub fn hash_of(&self, row: u32) -> u64 {
+        self.hashes[row as usize]
     }
 }
 
@@ -294,7 +330,7 @@ impl GroupTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aggview_common::tuple;
+    use aggview_common::{tuple, Batch, ColumnVec};
 
     #[test]
     fn chunk_ranges_cover_exactly() {
@@ -313,6 +349,71 @@ mod tests {
                 assert!(ranges.len() <= parts);
             }
         }
+    }
+
+    /// The directory rule against the key families joins and group-bys
+    /// actually see. A uniform hash would occupy 83% as many cells as
+    /// there are keys; the fx chain keeps its entropy in the high bits,
+    /// and an index taken from the low ones fell to 50% with chains of 12.
+    #[test]
+    fn dir_index_spreads_hashed_keys_over_the_directory() {
+        const N: usize = 12_500;
+        const BITS: u32 = 15;
+        let ints = |f: fn(i64) -> i64| ColumnVec::Int((0..N as i64).map(f).collect());
+        let families = [
+            ("Int i", ints(|i| i)),
+            ("Int 1000i + 7", ints(|i| 1000 * i + 7)),
+            (
+                "Float 12.5i + 0.5",
+                ColumnVec::Float((0..N).map(|i| 12.5 * i as f64 + 0.5).collect()),
+            ),
+            (
+                "Str",
+                ColumnVec::Str((0..N).map(|i| format!("key-{i}").into()).collect()),
+            ),
+        ];
+        for (family, keys) in families {
+            let mut hashes = Vec::new();
+            Batch::new(vec![keys]).hash_rows(&[0], 0..N, &mut hashes);
+            let mut per_cell = vec![0usize; 1 << BITS];
+            for &h in &hashes {
+                per_cell[dir_index(h, BITS)] += 1;
+            }
+            let occupied = per_cell.iter().filter(|&&n| n > 0).count();
+            let longest = per_cell.iter().copied().max().unwrap_or(0);
+            assert!(
+                occupied * 10 >= N * 8,
+                "{family}: {N} keys on only {occupied} home cells"
+            );
+            assert!(longest <= 6, "{family}: a chain of {longest}");
+            // The join index sizes itself to this directory and homes
+            // its rows by the same rule.
+            let index = JoinIndex::new(hashes.clone());
+            for &h in &hashes {
+                assert_eq!(index.chain(h).count(), per_cell[dir_index(h, BITS)]);
+            }
+        }
+    }
+
+    #[test]
+    fn join_index_chains_ascend_and_hold_every_row_of_their_hash() {
+        // Seven distinct hashes over 500 rows, spread over the directory.
+        let hashes: Vec<u64> = (0..500u64)
+            .map(|i| (i % 7).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        let index = JoinIndex::new(hashes.clone());
+        for (row, &h) in hashes.iter().enumerate() {
+            let chain: Vec<u32> = index.chain(h).collect();
+            assert!(chain.windows(2).all(|w| w[0] < w[1]), "chains ascend");
+            let same_hash: Vec<u32> = chain
+                .into_iter()
+                .filter(|&r| index.hash_of(r) == h)
+                .collect();
+            let expect: Vec<u32> = (0..500u32).filter(|&r| hashes[r as usize] == h).collect();
+            assert_eq!(same_hash, expect);
+            assert!(expect.contains(&(row as u32)));
+        }
+        assert_eq!(JoinIndex::new(Vec::new()).chain(42).count(), 0);
     }
 
     #[test]

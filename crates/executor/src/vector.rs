@@ -3,8 +3,8 @@
 //! The engine's operators process fixed-size column-major tiles of
 //! [`ExecOptions::batch_rows`] rows with tight per-column loops:
 //!
-//! * [`scan_filter_project`] — transpose, filter via selection vectors,
-//!   gather-project;
+//! * [`scan_table`] — filter a table's column image via selection
+//!   vectors, gather-project the survivors;
 //! * [`build_index`] / [`probe_join`] / [`nested_loop_join`] — hash and
 //!   nested-loop joins whose matches are emitted as per-side selection
 //!   vectors and gathered column-by-column;
@@ -12,9 +12,10 @@
 //!   [`BatchGroupTable`] whose keys stay column-major.
 //!
 //! Contracts every kernel keeps: inputs split into [`chunk_ranges`]
-//! worker chunks and outputs stitch back in chunk order (so a parallel
-//! run emits the rows of the serial one, and the two-phase aggregation's
-//! float-merge order is fixed by the chunking alone), the governor is
+//! worker chunks (all but the join build, one serial pass) and outputs
+//! stitch back in chunk order (so a parallel run emits the rows of the
+//! serial one, and the two-phase aggregation's float-merge order is
+//! fixed by the chunking alone), the governor is
 //! charged per tile via [`ResourceGovernor::charge_output_bulk`]
 //! (clamped so budget overshoot still reads as at most one row past the
 //! cap), and cancellation is checked at every tile boundary.
@@ -26,13 +27,12 @@
 //! output.
 
 use crate::parallel::{run_chunks, ExecOptions};
-use crate::partition::{chunk_ranges, AggInput, JoinIndex};
+use crate::partition::{chunk_ranges, dir_index, AggInput, JoinIndex};
 use aggview_common::expr::BoundExpr;
 use aggview_common::predicate::BoundPredicate;
-use aggview_common::{
-    AggFunc, AggViewError, Batch, ColumnVec, PartialAggState, PrehashedMap, Result, Tuple, Value,
-};
+use aggview_common::{AggFunc, AggViewError, Batch, ColumnVec, PartialAggState, Result, Value};
 use aggview_core::governor::ResourceGovernor;
+use aggview_storage::Table;
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -75,10 +75,10 @@ fn stitch(parts: Vec<(Batch, u64)>, empty: impl FnOnce() -> Batch) -> (Batch, u6
 // ---------------------------------------------------------------------
 
 /// Push every row of the current selection whose `ord(i)` satisfies
-/// `op`. `cur == None` means "all rows of `0..n`".
+/// `op`. `cur == None` means "all rows of `rows`".
 fn sel_by_ord(
     op: aggview_common::CmpOp,
-    n: usize,
+    rows: Range<usize>,
     cur: Option<&[u32]>,
     out: &mut Vec<u32>,
     ord: impl Fn(usize) -> Ordering,
@@ -92,7 +92,7 @@ fn sel_by_ord(
             }
         }
         None => {
-            for i in 0..n {
+            for i in rows {
                 if op.matches(ord(i)) {
                     out.push(i as u32);
                 }
@@ -103,7 +103,7 @@ fn sel_by_ord(
 
 /// Fallible variant of [`sel_by_ord`] for generic row-wise evaluation.
 fn sel_by_eval(
-    n: usize,
+    rows: Range<usize>,
     cur: Option<&[u32]>,
     out: &mut Vec<u32>,
     mut f: impl FnMut(usize) -> Result<bool>,
@@ -117,7 +117,7 @@ fn sel_by_eval(
             }
         }
         None => {
-            for i in 0..n {
+            for i in rows {
                 if f(i)? {
                     out.push(i as u32);
                 }
@@ -134,26 +134,26 @@ fn sel_col_const(
     op: aggview_common::CmpOp,
     col: &ColumnVec,
     c: &Value,
-    n: usize,
+    rows: Range<usize>,
     cur: Option<&[u32]>,
     out: &mut Vec<u32>,
 ) -> bool {
     match (col, c) {
-        (ColumnVec::Int(xs), Value::Int(k)) => sel_by_ord(op, n, cur, out, |i| xs[i].cmp(k)),
+        (ColumnVec::Int(xs), Value::Int(k)) => sel_by_ord(op, rows, cur, out, |i| xs[i].cmp(k)),
         (ColumnVec::Int(xs), Value::Float(k)) => {
-            sel_by_ord(op, n, cur, out, |i| (xs[i] as f64).total_cmp(k))
+            sel_by_ord(op, rows, cur, out, |i| (xs[i] as f64).total_cmp(k))
         }
         (ColumnVec::Float(xs), Value::Int(k)) => {
             let k = *k as f64;
-            sel_by_ord(op, n, cur, out, |i| xs[i].total_cmp(&k))
+            sel_by_ord(op, rows, cur, out, |i| xs[i].total_cmp(&k))
         }
         (ColumnVec::Float(xs), Value::Float(k)) => {
-            sel_by_ord(op, n, cur, out, |i| xs[i].total_cmp(k))
+            sel_by_ord(op, rows, cur, out, |i| xs[i].total_cmp(k))
         }
         (ColumnVec::Str(xs), Value::Str(k)) => {
-            sel_by_ord(op, n, cur, out, |i| xs[i].as_ref().cmp(k.as_ref()))
+            sel_by_ord(op, rows, cur, out, |i| xs[i].as_ref().cmp(k.as_ref()))
         }
-        (ColumnVec::Bool(xs), Value::Bool(k)) => sel_by_ord(op, n, cur, out, |i| xs[i].cmp(k)),
+        (ColumnVec::Bool(xs), Value::Bool(k)) => sel_by_ord(op, rows, cur, out, |i| xs[i].cmp(k)),
         _ => return false,
     }
     true
@@ -165,44 +165,49 @@ fn sel_col_col(
     op: aggview_common::CmpOp,
     a: &ColumnVec,
     b: &ColumnVec,
-    n: usize,
+    rows: Range<usize>,
     cur: Option<&[u32]>,
     out: &mut Vec<u32>,
 ) -> bool {
     match (a, b) {
         (ColumnVec::Int(xs), ColumnVec::Int(ys)) => {
-            sel_by_ord(op, n, cur, out, |i| xs[i].cmp(&ys[i]))
+            sel_by_ord(op, rows, cur, out, |i| xs[i].cmp(&ys[i]))
         }
         (ColumnVec::Int(xs), ColumnVec::Float(ys)) => {
-            sel_by_ord(op, n, cur, out, |i| (xs[i] as f64).total_cmp(&ys[i]))
+            sel_by_ord(op, rows, cur, out, |i| (xs[i] as f64).total_cmp(&ys[i]))
         }
         (ColumnVec::Float(xs), ColumnVec::Int(ys)) => {
-            sel_by_ord(op, n, cur, out, |i| xs[i].total_cmp(&(ys[i] as f64)))
+            sel_by_ord(op, rows, cur, out, |i| xs[i].total_cmp(&(ys[i] as f64)))
         }
         (ColumnVec::Float(xs), ColumnVec::Float(ys)) => {
-            sel_by_ord(op, n, cur, out, |i| xs[i].total_cmp(&ys[i]))
+            sel_by_ord(op, rows, cur, out, |i| xs[i].total_cmp(&ys[i]))
         }
         (ColumnVec::Str(xs), ColumnVec::Str(ys)) => {
-            sel_by_ord(op, n, cur, out, |i| xs[i].cmp(&ys[i]))
+            sel_by_ord(op, rows, cur, out, |i| xs[i].cmp(&ys[i]))
         }
         (ColumnVec::Bool(xs), ColumnVec::Bool(ys)) => {
-            sel_by_ord(op, n, cur, out, |i| xs[i].cmp(&ys[i]))
+            sel_by_ord(op, rows, cur, out, |i| xs[i].cmp(&ys[i]))
         }
         _ => return false,
     }
     true
 }
 
-/// Evaluate the conjunction `preds` over all rows of `tile`, returning
-/// the surviving selection (`None` = every row survives).
+/// Evaluate the conjunction `preds` over rows `rows` of the columns
+/// `col` hands out (predicates are bound to its numbering), returning
+/// the surviving row indices (`None` = every row survives).
 ///
 /// Predicates sweep one at a time over the shrinking selection, so
 /// evaluation is predicate-major; when several predicates *can* error
 /// (only possible on ill-typed data), the surfaced error may belong to a
 /// different row than the row-major reference would pick — both paths
 /// still error, with identical messages for any given (row, predicate).
-pub(crate) fn filter_tile(preds: &[BoundPredicate], tile: &Batch) -> Result<Option<Vec<u32>>> {
-    let n = tile.len();
+pub(crate) fn filter_rows<'a>(
+    preds: &[BoundPredicate],
+    col: &impl Fn(usize) -> &'a ColumnVec,
+    rows: Range<usize>,
+) -> Result<Option<Vec<u32>>> {
+    let n = rows.len();
     let mut cur: Option<Vec<u32>> = None;
     let mut next: Vec<u32> = Vec::new();
     for p in preds {
@@ -210,21 +215,23 @@ pub(crate) fn filter_tile(preds: &[BoundPredicate], tile: &Batch) -> Result<Opti
         let sel = cur.as_deref();
         let handled = match (&p.left, &p.right) {
             (BoundExpr::Col(i), BoundExpr::Const(v)) => {
-                sel_col_const(p.op, tile.col(*i), v, n, sel, &mut next)
+                sel_col_const(p.op, col(*i), v, rows.clone(), sel, &mut next)
             }
             (BoundExpr::Const(v), BoundExpr::Col(j)) => {
                 // Flip the operator so the column drives the sweep; the
                 // typed specializations only fire for comparable pairs,
                 // where flipping cannot change the outcome or error.
-                sel_col_const(p.op.flipped(), tile.col(*j), v, n, sel, &mut next)
+                sel_col_const(p.op.flipped(), col(*j), v, rows.clone(), sel, &mut next)
             }
             (BoundExpr::Col(i), BoundExpr::Col(j)) => {
-                sel_col_col(p.op, tile.col(*i), tile.col(*j), n, sel, &mut next)
+                sel_col_col(p.op, col(*i), col(*j), rows.clone(), sel, &mut next)
             }
             _ => false,
         };
         if !handled {
-            sel_by_eval(n, sel, &mut next, |i| p.eval_with(&|k| tile.value_at(k, i)))?;
+            sel_by_eval(rows.clone(), sel, &mut next, |i| {
+                p.eval_with(&|k| col(k).value_at(i))
+            })?;
         }
         if next.len() == n && cur.is_none() {
             next.clear(); // still unselective
@@ -242,121 +249,73 @@ pub(crate) fn filter_tile(preds: &[BoundPredicate], tile: &Batch) -> Result<Opti
 // Scan
 // ---------------------------------------------------------------------
 
-/// Columnar scan: transpose `rows` tile-by-tile into typed columns
-/// (`phys[c]` is the tuple position backing batch column `c`), filter
-/// with selection vectors, and gather-project `positions` (batch-column
-/// indices) into the output batch. Survivors come back in input order;
-/// the second component is their total byte width.
-pub fn scan_filter_project(
+/// Columnar scan of `table`'s column image ([`Table::column`]): sweep
+/// `preds` over each tile's row range and gather `positions` of the
+/// survivors. Both are bound to the table's physical column numbers, and
+/// only the columns they name are ever transposed. Survivors come back
+/// in row order; the second component is their total byte width.
+pub fn scan_table(
     opts: &ExecOptions,
     gov: &ResourceGovernor,
-    rows: &[Tuple],
-    phys: &[usize],
-    types: &[aggview_common::DataType],
+    table: &Table,
     preds: &[BoundPredicate],
     positions: &[usize],
 ) -> Result<(Batch, u64)> {
-    let out_layout = || {
-        Batch::from_parts(
-            positions
-                .iter()
-                .map(|&p| ColumnVec::with_type(types[p]))
-                .collect(),
-            0,
-        )
+    let out_layout = || -> Vec<ColumnVec> {
+        positions
+            .iter()
+            .map(|&p| ColumnVec::with_type(table.schema().field(p).ty))
+            .collect()
     };
-    let chunks = chunk_ranges(rows.len(), opts.workers_for(rows.len()));
+    let col = |p: usize| table.column(p);
+    let chunks = chunk_ranges(table.len(), opts.workers_for(table.len()));
     let parts = run_chunks(chunks, |range| {
         let mut out = out_layout();
+        let mut out_len = 0usize;
         let mut bytes = 0u64;
-        for_each_tile(gov, range, opts.batch_rows, |tile_range| {
-            let tile = Batch::from_tuples(&rows[tile_range], phys, types);
-            let sel = filter_tile(preds, &tile)?;
-            let (added, w) = match &sel {
-                Some(s) => (s.len(), out.gather_from(&tile, positions, Some(s), 0..0)),
-                None => (
-                    tile.len(),
-                    out.gather_from(&tile, positions, None, 0..tile.len()),
-                ),
-            };
+        for_each_tile(gov, range, opts.batch_rows, |rows| {
+            let sel = filter_rows(preds, &col, rows.clone())?;
+            let mut w = 0u64;
+            for (dst, &p) in out.iter_mut().zip(positions) {
+                w += match &sel {
+                    Some(s) => dst.append_gather(col(p), s),
+                    None => dst.append_range(col(p), rows.clone()),
+                };
+            }
+            let added = sel.map_or(rows.len(), |s| s.len());
             gov.charge_output_bulk(added as u64, w)?;
+            out_len += added;
             bytes += w;
             Ok(())
         })?;
-        Ok((out, bytes))
+        Ok((Batch::from_parts(out, out_len), bytes))
     })?;
-    Ok(stitch(parts, out_layout))
+    Ok(stitch(parts, || Batch::from_parts(out_layout(), 0)))
 }
 
 // ---------------------------------------------------------------------
 // Joins
 // ---------------------------------------------------------------------
 
-/// Build the hash-join index over the build-side batch: a serial
-/// pre-sized map below the parallel threshold; above it, workers scatter
-/// `(hash, row)` pairs by `hash % workers` and then each worker
-/// assembles one partition's map, keeping candidate lists in ascending
-/// build-row order either way. Key columns hash tile-wise.
-///
-/// `rows_hint` carries a fresh-statistics row count for the build input
-/// (when the planner knows one) so the parallel scatter buckets start
-/// at their expected size instead of growing through doublings.
+/// Build the hash-join index over the build-side batch: hash the key
+/// columns tile-wise, then link every row into [`JoinIndex`]'s flat
+/// arrays. Always one serial pass — the index costs a few nanoseconds a
+/// row, less than handing rows between workers would.
 pub fn build_index(
     opts: &ExecOptions,
     gov: &ResourceGovernor,
     build: &Batch,
     key_pos: &[usize],
-    rows_hint: Option<usize>,
 ) -> Result<JoinIndex> {
     let n = build.len();
-    let workers = opts.workers_for(n);
-    if workers <= 1 {
-        let mut map: PrehashedMap<Vec<u32>> =
-            PrehashedMap::with_capacity_and_hasher(n, Default::default());
-        let mut hashes = Vec::new();
-        for_each_tile(gov, 0..n, opts.batch_rows, |r| {
-            build.hash_rows(key_pos, r.clone(), &mut hashes);
-            for (k, &h) in hashes.iter().enumerate() {
-                map.entry(h).or_default().push((r.start + k) as u32);
-            }
-            Ok(())
-        })?;
-        return Ok(JoinIndex::from_parts(vec![map]));
-    }
-    let nparts = workers;
-    let per_bucket = rows_hint
-        .map(|h| h.min(n) / (workers * nparts) + 1)
-        .unwrap_or(0);
-    let chunks = chunk_ranges(n, workers);
-    let scattered = run_chunks(chunks, |range| {
-        let mut buckets: Vec<Vec<(u64, u32)>> = vec![Vec::with_capacity(per_bucket); nparts];
-        let mut hashes = Vec::new();
-        for_each_tile(gov, range, opts.batch_rows, |r| {
-            build.hash_rows(key_pos, r.clone(), &mut hashes);
-            for (k, &h) in hashes.iter().enumerate() {
-                buckets[(h % nparts as u64) as usize].push((h, (r.start + k) as u32));
-            }
-            Ok(())
-        })?;
-        Ok(buckets)
+    let mut hashes = Vec::with_capacity(n);
+    let mut tile = Vec::new();
+    for_each_tile(gov, 0..n, opts.batch_rows, |r| {
+        build.hash_rows(key_pos, r, &mut tile);
+        hashes.extend_from_slice(&tile);
+        Ok(())
     })?;
-    // Worker p owns partition p; visiting scatter buckets in worker order
-    // keeps candidate lists in ascending build-row order.
-    let scattered = &scattered;
-    let parts = run_chunks(chunk_ranges(nparts, nparts), |range| {
-        let p = range.start;
-        gov.check_interrupt()?;
-        let cap: usize = scattered.iter().map(|b| b[p].len()).sum();
-        let mut map: PrehashedMap<Vec<u32>> =
-            PrehashedMap::with_capacity_and_hasher(cap, Default::default());
-        for buckets in scattered {
-            for &(h, i) in &buckets[p] {
-                map.entry(h).or_default().push(i);
-            }
-        }
-        Ok(map)
-    })?;
-    Ok(JoinIndex::from_parts(parts))
+    Ok(JoinIndex::new(hashes))
 }
 
 /// Where each projected join-output column gathers from.
@@ -452,7 +411,7 @@ fn residual_ok(
 /// Probe phase of the columnar hash join: hash each probe tile's key
 /// columns, confirm candidates by per-column key comparison, apply
 /// residuals, and gather matches column-by-column — in probe order,
-/// matching the serial row join exactly.
+/// each probe row's matches in build order.
 #[allow(clippy::too_many_arguments)]
 pub fn probe_join(
     opts: &ExecOptions,
@@ -468,6 +427,12 @@ pub fn probe_join(
     positions: &[usize],
 ) -> Result<(Batch, u64)> {
     let emit = BatchJoinEmit::new(positions, left_arity, build_left);
+    // A single Int key on both sides is confirmed on the `i64` slices
+    // themselves: cheaper than the hash comparison that would spare it.
+    let int_keys = match (build_pos, probe_pos) {
+        ([b], [p]) => build.col(*b).as_int().zip(probe.col(*p).as_int()),
+        _ => None,
+    };
     let chunks = chunk_ranges(probe.len(), opts.workers_for(probe.len()));
     let parts = run_chunks(chunks, |range| {
         let mut out = emit.out_columns(build, probe);
@@ -482,27 +447,25 @@ pub fn probe_join(
             probe_sel.clear();
             for (k, &h) in hashes.iter().enumerate() {
                 let pi = r.start + k;
-                'cand: for &bi in index.candidates(h) {
-                    for (&bp, &pp) in build_pos.iter().zip(probe_pos) {
-                        if !build.col(bp).eq_rows(bi as usize, probe.col(pp), pi) {
-                            continue 'cand;
+                for bi in index.chain(h) {
+                    let b = bi as usize;
+                    let same_key = match int_keys {
+                        Some((bk, pk)) => bk[b] == pk[pi],
+                        None => {
+                            index.hash_of(bi) == h
+                                && build_pos
+                                    .iter()
+                                    .zip(probe_pos)
+                                    .all(|(&bp, &pp)| build.col(bp).eq_rows(b, probe.col(pp), pi))
                         }
-                    }
-                    if !residual.is_empty()
-                        && !residual_ok(
-                            residual,
-                            build,
-                            probe,
-                            bi as usize,
-                            pi,
-                            build_left,
-                            left_arity,
-                        )?
+                    };
+                    if same_key
+                        && (residual.is_empty()
+                            || residual_ok(residual, build, probe, b, pi, build_left, left_arity)?)
                     {
-                        continue;
+                        build_sel.push(bi);
+                        probe_sel.push(pi as u32);
                     }
-                    build_sel.push(bi);
-                    probe_sel.push(pi as u32);
                 }
             }
             if !build_sel.is_empty() {
@@ -592,7 +555,9 @@ pub fn nested_loop_join(
 /// first-seen append order, so its layout never affects output.
 struct SlotDir {
     table: Vec<u32>,
-    mask: usize,
+    /// `log2(table.len())`: the home cell is [`dir_index`] of this many
+    /// bits.
+    bits: u32,
 }
 
 /// Directory probe outcome: an existing group, or the empty cell where
@@ -606,8 +571,12 @@ impl SlotDir {
     fn new() -> SlotDir {
         SlotDir {
             table: vec![0; 16],
-            mask: 15,
+            bits: 4,
         }
+    }
+
+    fn mask(&self) -> usize {
+        self.table.len() - 1
     }
 
     /// Keep the directory at most half full so probe chains stay short
@@ -623,22 +592,16 @@ impl SlotDir {
         let cap = self.table.len() * 2;
         self.table.clear();
         self.table.resize(cap, 0);
-        self.mask = cap - 1;
+        self.bits += 1;
+        let mask = self.mask();
         for (s, &h) in hashes.iter().enumerate() {
-            let mut idx = dir_index(h, self.mask);
+            let mut idx = dir_index(h, self.bits);
             while self.table[idx] != 0 {
-                idx = (idx + 1) & self.mask;
+                idx = (idx + 1) & mask;
             }
             self.table[idx] = s as u32 + 1;
         }
     }
-}
-
-/// Directory home cell for a hash: fold the high half in so the index
-/// keeps the multiply-mixed high bits that a plain `& mask` would drop.
-#[inline]
-fn dir_index(hash: u64, mask: usize) -> usize {
-    ((hash ^ (hash >> 32)) as usize) & mask
 }
 
 /// Columnar hash-aggregation table: insertion-ordered groups whose keys
@@ -673,8 +636,8 @@ impl BatchGroupTable {
     /// (hash equality is checked first, so `eq` only runs on real
     /// collisions within a probe chain).
     fn find(&self, hash: u64, mut eq: impl FnMut(usize) -> bool) -> Probe {
-        let mask = self.index.mask;
-        let mut idx = dir_index(hash, mask);
+        let mask = self.index.mask();
+        let mut idx = dir_index(hash, self.index.bits);
         loop {
             let e = self.index.table[idx];
             if e == 0 {
@@ -1070,10 +1033,10 @@ mod tests {
     use super::*;
     use crate::reference;
     use aggview_common::{
-        tuple, AggSpec, CmpOp, Col, DataType, Expr, Predicate, RelId, Schema, ViewId,
+        tuple, AggSpec, CmpOp, Col, DataType, Expr, Predicate, RelId, Schema, Tuple, ViewId,
     };
     use aggview_core::plan::{all_cols, GroupBySpec, Plan};
-    use aggview_storage::{Catalog, Table};
+    use aggview_storage::Catalog;
 
     const TYPES: [DataType; 3] = [DataType::Int, DataType::Int, DataType::Str];
 
@@ -1128,16 +1091,14 @@ mod tests {
 
     #[test]
     fn scan_matches_reference() {
-        let rows = input_rows(50);
+        let cat = catalog(&[("t", 50)]);
         let gov = ResourceGovernor::unlimited();
         let pred = Predicate::cmp_const(Col::base(RelId(0), 0), CmpOp::Ge, 2i64);
         let bound = pred.bind(&|c| layout(c)).unwrap();
-        let (batch, bytes) = scan_filter_project(
+        let (batch, bytes) = scan_table(
             &opts(),
             &gov,
-            &rows,
-            &[0, 1, 2],
-            &TYPES,
+            &cat.get("t").unwrap(),
             std::slice::from_ref(&bound),
             &[2, 0],
         )
@@ -1148,7 +1109,7 @@ mod tests {
             vec![pred],
             vec![Col::base(RelId(0), 2), Col::base(RelId(0), 0)],
         );
-        let expect = reference::evaluate(&plan, &catalog(&[("t", 50)])).unwrap();
+        let expect = reference::evaluate(&plan, &cat).unwrap();
         assert_eq!(batch.to_tuples(), expect.rows);
         assert_eq!(bytes, bytes_of(&expect.rows));
     }
@@ -1176,7 +1137,7 @@ mod tests {
         // Build on the smaller (right) side, like the engine would; the
         // probe then walks the left side in order with ascending
         // candidates — the reference's `for l { for r }` order.
-        let index = build_index(&opts(), &gov, &rb, &[0], None).unwrap();
+        let index = build_index(&opts(), &gov, &rb, &[0]).unwrap();
         let (got, bytes) = probe_join(
             &opts(),
             &gov,
@@ -1205,21 +1166,6 @@ mod tests {
         assert!(!expect.rows.is_empty());
         assert_eq!(got.to_tuples(), expect.rows);
         assert_eq!(bytes, bytes_of(&expect.rows));
-    }
-
-    #[test]
-    fn parallel_index_matches_serial_candidates() {
-        let gov = ResourceGovernor::unlimited();
-        let batch = Batch::from_tuples(&input_rows(500), &[0, 1, 2], &TYPES);
-        let serial = build_index(&opts(), &gov, &batch, &[0], None).unwrap();
-        let parallel = build_index(&par(4), &gov, &batch, &[0], Some(500)).unwrap();
-        let mut hashes = Vec::new();
-        batch.hash_rows(&[0], 0..batch.len(), &mut hashes);
-        for h in hashes {
-            let c = serial.candidates(h);
-            assert!(c.windows(2).all(|w| w[0] < w[1]), "candidates ascend");
-            assert_eq!(c, parallel.candidates(h));
-        }
     }
 
     #[test]
@@ -1260,16 +1206,15 @@ mod tests {
 
     #[test]
     fn cancellation_aborts_parallel_workers() {
-        let rows = input_rows(2000);
+        let cat = catalog(&[("t", 2000)]);
         let gov = ResourceGovernor::unlimited();
         gov.token().cancel();
-        let err =
-            scan_filter_project(&par(4), &gov, &rows, &[0, 1, 2], &TYPES, &[], &[0]).unwrap_err();
+        let err = scan_table(&par(4), &gov, &cat.get("t").unwrap(), &[], &[0]).unwrap_err();
         assert_eq!(err.kind(), "cancelled");
     }
 
     #[test]
-    fn filter_tile_errors_match_row_errors() {
+    fn filter_rows_errors_match_row_errors() {
         // Comparing a string column to an int constant must produce the
         // row-wise evaluator's exact message.
         let rows = vec![tuple![1i64, "x"]];
@@ -1277,7 +1222,8 @@ mod tests {
         let p = Predicate::cmp_const(Col::base(RelId(0), 1), CmpOp::Lt, 3i64)
             .bind(&|c| layout(c))
             .unwrap();
-        let batch_err = filter_tile(std::slice::from_ref(&p), &tile).unwrap_err();
+        let batch_err =
+            filter_rows(std::slice::from_ref(&p), &|i| tile.col(i), 0..tile.len()).unwrap_err();
         let row_err = p.eval(&rows[0]).unwrap_err();
         assert_eq!(batch_err.to_string(), row_err.to_string());
     }

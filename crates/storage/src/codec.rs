@@ -224,7 +224,11 @@ pub fn enc_tuple(e: &mut Enc, t: &Tuple) {
 
 pub fn dec_tuple(d: &mut Dec) -> Result<Tuple> {
     let n = d.len("tuple arity")?;
-    let vals = (0..n).map(|_| dec_value(d)).collect::<Result<Vec<_>>>()?;
+    // Exact capacity, so `Tuple::new` boxes the values without a copy.
+    let mut vals = Vec::with_capacity(n);
+    for _ in 0..n {
+        vals.push(dec_value(d)?);
+    }
     Ok(Tuple::new(vals))
 }
 

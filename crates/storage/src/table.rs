@@ -2,12 +2,14 @@
 
 use crate::keys::{ForeignKey, PrimaryKey};
 use crate::stats::{analyze_sized, StatsSummary, TableStats};
-use aggview_common::{AggViewError, DataType, Result, Schema, Tuple, Value};
+use aggview_common::{AggViewError, ColumnVec, DataType, Result, Schema, Tuple, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A relation: schema, rows, key declarations, statistics.
+/// A relation: schema, rows, key declarations, statistics — and, derived
+/// from the rows on demand, the column image scans read
+/// ([`Table::column`]).
 ///
 /// Tables are built via [`TableBuilder`] (which validates arity, types
 /// and key uniqueness, then computes exact statistics) and shared behind
@@ -30,6 +32,29 @@ pub struct Table {
     /// Built by the first patch and carried forward; a table that is
     /// only ever read never allocates it.
     live: Option<Box<Live>>,
+    image: Image,
+}
+
+/// The typed column-major image of a table's rows that scans read: one
+/// slot per column, filled by the first [`Table::column`] call that asks
+/// for it, so a column no scan touches costs nothing. The rows stay the
+/// source of truth — the image is derived from them, never persisted,
+/// and [`Table::apply_patch`] empties it.
+#[derive(Debug)]
+struct Image(Vec<OnceLock<ColumnVec>>);
+
+impl Image {
+    fn empty(ncols: usize) -> Image {
+        Image((0..ncols).map(|_| OnceLock::new()).collect())
+    }
+}
+
+impl Clone for Image {
+    /// A table is cloned by `Arc::make_mut`, for a patch that would drop
+    /// the image anyway: the clone starts without one.
+    fn clone(&self) -> Image {
+        Image::empty(self.0.len())
+    }
 }
 
 /// What a table under DML carries from one patch to the next, so that
@@ -102,6 +127,14 @@ impl Table {
     /// All rows.
     pub fn rows(&self) -> &[Tuple] {
         &self.rows
+    }
+
+    /// Column `p` of [`rows`](Table::rows) as one typed vector, in row
+    /// order — what a scan filters and gathers from. Transposed from the
+    /// rows on first use and kept until the next patch.
+    pub fn column(&self, p: usize) -> &ColumnVec {
+        self.image.0[p]
+            .get_or_init(|| ColumnVec::from_tuples_col(&self.rows, p, self.schema.field(p).ty))
     }
 
     /// Row count.
@@ -232,8 +265,12 @@ impl Table {
             stats,
             bytes,
             live,
+            image,
             ..
         } = self;
+        for col in &mut image.0 {
+            col.take();
+        }
         let changed = patch.len() as u64;
         let Live { keys, summary } = Live::of(live, rows, primary_key.as_ref(), schema.len());
         // Both are `Some` or both `None`: a key index exists iff a key does.
@@ -422,7 +459,8 @@ impl TableBuilder {
                 }
             }
         }
-        let (stats, bytes) = analyze_sized(&self.rows, self.schema.len());
+        let ncols = self.schema.len();
+        let (stats, bytes) = analyze_sized(&self.rows, ncols);
         Ok(Arc::new(Table {
             name: self.name,
             schema: self.schema,
@@ -432,6 +470,7 @@ impl TableBuilder {
             stats,
             bytes,
             live: None,
+            image: Image::empty(ncols),
         }))
     }
 }

@@ -9,13 +9,16 @@
 //! * every histogram is the exact histogram of a state at most
 //!   `rows / HISTOGRAM_BUCKETS` changed rows old;
 //! * a rejected batch (duplicate key on INSERT or UPDATE) leaves rows,
-//!   key index, statistics, versions and the WAL untouched.
+//!   key index, statistics, versions and the WAL untouched;
+//! * after every batch, accepted or rejected, the column image scans
+//!   read (`Table::column`) is the transpose of the rows, and a reader
+//!   that took the table before the batch keeps its rows and its image.
 //!
 //! The op mix includes the cases an incremental summary gets wrong
 //! first: deleting the current minimum and maximum, emptying the table,
 //! and an UPDATE that swaps the keys of two rows.
 
-use aggview_common::{DataType, Schema, Tuple, Value};
+use aggview_common::{ColumnVec, DataType, Schema, Tuple, Value};
 use aggview_storage::catalog::WAL_FILE;
 use aggview_storage::stats::{analyze, Histogram, TableStats, HISTOGRAM_BUCKETS};
 use aggview_storage::{Catalog, Table};
@@ -92,6 +95,15 @@ fn fingerprint(cat: &Catalog, wal: &std::path::Path) -> (String, String, u64, u6
     )
 }
 
+/// Every column of the image against a fresh transpose of the rows,
+/// representation (typed or `Mixed`) included.
+fn image_is_transpose_of_rows(t: &Table) -> bool {
+    (0..NCOLS).all(|p| {
+        let fresh = ColumnVec::from_tuples_col(t.rows(), p, t.schema().field(p).ty);
+        format!("{:?}", t.column(p)) == format!("{fresh:?}")
+    })
+}
+
 /// Distinct random positions in `0..len`, ascending.
 fn positions(len: usize, want: usize, rng: &mut TestRng) -> Vec<usize> {
     let mut all: Vec<usize> = (0..len).collect();
@@ -136,6 +148,10 @@ proptest! {
             let rows = cat.get("t").unwrap().rows().to_vec();
             let kind = rng.below(12);
             let before = fingerprint(&cat, &wal);
+            // Every other step a reader holds the table, image built,
+            // across the batch: the batch then edits a copy.
+            let reader = (step % 2 == 0).then(|| cat.get("t").unwrap());
+            prop_assert!(reader.iter().all(|t| image_is_transpose_of_rows(t)));
             // `Some(n)`: the op must succeed and changes n rows;
             // `None`: it must be rejected without a trace.
             let outcome: Option<usize> = match kind {
@@ -223,7 +239,12 @@ proptest! {
                 Some(n) => changed += n as u64,
             }
 
+            if let Some(held) = reader {
+                prop_assert_eq!(held.rows(), &rows[..], "step {}", step);
+                prop_assert!(image_is_transpose_of_rows(&held), "step {}", step);
+            }
             let t = cat.get("t").unwrap();
+            prop_assert!(image_is_transpose_of_rows(&t), "step {}", step);
             let exact = analyze(t.rows(), NCOLS);
             let got = t.stats();
             prop_assert_eq!(got.rows, exact.rows);

@@ -16,8 +16,8 @@
 //! whose argument spans both join sides (not decomposable per side), a
 //! cost tie (everything fits in memory, so eager is not *strictly*
 //! cheaper and the never-worse rule keeps the traditional shape), and
-//! stale statistics (the executor skips stats-driven pre-sizing but
-//! still computes identical results).
+//! stale statistics (plans made from fresh ones still compute identical
+//! results: the executor sizes everything from its actual inputs).
 
 use aggview::core::cost::ops::IoParams;
 use aggview::core::cost::CostModel;
@@ -371,11 +371,11 @@ fn eager_requires_a_kept_aggregate() {
     differential(&q, &cat, model);
 }
 
-/// Statistics going stale after planning: the hash-join build-side
-/// pre-sizing consults `stats_fresh` and must silently skip the hint,
-/// not trust the stale row count — results stay byte-identical.
+/// Statistics going stale after planning: the executor reads no
+/// statistics — the join index is sized from the build batch it is
+/// handed — so results stay byte-identical.
 #[test]
-fn stale_stats_skip_presizing_still_correct() {
+fn stale_stats_after_planning_still_correct() {
     let cat = gen_empdept(&EmpDeptConfig {
         n_depts: 40,
         emps_per_dept: 25,
