@@ -70,6 +70,7 @@ fn main() {
             rows: (200, 30_000),
             join_domain: (2, 4000),
             seed,
+            ..Default::default()
         })
         .expect("catalog");
         for mem in [4.0, 16.0, 64.0] {

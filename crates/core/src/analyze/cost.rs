@@ -37,8 +37,9 @@ fn push(out: &mut Vec<Violation>, message: String) {
     out.push(Violation::new(RULE, message));
 }
 
-/// Cost the node (children first) and check its annotations against
-/// its inputs'. `None` when the estimator cannot price the subtree.
+/// Cost the node from its children's (checked) properties and check its
+/// annotations against them. `None` when the estimator cannot price the
+/// subtree.
 fn props_checked(
     plan: &Plan,
     est: &CardEstimator<'_>,
@@ -59,7 +60,7 @@ fn props_checked(
             vec![props_checked(input, est, catalog, out)?]
         }
     };
-    let props = match est.cost_plan(plan) {
+    let props = match est.cost_node(plan, &children.iter().collect::<Vec<_>>()) {
         Ok(p) => p,
         Err(e) => {
             push(

@@ -11,6 +11,7 @@
 
 use crate::plan::Plan;
 use aggview_common::{AggFunc, CmpOp, Col, DataType, Expr, Predicate, RelId, Value};
+use std::sync::Arc;
 
 /// A deliberately corrupted plan the analyzer must reject.
 #[derive(Debug, Clone)]
@@ -92,7 +93,7 @@ fn map_first(plan: &Plan, f: &mut impl FnMut(&Plan) -> Option<Plan>) -> Option<P
             if let Some(l) = map_first(left, f) {
                 return Some(Plan::Join {
                     algo: *algo,
-                    left: Box::new(l),
+                    left: Arc::new(l),
                     right: right.clone(),
                     preds: preds.clone(),
                     project: project.clone(),
@@ -101,7 +102,7 @@ fn map_first(plan: &Plan, f: &mut impl FnMut(&Plan) -> Option<Plan>) -> Option<P
             map_first(right, f).map(|r| Plan::Join {
                 algo: *algo,
                 left: left.clone(),
-                right: Box::new(r),
+                right: Arc::new(r),
                 preds: preds.clone(),
                 project: project.clone(),
             })
@@ -113,7 +114,7 @@ fn map_first(plan: &Plan, f: &mut impl FnMut(&Plan) -> Option<Plan>) -> Option<P
             project,
         } => map_first(input, f).map(|i| Plan::GroupBy {
             algo: *algo,
-            input: Box::new(i),
+            input: Arc::new(i),
             spec: spec.clone(),
             project: project.clone(),
         }),
@@ -124,7 +125,7 @@ fn map_first(plan: &Plan, f: &mut impl FnMut(&Plan) -> Option<Plan>) -> Option<P
             project,
         } => map_first(input, f).map(|i| Plan::PartialAggregate {
             algo: *algo,
-            input: Box::new(i),
+            input: Arc::new(i),
             spec: spec.clone(),
             project: project.clone(),
         }),
@@ -192,7 +193,7 @@ fn move_having_below(node: &Plan) -> Option<Plan> {
     preds.push(moved);
     Some(Plan::GroupBy {
         algo: *algo,
-        input: Box::new(Plan::Join {
+        input: Arc::new(Plan::Join {
             algo: *jalgo,
             left: left.clone(),
             right: right.clone(),
@@ -298,7 +299,7 @@ fn drop_join_input_col(node: &Plan) -> Option<Plan> {
     jproject.remove(pos);
     Some(Plan::GroupBy {
         algo: *algo,
-        input: Box::new(Plan::Join {
+        input: Arc::new(Plan::Join {
             algo: *jalgo,
             left: left.clone(),
             right: right.clone(),

@@ -1,4 +1,11 @@
-//! Cardinality estimation and recursive plan costing.
+//! Cardinality estimation and plan costing, one node at a time.
+//!
+//! [`CardEstimator::cost_node`] derives a node's [`PlanProps`] from its
+//! children's; it holds every formula below exactly once.
+//! [`CardEstimator::cost_plan`] is the recursion over it, and block
+//! enumeration calls `cost_node` directly with the properties it stored
+//! for the sub-plans a candidate is built from. Base-table statistics
+//! are read in place through tables resolved once per estimator.
 //!
 //! Estimation follows the System-R tradition the paper builds on:
 //! uniformity within columns, independence across predicates, equijoin
@@ -14,11 +21,12 @@
 //! take advantage of the selectivity of the join predicate", Section 3).
 
 use crate::cost::ops::{self, IoParams, JoinSides};
-use crate::plan::{JoinAlgo, Plan};
+use crate::plan::{AggAlgo, JoinAlgo, Plan};
 use crate::query::QueryEnv;
 use aggview_common::{AggViewError, Col, ColRef, Expr, Predicate, Result};
-use aggview_storage::{Catalog, PageModel};
+use aggview_storage::{Catalog, PageModel, Table, TableStats};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Tunable cost-model parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -62,11 +70,19 @@ impl PlanProps {
 }
 
 /// Statistics-driven estimator bound to a catalog and query environment.
-#[derive(Debug, Clone, Copy)]
+///
+/// Construction resolves every relation instance of the environment to
+/// its table once; column widths and constant selectivities then read
+/// the table's statistics in place, with no name lookup, lock or copy
+/// per column.
+#[derive(Debug, Clone)]
 pub struct CardEstimator<'a> {
     pub model: CostModel,
     pub catalog: &'a Catalog,
     pub env: &'a QueryEnv,
+    /// `tables[r]` is the table bound to `RelId(r)`; `None` when the
+    /// catalog does not know it (its columns then price at the defaults).
+    tables: Vec<Option<Arc<Table>>>,
 }
 
 impl<'a> CardEstimator<'a> {
@@ -75,7 +91,23 @@ impl<'a> CardEstimator<'a> {
             model,
             catalog,
             env,
+            tables: env
+                .rel_tables
+                .iter()
+                .map(|t| Self::table(catalog, t).ok())
+                .collect(),
         }
+    }
+
+    /// The one place the estimator takes a table (and so its statistics)
+    /// from the catalog.
+    fn table(catalog: &Catalog, name: &str) -> Result<Arc<Table>> {
+        let t = catalog.get(name)?;
+        debug_assert!(
+            catalog.stats_fresh(name),
+            "cost model read stale statistics for `{name}` (data changed without re-analyze)"
+        );
+        Ok(t)
     }
 
     /// Average stored width of a column in bytes.
@@ -98,14 +130,9 @@ impl<'a> CardEstimator<'a> {
             .unwrap_or(8.0)
     }
 
-    fn table_stats(&self, c: ColRef) -> Option<(aggview_storage::TableStats, usize)> {
-        let name = self.env.table_of(c.rel).ok()?;
-        debug_assert!(
-            self.catalog.stats_fresh(name),
-            "cost model read stale statistics for `{name}` (data changed without re-analyze)"
-        );
-        let stats = self.catalog.stats_of(name).ok()?;
-        Some((stats, c.col as usize))
+    fn table_stats(&self, c: ColRef) -> Option<(&TableStats, usize)> {
+        let t = self.tables.get(c.rel.idx())?.as_ref()?;
+        Some((t.stats(), c.col as usize))
     }
 
     /// Selectivity of a predicate, given per-side distinct maps (used for
@@ -157,11 +184,34 @@ impl<'a> CardEstimator<'a> {
         (domain * frac).min(n).min(domain).max(1.0)
     }
 
-    /// Cost a plan bottom-up. `Auto` algorithm annotations are priced at
-    /// the cheapest applicable algorithm (what the executor will pick).
+    /// Cost a plan bottom-up: the recursion over [`Self::cost_node`].
     pub fn cost_plan(&self, plan: &Plan) -> Result<PlanProps> {
         match plan {
-            Plan::EmptyScan { project, types, .. } => {
+            Plan::Join { left, right, .. } => {
+                let l = self.cost_plan(left)?;
+                let r = self.cost_plan(right)?;
+                self.cost_node(plan, &[&l, &r])
+            }
+            Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
+                let i = self.cost_plan(input)?;
+                self.cost_node(plan, &[&i])
+            }
+            Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => {
+                self.cost_node(plan, &[])
+            }
+        }
+    }
+
+    /// Price the top node of `plan` from the properties of its children
+    /// (`children` parallel to the node's inputs: left then right for a
+    /// join, none for a leaf). Every formula of the model lives here,
+    /// once; an enumerator that keeps each sub-plan's properties prices
+    /// a candidate with one call. `Auto` algorithm annotations are
+    /// priced at the cheapest applicable algorithm (what the executor
+    /// will pick).
+    pub fn cost_node(&self, plan: &Plan, children: &[&PlanProps]) -> Result<PlanProps> {
+        match (plan, children) {
+            (Plan::EmptyScan { project, types, .. }, []) => {
                 // Produces nothing and reads nothing. Distincts floor at
                 // 1.0 like every other estimate so selectivity math above
                 // an empty input stays finite.
@@ -174,62 +224,32 @@ impl<'a> CardEstimator<'a> {
                     distinct: project.iter().map(|c| (*c, 1.0)).collect(),
                 })
             }
-            Plan::Scan {
-                rel,
-                table,
-                filters,
-                project,
-            } => {
-                let t = self.catalog.get(table)?;
-                debug_assert!(
-                    self.catalog.stats_fresh(table),
-                    "cost model read stale statistics for `{table}`"
-                );
+            (
+                Plan::Scan {
+                    rel,
+                    table,
+                    filters,
+                    project,
+                },
+                [],
+            ) => {
+                let t = Self::table(self.catalog, table)?;
                 let stats = t.stats();
-                let table_pages = self
-                    .model
-                    .page
-                    .pages_for(stats.rows as f64, stats.row_width.max(1.0));
-                let mut distinct: BTreeMap<Col, f64> = (0..t.schema().len())
-                    .map(|c| {
-                        (
-                            Col::base(*rel, c),
-                            stats
-                                .columns
-                                .get(c)
-                                .map(|s| s.distinct as f64)
-                                .unwrap_or(1.0),
-                        )
-                    })
+                let distinct = (0..t.schema().len())
+                    .map(|c| (Col::base(*rel, c), column_distinct(stats, c)))
                     .collect();
-                let mut card = stats.rows as f64;
-                for f in filters {
-                    card *= self.pred_selectivity(f, &distinct);
-                }
-                card = card.max(0.0);
-                // Cap distincts by the surviving cardinality.
-                for d in distinct.values_mut() {
-                    *d = d.min(card.max(1.0));
-                }
-                distinct.retain(|c, _| project.contains(c));
                 let width: f64 = project.iter().map(|c| self.col_width(*c)).sum();
-                Ok(PlanProps {
-                    cost: ops::scan_io(table_pages),
-                    card,
-                    width,
-                    peak_bytes: card * width,
-                    distinct,
-                })
+                Ok(self.scanned(stats, distinct, filters, project, width))
             }
-            Plan::Join {
-                algo,
-                left,
-                right,
-                preds,
-                project,
-            } => {
-                let l = self.cost_plan(left)?;
-                let r = self.cost_plan(right)?;
+            (
+                Plan::Join {
+                    algo,
+                    preds,
+                    project,
+                    ..
+                },
+                [l, r],
+            ) => {
                 let mut distinct = l.distinct.clone();
                 distinct.extend(r.distinct.iter().map(|(k, v)| (*k, *v)));
                 let mut card = l.card * r.card;
@@ -275,146 +295,60 @@ impl<'a> CardEstimator<'a> {
                     distinct,
                 })
             }
-            Plan::GroupBy {
-                algo,
-                input,
-                spec,
+            (
+                Plan::GroupBy {
+                    algo,
+                    spec,
+                    project,
+                    ..
+                },
+                [i],
+            ) => Ok(self.grouped(
+                *algo,
+                i,
+                &spec.group_cols,
+                spec.agg_cols(),
+                &spec.having,
                 project,
-            } => {
-                let i = self.cost_plan(input)?;
-                let domain: f64 = spec
-                    .group_cols
-                    .iter()
-                    .map(|c| i.distinct.get(c).copied().unwrap_or(DEFAULT_AGG_DISTINCT))
-                    .fold(1.0, |a, b| (a * b).min(1e18));
-                let groups = Self::yao_distinct(domain, i.card);
-                let mut card = groups;
-                let mut distinct: BTreeMap<Col, f64> = spec
-                    .group_cols
-                    .iter()
-                    .map(|c| {
-                        (
-                            *c,
-                            i.distinct
-                                .get(c)
-                                .copied()
-                                .unwrap_or(DEFAULT_AGG_DISTINCT)
-                                .min(groups.max(1.0)),
-                        )
-                    })
-                    .collect();
-                for (idx, _) in spec.aggs.iter().enumerate() {
-                    distinct.insert(Col::agg(spec.owner, idx), groups.max(1.0));
-                }
-                for h in &spec.having {
-                    card *= self.pred_selectivity(h, &distinct);
-                }
-                card = card.max(0.0);
-                distinct.retain(|c, _| project.contains(c));
-                let width: f64 = project.iter().map(|c| self.col_width(*c)).sum();
-                let in_pages = i.pages(&self.model.page);
-                let out_pages = self.model.page.pages_for(groups, width.max(1.0));
-                let extra = ops::agg_io(*algo, in_pages, out_pages, &self.model.io).1;
-                Ok(PlanProps {
-                    cost: i.cost + extra,
-                    card,
-                    width,
-                    peak_bytes: i.peak_bytes.max(groups * width),
-                    distinct,
-                })
-            }
-            Plan::PartialAggregate {
-                algo,
-                input,
-                spec,
+            )),
+            (
+                Plan::PartialAggregate {
+                    algo,
+                    spec,
+                    project,
+                    ..
+                },
+                [i],
+            ) => Ok(self.grouped(
+                *algo,
+                i,
+                &spec.group_cols,
+                spec.all_part_cols(),
+                &[],
                 project,
-            } => {
-                let i = self.cost_plan(input)?;
-                let domain: f64 = spec
-                    .group_cols
-                    .iter()
-                    .map(|c| i.distinct.get(c).copied().unwrap_or(DEFAULT_AGG_DISTINCT))
-                    .fold(1.0, |a, b| (a * b).min(1e18));
-                let groups = Self::yao_distinct(domain, i.card);
-                let mut distinct: BTreeMap<Col, f64> = spec
-                    .group_cols
-                    .iter()
-                    .map(|c| {
-                        (
-                            *c,
-                            i.distinct
-                                .get(c)
-                                .copied()
-                                .unwrap_or(DEFAULT_AGG_DISTINCT)
-                                .min(groups.max(1.0)),
-                        )
-                    })
-                    .collect();
-                for (aref, a) in &spec.aggs {
-                    for k in 0..a.func.partial_arity() {
-                        distinct.insert(Col::part(*aref, k), groups.max(1.0));
-                    }
-                }
-                if let Some(c) = spec.count_col() {
-                    distinct.insert(c, groups.max(1.0));
-                }
-                distinct.retain(|c, _| project.contains(c));
-                let width: f64 = project.iter().map(|c| self.col_width(*c)).sum();
-                let in_pages = i.pages(&self.model.page);
-                let out_pages = self.model.page.pages_for(groups, width.max(1.0));
-                let extra = ops::agg_io(*algo, in_pages, out_pages, &self.model.io).1;
-                Ok(PlanProps {
-                    cost: i.cost + extra,
-                    card: groups,
-                    width,
-                    peak_bytes: i.peak_bytes.max(groups * width),
-                    distinct,
-                })
-            }
-            Plan::ExtentScan {
-                table,
-                cols,
-                outputs,
-                filters,
-                project,
-                ..
-            } => {
+            )),
+            (
+                Plan::ExtentScan {
+                    table,
+                    cols,
+                    outputs,
+                    filters,
+                    project,
+                    ..
+                },
+                [],
+            ) => {
                 // Priced exactly like a base-table scan of the extent: the
                 // materialized row count, widths and distinct counts come
                 // from the extent table's own statistics, exposed under
                 // the logical identities the scan maps them to.
-                let t = self.catalog.get(table)?;
-                debug_assert!(
-                    self.catalog.stats_fresh(table),
-                    "cost model read stale statistics for extent `{table}`"
-                );
+                let t = Self::table(self.catalog, table)?;
                 let stats = t.stats();
-                let table_pages = self
-                    .model
-                    .page
-                    .pages_for(stats.rows as f64, stats.row_width.max(1.0));
-                let mut distinct: BTreeMap<Col, f64> = cols
+                let distinct = cols
                     .iter()
                     .zip(outputs)
-                    .map(|(&c, &o)| {
-                        (
-                            o,
-                            stats
-                                .columns
-                                .get(c)
-                                .map(|s| s.distinct as f64)
-                                .unwrap_or(1.0),
-                        )
-                    })
+                    .map(|(&c, &o)| (o, column_distinct(stats, c)))
                     .collect();
-                let mut card = stats.rows as f64;
-                for f in filters {
-                    card *= self.pred_selectivity(f, &distinct);
-                }
-                card = card.max(0.0);
-                for d in distinct.values_mut() {
-                    *d = d.min(card.max(1.0));
-                }
                 let width: f64 = project
                     .iter()
                     .map(|p| {
@@ -426,15 +360,89 @@ impl<'a> CardEstimator<'a> {
                             .unwrap_or(8.0)
                     })
                     .sum();
-                distinct.retain(|c, _| project.contains(c));
-                Ok(PlanProps {
-                    cost: ops::scan_io(table_pages),
-                    card,
-                    width,
-                    peak_bytes: card * width,
-                    distinct,
-                })
+                Ok(self.scanned(stats, distinct, filters, project, width))
             }
+            _ => Err(AggViewError::Plan(format!(
+                "cost_node was given {} child properties for a node that takes another number",
+                children.len()
+            ))),
+        }
+    }
+
+    /// A scan of a table with statistics `stats`, whose columns enter
+    /// with the `distinct` counts given: filters thin the rows, the
+    /// surviving cardinality caps every distinct count, the whole table
+    /// is read.
+    fn scanned(
+        &self,
+        stats: &TableStats,
+        mut distinct: BTreeMap<Col, f64>,
+        filters: &[Predicate],
+        project: &[Col],
+        width: f64,
+    ) -> PlanProps {
+        let table_pages = self
+            .model
+            .page
+            .pages_for(stats.rows as f64, stats.row_width.max(1.0));
+        let mut card = stats.rows as f64;
+        for f in filters {
+            card *= self.pred_selectivity(f, &distinct);
+        }
+        card = card.max(0.0);
+        for d in distinct.values_mut() {
+            *d = d.min(card.max(1.0));
+        }
+        distinct.retain(|c, _| project.contains(c));
+        PlanProps {
+            cost: ops::scan_io(table_pages),
+            card,
+            width,
+            peak_bytes: card * width,
+            distinct,
+        }
+    }
+
+    /// A (full or partial) aggregation of `i` by `group_cols`: the
+    /// group count is Yao's estimate over the grouping domain, every
+    /// `produced` column (aggregate outputs or partial states) takes one
+    /// value per group, HAVING predicates thin the groups.
+    fn grouped(
+        &self,
+        algo: AggAlgo,
+        i: &PlanProps,
+        group_cols: &[Col],
+        produced: Vec<Col>,
+        having: &[Predicate],
+        project: &[Col],
+    ) -> PlanProps {
+        let known = |c: &Col| i.distinct.get(c).copied().unwrap_or(DEFAULT_AGG_DISTINCT);
+        let domain: f64 = group_cols
+            .iter()
+            .map(known)
+            .fold(1.0, |a, b| (a * b).min(1e18));
+        let groups = Self::yao_distinct(domain, i.card);
+        let mut distinct: BTreeMap<Col, f64> = group_cols
+            .iter()
+            .map(|c| (*c, known(c).min(groups.max(1.0))))
+            .collect();
+        distinct.extend(produced.into_iter().map(|c| (c, groups.max(1.0))));
+        let mut card = groups;
+        for h in having {
+            card *= self.pred_selectivity(h, &distinct);
+        }
+        card = card.max(0.0);
+        distinct.retain(|c, _| project.contains(c));
+        let width: f64 = project.iter().map(|c| self.col_width(*c)).sum();
+        let in_pages = i.pages(&self.model.page);
+        let out_pages = self.model.page.pages_for(groups, width.max(1.0));
+        let extra = ops::agg_io(algo, in_pages, out_pages, &self.model.io).1;
+        PlanProps {
+            cost: i.cost + extra,
+            card,
+            width,
+            peak_bytes: i.peak_bytes.max(groups * width),
+            distinct,
         }
     }
 
@@ -458,20 +466,34 @@ impl<'a> CardEstimator<'a> {
 
     /// Pre-order per-node peak estimates, in the same order
     /// `explain_into` emits lines (one per node; join children
-    /// left-then-right).
-    fn collect_peaks(&self, plan: &Plan, out: &mut Vec<Option<f64>>) {
-        out.push(self.cost_plan(plan).ok().map(|p| p.peak_bytes));
-        match plan {
+    /// left-then-right). Returns the node's properties so its parent is
+    /// priced from them: one `cost_node` per node.
+    fn collect_peaks(&self, plan: &Plan, out: &mut Vec<Option<f64>>) -> Option<PlanProps> {
+        let at = out.len();
+        out.push(None);
+        let props = match plan {
             Plan::Join { left, right, .. } => {
-                self.collect_peaks(left, out);
-                self.collect_peaks(right, out);
+                let l = self.collect_peaks(left, out);
+                let r = self.collect_peaks(right, out);
+                self.cost_node(plan, &[&l?, &r?])
             }
             Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
-                self.collect_peaks(input, out)
+                self.cost_node(plan, &[&self.collect_peaks(input, out)?])
             }
-            Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => {}
+            Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => {
+                self.cost_node(plan, &[])
+            }
         }
+        .ok()?;
+        out[at] = Some(props.peak_bytes);
+        Some(props)
     }
+}
+
+/// The distinct count of physical column `c`; 1 when the table's
+/// statistics do not cover it.
+fn column_distinct(stats: &TableStats, c: usize) -> f64 {
+    stats.columns.get(c).map_or(1.0, |s| s.distinct as f64)
 }
 
 /// Compact human-readable byte count for EXPLAIN annotations.

@@ -31,9 +31,9 @@
 
 use crate::cost::CardEstimator;
 use crate::governor::ResourceGovernor;
-use crate::optimizer::dp::DpEntry;
 use crate::optimizer::greedy::BlockQuery;
 use crate::optimizer::stats::SearchStats;
+use crate::optimizer::Planned;
 use crate::plan::{GroupBySpec, Plan};
 use aggview_common::{AggSpec, Col, Predicate, RelId, Result};
 use aggview_storage::{stores_partial_state, Catalog, MatViewMeta};
@@ -60,7 +60,7 @@ fn flatten(q: &BlockQuery) -> Option<FlatBlock> {
             table,
             filters,
             ..
-        } = &it.plan
+        } = &*it.plan
         else {
             return None;
         };
@@ -86,14 +86,14 @@ pub fn best_extent_entry(
     catalog: &Catalog,
     stats: &mut SearchStats,
     gov: &ResourceGovernor,
-) -> Result<Option<DpEntry>> {
+) -> Result<Option<Planned>> {
     let Some(gspec) = q.group.as_ref() else {
         return Ok(None);
     };
     let Some(flat) = flatten(q) else {
         return Ok(None);
     };
-    let mut best: Option<DpEntry> = None;
+    let mut best: Option<Planned> = None;
     for name in catalog.matview_names() {
         let Some(meta) = catalog.matview(&name) else {
             continue;
@@ -107,11 +107,14 @@ pub fn best_extent_entry(
             };
             stats.plans_built += 1;
             gov.charge_plans(1)?;
-            let Ok(props) = est.cost_plan(&plan) else {
+            let Ok(candidate) = Planned::new(plan, est) else {
                 continue; // uncostable candidate (e.g. missing stats): skip
             };
-            if best.as_ref().is_none_or(|b| props.cost < b.props.cost) {
-                best = Some(DpEntry { plan, props });
+            if best
+                .as_ref()
+                .is_none_or(|b| candidate.props.cost < b.props.cost)
+            {
+                best = Some(candidate);
             }
         }
     }

@@ -1,9 +1,19 @@
 //! Single-block enumeration over *linear aggregate join trees* with the
-//! greedy conservative heuristic (paper Section 5.2, after \[CS94\]).
+//! greedy conservative heuristic (paper Sections 5.1–5.2, after
+//! [SAC+79] and \[CS94\]).
+//!
+//! The enumerator works over *items* rather than raw relations: an item
+//! is any planned leaf — a base-table scan or an already-optimized
+//! aggregate-view block ("treating relations in the latter set as base
+//! relations"). Stage `i` builds the best plan for every subset of `i`
+//! items by extending a stage `i−1` plan with one item, keeping the
+//! cheapest per subset. Cross products are deferred: an extension is
+//! considered only when a predicate connects the new item to the partial
+//! plan, unless the item graph itself is disconnected.
 //!
 //! The execution space extends [SAC+79]'s linear join orders: "we will
 //! consider all linear orderings of joins and group-by nodes ... some or
-//! all of the joins may succeed execution of the group-by". At each DP
+//! all of the joins may succeed execution of the group-by". At each
 //! extension step the heuristic considers, besides the plain
 //!
 //! 1. `joinplan(optPlan(Sⱼ), Rⱼ)`,
@@ -22,24 +32,35 @@
 //! the cost model is IO-only, the chosen plan is never worse — the
 //! heuristic preserves the never-worse guarantee while keeping one plan
 //! per subset.
+//!
+//! **A candidate costs one node.** A memo entry holds the sub-plan
+//! behind an `Arc`, its [`PlanProps`](crate::cost::PlanProps) and its
+//! output columns as a bitset. `joinplan` shares the two inputs, prices
+//! the new join from their stored properties
+//! ([`CardEstimator::cost_node`]) and answers every set question
+//! (evaluable predicates, projection, early group-by legality) with
+//! mask operations over the block's column universe, numbered once per
+//! block; column and predicate vectors are materialised only for the
+//! node being built.
 
 use crate::cost::CardEstimator;
 use crate::governor::ResourceGovernor;
-use crate::optimizer::dp::{DpEntry, DpItem};
+use crate::optimizer::colset::{ColSet, ColUniverse};
 use crate::optimizer::stats::SearchStats;
-use crate::optimizer::OptimizerConfig;
+use crate::optimizer::{bits_of, OptimizerConfig, Planned};
 use crate::plan::{GroupBySpec, PartialAggSpec, Plan};
 use crate::transform::props::output_key;
-use aggview_common::{AggRef, AggViewError, Col, Predicate, Result};
+use aggview_common::{AggViewError, Col, Predicate, Result};
 use aggview_storage::Catalog;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A single-block query: items to join, conjunctive predicates, an
 /// optional group-by, and what the block must output.
 #[derive(Debug, Clone)]
 pub struct BlockQuery {
     /// Leaves (scans or already-planned view blocks).
-    pub items: Vec<DpItem>,
+    pub items: Vec<Planned>,
     /// Multi-item predicates (single-item predicates belong in the
     /// leaves — scan filters or view HAVINGs).
     pub preds: Vec<Predicate>,
@@ -60,11 +81,13 @@ enum GState {
     Partial,
 }
 
-#[derive(Debug, Clone)]
+/// A planned subtree inside one block's search: with its group-by
+/// progress and its output columns in the block's numbering.
+#[derive(Debug)]
 struct Entry {
-    plan: Plan,
-    cost: f64,
+    sub: Planned,
     state: GState,
+    out: ColSet,
 }
 
 /// Optimize a single block over the linear-aggregate-join-tree space,
@@ -75,7 +98,7 @@ pub fn optimize_block(
     catalog: &Catalog,
     config: &OptimizerConfig,
     stats: &mut SearchStats,
-) -> Result<DpEntry> {
+) -> Result<Planned> {
     optimize_block_governed(
         q,
         est,
@@ -97,7 +120,7 @@ pub fn optimize_block_governed(
     config: &OptimizerConfig,
     stats: &mut SearchStats,
     gov: &ResourceGovernor,
-) -> Result<DpEntry> {
+) -> Result<Planned> {
     let n = q.items.len();
     if n == 0 {
         return Err(AggViewError::Optimize("empty block".into()));
@@ -107,50 +130,17 @@ pub fn optimize_block_governed(
             "block too large for exhaustive enumeration: {n} items"
         )));
     }
-    let full: u64 = (1u64 << n) - 1;
-    let outsets: Vec<BTreeSet<Col>> = q
-        .items
-        .iter()
-        .map(|it| it.plan.output_cols().iter().copied().collect())
-        .collect();
-    let keys: Vec<Option<Vec<Col>>> = q
-        .items
-        .iter()
-        .map(|it| output_key(&it.plan, catalog))
-        .collect::<Result<_>>()?;
-    let connected_graph = crate::optimizer::dp::graph_connected(&outsets, &q.preds);
-    // Columns the block must deliver upward, before the group-by's
-    // perspective: the group-by's own needs plus the final projection.
-    let mut required: BTreeSet<Col> = q.project.iter().copied().collect();
-    if let Some(g) = &q.group {
-        required.extend(g.group_cols.iter().copied());
-        for a in &g.aggs {
-            required.extend(a.cols_used());
-        }
-        for h in &g.having {
-            required.extend(h.cols_used().into_iter().filter(|c| !c.is_agg()));
-        }
-    }
-
-    let ctx = Ctx {
-        q,
-        est,
-        config,
-        gov,
-        outsets: &outsets,
-        keys: &keys,
-        required: &required,
-        connected_graph,
-    };
+    let ctx = Ctx::new(q, est, catalog, config, gov)?;
+    let full = ctx.full;
 
     let mut memo: HashMap<u64, Entry> = HashMap::new();
     for (i, it) in q.items.iter().enumerate() {
         memo.insert(
             1u64 << i,
             Entry {
-                plan: it.plan.clone(),
-                cost: it.props.cost,
+                sub: it.clone(),
                 state: GState::Raw,
+                out: ctx.outsets[i],
             },
         );
         stats.memo_entries += 1;
@@ -158,6 +148,7 @@ pub fn optimize_block_governed(
     }
 
     for size in 2..=n {
+        // Gosper's hack: every subset of `size` bits, ascending.
         let mut subset = (1u64 << size) - 1;
         while subset <= full {
             extend(&ctx, subset, &mut memo, stats)?;
@@ -188,226 +179,318 @@ pub fn optimize_block_governed(
     Ok(entry)
 }
 
+/// The block's group-by, with its columns in the block's numbering.
+struct GroupSets<'a> {
+    spec: &'a GroupBySpec,
+    /// Grouping columns, and the number of each in declared order.
+    keys: ColSet,
+    key_idx: Vec<usize>,
+    /// Argument columns of each aggregate, and of all of them.
+    args: Vec<ColSet>,
+    all_args: ColSet,
+    /// Non-aggregate operands of the HAVING predicates.
+    having: ColSet,
+}
+
+/// Everything about a block that does not change while it is searched.
 struct Ctx<'a, 'b> {
     q: &'a BlockQuery,
     est: &'a CardEstimator<'b>,
     config: &'a OptimizerConfig,
     gov: &'a ResourceGovernor,
-    outsets: &'a [BTreeSet<Col>],
-    keys: &'a [Option<Vec<Col>>],
-    required: &'a BTreeSet<Col>,
+    /// The subset holding every item.
+    full: u64,
+    /// Every column the block can mention: item outputs, predicate
+    /// operands, the projection, and the group-by's inputs and outputs.
+    uni: ColUniverse,
+    /// Output columns of each item, and of all of them.
+    outsets: Vec<ColSet>,
+    all_out: ColSet,
+    /// Operands of each predicate; for a bare `a = b`, the two sides.
+    pred_cols: Vec<ColSet>,
+    pred_eq: Vec<Option<(ColSet, ColSet)>>,
+    /// Columns the block must deliver upward, before the group-by's
+    /// perspective: the group-by's own needs plus the final projection.
+    required: ColSet,
+    /// The final projection alone.
+    project: ColSet,
+    /// Partial-state columns anywhere in the universe.
+    part_cols: ColSet,
+    group: Option<GroupSets<'a>>,
+    /// A key of each item's output (only early grouping reads them).
+    keys: Vec<Option<ColSet>>,
     connected_graph: bool,
 }
 
-impl Ctx<'_, '_> {
-    fn avail(&self, subset: u64) -> BTreeSet<Col> {
-        (0..self.q.items.len())
-            .filter(|i| subset & (1 << i) != 0)
-            .flat_map(|i| self.outsets[i].iter().copied())
-            .collect()
-    }
+impl<'a, 'b> Ctx<'a, 'b> {
+    fn new(
+        q: &'a BlockQuery,
+        est: &'a CardEstimator<'b>,
+        catalog: &Catalog,
+        config: &'a OptimizerConfig,
+        gov: &'a ResourceGovernor,
+    ) -> Result<Self> {
+        let pred_operands: Vec<_> = q.preds.iter().map(Predicate::cols_used).collect();
+        let mut mentioned: Vec<Col> = q.project.clone();
+        for it in &q.items {
+            mentioned.extend_from_slice(it.plan.output_cols());
+        }
+        mentioned.extend(pred_operands.iter().flatten());
+        let mut agg_args = Vec::new();
+        let mut having_raw = Vec::new();
+        if let Some(g) = &q.group {
+            mentioned.extend_from_slice(&g.group_cols);
+            mentioned.extend(g.agg_cols());
+            // What an early aggregation can output: the aggregates, or
+            // their partial states and the duplicate-factor count.
+            for (i, a) in g.aggs.iter().enumerate() {
+                mentioned.extend((0..a.func.partial_arity()).map(|k| Col::part(g.agg_ref(i), k)));
+                agg_args.push(a.cols_used());
+            }
+            mentioned.push(Col::part(g.agg_ref(g.aggs.len()), 0));
+            mentioned.extend(agg_args.iter().flatten());
+            for h in &g.having {
+                having_raw.extend(h.cols_used().into_iter().filter(|c| !c.is_agg()));
+            }
+            mentioned.extend_from_slice(&having_raw);
+        }
+        let uni = ColUniverse::new(mentioned)?;
 
-    /// Predicates that become evaluable exactly when `new` joins `have`.
-    fn newly_evaluable(&self, have: &BTreeSet<Col>, new: &BTreeSet<Col>) -> Vec<Predicate> {
-        self.q
+        let outsets: Vec<ColSet> = q
+            .items
+            .iter()
+            .map(|it| uni.set(it.plan.output_cols()))
+            .collect();
+        let all_out = outsets.iter().fold(ColSet::default(), |a, o| a | *o);
+        let pred_cols: Vec<ColSet> = pred_operands.iter().map(|cols| uni.set(cols)).collect();
+        let pred_eq = q
             .preds
             .iter()
-            .filter(|p| {
-                let cols = p.cols_used();
-                cols.iter().all(|c| have.contains(c) || new.contains(c))
-                    && !cols.iter().all(|c| have.contains(c))
-                    && cols.iter().any(|c| new.contains(c))
+            .map(|p| {
+                p.as_col_eq_col()
+                    .map(|(a, b)| (uni.set(&[a]), uni.set(&[b])))
             })
-            .cloned()
-            .collect()
+            .collect();
+        let project = uni.set(&q.project);
+        let group = q.group.as_ref().map(|g| {
+            let args: Vec<ColSet> = agg_args.iter().map(|cols| uni.set(cols)).collect();
+            GroupSets {
+                spec: g,
+                keys: uni.set(&g.group_cols),
+                key_idx: g.group_cols.iter().filter_map(|c| uni.index(*c)).collect(),
+                all_args: args.iter().fold(ColSet::default(), |a, s| a | *s),
+                args,
+                having: uni.set(&having_raw),
+            }
+        });
+        let required = group
+            .as_ref()
+            .map_or(project, |g| project | g.keys | g.all_args | g.having);
+        let keys = if config.push_down && q.group.is_some() {
+            q.items
+                .iter()
+                .map(|it| Ok(output_key(&it.plan, catalog)?.map(|k| uni.set(&k))))
+                .collect::<Result<_>>()?
+        } else {
+            vec![None; q.items.len()]
+        };
+        let connected_graph = graph_connected(&outsets, &pred_cols);
+        let part_cols = uni.set(uni.all().iter().filter(|c| c.is_part()));
+        Ok(Ctx {
+            q,
+            est,
+            config,
+            gov,
+            full: (1u64 << q.items.len()) - 1,
+            part_cols,
+            uni,
+            outsets,
+            all_out,
+            pred_cols,
+            pred_eq,
+            required,
+            project,
+            group,
+            keys,
+            connected_graph,
+        })
+    }
+}
+
+/// Is the item graph connected under the predicates? (An edge links
+/// every pair of items a predicate touches.) When it is, cross-product
+/// joins are forbidden outright — every subset worth memoizing is
+/// reachable through connected extensions; when it is not, cross
+/// products are unavoidable and allowed everywhere.
+fn graph_connected(outsets: &[ColSet], pred_cols: &[ColSet]) -> bool {
+    let n = outsets.len();
+    let mut parent: Vec<usize> = (0..n).collect();
+    fn find(parent: &mut [usize], x: usize) -> usize {
+        if parent[x] != x {
+            let r = find(parent, parent[x]);
+            parent[x] = r;
+        }
+        parent[x]
+    }
+    for pc in pred_cols {
+        let mut touched = (0..n).filter(|&i| pc.intersects(outsets[i]));
+        if let Some(first) = touched.next() {
+            for other in touched {
+                let a = find(&mut parent, first);
+                let b = find(&mut parent, other);
+                parent[a] = b;
+            }
+        }
+    }
+    (1..n).all(|i| find(&mut parent, i) == find(&mut parent, 0))
+}
+
+impl Ctx<'_, '_> {
+    /// Columns the items of `subset` produce.
+    fn avail(&self, subset: u64) -> ColSet {
+        bits_of(subset).fold(ColSet::default(), |a, i| a | self.outsets[i])
     }
 
-    /// Projection for a join whose output columns are `avail`: required
+    /// Does predicate `pc` become evaluable exactly when `new` joins
+    /// `have`: every operand available, not all of them before.
+    fn newly_evaluable(pc: ColSet, have: ColSet, new: ColSet) -> bool {
+        pc.is_subset(have | new) && !pc.is_subset(have) && pc.intersects(new)
+    }
+
+    /// Operands, inside `avail`, of the predicates `avail` cannot yet
+    /// evaluate.
+    fn pending_operands(&self, avail: ColSet) -> ColSet {
+        self.pred_cols
+            .iter()
+            .filter(|pc| !pc.is_subset(avail))
+            .fold(ColSet::default(), |a, pc| a | (*pc & avail))
+    }
+
+    /// Columns needed above a subtree producing `avail`: required
     /// columns plus operands of still-pending predicates.
-    fn projection_for(&self, avail: &BTreeSet<Col>) -> Vec<Col> {
-        let mut needed: BTreeSet<Col> = self
-            .required
-            .iter()
-            .filter(|c| avail.contains(c))
-            .copied()
-            .collect();
-        for p in &self.q.preds {
-            if !p.cols_used().iter().all(|c| avail.contains(c)) {
-                for c in p.cols_used() {
-                    if avail.contains(&c) {
-                        needed.insert(c);
-                    }
-                }
-            }
-        }
-        // Partial aggregate states must always flow to the coalescing
-        // group-by at the block root.
-        for c in avail {
-            if c.is_part() {
-                needed.insert(*c);
-            }
-        }
-        needed.into_iter().collect()
+    fn needed_above(&self, avail: ColSet) -> ColSet {
+        (self.required & avail) | self.pending_operands(avail)
     }
 
-    /// Columns needed above subset `prior` (required + pending preds).
-    fn needed_above(&self, avail_prior: &BTreeSet<Col>) -> BTreeSet<Col> {
-        let mut needed: BTreeSet<Col> = self
-            .required
+    /// Projection for a join whose inputs produce `avail`. Partial
+    /// aggregate states must always flow to the coalescing group-by at
+    /// the block root.
+    fn projection_for(&self, avail: ColSet) -> ColSet {
+        self.needed_above(avail) | (avail & self.part_cols)
+    }
+
+    /// `joinplan(left, Rⱼ)`: join item `last` onto `left`, which
+    /// produces `left_out`, and price the one new node.
+    fn join(
+        &self,
+        left: &Planned,
+        left_out: ColSet,
+        last: usize,
+        stats: &mut SearchStats,
+    ) -> Result<(Planned, ColSet)> {
+        let right = &self.q.items[last];
+        let new = self.outsets[last];
+        let preds = self
+            .q
+            .preds
             .iter()
-            .filter(|c| avail_prior.contains(c))
-            .copied()
+            .zip(&self.pred_cols)
+            .filter(|(_, pc)| Self::newly_evaluable(**pc, left_out, new))
+            .map(|(p, _)| p.clone())
             .collect();
-        for p in &self.q.preds {
-            if !p.cols_used().iter().all(|c| avail_prior.contains(c)) {
-                for c in p.cols_used() {
-                    if avail_prior.contains(&c) {
-                        needed.insert(c);
-                    }
-                }
-            }
-        }
-        needed
+        let out = self.projection_for(left_out | new);
+        let node = Plan::join(
+            left.plan.clone(),
+            right.plan.clone(),
+            preds,
+            self.uni.cols(out).collect(),
+        );
+        stats.plans_built += 1;
+        self.gov.charge_plans(1)?;
+        let joined = Planned::over(node, &[&left.props, &right.props], self.est)?;
+        Ok((joined, out))
     }
 
     /// Is an *invariant grouping* placement of the block's group-by
-    /// legal over subset `prior` (items outside joined afterwards)?
-    fn group_placement_ok(&self, prior: u64, prior_plan: &Plan) -> bool {
-        let Some(g) = &self.q.group else { return false };
-        let avail: BTreeSet<Col> = prior_plan.output_cols().iter().copied().collect();
+    /// legal over subset `prior`, whose plan produces `avail` (items
+    /// outside joined afterwards)?
+    fn group_placement_ok(&self, prior: u64, avail: ColSet) -> bool {
+        let Some(g) = &self.group else { return false };
         // Aggregate arguments must be computed here. Grouping columns may
         // be split: those inside `prior` become the pushed group-by's
         // grouping columns; those belonging to *outside* items are
         // functionally determined by the (mandatory) key join and attach
         // after the group-by — the [YL94] generalization the paper's
         // Section 4.1 builds on.
-        for a in &g.aggs {
-            if !a.cols_used().iter().all(|c| avail.contains(c)) {
-                return false;
-            }
+        if !g.all_args.is_subset(avail) {
+            return false;
         }
-        let inside_group: BTreeSet<Col> = g
-            .group_cols
-            .iter()
-            .filter(|c| avail.contains(c))
-            .copied()
-            .collect();
+        let inside_group = g.keys & avail;
         // Every outside grouping column must come from some item (not be
-        // an unavailable aggregate of this block).
-        for c in &g.group_cols {
-            if !avail.contains(c) && !self.outsets.iter().any(|o| o.contains(c)) {
-                return false;
-            }
-        }
-        if inside_group.is_empty() {
-            // Without grouping columns on the prior side, cross
-            // predicates cannot reference grouping columns; keep the
-            // group-by later.
+        // an unavailable aggregate of this block). Without grouping
+        // columns on the prior side, cross predicates cannot reference
+        // grouping columns; keep the group-by later.
+        if !(g.keys & !avail).is_subset(self.all_out) || inside_group.is_empty() {
             return false;
         }
         // HAVING runs at the pushed group-by: it may only read inside
         // grouping columns and the aggregates.
-        for h in &g.having {
-            for c in h.cols_used() {
-                if !c.is_agg() && !inside_group.contains(&c) {
-                    return false;
-                }
-            }
+        if !g.having.is_subset(inside_group) {
+            return false;
         }
-        let group_set = inside_group;
         // Raw columns needed *above the group-by* must survive it:
         // the block's final projection and the operands of predicates
         // still pending. (The group-by's own inputs — aggregate
         // arguments — are consumed here, so `self.required` would be too
         // strict.) Outside grouping columns are produced by later joins.
-        let mut above: BTreeSet<Col> = self
-            .q
-            .project
-            .iter()
-            .filter(|c| avail.contains(c))
-            .copied()
-            .collect();
-        for p in &self.q.preds {
-            if !p.cols_used().iter().all(|c| avail.contains(c)) {
-                for c in p.cols_used() {
-                    if avail.contains(&c) {
-                        above.insert(c);
-                    }
-                }
-            }
-        }
-        for c in above {
-            if !group_set.contains(&c) {
-                return false;
-            }
+        let above = (self.project & avail) | self.pending_operands(avail);
+        if !above.is_subset(inside_group) {
+            return false;
         }
         // Conditions per outside item.
-        let n = self.q.items.len();
-        for o in (0..n).filter(|i| prior & (1 << i) == 0) {
-            let out = &self.outsets[o];
-            let mut connected = false;
-            let mut equated: BTreeSet<Col> = BTreeSet::new();
-            for p in &self.q.preds {
-                let cols = p.cols_used();
-                let touches_o = cols.iter().any(|c| out.contains(c));
-                if !touches_o {
+        for o in bits_of(self.full & !prior) {
+            let out = self.outsets[o];
+            let mut touched = false;
+            let mut equated = ColSet::default();
+            for (pc, eq) in self.pred_cols.iter().zip(&self.pred_eq) {
+                if !pc.intersects(out) {
                     continue;
                 }
-                let touches_prior = cols.iter().any(|c| avail.contains(c));
-                if touches_prior {
-                    connected = true;
-                    // Prior-side operands must be grouping columns.
-                    for c in &cols {
-                        if avail.contains(c) && !group_set.contains(c) {
-                            return false;
-                        }
-                    }
+                touched = true;
+                // Prior-side operands must be grouping columns.
+                if !(*pc & avail).is_subset(inside_group) {
+                    return false;
                 }
                 // Key-coverage evidence from equalities anywhere.
-                if let Some((a, b)) = p.as_col_eq_col() {
-                    if out.contains(&a) && !out.contains(&b) {
-                        equated.insert(a);
+                if let Some((a, b)) = eq {
+                    if a.is_subset(out) && !b.is_subset(out) {
+                        equated |= *a;
                     }
-                    if out.contains(&b) && !out.contains(&a) {
-                        equated.insert(b);
+                    if b.is_subset(out) && !a.is_subset(out) {
+                        equated |= *b;
                     }
                 }
             }
-            // Connectivity to the rest of the query (directly to prior or
-            // to another outside item that itself chains to prior is
-            // still a cross product risk — require a predicate at all).
-            let touches_anything = connected
-                || self
-                    .q
-                    .preds
-                    .iter()
-                    .any(|p| p.cols_used().iter().any(|c| out.contains(c)));
-            if !touches_anything {
+            // An outside item no predicate touches is a cross product
+            // risk; and each outside item must be joined on a full key
+            // so groups are never duplicated.
+            if !touched || !self.keys[o].is_some_and(|key| key.is_subset(equated)) {
                 return false;
-            }
-            // Each outside item must be joined on a full key so groups
-            // are never duplicated.
-            match &self.keys[o] {
-                Some(key) if key.iter().all(|k| equated.contains(k)) => {}
-                _ => return false,
             }
         }
         true
     }
 
     /// Is a *simple coalescing* partial group-by legal over `prior`?
-    fn coalesce_placement_ok(&self, prior: u64, prior_plan: &Plan) -> bool {
-        let Some(g) = &self.q.group else { return false };
-        if g.aggs.is_empty() {
-            return false;
-        }
-        let avail: BTreeSet<Col> = prior_plan.output_cols().iter().copied().collect();
-        g.aggs.iter().all(|a| {
-            a.func.is_decomposable() && a.cols_used().iter().all(|c| avail.contains(c))
-        }) && prior != (1u64 << self.q.items.len()) - 1
-            // Partial states cannot cross a second grouping: every raw
-            // column needed above must be representable as a partial
-            // grouping column (always true — we group by it).
+    /// Partial states cannot cross a second grouping: every raw column
+    /// needed above must be representable as a partial grouping column
+    /// (always true — we group by it).
+    fn coalesce_placement_ok(&self, prior: u64, avail: ColSet) -> bool {
+        let Some(g) = &self.group else { return false };
+        !g.spec.aggs.is_empty()
+            && g.spec.aggs.iter().all(|a| a.func.is_decomposable())
+            && g.all_args.is_subset(avail)
+            && prior != self.full
             && !avail.is_empty()
     }
 
@@ -419,24 +502,23 @@ impl Ctx<'_, '_> {
     /// (arguments available and decomposable) or kept (arguments fully
     /// outside), and at least one must be kept — otherwise simple
     /// coalescing already covers the shape.
-    fn eager_placement_ok(&self, prior: u64, prior_plan: &Plan) -> bool {
-        let Some(g) = &self.q.group else { return false };
-        if g.aggs.is_empty() || prior == (1u64 << self.q.items.len()) - 1 {
+    fn eager_placement_ok(&self, prior: u64, avail: ColSet) -> bool {
+        let Some(g) = &self.group else { return false };
+        if g.spec.aggs.is_empty() || prior == self.full {
             return false;
         }
-        let avail: BTreeSet<Col> = prior_plan.output_cols().iter().copied().collect();
-        if avail.is_empty() || self.eager_group_cols(g, &avail).is_empty() {
+        // The pushed node needs at least one grouping key.
+        if ((g.keys & avail) | self.pending_operands(avail)).is_empty() {
             return false;
         }
         let mut kept = 0usize;
-        for a in &g.aggs {
-            let cols = a.cols_used();
-            if cols.iter().all(|c| avail.contains(c)) {
+        for (a, args) in g.spec.aggs.iter().zip(&g.args) {
+            if args.is_subset(avail) {
                 // COUNT(*) (no argument columns) always pushes.
                 if !a.func.is_decomposable() {
                     return false;
                 }
-            } else if cols.iter().all(|c| !avail.contains(c)) {
+            } else if !args.intersects(avail) {
                 kept += 1;
             } else {
                 // Arguments span both sides: no clean decomposition.
@@ -446,90 +528,105 @@ impl Ctx<'_, '_> {
         kept >= 1
     }
 
-    /// Pushed grouping keys of an eager node over a subtree producing
-    /// `avail`: the block's grouping columns inside the subtree plus the
-    /// operands of still-pending (join) predicates — Definition 1's
-    /// "grouping columns extended with join keys". Pushed aggregate
-    /// arguments are deliberately *not* keys: the partial node consumes
-    /// them.
-    fn eager_group_cols(&self, g: &GroupBySpec, avail: &BTreeSet<Col>) -> Vec<Col> {
-        let mut group_cols: Vec<Col> = Vec::new();
-        let mut seen = BTreeSet::new();
-        for c in g.group_cols.iter().filter(|c| avail.contains(c)) {
-            if seen.insert(*c) {
-                group_cols.push(*c);
+    /// The block's grouping columns a subtree producing `avail` holds,
+    /// in declared order, each once.
+    fn keys_inside(g: &GroupSets, avail: ColSet) -> (Vec<Col>, ColSet) {
+        let mut cols = Vec::new();
+        let mut seen = ColSet::default();
+        for (c, &i) in g.spec.group_cols.iter().zip(&g.key_idx) {
+            if avail.contains(i) && !seen.contains(i) {
+                seen.insert(i);
+                cols.push(*c);
             }
         }
-        for p in &self.q.preds {
-            if !p.cols_used().iter().all(|c| avail.contains(c)) {
-                for c in p.cols_used() {
-                    if avail.contains(&c) && seen.insert(c) {
-                        group_cols.push(c);
-                    }
-                }
-            }
-        }
-        group_cols
+        (cols, seen)
     }
 
-    /// Build the eager partial-aggregate node over `prior_plan`: pushed
-    /// grouping keys are the block's grouping columns inside `prior`
-    /// plus the operands of still-pending (join) predicates, and the
-    /// node always carries the duplicate-factor COUNT(*) so the merge
-    /// can scale the partner side's duplicate-sensitive aggregates.
-    fn make_eager(&self, prior_plan: &Plan) -> Plan {
-        let g = self.q.group.as_ref().expect("checked by caller");
-        let avail: BTreeSet<Col> = prior_plan.output_cols().iter().copied().collect();
-        let spec = PartialAggSpec {
-            group_cols: self.eager_group_cols(g, &avail),
-            aggs: g
-                .aggs
+    /// The block's group-by (callers checked a placement of it).
+    fn grouping(&self) -> &GroupSets<'_> {
+        self.group.as_ref().expect("checked by caller")
+    }
+
+    /// Plan an early aggregation node over `sub`.
+    fn early(&self, node: Plan, state: GState, sub: &Entry) -> Result<Entry> {
+        let out = self.uni.set(node.output_cols());
+        Ok(Entry {
+            sub: Planned::over(node, &[&sub.sub.props], self.est)?,
+            state,
+            out,
+        })
+    }
+
+    /// Group-by applied *inline* (not at the block root): projects its
+    /// grouping columns and aggregates for the joins above. Grouping
+    /// columns are restricted to what the subtree produces; the
+    /// remaining (functionally determined) grouping columns attach via
+    /// the later key joins — see `group_placement_ok`.
+    fn apply_group_inline(&self, sub: &Entry) -> Result<Entry> {
+        let g = self.grouping();
+        let spec = GroupBySpec {
+            owner: g.spec.owner,
+            group_cols: g
+                .spec
+                .group_cols
                 .iter()
-                .enumerate()
-                .filter(|(_, a)| a.cols_used().iter().all(|c| avail.contains(c)))
-                .map(|(i, a)| (AggRef::new(g.owner, i), a.clone()))
+                .zip(&g.key_idx)
+                .filter(|(_, &i)| sub.out.contains(i))
+                .map(|(c, _)| *c)
                 .collect(),
-            count: Some(AggRef::new(g.owner, g.aggs.len())),
+            aggs: g.spec.aggs.clone(),
+            having: g.spec.having.clone(),
         };
-        Plan::partial_aggregate_all(prior_plan.clone(), spec)
+        let node = Plan::group_by_all(sub.sub.plan.clone(), spec);
+        self.early(node, GState::Grouped, sub)
     }
 
-    /// Build the simple-coalescing partial aggregate over `prior_plan`:
-    /// every aggregate decomposed, no duplicate factor.
-    fn make_partial(&self, prior_plan: &Plan) -> Plan {
-        let g = self.q.group.as_ref().expect("checked by caller");
-        let avail: BTreeSet<Col> = prior_plan.output_cols().iter().copied().collect();
-        let mut group_cols: Vec<Col> = Vec::new();
-        let mut seen = BTreeSet::new();
-        let add = |c: Col, seen: &mut BTreeSet<Col>, out: &mut Vec<Col>| {
-            if seen.insert(c) {
-                out.push(c);
-            }
-        };
-        for c in g.group_cols.iter().filter(|c| avail.contains(c)) {
-            add(*c, &mut seen, &mut group_cols);
-        }
-        for c in self.needed_above(&avail) {
-            add(c, &mut seen, &mut group_cols);
-        }
+    /// Build the simple-coalescing partial aggregate over `sub`: every
+    /// aggregate decomposed, no duplicate factor. It groups by the
+    /// block's grouping columns inside `sub` plus everything needed
+    /// above.
+    fn make_partial(&self, sub: &Entry) -> Result<Entry> {
+        let g = self.grouping();
+        let (mut group_cols, seen) = Self::keys_inside(g, sub.out);
+        group_cols.extend(self.uni.cols(self.needed_above(sub.out) & !seen));
         let spec = PartialAggSpec {
             group_cols,
-            aggs: g
-                .aggs
-                .iter()
-                .enumerate()
-                .map(|(i, a)| (AggRef::new(g.owner, i), a.clone()))
+            aggs: (0..g.spec.aggs.len())
+                .map(|i| (g.spec.agg_ref(i), g.spec.aggs[i].clone()))
                 .collect(),
             count: None,
         };
-        Plan::partial_aggregate_all(prior_plan.clone(), spec)
+        let node = Plan::partial_aggregate_all(sub.sub.plan.clone(), spec);
+        self.early(node, GState::Partial, sub)
     }
 
-    /// Build the full group-by node over `plan` and re-project the block
-    /// output.
-    fn apply_group(&self, plan: Plan) -> Plan {
-        let g = self.q.group.as_ref().expect("checked by caller");
-        Plan::group_by(plan, g.clone(), self.q.project.clone())
+    /// Build the eager partial-aggregate node over `sub`: pushed
+    /// grouping keys are the block's grouping columns inside `sub` plus
+    /// the operands of still-pending (join) predicates — Definition 1's
+    /// "grouping columns extended with join keys"; pushed aggregate
+    /// arguments are deliberately *not* keys, the partial node consumes
+    /// them. The node always carries the duplicate-factor COUNT(*) so
+    /// the merge can scale the partner side's duplicate-sensitive
+    /// aggregates.
+    fn make_eager(&self, sub: &Entry) -> Result<Entry> {
+        let g = self.grouping();
+        let (mut group_cols, mut keys) = Self::keys_inside(g, sub.out);
+        for pc in self.pred_cols.iter().filter(|pc| !pc.is_subset(sub.out)) {
+            let add = *pc & sub.out & !keys;
+            group_cols.extend(self.uni.cols(add));
+            keys |= add;
+        }
+        let n = g.spec.aggs.len();
+        let spec = PartialAggSpec {
+            group_cols,
+            aggs: (0..n)
+                .filter(|&i| g.args[i].is_subset(sub.out))
+                .map(|i| (g.spec.agg_ref(i), g.spec.aggs[i].clone()))
+                .collect(),
+            count: Some(g.spec.agg_ref(n)),
+        };
+        let node = Plan::partial_aggregate_all(sub.sub.plan.clone(), spec);
+        self.early(node, GState::Partial, sub)
     }
 }
 
@@ -540,85 +637,58 @@ fn extend(
     stats: &mut SearchStats,
 ) -> Result<()> {
     ctx.gov.check_interrupt()?;
-    let n = ctx.q.items.len();
-    let members: Vec<usize> = (0..n).filter(|i| subset & (1 << i) != 0).collect();
 
     // Prefer connected extensions (no cross products when avoidable).
-    let connected: Vec<usize> = members
-        .iter()
-        .copied()
+    let connected = bits_of(subset)
         .filter(|&last| {
-            let prior_cols = ctx.avail(subset & !(1u64 << last));
-            !ctx.newly_evaluable(&prior_cols, &ctx.outsets[last])
-                .is_empty()
+            let have = ctx.avail(subset & !(1u64 << last));
+            let new = ctx.outsets[last];
+            ctx.pred_cols
+                .iter()
+                .any(|pc| Ctx::newly_evaluable(*pc, have, new))
         })
-        .collect();
-    let candidates: &[usize] = if connected.is_empty() && !ctx.connected_graph {
-        &members
+        .fold(0u64, |set, last| set | (1u64 << last));
+    let candidates = if connected == 0 && !ctx.connected_graph {
+        subset
     } else {
-        &connected
+        connected
     };
 
     let mut best: Option<Entry> = None;
-    for &last in candidates {
+    for last in bits_of(candidates) {
         let prior = subset & !(1u64 << last);
-        let Some(sub) = memo.get(&prior).cloned() else {
-            continue;
+        let Some(sub) = memo.get(&prior) else {
+            continue; // prior subset unreachable (pruned)
         };
-        let prior_cols: BTreeSet<Col> = sub.plan.output_cols().iter().copied().collect();
-        let join_preds = ctx.newly_evaluable(&prior_cols, &ctx.outsets[last]);
-        let actual_avail: BTreeSet<Col> = prior_cols
-            .iter()
-            .copied()
-            .chain(ctx.outsets[last].iter().copied())
-            .collect();
-        let project = ctx.projection_for(&actual_avail);
 
         // Plan (1): plain extension.
-        let plain = Plan::join(
-            sub.plan.clone(),
-            ctx.q.items[last].plan.clone(),
-            join_preds.clone(),
-            project.clone(),
-        );
-        stats.plans_built += 1;
-        ctx.gov.charge_plans(1)?;
-        let plain_props = ctx.est.cost_plan(&plain)?;
+        let (plain, out) = ctx.join(&sub.sub, sub.out, last, stats)?;
+        let plain_bytes = plain.props.out_bytes();
+        let plain_peak = plain.props.peak_bytes;
         let mut chosen = Entry {
-            plan: plain,
-            cost: plain_props.cost,
+            sub: plain,
             state: sub.state,
+            out,
         };
 
         // Plans (2)/(2'): early group-by, only from a Raw prefix and only
         // when push-down is enabled.
-        if sub.state == GState::Raw && ctx.config.push_down && ctx.q.group.is_some() {
-            let mut alternatives: Vec<(Plan, GState)> = Vec::new();
-            if ctx.group_placement_ok(prior, &sub.plan) {
-                alternatives.push((ctx.apply_group_inline(&sub.plan), GState::Grouped));
+        if sub.state == GState::Raw && ctx.config.push_down && ctx.group.is_some() {
+            let mut alternatives: Vec<Entry> = Vec::new();
+            if ctx.group_placement_ok(prior, sub.out) {
+                alternatives.push(ctx.apply_group_inline(sub)?);
             }
-            if ctx.coalesce_placement_ok(prior, &sub.plan) {
-                alternatives.push((ctx.make_partial(&sub.plan), GState::Partial));
+            if ctx.coalesce_placement_ok(prior, sub.out) {
+                alternatives.push(ctx.make_partial(sub)?);
             }
-            if ctx.config.use_eager_agg && ctx.eager_placement_ok(prior, &sub.plan) {
-                alternatives.push((ctx.make_eager(&sub.plan), GState::Partial));
+            if ctx.config.use_eager_agg && ctx.eager_placement_ok(prior, sub.out) {
+                alternatives.push(ctx.make_eager(sub)?);
             }
-            for (early, state) in alternatives {
+            for early in alternatives {
                 stats.groupby_placements += 1;
-                // Join predicates recomputed against the grouped output.
-                let early_cols: BTreeSet<Col> = early.output_cols().iter().copied().collect();
-                let jp = ctx.newly_evaluable(&early_cols, &ctx.outsets[last]);
-                let early_avail: BTreeSet<Col> = early_cols
-                    .iter()
-                    .copied()
-                    .chain(ctx.outsets[last].iter().copied())
-                    .collect();
-                let early_project = ctx.projection_for(&early_avail);
-                let candidate =
-                    Plan::join(early, ctx.q.items[last].plan.clone(), jp, early_project);
-                stats.plans_built += 1;
-                ctx.gov.charge_plans(1)?;
-                let props = ctx.est.cost_plan(&candidate)?;
+                // Join predicates and projection are recomputed against
+                // the grouped output.
+                let (cand, out) = ctx.join(&early.sub, early.out, last, stats)?;
                 // Greedy conservative rule. The paper compares cost and
                 // *width*; since a grouped plan never has more tuples
                 // than the plain plan, comparing total bytes
@@ -631,22 +701,23 @@ fn extend(
                 // aggregation that would hold a larger working set than
                 // the plain join (e.g. a wide partial-state table) is
                 // rejected even when its IO cost is lower.
-                let plain_bytes = plain_props.card * plain_props.width;
-                let cand_bytes = props.card * props.width;
-                if props.cost < chosen.cost
-                    && cand_bytes <= plain_bytes + 1e-6
-                    && props.peak_bytes <= plain_props.peak_bytes + 1e-6
+                if cand.props.cost < chosen.sub.props.cost
+                    && cand.props.out_bytes() <= plain_bytes + 1e-6
+                    && cand.props.peak_bytes <= plain_peak + 1e-6
                 {
                     chosen = Entry {
-                        plan: candidate,
-                        cost: props.cost,
-                        state,
+                        sub: cand,
+                        state: early.state,
+                        out,
                     };
                 }
             }
         }
 
-        if best.as_ref().is_none_or(|b| chosen.cost < b.cost) {
+        if best
+            .as_ref()
+            .is_none_or(|b| chosen.sub.props.cost < b.sub.props.cost)
+        {
             best = Some(chosen);
         }
     }
@@ -658,60 +729,34 @@ fn extend(
     Ok(())
 }
 
-impl Ctx<'_, '_> {
-    /// Group-by applied *inline* (not at the block root): projects its
-    /// grouping columns and aggregates for the joins above.
-    fn apply_group_inline(&self, plan: &Plan) -> Plan {
-        let g = self.q.group.as_ref().expect("checked by caller");
-        // Grouping columns restricted to what the subtree produces; the
-        // remaining (functionally determined) grouping columns attach via
-        // the later key joins — see `group_placement_ok`.
-        let avail: BTreeSet<Col> = plan.output_cols().iter().copied().collect();
-        let spec = GroupBySpec {
-            owner: g.owner,
-            group_cols: g
-                .group_cols
-                .iter()
-                .filter(|c| avail.contains(c))
-                .copied()
-                .collect(),
-            aggs: g.aggs.clone(),
-            having: g.having.clone(),
-        };
-        Plan::group_by_all(plan.clone(), spec)
-    }
-}
-
 /// Complete the block: apply the group-by if still pending, re-project.
-fn finish(ctx: &Ctx<'_, '_>, entry: Entry, stats: &mut SearchStats) -> Result<DpEntry> {
-    let plan = match (&ctx.q.group, entry.state) {
-        (None, _) => reproject(entry.plan, &ctx.q.project)?,
-        (Some(_), GState::Raw) => {
-            stats.groupby_placements += 1;
-            ctx.apply_group(entry.plan)
+fn finish(ctx: &Ctx<'_, '_>, entry: Entry, stats: &mut SearchStats) -> Result<Planned> {
+    let project = ctx.q.project.clone();
+    match (&ctx.q.group, entry.state) {
+        // Raw: the group-by at the block root. Partial: the coalescing
+        // group-by — same spec; the executor merges the partial states
+        // it finds in its input.
+        (Some(g), GState::Raw | GState::Partial) => {
+            if entry.state == GState::Raw {
+                stats.groupby_placements += 1;
+            }
+            let node = Plan::group_by(entry.sub.plan, g.clone(), project);
+            Planned::over(node, &[&entry.sub.props], ctx.est)
         }
-        (Some(_), GState::Partial) => {
-            // The coalescing group-by: same spec; the executor merges the
-            // partial states it finds in its input.
-            ctx.apply_group(entry.plan)
-        }
-        (Some(_), GState::Grouped) => reproject(entry.plan, &ctx.q.project)?,
-    };
-    let props = ctx.est.cost_plan(&plan)?;
-    Ok(DpEntry { plan, props })
-}
-
-/// Narrow (or reorder) a plan's output to `project`.
-fn reproject(plan: Plan, project: &[Col]) -> Result<Plan> {
-    let avail: BTreeSet<Col> = plan.output_cols().iter().copied().collect();
-    for c in project {
-        if !avail.contains(c) {
-            return Err(AggViewError::Optimize(format!(
-                "block cannot produce required column {c}"
-            )));
+        // Narrow (or reorder) the root's output to the block's. The
+        // root's inputs are not entries of their own, so this one plan
+        // per block is priced from the leaves.
+        (None, _) | (Some(_), GState::Grouped) => {
+            let produced = |c: &&Col| ctx.uni.index(**c).is_some_and(|i| entry.out.contains(i));
+            if let Some(missing) = project.iter().find(|c| !produced(c)) {
+                return Err(AggViewError::Optimize(format!(
+                    "block cannot produce required column {missing}"
+                )));
+            }
+            let root = Arc::unwrap_or_clone(entry.sub.plan).with_project(project);
+            Planned::new(root, ctx.est)
         }
     }
-    Ok(plan.with_project(project.to_vec()))
 }
 
 #[cfg(test)]
@@ -741,8 +786,8 @@ mod tests {
         let d = RelId(1);
         let g = q.group.clone().unwrap();
         let items = vec![
-            DpItem::new(Plan::scan(e, "emp", vec![], all_cols(e, 5)), est).unwrap(),
-            DpItem::new(
+            Planned::new(Plan::scan(e, "emp", vec![], all_cols(e, 5)), est).unwrap(),
+            Planned::new(
                 Plan::scan(
                     d,
                     "dept",
@@ -827,7 +872,7 @@ mod tests {
             optimize_block(&q, &est, &cat, &OptimizerConfig::traditional(), &mut stats).unwrap();
         // Exactly one group-by, at the root.
         assert_eq!(entry.plan.group_by_count(), 1);
-        assert!(matches!(entry.plan, Plan::GroupBy { .. }));
+        assert!(matches!(*entry.plan, Plan::GroupBy { .. }));
     }
 
     #[test]
@@ -928,5 +973,138 @@ mod tests {
         let trad =
             optimize_block(&q, &est, &cat, &OptimizerConfig::traditional(), &mut s2).unwrap();
         assert!(entry.props.cost <= trad.props.cost + 1e-9);
+    }
+
+    /// customer ⋈ orders ⋈ lineitem, customer ⋈ nation: four full-width
+    /// scans under the star schema's three key joins, no group-by.
+    fn star_block(project: Col) -> (Catalog, QueryEnv, Vec<Plan>, Vec<Predicate>, Vec<Col>) {
+        let cat = aggview_storage::datagen::gen_star(&aggview_storage::datagen::StarConfig {
+            customers: 200,
+            orders_per_customer: 4,
+            lines_per_order: 3,
+            ..Default::default()
+        })
+        .unwrap();
+        let tables = ["customer", "orders", "lineitem", "nation"];
+        let env = QueryEnv::new(tables.iter().map(|t| t.to_string()).collect());
+        let scans = tables
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let rel = RelId(i as u32);
+                let arity = cat.get(t).unwrap().schema().len();
+                Plan::scan(rel, *t, vec![], all_cols(rel, arity))
+            })
+            .collect();
+        let preds = vec![
+            // customer.cno = orders.cno
+            Predicate::eq_cols(Col::base(RelId(0), 0), Col::base(RelId(1), 1)),
+            // orders.ono = lineitem.ono
+            Predicate::eq_cols(Col::base(RelId(1), 0), Col::base(RelId(2), 1)),
+            // customer.nno = nation.nno
+            Predicate::eq_cols(Col::base(RelId(0), 1), Col::base(RelId(3), 0)),
+        ];
+        (cat, env, scans, preds, vec![project])
+    }
+
+    fn spj_block(
+        scans: &[Plan],
+        preds: &[Predicate],
+        project: &[Col],
+        est: &CardEstimator<'_>,
+    ) -> BlockQuery {
+        BlockQuery {
+            items: scans
+                .iter()
+                .map(|s| Planned::new(s.clone(), est).unwrap())
+                .collect(),
+            preds: preds.to_vec(),
+            group: None,
+            project: project.to_vec(),
+        }
+    }
+
+    #[test]
+    fn avoids_cross_products_when_connected_order_exists() {
+        let (cat, env, scans, preds, project) = star_block(Col::base(RelId(0), 0));
+        let est = CardEstimator::new(CostModel::default(), &cat, &env);
+        let q = spj_block(&scans, &preds, &project, &est);
+        let mut stats = SearchStats::default();
+        let entry =
+            optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
+        entry.plan.validate(&cat, &env.rel_tables).unwrap();
+        assert_eq!(entry.plan.join_count(), 3);
+        assert_eq!(entry.plan.output_cols(), &project[..]);
+        // Every join in the chosen plan must carry at least one predicate.
+        fn no_cross(p: &Plan) -> bool {
+            match p {
+                Plan::Join {
+                    left, right, preds, ..
+                } => !preds.is_empty() && no_cross(left) && no_cross(right),
+                Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => true,
+                Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
+                    no_cross(input)
+                }
+            }
+        }
+        assert!(no_cross(&entry.plan), "{}", entry.plan.explain());
+    }
+
+    #[test]
+    fn disconnected_items_still_get_a_plan() {
+        let (cat, env, scans, _, project) = star_block(Col::base(RelId(0), 0));
+        let est = CardEstimator::new(CostModel::default(), &cat, &env);
+        // No predicates at all → cross products are unavoidable.
+        let q = spj_block(&scans[..2], &[], &project, &est);
+        let mut stats = SearchStats::default();
+        let entry =
+            optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
+        assert_eq!(entry.plan.join_count(), 1);
+    }
+
+    #[test]
+    fn best_order_never_costs_more_than_declaration_order() {
+        let (cat, env, scans, preds, project) = star_block(Col::base(RelId(3), 1));
+        let est = CardEstimator::new(CostModel::default(), &cat, &env);
+        let q = spj_block(&scans, &preds, &project, &est);
+        let mut stats = SearchStats::default();
+        let best = optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
+
+        // ((customer ⋈ orders) ⋈ lineitem) ⋈ nation, a legal member of
+        // the space: each join applies the predicate that became
+        // evaluable and projects what the block still needs.
+        let co = Plan::join(
+            scans[0].clone(),
+            scans[1].clone(),
+            vec![preds[0].clone()],
+            vec![Col::base(RelId(0), 1), Col::base(RelId(1), 0)],
+        );
+        let col = Plan::join(
+            co,
+            scans[2].clone(),
+            vec![preds[1].clone()],
+            vec![Col::base(RelId(0), 1)],
+        );
+        let naive = Plan::join(col, scans[3].clone(), vec![preds[2].clone()], project);
+        naive.validate(&cat, &env.rel_tables).unwrap();
+        let naive = est.cost_plan(&naive).unwrap();
+        assert!(
+            best.props.cost <= naive.cost + 1e-9,
+            "search {} vs declaration order {}",
+            best.props.cost,
+            naive.cost
+        );
+    }
+
+    #[test]
+    fn more_than_24_items_rejected() {
+        let (cat, env, scans, _, project) = star_block(Col::base(RelId(0), 0));
+        let est = CardEstimator::new(CostModel::default(), &cat, &env);
+        let many: Vec<Plan> = (0..25).map(|_| scans[0].clone()).collect();
+        let q = spj_block(&many, &[], &project, &est);
+        let mut stats = SearchStats::default();
+        let err =
+            optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap_err();
+        assert!(err.message().contains("block too large"), "{err}");
     }
 }

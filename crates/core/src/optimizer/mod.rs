@@ -1,12 +1,12 @@
 //! Optimization algorithms for queries with aggregate views (paper
 //! Section 5).
 //!
-//! * [`dp`] — the [SAC+79] dynamic-programming enumerator for SPJ blocks
-//!   (linear join orders), the substrate everything else extends;
-//! * [`greedy`] — Section 5.2: single-block queries with a group-by,
-//!   searched over *linear aggregate join trees* with the **greedy
+//! * [`greedy`] — the one block enumerator: [SAC+79] dynamic
+//!   programming over linear join orders (Section 5.1), extended per
+//!   Section 5.2 to *linear aggregate join trees* with the **greedy
 //!   conservative heuristic** (early group-by placement kept only when
-//!   cheaper and no wider, which preserves the never-worse guarantee);
+//!   cheaper and no wider, which preserves the never-worse guarantee).
+//!   A block without a group-by is the plain SPJ search;
 //! * [`traditional`] — the baseline two-phase optimizer: each view
 //!   optimized locally as an SPJ block, then the outer block over
 //!   views-as-base-relations;
@@ -17,7 +17,7 @@
 //! * [`stats`] — search-effort accounting (plans built, subsets
 //!   explored) used by experiment E5.
 
-pub mod dp;
+mod colset;
 pub mod greedy;
 pub mod multi_view;
 pub mod single_view;
@@ -26,7 +26,42 @@ pub mod traditional;
 
 pub use stats::SearchStats;
 
-use aggview_common::RelId;
+use crate::cost::{CardEstimator, PlanProps};
+use crate::plan::Plan;
+use aggview_common::{RelId, Result};
+use std::sync::Arc;
+
+/// A planned subtree: a plan and the properties the cost model derives
+/// for it (`props == est.cost_plan(&plan)`, bit for bit). It is what
+/// the enumerator sequences (a base-table scan or an already-optimized
+/// view block — the paper's phase 2 treats "relations in the latter set
+/// as base relations"), what its memo holds per subset, and what it
+/// returns. The plan sits behind an `Arc`, so placing a planned subtree
+/// under a new join shares it.
+#[derive(Debug, Clone)]
+pub struct Planned {
+    pub plan: Arc<Plan>,
+    pub props: PlanProps,
+}
+
+impl Planned {
+    /// Plan a whole tree, costing it from the leaves.
+    pub fn new(plan: impl Into<Arc<Plan>>, est: &CardEstimator<'_>) -> Result<Planned> {
+        let plan = plan.into();
+        let props = est.cost_plan(&plan)?;
+        Ok(Planned { plan, props })
+    }
+
+    /// Plan `node`, whose inputs are the already planned `inputs`: one
+    /// node is priced, from their stored properties.
+    pub fn over(node: Plan, inputs: &[&PlanProps], est: &CardEstimator<'_>) -> Result<Planned> {
+        let props = est.cost_node(&node, inputs)?;
+        Ok(Planned {
+            plan: Arc::new(node),
+            props,
+        })
+    }
+}
 
 /// How aggressively pull-up may be applied (the paper's "k-level
 /// pull-up" restriction: "no partial plan may involve more than k
@@ -134,9 +169,21 @@ pub(crate) fn bitset(rels: &[RelId]) -> u64 {
     rels.iter().map(|r| r.bit()).fold(0, |a, b| a | b)
 }
 
+/// The positions of the set bits of `set`, ascending.
+pub(crate) fn bits_of(mut set: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if set == 0 {
+            return None;
+        }
+        let i = set.trailing_zeros() as usize;
+        set &= set - 1;
+        Some(i)
+    })
+}
+
 /// Iterate the relations in a bitset.
 pub(crate) fn rels_of(set: u64) -> impl Iterator<Item = RelId> {
-    (0..64).filter(move |i| set & (1u64 << i) != 0).map(RelId)
+    bits_of(set).map(|i| RelId(i as u32))
 }
 
 #[cfg(test)]

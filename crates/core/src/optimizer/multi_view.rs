@@ -27,16 +27,16 @@
 
 use crate::cost::{CardEstimator, CostModel, PlanProps};
 use crate::governor::{OptimizeOutcome, ResourceGovernor};
-use crate::optimizer::dp::DpItem;
 use crate::optimizer::greedy::{optimize_block_governed, BlockQuery};
 use crate::optimizer::stats::SearchStats;
-use crate::optimizer::{bitset, rels_of, OptimizerConfig};
+use crate::optimizer::{bitset, rels_of, OptimizerConfig, Planned};
 use crate::plan::{all_cols, GroupBySpec, Plan};
 use crate::query::{CanonicalQuery, ViewDef};
 use crate::transform::pushdown::{group_applicable_at, minimal_invariant_set, InvariantGroupBy};
 use aggview_common::{AggViewError, Col, Predicate, RelId, Result, ViewId};
 use aggview_storage::Catalog;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The result of an optimizer run.
 #[derive(Debug, Clone)]
@@ -191,7 +191,8 @@ fn optimize_inner(
     }
 
     // Phase 2: combinations of disjoint Wi, outer enumeration.
-    let mut best: Option<Optimized> = None;
+    let mut best: Option<(Planned, Vec<Vec<RelId>>)> = None;
+    let mut infeasible: Option<AggViewError> = None;
     let mut combo: Vec<usize> = vec![0; per_view.len()];
     loop {
         gov.check_interrupt()?;
@@ -218,22 +219,20 @@ fn optimize_inner(
                 Ok(candidate) => {
                     if best
                         .as_ref()
-                        .is_none_or(|b| candidate.props.cost < b.props.cost)
+                        .is_none_or(|(b, _)| candidate.props.cost < b.props.cost)
                     {
                         let pulled = chosen
                             .iter()
                             .map(|vb| rels_of(vb.w & base_set).collect())
                             .collect();
-                        best = Some(Optimized {
-                            plan: candidate.plan,
-                            props: candidate.props,
-                            stats: SearchStats::default(),
-                            pulled,
-                            outcome: OptimizeOutcome::Full,
-                        });
+                        best = Some((candidate, pulled));
                     }
                 }
-                Err(AggViewError::Optimize(_)) => {} // infeasible combination
+                // An infeasible combination; the first reason is reported
+                // when no combination is feasible.
+                Err(e @ AggViewError::Optimize(_)) => {
+                    infeasible.get_or_insert(e);
+                }
                 Err(e) => return Err(e),
             }
         }
@@ -258,7 +257,16 @@ fn optimize_inner(
         }
     }
 
-    let mut out = best.ok_or_else(|| AggViewError::Optimize("no feasible plan found".into()))?;
+    let (best, pulled) = best.ok_or_else(|| {
+        infeasible.unwrap_or_else(|| AggViewError::Optimize("no feasible plan found".into()))
+    })?;
+    let mut out = Optimized {
+        plan: Arc::unwrap_or_clone(best.plan),
+        props: best.props,
+        stats: SearchStats::default(),
+        pulled,
+        outcome: OptimizeOutcome::Full,
+    };
     // Post-pass: merge successive group-by operators (paper Section 3 —
     // "pull-up may result in combining G0 and G1"). Combining removes an
     // operator, so the estimated cost never increases; keep the combined
@@ -309,7 +317,7 @@ struct ViewBlock {
     /// relations that were re-included are also recorded here).
     w: u64,
     /// Optimized block plan.
-    item: DpItem,
+    item: Planned,
     /// Indexes into `query.preds` absorbed by this block.
     absorbed: BTreeSet<usize>,
     /// View predicates expelled to the outer block (they touch excluded
@@ -660,10 +668,7 @@ fn build_view_block(
     let entry = optimize_block_governed(&bq, est, catalog, config, stats, gov)?;
     Ok(Some(ViewBlock {
         w,
-        item: DpItem {
-            plan: entry.plan,
-            props: entry.props,
-        },
+        item: entry,
         absorbed,
         expelled,
         block_set,
@@ -680,7 +685,7 @@ fn make_leaves(
     project: &[Col],
     est: &CardEstimator<'_>,
     catalog: &Catalog,
-) -> Result<(Vec<DpItem>, Vec<Predicate>)> {
+) -> Result<(Vec<Planned>, Vec<Predicate>)> {
     let mut needed: BTreeSet<Col> = project.iter().copied().collect();
     needed.extend(gspec.group_cols.iter().copied());
     for a in &gspec.aggs {
@@ -724,7 +729,7 @@ fn make_leaves(
             proj
         };
         let plan = Plan::scan(r, table_name, fs, proj);
-        items.push(DpItem::new(plan, est)?);
+        items.push(Planned::new(plan, est)?);
     }
     Ok((items, multi))
 }
@@ -741,7 +746,7 @@ fn outer_phase(
     config: &OptimizerConfig,
     stats: &mut SearchStats,
     gov: &ResourceGovernor,
-) -> Result<Optimized> {
+) -> Result<Planned> {
     // Outer predicate pool: query preds not absorbed anywhere, plus all
     // expelled view predicates.
     let absorbed: BTreeSet<usize> = chosen
@@ -815,7 +820,7 @@ fn outer_phase(
     }
 
     // Items: view blocks first, then outer scans.
-    let mut items: Vec<DpItem> = chosen.iter().map(|vb| vb.item.clone()).collect();
+    let mut items: Vec<Planned> = chosen.iter().map(|vb| vb.item.clone()).collect();
     for r in rels_of(outer_rels) {
         let table_name = query.env.table_of(r)?.to_string();
         let table = catalog.get(&table_name)?;
@@ -836,7 +841,7 @@ fn outer_phase(
         } else {
             proj
         };
-        items.push(DpItem::new(Plan::scan(r, table_name, fs, proj), est)?);
+        items.push(Planned::new(Plan::scan(r, table_name, fs, proj), est)?);
     }
 
     let bq = BlockQuery {
@@ -845,14 +850,7 @@ fn outer_phase(
         group: g0,
         project: query.projection.clone(),
     };
-    let entry = optimize_block_governed(&bq, est, catalog, config, stats, gov)?;
-    Ok(Optimized {
-        plan: entry.plan,
-        props: entry.props,
-        stats: SearchStats::default(),
-        pulled: vec![],
-        outcome: OptimizeOutcome::Full,
-    })
+    optimize_block_governed(&bq, est, catalog, config, stats, gov)
 }
 
 #[cfg(test)]

@@ -13,6 +13,10 @@
 //! notion: every column a node consumes must be produced below it, and a
 //! predicate over aggregated columns may only appear at or above the
 //! group-by that computes the aggregate.
+//!
+//! A node owns its annotations and shares its inputs (`Arc<Plan>`):
+//! plans are immutable values, and the optimizer builds thousands of
+//! candidates over the same memoized sub-plans.
 
 use aggview_common::{
     AggRef, AggSpec, AggViewError, Col, ColRef, DataType, Predicate, RelId, Result, ViewId,
@@ -20,6 +24,7 @@ use aggview_common::{
 use aggview_storage::Catalog;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Physical join algorithm annotation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,6 +172,11 @@ impl PartialAggSpec {
 /// Every node carries its projection list, which is also its output
 /// layout: executing a node yields tuples whose `i`-th value corresponds
 /// to `project[i]`.
+///
+/// Children are `Arc<Plan>`: a plan is immutable once built, so the
+/// enumerator puts a memoized sub-plan under each candidate join by
+/// bumping a reference count, and `clone` copies one node. A rewrite
+/// builds new nodes above the subtrees it keeps.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Scan a base relation instance, applying pushed-down selection
@@ -184,8 +194,8 @@ pub enum Plan {
     /// Join two subtrees on a conjunction of predicates.
     Join {
         algo: JoinAlgo,
-        left: Box<Plan>,
-        right: Box<Plan>,
+        left: Arc<Plan>,
+        right: Arc<Plan>,
         /// Join predicates (columns from both sides; never aggregate
         /// outputs that are not yet computed below).
         preds: Vec<Predicate>,
@@ -195,7 +205,7 @@ pub enum Plan {
     /// Full group-by: produces one tuple per group surviving HAVING.
     GroupBy {
         algo: AggAlgo,
-        input: Box<Plan>,
+        input: Arc<Plan>,
         spec: GroupBySpec,
         /// Output columns (grouping columns and aggregate outputs).
         project: Vec<Col>,
@@ -207,7 +217,7 @@ pub enum Plan {
     /// group-by above the join.
     PartialAggregate {
         algo: AggAlgo,
-        input: Box<Plan>,
+        input: Arc<Plan>,
         spec: PartialAggSpec,
         /// Output columns (pushed grouping columns, partial-state
         /// columns, and the count column when present).
@@ -271,11 +281,16 @@ impl Plan {
     }
 
     /// Join with explicit projection.
-    pub fn join(left: Plan, right: Plan, preds: Vec<Predicate>, project: Vec<Col>) -> Plan {
+    pub fn join(
+        left: impl Into<Arc<Plan>>,
+        right: impl Into<Arc<Plan>>,
+        preds: Vec<Predicate>,
+        project: Vec<Col>,
+    ) -> Plan {
         Plan::Join {
             algo: JoinAlgo::Auto,
-            left: Box::new(left),
-            right: Box::new(right),
+            left: left.into(),
+            right: right.into(),
             preds,
             project,
         }
@@ -289,22 +304,22 @@ impl Plan {
     }
 
     /// Group-by projecting all grouping columns and aggregate outputs.
-    pub fn group_by_all(input: Plan, spec: GroupBySpec) -> Plan {
+    pub fn group_by_all(input: impl Into<Arc<Plan>>, spec: GroupBySpec) -> Plan {
         let mut project = spec.group_cols.clone();
         project.extend(spec.agg_cols());
         Plan::GroupBy {
             algo: AggAlgo::Auto,
-            input: Box::new(input),
+            input: input.into(),
             spec,
             project,
         }
     }
 
     /// Group-by with explicit projection.
-    pub fn group_by(input: Plan, spec: GroupBySpec, project: Vec<Col>) -> Plan {
+    pub fn group_by(input: impl Into<Arc<Plan>>, spec: GroupBySpec, project: Vec<Col>) -> Plan {
         Plan::GroupBy {
             algo: AggAlgo::Auto,
-            input: Box::new(input),
+            input: input.into(),
             spec,
             project,
         }
@@ -312,12 +327,12 @@ impl Plan {
 
     /// Partial aggregate projecting all pushed keys, partial
     /// columns, and the count column (if any).
-    pub fn partial_aggregate_all(input: Plan, spec: PartialAggSpec) -> Plan {
+    pub fn partial_aggregate_all(input: impl Into<Arc<Plan>>, spec: PartialAggSpec) -> Plan {
         let mut project = spec.group_cols.clone();
         project.extend(spec.all_part_cols());
         Plan::PartialAggregate {
             algo: AggAlgo::Auto,
-            input: Box::new(input),
+            input: input.into(),
             spec,
             project,
         }

@@ -25,6 +25,7 @@
 
 use crate::plan::{GroupBySpec, Plan};
 use aggview_common::{AggFunc, AggSpec, Col, Expr};
+use std::sync::Arc;
 
 /// If `plan` is a group-by directly over another group-by and the pair
 /// is collapsible, return the single combined group-by; else `None`.
@@ -107,8 +108,8 @@ pub fn combine_all(plan: &Plan) -> Plan {
             project,
         } => Plan::Join {
             algo: *algo,
-            left: Box::new(combine_all(left)),
-            right: Box::new(combine_all(right)),
+            left: Arc::new(combine_all(left)),
+            right: Arc::new(combine_all(right)),
             preds: preds.clone(),
             project: project.clone(),
         },
@@ -119,7 +120,7 @@ pub fn combine_all(plan: &Plan) -> Plan {
             project,
         } => Plan::GroupBy {
             algo: *algo,
-            input: Box::new(combine_all(input)),
+            input: Arc::new(combine_all(input)),
             spec: spec.clone(),
             project: project.clone(),
         },
@@ -130,7 +131,7 @@ pub fn combine_all(plan: &Plan) -> Plan {
             project,
         } => Plan::PartialAggregate {
             algo: *algo,
-            input: Box::new(combine_all(input)),
+            input: Arc::new(combine_all(input)),
             spec: spec.clone(),
             project: project.clone(),
         },

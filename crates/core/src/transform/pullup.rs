@@ -337,7 +337,7 @@ mod tests {
         let j = Plan::Join {
             algo: crate::plan::JoinAlgo::Auto,
             left: left.clone(),
-            right: Box::new(keyless),
+            right: keyless.into(),
             preds: preds.clone(),
             project: vec![Col::base(RelId(0), emp::SAL)],
         };

@@ -2,9 +2,11 @@
 
 use aggview_common::{AggFunc, AggSpec, CmpOp, Col, Expr, Predicate, RelId, Value, ViewId};
 use aggview_core::cost::ops::IoParams;
-use aggview_core::cost::{CardEstimator, CostModel};
+use aggview_core::cost::{CardEstimator, CostModel, PlanProps};
 use aggview_core::plan::{all_cols, GroupBySpec, Plan};
-use aggview_core::query::QueryEnv;
+use aggview_core::query::examples::{example1_query, example2_query, example2_wide_query};
+use aggview_core::query::{CanonicalQuery, QueryEnv, TopGroup, ViewDef};
+use aggview_core::{optimize, OptimizerConfig};
 use aggview_storage::datagen::{gen_empdept, EmpDeptConfig};
 use aggview_storage::{Catalog, PageModel};
 
@@ -168,5 +170,146 @@ fn join_cardinality_sane() {
     assert!(
         (card - emp_rows).abs() / emp_rows < 0.1,
         "FK join ≈ |emp|, got {card}"
+    );
+}
+
+/// Figure 4's query: `emp e5` joined to a view over `emp ⋈ dept`
+/// grouped by (dno, dname, loc) — the shape on which invariant grouping
+/// moves the view's group-by below its own join.
+fn figure4_query() -> CanonicalQuery {
+    let mut env = QueryEnv::default();
+    let e5 = env.add_rel("emp");
+    let e4 = env.add_rel("emp");
+    let d4 = env.add_rel("dept");
+    CanonicalQuery {
+        env,
+        views: vec![ViewDef {
+            index: 0,
+            rels: vec![e4, d4],
+            preds: vec![Predicate::eq_cols(Col::base(e4, 2), Col::base(d4, 0))],
+            group_cols: vec![Col::base(e4, 2), Col::base(d4, 1), Col::base(d4, 3)],
+            aggs: vec![AggSpec::new(AggFunc::Avg, Expr::col(Col::base(e4, 3)))],
+            having: vec![],
+        }],
+        base_rels: vec![e5],
+        preds: vec![
+            Predicate::eq_cols(Col::base(e5, 2), Col::base(e4, 2)),
+            Predicate::cmp_const(Col::base(e5, 4), CmpOp::Lt, Value::Int(22)),
+            Predicate::new(
+                Expr::col(Col::base(e5, 3)),
+                CmpOp::Gt,
+                Expr::col(Col::agg(ViewId::View(0), 0)),
+            ),
+        ],
+        group: None,
+        projection: vec![Col::base(e5, 0), Col::base(d4, 1), Col::base(d4, 3)],
+    }
+}
+
+/// `emp e1 ⋈ emp e2` on dno under a group-by with aggregates on both
+/// sides — the shape on which eager partial aggregation fires.
+fn selfjoin_query() -> CanonicalQuery {
+    let mut env = QueryEnv::default();
+    let e1 = env.add_rel("emp");
+    let e2 = env.add_rel("emp");
+    CanonicalQuery {
+        env,
+        views: vec![],
+        base_rels: vec![e1, e2],
+        preds: vec![Predicate::eq_cols(Col::base(e1, 2), Col::base(e2, 2))],
+        group: Some(TopGroup {
+            group_cols: vec![Col::base(e1, 2)],
+            aggs: vec![
+                AggSpec::new(AggFunc::Avg, Expr::col(Col::base(e1, 4))),
+                AggSpec::new(AggFunc::Min, Expr::col(Col::base(e2, 3))),
+                AggSpec::new(AggFunc::Sum, Expr::col(Col::base(e2, 4))),
+            ],
+            having: vec![],
+        }),
+        projection: std::iter::once(Col::base(e1, 2))
+            .chain((0..3).map(|i| Col::agg(ViewId::Top, i)))
+            .collect(),
+    }
+}
+
+/// Costs are what the recursion says. The enumerator prices a candidate
+/// from the stored properties of its inputs (`cost_node`), never by
+/// walking the tree, so the properties it reports for the chosen plan
+/// must equal a from-the-leaves `cost_plan` of that plan bit for bit —
+/// in every field, under every configuration, whether the group-by
+/// stayed at the root, moved below a join (invariant grouping, eager
+/// aggregation) or was pulled up. A search that priced the join above
+/// an early group-by from anything but that group-by's own properties
+/// would report numbers this recomputation does not reproduce.
+#[test]
+fn optimizer_props_equal_cost_plan_bit_for_bit() {
+    let configs = [
+        OptimizerConfig::traditional(),
+        OptimizerConfig::push_down_only(),
+        OptimizerConfig {
+            push_down: false,
+            use_eager_agg: false,
+            ..Default::default()
+        },
+        OptimizerConfig {
+            use_eager_agg: true,
+            ..Default::default()
+        },
+    ];
+    let bits = |p: &PlanProps| {
+        let scalars = [p.cost, p.card, p.width, p.peak_bytes].map(f64::to_bits);
+        let distinct: Vec<(Col, u64)> = p.distinct.iter().map(|(c, d)| (*c, d.to_bits())).collect();
+        (scalars, distinct)
+    };
+    let (mut pushed_down, mut pulled_up, mut eager) = (0, 0, 0);
+    for (n_depts, emps_per_dept, young_fraction) in [
+        (2, 1, 0.0),
+        (2000, 3, 0.01),
+        (5, 1200, 0.6),
+        (1200, 10, 0.003),
+        (200, 50, 0.1),
+    ] {
+        let cat = gen_empdept(&EmpDeptConfig {
+            n_depts,
+            emps_per_dept,
+            young_fraction,
+            low_budget_fraction: 0.3,
+            seed: 15,
+        })
+        .unwrap();
+        for q in [
+            example1_query(),
+            example2_query(),
+            example2_wide_query(),
+            figure4_query(),
+            selfjoin_query(),
+        ] {
+            for m in [model(4.0), model(64.0), CostModel::default()] {
+                let est = CardEstimator::new(m, &cat, &q.env);
+                let trad = optimize(&q, &cat, m, &configs[0]).unwrap();
+                for config in &configs {
+                    let opt = optimize(&q, &cat, m, config).unwrap();
+                    assert_eq!(
+                        bits(&opt.props),
+                        bits(&est.cost_plan(&opt.plan).unwrap()),
+                        "{n_depts}x{emps_per_dept} {m:?} {config:?}\n{}",
+                        opt.plan.explain()
+                    );
+                    let text = opt.plan.explain();
+                    if text.contains("PartialAggregate") {
+                        eager += 1;
+                    } else if opt.pulled.iter().any(|w| !w.is_empty()) {
+                        pulled_up += 1;
+                    } else if opt.plan != trad.plan {
+                        pushed_down += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        pushed_down >= 3 && pulled_up >= 3 && eager >= 3,
+        "the grid must choose each transformation: {pushed_down} push-downs, \
+         {pulled_up} pull-ups, {eager} eager aggregations"
     );
 }

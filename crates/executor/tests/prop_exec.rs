@@ -17,6 +17,7 @@ fn setup(seed: u64, max_rows: usize) -> (Catalog, QueryEnv) {
         rows: (1, max_rows),
         join_domain: (1, 30),
         seed,
+        ..Default::default()
     })
     .unwrap();
     (cat, QueryEnv::new(vec!["t0".into(), "t1".into()]))

@@ -29,7 +29,6 @@
 
 use crate::matview::MatViewMeta;
 use crate::snapshot::{Snapshot, TableSnap};
-use crate::stats::TableStats;
 use crate::table::{Displaced, RowPatch, Table};
 use crate::wal::{WalContents, WalReader, WalRecord, WalWriter};
 use aggview_common::{AggViewError, FaultInjector, NoFaults, Result, Tuple};
@@ -425,15 +424,6 @@ impl Catalog {
         self.log_with(|| WalRecord::MarkModified { table: key.clone() })?;
         vers.entry(key).or_default().data += 1;
         Ok(())
-    }
-
-    /// The table's statistics, stamped with the version they were
-    /// computed from so downstream consumers can verify freshness.
-    pub fn stats_of(&self, name: &str) -> Result<TableStats> {
-        let t = self.get(name)?;
-        let mut stats = t.stats().clone();
-        stats.version = self.stats_version(name);
-        Ok(stats)
     }
 
     /// The one way rows of a registered table change: check `patch`
@@ -901,7 +891,7 @@ mod tests {
         c.add_or_replace(table("t")).unwrap();
         assert_eq!(c.data_version("t"), 3);
         assert!(c.stats_fresh("t"));
-        assert_eq!(c.stats_of("t").unwrap().version, 3);
+        assert_eq!(c.stats_version("t"), 3);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! curated workloads. This generator produces small random catalogs with
 //! a uniform shape: every table gets an integer primary key, a couple of
 //! join columns with controlled domain sizes (so join selectivities
-//! vary), and a numeric measure column to aggregate.
+//! vary), a numeric measure column to aggregate, and as many further
+//! integer columns as a wide-schema test asks for.
 
 use crate::catalog::Catalog;
 use crate::table::Table;
@@ -22,6 +23,8 @@ pub struct RandomCatalogConfig {
     pub rows: (usize, usize),
     /// Inclusive domain-size range for join columns `j1`, `j2`.
     pub join_domain: (i64, i64),
+    /// Further integer columns `x0`, `x1`, ... after `val` (wide schemas).
+    pub extra_cols: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -32,13 +35,14 @@ impl Default for RandomCatalogConfig {
             n_tables: 3,
             rows: (5, 200),
             join_domain: (2, 20),
+            extra_cols: 0,
             seed: 0,
         }
     }
 }
 
 /// Generate `n_tables` tables, each with schema
-/// `tK(id INT PK, j1 INT, j2 INT, val FLOAT)`.
+/// `tK(id INT PK, j1 INT, j2 INT, val FLOAT, x0 INT, ...)`.
 ///
 /// * `id` — dense primary key 0..rows,
 /// * `j1`, `j2` — join columns drawn uniformly from per-table random
@@ -51,26 +55,24 @@ pub fn gen_random_catalog(cfg: &RandomCatalogConfig) -> Result<Catalog> {
         let rows = rng.gen_range(cfg.rows.0..=cfg.rows.1);
         let d1 = rng.gen_range(cfg.join_domain.0..=cfg.join_domain.1);
         let d2 = rng.gen_range(cfg.join_domain.0..=cfg.join_domain.1);
-        let mut b = Table::builder(
-            format!("t{t}"),
-            Schema::of(&[
-                ("id", DataType::Int),
-                ("j1", DataType::Int),
-                ("j2", DataType::Int),
-                ("val", DataType::Float),
-            ]),
-        )
-        .primary_key(&["id"])?;
+        let extra: Vec<String> = (0..cfg.extra_cols).map(|x| format!("x{x}")).collect();
+        let mut fields = vec![
+            ("id", DataType::Int),
+            ("j1", DataType::Int),
+            ("j2", DataType::Int),
+            ("val", DataType::Float),
+        ];
+        fields.extend(extra.iter().map(|x| (x.as_str(), DataType::Int)));
+        let mut b = Table::builder(format!("t{t}"), Schema::of(&fields)).primary_key(&["id"])?;
         for i in 0..rows {
-            b.push(
-                vec![
-                    Value::Int(i as i64),
-                    Value::Int(rng.gen_range(0..d1)),
-                    Value::Int(rng.gen_range(0..d2)),
-                    Value::Float((rng.gen_range(0..100_000) as f64) / 100.0),
-                ]
-                .into(),
-            )?;
+            let mut row = vec![
+                Value::Int(i as i64),
+                Value::Int(rng.gen_range(0..d1)),
+                Value::Int(rng.gen_range(0..d2)),
+                Value::Float((rng.gen_range(0..100_000) as f64) / 100.0),
+            ];
+            row.extend((0..cfg.extra_cols).map(|x| Value::Int((i + x) as i64)));
+            b.push(row.into())?;
         }
         catalog.add(b.build()?)?;
     }
@@ -119,6 +121,7 @@ mod tests {
             rows: (200, 200),
             join_domain: (3, 5),
             seed: 1,
+            ..Default::default()
         };
         let cat = gen_random_catalog(&cfg).unwrap();
         let t = cat.get("t0").unwrap();

@@ -185,11 +185,6 @@ pub struct TableStats {
     pub row_width: f64,
     /// Per-column statistics, in schema order.
     pub columns: Vec<ColumnStats>,
-    /// Catalog data version these statistics were computed from; stamped
-    /// by [`crate::Catalog::stats_of`] (0 for stats not yet registered).
-    /// Consumers compare it against `Catalog::data_version` to detect
-    /// silently stale statistics.
-    pub version: u64,
 }
 
 impl TableStats {
@@ -198,7 +193,6 @@ impl TableStats {
         TableStats {
             rows: 0,
             row_width: 0.0,
-            version: 0,
             columns: (0..ncols)
                 .map(|_| ColumnStats {
                     distinct: 0,
@@ -266,7 +260,6 @@ pub(crate) fn analyze_sized(rows: &[Tuple], ncols: usize) -> (TableStats, u64) {
         rows: rows.len() as u64,
         row_width: total_width as f64 / rows.len() as f64,
         columns,
-        version: 0,
     };
     (stats, total_width as u64)
 }
@@ -380,10 +373,7 @@ impl StatsSummary {
         let rows = self.rows;
         if rows == 0 {
             self.histogram_lag = 0;
-            *stats = TableStats {
-                version: stats.version,
-                ..TableStats::empty(self.columns.len())
-            };
+            *stats = TableStats::empty(self.columns.len());
             return;
         }
         self.histogram_lag += changed;

@@ -6,7 +6,9 @@ use aggview::core::query::{CanonicalQuery, QueryEnv, ViewDef};
 use aggview::core::{optimize, CostModel, OptimizerConfig, PullUpLevel};
 use aggview::executor::{assert_equivalent, Engine};
 use aggview::sql::Session;
-use aggview::storage::datagen::{gen_empdept, gen_star, EmpDeptConfig, StarConfig};
+use aggview::storage::datagen::{
+    gen_empdept, gen_random_catalog, gen_star, EmpDeptConfig, RandomCatalogConfig, StarConfig,
+};
 use aggview::{AggFunc, AggSpec, CmpOp, Col, Expr, Predicate, Value, ViewId};
 
 fn empdept() -> aggview::storage::Catalog {
@@ -298,4 +300,69 @@ fn top_group_by_over_view_combines_or_stacks_correctly() {
         v
     };
     assert_eq!(canon(&via_view.rows), canon(&direct.rows));
+}
+
+/// `select *`-style join of two random tables of `4 + extra_cols`
+/// columns each, grouped by one side's key.
+fn wide_join_query(extra_cols: usize) -> (aggview::storage::Catalog, CanonicalQuery) {
+    let cat = gen_random_catalog(&RandomCatalogConfig {
+        n_tables: 2,
+        rows: (40, 60),
+        join_domain: (5, 10),
+        extra_cols,
+        seed: 47,
+    })
+    .unwrap();
+    let mut env = QueryEnv::default();
+    let t0 = env.add_rel("t0");
+    let t1 = env.add_rel("t1");
+    let arity = 4 + extra_cols;
+    let q = CanonicalQuery {
+        env,
+        views: vec![],
+        base_rels: vec![t0, t1],
+        preds: vec![Predicate::eq_cols(Col::base(t0, 1), Col::base(t1, 1))],
+        group: None,
+        projection: (0..arity)
+            .flat_map(|c| [Col::base(t0, c), Col::base(t1, c)])
+            .collect(),
+    };
+    (cat, q)
+}
+
+/// Block enumeration keeps column sets as fixed-width bitsets. A block
+/// whose columns span several words of the set optimizes like any
+/// other; one that mentions more columns than the set can number is
+/// refused with the "block too large" error — never planned from a
+/// truncated set.
+#[test]
+fn column_universe_edge_is_exact_or_refused() {
+    // 2 × 124 = 248 columns: inside the 256-column universe, every word
+    // of the bitset in use.
+    let (cat, q) = wide_join_query(120);
+    let opt = optimize(&q, &cat, CostModel::default(), &OptimizerConfig::default()).unwrap();
+    opt.plan.validate(&cat, &q.env.rel_tables).unwrap();
+    assert_eq!(opt.plan.output_cols(), &q.projection[..]);
+    assert_eq!(opt.plan.join_count(), 1);
+    let text = opt.plan.explain();
+    assert!(text.contains("on [r0.c1 = r1.c1]"), "{text}");
+    let trad = optimize(
+        &q,
+        &cat,
+        CostModel::default(),
+        &OptimizerConfig::traditional(),
+    )
+    .unwrap();
+    let engine = Engine::new(&cat, &q.env, CostModel::default());
+    let rows = engine.execute(&opt.plan).unwrap();
+    assert_eq!(rows.cols.len(), 248);
+    assert_equivalent(&engine.execute(&trad.plan).unwrap(), &rows).unwrap();
+
+    // 2 × 129 = 258 columns: two too many.
+    let (cat, q) = wide_join_query(125);
+    let err = optimize(&q, &cat, CostModel::default(), &OptimizerConfig::default()).unwrap_err();
+    assert!(
+        matches!(&err, aggview::AggViewError::Optimize(m) if m.contains("block too large")),
+        "{err}"
+    );
 }

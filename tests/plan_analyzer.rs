@@ -586,8 +586,8 @@ fn unpriceable_joins_fail_cost_sanity() {
     // instead of letting the analyzer error out.
     let plan = Plan::Join {
         algo: JoinAlgo::Hash,
-        left: Box::new(left),
-        right: Box::new(right),
+        left: left.into(),
+        right: right.into(),
         preds: vec![Predicate::new(
             Expr::col(Col::base(e, emp::SAL)),
             CmpOp::Gt,

@@ -9,6 +9,7 @@ use aggview::core::{optimize, CostModel, OptimizerConfig, Plan, PullUpLevel};
 use aggview::executor::{assert_equivalent, Engine};
 use aggview::storage::datagen::{gen_empdept, EmpDeptConfig};
 use aggview::storage::Catalog;
+use std::sync::Arc;
 
 fn catalog(n_depts: usize, emps: usize, young: f64, seed: u64) -> Catalog {
     gen_empdept(&EmpDeptConfig {
@@ -191,23 +192,23 @@ fn pull_up_transformation_preserves_results() {
         else {
             unreachable!()
         };
-        let widen = |p: Box<Plan>| -> Box<Plan> {
-            match *p {
+        let widen = |p: Arc<Plan>| -> Arc<Plan> {
+            match &*p {
                 Plan::Scan {
                     rel,
                     table,
                     filters,
                     ..
                 } => {
-                    let arity = cat.get(&table).unwrap().schema().len();
-                    Box::new(Plan::scan(
-                        rel,
+                    let arity = cat.get(table).unwrap().schema().len();
+                    Arc::new(Plan::scan(
+                        *rel,
                         table,
-                        filters,
-                        aggview::core::plan::all_cols(rel, arity),
+                        filters.clone(),
+                        aggview::core::plan::all_cols(*rel, arity),
                     ))
                 }
-                other => Box::new(other),
+                _ => p,
             }
         };
         Plan::Join {
