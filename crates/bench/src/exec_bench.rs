@@ -484,8 +484,28 @@ pub fn run_exec_bench(cfg: &ExecBenchConfig) -> Result<ExecBenchReport> {
     let serial_kernels = SerialKernels {
         kernels: vec![
             filter_kernel(empdept.get("emp")?.as_ref(), repeats)?,
-            join_kernel(&emp_rows, &emp_types, &dept_rows, &dept_types, repeats)?,
-            group_kernel(&emp_rows, &emp_types, repeats)?,
+            join_kernel(
+                "hash_join",
+                JOIN_MIXED_PAYLOAD,
+                (&emp_rows, &emp_types),
+                (&dept_rows, &dept_types),
+                repeats,
+            )?,
+            join_kernel(
+                "hash_join_str",
+                JOIN_STR_PAYLOAD,
+                (&emp_rows, &emp_types),
+                (&dept_rows, &dept_types),
+                repeats,
+            )?,
+            group_kernel("group_by", emp::DNO, &emp_rows, &emp_types, repeats)?,
+            group_kernel(
+                "group_by_str",
+                emp::NAME,
+                &dept_labelled(&emp_rows),
+                &emp_types,
+                repeats,
+            )?,
         ],
         mixed_demotions: aggview_common::mixed_demotions().saturating_sub(demotions_before),
     };
@@ -1217,23 +1237,27 @@ fn filter_kernel(table: &Table, repeats: usize) -> Result<KernelTiming> {
     Ok(timing("filter", table.len(), ms))
 }
 
-/// Hash join build + probe (fx-prehashed key columns). Inputs are
-/// transposed outside the timed region: in the engine a join consumes
-/// batches produced upstream, so transposition belongs to the scan (the
-/// `filter` entry), not the join.
+/// Join payloads over the combined layout `dept ++ emp`: every dept
+/// column plus emp name and sal (three numeric, three string columns),
+/// and the three string columns alone (dname, loc, emp name).
+const JOIN_MIXED_PAYLOAD: &[usize] = &[0, 1, 2, 3, 4 + emp::NAME, 4 + emp::SAL];
+const JOIN_STR_PAYLOAD: &[usize] = &[dept::DNAME, dept::LOC, 4 + emp::NAME];
+
+/// Hash join build + probe on the Int key `dno`, emitting `positions`.
+/// Inputs are transposed outside the timed region: in the engine a join
+/// consumes batches produced upstream, so transposition belongs to the
+/// scan (the `filter` entry), not the join.
 fn join_kernel(
-    emp_rows: &[Tuple],
-    emp_types: &[DataType],
-    dept_rows: &[Tuple],
-    dept_types: &[DataType],
+    name: &'static str,
+    positions: &[usize],
+    (emp_rows, emp_types): (&[Tuple], &[DataType]),
+    (dept_rows, dept_types): (&[Tuple], &[DataType]),
     repeats: usize,
 ) -> Result<KernelTiming> {
     let gov = ResourceGovernor::unlimited();
     let opts = ExecOptions::with_threads(1);
     let build_pos = [dept::DNO];
     let probe_pos = [emp::DNO];
-    // Combined layout dept ++ emp: all dept columns plus emp name+sal.
-    let positions = [0usize, 1, 2, 3, 4 + 1, 4 + emp::SAL];
     let build = Batch::from_tuples(dept_rows, &identity(dept_types.len()), dept_types);
     let probe = Batch::from_tuples(emp_rows, &identity(emp_types.len()), emp_types);
     let (ms, _) = time_best(repeats, || {
@@ -1249,15 +1273,31 @@ fn join_kernel(
             &[],
             true,
             4,
-            &positions,
+            positions,
         )
     })?;
-    Ok(timing("hash_join", emp_rows.len() + dept_rows.len(), ms))
+    Ok(timing(name, emp_rows.len() + dept_rows.len(), ms))
 }
 
-/// Hash aggregation (tile-prehashed keys, flat state storage). As with
-/// the join, the input batch is transposed outside the timed region.
+/// The emp rows with `name` replaced by a label of the row's `dno`: a
+/// string key with exactly the groups of the Int key.
+fn dept_labelled(emp_rows: &[Tuple]) -> Vec<Tuple> {
+    emp_rows
+        .iter()
+        .map(|r| {
+            let mut cells = r.values().to_vec();
+            cells[emp::NAME] = Value::str(format!("dept-{}", r.get(emp::DNO)));
+            Tuple::new(cells)
+        })
+        .collect()
+}
+
+/// Hash aggregation of COUNT(*) and AVG(sal) grouped by emp column
+/// `key`. As with the join, the input batch is transposed outside the
+/// timed region.
 fn group_kernel(
+    name: &'static str,
+    key: usize,
     emp_rows: &[Tuple],
     emp_types: &[DataType],
     repeats: usize,
@@ -1269,9 +1309,9 @@ fn group_kernel(
     let funcs = [AggFunc::Count, AggFunc::Avg];
     let batch = Batch::from_tuples(emp_rows, &identity(emp_types.len()), emp_types);
     let (ms, _) = time_best(repeats, || {
-        vector::accumulate_groups(&opts, &gov, &batch, &[emp::DNO], &inputs, &funcs)
+        vector::accumulate_groups(&opts, &gov, &batch, &[key], &inputs, &funcs)
     })?;
-    Ok(timing("group_by", emp_rows.len(), ms))
+    Ok(timing(name, emp_rows.len(), ms))
 }
 
 // ---------------------------------------------------------------------
@@ -1701,7 +1741,16 @@ mod tests {
             .iter()
             .map(|k| k.name)
             .collect();
-        assert_eq!(kernel_names, ["filter", "hash_join", "group_by"]);
+        assert_eq!(
+            kernel_names,
+            [
+                "filter",
+                "hash_join",
+                "hash_join_str",
+                "group_by",
+                "group_by_str"
+            ]
+        );
         for k in &report.serial_kernels.kernels {
             assert!(k.ms > 0.0 && k.rows_per_sec > 0.0, "{} times", k.name);
         }

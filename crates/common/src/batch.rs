@@ -95,7 +95,8 @@ impl Batch {
         self.cols[col].value_at(row)
     }
 
-    /// Total byte width (= Σ [`Tuple::width`] of the materialized rows).
+    /// Total byte width (= Σ [`Tuple::width`] of the materialized rows);
+    /// O(columns) unless a column is `Mixed`.
     pub fn total_bytes(&self) -> u64 {
         self.cols.iter().map(ColumnVec::total_bytes).sum()
     }
@@ -118,7 +119,8 @@ impl Batch {
     }
 
     /// Materialize back to row-major tuples (the late-materialization
-    /// boundary).
+    /// boundary, and the only place a coded string column is decoded
+    /// into [`Value::Str`] cells wholesale).
     pub fn to_tuples(&self) -> Vec<Tuple> {
         (0..self.len)
             .map(|r| Tuple::new(self.cols.iter().map(|c| c.value_at(r)).collect()))

@@ -1,18 +1,19 @@
 //! Typed column vectors — the storage unit of columnar batches.
 //!
 //! A [`ColumnVec`] stores one column of a batch as a contiguous typed
-//! vector (`Vec<i64>`, `Vec<f64>`, `Vec<Arc<str>>`, `Vec<bool>`), so hot
-//! kernels run tight per-column loops over primitive slices instead of
-//! matching a [`Value`] enum per cell. Columns whose values do not all
-//! share one runtime type degrade to [`ColumnVec::Mixed`], which keeps
-//! the row-at-a-time `Value` representation — correctness never depends
-//! on a column being typed, only speed does.
+//! vector (`Vec<i64>`, `Vec<f64>`, `Vec<bool>`, or — for strings — `u32`
+//! codes into a shared dictionary, [`StrCol`]), so hot kernels run tight
+//! per-column loops over primitive slices instead of matching a
+//! [`Value`] enum per cell. Columns whose values do not all share one
+//! runtime type degrade to [`ColumnVec::Mixed`], which keeps the
+//! row-at-a-time `Value` representation — correctness never depends on a
+//! column being typed, only speed does.
 //!
 //! The paper's engine has no NULLs (Section 2), so columns carry no
 //! validity bitmap; selection vectors (`Vec<u32>` of surviving row
 //! indices) play that role for filtered batches instead.
 
-use crate::hash::{fx_mix, fx_str, fx_value};
+use crate::hash::{fx_mix, fx_value, str_digest};
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
 use std::ops::Range;
@@ -35,12 +36,224 @@ pub fn mixed_demotions() -> u64 {
     MIXED_DEMOTIONS.load(Ordering::Relaxed)
 }
 
+/// The distinct strings of a string column, each stored once.
+///
+/// Entry `c` (a *code*) carries the string, its byte width and its
+/// [`str_digest`]: the width is the length word of the `Arc<str>` fat
+/// pointer, so neither it nor the digest ever dereferences the string.
+/// Interning keeps entries unique, hence under one dictionary two codes
+/// are equal exactly when their strings are. A dictionary only grows;
+/// columns hold it behind an `Arc` and may reference any subset of it.
+#[derive(Clone, Default)]
+pub struct StrDict {
+    strs: Vec<Arc<str>>,
+    digests: Vec<u64>,
+    /// The interning index: an open-addressed table of `code + 1`
+    /// (`0` = empty), a power of two long and at most half full, homed
+    /// by the digest's top bits (the fx chain ends in a multiply, which
+    /// leaves a key's entropy there) and probed linearly. It reuses the
+    /// digests the entries carry anyway, so a lookup hashes the string
+    /// once and growing rehashes nothing. Like every fx table in the
+    /// engine it is unkeyed: it is an index, never an ordering.
+    cells: Vec<u32>,
+}
+
+impl std::fmt::Debug for StrDict {
+    /// The entries in code order; digests and index derive from them.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(&self.strs).finish()
+    }
+}
+
+impl StrDict {
+    /// Number of entries; codes range over `0..len`.
+    pub fn len(&self) -> usize {
+        self.strs.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.strs.is_empty()
+    }
+
+    /// The string of `code`.
+    pub fn get(&self, code: u32) -> &Arc<str> {
+        &self.strs[code as usize]
+    }
+
+    /// Every entry's string, in code order.
+    pub fn strs(&self) -> &[Arc<str>] {
+        &self.strs
+    }
+
+    /// Byte width of `code`'s string, matching [`Value::width`] (an
+    /// empty string still charges 1).
+    pub fn width(&self, code: u32) -> u64 {
+        self.strs[code as usize].len().max(1) as u64
+    }
+
+    /// Home cell of `digest`; `cells` must not be empty.
+    fn home(&self, digest: u64) -> usize {
+        (digest >> (64 - self.cells.len().trailing_zeros())) as usize
+    }
+
+    /// The code of `s`, whose digest is `digest`, if it has an entry.
+    fn find(&self, s: &str, digest: u64) -> Option<u32> {
+        if self.cells.is_empty() {
+            return None;
+        }
+        let mut i = self.home(digest);
+        loop {
+            let code = self.cells[i].checked_sub(1)?;
+            if self.digests[code as usize] == digest && *self.strs[code as usize] == *s {
+                return Some(code);
+            }
+            i = (i + 1) & (self.cells.len() - 1);
+        }
+    }
+
+    /// Put entry `code` (already pushed) into the first free cell from
+    /// its home.
+    fn seat(&mut self, code: u32) {
+        let mut i = self.home(self.digests[code as usize]);
+        while self.cells[i] != 0 {
+            i = (i + 1) & (self.cells.len() - 1);
+        }
+        self.cells[i] = code + 1;
+    }
+
+    /// Replace the index by one of `cells` cells over the same entries.
+    /// Only the stored digests are read: no string is rehashed.
+    fn reindex(&mut self, cells: usize) {
+        self.cells = vec![0; cells];
+        (0..self.strs.len() as u32).for_each(|code| self.seat(code));
+    }
+
+    /// Add `s`, which [`Self::find`] did not find.
+    fn insert(&mut self, s: &Arc<str>, digest: u64) -> u32 {
+        let code = u32::try_from(self.strs.len()).expect("row indices are u32, so codes fit");
+        self.strs.push(s.clone());
+        self.digests.push(digest);
+        if self.strs.len() * 2 > self.cells.len() {
+            self.reindex(index_cells(self.strs.len()));
+        } else {
+            self.seat(code);
+        }
+        code
+    }
+}
+
+/// Index size for `entries` strings: the power of two that keeps the
+/// table at most half full.
+fn index_cells(entries: usize) -> usize {
+    (entries * 2).next_power_of_two().max(16)
+}
+
+/// A dictionary-coded string column: one `u32` code per row into a
+/// shared [`StrDict`], plus the running byte total of the rows.
+///
+/// Columns derived from one another — `empty_like`, gathers, appends —
+/// share the source's dictionary and copy codes; only a column that
+/// meets a string from elsewhere (another dictionary, a [`Value`])
+/// interns, copying the dictionary first if others still share it.
+#[derive(Debug, Clone, Default)]
+pub struct StrCol {
+    dict: Arc<StrDict>,
+    codes: Vec<u32>,
+    /// Σ `dict.width(code)` over `codes`.
+    bytes: u64,
+}
+
+impl StrCol {
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// The per-row codes into [`Self::dict`].
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
+    }
+
+    pub fn dict(&self) -> &StrDict {
+        &self.dict
+    }
+
+    /// The string at row `i`.
+    pub fn get(&self, i: usize) -> &Arc<str> {
+        self.dict.get(self.codes[i])
+    }
+
+    /// True when `self` and `other` draw codes from the same dictionary
+    /// (so equal codes mean equal strings, and codes can be copied).
+    pub fn same_dict(&self, other: &StrCol) -> bool {
+        Arc::ptr_eq(&self.dict, &other.dict)
+    }
+
+    /// Append `s`, interning it; returns the byte width appended.
+    pub fn push(&mut self, s: &Arc<str>) -> u64 {
+        let digest = str_digest(s);
+        let code = match self.dict.find(s, digest) {
+            Some(code) => code,
+            None => Arc::make_mut(&mut self.dict).insert(s, digest),
+        };
+        let w = self.dict.width(code);
+        self.codes.push(code);
+        self.bytes += w;
+        w
+    }
+
+    fn empty_like(&self) -> StrCol {
+        StrCol {
+            dict: self.dict.clone(),
+            codes: Vec::new(),
+            bytes: 0,
+        }
+    }
+
+    /// Append the rows of `src` that `rows` yields: code copies under a
+    /// shared dictionary — which an empty column adopts from its first
+    /// source — and re-interned strings otherwise.
+    fn append_rows(&mut self, src: &StrCol, rows: impl Iterator<Item = usize>) -> u64 {
+        if self.codes.is_empty() {
+            self.dict = src.dict.clone();
+        }
+        let mut w = 0u64;
+        if self.same_dict(src) {
+            let dict = &*src.dict;
+            self.codes.extend(rows.map(|i| {
+                let code = src.codes[i];
+                w += dict.width(code);
+                code
+            }));
+            self.bytes += w;
+        } else {
+            for i in rows {
+                w += self.push(src.get(i));
+            }
+        }
+        w
+    }
+}
+
+impl FromIterator<Arc<str>> for StrCol {
+    fn from_iter<I: IntoIterator<Item = Arc<str>>>(iter: I) -> StrCol {
+        let mut col = StrCol::default();
+        for s in iter {
+            col.push(&s);
+        }
+        col
+    }
+}
+
 /// One column of a batch, stored as a typed vector when possible.
 #[derive(Debug, Clone)]
 pub enum ColumnVec {
     Int(Vec<i64>),
     Float(Vec<f64>),
-    Str(Vec<Arc<str>>),
+    Str(StrCol),
     Bool(Vec<bool>),
     /// Fallback for columns without a single runtime type.
     Mixed(Vec<Value>),
@@ -52,17 +265,18 @@ impl ColumnVec {
         match ty {
             DataType::Int => ColumnVec::Int(Vec::new()),
             DataType::Float => ColumnVec::Float(Vec::new()),
-            DataType::Str => ColumnVec::Str(Vec::new()),
+            DataType::Str => ColumnVec::Str(StrCol::default()),
             DataType::Bool => ColumnVec::Bool(Vec::new()),
         }
     }
 
-    /// An empty column of the same representation as `self`.
+    /// An empty column of the same representation as `self` (for
+    /// strings: over the same dictionary).
     pub fn empty_like(&self) -> ColumnVec {
         match self {
             ColumnVec::Int(_) => ColumnVec::Int(Vec::new()),
             ColumnVec::Float(_) => ColumnVec::Float(Vec::new()),
-            ColumnVec::Str(_) => ColumnVec::Str(Vec::new()),
+            ColumnVec::Str(v) => ColumnVec::Str(v.empty_like()),
             ColumnVec::Bool(_) => ColumnVec::Bool(Vec::new()),
             ColumnVec::Mixed(_) => ColumnVec::Mixed(Vec::new()),
         }
@@ -87,7 +301,7 @@ impl ColumnVec {
         match self {
             ColumnVec::Int(v) => Value::Int(v[i]),
             ColumnVec::Float(v) => Value::Float(v[i]),
-            ColumnVec::Str(v) => Value::Str(v[i].clone()),
+            ColumnVec::Str(v) => Value::Str(v.get(i).clone()),
             ColumnVec::Bool(v) => Value::Bool(v[i]),
             ColumnVec::Mixed(v) => v[i].clone(),
         }
@@ -97,7 +311,7 @@ impl ColumnVec {
     pub fn width_at(&self, i: usize) -> usize {
         match self {
             ColumnVec::Int(_) | ColumnVec::Float(_) => 8,
-            ColumnVec::Str(v) => v[i].len().max(1),
+            ColumnVec::Str(v) => v.dict.width(v.codes[i]) as usize,
             ColumnVec::Bool(_) => 1,
             ColumnVec::Mixed(v) => v[i].width(),
         }
@@ -105,12 +319,13 @@ impl ColumnVec {
 
     /// Total byte width of the column (the sum of [`Value::width`] over
     /// every entry — identical to summing the widths of the tuples the
-    /// column came from).
+    /// column came from). O(1) for every typed column: strings keep a
+    /// running total.
     pub fn total_bytes(&self) -> u64 {
         match self {
             ColumnVec::Int(v) => 8 * v.len() as u64,
             ColumnVec::Float(v) => 8 * v.len() as u64,
-            ColumnVec::Str(v) => v.iter().map(|s| s.len().max(1) as u64).sum(),
+            ColumnVec::Str(v) => v.bytes,
             ColumnVec::Bool(v) => v.len() as u64,
             ColumnVec::Mixed(v) => v.iter().map(|x| x.width() as u64).sum(),
         }
@@ -134,10 +349,41 @@ impl ColumnVec {
                 Value::Float(x) => Some(*x),
                 _ => None,
             }),
-            ColumnVec::Str(out) => fill_typed(rows, p, out, |v| match v {
-                Value::Str(s) => Some(s.clone()),
-                _ => None,
-            }),
+            ColumnVec::Str(out) => {
+                // Interned into a dictionary nobody shares yet (no entry
+                // pays for `Arc::make_mut`'s uniqueness check) whose index
+                // starts with room for a string per row and is cut to fit
+                // afterwards: growing it step by step costs an
+                // all-distinct column as much as the interning itself.
+                let mut dict = StrDict {
+                    cells: vec![0; index_cells(rows.len())],
+                    ..StrDict::default()
+                };
+                let mut codes = Vec::with_capacity(rows.len());
+                let mut bytes = 0u64;
+                let ill_typed = rows.iter().position(|r| match r.get(p) {
+                    Value::Str(s) => {
+                        let digest = str_digest(s);
+                        let code = match dict.find(s, digest) {
+                            Some(code) => code,
+                            None => dict.insert(s, digest),
+                        };
+                        bytes += dict.width(code);
+                        codes.push(code);
+                        false
+                    }
+                    _ => true,
+                });
+                if index_cells(dict.len()) < dict.cells.len() {
+                    dict.reindex(index_cells(dict.len()));
+                }
+                *out = StrCol {
+                    dict: Arc::new(dict),
+                    codes,
+                    bytes,
+                };
+                ill_typed.unwrap_or(rows.len())
+            }
             ColumnVec::Bool(out) => fill_typed(rows, p, out, |v| match v {
                 Value::Bool(b) => Some(*b),
                 _ => None,
@@ -158,7 +404,9 @@ impl ColumnVec {
         match (&mut *self, v) {
             (ColumnVec::Int(xs), Value::Int(x)) => xs.push(x),
             (ColumnVec::Float(xs), Value::Float(x)) => xs.push(x),
-            (ColumnVec::Str(xs), Value::Str(s)) => xs.push(s),
+            (ColumnVec::Str(xs), Value::Str(s)) => {
+                xs.push(&s);
+            }
             (ColumnVec::Bool(xs), Value::Bool(b)) => xs.push(b),
             (ColumnVec::Mixed(xs), v) => xs.push(v),
             (_, v) => {
@@ -167,6 +415,23 @@ impl ColumnVec {
                     xs.push(v);
                 }
             }
+        }
+    }
+
+    /// Append `src[i]` column to column: a typed cell never round-trips
+    /// through a [`Value`], and a coded string under a shared dictionary
+    /// never re-interns. Mismatched representations fall back to
+    /// [`ColumnVec::push_value`] (and its demotion rule).
+    pub fn push_from(&mut self, src: &ColumnVec, i: usize) {
+        match (&mut *self, src) {
+            (ColumnVec::Int(out), ColumnVec::Int(xs)) => out.push(xs[i]),
+            (ColumnVec::Float(out), ColumnVec::Float(xs)) => out.push(xs[i]),
+            (ColumnVec::Str(out), ColumnVec::Str(xs)) => {
+                out.append_rows(xs, std::iter::once(i));
+            }
+            (ColumnVec::Bool(out), ColumnVec::Bool(xs)) => out.push(xs[i]),
+            (ColumnVec::Mixed(out), ColumnVec::Mixed(xs)) => out.push(xs[i].clone()),
+            _ => self.push_value(src.value_at(i)),
         }
     }
 
@@ -194,13 +459,7 @@ impl ColumnVec {
                 8 * sel.len() as u64
             }
             (ColumnVec::Str(out), ColumnVec::Str(xs)) => {
-                let mut w = 0u64;
-                out.extend(sel.iter().map(|&i| {
-                    let s = &xs[i as usize];
-                    w += s.len().max(1) as u64;
-                    s.clone()
-                }));
-                w
+                out.append_rows(xs, sel.iter().map(|&i| i as usize))
             }
             (ColumnVec::Bool(out), ColumnVec::Bool(xs)) => {
                 out.extend(sel.iter().map(|&i| xs[i as usize]));
@@ -210,7 +469,7 @@ impl ColumnVec {
                 let mut w = 0u64;
                 for &i in sel {
                     w += src.width_at(i as usize) as u64;
-                    self.push_value(src.value_at(i as usize));
+                    self.push_from(src, i as usize);
                 }
                 w
             }
@@ -229,14 +488,7 @@ impl ColumnVec {
                 out.extend_from_slice(&xs[range.clone()]);
                 8 * range.len() as u64
             }
-            (ColumnVec::Str(out), ColumnVec::Str(xs)) => {
-                let mut w = 0u64;
-                out.extend(xs[range].iter().map(|s| {
-                    w += s.len().max(1) as u64;
-                    s.clone()
-                }));
-                w
-            }
+            (ColumnVec::Str(out), ColumnVec::Str(xs)) => out.append_rows(xs, range),
             (ColumnVec::Bool(out), ColumnVec::Bool(xs)) => {
                 out.extend_from_slice(&xs[range.clone()]);
                 range.len() as u64
@@ -245,7 +497,7 @@ impl ColumnVec {
                 let mut w = 0u64;
                 for i in range {
                     w += src.width_at(i) as u64;
-                    self.push_value(src.value_at(i));
+                    self.push_from(src, i);
                 }
                 w
             }
@@ -259,7 +511,8 @@ impl ColumnVec {
 
     /// Value equality between `self[i]` and `other[j]` under the same
     /// cross-numeric rules as [`Value::eq`] (`Int(3) == Float(3.0)`,
-    /// floats by total order, cross-type otherwise unequal).
+    /// floats by total order, cross-type otherwise unequal). Strings
+    /// compare by code under one dictionary, by content across two.
     pub fn eq_rows(&self, i: usize, other: &ColumnVec, j: usize) -> bool {
         use std::cmp::Ordering::Equal;
         match (self, other) {
@@ -267,7 +520,13 @@ impl ColumnVec {
             (ColumnVec::Float(a), ColumnVec::Float(b)) => a[i].total_cmp(&b[j]) == Equal,
             (ColumnVec::Int(a), ColumnVec::Float(b)) => (a[i] as f64).total_cmp(&b[j]) == Equal,
             (ColumnVec::Float(a), ColumnVec::Int(b)) => a[i].total_cmp(&(b[j] as f64)) == Equal,
-            (ColumnVec::Str(a), ColumnVec::Str(b)) => a[i] == b[j],
+            (ColumnVec::Str(a), ColumnVec::Str(b)) => {
+                if a.same_dict(b) {
+                    a.codes[i] == b.codes[j]
+                } else {
+                    a.get(i) == b.get(j)
+                }
+            }
             (ColumnVec::Bool(a), ColumnVec::Bool(b)) => a[i] == b[j],
             _ => self.value_at(i) == other.value_at(j),
         }
@@ -277,7 +536,8 @@ impl ColumnVec {
     /// `out` (`out[k]` accumulates row `range.start + k`). The chain
     /// preserves [`Value`]'s collision guarantee: equal values — across
     /// Int/Float — fold identically, whether the column is typed or
-    /// `Mixed`.
+    /// `Mixed`. A string folds as one step over its digest
+    /// ([`crate::hash::fx_str`]), read here from the dictionary entry.
     pub fn hash_fx_into(&self, range: Range<usize>, out: &mut [u64]) {
         debug_assert_eq!(range.len(), out.len());
         match self {
@@ -292,8 +552,9 @@ impl ColumnVec {
                 }
             }
             ColumnVec::Str(xs) => {
-                for (o, s) in out.iter_mut().zip(&xs[range]) {
-                    *o = fx_str(*o, s);
+                let digests = &xs.dict.digests;
+                for (o, &code) in out.iter_mut().zip(&xs.codes[range]) {
+                    *o = fx_mix(*o, digests[code as usize]);
                 }
             }
             ColumnVec::Bool(xs) => {
@@ -324,7 +585,7 @@ impl ColumnVec {
         }
     }
 
-    pub fn as_str_col(&self) -> Option<&[Arc<str>]> {
+    pub fn as_strs(&self) -> Option<&StrCol> {
         match self {
             ColumnVec::Str(v) => Some(v),
             _ => None,
@@ -362,9 +623,20 @@ fn fill_typed<T>(
 mod tests {
     use super::*;
     use crate::hash::FX_SEED;
+    use std::sync::Mutex;
+
+    /// The demotion counter is process-wide and tests run on parallel
+    /// threads: every test of this crate that demotes a column holds
+    /// this lock, so the ones that count can count exactly.
+    static DEMOTIONS: Mutex<()> = Mutex::new(());
+
+    fn demotions_lock() -> std::sync::MutexGuard<'static, ()> {
+        DEMOTIONS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn typed_push_and_mixed_degradation() {
+        let _held = demotions_lock();
         let mut c = ColumnVec::with_type(DataType::Int);
         c.push_value(Value::Int(1));
         c.push_value(Value::Int(2));
@@ -378,16 +650,24 @@ mod tests {
 
     #[test]
     fn demotions_bump_the_process_counter() {
+        let _held = demotions_lock();
         let before = mixed_demotions();
         let mut c = ColumnVec::with_type(DataType::Int);
         c.push_value(Value::Int(1));
         c.push_value(Value::str("oops"));
-        // Other tests may demote concurrently; the counter only grows.
-        assert!(mixed_demotions() > before);
+        assert_eq!(mixed_demotions(), before + 1);
         // Already-Mixed columns never re-count.
         let mid = mixed_demotions();
         c.push_value(Value::Bool(true));
         assert_eq!(mixed_demotions(), mid);
+    }
+
+    fn strs(items: &[&str]) -> ColumnVec {
+        ColumnVec::Str(items.iter().map(|&s| Arc::from(s)).collect())
+    }
+
+    fn values(c: &ColumnVec) -> Vec<Value> {
+        (0..c.len()).map(|i| c.value_at(i)).collect()
     }
 
     #[test]
@@ -395,12 +675,115 @@ mod tests {
         let mut c = ColumnVec::with_type(DataType::Str);
         c.push_value(Value::str("abcd"));
         c.push_value(Value::str(""));
+        c.push_value(Value::str("abcd"));
         assert_eq!(c.width_at(0), 4);
         assert_eq!(c.width_at(1), 1); // empty strings charge 1, like Value::width
-        assert_eq!(c.total_bytes(), 5);
+        assert_eq!(c.total_bytes(), 9);
+        assert_eq!(c.as_strs().unwrap().dict().len(), 2, "interned once");
         let mut m = ColumnVec::Mixed(vec![Value::Int(1), Value::Bool(true)]);
         m.push_value(Value::str("xy"));
         assert_eq!(m.total_bytes(), 8 + 1 + 2);
+    }
+
+    #[test]
+    fn interning_stays_unique_while_the_index_grows() {
+        let items: Vec<Arc<str>> = (0..5000).map(|i| Arc::from(format!("k{i}"))).collect();
+        let col: StrCol = items.iter().chain(&items).cloned().collect();
+        assert_eq!(col.dict().len(), 5000);
+        assert_eq!(col.codes()[..5000], col.codes()[5000..]);
+        assert!((0..5000).all(|i| col.get(i) == &items[i]));
+        assert_eq!(col.dict().strs(), items);
+    }
+
+    #[test]
+    fn a_non_string_demotes_a_coded_column_exactly_once() {
+        let _held = demotions_lock();
+        let before = mixed_demotions();
+        let mut c = strs(&["a", "", "a"]);
+        assert!(c.as_strs().is_some());
+        c.push_value(Value::Int(7));
+        assert_eq!(mixed_demotions(), before + 1);
+        assert!(matches!(c, ColumnVec::Mixed(_)));
+        assert_eq!(
+            values(&c),
+            [
+                Value::str("a"),
+                Value::str(""),
+                Value::str("a"),
+                Value::Int(7)
+            ]
+        );
+        assert_eq!(c.total_bytes(), 1 + 1 + 1 + 8);
+        c.push_value(Value::str("b"));
+        c.push_value(Value::Bool(false));
+        assert_eq!(
+            mixed_demotions(),
+            before + 1,
+            "already Mixed: never re-counted"
+        );
+    }
+
+    #[test]
+    fn string_appends_copy_codes_under_one_dictionary_and_intern_across_two() {
+        let src = strs(&["x", "yy", "", "x", "zzz"]);
+        let want_bytes = |c: &ColumnVec| (0..c.len()).map(|i| c.width_at(i) as u64).sum::<u64>();
+
+        // Same dictionary: `empty_like` shares it, an empty `with_type`
+        // column adopts it on first append.
+        for mut out in [src.empty_like(), ColumnVec::with_type(DataType::Str)] {
+            assert_eq!(out.append_gather(&src, &[4, 2, 0]), 3 + 1 + 1);
+            assert_eq!(out.append_range(&src, 1..4), 2 + 1 + 1);
+            out.push_from(&src, 1);
+            out.append_column(&src.empty_like());
+            let (o, s) = (out.as_strs().unwrap(), src.as_strs().unwrap());
+            assert!(o.same_dict(s));
+            let want = ["zzz", "", "x", "yy", "", "x", "yy"].map(Value::str);
+            assert_eq!(values(&out), want);
+            assert_eq!(out.total_bytes(), want_bytes(&out));
+            assert_eq!(out.total_bytes(), 3 + 1 + 1 + 2 + 1 + 1 + 2);
+        }
+
+        // Different dictionaries: strings are re-interned, the source's
+        // dictionary is left alone, and sharers of the destination's
+        // dictionary do not see the new entries.
+        let mut out = strs(&["q", "x"]);
+        let sharer = out.empty_like();
+        assert_eq!(out.append_gather(&src, &[1, 0]), 2 + 1);
+        assert_eq!(out.append_range(&src, 2..5), 1 + 1 + 3);
+        out.push_from(&src, 1);
+        let want = ["q", "x", "yy", "x", "", "x", "zzz", "yy"].map(Value::str);
+        assert_eq!(values(&out), want);
+        assert_eq!(out.total_bytes(), want_bytes(&out));
+        let o = out.as_strs().unwrap();
+        assert!(!o.same_dict(src.as_strs().unwrap()));
+        assert_eq!(o.dict().len(), 5, "q x yy '' zzz, each once");
+        assert_eq!(o.codes()[1], o.codes()[3]);
+        assert_eq!(src.as_strs().unwrap().dict().len(), 4);
+        assert_eq!(sharer.as_strs().unwrap().dict().len(), 2);
+
+        // A Mixed source lands in a coded column through the generic arm.
+        let mixed = ColumnVec::Mixed(vec![Value::str("x"), Value::str("new")]);
+        let mut out = src.empty_like();
+        assert_eq!(out.append_range(&mixed, 0..2), 1 + 3);
+        assert_eq!(values(&out), [Value::str("x"), Value::str("new")]);
+        assert!(out.as_strs().is_some());
+    }
+
+    #[test]
+    fn from_tuples_col_codes_strings_and_demotes_on_ill_typed_data() {
+        let _held = demotions_lock();
+        let rows = vec![
+            crate::tuple!["a", 1i64],
+            crate::tuple!["", 2i64],
+            crate::tuple!["a", 3i64],
+        ];
+        let c = ColumnVec::from_tuples_col(&rows, 0, DataType::Str);
+        let s = c.as_strs().unwrap();
+        assert_eq!(s.codes(), [0, 1, 0]);
+        assert_eq!(c.total_bytes(), 3);
+        let ill = ColumnVec::from_tuples_col(&rows, 1, DataType::Str);
+        assert!(matches!(ill, ColumnVec::Mixed(_)));
+        assert_eq!(values(&ill), [Value::Int(1), Value::Int(2), Value::Int(3)]);
     }
 
     #[test]
@@ -425,8 +808,43 @@ mod tests {
         assert!(!a.eq_rows(1, &b, 1));
         let m = ColumnVec::Mixed(vec![Value::Float(3.0)]);
         assert!(a.eq_rows(0, &m, 0));
-        let s = ColumnVec::Str(vec![Arc::from("3")]);
+        let s = strs(&["3"]);
         assert!(!a.eq_rows(0, &s, 0)); // cross-type is unequal, not an error
+    }
+
+    #[test]
+    fn string_equality_and_hash_chains_agree_across_representations() {
+        let items = ["k", "", "longer than eight bytes", "k"];
+        let coded = strs(&items);
+        let other_dict = strs(&["pad", "longer than eight bytes", "k", ""]);
+        let mixed = ColumnVec::Mixed(items.iter().map(|&s| Value::str(s)).collect());
+        // Row i of `coded` equals row `at[i]` of `other_dict`.
+        let at = [2usize, 3, 1, 2];
+        for i in 0..items.len() {
+            for j in 0..items.len() {
+                let same = items[i] == items[j];
+                assert_eq!(coded.eq_rows(i, &coded, j), same);
+                assert_eq!(coded.eq_rows(i, &mixed, j), same);
+                assert_eq!(mixed.eq_rows(i, &coded, j), same);
+                assert_eq!(coded.eq_rows(i, &other_dict, at[j]), same);
+            }
+        }
+        let chain = |c: &ColumnVec, rows: Range<usize>| {
+            let mut h = vec![fx_mix(FX_SEED, 9); rows.len()];
+            c.hash_fx_into(rows, &mut h);
+            h
+        };
+        let hc = chain(&coded, 0..4);
+        assert_eq!(hc, chain(&mixed, 0..4));
+        assert_eq!(hc[0], hc[3]);
+        assert_ne!(hc[0], hc[1]);
+        let ho = chain(&other_dict, 0..4);
+        for (i, &j) in at.iter().enumerate() {
+            assert_eq!(hc[i], ho[j]);
+            // ... and the bare-value and tuple forms fold the same way.
+            assert_eq!(hc[i], fx_value(fx_mix(FX_SEED, 9), &Value::str(items[i])));
+        }
+        assert_eq!(chain(&coded, 1..3), hc[1..3]);
     }
 
     #[test]
@@ -439,5 +857,9 @@ mod tests {
         mixed.hash_fx_into(0..2, &mut hm);
         assert_eq!(ht, hm);
         assert_ne!(ht[0], ht[1]);
+        // A second key column of strings keeps the two in step.
+        strs(&["a", "b"]).hash_fx_into(0..2, &mut ht);
+        ColumnVec::Mixed(vec![Value::str("a"), Value::str("b")]).hash_fx_into(0..2, &mut hm);
+        assert_eq!(ht, hm);
     }
 }

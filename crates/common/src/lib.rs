@@ -17,7 +17,8 @@
 //! * [`hash`] — allocation-free, thread-consistent key hashing used by
 //!   the executor's hash join, hash aggregation, and the chunked
 //!   parallel operators built on them,
-//! * [`ColumnVec`] / [`Batch`] — typed column vectors and column-major
+//! * [`ColumnVec`] / [`Batch`] — typed column vectors (strings as
+//!   [`StrCol`] codes into a shared [`StrDict`]) and column-major
 //!   batches, the data representation of the vectorized executor,
 //! * [`AggViewError`] — the workspace-wide error type.
 
@@ -39,7 +40,7 @@ pub mod zset;
 
 pub use agg::{AggAccumulator, AggFunc, AggSpec, PartialAggState, Retraction};
 pub use batch::Batch;
-pub use column::{mixed_demotions, ColumnVec};
+pub use column::{mixed_demotions, ColumnVec, StrCol, StrDict};
 pub use error::{AggViewError, Result};
 pub use expr::{BinaryOp, Expr};
 pub use fault::{

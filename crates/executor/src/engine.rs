@@ -519,7 +519,7 @@ impl<'a> Engine<'a> {
             }
         }
         let full = Batch::from_parts(cols, ngroups);
-        let sel = vector::filter_rows(&bound_having, &|i| full.col(i), 0..ngroups)?;
+        let sel = vector::RowFilter::new(&bound_having, |i| full.col(i)).rows(0..ngroups)?;
         let mut out = Batch::from_parts(
             positions
                 .iter()

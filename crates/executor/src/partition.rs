@@ -331,6 +331,7 @@ impl GroupTable {
 mod tests {
     use super::*;
     use aggview_common::{tuple, Batch, ColumnVec};
+    use std::sync::Arc;
 
     #[test]
     fn chunk_ranges_cover_exactly() {
@@ -369,7 +370,7 @@ mod tests {
             ),
             (
                 "Str",
-                ColumnVec::Str((0..N).map(|i| format!("key-{i}").into()).collect()),
+                ColumnVec::Str((0..N).map(|i| Arc::from(format!("key-{i}"))).collect()),
             ),
         ];
         for (family, keys) in families {

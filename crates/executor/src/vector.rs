@@ -74,8 +74,34 @@ fn stitch(parts: Vec<(Batch, u64)>, empty: impl FnOnce() -> Batch) -> (Batch, u6
 // Filtering: selection-vector sweeps
 // ---------------------------------------------------------------------
 
-/// Push every row of the current selection whose `ord(i)` satisfies
-/// `op`. `cur == None` means "all rows of `rows`".
+/// Push every row of the current selection that passes `test`.
+/// `cur == None` means "all rows of `rows`".
+fn sel_by(
+    rows: Range<usize>,
+    cur: Option<&[u32]>,
+    out: &mut Vec<u32>,
+    test: impl Fn(usize) -> bool,
+) {
+    match cur {
+        Some(sel) => {
+            for &i in sel {
+                if test(i as usize) {
+                    out.push(i);
+                }
+            }
+        }
+        None => {
+            for i in rows {
+                if test(i) {
+                    out.push(i as u32);
+                }
+            }
+        }
+    }
+}
+
+/// [`sel_by`] on a three-way comparison: keep the rows whose `ord(i)`
+/// satisfies `op`.
 fn sel_by_ord(
     op: aggview_common::CmpOp,
     rows: Range<usize>,
@@ -83,22 +109,7 @@ fn sel_by_ord(
     out: &mut Vec<u32>,
     ord: impl Fn(usize) -> Ordering,
 ) {
-    match cur {
-        Some(sel) => {
-            for &i in sel {
-                if op.matches(ord(i as usize)) {
-                    out.push(i);
-                }
-            }
-        }
-        None => {
-            for i in rows {
-                if op.matches(ord(i)) {
-                    out.push(i as u32);
-                }
-            }
-        }
-    }
+    sel_by(rows, cur, out, |i| op.matches(ord(i)));
 }
 
 /// Fallible variant of [`sel_by_ord`] for generic row-wise evaluation.
@@ -130,6 +141,8 @@ fn sel_by_eval(
 /// Typed column-vs-constant sweep. Returns `false` when no typed
 /// specialization applies (caller falls back to generic evaluation,
 /// which also produces the row-wise evaluator's error for incomparable types).
+/// A coded string column never gets here against a string constant:
+/// [`RowFilter`] settles that comparison per dictionary entry.
 fn sel_col_const(
     op: aggview_common::CmpOp,
     col: &ColumnVec,
@@ -149,9 +162,6 @@ fn sel_col_const(
         }
         (ColumnVec::Float(xs), Value::Float(k)) => {
             sel_by_ord(op, rows, cur, out, |i| xs[i].total_cmp(k))
-        }
-        (ColumnVec::Str(xs), Value::Str(k)) => {
-            sel_by_ord(op, rows, cur, out, |i| xs[i].as_ref().cmp(k.as_ref()))
         }
         (ColumnVec::Bool(xs), Value::Bool(k)) => sel_by_ord(op, rows, cur, out, |i| xs[i].cmp(k)),
         _ => return false,
@@ -183,7 +193,7 @@ fn sel_col_col(
             sel_by_ord(op, rows, cur, out, |i| xs[i].total_cmp(&ys[i]))
         }
         (ColumnVec::Str(xs), ColumnVec::Str(ys)) => {
-            sel_by_ord(op, rows, cur, out, |i| xs[i].cmp(&ys[i]))
+            sel_by_ord(op, rows, cur, out, |i| xs.get(i).cmp(ys.get(i)))
         }
         (ColumnVec::Bool(xs), ColumnVec::Bool(ys)) => {
             sel_by_ord(op, rows, cur, out, |i| xs[i].cmp(&ys[i]))
@@ -193,56 +203,97 @@ fn sel_col_col(
     true
 }
 
-/// Evaluate the conjunction `preds` over rows `rows` of the columns
-/// `col` hands out (predicates are bound to its numbering), returning
-/// the surviving row indices (`None` = every row survives).
-///
-/// Predicates sweep one at a time over the shrinking selection, so
-/// evaluation is predicate-major; when several predicates *can* error
-/// (only possible on ill-typed data), the surfaced error may belong to a
-/// different row than the row-major reference would pick — both paths
-/// still error, with identical messages for any given (row, predicate).
-pub(crate) fn filter_rows<'a>(
-    preds: &[BoundPredicate],
-    col: &impl Fn(usize) -> &'a ColumnVec,
-    rows: Range<usize>,
-) -> Result<Option<Vec<u32>>> {
-    let n = rows.len();
-    let mut cur: Option<Vec<u32>> = None;
-    let mut next: Vec<u32> = Vec::new();
-    for p in preds {
-        next.clear();
-        let sel = cur.as_deref();
-        let handled = match (&p.left, &p.right) {
-            (BoundExpr::Col(i), BoundExpr::Const(v)) => {
-                sel_col_const(p.op, col(*i), v, rows.clone(), sel, &mut next)
-            }
-            (BoundExpr::Const(v), BoundExpr::Col(j)) => {
-                // Flip the operator so the column drives the sweep; the
-                // typed specializations only fire for comparable pairs,
-                // where flipping cannot change the outcome or error.
-                sel_col_const(p.op.flipped(), col(*j), v, rows.clone(), sel, &mut next)
-            }
-            (BoundExpr::Col(i), BoundExpr::Col(j)) => {
-                sel_col_col(p.op, col(*i), col(*j), rows.clone(), sel, &mut next)
-            }
-            _ => false,
-        };
-        if !handled {
-            sel_by_eval(rows.clone(), sel, &mut next, |i| {
-                p.eval_with(&|k| col(k).value_at(i))
-            })?;
-        }
-        if next.len() == n && cur.is_none() {
-            next.clear(); // still unselective
-        } else {
-            cur = Some(std::mem::take(&mut next));
-            if cur.as_deref().is_some_and(<[u32]>::is_empty) {
-                break;
-            }
+/// The conjunction `preds` over the columns `col` hands out (predicates
+/// are bound to its numbering), readied for tile-wise sweeps: whatever
+/// depends on the columns alone is worked out once here, not per tile.
+pub(crate) struct RowFilter<'a, F> {
+    preds: &'a [BoundPredicate],
+    col: F,
+    /// Per predicate, when it compares a coded string column to a string
+    /// constant: the column's codes and the comparison's outcome for
+    /// each entry of its dictionary, so the sweep never touches a
+    /// string. A dictionary holds no more entries than the rows that
+    /// were scanned to build it, so this is never more comparisons than
+    /// a row-wise sweep of those rows.
+    str_pass: Vec<Option<(&'a [u32], Vec<bool>)>>,
+}
+
+impl<'a, F: Fn(usize) -> &'a ColumnVec> RowFilter<'a, F> {
+    pub(crate) fn new(preds: &'a [BoundPredicate], col: F) -> Self {
+        let str_pass = preds
+            .iter()
+            .map(|p| {
+                // Flip the operator when the constant is on the left,
+                // so the column drives the comparison.
+                let (op, i, k) = match (&p.left, &p.right) {
+                    (BoundExpr::Col(i), BoundExpr::Const(Value::Str(k))) => (p.op, *i, k),
+                    (BoundExpr::Const(Value::Str(k)), BoundExpr::Col(i)) => (p.op.flipped(), *i, k),
+                    _ => return None,
+                };
+                let coded = col(i).as_strs()?;
+                let pass = coded.dict().strs().iter().map(|s| op.matches(s.cmp(k)));
+                Some((coded.codes(), pass.collect()))
+            })
+            .collect();
+        RowFilter {
+            preds,
+            col,
+            str_pass,
         }
     }
-    Ok(cur)
+
+    /// Evaluate the conjunction over rows `rows`, returning the
+    /// surviving row indices (`None` = every row survives).
+    ///
+    /// Predicates sweep one at a time over the shrinking selection, so
+    /// evaluation is predicate-major; when several predicates *can* error
+    /// (only possible on ill-typed data), the surfaced error may belong to a
+    /// different row than the row-major reference would pick — both paths
+    /// still error, with identical messages for any given (row, predicate).
+    pub(crate) fn rows(&self, rows: Range<usize>) -> Result<Option<Vec<u32>>> {
+        let col = &self.col;
+        let n = rows.len();
+        let mut cur: Option<Vec<u32>> = None;
+        let mut next: Vec<u32> = Vec::new();
+        for (p, str_pass) in self.preds.iter().zip(&self.str_pass) {
+            next.clear();
+            let sel = cur.as_deref();
+            let handled = if let Some((codes, pass)) = str_pass {
+                sel_by(rows.clone(), sel, &mut next, |r| pass[codes[r] as usize]);
+                true
+            } else {
+                match (&p.left, &p.right) {
+                    (BoundExpr::Col(i), BoundExpr::Const(v)) => {
+                        sel_col_const(p.op, col(*i), v, rows.clone(), sel, &mut next)
+                    }
+                    (BoundExpr::Const(v), BoundExpr::Col(j)) => {
+                        // Flip the operator so the column drives the sweep; the
+                        // typed specializations only fire for comparable pairs,
+                        // where flipping cannot change the outcome or error.
+                        sel_col_const(p.op.flipped(), col(*j), v, rows.clone(), sel, &mut next)
+                    }
+                    (BoundExpr::Col(i), BoundExpr::Col(j)) => {
+                        sel_col_col(p.op, col(*i), col(*j), rows.clone(), sel, &mut next)
+                    }
+                    _ => false,
+                }
+            };
+            if !handled {
+                sel_by_eval(rows.clone(), sel, &mut next, |i| {
+                    p.eval_with(&|k| col(k).value_at(i))
+                })?;
+            }
+            if next.len() == n && cur.is_none() {
+                next.clear(); // still unselective
+            } else {
+                cur = Some(std::mem::take(&mut next));
+                if cur.as_deref().is_some_and(<[u32]>::is_empty) {
+                    break;
+                }
+            }
+        }
+        Ok(cur)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -268,13 +319,14 @@ pub fn scan_table(
             .collect()
     };
     let col = |p: usize| table.column(p);
+    let filter = RowFilter::new(preds, col);
     let chunks = chunk_ranges(table.len(), opts.workers_for(table.len()));
     let parts = run_chunks(chunks, |range| {
         let mut out = out_layout();
         let mut out_len = 0usize;
         let mut bytes = 0u64;
         for_each_tile(gov, range, opts.batch_rows, |rows| {
-            let sel = filter_rows(preds, &col, rows.clone())?;
+            let sel = filter.rows(rows.clone())?;
             let mut w = 0u64;
             for (dst, &p) in out.iter_mut().zip(positions) {
                 w += match &sel {
@@ -701,7 +753,7 @@ impl BatchGroupTable {
             Probe::Hit(s) => s,
             Probe::Miss(idx) => {
                 for (key_col, &kp) in self.keys.iter_mut().zip(key_pos) {
-                    key_col.push_value(batch.value_at(kp, row));
+                    key_col.push_from(batch.col(kp), row);
                 }
                 self.states
                     .extend(funcs.iter().map(|&f| PartialAggState::empty(f)));
@@ -713,8 +765,8 @@ impl BatchGroupTable {
     /// [`Self::slot_for`] specialized to the single typed-Int grouping
     /// key: candidate confirmation and key insertion read/write the `i64`
     /// key column directly, skipping the per-row [`ColumnVec::eq_rows`]
-    /// double dispatch and [`Batch::value_at`] boxing. Same first-seen
-    /// insertion order, hence the same group order as the generic path.
+    /// double dispatch. Same first-seen insertion order, hence the same
+    /// group order as the generic path.
     fn slot_for_int(&mut self, x: i64, hash: u64, funcs: &[AggFunc]) -> usize {
         let ColumnVec::Int(key) = &self.keys[0] else {
             unreachable!("slot_for_int requires an Int key column");
@@ -749,20 +801,38 @@ impl BatchGroupTable {
             .zip(funcs)
             .map(|(input, &f)| HotAcc::plan(batch, input, f))
             .collect();
-        let int_key = if key_pos.len() == 1 {
-            batch.col(key_pos[0]).as_int()
-        } else {
-            None
+        let mut key = match key_pos {
+            [k] => match batch.col(*k) {
+                ColumnVec::Int(xs) => SingleKey::Int(xs),
+                // `slot + 1` per dictionary entry, 0 = not seen yet.
+                ColumnVec::Str(xs) => SingleKey::Code(xs.codes(), vec![0; xs.dict().len()]),
+                _ => SingleKey::No,
+            },
+            _ => SingleKey::No,
         };
         let mut hashes = Vec::new();
         for_each_tile(gov, range, batch_rows, |r| {
-            batch.hash_rows(key_pos, r.clone(), &mut hashes);
-            for (k, &h) in hashes.iter().enumerate() {
-                let row = r.start + k;
+            if !matches!(key, SingleKey::Code(..)) {
+                batch.hash_rows(key_pos, r.clone(), &mut hashes);
+            }
+            for row in r.clone() {
                 let before = self.len;
-                let slot = match int_key {
-                    Some(xs) => self.slot_for_int(xs[row], h, funcs),
-                    None => self.slot_for(batch, row, h, key_pos, funcs),
+                let slot = match &mut key {
+                    SingleKey::Int(xs) => self.slot_for_int(xs[row], hashes[row - r.start], funcs),
+                    SingleKey::Code(codes, slot_of) => {
+                        // One array read per row; the hash is only worked
+                        // out for a code's first row, to seat its group in
+                        // the directory the chunk merge probes.
+                        let seat = &mut slot_of[codes[row] as usize];
+                        if *seat == 0 {
+                            batch.hash_rows(key_pos, row..row + 1, &mut hashes);
+                            *seat = self.slot_for(batch, row, hashes[0], key_pos, funcs) as u32 + 1;
+                        }
+                        (*seat - 1) as usize
+                    }
+                    SingleKey::No => {
+                        self.slot_for(batch, row, hashes[row - r.start], key_pos, funcs)
+                    }
                 };
                 if self.len > before {
                     for acc in accs.iter_mut() {
@@ -806,7 +876,7 @@ impl BatchGroupTable {
                 }
                 Probe::Miss(idx) => {
                     for (mine, theirs) in self.keys.iter_mut().zip(&other.keys) {
-                        mine.push_value(theirs.value_at(g));
+                        mine.push_from(theirs, g);
                     }
                     for (j, &f) in funcs.iter().enumerate() {
                         let mut st = PartialAggState::empty(f);
@@ -819,6 +889,19 @@ impl BatchGroupTable {
         }
         Ok(())
     }
+}
+
+/// How [`BatchGroupTable::accumulate_range`] finds a row's group when
+/// the grouping key is one typed column.
+enum SingleKey<'a> {
+    /// Hash, then confirm on the `i64` slice ([`BatchGroupTable::slot_for_int`]).
+    Int(&'a [i64]),
+    /// A coded string column: the row's code indexes a flat `code → slot`
+    /// array, so steady-state rows neither hash nor compare. Groups are
+    /// still created in first-seen order.
+    Code(&'a [u32], Vec<u32>),
+    /// Anything else: hash the key columns, confirm with `eq_rows`.
+    No,
 }
 
 /// Per-aggregate absorb plan for one [`BatchGroupTable::accumulate_range`]
@@ -1222,8 +1305,9 @@ mod tests {
         let p = Predicate::cmp_const(Col::base(RelId(0), 1), CmpOp::Lt, 3i64)
             .bind(&|c| layout(c))
             .unwrap();
-        let batch_err =
-            filter_rows(std::slice::from_ref(&p), &|i| tile.col(i), 0..tile.len()).unwrap_err();
+        let batch_err = RowFilter::new(std::slice::from_ref(&p), |i| tile.col(i))
+            .rows(0..tile.len())
+            .unwrap_err();
         let row_err = p.eval(&rows[0]).unwrap_err();
         assert_eq!(batch_err.to_string(), row_err.to_string());
     }

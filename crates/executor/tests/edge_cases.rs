@@ -211,3 +211,133 @@ fn duplicate_join_values_multiply_correctly() {
     let rs = engine.execute(&plan).unwrap();
     assert_eq!(rs.rows.len(), 16, "4×4 matches on the shared key");
 }
+
+fn labels(rows: &[(i64, &str)]) -> Arc<Table> {
+    let mut b = Table::builder(
+        "labels",
+        Schema::of(&[("id", DataType::Int), ("label", DataType::Str)]),
+    )
+    .primary_key(&["id"])
+    .unwrap();
+    for &(id, label) in rows {
+        b.push(aggview_common::tuple![id, label]).unwrap();
+    }
+    b.build().unwrap()
+}
+
+fn label_counts(filters: Vec<Predicate>) -> Plan {
+    Plan::group_by_all(
+        Plan::scan(RelId(0), "labels", filters, all_cols(RelId(0), 2)),
+        GroupBySpec {
+            owner: ViewId::Top,
+            group_cols: vec![Col::base(RelId(0), 1)],
+            aggs: vec![AggSpec::count_star()],
+            having: vec![],
+        },
+    )
+}
+
+#[test]
+fn string_columns_of_an_empty_table_filter_group_and_join_to_nothing() {
+    let cat = Catalog::new();
+    cat.add(labels(&[])).unwrap();
+    let env = QueryEnv::new(vec!["labels".into(), "labels".into()]);
+    let engine = Engine::new(&cat, &env, CostModel::default());
+    let is_x = Predicate::cmp_const(Col::base(RelId(0), 1), CmpOp::Eq, Value::str("x"));
+    let join = Plan::join_all(
+        Plan::scan(RelId(0), "labels", vec![], all_cols(RelId(0), 2)),
+        Plan::scan(RelId(1), "labels", vec![], all_cols(RelId(1), 2)),
+        vec![Predicate::eq_cols(
+            Col::base(RelId(0), 1),
+            Col::base(RelId(1), 1),
+        )],
+    );
+    for plan in [label_counts(vec![]), label_counts(vec![is_x]), join] {
+        let rs = engine.execute(&plan).unwrap();
+        assert!(rs.rows.is_empty());
+        assert_eq!(rs.mixed_demotions, 0);
+    }
+}
+
+/// DML brings strings the old column image's dictionary never held; a
+/// reader that took the table before the statement keeps scanning its
+/// own rows through its own dictionary.
+#[test]
+fn strings_new_to_the_dictionary_reach_new_scans_but_not_a_held_table() {
+    use aggview_core::governor::ResourceGovernor;
+    use aggview_executor::{vector, ExecOptions};
+
+    let cat = Catalog::new();
+    cat.add(labels(&[(1, "old"), (2, "old"), (3, "older")]))
+        .unwrap();
+    let env = QueryEnv::new(vec!["labels".into()]);
+    let engine = Engine::new(&cat, &env, CostModel::default());
+    let run = |plan: &Plan| {
+        let mut rows = engine.execute(plan).unwrap().rows;
+        rows.sort();
+        rows
+    };
+    let is_new = || {
+        vec![Predicate::cmp_const(
+            Col::base(RelId(0), 1),
+            CmpOp::Eq,
+            Value::str("new"),
+        )]
+    };
+
+    // The engine scans the table `held` points at: its image, and the
+    // dictionary of `label`, exist before the DML arrives.
+    let held = cat.get("labels").unwrap();
+    let before = run(&label_counts(vec![]));
+    assert_eq!(
+        before,
+        [
+            aggview_common::tuple!["old", 2i64],
+            aggview_common::tuple!["older", 1i64]
+        ]
+    );
+    assert!(run(&label_counts(is_new())).is_empty());
+
+    cat.append_rows("labels", vec![aggview_common::tuple![4i64, "new"]])
+        .unwrap();
+    cat.update_rows("labels", &[0], vec![aggview_common::tuple![1i64, "new"]])
+        .unwrap();
+    assert_eq!(
+        run(&label_counts(vec![])),
+        [
+            aggview_common::tuple!["new", 2i64],
+            aggview_common::tuple!["old", 1i64],
+            aggview_common::tuple!["older", 1i64]
+        ]
+    );
+    assert_eq!(
+        run(&label_counts(is_new())),
+        [aggview_common::tuple!["new", 2i64]]
+    );
+
+    let gov = ResourceGovernor::unlimited();
+    let bound = is_new()[0]
+        .bind(&|c| match c {
+            Col::Base(b) => Some(b.col as usize),
+            _ => None,
+        })
+        .unwrap();
+    for threads in [1, 4] {
+        let opts = ExecOptions {
+            threads,
+            parallel_threshold: 1,
+            batch_rows: 2,
+        };
+        let (all, _) = vector::scan_table(&opts, &gov, &held, &[], &[1]).unwrap();
+        assert_eq!(
+            all.to_tuples(),
+            held.rows()
+                .iter()
+                .map(|r| r.project(&[1]))
+                .collect::<Vec<_>>()
+        );
+        let (hits, bytes) =
+            vector::scan_table(&opts, &gov, &held, std::slice::from_ref(&bound), &[1]).unwrap();
+        assert_eq!((hits.len(), bytes), (0, 0));
+    }
+}

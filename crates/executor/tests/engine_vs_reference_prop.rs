@@ -7,13 +7,15 @@
 //! A small, non-divisor `batch_rows` and a zero parallel threshold force
 //! chunk and tile boundaries to fall mid-input so stitching is exercised.
 
-use aggview_common::{AggFunc, AggRef, AggSpec, CmpOp, Col, Expr, Predicate, RelId, Value, ViewId};
+use aggview_common::{
+    AggFunc, AggRef, AggSpec, CmpOp, Col, DataType, Expr, Predicate, RelId, Schema, Value, ViewId,
+};
 use aggview_core::cost::CostModel;
 use aggview_core::plan::{all_cols, GroupBySpec, PartialAggSpec, Plan};
 use aggview_core::query::QueryEnv;
 use aggview_executor::{assert_equivalent, reference, Engine, ExecOptions};
 use aggview_storage::datagen::{gen_random_catalog, RandomCatalogConfig};
-use aggview_storage::Catalog;
+use aggview_storage::{Catalog, Table};
 use proptest::prelude::*;
 
 fn setup(seed: u64, max_rows: usize) -> (Catalog, QueryEnv) {
@@ -133,6 +135,131 @@ fn random_plan(shape: usize, cut: i64) -> Plan {
     }
 }
 
+/// Strings both tables draw `tag` from: the empty string, one-chunk and
+/// multi-chunk strings, a shared prefix. `s1` takes its tags from the
+/// pool's tail, so the two dictionaries overlap without coinciding.
+const TAGS: [&str; 7] = [
+    "",
+    "a",
+    "ab",
+    "open",
+    "returned",
+    "longer than eight bytes",
+    "zz",
+];
+
+/// Comparison constants: present in every dictionary, in none, and
+/// below / between / above every entry.
+const CONSTS: [&str; 7] = ["", "a", "aa", "open", "p", "zz", "zzz"];
+
+/// `s0(id, tag, name, grp, val)` and `s1(id, tag, kind, w)`: `tag` and
+/// `kind` are low-cardinality strings, `name` is distinct on every row.
+/// Either table may come out empty.
+fn string_setup(seed: u64, max_rows: usize) -> (Catalog, QueryEnv) {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let cat = Catalog::new();
+    let mut s0 = Table::builder(
+        "s0",
+        Schema::of(&[
+            ("id", DataType::Int),
+            ("tag", DataType::Str),
+            ("name", DataType::Str),
+            ("grp", DataType::Int),
+            ("val", DataType::Float),
+        ]),
+    );
+    for i in 0..next(max_rows + 1) {
+        let row = vec![
+            Value::Int(i as i64),
+            Value::str(TAGS[next(TAGS.len())]),
+            Value::str(format!("name-{i}")),
+            Value::Int(next(3) as i64),
+            Value::Float(next(400) as f64 * 12.5),
+        ];
+        s0.push(row.into()).unwrap();
+    }
+    cat.add(s0.build().unwrap()).unwrap();
+    let mut s1 = Table::builder(
+        "s1",
+        Schema::of(&[
+            ("id", DataType::Int),
+            ("tag", DataType::Str),
+            ("kind", DataType::Str),
+            ("w", DataType::Float),
+        ]),
+    );
+    for i in 0..next(max_rows / 4 + 1) {
+        let row = vec![
+            Value::Int(i as i64),
+            Value::str(TAGS[2 + next(TAGS.len() - 2)]),
+            Value::str(["x", "y", ""][next(3)]),
+            Value::Float(next(40) as f64 * 12.5),
+        ];
+        s1.push(row.into()).unwrap();
+    }
+    cat.add(s1.build().unwrap()).unwrap();
+    (cat, QueryEnv::new(vec!["s0".into(), "s1".into()]))
+}
+
+/// Plans whose filters, join keys, group keys and aggregate arguments
+/// are strings. `pick` selects the comparison constant and operator.
+fn string_plan(shape: usize, pick: usize) -> Plan {
+    let (tag0, name0, grp0, val0) = (
+        Col::base(RelId(0), 1),
+        Col::base(RelId(0), 2),
+        Col::base(RelId(0), 3),
+        Col::base(RelId(0), 4),
+    );
+    let (tag1, kind1) = (Col::base(RelId(1), 1), Col::base(RelId(1), 2));
+    let constant = Value::str(CONSTS[pick % CONSTS.len()]);
+    let op = [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge, CmpOp::Ne][(pick / CONSTS.len()) % 4];
+    let scan0 = |filters| Plan::scan(RelId(0), "s0", filters, all_cols(RelId(0), 5));
+    let scan1 = || Plan::scan(RelId(1), "s1", vec![], all_cols(RelId(1), 4));
+    let grouped = |input: Plan, group_cols: Vec<Col>, having: Vec<Predicate>| {
+        Plan::group_by_all(
+            input,
+            GroupBySpec {
+                owner: ViewId::Top,
+                group_cols,
+                aggs: vec![
+                    AggSpec::count_star(),
+                    AggSpec::new(AggFunc::Sum, Expr::col(val0)),
+                    AggSpec::new(AggFunc::Max, Expr::col(name0)),
+                ],
+                having,
+            },
+        )
+    };
+    let tag_join = || Plan::join_all(scan0(vec![]), scan1(), vec![Predicate::eq_cols(tag0, tag1)]);
+    match shape % 7 {
+        // String filter, column on either side of the operator.
+        0 => scan0(vec![Predicate::cmp_const(tag0, op, constant)]),
+        1 => scan0(vec![
+            Predicate::new(Expr::val(constant), op, Expr::col(tag0)),
+            Predicate::cmp_const(name0, CmpOp::Ge, Value::str("name-3")),
+        ]),
+        // One string key (the flat code path), HAVING on the key itself.
+        2 => grouped(
+            scan0(vec![]),
+            vec![tag0],
+            vec![Predicate::cmp_const(tag0, op, constant)],
+        ),
+        // String + int key, and an all-distinct string key.
+        3 => grouped(scan0(vec![]), vec![tag0, grp0], vec![]),
+        4 => grouped(scan0(vec![]), vec![name0], vec![]),
+        // String equi-join across two dictionaries.
+        5 => tag_join(),
+        // Two string keys, one from each side of that join.
+        _ => grouped(tag_join(), vec![kind1, tag0], vec![]),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -156,6 +283,31 @@ proptest! {
                 .unwrap();
             if let Err(e) = assert_equivalent(&expect, &got) {
                 prop_assert!(false, "shape {} at {} threads: {}", shape % 6, threads, e);
+            }
+        }
+    }
+
+    /// The same agreement where the filters, join keys and group keys
+    /// are strings: chunk stitching and table merging cross worker
+    /// boundaries at 4 threads, the join crosses two dictionaries.
+    #[test]
+    fn engine_matches_reference_on_string_keys(
+        seed in 0u64..5000,
+        rows in 0usize..120,
+        shape in 0usize..7,
+        pick in 0usize..28,
+    ) {
+        let (cat, env) = string_setup(seed, rows);
+        let plan = string_plan(shape, pick);
+        let expect = reference::evaluate(&plan, &cat).unwrap();
+        for threads in [1usize, 4] {
+            let got = Engine::new(&cat, &env, CostModel::default())
+                .with_options(options(threads))
+                .execute(&plan)
+                .unwrap();
+            prop_assert_eq!(got.mixed_demotions, 0);
+            if let Err(e) = assert_equivalent(&expect, &got) {
+                prop_assert!(false, "shape {} at {} threads: {}", shape % 7, threads, e);
             }
         }
     }

@@ -131,7 +131,10 @@ impl Table {
 
     /// Column `p` of [`rows`](Table::rows) as one typed vector, in row
     /// order — what a scan filters and gathers from. Transposed from the
-    /// rows on first use and kept until the next patch.
+    /// rows on first use and kept until the next patch; a string column
+    /// is interned into a dictionary of its own here, once per table
+    /// version, and everything gathered from it downstream shares that
+    /// dictionary.
     pub fn column(&self, p: usize) -> &ColumnVec {
         self.image.0[p]
             .get_or_init(|| ColumnVec::from_tuples_col(&self.rows, p, self.schema.field(p).ty))
