@@ -22,6 +22,7 @@
 //! any multi-core machine) is where the scaling numbers are meaningful.
 
 use crate::model_with_mem;
+use aggview_common::expr::BoundExpr;
 use aggview_common::predicate::BoundPredicate;
 use aggview_common::{
     AggFunc, AggSpec, AggViewError, Batch, CmpOp, Col, DataType, Expr, Predicate, RelId, Result,
@@ -498,12 +499,36 @@ pub fn run_exec_bench(cfg: &ExecBenchConfig) -> Result<ExecBenchReport> {
                 (&dept_rows, &dept_types),
                 repeats,
             )?,
-            group_kernel("group_by", emp::DNO, &emp_rows, &emp_types, repeats)?,
+            group_kernel(
+                "group_by",
+                (&[emp::DNO], &[0]),
+                COUNT_AVG_SAL,
+                (&emp_rows, &emp_types),
+                repeats,
+            )?,
             group_kernel(
                 "group_by_str",
-                emp::NAME,
-                &dept_labelled(&emp_rows),
-                &emp_types,
+                (&[emp::NAME], &[0]),
+                COUNT_AVG_SAL,
+                (&dept_labelled(&emp_rows), &emp_types),
+                repeats,
+            )?,
+            group_kernel(
+                "group_by_many",
+                (&[emp::DNO], &[0]),
+                &[
+                    (AggFunc::Count, None),
+                    (AggFunc::Sum, Some(emp::SAL)),
+                    (AggFunc::Max, Some(emp::AGE)),
+                ],
+                (&in_teams(&emp_rows), &emp_types),
+                repeats,
+            )?,
+            group_kernel(
+                "group_by_determined",
+                (&[0, 1, 2, 3, 4], &[0]),
+                &[(AggFunc::Avg, Some(TEAM_SAL))],
+                (&team_rows(&emp_rows), TEAM_TYPES),
                 repeats,
             )?,
         ],
@@ -1261,7 +1286,7 @@ fn join_kernel(
     let build = Batch::from_tuples(dept_rows, &identity(dept_types.len()), dept_types);
     let probe = Batch::from_tuples(emp_rows, &identity(emp_types.len()), emp_types);
     let (ms, _) = time_best(repeats, || {
-        let index = vector::build_index(&opts, &gov, &build, &build_pos)?;
+        let index = vector::build_index(&opts, &gov, &build, &probe, &build_pos, &probe_pos)?;
         vector::probe_join(
             &opts,
             &gov,
@@ -1292,26 +1317,82 @@ fn dept_labelled(emp_rows: &[Tuple]) -> Vec<Tuple> {
         .collect()
 }
 
-/// Hash aggregation of COUNT(*) and AVG(sal) grouped by emp column
-/// `key`. As with the join, the input batch is transposed outside the
-/// timed region.
+/// Employees per team in [`in_teams`] and [`team_rows`]: 20,000
+/// employees make 2,000 groups.
+const TEAM_SIZE: i64 = 10;
+
+/// The emp rows with `dno` replaced by the employee's team, `eno / 10`:
+/// many small groups instead of a few large ones.
+fn in_teams(emp_rows: &[Tuple]) -> Vec<Tuple> {
+    emp_rows
+        .iter()
+        .map(|r| {
+            let mut cells = r.values().to_vec();
+            cells[emp::DNO] = Value::Int(r.get(emp::ENO).as_i64().unwrap_or(0) / TEAM_SIZE);
+            Tuple::new(cells)
+        })
+        .collect()
+}
+
+/// Layout of [`team_rows`]: the team, four columns it determines (two of
+/// them strings), and the salary.
+const TEAM_TYPES: &[DataType] = &[
+    DataType::Int,
+    DataType::Str,
+    DataType::Str,
+    DataType::Int,
+    DataType::Float,
+    DataType::Float,
+];
+const TEAM_SAL: usize = 5;
+
+/// The shape the Figure 4 pull-up hands its group-by: rows that group on
+/// a key (the team) *and* on what the key determines.
+fn team_rows(emp_rows: &[Tuple]) -> Vec<Tuple> {
+    emp_rows
+        .iter()
+        .map(|r| {
+            let team = r.get(emp::ENO).as_i64().unwrap_or(0) / TEAM_SIZE;
+            Tuple::new(vec![
+                Value::Int(team),
+                Value::str(format!("team-{team}")),
+                Value::str(format!("site-{}", team % 50)),
+                Value::Int(team * 3),
+                Value::Float(team as f64 * 12.5),
+                r.get(emp::SAL).clone(),
+            ])
+        })
+        .collect()
+}
+
+/// COUNT(*) and AVG(sal) over emp-shaped rows.
+const COUNT_AVG_SAL: &[(AggFunc, Option<usize>)] =
+    &[(AggFunc::Count, None), (AggFunc::Avg, Some(emp::SAL))];
+
+/// Hash aggregation of `aggs` (function and argument column) over
+/// `rows`, grouped by the columns `keys` and looked up by `keys[l]` for
+/// `l` in `lookup`. As with the join, the input batch is transposed
+/// outside the timed region.
 fn group_kernel(
     name: &'static str,
-    key: usize,
-    emp_rows: &[Tuple],
-    emp_types: &[DataType],
+    (keys, lookup): (&[usize], &[usize]),
+    aggs: &[(AggFunc, Option<usize>)],
+    (rows, types): (&[Tuple], &[DataType]),
     repeats: usize,
 ) -> Result<KernelTiming> {
     let gov = ResourceGovernor::unlimited();
     let opts = ExecOptions::with_threads(1);
-    let sal = Expr::col(Col::base(RelId(0), emp::SAL)).bind(&emp_layout)?;
-    let inputs = [AggInput::RawCountStar, AggInput::Raw(sal)];
-    let funcs = [AggFunc::Count, AggFunc::Avg];
-    let batch = Batch::from_tuples(emp_rows, &identity(emp_types.len()), emp_types);
+    let inputs: Vec<AggInput> = aggs
+        .iter()
+        .map(|(_, arg)| arg.map_or(AggInput::RawCountStar, |c| AggInput::Raw(BoundExpr::Col(c))))
+        .collect();
+    let funcs: Vec<AggFunc> = aggs.iter().map(|&(f, _)| f).collect();
+    let batch = Batch::from_tuples(rows, &identity(types.len()), types);
     let (ms, _) = time_best(repeats, || {
-        vector::accumulate_groups(&opts, &gov, &batch, &[key], &inputs, &funcs)
+        vector::accumulate_groups(&opts, &gov, &batch, keys, lookup, &inputs, &funcs)?
+            .into_columns(true)
     })?;
-    Ok(timing(name, emp_rows.len(), ms))
+    Ok(timing(name, rows.len(), ms))
 }
 
 // ---------------------------------------------------------------------
@@ -1748,7 +1829,9 @@ mod tests {
                 "hash_join",
                 "hash_join_str",
                 "group_by",
-                "group_by_str"
+                "group_by_str",
+                "group_by_many",
+                "group_by_determined"
             ]
         );
         for k in &report.serial_kernels.kernels {

@@ -137,6 +137,27 @@ impl Batch {
         self.len += other.len;
     }
 
+    /// Keep columns `positions`, in that order, of every row: a column
+    /// moves out the last time it is named and is copied before that.
+    pub fn project(self, positions: &[usize]) -> Batch {
+        let mut from: Vec<Option<ColumnVec>> = self.cols.into_iter().map(Some).collect();
+        let cols = positions
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &p)| {
+                if positions[i + 1..].contains(&p) {
+                    from[p].clone()
+                } else {
+                    from[p].take()
+                }
+            })
+            .collect();
+        Batch {
+            cols,
+            len: self.len,
+        }
+    }
+
     /// Gather `positions` of the rows selected by `sel` (or the whole
     /// `range` when `sel` is `None`) from `src` into `self`, returning
     /// the byte width appended.
@@ -170,11 +191,21 @@ impl Batch {
     /// `out` (cleared and refilled). Uses the fx chain seeded at
     /// [`FX_SEED`]; equal keys (cross-numeric included) hash equally.
     pub fn hash_rows(&self, key_pos: &[usize], range: Range<usize>, out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(range.len(), FX_SEED);
-        for &k in key_pos {
-            self.cols[k].hash_fx_into(range.clone(), out);
-        }
+        hash_columns(key_pos.iter().map(|&k| &self.cols[k]), range, out);
+    }
+}
+
+/// [`Batch::hash_rows`] over key columns wherever they live: the same
+/// chain, so a key hashes the same in a batch and out of one.
+pub fn hash_columns<'c>(
+    key_cols: impl IntoIterator<Item = &'c ColumnVec>,
+    range: Range<usize>,
+    out: &mut Vec<u64>,
+) {
+    out.clear();
+    out.resize(range.len(), FX_SEED);
+    for col in key_cols {
+        col.hash_fx_into(range.clone(), out);
     }
 }
 
@@ -219,6 +250,20 @@ mod tests {
         let w2 = out.gather_from(&b, &[2, 0], None, 1..3);
         assert_eq!(out.len(), 4);
         assert_eq!(w2, 32);
+    }
+
+    #[test]
+    fn project_moves_and_repeats_columns() {
+        let b = sample();
+        let want: Vec<Tuple> = b
+            .to_tuples()
+            .iter()
+            .map(|t| t.project(&[2, 0, 2]))
+            .collect();
+        let out = b.project(&[2, 0, 2]);
+        assert_eq!(out.n_cols(), 3);
+        assert_eq!(out.to_tuples(), want);
+        assert_eq!(sample().project(&[]).len(), 3);
     }
 
     #[test]

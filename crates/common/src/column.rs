@@ -206,10 +206,18 @@ impl StrCol {
     }
 
     fn empty_like(&self) -> StrCol {
+        self.with_codes(Vec::new())
+    }
+
+    /// A column of `codes` over this column's dictionary, every one of
+    /// which must be a code of it (a kernel that kept codes instead of
+    /// rows — a running MIN or MAX per group — hands them back here).
+    pub fn with_codes(&self, codes: Vec<u32>) -> StrCol {
+        let bytes = codes.iter().map(|&c| self.dict.width(c)).sum();
         StrCol {
             dict: self.dict.clone(),
-            codes: Vec::new(),
-            bytes: 0,
+            codes,
+            bytes,
         }
     }
 

@@ -5,12 +5,14 @@
 //! against a concrete operator output layout ([`Expr::bind`]), producing
 //! a positional [`BoundExpr`] that evaluates against [`Tuple`]s.
 
+use crate::column::ColumnVec;
 use crate::error::{AggViewError, Result};
 use crate::ids::{Col, ColRef, RelId};
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 
 /// Binary arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -227,53 +229,133 @@ impl BoundExpr {
     }
 }
 
-fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
-    // Integer arithmetic stays exact except division; overflow is an
-    // execution error rather than a silently wrapped result.
-    let overflow =
-        |a: i64, b: i64| AggViewError::Exec(format!("integer overflow ({a} {} {b})", op.symbol()));
-    if let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) {
-        return match op {
-            BinaryOp::Add => a
-                .checked_add(b)
-                .map(Value::Int)
-                .ok_or_else(|| overflow(a, b)),
-            BinaryOp::Sub => a
-                .checked_sub(b)
-                .map(Value::Int)
-                .ok_or_else(|| overflow(a, b)),
-            BinaryOp::Mul => a
-                .checked_mul(b)
-                .map(Value::Int)
-                .ok_or_else(|| overflow(a, b)),
-            BinaryOp::Div => {
-                if b == 0 {
-                    Err(AggViewError::Exec("division by zero".into()))
-                } else {
-                    Ok(Value::Float(a as f64 / b as f64))
+/// A numeric column computed by [`BoundExpr::eval_columns`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum NumColumn {
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+}
+
+impl NumColumn {
+    fn into_f64(self) -> Vec<f64> {
+        match self {
+            NumColumn::Int(xs) => xs.into_iter().map(|x| x as f64).collect(),
+            NumColumn::Float(xs) => xs,
+        }
+    }
+}
+
+impl BoundExpr {
+    /// The type of column [`eval_columns`](Self::eval_columns) computes
+    /// over `col`'s columns — `None` when some leaf is not a typed
+    /// `Int`/`Float` column or numeric constant, and the expression has
+    /// to be evaluated row by row through [`Value`]s instead.
+    pub fn numeric_type<'c>(&self, col: &impl Fn(usize) -> &'c ColumnVec) -> Option<DataType> {
+        match self {
+            BoundExpr::Col(i) => match col(*i) {
+                ColumnVec::Int(_) => Some(DataType::Int),
+                ColumnVec::Float(_) => Some(DataType::Float),
+                _ => None,
+            },
+            BoundExpr::Const(v) => Some(v.data_type()).filter(|t| t.is_numeric()),
+            BoundExpr::Binary { op, left, right } => {
+                let (l, r) = (left.numeric_type(col)?, right.numeric_type(col)?);
+                let int = *op != BinaryOp::Div && l == DataType::Int && r == DataType::Int;
+                Some(if int { DataType::Int } else { DataType::Float })
+            }
+        }
+    }
+
+    /// Evaluate over rows `rows` of typed columns, a column at a time:
+    /// the values [`eval_with`](Self::eval_with) computes row by row,
+    /// with its errors and messages. Evaluation is operand-major, so when
+    /// several rows fail, the error surfaced may belong to another row
+    /// than the row-major loop would report first. Callers check
+    /// [`numeric_type`](Self::numeric_type) first; a leaf it would refuse
+    /// is an execution error here.
+    pub fn eval_columns<'c>(
+        &self,
+        col: &impl Fn(usize) -> &'c ColumnVec,
+        rows: Range<usize>,
+    ) -> Result<NumColumn> {
+        match self {
+            BoundExpr::Col(i) => match col(*i) {
+                ColumnVec::Int(xs) => Ok(NumColumn::Int(xs[rows].to_vec())),
+                ColumnVec::Float(xs) => Ok(NumColumn::Float(xs[rows].to_vec())),
+                _ => Err(AggViewError::Exec(format!(
+                    "column {i} is not a typed numeric column"
+                ))),
+            },
+            BoundExpr::Const(Value::Int(k)) => Ok(NumColumn::Int(vec![*k; rows.len()])),
+            BoundExpr::Const(Value::Float(k)) => Ok(NumColumn::Float(vec![*k; rows.len()])),
+            BoundExpr::Const(v) => Err(AggViewError::Exec(format!(
+                "arithmetic on non-numeric value {v}"
+            ))),
+            BoundExpr::Binary { op, left, right } => {
+                let l = left.eval_columns(col, rows.clone())?;
+                let r = right.eval_columns(col, rows)?;
+                match (l, r) {
+                    (NumColumn::Int(a), NumColumn::Int(b)) if *op == BinaryOp::Div => {
+                        let out = a.iter().zip(&b).map(|(&a, &b)| int_div(a, b));
+                        Ok(NumColumn::Float(out.collect::<Result<_>>()?))
+                    }
+                    (NumColumn::Int(a), NumColumn::Int(b)) => {
+                        let out = a.iter().zip(&b).map(|(&a, &b)| int_arith(*op, a, b));
+                        Ok(NumColumn::Int(out.collect::<Result<_>>()?))
+                    }
+                    (l, r) => {
+                        let (a, b) = (l.into_f64(), r.into_f64());
+                        let out = a.iter().zip(&b).map(|(&a, &b)| float_arith(*op, a, b));
+                        Ok(NumColumn::Float(out.collect::<Result<_>>()?))
+                    }
                 }
             }
+        }
+    }
+}
+
+/// Integer arithmetic stays exact except division ([`int_div`]);
+/// overflow is an execution error rather than a silently wrapped result.
+fn int_arith(op: BinaryOp, a: i64, b: i64) -> Result<i64> {
+    match op {
+        BinaryOp::Add => a.checked_add(b),
+        BinaryOp::Sub => a.checked_sub(b),
+        BinaryOp::Mul => a.checked_mul(b),
+        BinaryOp::Div => None,
+    }
+    .ok_or_else(|| AggViewError::Exec(format!("integer overflow ({a} {} {b})", op.symbol())))
+}
+
+fn int_div(a: i64, b: i64) -> Result<f64> {
+    if b == 0 {
+        Err(AggViewError::Exec("division by zero".into()))
+    } else {
+        Ok(a as f64 / b as f64)
+    }
+}
+
+fn float_arith(op: BinaryOp, a: f64, b: f64) -> Result<f64> {
+    match op {
+        BinaryOp::Add => Ok(a + b),
+        BinaryOp::Sub => Ok(a - b),
+        BinaryOp::Mul => Ok(a * b),
+        BinaryOp::Div if b == 0.0 => Err(AggViewError::Exec("division by zero".into())),
+        BinaryOp::Div => Ok(a / b),
+    }
+}
+
+fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
+    if let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) {
+        return match op {
+            BinaryOp::Div => int_div(a, b).map(Value::Float),
+            _ => int_arith(op, a, b).map(Value::Int),
         };
     }
-    let (a, b) = match (l.as_f64(), r.as_f64()) {
-        (Some(a), Some(b)) => (a, b),
-        _ => {
-            return Err(AggViewError::Exec(format!(
-                "arithmetic on non-numeric values {l} and {r}"
-            )))
-        }
-    };
-    match op {
-        BinaryOp::Add => Ok(Value::Float(a + b)),
-        BinaryOp::Sub => Ok(Value::Float(a - b)),
-        BinaryOp::Mul => Ok(Value::Float(a * b)),
-        BinaryOp::Div => {
-            if b == 0.0 {
-                Err(AggViewError::Exec("division by zero".into()))
-            } else {
-                Ok(Value::Float(a / b))
-            }
-        }
+    match (l.as_f64(), r.as_f64()) {
+        (Some(a), Some(b)) => float_arith(op, a, b).map(Value::Float),
+        _ => Err(AggViewError::Exec(format!(
+            "arithmetic on non-numeric values {l} and {r}"
+        ))),
     }
 }
 
@@ -335,6 +417,65 @@ mod tests {
         let e = Expr::val(2i64).binary(BinaryOp::Mul, Expr::val(1.5f64));
         let v = e.bind(&|_| None).unwrap().eval(&tuple![]).unwrap();
         assert_eq!(v, Value::Float(3.0));
+    }
+
+    #[test]
+    fn column_evaluation_matches_row_evaluation() {
+        let cols = [
+            ColumnVec::Int(vec![1, 2, 3, i64::MAX]),
+            ColumnVec::Float(vec![0.5, -0.0, 2.0, 4.0]),
+            ColumnVec::Int(vec![2, 0, 5, 1]),
+        ];
+        let col = |i: usize| &cols[i];
+        let c = |i| Box::new(BoundExpr::Col(i));
+        let bin = |op, left, right| BoundExpr::Binary { op, left, right };
+        let k = |v: Value| Box::new(BoundExpr::Const(v));
+        let exprs = [
+            bin(BinaryOp::Add, c(0), c(2)),
+            bin(BinaryOp::Mul, c(0), c(1)),
+            bin(BinaryOp::Div, c(0), c(2)),
+            bin(BinaryOp::Sub, c(1), k(Value::Int(1))),
+            bin(BinaryOp::Div, k(Value::Float(1.0)), c(1)),
+            bin(
+                BinaryOp::Mul,
+                Box::new(bin(BinaryOp::Add, c(0), k(Value::Int(1)))),
+                c(2),
+            ),
+        ];
+        for e in &exprs {
+            let ty = e.numeric_type(&col).unwrap();
+            for rows in [0..1, 0..3, 1..2, 2..4, 0..4] {
+                let by_row: Result<Vec<Value>> = rows
+                    .clone()
+                    .map(|r| e.eval_with(&|i| cols[i].value_at(r)))
+                    .collect();
+                match (e.eval_columns(&col, rows.clone()), by_row) {
+                    (Ok(NumColumn::Int(xs)), Ok(want)) => {
+                        assert_eq!(ty, DataType::Int);
+                        assert_eq!(xs.into_iter().map(Value::Int).collect::<Vec<_>>(), want);
+                    }
+                    (Ok(NumColumn::Float(xs)), Ok(want)) => {
+                        assert_eq!(ty, DataType::Float);
+                        let bits = |v: &Value| v.as_f64().unwrap().to_bits();
+                        assert!(want.iter().all(|v| v.data_type() == DataType::Float));
+                        assert_eq!(
+                            xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                            want.iter().map(bits).collect::<Vec<_>>()
+                        );
+                    }
+                    // One failing row per expression and range here, so
+                    // both orders surface the same message.
+                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                    (a, b) => panic!("{e:?} over {rows:?}: {a:?} vs {b:?}"),
+                }
+            }
+        }
+        // Strings and booleans are not evaluated column-wise.
+        let s = ColumnVec::with_type(DataType::Str);
+        assert!(BoundExpr::Col(0).numeric_type(&|_| &s).is_none());
+        assert!(BoundExpr::Const(Value::Bool(true))
+            .numeric_type(&col)
+            .is_none());
     }
 
     #[test]

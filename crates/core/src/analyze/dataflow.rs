@@ -459,22 +459,6 @@ pub fn prune_empty(plan: &Plan, catalog: &Catalog, rel_tables: Option<&[String]>
     (Plan::empty_scan(covers, project, types, reason), 1)
 }
 
-/// The static output types of a plan, when every column resolves.
-///
-/// The vectorized executor uses this to pre-type aggregate output
-/// columns instead of falling back to `ColumnVec::Mixed`.
-pub fn output_types(plan: &Plan, catalog: &Catalog) -> Option<BTreeMap<Col, DataType>> {
-    let df = analyze_plan(plan, catalog, None);
-    if !df.mixed_free {
-        return None;
-    }
-    let mut out = BTreeMap::new();
-    for (c, d) in df.columns {
-        out.insert(c, d.ty?);
-    }
-    Some(out)
-}
-
 // ---------------------------------------------------------------------------
 // The bottom-up pass.
 // ---------------------------------------------------------------------------
@@ -1574,9 +1558,11 @@ mod tests {
                 Col::agg(ViewId::View(0), 1),
             ],
         );
-        let tys = output_types(&gb, &cat).expect("typed plan");
-        assert_eq!(tys[&Col::agg(ViewId::View(0), 0)], DataType::Int);
-        assert_eq!(tys[&Col::agg(ViewId::View(0), 1)], DataType::Float);
-        assert_eq!(tys[&Col::base(RelId(0), 1)], DataType::Int);
+        let df = analyze_plan(&gb, &cat, None);
+        assert!(df.mixed_free, "typed plan");
+        let ty = |c: Col| df.columns[&c].ty;
+        assert_eq!(ty(Col::agg(ViewId::View(0), 0)), Some(DataType::Int));
+        assert_eq!(ty(Col::agg(ViewId::View(0), 1)), Some(DataType::Float));
+        assert_eq!(ty(Col::base(RelId(0), 1)), Some(DataType::Int));
     }
 }

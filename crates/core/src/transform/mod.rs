@@ -24,6 +24,6 @@ pub mod pushdown;
 
 pub use coalesce::{coalescing_applicable, make_coalescing_pair};
 pub use combine::{combine_all, combine_groupbys};
-pub use props::{is_fk_join_into, output_key};
+pub use props::{grouping_determinant, is_fk_join_into, output_key};
 pub use pullup::pull_up;
 pub use pushdown::{group_applicable_at, minimal_invariant_set, InvariantGroupBy};

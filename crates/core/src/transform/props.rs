@@ -7,9 +7,10 @@
 //! group. Both need to answer: *what is a key of this plan's output?*
 
 use crate::plan::Plan;
-use aggview_common::{Col, Predicate, Result};
-use aggview_storage::Catalog;
+use aggview_common::{Col, DataType, Predicate, RelId, Result};
+use aggview_storage::{Catalog, Table};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A key of the plan's output: a set of output columns whose values
 /// functionally determine the whole output tuple, with no duplicate
@@ -76,6 +77,207 @@ pub fn output_key(plan: &Plan, catalog: &Catalog) -> Result<Option<Vec<Col>>> {
         }
     };
     Ok(key.filter(|k| k.iter().all(|c| out.contains(c))))
+}
+
+/// What the left-hand side of a functional dependency determines.
+enum Determined {
+    /// Every column of one relation instance (a primary key's reach).
+    Rel(RelId),
+    Cols(Vec<Col>),
+}
+
+/// The functional dependencies a plan proves about its own output, and
+/// what [`grouping_determinant`] needs to vet the equalities among them.
+#[derive(Default)]
+struct Dependencies {
+    fds: Vec<(Vec<Col>, Determined)>,
+    /// `a = b` conjuncts of joins and scan filters, not yet vetted.
+    equalities: Vec<(Col, Col)>,
+    /// The table behind each scanned relation instance.
+    tables: Vec<(RelId, Arc<Table>)>,
+    /// Declared types of extent-scan outputs.
+    extent_types: Vec<(Col, DataType)>,
+}
+
+impl Dependencies {
+    /// Collect from `plan`'s whole subtree. A dependency proven below
+    /// an operator still holds above it: selections and inner joins
+    /// only drop or pair rows, and a group-by's output rows take their
+    /// grouping values from input rows.
+    fn collect(&mut self, plan: &Plan, catalog: &Catalog) -> Result<()> {
+        let equalities = |preds: &[Predicate]| -> Vec<(Col, Col)> {
+            preds.iter().filter_map(Predicate::as_col_eq_col).collect()
+        };
+        match plan {
+            Plan::Scan {
+                rel,
+                table,
+                filters,
+                ..
+            } => {
+                let t = catalog.get(table)?;
+                if let Some(pk) = t.primary_key() {
+                    let key = pk.cols.iter().map(|&c| Col::base(*rel, c)).collect();
+                    self.fds.push((key, Determined::Rel(*rel)));
+                }
+                self.tables.push((*rel, t));
+                self.equalities.extend(equalities(filters));
+            }
+            Plan::Join {
+                left, right, preds, ..
+            } => {
+                self.collect(left, catalog)?;
+                self.collect(right, catalog)?;
+                self.equalities.extend(equalities(preds));
+            }
+            Plan::GroupBy { input, spec, .. } => {
+                self.collect(input, catalog)?;
+                self.fds
+                    .push((spec.group_cols.clone(), Determined::Cols(spec.agg_cols())));
+            }
+            Plan::PartialAggregate { input, spec, .. } => {
+                self.collect(input, catalog)?;
+                self.fds.push((
+                    spec.group_cols.clone(),
+                    Determined::Cols(spec.all_part_cols()),
+                ));
+            }
+            Plan::ExtentScan {
+                table,
+                cols,
+                outputs,
+                filters,
+                ..
+            } => {
+                let t = catalog.get(table)?;
+                let logical = |physical: usize| {
+                    let at = cols.iter().position(|&c| c == physical)?;
+                    outputs.get(at).copied()
+                };
+                if let Some(key) = t
+                    .primary_key()
+                    .and_then(|pk| pk.cols.iter().map(|&k| logical(k)).collect())
+                {
+                    self.fds.push((key, Determined::Cols(outputs.clone())));
+                }
+                for (&o, &c) in outputs.iter().zip(cols) {
+                    if let Some(f) = t.schema().fields().get(c) {
+                        self.extent_types.push((o, f.ty));
+                    }
+                }
+                self.equalities.extend(equalities(filters));
+            }
+            Plan::EmptyScan { .. } => {}
+        }
+        Ok(())
+    }
+
+    fn declared_type(&self, c: Col) -> Option<DataType> {
+        match c {
+            Col::Base(b) => self
+                .tables
+                .iter()
+                .find(|(rel, _)| *rel == b.rel)
+                .and_then(|(_, t)| t.schema().fields().get(b.col as usize))
+                .map(|f| f.ty),
+            _ => None,
+        }
+        .or_else(|| {
+            let found = self.extent_types.iter().find(|(o, _)| *o == c);
+            found.map(|&(_, ty)| ty)
+        })
+    }
+
+    /// Turn each equality whose two columns can only ever hold values of
+    /// one exact type into a dependency each way. A `Float` column may
+    /// hold integers (numeric widening), and `Int(2^53 + 1)` equals
+    /// `Float(2^53)` without being the only integer that does — so an
+    /// equality touching one determines nothing.
+    fn admit_equalities(&mut self) {
+        for (a, b) in std::mem::take(&mut self.equalities) {
+            let exact = match (self.declared_type(a), self.declared_type(b)) {
+                (Some(ta), Some(tb)) => ta == tb && ta != DataType::Float,
+                _ => false,
+            };
+            if exact {
+                self.fds.push((vec![a], Determined::Cols(vec![b])));
+                self.fds.push((vec![b], Determined::Cols(vec![a])));
+            }
+        }
+    }
+
+    /// Does the closure of `from` under the dependencies contain `target`?
+    fn determines(&self, from: &[Col], target: Col) -> bool {
+        let mut cols: BTreeSet<Col> = from.iter().copied().collect();
+        let mut rels = 0u64;
+        let mut used = vec![false; self.fds.len()];
+        let holds = |c: &Col, cols: &BTreeSet<Col>, rels: u64| match c {
+            Col::Base(b) if rels & b.rel.bit() != 0 => true,
+            _ => cols.contains(c),
+        };
+        loop {
+            if holds(&target, &cols, rels) {
+                return true;
+            }
+            let mut grew = false;
+            for (i, (lhs, rhs)) in self.fds.iter().enumerate() {
+                if used[i] || !lhs.iter().all(|c| holds(c, &cols, rels)) {
+                    continue;
+                }
+                used[i] = true;
+                grew = true;
+                match rhs {
+                    Determined::Rel(r) => rels |= r.bit(),
+                    Determined::Cols(cs) => cols.extend(cs.iter().copied()),
+                }
+            }
+            if !grew {
+                return false;
+            }
+        }
+    }
+}
+
+/// A minimal subset of `group_cols` that determines the rest on
+/// `input`'s output: two input rows that agree on the returned columns
+/// agree on every grouping column, so grouping by the subset and by all
+/// of `group_cols` partition the rows identically. Returned in
+/// `group_cols` order; the whole list when nothing can be dropped.
+///
+/// Only dependencies the plan itself proves are used — never
+/// statistics:
+/// * the declared primary key of a scanned table (or extent) determines
+///   every column of that scan;
+/// * the grouping columns of an aggregation below determine its outputs;
+/// * an `a = b` conjunct of an inner join or scan filter makes each
+///   column determine the other, when both are declared the same
+///   non-`Float` type.
+///
+/// Definition 1's pull-up groups on the view's columns, the key of the
+/// joined relation and everything carried upward — all of which that key
+/// determines. This is the one place the closure lives; the executor's
+/// group lookup is its first consumer.
+pub fn grouping_determinant(
+    group_cols: &[Col],
+    input: &Plan,
+    catalog: &Catalog,
+) -> Result<Vec<Col>> {
+    let mut kept = group_cols.to_vec();
+    if kept.len() < 2 {
+        return Ok(kept);
+    }
+    let mut deps = Dependencies::default();
+    deps.collect(input, catalog)?;
+    deps.admit_equalities();
+    // Later columns go first: the pull-up appends what it carries upward
+    // after the key that determines it.
+    for i in (0..kept.len()).rev() {
+        let c = kept.remove(i);
+        if !deps.determines(&kept, c) {
+            kept.insert(i, c);
+        }
+    }
+    Ok(kept)
 }
 
 /// True when `preds` equate (transitively, via simple equality

@@ -408,7 +408,7 @@ fn delta_fold(
             tmp.add_or_replace(catalog.get(name)?)?;
         }
     }
-    let plan = matview::spj_plan(def, &tmp)?;
+    let plan = matview::spj_plan(def)?;
     let env = QueryEnv::new(def.tables.clone());
     let engine = Engine::new(&tmp, &env, model).with_options(options);
     let rs = engine.execute_governed(&plan, gov, None)?;
@@ -426,7 +426,7 @@ fn refold_keys(
     options: ExecOptions,
     gov: &ResourceGovernor,
 ) -> Result<GroupTable> {
-    let plan = matview::spj_plan(def, catalog)?;
+    let plan = matview::spj_plan(def)?;
     let env = QueryEnv::new(def.tables.clone());
     let engine = Engine::new(catalog, &env, model).with_options(options);
     let rs = engine.execute_governed(&plan, gov, None)?;

@@ -25,6 +25,7 @@ use aggview_core::cost::CostModel;
 use aggview_core::governor::ResourceGovernor;
 use aggview_core::plan::{AggAlgo, GroupBySpec, JoinAlgo, PartialAggSpec, Plan};
 use aggview_core::query::QueryEnv;
+use aggview_core::transform::grouping_determinant;
 use aggview_storage::Catalog;
 use std::collections::HashMap;
 
@@ -228,13 +229,13 @@ impl<'a> Engine<'a> {
                 input,
                 spec,
                 project,
-            } => self.exec_aggregate(plan, AggNode::Full(spec), *algo, input, project, ctx),
+            } => self.exec_aggregate(AggNode::Full(spec), *algo, input, project, ctx),
             Plan::PartialAggregate {
                 algo,
                 input,
                 spec,
                 project,
-            } => self.exec_aggregate(plan, AggNode::Partial(spec), *algo, input, project, ctx),
+            } => self.exec_aggregate(AggNode::Partial(spec), *algo, input, project, ctx),
             Plan::EmptyScan { project, types, .. } => self.exec_empty_scan(project, types, ctx),
             Plan::ExtentScan {
                 view,
@@ -416,7 +417,8 @@ impl<'a> Engine<'a> {
         let (out, out_bytes) = if eq_keys.is_empty() {
             vector::nested_loop_join(&ctx.options, ctx.gov, &lb, &rb, &residual, &positions)?
         } else {
-            let index = vector::build_index(&ctx.options, ctx.gov, build, &build_pos)?;
+            let index =
+                vector::build_index(&ctx.options, ctx.gov, build, probe, &build_pos, &probe_pos)?;
             vector::probe_join(
                 &ctx.options,
                 ctx.gov,
@@ -441,12 +443,11 @@ impl<'a> Engine<'a> {
 
     /// The one aggregation body, shared by the full group-by and the
     /// partial aggregate: bind the grouping keys and per-aggregate
-    /// inputs, fold the input tile-wise into a group table, emit one row
-    /// per group (finalized values filtered by HAVING, or raw state
-    /// components), and charge the aggregation's IO.
+    /// inputs, fold the input tile-wise into a group table, take its
+    /// columns (finalized values filtered by HAVING, or the state
+    /// components as accumulated), and charge the aggregation's IO.
     fn exec_aggregate(
         &self,
-        node: &Plan,
         agg: AggNode<'_>,
         algo: AggAlgo,
         input: &Plan,
@@ -480,54 +481,40 @@ impl<'a> Engine<'a> {
         let bound_having = bind_all(having, &out_layout)?;
         let positions = positions_of(project, &out_layout, "aggregation projects")?;
 
+        // Groups are found by a subset of the grouping columns that
+        // determines the rest, and carry all of them.
+        let determinant = grouping_determinant(group_cols, input, self.catalog)?;
+        let lookup: Vec<usize> = determinant
+            .iter()
+            .filter_map(|d| group_cols.iter().position(|g| g == d))
+            .collect();
+
         let in_pages = self.pages_of(&ib);
-        let table =
-            vector::accumulate_groups(&ctx.options, ctx.gov, &ib, &key_pos, &inputs, &funcs)?;
+        let table = vector::accumulate_groups(
+            &ctx.options,
+            ctx.gov,
+            &ib,
+            &key_pos,
+            &lookup,
+            &inputs,
+            &funcs,
+        )?;
         let ngroups = table.len();
-        let (keys, states, n_aggs) = table.into_key_columns();
-        // Value columns are pre-typed from the dataflow certificate where
-        // it resolves one (projected columns of a Mixed-free plan);
-        // anything unresolved — e.g. a HAVING-only aggregate — stays on
-        // the Mixed fallback rather than risking a counted demotion.
-        let node_types = dataflow::output_types(node, self.catalog);
-        let mut cols = keys;
-        let value_base = cols.len();
-        cols.extend(
-            value_cols
-                .iter()
-                .map(|c| match node_types.as_ref().and_then(|m| m.get(c)) {
-                    Some(&ty) => ColumnVec::with_type(ty),
-                    None => ColumnVec::Mixed(Vec::with_capacity(ngroups)),
-                }),
-        );
-        for group_states in states.chunks(n_aggs.max(1)) {
-            let mut c = value_base;
-            for s in group_states {
-                match agg {
-                    AggNode::Full(_) => {
-                        cols[c].push_value(s.finalize()?);
-                        c += 1;
-                    }
-                    // Non-empty groups always have full component vectors.
-                    AggNode::Partial(_) => {
-                        for v in s.components() {
-                            cols[c].push_value(v.clone());
-                            c += 1;
-                        }
-                    }
-                }
-            }
-        }
+        // Columns in `out_cols` order: the accumulators finalize (full)
+        // or move out as the state components (partial) column-wise.
+        let cols = table.into_columns(matches!(agg, AggNode::Full(_)))?;
         let full = Batch::from_parts(cols, ngroups);
         let sel = vector::RowFilter::new(&bound_having, |i| full.col(i)).rows(0..ngroups)?;
-        let mut out = Batch::from_parts(
-            positions
-                .iter()
-                .map(|&p| full.col(p).empty_like())
-                .collect(),
-            0,
-        );
-        let out_bytes = out.gather_from(&full, &positions, sel.as_deref(), 0..ngroups);
+        let out = match sel {
+            None => full.project(&positions),
+            Some(sel) => {
+                let kept = positions.iter().map(|&p| full.col(p).empty_like());
+                let mut out = Batch::from_parts(kept.collect(), 0);
+                out.gather_from(&full, &positions, Some(&sel), 0..0);
+                out
+            }
+        };
+        let out_bytes = out.total_bytes();
         ctx.gov.charge_output_bulk(out.len() as u64, out_bytes)?;
         ctx.note_op_output(out_bytes);
 

@@ -22,7 +22,7 @@ use crate::partition::{AggInput, Group, GroupTable};
 use aggview_common::{AggFunc, AggViewError, Col, Predicate, RelId, Result, Tuple};
 use aggview_core::cost::CostModel;
 use aggview_core::governor::ResourceGovernor;
-use aggview_core::plan::{all_cols, Plan};
+use aggview_core::plan::Plan;
 use aggview_core::query::QueryEnv;
 use aggview_storage::matview::extent_schema;
 use aggview_storage::{
@@ -45,7 +45,7 @@ pub fn build_extent(
 ) -> Result<usize> {
     def.validate()?;
     let versions: Vec<u64> = def.tables.iter().map(|t| catalog.data_version(t)).collect();
-    let plan = spj_plan(def, catalog)?;
+    let plan = spj_plan(def)?;
     let env = QueryEnv::new(def.tables.clone());
     let engine = Engine::new(catalog, &env, model).with_options(options);
     let rs = engine.execute_governed(&plan, gov, None)?;
@@ -121,13 +121,12 @@ pub fn reverify_on_recovery(catalog: &Catalog) -> Vec<String> {
 /// The view's pure SPJ plan in its local frame: one scan per table
 /// (single-relation predicates pushed down as filters), left-deep joins
 /// in declaration order, each multi-relation predicate attached to the
-/// first join where it becomes evaluable.
-pub(crate) fn spj_plan(def: &MatViewDef, catalog: &Catalog) -> Result<Plan> {
-    let arities: Vec<usize> = def
-        .tables
-        .iter()
-        .map(|t| catalog.get(t).map(|t| t.schema().len()))
-        .collect::<Result<_>>()?;
+/// first join where it becomes evaluable. A scan projects only what the
+/// plan above it reads — grouping columns, aggregate arguments, operands
+/// of join predicates — so a maintenance scan never transposes (or, for
+/// strings, interns) a column the fold ignores; consumers resolve the
+/// result's columns by [`Col`], never by position.
+pub(crate) fn spj_plan(def: &MatViewDef) -> Result<Plan> {
     let mut local: Vec<Vec<Predicate>> = vec![Vec::new(); def.tables.len()];
     let mut multi: Vec<Predicate> = Vec::new();
     for p in &def.preds {
@@ -150,13 +149,14 @@ pub(crate) fn spj_plan(def: &MatViewDef, catalog: &Catalog) -> Result<Plan> {
             _ => multi.push(p.clone()),
         }
     }
+    let mut read: BTreeSet<Col> = def.group_cols.iter().copied().collect();
+    read.extend(def.aggs.iter().flat_map(|a| a.cols_used()));
+    read.extend(multi.iter().flat_map(Predicate::cols_used));
     let scan = |i: usize, filters: Vec<Predicate>| {
-        Plan::scan(
-            RelId(i as u32),
-            &def.tables[i],
-            filters,
-            all_cols(RelId(i as u32), arities[i]),
-        )
+        let rel = RelId(i as u32);
+        let of_rel = |c: &&Col| matches!(c, Col::Base(b) if b.rel == rel);
+        let project = read.iter().filter(of_rel).copied().collect();
+        Plan::scan(rel, &def.tables[i], filters, project)
     };
     let mut plan = scan(0, std::mem::take(&mut local[0]));
     let mut have: u64 = RelId(0).bit();
@@ -290,6 +290,74 @@ mod tests {
             ExecOptions::default(),
             ResourceGovernor::unlimited(),
         )
+    }
+
+    #[test]
+    fn spj_plan_projects_only_what_the_view_reads() {
+        // SELECT d.loc, SUM(e.sal) FROM emp e, dept d
+        //  WHERE e.dno = d.dno AND e.age < 30 GROUP BY d.loc
+        // emp(eno, name, dno, sal, age), dept(dno, dname, budget, loc)
+        let (e, d) = (RelId(0), RelId(1));
+        let mut def = MatViewDef {
+            name: "by_loc".into(),
+            tables: vec!["emp".into(), "dept".into()],
+            preds: vec![
+                Predicate::eq_cols(Col::base(e, 2), Col::base(d, 0)),
+                Predicate::cmp_const(Col::base(e, 4), CmpOp::Lt, Value::Int(30)),
+            ],
+            group_cols: vec![Col::base(d, 3)],
+            aggs: vec![AggSpec::new(AggFunc::Sum, Expr::col(Col::base(e, 3)))],
+            column_names: vec!["loc".into(), "ssal".into()],
+        };
+        let Plan::Join { left, right, .. } = spj_plan(&def).unwrap() else {
+            panic!("a two-table view joins");
+        };
+        // Neither string column nobody reads, nor the filter's `age`
+        // (the scan evaluates it on the table's own columns).
+        assert_eq!(left.output_cols(), [Col::base(e, 2), Col::base(e, 3)]);
+        assert_eq!(right.output_cols(), [Col::base(d, 0), Col::base(d, 3)]);
+
+        // A table that only multiplies rows contributes no column at all,
+        // and the extent still builds and maintains.
+        def.preds.remove(0);
+        def.group_cols = vec![Col::base(e, 2)];
+        def.column_names[0] = "dno".into();
+        let Plan::Join { right, .. } = spj_plan(&def).unwrap() else {
+            panic!("a two-table view joins");
+        };
+        assert!(right.output_cols().is_empty());
+        let cat = setup();
+        let (model, opts, gov) = exec_env();
+        let groups = build_extent(&def, &cat, model, opts, &gov).unwrap();
+        assert_eq!(groups, 6);
+        let depts = cat.get("dept").unwrap().len() as f64;
+        let young: f64 = cat
+            .get("emp")
+            .unwrap()
+            .rows()
+            .iter()
+            .filter(|r| r.get(2).as_i64() == Some(0) && r.get(4).as_i64() < Some(30))
+            .map(|r| r.get(3).as_f64().unwrap())
+            .sum();
+        let row0 = cat.get("__mv_by_loc").unwrap().rows()[0].clone();
+        assert_eq!(row0.get(0), &Value::Int(0));
+        let total = row0.get(1).as_f64().unwrap();
+        assert!(
+            (total - young * depts).abs() < 1e-6,
+            "{total} vs {young} x {depts}"
+        );
+        let delta = vec![Tuple::new(vec![
+            Value::Int(9100),
+            "new".into(),
+            Value::Int(0),
+            Value::Float(100.0),
+            Value::Int(20),
+        ])];
+        cat.append_rows("emp", delta.clone()).unwrap();
+        maintain_after_insert("emp", &delta, &cat, model, opts, &gov).unwrap();
+        let row0 = cat.get("__mv_by_loc").unwrap().rows()[0].clone();
+        let after = row0.get(1).as_f64().unwrap();
+        assert!((after - (young + 100.0) * depts).abs() < 1e-6);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Hash structures shared by the executor's kernels and
 //! the materialized-view maintenance paths.
 //!
-//! Four pieces live here:
+//! Five pieces live here:
 //!
 //! * [`chunk_ranges`] — split `n` input rows into contiguous, near-equal
 //!   worker chunks;
@@ -10,6 +10,10 @@
 //!   the key columns themselves (hash-then-compare — no `Vec<Value>` key
 //!   is ever materialized), over the directory rule [`dir_index`] that
 //!   the group table shares;
+//! * [`Ordinals`], [`dir_cells`] — the ordinal rule both directories
+//!   share: a one-column key of small integers whose range fits the
+//!   cells a hashed directory would take is the cell itself, and then
+//!   nothing is hashed or compared;
 //! * [`AggInput`] — how one aggregate reads its per-row input (raw
 //!   argument, partial-state components, or a duplicate-factor-scaled
 //!   argument), shared by the columnar aggregation kernel and the
@@ -20,15 +24,15 @@
 //!   stored ones with [`GroupTable::merge_from`] — the physical form of
 //!   the paper's simple-coalescing transformation (Section 4.2).
 //!
-//! All lookups key on a 64-bit hash computed in place over the key
+//! All other lookups key on a 64-bit hash computed in place over the key
 //! columns ([`aggview_common::hash`]); candidate lists store `u32` row
 //! or slot indices, so the hot loops allocate only when a *new* group or
 //! output tuple is created.
 
 use aggview_common::expr::BoundExpr;
 use aggview_common::{
-    hash_key, hash_values, key_matches_row, AggFunc, PartialAggState, PrehashedMap, Result, Tuple,
-    Value,
+    hash_key, hash_values, key_matches_row, AggFunc, ColumnVec, PartialAggState, PrehashedMap,
+    Result, Tuple, Value,
 };
 use std::ops::Range;
 
@@ -61,52 +65,168 @@ pub fn dir_index(hash: u64, bits: u32) -> usize {
     (hash >> (64 - bits)) as usize
 }
 
-/// The build side of a hash join as three flat arrays: `buckets[cell]`
-/// heads the chain of build rows whose key hash is homed in `cell`
-/// ([`dir_index`]), `next[row]` links to the following row of that
-/// chain, and `hashes[row]` tells rows of other keys sharing the cell
-/// apart without touching the key columns. Links are `row + 1`, `0`
-/// ends a chain. At least two cells per row keep the chains short.
-///
-/// Every chain ascends by build row, so a probe row meets its matches
-/// in build order whatever the hash function does.
-#[derive(Debug)]
-pub struct JoinIndex {
-    buckets: Vec<u32>,
-    bits: u32,
-    next: Vec<u32>,
-    hashes: Vec<u64>,
+/// Cells of a hashed directory over `n` keys: a power of two with at
+/// least two cells per key, so probe chains stay short. [`JoinIndex`]
+/// allocates exactly this many; the group table's directory grows
+/// towards it. It is also the one bound of the *ordinal rule*: a key
+/// column of small integers ([`Ordinals`]) whose value range needs no
+/// more cells than this is addressed directly, `value - min` being the
+/// cell — no hash, no probe chain, no key comparison.
+pub fn dir_cells(n: usize) -> usize {
+    (n * 2).next_power_of_two().max(16)
 }
 
-impl JoinIndex {
-    /// Index build rows `0..hashes.len()` by their key hashes. Rows are
-    /// linked in from the last to the first, each at the head of its
-    /// chain, which is what leaves the chains ascending.
-    pub fn new(hashes: Vec<u64>) -> JoinIndex {
-        let cells = (hashes.len() * 2).next_power_of_two().max(16);
-        let bits = cells.trailing_zeros();
-        let mut buckets = vec![0u32; cells];
-        let mut next = vec![0u32; hashes.len()];
-        for (row, &h) in hashes.iter().enumerate().rev() {
-            let head = &mut buckets[dir_index(h, bits)];
-            next[row] = *head;
-            *head = row as u32 + 1;
-        }
-        JoinIndex {
-            buckets,
-            bits,
-            next,
-            hashes,
+/// A key column whose values are small integers: an `Int` column's
+/// values, or a string column's dictionary codes (equal codes are equal
+/// strings under one dictionary, so the code can stand for the key).
+#[derive(Clone, Copy)]
+pub enum Ordinals<'a> {
+    Int(&'a [i64]),
+    Code(&'a [u32]),
+}
+
+impl<'a> Ordinals<'a> {
+    pub fn of(col: &'a ColumnVec) -> Option<Ordinals<'a>> {
+        match col {
+            ColumnVec::Int(xs) => Some(Ordinals::Int(xs)),
+            ColumnVec::Str(xs) => Some(Ordinals::Code(xs.codes())),
+            _ => None,
         }
     }
 
-    /// The build rows homed in `hash`'s cell, ascending — candidates
-    /// only. Rows of other hashes share the cell, and equal hashes do not
-    /// make equal keys: skip the first kind with
-    /// [`hash_of`](Self::hash_of) (or, where that is as cheap, by the
-    /// key itself) and always confirm with a key comparison.
-    pub fn chain(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
-        let mut at = self.buckets[dir_index(hash, self.bits)];
+    /// The key columns of a one-column equi-join, when one ordinal on
+    /// both sides means one key: two `Int` columns, or two string columns
+    /// over the same dictionary.
+    pub fn pair(build: &'a ColumnVec, probe: &'a ColumnVec) -> Option<(Self, Self)> {
+        match (build, probe) {
+            (ColumnVec::Int(b), ColumnVec::Int(p)) => Some((Ordinals::Int(b), Ordinals::Int(p))),
+            (ColumnVec::Str(b), ColumnVec::Str(p)) if b.same_dict(p) => {
+                Some((Ordinals::Code(b.codes()), Ordinals::Code(p.codes())))
+            }
+            _ => None,
+        }
+    }
+
+    #[inline]
+    pub fn at(&self, i: usize) -> i64 {
+        match self {
+            Ordinals::Int(xs) => xs[i],
+            Ordinals::Code(xs) => i64::from(xs[i]),
+        }
+    }
+
+    /// The smallest ordinal of rows `range` and how many cells a flat
+    /// array from it to the largest takes — when that is at most
+    /// `max_cells` (one pass over the rows; `None` for an empty range
+    /// or a span past the bound, `i64` overflow included).
+    pub fn span(&self, range: Range<usize>, max_cells: usize) -> Option<(i64, usize)> {
+        fn min_max<T: Copy + Ord>(xs: &[T]) -> Option<(T, T)> {
+            let first = *xs.first()?;
+            Some(
+                xs.iter()
+                    .fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x))),
+            )
+        }
+        let (lo, hi) = match self {
+            Ordinals::Int(xs) => min_max(&xs[range])?,
+            Ordinals::Code(xs) => {
+                let (lo, hi) = min_max(&xs[range])?;
+                (i64::from(lo), i64::from(hi))
+            }
+        };
+        let cells = usize::try_from(hi.checked_sub(lo)?).ok()?.checked_add(1)?;
+        (cells <= max_cells).then_some((lo, cells))
+    }
+}
+
+/// Cell of `ordinal` in a flat array that starts at `min`; out of range
+/// (either side) comes back as an index no array holds.
+#[inline]
+pub fn ordinal_cell(ordinal: i64, min: i64) -> usize {
+    // A value below `min` wraps to the far end of `u64`.
+    usize::try_from(ordinal.wrapping_sub(min) as u64).unwrap_or(usize::MAX)
+}
+
+/// The build side of a hash join as flat arrays: `buckets[cell]` heads
+/// the chain of build rows homed in `cell` and `next[row]` links to the
+/// following row of that chain. Links are `row + 1`, `0` ends a chain.
+///
+/// What a cell is depends on the key. In general it is [`dir_index`] of
+/// the key hash, over [`dir_cells`] cells, and `hashes[row]` tells rows
+/// of other keys sharing the cell apart without touching the key
+/// columns. Under the ordinal rule the cell is the key itself
+/// ([`ordinal_cell`]): a chain then holds the rows of exactly one key,
+/// and nothing is hashed or compared.
+///
+/// Every chain ascends by build row, so a probe row meets its matches
+/// in build order whatever the addressing.
+#[derive(Debug)]
+pub struct JoinIndex {
+    buckets: Vec<u32>,
+    next: Vec<u32>,
+    addressing: Addressing,
+}
+
+#[derive(Debug)]
+enum Addressing {
+    Hashed {
+        bits: u32,
+        hashes: Vec<u64>,
+    },
+    /// `buckets[ordinal - min]`.
+    Direct {
+        min: i64,
+    },
+}
+
+impl JoinIndex {
+    /// Link build rows `0..n` into the chains `cell_of` homes them in,
+    /// from the last row to the first, each at the head of its chain —
+    /// which is what leaves the chains ascending.
+    fn link(cells: usize, n: usize, cell_of: impl Fn(usize) -> usize) -> (Vec<u32>, Vec<u32>) {
+        let mut buckets = vec![0u32; cells];
+        let mut next = vec![0u32; n];
+        for row in (0..n).rev() {
+            let head = &mut buckets[cell_of(row)];
+            next[row] = *head;
+            *head = row as u32 + 1;
+        }
+        (buckets, next)
+    }
+
+    /// Index build rows `0..hashes.len()` by their key hashes.
+    pub fn new(hashes: Vec<u64>) -> JoinIndex {
+        let cells = dir_cells(hashes.len());
+        let bits = cells.trailing_zeros();
+        let (buckets, next) = Self::link(cells, hashes.len(), |row| dir_index(hashes[row], bits));
+        JoinIndex {
+            buckets,
+            next,
+            addressing: Addressing::Hashed { bits, hashes },
+        }
+    }
+
+    /// Index build rows `0..n` directly by their key ordinals, when the
+    /// ordinal rule admits them: the range fits the cells
+    /// [`new`](Self::new) would allocate for as many rows.
+    pub fn direct(keys: Ordinals<'_>, n: usize) -> Option<JoinIndex> {
+        let (min, cells) = keys.span(0..n, dir_cells(n))?;
+        let (buckets, next) = Self::link(cells, n, |row| ordinal_cell(keys.at(row), min));
+        Some(JoinIndex {
+            buckets,
+            next,
+            addressing: Addressing::Direct { min },
+        })
+    }
+
+    /// Whether probes address this index by key ordinal
+    /// ([`matches`](Self::matches)) rather than by hash
+    /// ([`chain`](Self::chain)).
+    pub fn is_direct(&self) -> bool {
+        matches!(self.addressing, Addressing::Direct { .. })
+    }
+
+    fn walk(&self, mut at: u32) -> impl Iterator<Item = u32> + '_ {
         std::iter::from_fn(move || {
             let row = at.checked_sub(1)?;
             at = self.next[row as usize];
@@ -114,9 +234,40 @@ impl JoinIndex {
         })
     }
 
-    /// The key hash build row `row` was indexed under.
+    /// The build rows homed in `hash`'s cell, ascending — candidates
+    /// only. Rows of other hashes share the cell, and equal hashes do not
+    /// make equal keys: skip the first kind with
+    /// [`hash_of`](Self::hash_of) (or, where that is as cheap, by the
+    /// key itself) and always confirm with a key comparison. Empty on a
+    /// direct index.
+    pub fn chain(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
+        let head = match &self.addressing {
+            Addressing::Hashed { bits, .. } => self.buckets[dir_index(hash, *bits)],
+            Addressing::Direct { .. } => 0,
+        };
+        self.walk(head)
+    }
+
+    /// The build rows whose key ordinal is `ordinal`, ascending — all of
+    /// them and nothing else. Empty on a hashed index.
+    pub fn matches(&self, ordinal: i64) -> impl Iterator<Item = u32> + '_ {
+        let head = match &self.addressing {
+            Addressing::Direct { min } => {
+                let cell = ordinal_cell(ordinal, *min);
+                self.buckets.get(cell).copied().unwrap_or(0)
+            }
+            Addressing::Hashed { .. } => 0,
+        };
+        self.walk(head)
+    }
+
+    /// The key hash build row `row` was indexed under (`0` on a direct
+    /// index, which keeps none).
     pub fn hash_of(&self, row: u32) -> u64 {
-        self.hashes[row as usize]
+        match &self.addressing {
+            Addressing::Hashed { hashes, .. } => hashes[row as usize],
+            Addressing::Direct { .. } => 0,
+        }
     }
 }
 
@@ -330,7 +481,7 @@ impl GroupTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aggview_common::{tuple, Batch, ColumnVec};
+    use aggview_common::{tuple, Batch};
     use std::sync::Arc;
 
     #[test]
@@ -415,6 +566,64 @@ mod tests {
             assert!(expect.contains(&(row as u32)));
         }
         assert_eq!(JoinIndex::new(Vec::new()).chain(42).count(), 0);
+    }
+
+    #[test]
+    fn ordinal_rule_admits_ranges_the_hashed_directory_would_cover() {
+        let ints = |xs: &[i64]| ColumnVec::Int(xs.to_vec());
+        let span = |col: &ColumnVec, n: usize| Ordinals::of(col).unwrap().span(0..n, dir_cells(n));
+        // 100 rows may address up to dir_cells(100) = 256 cells.
+        let mut xs: Vec<i64> = (0..100).collect();
+        assert_eq!(span(&ints(&xs), 100), Some((0, 100)));
+        xs[7] = -155;
+        assert_eq!(span(&ints(&xs), 100), Some((-155, 255)));
+        xs[7] = -156;
+        assert_eq!(span(&ints(&xs), 100), Some((-156, 256)));
+        xs[7] = -157;
+        assert_eq!(span(&ints(&xs), 100), None, "257 cells for 100 rows");
+        // Overflowing ranges are refused, not wrapped; no row, no range.
+        assert_eq!(span(&ints(&[i64::MIN, i64::MAX]), 2), None);
+        assert_eq!(
+            span(&ints(&[i64::MAX, i64::MAX - 3]), 2),
+            Some((i64::MAX - 3, 4))
+        );
+        assert_eq!(span(&ints(&[]), 0), None);
+        // Codes count from the smallest one present.
+        let strs: ColumnVec = ColumnVec::Str(
+            ["a", "b", "c", "b", "c"]
+                .iter()
+                .map(|&s| Arc::from(s))
+                .collect(),
+        );
+        assert_eq!(Ordinals::of(&strs).unwrap().span(2..5, 16), Some((1, 2)));
+        assert!(Ordinals::of(&ColumnVec::Float(vec![1.0])).is_none());
+        // Out-of-range ordinals land in no cell, on either side.
+        assert_eq!(ordinal_cell(5, 5), 0);
+        assert_eq!(ordinal_cell(4, 5), usize::MAX);
+        assert_eq!(ordinal_cell(i64::MAX, i64::MIN), usize::MAX);
+        assert_eq!(ordinal_cell(i64::MIN, i64::MAX), 1);
+    }
+
+    #[test]
+    fn direct_index_chains_hold_exactly_the_rows_of_their_key() {
+        let keys: Vec<i64> = (0..300).map(|i| (i * 7) % 13 - 6).collect();
+        let col = ColumnVec::Int(keys.clone());
+        let index = JoinIndex::direct(Ordinals::of(&col).unwrap(), keys.len()).unwrap();
+        assert!(index.is_direct());
+        for k in -8..9 {
+            let got: Vec<u32> = index.matches(k).collect();
+            let want: Vec<u32> = (0..300u32).filter(|&r| keys[r as usize] == k).collect();
+            assert_eq!(got, want, "key {k}");
+        }
+        assert_eq!(index.matches(i64::MIN).count(), 0);
+        assert_eq!(index.matches(i64::MAX).count(), 0);
+        assert_eq!(index.chain(0).count(), 0, "nothing is hashed");
+        // A sparse key column stays hashed; so does an empty build side.
+        let sparse = ColumnVec::Int(vec![0, 1_000_000]);
+        assert!(JoinIndex::direct(Ordinals::of(&sparse).unwrap(), 2).is_none());
+        assert!(JoinIndex::direct(Ordinals::of(&col).unwrap(), 0).is_none());
+        assert!(!JoinIndex::new(vec![1, 2, 3]).is_direct());
+        assert_eq!(JoinIndex::new(vec![1, 2, 3]).matches(1).count(), 0);
     }
 
     #[test]

@@ -260,8 +260,289 @@ fn string_plan(shape: usize, pick: usize) -> Plan {
     }
 }
 
+/// Key families for `k0.id`: dense, negative, sparse, and the two ends
+/// of `i64` with zero between them. The group lookup addresses the
+/// first two directly and hashes the others.
+fn key_value(family: usize, i: i64) -> i64 {
+    match family % 4 {
+        0 => i,
+        1 => i - 40,
+        2 => i * 1_000_003 - 9_000_000_000,
+        _ => match i % 3 {
+            0 => i64::MIN + i,
+            1 => i64::MAX - i,
+            _ => i - 1,
+        },
+    }
+}
+
+/// `k0(id PK, grp, tag, val, n)`, `k1(id PK, ref -> k0.id, w)` and `h0`,
+/// which is `k0` without the key declaration. `grp` and `tag` are
+/// functions of `id` that the catalog does not know about. Any table
+/// may come out empty.
+fn keyed_setup(seed: u64, max_rows: usize, family: usize) -> (Catalog, QueryEnv) {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let fields = [
+        ("id", DataType::Int),
+        ("grp", DataType::Int),
+        ("tag", DataType::Str),
+        ("val", DataType::Float),
+        ("n", DataType::Int),
+    ];
+    let n0 = next(max_rows + 1);
+    let k0_rows: Vec<Vec<Value>> = (0..n0 as i64)
+        .map(|i| {
+            vec![
+                Value::Int(key_value(family, i)),
+                Value::Int(key_value(family, i % 5)),
+                Value::str(TAGS[(i % 4) as usize]),
+                Value::Float(next(400) as f64 * 12.5),
+                Value::Int(next(9) as i64 - 4),
+            ]
+        })
+        .collect();
+    let cat = Catalog::new();
+    let mut k0 = Table::builder("k0", Schema::of(&fields))
+        .primary_key(&["id"])
+        .unwrap();
+    let mut h0 = Table::builder("h0", Schema::of(&fields));
+    for row in &k0_rows {
+        k0.push(row.clone().into()).unwrap();
+        h0.push(row.clone().into()).unwrap();
+    }
+    cat.add(k0.build().unwrap()).unwrap();
+    cat.add(h0.build().unwrap()).unwrap();
+    let mut k1 = Table::builder(
+        "k1",
+        Schema::of(&[
+            ("id", DataType::Int),
+            ("ref", DataType::Int),
+            ("w", DataType::Float),
+        ]),
+    )
+    .primary_key(&["id"])
+    .unwrap();
+    for i in 0..next(2 * max_rows + 1) {
+        // A few references dangle: the join drops them.
+        let to = next(n0 + 2) as i64;
+        let row = vec![
+            Value::Int(i as i64),
+            Value::Int(key_value(family, to)),
+            Value::Float(next(40) as f64 * 12.5),
+        ];
+        k1.push(row.into()).unwrap();
+    }
+    cat.add(k1.build().unwrap()).unwrap();
+    (cat, QueryEnv::new(vec!["k0".into(), "k1".into()]))
+}
+
+/// Every aggregate function, over Int, Float and string arguments and
+/// an expression.
+fn every_function(val: Col, n: Col, tag: Col) -> Vec<AggSpec> {
+    let arg = |f, c| AggSpec::new(f, Expr::col(c));
+    vec![
+        AggSpec::count_star(),
+        arg(AggFunc::Sum, val),
+        arg(AggFunc::Sum, n),
+        arg(AggFunc::Min, val),
+        arg(AggFunc::Max, tag),
+        arg(AggFunc::Avg, n),
+        arg(AggFunc::StdDev, val),
+        AggSpec::new(
+            AggFunc::Sum,
+            Expr::col(val).binary(aggview_common::BinaryOp::Mul, Expr::col(n)),
+        ),
+        arg(AggFunc::Count, tag),
+    ]
+}
+
+/// Group-bys whose grouping columns hold a key *and* what it
+/// determines — so the engine finds groups by a subset of them — and
+/// the shapes in which it must not. `keyless` swaps `k0` for `h0`.
+fn keyed_plan(shape: usize, cut: i64, keyless: bool) -> Plan {
+    let t0 = if keyless { "h0" } else { "k0" };
+    let (id0, grp0, tag0, val0, n0) = (
+        Col::base(RelId(0), 0),
+        Col::base(RelId(0), 1),
+        Col::base(RelId(0), 2),
+        Col::base(RelId(0), 3),
+        Col::base(RelId(0), 4),
+    );
+    let (id1, ref1, w1) = (
+        Col::base(RelId(1), 0),
+        Col::base(RelId(1), 1),
+        Col::base(RelId(1), 2),
+    );
+    let scan0 = |filters| Plan::scan(RelId(0), t0, filters, all_cols(RelId(0), 5));
+    let scan1 = || Plan::scan(RelId(1), "k1", vec![], all_cols(RelId(1), 3));
+    let fk_join =
+        |left: Plan| Plan::join_all(left, scan0(vec![]), vec![Predicate::eq_cols(ref1, id0)]);
+    let top = |input: Plan, group_cols: Vec<Col>, aggs: Vec<AggSpec>, having: Vec<Predicate>| {
+        Plan::group_by_all(
+            input,
+            GroupBySpec {
+                owner: ViewId::Top,
+                group_cols,
+                aggs,
+                having,
+            },
+        )
+    };
+    match shape % 8 {
+        // The key and two columns it determines, same table; HAVING on
+        // a determined column, and only determined columns projected.
+        0 => {
+            let spec = GroupBySpec {
+                owner: ViewId::Top,
+                group_cols: vec![grp0, id0, tag0],
+                aggs: every_function(val0, n0, tag0),
+                having: vec![Predicate::cmp_const(tag0, CmpOp::Ge, Value::str("ab"))],
+            };
+            let mut project = vec![tag0, grp0];
+            project.extend(spec.agg_cols());
+            Plan::group_by(scan0(vec![]), spec, project)
+        }
+        // Across an equi-join: k1.ref = k0.id determines all of k0.
+        1 => top(
+            fk_join(scan1()),
+            vec![tag0, ref1, grp0, id0],
+            every_function(w1, n0, tag0),
+            vec![Predicate::cmp_const(grp0, CmpOp::Ge, Value::Int(cut))],
+        ),
+        // The pull-up shape: the joined relation's key first, what is
+        // carried upward after it.
+        2 => top(
+            fk_join(scan1()),
+            vec![id1, ref1, tag0, val0],
+            every_function(w1, n0, tag0),
+            vec![],
+        ),
+        // Through a group-by below: its grouping column determines its
+        // aggregates, which the upper one groups on.
+        3 => {
+            let lower = GroupBySpec {
+                owner: ViewId::View(0),
+                group_cols: vec![ref1],
+                aggs: vec![
+                    AggSpec::count_star(),
+                    AggSpec::new(AggFunc::Sum, Expr::col(w1)),
+                ],
+                having: vec![],
+            };
+            let (cnt, total) = (Col::agg(ViewId::View(0), 0), Col::agg(ViewId::View(0), 1));
+            top(
+                fk_join(Plan::group_by_all(scan1(), lower)),
+                vec![cnt, id0, total, tag0],
+                vec![
+                    AggSpec::count_star(),
+                    AggSpec::new(AggFunc::Max, Expr::col(total)),
+                    AggSpec::new(AggFunc::StdDev, Expr::col(val0)),
+                    AggSpec::new(AggFunc::Avg, Expr::col(cnt)),
+                ],
+                vec![],
+            )
+        }
+        // Through a partial aggregate, coalesced: every function once as
+        // partial state (pushed) and once scaled by the duplicate factor
+        // (kept), several partial rows per final group.
+        4 | 5 => {
+            let pushed = [
+                AggSpec::new(AggFunc::Sum, Expr::col(w1)),
+                AggSpec::new(AggFunc::Avg, Expr::col(w1)),
+                AggSpec::new(AggFunc::StdDev, Expr::col(w1)),
+                AggSpec::new(AggFunc::Min, Expr::col(w1)),
+                AggSpec::new(AggFunc::Max, Expr::col(w1)),
+                AggSpec::new(AggFunc::Count, Expr::col(w1)),
+            ];
+            let kept = [
+                AggSpec::count_star(),
+                AggSpec::new(AggFunc::Sum, Expr::col(n0)),
+                AggSpec::new(AggFunc::Sum, Expr::col(val0)),
+                AggSpec::new(AggFunc::Avg, Expr::col(val0)),
+                AggSpec::new(AggFunc::StdDev, Expr::col(n0)),
+                AggSpec::new(AggFunc::Max, Expr::col(tag0)),
+            ];
+            let aggs: Vec<AggSpec> = pushed.iter().chain(&kept).cloned().collect();
+            let partial = Plan::partial_aggregate_all(
+                scan1(),
+                PartialAggSpec {
+                    group_cols: vec![ref1],
+                    aggs: pushed
+                        .iter()
+                        .enumerate()
+                        .map(|(i, a)| (AggRef::new(ViewId::Top, i), a.clone()))
+                        .collect(),
+                    count: Some(AggRef::new(ViewId::Top, aggs.len())),
+                },
+            );
+            // Coarse (grp: partial rows really coalesce) or with the
+            // key among the grouping columns (one partial row a group).
+            let by = if shape % 8 == 4 {
+                vec![grp0]
+            } else {
+                vec![grp0, ref1, tag0]
+            };
+            top(fk_join(partial), by, aggs, vec![])
+        }
+        // One Int grouping column whose values may be negative, sparse
+        // or span `i64`; the filter may leave no row at all.
+        6 => top(
+            scan0(vec![Predicate::cmp_const(n0, CmpOp::Lt, Value::Int(cut))]),
+            vec![grp0],
+            every_function(val0, n0, tag0),
+            vec![],
+        ),
+        // No grouping column: one group, or none over no rows.
+        _ => top(
+            scan0(vec![Predicate::cmp_const(n0, CmpOp::Ge, Value::Int(cut))]),
+            vec![],
+            every_function(val0, n0, tag0),
+            vec![],
+        ),
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Group-bys that are found by a determinant of their grouping
+    /// columns, on keys of every family, keyed and keyless, possibly
+    /// over no rows: the same groups with the same carried columns and
+    /// the same aggregates as the reference, at 1 and 4 threads.
+    #[test]
+    fn engine_matches_reference_on_determined_grouping_columns(
+        seed in 0u64..5000,
+        rows in 0usize..90,
+        shape in 0usize..8,
+        family in 0usize..4,
+        cut in -5i64..6,
+        keyless in 0usize..3,
+    ) {
+        let keyless = keyless == 0;
+        let (cat, mut env) = keyed_setup(seed, rows, family);
+        if keyless {
+            env = QueryEnv::new(vec!["h0".into(), "k1".into()]);
+        }
+        let plan = keyed_plan(shape, cut, keyless);
+        let expect = reference::evaluate(&plan, &cat).unwrap();
+        for threads in [1usize, 4] {
+            let got = Engine::new(&cat, &env, CostModel::default())
+                .with_options(options(threads))
+                .execute(&plan)
+                .unwrap();
+            prop_assert_eq!(got.mixed_demotions, 0);
+            if let Err(e) = assert_equivalent(&expect, &got) {
+                prop_assert!(false, "shape {} family {} keyless {} at {} threads: {}",
+                    shape % 8, family % 4, keyless, threads, e);
+            }
+        }
+    }
 
     /// The engine agrees with the reference interpreter at 1 and 4
     /// threads, as a multiset up to canonical float rounding (the
@@ -283,6 +564,47 @@ proptest! {
                 .unwrap();
             if let Err(e) = assert_equivalent(&expect, &got) {
                 prop_assert!(false, "shape {} at {} threads: {}", shape % 6, threads, e);
+            }
+        }
+    }
+
+    /// One-column equi-joins of a table with itself: the two sides read
+    /// one column image, so string keys share a dictionary and — like
+    /// Int keys of a narrow range — address the build side directly;
+    /// sparse and `i64`-spanning keys stay hashed. Same rows either way.
+    #[test]
+    fn engine_matches_reference_on_self_joins(
+        seed in 0u64..5000,
+        rows in 0usize..70,
+        on in 0usize..3,
+        family in 0usize..4,
+        cut in -5i64..6,
+    ) {
+        let (cat, _) = keyed_setup(seed, rows, family);
+        let env = QueryEnv::new(vec!["k0".into(), "k0".into()]);
+        let side = |rel: u32, filters| Plan::scan(RelId(rel), "k0", filters, all_cols(RelId(rel), 5));
+        let key = [2usize, 0, 1][on];
+        let plan = Plan::join_all(
+            side(0, vec![Predicate::cmp_const(Col::base(RelId(0), 4), CmpOp::Lt, Value::Int(cut))]),
+            side(1, vec![]),
+            vec![
+                Predicate::eq_cols(Col::base(RelId(0), key), Col::base(RelId(1), key)),
+                Predicate::new(
+                    Expr::col(Col::base(RelId(0), 3)),
+                    CmpOp::Le,
+                    Expr::col(Col::base(RelId(1), 3)),
+                ),
+            ],
+        );
+        let expect = reference::evaluate(&plan, &cat).unwrap();
+        for threads in [1usize, 4] {
+            let got = Engine::new(&cat, &env, CostModel::default())
+                .with_options(options(threads))
+                .execute(&plan)
+                .unwrap();
+            if let Err(e) = assert_equivalent(&expect, &got) {
+                prop_assert!(false, "on column {} family {} at {} threads: {}",
+                    key, family % 4, threads, e);
             }
         }
     }
