@@ -1,18 +1,18 @@
-//! `bench` — the executor throughput/scaling benchmark binary.
+//! `bench` — serial kernel timings and the peak-memory gate.
 //!
 //! ```text
 //! $ cargo run --release -p aggview-bench --bin bench -- \
-//!       --threads 4 --scale 1 --repeats 3 --out BENCH_exec.json
+//!       --scale 1 --repeats 3 --out BENCH_exec.json
 //! ```
 //!
-//! Runs the E1/E3/E8 workloads plus the operator micro-suite at
-//! `threads = {1, N}`, prints a summary table, and writes the machine
-//! -readable report to `--out` (default `BENCH_exec.json`).
+//! Times the engine's vectorized kernels at one thread, executes the
+//! eight peak workloads once each, prints a summary table, and writes
+//! the machine-readable report to `--out` (default `BENCH_exec.json`).
 //!
 //! `--check-peak-baseline PATH` compares each workload's fresh
 //! `peak_intermediate_bytes` against the committed report at PATH and
-//! exits nonzero if any workload regressed more than 10% — the CI
-//! bench-smoke job uses this as a memory-regression gate.
+//! exits nonzero if any workload regressed more than 10% or is missing
+//! — the CI bench-smoke job uses this as a memory-regression gate.
 
 use aggview_bench::exec_bench::{check_peak_regression, run_exec_bench, ExecBenchConfig};
 use std::process::ExitCode;
@@ -28,10 +28,6 @@ fn main() -> ExitCode {
         let flag = args[i].as_str();
         let value = args.get(i + 1);
         match (flag, value) {
-            ("--threads", Some(v)) => match v.parse::<usize>() {
-                Ok(n) if n >= 2 => cfg.threads = n,
-                _ => return usage(&format!("--threads wants an integer >= 2, got `{v}`")),
-            },
             ("--scale", Some(v)) => match v.parse::<usize>() {
                 Ok(n) if n >= 1 => cfg.scale = n,
                 _ => return usage(&format!("--scale wants an integer >= 1, got `{v}`")),
@@ -69,9 +65,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let gated = check_peak_regression(&text, &report.workloads, 1.10)
-            .and_then(|()| check_peak_regression(&text, &report.eager_agg.shapes, 1.10));
-        match gated {
+        match check_peak_regression(&text, &report.workloads, 1.10) {
             Ok(()) => println!("peak-bytes baseline check: ok (vs {path})"),
             Err(e) => {
                 eprintln!("peak_intermediate_bytes regression vs {path}:\n{e}");
@@ -87,11 +81,10 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: bench [--threads N>=2] [--scale N>=1] [--repeats N>=1] [--out PATH]\n\
-         \x20            [--check-peak-baseline PATH]\n\
-         runs the executor workloads at threads = {{1, N}} and writes a JSON report;\n\
+        "usage: bench [--scale N>=1] [--repeats N>=1] [--out PATH] [--check-peak-baseline PATH]\n\
+         times the serial kernels, measures the workloads' peaks and writes a JSON report;\n\
          with --check-peak-baseline, fails if any workload's peak_intermediate_bytes\n\
-         regressed more than 10% against the committed report at PATH"
+         regressed more than 10% against the committed report at PATH, or is missing"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -33,14 +33,6 @@ impl Batch {
         Batch { cols, len }
     }
 
-    /// An empty batch with one typed column per entry of `types`.
-    pub fn empty_typed(types: &[DataType]) -> Batch {
-        Batch {
-            cols: types.iter().map(|&t| ColumnVec::with_type(t)).collect(),
-            len: 0,
-        }
-    }
-
     /// An empty batch with the same column representations as `self`.
     pub fn empty_like(&self) -> Batch {
         Batch {
@@ -83,11 +75,6 @@ impl Batch {
 
     pub fn cols(&self) -> &[ColumnVec] {
         &self.cols
-    }
-
-    /// Consume the batch into its columns.
-    pub fn into_cols(self) -> Vec<ColumnVec> {
-        self.cols
     }
 
     /// The value of column `col` at row `row`.

@@ -586,13 +586,6 @@ impl ColumnVec {
         }
     }
 
-    pub fn as_float(&self) -> Option<&[f64]> {
-        match self {
-            ColumnVec::Float(v) => Some(v),
-            _ => None,
-        }
-    }
-
     pub fn as_strs(&self) -> Option<&StrCol> {
         match self {
             ColumnVec::Str(v) => Some(v),

@@ -101,11 +101,6 @@ impl ResourceLimits {
         self.max_plans = Some(plans);
         self
     }
-
-    pub fn with_max_memo_entries(mut self, entries: u64) -> ResourceLimits {
-        self.max_memo_entries = Some(entries);
-        self
-    }
 }
 
 /// Why the optimizer fell back to the traditional two-phase plan.
@@ -346,11 +341,6 @@ impl ResourceGovernor {
     /// Bytes charged so far.
     pub fn bytes_used(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Plans charged so far.
-    pub fn plans_used(&self) -> u64 {
-        self.plans.load(Ordering::Relaxed)
     }
 
     /// True once the search budget (plans or memo entries) is spent.

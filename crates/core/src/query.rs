@@ -128,11 +128,6 @@ impl CanonicalQuery {
         rels
     }
 
-    /// The view that owns relation `rel`, if any.
-    pub fn view_of_rel(&self, rel: RelId) -> Option<&ViewDef> {
-        self.views.iter().find(|v| v.rels.contains(&rel))
-    }
-
     /// Structural validation: relation sets are disjoint and cover the
     /// environment; every predicate references only columns available at
     /// its level; aggregate references resolve to declared aggregates.

@@ -86,38 +86,6 @@ pub fn refresh(
     build_extent(&meta.def, catalog, model, options, gov)
 }
 
-/// Maintain every registered view that references `table` after an
-/// insert of `delta` rows (already applied to the base table):
-/// incremental merge where possible, full rebuild otherwise. Returns
-/// the names of the views maintained.
-///
-/// Thin wrapper over [`crate::delta::maintain_after_dml`] with the
-/// insert-only Z-set `{row × +1, ...}`.
-pub fn maintain_after_insert(
-    table: &str,
-    delta: &[Tuple],
-    catalog: &Catalog,
-    model: CostModel,
-    options: ExecOptions,
-    gov: &ResourceGovernor,
-) -> Result<Vec<String>> {
-    let zset = aggview_common::ZSet::from_inserts(delta.iter().cloned());
-    crate::delta::maintain_after_dml(table, &zset, catalog, model, options, gov, None)
-}
-
-/// Re-verify every materialized view after crash recovery, quarantining
-/// any whose structure no longer checks out (missing or arity-mangled
-/// extent, missing base table). Returns the names of quarantined views.
-///
-/// Freshness itself needs no work here: recovery restores base-table
-/// version counters and recorded `base_versions` exactly, so
-/// [`MatViewMeta::is_stale`] gives the committed answer. This pass only
-/// ever *demotes* — a view can come back from a crash stale when it was
-/// fresh (its extent did not survive), never the other way around.
-pub fn reverify_on_recovery(catalog: &Catalog) -> Vec<String> {
-    catalog.reverify_matviews()
-}
-
 /// The view's pure SPJ plan in its local frame: one scan per table
 /// (single-relation predicates pushed down as filters), left-deep joins
 /// in declaration order, each multi-relation predicate attached to the
@@ -250,7 +218,8 @@ pub(crate) fn materialize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aggview_common::{AggSpec, CmpOp, Expr, Value};
+    use crate::delta::maintain_after_dml;
+    use aggview_common::{AggSpec, CmpOp, Expr, Value, ZSet};
     use aggview_storage::datagen::{gen_empdept, EmpDeptConfig};
 
     fn setup() -> Catalog {
@@ -354,7 +323,8 @@ mod tests {
             Value::Int(20),
         ])];
         cat.append_rows("emp", delta.clone()).unwrap();
-        maintain_after_insert("emp", &delta, &cat, model, opts, &gov).unwrap();
+        let delta = ZSet::from_inserts(delta);
+        maintain_after_dml("emp", &delta, &cat, model, opts, &gov, None).unwrap();
         let row0 = cat.get("__mv_by_loc").unwrap().rows()[0].clone();
         let after = row0.get(1).as_f64().unwrap();
         assert!((after - (young + 100.0) * depts).abs() < 1e-6);
@@ -393,7 +363,8 @@ mod tests {
             Value::Int(24),
         ])];
         cat.append_rows("emp", delta.clone()).unwrap();
-        let names = maintain_after_insert("emp", &delta, &cat, model, opts, &gov).unwrap();
+        let delta = ZSet::from_inserts(delta);
+        let names = maintain_after_dml("emp", &delta, &cat, model, opts, &gov, None).unwrap();
         assert_eq!(names, vec!["dsal".to_string()]);
         assert!(!cat.matview("dsal").unwrap().is_stale(&cat));
 

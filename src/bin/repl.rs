@@ -17,7 +17,7 @@
 //! `.set <key> <value>` (resource governance: `timeout_ms`, `max_rows`,
 //! `max_bytes`, `max_plans`, `max_memo`, `retries`; `off` clears a limit;
 //! plus `threads` and `batch_rows` for the executor), `.limits`,
-//! `.bench [threads]` (executor scaling benchmark), `.explain <sql>`,
+//! `.explain <sql>`,
 //! `.open <dir>` (durable catalog: WAL + checkpoints), `.checkpoint`,
 //! `.subscribe <view>` / `.unsubscribe <view>` (live view-change feed:
 //! after every statement the REPL drains and prints the consolidated
@@ -25,7 +25,6 @@
 //! `.deps` (the table → materialized-view dependency graph),
 //! `.quit`. Everything else is SQL (`;`-terminated, may span lines).
 
-use aggview::bench::exec_bench::{run_exec_bench, ExecBenchConfig};
 use aggview::core::cost::ops::IoParams;
 use aggview::core::{CostModel, OptimizerConfig};
 use aggview::sql::Session;
@@ -132,7 +131,6 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
                  \u{20}                            eager_agg <on|off> (eager partial\n\
                  \u{20}                            aggregation below joins)\n\
                  .limits                      show current resource limits\n\
-                 .bench [threads]             executor scaling benchmark (writes BENCH_exec.json)\n\
                  .views                       list materialized views (rows, bytes, staleness)\n\
                  .open <dir>                  switch to a durable catalog at <dir> (WAL +\n\
                  \u{20}                            checkpoints; seeds from the current catalog\n\
@@ -344,27 +342,6 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
                     "off"
                 },
             );
-        }
-        ".bench" => {
-            let threads = parts
-                .get(1)
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .unwrap_or_else(|| session.exec.threads.max(2));
-            println!("running executor benchmark (threads 1 vs {threads}) ...");
-            match run_exec_bench(&ExecBenchConfig {
-                threads,
-                scale: 1,
-                repeats: 2,
-            }) {
-                Ok(report) => {
-                    print!("{}", report.summary_table());
-                    match std::fs::write("BENCH_exec.json", report.to_json()) {
-                        Ok(()) => println!("wrote BENCH_exec.json"),
-                        Err(e) => println!("cannot write BENCH_exec.json: {e}"),
-                    }
-                }
-                Err(e) => println!("bench failed: {e}"),
-            }
         }
         ".explain" => match parts.get(1) {
             Some(sql) => match session.explain(sql) {

@@ -17,10 +17,10 @@
 //! * [`executor`] — volcano-style execution with page-IO accounting;
 //! * [`core`] — the paper's contribution: transformations, cost model,
 //!   and optimization algorithms;
-//! * [`sql`] — SQL frontend and nested-subquery flattening;
-//! * [`mod@bench`] — the experiment harness, including the executor
-//!   throughput/scaling benchmark behind the `bench` binary and the
-//!   REPL's `.bench` command.
+//! * [`sql`] — SQL frontend and nested-subquery flattening.
+//!
+//! The experiment harness (`crates/bench`: the E1–E10 benches and the
+//! `bench` binary) depends on these crates, not the other way round.
 //!
 //! ## Quickstart
 //!
@@ -30,7 +30,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use aggview_bench as bench;
 pub use aggview_common as common;
 pub use aggview_core as core;
 pub use aggview_executor as executor;
