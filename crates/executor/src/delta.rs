@@ -32,24 +32,27 @@
 //!    governed run of the view's SPJ plan, filtered to exactly those
 //!    group keys; groups whose count component reaches zero — or that
 //!    the recompute finds no rows for — are deleted from the extent.
-//! 5. **Commit** — the round becomes one positional
+//! 5. **Patch** — the round becomes one positional
 //!    [`aggview_storage::RowPatch`] against the extent (rows updated in
-//!    place, rows deleted, rows appended), committed together with the
+//!    place, rows deleted, rows appended), applied together with the
 //!    new base-version stamp by [`Catalog::patch_extent`]: one small WAL
 //!    record, one critical section. Everything before this step only
-//!    reads, so an error or budget abort leaves the old extent intact
-//!    and stale — never torn.
+//!    reads, so an error or budget abort leaves the old extent intact.
+//!    Inside a [`Catalog::statement`] (every SQL statement) that error
+//!    rolls the base-table change back too; called after a base change
+//!    that already committed, it leaves the view stale — never torn.
 //!
 //! The module also exposes the base-table → dependent-view
 //! [`DependencyGraph`] (REPL `.deps`), and the [`maintain_after_dml`]
-//! round driver, which publishes each maintained view's consolidated
-//! visible-projection delta to an optional [`SubscriptionHub`].
+//! round driver, which notes each watched view's consolidated
+//! visible-projection delta in the statement's [`PendingRounds`] — the
+//! caller publishes them once the statement has committed.
 
 use crate::engine::Engine;
 use crate::matview;
 use crate::parallel::ExecOptions;
 use crate::partition::{AggInput, GroupTable};
-use crate::subscribe::{ExtentChange, SubscriptionHub};
+use crate::subscribe::{ExtentChange, PendingRounds};
 use aggview_common::{AggFunc, AggViewError, Result, Retraction, Tuple, ZSet};
 use aggview_core::cost::CostModel;
 use aggview_core::governor::ResourceGovernor;
@@ -123,8 +126,10 @@ pub fn dependency_graph(catalog: &Catalog) -> DependencyGraph {
 /// Maintain every registered view that references `table` after the
 /// Z-set `delta` has been applied to the base table: retractable
 /// incremental maintenance where admissible, full rebuild otherwise.
-/// When a [`SubscriptionHub`] is supplied, each maintained view's
-/// consolidated visible-projection delta is published as one round.
+/// When `rounds` is supplied, each watched view's consolidated
+/// visible-projection delta is noted there as one round — not
+/// published: a later view, or the statement's commit, can still fail,
+/// and the caller publishes only what committed.
 /// Returns the names of the views maintained.
 pub fn maintain_after_dml(
     table: &str,
@@ -133,26 +138,26 @@ pub fn maintain_after_dml(
     model: CostModel,
     options: ExecOptions,
     gov: &ResourceGovernor,
-    hub: Option<&SubscriptionHub>,
+    mut rounds: Option<&mut PendingRounds<'_>>,
 ) -> Result<Vec<String>> {
     let mut maintained = Vec::new();
     for meta in catalog.matviews_on(table) {
         let name = meta.def.name.clone();
-        let watched = hub.filter(|h| h.has_subscribers(&name));
+        let mut watched = rounds.as_deref_mut().filter(|r| r.watches(&name));
         match apply_zset_delta(&name, table, delta, catalog, model, options, gov)? {
             Some(change) => {
-                if let Some(h) = watched {
-                    h.publish_change(&name, &meta.layout, &change);
+                if let Some(r) = &mut watched {
+                    r.change(&name, &meta.layout, &change);
                 }
             }
             None => {
                 // The refused round left the extent as it was: snapshot
-                // it now, rebuild, and publish what the rebuild changed.
-                let before = watched.map(|_| extent_rows(catalog, &meta));
+                // it now, rebuild, and note what the rebuild changed.
+                let before = watched.as_ref().map(|_| extent_rows(catalog, &meta));
                 matview::build_extent(&meta.def, catalog, model, options, gov)?;
-                if let (Some(h), Some(before)) = (watched, before) {
+                if let (Some(r), Some(before)) = (&mut watched, before) {
                     let after = extent_rows(catalog, &meta);
-                    h.publish_diff(&name, &meta.layout, &before, &after);
+                    r.diff(&name, &meta.layout, &before, &after);
                 }
             }
         }
@@ -914,7 +919,7 @@ mod tests {
         let cat = setup();
         let (model, opts, gov) = exec_env();
         matview::build_extent(&sum_count_view("v"), &cat, model, opts, &gov).unwrap();
-        let hub = SubscriptionHub::new();
+        let hub = crate::subscribe::SubscriptionHub::new();
         hub.subscribe("watcher", "v");
         // Delete all of dept 3 (a Deleted event) and one row of dept 0
         // (an Updated event) in a single round.
@@ -935,7 +940,10 @@ mod tests {
         indices.sort();
         let victims = cat.delete_rows("emp", &indices).unwrap();
         let delta = ZSet::from_deletes(victims);
-        maintain_after_dml("emp", &delta, &cat, model, opts, &gov, Some(&hub)).unwrap();
+        let mut rounds = hub.pending_rounds();
+        maintain_after_dml("emp", &delta, &cat, model, opts, &gov, Some(&mut rounds)).unwrap();
+        assert_eq!(hub.pending("watcher"), 0, "noted, not yet published");
+        rounds.publish();
         let events = hub.drain("watcher");
         use crate::subscribe::ViewEvent;
         assert!(

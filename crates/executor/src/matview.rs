@@ -34,8 +34,9 @@ use std::sync::Arc;
 /// Build (or fully rebuild) the extent of `def`: execute its SPJ plan,
 /// fold the rows into groups, store the extent table in the catalog
 /// (primary-keyed on the grouping columns) and register or update the
-/// view's metadata with the base tables' current data versions.
-/// Returns the number of extent rows.
+/// view's metadata with the base tables' current data versions — the
+/// two as one statement, so the extent is never stored without its
+/// stamp. Returns the number of extent rows.
 pub fn build_extent(
     def: &MatViewDef,
     catalog: &Catalog,
@@ -56,18 +57,17 @@ pub fn build_extent(
         .collect::<Result<_>>()?;
     let n = rows.len();
     let extent = materialize(def, catalog, rows)?;
-    catalog.add_or_replace(extent)?;
     let meta = MatViewMeta {
         def: def.clone(),
         extent: MatViewMeta::extent_name(&def.name),
         layout: ExtentLayout::of(def),
         base_versions: versions,
     };
-    if catalog.matview(&def.name).is_some() {
-        catalog.update_matview(meta)?;
-    } else {
-        catalog.register_matview(meta)?;
-    }
+    // Extent and stamp commit together, or neither does.
+    catalog.statement(|| {
+        catalog.add_or_replace(extent)?;
+        catalog.update_matview(meta)
+    })?;
     Ok(n)
 }
 

@@ -271,24 +271,56 @@ impl SubscriptionHub {
         }
     }
 
-    /// Publish an incremental round from the rows it changed (see
-    /// [`change_round`]).
-    pub fn publish_change(&self, view: &str, layout: &ExtentLayout, change: &ExtentChange) {
-        self.publish(view, &change_round(view, layout, change));
+    /// A buffer for the rounds of one statement, to be published once
+    /// the statement has committed.
+    pub fn pending_rounds(&self) -> PendingRounds<'_> {
+        PendingRounds {
+            hub: self,
+            rounds: Vec::new(),
+        }
+    }
+}
+
+/// The maintenance rounds of one statement that has not committed yet:
+/// what each watched view's subscribers will be told, held back until
+/// the statement's commit returns. [`publish`](PendingRounds::publish)
+/// delivers them; dropping the buffer — the statement failed and was
+/// rolled back — delivers nothing, so subscribers never see a round
+/// that did not happen.
+#[derive(Debug)]
+pub struct PendingRounds<'h> {
+    hub: &'h SubscriptionHub,
+    rounds: Vec<(String, Vec<ViewEvent>)>,
+}
+
+impl PendingRounds<'_> {
+    /// True when somebody follows `view` — rounds of unwatched views
+    /// are not worth computing.
+    pub fn watches(&self, view: &str) -> bool {
+        self.hub.has_subscribers(view)
     }
 
-    /// Diff two extent snapshots and publish the round (see
-    /// [`diff_round`]): the caller-side shape around a round that
-    /// rebuilds the extent (REFRESH, the maintenance fallback), where
-    /// no [`ExtentChange`] exists.
-    pub fn publish_diff(
-        &self,
-        view: &str,
-        layout: &ExtentLayout,
-        before: &[Tuple],
-        after: &[Tuple],
-    ) {
-        self.publish(view, &diff_round(view, layout, before, after));
+    /// Note an incremental round from the rows it changed (see
+    /// [`change_round`]).
+    pub fn change(&mut self, view: &str, layout: &ExtentLayout, change: &ExtentChange) {
+        self.rounds
+            .push((view.to_string(), change_round(view, layout, change)));
+    }
+
+    /// Note a round that rebuilt the extent (REFRESH, the maintenance
+    /// fallback), where no [`ExtentChange`] exists, as the diff of the
+    /// extent's rows before and after (see [`diff_round`]).
+    pub fn diff(&mut self, view: &str, layout: &ExtentLayout, before: &[Tuple], after: &[Tuple]) {
+        self.rounds
+            .push((view.to_string(), diff_round(view, layout, before, after)));
+    }
+
+    /// The statement committed: deliver its rounds, in the order they
+    /// happened.
+    pub fn publish(self) {
+        for (view, events) in &self.rounds {
+            self.hub.publish(view, events);
+        }
     }
 }
 

@@ -13,6 +13,7 @@ use aggview_core::cost::{CardEstimator, CostModel};
 use aggview_core::governor::{OptimizeOutcome, ResourceGovernor, ResourceLimits};
 use aggview_core::optimizer::multi_view::{optimize_governed, Optimized};
 use aggview_core::OptimizerConfig;
+use aggview_executor::subscribe::PendingRounds;
 use aggview_executor::{Engine, ExecOptions};
 use aggview_storage::Catalog;
 use std::path::Path;
@@ -112,7 +113,7 @@ pub struct Session {
     /// Executor parallelism and tile size (REPL `.set threads N`,
     /// `.set batch_rows N`).
     pub exec: ExecOptions,
-    /// Live view subscriptions: every DML/refresh maintenance round
+    /// Live view subscriptions: every committed DML/refresh statement
     /// publishes each maintained view's consolidated visible delta here
     /// (REPL `.subscribe`).
     pub subs: std::sync::Arc<aggview_executor::SubscriptionHub>,
@@ -137,8 +138,9 @@ impl Session {
 
     /// Create a session over a **durable** catalog rooted at `dir`,
     /// recovering any previously committed state (see
-    /// [`Catalog::open`]). Every DML statement the session executes is
-    /// then written ahead to the WAL before it is applied.
+    /// [`Catalog::open`]). Every statement the session executes that
+    /// changes the catalog is then one WAL frame, durable before
+    /// `execute` returns.
     pub fn open(dir: impl AsRef<Path>) -> Result<Session> {
         Ok(Session::new(Catalog::open(dir)?))
     }
@@ -176,6 +178,12 @@ impl Session {
     /// maintains affected extents; `REFRESH MATERIALIZED VIEW` rebuilds
     /// one. The result of the **last SELECT** (or a status row for a
     /// trailing DML/materialization statement) is returned.
+    ///
+    /// Every statement that changes the catalog — DML with the view
+    /// maintenance it causes, `CREATE MATERIALIZED VIEW`, `REFRESH` — is
+    /// one [`Catalog::statement`]: it commits as a whole (one WAL frame,
+    /// one fsync on a durable session) or returns `Err` having changed
+    /// nothing, and its subscribers hear of it only once it committed.
     pub fn execute(&mut self, sql: &str) -> Result<SqlResult> {
         let stmts = parse_script(sql)?;
         let mut last = None;
@@ -205,32 +213,33 @@ impl Session {
                     last = Some(self.delete_stmt(&table, &preds)?);
                 }
                 Stmt::RefreshMaterializedView { name } => {
-                    let gov = ResourceGovernor::new(self.limits);
-                    // A refresh is a maintenance round like any other:
-                    // subscribers see its consolidated visible delta.
-                    let watched = self.subs.has_subscribers(&name);
-                    let before = if watched {
-                        self.extent_rows(&name)
-                    } else {
-                        Vec::new()
-                    };
-                    let n = aggview_executor::matview::refresh(
-                        &name,
-                        &self.catalog,
-                        self.model,
-                        self.exec,
-                        &gov,
-                    )?;
-                    if watched {
-                        if let Some(meta) = self.catalog.matview(&name) {
-                            let after = self.extent_rows(&name);
-                            self.subs
-                                .publish_diff(&meta.def.name, &meta.layout, &before, &after);
+                    last = Some(self.commit_statement(|rounds| {
+                        let gov = ResourceGovernor::new(self.limits);
+                        // A refresh is a maintenance round like any other:
+                        // subscribers see its consolidated visible delta.
+                        let watched = rounds.watches(&name);
+                        let before = if watched {
+                            self.extent_rows(&name)
+                        } else {
+                            Vec::new()
+                        };
+                        let n = aggview_executor::matview::refresh(
+                            &name,
+                            &self.catalog,
+                            self.model,
+                            self.exec,
+                            &gov,
+                        )?;
+                        if watched {
+                            if let Some(meta) = self.catalog.matview(&name) {
+                                let after = self.extent_rows(&name);
+                                rounds.diff(&meta.def.name, &meta.layout, &before, &after);
+                            }
                         }
-                    }
-                    last = Some(status_result(format!(
-                        "refreshed materialized view `{name}`: {n} extent row(s)"
-                    )));
+                        Ok(format!(
+                            "refreshed materialized view `{name}`: {n} extent row(s)"
+                        ))
+                    })?);
                 }
                 Stmt::Select(s) => {
                     let bound = bind(&s, &self.catalog, &self.registry)?;
@@ -270,18 +279,19 @@ impl Session {
             &self.catalog,
             &self.registry,
         )?;
-        let gov = ResourceGovernor::new(self.limits);
-        let n = aggview_executor::matview::build_extent(
-            &def,
-            &self.catalog,
-            self.model,
-            self.exec,
-            &gov,
-        )?;
+        let result = self.commit_statement(|_| {
+            let gov = ResourceGovernor::new(self.limits);
+            let n = aggview_executor::matview::build_extent(
+                &def,
+                &self.catalog,
+                self.model,
+                self.exec,
+                &gov,
+            )?;
+            Ok(format!("materialized view `{name}`: {n} extent row(s)"))
+        })?;
         self.registry.register(name, columns, query);
-        Ok(status_result(format!(
-            "materialized view `{name}`: {n} extent row(s)"
-        )))
+        Ok(result)
     }
 
     /// `INSERT INTO ... VALUES`: append literal rows to a base table,
@@ -298,24 +308,26 @@ impl Session {
                     .map(Tuple::new)
             })
             .collect::<Result<_>>()?;
-        let delta = ZSet::from_inserts(tuples.iter().cloned());
-        let prev = self.catalog.append_rows(table, tuples.clone())?;
-        let total = prev + tuples.len();
-        let gov = ResourceGovernor::new(self.limits);
-        let maintained = aggview_executor::delta::maintain_after_dml(
-            table,
-            &delta,
-            &self.catalog,
-            self.model,
-            self.exec,
-            &gov,
-            Some(&self.subs),
-        )?;
-        Ok(status_result(format!(
-            "inserted {} row(s) into `{table}` ({total} total){}",
-            rows.len(),
-            maintained_suffix(&maintained)
-        )))
+        self.commit_statement(|rounds| {
+            let delta = ZSet::from_inserts(tuples.iter().cloned());
+            let prev = self.catalog.append_rows(table, tuples.clone())?;
+            let total = prev + tuples.len();
+            let gov = ResourceGovernor::new(self.limits);
+            let maintained = aggview_executor::delta::maintain_after_dml(
+                table,
+                &delta,
+                &self.catalog,
+                self.model,
+                self.exec,
+                &gov,
+                Some(rounds),
+            )?;
+            Ok(format!(
+                "inserted {} row(s) into `{table}` ({total} total){}",
+                rows.len(),
+                maintained_suffix(&maintained)
+            ))
+        })
     }
 
     /// Current extent rows of a registered view ([] when the view or
@@ -338,72 +350,76 @@ impl Session {
         sets: &[(String, AstExpr)],
         preds: &[AstPred],
     ) -> Result<SqlResult> {
-        let t = self.catalog.get(table)?;
-        let schema = t.schema().clone();
-        let bound_sets = bind_set_list(table, &schema, sets)?;
-        let gov = ResourceGovernor::new(self.limits);
-        let indices = matched_indices(table, &schema, t.rows(), preds, &gov)?;
-        let mut replacements = Vec::with_capacity(indices.len());
-        for &i in &indices {
-            let old = &t.rows()[i];
-            let mut vals = old.values().to_vec();
-            for (pos, ty, expr) in &bound_sets {
-                vals[*pos] = coerce_to(expr.eval(old)?, *ty);
+        self.commit_statement(|rounds| {
+            let t = self.catalog.get(table)?;
+            let schema = t.schema().clone();
+            let bound_sets = bind_set_list(table, &schema, sets)?;
+            let gov = ResourceGovernor::new(self.limits);
+            let indices = matched_indices(table, &schema, t.rows(), preds, &gov)?;
+            let mut replacements = Vec::with_capacity(indices.len());
+            for &i in &indices {
+                let old = &t.rows()[i];
+                let mut vals = old.values().to_vec();
+                for (pos, ty, expr) in &bound_sets {
+                    vals[*pos] = coerce_to(expr.eval(old)?, *ty);
+                }
+                replacements.push(Tuple::new(vals));
             }
-            replacements.push(Tuple::new(vals));
-        }
-        // A table still referenced here would be copied, not edited.
-        drop(t);
-        let pairs = self.catalog.update_rows(table, &indices, replacements)?;
-        let n = pairs.len();
-        let mut delta = ZSet::new();
-        for (old, new) in pairs {
-            delta.add(old, -1);
-            delta.add(new, 1);
-        }
-        delta.consolidate();
-        let maintained = aggview_executor::delta::maintain_after_dml(
-            table,
-            &delta,
-            &self.catalog,
-            self.model,
-            self.exec,
-            &gov,
-            Some(&self.subs),
-        )?;
-        Ok(status_result(format!(
-            "updated {n} row(s) in `{table}`{}",
-            maintained_suffix(&maintained)
-        )))
+            // A table still referenced here would be copied, not edited.
+            drop(t);
+            let pairs = self.catalog.update_rows(table, &indices, replacements)?;
+            let n = pairs.len();
+            let mut delta = ZSet::new();
+            for (old, new) in pairs {
+                delta.add(old, -1);
+                delta.add(new, 1);
+            }
+            delta.consolidate();
+            let maintained = aggview_executor::delta::maintain_after_dml(
+                table,
+                &delta,
+                &self.catalog,
+                self.model,
+                self.exec,
+                &gov,
+                Some(rounds),
+            )?;
+            Ok(format!(
+                "updated {n} row(s) in `{table}`{}",
+                maintained_suffix(&maintained)
+            ))
+        })
     }
 
     /// `DELETE FROM table [WHERE ...]`: remove matching rows and
     /// maintain dependent materialized views from the `-row` Z-set
     /// delta.
     fn delete_stmt(&mut self, table: &str, preds: &[AstPred]) -> Result<SqlResult> {
-        let t = self.catalog.get(table)?;
-        let schema = t.schema().clone();
-        let gov = ResourceGovernor::new(self.limits);
-        let indices = matched_indices(table, &schema, t.rows(), preds, &gov)?;
-        let remaining = t.len() - indices.len();
-        // A table still referenced here would be copied, not edited.
-        drop(t);
-        let removed = self.catalog.delete_rows(table, &indices)?;
-        let n = removed.len();
-        let delta = ZSet::from_deletes(removed);
-        let maintained = aggview_executor::delta::maintain_after_dml(
-            table,
-            &delta,
-            &self.catalog,
-            self.model,
-            self.exec,
-            &gov,
-            Some(&self.subs),
-        )?;
-        Ok(status_result(format!(
-            "deleted {n} row(s) from `{table}` ({remaining} remaining){}",
-            maintained_suffix(&maintained)
-        )))
+        self.commit_statement(|rounds| {
+            let t = self.catalog.get(table)?;
+            let schema = t.schema().clone();
+            let gov = ResourceGovernor::new(self.limits);
+            let indices = matched_indices(table, &schema, t.rows(), preds, &gov)?;
+            let remaining = t.len() - indices.len();
+            // A table still referenced here would be copied, not edited.
+            drop(t);
+            let removed = self.catalog.delete_rows(table, &indices)?;
+            let n = removed.len();
+            let delta = ZSet::from_deletes(removed);
+            let maintained = aggview_executor::delta::maintain_after_dml(
+                table,
+                &delta,
+                &self.catalog,
+                self.model,
+                self.exec,
+                &gov,
+                Some(rounds),
+            )?;
+            Ok(format!(
+                "deleted {n} row(s) from `{table}` ({remaining} remaining){}",
+                maintained_suffix(&maintained)
+            ))
+        })
     }
 
     /// Bind and optimize without executing; returns the bound query and
@@ -537,22 +553,28 @@ impl Session {
     }
 
     fn run_bound(&self, bound: &BoundQuery) -> Result<SqlResult> {
-        let mut attempt: u32 = 0;
+        let (mut result, retries) = self.with_retries(|| self.run_bound_once(bound))?;
+        result.retries = retries;
+        Ok(result)
+    }
+
+    /// Run `attempt` until it succeeds, fails for good, or has used up
+    /// the session's retries on retryable failures (backing off between
+    /// attempts, see [`retry_backoff`]). Returns the retries consumed.
+    fn with_retries<T>(&self, mut attempt: impl FnMut() -> Result<T>) -> Result<(T, u32)> {
+        let mut retries: u32 = 0;
         loop {
-            match self.run_bound_once(bound) {
-                Ok(mut result) => {
-                    result.retries = attempt;
-                    return Ok(result);
-                }
-                Err(e) if e.is_retryable() && attempt < self.max_retries => {
-                    attempt += 1;
-                    std::thread::sleep(retry_backoff(attempt));
+            match attempt() {
+                Ok(out) => return Ok((out, retries)),
+                Err(e) if e.is_retryable() && retries < self.max_retries => {
+                    retries += 1;
+                    std::thread::sleep(retry_backoff(retries));
                 }
                 Err(e) if e.is_retryable() => {
                     // Retries exhausted: surface the attempt count in
                     // the error without laundering its variant (the
                     // caller can still see it was retryable).
-                    let attempts = attempt + 1;
+                    let attempts = retries + 1;
                     return Err(
                         e.map_message(|m| format!("{m} (gave up after {attempts} attempt(s))"))
                     );
@@ -560,6 +582,27 @@ impl Session {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// Run a statement that changes the catalog: `body` — the change
+    /// and whatever maintenance it causes — is one [`Catalog::statement`],
+    /// committed whole or not at all, and the rounds it noted reach the
+    /// subscribers only after the commit. A failed attempt has changed
+    /// nothing, so a retryable failure (a failed fsync) is retried like
+    /// a query's. Returns `body`'s message as a status row.
+    fn commit_statement(
+        &self,
+        body: impl Fn(&mut PendingRounds<'_>) -> Result<String>,
+    ) -> Result<SqlResult> {
+        let (status, retries) = self.with_retries(|| {
+            let mut rounds = self.subs.pending_rounds();
+            let status = self.catalog.statement(|| body(&mut rounds))?;
+            rounds.publish();
+            Ok(status)
+        })?;
+        let mut result = status_result(status);
+        result.retries = retries;
+        Ok(result)
     }
 
     fn run_bound_once(&self, bound: &BoundQuery) -> Result<SqlResult> {

@@ -1,42 +1,61 @@
 //! The table catalog, with optional crash-consistent durability.
 //!
 //! A catalog built with [`Catalog::new`] is purely in-memory: mutations
-//! touch no files and pay only an `Option` check. A catalog built with
-//! [`Catalog::open`] is *durable*: every mutation is written ahead to a
-//! checksummed log ([`crate::wal`]) before it is applied in memory, and
-//! [`Catalog::checkpoint`] folds the log into an atomic snapshot
-//! ([`crate::snapshot`]). Reopening the same directory recovers by
-//! loading the latest valid snapshot and replaying the committed log
-//! suffix — restoring tables, per-table version counters, and
-//! materialized-view metadata exactly as they were at the last
-//! committed mutation.
+//! touch no files. A catalog built with [`Catalog::open`] is *durable*:
+//! every statement's mutations are written to a checksummed log
+//! ([`crate::wal`]) — one frame, one fsync — before the statement
+//! returns, and [`Catalog::checkpoint`] folds the log into an atomic
+//! snapshot ([`crate::snapshot`]). Reopening the same directory
+//! recovers by loading the latest valid snapshot and replaying the
+//! committed log suffix — restoring tables, per-table version counters,
+//! and materialized-view metadata exactly as they were at the last
+//! committed statement.
+//!
+//! ## Statements
+//!
+//! [`Catalog::statement`] is the one unit of commit. Inside it every
+//! mutator keeps its *validate → log → apply* order, where "log" appends
+//! the mutation's record to the statement's frame and "apply" also
+//! notes how to take the mutation back. A statement whose body returns
+//! `Ok` writes its frame and fsyncs once; it is **committed iff that
+//! fsync returned**. A statement whose body returns `Err`, or whose
+//! write or fsync fails, takes back what it applied, newest first, and
+//! is absent from memory and disk alike. A mutator called outside any
+//! statement is a statement of one.
+//!
+//! Statements take turns (as do checkpoints): the in-memory locks are
+//! held per mutator, the turn from the first mutation to the commit, so
+//! log order equals application order. A reader on another thread can
+//! see a statement's changes before it commits; it cannot see half a
+//! mutation.
 //!
 //! Recovery invariants (exercised by the crash-point harness in
 //! `tests/durability_recovery.rs`):
 //!
-//! * **recovered == committed**: a mutation whose call returned `Ok` is
-//!   present after recovery; one that returned `Err` is absent.
+//! * **recovered == committed**: a statement that returned `Ok` is
+//!   present after recovery, with every mutation it made; one that
+//!   returned `Err` is absent.
 //! * **idempotent replay**: recovering twice (or recovering a recovered
 //!   directory) yields the identical catalog.
 //! * **staleness across crashes**: a materialized view may come back
 //!   *stale* (its extent or bases could not be re-verified — it is
 //!   quarantined), but never fresher than its bases.
 //!
-//! Lock ordering is `tables → versions → matviews → wal`, acquired
-//! strictly in that order (skipping is fine, back-acquisition is not);
-//! mutators hold the in-memory locks across the WAL append so that
-//! replay order always equals application order.
+//! Lock ordering is `turn → tables → versions → matviews → open → wal`,
+//! acquired strictly in that order (skipping is fine, back-acquisition
+//! is not).
 
 use crate::matview::MatViewMeta;
 use crate::snapshot::{Snapshot, TableSnap};
-use crate::table::{Displaced, RowPatch, Table};
-use crate::wal::{WalContents, WalReader, WalRecord, WalWriter};
+use crate::table::{Displaced, PatchUndo, RowPatch, Table};
+use crate::wal::{Frame, FrameMark, WalContents, WalReader, WalRecord, WalWriter};
 use aggview_common::{AggViewError, FaultInjector, NoFaults, Result, Tuple};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread::ThreadId;
 
 /// WAL file name within a durable catalog directory.
 pub const WAL_FILE: &str = "wal.agv";
@@ -65,6 +84,113 @@ struct Durable {
     faults: RwLock<Arc<dyn FaultInjector>>,
 }
 
+/// How to take one applied mutation back. Each holds what the mutation
+/// displaced, so a statement's undo log is the size of its changes.
+#[derive(Debug)]
+enum Undo {
+    /// A table was registered or replaced; `prev` held the name before.
+    Table {
+        key: String,
+        prev: Option<Arc<Table>>,
+    },
+    /// A row patch was applied to the table.
+    Rows { key: String, patch: PatchUndo },
+    /// A table's version entry moved on from `prev`.
+    Versions {
+        key: String,
+        prev: Option<TableVersions>,
+    },
+    /// A view's metadata was registered or replaced.
+    MatView {
+        key: String,
+        prev: Option<MatViewMeta>,
+    },
+    /// A view's base-version stamp moved on from `prev`.
+    Stamp { key: String, prev: Vec<u64> },
+}
+
+/// The statement in progress, if any: who runs it, the records of the
+/// mutations it made so far (durable catalogs only) and how to take
+/// them back.
+#[derive(Debug, Default)]
+struct OpenStatement {
+    /// The thread whose mutators belong to the statement.
+    owner: Option<ThreadId>,
+    frame: Option<Frame>,
+    undo: Vec<Undo>,
+}
+
+/// A point inside an open statement to roll back to.
+#[derive(Debug, Clone, Copy, Default)]
+struct Savepoint {
+    undo: usize,
+    frame: FrameMark,
+}
+
+impl OpenStatement {
+    fn savepoint(&self) -> Savepoint {
+        Savepoint {
+            undo: self.undo.len(),
+            frame: self.frame.as_ref().map(Frame::mark).unwrap_or_default(),
+        }
+    }
+
+    /// Append a mutation's record to the frame; in memory, nothing.
+    fn log(&mut self, record: impl FnOnce(&mut Frame)) {
+        if let Some(frame) = &mut self.frame {
+            record(frame);
+        }
+    }
+
+    /// Move `key`'s data version on by one. Registration and row
+    /// patches leave the table's statistics describing its new rows
+    /// (`stats_follow`); a modification mark does not.
+    fn bump(&mut self, vers: &mut BTreeMap<String, TableVersions>, key: &str, stats_follow: bool) {
+        let prev = vers.get(key).copied();
+        let mut v = prev.unwrap_or_default();
+        v.data += 1;
+        if stats_follow {
+            v.stats = v.data;
+        }
+        match vers.get_mut(key) {
+            Some(entry) => *entry = v,
+            None => drop(vers.insert(key.to_string(), v)),
+        }
+        self.undo.push(Undo::Versions {
+            key: key.to_string(),
+            prev,
+        });
+    }
+
+    /// Apply a patch its table has checked, bump the table's version
+    /// and note how to take both back. Returns the displaced rows.
+    fn patch(
+        &mut self,
+        table: &mut Table,
+        patch: RowPatch,
+        vers: &mut BTreeMap<String, TableVersions>,
+        key: String,
+    ) -> Displaced {
+        let undo = table.apply_patch(patch);
+        // One copy for the caller (its delta), one to roll back with.
+        let displaced = undo.displaced.clone();
+        self.bump(vers, &key, true);
+        self.undo.push(Undo::Rows { key, patch: undo });
+        displaced
+    }
+}
+
+/// Ends a statement's turn however its body ends: takes back what is
+/// not committed and hands the catalog to the next statement.
+struct Turn<'a>(&'a Catalog);
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        let open = std::mem::take(&mut *self.0.open.lock());
+        self.0.take_back(open.undo);
+    }
+}
+
 /// A concurrent name → table registry.
 ///
 /// Names are case-insensitive (normalized to lowercase), matching SQL
@@ -74,22 +200,18 @@ struct Durable {
 /// Beyond plain tables the catalog also tracks per-table modification
 /// counters (the staleness basis for statistics and materialized views)
 /// and the registry of [`MatViewMeta`] entries describing materialized
-/// aggregate-view extents. See the module docs for the optional
-/// durability layer.
+/// aggregate-view extents. See the module docs for statements and the
+/// optional durability layer.
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: RwLock<BTreeMap<String, Arc<Table>>>,
     versions: RwLock<BTreeMap<String, TableVersions>>,
     matviews: RwLock<BTreeMap<String, MatViewMeta>>,
+    /// Held from a statement's first mutation to its commit or
+    /// rollback, and across a checkpoint.
+    turn: Mutex<()>,
+    open: Mutex<OpenStatement>,
     durable: Option<Durable>,
-}
-
-fn bump_entry(vers: &mut BTreeMap<String, TableVersions>, key: &str) {
-    let e = vers.entry(key.to_string()).or_default();
-    e.data += 1;
-    // Registration and row patches both leave the table's statistics
-    // describing its new rows.
-    e.stats = e.data;
 }
 
 /// Reconstruct a live table from its persisted parts. Key declarations
@@ -163,6 +285,8 @@ impl Catalog {
         std::fs::create_dir_all(&dir)
             .map_err(|e| AggViewError::Io(format!("create catalog directory: {e}")))?;
         let snap = Snapshot::read(&dir)?.unwrap_or_default();
+        // Not durable until the struct below: replay goes through the
+        // public mutators and logs nothing.
         let cat = Catalog::new();
         {
             let mut tables = cat.tables.write();
@@ -207,7 +331,7 @@ impl Catalog {
     fn replay(&self, snap: &Snapshot, contents: &WalContents) -> Result<()> {
         for (i, (lsn, rec)) in contents.records.iter().enumerate() {
             if snap.covers(*lsn) {
-                // The snapshot already reflects this record — the crash
+                // The snapshot already reflects this frame — the crash
                 // landed between its rename and the WAL truncation.
                 continue;
             }
@@ -229,9 +353,10 @@ impl Catalog {
         Ok(())
     }
 
-    /// Apply one WAL record to in-memory state (the non-logging path
-    /// used by replay). Mirrors the public mutators exactly, so replay
-    /// reproduces the same tables, statistics, and version counters.
+    /// Replay one WAL record through the mutator that logged it, so
+    /// recovery reproduces the same tables, statistics, and version
+    /// counters (on a catalog that is not durable yet, see
+    /// [`Catalog::open_with_faults`]).
     fn apply(&self, rec: &WalRecord) -> Result<()> {
         match rec {
             WalRecord::PutTable {
@@ -249,61 +374,139 @@ impl Catalog {
                     foreign_keys: foreign_keys.clone(),
                     rows: rows.clone(),
                 })?;
-                let key = name.to_ascii_lowercase();
-                let mut map = self.tables.write();
-                if !replace && map.contains_key(&key) {
-                    return Err(AggViewError::Catalog(format!(
-                        "table `{name}` already exists"
-                    )));
+                if *replace {
+                    self.add_or_replace(table)
+                } else {
+                    self.add(table)
                 }
-                map.insert(key.clone(), table);
-                bump_entry(&mut self.versions.write(), &key);
             }
             WalRecord::InsertBatch { table, rows } => {
-                self.append_rows_impl(table, rows.clone(), false)?;
+                self.append_rows(table, rows.clone()).map(drop)
             }
-            WalRecord::MarkModified { table } => {
-                self.versions
-                    .write()
-                    .entry(table.to_ascii_lowercase())
-                    .or_default()
-                    .data += 1;
-            }
-            WalRecord::PutMatView { meta } => {
-                self.matviews
-                    .write()
-                    .insert(meta.def.name.to_ascii_lowercase(), meta.clone());
-            }
-            WalRecord::DeleteBatch { table, indices } => {
-                self.delete_rows_impl(table, indices, false)?;
-            }
-            WalRecord::UpdateBatch {
-                table,
-                indices,
-                rows,
-            } => {
-                self.update_rows_impl(table, indices, rows.clone(), false)?;
+            WalRecord::MarkModified { table } => self.mark_modified(table),
+            WalRecord::PutMatView { meta } => self.update_matview(meta.clone()),
+            WalRecord::DeleteBatch { table, indices } => self.delete_rows(table, indices).map(drop),
+            WalRecord::UpdateBatch { table, updates } => {
+                self.replace_rows(table, updates.clone()).map(drop)
             }
             WalRecord::PatchExtent {
                 view,
                 patch,
                 base_versions,
-            } => {
-                self.patch_extent_impl(view, patch.clone(), base_versions.clone(), false)?;
+            } => self
+                .patch_extent(view, patch.clone(), base_versions.clone())
+                .map(drop),
+            WalRecord::Statement(members) => {
+                self.statement(|| members.iter().try_for_each(|m| self.apply(m)))
             }
         }
+    }
+
+    // ---- statements ------------------------------------------------
+
+    /// Run `body` as one statement: every mutation it makes on this
+    /// thread commits together — one WAL frame, one fsync — when it
+    /// returns `Ok`, and none of them happened when it returns `Err` or
+    /// the commit fails (the error is returned; rows, versions, view
+    /// metadata and stamps are as before, in memory and on disk).
+    ///
+    /// Statements take turns: a second thread's statement (a lone
+    /// mutator is one too) and [`Catalog::checkpoint`] wait for this
+    /// one to end. A statement opened *inside* one, on the same thread,
+    /// joins it as a savepoint: its failure takes back its own
+    /// mutations and leaves the outer statement to its caller.
+    pub fn statement<T>(&self, body: impl FnOnce() -> Result<T>) -> Result<T> {
+        let me = std::thread::current().id();
+        let joined = {
+            let open = self.open.lock();
+            (open.owner == Some(me)).then(|| open.savepoint())
+        };
+        if let Some(savepoint) = joined {
+            let out = body();
+            if out.is_err() {
+                self.roll_back_to(savepoint);
+            }
+            return out;
+        }
+        let _turn = self.turn.lock();
+        *self.open.lock() = OpenStatement {
+            owner: Some(me),
+            frame: self.durable.as_ref().map(|_| Frame::new()),
+            undo: Vec::new(),
+        };
+        let _end = Turn(self);
+        let out = body()?;
+        self.commit()?;
+        Ok(out)
+    }
+
+    /// Make the open statement durable — the single write and fsync —
+    /// after which nothing of it can be taken back.
+    fn commit(&self) -> Result<()> {
+        let frame = self.open.lock().frame.take();
+        if let (Some(d), Some(mut frame)) = (&self.durable, frame) {
+            if !frame.is_empty() {
+                let faults = d.faults.read().clone();
+                d.wal.lock().commit(&mut frame, faults.as_ref())?;
+            }
+        }
+        self.open.lock().undo.clear();
         Ok(())
     }
 
-    /// Append one record to the WAL, if this catalog is durable. The
-    /// closure defers record construction (and its row cloning) so the
-    /// in-memory path pays nothing.
-    fn log_with(&self, make: impl FnOnce() -> WalRecord) -> Result<()> {
-        if let Some(d) = &self.durable {
-            let faults = d.faults.read().clone();
-            d.wal.lock().append(&make(), faults.as_ref())?;
+    /// Take back every mutation the open statement made since
+    /// `savepoint`, and drop their records from its frame.
+    fn roll_back_to(&self, savepoint: Savepoint) {
+        let undo = {
+            let mut open = self.open.lock();
+            if let Some(frame) = &mut open.frame {
+                frame.truncate(savepoint.frame);
+            }
+            open.undo.split_off(savepoint.undo)
+        };
+        self.take_back(undo);
+    }
+
+    /// Undo applied mutations, newest first.
+    fn take_back(&self, undo: Vec<Undo>) {
+        if undo.is_empty() {
+            return;
         }
-        Ok(())
+        let mut tables = self.tables.write();
+        let mut vers = self.versions.write();
+        let mut mvs = self.matviews.write();
+        for step in undo.into_iter().rev() {
+            match step {
+                Undo::Table { key, prev } => {
+                    match prev {
+                        Some(t) => tables.insert(key, t),
+                        None => tables.remove(&key),
+                    };
+                }
+                Undo::Rows { key, patch } => {
+                    if let Some(slot) = tables.get_mut(&key) {
+                        Arc::make_mut(slot).revert_patch(patch);
+                    }
+                }
+                Undo::Versions { key, prev } => {
+                    match prev {
+                        Some(v) => vers.insert(key, v),
+                        None => vers.remove(&key),
+                    };
+                }
+                Undo::MatView { key, prev } => {
+                    match prev {
+                        Some(m) => mvs.insert(key, m),
+                        None => mvs.remove(&key),
+                    };
+                }
+                Undo::Stamp { key, prev } => {
+                    if let Some(meta) = mvs.get_mut(&key) {
+                        meta.base_versions = prev;
+                    }
+                }
+            }
+        }
     }
 
     /// True when this catalog persists its mutations.
@@ -330,34 +533,36 @@ impl Catalog {
 
     /// Register a table; rejects duplicates.
     pub fn add(&self, table: Arc<Table>) -> Result<()> {
-        let key = table.name().to_ascii_lowercase();
-        let mut map = self.tables.write();
-        if map.contains_key(&key) {
-            return Err(AggViewError::Catalog(format!(
-                "table `{}` already exists",
-                table.name()
-            )));
-        }
-        let mut vers = self.versions.write();
-        self.log_with(|| WalRecord::put_table(&table, false))?;
-        map.insert(key.clone(), table);
-        bump_entry(&mut vers, &key);
-        Ok(())
+        self.put_table(table, false)
     }
 
     /// Register a table, replacing any existing one with the same name.
     ///
     /// On an in-memory catalog this cannot fail; on a durable one the
-    /// write-ahead append can, in which case the in-memory state is
-    /// untouched (the mutation did not commit).
+    /// commit can, in which case the in-memory state is as before (the
+    /// mutation did not commit).
     pub fn add_or_replace(&self, table: Arc<Table>) -> Result<()> {
-        let key = table.name().to_ascii_lowercase();
-        let mut map = self.tables.write();
-        let mut vers = self.versions.write();
-        self.log_with(|| WalRecord::put_table(&table, true))?;
-        map.insert(key.clone(), table);
-        bump_entry(&mut vers, &key);
-        Ok(())
+        self.put_table(table, true)
+    }
+
+    fn put_table(&self, table: Arc<Table>, replace: bool) -> Result<()> {
+        self.statement(|| {
+            let key = table.name().to_ascii_lowercase();
+            let mut map = self.tables.write();
+            if !replace && map.contains_key(&key) {
+                return Err(AggViewError::Catalog(format!(
+                    "table `{}` already exists",
+                    table.name()
+                )));
+            }
+            let mut vers = self.versions.write();
+            let mut open = self.open.lock();
+            open.log(|f| f.put_table(&table, replace));
+            let prev = map.insert(key.clone(), table);
+            open.bump(&mut vers, &key, true);
+            open.undo.push(Undo::Table { key, prev });
+            Ok(())
+        })
     }
 
     /// Look up a table by name.
@@ -419,45 +624,45 @@ impl Catalog {
     /// Record an out-of-band data modification without re-analyzed stats
     /// (marks the table's statistics stale until it is re-registered).
     pub fn mark_modified(&self, name: &str) -> Result<()> {
-        let key = name.to_ascii_lowercase();
-        let mut vers = self.versions.write();
-        self.log_with(|| WalRecord::MarkModified { table: key.clone() })?;
-        vers.entry(key).or_default().data += 1;
-        Ok(())
+        self.statement(|| {
+            let key = name.to_ascii_lowercase();
+            let mut vers = self.versions.write();
+            let mut open = self.open.lock();
+            open.log(|f| f.mark_modified(&key));
+            open.bump(&mut vers, &key, false);
+            Ok(())
+        })
     }
 
     /// The one way rows of a registered table change: check `patch`
-    /// against the table, write `record` ahead (durable catalogs, and
-    /// only when `log` — replay passes `false`), apply the patch and
-    /// bump the table's version, all under the tables write lock, so
-    /// concurrent mutations of one table serialize and none is lost.
-    /// Returns the row count before the patch and the rows it displaced.
+    /// against the table, append `record` to the statement's frame
+    /// (durable catalogs), apply the patch, bump the table's version
+    /// and note the undo, all under the tables write lock, so concurrent
+    /// mutations of one table serialize and none is lost. Returns the
+    /// row count before the patch and the rows it displaced.
     ///
     /// The table is edited through `Arc::make_mut`: in place when the
     /// catalog holds the only reference, on a copy when a reader still
     /// holds the `Arc` it got from [`Catalog::get`] — that reader keeps
     /// seeing the rows it started with. A patch that fails its check
-    /// changes nothing and logs nothing; one that fails its write-ahead
-    /// append changes nothing either.
+    /// changes nothing and logs nothing.
     fn patch_rows(
         &self,
         name: &str,
         patch: RowPatch,
-        record: impl FnOnce(String, &RowPatch) -> WalRecord,
-        log: bool,
+        record: impl FnOnce(&mut Frame, &str, &RowPatch),
     ) -> Result<(usize, Displaced)> {
-        let key = name.to_ascii_lowercase();
-        let mut map = self.tables.write();
-        let table = Arc::make_mut(map.get_mut(&key).ok_or_else(|| unknown_table(name))?);
-        table.check_patch(&patch)?;
-        let mut vers = self.versions.write();
-        if log {
-            self.log_with(|| record(key.clone(), &patch))?;
-        }
-        let before = table.len();
-        let displaced = table.apply_patch(patch);
-        bump_entry(&mut vers, &key);
-        Ok((before, displaced))
+        self.statement(|| {
+            let key = name.to_ascii_lowercase();
+            let mut map = self.tables.write();
+            let table = Arc::make_mut(map.get_mut(&key).ok_or_else(|| unknown_table(name))?);
+            table.check_patch(&patch)?;
+            let mut vers = self.versions.write();
+            let mut open = self.open.lock();
+            open.log(|f| record(f, &key, &patch));
+            let before = table.len();
+            Ok((before, open.patch(table, patch, &mut vers, key)))
+        })
     }
 
     /// Append rows to a table, returning its previous row count (callers
@@ -471,19 +676,12 @@ impl Catalog {
     /// proportional to the batch (see `patch_rows` for the locking and
     /// copy-on-write rules every mutator shares).
     pub fn append_rows(&self, name: &str, rows: Vec<Tuple>) -> Result<usize> {
-        self.append_rows_impl(name, rows, true)
-    }
-
-    fn append_rows_impl(&self, name: &str, rows: Vec<Tuple>, log: bool) -> Result<usize> {
         let patch = RowPatch {
             inserts: rows,
             ..RowPatch::default()
         };
-        let record = |table, p: &RowPatch| WalRecord::InsertBatch {
-            table,
-            rows: p.inserts.clone(),
-        };
-        Ok(self.patch_rows(name, patch, record, log)?.0)
+        let record = |f: &mut Frame, table: &str, p: &RowPatch| f.insert_batch(table, &p.inserts);
+        Ok(self.patch_rows(name, patch, record)?.0)
     }
 
     /// Remove the rows at the given positions (which must be strictly
@@ -496,10 +694,6 @@ impl Catalog {
     /// order, so positions replay deterministically). An empty position
     /// list is a no-op that logs and bumps nothing.
     pub fn delete_rows(&self, name: &str, indices: &[usize]) -> Result<Vec<Tuple>> {
-        self.delete_rows_impl(name, indices, true)
-    }
-
-    fn delete_rows_impl(&self, name: &str, indices: &[usize], log: bool) -> Result<Vec<Tuple>> {
         if indices.is_empty() {
             return self.get(name).map(|_| Vec::new());
         }
@@ -507,11 +701,8 @@ impl Catalog {
             deletes: indices.to_vec(),
             ..RowPatch::default()
         };
-        let record = |table, p: &RowPatch| WalRecord::DeleteBatch {
-            table,
-            indices: p.deletes.clone(),
-        };
-        Ok(self.patch_rows(name, patch, record, log)?.1.removed)
+        let record = |f: &mut Frame, table: &str, p: &RowPatch| f.delete_batch(table, &p.deletes);
+        Ok(self.patch_rows(name, patch, record)?.1.removed)
     }
 
     /// Replace the rows at the given positions (strictly increasing, in
@@ -528,18 +719,6 @@ impl Catalog {
         indices: &[usize],
         rows: Vec<Tuple>,
     ) -> Result<Vec<(Tuple, Tuple)>> {
-        let old = self.update_rows_impl(name, indices, rows.clone(), true)?;
-        Ok(old.into_iter().zip(rows).collect())
-    }
-
-    /// Returns the replaced rows, in position order.
-    fn update_rows_impl(
-        &self,
-        name: &str,
-        indices: &[usize],
-        rows: Vec<Tuple>,
-        log: bool,
-    ) -> Result<Vec<Tuple>> {
         if indices.len() != rows.len() {
             return Err(AggViewError::Catalog(format!(
                 "update of `{name}`: {} positions but {} replacement rows",
@@ -547,107 +726,105 @@ impl Catalog {
                 rows.len()
             )));
         }
-        if indices.is_empty() {
+        // The new rows end up in the table and in the pairs both.
+        let updates = indices.iter().copied().zip(rows.iter().cloned()).collect();
+        let old = self.replace_rows(name, updates)?;
+        Ok(old.into_iter().zip(rows).collect())
+    }
+
+    /// Replace the row at each `(position, new content)`; returns the
+    /// replaced rows, in position order.
+    fn replace_rows(&self, name: &str, updates: Vec<(usize, Tuple)>) -> Result<Vec<Tuple>> {
+        if updates.is_empty() {
             return self.get(name).map(|_| Vec::new());
         }
         let patch = RowPatch {
-            updates: indices.iter().copied().zip(rows).collect(),
+            updates,
             ..RowPatch::default()
         };
-        let record = |table, p: &RowPatch| WalRecord::UpdateBatch {
-            table,
-            indices: p.updates.iter().map(|(i, _)| *i).collect(),
-            rows: p.updates.iter().map(|(_, r)| r.clone()).collect(),
-        };
-        Ok(self.patch_rows(name, patch, record, log)?.1.replaced)
+        let record = |f: &mut Frame, table: &str, p: &RowPatch| f.update_batch(table, &p.updates);
+        Ok(self.patch_rows(name, patch, record)?.1.replaced)
     }
 
     // ---- materialized views ----------------------------------------
 
     /// Register a materialized view's metadata; rejects duplicates.
     pub fn register_matview(&self, meta: MatViewMeta) -> Result<()> {
-        let key = meta.def.name.to_ascii_lowercase();
-        let mut map = self.matviews.write();
-        if map.contains_key(&key) {
-            return Err(AggViewError::Catalog(format!(
-                "materialized view `{}` already exists",
-                meta.def.name
-            )));
-        }
-        self.log_with(|| WalRecord::PutMatView { meta: meta.clone() })?;
-        map.insert(key, meta);
-        Ok(())
+        self.put_matview(meta, false)
     }
 
     /// Replace a materialized view's metadata (after refresh/maintenance).
     pub fn update_matview(&self, meta: MatViewMeta) -> Result<()> {
-        let key = meta.def.name.to_ascii_lowercase();
-        let mut map = self.matviews.write();
-        self.log_with(|| WalRecord::PutMatView { meta: meta.clone() })?;
-        map.insert(key, meta);
-        Ok(())
+        self.put_matview(meta, true)
     }
 
-    /// Commit one maintenance round of `view`: apply `patch` to its
-    /// extent table and record `base_versions` as the base-table
-    /// versions the extent now reflects — one WAL record, one critical
-    /// section (`tables → versions → matviews → wal`), so no reader and
-    /// no crash sees the extent patched but not stamped or the reverse.
-    /// The extent goes through the same check-log-apply steps as any
-    /// table (`patch_rows`); an empty patch only restamps. Returns the
-    /// extent rows the patch displaced.
+    fn put_matview(&self, meta: MatViewMeta, replace: bool) -> Result<()> {
+        self.statement(|| {
+            let key = meta.def.name.to_ascii_lowercase();
+            let mut map = self.matviews.write();
+            if !replace && map.contains_key(&key) {
+                return Err(AggViewError::Catalog(format!(
+                    "materialized view `{}` already exists",
+                    meta.def.name
+                )));
+            }
+            let mut open = self.open.lock();
+            open.log(|f| f.put_matview(&meta));
+            let prev = map.insert(key.clone(), meta);
+            open.undo.push(Undo::MatView { key, prev });
+            Ok(())
+        })
+    }
+
+    /// One maintenance round of `view`: apply `patch` to its extent
+    /// table and record `base_versions` as the base-table versions the
+    /// extent now reflects — one WAL record, one critical section
+    /// (`tables → versions → matviews`), so no reader and no crash sees
+    /// the extent patched but not stamped or the reverse. The extent
+    /// goes through the same check-log-apply steps as any table
+    /// (`patch_rows`); an empty patch only restamps. Returns the extent
+    /// rows the patch displaced.
     pub fn patch_extent(
         &self,
         view: &str,
         patch: RowPatch,
         base_versions: Vec<u64>,
     ) -> Result<Displaced> {
-        self.patch_extent_impl(view, patch, base_versions, true)
-    }
-
-    fn patch_extent_impl(
-        &self,
-        view: &str,
-        patch: RowPatch,
-        base_versions: Vec<u64>,
-        log: bool,
-    ) -> Result<Displaced> {
-        let mut map = self.tables.write();
-        let mut vers = self.versions.write();
-        let mut mvs = self.matviews.write();
-        let meta = mvs
-            .get_mut(&view.to_ascii_lowercase())
-            .ok_or_else(|| AggViewError::Catalog(format!("unknown materialized view `{view}`")))?;
-        if base_versions.len() != meta.def.tables.len() {
-            return Err(AggViewError::Catalog(format!(
-                "view `{view}`: {} base versions for {} tables",
-                base_versions.len(),
-                meta.def.tables.len()
-            )));
-        }
-        let key = meta.extent.to_ascii_lowercase();
-        let slot = map
-            .get_mut(&key)
-            .ok_or_else(|| unknown_table(&meta.extent))?;
-        // An empty patch must not cost a copy of a shared extent.
-        let mut table = (!patch.is_empty()).then(|| Arc::make_mut(slot));
-        if let Some(t) = &mut table {
-            t.check_patch(&patch)?;
-        }
-        if log {
-            self.log_with(|| WalRecord::PatchExtent {
-                view: view.to_string(),
-                patch: patch.clone(),
-                base_versions: base_versions.clone(),
+        self.statement(|| {
+            let mut map = self.tables.write();
+            let mut vers = self.versions.write();
+            let mut mvs = self.matviews.write();
+            let view_key = view.to_ascii_lowercase();
+            let meta = mvs.get_mut(&view_key).ok_or_else(|| {
+                AggViewError::Catalog(format!("unknown materialized view `{view}`"))
             })?;
-        }
-        meta.base_versions = base_versions;
-        Ok(match table {
-            Some(t) => {
-                bump_entry(&mut vers, &key);
-                t.apply_patch(patch)
+            if base_versions.len() != meta.def.tables.len() {
+                return Err(AggViewError::Catalog(format!(
+                    "view `{view}`: {} base versions for {} tables",
+                    base_versions.len(),
+                    meta.def.tables.len()
+                )));
             }
-            None => Displaced::default(),
+            let key = meta.extent.to_ascii_lowercase();
+            let slot = map
+                .get_mut(&key)
+                .ok_or_else(|| unknown_table(&meta.extent))?;
+            // An empty patch must not cost a copy of a shared extent.
+            let mut table = (!patch.is_empty()).then(|| Arc::make_mut(slot));
+            if let Some(t) = &mut table {
+                t.check_patch(&patch)?;
+            }
+            let mut open = self.open.lock();
+            open.log(|f| f.patch_extent(view, &patch, &base_versions));
+            let prev = std::mem::replace(&mut meta.base_versions, base_versions);
+            open.undo.push(Undo::Stamp {
+                key: view_key,
+                prev,
+            });
+            Ok(match table {
+                Some(t) => open.patch(t, patch, &mut vers, key),
+                None => Displaced::default(),
+            })
         })
     }
 
@@ -715,11 +892,19 @@ impl Catalog {
     /// The snapshot is written atomically (temp + fsync + rename)
     /// *before* the WAL is truncated, so a crash anywhere inside the
     /// checkpoint loses nothing: recovery uses the surviving snapshot
-    /// and skips any WAL records it already covers (by LSN).
+    /// and skips any WAL frames it already covers (by LSN). Waits for
+    /// an open statement to end; errors inside one.
     pub fn checkpoint(&self) -> Result<()> {
         let d = self.durable.as_ref().ok_or_else(|| {
             AggViewError::Catalog("checkpoint requires a durable catalog (Catalog::open)".into())
         })?;
+        if self.open.lock().owner == Some(std::thread::current().id()) {
+            return Err(AggViewError::Catalog(
+                "checkpoint inside an open statement".into(),
+            ));
+        }
+        // A snapshot never holds half a statement.
+        let _turn = self.turn.lock();
         let tables = self.tables.read();
         let vers = self.versions.read();
         let mvs = self.matviews.read();
@@ -755,28 +940,31 @@ impl Catalog {
     /// in-memory session). Version lineage starts over; a view that was
     /// fresh in `src` has its base versions re-anchored to the new
     /// counters, and one that was stale arrives quarantined — seeding
-    /// never launders staleness.
+    /// never launders staleness. One statement: a failed import leaves
+    /// this catalog as it was.
     pub fn import_from(&self, src: &Catalog) -> Result<()> {
-        for name in src.table_names() {
-            self.add_or_replace(src.get(&name)?)?;
-        }
-        for vname in src.matview_names() {
-            let Some(mut meta) = src.matview(&vname) else {
-                continue;
-            };
-            if meta.is_stale(src) {
-                meta.quarantine();
-            } else {
-                meta.base_versions = meta
-                    .def
-                    .tables
-                    .iter()
-                    .map(|t| self.data_version(t))
-                    .collect();
+        self.statement(|| {
+            for name in src.table_names() {
+                self.add_or_replace(src.get(&name)?)?;
             }
-            self.update_matview(meta)?;
-        }
-        Ok(())
+            for vname in src.matview_names() {
+                let Some(mut meta) = src.matview(&vname) else {
+                    continue;
+                };
+                if meta.is_stale(src) {
+                    meta.quarantine();
+                } else {
+                    meta.base_versions = meta
+                        .def
+                        .tables
+                        .iter()
+                        .map(|t| self.data_version(t))
+                        .collect();
+                }
+                self.update_matview(meta)?;
+            }
+            Ok(())
+        })
     }
 
     /// A deterministic, human-readable dump of the complete catalog
@@ -1031,6 +1219,196 @@ mod tests {
             .patch_extent("ghost", RowPatch::default(), vec![1])
             .is_err());
         assert!(c.patch_extent("by_v", RowPatch::default(), vec![]).is_err());
+    }
+
+    /// `k(id, v)` with one row, and the view `by_v` counting it.
+    fn keyed_with_view() -> Catalog {
+        use crate::matview::{ExtentLayout, MatViewDef};
+        use aggview_common::{AggSpec, Col, RelId};
+        let c = Catalog::new();
+        c.add(keyed(&[(1, 10)])).unwrap();
+        let def = MatViewDef {
+            name: "by_v".into(),
+            tables: vec!["k".into()],
+            preds: vec![],
+            group_cols: vec![Col::base(RelId(0), 1)],
+            aggs: vec![AggSpec::count_star()],
+            column_names: vec!["v".into(), "n".into()],
+        };
+        let extent = Table::builder(
+            "__mv_by_v",
+            Schema::of(&[
+                ("v", DataType::Int),
+                ("n", DataType::Int),
+                ("__n_p0", DataType::Int),
+            ]),
+        )
+        .primary_key(&["v"])
+        .unwrap()
+        .row(vec![10i64.into(), 1i64.into(), 1i64.into()])
+        .unwrap()
+        .build()
+        .unwrap();
+        c.add(extent).unwrap();
+        c.register_matview(MatViewMeta {
+            layout: ExtentLayout::of(&def),
+            extent: "__mv_by_v".into(),
+            base_versions: vec![c.data_version("k")],
+            def,
+        })
+        .unwrap();
+        c
+    }
+
+    fn abort<T>() -> Result<T> {
+        Err(AggViewError::Exec("abort".into()))
+    }
+
+    #[test]
+    fn a_failed_statement_takes_back_every_kind_of_mutation() {
+        let c = keyed_with_view();
+        c.append_rows("k", vec![tuple![2i64, 20i64], tuple![3i64, 30i64]])
+            .unwrap();
+        let before = c.describe_state();
+        let err = c
+            .statement(|| {
+                c.add(table("fresh"))?;
+                c.add_or_replace(keyed(&[(7, 70)]))?;
+                c.append_rows("k", vec![tuple![8i64, 80i64]])?;
+                c.update_rows("k", &[0], vec![tuple![9i64, 90i64]])?;
+                c.delete_rows("k", &[0])?;
+                c.mark_modified("k")?;
+                c.mark_modified("never_registered")?;
+                let mut meta = c.matview("by_v").unwrap();
+                meta.quarantine();
+                c.update_matview(meta.clone())?;
+                meta.def.name = "another".into();
+                c.register_matview(meta)?;
+                let patch = RowPatch {
+                    updates: vec![(0, tuple![10i64, 5i64, 5i64])],
+                    deletes: vec![],
+                    inserts: vec![tuple![20i64, 1i64, 1i64]],
+                };
+                c.patch_extent("by_v", patch, vec![c.data_version("k")])?;
+                c.patch_extent("by_v", RowPatch::default(), vec![77])?;
+                abort::<()>()
+            })
+            .unwrap_err();
+        assert_eq!(err.kind(), "exec");
+        assert_eq!(c.describe_state(), before);
+        assert_eq!(c.data_version("never_registered"), 0);
+        assert!(c.matview("another").is_none());
+        // The tables take patches as if nothing had happened: stored
+        // keys are held, the keys the statement used are free.
+        assert!(c.append_rows("k", vec![tuple![2i64, 0i64]]).is_err());
+        c.append_rows("k", vec![tuple![8i64, 80i64]]).unwrap();
+        let t = c.get("k").unwrap();
+        assert_eq!(t.find_key(&tuple![8i64]), Some(3));
+        assert_eq!(t.stats().rows, 4);
+        assert_eq!(t.stats().columns[1].max, Some(80.0));
+    }
+
+    #[test]
+    fn deletes_are_taken_back_into_their_positions() {
+        let c = Catalog::new();
+        c.add(keyed(&[
+            (0, 0),
+            (1, 10),
+            (2, 20),
+            (3, 30),
+            (4, 40),
+            (5, 50),
+        ]))
+        .unwrap();
+        let before = c.get("k").unwrap().rows().to_vec();
+        for doomed in [
+            &[0usize][..],
+            &[5],
+            &[0, 5],
+            &[1, 2, 4],
+            &[0, 1, 2, 3, 4, 5],
+        ] {
+            let out: Result<()> = c.statement(|| {
+                let patch = RowPatch {
+                    updates: vec![(3, tuple![3i64, 33i64])],
+                    deletes: doomed.iter().copied().filter(|&i| i != 3).collect(),
+                    inserts: vec![tuple![6i64, 60i64]],
+                };
+                c.patch_rows("k", patch, |_, _, _| {})?;
+                abort()
+            });
+            assert!(out.is_err());
+            assert_eq!(c.get("k").unwrap().rows(), before, "{doomed:?}");
+        }
+    }
+
+    #[test]
+    fn a_statement_inside_a_statement_is_a_savepoint() {
+        let c = Catalog::new();
+        c.add(keyed(&[(1, 10)])).unwrap();
+        c.statement(|| {
+            c.append_rows("k", vec![tuple![2i64, 20i64]])?;
+            let inner: Result<()> = c.statement(|| {
+                c.append_rows("k", vec![tuple![3i64, 30i64]])?;
+                c.mark_modified("k")?;
+                abort()
+            });
+            assert!(inner.is_err());
+            // A single mutator that fails its check is one too.
+            assert!(c.append_rows("k", vec![tuple![1i64, 0i64]]).is_err());
+            c.append_rows("k", vec![tuple![4i64, 40i64]]).map(drop)
+        })
+        .unwrap();
+        assert_eq!(
+            c.get("k").unwrap().rows(),
+            &[
+                tuple![1i64, 10i64],
+                tuple![2i64, 20i64],
+                tuple![4i64, 40i64]
+            ]
+        );
+        assert_eq!(c.data_version("k"), 3);
+        assert!(c.stats_fresh("k"));
+    }
+
+    #[test]
+    fn statements_take_turns() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let c = Arc::new(Catalog::new());
+        c.add(table("t")).unwrap();
+        let (opened, is_open) = channel();
+        let (go_on, may_go_on) = channel::<()>();
+        let first = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                c.statement(|| {
+                    c.append_rows("t", vec![tuple![1i64]])?;
+                    opened.send(()).unwrap();
+                    may_go_on.recv().unwrap();
+                    c.append_rows("t", vec![tuple![2i64]]).map(drop)
+                })
+                .unwrap();
+            })
+        };
+        is_open.recv().unwrap();
+        // A lone mutator is a statement: it waits for the open one.
+        let (done, is_done) = channel();
+        let second = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                c.append_rows("t", vec![tuple![3i64]]).unwrap();
+                done.send(()).unwrap();
+            })
+        };
+        assert!(is_done.recv_timeout(Duration::from_millis(50)).is_err());
+        go_on.send(()).unwrap();
+        first.join().unwrap();
+        second.join().unwrap();
+        assert_eq!(
+            c.get("t").unwrap().rows(),
+            &[tuple![1i64], tuple![2i64], tuple![3i64]]
+        );
     }
 
     #[test]

@@ -54,6 +54,29 @@ impl Enc {
         self.buf
     }
 
+    /// Everything written so far, for a caller that reserved room up
+    /// front and fills it in last (the WAL's frame header).
+    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+        &mut self.buf
+    }
+
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Forget everything written past the first `len` bytes.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -500,7 +523,7 @@ pub fn dec_aggspec(d: &mut Dec) -> Result<AggSpec> {
 
 // ---- key declarations -------------------------------------------------
 
-pub fn enc_primary_key(e: &mut Enc, pk: &Option<PrimaryKey>) {
+pub fn enc_primary_key(e: &mut Enc, pk: Option<&PrimaryKey>) {
     match pk {
         Some(k) => {
             e.u8(1);
@@ -761,12 +784,9 @@ mod tests {
 
     #[test]
     fn keys_round_trip() {
-        round_trip(&None, enc_primary_key, dec_primary_key);
-        round_trip(
-            &Some(PrimaryKey::new(vec![0, 2])),
-            enc_primary_key,
-            dec_primary_key,
-        );
+        let enc = |e: &mut Enc, pk: &Option<PrimaryKey>| enc_primary_key(e, pk.as_ref());
+        round_trip(&None, enc, dec_primary_key);
+        round_trip(&Some(PrimaryKey::new(vec![0, 2])), enc, dec_primary_key);
         let fks = vec![
             ForeignKey::new(vec![1], "dept", vec![0]),
             ForeignKey::new(vec![2, 3], "proj", vec![0, 1]),

@@ -87,7 +87,7 @@ impl Snapshot {
         for t in &self.tables {
             e.str(&t.name);
             codec::enc_schema(&mut e, &t.schema);
-            codec::enc_primary_key(&mut e, &t.primary_key);
+            codec::enc_primary_key(&mut e, t.primary_key.as_ref());
             codec::enc_foreign_keys(&mut e, &t.foreign_keys);
             codec::enc_rows(&mut e, &t.rows);
         }

@@ -94,12 +94,26 @@ impl RowPatch {
 }
 
 /// The rows a [`RowPatch`] displaced, in position order.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Displaced {
     /// Previous content of each updated position.
     pub replaced: Vec<Tuple>,
     /// The deleted rows.
     pub removed: Vec<Tuple>,
+}
+
+/// What it takes to take an applied [`RowPatch`] back: where it wrote,
+/// what it displaced there, and how many rows it appended. Sized by the
+/// patch, not by the table.
+#[derive(Debug)]
+pub(crate) struct PatchUndo {
+    /// Positions the patch replaced (`displaced.replaced[i]` was there).
+    updated: Vec<usize>,
+    /// Positions the patch deleted (`displaced.removed[i]` was there).
+    deleted: Vec<usize>,
+    /// Rows the patch appended.
+    inserted: usize,
+    pub(crate) displaced: Displaced,
 }
 
 impl Table {
@@ -260,7 +274,9 @@ impl Table {
     }
 
     /// Apply a patch that [`check_patch`](Table::check_patch) accepted.
-    pub(crate) fn apply_patch(&mut self, patch: RowPatch) -> Displaced {
+    /// Returns what [`revert_patch`](Table::revert_patch) needs to take
+    /// it back, the displaced rows among it.
+    pub(crate) fn apply_patch(&mut self, patch: RowPatch) -> PatchUndo {
         let Table {
             schema,
             rows,
@@ -279,6 +295,8 @@ impl Table {
         // Both are `Some` or both `None`: a key index exists iff a key does.
         let mut keyed = keys.as_mut().zip(primary_key.as_ref());
         let mut out = Displaced::default();
+        let updated = patch.updates.iter().map(|(i, _)| *i).collect();
+        let inserted = patch.inserts.len();
 
         // Everything leaving goes before anything arriving: a patch may
         // hand a key from one row to another.
@@ -321,7 +339,50 @@ impl Table {
 
         summary.refresh(stats, changed);
         *bytes = summary.bytes();
-        out
+        PatchUndo {
+            updated,
+            deleted: patch.deletes,
+            inserted,
+            displaced: out,
+        }
+    }
+
+    /// Take back the patch `undo` came from — the last one applied, or
+    /// the last one not yet taken back. The rows return to what they
+    /// were, position by position. What the table carried from patch to
+    /// patch (key index, statistics summary) is dropped rather than
+    /// walked backwards: the statistics are re-derived from the rows
+    /// here, the key index by the next patch — exactly as on a table no
+    /// patch has touched yet.
+    pub(crate) fn revert_patch(&mut self, undo: PatchUndo) {
+        let PatchUndo {
+            updated,
+            deleted,
+            inserted,
+            displaced,
+        } = undo;
+        let rows = &mut self.rows;
+        rows.truncate(rows.len() - inserted);
+        // Reopen the gaps from the back: `dst - src` deleted rows are
+        // still to be placed at or before `dst`.
+        let mut src = rows.len();
+        let mut dst = src + deleted.len();
+        rows.resize_with(dst, Tuple::default);
+        for (&at, row) in deleted.iter().zip(displaced.removed).rev() {
+            while dst - 1 > at {
+                dst -= 1;
+                src -= 1;
+                rows.swap(dst, src);
+            }
+            dst -= 1;
+            rows[dst] = row;
+        }
+        for (at, row) in updated.into_iter().zip(displaced.replaced) {
+            rows[at] = row;
+        }
+        self.live = None;
+        self.image = Image::empty(self.schema.len());
+        (self.stats, self.bytes) = analyze_sized(&self.rows, self.schema.len());
     }
 }
 

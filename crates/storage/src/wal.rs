@@ -3,40 +3,53 @@
 //! The WAL is *logical*: one record per catalog mutation (table
 //! registration, insert/delete/update batch, modification mark,
 //! materialized-view metadata upsert, extent patch), replayed through
-//! the catalog's own non-logging apply path on recovery. Logging at mutation granularity keeps the
-//! format small and makes replay trivially deterministic — the same
-//! records through the same code produce the same tables, statistics,
-//! and version counters.
+//! the catalog's own mutators on recovery. Logging at mutation
+//! granularity keeps the format small and makes replay trivially
+//! deterministic — the same records through the same code produce the
+//! same tables, statistics, and version counters.
+//!
+//! The unit of commit is the **statement** ([`crate::Catalog::statement`]):
+//! the records of the mutations one statement made — a DML statement's
+//! base-table change and the patch of every view it maintains, say —
+//! are encoded into one frame buffer and reach the disk in one write and
+//! one fsync. A statement that made a single mutation is written as
+//! that record's plain frame (kinds 0–6, the only frames logs had
+//! before statements existed); one that made several is a kind 7 frame
+//! holding them in order.
 //!
 //! ## File format
 //!
 //! ```text
 //! "AGVWAL01"                                    file magic, 8 bytes
-//! repeat:                                       one frame per record
+//! repeat:                                       one frame per statement
 //!   [u32 len] [u32 crc32(payload)] [payload]    little-endian
-//!   payload = [u64 lsn] [u8 kind] [body]
+//!   payload = [u64 lsn] member                  a single mutation
+//!           | [u64 lsn] [u8 7] [u32 n] member*n several, in order
+//!   member  = [u8 kind 0..=6] [body]
 //! ```
 //!
-//! Appends go through **write then fsync**; a record is *committed*
-//! once its fsync returns. A crash mid-append can leave a torn final
+//! Commits go through **write then fsync**; a statement is *committed*
+//! once its fsync returns. A crash mid-commit can leave a torn final
 //! frame (a prefix of it) or committed frames followed by recycled-disk
 //! garbage; [`WalReader::read_committed`] stops at the first frame that
 //! does not parse cleanly and treats everything before it as the
-//! committed log. A frame whose CRC validates but whose payload fails
-//! to decode is **corruption**, not a torn tail — fsynced bytes do not
+//! committed log — a statement is therefore recovered whole or not at
+//! all. A frame whose CRC validates but whose payload fails to decode
+//! is **corruption**, not a torn tail — fsynced bytes do not
 //! spontaneously half-decode — and surfaces as
 //! [`AggViewError::Corrupt`] with the file offset and record index.
 //!
-//! Fault injection: [`WalWriter::append`] consults
-//! [`FaultInjector::io_fault`] at `wal.append` (write) and `wal.fsync`;
-//! [`WalWriter::truncate_all`] consults `wal.truncate`. An injected
-//! fsync failure rolls the file back to its committed length — the
-//! record is *not* committed and a retry starts from a clean boundary.
+//! Fault injection: the writer's commit consults
+//! [`FaultInjector::io_fault`] at `wal.append` (write) and `wal.fsync`,
+//! once per frame; [`WalWriter::truncate_all`] consults `wal.truncate`.
+//! An injected fsync failure rolls the file back to its committed
+//! length — the statement is *not* committed and a retry starts from a
+//! clean boundary.
 
 use crate::codec::{self, crc32, Dec, Enc};
 use crate::keys::{ForeignKey, PrimaryKey};
 use crate::matview::MatViewMeta;
-use crate::table::RowPatch;
+use crate::table::{RowPatch, Table};
 use aggview_common::{AggViewError, FaultInjector, IoFaultKind, Result, Schema, Tuple};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -46,13 +59,21 @@ use std::path::{Path, PathBuf};
 pub const WAL_MAGIC: &[u8; 8] = b"AGVWAL01";
 
 /// Frame header size: `[u32 len][u32 crc]`.
-const FRAME_HEADER: u64 = 8;
+const FRAME_HEADER: usize = 8;
 
-/// Upper bound on a single record's payload; a CRC-less corrupted
-/// length field cannot make the reader attempt an absurd allocation.
+/// Upper bound on a single frame's payload; a CRC-less corrupted
+/// length field cannot make the reader attempt an absurd allocation,
+/// and the writer refuses to commit a frame the reader would not read.
 const MAX_RECORD: u32 = 1 << 28;
 
-/// One logged catalog mutation.
+/// Record kind of a frame holding several member records.
+const KIND_STATEMENT: u8 = 7;
+
+/// One logged catalog mutation — or, as [`WalRecord::Statement`], the
+/// several mutations of one statement. This is the *decoded* form:
+/// what [`WalReader`] hands to replay and to tests. The live mutators
+/// never build one; they encode from the data they already hold
+/// (the crate-private `Frame`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A table was registered (`replace: false` — `Catalog::add`) or
@@ -82,56 +103,155 @@ pub enum WalRecord {
     /// the same committed prefix is deterministic and the record stays
     /// small.
     DeleteBatch { table: String, indices: Vec<usize> },
-    /// Rows replaced in place (`Catalog::update_rows`): `rows[i]` is the
-    /// new content of the row at position `indices[i]`. Same positional
-    /// determinism argument as [`WalRecord::DeleteBatch`].
+    /// Rows replaced in place (`Catalog::update_rows`), as `(position,
+    /// new content)`. Same positional determinism argument as
+    /// [`WalRecord::DeleteBatch`].
     UpdateBatch {
         table: String,
-        indices: Vec<usize>,
-        rows: Vec<Tuple>,
+        updates: Vec<(usize, Tuple)>,
     },
     /// One maintenance round of one materialized view
     /// (`Catalog::patch_extent`): the positional patch to its extent
     /// table and the base-table versions the extent reflects afterwards.
-    /// One record, applied under one set of locks, so a crash can leave
-    /// the view stale (record absent) but never patched-and-unstamped.
+    /// One record, applied under one set of locks, so the extent is
+    /// never patched-and-unstamped.
     PatchExtent {
         view: String,
         patch: RowPatch,
         base_versions: Vec<u64>,
     },
+    /// The mutations of one statement that made more than one, in the
+    /// order it made them: committed by one fsync, recovered all or
+    /// none. Members are never statements themselves.
+    Statement(Vec<WalRecord>),
 }
 
-impl WalRecord {
-    /// Build a `PutTable` record from a live table.
-    pub fn put_table(table: &crate::table::Table, replace: bool) -> WalRecord {
-        WalRecord::PutTable {
-            name: table.name().to_string(),
-            schema: table.schema().clone(),
-            primary_key: table.primary_key().cloned(),
-            foreign_keys: table.foreign_keys().to_vec(),
-            rows: table.rows().to_vec(),
+/// The frame of one statement while it is being put together: each
+/// mutation appends its record, encoded from borrowed data, and
+/// [`WalWriter::commit`] writes the whole as one frame.
+///
+/// Room for the frame header, the LSN and a statement's kind and member
+/// count is reserved in front of the first member, so the bytes that
+/// are written are the bytes the members were encoded into.
+#[derive(Debug)]
+pub(crate) struct Frame {
+    enc: Enc,
+    members: u32,
+}
+
+/// `[u32 len][u32 crc][u64 lsn][u8 kind 7][u32 members]`.
+const FRAME_RESERVE: usize = FRAME_HEADER + 8 + 1 + 4;
+
+/// How far a [`Frame`] had got, to cut it back to.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FrameMark {
+    len: usize,
+    members: u32,
+}
+
+impl Frame {
+    pub(crate) fn new() -> Frame {
+        let mut enc = Enc::new();
+        enc.bytes(&[0; FRAME_RESERVE]);
+        Frame { enc, members: 0 }
+    }
+
+    /// True when no mutation has been recorded.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.members == 0
+    }
+
+    pub(crate) fn mark(&self) -> FrameMark {
+        FrameMark {
+            len: self.enc.len(),
+            members: self.members,
+        }
+    }
+
+    /// Drop the members recorded since `mark`.
+    pub(crate) fn truncate(&mut self, mark: FrameMark) {
+        self.enc.truncate(mark.len);
+        self.members = mark.members;
+    }
+
+    fn member(&mut self, kind: u8) -> &mut Enc {
+        self.members += 1;
+        self.enc.u8(kind);
+        &mut self.enc
+    }
+
+    pub(crate) fn put_table(&mut self, table: &Table, replace: bool) {
+        self.put_table_parts(
+            table.name(),
+            table.schema(),
+            table.primary_key(),
+            table.foreign_keys(),
+            table.rows(),
             replace,
+        );
+    }
+
+    fn put_table_parts(
+        &mut self,
+        name: &str,
+        schema: &Schema,
+        primary_key: Option<&PrimaryKey>,
+        foreign_keys: &[ForeignKey],
+        rows: &[Tuple],
+        replace: bool,
+    ) {
+        let e = self.member(0);
+        e.str(name);
+        codec::enc_schema(e, schema);
+        codec::enc_primary_key(e, primary_key);
+        codec::enc_foreign_keys(e, foreign_keys);
+        codec::enc_rows(e, rows);
+        e.u8(replace as u8);
+    }
+
+    pub(crate) fn insert_batch(&mut self, table: &str, rows: &[Tuple]) {
+        let e = self.member(1);
+        e.str(table);
+        codec::enc_rows(e, rows);
+    }
+
+    pub(crate) fn mark_modified(&mut self, table: &str) {
+        self.member(2).str(table);
+    }
+
+    pub(crate) fn put_matview(&mut self, meta: &MatViewMeta) {
+        codec::enc_matview_meta(self.member(3), meta);
+    }
+
+    pub(crate) fn delete_batch(&mut self, table: &str, indices: &[usize]) {
+        let e = self.member(4);
+        e.str(table);
+        e.usizes(indices);
+    }
+
+    pub(crate) fn update_batch(&mut self, table: &str, updates: &[(usize, Tuple)]) {
+        let e = self.member(5);
+        e.str(table);
+        e.u32(updates.len() as u32);
+        for (at, _) in updates {
+            e.u64(*at as u64);
+        }
+        e.u32(updates.len() as u32);
+        for (_, row) in updates {
+            codec::enc_tuple(e, row);
         }
     }
 
-    fn kind(&self) -> u8 {
-        match self {
-            WalRecord::PutTable { .. } => 0,
-            WalRecord::InsertBatch { .. } => 1,
-            WalRecord::MarkModified { .. } => 2,
-            WalRecord::PutMatView { .. } => 3,
-            WalRecord::DeleteBatch { .. } => 4,
-            WalRecord::UpdateBatch { .. } => 5,
-            WalRecord::PatchExtent { .. } => 6,
-        }
+    pub(crate) fn patch_extent(&mut self, view: &str, patch: &RowPatch, base_versions: &[u64]) {
+        let e = self.member(6);
+        e.str(view);
+        codec::enc_row_patch(e, patch);
+        e.u64s(base_versions);
     }
 
-    fn encode_payload(&self, lsn: u64) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u64(lsn);
-        e.u8(self.kind());
-        match self {
+    /// Append a decoded record (each member of a statement in turn).
+    fn push(&mut self, rec: &WalRecord) {
+        match rec {
             WalRecord::PutTable {
                 name,
                 schema,
@@ -139,57 +259,62 @@ impl WalRecord {
                 foreign_keys,
                 rows,
                 replace,
-            } => {
-                e.str(name);
-                codec::enc_schema(&mut e, schema);
-                codec::enc_primary_key(&mut e, primary_key);
-                codec::enc_foreign_keys(&mut e, foreign_keys);
-                codec::enc_rows(&mut e, rows);
-                e.u8(*replace as u8);
-            }
-            WalRecord::InsertBatch { table, rows } => {
-                e.str(table);
-                codec::enc_rows(&mut e, rows);
-            }
-            WalRecord::MarkModified { table } => e.str(table),
-            WalRecord::PutMatView { meta } => codec::enc_matview_meta(&mut e, meta),
-            WalRecord::DeleteBatch { table, indices } => {
-                e.str(table);
-                e.usizes(indices);
-            }
-            WalRecord::UpdateBatch {
-                table,
-                indices,
+            } => self.put_table_parts(
+                name,
+                schema,
+                primary_key.as_ref(),
+                foreign_keys,
                 rows,
-            } => {
-                e.str(table);
-                e.usizes(indices);
-                codec::enc_rows(&mut e, rows);
-            }
+                *replace,
+            ),
+            WalRecord::InsertBatch { table, rows } => self.insert_batch(table, rows),
+            WalRecord::MarkModified { table } => self.mark_modified(table),
+            WalRecord::PutMatView { meta } => self.put_matview(meta),
+            WalRecord::DeleteBatch { table, indices } => self.delete_batch(table, indices),
+            WalRecord::UpdateBatch { table, updates } => self.update_batch(table, updates),
             WalRecord::PatchExtent {
                 view,
                 patch,
                 base_versions,
-            } => {
-                e.str(view);
-                codec::enc_row_patch(&mut e, patch);
-                e.u64s(base_versions);
-            }
+            } => self.patch_extent(view, patch, base_versions),
+            WalRecord::Statement(members) => members.iter().for_each(|m| self.push(m)),
         }
-        e.into_bytes()
     }
 
-    fn decode_payload(payload: &[u8]) -> Result<(u64, WalRecord)> {
-        let mut d = Dec::new(payload);
-        let lsn = d.u64()?;
-        let kind = d.u8()?;
-        let rec = match kind {
+    /// Fill in the reserved prefix for `lsn` and return the finished
+    /// frame: a single member as its plain frame, several behind the
+    /// statement kind and their count.
+    fn seal(&mut self, lsn: u64) -> &[u8] {
+        let statement = self.members > 1;
+        let members = self.members;
+        let buf = self.enc.as_mut_slice();
+        let start = if statement {
+            buf[FRAME_HEADER + 8] = KIND_STATEMENT;
+            buf[FRAME_HEADER + 9..FRAME_RESERVE].copy_from_slice(&members.to_le_bytes());
+            0
+        } else {
+            FRAME_RESERVE - FRAME_HEADER - 8
+        };
+        let payload = start + FRAME_HEADER;
+        buf[payload..payload + 8].copy_from_slice(&lsn.to_le_bytes());
+        let len = (buf.len() - payload) as u32;
+        let crc = crc32(&buf[payload..]);
+        buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        buf[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
+        &buf[start..]
+    }
+}
+
+impl WalRecord {
+    /// Decode one member: `[u8 kind 0..=6][body]`.
+    fn decode_member(d: &mut Dec) -> Result<WalRecord> {
+        Ok(match d.u8()? {
             0 => {
                 let name = d.str()?;
-                let schema = codec::dec_schema(&mut d)?;
-                let primary_key = codec::dec_primary_key(&mut d)?;
-                let foreign_keys = codec::dec_foreign_keys(&mut d)?;
-                let rows = codec::dec_rows(&mut d)?;
+                let schema = codec::dec_schema(d)?;
+                let primary_key = codec::dec_primary_key(d)?;
+                let foreign_keys = codec::dec_foreign_keys(d)?;
+                let rows = codec::dec_rows(d)?;
                 let replace = d.u8()? != 0;
                 WalRecord::PutTable {
                     name,
@@ -202,27 +327,53 @@ impl WalRecord {
             }
             1 => WalRecord::InsertBatch {
                 table: d.str()?,
-                rows: codec::dec_rows(&mut d)?,
+                rows: codec::dec_rows(d)?,
             },
             2 => WalRecord::MarkModified { table: d.str()? },
             3 => WalRecord::PutMatView {
-                meta: codec::dec_matview_meta(&mut d)?,
+                meta: codec::dec_matview_meta(d)?,
             },
             4 => WalRecord::DeleteBatch {
                 table: d.str()?,
                 indices: d.usizes()?,
             },
-            5 => WalRecord::UpdateBatch {
-                table: d.str()?,
-                indices: d.usizes()?,
-                rows: codec::dec_rows(&mut d)?,
-            },
+            5 => {
+                let table = d.str()?;
+                let indices = d.usizes()?;
+                let rows = codec::dec_rows(d)?;
+                if indices.len() != rows.len() {
+                    return Err(d.corrupt(format!(
+                        "update batch holds {} positions but {} rows",
+                        indices.len(),
+                        rows.len()
+                    )));
+                }
+                WalRecord::UpdateBatch {
+                    table,
+                    updates: indices.into_iter().zip(rows).collect(),
+                }
+            }
             6 => WalRecord::PatchExtent {
                 view: d.str()?,
-                patch: codec::dec_row_patch(&mut d)?,
+                patch: codec::dec_row_patch(d)?,
                 base_versions: d.u64s("base version")?,
             },
             t => return Err(d.corrupt(format!("unknown WAL record kind {t}"))),
+        })
+    }
+
+    fn decode_payload(payload: &[u8]) -> Result<(u64, WalRecord)> {
+        let mut d = Dec::new(payload);
+        let lsn = d.u64()?;
+        let rec = if payload.get(d.pos()) == Some(&KIND_STATEMENT) {
+            d.u8()?;
+            let n = d.len("statement member")?;
+            let members = (0..n)
+                .map(|_| WalRecord::decode_member(&mut d))
+                .collect::<Result<_>>()?;
+            WalRecord::Statement(members)
+        } else {
+            WalRecord::decode_member(&mut d)?
         };
         if !d.is_done() {
             return Err(d.corrupt("WAL record payload has trailing bytes"));
@@ -238,19 +389,20 @@ fn io_err(what: &str, e: std::io::Error) -> AggViewError {
 /// Everything [`WalReader::read_committed`] learns about a log file.
 #[derive(Debug)]
 pub struct WalContents {
-    /// Committed records in append order, with their LSNs.
+    /// Committed frames in append order, with their LSNs: one entry per
+    /// statement.
     pub records: Vec<(u64, WalRecord)>,
     /// Byte length of the committed prefix (magic + whole frames). The
     /// file may be longer — a torn tail or trailing garbage follows.
     pub committed_len: u64,
-    /// Absolute end offset of each committed record's frame; the last
-    /// entry equals `committed_len`. Lets tests slice the log at exact
-    /// record boundaries.
+    /// Absolute end offset of each committed frame; the last entry
+    /// equals `committed_len`. Lets tests slice the log at exact frame
+    /// boundaries.
     pub frame_ends: Vec<u64>,
 }
 
 impl WalContents {
-    /// LSN to assign to the next appended record.
+    /// LSN to assign to the next committed frame.
     pub fn next_lsn(&self) -> u64 {
         self.records.last().map_or(0, |(lsn, _)| lsn + 1)
     }
@@ -292,13 +444,13 @@ impl WalReader {
         // Anything that doesn't parse as a complete, checksummed frame
         // ends the committed prefix: crashes legitimately leave partial
         // frames and garbage past the last fsync.
-        while let Some(header) = bytes.get(pos..pos + FRAME_HEADER as usize) {
+        while let Some(header) = bytes.get(pos..pos + FRAME_HEADER) {
             let len = u32::from_le_bytes(header[..4].try_into().expect("4"));
             let crc = u32::from_le_bytes(header[4..].try_into().expect("4"));
             if len > MAX_RECORD {
                 break;
             }
-            let start = pos + FRAME_HEADER as usize;
+            let start = pos + FRAME_HEADER;
             let Some(payload) = bytes.get(start..start + len as usize) else {
                 break;
             };
@@ -331,15 +483,18 @@ impl WalReader {
 
 /// Append-side of the log.
 ///
-/// The writer tracks the committed length and truncates any leftover
-/// torn bytes before each append, so one failed append never poisons
-/// the next.
+/// The writer tracks the committed length and, after a commit that may
+/// have left bytes past it, truncates them before the next one, so one
+/// failed commit never poisons the next.
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
     path: PathBuf,
     committed_len: u64,
     next_lsn: u64,
+    /// The file may hold bytes past `committed_len`: a torn or
+    /// unsynced frame, or garbage behind a committed one.
+    tail_dirty: bool,
 }
 
 impl WalWriter {
@@ -374,10 +529,11 @@ impl WalWriter {
             path: path.to_path_buf(),
             committed_len,
             next_lsn: contents.next_lsn().max(min_next_lsn),
+            // Whatever a crash left behind the committed prefix goes
+            // now rather than lazily: recovery hands out a clean log.
+            tail_dirty: true,
         };
-        // Drop any torn tail now rather than lazily: recovery hands out
-        // a clean log.
-        w.rollback_to_committed()?;
+        w.drop_tail()?;
         Ok(w)
     }
 
@@ -386,7 +542,7 @@ impl WalWriter {
         &self.path
     }
 
-    /// LSN the next append will receive.
+    /// LSN the next committed frame will receive.
     pub fn next_lsn(&self) -> u64 {
         self.next_lsn
     }
@@ -396,33 +552,41 @@ impl WalWriter {
         self.committed_len
     }
 
-    fn rollback_to_committed(&mut self) -> Result<()> {
-        let actual = self
-            .file
-            .metadata()
-            .map_err(|e| io_err("stat WAL", e))?
-            .len();
-        if actual != self.committed_len {
+    fn drop_tail(&mut self) -> Result<()> {
+        if self.tail_dirty {
             self.file
                 .set_len(self.committed_len)
                 .map_err(|e| io_err("truncate WAL tail", e))?;
+            self.tail_dirty = false;
         }
         Ok(())
     }
 
-    /// Append one record durably; returns its LSN.
-    ///
-    /// The record is committed — guaranteed to survive
-    /// [`WalReader::read_committed`] — iff this returns `Ok`.
+    /// Commit one decoded record (a [`WalRecord::Statement`]: its
+    /// members) as one frame; returns its LSN. The live catalog commits
+    /// through the crate-private `commit` without building a record.
     pub fn append(&mut self, rec: &WalRecord, faults: &dyn FaultInjector) -> Result<u64> {
-        self.rollback_to_committed()?;
-        let lsn = self.next_lsn;
-        let payload = rec.encode_payload(lsn);
-        let mut frame = Vec::with_capacity(payload.len() + FRAME_HEADER as usize);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = Frame::new();
+        frame.push(rec);
+        self.commit(&mut frame, faults)
+    }
 
+    /// Write `frame` durably — one write, one fsync — and return its
+    /// LSN.
+    ///
+    /// The frame's members are committed — guaranteed to survive
+    /// [`WalReader::read_committed`], all of them — iff this returns
+    /// `Ok`.
+    pub(crate) fn commit(&mut self, frame: &mut Frame, faults: &dyn FaultInjector) -> Result<u64> {
+        self.drop_tail()?;
+        let lsn = self.next_lsn;
+        let frame = frame.seal(lsn);
+        if frame.len() - FRAME_HEADER > MAX_RECORD as usize {
+            return Err(AggViewError::Catalog(format!(
+                "statement logs {} bytes, over the {MAX_RECORD}-byte frame limit",
+                frame.len()
+            )));
+        }
         self.file
             .seek(SeekFrom::Start(self.committed_len))
             .map_err(|e| io_err("seek WAL", e))?;
@@ -436,6 +600,7 @@ impl WalWriter {
                 // mid-write leaves. The op fails; the torn bytes stay for
                 // recovery to skip.
                 let torn = &frame[..frame.len() / 2];
+                self.tail_dirty = true;
                 self.file
                     .write_all(torn)
                     .map_err(|e| io_err("write WAL", e))?;
@@ -445,8 +610,11 @@ impl WalWriter {
             Some(IoFaultKind::TrailingGarbage) => garbage_after = true,
             None => {}
         }
+        // Until the fsync returns, what reaches the file lies past the
+        // committed length.
+        self.tail_dirty = true;
         self.file
-            .write_all(&frame)
+            .write_all(frame)
             .map_err(|e| io_err("write WAL", e))?;
         if garbage_after {
             // Recycled-disk bytes past the record: a plausible frame
@@ -456,17 +624,16 @@ impl WalWriter {
                 .map_err(|e| io_err("write WAL", e))?;
         }
         if faults.io_fault("wal.fsync").is_some() {
-            // Any injected fault at the fsync site means the record never
+            // Any injected fault at the fsync site means the frame never
             // became durable: roll the simulated disk back to the
             // committed boundary and report the failure.
-            self.file
-                .set_len(self.committed_len)
-                .map_err(|e| io_err("truncate WAL", e))?;
+            self.drop_tail()?;
             return Err(AggViewError::Io("injected WAL fsync failure".into()));
         }
         self.file.sync_data().map_err(|e| io_err("fsync WAL", e))?;
         self.committed_len += frame.len() as u64;
         self.next_lsn = lsn + 1;
+        self.tail_dirty = garbage_after;
         Ok(lsn)
     }
 
@@ -484,6 +651,7 @@ impl WalWriter {
             .map_err(|e| io_err("truncate WAL", e))?;
         self.file.sync_data().map_err(|e| io_err("fsync WAL", e))?;
         self.committed_len = WAL_MAGIC.len() as u64;
+        self.tail_dirty = false;
         Ok(())
     }
 }
@@ -523,8 +691,7 @@ mod tests {
             },
             WalRecord::UpdateBatch {
                 table: "emp".into(),
-                indices: vec![1],
-                rows: vec![Tuple::new(vec![Value::Int(2), Value::Float(25.0)])],
+                updates: vec![(1, Tuple::new(vec![Value::Int(2), Value::Float(25.0)]))],
             },
             WalRecord::PatchExtent {
                 view: "by_dno".into(),
@@ -535,6 +702,17 @@ mod tests {
                 },
                 base_versions: vec![4],
             },
+            WalRecord::Statement(vec![
+                WalRecord::DeleteBatch {
+                    table: "emp".into(),
+                    indices: vec![2],
+                },
+                WalRecord::PatchExtent {
+                    view: "by_dno".into(),
+                    patch: RowPatch::default(),
+                    base_versions: vec![5],
+                },
+            ]),
         ]
     }
 
@@ -594,7 +772,7 @@ mod tests {
         bytes.extend_from_slice(&[0x13, 0x37, 0xFF, 0x00, 0x42]);
         std::fs::write(&path, &bytes).unwrap();
         let back = WalReader::read_committed(&path).unwrap();
-        assert_eq!(back.records.len(), 6);
+        assert_eq!(back.records.len(), 7);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -607,7 +785,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip a byte inside the second record's payload: its CRC no
         // longer matches, so the log ends after record one.
-        let target = (contents.frame_ends[0] + FRAME_HEADER + 2) as usize;
+        let target = contents.frame_ends[0] as usize + FRAME_HEADER + 2;
         bytes[target] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let back = WalReader::read_committed(&path).unwrap();
@@ -670,7 +848,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let contents = WalReader::read_committed(&path).unwrap();
         let mut w = WalWriter::open(&path, &contents, 0).unwrap();
-        assert_eq!(w.next_lsn(), 6);
+        assert_eq!(w.next_lsn(), 7);
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
             contents.committed_len,
@@ -679,9 +857,9 @@ mod tests {
         let lsn = w
             .append(&WalRecord::MarkModified { table: "x".into() }, &NoFaults)
             .unwrap();
-        assert_eq!(lsn, 6);
+        assert_eq!(lsn, 7);
         let back = WalReader::read_committed(&path).unwrap();
-        assert_eq!(back.records.len(), 7);
+        assert_eq!(back.records.len(), 8);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -693,14 +871,114 @@ mod tests {
         let inj = ScheduledIoFaults::at("wal.truncate", 0, IoFaultKind::Error);
         let err = w.truncate_all(&inj).unwrap_err();
         assert_eq!(err.kind(), "io");
-        assert_eq!(WalReader::read_committed(&path).unwrap().records.len(), 6);
+        assert_eq!(WalReader::read_committed(&path).unwrap().records.len(), 7);
         w.truncate_all(&NoFaults).unwrap();
         let back = WalReader::read_committed(&path).unwrap();
         assert!(back.records.is_empty());
         let lsn = w
             .append(&WalRecord::MarkModified { table: "x".into() }, &NoFaults)
             .unwrap();
-        assert_eq!(lsn, 6, "LSNs are never reused after truncation");
+        assert_eq!(lsn, 7, "LSNs are never reused after truncation");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What `WalWriter::append` wrote for one record before statements
+    /// existed: `[len][crc][lsn][kind][body]`, header and payload
+    /// encoded apart.
+    fn plain_frame(lsn: u64, kind: u8, body: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u64(lsn);
+        e.u8(kind);
+        body(&mut e);
+        let payload = e.into_bytes();
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    #[test]
+    fn a_single_record_keeps_its_plain_frame() {
+        let dir = tmpdir("plain");
+        let path = dir.join("wal.agv");
+        let rows = vec![Tuple::new(vec![Value::Int(2), Value::Float(20.0)])];
+        let rec = WalRecord::InsertBatch {
+            table: "emp".into(),
+            rows: rows.clone(),
+        };
+        // Alone, or as the only member of a statement.
+        write_log(
+            &path,
+            &[rec.clone(), WalRecord::Statement(vec![rec.clone()])],
+        );
+        let mut expected = WAL_MAGIC.to_vec();
+        for lsn in 0..2 {
+            expected.extend(plain_frame(lsn, 1, |e| {
+                e.str("emp");
+                codec::enc_rows(e, &rows);
+            }));
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        let back = WalReader::read_committed(&path).unwrap();
+        assert_eq!(back.records, vec![(0, rec.clone()), (1, rec)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_statement_is_one_frame_recovered_whole_or_not_at_all() {
+        let dir = tmpdir("stmt");
+        let path = dir.join("wal.agv");
+        let recs = sample_records();
+        let members = recs[..6].to_vec();
+        write_log(
+            &path,
+            &[recs[2].clone(), WalRecord::Statement(members.clone())],
+        );
+        let full = std::fs::read(&path).unwrap();
+        let contents = WalReader::read_committed(&path).unwrap();
+        assert_eq!(contents.records.len(), 2, "one frame, one LSN");
+        assert_eq!(contents.records[1], (1, WalRecord::Statement(members)));
+        let (start, end) = (contents.frame_ends[0] as usize, full.len());
+        assert_eq!(full[start + FRAME_HEADER + 8], KIND_STATEMENT);
+        for cut in start..end {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let back = WalReader::read_committed(&path).unwrap();
+            assert_eq!(back.records.len(), 1, "cut at {cut}: no member survives");
+        }
+        // A statement inside a statement is not a shape the writer
+        // produces: the reader calls it corruption.
+        let mut e = Enc::new();
+        e.u64(1);
+        e.u8(KIND_STATEMENT);
+        e.u32(1);
+        e.u8(KIND_STATEMENT);
+        e.u32(0);
+        let payload = e.into_bytes();
+        let mut bytes = full[..start].to_vec();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(
+            WalReader::read_committed(&path).unwrap_err().kind(),
+            "corrupt"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fault_sites_are_consulted_once_per_frame() {
+        let dir = tmpdir("perframe");
+        let path = dir.join("wal.agv");
+        let contents = WalReader::read_committed(&path).unwrap();
+        let mut w = WalWriter::open(&path, &contents, 0).unwrap();
+        let recs = sample_records();
+        for site in ["wal.append", "wal.fsync"] {
+            let never = ScheduledIoFaults::at(site, u64::MAX, IoFaultKind::Error);
+            w.append(&WalRecord::Statement(recs[..4].to_vec()), &never)
+                .unwrap();
+            assert_eq!(never.hits(), 1, "{site}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

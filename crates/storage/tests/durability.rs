@@ -1,14 +1,18 @@
 //! Durable-catalog integration tests: reopen recovers exactly what was
-//! committed, checkpoints fold the WAL into a snapshot without losing
-//! anything, recovery is idempotent, torn/garbage WAL tails are
-//! tolerated, and a corrupt snapshot is reported as corruption rather
-//! than silently recovered around.
+//! committed, a statement of several mutations is one frame or nothing,
+//! checkpoints fold the WAL into a snapshot without losing anything,
+//! recovery is idempotent, torn/garbage WAL tails are tolerated, and a
+//! corrupt snapshot is reported as corruption rather than silently
+//! recovered around.
 
-use aggview_common::{tuple, AggSpec, Col, DataType, RelId, Schema, Value};
+use aggview_common::{
+    tuple, AggSpec, AggViewError, Col, DataType, IoFaultKind, RelId, ScheduledIoFaults, Schema,
+    Value,
+};
 use aggview_storage::catalog::WAL_FILE;
 use aggview_storage::matview::{ExtentLayout, MatViewDef, MatViewMeta};
 use aggview_storage::snapshot::SNAPSHOT_FILE;
-use aggview_storage::{Catalog, Table};
+use aggview_storage::{Catalog, Table, WalReader, WalRecord};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -101,6 +105,69 @@ fn reopen_recovers_tables_rows_versions_and_matviews() {
     let meta = cat.matview("by_dno").unwrap();
     assert!(!meta.is_quarantined());
     assert_eq!(meta.base_versions, vec![3]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_statement_is_one_frame_or_nothing() {
+    let dir = tmpdir("stmt");
+    let cat = Catalog::open(&dir).unwrap();
+    workload(&cat);
+    let wal = dir.join(WAL_FILE);
+    let frames = |n: usize| {
+        let contents = WalReader::read_committed(&wal).unwrap();
+        assert_eq!(contents.records.len(), n);
+        contents.records
+    };
+    let logged = frames(7).len();
+    let body = || {
+        cat.append_rows("emp", vec![tuple![13, 0]])?;
+        cat.mark_modified("dept")?;
+        cat.delete_rows("emp", &[0]).map(drop)
+    };
+
+    // Its body fails: nothing in memory, nothing in the log.
+    let before = cat.describe_state();
+    let failed: Result<(), _> = cat.statement(|| {
+        body()?;
+        // Not while a statement is open, either.
+        assert_eq!(cat.checkpoint().unwrap_err().kind(), "catalog");
+        Err(AggViewError::Exec("abort".into()))
+    });
+    assert_eq!(failed.unwrap_err().kind(), "exec");
+    assert_eq!(cat.describe_state(), before);
+    frames(logged);
+
+    // Its one fsync fails: the same, and the next one starts clean.
+    let faults = Arc::new(ScheduledIoFaults::at("wal.fsync", 0, IoFaultKind::Error));
+    cat.set_io_faults(faults.clone());
+    assert_eq!(cat.statement(body).unwrap_err().kind(), "io");
+    assert_eq!(faults.hits(), 1);
+    assert_eq!(cat.describe_state(), before);
+    frames(logged);
+
+    // It commits: one frame more, holding its three records in order.
+    cat.statement(body).unwrap();
+    assert_eq!(faults.hits(), 2, "one fsync");
+    let records = frames(logged + 1);
+    let WalRecord::Statement(members) = &records[logged].1 else {
+        panic!("{:?}", records[logged]);
+    };
+    assert!(
+        matches!(
+            members[..],
+            [
+                WalRecord::InsertBatch { .. },
+                WalRecord::MarkModified { .. },
+                WalRecord::DeleteBatch { .. }
+            ]
+        ),
+        "{members:?}"
+    );
+    let committed = cat.describe_state();
+    assert_ne!(committed, before);
+    drop(cat);
+    assert_eq!(Catalog::open(&dir).unwrap().describe_state(), committed);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

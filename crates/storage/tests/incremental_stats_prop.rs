@@ -12,13 +12,18 @@
 //!   key index, statistics, versions and the WAL untouched;
 //! * after every batch, accepted or rejected, the column image scans
 //!   read (`Table::column`) is the transpose of the rows, and a reader
-//!   that took the table before the batch keeps its rows and its image.
+//!   that took the table before the batch keeps its rows and its image;
+//! * a statement that applied several patches and was then rolled back
+//!   leaves rows, versions and the WAL as they were, statistics equal to
+//!   `analyze(rows)` and every surviving key findable — and the next
+//!   patch is accepted or rejected exactly as on a table that never saw
+//!   the rolled-back ones.
 //!
 //! The op mix includes the cases an incremental summary gets wrong
 //! first: deleting the current minimum and maximum, emptying the table,
 //! and an UPDATE that swaps the keys of two rows.
 
-use aggview_common::{ColumnVec, DataType, Schema, Tuple, Value};
+use aggview_common::{AggViewError, ColumnVec, DataType, Schema, Tuple, Value};
 use aggview_storage::catalog::WAL_FILE;
 use aggview_storage::stats::{analyze, Histogram, TableStats, HISTOGRAM_BUCKETS};
 use aggview_storage::{Catalog, Table};
@@ -125,6 +130,27 @@ fn extremum(rows: &[Tuple], max: bool) -> Option<usize> {
     found.map(|(i, _)| i)
 }
 
+/// The exact half of the statistics contract, and the key index: the
+/// table's statistics are those of its rows, its size is the sum of
+/// their widths, and every row is found under its key.
+fn assert_exact_and_keyed(t: &Table, step: usize) {
+    let (exact, got) = (analyze(t.rows(), NCOLS), t.stats());
+    assert_eq!(got.rows, exact.rows, "step {step}");
+    assert_eq!(got.row_width.to_bits(), exact.row_width.to_bits());
+    for (g, e) in got.columns.iter().zip(&exact.columns) {
+        assert_eq!(g.distinct, e.distinct, "step {step}");
+        assert_eq!(g.min.map(f64::to_bits), e.min.map(f64::to_bits));
+        assert_eq!(g.max.map(f64::to_bits), e.max.map(f64::to_bits));
+        assert_eq!(g.avg_width.to_bits(), e.avg_width.to_bits());
+    }
+    let bytes: usize = t.rows().iter().map(Tuple::width).sum();
+    assert_eq!(t.byte_size(), bytes as u64, "step {step}");
+    for (i, r) in t.rows().iter().enumerate() {
+        assert_eq!(t.find_key(&r.project(&[0])), Some(i), "step {step}");
+    }
+    assert_eq!(t.find_key(&Tuple::new(vec![Value::Int(-1)])), None);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -146,7 +172,7 @@ proptest! {
 
         for step in 0..40 {
             let rows = cat.get("t").unwrap().rows().to_vec();
-            let kind = rng.below(12);
+            let kind = rng.below(14);
             let before = fingerprint(&cat, &wal);
             // Every other step a reader holds the table, image built,
             // across the batch: the batch then edits a copy.
@@ -232,6 +258,41 @@ proptest! {
                     prop_assert!(cat.update_rows("t", &at[..1], vec![Tuple::new(v)]).is_err());
                     None
                 }
+                12 | 13 => {
+                    // A statement appends, deletes and updates, and then
+                    // fails: all three patches are taken back.
+                    let at = positions(rows.len(), 1 + rng.below(3) as usize, &mut rng);
+                    let state = (cat.describe_state(), before.2, before.3, before.4);
+                    let aborted = cat.statement(|| {
+                        let batch = vec![row(next_id + 1, &mut rng), row(next_id + 2, &mut rng)];
+                        cat.append_rows("t", batch)?;
+                        if let Some((&first, rest)) = at.split_first() {
+                            cat.delete_rows("t", &[first])?;
+                            // Positions behind the deleted row moved up.
+                            let moved: Vec<usize> = rest.iter().map(|i| i - 1).collect();
+                            let new = rest
+                                .iter()
+                                .map(|&i| row(rows[i].get(0).as_i64().unwrap(), &mut rng))
+                                .collect();
+                            cat.update_rows("t", &moved, new)?;
+                        }
+                        Err::<(), _>(AggViewError::Exec("abort".into()))
+                    });
+                    prop_assert!(aborted.is_err());
+                    let after = fingerprint(&cat, &wal);
+                    prop_assert_eq!((after.0, after.2, after.3, after.4), state, "step {}", step);
+                    assert_exact_and_keyed(&cat.get("t").unwrap(), step);
+                    // A key the statement took and gave back is free; a
+                    // key the table holds is still held.
+                    if let Some(held) = rows.first() {
+                        let mut dup = row(next_id + 1, &mut rng).values().to_vec();
+                        dup[0] = held.get(0).clone();
+                        prop_assert!(cat.append_rows("t", vec![Tuple::new(dup)]).is_err());
+                    }
+                    next_id += 1;
+                    cat.append_rows("t", vec![row(next_id, &mut rng)]).unwrap();
+                    Some(1)
+                }
                 _ => Some(0),
             };
             match outcome {
@@ -245,23 +306,9 @@ proptest! {
             }
             let t = cat.get("t").unwrap();
             prop_assert!(image_is_transpose_of_rows(&t), "step {}", step);
-            let exact = analyze(t.rows(), NCOLS);
-            let got = t.stats();
-            prop_assert_eq!(got.rows, exact.rows);
-            prop_assert_eq!(got.row_width.to_bits(), exact.row_width.to_bits());
-            for (g, e) in got.columns.iter().zip(&exact.columns) {
-                prop_assert_eq!(g.distinct, e.distinct);
-                prop_assert_eq!(g.min.map(f64::to_bits), e.min.map(f64::to_bits));
-                prop_assert_eq!(g.max.map(f64::to_bits), e.max.map(f64::to_bits));
-                prop_assert_eq!(g.avg_width.to_bits(), e.avg_width.to_bits());
-            }
-            let bytes: usize = t.rows().iter().map(Tuple::width).sum();
-            prop_assert_eq!(t.byte_size(), bytes as u64);
+            assert_exact_and_keyed(&t, step);
             prop_assert!(cat.stats_fresh("t"));
-            for (i, r) in t.rows().iter().enumerate() {
-                prop_assert_eq!(t.find_key(&r.project(&[0])), Some(i), "step {}", step);
-            }
-            prop_assert_eq!(t.find_key(&Tuple::new(vec![Value::Int(-1)])), None);
+            let (exact, got) = (analyze(t.rows(), NCOLS), t.stats());
 
             history.push((changed, hists(&exact)));
             let lag = got.rows / HISTOGRAM_BUCKETS as u64;

@@ -226,8 +226,9 @@ fn directed_retraction_gauntlet() {
 }
 
 /// DML costs what it changes, not what it leaves alone: the log of a
-/// one-row INSERT maintained into three views is 1 + 3 records whose
-/// bytes do not depend on the size of the base table.
+/// one-row INSERT maintained into three views is one statement frame of
+/// 1 + 3 records whose bytes do not depend on the size of the base
+/// table.
 #[test]
 fn wal_bytes_of_a_one_row_insert_do_not_depend_on_table_size() {
     use aggview::storage::catalog::WAL_FILE;
@@ -247,10 +248,12 @@ fn wal_bytes_of_a_one_row_insert_do_not_depend_on_table_size() {
         s.execute("insert into emp values (999999, 'late', 0, 512.5, 22)")
             .unwrap();
         let contents = WalReader::read_committed(&wal).unwrap();
-        let kinds: Vec<&WalRecord> = contents.records.iter().map(|(_, r)| r).collect();
+        let [(_, WalRecord::Statement(members))] = &contents.records[..] else {
+            panic!("one statement, one frame: {:?}", contents.records);
+        };
         assert!(
             matches!(
-                kinds[..],
+                members[..],
                 [
                     WalRecord::InsertBatch { .. },
                     WalRecord::PatchExtent { .. },
@@ -258,7 +261,7 @@ fn wal_bytes_of_a_one_row_insert_do_not_depend_on_table_size() {
                     WalRecord::PatchExtent { .. }
                 ]
             ),
-            "{kinds:?}"
+            "{members:?}"
         );
         for (view, _) in VIEWS {
             assert!(!s.catalog().matview(view).unwrap().is_stale(s.catalog()));

@@ -9,7 +9,10 @@
 //! asserts:
 //!
 //! 1. **recovered == committed** — the recovered catalog's state equals
-//!    the reference built from successful operations only;
+//!    the reference built from successful operations only, where an
+//!    operation is a whole statement: one that logs several records
+//!    (a base change plus two extent patches; an extent plus its view's
+//!    metadata) is recovered with all of them or none;
 //! 2. **idempotence** — recovering the same directory again yields the
 //!    identical state;
 //! 3. **staleness across crashes** — a materialized view the recovered
@@ -65,8 +68,12 @@ fn emp() -> Arc<Table> {
 }
 
 fn view_meta(catalog: &Catalog) -> (MatViewMeta, Arc<Table>) {
+    view_named(catalog, "by_dno")
+}
+
+fn view_named(catalog: &Catalog, name: &str) -> (MatViewMeta, Arc<Table>) {
     let def = MatViewDef {
-        name: "by_dno".to_string(),
+        name: name.to_string(),
         tables: vec!["emp".to_string()],
         preds: vec![],
         group_cols: vec![Col::base(RelId(0), 1)],
@@ -78,11 +85,11 @@ fn view_meta(catalog: &Catalog) -> (MatViewMeta, Arc<Table>) {
         .map(|i| (format!("c{i}"), DataType::Int))
         .collect();
     let refs: Vec<(&str, DataType)> = fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-    let extent = Table::builder(MatViewMeta::extent_name("by_dno"), Schema::of(&refs))
+    let extent = Table::builder(MatViewMeta::extent_name(name), Schema::of(&refs))
         .build()
         .unwrap();
     let meta = MatViewMeta {
-        extent: MatViewMeta::extent_name("by_dno"),
+        extent: MatViewMeta::extent_name(name),
         layout,
         base_versions: vec![catalog.data_version("emp")],
         def,
@@ -150,6 +157,43 @@ fn run_workload(cat: &Catalog, reference: &Catalog) {
         };
         both(round(cat, patch.clone()).is_ok(), &|r| {
             round(r, patch.clone()).unwrap();
+        });
+    }
+    // Statements of several records, each one frame: the fault sweep
+    // reaches their write and their fsync like any other, and a fault
+    // there (a torn half-frame included) must lose every member.
+    // First a second view, extent and metadata together...
+    let create_second = |c: &Catalog| {
+        c.statement(|| {
+            let (meta, extent) = view_named(c, "by_dno2");
+            c.add(extent)?;
+            c.register_matview(meta)
+        })
+    };
+    if cat.contains("emp") {
+        both(create_second(cat).is_ok(), &|r| create_second(r).unwrap());
+    }
+    // ...then what a DML statement over two views does: the base change
+    // and both extents' patches. Gated on what its positions assume.
+    let insert_maintained = |c: &Catalog| {
+        c.statement(|| {
+            c.append_rows("emp", vec![tuple![14, 1]])?;
+            let stamp = vec![c.data_version("emp")];
+            let first = RowPatch {
+                updates: vec![(1, tuple![1, 3, 3])],
+                ..RowPatch::default()
+            };
+            c.patch_extent("by_dno", first, stamp.clone())?;
+            let second = RowPatch {
+                inserts: vec![tuple![0, 1, 1], tuple![1, 3, 3]],
+                ..RowPatch::default()
+            };
+            c.patch_extent("by_dno2", second, stamp)
+        })
+    };
+    if cat.get("__mv_by_dno").is_ok_and(|t| t.len() == 2) && cat.matview("by_dno2").is_some() {
+        both(insert_maintained(cat).is_ok(), &|r| {
+            insert_maintained(r).unwrap();
         });
     }
     let _ = cat.checkpoint();
@@ -278,6 +322,13 @@ fn recovery_after_failed_recovery_is_clean() {
         let cat = Catalog::open(&dir).unwrap();
         run_workload(&cat, &reference);
     }
+    // The clean run reaches the workload's multi-record statements.
+    assert_eq!(reference.get("__mv_by_dno2").unwrap().len(), 2);
+    assert!(reference
+        .get("emp")
+        .unwrap()
+        .find_key(&tuple![14])
+        .is_some());
     // Fail the first post-recovery append; state must be unchanged.
     let faults = Arc::new(ScheduledIoFaults::at("wal.append", 0, IoFaultKind::Error));
     let cat = Catalog::open_with_faults(&dir, faults).unwrap();
@@ -303,14 +354,15 @@ fn clone_with_cut(src: &Path, dst: &Path, cut: usize) {
     std::fs::write(dst.join(WAL_FILE), &wal[..cut]).unwrap();
 }
 
-/// A crash that tears the extent-patch record at any byte loses exactly
-/// that record: the base-table change before it is recovered, the
-/// extent keeps its old rows and old stamp — stale, never half-patched —
-/// and a second recovery agrees with the first.
+/// A crash that tears a DML statement's frame at any byte loses the
+/// whole statement: the base-table change is not recovered without the
+/// extent patch it caused, so the table comes back as it was before the
+/// statement and the view comes back *fresh* — and a second recovery
+/// agrees with the first.
 #[test]
-fn torn_extent_patch_recovers_stale_not_torn() {
-    let dir = tmpdir("tornpatch");
-    let scratch = tmpdir("tornpatch-cut");
+fn torn_statement_is_absent_and_views_stay_fresh() {
+    let dir = tmpdir("tornstmt");
+    let scratch = tmpdir("tornstmt-cut");
     let mut s = Session::open(&dir).unwrap();
     let cat = s.catalog();
     cat.add(emp()).unwrap();
@@ -321,23 +373,29 @@ fn torn_extent_patch_recovers_stale_not_torn() {
          select dno, count(*) from emp group by dno",
     )
     .unwrap();
-    let stale_extent = s.catalog().get("__mv_by_dno").unwrap().rows().to_vec();
+    let before = s.catalog().describe_state();
     s.execute("insert into emp values (12, 1), (13, 5)")
         .unwrap();
     let committed = s.catalog().describe_state();
+    assert_ne!(before, committed);
     drop(s);
 
     let wal = dir.join(WAL_FILE);
     let contents = WalReader::read_committed(&wal).unwrap();
     let n = contents.records.len();
+    let WalRecord::Statement(members) = &contents.records[n - 1].1 else {
+        panic!(
+            "the statement is the log's last frame: {:?}",
+            contents.records
+        );
+    };
     assert!(
-        matches!(contents.records[n - 1].1, WalRecord::PatchExtent { .. }),
-        "maintenance logs the round as its last record"
+        matches!(
+            members[..],
+            [WalRecord::InsertBatch { .. }, WalRecord::PatchExtent { .. }]
+        ),
+        "{members:?}"
     );
-    assert!(matches!(
-        contents.records[n - 2].1,
-        WalRecord::InsertBatch { .. }
-    ));
     let (start, end) = (
         contents.frame_ends[n - 2] as usize,
         contents.committed_len as usize,
@@ -345,22 +403,16 @@ fn torn_extent_patch_recovers_stale_not_torn() {
     for cut in start..end {
         clone_with_cut(&dir, &scratch, cut);
         let recovered = Catalog::open(&scratch).unwrap();
-        assert_eq!(recovered.get("emp").unwrap().len(), 4, "cut at {cut}");
-        assert_eq!(
-            recovered.get("__mv_by_dno").unwrap().rows(),
-            stale_extent,
-            "cut at {cut}"
-        );
+        assert_eq!(recovered.describe_state(), before, "cut at {cut}");
         assert!(
-            recovered.matview("by_dno").unwrap().is_stale(&recovered),
-            "cut at {cut}: a lost patch must leave the view stale"
+            !recovered.matview("by_dno").unwrap().is_stale(&recovered),
+            "cut at {cut}: no base change was recovered, so the view is fresh"
         );
-        let once = recovered.describe_state();
         drop(recovered);
         let again = Catalog::open(&scratch).unwrap();
         assert_eq!(
             again.describe_state(),
-            once,
+            before,
             "cut at {cut} (second recovery)"
         );
     }
@@ -399,7 +451,12 @@ fn log_in_the_previous_format_replays() {
         .unwrap();
     drop(s);
     let contents = WalReader::read_committed(&dir.join(WAL_FILE)).unwrap();
-    let kinds: Vec<&WalRecord> = contents.records[before..].iter().map(|(_, r)| r).collect();
+    let [(_, WalRecord::Statement(kinds))] = &contents.records[before..] else {
+        panic!(
+            "one statement, one frame: {:?}",
+            &contents.records[before..]
+        );
+    };
     assert!(
         matches!(
             kinds[..],
