@@ -125,14 +125,8 @@ pub fn run_exec_bench(cfg: &ExecBenchConfig) -> Result<ExecBenchReport> {
     // Kernels first: their timings then do not depend on the allocator
     // state the workloads leave behind (`eager_agg_off` materializes a
     // 64 MB join output).
-    let emp_rows = empdept
-        .get("emp")
-        .map(|t| t.rows().to_vec())
-        .unwrap_or_default();
-    let dept_rows = empdept
-        .get("dept")
-        .map(|t| t.rows().to_vec())
-        .unwrap_or_default();
+    let emp_rows = empdept.get("emp").map(|t| t.rows()).unwrap_or_default();
+    let dept_rows = empdept.get("dept").map(|t| t.rows()).unwrap_or_default();
     let emp_types: Vec<DataType> = empdept
         .get("emp")?
         .schema()
@@ -372,8 +366,7 @@ fn timing(name: &'static str, input_rows: usize, ms: f64) -> KernelTiming {
 }
 
 /// Scan+filter+project of the emp table, as the engine's scan runs it:
-/// over the table's column image. Whichever scan names a column first
-/// transposes it; best-of-`repeats` times the scans after that one.
+/// over the table's columns; best-of-`repeats`.
 fn filter_kernel(table: &Table, repeats: usize) -> Result<KernelTiming> {
     let gov = ResourceGovernor::unlimited();
     let opts = ExecOptions::with_threads(1);

@@ -2,7 +2,7 @@
 //!
 //! A [`Batch`] is a set of equal-length [`ColumnVec`]s plus an explicit
 //! row count (so zero-column projections still know how many rows they
-//! carry). Scans gather batches out of their table's column image;
+//! carry). Scans gather batches out of their table's columns;
 //! operators process fixed-size tiles with per-column kernels and
 //! materialize back to `Vec<Tuple>` ([`Batch::to_tuples`]) only at plan
 //! boundaries — the result set, matview extent builds, and verification.

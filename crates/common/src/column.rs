@@ -43,7 +43,9 @@ pub fn mixed_demotions() -> u64 {
 /// pointer, so neither it nor the digest ever dereferences the string.
 /// Interning keeps entries unique, hence under one dictionary two codes
 /// are equal exactly when their strings are. A dictionary only grows;
-/// columns hold it behind an `Arc` and may reference any subset of it.
+/// columns hold it behind an `Arc` and may reference any subset of it
+/// (a column that has stopped referencing most of one moves to a
+/// dictionary of its own, [`StrCol::reintern`]).
 #[derive(Clone, Default)]
 pub struct StrDict {
     strs: Vec<Arc<str>>,
@@ -192,17 +194,49 @@ impl StrCol {
         Arc::ptr_eq(&self.dict, &other.dict)
     }
 
-    /// Append `s`, interning it; returns the byte width appended.
-    pub fn push(&mut self, s: &Arc<str>) -> u64 {
+    /// The code of `s` in this column's dictionary, entering it if new
+    /// (into a copy of the dictionary when others still share it).
+    fn intern(&mut self, s: &Arc<str>) -> u32 {
         let digest = str_digest(s);
-        let code = match self.dict.find(s, digest) {
+        match self.dict.find(s, digest) {
             Some(code) => code,
             None => Arc::make_mut(&mut self.dict).insert(s, digest),
-        };
+        }
+    }
+
+    /// Append `s`, interning it; returns the byte width appended.
+    pub fn push(&mut self, s: &Arc<str>) -> u64 {
+        let code = self.intern(s);
         let w = self.dict.width(code);
         self.codes.push(code);
         self.bytes += w;
         w
+    }
+
+    /// Overwrite row `i` with `s`, interning it.
+    fn set(&mut self, i: usize, s: &Arc<str>) {
+        let code = self.intern(s);
+        self.bytes = self.bytes - self.dict.width(self.codes[i]) + self.dict.width(code);
+        self.codes[i] = code;
+    }
+
+    /// Move the column to a dictionary of exactly the strings its rows
+    /// reference, entered in row order — what interning the rows afresh
+    /// would build, without hashing a string. For a long-lived column
+    /// whose edits left most entries unreferenced; sharers keep the old.
+    pub fn reintern(&mut self) {
+        const UNSEEN: u32 = u32::MAX;
+        let old = Arc::clone(&self.dict);
+        let mut dict = StrDict::default();
+        let mut moved = vec![UNSEEN; old.len()];
+        for code in &mut self.codes {
+            let from = *code as usize;
+            if moved[from] == UNSEEN {
+                moved[from] = dict.insert(&old.strs[from], old.digests[from]);
+            }
+            *code = moved[from];
+        }
+        self.dict = Arc::new(dict);
     }
 
     fn empty_like(&self) -> StrCol {
@@ -340,68 +374,12 @@ impl ColumnVec {
     }
 
     /// Transpose tuple position `p` of `rows` into a column declared as
-    /// `ty`. Column-major: the variant dispatch happens once per column
-    /// and the typed sweep copies payloads into a pre-reserved vector;
-    /// the first value that does not match the declared type (only
-    /// possible on ill-typed data) demotes the column to `Mixed` and the
-    /// remainder goes through [`ColumnVec::push_value`], producing
-    /// exactly what a row-major `push_value` loop would.
+    /// `ty`: a [`ColumnVec::push_value`] loop, so the first value off the
+    /// declared type (only possible on ill-typed data) demotes the column
+    /// to `Mixed`.
     pub fn from_tuples_col(rows: &[Tuple], p: usize, ty: DataType) -> ColumnVec {
         let mut col = ColumnVec::with_type(ty);
-        let typed = match &mut col {
-            ColumnVec::Int(out) => fill_typed(rows, p, out, |v| match v {
-                Value::Int(x) => Some(*x),
-                _ => None,
-            }),
-            ColumnVec::Float(out) => fill_typed(rows, p, out, |v| match v {
-                Value::Float(x) => Some(*x),
-                _ => None,
-            }),
-            ColumnVec::Str(out) => {
-                // Interned into a dictionary nobody shares yet (no entry
-                // pays for `Arc::make_mut`'s uniqueness check) whose index
-                // starts with room for a string per row and is cut to fit
-                // afterwards: growing it step by step costs an
-                // all-distinct column as much as the interning itself.
-                let mut dict = StrDict {
-                    cells: vec![0; index_cells(rows.len())],
-                    ..StrDict::default()
-                };
-                let mut codes = Vec::with_capacity(rows.len());
-                let mut bytes = 0u64;
-                let ill_typed = rows.iter().position(|r| match r.get(p) {
-                    Value::Str(s) => {
-                        let digest = str_digest(s);
-                        let code = match dict.find(s, digest) {
-                            Some(code) => code,
-                            None => dict.insert(s, digest),
-                        };
-                        bytes += dict.width(code);
-                        codes.push(code);
-                        false
-                    }
-                    _ => true,
-                });
-                if index_cells(dict.len()) < dict.cells.len() {
-                    dict.reindex(index_cells(dict.len()));
-                }
-                *out = StrCol {
-                    dict: Arc::new(dict),
-                    codes,
-                    bytes,
-                };
-                ill_typed.unwrap_or(rows.len())
-            }
-            ColumnVec::Bool(out) => fill_typed(rows, p, out, |v| match v {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }),
-            ColumnVec::Mixed(out) => {
-                out.extend(rows.iter().map(|r| r.get(p).clone()));
-                rows.len()
-            }
-        };
-        for row in &rows[typed..] {
+        for row in rows {
             col.push_value(row.get(p).clone());
         }
         col
@@ -440,6 +418,54 @@ impl ColumnVec {
             (ColumnVec::Bool(out), ColumnVec::Bool(xs)) => out.push(xs[i]),
             (ColumnVec::Mixed(out), ColumnVec::Mixed(xs)) => out.push(xs[i].clone()),
             _ => self.push_value(src.value_at(i)),
+        }
+    }
+
+    /// Overwrite the value at `i`, degrading to `Mixed` on a type
+    /// mismatch exactly as [`ColumnVec::push_value`] does.
+    pub fn set_value(&mut self, i: usize, v: Value) {
+        match (&mut *self, v) {
+            (ColumnVec::Int(xs), Value::Int(x)) => xs[i] = x,
+            (ColumnVec::Float(xs), Value::Float(x)) => xs[i] = x,
+            (ColumnVec::Str(xs), Value::Str(s)) => xs.set(i, &s),
+            (ColumnVec::Bool(xs), Value::Bool(b)) => xs[i] = b,
+            (ColumnVec::Mixed(xs), v) => xs[i] = v,
+            (_, v) => {
+                self.make_mixed();
+                if let ColumnVec::Mixed(xs) = self {
+                    xs[i] = v;
+                }
+            }
+        }
+    }
+
+    /// Return a column that is `Mixed` only by its history — every value
+    /// it holds now is a `ty` — to the typed vector of `ty`.
+    pub fn retype(&mut self, ty: DataType) {
+        let ColumnVec::Mixed(xs) = self else { return };
+        if xs.iter().all(|v| v.data_type() == ty) {
+            let mut typed = ColumnVec::with_type(ty);
+            std::mem::take(xs)
+                .into_iter()
+                .for_each(|v| typed.push_value(v));
+            *self = typed;
+        }
+    }
+
+    /// Remove the rows at `doomed` (strictly increasing positions) in one
+    /// pass; the others keep their order. A string column keeps its
+    /// dictionary, entries the removed rows alone referenced included.
+    pub fn remove_rows(&mut self, doomed: &[usize]) {
+        match self {
+            ColumnVec::Int(xs) => close_gaps(xs, doomed),
+            ColumnVec::Float(xs) => close_gaps(xs, doomed),
+            ColumnVec::Str(xs) => {
+                let gone: u64 = doomed.iter().map(|&i| xs.dict.width(xs.codes[i])).sum();
+                xs.bytes -= gone;
+                close_gaps(&mut xs.codes, doomed);
+            }
+            ColumnVec::Bool(xs) => close_gaps(xs, doomed),
+            ColumnVec::Mixed(xs) => close_gaps(xs, doomed),
         }
     }
 
@@ -601,23 +627,14 @@ impl ColumnVec {
     }
 }
 
-/// Typed transpose sweep: extract `p` of every row while the payload
-/// matches, returning how many rows were consumed (all of them for
-/// well-typed data).
-fn fill_typed<T>(
-    rows: &[Tuple],
-    p: usize,
-    out: &mut Vec<T>,
-    extract: impl Fn(&Value) -> Option<T>,
-) -> usize {
-    out.reserve(rows.len());
-    for (k, row) in rows.iter().enumerate() {
-        match extract(row.get(p)) {
-            Some(x) => out.push(x),
-            None => return k,
-        }
-    }
-    rows.len()
+/// Drop the elements at `doomed` (strictly increasing positions).
+fn close_gaps<T>(xs: &mut Vec<T>, doomed: &[usize]) {
+    let mut doomed = doomed.iter().copied().peekable();
+    let mut at = 0;
+    xs.retain(|_| {
+        at += 1;
+        doomed.next_if_eq(&(at - 1)).is_none()
+    });
 }
 
 #[cfg(test)]

@@ -219,16 +219,6 @@ impl BoundPredicate {
     }
 }
 
-/// Evaluate a conjunction of bound predicates.
-pub fn eval_conjunction(preds: &[BoundPredicate], t: &Tuple) -> Result<bool> {
-    for p in preds {
-        if !p.eval(t)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,21 +284,6 @@ mod tests {
             .unwrap();
         assert!(b.eval(&tuple![21i64]).unwrap());
         assert!(!b.eval(&tuple![22i64]).unwrap());
-    }
-
-    #[test]
-    fn eval_conjunction_short_circuits_to_false() {
-        let t = tuple![5i64];
-        let yes = Predicate::cmp_const(Col::base(RelId(0), 0), CmpOp::Gt, 1i64);
-        let no = Predicate::cmp_const(Col::base(RelId(0), 0), CmpOp::Gt, 9i64);
-        let layout = |c: Col| match c {
-            Col::Base(_) => Some(0),
-            _ => None,
-        };
-        let preds = vec![yes.bind(&layout).unwrap(), no.bind(&layout).unwrap()];
-        assert!(!eval_conjunction(&preds, &t).unwrap());
-        assert!(eval_conjunction(&preds[..1], &t).unwrap());
-        assert!(eval_conjunction(&[], &t).unwrap());
     }
 
     #[test]

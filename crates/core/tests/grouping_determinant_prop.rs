@@ -68,7 +68,7 @@ fn rows_of(plan: &Plan, cat: &Catalog) -> Vec<Tuple> {
         } => {
             let t = cat.get(table).unwrap();
             let cols: Vec<Col> = (0..t.schema().len()).map(|c| Col::base(*rel, c)).collect();
-            project(&cols, &select(&cols, t.rows().to_vec(), filters), onto)
+            project(&cols, &select(&cols, t.rows(), filters), onto)
         }
         Plan::Join {
             left,

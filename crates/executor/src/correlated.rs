@@ -81,7 +81,9 @@ pub fn execute_correlated(
     let mut io_pages = outer_pages;
     let mut inner_scans = 0u64;
     let mut rows = Vec::new();
-    'outer: for o in outer.rows() {
+    // The nested iteration this module models is row-at-a-time.
+    let inner_rows = inner.rows();
+    'outer: for o in &outer.rows() {
         for b in &bound {
             if !b.eval(o)? {
                 continue 'outer;
@@ -93,7 +95,7 @@ pub fn execute_correlated(
         let mut acc = AggAccumulator::new(q.agg);
         let corr = o.get(q.corr_outer);
         let mut matched = false;
-        for i in inner.rows() {
+        for i in &inner_rows {
             if i.get(q.corr_inner) == corr {
                 acc.update(Some(i.get(q.agg_col)))?;
                 matched = true;

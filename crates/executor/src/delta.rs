@@ -171,7 +171,7 @@ pub fn maintain_after_dml(
 fn extent_rows(catalog: &Catalog, meta: &MatViewMeta) -> Vec<Tuple> {
     catalog
         .get(&meta.extent)
-        .map(|t| t.rows().to_vec())
+        .map(|t| t.rows())
         .unwrap_or_default()
 }
 
@@ -269,7 +269,7 @@ pub fn apply_zset_delta(
         };
         if let Some(at) = at {
             gov.charge_rows(1)?;
-            gt.accumulate(&extent.rows()[at], &key_pos, &inputs, &funcs)?;
+            gt.accumulate(&extent.row(at), &key_pos, &inputs, &funcs)?;
             positions.push(at);
         }
     }
@@ -363,7 +363,7 @@ pub fn apply_zset_delta(
         let row = matview::row_of(g, def)?;
         gov.charge_output(1, row.width() as u64)?;
         match at {
-            Some(at) if extent.rows()[at] == row => {}
+            Some(at) if extent.row(at) == row => {}
             Some(at) => patch.updates.push((at, row)),
             None => patch.inserts.push(row),
         }
@@ -581,7 +581,7 @@ mod tests {
 
     fn extent_sorted(cat: &Catalog, view: &str) -> Vec<Tuple> {
         let meta = cat.matview(view).unwrap();
-        let mut rows = cat.get(&meta.extent).unwrap().rows().to_vec();
+        let mut rows = cat.get(&meta.extent).unwrap().rows();
         rows.sort();
         rows
     }
@@ -606,7 +606,7 @@ mod tests {
             Value::Int(30),
         )];
         matview::build_extent(&def, &cat, model, opts, &gov).unwrap();
-        let before = cat.get("__mv_young").unwrap().rows().to_vec();
+        let before = cat.get("__mv_young").unwrap().rows();
         // One row joins a stored group, one opens a new group, one fails
         // the view's filter.
         let rows = vec![
@@ -633,7 +633,7 @@ mod tests {
         assert!(change.deleted.is_empty());
         // A patch, not a rebuild: untouched rows keep their positions,
         // the merged group is replaced in place, the new one appended.
-        let after = cat.get("__mv_young").unwrap().rows().to_vec();
+        let after = cat.get("__mv_young").unwrap().rows();
         assert_eq!(after.len(), before.len() + 1);
         assert_eq!(after[0], change.updated[0].1);
         assert_eq!(after[1..before.len()], before[1..]);
@@ -741,7 +741,7 @@ mod tests {
         let (model, opts, gov) = exec_env();
         matview::build_extent(&sum_count_view("v"), &cat, model, opts, &gov).unwrap();
         // Delete every employee of dept 2.
-        let rows = cat.get("emp").unwrap().rows().to_vec();
+        let rows = cat.get("emp").unwrap().rows();
         let indices: Vec<usize> = rows
             .iter()
             .enumerate()
@@ -767,7 +767,7 @@ mod tests {
         matview::build_extent(&min_view("m"), &cat, model, opts, &gov).unwrap();
         // Find dept 0's minimum-salary employee and delete them: the
         // stored MIN must be recomputed, and must agree with refresh.
-        let rows = cat.get("emp").unwrap().rows().to_vec();
+        let rows = cat.get("emp").unwrap().rows();
         let (idx, _) = rows
             .iter()
             .enumerate()
@@ -781,7 +781,7 @@ mod tests {
 
         // Deleting a non-extremum row is exact (no recompute needed,
         // same outcome either way).
-        let rows = cat.get("emp").unwrap().rows().to_vec();
+        let rows = cat.get("emp").unwrap().rows();
         let (idx, _) = rows
             .iter()
             .enumerate()
@@ -816,7 +816,7 @@ mod tests {
         };
         matview::build_extent(&def, &cat, model, opts, &gov).unwrap();
         // A mixed round: delete one young employee, update another.
-        let rows = cat.get("emp").unwrap().rows().to_vec();
+        let rows = cat.get("emp").unwrap().rows();
         let young: Vec<usize> = rows
             .iter()
             .enumerate()
@@ -923,7 +923,7 @@ mod tests {
         hub.subscribe("watcher", "v");
         // Delete all of dept 3 (a Deleted event) and one row of dept 0
         // (an Updated event) in a single round.
-        let rows = cat.get("emp").unwrap().rows().to_vec();
+        let rows = cat.get("emp").unwrap().rows();
         let mut indices: Vec<usize> = rows
             .iter()
             .enumerate()

@@ -311,10 +311,9 @@ impl<'a> Engine<'a> {
 
     /// Shared body of both scan operators: charge the whole-table read,
     /// then run the pushed-down filters and the projection over the
-    /// table's column image. `layout_of` maps logical columns to
-    /// *physical* column positions given the table's arity; filters and
-    /// projection are bound to those, and the image holds only the
-    /// columns some scan has named.
+    /// table's columns. `layout_of` maps logical columns to *physical*
+    /// column positions given the table's arity; filters and projection
+    /// are bound to those, and only the columns they name are read.
     fn scan_table(
         &self,
         ctx: &mut ExecCtx<'_>,
@@ -680,20 +679,19 @@ mod tests {
                 .0
                 .to_tuples()
         };
-        // The engine scans the very table `held` points at, so its image
-        // exists before the patch arrives.
+        // The engine scans the very table `held` points at.
         let before = e.execute(&plan).unwrap().rows;
         assert_eq!(scan_held(), before);
 
-        // `held` is shared: the patch edits a copy, which starts without
-        // an image; the reader's table and image stay as they were.
+        // `held` is shared: the patch edits a copy of the columns; the
+        // reader's stay as they were.
         cat.delete_rows("dept", &[0]).unwrap();
         assert_eq!(scan_held(), before);
         let after = e.execute(&plan).unwrap().rows;
         assert_eq!(after, before[1..]);
 
-        // Nobody holds the new table: the next patch edits it in place
-        // and must drop the image the scan above built.
+        // Nobody holds the new table: the next patch edits the columns
+        // the scan above read, in place.
         let mut renamed = after[0].values().to_vec();
         renamed[dept::DNAME] = Value::str("renamed");
         let renamed = Tuple::new(renamed);

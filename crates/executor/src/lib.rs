@@ -9,7 +9,7 @@
 //! experiment E9 quantifies.
 //!
 //! * [`engine`] — the recursive evaluator over columnar batches: scans
-//!   of the tables' column images with pushed-down filters, hash/nested-loop joins, and one
+//!   of the tables' columns with pushed-down filters, hash/nested-loop joins, and one
 //!   aggregation body that serves both the full group-by (finalize +
 //!   HAVING) and the partial aggregate (emit Figure-2 state components);
 //!   a group-by whose input carries [`aggview_common::PartRef`] columns

@@ -369,7 +369,7 @@ mod tests {
         assert!(!cat.matview("dsal").unwrap().is_stale(&cat));
 
         // The rebuilt extent is what a refresh produces.
-        let rebuilt = cat.get("__mv_dsal").unwrap().rows().to_vec();
+        let rebuilt = cat.get("__mv_dsal").unwrap().rows();
         assert_eq!(
             refresh("dsal", &cat, model, opts, &gov).unwrap(),
             rebuilt.len()

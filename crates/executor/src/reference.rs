@@ -114,7 +114,7 @@ fn eval(plan: &Plan, catalog: &Catalog) -> Result<Relation> {
         } => {
             let t = catalog.get(table)?;
             let cols: Vec<Col> = (0..t.schema().len()).map(|c| Col::base(*rel, c)).collect();
-            let rows = select(&cols, t.rows().to_vec(), filters)?;
+            let rows = select(&cols, t.rows(), filters)?;
             project(&cols, rows, onto)
         }
         Plan::ExtentScan {

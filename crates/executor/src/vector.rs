@@ -3,8 +3,8 @@
 //! The engine's operators process fixed-size column-major tiles of
 //! [`ExecOptions::batch_rows`] rows with tight per-column loops:
 //!
-//! * [`scan_table`] — filter a table's column image via selection
-//!   vectors, gather-project the survivors;
+//! * [`scan_table`] — filter a table's columns via selection vectors,
+//!   gather-project the survivors ([`matching_rows`]: the filter alone);
 //! * [`build_index`] / [`probe_join`] / [`nested_loop_join`] — hash and
 //!   nested-loop joins whose matches are emitted as per-side selection
 //!   vectors and gathered column-by-column;
@@ -219,9 +219,9 @@ pub(crate) struct RowFilter<'a, F> {
     /// Per predicate, when it compares a coded string column to a string
     /// constant: the column's codes and the comparison's outcome for
     /// each entry of its dictionary, so the sweep never touches a
-    /// string. A dictionary holds no more entries than the rows that
-    /// were scanned to build it, so this is never more comparisons than
-    /// a row-wise sweep of those rows.
+    /// string. A table keeps a dictionary under twice its column's
+    /// distinct strings, so this is at most two comparisons a row of a
+    /// full sweep — and one per distinct string, usually far fewer.
     str_pass: Vec<Option<(&'a [u32], Vec<bool>)>>,
 }
 
@@ -307,11 +307,11 @@ impl<'a, F: Fn(usize) -> &'a ColumnVec> RowFilter<'a, F> {
 // Scan
 // ---------------------------------------------------------------------
 
-/// Columnar scan of `table`'s column image ([`Table::column`]): sweep
-/// `preds` over each tile's row range and gather `positions` of the
-/// survivors. Both are bound to the table's physical column numbers, and
-/// only the columns they name are ever transposed. Survivors come back
-/// in row order; the second component is their total byte width.
+/// Columnar scan of `table`'s columns ([`Table::column`]): sweep `preds`
+/// over each tile's row range and gather `positions` of the survivors.
+/// Both are bound to the table's physical column numbers, and only the
+/// columns they name are ever read. Survivors come back in row order;
+/// the second component is their total byte width.
 pub fn scan_table(
     opts: &ExecOptions,
     gov: &ResourceGovernor,
@@ -350,6 +350,29 @@ pub fn scan_table(
         Ok((Batch::from_parts(out, out_len), bytes))
     })?;
     Ok(stitch(parts, || Batch::from_parts(out_layout(), 0)))
+}
+
+/// The positions of `table`'s rows that pass `preds` (bound to its
+/// physical column numbers), ascending: the scan's filter without the
+/// gather, for statements that address rows in place. Every row swept is
+/// charged to the row budget, a tile at a time.
+pub fn matching_rows(
+    opts: &ExecOptions,
+    gov: &ResourceGovernor,
+    table: &Table,
+    preds: &[BoundPredicate],
+) -> Result<Vec<usize>> {
+    let filter = RowFilter::new(preds, |p| table.column(p));
+    let mut out = Vec::new();
+    for_each_tile(gov, 0..table.len(), opts.batch_rows, |rows| {
+        gov.charge_output_bulk(rows.len() as u64, 0)?;
+        match filter.rows(rows.clone())? {
+            Some(sel) => out.extend(sel.iter().map(|&i| i as usize)),
+            None => out.extend(rows),
+        }
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------

@@ -259,7 +259,7 @@ fn string_columns_of_an_empty_table_filter_group_and_join_to_nothing() {
     }
 }
 
-/// DML brings strings the old column image's dictionary never held; a
+/// DML brings strings the column's dictionary never held; a
 /// reader that took the table before the statement keeps scanning its
 /// own rows through its own dictionary.
 #[test]
@@ -285,8 +285,8 @@ fn strings_new_to_the_dictionary_reach_new_scans_but_not_a_held_table() {
         )]
     };
 
-    // The engine scans the table `held` points at: its image, and the
-    // dictionary of `label`, exist before the DML arrives.
+    // The engine scans the table `held` points at, through the
+    // dictionary `label` has before the DML arrives.
     let held = cat.get("labels").unwrap();
     let before = run(&label_counts(vec![]));
     assert_eq!(

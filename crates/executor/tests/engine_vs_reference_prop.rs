@@ -569,7 +569,7 @@ proptest! {
     }
 
     /// One-column equi-joins of a table with itself: the two sides read
-    /// one column image, so string keys share a dictionary and — like
+    /// one stored column, so string keys share a dictionary and — like
     /// Int keys of a narrow range — address the build side directly;
     /// sparse and `i64`-spanning keys stay hashed. Same rows either way.
     #[test]

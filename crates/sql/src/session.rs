@@ -3,7 +3,6 @@
 use crate::ast::{AstExpr, AstPred, Stmt};
 use crate::binder::{bind, bind_matview, BoundQuery, ViewRegistry};
 use crate::parser::parse_script;
-use aggview_common::predicate::eval_conjunction;
 use aggview_common::{
     AggViewError, BinaryOp, Col, DataType, Expr, FaultInjector, Predicate, RelId, Result, Schema,
     Tuple, Value, ZSet,
@@ -15,7 +14,7 @@ use aggview_core::optimizer::multi_view::{optimize_governed, Optimized};
 use aggview_core::OptimizerConfig;
 use aggview_executor::subscribe::PendingRounds;
 use aggview_executor::{Engine, ExecOptions};
-use aggview_storage::Catalog;
+use aggview_storage::{Catalog, Table};
 use std::path::Path;
 use std::time::Duration;
 
@@ -336,8 +335,32 @@ impl Session {
         self.catalog
             .matview(view)
             .and_then(|m| self.catalog.get(&m.extent).ok())
-            .map(|t| t.rows().to_vec())
+            .map(|t| t.rows())
             .unwrap_or_default()
+    }
+
+    /// Positions of the rows of `t` a DML WHERE conjunction matches
+    /// (ascending, as the catalog mutators require), found by the
+    /// executor's columnar filter and charged to `gov` row by row swept.
+    fn matched_indices(
+        &self,
+        t: &Table,
+        preds: &[AstPred],
+        gov: &ResourceGovernor,
+    ) -> Result<Vec<usize>> {
+        let (table, schema) = (t.name(), t.schema());
+        let bound = preds
+            .iter()
+            .map(|p| {
+                Predicate::new(
+                    dml_expr(table, schema, &p.left, "WHERE predicate")?,
+                    p.op,
+                    dml_expr(table, schema, &p.right, "WHERE predicate")?,
+                )
+                .bind(&dml_layout)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        aggview_executor::vector::matching_rows(&self.exec, gov, t, &bound)
     }
 
     /// `UPDATE table SET col = expr, ... [WHERE ...]`: evaluate each SET
@@ -352,16 +375,15 @@ impl Session {
     ) -> Result<SqlResult> {
         self.commit_statement(|rounds| {
             let t = self.catalog.get(table)?;
-            let schema = t.schema().clone();
-            let bound_sets = bind_set_list(table, &schema, sets)?;
+            let bound_sets = bind_set_list(table, t.schema(), sets)?;
             let gov = ResourceGovernor::new(self.limits);
-            let indices = matched_indices(table, &schema, t.rows(), preds, &gov)?;
+            let indices = self.matched_indices(&t, preds, &gov)?;
             let mut replacements = Vec::with_capacity(indices.len());
             for &i in &indices {
-                let old = &t.rows()[i];
+                let old = t.row(i);
                 let mut vals = old.values().to_vec();
                 for (pos, ty, expr) in &bound_sets {
-                    vals[*pos] = coerce_to(expr.eval(old)?, *ty);
+                    vals[*pos] = coerce_to(expr.eval(&old)?, *ty);
                 }
                 replacements.push(Tuple::new(vals));
             }
@@ -397,9 +419,8 @@ impl Session {
     fn delete_stmt(&mut self, table: &str, preds: &[AstPred]) -> Result<SqlResult> {
         self.commit_statement(|rounds| {
             let t = self.catalog.get(table)?;
-            let schema = t.schema().clone();
             let gov = ResourceGovernor::new(self.limits);
-            let indices = matched_indices(table, &schema, t.rows(), preds, &gov)?;
+            let indices = self.matched_indices(&t, preds, &gov)?;
             let remaining = t.len() - indices.len();
             // A table still referenced here would be copied, not edited.
             drop(t);
@@ -422,9 +443,10 @@ impl Session {
         })
     }
 
-    /// Bind and optimize without executing; returns the bound query and
-    /// the optimizer result (for EXPLAIN-style inspection).
-    pub fn plan(&mut self, sql: &str) -> Result<(BoundQuery, Optimized)> {
+    /// Walk a script without executing it — view definitions are
+    /// registered, statements with side effects skipped — and bind its
+    /// last SELECT: what the planning-only surfaces start from.
+    fn bind_last_select(&mut self, sql: &str) -> Result<BoundQuery> {
         let stmts = parse_script(sql)?;
         let mut select = None;
         for stmt in stmts {
@@ -448,7 +470,13 @@ impl Session {
             }
         }
         let s = select.ok_or_else(|| AggViewError::Bind("script contains no SELECT".into()))?;
-        let bound = bind(&s, &self.catalog, &self.registry)?;
+        bind(&s, &self.catalog, &self.registry)
+    }
+
+    /// Bind and optimize without executing; returns the bound query and
+    /// the optimizer result (for EXPLAIN-style inspection).
+    pub fn plan(&mut self, sql: &str) -> Result<(BoundQuery, Optimized)> {
+        let bound = self.bind_last_select(sql)?;
         let gov = ResourceGovernor::new(self.limits);
         let opt = optimize_governed(&bound.query, &self.catalog, self.model, &self.config, &gov)?;
         Ok((bound, opt))
@@ -471,30 +499,7 @@ impl Session {
     /// a single `ok` row when the plan is clean; the `plan` and
     /// `estimated_cost` fields describe the analyzed plan.
     pub fn verify(&mut self, sql: &str) -> Result<SqlResult> {
-        let stmts = parse_script(sql)?;
-        let mut select = None;
-        for stmt in stmts {
-            match stmt {
-                Stmt::CreateView {
-                    name,
-                    columns,
-                    query,
-                }
-                | Stmt::CreateMaterializedView {
-                    name,
-                    columns,
-                    query,
-                } => self.registry.register(&name, columns, query),
-                // Planning-only surfaces never execute side effects.
-                Stmt::Insert { .. }
-                | Stmt::Update { .. }
-                | Stmt::Delete { .. }
-                | Stmt::RefreshMaterializedView { .. } => {}
-                Stmt::Select(s) | Stmt::ExplainVerify(s) => select = Some(s),
-            }
-        }
-        let s = select.ok_or_else(|| AggViewError::Bind("script contains no SELECT".into()))?;
-        let bound = bind(&s, &self.catalog, &self.registry)?;
+        let bound = self.bind_last_select(sql)?;
         self.verify_bound(&bound)
     }
 
@@ -703,37 +708,6 @@ fn bind_set_list(
         out.push((pos, schema.field(pos).ty, expr.bind(&dml_layout)?));
     }
     Ok(out)
-}
-
-/// Evaluate a DML WHERE conjunction over the table's rows, charging the
-/// scan to the governor, and return the matching row positions (in
-/// ascending order, as the catalog mutators require).
-fn matched_indices(
-    table: &str,
-    schema: &Schema,
-    rows: &[Tuple],
-    preds: &[AstPred],
-    gov: &ResourceGovernor,
-) -> Result<Vec<usize>> {
-    let bound = preds
-        .iter()
-        .map(|p| {
-            Predicate::new(
-                dml_expr(table, schema, &p.left, "WHERE predicate")?,
-                p.op,
-                dml_expr(table, schema, &p.right, "WHERE predicate")?,
-            )
-            .bind(&dml_layout)
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let mut indices = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        gov.charge_rows(1)?;
-        if eval_conjunction(&bound, row)? {
-            indices.push(i);
-        }
-    }
-    Ok(indices)
 }
 
 /// Coerce an Int produced by SET arithmetic into the column's declared

@@ -46,7 +46,7 @@
 //! is not).
 
 use crate::matview::MatViewMeta;
-use crate::snapshot::{Snapshot, TableSnap};
+use crate::snapshot::Snapshot;
 use crate::table::{Displaced, PatchUndo, RowPatch, Table};
 use crate::wal::{Frame, FrameMark, WalContents, WalReader, WalRecord, WalWriter};
 use aggview_common::{AggViewError, FaultInjector, NoFaults, Result, Tuple};
@@ -214,49 +214,6 @@ pub struct Catalog {
     durable: Option<Durable>,
 }
 
-/// Reconstruct a live table from its persisted parts. Key declarations
-/// are stored as column ordinals; the builder wants names, so resolve
-/// through the schema.
-fn rebuild_table(snap: &TableSnap) -> Result<Arc<Table>> {
-    let name_of = |i: usize| -> Result<String> {
-        if i >= snap.schema.len() {
-            return Err(AggViewError::Corrupt {
-                offset: 0,
-                record: 0,
-                message: format!(
-                    "table `{}` key references column {i} beyond arity {}",
-                    snap.name,
-                    snap.schema.len()
-                ),
-            });
-        }
-        Ok(snap.schema.field(i).name.clone())
-    };
-    let mut b = Table::builder(snap.name.clone(), snap.schema.clone());
-    if let Some(pk) = &snap.primary_key {
-        let names = pk
-            .cols
-            .iter()
-            .map(|&i| name_of(i))
-            .collect::<Result<Vec<_>>>()?;
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        b = b.primary_key(&refs)?;
-    }
-    for fk in &snap.foreign_keys {
-        let names = fk
-            .cols
-            .iter()
-            .map(|&i| name_of(i))
-            .collect::<Result<Vec<_>>>()?;
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        b = b.foreign_key(&refs, &fk.parent, &fk.parent_cols)?;
-    }
-    for row in &snap.rows {
-        b.push(row.clone())?;
-    }
-    b.build()
-}
-
 fn unknown_table(name: &str) -> AggViewError {
     AggViewError::Catalog(format!("unknown table `{name}`"))
 }
@@ -291,7 +248,7 @@ impl Catalog {
         {
             let mut tables = cat.tables.write();
             for t in &snap.tables {
-                tables.insert(t.name.to_ascii_lowercase(), rebuild_table(t)?);
+                tables.insert(t.name().to_ascii_lowercase(), Arc::clone(t));
             }
             let mut vers = cat.versions.write();
             for (name, data, stats) in &snap.versions {
@@ -359,27 +316,7 @@ impl Catalog {
     /// [`Catalog::open_with_faults`]).
     fn apply(&self, rec: &WalRecord) -> Result<()> {
         match rec {
-            WalRecord::PutTable {
-                name,
-                schema,
-                primary_key,
-                foreign_keys,
-                rows,
-                replace,
-            } => {
-                let table = rebuild_table(&TableSnap {
-                    name: name.clone(),
-                    schema: schema.clone(),
-                    primary_key: primary_key.clone(),
-                    foreign_keys: foreign_keys.clone(),
-                    rows: rows.clone(),
-                })?;
-                if *replace {
-                    self.add_or_replace(table)
-                } else {
-                    self.add(table)
-                }
-            }
+            WalRecord::PutTable { table, replace } => self.put_table(Arc::clone(table), *replace),
             WalRecord::InsertBatch { table, rows } => {
                 self.append_rows(table, rows.clone()).map(drop)
             }
@@ -913,16 +850,7 @@ impl Catalog {
         let snap = Snapshot {
             last_lsn: next.saturating_sub(1),
             any_covered: next > 0,
-            tables: tables
-                .values()
-                .map(|t| TableSnap {
-                    name: t.name().to_string(),
-                    schema: t.schema().clone(),
-                    primary_key: t.primary_key().cloned(),
-                    foreign_keys: t.foreign_keys().to_vec(),
-                    rows: t.rows().to_vec(),
-                })
-                .collect(),
+            tables: tables.values().cloned().collect(),
             versions: vers
                 .iter()
                 .map(|(k, v)| (k.clone(), v.data, v.stats))
@@ -995,8 +923,8 @@ impl Catalog {
                     .map(|fk| format!("{:?}->{}{:?}", fk.cols, fk.parent, fk.parent_cols))
                     .collect::<Vec<_>>(),
             );
-            for row in t.rows() {
-                let _ = writeln!(out, "  row {row}");
+            for i in 0..t.len() {
+                let _ = writeln!(out, "  row {}", t.row(i));
             }
         }
         for (k, v) in vers.iter() {
@@ -1142,6 +1070,31 @@ mod tests {
         drop((reader, now));
         c.append_rows("k", vec![tuple![4i64, 40i64]]).unwrap();
         assert_eq!(Arc::as_ptr(&c.get("k").unwrap()), at);
+    }
+
+    #[test]
+    fn a_readers_columns_are_untouched_by_later_patches() {
+        let c = Catalog::new();
+        c.add(keyed(&[(1, 10), (2, 20), (3, 30)])).unwrap();
+        let reader = c.get("k").unwrap();
+        let (ids, vs) = (reader.column(0), reader.column(1));
+        let at = vs.as_int().unwrap().as_ptr();
+        c.update_rows("k", &[1], vec![tuple![2i64, 21i64]]).unwrap();
+        c.delete_rows("k", &[0]).unwrap();
+        c.append_rows("k", vec![tuple![4i64, 40i64]]).unwrap();
+        // Copy-on-write-if-shared: the patches edited columns of their
+        // own, the reader's are the vectors they were.
+        assert_eq!(ids.as_int().unwrap(), [1, 2, 3]);
+        assert_eq!(vs.as_int().unwrap(), [10, 20, 30]);
+        assert_eq!(vs.as_int().unwrap().as_ptr(), at);
+        let now = c.get("k").unwrap();
+        assert_eq!(now.column(0).as_int().unwrap(), [2, 3, 4]);
+        assert_eq!(now.column(1).as_int().unwrap(), [21, 30, 40]);
+        // A second table is no party to the first one's sharing.
+        c.add(table("other")).unwrap();
+        let other = c.get("other").unwrap();
+        c.append_rows("k", vec![tuple![5i64, 50i64]]).unwrap();
+        assert!(Arc::ptr_eq(&other, &c.get("other").unwrap()));
     }
 
     #[test]
@@ -1320,7 +1273,7 @@ mod tests {
             (5, 50),
         ]))
         .unwrap();
-        let before = c.get("k").unwrap().rows().to_vec();
+        let before = c.get("k").unwrap().rows();
         for doomed in [
             &[0usize][..],
             &[5],

@@ -17,12 +17,13 @@
 
 use crate::keys::{ForeignKey, PrimaryKey};
 use crate::matview::{ExtentLayout, MatViewDef, MatViewMeta};
-use crate::table::RowPatch;
+use crate::table::{RowPatch, Table};
 use aggview_common::{
-    AggFunc, AggSpec, AggViewError, BinaryOp, CmpOp, Col, ColRef, DataType, Expr, Field, Predicate,
-    RelId, Result, Schema, Tuple, Value, ViewId,
+    AggFunc, AggSpec, AggViewError, BinaryOp, CmpOp, Col, ColRef, ColumnVec, DataType, Expr, Field,
+    Predicate, RelId, Result, Schema, Tuple, Value, ViewId,
 };
 use aggview_common::{AggRef, PartRef};
+use std::sync::Arc;
 
 /// CRC-32 (IEEE 802.3, reflected) over a byte slice — the checksum used
 /// by WAL record frames and snapshot bodies.
@@ -260,6 +261,38 @@ pub fn enc_rows(e: &mut Enc, rows: &[Tuple]) {
     for r in rows {
         enc_tuple(e, r);
     }
+}
+
+/// A table as registration records and snapshots hold it: name, schema,
+/// key declarations, then [`enc_rows`] of its rows — read from the
+/// columns, cell by cell, so no row is materialized.
+pub fn enc_table(e: &mut Enc, t: &Table) {
+    e.str(t.name());
+    enc_schema(e, t.schema());
+    enc_primary_key(e, t.primary_key());
+    enc_foreign_keys(e, t.foreign_keys());
+    let cols: Vec<&ColumnVec> = (0..t.schema().len()).map(|p| t.column(p)).collect();
+    e.u32(t.len() as u32);
+    for i in 0..t.len() {
+        e.u32(cols.len() as u32);
+        for col in &cols {
+            enc_value(e, &col.value_at(i));
+        }
+    }
+}
+
+/// Build the table [`enc_table`] wrote, row by row as they decode; one
+/// the builder refuses (rows off the schema, a key twice) is corrupt.
+pub fn dec_table(d: &mut Dec) -> Result<Arc<Table>> {
+    let (name, schema) = (d.str()?, dec_schema(d)?);
+    let (primary_key, foreign_keys) = (dec_primary_key(d)?, dec_foreign_keys(d)?);
+    let refused = |d: &Dec, e: AggViewError| d.corrupt(e.message().to_string());
+    let mut b =
+        Table::restore(name, schema, primary_key, foreign_keys).map_err(|e| refused(d, e))?;
+    for _ in 0..d.len("row count")? {
+        b.push(dec_tuple(d)?).map_err(|e| refused(d, e))?;
+    }
+    b.build().map_err(|e| refused(d, e))
 }
 
 pub fn dec_rows(d: &mut Dec) -> Result<Vec<Tuple>> {

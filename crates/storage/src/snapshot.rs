@@ -27,11 +27,12 @@
 //! tolerated (recycled-disk garbage past the committed content).
 
 use crate::codec::{self, crc32, Dec, Enc};
-use crate::keys::{ForeignKey, PrimaryKey};
 use crate::matview::MatViewMeta;
-use aggview_common::{AggViewError, FaultInjector, IoFaultKind, Result, Schema, Tuple};
+use crate::table::Table;
+use aggview_common::{AggViewError, FaultInjector, IoFaultKind, Result};
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
 /// File magic identifying a snapshot file (and its format version).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AGVSNP01";
@@ -41,17 +42,6 @@ pub const SNAPSHOT_FILE: &str = "snapshot.agv";
 
 /// Temp name the snapshot is staged under before the atomic rename.
 pub const SNAPSHOT_TEMP: &str = "snapshot.tmp";
-
-/// Full content of one table, as persisted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableSnap {
-    /// Original-case table name (the catalog key is its lowercase form).
-    pub name: String,
-    pub schema: Schema,
-    pub primary_key: Option<PrimaryKey>,
-    pub foreign_keys: Vec<ForeignKey>,
-    pub rows: Vec<Tuple>,
-}
 
 /// One catalog's durable state at a checkpoint.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -64,7 +54,9 @@ pub struct Snapshot {
     /// True once any WAL record is covered; disambiguates `last_lsn: 0`
     /// between "covers record 0" and "covers nothing".
     pub any_covered: bool,
-    pub tables: Vec<TableSnap>,
+    /// The tables themselves: a checkpoint shares them with the catalog
+    /// and encodes from their columns, a read builds them as it decodes.
+    pub tables: Vec<Arc<Table>>,
     /// `(lowercase name, data version, stats version)` triples —
     /// including entries for names that have no table (an out-of-band
     /// `mark_modified` on a never-registered name still counts).
@@ -85,11 +77,7 @@ impl Snapshot {
         e.u8(self.any_covered as u8);
         e.u32(self.tables.len() as u32);
         for t in &self.tables {
-            e.str(&t.name);
-            codec::enc_schema(&mut e, &t.schema);
-            codec::enc_primary_key(&mut e, t.primary_key.as_ref());
-            codec::enc_foreign_keys(&mut e, &t.foreign_keys);
-            codec::enc_rows(&mut e, &t.rows);
+            codec::enc_table(&mut e, t);
         }
         e.u32(self.versions.len() as u32);
         for (name, data, stats) in &self.versions {
@@ -110,15 +98,7 @@ impl Snapshot {
         let any_covered = d.u8()? != 0;
         let n = d.len("snapshot table")?;
         let tables = (0..n)
-            .map(|_| {
-                Ok(TableSnap {
-                    name: d.str()?,
-                    schema: codec::dec_schema(&mut d)?,
-                    primary_key: codec::dec_primary_key(&mut d)?,
-                    foreign_keys: codec::dec_foreign_keys(&mut d)?,
-                    rows: codec::dec_rows(&mut d)?,
-                })
-            })
+            .map(|_| codec::dec_table(&mut d))
             .collect::<Result<Vec<_>>>()?;
         let n = d.len("snapshot version")?;
         let versions = (0..n)
@@ -261,7 +241,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aggview_common::{DataType, NoFaults, ScheduledIoFaults, Value};
+    use aggview_common::{DataType, NoFaults, ScheduledIoFaults, Schema, Value};
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -275,13 +255,16 @@ mod tests {
         Snapshot {
             last_lsn: 7,
             any_covered: true,
-            tables: vec![TableSnap {
-                name: "Emp".into(),
-                schema: Schema::of(&[("eno", DataType::Int), ("sal", DataType::Float)]),
-                primary_key: Some(PrimaryKey::single(0)),
-                foreign_keys: vec![],
-                rows: vec![Tuple::new(vec![Value::Int(1), Value::Float(10.0)])],
-            }],
+            tables: vec![Table::builder(
+                "Emp",
+                Schema::of(&[("eno", DataType::Int), ("sal", DataType::Float)]),
+            )
+            .primary_key(&["eno"])
+            .unwrap()
+            .row(vec![Value::Int(1), Value::Float(10.0)])
+            .unwrap()
+            .build()
+            .unwrap()],
             versions: vec![("emp".into(), 3, 3), ("ghost".into(), 1, 0)],
             matviews: vec![],
         }

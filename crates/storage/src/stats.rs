@@ -27,7 +27,7 @@
 //!
 //! A table that is never mutated never builds a summary.
 
-use aggview_common::{CmpOp, Tuple, Value};
+use aggview_common::{CmpOp, ColumnVec, DataType, Tuple, Value};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashSet};
 
@@ -209,59 +209,91 @@ impl TableStats {
 /// Number of histogram buckets built per numeric column.
 pub const HISTOGRAM_BUCKETS: usize = 128;
 
-/// Compute exact statistics over `rows` of arity `ncols`.
-pub fn analyze(rows: &[Tuple], ncols: usize) -> TableStats {
-    analyze_sized(rows, ncols).0
+/// Compute exact statistics over `rows` of arity `ncols` — the
+/// reference a table's carried statistics are checked against. Reads
+/// every value through the type-blind arm of the per-column pass, so it
+/// shares none of the typed sweeps a table's own build uses.
+pub fn analyze(rows: impl AsRef<[Tuple]>, ncols: usize) -> TableStats {
+    let rows = rows.as_ref();
+    let cols: Vec<ColumnVec> = (0..ncols)
+        .map(|c| ColumnVec::Mixed(rows.iter().map(|r| r.get(c).clone()).collect()))
+        .collect();
+    analyze_columns(&cols, rows.len())
 }
 
-/// [`analyze`], plus the sum of [`Tuple::width`] over `rows` that it
-/// adds up on the way.
-pub(crate) fn analyze_sized(rows: &[Tuple], ncols: usize) -> (TableStats, u64) {
-    if rows.is_empty() {
-        return (TableStats::empty(ncols), 0);
+/// Exact statistics of a table whose rows are the `len` entries of each
+/// of `cols`.
+pub(crate) fn analyze_columns(cols: &[ColumnVec], len: usize) -> TableStats {
+    if len == 0 {
+        return TableStats::empty(cols.len());
     }
-    let mut columns = Vec::with_capacity(ncols);
-    let mut total_width = 0usize;
-    for c in 0..ncols {
-        let mut distinct: HashSet<&Value> = HashSet::new();
-        let mut min: Option<f64> = None;
-        let mut max: Option<f64> = None;
-        let mut width = 0usize;
-        let mut numerics: Vec<f64> = Vec::new();
-        let mut all_numeric = true;
-        for row in rows {
-            let v = row.get(c);
-            distinct.insert(v);
-            width += v.width();
-            match v.as_f64() {
-                Some(x) => {
-                    numerics.push(x);
-                    min = Some(min.map_or(x, |m| m.min(x)));
-                    max = Some(max.map_or(x, |m| m.max(x)));
-                }
-                None => all_numeric = false,
-            }
+    let bytes: u64 = cols.iter().map(ColumnVec::total_bytes).sum();
+    TableStats {
+        rows: len as u64,
+        row_width: bytes as f64 / len as f64,
+        columns: cols.iter().map(analyze_column).collect(),
+    }
+}
+
+/// One non-empty column's statistics. A typed column is sorted once —
+/// for its distinct count and, being numeric, as the sample its
+/// histogram is cut from; what it yields is what the value-by-value
+/// pass of the `Mixed` arm would.
+fn analyze_column(col: &ColumnVec) -> ColumnStats {
+    // The distinct count and, of an all-numeric column, the range and
+    // the float views (in `total_cmp` order already, when typed).
+    let (distinct, numeric) = match col {
+        ColumnVec::Int(xs) => {
+            let mut sorted = xs.clone();
+            sorted.sort_unstable();
+            let views: Vec<f64> = sorted.iter().map(|&x| x as f64).collect();
+            sorted.dedup();
+            (sorted.len(), Some((range_of(&views), views)))
         }
-        total_width += width;
-        let histogram = if all_numeric {
-            Histogram::equi_depth(numerics, HISTOGRAM_BUCKETS)
-        } else {
-            None
-        };
-        columns.push(ColumnStats {
-            distinct: distinct.len() as u64,
-            min: if all_numeric { min } else { None },
-            max: if all_numeric { max } else { None },
-            avg_width: width as f64 / rows.len() as f64,
-            histogram,
-        });
-    }
-    let stats = TableStats {
-        rows: rows.len() as u64,
-        row_width: total_width as f64 / rows.len() as f64,
-        columns,
+        ColumnVec::Float(xs) => {
+            // Value equality on floats is `total_cmp`: equal bits.
+            let mut sorted = xs.clone();
+            sorted.sort_unstable_by(f64::total_cmp);
+            let steps = sorted
+                .windows(2)
+                .filter(|w| w[0].to_bits() != w[1].to_bits());
+            (1 + steps.count(), Some((range_of(xs), sorted)))
+        }
+        ColumnVec::Str(xs) => {
+            let mut seen = vec![false; xs.dict().len()];
+            let fresh = |code: &&u32| !std::mem::replace(&mut seen[**code as usize], true);
+            (xs.codes().iter().filter(fresh).count(), None)
+        }
+        ColumnVec::Bool(xs) => {
+            let both = usize::from(xs.contains(&true)) + usize::from(xs.contains(&false));
+            (both, None)
+        }
+        ColumnVec::Mixed(xs) => {
+            let distinct: HashSet<&Value> = xs.iter().collect();
+            let views: Option<Vec<f64>> = xs.iter().map(Value::as_f64).collect();
+            (distinct.len(), views.map(|views| (range_of(&views), views)))
+        }
     };
-    (stats, total_width as u64)
+    let ((min, max), views) = numeric.unwrap_or_default();
+    ColumnStats {
+        distinct: distinct as u64,
+        min,
+        max,
+        avg_width: col.total_bytes() as f64 / col.len() as f64,
+        histogram: Histogram::equi_depth(views, HISTOGRAM_BUCKETS),
+    }
+}
+
+/// `(min, max)` as a left fold of `f64::min`/`f64::max` in the order
+/// given (which is what decides between `0.0` and `-0.0`, and skips
+/// NaNs — sorted `Int` views hold neither).
+fn range_of(xs: &[f64]) -> (Option<f64>, Option<f64>) {
+    xs.iter().fold((None, None), |(min, max), &x| {
+        (
+            Some(min.map_or(x, |m: f64| m.min(x))),
+            Some(max.map_or(x, |m: f64| m.max(x))),
+        )
+    })
 }
 
 /// One column's values as a multiset, ordered as [`Value`] orders them
@@ -272,9 +304,11 @@ struct ColumnSummary {
     counts: BTreeMap<Value, u64>,
     /// Sum of [`Value::width`] over the column.
     width: u64,
-    /// Values without a float view; one is enough to switch `min`,
-    /// `max` and the histogram off, as in [`analyze`].
-    non_numeric: u64,
+    /// How many values are of each [`DataType`], by discriminant. One
+    /// without a float view is enough to switch `min`, `max` and the
+    /// histogram off, as in [`analyze`]; all being of the declared type
+    /// is what lets the table keep the column typed.
+    of_type: [u64; 4],
 }
 
 impl ColumnSummary {
@@ -286,7 +320,7 @@ impl ColumnSummary {
             }
         }
         self.width += v.width() as u64;
-        self.non_numeric += u64::from(v.as_f64().is_none());
+        self.of_type[v.data_type() as usize] += 1;
     }
 
     fn remove(&mut self, v: &Value) {
@@ -296,13 +330,17 @@ impl ColumnSummary {
                 self.counts.remove(v);
             }
             self.width -= v.width() as u64;
-            self.non_numeric -= u64::from(v.as_f64().is_none());
+            self.of_type[v.data_type() as usize] -= 1;
         }
+    }
+
+    fn non_numeric(&self) -> bool {
+        self.of_type[DataType::Str as usize] + self.of_type[DataType::Bool as usize] > 0
     }
 
     /// `(min, max)` of an all-numeric column.
     fn range(&self) -> (Option<f64>, Option<f64>) {
-        if self.non_numeric > 0 {
+        if self.non_numeric() {
             return (None, None);
         }
         let mut keys = self.counts.keys().filter_map(Value::as_f64);
@@ -311,7 +349,7 @@ impl ColumnSummary {
     }
 
     fn histogram(&self, rows: u64) -> Option<Histogram> {
-        if self.non_numeric > 0 {
+        if self.non_numeric() {
             return None;
         }
         let runs = self
@@ -334,17 +372,19 @@ pub(crate) struct StatsSummary {
 }
 
 impl StatsSummary {
-    /// Summarize `rows`, whose current histograms are exact.
-    pub(crate) fn of(rows: &[Tuple], ncols: usize) -> StatsSummary {
-        let mut summary = StatsSummary {
-            rows: 0,
-            columns: vec![ColumnSummary::default(); ncols],
-            histogram_lag: 0,
+    /// Summarize a table of `len` rows held as `cols`, whose current
+    /// histograms are exact.
+    pub(crate) fn of(cols: &[ColumnVec], len: usize) -> StatsSummary {
+        let summarize = |col: &ColumnVec| {
+            let mut summary = ColumnSummary::default();
+            (0..len).for_each(|i| summary.add(&col.value_at(i)));
+            summary
         };
-        for row in rows {
-            summary.add(row);
+        StatsSummary {
+            rows: len as u64,
+            columns: cols.iter().map(summarize).collect(),
+            histogram_lag: 0,
         }
-        summary
     }
 
     pub(crate) fn add(&mut self, row: &Tuple) {
@@ -361,8 +401,13 @@ impl StatsSummary {
         }
     }
 
+    /// True when every value of column `p` is a `ty`.
+    pub(crate) fn all_of(&self, p: usize, ty: DataType) -> bool {
+        self.columns[p].of_type[ty as usize] == self.rows
+    }
+
     /// Sum of [`Tuple::width`] over the summarized rows.
-    pub(crate) fn bytes(&self) -> u64 {
+    fn bytes(&self) -> u64 {
         self.columns.iter().map(|c| c.width).sum()
     }
 
@@ -407,7 +452,7 @@ mod tests {
 
     #[test]
     fn analyze_counts_distincts_and_widths() {
-        let s = analyze(&rows(), 3);
+        let s = analyze(rows(), 3);
         assert_eq!(s.rows, 100);
         assert_eq!(s.columns[0].distinct, 10);
         assert_eq!(s.columns[1].distinct, 100);
@@ -420,14 +465,14 @@ mod tests {
 
     #[test]
     fn string_columns_have_no_numeric_stats() {
-        let s = analyze(&rows(), 3);
+        let s = analyze(rows(), 3);
         assert!(s.columns[2].min.is_none());
         assert!(s.columns[2].histogram.is_none());
     }
 
     #[test]
     fn equality_selectivity_is_one_over_distinct() {
-        let s = analyze(&rows(), 3);
+        let s = analyze(rows(), 3);
         let sel = s.columns[0].selectivity(CmpOp::Eq, &Value::Int(3));
         assert!((sel - 0.1).abs() < 1e-12);
         let ne = s.columns[0].selectivity(CmpOp::Ne, &Value::Int(3));
@@ -436,7 +481,7 @@ mod tests {
 
     #[test]
     fn range_selectivity_tracks_data_distribution() {
-        let s = analyze(&rows(), 3);
+        let s = analyze(rows(), 3);
         // col1 is uniform over 0..100, so `< 25` should be ~0.25.
         let sel = s.columns[1].selectivity(CmpOp::Lt, &Value::Float(25.0));
         assert!((sel - 0.25).abs() < 0.05, "sel = {sel}");
@@ -490,7 +535,7 @@ mod tests {
 
     #[test]
     fn non_numeric_constant_falls_back_to_default() {
-        let s = analyze(&rows(), 3);
+        let s = analyze(rows(), 3);
         let sel = s.columns[1].selectivity(CmpOp::Lt, &Value::str("x"));
         assert_eq!(sel, CmpOp::Lt.default_selectivity());
     }

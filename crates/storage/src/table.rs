@@ -1,60 +1,43 @@
 //! In-memory tables: built in bulk, then edited copy-on-write.
 
 use crate::keys::{ForeignKey, PrimaryKey};
-use crate::stats::{analyze_sized, StatsSummary, TableStats};
-use aggview_common::{AggViewError, ColumnVec, DataType, Result, Schema, Tuple, Value};
+use crate::stats::{analyze_columns, StatsSummary, TableStats};
+use aggview_common::{
+    hash_columns, AggViewError, ColumnVec, DataType, Result, Schema, Tuple, Value,
+};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// A relation: schema, rows, key declarations, statistics — and, derived
-/// from the rows on demand, the column image scans read
-/// ([`Table::column`]).
+/// A relation: schema, key declarations, statistics — and its rows,
+/// held as one [`ColumnVec`] per schema column. The columns *are* the
+/// table: scans read them and patches edit them in place, and a
+/// [`Tuple`] exists only where a row is handed in or out. A column is
+/// the typed vector of its declared type (strings as codes into its own
+/// dictionary) while every value is of that type, and `Mixed` while one
+/// is not — an `Int` stored in a `Float` column stays the `Int` it was.
 ///
 /// Tables are built via [`TableBuilder`] (which validates arity, types
 /// and key uniqueness, then computes exact statistics) and shared behind
 /// `Arc`. Readers hold the `Arc` and see the rows it had when they took
 /// it: the catalog's mutators edit a table through `Arc::make_mut` — in
-/// place when no reader holds it, on a private copy when one does — one
-/// [`RowPatch`] at a time, and every patch leaves rows, key index and
-/// statistics consistent with each other (see [`crate::stats`] for what
-/// "consistent" means for histograms).
+/// place when no reader holds it, on a private copy of the columns when
+/// one does — one [`RowPatch`] at a time, and every patch leaves rows,
+/// key index and statistics consistent with each other (see
+/// [`crate::stats`] for what "consistent" means for histograms).
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    rows: Vec<Tuple>,
+    /// One per schema field, each `len` long.
+    cols: Vec<ColumnVec>,
+    len: usize,
     primary_key: Option<PrimaryKey>,
     foreign_keys: Vec<ForeignKey>,
     stats: TableStats,
-    /// Sum of [`Tuple::width`] over `rows`.
-    bytes: u64,
     /// Built by the first patch and carried forward; a table that is
     /// only ever read never allocates it.
     live: Option<Box<Live>>,
-    image: Image,
-}
-
-/// The typed column-major image of a table's rows that scans read: one
-/// slot per column, filled by the first [`Table::column`] call that asks
-/// for it, so a column no scan touches costs nothing. The rows stay the
-/// source of truth — the image is derived from them, never persisted,
-/// and [`Table::apply_patch`] empties it.
-#[derive(Debug)]
-struct Image(Vec<OnceLock<ColumnVec>>);
-
-impl Image {
-    fn empty(ncols: usize) -> Image {
-        Image((0..ncols).map(|_| OnceLock::new()).collect())
-    }
-}
-
-impl Clone for Image {
-    /// A table is cloned by `Arc::make_mut`, for a patch that would drop
-    /// the image anyway: the clone starts without one.
-    fn clone(&self) -> Image {
-        Image::empty(self.0.len())
-    }
 }
 
 /// What a table under DML carries from one patch to the next, so that
@@ -119,13 +102,42 @@ pub(crate) struct PatchUndo {
 impl Table {
     /// Start building a table.
     pub fn builder(name: impl Into<String>, schema: Schema) -> TableBuilder {
+        let cols = schema
+            .fields()
+            .iter()
+            .map(|f| ColumnVec::with_type(f.ty))
+            .collect();
         TableBuilder {
             name: name.into(),
             schema,
-            rows: Vec::new(),
+            cols,
+            len: 0,
             primary_key: None,
             foreign_keys: Vec::new(),
         }
+    }
+
+    /// Start rebuilding a table from its persisted parts. Those name key
+    /// columns by ordinal, which a damaged file can put out of range.
+    pub(crate) fn restore(
+        name: String,
+        schema: Schema,
+        primary_key: Option<PrimaryKey>,
+        foreign_keys: Vec<ForeignKey>,
+    ) -> Result<TableBuilder> {
+        let declared = primary_key.iter().flat_map(|pk| &pk.cols);
+        let referencing = foreign_keys.iter().flat_map(|fk| &fk.cols);
+        if let Some(i) = declared.chain(referencing).find(|&&i| i >= schema.len()) {
+            return Err(AggViewError::Schema(format!(
+                "table `{name}` key references column {i} beyond arity {}",
+                schema.len()
+            )));
+        }
+        Ok(TableBuilder {
+            primary_key,
+            foreign_keys,
+            ..Table::builder(name, schema)
+        })
     }
 
     /// Table name.
@@ -138,35 +150,37 @@ impl Table {
         &self.schema
     }
 
-    /// All rows.
-    pub fn rows(&self) -> &[Tuple] {
-        &self.rows
+    /// Every row, materialized in row order, for whoever wants the table
+    /// row-wise (reference evaluators, tests); scans read the columns.
+    pub fn rows(&self) -> Vec<Tuple> {
+        (0..self.len).map(|i| self.row(i)).collect()
     }
 
-    /// Column `p` of [`rows`](Table::rows) as one typed vector, in row
-    /// order — what a scan filters and gathers from. Transposed from the
-    /// rows on first use and kept until the next patch; a string column
-    /// is interned into a dictionary of its own here, once per table
-    /// version, and everything gathered from it downstream shares that
-    /// dictionary.
+    /// Row `i`, materialized.
+    pub fn row(&self, i: usize) -> Tuple {
+        row_at(&self.cols, i)
+    }
+
+    /// Column `p` of every row as one typed vector, in row order — what
+    /// a scan filters and gathers from. A string column's dictionary is
+    /// the table's: everything gathered from it downstream shares it.
     pub fn column(&self, p: usize) -> &ColumnVec {
-        self.image.0[p]
-            .get_or_init(|| ColumnVec::from_tuples_col(&self.rows, p, self.schema.field(p).ty))
+        &self.cols[p]
     }
 
     /// Row count.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// True when the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Sum of [`Tuple::width`] over all rows — what a scan reads.
     pub fn byte_size(&self) -> u64 {
-        self.bytes
+        self.cols.iter().map(ColumnVec::total_bytes).sum()
     }
 
     /// Declared primary key, if any.
@@ -205,19 +219,18 @@ impl Table {
         if key.arity() != pk.cols.len() {
             return None;
         }
-        let is_key = |row: &Tuple| {
+        let is_key = |i: &usize| {
             pk.cols
                 .iter()
                 .zip(key.values())
-                .all(|(&c, k)| row.get(c) == k)
+                .all(|(&c, k)| self.cols[c].value_at(*i) == *k)
         };
         match self.live.as_ref().and_then(|l| l.keys.as_ref()) {
             Some(keys) => {
                 let bound = *keys.get(key)?;
-                let end = self.rows.len().min(bound + 1);
-                self.rows[..end].iter().rposition(is_key)
+                (0..self.len.min(bound + 1)).rev().find(is_key)
             }
-            None => self.rows.iter().position(is_key),
+            None => (0..self.len).find(is_key),
         }
     }
 
@@ -229,14 +242,15 @@ impl Table {
         let Table {
             name,
             schema,
-            rows,
+            cols,
+            len,
             primary_key,
             live,
             ..
         } = self;
         let positions: Vec<usize> = patch.updates.iter().map(|(i, _)| *i).collect();
-        check_positions(name, &positions, rows.len())?;
-        check_positions(name, &patch.deletes, rows.len())?;
+        check_positions(name, &positions, *len)?;
+        check_positions(name, &patch.deletes, *len)?;
         if let Some(i) = positions
             .iter()
             .find(|i| patch.deletes.binary_search(i).is_ok())
@@ -249,7 +263,7 @@ impl Table {
         for row in incoming() {
             check_row(name, schema, row)?;
         }
-        let live = Live::of(live, rows, primary_key.as_ref(), schema.len());
+        let live = Live::of(live, cols, *len, primary_key.as_ref());
         let (Some(pk), Some(keys)) = (primary_key, &live.keys) else {
             return Ok(());
         };
@@ -258,92 +272,94 @@ impl Table {
         let outgoing: HashSet<Tuple> = positions
             .iter()
             .chain(&patch.deletes)
-            .map(|&i| rows[i].project(&pk.cols))
+            .map(|&i| key_at(cols, pk, i))
             .collect();
         let mut arriving = HashSet::with_capacity(patch.updates.len() + patch.inserts.len());
         for row in incoming() {
             let key = row.project(&pk.cols);
             let held = keys.contains_key(&key) && !outgoing.contains(&key);
             if held || !arriving.insert(key) {
-                return Err(AggViewError::Schema(format!(
-                    "table `{name}`: duplicate primary key value in row {row}"
-                )));
+                return Err(duplicate_key(name, row));
             }
         }
         Ok(())
     }
 
-    /// Apply a patch that [`check_patch`](Table::check_patch) accepted.
-    /// Returns what [`revert_patch`](Table::revert_patch) needs to take
-    /// it back, the displaced rows among it.
+    /// Apply a patch that [`check_patch`](Table::check_patch) accepted:
+    /// updates overwrite their cells, deletes close their gaps in one
+    /// pass per column, inserts are appended. Returns what
+    /// [`revert_patch`](Table::revert_patch) needs to take it back, the
+    /// displaced rows among it.
     pub(crate) fn apply_patch(&mut self, patch: RowPatch) -> PatchUndo {
         let Table {
             schema,
-            rows,
+            cols,
+            len,
             primary_key,
             stats,
-            bytes,
             live,
-            image,
             ..
         } = self;
-        for col in &mut image.0 {
-            col.take();
-        }
         let changed = patch.len() as u64;
-        let Live { keys, summary } = Live::of(live, rows, primary_key.as_ref(), schema.len());
+        let Live { keys, summary } = Live::of(live, cols, *len, primary_key.as_ref());
         // Both are `Some` or both `None`: a key index exists iff a key does.
         let mut keyed = keys.as_mut().zip(primary_key.as_ref());
-        let mut out = Displaced::default();
-        let updated = patch.updates.iter().map(|(i, _)| *i).collect();
+        let updated: Vec<usize> = patch.updates.iter().map(|(i, _)| *i).collect();
         let inserted = patch.inserts.len();
 
         // Everything leaving goes before anything arriving: a patch may
         // hand a key from one row to another.
-        for &i in patch.updates.iter().map(|(i, _)| i).chain(&patch.deletes) {
-            summary.remove(&rows[i]);
+        let mut leave = |i: &usize| {
+            let row = row_at(cols, *i);
+            summary.remove(&row);
             if let Some((keys, pk)) = &mut keyed {
-                keys.remove(&rows[i].project(&pk.cols));
+                keys.remove(&row.project(&pk.cols));
             }
-        }
+            row
+        };
+        let displaced = Displaced {
+            replaced: updated.iter().map(&mut leave).collect(),
+            removed: patch.deletes.iter().map(&mut leave).collect(),
+        };
+        let mut arrive = |row: &Tuple, at: usize| {
+            summary.add(row);
+            if let Some((keys, pk)) = &mut keyed {
+                keys.insert(row.project(&pk.cols), at);
+            }
+        };
         for (i, new) in patch.updates {
-            summary.add(&new);
-            if let Some((keys, pk)) = &mut keyed {
-                keys.insert(new.project(&pk.cols), i);
+            arrive(&new, i);
+            for (col, v) in cols.iter_mut().zip(new.into_values()) {
+                col.set_value(i, v);
             }
-            out.replaced.push(std::mem::replace(&mut rows[i], new));
         }
-        for &i in &patch.deletes {
-            out.removed.push(std::mem::take(&mut rows[i]));
-        }
-        if let Some(&first) = patch.deletes.first() {
-            // Close the gaps, keeping the survivors' order.
-            let mut doomed = patch.deletes.iter().copied().peekable();
-            let mut to = first;
-            for from in first..rows.len() {
-                if doomed.next_if_eq(&from).is_none() {
-                    rows.swap(to, from);
-                    to += 1;
-                }
+        if !patch.deletes.is_empty() {
+            for col in cols.iter_mut() {
+                col.remove_rows(&patch.deletes);
             }
-            rows.truncate(to);
+            *len -= patch.deletes.len();
         }
-
         for row in patch.inserts {
-            summary.add(&row);
-            if let Some((keys, pk)) = &mut keyed {
-                keys.insert(row.project(&pk.cols), rows.len());
-            }
-            rows.push(row);
+            arrive(&row, *len);
+            push_row(cols, row);
+            *len += 1;
         }
 
         summary.refresh(stats, changed);
-        *bytes = summary.bytes();
+        for (p, col) in cols.iter_mut().enumerate() {
+            // A column off-type values made `Mixed` is typed again once
+            // the last of them is gone.
+            let ty = schema.field(p).ty;
+            if summary.all_of(p, ty) {
+                col.retype(ty);
+            }
+            trim_dictionary(col, stats.columns[p].distinct);
+        }
         PatchUndo {
             updated,
             deleted: patch.deletes,
             inserted,
-            displaced: out,
+            displaced,
         }
     }
 
@@ -351,7 +367,7 @@ impl Table {
     /// the last one not yet taken back. The rows return to what they
     /// were, position by position. What the table carried from patch to
     /// patch (key index, statistics summary) is dropped rather than
-    /// walked backwards: the statistics are re-derived from the rows
+    /// walked backwards: the statistics are re-derived from the columns
     /// here, the key index by the next patch — exactly as on a table no
     /// patch has touched yet.
     pub(crate) fn revert_patch(&mut self, undo: PatchUndo) {
@@ -361,48 +377,84 @@ impl Table {
             inserted,
             displaced,
         } = undo;
-        let rows = &mut self.rows;
-        rows.truncate(rows.len() - inserted);
-        // Reopen the gaps from the back: `dst - src` deleted rows are
-        // still to be placed at or before `dst`.
-        let mut src = rows.len();
-        let mut dst = src + deleted.len();
-        rows.resize_with(dst, Tuple::default);
-        for (&at, row) in deleted.iter().zip(displaced.removed).rev() {
-            while dst - 1 > at {
-                dst -= 1;
-                src -= 1;
-                rows.swap(dst, src);
+        let kept = self.len - inserted;
+        for (p, col) in self.cols.iter_mut().enumerate() {
+            if inserted > 0 || !deleted.is_empty() {
+                // Copy the surviving runs, reopening each gap with the
+                // row that was there; the appended tail is not copied.
+                let mut out = col.empty_like();
+                let mut from = 0;
+                for (&at, row) in deleted.iter().zip(&displaced.removed) {
+                    let run = at - out.len();
+                    out.append_range(col, from..from + run);
+                    out.push_value(row.get(p).clone());
+                    from += run;
+                }
+                out.append_range(col, from..kept);
+                *col = out;
             }
-            dst -= 1;
-            rows[dst] = row;
+            for (&at, row) in updated.iter().zip(&displaced.replaced) {
+                col.set_value(at, row.get(p).clone());
+            }
+            col.retype(self.schema.field(p).ty);
         }
-        for (at, row) in updated.into_iter().zip(displaced.replaced) {
-            rows[at] = row;
-        }
+        self.len = kept + deleted.len();
         self.live = None;
-        self.image = Image::empty(self.schema.len());
-        (self.stats, self.bytes) = analyze_sized(&self.rows, self.schema.len());
+        self.stats = analyze_columns(&self.cols, self.len);
+        for (col, of) in self.cols.iter_mut().zip(&self.stats.columns) {
+            trim_dictionary(col, of.distinct);
+        }
     }
 }
 
+/// A table's dictionaries outlive its patches, so strings that updates
+/// and deletes took out of a column stay entered; once fewer than half
+/// the entries are referenced (`distinct` counts those exactly) the
+/// column moves to a fresh dictionary. A move re-enters no more strings
+/// than were dropped since the last: constant work per dropped string.
+fn trim_dictionary(col: &mut ColumnVec, distinct: u64) {
+    if let ColumnVec::Str(strs) = col {
+        if strs.dict().len() as u64 > 2 * distinct {
+            strs.reintern();
+        }
+    }
+}
+
+/// Row `i` of a table held as `cols`.
+fn row_at(cols: &[ColumnVec], i: usize) -> Tuple {
+    cols.iter().map(|c| c.value_at(i)).collect()
+}
+
+/// The primary-key value of row `i`.
+fn key_at(cols: &[ColumnVec], pk: &PrimaryKey, i: usize) -> Tuple {
+    pk.cols.iter().map(|&c| cols[c].value_at(i)).collect()
+}
+
+/// Append a row that [`check_row`] accepted.
+fn push_row(cols: &mut [ColumnVec], row: Tuple) {
+    for (col, v) in cols.iter_mut().zip(row.into_values()) {
+        col.push_value(v);
+    }
+}
+
+fn duplicate_key(table: &str, row: &Tuple) -> AggViewError {
+    AggViewError::Schema(format!(
+        "table `{table}`: duplicate primary key value in row {row}"
+    ))
+}
+
 impl Live {
-    /// The table's carried state, built from its rows on first use.
+    /// The table's carried state, built from its columns on first use.
     fn of<'a>(
         slot: &'a mut Option<Box<Live>>,
-        rows: &[Tuple],
+        cols: &[ColumnVec],
+        len: usize,
         pk: Option<&PrimaryKey>,
-        ncols: usize,
     ) -> &'a mut Live {
         slot.get_or_insert_with(|| {
             Box::new(Live {
-                keys: pk.map(|pk| {
-                    rows.iter()
-                        .enumerate()
-                        .map(|(i, r)| (r.project(&pk.cols), i))
-                        .collect()
-                }),
-                summary: StatsSummary::of(rows, ncols),
+                keys: pk.map(|pk| (0..len).map(|i| (key_at(cols, pk, i), i)).collect()),
+                summary: StatsSummary::of(cols, len),
             })
         })
     }
@@ -451,6 +503,19 @@ fn check_row(table: &str, schema: &Schema, row: &Tuple) -> Result<()> {
     Ok(())
 }
 
+impl PartialEq for Table {
+    /// The same relation: name, schema, keys, and equal values in every
+    /// cell (statistics and column representation follow from those).
+    fn eq(&self, other: &Table) -> bool {
+        let cells = |(a, b): (&ColumnVec, &ColumnVec)| (0..self.len).all(|i| a.eq_rows(i, b, i));
+        self.len == other.len
+            && (&self.name, &self.schema) == (&other.name, &other.schema)
+            && self.primary_key == other.primary_key
+            && self.foreign_keys == other.foreign_keys
+            && self.cols.iter().zip(&other.cols).all(cells)
+    }
+}
+
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}{} [{} rows]", self.name, self.schema, self.len())
@@ -462,7 +527,8 @@ impl fmt::Display for Table {
 pub struct TableBuilder {
     name: String,
     schema: Schema,
-    rows: Vec<Tuple>,
+    cols: Vec<ColumnVec>,
+    len: usize,
     primary_key: Option<PrimaryKey>,
     foreign_keys: Vec<ForeignKey>,
 }
@@ -502,41 +568,60 @@ impl TableBuilder {
         Ok(self)
     }
 
-    /// Append a row (non-consuming form for loops).
+    /// Append a row (non-consuming form for loops): checked, then taken
+    /// apart into the columns.
     pub fn push(&mut self, row: Tuple) -> Result<()> {
         check_row(&self.name, &self.schema, &row)?;
-        self.rows.push(row);
+        push_row(&mut self.cols, row);
+        self.len += 1;
         Ok(())
     }
 
     /// Validate keys, compute statistics, freeze.
     pub fn build(self) -> Result<Arc<Table>> {
         if let Some(pk) = &self.primary_key {
-            let mut seen: HashSet<Tuple> = HashSet::with_capacity(self.rows.len());
-            for row in &self.rows {
-                let key = row.project(&pk.cols);
-                if !seen.insert(key) {
-                    return Err(AggViewError::Schema(format!(
-                        "table `{}`: duplicate primary key value in row {}",
-                        self.name, row
-                    )));
-                }
+            if let Some(i) = second_of_a_key(&self.cols, pk, self.len) {
+                return Err(duplicate_key(&self.name, &row_at(&self.cols, i)));
             }
         }
-        let ncols = self.schema.len();
-        let (stats, bytes) = analyze_sized(&self.rows, ncols);
+        let stats = analyze_columns(&self.cols, self.len);
         Ok(Arc::new(Table {
             name: self.name,
             schema: self.schema,
-            rows: self.rows,
+            cols: self.cols,
+            len: self.len,
             primary_key: self.primary_key,
             foreign_keys: self.foreign_keys,
             stats,
-            bytes,
             live: None,
-            image: Image::empty(ncols),
         }))
     }
+}
+
+/// The first row whose primary-key value an earlier row already has.
+/// Rows are told apart by their key hash ([`hash_columns`]) in an
+/// open-addressed table of row numbers, at most half full and homed by
+/// the hash's top bits; equal hashes are confirmed on the key columns.
+fn second_of_a_key(cols: &[ColumnVec], pk: &PrimaryKey, len: usize) -> Option<usize> {
+    let key_cols = || pk.cols.iter().map(|&c| &cols[c]);
+    let mut hashes = Vec::new();
+    hash_columns(key_cols(), 0..len, &mut hashes);
+    let cells = (len * 2).next_power_of_two().max(2);
+    let shift = 64 - cells.trailing_zeros();
+    // `row + 1`; 0 = empty.
+    let mut seats = vec![0u32; cells];
+    for i in 0..len {
+        let mut at = (hashes[i] >> shift) as usize;
+        while let Some(j) = seats[at].checked_sub(1) {
+            let j = j as usize;
+            if hashes[j] == hashes[i] && key_cols().all(|c| c.eq_rows(j, c, i)) {
+                return Some(i);
+            }
+            at = (at + 1) & (cells - 1);
+        }
+        seats[at] = i as u32 + 1;
+    }
+    None
 }
 
 #[cfg(test)]

@@ -47,13 +47,13 @@
 //! clean boundary.
 
 use crate::codec::{self, crc32, Dec, Enc};
-use crate::keys::{ForeignKey, PrimaryKey};
 use crate::matview::MatViewMeta;
 use crate::table::{RowPatch, Table};
-use aggview_common::{AggViewError, FaultInjector, IoFaultKind, Result, Schema, Tuple};
+use aggview_common::{AggViewError, FaultInjector, IoFaultKind, Result, Tuple};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// File magic identifying a WAL file (and its format version).
 pub const WAL_MAGIC: &[u8; 8] = b"AGVWAL01";
@@ -81,15 +81,8 @@ pub enum WalRecord {
     /// record carries the full table content — registration (base
     /// tables, and extents when they are built or rebuilt) is the only
     /// point where rows enter wholesale; DML and view maintenance log
-    /// the rows they change.
-    PutTable {
-        name: String,
-        schema: Schema,
-        primary_key: Option<PrimaryKey>,
-        foreign_keys: Vec<ForeignKey>,
-        rows: Vec<Tuple>,
-        replace: bool,
-    },
+    /// the rows they change. Decoded, it is the table, rebuilt.
+    PutTable { table: Arc<Table>, replace: bool },
     /// Rows appended to an existing table (`Catalog::append_rows`).
     InsertBatch { table: String, rows: Vec<Tuple> },
     /// An out-of-band modification mark (`Catalog::mark_modified`).
@@ -181,31 +174,8 @@ impl Frame {
     }
 
     pub(crate) fn put_table(&mut self, table: &Table, replace: bool) {
-        self.put_table_parts(
-            table.name(),
-            table.schema(),
-            table.primary_key(),
-            table.foreign_keys(),
-            table.rows(),
-            replace,
-        );
-    }
-
-    fn put_table_parts(
-        &mut self,
-        name: &str,
-        schema: &Schema,
-        primary_key: Option<&PrimaryKey>,
-        foreign_keys: &[ForeignKey],
-        rows: &[Tuple],
-        replace: bool,
-    ) {
         let e = self.member(0);
-        e.str(name);
-        codec::enc_schema(e, schema);
-        codec::enc_primary_key(e, primary_key);
-        codec::enc_foreign_keys(e, foreign_keys);
-        codec::enc_rows(e, rows);
+        codec::enc_table(e, table);
         e.u8(replace as u8);
     }
 
@@ -252,21 +222,7 @@ impl Frame {
     /// Append a decoded record (each member of a statement in turn).
     fn push(&mut self, rec: &WalRecord) {
         match rec {
-            WalRecord::PutTable {
-                name,
-                schema,
-                primary_key,
-                foreign_keys,
-                rows,
-                replace,
-            } => self.put_table_parts(
-                name,
-                schema,
-                primary_key.as_ref(),
-                foreign_keys,
-                rows,
-                *replace,
-            ),
+            WalRecord::PutTable { table, replace } => self.put_table(table, *replace),
             WalRecord::InsertBatch { table, rows } => self.insert_batch(table, rows),
             WalRecord::MarkModified { table } => self.mark_modified(table),
             WalRecord::PutMatView { meta } => self.put_matview(meta),
@@ -309,22 +265,10 @@ impl WalRecord {
     /// Decode one member: `[u8 kind 0..=6][body]`.
     fn decode_member(d: &mut Dec) -> Result<WalRecord> {
         Ok(match d.u8()? {
-            0 => {
-                let name = d.str()?;
-                let schema = codec::dec_schema(d)?;
-                let primary_key = codec::dec_primary_key(d)?;
-                let foreign_keys = codec::dec_foreign_keys(d)?;
-                let rows = codec::dec_rows(d)?;
-                let replace = d.u8()? != 0;
-                WalRecord::PutTable {
-                    name,
-                    schema,
-                    primary_key,
-                    foreign_keys,
-                    rows,
-                    replace,
-                }
-            }
+            0 => WalRecord::PutTable {
+                table: codec::dec_table(d)?,
+                replace: d.u8()? != 0,
+            },
             1 => WalRecord::InsertBatch {
                 table: d.str()?,
                 rows: codec::dec_rows(d)?,
@@ -659,7 +603,7 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aggview_common::{DataType, NoFaults, ScheduledIoFaults, Value};
+    use aggview_common::{DataType, NoFaults, ScheduledIoFaults, Schema, Value};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("aggview-wal-{tag}-{}", std::process::id()));
@@ -671,11 +615,18 @@ mod tests {
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::PutTable {
-                name: "Emp".into(),
-                schema: Schema::of(&[("eno", DataType::Int), ("sal", DataType::Float)]),
-                primary_key: Some(PrimaryKey::single(0)),
-                foreign_keys: vec![ForeignKey::new(vec![0], "dept", vec![0])],
-                rows: vec![Tuple::new(vec![Value::Int(1), Value::Float(10.0)])],
+                table: Table::builder(
+                    "Emp",
+                    Schema::of(&[("eno", DataType::Int), ("sal", DataType::Float)]),
+                )
+                .primary_key(&["eno"])
+                .unwrap()
+                .foreign_key(&["eno"], "dept", &[0])
+                .unwrap()
+                .row(vec![Value::Int(1), Value::Float(10.0)])
+                .unwrap()
+                .build()
+                .unwrap(),
                 replace: false,
             },
             WalRecord::InsertBatch {

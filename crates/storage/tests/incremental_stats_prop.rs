@@ -10,9 +10,9 @@
 //!   `rows / HISTOGRAM_BUCKETS` changed rows old;
 //! * a rejected batch (duplicate key on INSERT or UPDATE) leaves rows,
 //!   key index, statistics, versions and the WAL untouched;
-//! * after every batch, accepted or rejected, the column image scans
-//!   read (`Table::column`) is the transpose of the rows, and a reader
-//!   that took the table before the batch keeps its rows and its image;
+//! * after every batch, accepted or rejected, the columns scans read
+//!   (`Table::column`) hold the rows cell for cell, and a reader that
+//!   took the table before the batch keeps its rows and its columns;
 //! * a statement that applied several patches and was then rolled back
 //!   leaves rows, versions and the WAL as they were, statistics equal to
 //!   `analyze(rows)` and every surviving key findable — and the next
@@ -22,13 +22,20 @@
 //! The op mix includes the cases an incremental summary gets wrong
 //! first: deleting the current minimum and maximum, emptying the table,
 //! and an UPDATE that swaps the keys of two rows.
+//!
+//! A second property checks the table itself — its columns *are* the
+//! rows — against a plain `Vec<Tuple>` model over random `RowPatch`
+//! histories (`tables_agree_with_a_row_model`, below).
 
-use aggview_common::{AggViewError, ColumnVec, DataType, Schema, Tuple, Value};
+use aggview_common::{
+    hash_columns, AggSpec, AggViewError, Col, ColumnVec, DataType, RelId, Schema, Tuple, Value,
+};
 use aggview_storage::catalog::WAL_FILE;
 use aggview_storage::stats::{analyze, Histogram, TableStats, HISTOGRAM_BUCKETS};
-use aggview_storage::{Catalog, Table};
+use aggview_storage::{Catalog, ExtentLayout, MatViewDef, MatViewMeta, RowPatch, Table};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 const NCOLS: usize = 4;
@@ -100,13 +107,40 @@ fn fingerprint(cat: &Catalog, wal: &std::path::Path) -> (String, String, u64, u6
     )
 }
 
-/// Every column of the image against a fresh transpose of the rows,
-/// representation (typed or `Mixed`) included.
-fn image_is_transpose_of_rows(t: &Table) -> bool {
-    (0..NCOLS).all(|p| {
-        let fresh = ColumnVec::from_tuples_col(t.rows(), p, t.schema().field(p).ty);
-        format!("{:?}", t.column(p)) == format!("{fresh:?}")
-    })
+/// Equal as stored: same variant, same bits (`Value`'s own `==` takes
+/// `Int(2)` for `Float(2.0)`).
+fn identical(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a.data_type() == b.data_type() && a == b,
+    }
+}
+
+/// Every cell of every column, the point read and the materialized rows
+/// against `rows`; a column is typed exactly while all it holds is of
+/// the declared type.
+fn columns_hold(t: &Table, rows: &[Tuple]) -> bool {
+    let cells = |i: usize, r: &Tuple| {
+        (0..r.arity()).all(|p| identical(&t.column(p).value_at(i), r.get(p)))
+            && t.row(i)
+                .values()
+                .iter()
+                .zip(r.values())
+                .all(|(a, b)| identical(a, b))
+    };
+    let typed = |p: usize| {
+        let declared = t.schema().field(p).ty;
+        let mixed = matches!(t.column(p), ColumnVec::Mixed(_));
+        !mixed || rows.iter().any(|r| r.get(p).data_type() != declared)
+    };
+    let sized = |p: usize| {
+        let bytes: usize = rows.iter().map(|r| r.get(p).width()).sum();
+        t.column(p).len() == rows.len() && t.column(p).total_bytes() == bytes as u64
+    };
+    t.len() == rows.len()
+        && t.rows() == rows
+        && rows.iter().enumerate().all(|(i, r)| cells(i, r))
+        && (0..t.schema().len()).all(|p| sized(p) && typed(p))
 }
 
 /// Distinct random positions in `0..len`, ascending.
@@ -171,13 +205,13 @@ proptest! {
         let mut history = vec![(0u64, hists(cat.get("t").unwrap().stats()))];
 
         for step in 0..40 {
-            let rows = cat.get("t").unwrap().rows().to_vec();
+            let rows = cat.get("t").unwrap().rows();
             let kind = rng.below(14);
             let before = fingerprint(&cat, &wal);
-            // Every other step a reader holds the table, image built,
-            // across the batch: the batch then edits a copy.
+            // Every other step a reader holds the table across the
+            // batch: the batch then edits a copy.
             let reader = (step % 2 == 0).then(|| cat.get("t").unwrap());
-            prop_assert!(reader.iter().all(|t| image_is_transpose_of_rows(t)));
+            prop_assert!(reader.iter().all(|t| columns_hold(t, &rows)));
             // `Some(n)`: the op must succeed and changes n rows;
             // `None`: it must be rejected without a trace.
             let outcome: Option<usize> = match kind {
@@ -301,11 +335,10 @@ proptest! {
             }
 
             if let Some(held) = reader {
-                prop_assert_eq!(held.rows(), &rows[..], "step {}", step);
-                prop_assert!(image_is_transpose_of_rows(&held), "step {}", step);
+                prop_assert!(columns_hold(&held, &rows), "step {}", step);
             }
             let t = cat.get("t").unwrap();
-            prop_assert!(image_is_transpose_of_rows(&t), "step {}", step);
+            prop_assert!(columns_hold(&t, &t.rows()), "step {}", step);
             assert_exact_and_keyed(&t, step);
             prop_assert!(cat.stats_fresh("t"));
             let (exact, got) = (analyze(t.rows(), NCOLS), t.stats());
@@ -325,6 +358,345 @@ proptest! {
         let live = cat.describe_state();
         drop(cat);
         prop_assert_eq!(Catalog::open(&dir).unwrap().describe_state(), live);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+// ---- the table against a row model ------------------------------------
+
+/// Values the columns' typed paths get wrong first: an `Int` in the
+/// `Float` column (and the pair `Int(2^53 + 1)` / `Float(2^53)` that is
+/// equal as values but not as integers), both zeros, a NaN.
+fn float_cell(rng: &mut TestRng) -> Value {
+    match rng.below(10) {
+        0 => Value::Int(rng.below(5) as i64),
+        1 => Value::Float(-0.0),
+        2 => Value::Float(0.0),
+        3 => Value::Float(f64::NAN),
+        4 => Value::Int((1 << 53) + 1),
+        5 => Value::Float((1u64 << 53) as f64),
+        _ => Value::Float(rng.below(40) as f64 / 4.0 - 3.0),
+    }
+}
+
+/// Mostly a few recurring strings (the empty one among them), sometimes
+/// one never seen before, so dictionaries gain entries that later
+/// updates and deletes leave unreferenced.
+fn str_cell(rng: &mut TestRng, fresh: &mut u64) -> Value {
+    match rng.below(6) {
+        0 => Value::str(""),
+        1 | 2 => Value::str(["a", "bb", "ccc"][rng.below(3) as usize]),
+        _ => {
+            *fresh += 1;
+            Value::str(format!("s{fresh}"))
+        }
+    }
+}
+
+/// One of the two modelled tables: `keyed(id INT PRIMARY KEY, x FLOAT,
+/// s STRING, b BOOL)` or `loose(s STRING, x FLOAT)` without a key.
+struct Modelled {
+    view: &'static str,
+    table: &'static str,
+    keyed: bool,
+    rows: Vec<Tuple>,
+    next_id: i64,
+    fresh: u64,
+}
+
+impl Modelled {
+    fn schema(&self) -> Schema {
+        if self.keyed {
+            Schema::of(&[
+                ("id", DataType::Int),
+                ("x", DataType::Float),
+                ("s", DataType::Str),
+                ("b", DataType::Bool),
+            ])
+        } else {
+            Schema::of(&[("s", DataType::Str), ("x", DataType::Float)])
+        }
+    }
+
+    fn new_row(&mut self, rng: &mut TestRng) -> Tuple {
+        self.next_id += 1;
+        self.row_with_id(self.next_id, rng)
+    }
+
+    fn row_with_id(&mut self, id: i64, rng: &mut TestRng) -> Tuple {
+        let (x, s) = (float_cell(rng), str_cell(rng, &mut self.fresh));
+        Tuple::new(if self.keyed {
+            vec![Value::Int(id), x, s, Value::Bool(rng.below(2) == 0)]
+        } else {
+            vec![s, x]
+        })
+    }
+
+    /// Register the table, with `n` rows, as the extent of a view, so
+    /// that `Catalog::patch_extent` applies whole `RowPatch`es to it.
+    fn register(&mut self, cat: &Catalog, n: usize, rng: &mut TestRng) {
+        let mut b = Table::builder(self.table, self.schema());
+        if self.keyed {
+            b = b.primary_key(&["id"]).unwrap();
+        }
+        for _ in 0..n {
+            let row = self.new_row(rng);
+            b.push(row.clone()).unwrap();
+            self.rows.push(row);
+        }
+        cat.add(b.build().unwrap()).unwrap();
+        let def = MatViewDef {
+            name: self.view.into(),
+            tables: vec!["base".into()],
+            preds: vec![],
+            group_cols: vec![Col::base(RelId(0), 0)],
+            aggs: vec![AggSpec::count_star()],
+            column_names: vec!["k".into(), "n".into()],
+        };
+        cat.register_matview(MatViewMeta {
+            layout: ExtentLayout::of(&def),
+            extent: self.table.into(),
+            base_versions: vec![0],
+            def,
+        })
+        .unwrap();
+    }
+
+    /// A random patch and whether the table must accept it.
+    fn patch(&mut self, rng: &mut TestRng) -> (RowPatch, bool) {
+        let len = self.rows.len();
+        let touched = positions(len, rng.below(5) as usize, rng);
+        let (at_updates, deletes): (Vec<usize>, Vec<usize>) =
+            touched.iter().partition(|_| rng.below(2) == 0);
+        let mut patch = RowPatch {
+            updates: Vec::new(),
+            deletes,
+            inserts: Vec::new(),
+        };
+        for at in at_updates {
+            // Usually the row keeps its key; sometimes it takes a new one.
+            let id = match rng.below(4) {
+                0 => self.next_id + 100 + at as i64,
+                _ => self.rows[at].get(0).as_i64().unwrap_or(0),
+            };
+            patch.updates.push((at, self.row_with_id(id, rng)));
+        }
+        for _ in 0..rng.below(4) {
+            let row = self.new_row(rng);
+            patch.inserts.push(row);
+        }
+        let mut valid = true;
+        match rng.below(12) {
+            0 if len > 0 => {
+                patch.deletes.push(len + rng.below(3) as usize);
+                valid = false;
+            }
+            1 if patch.deletes.len() >= 2 => {
+                patch.deletes.reverse();
+                valid = false;
+            }
+            2 if !patch.updates.is_empty() && !patch.deletes.contains(&patch.updates[0].0) => {
+                // A position both updated and deleted.
+                patch.deletes.push(patch.updates[0].0);
+                patch.deletes.sort_unstable();
+                valid = false;
+            }
+            3 => {
+                let mut short = self.new_row(rng).into_values();
+                short.pop();
+                patch.inserts.push(Tuple::new(short));
+                valid = false;
+            }
+            4 => {
+                let mut ill = self.new_row(rng).into_values();
+                ill[1] = Value::Bool(true);
+                patch.inserts.push(Tuple::new(ill));
+                valid = false;
+            }
+            5 if self.keyed && len > 0 => {
+                // A key some stored row holds (and may be giving up).
+                let id = self.rows[rng.below(len as u64) as usize]
+                    .get(0)
+                    .as_i64()
+                    .unwrap();
+                let dup = self.row_with_id(id, rng);
+                patch.inserts.push(dup);
+            }
+            _ => {}
+        }
+        // Well-formed, the patch stands or falls with key uniqueness of
+        // the rows it leaves.
+        if valid && self.keyed {
+            let after = patched(&self.rows, &patch);
+            let keys: HashSet<&Value> = after.iter().map(|r| r.get(0)).collect();
+            valid = keys.len() == after.len();
+        }
+        (patch, valid)
+    }
+
+    /// Everything the table answers, against the model. `exact_range`:
+    /// the statistics were derived from the rows just now, not carried
+    /// (carried `min`/`max` are only promised on NaN-free columns, and
+    /// as numbers: which of `0.0` and `-0.0` stands for zero is not).
+    fn check(&self, cat: &Catalog, exact_range: bool, step: usize) {
+        let t = cat.get(self.table).unwrap();
+        let rows = &self.rows;
+        assert!(
+            columns_hold(&t, rows),
+            "step {step}: {:?} vs {rows:?}",
+            t.rows()
+        );
+        let bytes: usize = rows.iter().map(Tuple::width).sum();
+        assert_eq!(t.byte_size(), bytes as u64, "step {step}");
+        for (i, r) in rows.iter().enumerate() {
+            let found = t.find_key(&r.project(&[0]));
+            assert_eq!(found, self.keyed.then_some(i), "step {step}");
+        }
+        let (exact, got) = (analyze(rows, t.schema().len()), t.stats());
+        assert_eq!(got.rows, exact.rows, "step {step}");
+        assert_eq!(got.row_width.to_bits(), exact.row_width.to_bits());
+        for (p, (g, e)) in got.columns.iter().zip(&exact.columns).enumerate() {
+            assert_eq!(g.distinct, e.distinct, "step {step} column {p}");
+            assert_eq!(g.avg_width.to_bits(), e.avg_width.to_bits());
+            let nan_free = !rows
+                .iter()
+                .any(|r| r.get(p).as_f64().is_some_and(f64::is_nan));
+            if exact_range {
+                assert_eq!(
+                    g.min.map(f64::to_bits),
+                    e.min.map(f64::to_bits),
+                    "step {step}"
+                );
+                assert_eq!(
+                    g.max.map(f64::to_bits),
+                    e.max.map(f64::to_bits),
+                    "step {step}"
+                );
+                assert_eq!(hist_bits(&g.histogram), hist_bits(&e.histogram));
+            } else if nan_free {
+                assert_eq!((g.min, g.max), (e.min, e.max), "step {step} column {p}");
+            }
+            // A string column's dictionary stays within twice what its
+            // rows reference.
+            if let Some(strs) = t.column(p).as_strs() {
+                assert!(strs.dict().len() as u64 <= 2 * g.distinct, "step {step}");
+            }
+        }
+    }
+}
+
+/// What an accepted patch makes of a row vector.
+fn patched(rows: &[Tuple], patch: &RowPatch) -> Vec<Tuple> {
+    let mut rows = rows.to_vec();
+    for (at, row) in &patch.updates {
+        rows[*at] = row.clone();
+    }
+    let mut at = 0;
+    rows.retain(|_| {
+        at += 1;
+        !patch.deletes.contains(&(at - 1))
+    });
+    rows.extend(patch.inserts.iter().cloned());
+    rows
+}
+
+/// `a.s = b.s` as a nested loop over the two tables' string columns —
+/// two dictionaries that never met — against the same join over the
+/// model rows: equality and hash agree across the dictionaries, and
+/// gathering both sides into one column keeps every string.
+fn joined_on_strings(cat: &Catalog, a: &Modelled, b: &Modelled) {
+    let (ta, tb) = (cat.get(a.table).unwrap(), cat.get(b.table).unwrap());
+    let (ca, cb) = (ta.column(2), tb.column(0));
+    let hashes = |c: &ColumnVec| {
+        let mut out = Vec::new();
+        hash_columns([c], 0..c.len(), &mut out);
+        out
+    };
+    let (ha, hb) = (hashes(ca), hashes(cb));
+    let mut out = ca.empty_like();
+    let mut want = Vec::new();
+    for (i, ra) in a.rows.iter().enumerate() {
+        for (j, rb) in b.rows.iter().enumerate() {
+            let equal = ra.get(2) == rb.get(0);
+            assert_eq!(ca.eq_rows(i, cb, j), equal, "rows {i} and {j}");
+            if equal {
+                assert_eq!(ha[i], hb[j]);
+                out.append_gather(ca, &[i as u32]);
+                out.append_gather(cb, &[j as u32]);
+                want.extend([ra.get(2).clone(), rb.get(0).clone()]);
+            }
+        }
+    }
+    let got: Vec<Value> = (0..out.len()).map(|i| out.value_at(i)).collect();
+    assert_eq!(got, want);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random `RowPatch` histories — updates, deletes and inserts in one
+    /// patch, rejected patches, statements rolled back, a checkpoint —
+    /// over a keyed and a keyless table, each checked after every step
+    /// against a plain `Vec<Tuple>`: `rows()`, every `column(p)` cell,
+    /// `row(i)`, `find_key`, `byte_size`, `stats()`; a reader that took
+    /// the table first keeps what it saw; and what the log and the
+    /// snapshot encoded from the columns reopens as the same rows.
+    #[test]
+    fn tables_agree_with_a_row_model(seed in 0u64..1_000_000, initial in 0usize..40) {
+        let mut rng = TestRng::deterministic("row_model", seed as u32);
+        let dir = tmpdir(&format!("model-{seed}"));
+        let cat = Catalog::open(&dir).unwrap();
+        let mut keyed = Modelled {
+            view: "v_keyed", table: "keyed", keyed: true, rows: vec![], next_id: 0, fresh: 0,
+        };
+        let mut loose = Modelled {
+            view: "v_loose", table: "loose", keyed: false, rows: vec![], next_id: 0, fresh: 1000,
+        };
+        keyed.register(&cat, initial, &mut rng);
+        loose.register(&cat, initial / 2, &mut rng);
+        keyed.check(&cat, true, 0);
+        loose.check(&cat, true, 0);
+
+        for step in 1..=40 {
+            let m = if rng.below(3) == 0 { &mut loose } else { &mut keyed };
+            let reader = (step % 2 == 0).then(|| (cat.get(m.table).unwrap(), m.rows.clone()));
+            let (patch, valid) = m.patch(&mut rng);
+            let before = cat.describe_state();
+            // One valid patch in four is applied inside a statement that
+            // then fails, after a second patch of its own.
+            let rolled_back = valid && rng.below(4) == 0;
+            if rolled_back {
+                let more = RowPatch { inserts: vec![m.new_row(&mut rng)], ..RowPatch::default() };
+                let aborted = cat.statement(|| {
+                    cat.patch_extent(m.view, patch.clone(), vec![step as u64])?;
+                    cat.patch_extent(m.view, more, vec![0])?;
+                    Err::<(), _>(AggViewError::Exec("abort".into()))
+                });
+                prop_assert!(aborted.is_err());
+            } else {
+                let applied = cat.patch_extent(m.view, patch.clone(), vec![step as u64]);
+                prop_assert_eq!(applied.is_ok(), valid, "step {}: {:?}", step, patch);
+            }
+            if valid && !rolled_back {
+                m.rows = patched(&m.rows, &patch);
+            } else {
+                prop_assert_eq!(cat.describe_state(), before, "step {}", step);
+            }
+            m.check(&cat, rolled_back, step);
+            if let Some((held, rows)) = reader {
+                prop_assert!(columns_hold(&held, &rows), "step {}", step);
+            }
+            if step == 20 {
+                cat.checkpoint().unwrap();
+            }
+        }
+
+        joined_on_strings(&cat, &keyed, &loose);
+        drop(cat);
+        // (The two stand-in views come back quarantined: no base table.)
+        let reopened = Catalog::open(&dir).unwrap();
+        keyed.check(&reopened, false, 41);
+        loose.check(&reopened, false, 41);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
