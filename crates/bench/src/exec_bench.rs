@@ -33,9 +33,11 @@ use aggview_core::query::examples::{dept, emp, example1_query};
 use aggview_core::query::{CanonicalQuery, QueryEnv, TopGroup, ViewDef};
 use aggview_core::{CostModel, OptimizerConfig};
 use aggview_executor::partition::AggInput;
-use aggview_executor::{vector, Engine, ExecOptions};
+use aggview_executor::vector::{self, Held, JoinShape, Probe, Slot};
+use aggview_executor::{Engine, ExecOptions};
 use aggview_storage::datagen::{gen_empdept, gen_star, EmpDeptConfig, StarConfig};
 use aggview_storage::{Catalog, Table};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Knobs for one benchmark run.
@@ -142,7 +144,7 @@ pub fn run_exec_bench(cfg: &ExecBenchConfig) -> Result<ExecBenchReport> {
         .map(|f| f.ty)
         .collect();
     let kernels = vec![
-        filter_kernel(empdept.get("emp")?.as_ref(), repeats)?,
+        filter_kernel(empdept.get("emp")?, repeats)?,
         join_kernel(
             "hash_join",
             JOIN_MIXED_PAYLOAD,
@@ -367,7 +369,7 @@ fn timing(name: &'static str, input_rows: usize, ms: f64) -> KernelTiming {
 
 /// Scan+filter+project of the emp table, as the engine's scan runs it:
 /// over the table's columns; best-of-`repeats`.
-fn filter_kernel(table: &Table, repeats: usize) -> Result<KernelTiming> {
+fn filter_kernel(table: Arc<Table>, repeats: usize) -> Result<KernelTiming> {
     let gov = ResourceGovernor::unlimited();
     let opts = ExecOptions::with_threads(1);
     // SELECT dno, sal FROM emp WHERE sal >= 800 AND age < 40.
@@ -383,49 +385,51 @@ fn filter_kernel(table: &Table, repeats: usize) -> Result<KernelTiming> {
     .map(|p| p.bind(&emp_layout))
     .collect::<Result<_>>()?;
     let (ms, _) = time_best(repeats, || {
-        vector::scan_table(&opts, &gov, table, &preds, &[emp::DNO, emp::SAL])
+        let rows =
+            vector::scan_table(&opts, &gov, table.clone(), &preds, vec![emp::DNO, emp::SAL])?;
+        vector::collect(&opts, &gov, &rows, &[])
     })?;
     Ok(timing("filter", table.len(), ms))
 }
 
-/// Join payloads over the combined layout `dept ++ emp`: every dept
+/// Join payloads, dept (the build side, `true`) then emp: every dept
 /// column plus emp name and sal (three numeric, three string columns),
 /// and the three string columns alone (dname, loc, emp name).
-const JOIN_MIXED_PAYLOAD: &[usize] = &[0, 1, 2, 3, 4 + emp::NAME, 4 + emp::SAL];
-const JOIN_STR_PAYLOAD: &[usize] = &[dept::DNAME, dept::LOC, 4 + emp::NAME];
+const JOIN_MIXED_PAYLOAD: &[Slot] = &[
+    (true, 0),
+    (true, 1),
+    (true, 2),
+    (true, 3),
+    (false, emp::NAME),
+    (false, emp::SAL),
+];
+const JOIN_STR_PAYLOAD: &[Slot] = &[(true, dept::DNAME), (true, dept::LOC), (false, emp::NAME)];
 
-/// Hash join build + probe on the Int key `dno`, emitting `positions`.
+/// Hash join build + probe on the Int key `dno`, emitting `payload`.
 /// Inputs are transposed outside the timed region: in the engine a join
-/// consumes batches produced upstream, so transposition belongs to the
-/// scan (the `filter` entry), not the join.
+/// reads rows held upstream, so transposition belongs to the scan (the
+/// `filter` entry), not the join.
 fn join_kernel(
     name: &'static str,
-    positions: &[usize],
+    payload: &[Slot],
     (emp_rows, emp_types): (&[Tuple], &[DataType]),
     (dept_rows, dept_types): (&[Tuple], &[DataType]),
     repeats: usize,
 ) -> Result<KernelTiming> {
     let gov = ResourceGovernor::unlimited();
     let opts = ExecOptions::with_threads(1);
-    let build_pos = [dept::DNO];
-    let probe_pos = [emp::DNO];
-    let build = Batch::from_tuples(dept_rows, &identity(dept_types.len()), dept_types);
-    let probe = Batch::from_tuples(emp_rows, &identity(emp_types.len()), emp_types);
+    let shape = JoinShape {
+        keys: vec![(dept::DNO, emp::DNO)],
+        emit: payload.to_vec(),
+        ..Default::default()
+    };
+    let batch = |rows, types: &[DataType]| {
+        Held::batch(Batch::from_tuples(rows, &identity(types.len()), types))
+    };
+    let (build, probe) = (batch(dept_rows, dept_types), batch(emp_rows, emp_types));
     let (ms, _) = time_best(repeats, || {
-        let index = vector::build_index(&opts, &gov, &build, &probe, &build_pos, &probe_pos)?;
-        vector::probe_join(
-            &opts,
-            &gov,
-            &build,
-            &probe,
-            &index,
-            &build_pos,
-            &probe_pos,
-            &[],
-            true,
-            4,
-            positions,
-        )
+        let index = Probe::new(&opts, &gov, &build, &probe.cols(), &shape)?;
+        vector::collect(&opts, &gov, &probe, &[index])
     })?;
     Ok(timing(name, emp_rows.len() + dept_rows.len(), ms))
 }
@@ -513,10 +517,11 @@ fn group_kernel(
         .map(|(_, arg)| arg.map_or(AggInput::RawCountStar, |c| AggInput::Raw(BoundExpr::Col(c))))
         .collect();
     let funcs: Vec<AggFunc> = aggs.iter().map(|&(f, _)| f).collect();
-    let batch = Batch::from_tuples(rows, &identity(types.len()), types);
+    let batch = Held::batch(Batch::from_tuples(rows, &identity(types.len()), types));
     let (ms, _) = time_best(repeats, || {
-        vector::accumulate_groups(&opts, &gov, &batch, keys, lookup, &inputs, &funcs)?
-            .into_columns(true)
+        let (table, _) =
+            vector::aggregate(&opts, &gov, &batch, &[], keys, lookup, &inputs, &funcs)?;
+        table.into_columns(true)
     })?;
     Ok(timing(name, rows.len(), ms))
 }

@@ -33,22 +33,6 @@ impl Batch {
         Batch { cols, len }
     }
 
-    /// An empty batch with the same column representations as `self`.
-    pub fn empty_like(&self) -> Batch {
-        Batch {
-            cols: self.cols.iter().map(ColumnVec::empty_like).collect(),
-            len: 0,
-        }
-    }
-
-    /// A zero-column batch of `len` rows (projection to nothing).
-    pub fn zero_cols(len: usize) -> Batch {
-        Batch {
-            cols: Vec::new(),
-            len,
-        }
-    }
-
     /// Assemble from columns plus an explicit row count (used by kernels
     /// that build output columns independently — e.g. join emit gathers
     /// from two source batches — and for zero-column outputs).
@@ -112,16 +96,6 @@ impl Batch {
         (0..self.len)
             .map(|r| Tuple::new(self.cols.iter().map(|c| c.value_at(r)).collect()))
             .collect()
-    }
-
-    /// Append all rows of `other` (column representations must line up —
-    /// both sides come from the same kernel).
-    pub fn append(&mut self, other: &Batch) {
-        debug_assert_eq!(self.n_cols(), other.n_cols());
-        for (dst, src) in self.cols.iter_mut().zip(&other.cols) {
-            dst.append_column(src);
-        }
-        self.len += other.len;
     }
 
     /// Keep columns `positions`, in that order, of every row: a column
@@ -256,7 +230,7 @@ mod tests {
     #[test]
     fn zero_col_batches_track_row_count() {
         let b = sample();
-        let mut out = Batch::zero_cols(0);
+        let mut out = Batch::from_parts(Vec::new(), 0);
         let w = out.gather_from(&b, &[], Some(&[0, 1, 2]), 0..0);
         assert_eq!(out.len(), 3);
         assert_eq!(w, 0);

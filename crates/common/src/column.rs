@@ -373,6 +373,32 @@ impl ColumnVec {
         }
     }
 
+    /// Byte width of the entries at `rows`: what [`Self::append_gather`]
+    /// of them would report, without copying anything.
+    pub fn bytes_at(&self, rows: impl ExactSizeIterator<Item = usize>) -> u64 {
+        match self {
+            ColumnVec::Int(_) | ColumnVec::Float(_) => 8 * rows.len() as u64,
+            ColumnVec::Bool(_) => rows.len() as u64,
+            ColumnVec::Str(v) => rows.map(|i| v.dict.width(v.codes[i])).sum(),
+            ColumnVec::Mixed(v) => rows.map(|i| v[i].width() as u64).sum(),
+        }
+    }
+
+    /// Drop every entry and keep the allocation (a string column also
+    /// keeps its dictionary): a tile buffer between two tiles.
+    pub fn clear(&mut self) {
+        match self {
+            ColumnVec::Int(v) => v.clear(),
+            ColumnVec::Float(v) => v.clear(),
+            ColumnVec::Str(v) => {
+                v.codes.clear();
+                v.bytes = 0;
+            }
+            ColumnVec::Bool(v) => v.clear(),
+            ColumnVec::Mixed(v) => v.clear(),
+        }
+    }
+
     /// Transpose tuple position `p` of `rows` into a column declared as
     /// `ty`: a [`ColumnVec::push_value`] loop, so the first value off the
     /// declared type (only possible on ill-typed data) demotes the column

@@ -26,7 +26,7 @@
 //!   plan is a counted diagnostic rather than a silent slow path.
 //! * **Admission bounds** — guaranteed lower bounds on the rows and
 //!   bytes every execution of the plan must charge against the
-//!   governor, and on `peak_intermediate_bytes`. The executor rejects
+//!   governor. The executor rejects
 //!   a plan whose bounds already exceed the budget with
 //!   [`aggview_common::AggViewError::PlanInadmissible`] before any
 //!   work runs.
@@ -323,9 +323,9 @@ impl ColDomain {
 /// Guaranteed lower bounds on what executing the plan must cost.
 ///
 /// `min_rows` and `min_bytes` bound the *cumulative* output rows and
-/// bytes charged against the governor across all operators; `min_peak_bytes`
-/// bounds the largest single operator output
-/// (`ResultSet::peak_intermediate_bytes`). All three are reachable
+/// bytes charged against the governor across all operators — charged
+/// whether an operator's output is kept whole or streams through a
+/// pipeline tile by tile. Both are reachable
 /// floors, never estimates: a plan whose floor exceeds the budget can
 /// only end in `ResourceExhausted` after wasted work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -334,8 +334,6 @@ pub struct Bounds {
     pub min_rows: u64,
     /// Total output bytes across all operators, at minimum.
     pub min_bytes: u64,
-    /// Largest single-operator output in bytes, at minimum.
-    pub min_peak_bytes: u64,
 }
 
 /// The result of analyzing one plan.
@@ -516,7 +514,7 @@ fn project_domains(project: &[Col], avail: &DomainMap, out: &mut DomainMap) -> b
 }
 
 /// Finish a node: compute its byte floor, fold it into the running
-/// totals and peak, and build the summary.
+/// totals, and build the summary.
 fn finish(
     cx: &mut Cx<'_>,
     project: &[Col],
@@ -531,7 +529,6 @@ fn finish(
     let min_bytes = min_rows.saturating_mul(min_row_width(project, &cols));
     cx.bounds.min_rows = cx.bounds.min_rows.saturating_add(min_rows);
     cx.bounds.min_bytes = cx.bounds.min_bytes.saturating_add(min_bytes);
-    cx.bounds.min_peak_bytes = cx.bounds.min_peak_bytes.max(min_bytes);
     Node {
         cols,
         min_rows,
@@ -1271,7 +1268,6 @@ mod tests {
         // Unfiltered scan must charge all 10 rows: 3 numeric cols × 8B.
         assert_eq!(df.bounds.min_rows, 10);
         assert_eq!(df.bounds.min_bytes, 240);
-        assert_eq!(df.bounds.min_peak_bytes, 240);
     }
 
     #[test]
@@ -1414,7 +1410,6 @@ mod tests {
         assert!(!avg.interval.contains(100.0));
         // Scan (10 rows) + one guaranteed group.
         assert_eq!(df.bounds.min_rows, 11);
-        assert!(df.bounds.min_peak_bytes >= 240);
     }
 
     #[test]

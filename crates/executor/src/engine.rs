@@ -1,8 +1,11 @@
-//! The recursive plan evaluator.
+//! The plan evaluator: a plan runs as pipelines cut at its breakers.
 //!
-//! Evaluation is materialized and columnar: each operator consumes and
-//! produces a column-major [`Batch`], folded tile-wise by the kernels in
-//! [`crate::vector`]; rows are materialized only at the plan boundary
+//! Evaluation is columnar and streamed: a subtree either is *held*
+//! whole — a scan (its table's columns behind a selection), the output
+//! of a group-by or partial aggregate, a join's build side — or
+//! *streams* tiles through the joins above it into the next breaker's
+//! sink ([`crate::vector`] runs the pipelines); a join's output never
+//! exists whole, and rows are materialized only at the plan boundary
 //! ([`ResultSet::rows`]). IO is *accounted*, not performed: every
 //! operator charges the pages the paper's cost model says it would
 //! transfer, computed from the **actual** sizes of its inputs and
@@ -13,11 +16,11 @@
 
 use crate::parallel::ExecOptions;
 use crate::partition::AggInput;
-use crate::vector;
+use crate::vector::{self, Flow, Held, JoinShape, Probe, Slot};
 use aggview_common::fault::{maybe_fault, FaultInjector};
 use aggview_common::predicate::BoundPredicate;
 use aggview_common::{
-    AggFunc, AggRef, AggViewError, Batch, Col, ColumnVec, DataType, Predicate, RelId, Result, Tuple,
+    AggFunc, AggRef, AggViewError, Batch, Col, ColumnVec, Predicate, Result, Tuple,
 };
 use aggview_core::analyze::dataflow;
 use aggview_core::cost::ops::{self, JoinSides};
@@ -49,8 +52,15 @@ pub struct ResultSet {
     pub io_pages: f64,
     /// Per-operator breakdown, in post-order.
     pub breakdown: Vec<IoBreakdown>,
-    /// Largest materialized operator output, in bytes — the memory
-    /// high-water mark the paper's transformations try to shrink.
+    /// High-water mark, in bytes, of what the executor holds between the
+    /// tables and the result that grows with the data — the memory the
+    /// paper's transformations try to shrink: scan selections, join build
+    /// sides that were collected, join indexes, group tables, and breaker
+    /// outputs awaiting their consumer. Not in the figure: the result
+    /// itself, and the tile buffers of a running pipeline, which hold
+    /// `batch_rows` rows (plus at most one probe row's matches) per
+    /// buffered stage whatever the tables hold. A figure of the plan and
+    /// the data, not of the thread count.
     pub peak_intermediate_bytes: u64,
     /// Typed→Mixed column demotions observed during this execution.
     /// Zero for any plan the dataflow pass certifies Mixed-free; a
@@ -85,14 +95,21 @@ struct ExecCtx<'e> {
     gov: &'e ResourceGovernor,
     faults: Option<&'e dyn FaultInjector>,
     options: ExecOptions,
+    /// Bytes held right now, and the most `live` plus a running
+    /// pipeline's own bytes ever came to.
+    live: u64,
     peak_bytes: u64,
 }
 
 impl ExecCtx<'_> {
-    /// Record one operator's materialized output size for the peak
-    /// intermediate high-water mark.
-    fn note_op_output(&mut self, bytes: u64) {
-        self.peak_bytes = self.peak_bytes.max(bytes);
+    /// `bytes` more are held until [`Self::release`]d.
+    fn hold(&mut self, bytes: u64) {
+        self.live += bytes;
+        self.peak_bytes = self.peak_bytes.max(self.live);
+    }
+
+    fn release(&mut self, bytes: u64) {
+        self.live -= bytes;
     }
 }
 
@@ -103,6 +120,39 @@ impl ExecCtx<'_> {
 enum AggNode<'p> {
     Full(&'p GroupBySpec),
     Partial(&'p PartialAggSpec),
+}
+
+/// A subtree as its consumer gets it: rows held whole, and the joins
+/// that stream out of them — none for a scan or a breaker's output,
+/// whose size is therefore known before anything above it runs.
+struct Stream<'p> {
+    /// Output layout.
+    cols: Vec<Col>,
+    source: Held,
+    joins: Vec<Join<'p>>,
+}
+
+/// One join of a [`Stream`]: its held build side, and what its page
+/// charge — due when the stream has run — is computed from.
+struct Join<'p> {
+    build: Held,
+    build_left: bool,
+    shape: JoinShape,
+    algo: JoinAlgo,
+    preds: &'p [Predicate],
+    /// The breakdown entry reserved for this join.
+    slot: usize,
+}
+
+impl Stream<'_> {
+    /// A subtree evaluated whole.
+    fn held(cols: &[Col], source: Held) -> Self {
+        Stream {
+            cols: cols.to_vec(),
+            source,
+            joins: Vec::new(),
+        }
+    }
 }
 
 impl<'a> Engine<'a> {
@@ -130,10 +180,11 @@ impl<'a> Engine<'a> {
     /// [`FaultInjector`].
     ///
     /// Every operator checks cancellation and the wall-clock deadline on
-    /// entry, and charges each materialized output tuple against the
-    /// governor's row/byte budgets, so runaway intermediates abort with
+    /// entry and at every tile, and charges each output tuple against the
+    /// governor's row/byte budgets — whether the tuple is kept or only
+    /// passes through a pipeline — so runaway intermediates abort with
     /// [`AggViewError::ResourceExhausted`] (or
-    /// [`AggViewError::Cancelled`]) within one operator boundary rather
+    /// [`AggViewError::Cancelled`]) within one tile rather
     /// than exhausting memory. The fault injector, when present, is
     /// consulted at storage scans and operator entries and may surface
     /// [`AggViewError::Transient`] failures for robustness testing.
@@ -143,7 +194,7 @@ impl<'a> Engine<'a> {
     /// is rejected with [`AggViewError::PlanInvalid`] instead of being
     /// executed. When the governor carries a row or byte budget, the
     /// dataflow pass then derives guaranteed lower bounds on the plan's
-    /// materialized output; a plan whose *floor* already exceeds a
+    /// charged output; a plan whose *floor* already exceeds a
     /// budget can only end in [`AggViewError::ResourceExhausted`] after
     /// wasted work, so it is rejected up front with
     /// [`AggViewError::PlanInadmissible`].
@@ -164,13 +215,22 @@ impl<'a> Engine<'a> {
             gov,
             faults,
             options: self.options,
+            live: 0,
             peak_bytes: 0,
         };
-        let (cols, data) = self.exec(plan, &mut ctx)?;
+        let mut root = self.stream(plan, &mut ctx)?;
+        // The result is what the plan is for, not an intermediate: a
+        // breaker at the root hands its batch over, anything else is
+        // collected, and neither counts towards the peak.
+        let data = if root.joins.is_empty() && !root.source.is_scan() {
+            root.source.into_batch()
+        } else {
+            Some(self.collect(&root, &mut ctx, |_| 0)?)
+        };
         let io_pages = ctx.breakdown.iter().map(|b| b.pages).sum();
         Ok(ResultSet {
-            cols,
-            rows: data.to_tuples(),
+            cols: std::mem::take(&mut root.cols),
+            rows: data.map_or_else(Vec::new, |d| d.to_tuples()),
             io_pages,
             breakdown: ctx.breakdown,
             peak_intermediate_bytes: ctx.peak_bytes,
@@ -209,21 +269,68 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    fn exec(&self, plan: &Plan, ctx: &mut ExecCtx<'_>) -> Result<(Vec<Col>, Batch)> {
+    /// Evaluate `plan` as far as its consumer needs it: scans and
+    /// breakers (which run their own pipelines here) come back held, a
+    /// join comes back as one more stage of the stream it probes with.
+    fn stream<'p>(&self, plan: &'p Plan, ctx: &mut ExecCtx<'_>) -> Result<Stream<'p>> {
         match plan {
             Plan::Scan {
                 rel,
                 table,
                 filters,
                 project,
-            } => self.exec_scan(*rel, table, filters, project, ctx),
+            } => {
+                let layout = |arity| (0..arity).map(|c| (Col::base(*rel, c), c)).collect();
+                self.scan(
+                    ctx,
+                    table,
+                    format!("scan {table}"),
+                    layout,
+                    filters,
+                    project,
+                )
+            }
+            // An extent is read like a base table, each physical column
+            // exposed under the logical identity the matcher assigned it
+            // (group column, finalized aggregate, or stored partial-state
+            // component): `outputs[i]` lives at physical column `cols[i]`.
+            Plan::ExtentScan {
+                view,
+                table,
+                cols,
+                outputs,
+                filters,
+                project,
+                ..
+            } => {
+                let op = format!("extent-scan {table} (matview {view})");
+                let layout = |_arity| outputs.iter().copied().zip(cols.iter().copied()).collect();
+                self.scan(ctx, table, op, layout, filters, project)
+            }
+            // A subtree the dataflow pass proved empty: the declared
+            // layout with zero rows, charging no IO and touching no
+            // storage. The (empty) columns are typed from the operator's
+            // recorded schema so downstream kernels stay on their fast
+            // paths.
+            Plan::EmptyScan { project, types, .. } => {
+                ctx.gov.check_interrupt()?;
+                ctx.breakdown.push(IoBreakdown {
+                    op: "empty-scan".into(),
+                    pages: 0.0,
+                });
+                let cols = types.iter().map(|&t| ColumnVec::with_type(t)).collect();
+                Ok(Stream::held(
+                    project,
+                    Held::batch(Batch::from_parts(cols, 0)),
+                ))
+            }
             Plan::Join {
                 algo,
                 left,
                 right,
                 preds,
                 project,
-            } => self.exec_join(*algo, left, right, preds, project, ctx),
+            } => self.join(*algo, left, right, preds, project, ctx),
             Plan::GroupBy {
                 algo,
                 input,
@@ -236,85 +343,15 @@ impl<'a> Engine<'a> {
                 spec,
                 project,
             } => self.exec_aggregate(AggNode::Partial(spec), *algo, input, project, ctx),
-            Plan::EmptyScan { project, types, .. } => self.exec_empty_scan(project, types, ctx),
-            Plan::ExtentScan {
-                view,
-                table,
-                cols,
-                outputs,
-                filters,
-                project,
-                ..
-            } => self.exec_extent_scan(view, table, cols, outputs, filters, project, ctx),
         }
     }
 
-    /// A subtree the dataflow pass proved empty: produce the declared
-    /// layout with zero rows, charging no IO and touching no storage.
-    /// The (empty) columns are typed from the operator's recorded schema
-    /// so downstream kernels stay on their fast paths.
-    fn exec_empty_scan(
-        &self,
-        project: &[Col],
-        types: &[DataType],
-        ctx: &mut ExecCtx<'_>,
-    ) -> Result<(Vec<Col>, Batch)> {
-        ctx.gov.check_interrupt()?;
-        ctx.breakdown.push(IoBreakdown {
-            op: "empty-scan".into(),
-            pages: 0.0,
-        });
-        ctx.note_op_output(0);
-        let data = Batch::from_parts(types.iter().map(|&t| ColumnVec::with_type(t)).collect(), 0);
-        Ok((project.to_vec(), data))
-    }
-
-    /// Scan a materialized-view extent: read the extent table like a
-    /// base table, but expose each physical column under the logical
-    /// identity the matcher assigned it (group column, finalized
-    /// aggregate, or stored partial-state component).
-    #[allow(clippy::too_many_arguments)]
-    fn exec_extent_scan(
-        &self,
-        view: &str,
-        table: &str,
-        cols: &[usize],
-        outputs: &[Col],
-        filters: &[Predicate],
-        project: &[Col],
-        ctx: &mut ExecCtx<'_>,
-    ) -> Result<(Vec<Col>, Batch)> {
-        let op = format!("extent-scan {table} (matview {view})");
-        // Logical identity `outputs[i]` lives at physical column `cols[i]`.
-        let layout = |_arity| outputs.iter().copied().zip(cols.iter().copied()).collect();
-        self.scan_table(ctx, table, op, layout, filters, project)
-    }
-
-    fn exec_scan(
-        &self,
-        rel: RelId,
-        table: &str,
-        filters: &[Predicate],
-        project: &[Col],
-        ctx: &mut ExecCtx<'_>,
-    ) -> Result<(Vec<Col>, Batch)> {
-        let layout = |arity| (0..arity).map(|c| (Col::base(rel, c), c)).collect();
-        self.scan_table(
-            ctx,
-            table,
-            format!("scan {table}"),
-            layout,
-            filters,
-            project,
-        )
-    }
-
     /// Shared body of both scan operators: charge the whole-table read,
-    /// then run the pushed-down filters and the projection over the
+    /// then evaluate the pushed-down filters into a selection over the
     /// table's columns. `layout_of` maps logical columns to *physical*
     /// column positions given the table's arity; filters and projection
     /// are bound to those, and only the columns they name are read.
-    fn scan_table(
+    fn scan<'p>(
         &self,
         ctx: &mut ExecCtx<'_>,
         table: &str,
@@ -322,75 +359,72 @@ impl<'a> Engine<'a> {
         layout_of: impl FnOnce(usize) -> HashMap<Col, usize>,
         filters: &[Predicate],
         project: &[Col],
-    ) -> Result<(Vec<Col>, Batch)> {
+    ) -> Result<Stream<'p>> {
         ctx.gov.check_interrupt()?;
         maybe_fault(ctx.faults, &format!("storage.scan.{table}"))?;
         let t = self.catalog.get(table)?;
         // The scan reads the whole table.
-        let pages = self.model.page.pages_for_bytes(t.byte_size() as f64);
+        let pages = self.pages_for(t.byte_size());
         ctx.breakdown.push(IoBreakdown {
             op,
             pages: ops::scan_io(pages),
         });
         let layout = layout_of(t.schema().len());
-        let (out, out_bytes) = vector::scan_table(
+        let held = vector::scan_table(
             &ctx.options,
             ctx.gov,
-            &t,
+            t,
             &bind_all(filters, &layout)?,
-            &positions_of(project, &layout, "scan projects")?,
+            positions_of(project, &layout, "scan projects")?,
         )?;
-        ctx.note_op_output(out_bytes);
-        Ok((project.to_vec(), out))
+        ctx.hold(held.resident_bytes());
+        Ok(Stream::held(project, held))
     }
 
-    fn exec_join(
+    /// A join becomes a stage of the stream it probes with; its other
+    /// input is held and indexed. Two inputs of known size — scans,
+    /// breaker outputs — keep the rule "the smaller builds, ties build
+    /// left" (without an equality the right is held, so pairs come in
+    /// `for left { for right }` order); an input that is itself a stream
+    /// of joins has no size yet and always probes — and when both are,
+    /// the right one is collected to build on.
+    fn join<'p>(
         &self,
         algo: JoinAlgo,
-        left: &Plan,
-        right: &Plan,
-        preds: &[Predicate],
+        left: &'p Plan,
+        right: &'p Plan,
+        preds: &'p [Predicate],
         project: &[Col],
         ctx: &mut ExecCtx<'_>,
-    ) -> Result<(Vec<Col>, Batch)> {
+    ) -> Result<Stream<'p>> {
         ctx.gov.check_interrupt()?;
         maybe_fault(ctx.faults, "exec.join")?;
-        let (lcols, lb) = self.exec(left, ctx)?;
-        let (rcols, rb) = self.exec(right, ctx)?;
-        let sides = JoinSides {
-            left_rows: lb.len() as f64,
-            left_pages: self.pages_of(&lb),
-            right_rows: rb.len() as f64,
-            right_pages: self.pages_of(&rb),
-        };
-        let mem = self.model.io.mem_pages;
-        let (algo, charge) = match algo {
-            JoinAlgo::Auto => ops::best_join(&sides, preds, mem),
-            a => {
-                if !ops::join_algo_applicable(a, preds) {
-                    return Err(AggViewError::Exec(format!(
-                        "join algorithm {a} requires an equality predicate"
-                    )));
-                }
-                (a, ops::join_io(a, &sides, preds, mem))
-            }
-        };
+        let l = self.stream(left, ctx)?;
+        let r = self.stream(right, ctx)?;
+        if algo != JoinAlgo::Auto && !ops::join_algo_applicable(algo, preds) {
+            return Err(AggViewError::Exec(format!(
+                "join algorithm {algo} requires an equality predicate"
+            )));
+        }
+        // The page charge is due when the stream has run; its place in
+        // the breakdown is here.
+        let slot = ctx.breakdown.len();
         ctx.breakdown.push(IoBreakdown {
-            op: format!("join[{algo}]"),
-            pages: charge,
+            op: String::new(),
+            pages: 0.0,
         });
 
         // Combined layout: left columns then right columns.
-        let mut all_cols = lcols.clone();
-        all_cols.extend(rcols.iter().copied());
+        let mut all_cols = l.cols.clone();
+        all_cols.extend(r.cols.iter().copied());
         let layout = layout_map(&all_cols);
-        let llayout = layout_map(&lcols);
-        let rlayout = layout_map(&rcols);
+        let llayout = layout_map(&l.cols);
+        let rlayout = layout_map(&r.cols);
 
         // Split predicates once, by reference: hashable equalities become
         // positional key pairs, everything else stays residual.
         let mut eq_keys: Vec<(usize, usize)> = Vec::new(); // (left pos, right pos)
-        let mut residual: Vec<BoundPredicate> = Vec::new();
+        let mut residual: Vec<&Predicate> = Vec::new();
         for p in preds {
             let key =
                 p.as_col_eq_col()
@@ -400,59 +434,151 @@ impl<'a> Engine<'a> {
                     });
             match key {
                 Some(k) => eq_keys.push(k),
-                None => residual.push(p.bind(&|c| layout.get(&c).copied())?),
+                None => residual.push(p),
             }
         }
-        let positions = positions_of(project, &layout, "join projects")?;
+        // The residual predicates are bound to the columns they read, in
+        // first-use order: those are gathered per tile of candidate pairs.
+        let mut residual_cols: Vec<Col> = Vec::new();
+        for c in residual.iter().flat_map(|p| p.cols_used()) {
+            if !residual_cols.contains(&c) {
+                residual_cols.push(c);
+            }
+        }
+        let residual_layout = layout_map(&residual_cols);
+        let residual = residual
+            .iter()
+            .map(|p| p.bind(&|c| residual_layout.get(&c).copied()))
+            .collect::<Result<_>>()?;
 
-        // Build on the smaller input, probe the larger (hash join only).
-        let build_left = lb.len() <= rb.len();
-        let (build, probe) = if build_left { (&lb, &rb) } else { (&rb, &lb) };
-        let (build_pos, probe_pos): (Vec<usize>, Vec<usize>) = if build_left {
-            eq_keys.iter().copied().unzip()
-        } else {
-            eq_keys.iter().map(|&(l, r)| (r, l)).unzip()
+        let build_left = match (l.joins.is_empty(), r.joins.is_empty()) {
+            (true, true) => !eq_keys.is_empty() && l.source.rows() <= r.source.rows(),
+            (true, false) => true,
+            (false, _) => false,
         };
-        let (out, out_bytes) = if eq_keys.is_empty() {
-            vector::nested_loop_join(&ctx.options, ctx.gov, &lb, &rb, &residual, &positions)?
-        } else {
-            let index =
-                vector::build_index(&ctx.options, ctx.gov, build, probe, &build_pos, &probe_pos)?;
-            vector::probe_join(
-                &ctx.options,
-                ctx.gov,
-                build,
-                probe,
-                &index,
-                &build_pos,
-                &probe_pos,
-                &residual,
-                build_left,
-                lcols.len(),
-                &positions,
-            )?
+        let left_arity = l.cols.len();
+        let slots = |cols: &[Col], what: &str| -> Result<Vec<Slot>> {
+            let of = |p: usize| match p < left_arity {
+                true => (build_left, p),
+                false => (!build_left, p - left_arity),
+            };
+            Ok(positions_of(cols, &layout, what)?
+                .into_iter()
+                .map(of)
+                .collect())
         };
-        // Peak accounting: the hash path holds the entire build side
-        // resident while probing, and the nested-loop path materializes
-        // the same side as its inner input — charge both uniformly, the
-        // same way the cost model's Join arm prices build residency.
-        ctx.note_op_output(out_bytes + build.total_bytes());
-        Ok((project.to_vec(), out))
+        let shape = JoinShape {
+            keys: match build_left {
+                true => eq_keys,
+                false => eq_keys.into_iter().map(|(l, r)| (r, l)).collect(),
+            },
+            residual,
+            residual_slots: slots(&residual_cols, "join predicates read")?,
+            emit: slots(project, "join projects")?,
+        };
+        let (build, mut probe) = if build_left { (l, r) } else { (r, l) };
+        let build = if build.joins.is_empty() {
+            build.source
+        } else {
+            let collected = self.collect(&build, ctx, Batch::total_bytes)?;
+            ctx.hold(collected.total_bytes());
+            Held::batch(collected)
+        };
+        probe.joins.push(Join {
+            build,
+            build_left,
+            shape,
+            algo,
+            preds,
+            slot,
+        });
+        probe.cols = project.to_vec();
+        Ok(probe)
+    }
+
+    /// Run `stream` into `sink` — [`vector::collect`] or
+    /// [`vector::aggregate`] over its source and probes; `sink_bytes`
+    /// sizes what the sink made — then settle what was waiting for the
+    /// stream to end: every join's page charge, computed from the rows
+    /// and bytes that actually flowed and entered in the breakdown slot
+    /// the join reserved; the peak, which while the pipeline ran stood at
+    /// everything held plus its indexes and its sink; and the release of
+    /// what the stream held. Returns the sink's result and what the last
+    /// stage put out.
+    fn run<T>(
+        &self,
+        stream: &Stream<'_>,
+        ctx: &mut ExecCtx<'_>,
+        sink: impl FnOnce(&Held, &[Probe<'_>]) -> Result<(T, Vec<Flow>)>,
+        sink_bytes: impl FnOnce(&T) -> u64,
+    ) -> Result<(T, Flow)> {
+        let mut probes: Vec<Probe<'_>> = Vec::with_capacity(stream.joins.len());
+        for join in &stream.joins {
+            let like = probes
+                .last()
+                .map_or_else(|| stream.source.cols(), Probe::protos);
+            let probe = Probe::new(&ctx.options, ctx.gov, &join.build, &like, &join.shape)?;
+            probes.push(probe);
+        }
+        let (out, flows) = sink(&stream.source, &probes)?;
+
+        let mem = self.model.io.mem_pages;
+        let mut input = flows[0];
+        for ((join, probe), output) in stream.joins.iter().zip(&probes).zip(&flows[1..]) {
+            let (left, right) = match join.build_left {
+                true => (probe.build_flow, input),
+                false => (input, probe.build_flow),
+            };
+            let sides = JoinSides {
+                left_rows: left.rows as f64,
+                left_pages: self.pages_for(left.bytes),
+                right_rows: right.rows as f64,
+                right_pages: self.pages_for(right.bytes),
+            };
+            let (algo, pages) = match join.algo {
+                JoinAlgo::Auto => ops::best_join(&sides, join.preds, mem),
+                a => (a, ops::join_io(a, &sides, join.preds, mem)),
+            };
+            ctx.breakdown[join.slot] = IoBreakdown {
+                op: format!("join[{algo}]"),
+                pages,
+            };
+            input = *output;
+        }
+
+        let indexes: u64 = probes.iter().map(Probe::resident_bytes).sum();
+        ctx.peak_bytes = ctx.peak_bytes.max(ctx.live + indexes + sink_bytes(&out));
+        let builds = stream.joins.iter().map(|j| j.build.resident_bytes());
+        ctx.release(stream.source.resident_bytes() + builds.sum::<u64>());
+        Ok((out, input))
+    }
+
+    /// [`Self::run`] into a batch.
+    fn collect(
+        &self,
+        stream: &Stream<'_>,
+        ctx: &mut ExecCtx<'_>,
+        sink_bytes: impl FnOnce(&Batch) -> u64,
+    ) -> Result<Batch> {
+        let (opts, gov) = (ctx.options, ctx.gov);
+        let sink =
+            |source: &Held, probes: &[Probe<'_>]| vector::collect(&opts, gov, source, probes);
+        Ok(self.run(stream, ctx, sink, sink_bytes)?.0)
     }
 
     /// The one aggregation body, shared by the full group-by and the
     /// partial aggregate: bind the grouping keys and per-aggregate
-    /// inputs, fold the input tile-wise into a group table, take its
+    /// inputs, stream the input tile-wise into a group table, take its
     /// columns (finalized values filtered by HAVING, or the state
     /// components as accumulated), and charge the aggregation's IO.
-    fn exec_aggregate(
+    fn exec_aggregate<'p>(
         &self,
         agg: AggNode<'_>,
         algo: AggAlgo,
-        input: &Plan,
+        input: &'p Plan,
         project: &[Col],
         ctx: &mut ExecCtx<'_>,
-    ) -> Result<(Vec<Col>, Batch)> {
+    ) -> Result<Stream<'p>> {
         let (site, group_cols, value_cols, having) = match agg {
             AggNode::Full(s) => ("exec.groupby", &s.group_cols, s.agg_cols(), &s.having[..]),
             AggNode::Partial(s) => (
@@ -464,8 +590,8 @@ impl<'a> Engine<'a> {
         };
         ctx.gov.check_interrupt()?;
         maybe_fault(ctx.faults, site)?;
-        let (icols, ib) = self.exec(input, ctx)?;
-        let layout = layout_map(&icols);
+        let rows = self.stream(input, ctx)?;
+        let layout = layout_map(&rows.cols);
         let key_pos = positions_of(group_cols, &layout, "aggregation groups on")?;
         let (funcs, inputs) = match agg {
             AggNode::Full(spec) => merge_inputs(spec, &layout)?,
@@ -488,22 +614,20 @@ impl<'a> Engine<'a> {
             .filter_map(|d| group_cols.iter().position(|g| g == d))
             .collect();
 
-        let in_pages = self.pages_of(&ib);
-        let table = vector::accumulate_groups(
-            &ctx.options,
-            ctx.gov,
-            &ib,
-            &key_pos,
-            &lookup,
-            &inputs,
-            &funcs,
-        )?;
-        let ngroups = table.len();
         // Columns in `out_cols` order: the accumulators finalize (full)
         // or move out as the state components (partial) column-wise.
-        let cols = table.into_columns(matches!(agg, AggNode::Full(_)))?;
-        let full = Batch::from_parts(cols, ngroups);
-        let sel = vector::RowFilter::new(&bound_having, |i| full.col(i)).rows(0..ngroups)?;
+        let (opts, gov) = (ctx.options, ctx.gov);
+        let sink = |source: &Held, probes: &[Probe<'_>]| {
+            let (table, flows) = vector::aggregate(
+                &opts, gov, source, probes, &key_pos, &lookup, &inputs, &funcs,
+            )?;
+            let ngroups = table.len();
+            let cols = table.into_columns(matches!(agg, AggNode::Full(_)))?;
+            Ok((Batch::from_parts(cols, ngroups), flows))
+        };
+        let (full, fed) = self.run(&rows, ctx, sink, Batch::total_bytes)?;
+        let col = |i: usize| full.col(i);
+        let sel = vector::RowFilter::new(&bound_having, col).rows(col, 0..full.len())?;
         let out = match sel {
             None => full.project(&positions),
             Some(sel) => {
@@ -515,10 +639,10 @@ impl<'a> Engine<'a> {
         };
         let out_bytes = out.total_bytes();
         ctx.gov.charge_output_bulk(out.len() as u64, out_bytes)?;
-        ctx.note_op_output(out_bytes);
+        ctx.hold(out_bytes);
 
-        // Charge: aggregation over the materialized input.
-        let out_pages = self.model.page.pages_for_bytes(out_bytes as f64);
+        // Charge: aggregation over what streamed in.
+        let (in_pages, out_pages) = (self.pages_for(fed.bytes), self.pages_for(out_bytes));
         let (algo, charge) = ops::agg_io(algo, in_pages, out_pages, &self.model.io);
         ctx.breakdown.push(IoBreakdown {
             op: match agg {
@@ -527,13 +651,13 @@ impl<'a> Engine<'a> {
             },
             pages: charge,
         });
-        Ok((project.to_vec(), out))
+        Ok(Stream::held(project, Held::batch(out)))
     }
 
-    /// Page count of an operator output (batch byte totals equal the
-    /// widths of the tuples they materialize to).
-    fn pages_of(&self, b: &Batch) -> f64 {
-        self.model.page.pages_for_bytes(b.total_bytes() as f64)
+    /// Page count of an operator output of `bytes` (byte totals equal
+    /// the widths of the tuples the rows materialize to).
+    fn pages_for(&self, bytes: u64) -> f64 {
+        self.model.page.pages_for_bytes(bytes as f64)
     }
 }
 
@@ -673,11 +797,10 @@ mod tests {
         let plan = Plan::scan(RelId(1), "dept", vec![], all_cols(RelId(1), 4));
         let held = cat.get("dept").unwrap();
         let scan_held = || {
-            let gov = ResourceGovernor::unlimited();
-            vector::scan_table(&ExecOptions::serial(), &gov, &held, &[], &[0, 1, 2, 3])
-                .unwrap()
-                .0
-                .to_tuples()
+            let (opts, gov) = (ExecOptions::serial(), ResourceGovernor::unlimited());
+            let rows = vector::scan_table(&opts, &gov, held.clone(), &[], vec![0, 1, 2, 3]);
+            let (batch, _) = vector::collect(&opts, &gov, &rows.unwrap(), &[]).unwrap();
+            batch.to_tuples()
         };
         // The engine scans the very table `held` points at.
         let before = e.execute(&plan).unwrap().rows;

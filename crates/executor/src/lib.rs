@@ -8,17 +8,19 @@
 //! measured cost therefore differ only by estimation error, which
 //! experiment E9 quantifies.
 //!
-//! * [`engine`] — the recursive evaluator over columnar batches: scans
-//!   of the tables' columns with pushed-down filters, hash/nested-loop joins, and one
-//!   aggregation body that serves both the full group-by (finalize +
-//!   HAVING) and the partial aggregate (emit Figure-2 state components);
-//!   a group-by whose input carries [`aggview_common::PartRef`] columns
+//! * [`engine`] — the plan evaluator: a plan runs as pipelines cut at
+//!   its breakers. Scans hold their table's columns behind a selection,
+//!   joins are stages of the stream they probe with, and one
+//!   aggregation body serves both the full group-by (finalize + HAVING)
+//!   and the partial aggregate (emit Figure-2 state components); a
+//!   group-by whose input carries [`aggview_common::PartRef`] columns
 //!   merges those states instead of re-aggregating;
-//! * [`vector`] — the columnar kernels the engine runs: tile-wise
-//!   filter, join and hash aggregation over typed column vectors;
+//! * [`vector`] — what the pipelines are made of: held rows, tile-wise
+//!   filters, the join stage, hash aggregation over typed column
+//!   vectors, and the one driver that runs them;
 //! * [`parallel`] / [`partition`] — data parallelism: contiguous worker
-//!   chunks over a `std::thread::scope` pool, the flat join index every
-//!   probe worker reads, and two-phase aggregation (per-worker tables
+//!   chunks of a pipeline's source over a `std::thread::scope` pool, the
+//!   flat join index every worker probes, and two-phase aggregation (per-worker tables
 //!   coalesced by a global merge — the physical form of the paper's
 //!   simple coalescing grouping). Thread count and tile size come from [`ExecOptions`]
 //!   (`AGGVIEW_THREADS`, REPL `.set threads N`);

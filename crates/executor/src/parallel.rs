@@ -1,28 +1,27 @@
-//! Data-parallel execution: the options every operator reads and the
-//! scoped worker pool the kernels in [`crate::vector`] run on.
+//! Data-parallel execution: the options every pipeline reads and the
+//! scoped worker pool [`crate::vector`]'s pipeline driver runs on.
 //!
-//! Every data-parallel operator follows the same shape: the input is
-//! split into contiguous per-worker chunks
+//! The source of a pipeline is split into contiguous per-worker chunks
 //! ([`crate::partition::chunk_ranges`]), a scoped worker pool
-//! (`std::thread::scope`) processes the chunks, and results are stitched
-//! back together **in chunk order** — so a parallel scan, join or probe
-//! emits rows in exactly the order the one-chunk run would.
+//! (`std::thread::scope`) runs the whole pipeline over each chunk, and
+//! the chunks' sinks are merged **in chunk order** — so a parallel
+//! pipeline emits rows in exactly the order the one-chunk run would.
 //!
-//! With `threads == 1` (or an input below
+//! With `threads == 1` (or a source below
 //! [`ExecOptions::parallel_threshold`]) the same code runs inline on the
 //! caller's thread — the serial path *is* the one-chunk special case,
-//! so there is exactly one implementation of each operator to test.
+//! so there is exactly one implementation of each stage to test.
 
 use aggview_common::{AggViewError, Result};
 use std::ops::Range;
 
 /// Executor tuning knobs, threaded from the session/REPL into every
-/// operator.
+/// pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Worker threads for data-parallel operators (`1` = serial).
+    /// Worker threads a pipeline may run on (`1` = serial).
     pub threads: usize,
-    /// Inputs with fewer rows than this stay on the single-chunk path
+    /// Sources with fewer rows than this stay on the single-chunk path
     /// regardless of `threads`: thread spawn costs more than the work,
     /// and small inputs are where float-merge order differences would be
     /// most visible relative to the data.
@@ -67,7 +66,7 @@ impl ExecOptions {
         }
     }
 
-    /// Worker count for an input of `n` rows.
+    /// Worker count for a pipeline over `n` source rows.
     pub fn workers_for(&self, n: usize) -> usize {
         if self.threads <= 1 || n < self.parallel_threshold {
             1

@@ -219,6 +219,15 @@ impl JoinIndex {
         })
     }
 
+    /// Bytes the index holds while its join probes.
+    pub fn bytes(&self) -> u64 {
+        let hashes = match &self.addressing {
+            Addressing::Hashed { hashes, .. } => hashes.len(),
+            Addressing::Direct { .. } => 0,
+        };
+        (4 * (self.buckets.len() + self.next.len()) + 8 * hashes) as u64
+    }
+
     /// Whether probes address this index by key ordinal
     /// ([`matches`](Self::matches)) rather than by hash
     /// ([`chain`](Self::chain)).
@@ -251,14 +260,28 @@ impl JoinIndex {
     /// The build rows whose key ordinal is `ordinal`, ascending — all of
     /// them and nothing else. Empty on a hashed index.
     pub fn matches(&self, ordinal: i64) -> impl Iterator<Item = u32> + '_ {
-        let head = match &self.addressing {
+        self.walk(self.head(ordinal))
+    }
+
+    /// Link (`row + 1`; `0`: none) to the first build row whose key
+    /// ordinal is `ordinal`, and from build row `row` to the next of its
+    /// key: [`matches`](Self::matches) in two steps, for a probe loop that
+    /// must not branch on whether a row has a match. `0` on a hashed
+    /// index.
+    #[inline]
+    pub fn head(&self, ordinal: i64) -> u32 {
+        match &self.addressing {
             Addressing::Direct { min } => {
                 let cell = ordinal_cell(ordinal, *min);
                 self.buckets.get(cell).copied().unwrap_or(0)
             }
             Addressing::Hashed { .. } => 0,
-        };
-        self.walk(head)
+        }
+    }
+
+    #[inline]
+    pub fn after(&self, row: u32) -> u32 {
+        self.next[row as usize]
     }
 
     /// The key hash build row `row` was indexed under (`0` on a direct

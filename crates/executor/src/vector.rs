@@ -1,28 +1,30 @@
-//! Vectorized (columnar) operator kernels.
+//! Vectorized (columnar) operator kernels, and the pipelines they run in.
 //!
-//! The engine's operators process fixed-size column-major tiles of
-//! [`ExecOptions::batch_rows`] rows with tight per-column loops:
+//! Rows flow in tiles of [`ExecOptions::batch_rows`] from rows that are
+//! held whole to a sink, through buffers that are cleared and refilled:
 //!
-//! * [`scan_table`] — filter a table's columns via selection vectors,
-//!   gather-project the survivors ([`matching_rows`]: the filter alone);
-//! * [`build_index`] / [`probe_join`] / [`nested_loop_join`] — hash and
-//!   nested-loop joins whose matches are emitted as per-side selection
-//!   vectors and gathered column-by-column;
-//! * [`accumulate_groups`] — aggregation into a [`BatchGroupTable`]
-//!   whose grouping columns *and* aggregate states are typed columns,
-//!   and whose groups are found by the grouping columns that determine
-//!   the rest.
+//! * [`Held`] — where a pipeline starts and what a join builds on: a
+//!   table's own columns behind a scan's selection ([`scan_table`]
+//!   evaluates the filters and copies nothing; [`matching_rows`] is the
+//!   filter alone), or a collected batch;
+//! * [`Probe`] — one join of the pipeline: an index over a held build
+//!   side, candidate pairs collected per tile, residuals evaluated over
+//!   the pairs' columns, matches gathered into the stage's tile buffer;
+//! * [`collect`] and [`aggregate`] — the two sinks: a batch, or a
+//!   [`BatchGroupTable`] whose grouping columns *and* aggregate states
+//!   are typed columns and whose groups are found by the grouping
+//!   columns that determine the rest.
 //!
-//! Contracts every kernel keeps: inputs split into [`chunk_ranges`]
-//! worker chunks (all but the join build, one serial pass) and outputs
-//! stitch back in chunk order (so a parallel run emits the rows of the
-//! serial one, and the two-phase aggregation's float-merge order is
-//! fixed by the chunking alone), the governor is
-//! charged per tile via [`ResourceGovernor::charge_output_bulk`]
+//! The one `run_chunks` call is in `drive`: a worker takes a chunk
+//! ([`chunk_ranges`]) of the source and runs the *whole* pipeline over it
+//! into its own sink; sinks merge in chunk order (so a parallel run emits
+//! the rows of the serial one, and the float-merge order of a chunked
+//! aggregation is fixed by the chunking alone). Every stage charges the
+//! governor per tile via [`ResourceGovernor::charge_output_bulk`]
 //! (clamped so budget overshoot still reads as at most one row past the
 //! cap), and cancellation is checked at every tile boundary.
 //!
-//! Key hashing uses the fx chain ([`Batch::hash_rows`]): the hash
+//! Key hashing uses the fx chain ([`hash_columns`]): the hash
 //! function is private to one operator execution — candidates are
 //! always confirmed by comparing key values, and group/candidate order
 //! never depends on hash values — so a cheap mix changes no observable
@@ -40,8 +42,10 @@ use aggview_common::{
 };
 use aggview_core::governor::ResourceGovernor;
 use aggview_storage::Table;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Iterate tiles of `batch_rows` over `range`, checking the governor at
 /// each tile boundary.
@@ -62,49 +66,33 @@ fn for_each_tile(
     Ok(())
 }
 
-/// Stitch per-chunk `(batch, bytes)` results in chunk order. `empty`
-/// supplies the output layout when the input had no chunks at all (so
-/// empty results still carry correctly-typed columns downstream).
-fn stitch(parts: Vec<(Batch, u64)>, empty: impl FnOnce() -> Batch) -> (Batch, u64) {
-    let mut iter = parts.into_iter();
-    let Some((mut out, mut bytes)) = iter.next() else {
-        return (empty(), 0);
-    };
-    for (part, b) in iter {
-        out.append(&part);
-        bytes += b;
-    }
-    (out, bytes)
-}
-
 // ---------------------------------------------------------------------
 // Filtering: selection-vector sweeps
 // ---------------------------------------------------------------------
 
 /// Push every row of the current selection that passes `test`.
-/// `cur == None` means "all rows of `rows`".
+/// `cur == None` means "all rows of `rows`". Every candidate is written
+/// and the write position advances only past the ones that pass: no
+/// branch depends on the data, so a filter that keeps half its rows
+/// costs what one that keeps all or none does.
 fn sel_by(
     rows: Range<usize>,
     cur: Option<&[u32]>,
     out: &mut Vec<u32>,
     test: impl Fn(usize) -> bool,
 ) {
+    let from = out.len();
+    out.resize(from + cur.map_or(rows.len(), <[u32]>::len), 0);
+    let mut n = from;
+    let mut keep = |i: u32| {
+        out[n] = i;
+        n += usize::from(test(i as usize));
+    };
     match cur {
-        Some(sel) => {
-            for &i in sel {
-                if test(i as usize) {
-                    out.push(i);
-                }
-            }
-        }
-        None => {
-            for i in rows {
-                if test(i) {
-                    out.push(i as u32);
-                }
-            }
-        }
+        Some(sel) => sel.iter().for_each(|&i| keep(i)),
+        None => rows.for_each(|i| keep(i as u32)),
     }
+    out.truncate(n);
 }
 
 /// [`sel_by`] on a three-way comparison: keep the rows whose `ord(i)`
@@ -210,23 +198,28 @@ fn sel_col_col(
     true
 }
 
-/// The conjunction `preds` over the columns `col` hands out (predicates
-/// are bound to its numbering), readied for tile-wise sweeps: whatever
-/// depends on the columns alone is worked out once here, not per tile.
-pub(crate) struct RowFilter<'a, F> {
+/// The conjunction `preds` over a set of columns (predicates are bound
+/// to their numbering), readied for tile-wise sweeps: whatever depends
+/// on the columns' dictionaries alone is worked out once here, not per
+/// tile.
+pub(crate) struct RowFilter<'a> {
     preds: &'a [BoundPredicate],
-    col: F,
     /// Per predicate, when it compares a coded string column to a string
-    /// constant: the column's codes and the comparison's outcome for
-    /// each entry of its dictionary, so the sweep never touches a
-    /// string. A table keeps a dictionary under twice its column's
-    /// distinct strings, so this is at most two comparisons a row of a
-    /// full sweep — and one per distinct string, usually far fewer.
-    str_pass: Vec<Option<(&'a [u32], Vec<bool>)>>,
+    /// constant: the column and the comparison's outcome for each entry
+    /// of its dictionary, so the sweep never touches a string. A table
+    /// keeps a dictionary under twice its column's distinct strings, so
+    /// this is at most two comparisons a row of a full sweep — and one
+    /// per distinct string, usually far fewer.
+    str_pass: Vec<Option<(usize, Vec<bool>)>>,
 }
 
-impl<'a, F: Fn(usize) -> &'a ColumnVec> RowFilter<'a, F> {
-    pub(crate) fn new(preds: &'a [BoundPredicate], col: F) -> Self {
+impl<'a> RowFilter<'a> {
+    /// `col` hands out the columns [`Self::rows`] will sweep, or empty
+    /// ones over the same dictionaries.
+    pub(crate) fn new<'c>(
+        preds: &'a [BoundPredicate],
+        col: impl Fn(usize) -> &'c ColumnVec,
+    ) -> Self {
         let str_pass = preds
             .iter()
             .map(|p| {
@@ -237,35 +230,39 @@ impl<'a, F: Fn(usize) -> &'a ColumnVec> RowFilter<'a, F> {
                     (BoundExpr::Const(Value::Str(k)), BoundExpr::Col(i)) => (p.op.flipped(), *i, k),
                     _ => return None,
                 };
-                let coded = col(i).as_strs()?;
-                let pass = coded.dict().strs().iter().map(|s| op.matches(s.cmp(k)));
-                Some((coded.codes(), pass.collect()))
+                let dict = col(i).as_strs()?.dict();
+                Some((
+                    i,
+                    dict.strs().iter().map(|s| op.matches(s.cmp(k))).collect(),
+                ))
             })
             .collect();
-        RowFilter {
-            preds,
-            col,
-            str_pass,
-        }
+        RowFilter { preds, str_pass }
     }
 
-    /// Evaluate the conjunction over rows `rows`, returning the
-    /// surviving row indices (`None` = every row survives).
+    /// Evaluate the conjunction over rows `rows` of `col`'s columns,
+    /// returning the surviving row indices (`None` = every row survives).
     ///
     /// Predicates sweep one at a time over the shrinking selection, so
     /// evaluation is predicate-major; when several predicates *can* error
     /// (only possible on ill-typed data), the surfaced error may belong to a
     /// different row than the row-major reference would pick — both paths
     /// still error, with identical messages for any given (row, predicate).
-    pub(crate) fn rows(&self, rows: Range<usize>) -> Result<Option<Vec<u32>>> {
-        let col = &self.col;
+    pub(crate) fn rows<'c>(
+        &self,
+        col: impl Fn(usize) -> &'c ColumnVec,
+        rows: Range<usize>,
+    ) -> Result<Option<Vec<u32>>> {
         let n = rows.len();
         let mut cur: Option<Vec<u32>> = None;
         let mut next: Vec<u32> = Vec::new();
         for (p, str_pass) in self.preds.iter().zip(&self.str_pass) {
             next.clear();
             let sel = cur.as_deref();
-            let handled = if let Some((codes, pass)) = str_pass {
+            let coded = str_pass
+                .as_ref()
+                .and_then(|(i, pass)| Some((col(*i).as_strs()?.codes(), pass)));
+            let handled = if let Some((codes, pass)) = coded {
                 sel_by(rows.clone(), sel, &mut next, |r| pass[codes[r] as usize]);
                 true
             } else {
@@ -281,6 +278,26 @@ impl<'a, F: Fn(usize) -> &'a ColumnVec> RowFilter<'a, F> {
                     }
                     (BoundExpr::Col(i), BoundExpr::Col(j)) => {
                         sel_col_col(p.op, col(*i), col(*j), rows.clone(), sel, &mut next)
+                    }
+                    // Arithmetic over typed numeric columns: both sides a
+                    // column at a time. Only while no earlier predicate has
+                    // dropped a row — a row-major evaluation never computes
+                    // (and never fails on) the later predicates of a dropped
+                    // row, so neither may this.
+                    (l, r)
+                        if sel.is_none()
+                            && l.numeric_type(&col).is_some()
+                            && r.numeric_type(&col).is_some() =>
+                    {
+                        let side = |e: &BoundExpr| {
+                            Ok(match e.eval_columns(&col, rows.clone())? {
+                                NumColumn::Int(xs) => ColumnVec::Int(xs),
+                                NumColumn::Float(xs) => ColumnVec::Float(xs),
+                            })
+                        };
+                        sel_col_col(p.op, &side(l)?, &side(r)?, 0..n, None, &mut next);
+                        next.iter_mut().for_each(|i| *i += rows.start as u32);
+                        true
                     }
                     _ => false,
                 }
@@ -304,70 +321,204 @@ impl<'a, F: Fn(usize) -> &'a ColumnVec> RowFilter<'a, F> {
 }
 
 // ---------------------------------------------------------------------
-// Scan
+// Held rows
 // ---------------------------------------------------------------------
 
-/// Columnar scan of `table`'s columns ([`Table::column`]): sweep `preds`
-/// over each tile's row range and gather `positions` of the survivors.
-/// Both are bound to the table's physical column numbers, and only the
-/// columns they name are ever read. Survivors come back in row order;
-/// the second component is their total byte width.
-pub fn scan_table(
+/// The rows of a table that pass a scan's filters: one bit a row, so a
+/// filter that keeps most of a large table holds what one that keeps
+/// little does.
+#[derive(Debug)]
+struct Selection {
+    words: Vec<u64>,
+    count: usize,
+}
+
+impl Selection {
+    /// Visit the words `range` reaches into, each with the mask of the
+    /// bits of `range` it holds and the row of its lowest such bit.
+    fn words_of(range: Range<usize>, mut visit: impl FnMut(usize, u64, usize)) {
+        let mut at = range.start;
+        while at < range.end {
+            let end = (((at >> 6) + 1) << 6).min(range.end);
+            let low = !0u64 >> (64 - (end - at));
+            visit(at >> 6, low << (at & 63), at);
+            at = end;
+        }
+    }
+
+    fn add(&mut self, rows: &[u32]) {
+        self.count += rows.len();
+        for &i in rows {
+            self.words[i as usize >> 6] |= 1 << (i & 63);
+        }
+    }
+
+    fn add_all(&mut self, range: Range<usize>) {
+        self.count += range.len();
+        Self::words_of(range, |w, mask, _| self.words[w] |= mask);
+    }
+
+    /// The selected rows of `range`, ascending, appended to `out`.
+    fn rows_in(&self, range: Range<usize>, out: &mut Vec<u32>) {
+        Self::words_of(range, |w, mask, first| {
+            let mut bits = (self.words[w] & mask) >> (first & 63);
+            while bits != 0 {
+                out.push((first + bits.trailing_zeros() as usize) as u32);
+                bits &= bits - 1;
+            }
+        });
+    }
+}
+
+/// Rows held whole — where a pipeline starts and what a join builds on:
+/// a table's own columns behind the selection of a scan (nothing is
+/// copied out of the table), or a batch a pipeline collected.
+#[derive(Debug)]
+pub struct Held {
+    data: HeldData,
+    /// The rows that count, when a scan's filters dropped some.
+    sel: Option<Selection>,
+}
+
+#[derive(Debug)]
+enum HeldData {
+    /// Column `i` is the table's column `positions[i]`. The scan's output
+    /// is charged to the governor when it is read.
+    Scan {
+        table: Arc<Table>,
+        positions: Vec<usize>,
+    },
+    /// Charged when it was made.
+    Batch(Batch),
+}
+
+/// Rows and their byte width ([`aggview_common::Tuple::width`] summed):
+/// what one stage of a pipeline put out.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Flow {
+    pub rows: u64,
+    pub bytes: u64,
+}
+
+impl Flow {
+    fn add(&mut self, rows: usize, bytes: u64) {
+        self.rows += rows as u64;
+        self.bytes += bytes;
+    }
+}
+
+impl Held {
+    pub fn batch(batch: Batch) -> Held {
+        Held {
+            data: HeldData::Batch(batch),
+            sel: None,
+        }
+    }
+
+    /// The batch, if these rows are one.
+    pub fn into_batch(self) -> Option<Batch> {
+        match self.data {
+            HeldData::Batch(b) => Some(b),
+            HeldData::Scan { .. } => None,
+        }
+    }
+
+    pub fn is_scan(&self) -> bool {
+        matches!(self.data, HeldData::Scan { .. })
+    }
+
+    /// Rows that count.
+    pub fn rows(&self) -> usize {
+        self.sel.as_ref().map_or(self.stored(), |s| s.count)
+    }
+
+    /// Rows the columns hold, selected or not.
+    fn stored(&self) -> usize {
+        match &self.data {
+            HeldData::Scan { table, .. } => table.len(),
+            HeldData::Batch(b) => b.len(),
+        }
+    }
+
+    pub fn cols(&self) -> Vec<&ColumnVec> {
+        match &self.data {
+            HeldData::Scan { table, positions } => {
+                positions.iter().map(|&p| table.column(p)).collect()
+            }
+            HeldData::Batch(b) => b.cols().iter().collect(),
+        }
+    }
+
+    /// Bytes held on top of the table: the selection, or the batch.
+    pub fn resident_bytes(&self) -> u64 {
+        match &self.data {
+            HeldData::Scan { .. } => self.sel.as_ref().map_or(0, |s| 8 * s.words.len() as u64),
+            HeldData::Batch(b) => b.total_bytes(),
+        }
+    }
+}
+
+/// Sweep `preds` (bound to `table`'s physical column numbers) over the
+/// table a tile at a time, handing `each` the tile's rows and the ones
+/// of them that pass (`None`: all).
+fn filter_tiles(
     opts: &ExecOptions,
     gov: &ResourceGovernor,
     table: &Table,
     preds: &[BoundPredicate],
-    positions: &[usize],
-) -> Result<(Batch, u64)> {
-    let out_layout = || -> Vec<ColumnVec> {
-        positions
-            .iter()
-            .map(|&p| ColumnVec::with_type(table.schema().field(p).ty))
-            .collect()
-    };
+    mut each: impl FnMut(Range<usize>, Option<Vec<u32>>) -> Result<()>,
+) -> Result<()> {
     let col = |p: usize| table.column(p);
     let filter = RowFilter::new(preds, col);
-    let chunks = chunk_ranges(table.len(), opts.workers_for(table.len()));
-    let parts = run_chunks(chunks, |range| {
-        let mut out = out_layout();
-        let mut out_len = 0usize;
-        let mut bytes = 0u64;
-        for_each_tile(gov, range, opts.batch_rows, |rows| {
-            let sel = filter.rows(rows.clone())?;
-            let mut w = 0u64;
-            for (dst, &p) in out.iter_mut().zip(positions) {
-                w += match &sel {
-                    Some(s) => dst.append_gather(col(p), s),
-                    None => dst.append_range(col(p), rows.clone()),
-                };
-            }
-            let added = sel.map_or(rows.len(), |s| s.len());
-            gov.charge_output_bulk(added as u64, w)?;
-            out_len += added;
-            bytes += w;
-            Ok(())
-        })?;
-        Ok((Batch::from_parts(out, out_len), bytes))
-    })?;
-    Ok(stitch(parts, || Batch::from_parts(out_layout(), 0)))
+    for_each_tile(gov, 0..table.len(), opts.batch_rows, |rows| {
+        each(rows.clone(), filter.rows(col, rows)?)
+    })
 }
 
-/// The positions of `table`'s rows that pass `preds` (bound to its
-/// physical column numbers), ascending: the scan's filter without the
-/// gather, for statements that address rows in place. Every row swept is
-/// charged to the row budget, a tile at a time.
+/// Scan `table`: evaluate `preds` into a selection and hold the table's
+/// columns `positions` behind it. Nothing is copied and nothing is
+/// charged yet — the rows are when a pipeline reads them or a join
+/// builds on them — but their number is known.
+pub fn scan_table(
+    opts: &ExecOptions,
+    gov: &ResourceGovernor,
+    table: Arc<Table>,
+    preds: &[BoundPredicate],
+    positions: Vec<usize>,
+) -> Result<Held> {
+    let mut sel = None;
+    if !preds.is_empty() {
+        let mut kept = Selection {
+            words: vec![0; table.len().div_ceil(64)],
+            count: 0,
+        };
+        filter_tiles(opts, gov, &table, preds, |rows, pass| {
+            match pass {
+                Some(pass) => kept.add(&pass),
+                None => kept.add_all(rows),
+            }
+            Ok(())
+        })?;
+        sel = (kept.count < table.len()).then_some(kept);
+    }
+    let data = HeldData::Scan { table, positions };
+    Ok(Held { data, sel })
+}
+
+/// The positions of `table`'s rows that pass `preds`, ascending: the
+/// scan's filter alone, for statements that address rows in place.
+/// Every row swept is charged to the row budget, a tile at a time.
 pub fn matching_rows(
     opts: &ExecOptions,
     gov: &ResourceGovernor,
     table: &Table,
     preds: &[BoundPredicate],
 ) -> Result<Vec<usize>> {
-    let filter = RowFilter::new(preds, |p| table.column(p));
     let mut out = Vec::new();
-    for_each_tile(gov, 0..table.len(), opts.batch_rows, |rows| {
+    filter_tiles(opts, gov, table, preds, |rows, pass| {
         gov.charge_output_bulk(rows.len() as u64, 0)?;
-        match filter.rows(rows.clone())? {
-            Some(sel) => out.extend(sel.iter().map(|&i| i as usize)),
+        match pass {
+            Some(pass) => out.extend(pass.iter().map(|&i| i as usize)),
             None => out.extend(rows),
         }
         Ok(())
@@ -379,299 +530,470 @@ pub fn matching_rows(
 // Joins
 // ---------------------------------------------------------------------
 
-/// Build the join index over the build-side batch. A one-column key of
-/// small ordinals on both sides ([`Ordinals::pair`]) whose build-side
-/// range passes the ordinal rule is addressed directly
-/// ([`JoinIndex::direct`]); anything else hashes the key columns
-/// tile-wise and links every row into the hashed index. Always one
-/// serial pass — the index costs a few nanoseconds a row, less than
-/// handing rows between workers would.
-pub fn build_index(
-    opts: &ExecOptions,
-    gov: &ResourceGovernor,
-    build: &Batch,
-    probe: &Batch,
-    build_pos: &[usize],
-    probe_pos: &[usize],
-) -> Result<JoinIndex> {
-    let n = build.len();
-    if let Some((keys, _)) = ordinal_keys(build, probe, build_pos, probe_pos) {
+/// Where a column of joined pairs comes from: the build side or the
+/// probe side, and which column of it.
+pub type Slot = (bool, usize);
+
+/// One join as a pipeline stage sees it, in positions: of the build
+/// side's columns, and of the tile coming in on the probe side.
+#[derive(Debug, Default)]
+pub struct JoinShape {
+    /// `(build column, probe column)` of every hashable equality.
+    pub keys: Vec<(usize, usize)>,
+    /// The other predicates, bound to the numbering of `residual_slots`:
+    /// the columns they read.
+    pub residual: Vec<BoundPredicate>,
+    pub residual_slots: Vec<Slot>,
+    /// The columns the join puts out.
+    pub emit: Vec<Slot>,
+}
+
+/// One join of a pipeline: the tile coming in probes an index over the
+/// held build side — by key ordinal on a direct index, which holds the
+/// rows of exactly that key; otherwise by hashing the tile's key columns
+/// and confirming candidates by per-column key comparison; with no
+/// equality at all every build row is a candidate — and the pairs that
+/// pass the residual predicates are gathered column by column, in probe
+/// order, each probe row's matches in build order.
+pub struct Probe<'a> {
+    build: Vec<&'a ColumnVec>,
+    /// What the build side comes to as an operator's output.
+    pub build_flow: Flow,
+    /// The stored row of build row `i`, behind a scan's selection.
+    rows: Option<Vec<u32>>,
+    shape: &'a JoinShape,
+    /// The build key columns by build row: the held columns themselves,
+    /// or gathered through `rows`.
+    keys: Vec<Cow<'a, ColumnVec>>,
+    /// `None`: the join has no equality to index.
+    index: Option<JoinIndex>,
+    residual: RowFilter<'a>,
+    /// Empty columns like the ones this stage puts out, and like the
+    /// ones its residual predicates read.
+    protos: Vec<ColumnVec>,
+    residual_protos: Vec<ColumnVec>,
+}
+
+/// One worker's buffers for one [`Probe`]: cleared and refilled tile
+/// after tile.
+struct ProbeWork {
+    out: Vec<ColumnVec>,
+    residual: Vec<ColumnVec>,
+    build_sel: Vec<u32>,
+    probe_sel: Vec<u32>,
+    hashes: Vec<u64>,
+    flow: Flow,
+}
+
+impl<'a> Probe<'a> {
+    /// Take `held` as the build side of a join whose probe tiles have
+    /// columns like `probe`: charge its rows to the governor if they are
+    /// a scan's output (nothing is copied), and index them. A one-column
+    /// key of small ordinals on both sides ([`Ordinals::pair`]) whose
+    /// build-side range passes the ordinal rule is addressed directly
+    /// ([`JoinIndex::direct`]); anything else hashes the key columns
+    /// tile-wise and links every row into the hashed index. Always one
+    /// serial pass — the index costs a few nanoseconds a row, less than
+    /// handing rows between workers would.
+    pub fn new(
+        opts: &ExecOptions,
+        gov: &ResourceGovernor,
+        held: &'a Held,
+        probe: &[&ColumnVec],
+        shape: &'a JoinShape,
+    ) -> Result<Probe<'a>> {
         gov.check_interrupt()?;
-        if let Some(index) = JoinIndex::direct(keys, n) {
-            return Ok(index);
+        let build = held.cols();
+        let n = held.rows();
+        let rows = held.sel.as_ref().map(|sel| {
+            let mut rows = Vec::with_capacity(n);
+            sel.rows_in(0..held.stored(), &mut rows);
+            rows
+        });
+        let mut build_flow = Flow::default();
+        if held.is_scan() {
+            let width = |c: &&ColumnVec| match &rows {
+                Some(rows) => c.bytes_at(rows.iter().map(|&i| i as usize)),
+                None => c.total_bytes(),
+            };
+            build_flow.add(n, build.iter().map(width).sum());
+            gov.charge_output_bulk(build_flow.rows, build_flow.bytes)?;
+        } else {
+            build_flow.add(n, held.resident_bytes());
         }
-    }
-    let mut hashes = Vec::with_capacity(n);
-    let mut tile = Vec::new();
-    for_each_tile(gov, 0..n, opts.batch_rows, |r| {
-        build.hash_rows(build_pos, r, &mut tile);
-        hashes.extend_from_slice(&tile);
-        Ok(())
-    })?;
-    Ok(JoinIndex::new(hashes))
-}
-
-/// The build and probe key of a one-column equi-join as ordinals, when
-/// equal ordinals mean equal keys.
-fn ordinal_keys<'a>(
-    build: &'a Batch,
-    probe: &'a Batch,
-    build_pos: &[usize],
-    probe_pos: &[usize],
-) -> Option<(Ordinals<'a>, Ordinals<'a>)> {
-    match (build_pos, probe_pos) {
-        ([b], [p]) => Ordinals::pair(build.col(*b), probe.col(*p)),
-        _ => None,
-    }
-}
-
-/// Where each projected join-output column gathers from.
-struct BatchJoinEmit {
-    /// `(from_build, source column index)` per output column.
-    slots: Vec<(bool, usize)>,
-}
-
-impl BatchJoinEmit {
-    /// `positions` index into the combined `left ++ right` layout.
-    fn new(positions: &[usize], left_arity: usize, build_left: bool) -> BatchJoinEmit {
-        let slots = positions
+        let keys: Vec<Cow<'a, ColumnVec>> = shape
+            .keys
             .iter()
-            .map(|&p| {
-                let (left_side, i) = if p < left_arity {
-                    (true, p)
-                } else {
-                    (false, p - left_arity)
-                };
-                (left_side == build_left, i)
+            .map(|&(b, _)| match &rows {
+                None => Cow::Borrowed(build[b]),
+                Some(rows) => {
+                    let mut key = build[b].empty_like();
+                    key.append_gather(build[b], rows);
+                    Cow::Owned(key)
+                }
             })
             .collect();
-        BatchJoinEmit { slots }
+        let direct = match (&keys[..], &shape.keys[..]) {
+            ([key], [(_, p)]) => Ordinals::pair(key, probe[*p])
+                .and_then(|(ordinals, _)| JoinIndex::direct(ordinals, n)),
+            _ => None,
+        };
+        let index = if keys.is_empty() || direct.is_some() {
+            direct
+        } else {
+            let mut hashes = Vec::with_capacity(n);
+            let mut tile = Vec::new();
+            for_each_tile(gov, 0..n, opts.batch_rows, |r| {
+                hash_columns(keys.iter().map(|k| &**k), r, &mut tile);
+                hashes.extend_from_slice(&tile);
+                Ok(())
+            })?;
+            Some(JoinIndex::new(hashes))
+        };
+        let like = |slots: &[Slot]| -> Vec<ColumnVec> {
+            let of = |&(from_build, c): &Slot| if from_build { build[c] } else { probe[c] };
+            slots.iter().map(|s| of(s).empty_like()).collect()
+        };
+        let residual_protos = like(&shape.residual_slots);
+        Ok(Probe {
+            residual: RowFilter::new(&shape.residual, |i| &residual_protos[i]),
+            protos: like(&shape.emit),
+            residual_protos,
+            build,
+            build_flow,
+            rows,
+            shape,
+            keys,
+            index,
+        })
     }
 
-    fn out_columns(&self, build: &Batch, probe: &Batch) -> Vec<ColumnVec> {
-        self.slots
-            .iter()
-            .map(|&(from_build, c)| {
-                if from_build {
-                    build.col(c).empty_like()
-                } else {
-                    probe.col(c).empty_like()
-                }
-            })
-            .collect()
+    /// Bytes this stage holds while the pipeline runs: the index, the row
+    /// map and the gathered keys.
+    pub fn resident_bytes(&self) -> u64 {
+        let owned = |k: &Cow<'_, ColumnVec>| match k {
+            Cow::Owned(k) => k.total_bytes(),
+            Cow::Borrowed(_) => 0,
+        };
+        self.index.as_ref().map_or(0, JoinIndex::bytes)
+            + self.rows.as_ref().map_or(0, |r| 4 * r.len() as u64)
+            + self.keys.iter().map(owned).sum::<u64>()
     }
 
-    /// Gather one tile's matches (`build_sel[k]` joins `probe_sel[k]`)
-    /// into the output columns, returning the byte width appended.
+    /// Empty columns like the ones this stage puts out.
+    pub fn protos(&self) -> Vec<&ColumnVec> {
+        self.protos.iter().collect()
+    }
+
+    fn work(&self) -> ProbeWork {
+        ProbeWork {
+            out: self.protos.clone(),
+            residual: self.residual_protos.clone(),
+            build_sel: Vec::new(),
+            probe_sel: Vec::new(),
+            hashes: Vec::new(),
+            flow: Flow::default(),
+        }
+    }
+
+    /// Gather the pairs `(build_sel[k], probe_sel[k])` — stored build
+    /// rows and rows of the tile `cols` — into `dst` by `slots`,
+    /// returning the byte width appended.
     fn gather(
         &self,
-        out: &mut [ColumnVec],
-        build: &Batch,
-        probe: &Batch,
-        build_sel: &[u32],
-        probe_sel: &[u32],
+        slots: &[Slot],
+        dst: &mut [ColumnVec],
+        cols: &[&ColumnVec],
+        (build_sel, probe_sel): (&[u32], &[u32]),
     ) -> u64 {
-        let mut w = 0u64;
-        for (col, &(from_build, c)) in out.iter_mut().zip(&self.slots) {
-            w += if from_build {
-                col.append_gather(build.col(c), build_sel)
-            } else {
-                col.append_gather(probe.col(c), probe_sel)
-            };
-        }
-        w
+        let pairs = dst.iter_mut().zip(slots);
+        let widths = pairs.map(|(col, &(from_build, c))| match from_build {
+            true => col.append_gather(self.build[c], build_sel),
+            false => col.append_gather(cols[c], probe_sel),
+        });
+        widths.sum()
     }
-}
 
-/// Evaluate residual predicates (bound against the combined
-/// `left ++ right` layout) for one candidate pair without materializing
-/// anything.
-fn residual_ok(
-    residual: &[BoundPredicate],
-    build: &Batch,
-    probe: &Batch,
-    bi: usize,
-    pi: usize,
-    build_left: bool,
-    left_arity: usize,
-) -> Result<bool> {
-    let (lb, lrow, rb, rrow) = if build_left {
-        (build, bi, probe, pi)
-    } else {
-        (probe, pi, build, bi)
-    };
-    let get = |q: usize| {
-        if q < left_arity {
-            lb.value_at(q, lrow)
-        } else {
-            rb.value_at(q - left_arity, rrow)
+    /// Put out the pairs collected in `work`: drop the ones a residual
+    /// predicate rejects, gather the rest into the stage's buffer —
+    /// emptied first, unless `keep` makes the buffer the pipeline's
+    /// collected output — charge them, and hand the buffer on.
+    fn flush(
+        &self,
+        gov: &ResourceGovernor,
+        cols: &[&ColumnVec],
+        work: &mut ProbeWork,
+        keep: bool,
+        emit: &mut impl FnMut(&[&ColumnVec], Range<usize>) -> Result<()>,
+    ) -> Result<()> {
+        gov.check_interrupt()?;
+        if !self.shape.residual.is_empty() {
+            work.residual.iter_mut().for_each(ColumnVec::clear);
+            let pairs = (&work.build_sel[..], &work.probe_sel[..]);
+            self.gather(&self.shape.residual_slots, &mut work.residual, cols, pairs);
+            let gathered = &work.residual;
+            if let Some(pass) = self.residual.rows(|i| &gathered[i], 0..pairs.0.len())? {
+                // `pass` ascends, so pair `k` never lands past itself.
+                for (to, &k) in pass.iter().enumerate() {
+                    work.build_sel[to] = work.build_sel[k as usize];
+                    work.probe_sel[to] = work.probe_sel[k as usize];
+                }
+                work.build_sel.truncate(pass.len());
+                work.probe_sel.truncate(pass.len());
+            }
         }
-    };
-    for p in residual {
-        if !p.eval_with(&get)? {
-            return Ok(false);
+        let n = work.build_sel.len();
+        if n > 0 {
+            if !keep {
+                work.out.iter_mut().for_each(ColumnVec::clear);
+            }
+            let pairs = (&work.build_sel[..], &work.probe_sel[..]);
+            let w = self.gather(&self.shape.emit, &mut work.out, cols, pairs);
+            gov.charge_output_bulk(n as u64, w)?;
+            work.flow.add(n, w);
+            if !keep {
+                let out: Vec<&ColumnVec> = work.out.iter().collect();
+                emit(&out, 0..n)?;
+            }
         }
+        work.build_sel.clear();
+        work.probe_sel.clear();
+        Ok(())
     }
-    Ok(true)
-}
 
-/// Probe phase of the columnar hash join: find each probe row's build
-/// rows — by key ordinal on a direct index, which holds the rows of
-/// exactly that key; otherwise by hashing the tile's key columns and
-/// confirming candidates by per-column key comparison — apply
-/// residuals, and gather matches column-by-column, in probe order, each
-/// probe row's matches in build order. `index` is [`build_index`]'s over
-/// the same two batches and key positions.
-#[allow(clippy::too_many_arguments)]
-pub fn probe_join(
-    opts: &ExecOptions,
-    gov: &ResourceGovernor,
-    build: &Batch,
-    probe: &Batch,
-    index: &JoinIndex,
-    build_pos: &[usize],
-    probe_pos: &[usize],
-    residual: &[BoundPredicate],
-    build_left: bool,
-    left_arity: usize,
-    positions: &[usize],
-) -> Result<(Batch, u64)> {
-    let emit = BatchJoinEmit::new(positions, left_arity, build_left);
-    let ordinals = ordinal_keys(build, probe, build_pos, probe_pos);
-    // A single Int key on both sides is confirmed on the `i64` slices
-    // themselves: cheaper than the hash comparison that would spare it.
-    let int_keys = match ordinals {
-        Some((Ordinals::Int(bk), Ordinals::Int(pk))) => Some((bk, pk)),
-        _ => None,
-    };
-    let direct = ordinals
-        .filter(|_| index.is_direct())
-        .map(|(_, probe_key)| probe_key);
-    let passes = |bi: u32, pi: usize| -> Result<bool> {
-        Ok(residual.is_empty()
-            || residual_ok(
-                residual,
-                build,
-                probe,
-                bi as usize,
-                pi,
-                build_left,
-                left_arity,
-            )?)
-    };
-    let chunks = chunk_ranges(probe.len(), opts.workers_for(probe.len()));
-    let parts = run_chunks(chunks, |range| {
-        let mut out = emit.out_columns(build, probe);
-        let mut out_len = 0usize;
-        let mut bytes = 0u64;
-        let mut hashes = Vec::new();
-        let mut build_sel = Vec::new();
-        let mut probe_sel = Vec::new();
-        for_each_tile(gov, range, opts.batch_rows, |r| {
-            build_sel.clear();
-            probe_sel.clear();
-            if let Some(key) = direct {
-                for pi in r {
-                    for bi in index.matches(key.at(pi)) {
-                        if passes(bi, pi)? {
-                            build_sel.push(bi);
-                            probe_sel.push(pi as u32);
-                        }
+    /// Probe with rows `range` of the tile `cols`, flushing whenever
+    /// `batch_rows` pairs have come together (a probe row's matches are
+    /// never split, so a buffer overshoots by at most one chain).
+    fn run(
+        &self,
+        (gov, batch_rows): (&ResourceGovernor, usize),
+        cols: &[&ColumnVec],
+        range: Range<usize>,
+        work: &mut ProbeWork,
+        keep: bool,
+        mut emit: impl FnMut(&[&ColumnVec], Range<usize>) -> Result<()>,
+    ) -> Result<()> {
+        let stored = |bi: u32| self.rows.as_ref().map_or(bi, |rows| rows[bi as usize]);
+        let probe_key = |k: usize| cols[self.shape.keys[k].1];
+        let ordinals = match &self.keys[..] {
+            [key] => Ordinals::pair(key, probe_key(0)),
+            _ => None,
+        };
+        // One `$probe_row` per probe row, pushing its pairs.
+        macro_rules! sweep {
+            ($pi:ident, $probe_row:block) => {
+                for $pi in range.clone() {
+                    $probe_row
+                    if work.build_sel.len() >= batch_rows {
+                        self.flush(gov, cols, work, keep, &mut emit)?;
                     }
                 }
-            } else {
-                probe.hash_rows(probe_pos, r.clone(), &mut hashes);
-                for (pi, &h) in r.zip(&hashes) {
+            };
+        }
+        match (&self.index, ordinals) {
+            (None, _) => sweep!(pi, {
+                let n = self.build_flow.rows as u32;
+                work.build_sel.extend((0..n).map(stored));
+                work.probe_sel.extend((0..n).map(|_| pi as u32));
+            }),
+            // Whether a probe row has a match is as unpredictable as the
+            // build side's filter made it: the first pair is written
+            // either way (a direct index has a row 0) and kept only if
+            // there is one, so the loop branches on nothing but a second
+            // row of the same key.
+            (Some(index), Some((_, key))) if index.is_direct() => sweep!(pi, {
+                let head = index.head(key.at(pi));
+                let first = head.saturating_sub(1);
+                let pairs = work.build_sel.len() + usize::from(head != 0);
+                work.build_sel.push(stored(first));
+                work.probe_sel.push(pi as u32);
+                work.build_sel.truncate(pairs);
+                work.probe_sel.truncate(pairs);
+                let mut at = index.after(first) * u32::from(head != 0);
+                while let Some(bi) = at.checked_sub(1) {
+                    work.build_sel.push(stored(bi));
+                    work.probe_sel.push(pi as u32);
+                    at = index.after(bi);
+                }
+            }),
+            (Some(index), ordinals) => {
+                // A single Int key on both sides is confirmed on the `i64`
+                // slices themselves: cheaper than the hash comparison that
+                // would spare it.
+                let int_keys = match ordinals {
+                    Some((Ordinals::Int(bk), Ordinals::Int(pk))) => Some((bk, pk)),
+                    _ => None,
+                };
+                let mut hashes = std::mem::take(&mut work.hashes);
+                let probe_keys = (0..self.keys.len()).map(probe_key);
+                hash_columns(probe_keys, range.clone(), &mut hashes);
+                sweep!(pi, {
+                    let h = hashes[pi - range.start];
                     for bi in index.chain(h) {
                         let b = bi as usize;
                         let same_key = match int_keys {
                             Some((bk, pk)) => bk[b] == pk[pi],
                             None => {
                                 index.hash_of(bi) == h
-                                    && build_pos.iter().zip(probe_pos).all(|(&bp, &pp)| {
-                                        build.col(bp).eq_rows(b, probe.col(pp), pi)
-                                    })
+                                    && (0..self.keys.len())
+                                        .all(|k| self.keys[k].eq_rows(b, probe_key(k), pi))
                             }
                         };
-                        if same_key && passes(bi, pi)? {
-                            build_sel.push(bi);
-                            probe_sel.push(pi as u32);
+                        if same_key {
+                            work.build_sel.push(stored(bi));
+                            work.probe_sel.push(pi as u32);
                         }
                     }
-                }
+                });
+                work.hashes = hashes;
             }
-            if !build_sel.is_empty() {
-                let w = emit.gather(&mut out, build, probe, &build_sel, &probe_sel);
-                gov.charge_output_bulk(build_sel.len() as u64, w)?;
-                out_len += build_sel.len();
-                bytes += w;
-            }
-            Ok(())
-        })?;
-        Ok((Batch::from_parts(out, out_len), bytes))
-    })?;
-    Ok(stitch(parts, || {
-        Batch::from_parts(emit.out_columns(build, probe), 0)
-    }))
+        }
+        self.flush(gov, cols, work, keep, &mut emit)
+    }
 }
 
-/// Columnar nested-loop join (no hashable equality): workers split the
-/// left side; matches come back in the serial `for l { for r }` order.
-pub fn nested_loop_join(
+// ---------------------------------------------------------------------
+// Pipelines
+// ---------------------------------------------------------------------
+
+/// Hand rows `range` of the tile `cols` to the first of `probes` —
+/// whose output goes to the next, and so on — or, past the last, to the
+/// group table. With no table the last probe's buffer is kept as the
+/// pipeline's collected output.
+fn push(
+    env: (&ResourceGovernor, usize),
+    probes: &[Probe<'_>],
+    work: &mut [ProbeWork],
+    cols: &[&ColumnVec],
+    range: Range<usize>,
+    table: &mut Option<BatchGroupTable<'_>>,
+) -> Result<()> {
+    let (Some((probe, rest)), Some((mine, rest_work))) =
+        (probes.split_first(), work.split_first_mut())
+    else {
+        return table.as_mut().map_or(Ok(()), |t| t.accumulate(cols, range));
+    };
+    let keep = rest.is_empty() && table.is_none();
+    probe.run(env, cols, range, mine, keep, |cols, range| {
+        push(env, rest, rest_work, cols, range, table)
+    })
+}
+
+/// One chunk's end of a pipeline: the last stage's buffer — the
+/// collected rows, when there is no group table — and the group table.
+type ChunkOut<'g> = (Vec<ColumnVec>, Option<BatchGroupTable<'g>>);
+
+/// Run the pipeline `source → probes → sink`: tiles of the source's
+/// selected rows — views of its columns where a tile lost no row,
+/// gathered into a buffer otherwise — pass through every probe into a
+/// copy of the (empty) table `group` or, with none, a collected batch. A
+/// worker runs the whole pipeline over its chunk of the source; the
+/// chunks' ends come back in chunk order, with what each stage (the
+/// source first) put out in all. This is the one place rows are handed
+/// to worker threads.
+fn drive<'g>(
     opts: &ExecOptions,
     gov: &ResourceGovernor,
-    left: &Batch,
-    right: &Batch,
-    preds: &[BoundPredicate],
-    positions: &[usize],
-) -> Result<(Batch, u64)> {
-    let left_arity = left.n_cols();
-    // Reuse the emit machinery with "build" = left.
-    let emit = BatchJoinEmit::new(positions, left_arity, true);
-    let chunks = chunk_ranges(left.len(), opts.workers_for(left.len()));
-    let parts = run_chunks(chunks, |range| {
-        let mut out = emit.out_columns(left, right);
-        let mut out_len = 0usize;
-        let mut bytes = 0u64;
-        let mut lsel = Vec::new();
-        let mut rsel = Vec::new();
-        for_each_tile(gov, range, 1, |r| {
-            let li = r.start;
-            lsel.clear();
-            rsel.clear();
-            for ri in 0..right.len() {
-                let get = |q: usize| {
-                    if q < left_arity {
-                        left.value_at(q, li)
-                    } else {
-                        right.value_at(q - left_arity, ri)
-                    }
-                };
-                let mut ok = true;
-                for p in preds {
-                    if !p.eval_with(&get)? {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
-                    lsel.push(li as u32);
-                    rsel.push(ri as u32);
-                }
+    source: &Held,
+    probes: &[Probe<'_>],
+    group: Option<&BatchGroupTable<'g>>,
+) -> Result<(Vec<ChunkOut<'g>>, Vec<Flow>)> {
+    let cols = source.cols();
+    // With nothing between the source and a collected batch, the scan's
+    // buffer is that batch.
+    let keep = probes.is_empty() && group.is_none();
+    let env = (gov, opts.batch_rows.max(1));
+    let chunks = chunk_ranges(source.stored(), opts.workers_for(source.rows()));
+    let parts = run_chunks(chunks, |chunk| {
+        let mut buf: Vec<ColumnVec> = cols.iter().map(|c| c.empty_like()).collect();
+        let mut flow = Flow::default();
+        let mut ids = Vec::new();
+        let mut work: Vec<ProbeWork> = probes.iter().map(Probe::work).collect();
+        let mut table = group.cloned();
+        if let Some(table) = &mut table {
+            table.expected = chunk.len().min(source.rows());
+        }
+        for_each_tile(gov, chunk, opts.batch_rows, |tile| {
+            ids.clear();
+            if let Some(sel) = &source.sel {
+                sel.rows_in(tile.clone(), &mut ids);
             }
-            if !lsel.is_empty() {
-                let w = emit.gather(&mut out, left, right, &lsel, &rsel);
-                gov.charge_output_bulk(lsel.len() as u64, w)?;
-                out_len += lsel.len();
-                bytes += w;
+            let all = source.sel.is_none() || ids.len() == tile.len();
+            let n = if all { tile.len() } else { ids.len() };
+            let copy = keep || !all;
+            let w: u64 = if copy {
+                if !keep {
+                    buf.iter_mut().for_each(ColumnVec::clear);
+                }
+                let copied = buf.iter_mut().zip(&cols).map(|(dst, src)| match all {
+                    true => dst.append_range(src, tile.clone()),
+                    false => dst.append_gather(src, &ids),
+                });
+                copied.sum()
+            } else if source.is_scan() {
+                cols.iter().map(|c| c.bytes_at(tile.clone())).sum()
+            } else {
+                0
+            };
+            if source.is_scan() {
+                gov.charge_output_bulk(n as u64, w)?;
+                flow.add(n, w);
             }
-            Ok(())
+            if n == 0 || keep {
+                Ok(())
+            } else if copy {
+                let held: Vec<&ColumnVec> = buf.iter().collect();
+                push(env, probes, &mut work, &held, 0..n, &mut table)
+            } else {
+                push(env, probes, &mut work, &cols, tile, &mut table)
+            }
         })?;
-        Ok((Batch::from_parts(out, out_len), bytes))
+        let mut flows = vec![flow];
+        flows.extend(work.iter().map(|w| w.flow));
+        Ok((work.pop().map_or(buf, |last| last.out), table, flows))
     })?;
-    Ok(stitch(parts, || {
-        Batch::from_parts(emit.out_columns(left, right), 0)
-    }))
+    let mut total = vec![Flow::default(); probes.len() + 1];
+    if !source.is_scan() {
+        total[0].add(source.rows(), source.resident_bytes());
+    }
+    let mut outs = Vec::with_capacity(parts.len());
+    for (out, table, flows) in parts {
+        for (t, f) in total.iter_mut().zip(flows) {
+            t.add(f.rows as usize, f.bytes);
+        }
+        outs.push((out, table));
+    }
+    Ok((outs, total))
+}
+
+/// Empty columns like the ones the pipeline's last stage puts out.
+fn last_protos<'p>(source: &'p Held, probes: &'p [Probe<'_>]) -> Vec<&'p ColumnVec> {
+    probes.last().map_or_else(|| source.cols(), Probe::protos)
+}
+
+/// Run `source → probes` into a batch: the chunks' rows in chunk order,
+/// so the rows of the serial run. The flows are the source's and every
+/// probe's, in pipeline order.
+pub fn collect(
+    opts: &ExecOptions,
+    gov: &ResourceGovernor,
+    source: &Held,
+    probes: &[Probe<'_>],
+) -> Result<(Batch, Vec<Flow>)> {
+    let (parts, flows) = drive(opts, gov, source, probes, None)?;
+    let mut chunks = parts.into_iter().map(|(out, _)| out);
+    // No chunk at all (an empty source) still puts out typed columns.
+    let mut cols = chunks.next().unwrap_or_else(|| {
+        let like = last_protos(source, probes);
+        like.iter().map(|c| c.empty_like()).collect()
+    });
+    for chunk in chunks {
+        for (dst, src) in cols.iter_mut().zip(&chunk) {
+            dst.append_column(src);
+        }
+    }
+    let rows = flows[probes.len()].rows as usize;
+    Ok((Batch::from_parts(cols, rows), flows))
 }
 
 // ---------------------------------------------------------------------
@@ -685,6 +1007,7 @@ pub fn nested_loop_join(
 /// distinct keys that share a hash simply occupy separate cells along
 /// the probe chain. The directory is purely an index — group order is
 /// first-seen append order, so its layout never affects output.
+#[derive(Clone)]
 struct SlotDir {
     table: Vec<u32>,
     /// `log2(table.len())`: the home cell is [`dir_index`] of this many
@@ -694,7 +1017,7 @@ struct SlotDir {
 
 /// Directory probe outcome: an existing group, or the empty cell where
 /// the new group's slot belongs.
-enum Probe {
+enum Found {
     Hit(usize),
     Miss(usize),
 }
@@ -785,14 +1108,18 @@ impl<'a> Typed<'a> {
 }
 
 /// Where an aggregate's raw argument comes from.
+#[derive(Clone, Copy)]
 enum Arg<'a> {
-    Col(Typed<'a>),
+    /// A column of the tile.
+    Col(usize),
     /// Evaluated a tile at a time ([`BoundExpr::eval_columns`]).
     Expr(&'a BoundExpr),
 }
 
-/// How one aggregate reads the input batch: its [`AggInput`] resolved
-/// against the batch's columns, once per operator.
+/// How one aggregate reads the tiles coming in: its [`AggInput`]
+/// resolved against their columns' representations, once per operator.
+/// Columns are named by position and read tile by tile.
+#[derive(Clone, Copy)]
 enum Feed<'a> {
     /// A raw argument, each row standing for `weight` rows (`None`:
     /// one). COUNT goes without: its argument is only ever evaluated for
@@ -801,11 +1128,11 @@ enum Feed<'a> {
     /// is fed as a raw column too.
     Raw {
         arg: Option<Arg<'a>>,
-        weight: Option<&'a [i64]>,
+        weight: Option<usize>,
     },
     /// Partial-state components that *add*: the float sums (none for
     /// COUNT, one for AVG, two for STDDEV) and the row count.
-    Partial { sums: [&'a [f64]; 2], n: &'a [i64] },
+    Partial { sums: [Option<usize>; 2], n: usize },
     /// No typed accumulator fits: fold through `Value`s.
     Values(&'a AggInput),
 }
@@ -949,47 +1276,61 @@ fn fold_extreme<T: Copy>(
 
 impl AccCol {
     /// The accumulator and feed of `func` over `input`, by the
-    /// representation of the batch columns `input` reads.
-    fn resolve<'a>(batch: &'a Batch, input: &'a AggInput, func: AggFunc) -> (AccCol, Feed<'a>) {
-        Self::typed(batch, input, func)
+    /// representation of the columns `input` reads — `cols` are the
+    /// tiles' columns, or empty ones like them.
+    fn resolve<'a>(cols: &[&ColumnVec], input: &'a AggInput, func: AggFunc) -> (AccCol, Feed<'a>) {
+        Self::typed(cols, input, func)
             .unwrap_or_else(|| (AccCol::Values(func, Vec::new()), Feed::Values(input)))
     }
 
     fn typed<'a>(
-        batch: &'a Batch,
+        cols: &[&ColumnVec],
         input: &'a AggInput,
         func: AggFunc,
     ) -> Option<(AccCol, Feed<'a>)> {
-        let col = |i: usize| batch.col(i);
-        let none: &[f64] = &[];
+        let col = |i: usize| cols[i];
         let (arg, weight) = match input {
             AggInput::RawCountStar => (None, None),
             AggInput::Raw(e) => (Some(e), None),
-            AggInput::Scaled(e, cnt) => (e.as_ref(), Some(col(*cnt).as_int()?)),
+            AggInput::Scaled(e, cnt) => {
+                col(*cnt).as_int()?;
+                (e.as_ref(), Some(*cnt))
+            }
             AggInput::Partial(comps) => {
-                let comps: Vec<Typed<'a>> = comps
+                let typed: Vec<Typed<'_>> = comps
                     .iter()
                     .map(|&c| Typed::of(col(c)))
                     .collect::<Option<_>>()?;
-                return Some(match (func, &comps[..]) {
-                    (AggFunc::Count, &[Typed::Int(n)]) => (
+                return Some(match (func, &typed[..], &comps[..]) {
+                    (AggFunc::Count, [Typed::Int(_)], &[n]) => (
                         AccCol::Count(Vec::new()),
                         Feed::Partial {
-                            sums: [none, none],
+                            sums: [None, None],
                             n,
                         },
                     ),
-                    (AggFunc::Avg, &[Typed::Float(s), Typed::Int(n)]) => {
-                        (AccCol::moments(None), Feed::Partial { sums: [s, none], n })
-                    }
-                    (AggFunc::StdDev, &[Typed::Float(s), Typed::Float(q), Typed::Int(n)]) => (
-                        AccCol::moments(Some(Vec::new())),
-                        Feed::Partial { sums: [s, q], n },
+                    (AggFunc::Avg, [Typed::Float(_), Typed::Int(_)], &[s, n]) => (
+                        AccCol::moments(None),
+                        Feed::Partial {
+                            sums: [Some(s), None],
+                            n,
+                        },
                     ),
-                    (AggFunc::Sum | AggFunc::Min | AggFunc::Max, &[x]) => (
+                    (
+                        AggFunc::StdDev,
+                        [Typed::Float(_), Typed::Float(_), Typed::Int(_)],
+                        &[s, q, n],
+                    ) => (
+                        AccCol::moments(Some(Vec::new())),
+                        Feed::Partial {
+                            sums: [Some(s), Some(q)],
+                            n,
+                        },
+                    ),
+                    (AggFunc::Sum | AggFunc::Min | AggFunc::Max, &[x], &[c]) => (
                         AccCol::over(func, x)?,
                         Feed::Raw {
-                            arg: Some(Arg::Col(x)),
+                            arg: Some(Arg::Col(c)),
                             weight: None,
                         },
                     ),
@@ -1002,10 +1343,7 @@ impl AccCol {
         // for the errors evaluating it raises.
         let (arg, like) = match (func, arg) {
             (AggFunc::Count, Some(BoundExpr::Col(_))) | (_, None) => (None, None),
-            (_, Some(BoundExpr::Col(i))) => {
-                let x = Typed::of(col(*i))?;
-                (Some(Arg::Col(x)), Some(x))
-            }
+            (_, Some(BoundExpr::Col(i))) => (Some(Arg::Col(*i)), Some(Typed::of(col(*i))?)),
             (_, Some(e)) => {
                 let like = match e.numeric_type(&col)? {
                     DataType::Int => Typed::Int(&[]),
@@ -1308,21 +1646,19 @@ fn column_of(values: Vec<Value>) -> ColumnVec {
     }
 }
 
-/// How [`BatchGroupTable::accumulate_range`] finds the groups of a
-/// chunk's rows.
-enum Lookup<'a> {
+/// How a [`BatchGroupTable`] finds the groups of the rows coming in.
+#[derive(Clone)]
+enum Lookup {
     /// The one lookup column holds small ordinals — `Int` values or
-    /// dictionary codes whose range over the chunk passes the bound
-    /// stated at [`SlotDir::needs_grow`] — so `seats[ordinal - min]`
-    /// is the group's `slot + 1` (`0`: not seen yet). No row hashes or
-    /// compares; groups are still created in first-seen order, and are
-    /// entered in the hashed directory only if chunk tables come to
-    /// merge ([`BatchGroupTable::seat`]).
-    Ordinal {
-        keys: Ordinals<'a>,
-        min: i64,
-        seats: Vec<u32>,
-    },
+    /// dictionary codes whose range so far passes the bound stated at
+    /// [`SlotDir::needs_grow`] — so `seats[ordinal - min]` is the
+    /// group's `slot + 1` (`0`: not seen yet). No row hashes or
+    /// compares; groups are still created in first-seen order. The
+    /// range widens tile by tile; once it outgrows the bound the groups
+    /// are entered in the hashed directory ([`BatchGroupTable::seat`] —
+    /// as they are when chunk tables come to merge) and the table goes
+    /// on [`Lookup::Hashed`].
+    Ordinal { min: i64, seats: Vec<u32> },
     /// Hash the lookup columns, probe the directory, confirm by value.
     Hashed,
 }
@@ -1342,31 +1678,32 @@ enum Lookup<'a> {
 /// Groups are emitted in first-appearance order; rows fold into a
 /// group's states in input order within a worker chunk, and chunk tables
 /// merge in chunk order.
-pub struct BatchGroupTable {
+#[derive(Clone)]
+pub struct BatchGroupTable<'a> {
     index: SlotDir,
     /// The hash of the lookup columns of every group the directory
     /// holds: all of them, or — while groups are found by ordinal —
     /// none yet.
     hashes: Vec<u64>,
     keys: Vec<ColumnVec>,
-    /// Which of `keys` identify a group.
-    lookup: Vec<usize>,
+    /// Where the grouping columns are in the tiles coming in, and which
+    /// of `keys` identify a group.
+    key_pos: &'a [usize],
+    lookup: &'a [usize],
+    find: Lookup,
+    /// Rows folded in so far, and how many the pipeline's source leads
+    /// the table to expect: the larger is the `n` of the ordinal rule.
+    seen: usize,
+    expected: usize,
     accs: Vec<AccCol>,
+    /// How each aggregate reads the tiles.
+    feeds: Vec<Feed<'a>>,
+    /// The group of every row of the tile being folded in.
+    slots: Vec<u32>,
     len: usize,
 }
 
-impl BatchGroupTable {
-    fn new(key_cols: &[&ColumnVec], lookup: &[usize], accs: &[AccCol]) -> BatchGroupTable {
-        BatchGroupTable {
-            index: SlotDir::new(),
-            hashes: Vec::new(),
-            keys: key_cols.iter().map(|c| c.empty_like()).collect(),
-            lookup: lookup.to_vec(),
-            accs: accs.to_vec(),
-            len: 0,
-        }
-    }
-
+impl<'a> BatchGroupTable<'a> {
     /// Number of groups.
     pub fn len(&self) -> usize {
         self.len
@@ -1377,6 +1714,7 @@ impl BatchGroupTable {
     }
 
     /// Append a group whose grouping columns are row `row` of `src`.
+    #[inline]
     fn push_group(&mut self, src: &[&ColumnVec], row: usize) -> usize {
         for (key_col, from) in self.keys.iter_mut().zip(src) {
             key_col.push_from(from, row);
@@ -1406,17 +1744,17 @@ impl BatchGroupTable {
     /// Probe the directory for `hash`, confirming candidates with `eq`
     /// (hash equality is checked first, so `eq` only runs on real
     /// collisions within a probe chain).
-    fn find(&self, hash: u64, mut eq: impl FnMut(usize) -> bool) -> Probe {
+    fn find(&self, hash: u64, mut eq: impl FnMut(usize) -> bool) -> Found {
         let mask = self.index.mask();
         let mut idx = dir_index(hash, self.index.bits);
         loop {
             let e = self.index.table[idx];
             if e == 0 {
-                return Probe::Miss(idx);
+                return Found::Miss(idx);
             }
             let s = (e - 1) as usize;
             if self.hashes[s] == hash && eq(s) {
-                return Probe::Hit(s);
+                return Found::Hit(s);
             }
             idx = (idx + 1) & mask;
         }
@@ -1441,8 +1779,8 @@ impl BatchGroupTable {
             }),
         };
         match found {
-            Probe::Hit(s) => s,
-            Probe::Miss(idx) => {
+            Found::Hit(s) => s,
+            Found::Miss(idx) => {
                 let slot = self.push_group(src, row);
                 self.index.table[idx] = slot as u32 + 1;
                 self.hashes.push(hash);
@@ -1452,91 +1790,130 @@ impl BatchGroupTable {
         }
     }
 
-    /// Fold rows `range` of `batch` in, a tile at a time: find every
-    /// row's group (creating the new ones), then let each aggregate
-    /// absorb the tile in one typed loop.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_range(
-        &mut self,
-        gov: &ResourceGovernor,
-        batch: &Batch,
-        range: Range<usize>,
-        batch_rows: usize,
-        key_cols: &[&ColumnVec],
-        lookup_pos: &[usize],
-        feeds: &[Feed<'_>],
-    ) -> Result<()> {
-        let ordinal = |&k: &usize| {
-            let keys = Ordinals::of(batch.col(k))?;
-            let (min, cells) = keys.span(range.clone(), dir_cells(range.len()))?;
-            let seats = vec![0; cells];
-            Some(Lookup::Ordinal { keys, min, seats })
+    /// Widen the ordinal directory to hold the ordinals of rows `range`
+    /// of `keys` — or, when the range they come to no longer passes the
+    /// ordinal rule, go on hashed.
+    fn admit_ordinals(&mut self, keys: Option<Ordinals<'_>>, range: Range<usize>) {
+        let Lookup::Ordinal { min, seats } = &mut self.find else {
+            return;
         };
-        let mut lookup = match lookup_pos {
-            [k] => ordinal(k).unwrap_or(Lookup::Hashed),
-            _ => Lookup::Hashed,
+        let bound = dir_cells(self.seen.max(self.expected));
+        let widened = keys
+            .and_then(|k| k.span(range, bound))
+            .and_then(|(lo, cells)| {
+                if seats.is_empty() {
+                    return Some((lo, cells));
+                }
+                let first = lo.min(*min);
+                let last = (lo + (cells as i64 - 1)).max(*min + (seats.len() as i64 - 1));
+                let cells = usize::try_from(last.checked_sub(first)?)
+                    .ok()?
+                    .checked_add(1)?;
+                (cells <= bound).then_some((first, cells))
+            });
+        match widened {
+            Some((first, cells)) => {
+                let below = ordinal_cell(*min, first).min(cells);
+                if !seats.is_empty() && below > 0 {
+                    seats.splice(0..0, vec![0; below]);
+                }
+                seats.resize(cells, 0);
+                *min = first;
+            }
+            None => {
+                self.find = Lookup::Hashed;
+                self.seat();
+            }
+        }
+    }
+
+    /// Fold rows `range` of the tile `cols` in: find every row's group
+    /// (creating the new ones), then let each aggregate absorb the tile
+    /// in one typed loop.
+    fn accumulate(&mut self, cols: &[&ColumnVec], r: Range<usize>) -> Result<()> {
+        let key_cols: Vec<&ColumnVec> = self.key_pos.iter().map(|&k| cols[k]).collect();
+        self.seen += r.len();
+        let ordinals = match self.lookup[..] {
+            [l] => Ordinals::of(key_cols[l]),
+            _ => None,
         };
-        let col = |i: usize| batch.col(i);
-        let mut hashes = Vec::new();
-        let mut slots: Vec<u32> = Vec::new();
-        for_each_tile(gov, range, batch_rows, |r| {
-            slots.clear();
-            match &mut lookup {
-                Lookup::Ordinal { keys, min, seats } => slots.extend(r.clone().map(|row| {
-                    let seat = &mut seats[ordinal_cell(keys.at(row), *min)];
+        self.admit_ordinals(ordinals, r.clone());
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.clear();
+        match (std::mem::replace(&mut self.find, Lookup::Hashed), ordinals) {
+            (Lookup::Ordinal { min, mut seats }, Some(keys)) => {
+                slots.extend(r.clone().map(|row| {
+                    let seat = &mut seats[ordinal_cell(keys.at(row), min)];
                     if *seat == 0 {
-                        *seat = self.push_group(key_cols, row) as u32 + 1;
+                        *seat = self.push_group(&key_cols, row) as u32 + 1;
                     }
                     *seat - 1
-                })),
-                Lookup::Hashed => {
-                    batch.hash_rows(lookup_pos, r.clone(), &mut hashes);
-                    let found = r.clone().zip(&hashes);
-                    slots.extend(found.map(|(row, &h)| self.slot_for(key_cols, row, h) as u32));
-                }
+                }));
+                self.find = Lookup::Ordinal { min, seats };
             }
-            for (acc, feed) in self.accs.iter_mut().zip(feeds) {
-                acc.grow(self.len);
-                let evaluated;
-                let tile = match feed {
-                    Feed::Raw { arg, weight } => Tile::Raw {
-                        x: match arg {
-                            None => None,
-                            Some(Arg::Col(x)) => Some(x.slice(r.clone())),
-                            Some(Arg::Expr(e)) => {
-                                evaluated = e.eval_columns(&col, r.clone())?;
-                                Some(match &evaluated {
-                                    NumColumn::Int(xs) => Typed::Int(xs),
-                                    NumColumn::Float(xs) => Typed::Float(xs),
-                                })
-                            }
-                        },
-                        weight: weight.map(|w| &w[r.clone()]),
-                    },
-                    Feed::Partial { sums: [s, q], n } => Tile::Partial {
-                        // COUNT and AVG leave sums empty.
-                        sums: [s, q].map(|v| v.get(r.clone()).unwrap_or(&[])),
-                        n: &n[r.clone()],
-                    },
-                    Feed::Values(input) => {
-                        let AccCol::Values(_, states) = acc else {
-                            return Err(mismatch());
-                        };
-                        for (row, &s) in r.clone().zip(&slots) {
-                            let get = |i: usize| batch.value_at(i, row);
-                            input.absorb_with(&mut states[s as usize], &get)?;
+            _ => {
+                let mut hashes = Vec::new();
+                let lookup_cols = self.lookup.iter().map(|&l| key_cols[l]);
+                hash_columns(lookup_cols, r.clone(), &mut hashes);
+                let found = r.clone().zip(&hashes);
+                slots.extend(found.map(|(row, &h)| self.slot_for(&key_cols, row, h) as u32));
+            }
+        }
+        let col = |i: usize| cols[i];
+        let typed = |i: usize| Typed::of(cols[i]).map(|x| x.slice(r.clone()));
+        for (acc, feed) in self.accs.iter_mut().zip(&self.feeds) {
+            acc.grow(self.len);
+            let evaluated;
+            let none: &[f64] = &[];
+            let tile = match feed {
+                Feed::Raw { arg, weight } => Tile::Raw {
+                    x: match arg {
+                        None => None,
+                        Some(Arg::Col(i)) => Some(typed(*i).ok_or_else(mismatch)?),
+                        Some(Arg::Expr(e)) => {
+                            evaluated = e.eval_columns(&col, r.clone())?;
+                            Some(match &evaluated {
+                                NumColumn::Int(xs) => Typed::Int(xs),
+                                NumColumn::Float(xs) => Typed::Float(xs),
+                            })
                         }
-                        continue;
+                    },
+                    weight: match weight {
+                        None => None,
+                        Some(w) => Some(&cols[*w].as_int().ok_or_else(mismatch)?[r.clone()]),
+                    },
+                },
+                Feed::Partial { sums, n } => {
+                    // COUNT and AVG leave sums empty.
+                    let floats = |s: &Option<usize>| match s.map(typed) {
+                        None => Ok(none),
+                        Some(Some(Typed::Float(xs))) => Ok(xs),
+                        Some(_) => Err(mismatch()),
+                    };
+                    Tile::Partial {
+                        sums: [floats(&sums[0])?, floats(&sums[1])?],
+                        n: &cols[*n].as_int().ok_or_else(mismatch)?[r.clone()],
                     }
-                };
-                acc.absorb(tile, &slots)?;
-            }
-            Ok(())
-        })
+                }
+                Feed::Values(input) => {
+                    let AccCol::Values(_, states) = acc else {
+                        return Err(mismatch());
+                    };
+                    for (row, &s) in r.clone().zip(&slots) {
+                        let get = |i: usize| cols[i].value_at(row);
+                        input.absorb_with(&mut states[s as usize], &get)?;
+                    }
+                    continue;
+                }
+            };
+            acc.absorb(tile, &slots)?;
+        }
+        self.slots = slots;
+        Ok(())
     }
 
     /// Coalesce `other`'s groups into `self` in `other`'s group order.
-    fn merge_from(&mut self, mut other: BatchGroupTable) -> Result<()> {
+    fn merge_from(&mut self, mut other: BatchGroupTable<'a>) -> Result<()> {
         self.seat();
         other.fill_hashes();
         let src: Vec<&ColumnVec> = other.keys.iter().collect();
@@ -1565,50 +1942,61 @@ impl BatchGroupTable {
     }
 }
 
-/// Two-phase columnar aggregation: per-chunk tables accumulate
-/// tile-wise (phase 1 — the paper's partial aggregation), then coalesce
-/// in worker order (phase 2 — the global merge). With one worker this is
-/// the serial hash aggregation.
+/// Run `source → probes` into a group table: per-chunk tables
+/// accumulate tile by tile (phase 1 — the paper's partial aggregation),
+/// then coalesce in chunk order (phase 2 — the global merge). With one
+/// chunk this is the serial hash aggregation. The flows are the
+/// source's and every probe's, in pipeline order.
 ///
-/// Groups are stored under all of `key_pos` and found by the columns
-/// `key_pos[l]` for `l` in `lookup`, which must determine the others.
-pub fn accumulate_groups(
+/// Groups are stored under the last stage's columns `key_pos` and found
+/// by the columns `key_pos[l]` for `l` in `lookup`, which must determine
+/// the others.
+#[allow(clippy::too_many_arguments)]
+pub fn aggregate<'a>(
     opts: &ExecOptions,
     gov: &ResourceGovernor,
-    batch: &Batch,
-    key_pos: &[usize],
-    lookup: &[usize],
-    inputs: &[AggInput],
+    source: &Held,
+    probes: &[Probe<'_>],
+    key_pos: &'a [usize],
+    lookup: &'a [usize],
+    inputs: &'a [AggInput],
     funcs: &[AggFunc],
-) -> Result<BatchGroupTable> {
-    let key_cols: Vec<&ColumnVec> = key_pos.iter().map(|&k| batch.col(k)).collect();
-    let lookup_pos: Vec<usize> = lookup.iter().map(|&l| key_pos[l]).collect();
-    let (accs, feeds): (Vec<AccCol>, Vec<Feed<'_>>) = inputs
-        .iter()
-        .zip(funcs)
-        .map(|(input, &f)| AccCol::resolve(batch, input, f))
+) -> Result<(BatchGroupTable<'a>, Vec<Flow>)> {
+    // The aggregation is resolved against columns like the ones it will
+    // be fed; every chunk starts from a copy of the empty table.
+    let cols = last_protos(source, probes);
+    let resolved = inputs.iter().zip(funcs);
+    let (accs, feeds) = resolved
+        .map(|(input, &f)| AccCol::resolve(&cols, input, f))
         .unzip();
-    let new_table = || BatchGroupTable::new(&key_cols, lookup, &accs);
-    let chunks = chunk_ranges(batch.len(), opts.workers_for(batch.len()));
-    let tables = run_chunks(chunks, |range| {
-        let mut table = new_table();
-        table.accumulate_range(
-            gov,
-            batch,
-            range,
-            opts.batch_rows,
-            &key_cols,
-            &lookup_pos,
-            &feeds,
-        )?;
-        Ok(table)
-    })?;
-    let mut iter = tables.into_iter();
-    let mut global = iter.next().unwrap_or_else(new_table);
-    for t in iter {
+    let ordinal = matches!(lookup, [l] if Ordinals::of(cols[key_pos[*l]]).is_some());
+    let empty = BatchGroupTable {
+        index: SlotDir::new(),
+        hashes: Vec::new(),
+        keys: key_pos.iter().map(|&k| cols[k].empty_like()).collect(),
+        key_pos,
+        lookup,
+        find: match ordinal {
+            true => Lookup::Ordinal {
+                min: 0,
+                seats: Vec::new(),
+            },
+            false => Lookup::Hashed,
+        },
+        seen: 0,
+        expected: 0,
+        accs,
+        feeds,
+        slots: Vec::new(),
+        len: 0,
+    };
+    let (parts, flows) = drive(opts, gov, source, probes, Some(&empty))?;
+    let mut tables = parts.into_iter().filter_map(|(_, table)| table);
+    let mut global = tables.next().unwrap_or(empty);
+    for t in tables {
         global.merge_from(t)?;
     }
-    Ok(global)
+    Ok((global, flows))
 }
 
 #[cfg(test)]
@@ -1679,14 +2067,10 @@ mod tests {
         let gov = ResourceGovernor::unlimited();
         let pred = Predicate::cmp_const(Col::base(RelId(0), 0), CmpOp::Ge, 2i64);
         let bound = pred.bind(&|c| layout(c)).unwrap();
-        let (batch, bytes) = scan_table(
-            &opts(),
-            &gov,
-            &cat.get("t").unwrap(),
-            std::slice::from_ref(&bound),
-            &[2, 0],
-        )
-        .unwrap();
+        let preds = std::slice::from_ref(&bound);
+        let rows = scan_table(&opts(), &gov, cat.get("t").unwrap(), preds, vec![2, 0]).unwrap();
+        let (batch, flows) = collect(&opts(), &gov, &rows, &[]).unwrap();
+        let bytes = flows[0].bytes;
         let plan = Plan::scan(
             RelId(0),
             "t",
@@ -1712,30 +2096,24 @@ mod tests {
         );
         let bound = residual
             .bind(&|c| match c {
-                Col::Base(b) if b.rel == RelId(0) => Some(b.col as usize),
-                Col::Base(b) => Some(3 + b.col as usize),
+                Col::Base(b) => Some(b.rel.0 as usize),
                 _ => None,
             })
             .unwrap();
-        let positions = [1usize, 4, 2];
         // Build on the smaller (right) side, like the engine would; the
         // probe then walks the left side in order with ascending
-        // candidates — the reference's `for l { for r }` order.
-        let index = build_index(&opts(), &gov, &rb, &lb, &[0], &[0]).unwrap();
-        let (got, bytes) = probe_join(
-            &opts(),
-            &gov,
-            &rb,
-            &lb,
-            &index,
-            &[0],
-            &[0],
-            std::slice::from_ref(&bound),
-            false,
-            3,
-            &positions,
-        )
-        .unwrap();
+        // candidates — the reference's `for l { for r }` order. Over the
+        // layout `l ++ r` the join puts out columns 1, 4 and 2.
+        let (lb, rb) = (Held::batch(lb), Held::batch(rb));
+        let shape = JoinShape {
+            keys: vec![(0, 0)],
+            residual: vec![bound],
+            residual_slots: vec![(false, 1), (true, 1)],
+            emit: vec![(false, 1), (true, 1), (false, 2)],
+        };
+        let probe = Probe::new(&opts(), &gov, &rb, &lb.cols(), &shape).unwrap();
+        let (got, flows) = collect(&opts(), &gov, &lb, &[probe]).unwrap();
+        let bytes = flows[1].bytes;
         let plan = Plan::join(
             Plan::scan(RelId(0), "l", vec![], all_cols(RelId(0), 3)),
             Plan::scan(RelId(1), "r", vec![], all_cols(RelId(1), 3)),
@@ -1762,7 +2140,8 @@ mod tests {
             AggInput::Raw(n.bind(&|c| layout(c)).unwrap()),
         ];
         let funcs = [AggFunc::Count, AggFunc::Avg];
-        let got = accumulate_groups(&opts(), &gov, &batch, &[0], &[0], &inputs, &funcs).unwrap();
+        let batch = Held::batch(batch);
+        let (got, _) = aggregate(&opts(), &gov, &batch, &[], &[0], &[0], &inputs, &funcs).unwrap();
         let groups = got.len();
         let cols = got.into_columns(true).unwrap();
         let mut got_rows = Batch::from_parts(cols, groups).to_tuples();
@@ -1823,7 +2202,8 @@ mod tests {
         finalize: bool,
     ) -> Result<Vec<Tuple>> {
         let gov = ResourceGovernor::unlimited();
-        let table = accumulate_groups(opts, &gov, batch, keys.0, keys.1, inputs, funcs)?;
+        let batch = Held::batch(batch.clone());
+        let (table, _) = aggregate(opts, &gov, &batch, &[], keys.0, keys.1, inputs, funcs)?;
         let groups = table.len();
         Ok(Batch::from_parts(table.into_columns(finalize)?, groups).to_tuples())
     }
@@ -1994,23 +2374,17 @@ mod tests {
         let rows = fold_rows(40, |k| k);
         let batch = Batch::from_tuples(&rows, &[0, 1, 2, 3, 4, 5, 6, 7, 8], &FOLD_TYPES);
         for (func, input) in fold_cases() {
-            let (acc, _) = AccCol::resolve(&batch, &input, func);
+            let (acc, _) = AccCol::resolve(&batch.cols().iter().collect::<Vec<_>>(), &input, func);
             assert!(
                 !matches!(acc, AccCol::Values(..)),
                 "{func} over {input:?} fell back to boxed states"
             );
             for finalize in [true, false] {
                 let gov = ResourceGovernor::unlimited();
-                let table = accumulate_groups(
-                    &opts(),
-                    &gov,
-                    &batch,
-                    &[0],
-                    &[0],
-                    std::slice::from_ref(&input),
-                    &[func],
-                )
-                .unwrap();
+                let held = Held::batch(batch.clone());
+                let inputs = std::slice::from_ref(&input);
+                let (table, _) =
+                    aggregate(&opts(), &gov, &held, &[], &[0], &[0], inputs, &[func]).unwrap();
                 let cols = table.into_columns(finalize).unwrap();
                 assert!(cols.iter().all(|c| !matches!(c, ColumnVec::Mixed(_))));
             }
@@ -2020,7 +2394,7 @@ mod tests {
         let mixed = vec![tuple![1i64, 2i64], tuple![1i64, 2.5f64], tuple![2i64, 1i64]];
         let batch = Batch::from_tuples(&mixed, &[0, 1], &[DataType::Int, DataType::Int]);
         let inputs = [AggInput::Raw(BoundExpr::Col(1))];
-        let (acc, _) = AccCol::resolve(&batch, &inputs[0], AggFunc::Sum);
+        let (acc, _) = AccCol::resolve(&[batch.col(0), batch.col(1)], &inputs[0], AggFunc::Sum);
         assert!(matches!(acc, AccCol::Values(..)));
         let want = value_fold(&mixed, &[0], &inputs, &[AggFunc::Sum], true).unwrap();
         let got = typed_fold(
@@ -2154,7 +2528,8 @@ mod tests {
         let cat = catalog(&[("t", 2000)]);
         let gov = ResourceGovernor::unlimited();
         gov.token().cancel();
-        let err = scan_table(&par(4), &gov, &cat.get("t").unwrap(), &[], &[0]).unwrap_err();
+        let rows = scan_table(&par(4), &gov, cat.get("t").unwrap(), &[], vec![0]).unwrap();
+        let err = collect(&par(4), &gov, &rows, &[]).unwrap_err();
         assert_eq!(err.kind(), "cancelled");
     }
 
@@ -2167,8 +2542,9 @@ mod tests {
         let p = Predicate::cmp_const(Col::base(RelId(0), 1), CmpOp::Lt, 3i64)
             .bind(&|c| layout(c))
             .unwrap();
-        let batch_err = RowFilter::new(std::slice::from_ref(&p), |i| tile.col(i))
-            .rows(0..tile.len())
+        let col = |i: usize| tile.col(i);
+        let batch_err = RowFilter::new(std::slice::from_ref(&p), col)
+            .rows(col, 0..tile.len())
             .unwrap_err();
         let row_err = p.eval(&rows[0]).unwrap_err();
         assert_eq!(batch_err.to_string(), row_err.to_string());

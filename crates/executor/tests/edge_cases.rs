@@ -328,7 +328,11 @@ fn strings_new_to_the_dictionary_reach_new_scans_but_not_a_held_table() {
             parallel_threshold: 1,
             batch_rows: 2,
         };
-        let (all, _) = vector::scan_table(&opts, &gov, &held, &[], &[1]).unwrap();
+        let scan = |preds| {
+            let rows = vector::scan_table(&opts, &gov, held.clone(), preds, vec![1]).unwrap();
+            vector::collect(&opts, &gov, &rows, &[]).unwrap()
+        };
+        let (all, _) = scan(&[]);
         assert_eq!(
             all.to_tuples(),
             held.rows()
@@ -336,8 +340,67 @@ fn strings_new_to_the_dictionary_reach_new_scans_but_not_a_held_table() {
                 .map(|r| r.project(&[1]))
                 .collect::<Vec<_>>()
         );
-        let (hits, bytes) =
-            vector::scan_table(&opts, &gov, &held, std::slice::from_ref(&bound), &[1]).unwrap();
+        let (hits, flows) = scan(std::slice::from_ref(&bound));
+        let bytes = flows[0].bytes;
         assert_eq!((hits.len(), bytes), (0, 0));
+    }
+}
+
+/// A join's residual predicates are evaluated a column at a time over
+/// the candidate pairs of a tile; what fails there fails with the
+/// message the row-at-a-time reference gives.
+#[test]
+fn residual_errors_read_as_the_row_evaluator_puts_them() {
+    use aggview_common::BinaryOp;
+    use aggview_executor::reference;
+
+    let (cat, _) = empty_and_tiny();
+    let env = QueryEnv::new(vec!["tiny".into(), "tiny".into()]);
+    let (a0, b0, a1) = (
+        Col::base(RelId(0), 0),
+        Col::base(RelId(0), 1),
+        Col::base(RelId(1), 0),
+    );
+    let self_join = |residual: Predicate| {
+        Plan::join_all(
+            Plan::scan(RelId(0), "tiny", vec![], all_cols(RelId(0), 2)),
+            Plan::scan(RelId(1), "tiny", vec![], all_cols(RelId(1), 2)),
+            vec![Predicate::eq_cols(a0, a1), residual],
+        )
+    };
+    let zero = Expr::col(a1).binary(BinaryOp::Sub, Expr::col(a1));
+    let cases = [
+        // Float over an Int zero, on every pair.
+        (
+            self_join(Predicate::new(
+                Expr::col(b0).binary(BinaryOp::Div, zero),
+                CmpOp::Gt,
+                Expr::val(1.0f64),
+            )),
+            "division by zero",
+        ),
+        // `2 * i64::MAX` on the one pair of key 2.
+        (
+            self_join(Predicate::new(
+                Expr::col(a0).binary(BinaryOp::Mul, Expr::val(i64::MAX)),
+                CmpOp::Ge,
+                Expr::col(a1),
+            )),
+            "integer overflow (2 * 9223372036854775807)",
+        ),
+    ];
+    for (plan, message) in cases {
+        let want = reference::evaluate(&plan, &cat).unwrap_err().to_string();
+        assert!(want.contains(message), "{want}");
+        for batch_rows in [1, 1024] {
+            let got = Engine::new(&cat, &env, CostModel::default())
+                .with_options(aggview_executor::ExecOptions {
+                    batch_rows,
+                    ..aggview_executor::ExecOptions::serial()
+                })
+                .execute(&plan)
+                .unwrap_err();
+            assert_eq!(got.to_string(), want);
+        }
     }
 }

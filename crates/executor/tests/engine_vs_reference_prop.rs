@@ -1,8 +1,9 @@
 //! Differential property test: the engine must return the same rows as
 //! the naive reference interpreter (`aggview_executor::reference`) on
 //! randomized databases and plan shapes, serial and multi-threaded.
-//! (Accounting is the engine's alone; `parallel_exec.rs` pins it across
-//! thread counts.)
+//! (Accounting is the engine's alone: `parallel_exec.rs` pins it across
+//! thread counts, `pipelines_match_reference_and_account_alike` across
+//! tile sizes as well.)
 //!
 //! A small, non-divisor `batch_rows` and a zero parallel threshold force
 //! chunk and tile boundaries to fall mid-input so stitching is exercised.
@@ -11,6 +12,7 @@ use aggview_common::{
     AggFunc, AggRef, AggSpec, CmpOp, Col, DataType, Expr, Predicate, RelId, Schema, Value, ViewId,
 };
 use aggview_core::cost::CostModel;
+use aggview_core::governor::ResourceGovernor;
 use aggview_core::plan::{all_cols, GroupBySpec, PartialAggSpec, Plan};
 use aggview_core::query::QueryEnv;
 use aggview_executor::{assert_equivalent, reference, Engine, ExecOptions};
@@ -508,8 +510,267 @@ fn keyed_plan(shape: usize, cut: i64, keyless: bool) -> Plan {
     }
 }
 
+/// The star of `pipeline_plan`: `f(id, a -> d1.id, b, tag, val)` is the
+/// fact table; `d1(id PK, grp, tag, w)` is met 1:N on `f.a`; `d2(k, g,
+/// tag, x)` repeats its `k`, so `f.b = d2.k` is N:M; `d3(id, label)` is
+/// met on `d1.grp` and on `d2.g`. A few `f.a` dangle. The three `tag`
+/// columns draw from different slices of `TAGS` into their own
+/// dictionaries. Any table may come out empty.
+fn star_setup(seed: u64, max_rows: usize) -> (Catalog, QueryEnv) {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let cat = Catalog::new();
+    let add = |name: &str, fields: &[(&str, DataType)], rows: Vec<Vec<Value>>| {
+        let mut t = Table::builder(name, Schema::of(fields));
+        for row in rows {
+            t.push(row.into()).unwrap();
+        }
+        cat.add(t.build().unwrap()).unwrap();
+    };
+    let (int, float, string) = (DataType::Int, DataType::Float, DataType::Str);
+    let n1 = next(max_rows / 3 + 1);
+    let d1 = (0..n1 as i64).map(|i| {
+        vec![
+            Value::Int(i),
+            Value::Int(next(4) as i64),
+            Value::str(TAGS[next(4)]),
+            Value::Float(next(40) as f64 * 12.5),
+        ]
+    });
+    let d1 = d1.collect();
+    add(
+        "d1",
+        &[("id", int), ("grp", int), ("tag", string), ("w", float)],
+        d1,
+    );
+    let d2 = (0..next(max_rows / 3 + 1)).map(|_| {
+        vec![
+            Value::Int(next(5) as i64),
+            Value::Int(next(4) as i64),
+            Value::str(TAGS[2 + next(5)]),
+            Value::Float(next(40) as f64 * 12.5),
+        ]
+    });
+    let d2 = d2.collect();
+    add(
+        "d2",
+        &[("k", int), ("g", int), ("tag", string), ("x", float)],
+        d2,
+    );
+    let n3 = [0, 2, 4, 4, 4][next(5)];
+    let d3 = (0..n3).map(|i| vec![Value::Int(i), Value::str(format!("label-{i}"))]);
+    let d3 = d3.collect();
+    add("d3", &[("id", int), ("label", string)], d3);
+    let f = (0..next(max_rows + 1) as i64).map(|i| {
+        vec![
+            Value::Int(i),
+            Value::Int(next(n1 + 2) as i64),
+            Value::Int(next(6) as i64),
+            Value::str(TAGS[1 + next(5)]),
+            Value::Float(next(400) as f64 * 12.5),
+        ]
+    });
+    let f = f.collect();
+    add(
+        "f",
+        &[
+            ("id", int),
+            ("a", int),
+            ("b", int),
+            ("tag", string),
+            ("val", float),
+        ],
+        f,
+    );
+    let env = QueryEnv::new(vec!["f".into(), "d1".into(), "d2".into(), "d3".into()]);
+    (cat, env)
+}
+
+/// A join tree over the star — left-deep, right-deep or bushy, its scans
+/// filtered or not, with or without a residual predicate — under a
+/// group-by with HAVING, or under a partial aggregate that a join above
+/// coalesces. `with` switches the optional parts on bit by bit.
+fn pipeline_plan(shape: usize, with: usize, cut: i64) -> Plan {
+    let (f, d1, d2, d3) = (RelId(0), RelId(1), RelId(2), RelId(3));
+    let on = |bit: usize| with >> bit & 1 == 1;
+    let filtered = |bit: usize, col: Col, op| match on(bit) {
+        true => vec![Predicate::cmp_const(col, op, Value::Int(cut))],
+        false => vec![],
+    };
+    let scan_f = Plan::scan(
+        f,
+        "f",
+        filtered(0, Col::base(f, 2), CmpOp::Lt),
+        all_cols(f, 5),
+    );
+    let scan_d1 = Plan::scan(
+        d1,
+        "d1",
+        filtered(1, Col::base(d1, 1), CmpOp::Lt),
+        all_cols(d1, 4),
+    );
+    let scan_d2 = Plan::scan(d2, "d2", vec![], all_cols(d2, 4));
+    let scan_d3 = Plan::scan(d3, "d3", vec![], all_cols(d3, 2));
+    let eq = |a: Col, b: Col| Predicate::eq_cols(a, b);
+    let f_d1 = {
+        let mut preds = vec![eq(Col::base(f, 1), Col::base(d1, 0))];
+        if on(2) {
+            // A residual the engine evaluates a column at a time.
+            preds.push(Predicate::new(
+                Expr::col(Col::base(f, 4)).binary(aggview_common::BinaryOp::Add, Expr::val(1i64)),
+                CmpOp::Gt,
+                Expr::col(Col::base(d1, 3))
+                    .binary(aggview_common::BinaryOp::Mul, Expr::val(2.0f64)),
+            ));
+        }
+        preds
+    };
+    let f_d2 = vec![eq(Col::base(f, 2), Col::base(d2, 0))];
+    let d1_d3 = vec![eq(Col::base(d1, 1), Col::base(d3, 0))];
+    let d2_d3 = vec![eq(Col::base(d2, 1), Col::base(d3, 0))];
+    let f_tag = vec![eq(Col::base(f, 3), Col::base(d2, 2))];
+    let (val, x, tag1, label) = (
+        Col::base(f, 4),
+        Col::base(d2, 3),
+        Col::base(d1, 2),
+        Col::base(d3, 1),
+    );
+    let having = vec![Predicate::new(
+        Expr::col(Col::agg(ViewId::Top, 0)),
+        CmpOp::Ge,
+        Expr::val(Value::Int(cut.rem_euclid(3))),
+    )];
+    let top = |input: Plan, group_cols: Vec<Col>, extra: AggSpec| {
+        Plan::group_by_all(
+            input,
+            GroupBySpec {
+                owner: ViewId::Top,
+                group_cols,
+                aggs: vec![
+                    AggSpec::count_star(),
+                    AggSpec::new(AggFunc::Sum, Expr::col(val)),
+                    extra,
+                ],
+                having: having.clone(),
+            },
+        )
+    };
+    match shape % 6 {
+        // Left-deep, 1:N twice.
+        0 => top(
+            Plan::join_all(Plan::join_all(scan_f, scan_d1, f_d1), scan_d3, d1_d3),
+            vec![label, tag1],
+            AggSpec::new(AggFunc::Max, Expr::col(Col::base(f, 3))),
+        ),
+        // Left-deep, N:M then 1:N.
+        1 => top(
+            Plan::join_all(Plan::join_all(scan_f, scan_d2, f_d2), scan_d1, f_d1),
+            vec![tag1],
+            AggSpec::new(AggFunc::Avg, Expr::col(x)),
+        ),
+        // Bushy: both inputs of the top join are joins.
+        2 => top(
+            Plan::join_all(
+                Plan::join_all(scan_f, scan_d1, f_d1),
+                Plan::join_all(scan_d2, scan_d3, d2_d3),
+                f_d2,
+            ),
+            vec![label, tag1],
+            AggSpec::new(AggFunc::StdDev, Expr::col(x)),
+        ),
+        // Right-deep: every join's right input is the join below.
+        3 => top(
+            Plan::join_all(scan_d3, Plan::join_all(scan_d1, scan_f, f_d1), d1_d3),
+            vec![label],
+            AggSpec::new(AggFunc::Min, Expr::col(tag1)),
+        ),
+        // A string key that meets another dictionary, then 1:N.
+        4 => top(
+            Plan::join_all(Plan::join_all(scan_f, scan_d2, f_tag), scan_d1, f_d1),
+            vec![Col::base(d2, 2), Col::base(d1, 1)],
+            AggSpec::new(AggFunc::Max, Expr::col(x)),
+        ),
+        // A partial aggregate over a streamed N:M join, coalesced above
+        // the 1:N join; the pushed SUM and the duplicate factor scale
+        // COUNT(*) and AVG(d1.w).
+        _ => {
+            let pushed = AggSpec::new(AggFunc::Sum, Expr::col(val));
+            let aggs = vec![
+                AggSpec::count_star(),
+                pushed.clone(),
+                AggSpec::new(AggFunc::Avg, Expr::col(Col::base(d1, 3))),
+            ];
+            let partial = Plan::partial_aggregate_all(
+                Plan::join_all(scan_f, scan_d2, f_d2),
+                PartialAggSpec {
+                    group_cols: vec![Col::base(f, 1)],
+                    aggs: vec![(AggRef::new(ViewId::Top, 1), pushed)],
+                    count: Some(AggRef::new(ViewId::Top, aggs.len())),
+                },
+            );
+            Plan::group_by_all(
+                Plan::join_all(
+                    partial,
+                    scan_d1,
+                    vec![eq(Col::base(f, 1), Col::base(d1, 0))],
+                ),
+                GroupBySpec {
+                    owner: ViewId::Top,
+                    group_cols: vec![tag1],
+                    aggs,
+                    having,
+                },
+            )
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Joins under a group-by or a partial aggregate run as pipelines:
+    /// whatever the tile size and the thread count cut them into, the
+    /// rows are the reference's, and every configuration charges the
+    /// same pages to the same operators and the same rows and bytes to
+    /// the governor.
+    #[test]
+    fn pipelines_match_reference_and_account_alike(
+        seed in 0u64..5000,
+        rows in 0usize..120,
+        shape in 0usize..6,
+        with in 0usize..8,
+        cut in 1i64..6,
+    ) {
+        let (cat, env) = star_setup(seed, rows);
+        let plan = pipeline_plan(shape, with, cut);
+        let expect = reference::evaluate(&plan, &cat).unwrap();
+        let mut first = None;
+        for batch_rows in [1usize, 7, 1024] {
+            for threads in [1usize, 4] {
+                let gov = ResourceGovernor::unlimited();
+                let got = Engine::new(&cat, &env, CostModel::default())
+                    .with_options(ExecOptions { threads, parallel_threshold: 1, batch_rows })
+                    .execute_governed(&plan, &gov, None)
+                    .unwrap();
+                prop_assert_eq!(got.mixed_demotions, 0);
+                if let Err(e) = assert_equivalent(&expect, &got) {
+                    prop_assert!(false, "shape {} with {:03b}, {} rows a tile, {} threads: {}",
+                        shape % 6, with, batch_rows, threads, e);
+                }
+                let pages: Vec<(String, u64)> =
+                    got.breakdown.iter().map(|b| (b.op.clone(), b.pages.to_bits())).collect();
+                let account = (got.io_pages.to_bits(), pages, gov.rows_used(), gov.bytes_used());
+                let first = first.get_or_insert_with(|| account.clone());
+                prop_assert_eq!(&*first, &account, "shape {} with {:03b}, {} rows a tile, {} threads",
+                    shape % 6, with, batch_rows, threads);
+            }
+        }
+    }
 
     /// Group-bys that are found by a determinant of their grouping
     /// columns, on keys of every family, keyed and keyless, possibly
