@@ -314,9 +314,7 @@ fn peak_workload(
             report.summary()
         )));
     }
-    let rs = Engine::new(catalog, env, model)
-        .with_options(ExecOptions::with_threads(1))
-        .execute(plan)?;
+    let rs = Engine::new(catalog, env, model).execute(plan)?;
     Ok(WorkloadReport {
         name,
         input_rows: env
@@ -371,7 +369,7 @@ fn timing(name: &'static str, input_rows: usize, ms: f64) -> KernelTiming {
 /// over the table's columns; best-of-`repeats`.
 fn filter_kernel(table: Arc<Table>, repeats: usize) -> Result<KernelTiming> {
     let gov = ResourceGovernor::unlimited();
-    let opts = ExecOptions::with_threads(1);
+    let opts = ExecOptions::default();
     // SELECT dno, sal FROM emp WHERE sal >= 800 AND age < 40.
     let preds: Vec<BoundPredicate> = [
         Predicate::cmp_const(
@@ -417,7 +415,7 @@ fn join_kernel(
     repeats: usize,
 ) -> Result<KernelTiming> {
     let gov = ResourceGovernor::unlimited();
-    let opts = ExecOptions::with_threads(1);
+    let opts = ExecOptions::default();
     let shape = JoinShape {
         keys: vec![(dept::DNO, emp::DNO)],
         emit: payload.to_vec(),
@@ -511,7 +509,7 @@ fn group_kernel(
     repeats: usize,
 ) -> Result<KernelTiming> {
     let gov = ResourceGovernor::unlimited();
-    let opts = ExecOptions::with_threads(1);
+    let opts = ExecOptions::default();
     let inputs: Vec<AggInput> = aggs
         .iter()
         .map(|(_, arg)| arg.map_or(AggInput::RawCountStar, |c| AggInput::Raw(BoundExpr::Col(c))))

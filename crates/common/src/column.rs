@@ -564,11 +564,6 @@ impl ColumnVec {
         }
     }
 
-    /// Append every entry of `src`, preserving order (chunk stitching).
-    pub fn append_column(&mut self, src: &ColumnVec) {
-        self.append_range(src, 0..src.len());
-    }
-
     /// Value equality between `self[i]` and `other[j]` under the same
     /// cross-numeric rules as [`Value::eq`] (`Int(3) == Float(3.0)`,
     /// floats by total order, cross-type otherwise unequal). Strings
@@ -778,7 +773,6 @@ mod tests {
             assert_eq!(out.append_gather(&src, &[4, 2, 0]), 3 + 1 + 1);
             assert_eq!(out.append_range(&src, 1..4), 2 + 1 + 1);
             out.push_from(&src, 1);
-            out.append_column(&src.empty_like());
             let (o, s) = (out.as_strs().unwrap(), src.as_strs().unwrap());
             assert!(o.same_dict(s));
             let want = ["zzz", "", "x", "yy", "", "x", "yy"].map(Value::str);

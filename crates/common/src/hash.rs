@@ -10,10 +10,10 @@
 //! key values, never trusting the 64-bit hash alone.
 //!
 //! The hasher is a fixed-key SipHash-1-3-style mix via
-//! [`std::collections::hash_map::DefaultHasher`] seeded identically on
-//! every thread, so **the same key hashes to the same bucket on every
-//! worker** — per-worker group tables merge by it, and a join's probe
-//! workers all read the one index its build made.
+//! [`std::collections::hash_map::DefaultHasher`] seeded identically
+//! everywhere, so **the same key hashes to the same value in every
+//! table** — delta maintenance coalesces a delta's group table into the
+//! stored one by it (the executor's `GroupTable::merge_from`).
 
 use crate::tuple::Tuple;
 use crate::value::Value;

@@ -14,9 +14,8 @@
 //! * [`AggFunc`] / [`AggSpec`] — aggregate functions, including the
 //!   decomposability machinery needed by the *simple coalescing grouping*
 //!   transformation (partial/combine/finalize states),
-//! * [`hash`] — allocation-free, thread-consistent key hashing used by
-//!   the executor's hash join, hash aggregation, and the chunked
-//!   parallel operators built on them,
+//! * [`hash`] — allocation-free, deterministic key hashing used by the
+//!   executor's hash join and hash aggregation,
 //! * [`ColumnVec`] / [`Batch`] — typed column vectors (strings as
 //!   [`StrCol`] codes into a shared [`StrDict`]) and column-major
 //!   batches, the data representation of the vectorized executor,

@@ -263,12 +263,10 @@ impl ResourceGovernor {
     }
 
     /// Charge one batch of materialized output (`rows` tuples totalling
-    /// `bytes`) against both budgets in one call. Parallel workers share
-    /// the governor by reference: the counters are plain atomics, so
-    /// concurrent charges from any number of threads stay exact, and the
-    /// first charge that crosses a cap fails — every worker observes its
-    /// own overrun within one further charge, bounding overshoot at one
-    /// batch per worker.
+    /// `bytes`) against both budgets in one call. The first charge that
+    /// crosses a cap fails, with the whole batch counted: overshoot is
+    /// bounded by one batch. The counters are atomics, so the governor
+    /// can be shared by reference with whatever thread holds it.
     pub fn charge_output(&self, rows: u64, bytes: u64) -> Result<()> {
         self.charge_rows(rows)?;
         self.charge_bytes(bytes)
@@ -281,8 +279,8 @@ impl ResourceGovernor {
     /// kernel invocation; charging them row-at-a-time would reintroduce
     /// one atomic RMW per tuple. A plain bulk `fetch_add` would instead
     /// let a single tile overshoot a cap by `batch_rows - 1` — visible to
-    /// the governance tests, which pin the overshoot to at most one row
-    /// per worker. `charge_clamped` reconciles the two: it adds the whole
+    /// the governance tests, which pin usage after an abort to exactly
+    /// `cap + 1`. `charge_clamped` reconciles the two: it adds the whole
     /// tile, and on crossing a cap rolls the counter back to exactly
     /// `cap + 1` before reporting exhaustion, so observed usage is what
     /// charging row by row would leave at its first overrunning charge.

@@ -48,9 +48,8 @@
 //! visible-projection delta in the statement's [`PendingRounds`] — the
 //! caller publishes them once the statement has committed.
 
-use crate::engine::Engine;
+use crate::engine::{Engine, ExecOptions};
 use crate::matview;
-use crate::parallel::ExecOptions;
 use crate::partition::{AggInput, GroupTable};
 use crate::subscribe::{ExtentChange, PendingRounds};
 use aggview_common::{AggFunc, AggViewError, Result, Retraction, Tuple, ZSet};

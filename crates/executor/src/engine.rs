@@ -14,7 +14,6 @@
 //! The differential oracle for this engine is the naive interpreter in
 //! [`crate::reference`], which shares none of this code.
 
-use crate::parallel::ExecOptions;
 use crate::partition::AggInput;
 use crate::vector::{self, Flow, Held, JoinShape, Probe, Slot};
 use aggview_common::fault::{maybe_fault, FaultInjector};
@@ -60,7 +59,7 @@ pub struct ResultSet {
     /// itself, and the tile buffers of a running pipeline, which hold
     /// `batch_rows` rows (plus at most one probe row's matches) per
     /// buffered stage whatever the tables hold. A figure of the plan and
-    /// the data, not of the thread count.
+    /// the data.
     pub peak_intermediate_bytes: u64,
     /// Typed→Mixed column demotions observed during this execution.
     /// Zero for any plan the dataflow pass certifies Mixed-free; a
@@ -77,13 +76,34 @@ impl ResultSet {
     }
 }
 
+/// Executor tuning, threaded from the session/REPL into every pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecOptions {
+    /// Accepted and ignored: every pipeline runs on the caller's thread.
+    /// The field stays only because callers (the benchmark among them)
+    /// assign a thread count.
+    pub threads: usize,
+    /// Rows per columnar tile — also the granularity of cancellation
+    /// checks and bulk governor charges.
+    pub batch_rows: usize,
+}
+
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions {
+            threads: 1,
+            batch_rows: 1024,
+        }
+    }
+}
+
 /// Plan evaluator bound to a catalog and query environment.
 #[derive(Debug, Clone, Copy)]
 pub struct Engine<'a> {
     pub catalog: &'a Catalog,
     pub env: &'a QueryEnv,
     pub model: CostModel,
-    /// Parallelism and tile tuning for data-parallel operators.
+    /// Tile size.
     pub options: ExecOptions,
 }
 
@@ -165,7 +185,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Replace the executor options (thread count, tile size).
+    /// Replace the executor options.
     pub fn with_options(mut self, options: ExecOptions) -> Self {
         self.options = options;
         self
@@ -797,7 +817,7 @@ mod tests {
         let plan = Plan::scan(RelId(1), "dept", vec![], all_cols(RelId(1), 4));
         let held = cat.get("dept").unwrap();
         let scan_held = || {
-            let (opts, gov) = (ExecOptions::serial(), ResourceGovernor::unlimited());
+            let (opts, gov) = (ExecOptions::default(), ResourceGovernor::unlimited());
             let rows = vector::scan_table(&opts, &gov, held.clone(), &[], vec![0, 1, 2, 3]);
             let (batch, _) = vector::collect(&opts, &gov, &rows.unwrap(), &[]).unwrap();
             batch.to_tuples()

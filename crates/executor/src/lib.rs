@@ -17,13 +17,13 @@
 //!   merges those states instead of re-aggregating;
 //! * [`vector`] — what the pipelines are made of: held rows, tile-wise
 //!   filters, the join stage, hash aggregation over typed column
-//!   vectors, and the one driver that runs them;
-//! * [`parallel`] / [`partition`] — data parallelism: contiguous worker
-//!   chunks of a pipeline's source over a `std::thread::scope` pool, the
-//!   flat join index every worker probes, and two-phase aggregation (per-worker tables
-//!   coalesced by a global merge — the physical form of the paper's
-//!   simple coalescing grouping). Thread count and tile size come from [`ExecOptions`]
-//!   (`AGGVIEW_THREADS`, REPL `.set threads N`);
+//!   vectors, and the one driver that runs them, serially on the
+//!   caller's thread. Tile size comes from [`ExecOptions`] (REPL
+//!   `.set batch_rows N`);
+//! * [`partition`] — the hash structures beneath them: the flat join
+//!   index, the ordinal rule, and the row-major group table whose
+//!   `merge_from` coalesces a delta's groups into stored ones — the
+//!   physical form of the paper's simple coalescing grouping;
 //! * [`matview`] / [`delta`] — building and maintaining materialized
 //!   aggregate-view extents: full builds/refreshes through the governed
 //!   engine, and Z-set delta maintenance that merges, retracts or
@@ -43,7 +43,6 @@ pub mod correlated;
 pub mod delta;
 pub mod engine;
 pub mod matview;
-pub mod parallel;
 pub mod partition;
 pub mod reference;
 pub mod subscribe;
@@ -51,7 +50,6 @@ pub mod vector;
 pub mod verify;
 
 pub use delta::{dependency_graph, DependencyGraph};
-pub use engine::{Engine, IoBreakdown, ResultSet};
-pub use parallel::ExecOptions;
+pub use engine::{Engine, ExecOptions, IoBreakdown, ResultSet};
 pub use subscribe::{SubscriptionHub, ViewEvent};
 pub use verify::{assert_equivalent, canonical_rows};

@@ -16,8 +16,7 @@
 //! store partial state (STDDEV) or that reference the modified table
 //! more than once (self-join delta algebra).
 
-use crate::engine::{Engine, ResultSet};
-use crate::parallel::ExecOptions;
+use crate::engine::{Engine, ExecOptions, ResultSet};
 use crate::partition::{AggInput, Group, GroupTable};
 use aggview_common::{AggFunc, AggViewError, Col, Predicate, RelId, Result, Tuple};
 use aggview_core::cost::CostModel;

@@ -1,10 +1,8 @@
 //! Hash structures shared by the executor's kernels and
 //! the materialized-view maintenance paths.
 //!
-//! Five pieces live here:
+//! Four pieces live here:
 //!
-//! * [`chunk_ranges`] — split `n` input rows into contiguous, near-equal
-//!   worker chunks;
 //! * [`JoinIndex`] — the flat build-side index of hash joins: `key
 //!   hash → build-row indices`, resolved to real matches by comparing
 //!   the key columns themselves (hash-then-compare — no `Vec<Value>` key
@@ -35,25 +33,6 @@ use aggview_common::{
     Result, Tuple, Value,
 };
 use std::ops::Range;
-
-/// Split `n` items into at most `parts` contiguous near-equal ranges
-/// (the leading ranges are one longer when `n % parts != 0`).
-pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
-    if n == 0 || parts == 0 {
-        return Vec::new();
-    }
-    let parts = parts.min(n);
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for w in 0..parts {
-        let len = base + usize::from(w < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
 
 /// Home cell of `hash` in a directory of `1 << bits` cells (`bits` in
 /// `1..64`): the top `bits` bits. The fx chain ends in a multiply, which
@@ -403,8 +382,8 @@ pub struct Group {
 /// `index` maps key hashes to slots in `groups`; collisions are
 /// resolved by comparing the stored key tuple against the incoming
 /// row's key columns. Keeping groups in a `Vec` (rather than iterating
-/// a `HashMap`) makes output order deterministic: serial aggregation
-/// emits groups in first-appearance order.
+/// a `HashMap`) makes output order deterministic: aggregation emits
+/// groups in first-appearance order.
 #[derive(Debug, Default)]
 pub struct GroupTable {
     index: PrehashedMap<Vec<u32>>,
@@ -474,9 +453,9 @@ impl GroupTable {
         Ok(())
     }
 
-    /// Coalesce every group of `other` into `self` — the global merge of
-    /// two-phase parallel aggregation. Groups new to `self` keep their
-    /// first-appearance order within `other`.
+    /// Coalesce every group of `other` into `self` — how delta
+    /// maintenance folds a delta's groups into the stored ones. Groups
+    /// new to `self` keep their first-appearance order within `other`.
     pub fn merge_from(&mut self, other: GroupTable) -> Result<()> {
         for g in other.groups {
             let slots = self.index.entry(g.hash).or_default();
@@ -506,25 +485,6 @@ mod tests {
     use super::*;
     use aggview_common::{tuple, Batch};
     use std::sync::Arc;
-
-    #[test]
-    fn chunk_ranges_cover_exactly() {
-        for n in [0usize, 1, 5, 17, 100] {
-            for parts in [1usize, 2, 3, 8] {
-                let ranges = chunk_ranges(n, parts);
-                let total: usize = ranges.iter().map(|r| r.len()).sum();
-                assert_eq!(total, n, "n={n} parts={parts}");
-                // Contiguous and in order.
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next);
-                    assert!(!r.is_empty());
-                    next = r.end;
-                }
-                assert!(ranges.len() <= parts);
-            }
-        }
-    }
 
     /// The directory rule against the key families joins and group-bys
     /// actually see. A uniform hash would occupy 83% as many cells as

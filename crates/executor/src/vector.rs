@@ -15,14 +15,11 @@
 //!   are typed columns and whose groups are found by the grouping
 //!   columns that determine the rest.
 //!
-//! The one `run_chunks` call is in `drive`: a worker takes a chunk
-//! ([`chunk_ranges`]) of the source and runs the *whole* pipeline over it
-//! into its own sink; sinks merge in chunk order (so a parallel run emits
-//! the rows of the serial one, and the float-merge order of a chunked
-//! aggregation is fixed by the chunking alone). Every stage charges the
-//! governor per tile via [`ResourceGovernor::charge_output_bulk`]
-//! (clamped so budget overshoot still reads as at most one row past the
-//! cap), and cancellation is checked at every tile boundary.
+//! `drive` runs a pipeline once over its whole source, on the caller's
+//! thread, into one sink. Every stage charges the governor per tile via
+//! [`ResourceGovernor::charge_output_bulk`] (clamped so a budget overrun
+//! reads as exactly one row past the cap), and cancellation is checked
+//! at every tile boundary.
 //!
 //! Key hashing uses the fx chain ([`hash_columns`]): the hash
 //! function is private to one operator execution — candidates are
@@ -30,10 +27,8 @@
 //! never depends on hash values — so a cheap mix changes no observable
 //! output.
 
-use crate::parallel::{run_chunks, ExecOptions};
-use crate::partition::{
-    chunk_ranges, dir_cells, dir_index, ordinal_cell, AggInput, JoinIndex, Ordinals,
-};
+use crate::engine::ExecOptions;
+use crate::partition::{dir_cells, dir_index, ordinal_cell, AggInput, JoinIndex, Ordinals};
 use aggview_common::expr::{BoundExpr, NumColumn};
 use aggview_common::predicate::BoundPredicate;
 use aggview_common::{
@@ -574,8 +569,7 @@ pub struct Probe<'a> {
     residual_protos: Vec<ColumnVec>,
 }
 
-/// One worker's buffers for one [`Probe`]: cleared and refilled tile
-/// after tile.
+/// The buffers of one [`Probe`]: cleared and refilled tile after tile.
 struct ProbeWork {
     out: Vec<ColumnVec>,
     residual: Vec<ColumnVec>,
@@ -592,9 +586,7 @@ impl<'a> Probe<'a> {
     /// key of small ordinals on both sides ([`Ordinals::pair`]) whose
     /// build-side range passes the ordinal rule is addressed directly
     /// ([`JoinIndex::direct`]); anything else hashes the key columns
-    /// tile-wise and links every row into the hashed index. Always one
-    /// serial pass — the index costs a few nanoseconds a row, less than
-    /// handing rows between workers would.
+    /// tile-wise and links every row into the hashed index.
     pub fn new(
         opts: &ExecOptions,
         gov: &ResourceGovernor,
@@ -866,132 +858,94 @@ fn push(
     work: &mut [ProbeWork],
     cols: &[&ColumnVec],
     range: Range<usize>,
-    table: &mut Option<BatchGroupTable<'_>>,
+    mut table: Option<&mut BatchGroupTable<'_>>,
 ) -> Result<()> {
     let (Some((probe, rest)), Some((mine, rest_work))) =
         (probes.split_first(), work.split_first_mut())
     else {
-        return table.as_mut().map_or(Ok(()), |t| t.accumulate(cols, range));
+        return table.map_or(Ok(()), |t| t.accumulate(cols, range));
     };
     let keep = rest.is_empty() && table.is_none();
     probe.run(env, cols, range, mine, keep, |cols, range| {
-        push(env, rest, rest_work, cols, range, table)
+        push(env, rest, rest_work, cols, range, table.as_deref_mut())
     })
 }
 
-/// One chunk's end of a pipeline: the last stage's buffer — the
-/// collected rows, when there is no group table — and the group table.
-type ChunkOut<'g> = (Vec<ColumnVec>, Option<BatchGroupTable<'g>>);
-
-/// Run the pipeline `source → probes → sink`: tiles of the source's
-/// selected rows — views of its columns where a tile lost no row,
-/// gathered into a buffer otherwise — pass through every probe into a
-/// copy of the (empty) table `group` or, with none, a collected batch. A
-/// worker runs the whole pipeline over its chunk of the source; the
-/// chunks' ends come back in chunk order, with what each stage (the
-/// source first) put out in all. This is the one place rows are handed
-/// to worker threads.
-fn drive<'g>(
+/// Run the pipeline `source → probes → sink` over the whole source:
+/// tiles of the source's selected rows — views of its columns where a
+/// tile lost no row, gathered into a buffer otherwise — pass through
+/// every probe into `table` or, with none, a collected batch. Returns
+/// the last stage's buffer — the collected rows, when there is no
+/// table — and what each stage (the source first) put out.
+fn drive(
     opts: &ExecOptions,
     gov: &ResourceGovernor,
     source: &Held,
     probes: &[Probe<'_>],
-    group: Option<&BatchGroupTable<'g>>,
-) -> Result<(Vec<ChunkOut<'g>>, Vec<Flow>)> {
+    mut table: Option<&mut BatchGroupTable<'_>>,
+) -> Result<(Vec<ColumnVec>, Vec<Flow>)> {
     let cols = source.cols();
     // With nothing between the source and a collected batch, the scan's
     // buffer is that batch.
-    let keep = probes.is_empty() && group.is_none();
+    let keep = probes.is_empty() && table.is_none();
     let env = (gov, opts.batch_rows.max(1));
-    let chunks = chunk_ranges(source.stored(), opts.workers_for(source.rows()));
-    let parts = run_chunks(chunks, |chunk| {
-        let mut buf: Vec<ColumnVec> = cols.iter().map(|c| c.empty_like()).collect();
-        let mut flow = Flow::default();
-        let mut ids = Vec::new();
-        let mut work: Vec<ProbeWork> = probes.iter().map(Probe::work).collect();
-        let mut table = group.cloned();
-        if let Some(table) = &mut table {
-            table.expected = chunk.len().min(source.rows());
+    let mut buf: Vec<ColumnVec> = cols.iter().map(|c| c.empty_like()).collect();
+    let mut flow = Flow::default();
+    let mut ids = Vec::new();
+    let mut work: Vec<ProbeWork> = probes.iter().map(Probe::work).collect();
+    for_each_tile(gov, 0..source.stored(), opts.batch_rows, |tile| {
+        ids.clear();
+        if let Some(sel) = &source.sel {
+            sel.rows_in(tile.clone(), &mut ids);
         }
-        for_each_tile(gov, chunk, opts.batch_rows, |tile| {
-            ids.clear();
-            if let Some(sel) = &source.sel {
-                sel.rows_in(tile.clone(), &mut ids);
+        let all = source.sel.is_none() || ids.len() == tile.len();
+        let n = if all { tile.len() } else { ids.len() };
+        let copy = keep || !all;
+        let w: u64 = if copy {
+            if !keep {
+                buf.iter_mut().for_each(ColumnVec::clear);
             }
-            let all = source.sel.is_none() || ids.len() == tile.len();
-            let n = if all { tile.len() } else { ids.len() };
-            let copy = keep || !all;
-            let w: u64 = if copy {
-                if !keep {
-                    buf.iter_mut().for_each(ColumnVec::clear);
-                }
-                let copied = buf.iter_mut().zip(&cols).map(|(dst, src)| match all {
-                    true => dst.append_range(src, tile.clone()),
-                    false => dst.append_gather(src, &ids),
-                });
-                copied.sum()
-            } else if source.is_scan() {
-                cols.iter().map(|c| c.bytes_at(tile.clone())).sum()
-            } else {
-                0
-            };
-            if source.is_scan() {
-                gov.charge_output_bulk(n as u64, w)?;
-                flow.add(n, w);
-            }
-            if n == 0 || keep {
-                Ok(())
-            } else if copy {
-                let held: Vec<&ColumnVec> = buf.iter().collect();
-                push(env, probes, &mut work, &held, 0..n, &mut table)
-            } else {
-                push(env, probes, &mut work, &cols, tile, &mut table)
-            }
-        })?;
-        let mut flows = vec![flow];
-        flows.extend(work.iter().map(|w| w.flow));
-        Ok((work.pop().map_or(buf, |last| last.out), table, flows))
+            let copied = buf.iter_mut().zip(&cols).map(|(dst, src)| match all {
+                true => dst.append_range(src, tile.clone()),
+                false => dst.append_gather(src, &ids),
+            });
+            copied.sum()
+        } else if source.is_scan() {
+            cols.iter().map(|c| c.bytes_at(tile.clone())).sum()
+        } else {
+            0
+        };
+        if source.is_scan() {
+            gov.charge_output_bulk(n as u64, w)?;
+            flow.add(n, w);
+        }
+        let table = table.as_deref_mut();
+        if n == 0 || keep {
+            Ok(())
+        } else if copy {
+            let held: Vec<&ColumnVec> = buf.iter().collect();
+            push(env, probes, &mut work, &held, 0..n, table)
+        } else {
+            push(env, probes, &mut work, &cols, tile, table)
+        }
     })?;
-    let mut total = vec![Flow::default(); probes.len() + 1];
     if !source.is_scan() {
-        total[0].add(source.rows(), source.resident_bytes());
+        flow.add(source.rows(), source.resident_bytes());
     }
-    let mut outs = Vec::with_capacity(parts.len());
-    for (out, table, flows) in parts {
-        for (t, f) in total.iter_mut().zip(flows) {
-            t.add(f.rows as usize, f.bytes);
-        }
-        outs.push((out, table));
-    }
-    Ok((outs, total))
+    let mut flows = vec![flow];
+    flows.extend(work.iter().map(|w| w.flow));
+    Ok((work.pop().map_or(buf, |last| last.out), flows))
 }
 
-/// Empty columns like the ones the pipeline's last stage puts out.
-fn last_protos<'p>(source: &'p Held, probes: &'p [Probe<'_>]) -> Vec<&'p ColumnVec> {
-    probes.last().map_or_else(|| source.cols(), Probe::protos)
-}
-
-/// Run `source → probes` into a batch: the chunks' rows in chunk order,
-/// so the rows of the serial run. The flows are the source's and every
-/// probe's, in pipeline order.
+/// Run `source → probes` into a batch. The flows are the source's and
+/// every probe's, in pipeline order.
 pub fn collect(
     opts: &ExecOptions,
     gov: &ResourceGovernor,
     source: &Held,
     probes: &[Probe<'_>],
 ) -> Result<(Batch, Vec<Flow>)> {
-    let (parts, flows) = drive(opts, gov, source, probes, None)?;
-    let mut chunks = parts.into_iter().map(|(out, _)| out);
-    // No chunk at all (an empty source) still puts out typed columns.
-    let mut cols = chunks.next().unwrap_or_else(|| {
-        let like = last_protos(source, probes);
-        like.iter().map(|c| c.empty_like()).collect()
-    });
-    for chunk in chunks {
-        for (dst, src) in cols.iter_mut().zip(&chunk) {
-            dst.append_column(src);
-        }
-    }
+    let (cols, flows) = drive(opts, gov, source, probes, None)?;
     let rows = flows[probes.len()].rows as usize;
     Ok((Batch::from_parts(cols, rows), flows))
 }
@@ -1007,7 +961,6 @@ pub fn collect(
 /// distinct keys that share a hash simply occupy separate cells along
 /// the probe chain. The directory is purely an index — group order is
 /// first-seen append order, so its layout never affects output.
-#[derive(Clone)]
 struct SlotDir {
     table: Vec<u32>,
     /// `log2(table.len())`: the home cell is [`dir_index`] of this many
@@ -1039,11 +992,11 @@ impl SlotDir {
     /// 8 bytes, dwarfed by the group's key and states.
     ///
     /// Half full means the directory over `g` groups comes to
-    /// [`dir_cells`]`(g)` cells, and a chunk of `n` rows makes at most
-    /// `n` groups. `dir_cells(n)` is therefore the bound of the ordinal
-    /// rule ([`Lookup::Ordinal`]): a flat array over the key's value
-    /// range is used when it takes no more cells than this directory
-    /// could come to.
+    /// [`dir_cells`]`(g)` cells, and `n` rows make at most `n` groups.
+    /// `dir_cells(n)` is therefore the bound of the ordinal rule
+    /// ([`Lookup::Ordinal`]): a flat array over the key's value range is
+    /// used when it takes no more cells than this directory could come
+    /// to.
     fn needs_grow(&self, groups: usize) -> bool {
         groups * 2 >= self.table.len()
     }
@@ -1074,9 +1027,8 @@ impl SlotDir {
     }
 }
 
-/// A typed column — of the input batch, of one evaluated tile, or of
-/// another group table's accumulators — as the slice an accumulator
-/// reads.
+/// A typed column — of the input batch or of one evaluated tile — as
+/// the slice an accumulator reads.
 #[derive(Clone, Copy)]
 enum Typed<'a> {
     Int(&'a [i64]),
@@ -1153,7 +1105,6 @@ enum Tile<'t> {
 const NO_CODE: u32 = u32::MAX;
 
 /// The running extreme of each group under the type's total order.
-#[derive(Clone)]
 enum Extremes {
     Int(Vec<i64>),
     Float(Vec<f64>),
@@ -1177,7 +1128,6 @@ enum Extremes {
 /// [`PartialAggState`]: the same checked integer adds with the same
 /// messages, float adds in the same per-group row order, `total_cmp`
 /// for float extremes, AVG and STDDEV seeded at `+0.0`.
-#[derive(Clone)]
 enum AccCol {
     Count(Vec<i64>),
     SumInt(Vec<i64>),
@@ -1541,43 +1491,6 @@ impl AccCol {
         }
     }
 
-    /// Coalesce `other`'s group `g` into group `slots[g]`, for every
-    /// `g`: the accumulators of `other` are the partial-state columns
-    /// of its groups, and merge as such.
-    fn merge(&mut self, other: &AccCol, slots: &[u32]) -> Result<()> {
-        let none: &[f64] = &[];
-        let raw = |x| Tile::Raw {
-            x: Some(x),
-            weight: None,
-        };
-        let tile = match other {
-            AccCol::Count(n) => Tile::Partial {
-                sums: [none, none],
-                n,
-            },
-            AccCol::SumInt(v) => raw(Typed::Int(v)),
-            AccCol::SumFloat(v) => raw(Typed::Float(v)),
-            AccCol::Extreme(_, Extremes::Int(v)) => raw(Typed::Int(v)),
-            AccCol::Extreme(_, Extremes::Float(v)) => raw(Typed::Float(v)),
-            AccCol::Extreme(_, Extremes::Bool(v)) => raw(Typed::Bool(v)),
-            AccCol::Extreme(_, Extremes::Str { codes, like }) => raw(Typed::Str(codes, like)),
-            AccCol::Moments { sum, sumsq, n } => Tile::Partial {
-                sums: [sum, sumsq.as_deref().unwrap_or(none)],
-                n,
-            },
-            AccCol::Values(_, theirs) => {
-                let AccCol::Values(_, mine) = self else {
-                    return Err(mismatch());
-                };
-                for (state, &s) in theirs.iter().zip(slots) {
-                    mine[s as usize].merge(state)?;
-                }
-                return Ok(());
-            }
-        };
-        self.absorb(tile, slots)
-    }
-
     /// The state as output columns: the one finalized value per group,
     /// or (`finalize == false`) the partial-state components in
     /// component order — which *are* the accumulator vectors.
@@ -1647,7 +1560,6 @@ fn column_of(values: Vec<Value>) -> ColumnVec {
 }
 
 /// How a [`BatchGroupTable`] finds the groups of the rows coming in.
-#[derive(Clone)]
 enum Lookup {
     /// The one lookup column holds small ordinals — `Int` values or
     /// dictionary codes whose range so far passes the bound stated at
@@ -1655,9 +1567,8 @@ enum Lookup {
     /// group's `slot + 1` (`0`: not seen yet). No row hashes or
     /// compares; groups are still created in first-seen order. The
     /// range widens tile by tile; once it outgrows the bound the groups
-    /// are entered in the hashed directory ([`BatchGroupTable::seat`] —
-    /// as they are when chunk tables come to merge) and the table goes
-    /// on [`Lookup::Hashed`].
+    /// are entered in the hashed directory ([`BatchGroupTable::seat`])
+    /// and the table goes on [`Lookup::Hashed`].
     Ordinal { min: i64, seats: Vec<u32> },
     /// Hash the lookup columns, probe the directory, confirm by value.
     Hashed,
@@ -1676,9 +1587,7 @@ enum Lookup {
 /// that is the value hashing them would have stored.
 ///
 /// Groups are emitted in first-appearance order; rows fold into a
-/// group's states in input order within a worker chunk, and chunk tables
-/// merge in chunk order.
-#[derive(Clone)]
+/// group's states in input order.
 pub struct BatchGroupTable<'a> {
     index: SlotDir,
     /// The hash of the lookup columns of every group the directory
@@ -1691,8 +1600,8 @@ pub struct BatchGroupTable<'a> {
     key_pos: &'a [usize],
     lookup: &'a [usize],
     find: Lookup,
-    /// Rows folded in so far, and how many the pipeline's source leads
-    /// the table to expect: the larger is the `n` of the ordinal rule.
+    /// Rows folded in so far, and how many the pipeline's source holds:
+    /// the larger is the `n` of the ordinal rule.
     seen: usize,
     expected: usize,
     accs: Vec<AccCol>,
@@ -1723,21 +1632,16 @@ impl<'a> BatchGroupTable<'a> {
         self.len - 1
     }
 
-    /// Hash the lookup columns of the groups that have no hash yet.
-    fn fill_hashes(&mut self) {
+    /// Enter every group in the directory, so [`Self::slot_for`] finds
+    /// it. Groups found by ordinal are distinct by construction and have
+    /// no hash yet; they are hashed here in one sweep over the key
+    /// columns.
+    fn seat(&mut self) {
         let from = self.hashes.len();
         let lookup_cols = self.lookup.iter().map(|&l| &self.keys[l]);
         let mut fresh = Vec::new();
         hash_columns(lookup_cols, from..self.len, &mut fresh);
         self.hashes.append(&mut fresh);
-    }
-
-    /// Enter every group in the directory, so [`Self::slot_for`] finds
-    /// it. Groups found by ordinal are distinct by construction; they
-    /// are hashed here in one sweep over the key columns.
-    fn seat(&mut self) {
-        let from = self.hashes.len();
-        self.fill_hashes();
         self.index.seat(&self.hashes, from);
     }
 
@@ -1761,8 +1665,8 @@ impl<'a> BatchGroupTable<'a> {
     }
 
     /// The slot of the group row `row` of `src` belongs to — `src` being
-    /// the grouping columns, in key order, of an input batch or of
-    /// another table — created from that row if it is the group's first.
+    /// the grouping columns, in key order, of an input tile — created
+    /// from that row if it is the group's first.
     /// `hash` is the hash of the row's lookup columns; the directory
     /// must hold every group.
     fn slot_for(&mut self, src: &[&ColumnVec], row: usize, hash: u64) -> usize {
@@ -1912,21 +1816,6 @@ impl<'a> BatchGroupTable<'a> {
         Ok(())
     }
 
-    /// Coalesce `other`'s groups into `self` in `other`'s group order.
-    fn merge_from(&mut self, mut other: BatchGroupTable<'a>) -> Result<()> {
-        self.seat();
-        other.fill_hashes();
-        let src: Vec<&ColumnVec> = other.keys.iter().collect();
-        let slots: Vec<u32> = (0..other.len)
-            .map(|g| self.slot_for(&src, g, other.hashes[g]) as u32)
-            .collect();
-        for (mine, theirs) in self.accs.iter_mut().zip(&other.accs) {
-            mine.grow(self.len);
-            mine.merge(theirs, &slots)?;
-        }
-        Ok(())
-    }
-
     /// The finished table as columns, one entry per group in first-seen
     /// order: the grouping columns, then per aggregate its finalized
     /// value (`finalize`) or its partial-state components. Accumulator
@@ -1934,7 +1823,7 @@ impl<'a> BatchGroupTable<'a> {
     pub fn into_columns(self, finalize: bool) -> Result<Vec<ColumnVec>> {
         let mut cols = self.keys;
         for mut acc in self.accs {
-            // A table no chunk fed (zero input rows) never grew.
+            // A table no row was fed (zero input rows) never grew.
             acc.grow(self.len);
             cols.extend(acc.into_columns(finalize)?);
         }
@@ -1942,11 +1831,9 @@ impl<'a> BatchGroupTable<'a> {
     }
 }
 
-/// Run `source → probes` into a group table: per-chunk tables
-/// accumulate tile by tile (phase 1 — the paper's partial aggregation),
-/// then coalesce in chunk order (phase 2 — the global merge). With one
-/// chunk this is the serial hash aggregation. The flows are the
-/// source's and every probe's, in pipeline order.
+/// Run `source → probes` into a group table that accumulates tile by
+/// tile. The flows are the source's and every probe's, in pipeline
+/// order.
 ///
 /// Groups are stored under the last stage's columns `key_pos` and found
 /// by the columns `key_pos[l]` for `l` in `lookup`, which must determine
@@ -1963,14 +1850,14 @@ pub fn aggregate<'a>(
     funcs: &[AggFunc],
 ) -> Result<(BatchGroupTable<'a>, Vec<Flow>)> {
     // The aggregation is resolved against columns like the ones it will
-    // be fed; every chunk starts from a copy of the empty table.
-    let cols = last_protos(source, probes);
+    // be fed.
+    let cols = probes.last().map_or_else(|| source.cols(), Probe::protos);
     let resolved = inputs.iter().zip(funcs);
     let (accs, feeds) = resolved
         .map(|(input, &f)| AccCol::resolve(&cols, input, f))
         .unzip();
     let ordinal = matches!(lookup, [l] if Ordinals::of(cols[key_pos[*l]]).is_some());
-    let empty = BatchGroupTable {
+    let mut table = BatchGroupTable {
         index: SlotDir::new(),
         hashes: Vec::new(),
         keys: key_pos.iter().map(|&k| cols[k].empty_like()).collect(),
@@ -1984,19 +1871,14 @@ pub fn aggregate<'a>(
             false => Lookup::Hashed,
         },
         seen: 0,
-        expected: 0,
+        expected: source.rows(),
         accs,
         feeds,
         slots: Vec::new(),
         len: 0,
     };
-    let (parts, flows) = drive(opts, gov, source, probes, Some(&empty))?;
-    let mut tables = parts.into_iter().filter_map(|(_, table)| table);
-    let mut global = tables.next().unwrap_or(empty);
-    for t in tables {
-        global.merge_from(t)?;
-    }
-    Ok((global, flows))
+    let (_, flows) = drive(opts, gov, source, probes, Some(&mut table))?;
+    Ok((table, flows))
 }
 
 #[cfg(test)]
@@ -2015,16 +1897,7 @@ mod tests {
     fn opts() -> ExecOptions {
         ExecOptions {
             batch_rows: 7, // force multi-tile on small inputs
-            ..ExecOptions::serial()
-        }
-    }
-
-    /// Multi-worker options that split even tiny inputs.
-    fn par(threads: usize) -> ExecOptions {
-        ExecOptions {
-            threads,
-            parallel_threshold: 1,
-            ..opts()
+            ..ExecOptions::default()
         }
     }
 
@@ -2164,7 +2037,7 @@ mod tests {
     /// The row-major [`GroupTable`] folds the same [`AggInput`]s through
     /// [`PartialAggState`] one `Value` at a time: the oracle for the
     /// typed accumulators. Groups come back in first-seen order on both
-    /// sides, so serial runs are compared positionally, cell for cell
+    /// sides, so runs are compared positionally, cell for cell
     /// and float bit for float bit.
     fn value_fold(
         rows: &[Tuple],
@@ -2337,32 +2210,6 @@ mod tests {
                             bits(&want),
                             "keys {which}, {n} rows, lookup {lookup:?}, finalize {finalize}"
                         );
-                        // Typed inputs give typed outputs: no column of
-                        // the table is `Mixed`.
-                        // Chunk merges add partial float sums in another
-                        // association than one pass: same groups in the
-                        // same order, values up to rounding.
-                        let par = typed_fold(
-                            &par(4),
-                            &batch,
-                            (&[0, 1, 2], lookup),
-                            &inputs,
-                            &funcs,
-                            finalize,
-                        )
-                        .unwrap();
-                        assert_eq!(par.len(), want.len());
-                        for (p, w) in par.iter().zip(&want) {
-                            for (a, b) in p.values().iter().zip(w.values()) {
-                                match (a, b) {
-                                    (Value::Float(a), Value::Float(b)) => assert!(
-                                        (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                                        "{a} vs {b}"
-                                    ),
-                                    _ => assert_eq!(a, b),
-                                }
-                            }
-                        }
                     }
                 }
             }
@@ -2409,7 +2256,7 @@ mod tests {
     }
 
     /// One failing row: the typed fold stops with the `Value` fold's
-    /// message, serial and across a chunk merge.
+    /// message.
     #[test]
     fn overflow_and_bad_factor_errors_match_the_value_fold() {
         let types = [DataType::Int, DataType::Int, DataType::Float, DataType::Int];
@@ -2516,21 +2363,9 @@ mod tests {
             let inputs = std::slice::from_ref(&input);
             let want = value_fold(&rows, &[0], inputs, &[func], true).unwrap_err();
             assert!(want.to_string().contains(message), "{want} / {message}");
-            for o in [opts(), par(4)] {
-                let got = typed_fold(&o, &batch, (&[0], &[0]), inputs, &[func], true).unwrap_err();
-                assert_eq!(got.to_string(), want.to_string(), "{func} {input:?}");
-            }
+            let got = typed_fold(&opts(), &batch, (&[0], &[0]), inputs, &[func], true).unwrap_err();
+            assert_eq!(got.to_string(), want.to_string(), "{func} {input:?}");
         }
-    }
-
-    #[test]
-    fn cancellation_aborts_parallel_workers() {
-        let cat = catalog(&[("t", 2000)]);
-        let gov = ResourceGovernor::unlimited();
-        gov.token().cancel();
-        let rows = scan_table(&par(4), &gov, cat.get("t").unwrap(), &[], vec![0]).unwrap();
-        let err = collect(&par(4), &gov, &rows, &[]).unwrap_err();
-        assert_eq!(err.kind(), "cancelled");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Executor edge cases: empty inputs, empty groups, degenerate keys,
-//! zero-width projections, and concurrent catalog access.
+//! zero-width projections, concurrent catalog access, and a thread
+//! count that is accepted and ignored.
 
 use aggview_common::{
     AggFunc, AggSpec, CmpOp, Col, DataType, Expr, Predicate, RelId, Schema, Value, ViewId,
@@ -322,28 +323,25 @@ fn strings_new_to_the_dictionary_reach_new_scans_but_not_a_held_table() {
             _ => None,
         })
         .unwrap();
-    for threads in [1, 4] {
-        let opts = ExecOptions {
-            threads,
-            parallel_threshold: 1,
-            batch_rows: 2,
-        };
-        let scan = |preds| {
-            let rows = vector::scan_table(&opts, &gov, held.clone(), preds, vec![1]).unwrap();
-            vector::collect(&opts, &gov, &rows, &[]).unwrap()
-        };
-        let (all, _) = scan(&[]);
-        assert_eq!(
-            all.to_tuples(),
-            held.rows()
-                .iter()
-                .map(|r| r.project(&[1]))
-                .collect::<Vec<_>>()
-        );
-        let (hits, flows) = scan(std::slice::from_ref(&bound));
-        let bytes = flows[0].bytes;
-        assert_eq!((hits.len(), bytes), (0, 0));
-    }
+    let opts = ExecOptions {
+        batch_rows: 2,
+        ..ExecOptions::default()
+    };
+    let scan = |preds| {
+        let rows = vector::scan_table(&opts, &gov, held.clone(), preds, vec![1]).unwrap();
+        vector::collect(&opts, &gov, &rows, &[]).unwrap()
+    };
+    let (all, _) = scan(&[]);
+    assert_eq!(
+        all.to_tuples(),
+        held.rows()
+            .iter()
+            .map(|r| r.project(&[1]))
+            .collect::<Vec<_>>()
+    );
+    let (hits, flows) = scan(std::slice::from_ref(&bound));
+    let bytes = flows[0].bytes;
+    assert_eq!((hits.len(), bytes), (0, 0));
 }
 
 /// A join's residual predicates are evaluated a column at a time over
@@ -396,11 +394,74 @@ fn residual_errors_read_as_the_row_evaluator_puts_them() {
             let got = Engine::new(&cat, &env, CostModel::default())
                 .with_options(aggview_executor::ExecOptions {
                     batch_rows,
-                    ..aggview_executor::ExecOptions::serial()
+                    ..aggview_executor::ExecOptions::default()
                 })
                 .execute(&plan)
                 .unwrap_err();
             assert_eq!(got.to_string(), want);
         }
     }
+}
+
+/// Execution is serial: a thread count is accepted — the benchmark
+/// assigns `session.exec.threads` — and changes nothing a run reports,
+/// through the engine or through a session.
+#[test]
+fn a_thread_count_is_accepted_and_changes_nothing() {
+    use aggview_core::governor::ResourceGovernor;
+    use aggview_core::query::examples::example1_query;
+    use aggview_core::OptimizerConfig;
+    use aggview_executor::ExecOptions;
+    use aggview_sql::Session;
+    use aggview_storage::datagen::{gen_empdept, EmpDeptConfig};
+
+    let catalog = || {
+        gen_empdept(&EmpDeptConfig {
+            n_depts: 40,
+            emps_per_dept: 60,
+            young_fraction: 0.3,
+            low_budget_fraction: 0.5,
+            seed: 5,
+        })
+        .unwrap()
+    };
+    let cat = catalog();
+    let q = example1_query();
+    let model = CostModel::default();
+    let plan = aggview_core::optimize(&q, &cat, model, &OptimizerConfig::default())
+        .unwrap()
+        .plan;
+    let engine_run = |threads| {
+        let gov = ResourceGovernor::unlimited();
+        let rs = Engine::new(&cat, &q.env, model)
+            .with_options(ExecOptions {
+                threads,
+                ..ExecOptions::default()
+            })
+            .execute_governed(&plan, &gov, None)
+            .unwrap();
+        let used = (gov.rows_used(), gov.bytes_used());
+        (
+            rs.rows,
+            rs.io_pages.to_bits(),
+            rs.breakdown,
+            rs.peak_intermediate_bytes,
+            used,
+        )
+    };
+    let one = engine_run(1);
+    assert!(!one.0.is_empty());
+    assert_eq!(engine_run(4), one);
+
+    let sql = "select e.dno, count(*), avg(e.sal) from emp e, dept d \
+               where e.dno = d.dno and e.age < 30 group by e.dno";
+    let session_run = |threads| {
+        let mut s = Session::new(catalog());
+        s.exec.threads = threads;
+        let r = s.execute(sql).unwrap();
+        (r.rows, r.io_pages.to_bits(), r.plan)
+    };
+    let one = session_run(1);
+    assert!(!one.0.is_empty());
+    assert_eq!(session_run(4), one);
 }

@@ -1,12 +1,11 @@
 //! Differential property test: the engine must return the same rows as
 //! the naive reference interpreter (`aggview_executor::reference`) on
-//! randomized databases and plan shapes, serial and multi-threaded.
-//! (Accounting is the engine's alone: `parallel_exec.rs` pins it across
-//! thread counts, `pipelines_match_reference_and_account_alike` across
-//! tile sizes as well.)
+//! randomized databases and plan shapes. (Accounting is the engine's
+//! alone: `pipelines_match_reference_and_account_alike` pins it across
+//! tile sizes.)
 //!
-//! A small, non-divisor `batch_rows` and a zero parallel threshold force
-//! chunk and tile boundaries to fall mid-input so stitching is exercised.
+//! A small, non-divisor `batch_rows` forces tile boundaries to fall
+//! mid-input.
 
 use aggview_common::{
     AggFunc, AggRef, AggSpec, CmpOp, Col, DataType, Expr, Predicate, RelId, Schema, Value, ViewId,
@@ -32,11 +31,10 @@ fn setup(seed: u64, max_rows: usize) -> (Catalog, QueryEnv) {
     (cat, QueryEnv::new(vec!["t0".into(), "t1".into()]))
 }
 
-fn options(threads: usize) -> ExecOptions {
+fn options() -> ExecOptions {
     ExecOptions {
-        threads,
-        parallel_threshold: 1,
         batch_rows: 7,
+        ..ExecOptions::default()
     }
 }
 
@@ -734,10 +732,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Joins under a group-by or a partial aggregate run as pipelines:
-    /// whatever the tile size and the thread count cut them into, the
-    /// rows are the reference's, and every configuration charges the
-    /// same pages to the same operators and the same rows and bytes to
-    /// the governor.
+    /// whatever the tile size cuts them into, the rows are the
+    /// reference's, and every tile size charges the same pages to the
+    /// same operators and the same rows and bytes to the governor.
     #[test]
     fn pipelines_match_reference_and_account_alike(
         seed in 0u64..5000,
@@ -751,31 +748,29 @@ proptest! {
         let expect = reference::evaluate(&plan, &cat).unwrap();
         let mut first = None;
         for batch_rows in [1usize, 7, 1024] {
-            for threads in [1usize, 4] {
-                let gov = ResourceGovernor::unlimited();
-                let got = Engine::new(&cat, &env, CostModel::default())
-                    .with_options(ExecOptions { threads, parallel_threshold: 1, batch_rows })
-                    .execute_governed(&plan, &gov, None)
-                    .unwrap();
-                prop_assert_eq!(got.mixed_demotions, 0);
-                if let Err(e) = assert_equivalent(&expect, &got) {
-                    prop_assert!(false, "shape {} with {:03b}, {} rows a tile, {} threads: {}",
-                        shape % 6, with, batch_rows, threads, e);
-                }
-                let pages: Vec<(String, u64)> =
-                    got.breakdown.iter().map(|b| (b.op.clone(), b.pages.to_bits())).collect();
-                let account = (got.io_pages.to_bits(), pages, gov.rows_used(), gov.bytes_used());
-                let first = first.get_or_insert_with(|| account.clone());
-                prop_assert_eq!(&*first, &account, "shape {} with {:03b}, {} rows a tile, {} threads",
-                    shape % 6, with, batch_rows, threads);
+            let gov = ResourceGovernor::unlimited();
+            let got = Engine::new(&cat, &env, CostModel::default())
+                .with_options(ExecOptions { batch_rows, ..ExecOptions::default() })
+                .execute_governed(&plan, &gov, None)
+                .unwrap();
+            prop_assert_eq!(got.mixed_demotions, 0);
+            if let Err(e) = assert_equivalent(&expect, &got) {
+                prop_assert!(false, "shape {} with {:03b}, {} rows a tile: {}",
+                    shape % 6, with, batch_rows, e);
             }
+            let pages: Vec<(String, u64)> =
+                got.breakdown.iter().map(|b| (b.op.clone(), b.pages.to_bits())).collect();
+            let account = (got.io_pages.to_bits(), pages, gov.rows_used(), gov.bytes_used());
+            let first = first.get_or_insert_with(|| account.clone());
+            prop_assert_eq!(&*first, &account, "shape {} with {:03b}, {} rows a tile",
+                shape % 6, with, batch_rows);
         }
     }
 
     /// Group-bys that are found by a determinant of their grouping
     /// columns, on keys of every family, keyed and keyless, possibly
     /// over no rows: the same groups with the same carried columns and
-    /// the same aggregates as the reference, at 1 and 4 threads.
+    /// the same aggregates as the reference.
     #[test]
     fn engine_matches_reference_on_determined_grouping_columns(
         seed in 0u64..5000,
@@ -792,21 +787,19 @@ proptest! {
         }
         let plan = keyed_plan(shape, cut, keyless);
         let expect = reference::evaluate(&plan, &cat).unwrap();
-        for threads in [1usize, 4] {
-            let got = Engine::new(&cat, &env, CostModel::default())
-                .with_options(options(threads))
-                .execute(&plan)
-                .unwrap();
-            prop_assert_eq!(got.mixed_demotions, 0);
-            if let Err(e) = assert_equivalent(&expect, &got) {
-                prop_assert!(false, "shape {} family {} keyless {} at {} threads: {}",
-                    shape % 8, family % 4, keyless, threads, e);
-            }
+        let got = Engine::new(&cat, &env, CostModel::default())
+            .with_options(options())
+            .execute(&plan)
+            .unwrap();
+        prop_assert_eq!(got.mixed_demotions, 0);
+        if let Err(e) = assert_equivalent(&expect, &got) {
+            prop_assert!(false, "shape {} family {} keyless {}: {}",
+                shape % 8, family % 4, keyless, e);
         }
     }
 
-    /// The engine agrees with the reference interpreter at 1 and 4
-    /// threads, as a multiset up to canonical float rounding (the
+    /// The engine agrees with the reference interpreter, as a multiset
+    /// up to canonical float rounding (the
     /// reference emits groups in key order and sums in input order).
     #[test]
     fn engine_matches_reference(
@@ -818,14 +811,12 @@ proptest! {
         let (cat, env) = setup(seed, rows);
         let plan = random_plan(shape, cut);
         let expect = reference::evaluate(&plan, &cat).unwrap();
-        for threads in [1usize, 4] {
-            let got = Engine::new(&cat, &env, CostModel::default())
-                .with_options(options(threads))
-                .execute(&plan)
-                .unwrap();
-            if let Err(e) = assert_equivalent(&expect, &got) {
-                prop_assert!(false, "shape {} at {} threads: {}", shape % 6, threads, e);
-            }
+        let got = Engine::new(&cat, &env, CostModel::default())
+            .with_options(options())
+            .execute(&plan)
+            .unwrap();
+        if let Err(e) = assert_equivalent(&expect, &got) {
+            prop_assert!(false, "shape {}: {}", shape % 6, e);
         }
     }
 
@@ -858,21 +849,18 @@ proptest! {
             ],
         );
         let expect = reference::evaluate(&plan, &cat).unwrap();
-        for threads in [1usize, 4] {
-            let got = Engine::new(&cat, &env, CostModel::default())
-                .with_options(options(threads))
-                .execute(&plan)
-                .unwrap();
-            if let Err(e) = assert_equivalent(&expect, &got) {
-                prop_assert!(false, "on column {} family {} at {} threads: {}",
-                    key, family % 4, threads, e);
-            }
+        let got = Engine::new(&cat, &env, CostModel::default())
+            .with_options(options())
+            .execute(&plan)
+            .unwrap();
+        if let Err(e) = assert_equivalent(&expect, &got) {
+            prop_assert!(false, "on column {} family {}: {}", key, family % 4, e);
         }
     }
 
     /// The same agreement where the filters, join keys and group keys
-    /// are strings: chunk stitching and table merging cross worker
-    /// boundaries at 4 threads, the join crosses two dictionaries.
+    /// are strings: tiles cut string columns mid-input, the join crosses
+    /// two dictionaries.
     #[test]
     fn engine_matches_reference_on_string_keys(
         seed in 0u64..5000,
@@ -883,15 +871,13 @@ proptest! {
         let (cat, env) = string_setup(seed, rows);
         let plan = string_plan(shape, pick);
         let expect = reference::evaluate(&plan, &cat).unwrap();
-        for threads in [1usize, 4] {
-            let got = Engine::new(&cat, &env, CostModel::default())
-                .with_options(options(threads))
-                .execute(&plan)
-                .unwrap();
-            prop_assert_eq!(got.mixed_demotions, 0);
-            if let Err(e) = assert_equivalent(&expect, &got) {
-                prop_assert!(false, "shape {} at {} threads: {}", shape % 7, threads, e);
-            }
+        let got = Engine::new(&cat, &env, CostModel::default())
+            .with_options(options())
+            .execute(&plan)
+            .unwrap();
+        prop_assert_eq!(got.mixed_demotions, 0);
+        if let Err(e) = assert_equivalent(&expect, &got) {
+            prop_assert!(false, "shape {}: {}", shape % 7, e);
         }
     }
 }

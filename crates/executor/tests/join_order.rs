@@ -2,7 +2,7 @@
 //! `reference::evaluate` (nested loops, `for left { for right }`) — not
 //! as a multiset: a join emits its probe rows in input order and, per
 //! probe row, the matching build rows in ascending build-row order,
-//! whatever the hash function, the directory layout or the thread count.
+//! whatever the hash function, the directory layout or the tile size.
 //! The engine builds on the smaller input, so with the larger table on
 //! the left the emitted order *is* the reference's.
 
@@ -85,44 +85,25 @@ fn none(rel: RelId) -> Vec<Predicate> {
     vec![Predicate::cmp_const(col(rel, 2), CmpOp::Lt, Value::Int(0))]
 }
 
-fn run(plan: &Plan, cat: &Catalog, options: ExecOptions) -> ResultSet {
+/// Run with seven-row tiles: several tiles per input.
+fn run(plan: &Plan, cat: &Catalog) -> ResultSet {
     let env = QueryEnv::new(vec!["big".into(), "small".into()]);
     Engine::new(cat, &env, CostModel::default())
-        .with_options(options)
+        .with_options(ExecOptions {
+            batch_rows: 7,
+            ..ExecOptions::default()
+        })
         .execute(plan)
         .unwrap()
 }
 
-/// Serial with seven-row tiles (several tiles per input), and four
-/// workers over inputs this small.
-fn serial() -> ExecOptions {
-    ExecOptions {
-        batch_rows: 7,
-        ..ExecOptions::serial()
-    }
-}
-
-fn four_workers() -> ExecOptions {
-    ExecOptions {
-        threads: 4,
-        parallel_threshold: 1,
-        ..serial()
-    }
-}
-
-/// The engine's rows equal the reference's *in order*, and four workers
-/// return what one does, accounting included.
+/// The engine's rows equal the reference's *in order*.
 fn emitted_in_reference_order(plan: &Plan, cat: &Catalog) -> Vec<Tuple> {
     let expect = reference::evaluate(plan, cat).unwrap();
-    let one = run(plan, cat, serial());
-    assert_eq!(one.cols, expect.cols);
-    assert_eq!(one.rows, expect.rows);
-    let four = run(plan, cat, four_workers());
-    assert_eq!(four.rows, one.rows);
-    assert_eq!(four.io_pages.to_bits(), one.io_pages.to_bits());
-    assert_eq!(four.breakdown, one.breakdown);
-    assert_eq!(four.peak_intermediate_bytes, one.peak_intermediate_bytes);
-    one.rows
+    let got = run(plan, cat);
+    assert_eq!(got.cols, expect.cols);
+    assert_eq!(got.rows, expect.rows);
+    got.rows
 }
 
 fn int(t: &Tuple, i: usize) -> i64 {
@@ -232,6 +213,5 @@ fn a_smaller_left_input_is_the_build_side() {
     // The probe side drives the order either way: the mirrored plan is
     // the same join, emitted identically.
     let mirrored = emitted_in_reference_order(&big_left, &cat);
-    assert_eq!(run(&small_left, &cat, serial()).rows, mirrored);
-    assert_eq!(run(&small_left, &cat, four_workers()).rows, mirrored);
+    assert_eq!(run(&small_left, &cat).rows, mirrored);
 }

@@ -115,15 +115,10 @@ fn a_star_rollup_holds_its_dimensions_and_not_its_fact_table() {
         .sum();
     let groups = 5 * (16 + 8 + 8);
     for options in [
-        ExecOptions::serial(),
+        ExecOptions::default(),
         ExecOptions {
             batch_rows: 7,
-            ..ExecOptions::serial()
-        },
-        ExecOptions {
-            threads: 4,
-            parallel_threshold: 1,
-            ..ExecOptions::serial()
+            ..ExecOptions::default()
         },
     ] {
         // Unfiltered, the fact table is read in place: doubling it
@@ -170,18 +165,15 @@ fn a_row_budget_under_the_fact_table_still_aborts_the_streamed_join() {
     assert_eq!(floor, 1830);
     let cap = 3000;
     assert!(floor < cap && cap < lines);
-    for threads in [1, 4] {
-        let gov = ResourceGovernor::new(ResourceLimits::unlimited().with_max_rows(cap));
-        let err = Engine::new(&cat, &env(), CostModel::default())
-            .with_options(ExecOptions::with_threads(threads))
-            .execute_governed(&plan, &gov, None)
-            .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "resource-exhausted error: row budget exhausted (3001 > 3000)"
-        );
-        assert_eq!(gov.rows_used(), cap + 1);
-    }
+    let gov = ResourceGovernor::new(ResourceLimits::unlimited().with_max_rows(cap));
+    let err = Engine::new(&cat, &env(), CostModel::default())
+        .execute_governed(&plan, &gov, None)
+        .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "resource-exhausted error: row budget exhausted (3001 > 3000)"
+    );
+    assert_eq!(gov.rows_used(), cap + 1);
     // With room for every operator's output the same plan charges what
     // it always did.
     let gov = ResourceGovernor::unlimited();

@@ -109,8 +109,8 @@ pub struct Session {
     /// statement. Non-retryable errors — cancellation, budget
     /// exhaustion, plan/bind errors — never retry.
     pub max_retries: u32,
-    /// Executor parallelism and tile size (REPL `.set threads N`,
-    /// `.set batch_rows N`).
+    /// Executor tile size (REPL `.set batch_rows N`). Execution is
+    /// serial: `exec.threads` is accepted and ignored.
     pub exec: ExecOptions,
     /// Live view subscriptions: every committed DML/refresh statement
     /// publishes each maintained view's consolidated visible delta here

@@ -16,7 +16,7 @@
 //! `.gen star [customers]`, `.mem <pages>`, `.mode <traditional|pushdown|full>`,
 //! `.set <key> <value>` (resource governance: `timeout_ms`, `max_rows`,
 //! `max_bytes`, `max_plans`, `max_memo`, `retries`; `off` clears a limit;
-//! plus `threads` and `batch_rows` for the executor), `.limits`,
+//! plus `batch_rows` for the executor), `.limits`,
 //! `.explain <sql>`,
 //! `.open <dir>` (durable catalog: WAL + checkpoints), `.checkpoint`,
 //! `.subscribe <view>` / `.unsubscribe <view>` (live view-change feed:
@@ -126,7 +126,6 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
                  .mode <traditional|pushdown|full>  optimizer configuration\n\
                  .set <key> <value|off>       resource limits: timeout_ms, max_rows,\n\
                  \u{20}                            max_bytes, max_plans, max_memo, retries;\n\
-                 \u{20}                            threads (parallel executor workers);\n\
                  \u{20}                            batch_rows (vectorized tile size);\n\
                  \u{20}                            eager_agg <on|off> (eager partial\n\
                  \u{20}                            aggregation below joins)\n\
@@ -326,7 +325,7 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
             let l = &session.limits;
             let show = |v: Option<u64>| v.map_or("off".to_string(), |n| n.to_string());
             println!(
-                "timeout_ms {}  max_rows {}  max_bytes {}  max_plans {}  max_memo {}  retries {}  threads {}  batch_rows {}  eager_agg {}",
+                "timeout_ms {}  max_rows {}  max_bytes {}  max_plans {}  max_memo {}  retries {}  batch_rows {}  eager_agg {}",
                 l.timeout
                     .map_or("off".to_string(), |t| t.as_millis().to_string()),
                 show(l.max_rows),
@@ -334,7 +333,6 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
                 show(l.max_plans),
                 show(l.max_memo_entries),
                 session.max_retries,
-                session.exec.threads,
                 session.exec.batch_rows,
                 if session.config.use_eager_agg {
                     "on"
@@ -436,15 +434,6 @@ fn set_limit(session: &mut Session, key: &str, val: &str) {
             }
         }
     };
-    if key == "threads" {
-        // Not a governor limit: `off` restores the environment default.
-        session.exec.threads = match parsed {
-            Some(n) => (n as usize).max(1),
-            None => aggview::executor::ExecOptions::default().threads,
-        };
-        println!("threads = {}", session.exec.threads);
-        return;
-    }
     if key == "batch_rows" {
         // Not a governor limit: `off` restores the default tile size.
         session.exec.batch_rows = match parsed {
@@ -466,7 +455,7 @@ fn set_limit(session: &mut Session, key: &str, val: &str) {
             None => session.max_retries = 0,
         },
         other => {
-            println!("unknown limit `{other}` — keys: timeout_ms max_rows max_bytes max_plans max_memo retries threads batch_rows eager_agg");
+            println!("unknown limit `{other}` — keys: timeout_ms max_rows max_bytes max_plans max_memo retries batch_rows eager_agg");
             return;
         }
     }

@@ -7,7 +7,7 @@
 //!    floor exceeds the budget is rejected *before* execution with a
 //!    structured `plan-inadmissible` error and no work performed;
 //! 3. **soundness property** — over randomized databases and the
-//!    optimizer corpus at 1 and 4 executor threads, every concrete
+//!    optimizer corpus, every concrete
 //!    output value lies inside its predicted domain and every measured
 //!    resource counter meets its static lower bound;
 //! 4. **type certification** — corpus plans certify Mixed-free and
@@ -19,7 +19,7 @@ use aggview::core::plan::all_cols;
 use aggview::core::query::examples::{emp, example1_query, example2_query, example2_wide_query};
 use aggview::core::query::QueryEnv;
 use aggview::core::{optimize, CostModel, OptimizerConfig, Plan, ResourceGovernor, ResourceLimits};
-use aggview::executor::{Engine, ExecOptions};
+use aggview::executor::Engine;
 use aggview::sql::Session;
 use aggview::storage::datagen::{gen_empdept, EmpDeptConfig};
 use aggview::storage::Catalog;
@@ -147,8 +147,8 @@ proptest! {
 
     /// The pass is sound: executed results never escape the predicted
     /// per-column domains, and the measured row/byte/peak counters are
-    /// never below the guaranteed floors — at 1 and 4 executor threads,
-    /// over randomized databases and the full example corpus.
+    /// never below the guaranteed floors — over randomized databases
+    /// and the full example corpus.
     #[test]
     fn predicted_domains_and_bounds_are_sound(
         n_depts in 2usize..30,
@@ -173,40 +173,36 @@ proptest! {
         let opt = optimize(&q, &cat, CostModel::default(), &OptimizerConfig::default()).unwrap();
         let df = dataflow::analyze_plan(&opt.plan, &cat, Some(q.env.rel_tables.as_slice()));
 
-        for threads in [1usize, 4] {
-            let engine = Engine::new(&cat, &q.env, CostModel::default())
-                .with_options(ExecOptions { threads, ..Default::default() });
-            let gov = ResourceGovernor::unlimited();
-            let rs = engine.execute_governed(&opt.plan, &gov, None).unwrap();
+        let engine = Engine::new(&cat, &q.env, CostModel::default());
+        let gov = ResourceGovernor::unlimited();
+        let rs = engine.execute_governed(&opt.plan, &gov, None).unwrap();
 
-            // Every concrete output value satisfies its column's domain.
-            for (k, col) in rs.cols.iter().enumerate() {
-                if let Some(dom) = df.columns.get(col) {
-                    for row in &rs.rows {
-                        prop_assert!(
-                            dom.admits(row.get(k)),
-                            "value {} of column {col} escapes its domain {dom:?} \
-                             ({threads} threads)",
-                            row.get(k)
-                        );
-                    }
+        // Every concrete output value satisfies its column's domain.
+        for (k, col) in rs.cols.iter().enumerate() {
+            if let Some(dom) = df.columns.get(col) {
+                for row in &rs.rows {
+                    prop_assert!(
+                        dom.admits(row.get(k)),
+                        "value {} of column {col} escapes its domain {dom:?}",
+                        row.get(k)
+                    );
                 }
             }
-
-            // Measured usage meets every static lower bound (an
-            // unlimited governor still counts exactly).
-            prop_assert!(
-                gov.rows_used() >= df.bounds.min_rows,
-                "row floor {} exceeds measured {} ({threads} threads)",
-                df.bounds.min_rows,
-                gov.rows_used()
-            );
-            prop_assert!(
-                gov.bytes_used() >= df.bounds.min_bytes,
-                "byte floor {} exceeds measured {} ({threads} threads)",
-                df.bounds.min_bytes,
-                gov.bytes_used()
-            );
         }
+
+        // Measured usage meets every static lower bound (an
+        // unlimited governor still counts exactly).
+        prop_assert!(
+            gov.rows_used() >= df.bounds.min_rows,
+            "row floor {} exceeds measured {}",
+            df.bounds.min_rows,
+            gov.rows_used()
+        );
+        prop_assert!(
+            gov.bytes_used() >= df.bounds.min_bytes,
+            "byte floor {} exceeds measured {}",
+            df.bounds.min_bytes,
+            gov.bytes_used()
+        );
     }
 }

@@ -1,8 +1,7 @@
 //! Differential tests for streaming delta maintenance: randomized
 //! mixed INSERT/UPDATE/DELETE batches applied through the SQL frontend
 //! must leave every materialized view's extent **byte-identical** to a
-//! from-scratch `REFRESH MATERIALIZED VIEW`, at 1 and 4 executor
-//! threads.
+//! from-scratch `REFRESH MATERIALIZED VIEW`.
 //!
 //! All salaries are multiples of 0.5, so float SUM/AVG arithmetic is
 //! exact and "byte-identical" is a meaningful bar (with arbitrary
@@ -137,9 +136,8 @@ fn random_dml(rng: &mut Rng, next_eno: &mut i64) -> String {
 /// Apply `rounds` random DML statements; after every one, the
 /// incrementally maintained extent of each view must equal the extent
 /// a full refresh rebuilds.
-fn run_differential(seed: u64, rounds: usize, threads: usize) {
+fn run_differential(seed: u64, rounds: usize) {
     let mut s = Session::new(seed_catalog());
-    s.exec.threads = threads;
     for (_, create) in VIEWS {
         s.execute(create).unwrap();
     }
@@ -161,7 +159,7 @@ fn run_differential(seed: u64, rounds: usize, threads: usize) {
             assert_eq!(
                 incremental, refreshed,
                 "round {round} `{sql}`: incremental extent of {view} \
-                 diverged from refresh (threads={threads})"
+                 diverged from refresh"
             );
         }
     }
@@ -171,18 +169,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Incremental maintenance is byte-identical to refresh across
-    /// randomized mixed-DML histories, single-threaded.
+    /// randomized mixed-DML histories.
     #[test]
     fn mixed_dml_matches_refresh_1_thread(seed in 0u64..1_000_000) {
-        run_differential(seed, 10, 1);
-    }
-
-    /// Same property with the 4-thread executor: partial
-    /// folds race across workers, but the merged extent must still be
-    /// exact.
-    #[test]
-    fn mixed_dml_matches_refresh_4_threads(seed in 0u64..1_000_000) {
-        run_differential(seed, 10, 4);
+        run_differential(seed, 10);
     }
 }
 
@@ -191,38 +181,35 @@ proptest! {
 /// re-insert into a previously emptied group.
 #[test]
 fn directed_retraction_gauntlet() {
-    for threads in [1usize, 4] {
-        let mut s = Session::new(seed_catalog());
-        s.exec.threads = threads;
-        for (_, create) in VIEWS {
-            s.execute(create).unwrap();
-        }
-        let history = [
-            "delete from emp where dno = 0 and sal <= 1012.5", // min extremum out
-            "update emp set sal = sal + 500.0 where dno = 1",  // max shifts
-            "update emp set dno = 2, age = age + 1 where dno = 1 and age < 30",
-            "delete from emp where dno = 3", // group gone
-            "insert into emp values (7777, 'back', 3, 2000.5, 24)", // group reborn
-            "update emp set dno = 0 where dno = 3", // gone again
-        ];
-        for sql in history {
-            s.execute(sql).unwrap();
-            for (view, _) in VIEWS {
-                let incremental = extent_rows(&s, view);
-                s.execute(&format!("refresh materialized view {view}"))
-                    .unwrap();
-                assert_eq!(
-                    incremental,
-                    extent_rows(&s, view),
-                    "`{sql}` diverged for {view} at threads={threads}"
-                );
-            }
-        }
-        // dept 3 was emptied twice: its extent rows must be gone.
-        assert!(!extent_rows(&s, "vsum")
-            .iter()
-            .any(|r| r.get(0) == &Value::Int(3)));
+    let mut s = Session::new(seed_catalog());
+    for (_, create) in VIEWS {
+        s.execute(create).unwrap();
     }
+    let history = [
+        "delete from emp where dno = 0 and sal <= 1012.5", // min extremum out
+        "update emp set sal = sal + 500.0 where dno = 1",  // max shifts
+        "update emp set dno = 2, age = age + 1 where dno = 1 and age < 30",
+        "delete from emp where dno = 3", // group gone
+        "insert into emp values (7777, 'back', 3, 2000.5, 24)", // group reborn
+        "update emp set dno = 0 where dno = 3", // gone again
+    ];
+    for sql in history {
+        s.execute(sql).unwrap();
+        for (view, _) in VIEWS {
+            let incremental = extent_rows(&s, view);
+            s.execute(&format!("refresh materialized view {view}"))
+                .unwrap();
+            assert_eq!(
+                incremental,
+                extent_rows(&s, view),
+                "`{sql}` diverged for {view}"
+            );
+        }
+    }
+    // dept 3 was emptied twice: its extent rows must be gone.
+    assert!(!extent_rows(&s, "vsum")
+        .iter()
+        .any(|r| r.get(0) == &Value::Int(3)));
 }
 
 /// DML costs what it changes, not what it leaves alone: the log of a

@@ -1,8 +1,7 @@
 //! Differential tests for eager partial aggregation (Yan–Larson
 //! push-down below a join input): plans optimized with
 //! `use_eager_agg` on and off must execute to **byte-identical**
-//! result sets, at 1 and 4 executor threads, over randomized catalogs
-//! and aggregate mixes — including MIN/MAX and the duplicate-sensitive
+//! result sets over randomized catalogs and aggregate mixes — including MIN/MAX and the duplicate-sensitive
 //! SUM/AVG, whose merged partial states are scaled by the partner
 //! side's per-group count.
 //!
@@ -24,7 +23,7 @@ use aggview::core::cost::CostModel;
 use aggview::core::query::examples::{dept, emp};
 use aggview::core::query::{CanonicalQuery, QueryEnv, TopGroup};
 use aggview::core::{optimize, OptimizerConfig, Plan};
-use aggview::executor::{Engine, ExecOptions};
+use aggview::executor::Engine;
 use aggview::storage::datagen::{gen_empdept, EmpDeptConfig};
 use aggview::storage::{Catalog, Table};
 use aggview::{AggFunc, AggSpec, Col, DataType, Expr, Predicate, Schema, Tuple, Value, ViewId};
@@ -162,8 +161,8 @@ fn eager_off() -> OptimizerConfig {
     }
 }
 
-/// Optimize with eager on and off, run both at 1 and 4 threads, and
-/// assert byte-identical sorted results everywhere. Returns whether
+/// Optimize with eager on and off, run both, and assert
+/// byte-identical sorted results. Returns whether
 /// the eager config actually placed a partial aggregate.
 fn differential(q: &CanonicalQuery, cat: &Catalog, model: CostModel) -> bool {
     let eager = optimize(q, cat, model, &eager_on()).unwrap();
@@ -174,26 +173,15 @@ fn differential(q: &CanonicalQuery, cat: &Catalog, model: CostModel) -> bool {
         eager.props.cost,
         plain.props.cost
     );
-    let mut reference: Option<Vec<Tuple>> = None;
-    for threads in [1usize, 4] {
-        let opts = ExecOptions {
-            threads,
-            ..Default::default()
-        };
-        let engine = Engine::new(cat, &q.env, model).with_options(opts);
-        for (name, plan) in [("eager", &eager.plan), ("plain", &plain.plan)] {
-            let (rows, _) = run_sorted(&engine, plan, &q.projection);
-            match &reference {
-                None => reference = Some(rows),
-                Some(r) => assert_eq!(
-                    r,
-                    &rows,
-                    "{name} at {threads} thread(s) diverges\n{}",
-                    plan.explain()
-                ),
-            }
-        }
-    }
+    let engine = Engine::new(cat, &q.env, model);
+    let (eager_rows, _) = run_sorted(&engine, &eager.plan, &q.projection);
+    let (plain_rows, _) = run_sorted(&engine, &plain.plan, &q.projection);
+    assert_eq!(
+        eager_rows,
+        plain_rows,
+        "eager diverges from plain\n{}",
+        eager.plan.explain()
+    );
     contains_partial_aggregate(&eager.plan)
 }
 
@@ -267,7 +255,7 @@ proptest! {
 
     /// Randomized differential: catalog shape, aggregate subset, and
     /// memory budget all vary; results must stay byte-identical with
-    /// eager on vs off at 1 and 4 threads.
+    /// eager on vs off.
     #[test]
     fn eager_matches_plain_on_random_catalogs(
         seed in 0u64..1u64 << 48,
@@ -397,10 +385,7 @@ fn stale_stats_after_planning_still_correct() {
     let model = tight_model();
     let eager = optimize(&q, &cat, model, &eager_on()).unwrap();
     let plain = optimize(&q, &cat, model, &eager_off()).unwrap();
-    let engine = Engine::new(&cat, &q.env, model).with_options(ExecOptions {
-        threads: 4,
-        ..Default::default()
-    });
+    let engine = Engine::new(&cat, &q.env, model);
     let (fresh_rows, _) = run_sorted(&engine, &eager.plan, &q.projection);
     // Invalidate the statistics *after* planning: execution must not
     // rely on them for correctness.

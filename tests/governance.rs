@@ -11,7 +11,7 @@ use aggview::core::{
     optimize, optimize_governed, optimize_traditional, CancellationToken, CostModel,
     DegradationReason, OptimizerConfig, ResourceGovernor, ResourceLimits,
 };
-use aggview::executor::{assert_equivalent, Engine, ExecOptions};
+use aggview::executor::{assert_equivalent, Engine};
 use aggview::storage::datagen::{gen_empdept, EmpDeptConfig};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -123,8 +123,9 @@ fn row_budget_aborts_within_one_operator_boundary() {
     // Every intermediate tuple is charged as it is produced, so the
     // abort lands on the first tuple past the cap — not after a whole
     // operator has materialized its output.
-    assert!(
-        gov.rows_used() <= cap + 1,
+    assert_eq!(
+        gov.rows_used(),
+        cap + 1,
         "abort was not prompt: {} rows charged against a cap of {cap}",
         gov.rows_used()
     );
@@ -149,77 +150,31 @@ fn byte_budget_aborts_with_structured_error() {
     assert_eq!(err.kind(), "resource-exhausted");
 }
 
-/// Options that force the multi-worker path even on this small catalog.
-fn parallel_options(threads: usize) -> ExecOptions {
-    ExecOptions {
-        threads,
-        parallel_threshold: 1,
-        ..ExecOptions::serial()
-    }
-}
-
+/// Governance must not change what a run computes: under budgets it
+/// stays inside, the governed run returns the ungoverned run's rows, in
+/// order, with the same accounting — never a silent partial result.
 #[test]
-fn row_budget_holds_under_parallel_execution() {
+fn governed_run_under_generous_budgets_matches_ungoverned() {
     let catalog = catalog();
     let q = example1_query();
     let model = CostModel::default();
 
     let opt = optimize(&q, &catalog, model, &OptimizerConfig::default()).unwrap();
-    let threads = 4u64;
-    let engine =
-        Engine::new(&catalog, &q.env, model).with_options(parallel_options(threads as usize));
+    let engine = Engine::new(&catalog, &q.env, model);
+    let ungoverned = engine.execute(&opt.plan).unwrap();
 
-    let floor = dataflow::analyze_plan(&opt.plan, &catalog, Some(q.env.rel_tables.as_slice()))
-        .bounds
-        .min_rows;
-    let cap = floor + 5;
-    let gov = ResourceGovernor::new(ResourceLimits::unlimited().with_max_rows(cap));
-    let err = engine.execute_governed(&opt.plan, &gov, None).unwrap_err();
-    assert_eq!(err.kind(), "resource-exhausted");
-    // Workers charge the shared atomic budget per output tuple and stop
-    // at their first failed charge, so the collective overshoot is
-    // bounded by one tuple per worker.
-    assert!(
-        gov.rows_used() <= cap + threads,
-        "parallel abort was not prompt: {} rows charged against a cap of {cap}",
-        gov.rows_used()
+    let limits = ResourceLimits::unlimited()
+        .with_max_rows(1_000_000)
+        .with_max_bytes(1 << 30);
+    let gov = ResourceGovernor::new(limits);
+    let governed = engine.execute_governed(&opt.plan, &gov, None).unwrap();
+    assert_eq!(governed.rows, ungoverned.rows);
+    assert_eq!(governed.io_pages.to_bits(), ungoverned.io_pages.to_bits());
+    assert_eq!(governed.breakdown, ungoverned.breakdown);
+    assert_eq!(
+        governed.peak_intermediate_bytes,
+        ungoverned.peak_intermediate_bytes
     );
-}
-
-#[test]
-fn cancellation_aborts_parallel_execution() {
-    let catalog = catalog();
-    let q = example1_query();
-    let model = CostModel::default();
-
-    let opt = optimize(&q, &catalog, model, &OptimizerConfig::default()).unwrap();
-    let engine = Engine::new(&catalog, &q.env, model).with_options(parallel_options(8));
-
-    let token = CancellationToken::new();
-    token.cancel();
-    let gov = ResourceGovernor::with_token(token, ResourceLimits::unlimited());
-    let err = engine.execute_governed(&opt.plan, &gov, None).unwrap_err();
-    assert_eq!(err.kind(), "cancelled");
-    assert!(!err.is_retryable());
-}
-
-/// Parallel execution must not weaken the governed-result contract: the
-/// governed parallel run either matches the ungoverned serial reference
-/// or fails with a structured error — never a silent partial result.
-#[test]
-fn parallel_results_match_serial_under_generous_budgets() {
-    let catalog = catalog();
-    let q = example1_query();
-    let model = CostModel::default();
-
-    let opt = optimize(&q, &catalog, model, &OptimizerConfig::default()).unwrap();
-    let serial = Engine::new(&catalog, &q.env, model);
-    let reference = serial.execute(&opt.plan).unwrap();
-
-    let parallel = Engine::new(&catalog, &q.env, model).with_options(parallel_options(4));
-    let gov = ResourceGovernor::new(ResourceLimits::unlimited().with_max_rows(1_000_000));
-    let rs = parallel.execute_governed(&opt.plan, &gov, None).unwrap();
-    assert_equivalent(&reference, &rs).unwrap();
 }
 
 proptest! {

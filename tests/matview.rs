@@ -1,9 +1,9 @@
 //! Integration tests for the materialized-aggregate-view subsystem:
 //!
 //! 1. **equivalence** — a query answered from a view extent returns
-//!    exactly the rows of the inlined formulation, at 1 and 4 executor
-//!    threads (the extent stores finished aggregates, so results are
-//!    identical bit-for-bit, not merely approximately);
+//!    exactly the rows of the inlined formulation (the extent stores
+//!    finished aggregates, so results are identical bit-for-bit, not
+//!    merely approximately);
 //! 2. **cost gating** — the optimizer takes the extent access path only
 //!    when it is *strictly* cheaper than the best inlined plan; on a
 //!    dataset small enough that both plans cost one page, the inlined
@@ -72,38 +72,35 @@ fn with_and_without_mv(s: &mut Session, sql: &str) -> (SqlResult, SqlResult) {
 }
 
 #[test]
-fn extent_answered_query_identical_to_inlined_at_1_and_4_threads() {
-    for threads in [1usize, 4] {
-        let mut s = big_session();
-        s.exec.threads = threads;
-        s.execute(CREATE_DSAL).unwrap();
+fn extent_answered_query_identical_to_inlined() {
+    let mut s = big_session();
+    s.execute(CREATE_DSAL).unwrap();
 
-        for sql in [
-            // Exact match: same grouping, aggregates read back finished.
-            "select dno, sum(sal) from emp group by dno",
-            // Compensated match: the extent satisfies a residual filter
-            // over the grouping column.
-            "select dno, sum(sal) from emp where dno < 11 group by dno",
-        ] {
-            let (with_mv, inlined) = with_and_without_mv(&mut s, sql);
-            assert!(
-                with_mv.plan.contains("ExtentScan"),
-                "[threads={threads}] expected extent path for {sql}, got:\n{}",
-                with_mv.plan
-            );
-            assert!(
-                !inlined.plan.contains("ExtentScan"),
-                "[threads={threads}] use_matviews=false must inline"
-            );
-            // Tuple equality is exact (bit-level on floats): the extent
-            // stores the very aggregates the inlined plan computes.
-            assert_eq!(
-                sorted_rows(&with_mv),
-                sorted_rows(&inlined),
-                "[threads={threads}] extent rows diverge for {sql}"
-            );
-            assert!(with_mv.estimated_cost <= inlined.estimated_cost);
-        }
+    for sql in [
+        // Exact match: same grouping, aggregates read back finished.
+        "select dno, sum(sal) from emp group by dno",
+        // Compensated match: the extent satisfies a residual filter
+        // over the grouping column.
+        "select dno, sum(sal) from emp where dno < 11 group by dno",
+    ] {
+        let (with_mv, inlined) = with_and_without_mv(&mut s, sql);
+        assert!(
+            with_mv.plan.contains("ExtentScan"),
+            "expected extent path for {sql}, got:\n{}",
+            with_mv.plan
+        );
+        assert!(
+            !inlined.plan.contains("ExtentScan"),
+            "use_matviews=false must inline"
+        );
+        // Tuple equality is exact (bit-level on floats): the extent
+        // stores the very aggregates the inlined plan computes.
+        assert_eq!(
+            sorted_rows(&with_mv),
+            sorted_rows(&inlined),
+            "extent rows diverge for {sql}"
+        );
+        assert!(with_mv.estimated_cost <= inlined.estimated_cost);
     }
 }
 

@@ -10,8 +10,7 @@
 //!    key-join condition, the coalescing merge-stage identity
 //!    (Figure 2), the degraded-plan shape, or cost sanity;
 //! 4. **property** — analyzer-accepted plans execute without
-//!    `plan-invalid` at 1 and 4 executor threads, over randomized
-//!    databases;
+//!    `plan-invalid`, over randomized databases;
 //! 5. **SQL surface** — `EXPLAIN VERIFY` and `Session::verify` report
 //!    the analyzer verdict.
 
@@ -29,7 +28,7 @@ use aggview::core::{
     optimize, optimize_governed, CostModel, GroupBySpec, JoinAlgo, OptimizerConfig, Plan,
     PlanAnalyzer, PullUpLevel, ResourceGovernor, ResourceLimits,
 };
-use aggview::executor::{Engine, ExecOptions};
+use aggview::executor::Engine;
 use aggview::sql::Session;
 use aggview::storage::datagen::{gen_empdept, EmpDeptConfig};
 use aggview::storage::Catalog;
@@ -636,10 +635,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Analyzer-accepted plans execute cleanly — in particular the
-    /// executor's hard `plan-invalid` gate never fires — serially and
-    /// at four worker threads, over randomized databases.
+    /// executor's hard `plan-invalid` gate never fires — over
+    /// randomized databases.
     #[test]
-    fn accepted_plans_execute_at_one_and_four_threads(
+    fn accepted_plans_execute(
         n_depts in 2usize..40,
         emps_per_dept in 1usize..30,
         young_pct in 0u32..100,
@@ -668,20 +667,8 @@ proptest! {
             .with_model(m)
             .analyze(&opt.plan);
         prop_assert!(report.is_ok(), "{report}{}", opt.plan.explain());
-        for threads in [1usize, 4] {
-            let engine = Engine::new(&catalog, &q.env, m).with_options(ExecOptions {
-                threads,
-                ..Default::default()
-            });
-            match engine.execute(&opt.plan) {
-                Ok(_) => {}
-                Err(e) => prop_assert!(
-                    false,
-                    "execution at {threads} thread(s) failed ({}): {}",
-                    e.kind(),
-                    e.message()
-                ),
-            }
+        if let Err(e) = Engine::new(&catalog, &q.env, m).execute(&opt.plan) {
+            prop_assert!(false, "execution failed ({}): {}", e.kind(), e.message());
         }
     }
 }
