@@ -12,8 +12,8 @@
 //! The hasher is a fixed-key SipHash-1-3-style mix via
 //! [`std::collections::hash_map::DefaultHasher`] seeded identically
 //! everywhere, so **the same key hashes to the same value in every
-//! table** — delta maintenance coalesces a delta's group table into the
-//! stored one by it (the executor's `GroupTable::merge_from`).
+//! table** — a Z-set delta ([`crate::zset`]) consolidates its rows by
+//! it.
 
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -93,8 +93,8 @@ pub const FX_SEED: u64 = 0x517c_c1b7_2722_0a95;
 
 /// One multiply-rotate mixing step for the columnar hash chain.
 ///
-/// The row-major tables ([`hash_key`], [`hash_values`]: extent folds,
-/// Z-sets) hash through [`std::collections::hash_map::DefaultHasher`]
+/// The row-major tables ([`hash_key`], [`hash_values`]: Z-sets) hash
+/// through [`std::collections::hash_map::DefaultHasher`]
 /// (SipHash), which costs more per value than some whole batch kernels.
 /// The executor's columnar operators instead fold each key column into
 /// a per-row `u64` with this multiply-rotate step. The hash function is

@@ -184,7 +184,15 @@ fn exposes_top_group(plan: &Plan) -> bool {
 ///   duplicate-sensitive aggregates, the node must carry the per-group
 ///   count column that scales them for join replication (vacuous for
 ///   coalescing, which keeps nothing).
+///
+/// A count-free partial aggregate at the root is a materialized view's
+/// *state plan*: its states are the result, stored as an extent whose
+/// readers coalesce them — which the extent-scan case above checks.
 pub(crate) fn check_coalescing(plan: &Plan, out: &mut Vec<Violation>) {
+    let plan = match plan {
+        Plan::PartialAggregate { input, spec, .. } if spec.count.is_none() => input,
+        _ => plan,
+    };
     merge_walk(plan, None, &mut Vec::new(), out);
 }
 

@@ -5,7 +5,9 @@
 //! UPDATE = `-old ⊕ +new` and DELETE = `-row`) on one base table is
 //! folded into the extent of a view over it, at a cost proportional to
 //! the delta and the groups it touches — the extent as a whole is never
-//! read, rebuilt or logged:
+//! read, rebuilt or logged. Every aggregation of a round is one governed
+//! run of the view's state plan (`matview::state_plan`: its SPJ body
+//! under the executor's one partial-aggregation node):
 //!
 //! 1. **Admission** — the view references the modified table exactly
 //!    once, every aggregate stores partial state, the recorded base
@@ -13,25 +15,28 @@
 //!    and current elsewhere; anything else falls back to a full rebuild
 //!    ([`crate::matview::build_extent`]).
 //! 2. **Delta propagation** — the Z-set expands into a *plus* and a
-//!    *minus* multiset; each is run through the view's SPJ plan over a
-//!    delta-substituted catalog (the modified table replaced by the
-//!    delta rows, other base tables joined as-is — sound because the
-//!    modified table occurs once, so `Δ(R ⋈ S) = ΔR ⋈ S`).
+//!    *minus* multiset; the state plan runs over each, against a catalog
+//!    in which the modified table is the delta rows alone (other base
+//!    tables joined as-is — sound because the modified table occurs
+//!    once, so `Δ(R ⋈ S) = ΔR ⋈ S`). Validation, the analyzer and
+//!    admission read that catalog too, so the floors and domains they
+//!    derive describe the delta.
 //! 3. **Merge and retraction** — the stored partial states of exactly
-//!    the groups either fold names are looked up in the extent by key
-//!    ([`aggview_storage::Table::find_key`]); plus groups coalesce into
-//!    them through [`GroupTable::merge_from`]; minus groups *retract* via
-//!    [`aggview_common::PartialAggState::retract_components`].
+//!    the groups either side names are loaded from the extent by key
+//!    ([`aggview_storage::Table::find_key`]); plus states coalesce into
+//!    them ([`aggview_common::PartialAggState::merge`]), minus states
+//!    *retract* ([`aggview_common::PartialAggState::retract_components`]).
 //!    COUNT/SUM/AVG subtract exactly; MIN/MAX retracting a non-extremum
 //!    are exact, retracting the stored extremum reports
 //!    [`Retraction::NeedsRecompute`]. Impossible retractions (evidence
 //!    of drift) abandon the incremental path and rebuild.
 //! 4. **Group recompute & deletion** — groups needing recompute (MIN/MAX
 //!    extremum retraction, or any retraction in a view with no COUNT/AVG
-//!    aggregate to witness emptiness) are re-aggregated from one
-//!    governed run of the view's SPJ plan, filtered to exactly those
-//!    group keys; groups whose count component reaches zero — or that
-//!    the recompute finds no rows for — are deleted from the extent.
+//!    aggregate to witness emptiness) are re-aggregated from the current
+//!    base tables by one run of the state plan over the SPJ plan joined
+//!    to the queued keys — a semijoin, so only the touched groups' rows
+//!    reach the aggregation; groups whose count component reaches zero —
+//!    or that the recompute finds no rows for — are deleted.
 //! 5. **Patch** — the round becomes one positional
 //!    [`aggview_storage::RowPatch`] against the extent (rows updated in
 //!    place, rows deleted, rows appended), applied together with the
@@ -50,14 +55,17 @@
 
 use crate::engine::{Engine, ExecOptions};
 use crate::matview;
-use crate::partition::{AggInput, GroupTable};
 use crate::subscribe::{ExtentChange, PendingRounds};
-use aggview_common::{AggFunc, AggViewError, Result, Retraction, Tuple, ZSet};
+use aggview_common::{
+    AggFunc, AggViewError, Col, PartialAggState, Predicate, RelId, Result, Retraction, Schema,
+    Tuple, ZSet,
+};
 use aggview_core::cost::CostModel;
 use aggview_core::governor::ResourceGovernor;
+use aggview_core::plan::Plan;
 use aggview_core::query::QueryEnv;
-use aggview_storage::{stores_partial_state, Catalog, MatViewMeta, RowPatch, Table};
-use std::collections::{BTreeMap, HashSet};
+use aggview_storage::{stores_partial_state, Catalog, MatViewDef, MatViewMeta, RowPatch, Table};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Which base tables feed which materialized views.
@@ -140,10 +148,15 @@ pub fn maintain_after_dml(
     mut rounds: Option<&mut PendingRounds<'_>>,
 ) -> Result<Vec<String>> {
     let mut maintained = Vec::new();
-    for meta in catalog.matviews_on(table) {
+    let views = catalog.matviews_on(table);
+    if views.is_empty() {
+        return Ok(maintained);
+    }
+    let delta = DeltaTables::new(table, delta, catalog)?;
+    for meta in views {
         let name = meta.def.name.clone();
         let mut watched = rounds.as_deref_mut().filter(|r| r.watches(&name));
-        match apply_zset_delta(&name, table, delta, catalog, model, options, gov)? {
+        match apply_zset_delta(&meta, &delta, catalog, model, options, gov)? {
             Some(change) => {
                 if let Some(r) = &mut watched {
                     r.change(&name, &meta.layout, &change);
@@ -174,26 +187,85 @@ fn extent_rows(catalog: &Catalog, meta: &MatViewMeta) -> Vec<Tuple> {
         .unwrap_or_default()
 }
 
-/// Incrementally fold a signed delta on base `table` into the extent of
-/// `view`. Returns `Ok(None)` — extent untouched — when the view is
-/// inadmissible for incremental maintenance or the delta's evidence
-/// contradicts the stored state (either way the caller rebuilds);
-/// `Ok(Some(change))` when the extent now reflects the delta and its
-/// recorded versions are current, with the extent rows the round
-/// replaced, removed and added.
+/// A Z-set delta on one base table, expanded once for every view over
+/// it: the plus and the minus rows, each held as a table of the base
+/// table's name and schema — what a view's state plan reads in place of
+/// the base table. Building a table analyzes its rows, so validation,
+/// the analyzer and admission derive their floors and domains from the
+/// delta.
+pub struct DeltaTables {
+    table: String,
+    /// `None` for a side without rows.
+    plus: Option<Arc<Table>>,
+    minus: Option<Arc<Table>>,
+}
+
+impl DeltaTables {
+    /// Expand `delta`, a delta on base table `table` of `catalog`.
+    pub fn new(table: &str, delta: &ZSet, catalog: &Catalog) -> Result<DeltaTables> {
+        let base = catalog.get(table)?;
+        let side = |rows: Vec<Tuple>| -> Result<Option<Arc<Table>>> {
+            if rows.is_empty() {
+                return Ok(None);
+            }
+            let mut builder = Table::builder(base.name(), base.schema().clone());
+            for r in rows {
+                builder.push(r)?;
+            }
+            builder.build().map(Some)
+        };
+        let (plus, minus) = delta.expand();
+        Ok(DeltaTables {
+            table: table.to_string(),
+            plus: side(plus)?,
+            minus: side(minus)?,
+        })
+    }
+
+    fn is_empty(&self) -> bool {
+        self.plus.is_none() && self.minus.is_none()
+    }
+}
+
+/// One group of a round: its key, its states, and its extent row.
+struct TouchedGroup {
+    key: Tuple,
+    states: Vec<PartialAggState>,
+    /// The group's position and row in the extent; `None` for a group
+    /// new to it.
+    stored: Option<(usize, Tuple)>,
+    recompute: bool,
+    dead: bool,
+}
+
+impl TouchedGroup {
+    fn new(key: Tuple, states: Vec<PartialAggState>, stored: Option<(usize, Tuple)>) -> Self {
+        TouchedGroup {
+            key,
+            states,
+            stored,
+            recompute: false,
+            dead: false,
+        }
+    }
+}
+
+/// Incrementally fold a signed delta into the extent of the view `meta`
+/// describes. Returns `Ok(None)` — extent untouched —
+/// when the view is inadmissible for incremental maintenance or the
+/// delta's evidence contradicts the stored state (either way the caller
+/// rebuilds); `Ok(Some(change))` when the extent now reflects the delta
+/// and its recorded versions are current, with the extent rows the
+/// round replaced, removed and added.
 pub fn apply_zset_delta(
-    view: &str,
-    table: &str,
-    delta: &ZSet,
+    meta: &MatViewMeta,
+    delta: &DeltaTables,
     catalog: &Catalog,
     model: CostModel,
     options: ExecOptions,
     gov: &ResourceGovernor,
 ) -> Result<Option<ExtentChange>> {
-    let meta = catalog
-        .matview(view)
-        .ok_or_else(|| AggViewError::Catalog(format!("unknown materialized view `{view}`")))?;
-    let def = &meta.def;
+    let (def, table) = (&meta.def, delta.table.as_str());
     let occurrences = def
         .tables
         .iter()
@@ -232,67 +304,87 @@ pub fn apply_zset_delta(
         return Ok(None);
     }
 
-    // Propagate the delta through the view's SPJ body: the plus and
-    // minus expansions each run the plan over a delta-substituted
-    // catalog and fold to per-group partial states. (An empty delta —
-    // an UPDATE to identical values bumped the version — folds to
-    // nothing and ends as an empty patch that only restamps.)
-    let (plus, minus) = delta.expand();
-    let plus_gt = delta_fold(def, table, &plus, catalog, model, options, gov)?;
-    let minus_gt = delta_fold(def, table, &minus, catalog, model, options, gov)?;
+    // Propagate the delta through the view's state plan: the plus and
+    // minus expansions each come out as per-group partial states. (An
+    // empty delta — an UPDATE to identical values bumped the version —
+    // runs nothing and ends as an empty patch that only restamps.)
+    let exec = Exec {
+        def,
+        model,
+        options,
+        gov,
+    };
+    let spj = Arc::new(matview::spj_plan(def)?);
+    let plan = matview::state_plan(def, Arc::clone(&spj));
+    let plus = exec.over_delta(&plan, delta.plus.as_ref(), catalog)?;
+    let minus = exec.over_delta(&plan, delta.minus.as_ref(), catalog)?;
 
-    // Load the stored states of the groups the folds touch — and only
-    // those — from the extent. Loaded groups take the first slots of
-    // `gt`, so `positions[slot]` is the extent row of slot `slot` and
-    // later slots are groups new to the extent.
+    // The groups either side names — and only those — with their states
+    // loaded from the extent, or new to it from the plus side.
     let extent = catalog.get(&meta.extent)?;
-    let key_pos: Vec<usize> = (0..meta.layout.key_cols).collect();
-    let inputs: Vec<AggInput> = meta
-        .layout
-        .aggs
-        .iter()
-        .map(|a| AggInput::Partial(a.components.clone()))
-        .collect();
-    let funcs: Vec<AggFunc> = def.aggs.iter().map(|a| a.func).collect();
-    let mut gt = GroupTable::new();
-    let mut positions: Vec<usize> = Vec::new();
-    for g in plus_gt.groups.iter().chain(&minus_gt.groups) {
-        if gt.find(&g.key).is_some() {
-            continue;
-        }
+    let stored = |key: &Tuple| -> Result<Option<TouchedGroup>> {
         // A view without grouping columns has one keyless extent row.
-        let at = if key_pos.is_empty() {
+        let at = if def.group_cols.is_empty() {
             (!extent.is_empty()).then_some(0)
         } else {
-            extent.find_key(&g.key)
+            extent.find_key(key)
         };
-        if let Some(at) = at {
-            gov.charge_rows(1)?;
-            gt.accumulate(&extent.row(at), &key_pos, &inputs, &funcs)?;
-            positions.push(at);
-        }
+        let Some(at) = at else { return Ok(None) };
+        gov.charge_rows(1)?;
+        let row = extent.row(at);
+        let states = meta.layout.aggs.iter().zip(&def.aggs).map(|(cols, a)| {
+            let comps: Vec<&_> = cols.components.iter().map(|&c| row.get(c)).collect();
+            matview::state_of(a.func, &comps)
+        });
+        let states = states.collect::<Result<_>>()?;
+        Ok(Some(TouchedGroup::new(
+            key.clone(),
+            states,
+            Some((at, row)),
+        )))
+    };
+    let mut groups: Vec<TouchedGroup> = Vec::new();
+    let mut slot_of: HashMap<Tuple, usize> = HashMap::new();
+    for (key, theirs) in plus {
+        let g = match stored(&key)? {
+            Some(mut g) => {
+                for (mine, theirs) in g.states.iter_mut().zip(&theirs) {
+                    mine.merge(theirs)?;
+                }
+                g
+            }
+            None => TouchedGroup::new(key.clone(), theirs, None),
+        };
+        slot_of.insert(key, groups.len());
+        groups.push(g);
     }
-    gt.merge_from(plus_gt)?;
 
     // Retract the minus groups. A COUNT or AVG aggregate witnesses group
     // emptiness through its count component; without one, every group
     // the minus side touches must be recomputed to learn whether it
     // still exists.
-    let count_src = funcs
+    let count_src = def
+        .aggs
         .iter()
-        .position(|f| matches!(f, AggFunc::Count | AggFunc::Avg));
-    let mut recompute: HashSet<Tuple> = HashSet::new();
-    let mut touched: Vec<usize> = Vec::new();
-    for g in minus_gt.groups {
+        .position(|a| matches!(a.func, AggFunc::Count | AggFunc::Avg));
+    for (key, theirs) in minus {
         gov.charge_rows(1)?;
-        let Some(slot) = gt.find(&g.key) else {
+        let slot = match slot_of.get(&key) {
+            Some(&slot) => slot,
             // Retracting from a group the extent never had: the delta
             // contradicts the stored state — rebuild.
-            return Ok(None);
+            None => match stored(&key)? {
+                Some(g) => {
+                    slot_of.insert(key, groups.len());
+                    groups.push(g);
+                    groups.len() - 1
+                }
+                None => return Ok(None),
+            },
         };
+        let g = &mut groups[slot];
         let mut needs_recompute = count_src.is_none();
-        let states = &mut gt.groups[slot].states;
-        for (mine, theirs) in states.iter_mut().zip(&g.states) {
+        for (mine, theirs) in g.states.iter_mut().zip(&theirs) {
             match mine.retract_components(theirs.components()) {
                 Ok(Retraction::Retracted) => {}
                 Ok(Retraction::NeedsRecompute) => needs_recompute = true,
@@ -301,69 +393,55 @@ pub fn apply_zset_delta(
                 Err(_) => return Ok(None),
             }
         }
-        if needs_recompute {
-            recompute.insert(gt.groups[slot].key.clone());
-        }
-        touched.push(slot);
-    }
-
-    // Delete groups whose count component reached zero; groups without a
-    // count witness are already queued for recompute.
-    let mut dead: HashSet<usize> = HashSet::new();
-    if let Some(ci) = count_src {
-        for &slot in &touched {
-            if recompute.contains(&gt.groups[slot].key) {
-                continue;
-            }
-            match gt.groups[slot].states[ci].count_component() {
-                Some(0) => {
-                    dead.insert(slot);
-                }
+        // A group whose count component reached zero is dead.
+        if !needs_recompute {
+            match count_src.and_then(|ci| g.states[ci].count_component()) {
+                Some(0) => g.dead = true,
                 Some(_) => {}
-                None => {
-                    recompute.insert(gt.groups[slot].key.clone());
-                }
+                None => needs_recompute = true,
             }
         }
+        g.recompute = needs_recompute;
     }
 
-    // Targeted recompute: one governed run of the view's SPJ plan over
-    // the *current* base tables, folded only for the queued group keys.
-    // Keys the recompute finds no rows for are dead groups.
-    if !recompute.is_empty() {
-        let rgt = refold_keys(def, catalog, &recompute, model, options, gov)?;
-        let mut fresh: BTreeMap<Tuple, Vec<aggview_common::PartialAggState>> =
-            rgt.groups.into_iter().map(|g| (g.key, g.states)).collect();
-        for key in &recompute {
-            let Some(slot) = gt.find(key) else {
-                // Recompute keys were drawn from `gt` above.
+    // Targeted recompute: one governed run over the *current* base
+    // tables, reading the queued groups' rows only. Keys it finds no
+    // rows for are dead groups.
+    let queued: Vec<Tuple> = groups
+        .iter()
+        .filter(|g| g.recompute)
+        .map(|g| g.key.clone())
+        .collect();
+    if !queued.is_empty() {
+        for g in groups.iter_mut().filter(|g| g.recompute) {
+            g.dead = true;
+        }
+        for (key, states) in exec.recompute(spj, extent.schema(), queued, catalog)? {
+            let g = slot_of.get(&key).map(|&slot| &mut groups[slot]);
+            let Some(g) = g.filter(|g| g.recompute) else {
                 return Err(AggViewError::Exec(format!(
-                    "maintenance lost track of group {key} in view `{view}`"
+                    "recompute of view `{}` returned group {key} it was not asked for",
+                    def.name
                 )));
             };
-            match fresh.remove(key) {
-                Some(states) => gt.groups[slot].states = states,
-                None => {
-                    dead.insert(slot);
-                }
-            }
+            g.states = states;
+            g.dead = false;
         }
     }
 
     // The round as a patch against the extent: surviving groups replace
     // their row (or append one), dead groups delete theirs.
     let mut patch = RowPatch::default();
-    for (slot, g) in gt.groups.into_iter().enumerate() {
-        let at = positions.get(slot).copied();
-        if dead.contains(&slot) {
-            patch.deletes.extend(at);
+    for g in groups {
+        if g.dead {
+            patch.deletes.extend(g.stored.map(|(at, _)| at));
             continue;
         }
-        let row = matview::row_of(g, def)?;
+        let row = matview::extent_row(def, g.key, &g.states)?;
         gov.charge_output(1, row.width() as u64)?;
-        match at {
-            Some(at) if extent.row(at) == row => {}
-            Some(at) => patch.updates.push((at, row)),
+        match g.stored {
+            Some((_, old)) if old == row => {}
+            Some((at, _)) => patch.updates.push((at, row)),
             None => patch.inserts.push(row),
         }
     }
@@ -375,7 +453,7 @@ pub fn apply_zset_delta(
     let created = patch.inserts.clone();
     // Stamp the versions verified above, not a re-read (a concurrent
     // mutation between the gate and here must leave the extent stale).
-    let displaced = catalog.patch_extent(view, patch, versions)?;
+    let displaced = catalog.patch_extent(&def.name, patch, versions)?;
     Ok(Some(ExtentChange {
         updated: displaced.replaced.into_iter().zip(new_rows).collect(),
         deleted: displaced.removed,
@@ -383,84 +461,113 @@ pub fn apply_zset_delta(
     }))
 }
 
-/// Run the view's SPJ plan with the modified table's rows replaced by
-/// `rows` (every other base table joined as-is) and fold the result to
-/// per-group partial states.
-fn delta_fold(
-    def: &aggview_storage::MatViewDef,
-    table: &str,
-    rows: &[Tuple],
-    catalog: &Catalog,
-    model: CostModel,
-    options: ExecOptions,
-    gov: &ResourceGovernor,
-) -> Result<GroupTable> {
-    if rows.is_empty() {
-        return Ok(GroupTable::new());
-    }
-    let base = catalog.get(table)?;
-    let mut builder = Table::builder(base.name(), base.schema().clone());
-    for r in rows {
-        builder.push(r.clone())?;
-    }
-    let delta_table = builder.build()?;
-    let tmp = Catalog::new();
-    for name in &def.tables {
-        if name.eq_ignore_ascii_case(table) {
-            tmp.add_or_replace(Arc::clone(&delta_table))?;
-        } else {
-            tmp.add_or_replace(catalog.get(name)?)?;
-        }
-    }
-    let plan = matview::spj_plan(def)?;
-    let env = QueryEnv::new(def.tables.clone());
-    let engine = Engine::new(&tmp, &env, model).with_options(options);
-    let rs = engine.execute_governed(&plan, gov, None)?;
-    matview::fold(def, &rs)
+#[cfg(test)]
+thread_local! {
+    /// Recompute runs made on this thread, for the tests that count them.
+    static RECOMPUTE_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Re-aggregate exactly the groups in `keys` from the current base
-/// tables: one governed run of the view's full SPJ plan whose rows are
-/// folded only when their group-key projection is queued.
-fn refold_keys(
-    def: &aggview_storage::MatViewDef,
-    catalog: &Catalog,
-    keys: &HashSet<Tuple>,
+/// What every run of one round shares: the view, and how to execute.
+struct Exec<'a> {
+    def: &'a MatViewDef,
     model: CostModel,
     options: ExecOptions,
-    gov: &ResourceGovernor,
-) -> Result<GroupTable> {
-    let plan = matview::spj_plan(def)?;
-    let env = QueryEnv::new(def.tables.clone());
-    let engine = Engine::new(catalog, &env, model).with_options(options);
-    let rs = engine.execute_governed(&plan, gov, None)?;
-    let key_pos: Vec<usize> = def
-        .group_cols
-        .iter()
-        .map(|&c| {
-            rs.col_index(c).ok_or_else(|| {
-                AggViewError::Exec(format!(
-                    "grouping column {c} missing from the view's result"
-                ))
-            })
-        })
-        .collect::<Result<_>>()?;
-    let mut inputs = Vec::with_capacity(def.aggs.len());
-    for a in &def.aggs {
-        match &a.arg {
-            Some(e) => inputs.push(AggInput::Raw(e.bind(&|c| rs.col_index(c))?)),
-            None => inputs.push(AggInput::RawCountStar),
-        }
+    gov: &'a ResourceGovernor,
+}
+
+impl Exec<'_> {
+    /// Run the state plan `plan` over `catalog` — relation `i` bound to
+    /// `rel_tables[i]` — and read its groups back.
+    fn groups(
+        &self,
+        plan: &Plan,
+        catalog: &Catalog,
+        rel_tables: Vec<String>,
+    ) -> Result<Vec<(Tuple, Vec<PartialAggState>)>> {
+        let env = QueryEnv::new(rel_tables);
+        let engine = Engine::new(catalog, &env, self.model).with_options(self.options);
+        let rs = engine.execute_governed(plan, self.gov, None)?;
+        let groups = rs
+            .rows
+            .into_iter()
+            .map(|r| matview::read_group(self.def, r));
+        groups.collect()
     }
-    let funcs: Vec<AggFunc> = def.aggs.iter().map(|a| a.func).collect();
-    let mut gt = GroupTable::new();
-    for r in &rs.rows {
-        if !keys.contains(&r.project(&key_pos)) {
-            continue;
-        }
-        gt.accumulate(r, &key_pos, &inputs, &funcs)?;
+
+    /// The state plan's groups over one side of a delta, read as the
+    /// whole of its base table (nothing for a side without rows).
+    fn over_delta(
+        &self,
+        plan: &Plan,
+        rows: Option<&Arc<Table>>,
+        catalog: &Catalog,
+    ) -> Result<Vec<(Tuple, Vec<PartialAggState>)>> {
+        let Some(rows) = rows else {
+            return Ok(Vec::new());
+        };
+        let tmp = self.scratch_catalog(catalog, Arc::clone(rows))?;
+        self.groups(plan, &tmp, self.def.tables.clone())
     }
-    Ok(gt)
+
+    /// Re-aggregate exactly the groups `keys` from the current base
+    /// tables: one run of the state plan over the SPJ plan `spj` joined
+    /// to `keys` — distinct keys, typed as the extent's key columns
+    /// (`extent`), so the inner join on them is a semijoin: only rows of
+    /// the queued groups reach the aggregation, and each one once. A
+    /// keyless view recomputes its one group.
+    fn recompute(
+        &self,
+        spj: Arc<Plan>,
+        extent: &Schema,
+        keys: Vec<Tuple>,
+        catalog: &Catalog,
+    ) -> Result<Vec<(Tuple, Vec<PartialAggState>)>> {
+        #[cfg(test)]
+        RECOMPUTE_RUNS.with(|n| n.set(n.get() + 1));
+        let def = self.def;
+        if def.group_cols.is_empty() {
+            let plan = matview::state_plan(def, spj);
+            return self.groups(&plan, catalog, def.tables.clone());
+        }
+        // The relation is named after the extent it patches, which no
+        // view body reads.
+        let name = MatViewMeta::extent_name(&def.name);
+        let fields = extent.fields().get(..def.group_cols.len());
+        let fields = fields.ok_or_else(|| {
+            AggViewError::Exec(format!("extent of view `{}` lacks its keys", def.name))
+        })?;
+        let mut builder = Table::builder(name.clone(), Schema::new(fields.to_vec())?);
+        for k in keys {
+            builder.push(k)?;
+        }
+        let rel = RelId(def.tables.len() as u32);
+        let key_cols: Vec<Col> = (0..def.group_cols.len())
+            .map(|i| Col::base(rel, i))
+            .collect();
+        let on = def.group_cols.iter().zip(&key_cols);
+        let on = on.map(|(&g, &k)| Predicate::eq_cols(g, k)).collect();
+        let project = spj.output_cols().to_vec();
+        let keys = Plan::scan(rel, &name, vec![], key_cols);
+        let plan = matview::state_plan(def, Plan::join(spj, keys, on, project));
+        let tmp = self.scratch_catalog(catalog, builder.build()?)?;
+        let mut rel_tables = def.tables.clone();
+        rel_tables.push(name);
+        self.groups(&plan, &tmp, rel_tables)
+    }
+
+    /// A catalog of `own` and the view's other base tables as `catalog`
+    /// holds them: what a run over the delta or the queued keys reads,
+    /// and so what validation, the analyzer and admission see.
+    fn scratch_catalog(&self, catalog: &Catalog, own: Arc<Table>) -> Result<Catalog> {
+        let tmp = Catalog::new();
+        tmp.add(own)?;
+        for name in &self.def.tables {
+            if !tmp.contains(name) {
+                tmp.add(catalog.get(name)?)?;
+            }
+        }
+        Ok(tmp)
+    }
 }
 
 #[cfg(test)]
@@ -573,7 +680,9 @@ mod tests {
     /// false when the round was refused (the caller would rebuild).
     fn maintained(view: &str, delta: &ZSet, cat: &Catalog) -> bool {
         let (model, opts, gov) = exec_env();
-        apply_zset_delta(view, "emp", delta, cat, model, opts, &gov)
+        let meta = cat.matview(view).unwrap();
+        let delta = DeltaTables::new("emp", delta, cat).unwrap();
+        apply_zset_delta(&meta, &delta, cat, model, opts, &gov)
             .unwrap()
             .is_some()
     }
@@ -616,9 +725,8 @@ mod tests {
         cat.append_rows("emp", rows.clone()).unwrap();
         assert!(cat.matview("young").unwrap().is_stale(&cat));
         let change = apply_zset_delta(
-            "young",
-            "emp",
-            &ZSet::from_inserts(rows),
+            &cat.matview("young").unwrap(),
+            &DeltaTables::new("emp", &ZSet::from_inserts(rows), &cat).unwrap(),
             &cat,
             model,
             opts,
@@ -793,6 +901,98 @@ mod tests {
         assert_matches_refresh(&cat, "m");
     }
 
+    /// One DELETE takes the minimum of three departments, all of one of
+    /// them: the three groups are recomputed together by a single run
+    /// that reads their rows only, and the emptied one is deleted.
+    #[test]
+    fn one_recompute_run_serves_every_queued_group() {
+        let cat = setup();
+        let (model, opts, gov) = exec_env();
+        matview::build_extent(&min_view("m"), &cat, model, opts, &gov).unwrap();
+        let rows = cat.get("emp").unwrap().rows();
+        let cheapest = |dno: i64| {
+            let of_dept = rows
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.get(2) == &Value::Int(dno));
+            of_dept
+                .min_by(|(_, a), (_, b)| a.get(3).cmp(b.get(3)))
+                .unwrap()
+                .0
+        };
+        let mut victims: Vec<usize> = (0..rows.len())
+            .filter(|&i| rows[i].get(2) == &Value::Int(2))
+            .collect();
+        victims.extend([cheapest(0), cheapest(1)]);
+        victims.sort_unstable();
+        let delta = ZSet::from_deletes(cat.delete_rows("emp", &victims).unwrap());
+        RECOMPUTE_RUNS.with(|n| n.set(0));
+        let meta = cat.matview("m").unwrap();
+        let delta = DeltaTables::new("emp", &delta, &cat).unwrap();
+        let change = apply_zset_delta(&meta, &delta, &cat, model, opts, &gov)
+            .unwrap()
+            .expect("extremum retraction maintains incrementally");
+        assert_eq!(RECOMPUTE_RUNS.with(|n| n.get()), 1);
+        assert_eq!(change.updated.len(), 2);
+        assert_eq!(change.deleted.len(), 1);
+        assert_eq!(change.deleted[0].get(0), &Value::Int(2));
+        let extent = extent_sorted(&cat, "m");
+        assert!(
+            extent.iter().all(|r| r.get(0) != &Value::Int(2)),
+            "{extent:?}"
+        );
+        assert_matches_refresh(&cat, "m");
+    }
+
+    /// Recompute keys on the joined relation (a string key, and no count
+    /// to witness emptiness) and a keyless view's one group: both stay
+    /// incremental.
+    #[test]
+    fn joined_and_keyless_views_recompute_incrementally() {
+        let cat = setup();
+        let (model, opts, gov) = exec_env();
+        let sal = || Expr::col(Col::base(RelId(0), 3));
+        // SELECT d.dname, MIN(e.sal), MAX(e.sal) FROM emp e, dept d
+        //  WHERE e.dno = d.dno GROUP BY d.dname
+        let joined = MatViewDef {
+            name: "jv".into(),
+            tables: vec!["emp".into(), "dept".into()],
+            preds: vec![Predicate::eq_cols(
+                Col::base(RelId(0), 2),
+                Col::base(RelId(1), 0),
+            )],
+            group_cols: vec![Col::base(RelId(1), 1)],
+            aggs: vec![
+                AggSpec::new(AggFunc::Min, sal()),
+                AggSpec::new(AggFunc::Max, sal()),
+            ],
+            column_names: vec!["dname".into(), "lo".into(), "hi".into()],
+        };
+        // SELECT MIN(sal), COUNT(*) FROM emp
+        let keyless = MatViewDef {
+            name: "all".into(),
+            tables: vec!["emp".into()],
+            preds: vec![],
+            group_cols: vec![],
+            aggs: vec![AggSpec::new(AggFunc::Min, sal()), AggSpec::count_star()],
+            column_names: vec!["lo".into(), "n".into()],
+        };
+        for def in [&joined, &keyless] {
+            matview::build_extent(def, &cat, model, opts, &gov).unwrap();
+        }
+        // The cheapest employee is dept 0's minimum and everyone's.
+        let rows = cat.get("emp").unwrap().rows();
+        let cheapest = (0..rows.len()).min_by(|&a, &b| rows[a].get(3).cmp(rows[b].get(3)));
+        let victims = cat.delete_rows("emp", &[cheapest.unwrap()]).unwrap();
+        let delta = ZSet::from_deletes(victims);
+        for view in ["jv", "all"] {
+            RECOMPUTE_RUNS.with(|n| n.set(0));
+            assert!(maintained(view, &delta, &cat), "{view}");
+            assert_eq!(RECOMPUTE_RUNS.with(|n| n.get()), 1, "{view}");
+            assert_matches_refresh(&cat, view);
+        }
+    }
+
     #[test]
     fn filtered_join_view_maintains_through_dml() {
         let cat = setup();
@@ -899,7 +1099,9 @@ mod tests {
         let tight = ResourceGovernor::new(
             aggview_core::governor::ResourceLimits::unlimited().with_max_rows(2),
         );
-        let err = apply_zset_delta("v", "emp", &delta, &cat, model, opts, &tight).unwrap_err();
+        let meta = cat.matview("v").unwrap();
+        let tables = DeltaTables::new("emp", &delta, &cat).unwrap();
+        let err = apply_zset_delta(&meta, &tables, &cat, model, opts, &tight).unwrap_err();
         assert_eq!(err.kind(), "resource-exhausted");
         // ...leaving the old extent bytes intact and the view stale —
         // never a half-merged extent stamped fresh.

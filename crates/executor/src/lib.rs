@@ -21,13 +21,13 @@
 //!   caller's thread. Tile size comes from [`ExecOptions`] (REPL
 //!   `.set batch_rows N`);
 //! * [`partition`] — the hash structures beneath them: the flat join
-//!   index, the ordinal rule, and the row-major group table whose
-//!   `merge_from` coalesces a delta's groups into stored ones — the
-//!   physical form of the paper's simple coalescing grouping;
+//!   index, the ordinal rule, and how an aggregate reads its input;
 //! * [`matview`] / [`delta`] — building and maintaining materialized
-//!   aggregate-view extents: full builds/refreshes through the governed
-//!   engine, and Z-set delta maintenance that merges, retracts or
-//!   recomputes exactly the stored groups a DML statement touched;
+//!   aggregate-view extents, every aggregation of them one governed run
+//!   of the view's state plan (its SPJ body under the partial
+//!   aggregate): full builds/refreshes, and Z-set delta maintenance that
+//!   merges, retracts or recomputes — by a semijoin on the queued keys —
+//!   exactly the stored groups a DML statement touched;
 //! * [`correlated`] — naive tuple-at-a-time evaluation of correlated
 //!   aggregate subqueries (Kim's type-JA shape), the baseline the
 //!   flattening pathway (experiment E7) is measured against;

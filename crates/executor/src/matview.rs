@@ -1,41 +1,48 @@
-//! Building and maintaining materialized aggregate-view extents.
+//! Building materialized aggregate-view extents.
 //!
-//! An extent is built by executing the view's pure SPJ plan (scans with
-//! local filters, left-deep joins) through the governed [`Engine`] —
-//! the build therefore passes the analyzer gate and is charged against
-//! the resource governor like any query — and folding the result rows
-//! into a [`GroupTable`]. Each finished group is stored as one extent
-//! row: grouping keys, then per aggregate the finalized value followed
-//! by its mergeable partial-state components (Figure 2 of the paper)
-//! when the function stores state.
+//! Every extent row comes out of one plan, the view's *state plan*
+//! (`state_plan`): the view's SPJ body (`spj_plan`) under one
+//! `Plan::PartialAggregate` grouping on the view's grouping columns and
+//! emitting each aggregate's partial-state components — the local phase
+//! of Figure 2, computed by the executor's one aggregation node and run
+//! through the governed [`Engine`], so a build passes the analyzer gate
+//! and is charged against the resource governor like any query. The
+//! extent stores those states; the finalized value beside them is an
+//! accessor over the components (`extent_row`). A row is the group's
+//! keys, then per aggregate the finalized value followed by its
+//! components when the function stores state.
 //!
-//! Incremental maintenance lives in [`crate::delta`]; it shares this
-//! module's SPJ plan, fold and row rendering, and falls back to a full
+//! Incremental maintenance lives in [`crate::delta`]; it runs this
+//! module's state plan over the delta and over the groups it must
+//! recompute, renders rows the same way, and falls back to a full
 //! rebuild ([`build_extent`], also the implementation of
 //! `REFRESH MATERIALIZED VIEW`) for views whose aggregates do not all
 //! store partial state (STDDEV) or that reference the modified table
 //! more than once (self-join delta algebra).
 
-use crate::engine::{Engine, ExecOptions, ResultSet};
-use crate::partition::{AggInput, Group, GroupTable};
-use aggview_common::{AggFunc, AggViewError, Col, Predicate, RelId, Result, Tuple};
+use crate::engine::{Engine, ExecOptions};
+use aggview_common::{
+    AggFunc, AggRef, AggViewError, Col, PartialAggState, Predicate, RelId, Result, Tuple, Value,
+    ViewId,
+};
 use aggview_core::cost::CostModel;
 use aggview_core::governor::ResourceGovernor;
-use aggview_core::plan::Plan;
+use aggview_core::plan::{PartialAggSpec, Plan};
 use aggview_core::query::QueryEnv;
 use aggview_storage::matview::extent_schema;
 use aggview_storage::{
     stores_partial_state, Catalog, ExtentLayout, MatViewDef, MatViewMeta, Table,
 };
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Build (or fully rebuild) the extent of `def`: execute its SPJ plan,
-/// fold the rows into groups, store the extent table in the catalog
-/// (primary-keyed on the grouping columns) and register or update the
-/// view's metadata with the base tables' current data versions — the
-/// two as one statement, so the extent is never stored without its
-/// stamp. Returns the number of extent rows.
+/// Build (or fully rebuild) the extent of `def`: execute its state plan,
+/// render each group as an extent row, store the extent table in the
+/// catalog (primary-keyed on the grouping columns) and register or
+/// update the view's metadata with the base tables' current data
+/// versions — the two as one statement, so the extent is never stored
+/// without its stamp. Returns the number of extent rows.
 pub fn build_extent(
     def: &MatViewDef,
     catalog: &Catalog,
@@ -45,14 +52,17 @@ pub fn build_extent(
 ) -> Result<usize> {
     def.validate()?;
     let versions: Vec<u64> = def.tables.iter().map(|t| catalog.data_version(t)).collect();
-    let plan = spj_plan(def)?;
+    let plan = state_plan(def, spj_plan(def)?);
     let env = QueryEnv::new(def.tables.clone());
     let engine = Engine::new(catalog, &env, model).with_options(options);
-    let rs = engine.execute_governed(&plan, gov, None)?;
-    let rows: Vec<Tuple> = fold(def, &rs)?
-        .groups
+    let rows: Vec<Tuple> = engine
+        .execute_governed(&plan, gov, None)?
+        .rows
         .into_iter()
-        .map(|g| row_of(g, def))
+        .map(|r| {
+            let (key, states) = read_group(def, r)?;
+            extent_row(def, key, &states)
+        })
         .collect::<Result<_>>()?;
     let n = rows.len();
     let extent = materialize(def, catalog, rows)?;
@@ -90,9 +100,9 @@ pub fn refresh(
 /// in declaration order, each multi-relation predicate attached to the
 /// first join where it becomes evaluable. A scan projects only what the
 /// plan above it reads — grouping columns, aggregate arguments, operands
-/// of join predicates — so a maintenance scan never transposes (or, for
-/// strings, interns) a column the fold ignores; consumers resolve the
-/// result's columns by [`Col`], never by position.
+/// of join predicates — so a maintenance scan never gathers (or, for
+/// strings, interns) a column the aggregation ignores; consumers
+/// resolve the result's columns by [`Col`], never by position.
 pub(crate) fn spj_plan(def: &MatViewDef) -> Result<Plan> {
     let mut local: Vec<Vec<Predicate>> = vec![Vec::new(); def.tables.len()];
     let mut multi: Vec<Predicate> = Vec::new();
@@ -147,42 +157,57 @@ pub(crate) fn spj_plan(def: &MatViewDef) -> Result<Plan> {
     Ok(plan)
 }
 
-/// Fold the SPJ result into a [`GroupTable`] keyed on the view's
-/// grouping columns, with one raw-input aggregate state per aggregate.
-pub(crate) fn fold(def: &MatViewDef, rs: &ResultSet) -> Result<GroupTable> {
-    let key_pos: Vec<usize> = def
-        .group_cols
-        .iter()
-        .map(|&c| {
-            rs.col_index(c).ok_or_else(|| {
-                AggViewError::Exec(format!(
-                    "grouping column {c} missing from the view's result"
-                ))
-            })
-        })
-        .collect::<Result<_>>()?;
-    let mut inputs = Vec::with_capacity(def.aggs.len());
-    for a in &def.aggs {
-        match &a.arg {
-            Some(e) => inputs.push(AggInput::Raw(e.bind(&|c| rs.col_index(c))?)),
-            None => inputs.push(AggInput::RawCountStar),
-        }
-    }
-    let funcs: Vec<AggFunc> = def.aggs.iter().map(|a| a.func).collect();
-    let mut gt = GroupTable::new();
-    for r in &rs.rows {
-        gt.accumulate(r, &key_pos, &inputs, &funcs)?;
-    }
-    Ok(gt)
+/// The view's state plan over `input` — its SPJ plan, or that plan
+/// restricted to some rows: one partial aggregate grouping on the view's
+/// grouping columns and carrying every aggregate of the view, with no
+/// duplicate-factor count. It puts out one row per group: the grouping
+/// columns, then each aggregate's partial-state components in order
+/// ([`read_group`] takes one apart).
+pub(crate) fn state_plan(def: &MatViewDef, input: impl Into<Arc<Plan>>) -> Plan {
+    let aggs = def.aggs.iter().enumerate();
+    let spec = PartialAggSpec {
+        group_cols: def.group_cols.clone(),
+        aggs: aggs
+            .map(|(i, a)| (AggRef::new(ViewId::Top, i), a.clone()))
+            .collect(),
+        count: None,
+    };
+    Plan::partial_aggregate_all(input, spec)
 }
 
-/// Render one finished group as its extent row: keys, then per
-/// aggregate the finalized value followed by the partial-state
-/// components of state-storing functions. Row width matches
-/// [`ExtentLayout::of`].
-pub(crate) fn row_of(g: Group, def: &MatViewDef) -> Result<Tuple> {
-    let mut vals = g.key.into_values();
-    for (s, a) in g.states.iter().zip(&def.aggs) {
+/// The state of `func` whose components are `comps`: the empty state
+/// merged with them — how a group is read back from the state plan's
+/// output and from the extent alike.
+pub(crate) fn state_of<V: Borrow<Value>>(func: AggFunc, comps: &[V]) -> Result<PartialAggState> {
+    let mut state = PartialAggState::empty(func);
+    state.merge_components(comps)?;
+    Ok(state)
+}
+
+/// One row of the state plan as the group's key and one state per
+/// aggregate.
+pub(crate) fn read_group(def: &MatViewDef, row: Tuple) -> Result<(Tuple, Vec<PartialAggState>)> {
+    let mut key = row.into_values();
+    let comps = key.split_off(def.group_cols.len());
+    let mut at = 0;
+    let states = def.aggs.iter().map(|a| {
+        let n = a.func.partial_arity();
+        at += n;
+        state_of(a.func, comps.get(at - n..at).unwrap_or_default())
+    });
+    Ok((Tuple::new(key), states.collect::<Result<_>>()?))
+}
+
+/// Render one group as its extent row: keys, then per aggregate the
+/// finalized value followed by the partial-state components of
+/// state-storing functions. Row width matches [`ExtentLayout::of`].
+pub(crate) fn extent_row(
+    def: &MatViewDef,
+    key: Tuple,
+    states: &[PartialAggState],
+) -> Result<Tuple> {
+    let mut vals = key.into_values();
+    for (s, a) in states.iter().zip(&def.aggs) {
         vals.push(s.finalize()?);
         if stores_partial_state(a.func) {
             vals.extend(s.components().iter().cloned());
@@ -218,8 +243,12 @@ pub(crate) fn materialize(
 mod tests {
     use super::*;
     use crate::delta::maintain_after_dml;
-    use aggview_common::{AggSpec, CmpOp, Expr, Value, ZSet};
-    use aggview_storage::datagen::{gen_empdept, EmpDeptConfig};
+    use crate::reference;
+    use aggview_common::{AggFunc, AggSpec, CmpOp, DataType, Expr, Schema, Value, ZSet};
+    use aggview_core::plan::GroupBySpec;
+    use aggview_storage::datagen::{
+        gen_empdept, gen_random_catalog, EmpDeptConfig, RandomCatalogConfig,
+    };
 
     fn setup() -> Catalog {
         gen_empdept(&EmpDeptConfig {
@@ -374,5 +403,173 @@ mod tests {
             rebuilt.len()
         );
         assert_eq!(cat.get("__mv_dsal").unwrap().rows(), rebuilt);
+    }
+
+    /// The views the extent oracle builds over a random catalog of
+    /// `t0`, `t1` (`id, j1, j2, val`) and `tags` (`id, grp, tag`).
+    fn oracle_views() -> Vec<MatViewDef> {
+        let (a, b) = (RelId(0), RelId(1));
+        let col = |r, c| Expr::col(Col::base(r, c));
+        let view =
+            |name: &str, tables: &[&str], preds, group_cols: Vec<Col>, aggs: Vec<AggSpec>| {
+                let mut column_names: Vec<String> =
+                    (0..group_cols.len()).map(|i| format!("k{i}")).collect();
+                column_names.extend((0..aggs.len()).map(|i| format!("a{i}")));
+                MatViewDef {
+                    name: name.into(),
+                    tables: tables.iter().map(|t| t.to_string()).collect(),
+                    preds,
+                    group_cols,
+                    aggs,
+                    column_names,
+                }
+            };
+        vec![
+            // Every function over a float measure, STDDEV included
+            // (finalized only: it stores no state).
+            view(
+                "floats",
+                &["t0"],
+                vec![],
+                vec![Col::base(a, 1)],
+                vec![
+                    AggSpec::count_star(),
+                    AggSpec::new(AggFunc::Count, col(a, 2)),
+                    AggSpec::new(AggFunc::Sum, col(a, 3)),
+                    AggSpec::new(AggFunc::Avg, col(a, 3)),
+                    AggSpec::new(AggFunc::Min, col(a, 3)),
+                    AggSpec::new(AggFunc::Max, col(a, 3)),
+                    AggSpec::new(AggFunc::StdDev, col(a, 3)),
+                ],
+            ),
+            // Keyless, over integers.
+            view(
+                "keyless",
+                &["t1"],
+                vec![],
+                vec![],
+                vec![
+                    AggSpec::new(AggFunc::Sum, col(a, 1)),
+                    AggSpec::new(AggFunc::Min, col(a, 2)),
+                    AggSpec::new(AggFunc::Max, col(a, 0)),
+                    AggSpec::count_star(),
+                ],
+            ),
+            // String MIN/MAX under an integer key, and a string key.
+            view(
+                "strs",
+                &["tags"],
+                vec![],
+                vec![Col::base(a, 1)],
+                vec![
+                    AggSpec::new(AggFunc::Min, col(a, 2)),
+                    AggSpec::new(AggFunc::Max, col(a, 2)),
+                ],
+            ),
+            view(
+                "by_tag",
+                &["tags"],
+                vec![],
+                vec![Col::base(a, 2)],
+                vec![AggSpec::new(AggFunc::Max, col(a, 0)), AggSpec::count_star()],
+            ),
+            // A filtered join grouped on the other relation. Its sums
+            // are over integers: exact whichever side the engine builds
+            // on, so the pair order may differ from the reference's.
+            view(
+                "joined",
+                &["t0", "t1"],
+                vec![
+                    Predicate::eq_cols(Col::base(a, 1), Col::base(b, 1)),
+                    Predicate::cmp_const(Col::base(a, 3), CmpOp::Lt, Value::Float(600.0)),
+                ],
+                vec![Col::base(b, 2)],
+                vec![
+                    AggSpec::count_star(),
+                    AggSpec::new(AggFunc::Sum, col(a, 2)),
+                    AggSpec::new(AggFunc::Avg, col(a, 0)),
+                    AggSpec::new(AggFunc::Min, col(b, 3)),
+                    AggSpec::new(AggFunc::Max, col(a, 3)),
+                ],
+            ),
+        ]
+    }
+
+    /// Extent rows are what the reference interpreter computes, bit for
+    /// bit: its state plan for the components and the view's full
+    /// group-by for the finalized values, matched by key.
+    #[test]
+    fn extent_rows_are_the_reference_state_plan_bit_for_bit() {
+        let (model, opts, gov) = exec_env();
+        for seed in 0..6 {
+            let cat = gen_random_catalog(&RandomCatalogConfig {
+                n_tables: 2,
+                rows: (5, 150),
+                join_domain: (2, 12),
+                extra_cols: 0,
+                seed,
+            })
+            .unwrap();
+            let schema = Schema::of(&[
+                ("id", DataType::Int),
+                ("grp", DataType::Int),
+                ("tag", DataType::Str),
+            ]);
+            let mut tags = Table::builder("tags", schema).primary_key(&["id"]).unwrap();
+            for id in 0..40 + seed as i64 * 7 {
+                let tag = format!("tag-{}", (id * 7 + seed as i64) % 13);
+                let row = vec![Value::Int(id), Value::Int(id % 5), Value::str(&tag)];
+                tags.push(Tuple::new(row)).unwrap();
+            }
+            cat.add(tags.build().unwrap()).unwrap();
+            for def in oracle_views() {
+                build_extent(&def, &cat, model, opts, &gov).unwrap();
+                let mut got = cat
+                    .get(&MatViewMeta::extent_name(&def.name))
+                    .unwrap()
+                    .rows();
+                got.sort();
+
+                let spj = spj_plan(&def).unwrap();
+                let states = reference::evaluate(&state_plan(&def, spj.clone()), &cat).unwrap();
+                let full = GroupBySpec {
+                    owner: ViewId::Top,
+                    group_cols: def.group_cols.clone(),
+                    aggs: def.aggs.clone(),
+                    having: vec![],
+                };
+                let finals = reference::evaluate(&Plan::group_by_all(spj, full), &cat).unwrap();
+                assert_eq!(states.rows.len(), finals.rows.len());
+                let k = def.group_cols.len();
+                let mut want: Vec<Tuple> = states
+                    .rows
+                    .iter()
+                    .zip(&finals.rows)
+                    .map(|(s, f)| {
+                        assert_eq!(s.values()[..k], f.values()[..k]);
+                        let mut row = f.values()[..k].to_vec();
+                        let mut comps = s.values()[k..].iter();
+                        for (i, a) in def.aggs.iter().enumerate() {
+                            row.push(f.get(k + i).clone());
+                            let these = comps.by_ref().take(a.func.partial_arity());
+                            if stores_partial_state(a.func) {
+                                row.extend(these.cloned());
+                            } else {
+                                these.for_each(drop);
+                            }
+                        }
+                        Tuple::new(row)
+                    })
+                    .collect();
+                want.sort();
+                assert!(!want.is_empty() || def.name == "joined", "{}", def.name);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "view `{}`, seed {seed}",
+                    def.name
+                );
+            }
+        }
     }
 }

@@ -1884,7 +1884,6 @@ pub fn aggregate<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::GroupTable;
     use crate::reference;
     use aggview_common::{
         tuple, AggSpec, CmpOp, Col, DataType, Expr, Predicate, RelId, Schema, Tuple, ViewId,
@@ -2034,8 +2033,8 @@ mod tests {
         assert_eq!(format!("{got_rows:?}"), format!("{:?}", expect.rows));
     }
 
-    /// The row-major [`GroupTable`] folds the same [`AggInput`]s through
-    /// [`PartialAggState`] one `Value` at a time: the oracle for the
+    /// The same [`AggInput`]s folded through one [`PartialAggState`] per
+    /// group and aggregate, one `Value` at a time: the oracle for the
     /// typed accumulators. Groups come back in first-seen order on both
     /// sides, so runs are compared positionally, cell for cell
     /// and float bit for float bit.
@@ -2046,15 +2045,26 @@ mod tests {
         funcs: &[AggFunc],
         finalize: bool,
     ) -> Result<Vec<Tuple>> {
-        let mut gt = GroupTable::new();
+        let mut groups: Vec<(Tuple, Vec<PartialAggState>)> = Vec::new();
         for r in rows {
-            gt.accumulate(r, key_pos, inputs, funcs)?;
+            let key = r.project(key_pos);
+            let g = match groups.iter().position(|(k, _)| *k == key) {
+                Some(g) => g,
+                None => {
+                    let states = funcs.iter().map(|&f| PartialAggState::empty(f));
+                    groups.push((key, states.collect()));
+                    groups.len() - 1
+                }
+            };
+            for (state, input) in groups[g].1.iter_mut().zip(inputs) {
+                input.absorb_with(state, &|i| r.get(i).clone())?;
+            }
         }
-        gt.groups
+        groups
             .into_iter()
-            .map(|g| {
-                let mut cells = g.key.into_values();
-                for s in &g.states {
+            .map(|(key, states)| {
+                let mut cells = key.into_values();
+                for s in &states {
                     if finalize {
                         cells.push(s.finalize()?);
                     } else {

@@ -12,9 +12,10 @@
 //! * **coarser re-grouping** — a query grouping by a subset of the view's
 //!   group columns can coalesce the stored states with a compensating
 //!   group-by instead of rescanning base tables, and
-//! * **incremental maintenance** — a delta over the base tables folds
-//!   into the extent through the executor's existing
-//!   `GroupTable::merge_from` path.
+//! * **incremental maintenance** — the executor aggregates a delta over
+//!   the base tables into partial states with the same node that builds
+//!   the extent, and merges them into (or retracts them from) the stored
+//!   states of exactly the groups it touches.
 //!
 //! Non-decomposable aggregates (here: the stand-in `STDDEV` holistic
 //! example) store only the finalized value: their extents still answer

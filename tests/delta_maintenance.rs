@@ -22,10 +22,22 @@ use proptest::prelude::*;
 const N_DEPTS: i64 = 4;
 
 /// Binary-exact starting data: 4 departments × 6 employees, salaries
-/// multiples of 12.5, even slots young (age < 30).
+/// multiples of 12.5, even slots young (age < 30); and the departments,
+/// two to a region.
 fn seed_catalog() -> Catalog {
     let cat = Catalog::new();
     cat.add(emp_table(6)).unwrap();
+    let mut d = Table::builder(
+        "dept",
+        Schema::of(&[("dno", DataType::Int), ("region", DataType::Int)]),
+    )
+    .primary_key(&["dno"])
+    .unwrap();
+    for dno in 0..N_DEPTS {
+        d.push(Tuple::new(vec![Value::Int(dno), Value::Int(dno % 2)]))
+            .unwrap();
+    }
+    cat.add(d.build().unwrap()).unwrap();
     cat
 }
 
@@ -77,6 +89,29 @@ const VIEWS: &[(&str, &str)] = &[
         "vyoung",
         "create materialized view vyoung(dno, avgsal) as \
          select dno, avg(sal) from emp where age < 30 group by dno",
+    ),
+];
+
+/// Views whose recompute the differential run also covers: keys that
+/// live on the joined relation (and no count to witness emptiness, so
+/// every retraction recomputes), one keyless group, and a two-column
+/// key.
+const RECOMPUTED_VIEWS: &[(&str, &str)] = &[
+    (
+        "vregion",
+        "create materialized view vregion(region, lo, hi) as \
+         select d.region, min(e.sal), max(e.sal) from emp e, dept d \
+         where e.dno = d.dno group by d.region",
+    ),
+    (
+        "vall",
+        "create materialized view vall(lo, hi, n) as \
+         select min(sal), max(sal), count(*) from emp",
+    ),
+    (
+        "vdnoage",
+        "create materialized view vdnoage(dno, age, lo, n) as \
+         select dno, age, min(sal), count(*) from emp group by dno, age",
     ),
 ];
 
@@ -138,7 +173,8 @@ fn random_dml(rng: &mut Rng, next_eno: &mut i64) -> String {
 /// a full refresh rebuilds.
 fn run_differential(seed: u64, rounds: usize) {
     let mut s = Session::new(seed_catalog());
-    for (_, create) in VIEWS {
+    let views = || VIEWS.iter().chain(RECOMPUTED_VIEWS);
+    for (_, create) in views() {
         s.execute(create).unwrap();
     }
     let mut rng = Rng(seed);
@@ -146,7 +182,7 @@ fn run_differential(seed: u64, rounds: usize) {
     for round in 0..rounds {
         let sql = random_dml(&mut rng, &mut next_eno);
         s.execute(&sql).unwrap();
-        for (view, _) in VIEWS {
+        for (view, _) in views() {
             let meta = s.catalog().matview(view).unwrap();
             assert!(
                 !meta.is_stale(s.catalog()),

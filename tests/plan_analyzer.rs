@@ -518,6 +518,7 @@ fn partial_aggregation_requires_a_matching_merge_stage() {
     let catalog = catalog();
     let mut env = QueryEnv::default();
     let e = env.add_rel("emp");
+    let d = env.add_rel("dept");
     let aref = AggRef::new(ViewId::Top, 0);
     let partial = Plan::partial_aggregate_all(
         scan_emp(e),
@@ -530,13 +531,27 @@ fn partial_aggregation_requires_a_matching_merge_stage() {
             count: None,
         },
     );
-    // A partial aggregate with no merge group-by above leaks raw
-    // partial states as the result — Figure 2 requires the second stage.
-    let report = PlanAnalyzer::new(&catalog).analyze(&partial);
+    // Partial states joined onward with no merge group-by above leak
+    // into the result — Figure 2 requires the second stage.
+    let leaked = Plan::join_all(
+        partial.clone(),
+        scan_dept(d),
+        vec![Predicate::eq_cols(
+            Col::base(e, emp::DNO),
+            Col::base(d, dept::DNO),
+        )],
+    );
+    let report = PlanAnalyzer::new(&catalog).analyze(&leaked);
     assert!(
         rules_fired(&report).contains("coalescing-merge"),
         "expected a coalescing-merge violation, got: {report}"
     );
+
+    // At the root the partial aggregate is a materialized view's state
+    // plan: the extent stores its states and a reader's group-by merges
+    // them.
+    let report = PlanAnalyzer::new(&catalog).analyze(&partial);
+    assert!(report.is_ok(), "state plan rejected:\n{report}");
 
     // The full two-phase shape passes.
     let report = PlanAnalyzer::new(&catalog).analyze(&coalescing_plan());
