@@ -32,6 +32,22 @@ impl BinaryOp {
             BinaryOp::Div => "/",
         }
     }
+
+    /// The type of `l op r`: arithmetic needs numeric operands, and
+    /// division or any float operand makes the result a float.
+    pub fn result_type(self, l: DataType, r: DataType) -> Result<DataType> {
+        if !l.is_numeric() || !r.is_numeric() {
+            return Err(AggViewError::Schema(format!(
+                "arithmetic `{}` requires numeric operands, got {l} and {r}",
+                self.symbol()
+            )));
+        }
+        if self == BinaryOp::Div || l == DataType::Float || r == DataType::Float {
+            Ok(DataType::Float)
+        } else {
+            Ok(DataType::Int)
+        }
+    }
 }
 
 /// A scalar expression tree.
@@ -135,19 +151,7 @@ impl Expr {
             Expr::Col(c) => Ok(col_type(*c)),
             Expr::Const(v) => Ok(v.data_type()),
             Expr::Binary { op, left, right } => {
-                let lt = left.data_type(col_type)?;
-                let rt = right.data_type(col_type)?;
-                if !lt.is_numeric() || !rt.is_numeric() {
-                    return Err(AggViewError::Schema(format!(
-                        "arithmetic `{}` requires numeric operands, got {lt} and {rt}",
-                        op.symbol()
-                    )));
-                }
-                if *op == BinaryOp::Div || lt == DataType::Float || rt == DataType::Float {
-                    Ok(DataType::Float)
-                } else {
-                    Ok(DataType::Int)
-                }
+                op.result_type(left.data_type(col_type)?, right.data_type(col_type)?)
             }
         }
     }

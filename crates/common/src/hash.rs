@@ -1,51 +1,29 @@
-//! Allocation-free key hashing for hash joins and hash aggregation.
+//! Key hashing for hash joins, hash aggregation and Z-sets.
 //!
-//! The executor's hash operators used to materialize a `Vec<Value>` key
-//! per input row and use it as a `HashMap` key — one heap allocation
-//! plus one `Value` clone per key column *per row*. The helpers here
-//! hash key columns **in place** (through [`Value`]'s `Hash` impl, so
-//! `Int(3)` and `Float(3.0)` still collide as they must) and compare
-//! candidate rows positionally, so the hot probe/accumulate loops touch
-//! no allocator at all. Collisions are resolved by comparing the actual
-//! key values, never trusting the 64-bit hash alone.
-//!
-//! The hasher is a fixed-key SipHash-1-3-style mix via
+//! Row-major keys hash through [`Value`]'s `Hash` impl ([`hash_values`]),
+//! so `Int(3)` and `Float(3.0)` still collide as they must. The hasher
+//! is a fixed-key SipHash-1-3-style mix via
 //! [`std::collections::hash_map::DefaultHasher`] seeded identically
 //! everywhere, so **the same key hashes to the same value in every
 //! table** — a Z-set delta ([`crate::zset`]) consolidates its rows by
-//! it.
+//! it. The executor's columnar kernels fold key columns with the
+//! cheaper [`fx_mix`] chain instead. Either way, collisions are
+//! resolved by comparing the actual key values, never trusting the
+//! 64-bit hash alone.
 
-use crate::tuple::Tuple;
 use crate::value::Value;
 use std::hash::{Hash, Hasher};
 
-/// Hash the projection `key_pos` of `row` without cloning any values.
+/// Hash an already-projected key tuple.
 ///
 /// Equal keys (under [`Value`]'s cross-numeric equality) hash equally,
 /// on any thread.
-pub fn hash_key(row: &Tuple, key_pos: &[usize]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for &i in key_pos {
-        row.get(i).hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Hash a contiguous prefix-less slice of values (an already-projected
-/// key tuple).
 pub fn hash_values(values: &[Value]) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     for v in values {
         v.hash(&mut h);
     }
     h.finish()
-}
-
-/// Key equality between an already-projected key tuple (`key[i]`) and
-/// the projection `pos` of `row`.
-pub fn key_matches_row(key: &Tuple, row: &Tuple, pos: &[usize]) -> bool {
-    debug_assert_eq!(key.arity(), pos.len());
-    key.values().iter().zip(pos).all(|(k, &i)| k == row.get(i))
 }
 
 /// A map keyed by an already-computed 64-bit key hash.
@@ -93,7 +71,7 @@ pub const FX_SEED: u64 = 0x517c_c1b7_2722_0a95;
 
 /// One multiply-rotate mixing step for the columnar hash chain.
 ///
-/// The row-major tables ([`hash_key`], [`hash_values`]: Z-sets) hash
+/// The row-major tables ([`hash_values`]: Z-sets) hash
 /// through [`std::collections::hash_map::DefaultHasher`]
 /// (SipHash), which costs more per value than some whole batch kernels.
 /// The executor's columnar operators instead fold each key column into
@@ -166,6 +144,7 @@ pub fn fx_value(h: u64, v: &Value) -> u64 {
 mod tests {
     use super::*;
     use crate::tuple;
+    use crate::tuple::Tuple;
 
     #[test]
     fn fx_cross_numeric_values_collide() {
@@ -202,37 +181,34 @@ mod tests {
         assert_ne!(a_b, b_a, "the chain is order-sensitive");
     }
 
+    /// The hash of the projection `pos` of `row`.
+    fn hash_projection(row: &Tuple, pos: &[usize]) -> u64 {
+        hash_values(row.project(pos).values())
+    }
+
     #[test]
     fn equal_keys_hash_equally_without_cloning() {
         let a = tuple![1i64, "x", 3.5f64];
         let b = tuple!["pad", 1i64, 3.5f64, "x"];
         // a[0,1,2] vs b[1,3,2] project the same key.
-        assert_eq!(hash_key(&a, &[0, 1, 2]), hash_key(&b, &[1, 3, 2]));
-        assert!(key_matches_row(&a, &b, &[1, 3, 2]));
+        assert_eq!(
+            hash_projection(&a, &[0, 1, 2]),
+            hash_projection(&b, &[1, 3, 2])
+        );
     }
 
     #[test]
     fn cross_numeric_keys_collide_as_required() {
         let a = tuple![3i64];
         let b = tuple![3.0f64];
-        assert_eq!(hash_key(&a, &[0]), hash_key(&b, &[0]));
-        assert!(key_matches_row(&a, &b, &[0]));
+        assert_eq!(hash_projection(&a, &[0]), hash_projection(&b, &[0]));
     }
 
     #[test]
     fn different_keys_compare_unequal() {
         let a = tuple![1i64, 2i64];
         let b = tuple![1i64, 3i64];
-        assert!(!key_matches_row(&a, &b, &[0, 1]));
-    }
-
-    #[test]
-    fn hash_values_matches_hash_key_of_projection() {
-        let row = tuple![7i64, "k", true];
-        let key = row.project(&[2, 0]);
-        assert_eq!(hash_values(key.values()), hash_key(&row, &[2, 0]));
-        assert!(key_matches_row(&key, &row, &[2, 0]));
-        assert!(!key_matches_row(&key, &row, &[2, 1]));
+        assert_ne!(hash_projection(&a, &[0, 1]), hash_projection(&b, &[0, 1]));
     }
 
     #[test]
@@ -253,6 +229,6 @@ mod tests {
         // code path): every row has the same empty key.
         let a = tuple![1i64];
         let b = tuple!["z"];
-        assert_eq!(hash_key(&a, &[]), hash_key(&b, &[]));
+        assert_eq!(hash_projection(&a, &[]), hash_projection(&b, &[]));
     }
 }

@@ -46,7 +46,7 @@ pub use fault::{
     registered_site, FaultInjector, IoFaultKind, NoFaults, RecordingFaults, ScheduledFaults,
     ScheduledIoFaults, SeededFaultInjector, REGISTERED_FAULT_SITES,
 };
-pub use hash::{hash_key, hash_values, key_matches_row, PrehashedMap};
+pub use hash::{hash_values, PrehashedMap};
 pub use ids::{AggRef, Col, ColRef, PartRef, RelId, ViewId};
 pub use predicate::{CmpOp, Predicate};
 pub use schema::{Field, Schema};

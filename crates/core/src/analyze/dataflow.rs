@@ -1,35 +1,47 @@
-//! Bottom-up abstract interpretation of plan trees.
+//! Bottom-up abstract interpretation of plan trees: the one walk that
+//! types, scopes and bounds a plan.
 //!
 //! The structural rules in [`super::rules`] re-check the paper's
-//! transformation invariants; this pass reasons about the *values*
-//! flowing through a plan. For every operator output it computes a
-//! [`ColDomain`] per column — a closed numeric interval, an optional
-//! known constant, and an upper bound on distinct values, seeded from
-//! fresh [`aggview_storage::TableStats`] — by propagating intervals
-//! through [`Predicate`]s and [`Expr`]s, folding constants, and
-//! intersecting the domains of columns equated by join predicates
-//! (the implied-predicate fixpoint subsumes an explicit equivalence
-//!-class closure: `x = y` and `y = z` converge to a shared interval
-//! after two passes).
+//! transformation invariants; this pass reasons about the columns and
+//! *values* flowing through a plan. For every operator output it
+//! computes a [`ColDomain`] per column — a static type, a closed numeric
+//! interval, an optional known constant, and an upper bound on distinct
+//! values, seeded from fresh [`aggview_storage::TableStats`] — by
+//! propagating intervals through [`Predicate`]s and [`Expr`]s, folding
+//! constants, and intersecting the domains of columns equated by join
+//! predicates (the implied-predicate fixpoint subsumes an explicit
+//! equivalence-class closure: `x = y` and `y = z` converge to a shared
+//! interval after two passes).
 //!
-//! Three consumers sit on top of the domains:
+//! Four consumers sit on top of the domains:
 //!
+//! * **Legality** — the paper's *legal operator tree* (Section 2):
+//!   every column an operator reads is produced below it (so scan
+//!   filters are local and HAVING sees only the group keys and the
+//!   operator's own aggregates), join children are disjoint, scans read
+//!   the tables the query binds, and aggregate arguments, partial-state
+//!   components and predicate operands type. Each defect is a `schema`
+//!   (`AV001`) error recorded where the column failed to resolve; a
+//!   column left unresolved is not reported again above it.
 //! * **Contradiction detection** — a predicate whose truth value is
 //!   provably `false` over the current domains (e.g. `x > 5 AND x < 3`)
 //!   makes the subtree provably empty. The optimizer rewrites such
 //!   subtrees to [`Plan::EmptyScan`] via [`prune_empty`]; the analyzer
 //!   flags any that survive as `dataflow-domain` warnings.
-//! * **Type certification** — the pass assigns every operator a static
-//!   type signature. A plan whose every output column types cleanly is
-//!   *Mixed-free*: the vectorized executor can pre-allocate typed
-//!   columns, and any runtime demotion to `ColumnVec::Mixed` on such a
-//!   plan is a counted diagnostic rather than a silent slow path.
+//! * **Type certification** — a plan with no schema finding is
+//!   *Mixed-free*: every operator output has a static type, the
+//!   vectorized executor can pre-allocate typed columns, and any runtime
+//!   demotion to `ColumnVec::Mixed` on such a plan is a counted
+//!   diagnostic rather than a silent slow path.
 //! * **Admission bounds** — guaranteed lower bounds on the rows and
 //!   bytes every execution of the plan must charge against the
-//!   governor. The executor rejects
-//!   a plan whose bounds already exceed the budget with
-//!   [`aggview_common::AggViewError::PlanInadmissible`] before any
-//!   work runs.
+//!   governor. The executor rejects a plan whose bounds already exceed
+//!   the budget with
+//!   [`aggview_common::AggViewError::PlanInadmissible`] before any work
+//!   runs.
+//!
+//! Findings cost nothing until they fire: messages and node paths
+//! (`root.l.in`) are formatted only when one is recorded.
 //!
 //! Soundness is the design constraint throughout: statistics seed
 //! intervals only when [`aggview_storage::Catalog::stats_fresh`] holds,
@@ -43,17 +55,24 @@
 
 use super::Violation;
 use crate::plan::Plan;
-use aggview_common::{AggFunc, CmpOp, Col, DataType, Expr, Predicate, RelId, Value};
-use aggview_storage::Catalog;
+use aggview_common::{
+    AggFunc, AggRef, AggSpec, CmpOp, Col, DataType, Expr, Predicate, RelId, Value,
+};
+use aggview_storage::{Catalog, ColumnStats};
 use std::collections::BTreeMap;
+use std::fmt;
 
+/// Rule name for legality and typing findings: a column an operator
+/// reads that nothing below produces, an unknown table, a scan of a
+/// relation the query binds elsewhere, overlapping join children, an
+/// ill-typed expression or comparison. Severity: error.
+pub const RULE_SCHEMA: &str = "schema";
 /// Rule name for contradiction findings (provably-empty subtrees the
 /// optimizer did not prune). Severity: warning — the plan is correct,
 /// just wasteful.
 pub const RULE_DOMAIN: &str = "dataflow-domain";
-/// Rule name for type-lattice findings: an [`Plan::EmptyScan`] whose
-/// recorded types contradict the catalog schema (error), or a plan
-/// that cannot be certified Mixed-free (warning).
+/// Rule name for an [`Plan::EmptyScan`] whose recorded types contradict
+/// the catalog schema. Severity: error.
 pub const RULE_TYPE: &str = "dataflow-type";
 /// Rule name for admission-bounds bookkeeping defects: an
 /// [`Plan::EmptyScan`] covering a relation the query never declared,
@@ -276,7 +295,8 @@ fn next_up(x: f64) -> f64 {
 /// What the pass knows about one column of one operator's output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColDomain {
-    /// Static type, when the type lattice resolved it.
+    /// Static type; `None` when the column did not resolve (a schema
+    /// finding was recorded for it).
     pub ty: Option<DataType>,
     /// Value bounds (meaningful for numeric columns; `FULL` otherwise).
     pub interval: Interval,
@@ -289,15 +309,45 @@ pub struct ColDomain {
     pub nullable: bool,
 }
 
+/// Every group holds at least one row, and so does every COUNT.
+const AT_LEAST_ONE: Interval = Interval {
+    lo: 1.0,
+    hi: f64::INFINITY,
+};
+
+const NON_NEGATIVE: Interval = Interval {
+    lo: 0.0,
+    hi: f64::INFINITY,
+};
+
 impl ColDomain {
     fn unknown(ty: Option<DataType>) -> ColDomain {
+        ColDomain::within(ty, Interval::FULL)
+    }
+
+    fn within(ty: Option<DataType>, interval: Interval) -> ColDomain {
         ColDomain {
             ty,
-            interval: Interval::FULL,
+            interval,
             constant: None,
             distinct: None,
             nullable: false,
         }
+    }
+
+    /// A stored column's domain: its type, plus its distinct count and
+    /// value range when its statistics are fresh.
+    fn stored(ty: DataType, stats: Option<&ColumnStats>) -> ColDomain {
+        let mut d = ColDomain::unknown(Some(ty));
+        if let Some(cs) = stats {
+            d.distinct = Some(cs.distinct);
+            if ty.is_numeric() {
+                if let (Some(lo), Some(hi)) = (cs.min, cs.max) {
+                    d.interval = Interval { lo, hi };
+                }
+            }
+        }
+        d
     }
 
     /// True when `v` is consistent with this domain (the soundness
@@ -343,9 +393,9 @@ pub struct Dataflow {
     pub columns: BTreeMap<Col, ColDomain>,
     /// Guaranteed resource floors for admission control.
     pub bounds: Bounds,
-    /// True when every operator output typed cleanly: the vectorized
-    /// executor can run the whole plan on typed columns, and any
-    /// runtime `Mixed` demotion is a diagnostic.
+    /// True when no schema finding was recorded: every operator output
+    /// typed cleanly, the vectorized executor can run the whole plan on
+    /// typed columns, and any runtime `Mixed` demotion is a diagnostic.
     pub mixed_free: bool,
     /// True when the root provably produces zero rows.
     pub provably_empty: bool,
@@ -354,68 +404,41 @@ pub struct Dataflow {
     /// empty child makes every ancestor empty, so ancestors are not
     /// repeated.
     pub contradictions: Vec<(String, String)>,
+    /// Every finding, in discovery order: schema errors, `EmptyScan`
+    /// bookkeeping errors, then one warning per contradiction.
+    pub findings: Vec<Violation>,
 }
 
 /// Run the pass over `plan`.
 ///
 /// `rel_tables` (the query environment's relation-to-table binding)
-/// enables the [`Plan::EmptyScan`] bookkeeping checks; without it they
-/// are skipped, never guessed.
+/// enables the scan-binding and [`Plan::EmptyScan`] bookkeeping checks;
+/// without it they are skipped, never guessed.
 pub fn analyze_plan(plan: &Plan, catalog: &Catalog, rel_tables: Option<&[String]>) -> Dataflow {
     let mut cx = Cx {
         catalog,
         rel_tables,
         bounds: Bounds::default(),
         contradictions: Vec::new(),
-        type_errors: Vec::new(),
-        bounds_errors: Vec::new(),
+        findings: Vec::new(),
     };
-    let root = summarize(plan, "root", &mut cx);
+    let root = summarize(plan, &Path::ROOT, &mut cx);
+    let mixed_free = !cx.findings.iter().any(|v| v.rule == RULE_SCHEMA);
+    let mut findings = cx.findings;
+    findings.extend(cx.contradictions.iter().map(|(path, why)| {
+        Violation::warn(
+            RULE_DOMAIN,
+            path.clone(),
+            format!("provably empty subtree was not pruned: {why}"),
+        )
+    }));
     Dataflow {
         columns: root.cols,
         bounds: cx.bounds,
-        mixed_free: root.typed,
+        mixed_free,
         provably_empty: root.empty,
         contradictions: cx.contradictions,
-    }
-}
-
-/// Analyzer entry point: surface dataflow findings as violations.
-pub(crate) fn check(
-    plan: &Plan,
-    catalog: &Catalog,
-    rel_tables: Option<&[String]>,
-    out: &mut Vec<Violation>,
-) {
-    let mut cx = Cx {
-        catalog,
-        rel_tables,
-        bounds: Bounds::default(),
-        contradictions: Vec::new(),
-        type_errors: Vec::new(),
-        bounds_errors: Vec::new(),
-    };
-    let root = summarize(plan, "root", &mut cx);
-    for (path, why) in cx.contradictions {
-        out.push(Violation::warn(
-            RULE_DOMAIN,
-            path,
-            format!("provably empty subtree was not pruned: {why}"),
-        ));
-    }
-    for (path, msg) in cx.type_errors {
-        out.push(Violation::error_at(RULE_TYPE, path, msg));
-    }
-    for (path, msg) in cx.bounds_errors {
-        out.push(Violation::error_at(RULE_BOUNDS, path, msg));
-    }
-    if !root.typed {
-        out.push(Violation::warn(
-            RULE_TYPE,
-            "root".into(),
-            "plan cannot be certified Mixed-free: some operator output types did not resolve"
-                .into(),
-        ));
+        findings,
     }
 }
 
@@ -463,13 +486,78 @@ pub fn prune_empty(plan: &Plan, catalog: &Catalog, rel_tables: Option<&[String]>
 
 type DomainMap = BTreeMap<Col, ColDomain>;
 
+/// A node's position in the plan (`root.l.in`), rendered only when a
+/// finding names it.
+#[derive(Clone, Copy)]
+struct Path<'a> {
+    parent: Option<&'a Path<'a>>,
+    step: &'static str,
+}
+
+impl Path<'_> {
+    const ROOT: Path<'static> = Path {
+        parent: None,
+        step: "root",
+    };
+
+    fn child(&self, step: &'static str) -> Path<'_> {
+        Path {
+            parent: Some(self),
+            step,
+        }
+    }
+}
+
+impl fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(parent) = self.parent {
+            write!(f, "{parent}.")?;
+        }
+        f.write_str(self.step)
+    }
+}
+
 struct Cx<'a> {
     catalog: &'a Catalog,
     rel_tables: Option<&'a [String]>,
     bounds: Bounds,
     contradictions: Vec<(String, String)>,
-    type_errors: Vec<(String, String)>,
-    bounds_errors: Vec<(String, String)>,
+    findings: Vec<Violation>,
+}
+
+impl Cx<'_> {
+    /// Record an error of `rule` at `path`.
+    fn error(&mut self, rule: &'static str, path: &Path<'_>, message: fmt::Arguments<'_>) {
+        self.findings.push(Violation::error_at(
+            rule,
+            path.to_string(),
+            message.to_string(),
+        ));
+    }
+}
+
+/// Record a schema (`AV001`) error at `path`.
+macro_rules! schema {
+    ($cx:expr, $path:expr, $($msg:tt)+) => {
+        $cx.error(RULE_SCHEMA, $path, format_args!($($msg)+))
+    };
+}
+
+/// How findings name an operator.
+#[derive(Clone, Copy)]
+struct Named<'p>(&'p Plan);
+
+impl fmt::Display for Named<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Plan::Scan { rel, .. } => write!(f, "scan of {rel}"),
+            Plan::ExtentScan { view, .. } => write!(f, "extent scan of `{view}`"),
+            Plan::EmptyScan { .. } => f.write_str("empty scan"),
+            Plan::Join { .. } => f.write_str("join"),
+            Plan::GroupBy { spec, .. } => write!(f, "group-by {}", spec.owner),
+            Plan::PartialAggregate { .. } => f.write_str("partial aggregate"),
+        }
+    }
 }
 
 /// Per-node summary flowing up the recursion.
@@ -477,7 +565,21 @@ struct Node {
     cols: DomainMap,
     min_rows: u64,
     empty: bool,
-    typed: bool,
+}
+
+/// A node whose output could not be typed at all (an unknown table, a
+/// malformed leaf; the finding is recorded): its columns are
+/// unresolved, so nothing above reports them again.
+fn unresolved(plan: &Plan) -> Node {
+    Node {
+        cols: plan
+            .output_cols()
+            .iter()
+            .map(|c| (*c, ColDomain::unknown(None)))
+            .collect(),
+        min_rows: 0,
+        empty: false,
+    }
 }
 
 /// Minimum bytes one output row of `cols` (restricted to `project`)
@@ -494,132 +596,118 @@ fn min_row_width(project: &[Col], cols: &DomainMap) -> u64 {
         .sum()
 }
 
-/// Restrict a domain map to the node's projection; `true` iff every
-/// projected column was present and typed.
-fn project_domains(project: &[Col], avail: &DomainMap, out: &mut DomainMap) -> bool {
-    let mut typed = true;
-    for c in project {
-        match avail.get(c) {
-            Some(d) => {
-                typed &= d.ty.is_some();
-                out.insert(*c, d.clone());
-            }
-            None => {
-                typed = false;
-                out.insert(*c, ColDomain::unknown(None));
-            }
-        }
-    }
-    typed
-}
-
-/// Finish a node: compute its byte floor, fold it into the running
-/// totals, and build the summary.
-fn finish(
+/// Domains of the grouping columns, carried over from the input; a
+/// grouping column the input does not produce is a finding.
+fn group_domains(
+    group_cols: &[Col],
+    input: &DomainMap,
+    who: Named<'_>,
+    path: &Path<'_>,
     cx: &mut Cx<'_>,
-    project: &[Col],
-    avail: &DomainMap,
-    min_rows: u64,
-    empty: bool,
-    typed: bool,
-) -> Node {
-    let mut cols = DomainMap::new();
-    let projected_typed = project_domains(project, avail, &mut cols);
-    let min_rows = if empty { 0 } else { min_rows };
-    let min_bytes = min_rows.saturating_mul(min_row_width(project, &cols));
-    cx.bounds.min_rows = cx.bounds.min_rows.saturating_add(min_rows);
-    cx.bounds.min_bytes = cx.bounds.min_bytes.saturating_add(min_bytes);
-    Node {
-        cols,
-        min_rows,
-        empty,
-        typed: typed && projected_typed,
+) -> DomainMap {
+    let mut avail = DomainMap::new();
+    for g in group_cols {
+        let d = input.get(g).cloned().unwrap_or_else(|| {
+            schema!(
+                cx,
+                path,
+                "{who} groups on {g}, which its input does not produce"
+            );
+            ColDomain::unknown(None)
+        });
+        avail.insert(*g, d);
     }
+    avail
 }
 
-fn summarize(plan: &Plan, path: &str, cx: &mut Cx<'_>) -> Node {
-    match plan {
+/// Summarize one node: what its output columns hold, the rows it
+/// must produce, and whether it provably produces none. Its row and
+/// byte floors are folded into the running totals.
+fn summarize(plan: &Plan, path: &Path<'_>, cx: &mut Cx<'_>) -> Node {
+    let who = Named(plan);
+    let (avail, min_rows, empty) = match plan {
         Plan::Scan {
             rel,
             table,
             filters,
-            project,
+            ..
         } => {
-            let mut avail = DomainMap::new();
-            let mut typed = true;
-            let mut rows = 0u64;
-            match cx.catalog.get(table) {
-                Ok(t) => {
-                    rows = t.len() as u64;
-                    let fresh = cx.catalog.stats_fresh(table);
-                    let stats = t.stats();
-                    for (i, f) in t.schema().fields().iter().enumerate() {
-                        let mut d = ColDomain::unknown(Some(f.ty));
-                        if fresh {
-                            if let Some(cs) = stats.columns.get(i) {
-                                d.distinct = Some(cs.distinct);
-                                if f.ty.is_numeric() {
-                                    if let (Some(lo), Some(hi)) = (cs.min, cs.max) {
-                                        d.interval = Interval { lo, hi };
-                                    }
-                                }
-                            }
-                        }
-                        avail.insert(Col::base(*rel, i), d);
-                    }
+            let t = match cx.catalog.get(table) {
+                Ok(t) => t,
+                Err(e) => {
+                    schema!(cx, path, "{who}: {}", e.message());
+                    return unresolved(plan);
                 }
-                Err(_) => typed = false,
-            }
-            let (empty, all_true) = apply_filters(filters, &mut avail, path, cx);
-            let min_rows = if filters.is_empty() || all_true {
-                rows
-            } else {
-                0
             };
-            finish(cx, project, &avail, min_rows, empty, typed)
+            match cx.rel_tables.map(|tables| tables.get(rel.idx())) {
+                Some(Some(declared)) if !declared.eq_ignore_ascii_case(table) => schema!(
+                    cx,
+                    path,
+                    "{who} names table `{table}` but the query binds {rel} to `{declared}`"
+                ),
+                Some(None) => schema!(
+                    cx,
+                    path,
+                    "scan of undeclared relation {rel} (table `{table}`)"
+                ),
+                _ => {}
+            }
+            let fresh = cx.catalog.stats_fresh(table);
+            let stats = &t.stats().columns;
+            let mut avail = DomainMap::new();
+            for (i, f) in t.schema().fields().iter().enumerate() {
+                let d = ColDomain::stored(f.ty, stats.get(i).filter(|_| fresh));
+                avail.insert(Col::base(*rel, i), d);
+            }
+            check_predicates(filters, &avail, who, "filter", path, cx);
+            let (empty, all_true) = apply_filters(filters, &mut avail, path, cx);
+            (avail, if all_true { t.len() as u64 } else { 0 }, empty)
         }
         Plan::ExtentScan {
             table,
+            covers,
             cols,
             outputs,
             filters,
-            project,
             ..
         } => {
-            let mut avail = DomainMap::new();
-            let mut typed = true;
-            let mut rows = 0u64;
-            match cx.catalog.get(table) {
-                Ok(t) => {
-                    rows = t.len() as u64;
-                    let fresh = cx.catalog.stats_fresh(table);
-                    let stats = t.stats();
-                    for (&c, &o) in cols.iter().zip(outputs) {
-                        let ty = t.schema().fields().get(c).map(|f| f.ty);
-                        let mut d = ColDomain::unknown(ty);
-                        if fresh {
-                            if let Some(cs) = stats.columns.get(c) {
-                                d.distinct = Some(cs.distinct);
-                                if ty.is_some_and(DataType::is_numeric) {
-                                    if let (Some(lo), Some(hi)) = (cs.min, cs.max) {
-                                        d.interval = Interval { lo, hi };
-                                    }
-                                }
-                            }
-                        }
-                        typed &= ty.is_some();
-                        avail.insert(o, d);
-                    }
+            let t = match cx.catalog.get(table) {
+                Ok(t) => t,
+                Err(e) => {
+                    schema!(cx, path, "{who}: {}", e.message());
+                    return unresolved(plan);
                 }
-                Err(_) => typed = false,
-            }
-            let (empty, all_true) = apply_filters(filters, &mut avail, path, cx);
-            let min_rows = if filters.is_empty() || all_true {
-                rows
-            } else {
-                0
             };
-            finish(cx, project, &avail, min_rows, empty, typed)
+            if covers.is_empty() {
+                schema!(cx, path, "{who} covers no relations");
+            }
+            if cols.len() != outputs.len() {
+                let (c, o) = (cols.len(), outputs.len());
+                schema!(cx, path, "{who} maps {c} physical columns to {o} outputs");
+                return unresolved(plan);
+            }
+            let fresh = cx.catalog.stats_fresh(table);
+            let stats = &t.stats().columns;
+            let fields = t.schema().fields();
+            let mut avail = DomainMap::new();
+            for (&c, &o) in cols.iter().zip(outputs) {
+                let d = match fields.get(c) {
+                    Some(f) => ColDomain::stored(f.ty, stats.get(c).filter(|_| fresh)),
+                    None => {
+                        let n = fields.len();
+                        schema!(
+                            cx,
+                            path,
+                            "{who} reads column {c} of the {n}-column extent `{table}`"
+                        );
+                        ColDomain::unknown(None)
+                    }
+                };
+                avail.insert(o, d);
+            }
+            check_predicates(filters, &avail, who, "filter", path, cx);
+            let (empty, all_true) = apply_filters(filters, &mut avail, path, cx);
+            (avail, if all_true { t.len() as u64 } else { 0 }, empty)
         }
         Plan::EmptyScan {
             covers,
@@ -627,30 +715,31 @@ fn summarize(plan: &Plan, path: &str, cx: &mut Cx<'_>) -> Node {
             types,
             ..
         } => {
+            if covers.is_empty() {
+                schema!(cx, path, "{who} covers no relations");
+            }
+            if types.len() != project.len() {
+                let (t, p) = (types.len(), project.len());
+                schema!(
+                    cx,
+                    path,
+                    "{who} records {t} types for {p} projected columns"
+                );
+                return unresolved(plan);
+            }
             let mut avail = DomainMap::new();
             for (c, ty) in project.iter().zip(types) {
-                avail.insert(
-                    *c,
-                    ColDomain {
-                        ty: Some(*ty),
-                        interval: Interval::EMPTY,
-                        constant: None,
-                        distinct: Some(0),
-                        nullable: false,
-                    },
-                );
+                let mut d = ColDomain::within(Some(*ty), Interval::EMPTY);
+                d.distinct = Some(0);
+                avail.insert(*c, d);
             }
             if let Some(rel_tables) = cx.rel_tables {
-                for r in covers {
-                    if r.idx() >= rel_tables.len() {
-                        cx.bounds_errors.push((
-                            path.to_string(),
-                            format!(
-                                "empty scan covers undeclared relation {r}: relation-set and \
-                                 admission-bounds bookkeeping would be corrupted"
-                            ),
-                        ));
-                    }
+                for r in covers.iter().filter(|r| r.idx() >= rel_tables.len()) {
+                    let msg = format_args!(
+                        "{who} covers undeclared relation {r}: relation-set and \
+                         admission-bounds bookkeeping would be corrupted"
+                    );
+                    cx.error(RULE_BOUNDS, path, msg);
                 }
                 for (c, ty) in project.iter().zip(types) {
                     let Some(cr) = c.as_base() else { continue };
@@ -662,199 +751,233 @@ fn summarize(plan: &Plan, path: &str, cx: &mut Cx<'_>) -> Node {
                     };
                     if let Some(f) = t.schema().fields().get(cr.col as usize) {
                         if f.ty != *ty {
-                            cx.type_errors.push((
-                                path.to_string(),
-                                format!(
-                                    "empty scan records {c} as {} but `{table}` declares {}",
-                                    ty, f.ty
-                                ),
-                            ));
+                            let declared = f.ty;
+                            let msg = format_args!(
+                                "{who} records {c} as {ty} but `{table}` declares {declared}"
+                            );
+                            cx.error(RULE_TYPE, path, msg);
                         }
                     }
                 }
             }
-            finish(cx, project, &avail, 0, true, true)
+            (avail, 0, true)
         }
         Plan::Join {
-            left,
-            right,
-            preds,
-            project,
-            ..
+            left, right, preds, ..
         } => {
-            let l = summarize(left, &format!("{path}.l"), cx);
-            let r = summarize(right, &format!("{path}.r"), cx);
+            let l = summarize(left, &path.child("l"), cx);
+            let r = summarize(right, &path.child("r"), cx);
+            if left.rel_set() & right.rel_set() != 0 {
+                schema!(cx, path, "{who} children overlap in base relations");
+            }
             let mut avail = l.cols;
             avail.extend(r.cols);
-            let mut empty = l.empty || r.empty;
-            let mut all_true = true;
+            check_predicates(preds, &avail, who, "predicate", path, cx);
             // An empty child already makes the join vacuous; the
             // contradiction was recorded where it arose.
-            if !empty {
-                let (e, t) = apply_filters(preds, &mut avail, path, cx);
-                empty = e;
-                all_true = t;
-            }
-            let min_rows = if !empty && all_true {
+            let (empty, all_true) = if l.empty || r.empty {
+                (true, false)
+            } else {
+                apply_filters(preds, &mut avail, path, cx)
+            };
+            let min_rows = if all_true {
                 l.min_rows.saturating_mul(r.min_rows)
             } else {
                 0
             };
-            finish(cx, project, &avail, min_rows, empty, l.typed && r.typed)
+            (avail, min_rows, empty)
         }
-        Plan::GroupBy {
-            input,
-            spec,
-            project,
-            ..
-        } => {
-            let i = summarize(input, &format!("{path}.in"), cx);
-            let mut avail = DomainMap::new();
-            let mut typed = i.typed;
-            for g in &spec.group_cols {
-                match i.cols.get(g) {
-                    Some(d) => {
-                        avail.insert(*g, d.clone());
-                    }
-                    None => {
-                        typed = false;
-                        avail.insert(*g, ColDomain::unknown(None));
-                    }
-                }
-            }
+        Plan::GroupBy { input, spec, .. } => {
+            let i = summarize(input, &path.child("in"), cx);
+            let owner = spec.owner;
+            let mut avail = group_domains(&spec.group_cols, &i.cols, who, path, cx);
             for (idx, a) in spec.aggs.iter().enumerate() {
-                let d = agg_domain(a.func, a.arg.as_ref(), &i.cols);
-                typed &= d.ty.is_some();
-                avail.insert(Col::agg(spec.owner, idx), d);
+                let aref = spec.agg_ref(idx);
+                // Coalescing: an input carrying this aggregate's partial
+                // states is merged, not aggregated from the raw argument.
+                let d = match i.cols.get(&Col::part(aref, 0)) {
+                    Some(first) => merged_domain(a, aref, first, &i.cols, who, path, cx),
+                    None => agg_domain(a, &i.cols, who, path, cx),
+                };
+                avail.insert(Col::agg(owner, idx), d);
             }
-            let mut empty = i.empty;
-            let mut all_true = true;
-            if !empty {
-                let (e, t) = apply_filters(&spec.having, &mut avail, path, cx);
-                empty = e;
-                all_true = t;
-            }
-            let min_rows = if !empty && i.min_rows >= 1 && (spec.having.is_empty() || all_true) {
-                1
+            check_predicates(&spec.having, &avail, who, "HAVING", path, cx);
+            let (empty, all_true) = if i.empty {
+                (true, false)
             } else {
-                0
+                apply_filters(&spec.having, &mut avail, path, cx)
             };
-            finish(cx, project, &avail, min_rows, empty, typed)
+            let min_rows = u64::from(all_true && i.min_rows >= 1);
+            (avail, min_rows, empty)
         }
-        Plan::PartialAggregate {
-            input,
-            spec,
-            project,
-            ..
-        } => {
-            let i = summarize(input, &format!("{path}.in"), cx);
-            let mut avail = DomainMap::new();
-            let mut typed = i.typed;
-            for g in &spec.group_cols {
-                match i.cols.get(g) {
-                    Some(d) => {
-                        avail.insert(*g, d.clone());
-                    }
-                    None => {
-                        typed = false;
-                        avail.insert(*g, ColDomain::unknown(None));
-                    }
-                }
-            }
+        Plan::PartialAggregate { input, spec, .. } => {
+            let i = summarize(input, &path.child("in"), cx);
+            let mut avail = group_domains(&spec.group_cols, &i.cols, who, path, cx);
             for (aref, a) in &spec.aggs {
-                let parts = partial_domains(a.func, a.arg.as_ref(), &i.cols);
-                for (k, d) in parts.into_iter().enumerate() {
-                    typed &= d.ty.is_some();
-                    avail.insert(Col::part(*aref, k), d);
-                }
+                let parts = partial_domains(a, &i.cols, who, path, cx);
+                avail.extend((0..).map(|k| Col::part(*aref, k)).zip(parts));
             }
             // The duplicate-factor column is a per-group COUNT(*):
             // every group is formed from at least one row.
             if let Some(c) = spec.count_col() {
-                avail.insert(
-                    c,
-                    ColDomain {
-                        ty: Some(DataType::Int),
-                        interval: Interval {
-                            lo: 1.0,
-                            hi: f64::INFINITY,
-                        },
-                        constant: None,
-                        distinct: None,
-                        nullable: false,
-                    },
-                );
+                avail.insert(c, ColDomain::within(Some(DataType::Int), AT_LEAST_ONE));
             }
-            let min_rows = if !i.empty && i.min_rows >= 1 { 1 } else { 0 };
-            finish(cx, project, &avail, min_rows, i.empty, typed)
+            (avail, u64::from(i.min_rows >= 1), i.empty)
+        }
+    };
+    // The projection: every projected column must be produced here.
+    let project = plan.output_cols();
+    let mut cols = DomainMap::new();
+    for c in project {
+        let d = avail.get(c).cloned().unwrap_or_else(|| {
+            schema!(cx, path, "{who} projects {c}, which it does not produce");
+            ColDomain::unknown(None)
+        });
+        cols.insert(*c, d);
+    }
+    let min_rows = if empty { 0 } else { min_rows };
+    let min_bytes = min_rows.saturating_mul(min_row_width(project, &cols));
+    cx.bounds.min_rows = cx.bounds.min_rows.saturating_add(min_rows);
+    cx.bounds.min_bytes = cx.bounds.min_bytes.saturating_add(min_bytes);
+    Node {
+        cols,
+        min_rows,
+        empty,
+    }
+}
+
+/// Type and bound an aggregate's argument over its input: `None` when
+/// the argument does not resolve (the finding is recorded here or
+/// below).
+fn agg_arg(
+    a: &AggSpec,
+    input: &DomainMap,
+    who: Named<'_>,
+    path: &Path<'_>,
+    cx: &mut Cx<'_>,
+) -> Option<(Option<DataType>, Interval)> {
+    let Some(e) = &a.arg else {
+        return Some((None, Interval::FULL));
+    };
+    match expr_type(e, input) {
+        Ok(Some(ty)) => Some((Some(ty), eval_expr(e, input).interval)),
+        Ok(None) => None,
+        Err(why) => {
+            schema!(cx, path, "{who} computes `{a}`: {why}");
+            None
         }
     }
 }
 
-/// Domain of a finalized aggregate output.
-fn agg_domain(func: AggFunc, arg: Option<&Expr>, input: &DomainMap) -> ColDomain {
-    let arg_dom = arg.map(|e| eval_expr(e, input));
-    let arg_ty = arg_dom.as_ref().and_then(|d| d.ty);
-    let ty = func.output_type(arg_ty).ok();
-    let arg_iv = arg_dom.map_or(Interval::FULL, |d| d.interval);
-    let interval = match func {
-        // Groups are formed from rows, so every group holds ≥ 1.
-        AggFunc::Count => Interval {
-            lo: 1.0,
-            hi: f64::INFINITY,
-        },
-        AggFunc::Sum => sum_widen(arg_iv),
-        AggFunc::Min | AggFunc::Max => arg_iv,
-        // The mean of values from an interval stays inside it.
-        AggFunc::Avg => arg_iv,
-        AggFunc::StdDev => Interval {
-            lo: 0.0,
-            hi: f64::INFINITY,
-        },
+/// Domain of a finalized aggregate computed from its raw argument.
+fn agg_domain(
+    a: &AggSpec,
+    input: &DomainMap,
+    who: Named<'_>,
+    path: &Path<'_>,
+    cx: &mut Cx<'_>,
+) -> ColDomain {
+    let Some((arg_ty, arg_iv)) = agg_arg(a, input, who, path, cx) else {
+        return ColDomain::unknown(None);
     };
-    ColDomain {
-        ty,
-        interval,
-        constant: None,
-        distinct: None,
-        nullable: false,
+    let ty = match a.func.output_type(arg_ty) {
+        Ok(t) => Some(t),
+        Err(e) => {
+            schema!(cx, path, "{who} computes `{a}`: {}", e.message());
+            None
+        }
+    };
+    let interval = match a.func {
+        // Groups are formed from rows, so every group holds ≥ 1.
+        AggFunc::Count => AT_LEAST_ONE,
+        AggFunc::Sum => sum_widen(arg_iv),
+        // The extremes and the mean of values from an interval stay
+        // inside it.
+        AggFunc::Min | AggFunc::Max | AggFunc::Avg => arg_iv,
+        AggFunc::StdDev => NON_NEGATIVE,
+    };
+    ColDomain::within(ty, interval)
+}
+
+/// Domain of an aggregate a merge group-by coalesces from the partial
+/// states its input carries (Figure 2's second stage), `first` being
+/// component 0. It is typed from the decomposition, not from the raw
+/// argument, which the merge's input no longer holds.
+fn merged_domain(
+    a: &AggSpec,
+    aref: AggRef,
+    first: &ColDomain,
+    input: &DomainMap,
+    who: Named<'_>,
+    path: &Path<'_>,
+    cx: &mut Cx<'_>,
+) -> ColDomain {
+    let mut complete = true;
+    for k in 1..a.func.partial_arity() {
+        if !input.contains_key(&Col::part(aref, k)) {
+            schema!(
+                cx,
+                path,
+                "{who} coalesces {aref} but its input misses partial component {k}"
+            );
+            complete = false;
+        }
+    }
+    if !complete {
+        return ColDomain::unknown(None);
+    }
+    match a.func {
+        AggFunc::Count => ColDomain::within(Some(DataType::Int), AT_LEAST_ONE),
+        AggFunc::Sum => ColDomain::within(first.ty, sum_widen(first.interval)),
+        AggFunc::Min | AggFunc::Max => ColDomain::within(first.ty, first.interval),
+        AggFunc::Avg => ColDomain::unknown(Some(DataType::Float)),
+        AggFunc::StdDev => ColDomain::within(Some(DataType::Float), NON_NEGATIVE),
     }
 }
 
 /// Domains of the partial-state components (paper Figure 2 order).
-fn partial_domains(func: AggFunc, arg: Option<&Expr>, input: &DomainMap) -> Vec<ColDomain> {
-    let arg_dom = arg.map(|e| eval_expr(e, input));
-    let arg_ty = arg_dom.as_ref().and_then(|d| d.ty);
-    let arg_iv = arg_dom.map_or(Interval::FULL, |d| d.interval);
-    let tys = func.partial_types(arg_ty).ok();
-    let count = Interval {
-        lo: 1.0,
-        hi: f64::INFINITY,
+fn partial_domains(
+    a: &AggSpec,
+    input: &DomainMap,
+    who: Named<'_>,
+    path: &Path<'_>,
+    cx: &mut Cx<'_>,
+) -> Vec<ColDomain> {
+    let unknown_parts = || vec![ColDomain::unknown(None); a.func.partial_arity()];
+    if !a.func.is_decomposable() {
+        schema!(
+            cx,
+            path,
+            "{who} decomposes non-decomposable aggregate `{a}`"
+        );
+        return unknown_parts();
+    }
+    let Some((arg_ty, arg_iv)) = agg_arg(a, input, who, path, cx) else {
+        return unknown_parts();
     };
-    let nonneg = Interval {
-        lo: 0.0,
-        hi: f64::INFINITY,
+    let tys = match a.func.partial_types(arg_ty) {
+        Ok(tys) => tys,
+        Err(e) => {
+            schema!(cx, path, "{who} computes `{a}`: {}", e.message());
+            return unknown_parts();
+        }
     };
-    let ivs: Vec<Interval> = match func {
-        AggFunc::Count => vec![count],
+    let ivs: Vec<Interval> = match a.func {
+        AggFunc::Count => vec![AT_LEAST_ONE],
         AggFunc::Sum => vec![sum_widen(arg_iv)],
         AggFunc::Min | AggFunc::Max => vec![arg_iv],
-        AggFunc::Avg => vec![sum_widen(arg_iv), count],
+        AggFunc::Avg => vec![sum_widen(arg_iv), AT_LEAST_ONE],
         AggFunc::StdDev => vec![
             sum_widen(arg_iv),
-            sum_widen(arg_iv.square()).hull(nonneg).intersect(nonneg),
-            count,
+            sum_widen(arg_iv.square())
+                .hull(NON_NEGATIVE)
+                .intersect(NON_NEGATIVE),
+            AT_LEAST_ONE,
         ],
     };
     ivs.into_iter()
-        .enumerate()
-        .map(|(k, interval)| ColDomain {
-            ty: tys.as_ref().and_then(|t| t.get(k).copied()),
-            interval,
-            constant: None,
-            distinct: None,
-            nullable: false,
-        })
+        .zip(tys)
+        .map(|(interval, ty)| ColDomain::within(Some(ty), interval))
         .collect()
 }
 
@@ -883,9 +1006,52 @@ fn sum_widen(arg: Interval) -> Interval {
 // Expressions and predicates over domains.
 // ---------------------------------------------------------------------------
 
+/// The static type of `e` over `avail`: `Ok(None)` when an input column
+/// is unresolved (its finding is already recorded), `Err` naming the
+/// defect when a column is not available or the arithmetic is
+/// ill-typed.
+fn expr_type(e: &Expr, avail: &DomainMap) -> Result<Option<DataType>, String> {
+    match e {
+        Expr::Const(v) => Ok(Some(v.data_type())),
+        Expr::Col(c) => avail
+            .get(c)
+            .map(|d| d.ty)
+            .ok_or_else(|| format!("reads {c}, which is not available here")),
+        Expr::Binary { op, left, right } => {
+            match (expr_type(left, avail)?, expr_type(right, avail)?) {
+                (Some(l), Some(r)) => op
+                    .result_type(l, r)
+                    .map(Some)
+                    .map_err(|e| e.message().to_string()),
+                _ => Ok(None),
+            }
+        }
+    }
+}
+
+/// Require every predicate's operands to type over `avail`, and its two
+/// sides to be comparable: the same type, or both numeric.
+fn check_predicates(
+    preds: &[Predicate],
+    avail: &DomainMap,
+    who: Named<'_>,
+    role: &str,
+    path: &Path<'_>,
+    cx: &mut Cx<'_>,
+) {
+    for p in preds {
+        match (expr_type(&p.left, avail), expr_type(&p.right, avail)) {
+            (Err(why), _) | (_, Err(why)) => schema!(cx, path, "{who} {role} `{p}`: {why}"),
+            (Ok(Some(l)), Ok(Some(r))) if l != r && !(l.is_numeric() && r.is_numeric()) => {
+                schema!(cx, path, "{who} {role} `{p}` compares {l} with {r}")
+            }
+            _ => {}
+        }
+    }
+}
+
 /// Abstract value of an expression over the current domains.
 struct ExprDom {
-    ty: Option<DataType>,
     interval: Interval,
     constant: Option<Value>,
 }
@@ -893,18 +1059,15 @@ struct ExprDom {
 fn eval_expr(e: &Expr, cols: &DomainMap) -> ExprDom {
     match e {
         Expr::Const(v) => ExprDom {
-            ty: Some(v.data_type()),
             interval: v.as_f64().map_or(Interval::FULL, Interval::point),
             constant: Some(v.clone()),
         },
         Expr::Col(c) => match cols.get(c) {
             Some(d) => ExprDom {
-                ty: d.ty,
                 interval: d.interval,
                 constant: d.constant.clone(),
             },
             None => ExprDom {
-                ty: None,
                 interval: Interval::FULL,
                 constant: None,
             },
@@ -912,19 +1075,6 @@ fn eval_expr(e: &Expr, cols: &DomainMap) -> ExprDom {
         Expr::Binary { op, left, right } => {
             let l = eval_expr(left, cols);
             let r = eval_expr(right, cols);
-            let ty = match (l.ty, r.ty) {
-                (Some(a), Some(b)) if a.is_numeric() && b.is_numeric() => {
-                    if *op == aggview_common::BinaryOp::Div
-                        || a == DataType::Float
-                        || b == DataType::Float
-                    {
-                        Some(DataType::Float)
-                    } else {
-                        Some(DataType::Int)
-                    }
-                }
-                _ => None,
-            };
             let interval = match op {
                 aggview_common::BinaryOp::Add => l.interval + r.interval,
                 aggview_common::BinaryOp::Sub => l.interval - r.interval,
@@ -938,11 +1088,7 @@ fn eval_expr(e: &Expr, cols: &DomainMap) -> ExprDom {
                 (Some(a), Some(b)) => fold_binary(*op, a, b),
                 _ => None,
             };
-            ExprDom {
-                ty,
-                interval,
-                constant,
-            }
+            ExprDom { interval, constant }
         }
     }
 }
@@ -1052,7 +1198,7 @@ fn cmp_tri(provably: bool, refutably: bool) -> Tri {
 fn apply_filters(
     preds: &[Predicate],
     cols: &mut DomainMap,
-    path: &str,
+    path: &Path<'_>,
     cx: &mut Cx<'_>,
 ) -> (bool, bool) {
     if preds.is_empty() {
@@ -1467,8 +1613,7 @@ mod tests {
             vec![DataType::Int],
             "test",
         );
-        let mut out = Vec::new();
-        check(&good, &cat, Some(&rels), &mut out);
+        let out = analyze_plan(&good, &cat, Some(&rels)).findings;
         assert!(out.is_empty(), "{out:?}");
         let lie = Plan::empty_scan(
             vec![RelId(0)],
@@ -1476,8 +1621,7 @@ mod tests {
             vec![DataType::Str],
             "test",
         );
-        let mut out = Vec::new();
-        check(&lie, &cat, Some(&rels), &mut out);
+        let out = analyze_plan(&lie, &cat, Some(&rels)).findings;
         assert!(out
             .iter()
             .any(|v| v.rule == RULE_TYPE && v.severity == Severity::Error));
@@ -1487,8 +1631,7 @@ mod tests {
             vec![DataType::Int],
             "test",
         );
-        let mut out = Vec::new();
-        check(&phantom, &cat, Some(&rels), &mut out);
+        let out = analyze_plan(&phantom, &cat, Some(&rels)).findings;
         assert!(out
             .iter()
             .any(|v| v.rule == RULE_BOUNDS && v.severity == Severity::Error));
@@ -1501,8 +1644,7 @@ mod tests {
             Predicate::cmp_const(Col::base(RelId(0), 0), CmpOp::Gt, Value::Int(5)),
             Predicate::cmp_const(Col::base(RelId(0), 0), CmpOp::Lt, Value::Int(3)),
         ]);
-        let mut out = Vec::new();
-        check(&p, &cat, None, &mut out);
+        let out = analyze_plan(&p, &cat, None).findings;
         let w = out
             .iter()
             .find(|v| v.rule == RULE_DOMAIN)

@@ -6,12 +6,14 @@
 //! relations to match at most one tuple per group, and simple
 //! coalescing grouping requires decomposable aggregates whose merge
 //! stage mirrors the partial stage (Figure 2). This module turns those
-//! invariants — plus a typed schema pass and cost-annotation sanity —
+//! invariants — plus typing, value domains and cost-annotation sanity —
 //! into machine-checked properties of any [`Plan`]:
 //!
-//! * [`schema`] — bottom-up type inference: column resolution, operator
-//!   arity, aggregate input types, predicate comparability, and no
-//!   references to columns dropped below a group-by;
+//! * [`dataflow`] — the one bottom-up walk that types, scopes and
+//!   bounds a plan: the paper's legal operator tree (every consumed
+//!   column produced below, aggregate and predicate operands typed,
+//!   scans bound to the query's tables), value domains and
+//!   contradictions, and the admission floors;
 //! * [`rules`] — transformation legality: the pull-up key rule, the
 //!   invariant-grouping key-join condition, the coalescing merge-stage
 //!   identity, and the degraded-plan (traditional two-phase) shape;
@@ -30,13 +32,13 @@ pub mod cost;
 pub mod dataflow;
 pub mod mutate;
 pub mod rules;
-pub mod schema;
 
 use crate::cost::CostModel;
 use crate::plan::Plan;
 use crate::query::{CanonicalQuery, QueryEnv};
 use aggview_common::{AggViewError, Result};
 use aggview_storage::Catalog;
+use dataflow::Dataflow;
 use std::fmt;
 
 /// How serious a finding is.
@@ -44,8 +46,8 @@ use std::fmt;
 /// **Errors** are integrity defects: the plan would compute wrong
 /// results or crash, so the pre-execution gate rejects it. **Warnings**
 /// are correct-but-suboptimal facts the dataflow pass surfaces (a
-/// provably-empty subtree the optimizer did not prune, a plan that
-/// cannot be certified Mixed-free); the plan still executes.
+/// provably-empty subtree the optimizer did not prune); the plan still
+/// executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Rejecting: the plan must not execute.
@@ -202,12 +204,12 @@ impl fmt::Display for AnalysisReport {
 
 /// Static verifier for [`Plan`] trees.
 ///
-/// Construction is incremental: the catalog alone enables the typed
-/// schema pass and the structural transformation rules; adding the
-/// query environment enables scan-binding checks; adding the canonical
-/// query enables the pull-up key rule (which must know each view's
-/// original relations) and the degraded-shape check; adding a cost
-/// model enables cost-annotation sanity.
+/// Construction is incremental: the catalog alone enables the dataflow
+/// pass and the structural transformation rules; adding the query
+/// environment enables scan-binding and `EmptyScan` bookkeeping checks;
+/// adding the canonical query enables the pull-up key rule (which must
+/// know each view's original relations) and the degraded-shape check;
+/// adding a cost model enables cost-annotation sanity.
 pub struct PlanAnalyzer<'a> {
     catalog: &'a Catalog,
     env: Option<&'a QueryEnv>,
@@ -216,7 +218,7 @@ pub struct PlanAnalyzer<'a> {
 }
 
 impl<'a> PlanAnalyzer<'a> {
-    /// Catalog-only analyzer: typed schema pass, invariant-grouping and
+    /// Catalog-only analyzer: the dataflow pass, invariant-grouping and
     /// coalescing rules.
     pub fn new(catalog: &'a Catalog) -> PlanAnalyzer<'a> {
         PlanAnalyzer {
@@ -252,13 +254,20 @@ impl<'a> PlanAnalyzer<'a> {
 
     /// Run every enabled pass and collect violations.
     pub fn analyze(&self, plan: &Plan) -> AnalysisReport {
-        let mut violations = Vec::new();
-        schema::check(
+        self.analyze_flow(plan).0
+    }
+
+    /// [`PlanAnalyzer::analyze`], also returning the dataflow pass's
+    /// summary of the plan (its findings moved into the report), so a
+    /// caller that needs the domains or the admission bounds walks the
+    /// plan once.
+    pub fn analyze_flow(&self, plan: &Plan) -> (AnalysisReport, Dataflow) {
+        let mut flow = dataflow::analyze_plan(
             plan,
             self.catalog,
             self.env.map(|e| e.rel_tables.as_slice()),
-            &mut violations,
         );
+        let mut violations = std::mem::take(&mut flow.findings);
         if let Some(query) = self.query {
             rules::check_pullup_keys(plan, self.catalog, query, &mut violations);
         }
@@ -268,13 +277,7 @@ impl<'a> PlanAnalyzer<'a> {
         if let (Some(model), Some(env)) = (self.model, self.env) {
             cost::check(plan, model, self.catalog, env, &mut violations);
         }
-        dataflow::check(
-            plan,
-            self.catalog,
-            self.env.map(|e| e.rel_tables.as_slice()),
-            &mut violations,
-        );
-        AnalysisReport { violations }
+        (AnalysisReport { violations }, flow)
     }
 
     /// Like [`PlanAnalyzer::analyze`], additionally requiring the shape
@@ -291,9 +294,15 @@ impl<'a> PlanAnalyzer<'a> {
 
     /// Hard gate: `Err(PlanInvalid)` when any enabled check fails.
     pub fn verify(&self, plan: &Plan) -> Result<()> {
-        let report = self.analyze(plan);
+        self.verify_flow(plan).map(drop)
+    }
+
+    /// [`PlanAnalyzer::verify`], returning the accepted plan's dataflow
+    /// summary (the pre-execution gate admits against its bounds).
+    pub fn verify_flow(&self, plan: &Plan) -> Result<Dataflow> {
+        let (report, flow) = self.analyze_flow(plan);
         if report.is_ok() {
-            Ok(())
+            Ok(flow)
         } else {
             Err(AggViewError::PlanInvalid(report.summary()))
         }

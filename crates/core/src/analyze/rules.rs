@@ -57,7 +57,7 @@ pub(crate) fn check_pullup_keys(
             return; // the top group-by is governed by invariant grouping
         };
         let Some(view) = query.views.get(i as usize) else {
-            return; // unknown owner: the schema pass flags dangling refs
+            return; // unknown owner: the dataflow pass flags dangling refs
         };
         let pulled = input.rel_set() & !view.rel_set();
         if pulled == 0 {
@@ -77,7 +77,7 @@ pub(crate) fn check_pullup_keys(
                 continue;
             };
             let Ok(t) = catalog.get(table) else {
-                continue; // unknown table: the schema pass reports it
+                continue; // unknown table: the dataflow pass reports it
             };
             let Some(pk) = t.primary_key() else {
                 out.push(Violation::new(
@@ -173,8 +173,8 @@ fn exposes_top_group(plan: &Plan) -> bool {
 /// * **merge stage** — each pushed aggregate must be re-assembled under
 ///   the same identity, function and argument (Figure 2), and stored
 ///   partial states exposed by an extent scan need a group-by above just
-///   the same. (Decomposability and component availability are enforced
-///   by the schema pass.)
+///   the same. (Decomposability and component availability are
+///   `schema` findings of the dataflow pass.)
 /// * **pushed keys** (Definition 1, dualized) — the pushed grouping
 ///   columns must cover every final grouping column this subtree
 ///   produces *and* every subtree column referenced by a predicate

@@ -762,6 +762,7 @@ fn finish(ctx: &Ctx<'_, '_>, entry: Entry, stats: &mut SearchStats) -> Result<Pl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::PlanAnalyzer;
     use crate::cost::CostModel;
     use crate::plan::all_cols;
     use crate::query::examples::{dept, emp, example2_query};
@@ -826,7 +827,10 @@ mod tests {
         let mut stats = SearchStats::default();
         let entry =
             optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
-        entry.plan.validate(&cat, &env.rel_tables).unwrap();
+        PlanAnalyzer::new(&cat)
+            .with_env(&env)
+            .verify(&entry.plan)
+            .unwrap();
         assert!(entry.plan.group_by_count() >= 1);
         assert_eq!(
             entry.plan.output_cols(),
@@ -885,7 +889,10 @@ mod tests {
         let mut stats = SearchStats::default();
         let entry =
             optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
-        entry.plan.validate(&cat, &env.rel_tables).unwrap();
+        PlanAnalyzer::new(&cat)
+            .with_env(&env)
+            .verify(&entry.plan)
+            .unwrap();
         assert_eq!(entry.plan.group_by_count(), 0);
         assert_eq!(entry.plan.output_cols(), &[Col::base(RelId(0), emp::SAL)]);
     }
@@ -968,7 +975,10 @@ mod tests {
         let mut stats = SearchStats::default();
         let entry =
             optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
-        entry.plan.validate(&cat, &env.rel_tables).unwrap();
+        PlanAnalyzer::new(&cat)
+            .with_env(&env)
+            .verify(&entry.plan)
+            .unwrap();
         let mut s2 = SearchStats::default();
         let trad =
             optimize_block(&q, &est, &cat, &OptimizerConfig::traditional(), &mut s2).unwrap();
@@ -1032,7 +1042,10 @@ mod tests {
         let mut stats = SearchStats::default();
         let entry =
             optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
-        entry.plan.validate(&cat, &env.rel_tables).unwrap();
+        PlanAnalyzer::new(&cat)
+            .with_env(&env)
+            .verify(&entry.plan)
+            .unwrap();
         assert_eq!(entry.plan.join_count(), 3);
         assert_eq!(entry.plan.output_cols(), &project[..]);
         // Every join in the chosen plan must carry at least one predicate.
@@ -1086,7 +1099,10 @@ mod tests {
             vec![Col::base(RelId(0), 1)],
         );
         let naive = Plan::join(col, scans[3].clone(), vec![preds[2].clone()], project);
-        naive.validate(&cat, &env.rel_tables).unwrap();
+        PlanAnalyzer::new(&cat)
+            .with_env(&env)
+            .verify(&naive)
+            .unwrap();
         let naive = est.cost_plan(&naive).unwrap();
         assert!(
             best.props.cost <= naive.cost + 1e-9,

@@ -121,21 +121,9 @@ impl Default for OptimizerConfig {
             push_down: true,
             require_shared_predicate: true,
             use_matviews: true,
-            use_eager_agg: eager_agg_from_env(),
+            use_eager_agg: true,
         }
     }
-}
-
-/// `AGGVIEW_EAGER_AGG` when set to `off`/`0`/`false` disables eager
-/// aggregation in the default configuration; anything else enables it.
-fn eager_agg_from_env() -> bool {
-    !matches!(
-        std::env::var("AGGVIEW_EAGER_AGG")
-            .ok()
-            .as_deref()
-            .map(str::trim),
-        Some("off") | Some("0") | Some("false")
-    )
 }
 
 impl OptimizerConfig {

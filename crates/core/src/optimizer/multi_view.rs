@@ -271,8 +271,14 @@ fn optimize_inner(
     // "pull-up may result in combining G0 and G1"). Combining removes an
     // operator, so the estimated cost never increases; keep the combined
     // plan when it is valid and no costlier.
+    let legal = |plan: &Plan| {
+        crate::analyze::PlanAnalyzer::new(catalog)
+            .with_env(&query.env)
+            .verify(plan)
+            .is_ok()
+    };
     let combined = crate::transform::combine::combine_all(&out.plan);
-    if combined != out.plan && combined.validate(catalog, &query.env.rel_tables).is_ok() {
+    if combined != out.plan && legal(&combined) {
         if let Ok(props) = est.cost_plan(&combined) {
             if props.cost <= out.props.cost + 1e-9 {
                 out.plan = combined;
@@ -288,7 +294,7 @@ fn optimize_inner(
         catalog,
         Some(query.env.rel_tables.as_slice()),
     );
-    if n_pruned > 0 && pruned.validate(catalog, &query.env.rel_tables).is_ok() {
+    if n_pruned > 0 && legal(&pruned) {
         if let Ok(props) = est.cost_plan(&pruned) {
             out.plan = pruned;
             out.props = props;
@@ -856,6 +862,7 @@ fn outer_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::PlanAnalyzer;
     use crate::query::examples::{example1_query, example2_query};
     use aggview_storage::datagen::{gen_empdept, EmpDeptConfig};
 
@@ -874,7 +881,10 @@ mod tests {
         let cat = catalog(20, 10, 0.1);
         let q = example1_query();
         let opt = optimize(&q, &cat, CostModel::default(), &OptimizerConfig::default()).unwrap();
-        opt.plan.validate(&cat, &q.env.rel_tables).unwrap();
+        PlanAnalyzer::new(&cat)
+            .with_env(&q.env)
+            .verify(&opt.plan)
+            .unwrap();
         assert!(opt.props.cost > 0.0);
         assert_eq!(opt.pulled.len(), 1);
     }
@@ -907,7 +917,10 @@ mod tests {
         let cat = catalog(10, 20, 0.1);
         let q = example2_query();
         let opt = optimize(&q, &cat, CostModel::default(), &OptimizerConfig::default()).unwrap();
-        opt.plan.validate(&cat, &q.env.rel_tables).unwrap();
+        PlanAnalyzer::new(&cat)
+            .with_env(&q.env)
+            .verify(&opt.plan)
+            .unwrap();
         assert!(matches!(opt.plan, Plan::GroupBy { .. } | Plan::Join { .. }));
     }
 
@@ -924,7 +937,10 @@ mod tests {
         .unwrap();
         // Traditional: nothing pulled through the view.
         assert!(opt.pulled[0].is_empty());
-        opt.plan.validate(&cat, &q.env.rel_tables).unwrap();
+        PlanAnalyzer::new(&cat)
+            .with_env(&q.env)
+            .verify(&opt.plan)
+            .unwrap();
     }
 
     #[test]

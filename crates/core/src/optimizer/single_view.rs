@@ -64,6 +64,7 @@ pub fn optimize_single_view_governed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::PlanAnalyzer;
     use crate::query::examples::{example1_query, example2_query};
     use aggview_storage::datagen::{gen_empdept, EmpDeptConfig};
 
@@ -78,7 +79,10 @@ mod tests {
         let q = example1_query();
         let opt = optimize_single_view(&q, &cat, CostModel::default(), &OptimizerConfig::default())
             .unwrap();
-        opt.plan.validate(&cat, &q.env.rel_tables).unwrap();
+        PlanAnalyzer::new(&cat)
+            .with_env(&q.env)
+            .verify(&opt.plan)
+            .unwrap();
     }
 
     #[test]

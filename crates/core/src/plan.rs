@@ -9,20 +9,17 @@
 //! has an associated list of projection columns" — here the `project`
 //! field of every node, which doubles as the node's output layout.
 //!
-//! [`Plan::validate`] implements the paper's *legal operator tree*
-//! notion: every column a node consumes must be produced below it, and a
-//! predicate over aggregated columns may only appear at or above the
-//! group-by that computes the aggregate.
+//! The paper's *legal operator tree* notion — every column a node
+//! consumes is produced below it, and a predicate over aggregated columns
+//! appears only at or above the group-by that computes the aggregate —
+//! is checked by the analyzer's dataflow pass
+//! ([`crate::analyze::dataflow`]).
 //!
 //! A node owns its annotations and shares its inputs (`Arc<Plan>`):
 //! plans are immutable values, and the optimizer builds thousands of
 //! candidates over the same memoized sub-plans.
 
-use aggview_common::{
-    AggRef, AggSpec, AggViewError, Col, ColRef, DataType, Predicate, RelId, Result, ViewId,
-};
-use aggview_storage::Catalog;
-use std::collections::BTreeSet;
+use aggview_common::{AggRef, AggSpec, Col, ColRef, DataType, Predicate, RelId, ViewId};
 use std::fmt;
 use std::sync::Arc;
 
@@ -387,7 +384,7 @@ impl Plan {
         }
     }
 
-    /// Replace this node's projection list (validation will catch
+    /// Replace this node's projection list (the analyzer catches
     /// projections of unavailable columns).
     pub fn with_project(mut self, new_project: Vec<Col>) -> Plan {
         match &mut self {
@@ -398,7 +395,7 @@ impl Plan {
             | Plan::ExtentScan { project, .. } => *project = new_project,
             Plan::EmptyScan { project, types, .. } => {
                 // Keep the recorded types parallel to the projection.
-                // Unknown columns get a placeholder; validation rejects
+                // Unknown columns get a placeholder; the analyzer rejects
                 // them before anything downstream reads the type.
                 let old: Vec<(Col, DataType)> =
                     project.iter().copied().zip(types.iter().copied()).collect();
@@ -453,257 +450,6 @@ impl Plan {
             Plan::Join { left, right, .. } => 1 + left.join_count() + right.join_count(),
             Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
                 input.join_count()
-            }
-        }
-    }
-
-    /// Check that this is a *legal operator tree* (paper Section 2):
-    /// every consumed column is produced below, scan filters are local,
-    /// join predicates don't reference unavailable aggregates, group-by
-    /// HAVING only sees group keys and own aggregates.
-    pub fn validate(&self, catalog: &Catalog, rel_tables: &[String]) -> Result<()> {
-        self.validate_inner(catalog, rel_tables)?;
-        Ok(())
-    }
-
-    /// Validation worker: returns the set of columns this node outputs.
-    fn validate_inner(&self, catalog: &Catalog, rel_tables: &[String]) -> Result<BTreeSet<Col>> {
-        match self {
-            Plan::Scan {
-                rel,
-                table,
-                filters,
-                project,
-            } => {
-                let t = catalog.get(table)?;
-                let declared = rel_tables.get(rel.idx()).ok_or_else(|| {
-                    AggViewError::Plan(format!("scan of undeclared relation {rel}"))
-                })?;
-                if !declared.eq_ignore_ascii_case(table) {
-                    return Err(AggViewError::Plan(format!(
-                        "scan of {rel} names table `{table}` but query binds it to `{declared}`"
-                    )));
-                }
-                let arity = t.schema().len();
-                let avail: BTreeSet<Col> = (0..arity).map(|c| Col::base(*rel, c)).collect();
-                for p in filters {
-                    let used = p.cols_used();
-                    if !used.iter().all(|c| avail.contains(c)) {
-                        return Err(AggViewError::Plan(format!(
-                            "scan filter `{p}` references columns outside {rel}"
-                        )));
-                    }
-                }
-                let out: BTreeSet<Col> = project.iter().copied().collect();
-                if !out.iter().all(|c| avail.contains(c)) {
-                    return Err(AggViewError::Plan(format!(
-                        "scan of {rel} projects columns it does not produce"
-                    )));
-                }
-                Ok(out)
-            }
-            Plan::Join {
-                left,
-                right,
-                preds,
-                project,
-                ..
-            } => {
-                let l = left.validate_inner(catalog, rel_tables)?;
-                let r = right.validate_inner(catalog, rel_tables)?;
-                if left.rel_set() & right.rel_set() != 0 {
-                    return Err(AggViewError::Plan(
-                        "join children overlap in base relations".into(),
-                    ));
-                }
-                let mut avail = l;
-                avail.extend(r.iter().copied());
-                for p in preds {
-                    for c in p.cols_used() {
-                        if !avail.contains(&c) {
-                            return Err(AggViewError::Plan(format!(
-                                "join predicate `{p}` references unavailable column {c}"
-                            )));
-                        }
-                    }
-                }
-                for c in project {
-                    if !avail.contains(c) {
-                        return Err(AggViewError::Plan(format!(
-                            "join projects unavailable column {c}"
-                        )));
-                    }
-                }
-                Ok(project.iter().copied().collect())
-            }
-            Plan::GroupBy {
-                input,
-                spec,
-                project,
-                ..
-            } => {
-                let child = input.validate_inner(catalog, rel_tables)?;
-                for g in &spec.group_cols {
-                    if !child.contains(g) {
-                        return Err(AggViewError::Plan(format!(
-                            "group-by {} groups on unavailable column {g}",
-                            spec.owner
-                        )));
-                    }
-                }
-                for (i, a) in spec.aggs.iter().enumerate() {
-                    let aref = spec.agg_ref(i);
-                    let partial_first = Col::part(aref, 0);
-                    if child.contains(&partial_first) {
-                        // Coalescing input: all components must be present.
-                        for k in 0..a.func.partial_arity() {
-                            if !child.contains(&Col::part(aref, k)) {
-                                return Err(AggViewError::Plan(format!(
-                                    "group-by {} misses partial component {k} of {aref}",
-                                    spec.owner
-                                )));
-                            }
-                        }
-                    } else {
-                        for c in a.cols_used() {
-                            if !child.contains(&c) {
-                                return Err(AggViewError::Plan(format!(
-                                    "aggregate `{a}` of {} reads unavailable column {c}",
-                                    spec.owner
-                                )));
-                            }
-                        }
-                    }
-                }
-                let mut avail: BTreeSet<Col> = spec.group_cols.iter().copied().collect();
-                avail.extend(spec.agg_cols());
-                for h in &spec.having {
-                    for c in h.cols_used() {
-                        if !avail.contains(&c) {
-                            return Err(AggViewError::Plan(format!(
-                                "HAVING `{h}` of {} references {c}, which is neither a \
-                                 grouping column nor an aggregate of this operator",
-                                spec.owner
-                            )));
-                        }
-                    }
-                }
-                for c in project {
-                    if !avail.contains(c) {
-                        return Err(AggViewError::Plan(format!(
-                            "group-by {} projects unavailable column {c}",
-                            spec.owner
-                        )));
-                    }
-                }
-                Ok(project.iter().copied().collect())
-            }
-            Plan::PartialAggregate {
-                input,
-                spec,
-                project,
-                ..
-            } => {
-                let child = input.validate_inner(catalog, rel_tables)?;
-                for g in &spec.group_cols {
-                    if !child.contains(g) {
-                        return Err(AggViewError::Plan(format!(
-                            "partial aggregate groups on unavailable column {g}"
-                        )));
-                    }
-                }
-                for (_, a) in &spec.aggs {
-                    if !a.func.is_decomposable() {
-                        return Err(AggViewError::Plan(format!(
-                            "partial aggregate over non-decomposable aggregate `{a}`"
-                        )));
-                    }
-                    for c in a.cols_used() {
-                        if !child.contains(&c) {
-                            return Err(AggViewError::Plan(format!(
-                                "partial aggregate `{a}` reads unavailable column {c}"
-                            )));
-                        }
-                    }
-                }
-                let mut avail: BTreeSet<Col> = spec.group_cols.iter().copied().collect();
-                avail.extend(spec.all_part_cols());
-                for c in project {
-                    if !avail.contains(c) {
-                        return Err(AggViewError::Plan(format!(
-                            "partial aggregate projects unavailable column {c}"
-                        )));
-                    }
-                }
-                Ok(project.iter().copied().collect())
-            }
-            Plan::ExtentScan {
-                view,
-                table,
-                covers,
-                cols,
-                outputs,
-                filters,
-                project,
-            } => {
-                let t = catalog.get(table)?;
-                if covers.is_empty() {
-                    return Err(AggViewError::Plan(format!(
-                        "extent scan of `{view}` covers no relations"
-                    )));
-                }
-                if cols.len() != outputs.len() {
-                    return Err(AggViewError::Plan(format!(
-                        "extent scan of `{view}` maps {} physical columns to {} outputs",
-                        cols.len(),
-                        outputs.len()
-                    )));
-                }
-                let arity = t.schema().len();
-                if let Some(&c) = cols.iter().find(|&&c| c >= arity) {
-                    return Err(AggViewError::Plan(format!(
-                        "extent scan of `{view}` reads column {c} of {arity}-column extent"
-                    )));
-                }
-                let avail: BTreeSet<Col> = outputs.iter().copied().collect();
-                for p in filters {
-                    if !p.cols_used().iter().all(|c| avail.contains(c)) {
-                        return Err(AggViewError::Plan(format!(
-                            "extent-scan filter `{p}` references columns the extent \
-                             of `{view}` does not expose"
-                        )));
-                    }
-                }
-                let out: BTreeSet<Col> = project.iter().copied().collect();
-                if !out.iter().all(|c| avail.contains(c)) {
-                    return Err(AggViewError::Plan(format!(
-                        "extent scan of `{view}` projects columns it does not produce"
-                    )));
-                }
-                Ok(out)
-            }
-            Plan::EmptyScan {
-                covers,
-                project,
-                types,
-                ..
-            } => {
-                if covers.is_empty() {
-                    return Err(AggViewError::Plan("empty scan covers no relations".into()));
-                }
-                if let Some(r) = covers.iter().find(|r| r.idx() >= rel_tables.len()) {
-                    return Err(AggViewError::Plan(format!(
-                        "empty scan covers undeclared relation {r}"
-                    )));
-                }
-                if types.len() != project.len() {
-                    return Err(AggViewError::Plan(format!(
-                        "empty scan records {} types for {} output columns",
-                        types.len(),
-                        project.len()
-                    )));
-                }
-                Ok(project.iter().copied().collect())
             }
         }
     }
@@ -835,11 +581,14 @@ pub fn positions_of(cols: &[Col], rel: RelId) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aggview_common::{AggFunc, CmpOp, DataType, Expr, Schema, Value};
-    use aggview_storage::Table;
+    use crate::analyze::PlanAnalyzer;
+    use crate::query::QueryEnv;
+    use aggview_common::{AggFunc, CmpOp, DataType, Expr, Result, Schema, Value};
+    use aggview_storage::{Catalog, Table};
 
-    /// emp(eno, name, dno, sal, age), dept(dno, dname, budget, loc)
-    fn setup() -> (Catalog, Vec<String>) {
+    /// emp(eno, name, dno, sal, age) as r0, dept(dno, dname, budget,
+    /// loc) as r1.
+    fn setup() -> (Catalog, QueryEnv) {
         let catalog = Catalog::new();
         catalog
             .add(
@@ -876,7 +625,16 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        (catalog, vec!["emp".into(), "dept".into()])
+        let mut env = QueryEnv::default();
+        env.add_rel("emp");
+        env.add_rel("dept");
+        (catalog, env)
+    }
+
+    /// The analyzer's verdict on `plan` under the emp/dept binding.
+    fn verify(plan: &Plan) -> Result<()> {
+        let (cat, env) = setup();
+        PlanAnalyzer::new(&cat).with_env(&env).verify(plan)
     }
 
     fn emp_scan() -> Plan {
@@ -889,7 +647,6 @@ mod tests {
 
     #[test]
     fn legal_spj_tree_validates() {
-        let (cat, rels) = setup();
         let join = Plan::join_all(
             emp_scan(),
             dept_scan(),
@@ -898,7 +655,7 @@ mod tests {
                 Col::base(RelId(1), 0),
             )],
         );
-        join.validate(&cat, &rels).unwrap();
+        verify(&join).unwrap();
         assert_eq!(join.rels(), vec![RelId(0), RelId(1)]);
         assert_eq!(join.join_count(), 1);
         assert_eq!(join.group_by_count(), 0);
@@ -906,7 +663,6 @@ mod tests {
 
     #[test]
     fn scan_filter_must_be_local() {
-        let (cat, rels) = setup();
         let bad = Plan::scan(
             RelId(0),
             "emp",
@@ -916,20 +672,18 @@ mod tests {
             )],
             all_cols(RelId(0), 5),
         );
-        assert!(bad.validate(&cat, &rels).is_err());
+        assert!(verify(&bad).is_err());
     }
 
     #[test]
     fn join_children_must_be_disjoint() {
-        let (cat, rels) = setup();
         let bad = Plan::join_all(emp_scan(), emp_scan(), vec![]);
-        let err = bad.validate(&cat, &rels).unwrap_err();
+        let err = verify(&bad).unwrap_err();
         assert!(err.message().contains("overlap"));
     }
 
     #[test]
     fn group_by_validates_and_exports_aggs() {
-        let (cat, rels) = setup();
         let spec = GroupBySpec {
             owner: ViewId::View(0),
             group_cols: vec![Col::base(RelId(0), 2)],
@@ -940,7 +694,7 @@ mod tests {
             having: vec![],
         };
         let g = Plan::group_by_all(emp_scan(), spec);
-        g.validate(&cat, &rels).unwrap();
+        verify(&g).unwrap();
         assert_eq!(
             g.output_cols(),
             &[Col::base(RelId(0), 2), Col::agg(ViewId::View(0), 0)]
@@ -950,7 +704,6 @@ mod tests {
 
     #[test]
     fn having_may_only_see_group_keys_and_own_aggs() {
-        let (cat, rels) = setup();
         let spec = GroupBySpec {
             owner: ViewId::View(0),
             group_cols: vec![Col::base(RelId(0), 2)],
@@ -966,13 +719,12 @@ mod tests {
             )],
         };
         let g = Plan::group_by_all(emp_scan(), spec);
-        let err = g.validate(&cat, &rels).unwrap_err();
+        let err = verify(&g).unwrap_err();
         assert!(err.message().contains("HAVING"));
     }
 
     #[test]
     fn join_predicate_over_uncomputed_aggregate_is_illegal() {
-        let (cat, rels) = setup();
         // Join emp with dept comparing sal > Q1#a0, but no group-by below.
         let bad = Plan::join_all(
             emp_scan(),
@@ -983,13 +735,12 @@ mod tests {
                 Expr::col(Col::agg(ViewId::View(0), 0)),
             )],
         );
-        let err = bad.validate(&cat, &rels).unwrap_err();
-        assert!(err.message().contains("unavailable"));
+        let err = verify(&bad).unwrap_err();
+        assert!(err.message().contains("not available"));
     }
 
     #[test]
     fn partial_aggregate_produces_component_columns() {
-        let (cat, rels) = setup();
         let aref = AggRef::new(ViewId::View(0), 0);
         let spec = PartialAggSpec {
             group_cols: vec![Col::base(RelId(0), 2)],
@@ -1000,7 +751,7 @@ mod tests {
             count: None,
         };
         let p = Plan::partial_aggregate_all(emp_scan(), spec);
-        p.validate(&cat, &rels).unwrap();
+        verify(&p).unwrap();
         assert_eq!(
             p.output_cols(),
             &[
@@ -1014,7 +765,6 @@ mod tests {
     #[test]
     fn coalescing_pipeline_validates() {
         // PartialAggregate (no count) → Join → GroupBy coalescing.
-        let (cat, rels) = setup();
         let aref = AggRef::new(ViewId::Top, 0);
         let agg = AggSpec::new(AggFunc::Sum, Expr::col(Col::base(RelId(0), 3)));
         let partial = Plan::partial_aggregate_all(
@@ -1040,7 +790,7 @@ mod tests {
             having: vec![],
         };
         let plan = Plan::group_by_all(join, final_spec);
-        plan.validate(&cat, &rels).unwrap();
+        verify(&plan).unwrap();
         assert_eq!(plan.group_by_count(), 2);
     }
 
@@ -1048,7 +798,6 @@ mod tests {
     fn eager_pipeline_validates_and_explains() {
         // PartialAggregate → Join → GroupBy merge with duplicate-factor
         // compensation for the kept COUNT(*).
-        let (cat, rels) = setup();
         let sum_ref = AggRef::new(ViewId::Top, 0);
         let cnt_ref = AggRef::new(ViewId::Top, 2);
         let sum = AggSpec::new(AggFunc::Sum, Expr::col(Col::base(RelId(0), 3)));
@@ -1085,7 +834,7 @@ mod tests {
                 having: vec![],
             },
         );
-        plan.validate(&cat, &rels).unwrap();
+        verify(&plan).unwrap();
         assert_eq!(plan.group_by_count(), 2);
         let text = plan.explain();
         assert!(text.contains("PartialAggregate"), "{text}");
@@ -1095,7 +844,6 @@ mod tests {
 
     #[test]
     fn partial_aggregate_requires_available_columns() {
-        let (cat, rels) = setup();
         let aref = AggRef::new(ViewId::Top, 0);
         let foreign = Plan::partial_aggregate_all(
             emp_scan(),
@@ -1108,14 +856,40 @@ mod tests {
                 count: None,
             },
         );
-        assert!(foreign.validate(&cat, &rels).is_err());
+        assert!(verify(&foreign).is_err());
     }
 
     #[test]
     fn scan_table_must_match_binding() {
-        let (cat, rels) = setup();
         let bad = Plan::scan(RelId(0), "dept", vec![], vec![Col::base(RelId(0), 0)]);
-        assert!(bad.validate(&cat, &rels).is_err());
+        assert!(verify(&bad).is_err());
+    }
+
+    #[test]
+    fn extent_scan_must_cover_relations() {
+        let bare = Plan::extent_scan(
+            "v",
+            "dept",
+            vec![],
+            vec![0],
+            vec![Col::base(RelId(1), 0)],
+            vec![],
+            vec![Col::base(RelId(1), 0)],
+        );
+        let err = verify(&bare).unwrap_err();
+        assert!(err.message().contains("covers no relations"), "{err}");
+    }
+
+    #[test]
+    fn empty_scan_must_cover_relations() {
+        let bare = Plan::empty_scan(
+            vec![],
+            vec![Col::base(RelId(0), 0)],
+            vec![DataType::Int],
+            "test",
+        );
+        let err = verify(&bare).unwrap_err();
+        assert!(err.message().contains("covers no relations"), "{err}");
     }
 
     #[test]

@@ -107,11 +107,13 @@ pub fn later_pred_cols(preds: &[Predicate], subset: u64) -> BTreeSet<Col> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::PlanAnalyzer;
     use crate::plan::{all_cols, GroupBySpec};
+    use crate::query::QueryEnv;
     use aggview_common::{AggFunc, CmpOp, DataType, Expr, Schema, Value};
     use aggview_storage::{Catalog, Table};
 
-    fn setup() -> (Catalog, Vec<String>) {
+    fn setup() -> (Catalog, QueryEnv) {
         let catalog = Catalog::new();
         catalog
             .add(
@@ -141,7 +143,7 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        (catalog, vec!["emp".into(), "dept".into()])
+        (catalog, QueryEnv::new(vec!["emp".into(), "dept".into()]))
     }
 
     #[test]
@@ -179,7 +181,7 @@ mod tests {
 
     #[test]
     fn full_coalescing_pipeline_is_legal() {
-        let (cat, rels) = setup();
+        let (cat, env) = setup();
         let e = RelId(0);
         let d = RelId(1);
         let aggs = vec![
@@ -217,7 +219,10 @@ mod tests {
                 having: vec![],
             },
         );
-        final_gb.validate(&cat, &rels).unwrap();
+        PlanAnalyzer::new(&cat)
+            .with_env(&env)
+            .verify(&final_gb)
+            .unwrap();
         assert_eq!(final_gb.group_by_count(), 2);
     }
 

@@ -180,14 +180,16 @@ pub fn pull_up(plan: &Plan, catalog: &Catalog) -> Result<Plan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::PlanAnalyzer;
     use crate::plan::all_cols;
     use crate::query::examples::{dept, emp};
+    use crate::query::QueryEnv;
     use aggview_common::{AggFunc, AggSpec, CmpOp, DataType, Expr, RelId, Schema, Value, ViewId};
     use aggview_storage::Table;
 
     /// Build the paper's Example 1 as plan P1:
     /// J1( G1(emp e2 by dno, avg(sal)), emp e1 filtered age<22 )
-    fn example1_p1() -> (Catalog, Vec<String>, Plan) {
+    fn example1_p1() -> (Catalog, QueryEnv, Plan) {
         let catalog = Catalog::new();
         catalog
             .add(
@@ -207,7 +209,7 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        let rel_tables = vec!["emp".to_string(), "emp".to_string()];
+        let env = QueryEnv::new(vec!["emp".into(), "emp".into()]);
         let e1 = RelId(0);
         let e2 = RelId(1);
         let g1 = GroupBySpec {
@@ -256,15 +258,15 @@ mod tests {
             ],
             vec![Col::base(e1, emp::SAL)],
         );
-        (catalog, rel_tables, join)
+        (catalog, env, join)
     }
 
     #[test]
     fn example1_pull_up_produces_query_b_shape() {
-        let (cat, rels, p1) = example1_p1();
-        p1.validate(&cat, &rels).unwrap();
+        let (cat, env, p1) = example1_p1();
+        PlanAnalyzer::new(&cat).with_env(&env).verify(&p1).unwrap();
         let p2 = pull_up(&p1, &cat).unwrap();
-        p2.validate(&cat, &rels).unwrap();
+        PlanAnalyzer::new(&cat).with_env(&env).verify(&p2).unwrap();
 
         // P2 must be GroupBy over Join over two scans (query B's shape).
         let Plan::GroupBy {
@@ -323,7 +325,7 @@ mod tests {
     #[test]
     fn pull_up_fails_without_derivable_key() {
         // R2 projection drops its primary key → no key derivable.
-        let (cat, rels, p1) = example1_p1();
+        let (cat, env, p1) = example1_p1();
         let Plan::Join {
             left, right, preds, ..
         } = &p1
@@ -341,7 +343,7 @@ mod tests {
             preds: preds.clone(),
             project: vec![Col::base(RelId(0), emp::SAL)],
         };
-        j.validate(&cat, &rels).unwrap();
+        PlanAnalyzer::new(&cat).with_env(&env).verify(&j).unwrap();
         let err = pull_up(&j, &cat).unwrap_err();
         assert!(err.message().contains("key"));
     }
@@ -387,7 +389,7 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        let rels = vec!["emp".to_string(), "dept".to_string()];
+        let env = QueryEnv::new(vec!["emp".into(), "dept".into()]);
         let e = RelId(0);
         let d = RelId(1);
         let g1 = GroupBySpec {
@@ -422,9 +424,15 @@ mod tests {
                 Col::base(d, dept::DNAME),
             ],
         );
-        join.validate(&catalog, &rels).unwrap();
+        PlanAnalyzer::new(&catalog)
+            .with_env(&env)
+            .verify(&join)
+            .unwrap();
         let p2 = pull_up(&join, &catalog).unwrap();
-        p2.validate(&catalog, &rels).unwrap();
+        PlanAnalyzer::new(&catalog)
+            .with_env(&env)
+            .verify(&p2)
+            .unwrap();
         let Plan::GroupBy { spec, .. } = &p2 else {
             panic!("group-by root expected")
         };

@@ -21,7 +21,7 @@ use aggview_common::predicate::BoundPredicate;
 use aggview_common::{
     AggFunc, AggRef, AggViewError, Batch, Col, ColumnVec, Predicate, Result, Tuple,
 };
-use aggview_core::analyze::dataflow;
+use aggview_core::analyze::dataflow::Bounds;
 use aggview_core::cost::ops::{self, JoinSides};
 use aggview_core::cost::CostModel;
 use aggview_core::governor::ResourceGovernor;
@@ -212,11 +212,11 @@ impl<'a> Engine<'a> {
     /// Before any work starts, the plan must pass the static
     /// [`aggview_core::PlanAnalyzer`] integrity gate; a defective plan
     /// is rejected with [`AggViewError::PlanInvalid`] instead of being
-    /// executed. When the governor carries a row or byte budget, the
-    /// dataflow pass then derives guaranteed lower bounds on the plan's
-    /// charged output; a plan whose *floor* already exceeds a
-    /// budget can only end in [`AggViewError::ResourceExhausted`] after
-    /// wasted work, so it is rejected up front with
+    /// executed. The gate's dataflow pass also derives guaranteed lower
+    /// bounds on the plan's charged output; when the governor carries a
+    /// row or byte budget, a plan whose *floor* already exceeds it can
+    /// only end in [`AggViewError::ResourceExhausted`] after wasted
+    /// work, so it is rejected up front with
     /// [`AggViewError::PlanInadmissible`].
     pub fn execute_governed(
         &self,
@@ -224,11 +224,10 @@ impl<'a> Engine<'a> {
         gov: &ResourceGovernor,
         faults: Option<&dyn FaultInjector>,
     ) -> Result<ResultSet> {
-        plan.validate(self.catalog, &self.env.rel_tables)?;
-        aggview_core::PlanAnalyzer::new(self.catalog)
+        let flow = aggview_core::PlanAnalyzer::new(self.catalog)
             .with_env(self.env)
-            .verify(plan)?;
-        self.admit(plan, gov)?;
+            .verify_flow(plan)?;
+        admit(&flow.bounds, gov)?;
         let demotions_before = aggview_common::mixed_demotions();
         let mut ctx = ExecCtx {
             breakdown: Vec::new(),
@@ -256,37 +255,6 @@ impl<'a> Engine<'a> {
             peak_intermediate_bytes: ctx.peak_bytes,
             mixed_demotions: aggview_common::mixed_demotions().saturating_sub(demotions_before),
         })
-    }
-
-    /// Static admission control: reject a plan whose guaranteed minimum
-    /// resource use already exceeds the governor's budgets. The bounds
-    /// are sums of per-operator output floors, mirroring how the
-    /// governor charges cumulatively at every operator boundary, so a
-    /// rejection is never spurious: executing the plan would provably
-    /// exhaust the same budget mid-run.
-    fn admit(&self, plan: &Plan, gov: &ResourceGovernor) -> Result<()> {
-        let limits = gov.limits();
-        if limits.max_rows.is_none() && limits.max_bytes.is_none() {
-            return Ok(());
-        }
-        let flow = dataflow::analyze_plan(plan, self.catalog, Some(self.env.rel_tables.as_slice()));
-        if let Some(cap) = limits.max_rows {
-            if flow.bounds.min_rows > cap {
-                return Err(AggViewError::PlanInadmissible(format!(
-                    "plan materializes at least {} rows, over the {cap}-row budget",
-                    flow.bounds.min_rows
-                )));
-            }
-        }
-        if let Some(cap) = limits.max_bytes {
-            if flow.bounds.min_bytes > cap {
-                return Err(AggViewError::PlanInadmissible(format!(
-                    "plan materializes at least {} bytes, over the {cap}-byte budget",
-                    flow.bounds.min_bytes
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Evaluate `plan` as far as its consumer needs it: scans and
@@ -679,6 +647,33 @@ impl<'a> Engine<'a> {
     fn pages_for(&self, bytes: u64) -> f64 {
         self.model.page.pages_for_bytes(bytes as f64)
     }
+}
+
+/// Static admission control: reject a plan whose guaranteed minimum
+/// resource use already exceeds the governor's budgets. The bounds are
+/// sums of per-operator output floors, mirroring how the governor
+/// charges cumulatively at every operator boundary, so a rejection is
+/// never spurious: executing the plan would provably exhaust the same
+/// budget mid-run.
+fn admit(bounds: &Bounds, gov: &ResourceGovernor) -> Result<()> {
+    let limits = gov.limits();
+    if let Some(cap) = limits.max_rows {
+        if bounds.min_rows > cap {
+            return Err(AggViewError::PlanInadmissible(format!(
+                "plan materializes at least {} rows, over the {cap}-row budget",
+                bounds.min_rows
+            )));
+        }
+    }
+    if let Some(cap) = limits.max_bytes {
+        if bounds.min_bytes > cap {
+            return Err(AggViewError::PlanInadmissible(format!(
+                "plan materializes at least {} bytes, over the {cap}-byte budget",
+                bounds.min_bytes
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Aggregate inputs of the local phase: every pushed aggregate reads

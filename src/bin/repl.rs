@@ -403,8 +403,7 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
 fn set_limit(session: &mut Session, key: &str, val: &str) {
     if key == "eager_agg" {
         // Not a governor limit: `off` disables the plan alternative,
-        // `on` re-enables it (the environment default honors
-        // AGGVIEW_EAGER_AGG).
+        // `on` re-enables it (the default).
         session.config.use_eager_agg = match val {
             "on" | "1" | "true" => true,
             "off" | "0" | "false" => false,

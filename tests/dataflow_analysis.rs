@@ -10,14 +10,15 @@
 //!    optimizer corpus, every concrete
 //!    output value lies inside its predicted domain and every measured
 //!    resource counter meets its static lower bound;
-//! 4. **type certification** — corpus plans certify Mixed-free and
-//!    execute with zero runtime demotions.
+//! 4. **type certification** — corpus plans, two-phase ones included,
+//!    certify Mixed-free and execute with zero runtime demotions.
 
-use aggview::common::{CmpOp, Col, Predicate, Value};
+use aggview::common::{AggFunc, AggSpec, CmpOp, Col, Expr, Predicate, Value, ViewId};
 use aggview::core::analyze::dataflow;
+use aggview::core::cost::ops::IoParams;
 use aggview::core::plan::all_cols;
 use aggview::core::query::examples::{emp, example1_query, example2_query, example2_wide_query};
-use aggview::core::query::QueryEnv;
+use aggview::core::query::{CanonicalQuery, QueryEnv, TopGroup};
 use aggview::core::{optimize, CostModel, OptimizerConfig, Plan, ResourceGovernor, ResourceLimits};
 use aggview::executor::Engine;
 use aggview::sql::Session;
@@ -118,28 +119,88 @@ fn over_budget_plan_is_rejected_before_any_work() {
         .expect("a cap equal to the floor must be admitted");
 }
 
+/// The eager self-join: `AVG(e1.age)` is pushed below the join with a
+/// duplicate factor, the merge above coalesces it.
+fn eager_selfjoin_query() -> CanonicalQuery {
+    let mut env = QueryEnv::default();
+    let e1 = env.add_rel("emp");
+    let e2 = env.add_rel("emp");
+    CanonicalQuery {
+        env,
+        views: vec![],
+        base_rels: vec![e1, e2],
+        preds: vec![Predicate::eq_cols(
+            Col::base(e1, emp::DNO),
+            Col::base(e2, emp::DNO),
+        )],
+        group: Some(TopGroup {
+            group_cols: vec![Col::base(e1, emp::DNO)],
+            aggs: vec![
+                AggSpec::new(AggFunc::Avg, Expr::col(Col::base(e1, emp::AGE))),
+                AggSpec::new(AggFunc::Min, Expr::col(Col::base(e2, emp::SAL))),
+                AggSpec::new(AggFunc::Sum, Expr::col(Col::base(e2, emp::AGE))),
+            ],
+            having: vec![],
+        }),
+        projection: vec![
+            Col::base(e1, emp::DNO),
+            Col::agg(ViewId::Top, 0),
+            Col::agg(ViewId::Top, 1),
+            Col::agg(ViewId::Top, 2),
+        ],
+    }
+}
+
 #[test]
 fn certified_corpus_executes_without_mixed_demotions() {
     let cat = catalog();
+    let big = gen_empdept(&EmpDeptConfig {
+        n_depts: 200,
+        emps_per_dept: 100,
+        young_fraction: 0.3,
+        low_budget_fraction: 0.3,
+        seed: 12,
+    })
+    .unwrap();
+    let small_memory = CostModel {
+        io: IoParams {
+            mem_pages: 64.0,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut corpus = Vec::new();
     for q in [example1_query(), example2_query(), example2_wide_query()] {
         for cfg in [OptimizerConfig::traditional(), OptimizerConfig::default()] {
-            let opt = optimize(&q, &cat, CostModel::default(), &cfg).unwrap();
-            let df = dataflow::analyze_plan(&opt.plan, &cat, Some(q.env.rel_tables.as_slice()));
-            assert!(
-                df.mixed_free,
-                "corpus plan failed type certification:\n{}",
-                opt.plan.explain()
-            );
-            let engine = Engine::new(&cat, &q.env, CostModel::default());
-            let rs = engine.execute(&opt.plan).unwrap();
-            assert_eq!(
-                rs.mixed_demotions,
-                0,
-                "certified plan demoted typed columns at runtime:\n{}",
-                opt.plan.explain()
-            );
+            corpus.push((&cat, q.clone(), CostModel::default(), cfg));
         }
     }
+    corpus.push((
+        &big,
+        eager_selfjoin_query(),
+        small_memory,
+        OptimizerConfig::default(),
+    ));
+    let mut saw_partial = false;
+    for (cat, q, model, cfg) in corpus {
+        let opt = optimize(&q, cat, model, &cfg).unwrap();
+        saw_partial |= opt.plan.explain().contains("PartialAggregate");
+        let df = dataflow::analyze_plan(&opt.plan, cat, Some(q.env.rel_tables.as_slice()));
+        assert!(
+            df.mixed_free,
+            "corpus plan failed type certification:\n{}",
+            opt.plan.explain()
+        );
+        let engine = Engine::new(cat, &q.env, model);
+        let rs = engine.execute(&opt.plan).unwrap();
+        assert_eq!(
+            rs.mixed_demotions,
+            0,
+            "certified plan demoted typed columns at runtime:\n{}",
+            opt.plan.explain()
+        );
+    }
+    assert!(saw_partial, "the corpus must hold a two-phase plan");
 }
 
 proptest! {

@@ -3,7 +3,7 @@
 //! view relations, k-level caps).
 
 use aggview::core::query::{CanonicalQuery, QueryEnv, ViewDef};
-use aggview::core::{optimize, CostModel, OptimizerConfig, PullUpLevel};
+use aggview::core::{optimize, CostModel, OptimizerConfig, PlanAnalyzer, PullUpLevel};
 use aggview::executor::{assert_equivalent, Engine};
 use aggview::sql::Session;
 use aggview::storage::datagen::{
@@ -341,7 +341,10 @@ fn column_universe_edge_is_exact_or_refused() {
     // of the bitset in use.
     let (cat, q) = wide_join_query(120);
     let opt = optimize(&q, &cat, CostModel::default(), &OptimizerConfig::default()).unwrap();
-    opt.plan.validate(&cat, &q.env.rel_tables).unwrap();
+    PlanAnalyzer::new(&cat)
+        .with_env(&q.env)
+        .verify(&opt.plan)
+        .unwrap();
     assert_eq!(opt.plan.output_cols(), &q.projection[..]);
     assert_eq!(opt.plan.join_count(), 1);
     let text = opt.plan.explain();

@@ -558,6 +558,64 @@ fn partial_aggregation_requires_a_matching_merge_stage() {
     assert!(report.is_ok(), "legal coalescing plan rejected:\n{report}");
 }
 
+/// A merge group-by types each aggregate from the partial states below
+/// it, so two-phase plans — hand-built coalescing and eager shapes, the
+/// optimizer's eager self-join, and a matview answer merging stored
+/// partials — certify Mixed-free with no finding at all.
+#[test]
+fn two_phase_plans_are_clean_and_mixed_free() {
+    let assert_clean = |analyzer: PlanAnalyzer, plan: &Plan| {
+        let (report, flow) = analyzer.analyze_flow(plan);
+        assert!(report.is_clean(), "{report}{}", plan.explain());
+        assert!(flow.mixed_free, "not Mixed-free:\n{}", plan.explain());
+    };
+    let catalog = catalog();
+    assert_clean(PlanAnalyzer::new(&catalog), &coalescing_plan());
+    assert_clean(PlanAnalyzer::new(&catalog), &eager_plan());
+
+    let big = gen_empdept(&EmpDeptConfig {
+        n_depts: 200,
+        emps_per_dept: 100,
+        young_fraction: 0.3,
+        low_budget_fraction: 0.3,
+        seed: 12,
+    })
+    .unwrap();
+    let eq = eager_selfjoin_query();
+    let opt = optimize(&eq, &big, model(64.0), &OptimizerConfig::default()).unwrap();
+    assert!(
+        contains_partial_aggregate(&opt.plan),
+        "{}",
+        opt.plan.explain()
+    );
+    assert_clean(PlanAnalyzer::new(&big).with_query(&eq), &opt.plan);
+
+    let mut session = Session::new(catalog);
+    session
+        .execute(
+            "create materialized view dept_loc_pay(dno, loc, total, n) as \
+             select e.dno, d.loc, sum(e.sal), count(*) from emp e, dept d \
+              where e.dno = d.dno group by e.dno, d.loc;",
+        )
+        .unwrap();
+    let (bound, opt) = session
+        .plan("select d.loc, sum(e.sal) from emp e, dept d where e.dno = d.dno group by d.loc;")
+        .unwrap();
+    let Plan::GroupBy { input, .. } = &opt.plan else {
+        panic!("expected a compensating group-by:\n{}", opt.plan.explain())
+    };
+    assert!(
+        matches!(input.as_ref(), Plan::ExtentScan { outputs, .. }
+            if outputs.iter().any(|c| matches!(c, Col::Part(_)))),
+        "expected stored partials under the group-by:\n{}",
+        opt.plan.explain()
+    );
+    assert_clean(
+        PlanAnalyzer::new(session.catalog()).with_query(&bound.query),
+        &opt.plan,
+    );
+}
+
 #[test]
 fn degraded_plans_must_have_the_traditional_shape() {
     let catalog = catalog();

@@ -5,7 +5,7 @@
 use aggview::core::cost::ops::IoParams;
 use aggview::core::query::examples::{example1_query, example2_query, example2_wide_query};
 use aggview::core::transform::pull_up;
-use aggview::core::{optimize, CostModel, OptimizerConfig, Plan, PullUpLevel};
+use aggview::core::{optimize, CostModel, OptimizerConfig, Plan, PlanAnalyzer, PullUpLevel};
 use aggview::executor::{assert_equivalent, Engine};
 use aggview::storage::datagen::{gen_empdept, EmpDeptConfig};
 use aggview::storage::Catalog;
@@ -75,7 +75,10 @@ fn example1_all_configs_agree_on_results() {
             assert!(!base_rs.rows.is_empty(), "catalog {i} yields matches");
             for (name, cfg) in configs() {
                 let opt = optimize(&q, cat, model, &cfg).unwrap();
-                opt.plan.validate(cat, &q.env.rel_tables).unwrap();
+                PlanAnalyzer::new(cat)
+                    .with_env(&q.env)
+                    .verify(&opt.plan)
+                    .unwrap();
                 let rs = engine.execute(&opt.plan).unwrap();
                 assert_equivalent(&base_rs, &rs).unwrap_or_else(|e| {
                     panic!("catalog {i} config {name}: {e}\n{}", opt.plan.explain())
@@ -221,7 +224,10 @@ fn pull_up_transformation_preserves_results() {
     };
     let j1 = &j1;
     let p2 = pull_up(j1, &cat).unwrap();
-    p2.validate(&cat, &q.env.rel_tables).unwrap();
+    PlanAnalyzer::new(&cat)
+        .with_env(&q.env)
+        .verify(&p2)
+        .unwrap();
     let engine = Engine::new(&cat, &q.env, model);
     let a = engine.execute(j1).unwrap();
     let b = engine.execute(&p2).unwrap();

@@ -8,7 +8,7 @@
 
 use aggview::core::cost::ops::IoParams;
 use aggview::core::query::examples::{example1_query, example2_query, example2_wide_query};
-use aggview::core::{optimize, CostModel, OptimizerConfig, PullUpLevel};
+use aggview::core::{optimize, CostModel, OptimizerConfig, PlanAnalyzer, PullUpLevel};
 use aggview::executor::{assert_equivalent, Engine};
 use aggview::storage::datagen::{gen_empdept, EmpDeptConfig};
 use proptest::prelude::*;
@@ -63,7 +63,10 @@ proptest! {
             OptimizerConfig::default(),
         ] {
             let opt = optimize(&q, &catalog, m, &cfg).unwrap();
-            opt.plan.validate(&catalog, &q.env.rel_tables).unwrap();
+            PlanAnalyzer::new(&catalog)
+        .with_env(&q.env)
+        .verify(&opt.plan)
+        .unwrap();
             prop_assert!(
                 opt.props.cost <= trad.props.cost + 1e-6,
                 "never-worse violated: {} > {}",
