@@ -23,15 +23,14 @@ use aggview_core::cost::CostModel;
 use aggview_core::query::examples::example2_wide_query;
 use aggview_core::query::{CanonicalQuery, QueryEnv, TopGroup};
 use aggview_storage::datagen::{gen_empdept, gen_star, EmpDeptConfig, StarConfig};
-use aggview_storage::PageModel;
 
 fn model(mem: f64, grace: bool) -> CostModel {
     CostModel {
-        page: PageModel::default(),
         io: IoParams {
             mem_pages: mem,
             grace_agg: grace,
         },
+        ..CostModel::paper()
     }
 }
 

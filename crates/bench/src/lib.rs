@@ -15,7 +15,7 @@ use aggview_core::cost::CostModel;
 use aggview_core::optimizer::multi_view::{optimize, Optimized};
 use aggview_core::{CanonicalQuery, OptimizerConfig, PullUpLevel};
 use aggview_executor::Engine;
-use aggview_storage::{Catalog, PageModel};
+use aggview_storage::Catalog;
 
 /// An optimizer variant under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,14 +75,14 @@ pub struct VariantRun {
     pub rows: usize,
 }
 
-/// A cost model with the given operator memory budget (pages).
+/// The paper's cost model with the given operator memory budget (pages).
 pub fn model_with_mem(mem_pages: f64) -> CostModel {
     CostModel {
-        page: PageModel::default(),
         io: IoParams {
             mem_pages,
             ..Default::default()
         },
+        ..CostModel::paper()
     }
 }
 

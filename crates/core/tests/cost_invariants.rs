@@ -8,7 +8,7 @@ use aggview_core::query::examples::{example1_query, example2_query, example2_wid
 use aggview_core::query::{CanonicalQuery, QueryEnv, TopGroup, ViewDef};
 use aggview_core::{optimize, OptimizerConfig};
 use aggview_storage::datagen::{gen_empdept, EmpDeptConfig};
-use aggview_storage::{Catalog, PageModel};
+use aggview_storage::Catalog;
 
 fn setup() -> (Catalog, QueryEnv) {
     let cat = gen_empdept(&EmpDeptConfig {
@@ -22,13 +22,14 @@ fn setup() -> (Catalog, QueryEnv) {
     (cat, QueryEnv::new(vec!["emp".into(), "dept".into()]))
 }
 
+/// The paper's model with `mem` pages of operator memory.
 fn model(mem: f64) -> CostModel {
     CostModel {
-        page: PageModel::default(),
         io: IoParams {
             mem_pages: mem,
             ..Default::default()
         },
+        ..CostModel::paper()
     }
 }
 
@@ -284,7 +285,11 @@ fn optimizer_props_equal_cost_plan_bit_for_bit() {
             figure4_query(),
             selfjoin_query(),
         ] {
-            for m in [model(4.0), model(64.0), CostModel::default()] {
+            let with_cpu = CostModel {
+                io: model(4.0).io,
+                ..CostModel::default()
+            };
+            for m in [model(4.0), model(64.0), CostModel::default(), with_cpu] {
                 let est = CardEstimator::new(m, &cat, &q.env);
                 let trad = optimize(&q, &cat, m, &configs[0]).unwrap();
                 for config in &configs {

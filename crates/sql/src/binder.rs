@@ -86,6 +86,9 @@ impl Scope {
 }
 
 /// Bind a SELECT statement against a catalog and view registry.
+///
+/// The canonical query is not validated here: the optimizer validates
+/// every query it is handed, bound or built by hand, as its first step.
 pub fn bind(stmt: &SelectStmt, catalog: &Catalog, views: &ViewRegistry) -> Result<BoundQuery> {
     let mut b = Binder {
         catalog,
@@ -108,7 +111,6 @@ pub fn bind(stmt: &SelectStmt, catalog: &Catalog, views: &ViewRegistry) -> Resul
         group,
         projection,
     };
-    query.validate(catalog)?;
     Ok(BoundQuery {
         query,
         column_names,

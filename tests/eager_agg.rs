@@ -137,13 +137,15 @@ fn contains_partial_aggregate(p: &Plan) -> bool {
     }
 }
 
+/// The paper's model, whose IO alone decides where eager aggregation
+/// pays; the shapes below are its firing and declining cases.
 fn tight_model() -> CostModel {
     CostModel {
         io: IoParams {
             mem_pages: 64.0,
             ..Default::default()
         },
-        ..Default::default()
+        ..CostModel::paper()
     }
 }
 
@@ -321,7 +323,7 @@ fn cost_tie_keeps_traditional_shape() {
     ]);
     // Default memory budget: both the build side and the aggregate
     // output fit, so every candidate costs the same IO.
-    let model = CostModel::default();
+    let model = CostModel::paper();
     let eager = optimize(&q, &cat, model, &eager_on()).unwrap();
     let plain = optimize(&q, &cat, model, &eager_off()).unwrap();
     assert!(

@@ -4,7 +4,7 @@
 
 use aggview::sql::Session;
 use aggview::storage::datagen::{gen_empdept, gen_star, EmpDeptConfig, StarConfig};
-use aggview::Value;
+use aggview::{AggViewError, Value};
 use std::collections::HashMap;
 
 fn empdept_session() -> Session {
@@ -232,6 +232,20 @@ fn errors_are_reported_not_panicked() {
     ] {
         assert!(s.execute(bad).is_err(), "{bad}");
     }
+}
+
+/// The binder leaves the canonical query's checks to the optimizer,
+/// which makes them first: one that binds but is not well formed is
+/// still rejected, as a plan error, before anything runs.
+#[test]
+fn invalid_canonical_query_is_rejected_by_the_optimizer() {
+    let mut s = empdept_session();
+    let bad = "select e.dno, count(*) from emp e group by e.dno having e.sal > 5";
+    let err = s.execute(bad).unwrap_err();
+    assert!(
+        matches!(err, AggViewError::Plan(_)) && err.message().contains("HAVING"),
+        "{err}"
+    );
 }
 
 #[test]
