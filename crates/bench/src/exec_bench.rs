@@ -83,11 +83,6 @@ pub struct KernelTiming {
 pub struct SerialKernels {
     /// The engine's filter, hash-join and group-by kernels.
     pub kernels: Vec<KernelTiming>,
-    /// Typed-column demotions to `ColumnVec::Mixed` observed across the
-    /// workloads and kernels. The corpus certifies Mixed-free, so a
-    /// non-zero count is a regression in the type lattice or the
-    /// vectorized kernels.
-    pub mixed_demotions: u64,
 }
 
 /// Full benchmark output, serializable to `BENCH_exec.json`.
@@ -121,8 +116,6 @@ pub fn run_exec_bench(cfg: &ExecBenchConfig) -> Result<ExecBenchReport> {
     })?;
     let model = model_with_mem(64.0);
     let full = OptimizerConfig::default();
-
-    let demotions_before = aggview_common::mixed_demotions();
 
     // Kernels first: their timings then do not depend on the allocator
     // state the workloads leave behind (`eager_agg_off` materializes a
@@ -283,10 +276,7 @@ pub fn run_exec_bench(cfg: &ExecBenchConfig) -> Result<ExecBenchReport> {
         scale,
         repeats,
         workloads,
-        serial_kernels: SerialKernels {
-            kernels,
-            mixed_demotions: aggview_common::mixed_demotions().saturating_sub(demotions_before),
-        },
+        serial_kernels: SerialKernels { kernels },
     })
 }
 
@@ -422,9 +412,9 @@ fn join_kernel(
         ..Default::default()
     };
     let batch = |rows, types: &[DataType]| {
-        Held::batch(Batch::from_tuples(rows, &identity(types.len()), types))
+        Batch::from_tuples(rows, &identity(types.len()), types).map(Held::batch)
     };
-    let (build, probe) = (batch(dept_rows, dept_types), batch(emp_rows, emp_types));
+    let (build, probe) = (batch(dept_rows, dept_types)?, batch(emp_rows, emp_types)?);
     let (ms, _) = time_best(repeats, || {
         let index = Probe::new(&opts, &gov, &build, &probe.cols(), &shape)?;
         vector::collect(&opts, &gov, &probe, &[index])
@@ -515,7 +505,7 @@ fn group_kernel(
         .map(|(_, arg)| arg.map_or(AggInput::RawCountStar, |c| AggInput::Raw(BoundExpr::Col(c))))
         .collect();
     let funcs: Vec<AggFunc> = aggs.iter().map(|&(f, _)| f).collect();
-    let batch = Held::batch(Batch::from_tuples(rows, &identity(types.len()), types));
+    let batch = Held::batch(Batch::from_tuples(rows, &identity(types.len()), types)?);
     let (ms, _) = time_best(repeats, || {
         let (table, _) =
             vector::aggregate(&opts, &gov, &batch, &[], keys, lookup, &inputs, &funcs)?;
@@ -684,11 +674,7 @@ impl ExecBenchReport {
                 comma(i, ks.len()),
             ));
         }
-        s.push_str("    ],\n");
-        s.push_str(&format!(
-            "    \"mixed_demotions\": {}\n",
-            self.serial_kernels.mixed_demotions
-        ));
+        s.push_str("    ]\n");
         s.push_str("  }\n");
         s.push_str("}\n");
         s
@@ -718,10 +704,6 @@ impl ExecBenchReport {
                 .map(|k| format!("{} {:.2} ms ({:.0} rows/s)", k.name, k.ms, k.rows_per_sec))
                 .collect::<Vec<_>>()
                 .join(", ")
-        ));
-        s.push_str(&format!(
-            "{} Mixed demotion(s)\n",
-            self.serial_kernels.mixed_demotions
         ));
         s
     }
@@ -849,10 +831,6 @@ mod tests {
         for k in &report.serial_kernels.kernels {
             assert!(k.ms > 0.0 && k.rows_per_sec > 0.0, "{} times", k.name);
         }
-        assert_eq!(
-            report.serial_kernels.mixed_demotions, 0,
-            "certified workloads must execute without Mixed demotions"
-        );
 
         let json = report.to_json();
         let top_level_keys: Vec<&str> = json
@@ -871,7 +849,7 @@ mod tests {
                 "serial_kernels"
             ]
         );
-        assert!(json.contains("\"mixed_demotions\": 0"));
+        assert!(json.ends_with("    ]\n  }\n}\n"));
         // Trailing-comma-free JSON: no ",\n<indent>]" or ",\n<indent>}".
         assert!(!json.contains(",\n  ]"));
         assert!(!json.contains(",\n    ]"));

@@ -13,6 +13,7 @@
 //! and peak-intermediate numbers match the row-at-a-time path exactly.
 
 use crate::column::ColumnVec;
+use crate::error::Result;
 use crate::hash::FX_SEED;
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
@@ -67,26 +68,25 @@ impl Batch {
     }
 
     /// Total byte width (= Σ [`Tuple::width`] of the materialized rows);
-    /// O(columns) unless a column is `Mixed`.
+    /// O(columns).
     pub fn total_bytes(&self) -> u64 {
         self.cols.iter().map(ColumnVec::total_bytes).sum()
     }
 
     /// Transpose row-major tuples into a batch. `project` selects which
     /// tuple positions become columns (in order); `types` gives each
-    /// output column's declared type (mismatching values degrade that
-    /// column to `Mixed`).
-    pub fn from_tuples(rows: &[Tuple], project: &[usize], types: &[DataType]) -> Batch {
+    /// output column's type, which its values must have.
+    pub fn from_tuples(rows: &[Tuple], project: &[usize], types: &[DataType]) -> Result<Batch> {
         debug_assert_eq!(project.len(), types.len());
-        let cols: Vec<ColumnVec> = project
+        let cols = project
             .iter()
             .zip(types)
             .map(|(&p, &t)| ColumnVec::from_tuples_col(rows, p, t))
-            .collect();
-        Batch {
+            .collect::<Result<_>>()?;
+        Ok(Batch {
             cols,
             len: rows.len(),
-        }
+        })
     }
 
     /// Materialize back to row-major tuples (the late-materialization
@@ -128,24 +128,24 @@ impl Batch {
         positions: &[usize],
         sel: Option<&[u32]>,
         range: Range<usize>,
-    ) -> u64 {
+    ) -> Result<u64> {
         debug_assert_eq!(self.n_cols(), positions.len());
         let mut bytes = 0u64;
         match sel {
             Some(sel) => {
                 for (dst, &p) in self.cols.iter_mut().zip(positions) {
-                    bytes += dst.append_gather(&src.cols[p], sel);
+                    bytes += dst.append_gather(&src.cols[p], sel)?;
                 }
                 self.len += sel.len();
             }
             None => {
                 for (dst, &p) in self.cols.iter_mut().zip(positions) {
-                    bytes += dst.append_range(&src.cols[p], range.clone());
+                    bytes += dst.append_range(&src.cols[p], range.clone())?;
                 }
                 self.len += range.len();
             }
         }
-        bytes
+        Ok(bytes)
     }
 
     /// Per-row key hashes over `key_pos` for rows `range`, written into
@@ -186,6 +186,7 @@ mod tests {
             &[0, 1, 2],
             &[DataType::Int, DataType::Str, DataType::Float],
         )
+        .unwrap()
     }
 
     #[test]
@@ -203,12 +204,12 @@ mod tests {
     fn gather_selects_and_projects() {
         let b = sample();
         let mut out = Batch::new(vec![b.col(2).empty_like(), b.col(0).empty_like()]);
-        let w = out.gather_from(&b, &[2, 0], Some(&[2, 0]), 0..0);
+        let w = out.gather_from(&b, &[2, 0], Some(&[2, 0]), 0..0).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out.to_tuples()[0], tuple![3.5f64, 3i64]);
         assert_eq!(w, 32);
         // Range gather (no selection) appends contiguously.
-        let w2 = out.gather_from(&b, &[2, 0], None, 1..3);
+        let w2 = out.gather_from(&b, &[2, 0], None, 1..3).unwrap();
         assert_eq!(out.len(), 4);
         assert_eq!(w2, 32);
     }
@@ -231,7 +232,7 @@ mod tests {
     fn zero_col_batches_track_row_count() {
         let b = sample();
         let mut out = Batch::from_parts(Vec::new(), 0);
-        let w = out.gather_from(&b, &[], Some(&[0, 1, 2]), 0..0);
+        let w = out.gather_from(&b, &[], Some(&[0, 1, 2]), 0..0).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(w, 0);
         assert_eq!(out.to_tuples().len(), 3);

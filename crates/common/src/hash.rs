@@ -92,8 +92,8 @@ pub fn fx_mix(h: u64, x: u64) -> u64 {
 /// 8-byte chunks, so `"ab"` and `"ab\0"` differ), independent of where
 /// the string sits in a key. A string dictionary computes it once per
 /// entry ([`crate::column::StrDict`]); everything else computes it on
-/// the fly — both feed the same [`fx_str`] step, so coded columns,
-/// `Mixed` columns and bare [`Value`]s fold equal strings identically.
+/// the fly — both feed the same mixing step, so a coded column and a
+/// bare string fold equal strings identically.
 #[inline]
 pub fn str_digest(s: &str) -> u64 {
     let mut h = fx_mix(FX_SEED, 1); // Str tag, mirroring Value::hash
@@ -120,18 +120,19 @@ pub fn str_digest(s: &str) -> u64 {
 /// [`str_digest`]. The chain is order-sensitive, so the keys
 /// `("ab", "c")` and `("a", "bc")` — or `("a", "b")` and `("b", "a")` —
 /// do not collide by construction.
-#[inline]
-pub fn fx_str(h: u64, s: &str) -> u64 {
+#[cfg(test)]
+pub(crate) fn fx_str(h: u64, s: &str) -> u64 {
     fx_mix(h, str_digest(s))
 }
 
 /// Fold one [`Value`] into the hash chain with the same cross-numeric
 /// collision guarantee as [`Value`]'s `Hash` impl: `Int(3)` and
 /// `Float(3.0)` produce the same chain, and a string folds as
-/// [`fx_str`] — exactly what a dictionary-coded column folds from its
-/// stored digests.
-#[inline]
-pub fn fx_value(h: u64, v: &Value) -> u64 {
+/// `fx_str` — exactly what a dictionary-coded column folds from its
+/// stored digests. The scalar form of the column chains, which they are
+/// checked against.
+#[cfg(test)]
+pub(crate) fn fx_value(h: u64, v: &Value) -> u64 {
     match v {
         Value::Int(i) => fx_mix(fx_mix(h, 0), (*i as f64).to_bits()),
         Value::Float(f) => fx_mix(fx_mix(h, 0), f.to_bits()),

@@ -39,7 +39,7 @@ pub mod zset;
 
 pub use agg::{AggAccumulator, AggFunc, AggSpec, PartialAggState, Retraction};
 pub use batch::{hash_columns, Batch};
-pub use column::{mixed_demotions, ColumnVec, StrCol, StrDict};
+pub use column::{ColumnVec, StrCol, StrDict};
 pub use error::{AggViewError, Result};
 pub use expr::{BinaryOp, Expr};
 pub use fault::{

@@ -1,5 +1,5 @@
 //! The in-place edits a stored column takes: overwrite a cell, remove
-//! rows, shed dictionary entries, return to its type.
+//! rows, shed dictionary entries, refuse a value of another type.
 
 use aggview_common::hash::FX_SEED;
 use aggview_common::{ColumnVec, DataType, Value};
@@ -7,7 +7,9 @@ use std::sync::Arc;
 
 fn strs(items: &[&str]) -> ColumnVec {
     let mut col = ColumnVec::with_type(DataType::Str);
-    items.iter().for_each(|s| col.push_value(Value::str(s)));
+    items
+        .iter()
+        .for_each(|s| col.push_value(Value::str(s)).unwrap());
     col
 }
 
@@ -18,8 +20,8 @@ fn values(c: &ColumnVec) -> Vec<Value> {
 #[test]
 fn cells_are_overwritten_and_rows_removed_in_place() {
     let mut c = strs(&["a", "bb", "", "a", "ccc"]);
-    c.set_value(1, Value::str("a"));
-    c.set_value(3, Value::str("dddd"));
+    c.set_value(1, Value::str("a")).unwrap();
+    c.set_value(3, Value::str("dddd")).unwrap();
     assert_eq!(values(&c), ["a", "a", "", "dddd", "ccc"].map(Value::str));
     assert_eq!(c.total_bytes(), 1 + 1 + 1 + 4 + 3);
     c.remove_rows(&[0, 3]);
@@ -49,16 +51,13 @@ fn cells_are_overwritten_and_rows_removed_in_place() {
 
     let mut f = ColumnVec::Float(vec![1.0, 2.0, 3.0, 4.0]);
     f.remove_rows(&[1, 2]);
-    f.set_value(0, Value::Float(-0.0));
+    f.set_value(0, Value::Float(-0.0)).unwrap();
     assert_eq!(values(&f), [Value::Float(-0.0), Value::Float(4.0)]);
-    // An off-type value demotes the column; once it is gone the
-    // column can be typed again, and not before.
-    f.set_value(1, Value::Int(4));
-    assert!(matches!(f, ColumnVec::Mixed(_)));
-    assert!(matches!(values(&f)[1], Value::Int(4)));
-    f.retype(DataType::Float);
-    assert!(matches!(f, ColumnVec::Mixed(_)));
+    // A value of another type is refused and leaves the cell alone,
+    // even an Int the table would have widened on its way in.
+    assert_eq!(f.set_value(1, Value::Int(5)).unwrap_err().kind(), "schema");
+    assert!(c.set_value(0, Value::Float(5.0)).is_err());
+    assert!(matches!(&f, ColumnVec::Float(xs) if xs[1] == 4.0));
     f.remove_rows(&[1]);
-    f.retype(DataType::Float);
     assert!(matches!(&f, ColumnVec::Float(xs) if xs.len() == 1));
 }

@@ -28,11 +28,12 @@
 //!   makes the subtree provably empty. The optimizer rewrites such
 //!   subtrees to [`Plan::EmptyScan`] via [`prune_empty`]; the analyzer
 //!   flags any that survive as `dataflow-domain` warnings.
-//! * **Type certification** — a plan with no schema finding is
-//!   *Mixed-free*: every operator output has a static type, the
-//!   vectorized executor can pre-allocate typed columns, and any runtime
-//!   demotion to `ColumnVec::Mixed` on such a plan is a counted
-//!   diagnostic rather than a silent slow path.
+//! * **Type certification** — a plan with no schema finding gives every
+//!   operator output a static type, and the executor runs it on typed
+//!   columns only: every kernel is chosen once per operator from its
+//!   input columns' types. The engine refuses a plan with a schema
+//!   finding before any kernel runs, so no kernel meets a value of
+//!   another type than its column's (tables conform values on entry).
 //! * **Admission bounds** — guaranteed lower bounds on the rows and
 //!   bytes every execution of the plan must charge against the
 //!   governor. The executor rejects a plan whose bounds already exceed
@@ -393,10 +394,6 @@ pub struct Dataflow {
     pub columns: BTreeMap<Col, ColDomain>,
     /// Guaranteed resource floors for admission control.
     pub bounds: Bounds,
-    /// True when no schema finding was recorded: every operator output
-    /// typed cleanly, the vectorized executor can run the whole plan on
-    /// typed columns, and any runtime `Mixed` demotion is a diagnostic.
-    pub mixed_free: bool,
     /// True when the root provably produces zero rows.
     pub provably_empty: bool,
     /// Root-cause contradictions, as `(plan path, reason)` pairs. Only
@@ -423,7 +420,6 @@ pub fn analyze_plan(plan: &Plan, catalog: &Catalog, rel_tables: Option<&[String]
         findings: Vec::new(),
     };
     let root = summarize(plan, &Path::ROOT, &mut cx);
-    let mixed_free = !cx.findings.iter().any(|v| v.rule == RULE_SCHEMA);
     let mut findings = cx.findings;
     findings.extend(cx.contradictions.iter().map(|(path, why)| {
         Violation::warn(
@@ -435,7 +431,6 @@ pub fn analyze_plan(plan: &Plan, catalog: &Catalog, rel_tables: Option<&[String]
     Dataflow {
         columns: root.cols,
         bounds: cx.bounds,
-        mixed_free,
         provably_empty: root.empty,
         contradictions: cx.contradictions,
         findings,
@@ -1409,7 +1404,7 @@ mod tests {
         assert!(sal.interval.contains(1000.0) && sal.interval.contains(1900.0));
         assert!(!sal.interval.contains(999.0) || sal.interval.lo <= 999.0);
         assert_eq!(sal.distinct, Some(10));
-        assert!(df.mixed_free);
+        assert!(df.findings.is_empty());
         assert!(!df.provably_empty);
         // Unfiltered scan must charge all 10 rows: 3 numeric cols × 8B.
         assert_eq!(df.bounds.min_rows, 10);
@@ -1544,7 +1539,7 @@ mod tests {
         ];
         let gb = Plan::group_by(scan(vec![]), spec, project);
         let df = analyze_plan(&gb, &cat, None);
-        assert!(df.mixed_free);
+        assert!(df.findings.is_empty());
         let cnt = &df.columns[&Col::agg(ViewId::View(0), 0)];
         assert_eq!(cnt.ty, Some(DataType::Int));
         assert!(cnt.interval.lo >= 1.0);
@@ -1696,7 +1691,7 @@ mod tests {
             ],
         );
         let df = analyze_plan(&gb, &cat, None);
-        assert!(df.mixed_free, "typed plan");
+        assert!(df.findings.is_empty(), "typed plan");
         let ty = |c: Col| df.columns[&c].ty;
         assert_eq!(ty(Col::agg(ViewId::View(0), 0)), Some(DataType::Int));
         assert_eq!(ty(Col::agg(ViewId::View(0), 1)), Some(DataType::Float));

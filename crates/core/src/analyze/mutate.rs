@@ -84,7 +84,6 @@ fn map_first(plan: &Plan, f: &mut impl FnMut(&Plan) -> Option<Plan>) -> Option<P
     match plan {
         Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => None,
         Plan::Join {
-            algo,
             left,
             right,
             preds,
@@ -92,7 +91,6 @@ fn map_first(plan: &Plan, f: &mut impl FnMut(&Plan) -> Option<Plan>) -> Option<P
         } => {
             if let Some(l) = map_first(left, f) {
                 return Some(Plan::Join {
-                    algo: *algo,
                     left: Arc::new(l),
                     right: right.clone(),
                     preds: preds.clone(),
@@ -100,7 +98,6 @@ fn map_first(plan: &Plan, f: &mut impl FnMut(&Plan) -> Option<Plan>) -> Option<P
                 });
             }
             map_first(right, f).map(|r| Plan::Join {
-                algo: *algo,
                 left: left.clone(),
                 right: Arc::new(r),
                 preds: preds.clone(),
@@ -108,23 +105,19 @@ fn map_first(plan: &Plan, f: &mut impl FnMut(&Plan) -> Option<Plan>) -> Option<P
             })
         }
         Plan::GroupBy {
-            algo,
             input,
             spec,
             project,
         } => map_first(input, f).map(|i| Plan::GroupBy {
-            algo: *algo,
             input: Arc::new(i),
             spec: spec.clone(),
             project: project.clone(),
         }),
         Plan::PartialAggregate {
-            algo,
             input,
             spec,
             project,
         } => map_first(input, f).map(|i| Plan::PartialAggregate {
-            algo: *algo,
             input: Arc::new(i),
             spec: spec.clone(),
             project: project.clone(),
@@ -142,7 +135,6 @@ fn foreign_col() -> Col {
 /// then references a column the group-by no longer produces.
 fn drop_group_col(node: &Plan) -> Option<Plan> {
     let Plan::GroupBy {
-        algo,
         input,
         spec,
         project,
@@ -157,7 +149,6 @@ fn drop_group_col(node: &Plan) -> Option<Plan> {
         project.push(g);
     }
     Some(Plan::GroupBy {
-        algo: *algo,
         input: input.clone(),
         spec,
         project,
@@ -168,7 +159,6 @@ fn drop_group_col(node: &Plan) -> Option<Plan> {
 /// the aggregate column does not exist under the group-by.
 fn move_having_below(node: &Plan) -> Option<Plan> {
     let Plan::GroupBy {
-        algo,
         input,
         spec,
         project,
@@ -178,7 +168,6 @@ fn move_having_below(node: &Plan) -> Option<Plan> {
     };
     let pos = spec.having.iter().position(|h| h.uses_agg())?;
     let Plan::Join {
-        algo: jalgo,
         left,
         right,
         preds,
@@ -192,9 +181,7 @@ fn move_having_below(node: &Plan) -> Option<Plan> {
     let mut preds = preds.clone();
     preds.push(moved);
     Some(Plan::GroupBy {
-        algo: *algo,
         input: Arc::new(Plan::Join {
-            algo: *jalgo,
             left: left.clone(),
             right: right.clone(),
             preds,
@@ -209,7 +196,6 @@ fn move_having_below(node: &Plan) -> Option<Plan> {
 /// longer mirrors the partial stage below.
 fn swap_coalesce_func(node: &Plan) -> Option<Plan> {
     let Plan::GroupBy {
-        algo,
         input,
         spec,
         project,
@@ -229,7 +215,6 @@ fn swap_coalesce_func(node: &Plan) -> Option<Plan> {
         AggFunc::StdDev => AggFunc::Avg,
     };
     Some(Plan::GroupBy {
-        algo: *algo,
         input: input.clone(),
         spec,
         project: project.clone(),
@@ -243,7 +228,6 @@ fn swap_coalesce_func(node: &Plan) -> Option<Plan> {
 /// above the partial aggregate).
 fn drop_partial_component(node: &Plan) -> Option<Plan> {
     let Plan::PartialAggregate {
-        algo,
         input,
         spec,
         project,
@@ -264,7 +248,6 @@ fn drop_partial_component(node: &Plan) -> Option<Plan> {
     let mut project = project.clone();
     project.remove(pos);
     Some(Plan::PartialAggregate {
-        algo: *algo,
         input: input.clone(),
         spec: spec.clone(),
         project,
@@ -275,7 +258,6 @@ fn drop_partial_component(node: &Plan) -> Option<Plan> {
 /// group-by then groups on a column its input does not produce.
 fn drop_join_input_col(node: &Plan) -> Option<Plan> {
     let Plan::GroupBy {
-        algo,
         input,
         spec,
         project,
@@ -284,7 +266,6 @@ fn drop_join_input_col(node: &Plan) -> Option<Plan> {
         return None;
     };
     let Plan::Join {
-        algo: jalgo,
         left,
         right,
         preds,
@@ -298,9 +279,7 @@ fn drop_join_input_col(node: &Plan) -> Option<Plan> {
     let mut jproject = jproject.clone();
     jproject.remove(pos);
     Some(Plan::GroupBy {
-        algo: *algo,
         input: Arc::new(Plan::Join {
-            algo: *jalgo,
             left: left.clone(),
             right: right.clone(),
             preds: preds.clone(),
@@ -315,7 +294,6 @@ fn drop_join_input_col(node: &Plan) -> Option<Plan> {
 /// overlap in base relations.
 fn overlap_join_children(node: &Plan) -> Option<Plan> {
     let Plan::Join {
-        algo,
         left,
         preds,
         project,
@@ -325,7 +303,6 @@ fn overlap_join_children(node: &Plan) -> Option<Plan> {
         return None;
     };
     Some(Plan::Join {
-        algo: *algo,
         left: left.clone(),
         right: left.clone(),
         preds: preds.clone(),
@@ -356,7 +333,6 @@ fn rename_scan_table(node: &Plan) -> Option<Plan> {
 /// operator produces.
 fn agg_arg_unavailable(node: &Plan) -> Option<Plan> {
     let Plan::GroupBy {
-        algo,
         input,
         spec,
         project,
@@ -370,7 +346,6 @@ fn agg_arg_unavailable(node: &Plan) -> Option<Plan> {
     let mut spec = spec.clone();
     spec.aggs[i].arg = Some(Expr::col(foreign_col()));
     Some(Plan::GroupBy {
-        algo: *algo,
         input: input.clone(),
         spec,
         project: project.clone(),
@@ -380,7 +355,6 @@ fn agg_arg_unavailable(node: &Plan) -> Option<Plan> {
 /// Add an unavailable column to a group-by's grouping list.
 fn group_on_unavailable(node: &Plan) -> Option<Plan> {
     let Plan::GroupBy {
-        algo,
         input,
         spec,
         project,
@@ -391,7 +365,6 @@ fn group_on_unavailable(node: &Plan) -> Option<Plan> {
     let mut spec = spec.clone();
     spec.group_cols.push(foreign_col());
     Some(Plan::GroupBy {
-        algo: *algo,
         input: input.clone(),
         spec,
         project: project.clone(),
@@ -402,7 +375,6 @@ fn group_on_unavailable(node: &Plan) -> Option<Plan> {
 /// column nor an aggregate of this group-by.
 fn having_foreign_column(node: &Plan) -> Option<Plan> {
     let Plan::GroupBy {
-        algo,
         input,
         spec,
         project,
@@ -417,7 +389,6 @@ fn having_foreign_column(node: &Plan) -> Option<Plan> {
         Value::Int(0),
     ));
     Some(Plan::GroupBy {
-        algo: *algo,
         input: input.clone(),
         spec,
         project: project.clone(),
@@ -475,8 +446,8 @@ fn contradictory_filter(node: &Plan) -> Option<Plan> {
 }
 
 /// Flip one declared output type of an `EmptyScan`: the recorded schema
-/// no longer matches the catalog's, which the executor
-/// would silently absorb as a Mixed demotion — a `dataflow-type` error.
+/// no longer matches the catalog's, and the executor would choose its
+/// kernels for the wrong type — a `dataflow-type` error.
 fn empty_scan_type_lie(node: &Plan) -> Option<Plan> {
     let Plan::EmptyScan {
         covers,
@@ -528,7 +499,6 @@ fn empty_scan_phantom_cover(node: &Plan) -> Option<Plan> {
 /// stage above still needs to tell apart (Definition 1, dualized).
 fn eager_drop_pushed_key(node: &Plan) -> Option<Plan> {
     let Plan::PartialAggregate {
-        algo,
         input,
         spec,
         project,
@@ -540,7 +510,6 @@ fn eager_drop_pushed_key(node: &Plan) -> Option<Plan> {
     let g = spec.group_cols.pop()?;
     let project: Vec<Col> = project.iter().copied().filter(|c| *c != g).collect();
     Some(Plan::PartialAggregate {
-        algo: *algo,
         input: input.clone(),
         spec,
         project,
@@ -552,7 +521,6 @@ fn eager_drop_pushed_key(node: &Plan) -> Option<Plan> {
 /// then merged without compensation for join replication.
 fn eager_drop_count(node: &Plan) -> Option<Plan> {
     let Plan::PartialAggregate {
-        algo,
         input,
         spec,
         project,
@@ -569,7 +537,6 @@ fn eager_drop_count(node: &Plan) -> Option<Plan> {
         .filter(|c| *c != count_col)
         .collect();
     Some(Plan::PartialAggregate {
-        algo: *algo,
         input: input.clone(),
         spec,
         project,
@@ -580,7 +547,6 @@ fn eager_drop_count(node: &Plan) -> Option<Plan> {
 /// emits no longer match what the merge stage above expects.
 fn eager_component_lie(node: &Plan) -> Option<Plan> {
     let Plan::PartialAggregate {
-        algo,
         input,
         spec,
         project,
@@ -599,7 +565,6 @@ fn eager_component_lie(node: &Plan) -> Option<Plan> {
         AggFunc::StdDev => AggFunc::Avg,
     };
     Some(Plan::PartialAggregate {
-        algo: *algo,
         input: input.clone(),
         spec,
         project: project.clone(),
@@ -609,7 +574,6 @@ fn eager_component_lie(node: &Plan) -> Option<Plan> {
 /// Add a join predicate over columns neither side produces.
 fn join_pred_unavailable(node: &Plan) -> Option<Plan> {
     let Plan::Join {
-        algo,
         left,
         right,
         preds,
@@ -624,7 +588,6 @@ fn join_pred_unavailable(node: &Plan) -> Option<Plan> {
         Col::base(RelId(61), 2),
     ));
     Some(Plan::Join {
-        algo: *algo,
         left: left.clone(),
         right: right.clone(),
         preds,

@@ -21,7 +21,7 @@
 //! take advantage of the selectivity of the join predicate", Section 3).
 
 use crate::cost::ops::{self, GroupLookup, IoParams, JoinSides};
-use crate::plan::{AggAlgo, JoinAlgo, Plan};
+use crate::plan::Plan;
 use crate::query::QueryEnv;
 use crate::transform::grouping_determinant;
 use aggview_common::{AggViewError, Col, ColRef, DataType, Expr, Predicate, Result};
@@ -253,9 +253,9 @@ impl<'a> CardEstimator<'a> {
     /// (`children` parallel to the node's inputs: left then right for a
     /// join, none for a leaf). Every formula of the model lives here,
     /// once; an enumerator that keeps each sub-plan's properties prices
-    /// a candidate with one call. `Auto` algorithm annotations are
-    /// priced at the cheapest applicable algorithm (what the executor
-    /// will pick).
+    /// a candidate with one call. Joins and aggregations are charged the
+    /// cheapest of the paper's formulas that applies, as the executor
+    /// charges them.
     pub fn cost_node(&self, plan: &Plan, children: &[&PlanProps]) -> Result<PlanProps> {
         self.price_node(plan, children, self.model.cpu)
     }
@@ -302,7 +302,6 @@ impl<'a> CardEstimator<'a> {
             }
             (
                 Plan::Join {
-                    algo,
                     left,
                     right,
                     preds,
@@ -337,18 +336,7 @@ impl<'a> CardEstimator<'a> {
                     right_rows: r.card,
                     right_pages: r.pages(&self.model.page),
                 };
-                let mem = self.model.io.mem_pages;
-                let extra = match algo {
-                    JoinAlgo::Auto => ops::best_join(&sides, preds, mem).1,
-                    a => {
-                        if !ops::join_algo_applicable(*a, preds) {
-                            return Err(AggViewError::Plan(format!(
-                                "join algorithm {a} requires an equality predicate"
-                            )));
-                        }
-                        ops::join_io(*a, &sides, preds, mem)
-                    }
-                };
+                let extra = ops::best_join(&sides, preds, self.model.io.mem_pages).1;
                 // The probe streams, but the build side (the smaller
                 // input) is held while the output accumulates.
                 let build_bytes = l.out_bytes().min(r.out_bytes());
@@ -373,7 +361,6 @@ impl<'a> CardEstimator<'a> {
             }
             (
                 Plan::GroupBy {
-                    algo,
                     input,
                     spec,
                     project,
@@ -381,7 +368,6 @@ impl<'a> CardEstimator<'a> {
                 [i],
             ) => Ok(self.grouped(
                 cpu,
-                *algo,
                 (input, i),
                 &spec.group_cols,
                 spec.agg_cols(),
@@ -390,7 +376,6 @@ impl<'a> CardEstimator<'a> {
             )),
             (
                 Plan::PartialAggregate {
-                    algo,
                     input,
                     spec,
                     project,
@@ -398,7 +383,6 @@ impl<'a> CardEstimator<'a> {
                 [i],
             ) => Ok(self.grouped(
                 cpu,
-                *algo,
                 (input, i),
                 &spec.group_cols,
                 spec.all_part_cols(),
@@ -495,7 +479,6 @@ impl<'a> CardEstimator<'a> {
     fn grouped(
         &self,
         cpu: bool,
-        algo: AggAlgo,
         (input, i): (&Plan, &PlanProps),
         group_cols: &[Col],
         produced: Vec<Col>,
@@ -527,7 +510,7 @@ impl<'a> CardEstimator<'a> {
         let width: f64 = project.iter().map(|c| self.col_width(*c)).sum();
         let in_pages = i.pages(&self.model.page);
         let out_pages = self.model.page.pages_for(groups, width.max(1.0));
-        let extra = ops::agg_io(algo, in_pages, out_pages, &self.model.io).1;
+        let extra = ops::best_agg(in_pages, out_pages, &self.model.io).1;
         PlanProps {
             cost: i.cost + extra + work,
             card,
@@ -813,19 +796,6 @@ mod tests {
         assert!(n.width < w.width);
         // Same IO though: the whole table is read either way.
         assert_eq!(n.cost, w.cost);
-    }
-
-    #[test]
-    fn explicit_algo_requiring_equality_rejected_without_one() {
-        let (cat, env) = setup();
-        let est = CardEstimator::new(CostModel::default(), &cat, &env);
-        let e = Plan::scan(RelId(0), "emp", vec![], all_cols(RelId(0), 5));
-        let d = Plan::scan(RelId(1), "dept", vec![], all_cols(RelId(1), 4));
-        let mut j = Plan::join_all(e, d, vec![]);
-        if let Plan::Join { algo, .. } = &mut j {
-            *algo = JoinAlgo::Hash;
-        }
-        assert!(est.cost_plan(&j).is_err());
     }
 
     /// Plans over `emp` (r0, r2) and `dept` (r1) that exercise every

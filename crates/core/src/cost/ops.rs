@@ -11,7 +11,6 @@
 //!   estimator, measured byte-derived values in the executor).
 //! * `mem` is the operator's memory budget in pages.
 
-use crate::plan::JoinAlgo;
 use aggview_common::Predicate;
 
 /// Shared parameters: memory budget and aggregation spill model.
@@ -241,74 +240,36 @@ pub fn sort_agg_io(input_pages: f64, mem: f64) -> f64 {
     sort_io(input_pages, mem)
 }
 
-/// Whether a join algorithm can execute the given predicate set:
-/// hash and sort-merge need at least one column-equality predicate.
-pub fn join_algo_applicable(algo: JoinAlgo, preds: &[Predicate]) -> bool {
-    match algo {
-        JoinAlgo::Hash | JoinAlgo::SortMerge => preds.iter().any(|p| p.as_col_eq_col().is_some()),
-        _ => true,
-    }
-}
-
-/// Cheapest applicable join algorithm for the given sides, with its
-/// extra IO.
-pub fn best_join(sides: &JoinSides, preds: &[Predicate], mem: f64) -> (JoinAlgo, f64) {
-    let mut best = (JoinAlgo::NestedLoop, nested_loop_io(sides));
-    let bnl = block_nl_io(sides, mem);
-    if bnl < best.1 {
-        best = (JoinAlgo::BlockNested, bnl);
-    }
-    if join_algo_applicable(JoinAlgo::Hash, preds) {
-        let h = hash_join_io(sides, mem);
-        if h < best.1 {
-            best = (JoinAlgo::Hash, h);
+/// The cheapest of the paper's join formulas for the given sides: its
+/// label (`nl`, `bnl`, `hash`, `merge`) and extra IO. Hash and
+/// sort-merge apply only to a join with a column equality. The label
+/// names a formula, not what runs: the engine always probes a hash
+/// index.
+pub fn best_join(sides: &JoinSides, preds: &[Predicate], mem: f64) -> (&'static str, f64) {
+    let mut best = ("nl", nested_loop_io(sides));
+    let mut consider = |label, io: f64| {
+        if io < best.1 {
+            best = (label, io);
         }
-    }
-    if join_algo_applicable(JoinAlgo::SortMerge, preds) {
-        let m = sort_merge_join_io(sides, mem);
-        if m < best.1 {
-            best = (JoinAlgo::SortMerge, m);
-        }
+    };
+    consider("bnl", block_nl_io(sides, mem));
+    if preds.iter().any(|p| p.as_col_eq_col().is_some()) {
+        consider("hash", hash_join_io(sides, mem));
+        consider("merge", sort_merge_join_io(sides, mem));
     }
     best
 }
 
-/// Extra IO of a specific join algorithm.
-pub fn join_io(algo: JoinAlgo, sides: &JoinSides, preds: &[Predicate], mem: f64) -> f64 {
-    match algo {
-        JoinAlgo::Auto => best_join(sides, preds, mem).1,
-        JoinAlgo::NestedLoop => nested_loop_io(sides),
-        JoinAlgo::BlockNested => block_nl_io(sides, mem),
-        JoinAlgo::Hash => hash_join_io(sides, mem),
-        JoinAlgo::SortMerge => sort_merge_join_io(sides, mem),
-    }
-}
-
-/// Cheapest aggregation algorithm, with its extra IO.
-pub fn best_agg(input_pages: f64, output_pages: f64, io: &IoParams) -> (crate::plan::AggAlgo, f64) {
+/// The cheaper of the paper's aggregation formulas: its label (`hash`,
+/// `sort`) and extra IO — the one charging rule the cost model and the
+/// executor share.
+pub fn best_agg(input_pages: f64, output_pages: f64, io: &IoParams) -> (&'static str, f64) {
     let h = hash_agg_io(input_pages, output_pages, io);
     let s = sort_agg_io(input_pages, io.mem_pages);
     if h <= s {
-        (crate::plan::AggAlgo::Hash, h)
+        ("hash", h)
     } else {
-        (crate::plan::AggAlgo::Sort, s)
-    }
-}
-
-/// The algorithm an aggregation annotated `algo` runs (`Auto` resolves
-/// to the cheapest) and its extra IO — the one charging rule the cost
-/// model and the executor share.
-pub fn agg_io(
-    algo: crate::plan::AggAlgo,
-    input_pages: f64,
-    output_pages: f64,
-    io: &IoParams,
-) -> (crate::plan::AggAlgo, f64) {
-    use crate::plan::AggAlgo;
-    match algo {
-        AggAlgo::Auto => best_agg(input_pages, output_pages, io),
-        AggAlgo::Hash => (algo, hash_agg_io(input_pages, output_pages, io)),
-        AggAlgo::Sort => (algo, sort_agg_io(input_pages, io.mem_pages)),
+        ("sort", s)
     }
 }
 
@@ -374,22 +335,25 @@ mod tests {
 
     #[test]
     fn hash_requires_equality_predicate() {
-        assert!(join_algo_applicable(JoinAlgo::Hash, &eq_pred()));
-        assert!(!join_algo_applicable(JoinAlgo::Hash, &[]));
-        assert!(join_algo_applicable(JoinAlgo::BlockNested, &[]));
+        // Hash would be free here, and is only offered with an equality.
+        let s = sides(1e4, 100.0, 1e4, 50.0);
+        assert_eq!(hash_join_io(&s, 64.0), 0.0);
+        assert_eq!(best_join(&s, &eq_pred(), 64.0), ("hash", 0.0));
+        let (label, io) = best_join(&s, &[], 64.0);
+        assert!(label != "hash" && label != "merge" && io > 0.0, "{label}");
     }
 
     #[test]
     fn best_join_prefers_hash_for_equijoins_that_fit() {
         let (algo, io) = best_join(&sides(1e5, 1000.0, 1e4, 50.0), &eq_pred(), 64.0);
-        assert_eq!(algo, JoinAlgo::Hash);
+        assert_eq!(algo, "hash");
         assert_eq!(io, 0.0);
     }
 
     #[test]
     fn best_join_without_equality_falls_back() {
         let (algo, _) = best_join(&sides(1e4, 100.0, 1e4, 100.0), &[], 64.0);
-        assert_eq!(algo, JoinAlgo::BlockNested);
+        assert_eq!(algo, "bnl");
     }
 
     #[test]
@@ -420,24 +384,11 @@ mod tests {
         };
         // Tiny output → hash free.
         let (algo, io) = best_agg(1000.0, 5.0, &p);
-        assert_eq!(algo, crate::plan::AggAlgo::Hash);
+        assert_eq!(algo, "hash");
         assert_eq!(io, 0.0);
         // Huge output, input fits → sort free (input ≤ mem handles both).
         let (_, io2) = best_agg(30.0, 100.0, &p);
         assert_eq!(io2, 0.0);
-    }
-
-    #[test]
-    fn join_io_dispatches() {
-        let s = sides(100.0, 10.0, 100.0, 10.0);
-        assert_eq!(
-            join_io(JoinAlgo::Hash, &s, &eq_pred(), 64.0),
-            hash_join_io(&s, 64.0)
-        );
-        assert_eq!(
-            join_io(JoinAlgo::Auto, &s, &eq_pred(), 64.0),
-            best_join(&s, &eq_pred(), 64.0).1
-        );
     }
 
     #[test]

@@ -53,5 +53,5 @@ pub use optimizer::multi_view::{optimize, optimize_governed, Optimized};
 pub use optimizer::single_view::{optimize_single_view, optimize_single_view_governed};
 pub use optimizer::traditional::{optimize_traditional, optimize_traditional_governed};
 pub use optimizer::{OptimizerConfig, PullUpLevel, SearchStats};
-pub use plan::{AggAlgo, GroupBySpec, JoinAlgo, PartialAggSpec, Plan};
+pub use plan::{GroupBySpec, PartialAggSpec, Plan};
 pub use query::{CanonicalQuery, QueryEnv, TopGroup, ViewDef};

@@ -20,60 +20,7 @@
 //! candidates over the same memoized sub-plans.
 
 use aggview_common::{AggRef, AggSpec, Col, ColRef, DataType, Predicate, RelId, ViewId};
-use std::fmt;
 use std::sync::Arc;
-
-/// Physical join algorithm annotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JoinAlgo {
-    /// Let the executor pick the cheapest given actual input sizes.
-    Auto,
-    /// Tuple-at-a-time nested loops (educational baseline; never chosen
-    /// by the cost-based optimizer when an alternative applies).
-    NestedLoop,
-    /// Block nested loops: outer in memory-sized chunks, inner rescanned
-    /// per chunk.
-    BlockNested,
-    /// Grace/hybrid hash join on equality predicates.
-    Hash,
-    /// Sort-merge join on equality predicates.
-    SortMerge,
-}
-
-impl fmt::Display for JoinAlgo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            JoinAlgo::Auto => "auto",
-            JoinAlgo::NestedLoop => "nl",
-            JoinAlgo::BlockNested => "bnl",
-            JoinAlgo::Hash => "hash",
-            JoinAlgo::SortMerge => "merge",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Physical aggregation algorithm annotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AggAlgo {
-    /// Let the executor pick.
-    Auto,
-    /// Hash aggregation (partitioned when the table exceeds memory).
-    Hash,
-    /// Sort-based aggregation.
-    Sort,
-}
-
-impl fmt::Display for AggAlgo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AggAlgo::Auto => "auto",
-            AggAlgo::Hash => "hash",
-            AggAlgo::Sort => "sort",
-        };
-        f.write_str(s)
-    }
-}
 
 /// A group-by operator's annotations (paper Section 2): grouping
 /// columns, aggregate specifications, and HAVING predicates.
@@ -190,7 +137,6 @@ pub enum Plan {
     },
     /// Join two subtrees on a conjunction of predicates.
     Join {
-        algo: JoinAlgo,
         left: Arc<Plan>,
         right: Arc<Plan>,
         /// Join predicates (columns from both sides; never aggregate
@@ -201,7 +147,6 @@ pub enum Plan {
     },
     /// Full group-by: produces one tuple per group surviving HAVING.
     GroupBy {
-        algo: AggAlgo,
         input: Arc<Plan>,
         spec: GroupBySpec,
         /// Output columns (grouping columns and aggregate outputs).
@@ -213,7 +158,6 @@ pub enum Plan {
     /// No HAVING — predicates over aggregates wait for the merge
     /// group-by above the join.
     PartialAggregate {
-        algo: AggAlgo,
         input: Arc<Plan>,
         spec: PartialAggSpec,
         /// Output columns (pushed grouping columns, partial-state
@@ -285,7 +229,6 @@ impl Plan {
         project: Vec<Col>,
     ) -> Plan {
         Plan::Join {
-            algo: JoinAlgo::Auto,
             left: left.into(),
             right: right.into(),
             preds,
@@ -305,7 +248,6 @@ impl Plan {
         let mut project = spec.group_cols.clone();
         project.extend(spec.agg_cols());
         Plan::GroupBy {
-            algo: AggAlgo::Auto,
             input: input.into(),
             spec,
             project,
@@ -315,7 +257,6 @@ impl Plan {
     /// Group-by with explicit projection.
     pub fn group_by(input: impl Into<Arc<Plan>>, spec: GroupBySpec, project: Vec<Col>) -> Plan {
         Plan::GroupBy {
-            algo: AggAlgo::Auto,
             input: input.into(),
             spec,
             project,
@@ -328,7 +269,6 @@ impl Plan {
         let mut project = spec.group_cols.clone();
         project.extend(spec.all_part_cols());
         Plan::PartialAggregate {
-            algo: AggAlgo::Auto,
             input: input.into(),
             spec,
             project,
@@ -455,7 +395,10 @@ impl Plan {
     }
 
     /// Multi-line indented rendering for debugging and EXPLAIN-style
-    /// output.
+    /// output. Joins and aggregations carry the tag `[auto]`: the engine
+    /// picks nothing per node (a join always builds a hash index, an
+    /// aggregation a hash group table), and the tag keeps renderings
+    /// that tests and fixtures pin unchanged.
     pub fn explain(&self) -> String {
         let mut s = String::new();
         self.explain_into(&mut s, 0);
@@ -480,25 +423,19 @@ impl Plan {
                 let _ = writeln!(out);
             }
             Plan::Join {
-                algo,
-                left,
-                right,
-                preds,
-                ..
+                left, right, preds, ..
             } => {
                 let ps: Vec<String> = preds.iter().map(|p| p.to_string()).collect();
-                let _ = writeln!(out, "{pad}Join[{algo}] on [{}]", ps.join(" AND "));
+                let _ = writeln!(out, "{pad}Join[auto] on [{}]", ps.join(" AND "));
                 left.explain_into(out, depth + 1);
                 right.explain_into(out, depth + 1);
             }
-            Plan::GroupBy {
-                algo, input, spec, ..
-            } => {
+            Plan::GroupBy { input, spec, .. } => {
                 let gs: Vec<String> = spec.group_cols.iter().map(|c| c.to_string()).collect();
                 let aggs: Vec<String> = spec.aggs.iter().map(|a| a.to_string()).collect();
                 let _ = write!(
                     out,
-                    "{pad}GroupBy[{algo}] {} by [{}] agg [{}]",
+                    "{pad}GroupBy[auto] {} by [{}] agg [{}]",
                     spec.owner,
                     gs.join(", "),
                     aggs.join(", ")
@@ -510,9 +447,7 @@ impl Plan {
                 let _ = writeln!(out);
                 input.explain_into(out, depth + 1);
             }
-            Plan::PartialAggregate {
-                algo, input, spec, ..
-            } => {
+            Plan::PartialAggregate { input, spec, .. } => {
                 let gs: Vec<String> = spec.group_cols.iter().map(|c| c.to_string()).collect();
                 let aggs: Vec<String> = spec
                     .aggs
@@ -526,7 +461,7 @@ impl Plan {
                     .collect();
                 let _ = write!(
                     out,
-                    "{pad}PartialAggregate[{algo}] keys [{}] agg [{}]",
+                    "{pad}PartialAggregate[auto] keys [{}] agg [{}]",
                     gs.join(", "),
                     aggs.join(", ")
                 );

@@ -34,7 +34,6 @@ pub fn combine_groupbys(plan: &Plan) -> Option<Plan> {
         input: outer_input,
         spec: outer,
         project,
-        algo,
     } = plan
     else {
         return None;
@@ -88,7 +87,6 @@ pub fn combine_groupbys(plan: &Plan) -> Option<Plan> {
         having: outer.having.clone(),
     };
     Some(Plan::GroupBy {
-        algo: *algo,
         input: inner_input.clone(),
         spec,
         project: project.clone(),
@@ -101,36 +99,30 @@ pub fn combine_all(plan: &Plan) -> Plan {
     let rebuilt = match plan {
         Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => plan.clone(),
         Plan::Join {
-            algo,
             left,
             right,
             preds,
             project,
         } => Plan::Join {
-            algo: *algo,
             left: Arc::new(combine_all(left)),
             right: Arc::new(combine_all(right)),
             preds: preds.clone(),
             project: project.clone(),
         },
         Plan::GroupBy {
-            algo,
             input,
             spec,
             project,
         } => Plan::GroupBy {
-            algo: *algo,
             input: Arc::new(combine_all(input)),
             spec: spec.clone(),
             project: project.clone(),
         },
         Plan::PartialAggregate {
-            algo,
             input,
             spec,
             project,
         } => Plan::PartialAggregate {
-            algo: *algo,
             input: Arc::new(combine_all(input)),
             spec: spec.clone(),
             project: project.clone(),

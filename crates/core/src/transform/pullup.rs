@@ -337,7 +337,6 @@ mod tests {
             Col::base(RelId(0), emp::SAL),
         ]);
         let j = Plan::Join {
-            algo: crate::plan::JoinAlgo::Auto,
             left: left.clone(),
             right: keyless.into(),
             preds: preds.clone(),

@@ -25,7 +25,7 @@ use aggview_core::analyze::dataflow::Bounds;
 use aggview_core::cost::ops::{self, JoinSides};
 use aggview_core::cost::CostModel;
 use aggview_core::governor::ResourceGovernor;
-use aggview_core::plan::{AggAlgo, GroupBySpec, JoinAlgo, PartialAggSpec, Plan};
+use aggview_core::plan::{GroupBySpec, PartialAggSpec, Plan};
 use aggview_core::query::QueryEnv;
 use aggview_core::transform::grouping_determinant;
 use aggview_storage::Catalog;
@@ -61,12 +61,6 @@ pub struct ResultSet {
     /// buffered stage whatever the tables hold. A figure of the plan and
     /// the data.
     pub peak_intermediate_bytes: u64,
-    /// Typed→Mixed column demotions observed during this execution.
-    /// Zero for any plan the dataflow pass certifies Mixed-free; a
-    /// non-zero count means a column the planner typed fell back to the
-    /// `Value`-enum representation (attribution is best-effort when
-    /// queries run concurrently in one process).
-    pub mixed_demotions: u64,
 }
 
 impl ResultSet {
@@ -158,7 +152,6 @@ struct Join<'p> {
     build: Held,
     build_left: bool,
     shape: JoinShape,
-    algo: JoinAlgo,
     preds: &'p [Predicate],
     /// The breakdown entry reserved for this join.
     slot: usize,
@@ -228,7 +221,6 @@ impl<'a> Engine<'a> {
             .with_env(self.env)
             .verify_flow(plan)?;
         admit(&flow.bounds, gov)?;
-        let demotions_before = aggview_common::mixed_demotions();
         let mut ctx = ExecCtx {
             breakdown: Vec::new(),
             gov,
@@ -253,7 +245,6 @@ impl<'a> Engine<'a> {
             io_pages,
             breakdown: ctx.breakdown,
             peak_intermediate_bytes: ctx.peak_bytes,
-            mixed_demotions: aggview_common::mixed_demotions().saturating_sub(demotions_before),
         })
     }
 
@@ -313,24 +304,21 @@ impl<'a> Engine<'a> {
                 ))
             }
             Plan::Join {
-                algo,
                 left,
                 right,
                 preds,
                 project,
-            } => self.join(*algo, left, right, preds, project, ctx),
+            } => self.join(left, right, preds, project, ctx),
             Plan::GroupBy {
-                algo,
                 input,
                 spec,
                 project,
-            } => self.exec_aggregate(AggNode::Full(spec), *algo, input, project, ctx),
+            } => self.exec_aggregate(AggNode::Full(spec), input, project, ctx),
             Plan::PartialAggregate {
-                algo,
                 input,
                 spec,
                 project,
-            } => self.exec_aggregate(AggNode::Partial(spec), *algo, input, project, ctx),
+            } => self.exec_aggregate(AggNode::Partial(spec), input, project, ctx),
         }
     }
 
@@ -378,7 +366,6 @@ impl<'a> Engine<'a> {
     /// the right one is collected to build on.
     fn join<'p>(
         &self,
-        algo: JoinAlgo,
         left: &'p Plan,
         right: &'p Plan,
         preds: &'p [Predicate],
@@ -389,11 +376,6 @@ impl<'a> Engine<'a> {
         maybe_fault(ctx.faults, "exec.join")?;
         let l = self.stream(left, ctx)?;
         let r = self.stream(right, ctx)?;
-        if algo != JoinAlgo::Auto && !ops::join_algo_applicable(algo, preds) {
-            return Err(AggViewError::Exec(format!(
-                "join algorithm {algo} requires an equality predicate"
-            )));
-        }
         // The page charge is due when the stream has run; its place in
         // the breakdown is here.
         let slot = ctx.breakdown.len();
@@ -476,7 +458,6 @@ impl<'a> Engine<'a> {
             build,
             build_left,
             shape,
-            algo,
             preds,
             slot,
         });
@@ -523,10 +504,7 @@ impl<'a> Engine<'a> {
                 right_rows: right.rows as f64,
                 right_pages: self.pages_for(right.bytes),
             };
-            let (algo, pages) = match join.algo {
-                JoinAlgo::Auto => ops::best_join(&sides, join.preds, mem),
-                a => (a, ops::join_io(a, &sides, join.preds, mem)),
-            };
+            let (algo, pages) = ops::best_join(&sides, join.preds, mem);
             ctx.breakdown[join.slot] = IoBreakdown {
                 op: format!("join[{algo}]"),
                 pages,
@@ -562,7 +540,6 @@ impl<'a> Engine<'a> {
     fn exec_aggregate<'p>(
         &self,
         agg: AggNode<'_>,
-        algo: AggAlgo,
         input: &'p Plan,
         project: &[Col],
         ctx: &mut ExecCtx<'_>,
@@ -621,7 +598,7 @@ impl<'a> Engine<'a> {
             Some(sel) => {
                 let kept = positions.iter().map(|&p| full.col(p).empty_like());
                 let mut out = Batch::from_parts(kept.collect(), 0);
-                out.gather_from(&full, &positions, Some(&sel), 0..0);
+                out.gather_from(&full, &positions, Some(&sel), 0..0)?;
                 out
             }
         };
@@ -631,7 +608,7 @@ impl<'a> Engine<'a> {
 
         // Charge: aggregation over what streamed in.
         let (in_pages, out_pages) = (self.pages_for(fed.bytes), self.pages_for(out_bytes));
-        let (algo, charge) = ops::agg_io(algo, in_pages, out_pages, &self.model.io);
+        let (algo, charge) = ops::best_agg(in_pages, out_pages, &self.model.io);
         ctx.breakdown.push(IoBreakdown {
             op: match agg {
                 AggNode::Full(spec) => format!("groupby[{algo}] {}", spec.owner),
@@ -842,36 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_matches_nested_loop_semantics() {
-        let (cat, env) = setup();
-        let e = engine(&cat, &env);
-        let jp = Predicate::eq_cols(
-            Col::base(RelId(0), emp::DNO),
-            Col::base(RelId(1), dept::DNO),
-        );
-        let mk = |algo: JoinAlgo| {
-            let mut p = Plan::join_all(
-                Plan::scan(RelId(0), "emp", vec![], all_cols(RelId(0), 5)),
-                Plan::scan(RelId(1), "dept", vec![], all_cols(RelId(1), 4)),
-                vec![jp.clone()],
-            );
-            if let Plan::Join { algo: a, .. } = &mut p {
-                *a = algo;
-            }
-            p
-        };
-        let h = e.execute(&mk(JoinAlgo::Hash)).unwrap();
-        let n = e.execute(&mk(JoinAlgo::NestedLoop)).unwrap();
-        let mut hr = h.rows.clone();
-        let mut nr = n.rows.clone();
-        hr.sort();
-        nr.sort();
-        assert_eq!(hr, nr);
-        // FK join: one output row per employee.
-        assert_eq!(hr.len(), cat.get("emp").unwrap().len());
-    }
-
-    #[test]
     fn group_by_avg_per_department() {
         let (cat, env) = setup();
         let e = engine(&cat, &env);
@@ -990,21 +937,6 @@ mod tests {
         let a = e.execute(&direct).unwrap();
         let b = e.execute(&coalesced).unwrap();
         crate::verify::assert_equivalent(&a, &b).unwrap();
-    }
-
-    #[test]
-    fn explicit_hash_join_without_equality_errors() {
-        let (cat, env) = setup();
-        let e = engine(&cat, &env);
-        let mut p = Plan::join_all(
-            Plan::scan(RelId(0), "emp", vec![], all_cols(RelId(0), 5)),
-            Plan::scan(RelId(1), "dept", vec![], all_cols(RelId(1), 4)),
-            vec![],
-        );
-        if let Plan::Join { algo, .. } = &mut p {
-            *algo = JoinAlgo::Hash;
-        }
-        assert!(e.execute(&p).is_err());
     }
 
     #[test]

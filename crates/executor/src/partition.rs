@@ -14,8 +14,7 @@
 //! * [`AggInput`] — how one aggregate reads its per-row input (raw
 //!   argument, partial-state components, or a duplicate-factor-scaled
 //!   argument), resolved by the columnar aggregation kernel into typed
-//!   accumulators, or folded through [`PartialAggState`] a `Value` at a
-//!   time ([`AggInput::absorb_with`]) where none fits.
+//!   accumulators.
 //!
 //! Every lookup keys on a 64-bit hash computed in place over the key
 //! columns ([`aggview_common::hash`]); candidate lists store `u32` row
@@ -23,7 +22,7 @@
 //! output tuple is created.
 
 use aggview_common::expr::BoundExpr;
-use aggview_common::{ColumnVec, PartialAggState, Result, Value};
+use aggview_common::ColumnVec;
 use std::ops::Range;
 
 /// Home cell of `hash` in a directory of `1 << bits` cells (`bits` in
@@ -282,56 +281,42 @@ pub enum AggInput {
     Scaled(Option<BoundExpr>, usize),
 }
 
-impl AggInput {
-    /// Absorb one row, exposed through a position accessor, into
-    /// `state`: the `Value` fold the columnar kernel falls back to for
-    /// inputs no typed accumulator fits.
-    pub fn absorb_with(
-        &self,
-        state: &mut PartialAggState,
-        get: &impl Fn(usize) -> Value,
-    ) -> Result<()> {
-        match self {
-            AggInput::Raw(e) => {
-                let v = e.eval_with(get)?;
-                state.update(Some(&v))
-            }
-            AggInput::RawCountStar => state.update(None),
-            AggInput::Partial(comps) => {
-                debug_assert!(comps.len() <= 3);
-                let mut buf: [Value; 3] =
-                    [Value::Bool(false), Value::Bool(false), Value::Bool(false)];
-                for (k, &i) in comps.iter().enumerate() {
-                    buf[k] = get(i);
-                }
-                state.merge_components(&buf[..comps.len()])
-            }
-            AggInput::Scaled(e, cnt) => {
-                let n = duplicate_factor(&get(*cnt))?;
-                match e {
-                    Some(e) => {
-                        let v = e.eval_with(get)?;
-                        state.update_weighted(Some(&v), n)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aggview_common::{tuple, AggFunc, AggViewError, Batch, PartialAggState, Result, Value};
+    use std::sync::Arc;
+
+    impl AggInput {
+        /// Absorb one row, exposed through a position accessor, into
+        /// `state`: the `Value` fold the typed accumulators are checked
+        /// against.
+        pub(crate) fn absorb_with(
+            &self,
+            state: &mut PartialAggState,
+            get: &impl Fn(usize) -> Value,
+        ) -> Result<()> {
+            match self {
+                AggInput::Raw(e) => state.update(Some(&e.eval_with(get)?)),
+                AggInput::RawCountStar => state.update(None),
+                AggInput::Partial(comps) => {
+                    let mut buf = [Value::Bool(false), Value::Bool(false), Value::Bool(false)];
+                    for (k, &i) in comps.iter().enumerate() {
+                        buf[k] = get(i);
                     }
-                    None => state.update_weighted(None, n),
+                    state.merge_components(&buf[..comps.len()])
+                }
+                AggInput::Scaled(e, cnt) => {
+                    let v = get(*cnt);
+                    let n = v.as_i64().ok_or_else(|| {
+                        AggViewError::Exec(format!("non-integer duplicate factor {v}"))
+                    })?;
+                    let arg = e.as_ref().map(|e| e.eval_with(get)).transpose()?;
+                    state.update_weighted(arg.as_ref(), n)
                 }
             }
         }
     }
-}
-
-/// Read a duplicate-factor count value, rejecting non-integers.
-fn duplicate_factor(v: &Value) -> Result<i64> {
-    v.as_i64().ok_or_else(|| {
-        aggview_common::AggViewError::Exec(format!("non-integer duplicate factor {v}"))
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use aggview_common::{tuple, AggFunc, Batch};
-    use std::sync::Arc;
 
     /// The directory rule against the key families joins and group-bys
     /// actually see. A uniform hash would occupy 83% as many cells as

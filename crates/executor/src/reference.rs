@@ -31,7 +31,6 @@ pub fn evaluate(plan: &Plan, catalog: &Catalog) -> Result<ResultSet> {
         io_pages: 0.0,
         breakdown: Vec::new(),
         peak_intermediate_bytes: 0,
-        mixed_demotions: 0,
     })
 }
 

@@ -32,8 +32,7 @@ use crate::partition::{dir_cells, dir_index, ordinal_cell, AggInput, JoinIndex, 
 use aggview_common::expr::{BoundExpr, NumColumn};
 use aggview_common::predicate::BoundPredicate;
 use aggview_common::{
-    hash_columns, AggFunc, AggViewError, Batch, ColumnVec, DataType, PartialAggState, Result,
-    StrCol, Value,
+    hash_columns, AggFunc, AggViewError, Batch, ColumnVec, DataType, Result, StrCol, Value,
 };
 use aggview_core::governor::ResourceGovernor;
 use aggview_storage::Table;
@@ -617,14 +616,14 @@ impl<'a> Probe<'a> {
             .keys
             .iter()
             .map(|&(b, _)| match &rows {
-                None => Cow::Borrowed(build[b]),
+                None => Ok(Cow::Borrowed(build[b])),
                 Some(rows) => {
                     let mut key = build[b].empty_like();
-                    key.append_gather(build[b], rows);
-                    Cow::Owned(key)
+                    key.append_gather(build[b], rows)?;
+                    Ok(Cow::Owned(key))
                 }
             })
-            .collect();
+            .collect::<Result<_>>()?;
         let direct = match (&keys[..], &shape.keys[..]) {
             ([key], [(_, p)]) => Ordinals::pair(key, probe[*p])
                 .and_then(|(ordinals, _)| JoinIndex::direct(ordinals, n)),
@@ -697,7 +696,7 @@ impl<'a> Probe<'a> {
         dst: &mut [ColumnVec],
         cols: &[&ColumnVec],
         (build_sel, probe_sel): (&[u32], &[u32]),
-    ) -> u64 {
+    ) -> Result<u64> {
         let pairs = dst.iter_mut().zip(slots);
         let widths = pairs.map(|(col, &(from_build, c))| match from_build {
             true => col.append_gather(self.build[c], build_sel),
@@ -722,7 +721,7 @@ impl<'a> Probe<'a> {
         if !self.shape.residual.is_empty() {
             work.residual.iter_mut().for_each(ColumnVec::clear);
             let pairs = (&work.build_sel[..], &work.probe_sel[..]);
-            self.gather(&self.shape.residual_slots, &mut work.residual, cols, pairs);
+            self.gather(&self.shape.residual_slots, &mut work.residual, cols, pairs)?;
             let gathered = &work.residual;
             if let Some(pass) = self.residual.rows(|i| &gathered[i], 0..pairs.0.len())? {
                 // `pass` ascends, so pair `k` never lands past itself.
@@ -740,7 +739,7 @@ impl<'a> Probe<'a> {
                 work.out.iter_mut().for_each(ColumnVec::clear);
             }
             let pairs = (&work.build_sel[..], &work.probe_sel[..]);
-            let w = self.gather(&self.shape.emit, &mut work.out, cols, pairs);
+            let w = self.gather(&self.shape.emit, &mut work.out, cols, pairs)?;
             gov.charge_output_bulk(n as u64, w)?;
             work.flow.add(n, w);
             if !keep {
@@ -909,7 +908,7 @@ fn drive(
                 true => dst.append_range(src, tile.clone()),
                 false => dst.append_gather(src, &ids),
             });
-            copied.sum()
+            copied.sum::<Result<u64>>()?
         } else if source.is_scan() {
             cols.iter().map(|c| c.bytes_at(tile.clone())).sum()
         } else {
@@ -1039,13 +1038,12 @@ enum Typed<'a> {
 }
 
 impl<'a> Typed<'a> {
-    fn of(col: &'a ColumnVec) -> Option<Typed<'a>> {
+    fn of(col: &'a ColumnVec) -> Typed<'a> {
         match col {
-            ColumnVec::Int(xs) => Some(Typed::Int(xs)),
-            ColumnVec::Float(xs) => Some(Typed::Float(xs)),
-            ColumnVec::Bool(xs) => Some(Typed::Bool(xs)),
-            ColumnVec::Str(xs) => Some(Typed::Str(xs.codes(), xs)),
-            ColumnVec::Mixed(_) => None,
+            ColumnVec::Int(xs) => Typed::Int(xs),
+            ColumnVec::Float(xs) => Typed::Float(xs),
+            ColumnVec::Bool(xs) => Typed::Bool(xs),
+            ColumnVec::Str(xs) => Typed::Str(xs.codes(), xs),
         }
     }
 
@@ -1064,13 +1062,23 @@ impl<'a> Typed<'a> {
 enum Arg<'a> {
     /// A column of the tile.
     Col(usize),
+    /// A constant, repeated to the tile's length.
+    Const(&'a Value),
     /// Evaluated a tile at a time ([`BoundExpr::eval_columns`]).
     Expr(&'a BoundExpr),
 }
 
+/// A column of `n` copies of `v`: a constant argument as a tile. One
+/// string repeated always comes to the same one-entry dictionary.
+fn repeated(v: &Value, n: usize) -> Result<ColumnVec> {
+    let mut col = ColumnVec::with_type(v.data_type());
+    (0..n).try_for_each(|_| col.push_value(v.clone()))?;
+    Ok(col)
+}
+
 /// How one aggregate reads the tiles coming in: its [`AggInput`]
-/// resolved against their columns' representations, once per operator.
-/// Columns are named by position and read tile by tile.
+/// resolved against their columns' types, once per operator. Columns
+/// are named by position and read tile by tile.
 #[derive(Clone, Copy)]
 enum Feed<'a> {
     /// A raw argument, each row standing for `weight` rows (`None`:
@@ -1085,8 +1093,6 @@ enum Feed<'a> {
     /// Partial-state components that *add*: the float sums (none for
     /// COUNT, one for AVG, two for STDDEV) and the row count.
     Partial { sums: [Option<usize>; 2], n: usize },
-    /// No typed accumulator fits: fold through `Value`s.
-    Values(&'a AggInput),
 }
 
 /// One tile of a [`Feed`], indexed by tile row.
@@ -1141,9 +1147,6 @@ enum AccCol {
         sumsq: Option<Vec<f64>>,
         n: Vec<i64>,
     },
-    /// The fallback for inputs no typed accumulator fits (`Mixed`
-    /// columns, ill-typed arguments): one boxed state per group.
-    Values(AggFunc, Vec<PartialAggState>),
 }
 
 /// Checked count addition with [`PartialAggState`]'s overflow message.
@@ -1225,89 +1228,93 @@ fn fold_extreme<T: Copy>(
 }
 
 impl AccCol {
-    /// The accumulator and feed of `func` over `input`, by the
-    /// representation of the columns `input` reads — `cols` are the
-    /// tiles' columns, or empty ones like them.
-    fn resolve<'a>(cols: &[&ColumnVec], input: &'a AggInput, func: AggFunc) -> (AccCol, Feed<'a>) {
-        Self::typed(cols, input, func)
-            .unwrap_or_else(|| (AccCol::Values(func, Vec::new()), Feed::Values(input)))
-    }
-
-    fn typed<'a>(
+    /// The accumulator and feed of `func` over `input`, by the types of
+    /// the columns `input` reads — `cols` are the tiles' columns, or
+    /// empty ones like them. An input no accumulator takes is ill-typed
+    /// (a SUM of strings, arithmetic on a boolean): the dataflow pass
+    /// reports it and the engine runs no such plan, so here it is an
+    /// error.
+    fn resolve<'a>(
         cols: &[&ColumnVec],
         input: &'a AggInput,
         func: AggFunc,
-    ) -> Option<(AccCol, Feed<'a>)> {
+    ) -> Result<(AccCol, Feed<'a>)> {
+        let unfit = || AggViewError::Schema(format!("{func} has no accumulator for {input:?}"));
         let col = |i: usize| cols[i];
         let (arg, weight) = match input {
             AggInput::RawCountStar => (None, None),
             AggInput::Raw(e) => (Some(e), None),
             AggInput::Scaled(e, cnt) => {
-                col(*cnt).as_int()?;
+                col(*cnt).as_int().ok_or_else(unfit)?;
                 (e.as_ref(), Some(*cnt))
             }
             AggInput::Partial(comps) => {
-                let typed: Vec<Typed<'_>> = comps
-                    .iter()
-                    .map(|&c| Typed::of(col(c)))
-                    .collect::<Option<_>>()?;
-                return Some(match (func, &typed[..], &comps[..]) {
-                    (AggFunc::Count, [Typed::Int(_)], &[n]) => (
+                let typed: Vec<Typed<'_>> = comps.iter().map(|&c| Typed::of(col(c))).collect();
+                return match (func, &typed[..], &comps[..]) {
+                    (AggFunc::Count, [Typed::Int(_)], &[n]) => Ok((
                         AccCol::Count(Vec::new()),
                         Feed::Partial {
                             sums: [None, None],
                             n,
                         },
-                    ),
-                    (AggFunc::Avg, [Typed::Float(_), Typed::Int(_)], &[s, n]) => (
+                    )),
+                    (AggFunc::Avg, [Typed::Float(_), Typed::Int(_)], &[s, n]) => Ok((
                         AccCol::moments(None),
                         Feed::Partial {
                             sums: [Some(s), None],
                             n,
                         },
-                    ),
+                    )),
                     (
                         AggFunc::StdDev,
                         [Typed::Float(_), Typed::Float(_), Typed::Int(_)],
                         &[s, q, n],
-                    ) => (
+                    ) => Ok((
                         AccCol::moments(Some(Vec::new())),
                         Feed::Partial {
                             sums: [Some(s), Some(q)],
                             n,
                         },
-                    ),
-                    (AggFunc::Sum | AggFunc::Min | AggFunc::Max, &[x], &[c]) => (
-                        AccCol::over(func, x)?,
+                    )),
+                    (AggFunc::Sum | AggFunc::Min | AggFunc::Max, &[x], &[c]) => Ok((
+                        AccCol::over(func, x).ok_or_else(unfit)?,
                         Feed::Raw {
                             arg: Some(Arg::Col(c)),
                             weight: None,
                         },
-                    ),
-                    _ => return None,
-                });
+                    )),
+                    _ => Err(unfit()),
+                };
             }
         };
-        // What the argument's values look like: an expression that is
-        // not numeric column-wise goes to the `Value` fold, COUNT's too,
-        // for the errors evaluating it raises.
+        // What the argument's values look like. COUNT evaluates an
+        // expression argument only for the errors that raises; a column
+        // or a constant raises none.
+        let constant;
         let (arg, like) = match (func, arg) {
-            (AggFunc::Count, Some(BoundExpr::Col(_))) | (_, None) => (None, None),
-            (_, Some(BoundExpr::Col(i))) => (Some(Arg::Col(*i)), Some(Typed::of(col(*i))?)),
+            (AggFunc::Count, Some(BoundExpr::Col(_) | BoundExpr::Const(_))) | (_, None) => {
+                (None, None)
+            }
+            (_, Some(BoundExpr::Col(i))) => (Some(Arg::Col(*i)), Some(Typed::of(col(*i)))),
+            (_, Some(BoundExpr::Const(v))) => {
+                constant = repeated(v, 1)?;
+                (Some(Arg::Const(v)), Some(Typed::of(&constant)))
+            }
             (_, Some(e)) => {
-                let like = match e.numeric_type(&col)? {
+                let like = match e.numeric_type(&col).ok_or_else(unfit)? {
                     DataType::Int => Typed::Int(&[]),
                     _ => Typed::Float(&[]),
                 };
                 (Some(Arg::Expr(e)), Some(like))
             }
         };
-        let acc = match func {
-            AggFunc::Count => AccCol::Count(Vec::new()),
+        let acc = match (func, like) {
+            (AggFunc::Count, _) => AccCol::Count(Vec::new()),
+            (_, Some(x)) => AccCol::over(func, x).ok_or_else(unfit)?,
             // Only COUNT goes without an argument.
-            _ => AccCol::over(func, like?)?,
+            (_, None) => return Err(unfit()),
         };
-        Some((acc, Feed::Raw { arg, weight }))
+        Ok((acc, Feed::Raw { arg, weight }))
     }
 
     fn moments(sumsq: Option<Vec<f64>>) -> AccCol {
@@ -1370,9 +1377,6 @@ impl AccCol {
                 }
                 n.resize(groups, 0);
             }
-            AccCol::Values(func, states) => {
-                states.resize_with(groups, || PartialAggState::empty(*func))
-            }
         }
     }
 
@@ -1384,7 +1388,6 @@ impl AccCol {
             AccCol::Extreme(..) => AggFunc::Max,
             AccCol::Moments { sumsq: None, .. } => AggFunc::Avg,
             AccCol::Moments { .. } => AggFunc::StdDev,
-            AccCol::Values(func, _) => *func,
         }
     }
 
@@ -1530,32 +1533,7 @@ impl AccCol {
                 .map(ColumnVec::Float)
                 .chain([ColumnVec::Int(n)])
                 .collect(),
-            AccCol::Values(_, states) if finalize => {
-                let values = states.iter().map(PartialAggState::finalize);
-                vec![column_of(values.collect::<Result<_>>()?)]
-            }
-            AccCol::Values(_, states) => (0..func.partial_arity())
-                .map(|k| {
-                    let comp = |s: &PartialAggState| s.components().get(k).cloned();
-                    let values: Option<Vec<Value>> = states.iter().map(comp).collect();
-                    values.map(column_of).ok_or_else(empty_group)
-                })
-                .collect::<Result<_>>()?,
         })
-    }
-}
-
-/// A column of `values`: typed when they share one type, `Mixed` — as
-/// built, not demoted — otherwise.
-fn column_of(values: Vec<Value>) -> ColumnVec {
-    let ty = values.first().map(Value::data_type);
-    match ty.filter(|&t| values.iter().all(|v| v.data_type() == t)) {
-        Some(t) => {
-            let mut col = ColumnVec::with_type(t);
-            values.into_iter().for_each(|v| col.push_value(v));
-            col
-        }
-        None => ColumnVec::Mixed(values),
     }
 }
 
@@ -1624,12 +1602,12 @@ impl<'a> BatchGroupTable<'a> {
 
     /// Append a group whose grouping columns are row `row` of `src`.
     #[inline]
-    fn push_group(&mut self, src: &[&ColumnVec], row: usize) -> usize {
+    fn push_group(&mut self, src: &[&ColumnVec], row: usize) -> Result<usize> {
         for (key_col, from) in self.keys.iter_mut().zip(src) {
-            key_col.push_from(from, row);
+            key_col.push_from(from, row)?;
         }
         self.len += 1;
-        self.len - 1
+        Ok(self.len - 1)
     }
 
     /// Enter every group in the directory, so [`Self::slot_for`] finds
@@ -1669,7 +1647,7 @@ impl<'a> BatchGroupTable<'a> {
     /// from that row if it is the group's first.
     /// `hash` is the hash of the row's lookup columns; the directory
     /// must hold every group.
-    fn slot_for(&mut self, src: &[&ColumnVec], row: usize, hash: u64) -> usize {
+    fn slot_for(&mut self, src: &[&ColumnVec], row: usize, hash: u64) -> Result<usize> {
         // One Int lookup column is confirmed on the `i64` slices.
         let ints = match self.lookup[..] {
             [l] => self.keys[l].as_int().zip(src[l].as_int()),
@@ -1682,16 +1660,16 @@ impl<'a> BatchGroupTable<'a> {
                 self.lookup.iter().all(same)
             }),
         };
-        match found {
+        Ok(match found {
             Found::Hit(s) => s,
             Found::Miss(idx) => {
-                let slot = self.push_group(src, row);
+                let slot = self.push_group(src, row)?;
                 self.index.table[idx] = slot as u32 + 1;
                 self.hashes.push(hash);
                 self.index.seat(&self.hashes, self.len);
                 slot
             }
-        }
+        })
     }
 
     /// Widen the ordinal directory to hold the ordinals of rows `range`
@@ -1744,14 +1722,22 @@ impl<'a> BatchGroupTable<'a> {
         self.admit_ordinals(ordinals, r.clone());
         let mut slots = std::mem::take(&mut self.slots);
         slots.clear();
+        // A key cell a new group's column refuses fails the fold after
+        // the sweep: each sweep stays one `extend`, which writes the
+        // slots with no check per row (a loop of fallible pushes
+        // measured 4-10% slower on the group-by kernels).
+        let mut refused = Ok(());
         match (std::mem::replace(&mut self.find, Lookup::Hashed), ordinals) {
             (Lookup::Ordinal { min, mut seats }, Some(keys)) => {
                 slots.extend(r.clone().map(|row| {
                     let seat = &mut seats[ordinal_cell(keys.at(row), min)];
                     if *seat == 0 {
-                        *seat = self.push_group(&key_cols, row) as u32 + 1;
+                        match self.push_group(&key_cols, row) {
+                            Ok(g) => *seat = g as u32 + 1,
+                            Err(e) => refused = Err(e),
+                        }
                     }
-                    *seat - 1
+                    seat.wrapping_sub(1)
                 }));
                 self.find = Lookup::Ordinal { min, seats };
             }
@@ -1760,20 +1746,31 @@ impl<'a> BatchGroupTable<'a> {
                 let lookup_cols = self.lookup.iter().map(|&l| key_cols[l]);
                 hash_columns(lookup_cols, r.clone(), &mut hashes);
                 let found = r.clone().zip(&hashes);
-                slots.extend(found.map(|(row, &h)| self.slot_for(&key_cols, row, h) as u32));
+                slots.extend(found.map(|(row, &h)| {
+                    let slot = self.slot_for(&key_cols, row, h);
+                    slot.unwrap_or_else(|e| {
+                        refused = Err(e);
+                        0
+                    }) as u32
+                }));
             }
         }
+        refused?;
         let col = |i: usize| cols[i];
-        let typed = |i: usize| Typed::of(cols[i]).map(|x| x.slice(r.clone()));
+        let typed = |i: usize| Typed::of(cols[i]).slice(r.clone());
         for (acc, feed) in self.accs.iter_mut().zip(&self.feeds) {
             acc.grow(self.len);
-            let evaluated;
+            let (evaluated, constant);
             let none: &[f64] = &[];
             let tile = match feed {
                 Feed::Raw { arg, weight } => Tile::Raw {
                     x: match arg {
                         None => None,
-                        Some(Arg::Col(i)) => Some(typed(*i).ok_or_else(mismatch)?),
+                        Some(Arg::Col(i)) => Some(typed(*i)),
+                        Some(Arg::Const(v)) => {
+                            constant = repeated(v, r.len())?;
+                            Some(Typed::of(&constant))
+                        }
                         Some(Arg::Expr(e)) => {
                             evaluated = e.eval_columns(&col, r.clone())?;
                             Some(match &evaluated {
@@ -1791,23 +1788,13 @@ impl<'a> BatchGroupTable<'a> {
                     // COUNT and AVG leave sums empty.
                     let floats = |s: &Option<usize>| match s.map(typed) {
                         None => Ok(none),
-                        Some(Some(Typed::Float(xs))) => Ok(xs),
+                        Some(Typed::Float(xs)) => Ok(xs),
                         Some(_) => Err(mismatch()),
                     };
                     Tile::Partial {
                         sums: [floats(&sums[0])?, floats(&sums[1])?],
                         n: &cols[*n].as_int().ok_or_else(mismatch)?[r.clone()],
                     }
-                }
-                Feed::Values(input) => {
-                    let AccCol::Values(_, states) = acc else {
-                        return Err(mismatch());
-                    };
-                    for (row, &s) in r.clone().zip(&slots) {
-                        let get = |i: usize| cols[i].value_at(row);
-                        input.absorb_with(&mut states[s as usize], &get)?;
-                    }
-                    continue;
                 }
             };
             acc.absorb(tile, &slots)?;
@@ -1855,6 +1842,8 @@ pub fn aggregate<'a>(
     let resolved = inputs.iter().zip(funcs);
     let (accs, feeds) = resolved
         .map(|(input, &f)| AccCol::resolve(&cols, input, f))
+        .collect::<Result<Vec<_>>>()?
+        .into_iter()
         .unzip();
     let ordinal = matches!(lookup, [l] if Ordinals::of(cols[key_pos[*l]]).is_some());
     let mut table = BatchGroupTable {
@@ -1886,7 +1875,8 @@ mod tests {
     use super::*;
     use crate::reference;
     use aggview_common::{
-        tuple, AggSpec, CmpOp, Col, DataType, Expr, Predicate, RelId, Schema, Tuple, ViewId,
+        tuple, AggSpec, CmpOp, Col, DataType, Expr, PartialAggState, Predicate, RelId, Schema,
+        Tuple, ViewId,
     };
     use aggview_core::plan::{all_cols, GroupBySpec, Plan};
     use aggview_storage::Catalog;
@@ -1957,8 +1947,8 @@ mod tests {
     #[test]
     fn hash_join_matches_reference() {
         let gov = ResourceGovernor::unlimited();
-        let lb = Batch::from_tuples(&input_rows(40), &[0, 1, 2], &TYPES);
-        let rb = Batch::from_tuples(&input_rows(25), &[0, 1, 2], &TYPES);
+        let lb = Batch::from_tuples(&input_rows(40), &[0, 1, 2], &TYPES).unwrap();
+        let rb = Batch::from_tuples(&input_rows(25), &[0, 1, 2], &TYPES).unwrap();
         // Join on col 0 with a residual on the right row number.
         let eq = Predicate::eq_cols(Col::base(RelId(0), 0), Col::base(RelId(1), 0));
         let residual = Predicate::new(
@@ -2005,7 +1995,7 @@ mod tests {
     #[test]
     fn groups_match_reference_bitwise() {
         let gov = ResourceGovernor::unlimited();
-        let batch = Batch::from_tuples(&input_rows(60), &[0, 1, 2], &TYPES);
+        let batch = Batch::from_tuples(&input_rows(60), &[0, 1, 2], &TYPES).unwrap();
         let n = Expr::col(Col::base(RelId(0), 1));
         let inputs = [
             AggInput::RawCountStar,
@@ -2155,6 +2145,15 @@ mod tests {
             (AggFunc::Avg, AggInput::Partial(vec![7, 6])),
             (AggFunc::StdDev, AggInput::Partial(vec![7, 8, 6])),
         ];
+        // Constant arguments, repeated to each tile's length.
+        let konst = |v: Value| AggInput::Raw(BoundExpr::Const(v));
+        cases.extend([
+            (AggFunc::Count, konst(Value::str("c"))),
+            (AggFunc::Min, konst(Value::str("c"))),
+            (AggFunc::Max, konst(Value::Bool(true))),
+            (AggFunc::Sum, konst(Value::Int(2))),
+            (AggFunc::Avg, konst(Value::Float(0.5))),
+        ]);
         for f in [
             AggFunc::Count,
             AggFunc::Sum,
@@ -2200,7 +2199,8 @@ mod tests {
         for (which, key_of) in key_fns.into_iter().enumerate() {
             for n in [0usize, 1, 6, 60] {
                 let rows = fold_rows(n, key_of);
-                let batch = Batch::from_tuples(&rows, &[0, 1, 2, 3, 4, 5, 6, 7, 8], &FOLD_TYPES);
+                let batch =
+                    Batch::from_tuples(&rows, &[0, 1, 2, 3, 4, 5, 6, 7, 8], &FOLD_TYPES).unwrap();
                 // Found by the key alone, by its string label alone, and
                 // by all three columns; always stored under all three.
                 for lookup in [&[0usize][..], &[2], &[0, 1, 2]] {
@@ -2224,45 +2224,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn typed_inputs_make_no_mixed_column_and_no_boxed_state() {
-        let rows = fold_rows(40, |k| k);
-        let batch = Batch::from_tuples(&rows, &[0, 1, 2, 3, 4, 5, 6, 7, 8], &FOLD_TYPES);
-        for (func, input) in fold_cases() {
-            let (acc, _) = AccCol::resolve(&batch.cols().iter().collect::<Vec<_>>(), &input, func);
-            assert!(
-                !matches!(acc, AccCol::Values(..)),
-                "{func} over {input:?} fell back to boxed states"
-            );
-            for finalize in [true, false] {
-                let gov = ResourceGovernor::unlimited();
-                let held = Held::batch(batch.clone());
-                let inputs = std::slice::from_ref(&input);
-                let (table, _) =
-                    aggregate(&opts(), &gov, &held, &[], &[0], &[0], inputs, &[func]).unwrap();
-                let cols = table.into_columns(finalize).unwrap();
-                assert!(cols.iter().all(|c| !matches!(c, ColumnVec::Mixed(_))));
-            }
-        }
-        // A Mixed argument column is what the fallback is for; its
-        // answers are the Value fold's own.
-        let mixed = vec![tuple![1i64, 2i64], tuple![1i64, 2.5f64], tuple![2i64, 1i64]];
-        let batch = Batch::from_tuples(&mixed, &[0, 1], &[DataType::Int, DataType::Int]);
-        let inputs = [AggInput::Raw(BoundExpr::Col(1))];
-        let (acc, _) = AccCol::resolve(&[batch.col(0), batch.col(1)], &inputs[0], AggFunc::Sum);
-        assert!(matches!(acc, AccCol::Values(..)));
-        let want = value_fold(&mixed, &[0], &inputs, &[AggFunc::Sum], true).unwrap();
-        let got = typed_fold(
-            &opts(),
-            &batch,
-            (&[0], &[0]),
-            &inputs,
-            &[AggFunc::Sum],
-            true,
-        );
-        assert_eq!(bits(&got.unwrap()), bits(&want));
     }
 
     /// One failing row: the typed fold stops with the `Value` fold's
@@ -2362,20 +2323,21 @@ mod tests {
             rows(1, 1),
             "division by zero",
         ));
-        cases.push((
-            count_of,
-            AggInput::Raw(of_bool),
-            rows(1, 1),
-            "arithmetic on non-numeric values",
-        ));
         for (func, input, rows, message) in cases {
-            let batch = Batch::from_tuples(&rows, &[0, 1, 2, 3], &types);
+            let batch = Batch::from_tuples(&rows, &[0, 1, 2, 3], &types).unwrap();
             let inputs = std::slice::from_ref(&input);
             let want = value_fold(&rows, &[0], inputs, &[func], true).unwrap_err();
             assert!(want.to_string().contains(message), "{want} / {message}");
             let got = typed_fold(&opts(), &batch, (&[0], &[0]), inputs, &[func], true).unwrap_err();
             assert_eq!(got.to_string(), want.to_string(), "{func} {input:?}");
         }
+        // An ill-typed argument has no accumulator: the operator refuses
+        // it before any row, with a schema error (the dataflow pass
+        // reports it when the plan is checked).
+        let batch = Batch::from_tuples(&rows(1, 1), &[0, 1, 2, 3], &types).unwrap();
+        let inputs = [AggInput::Raw(of_bool)];
+        let got = typed_fold(&opts(), &batch, (&[0], &[0]), &inputs, &[count_of], true);
+        assert_eq!(got.unwrap_err().kind(), "schema");
     }
 
     #[test]
@@ -2383,7 +2345,7 @@ mod tests {
         // Comparing a string column to an int constant must produce the
         // row-wise evaluator's exact message.
         let rows = vec![tuple![1i64, "x"]];
-        let tile = Batch::from_tuples(&rows, &[0, 1], &[DataType::Int, DataType::Str]);
+        let tile = Batch::from_tuples(&rows, &[0, 1], &[DataType::Int, DataType::Str]).unwrap();
         let p = Predicate::cmp_const(Col::base(RelId(0), 1), CmpOp::Lt, 3i64)
             .bind(&|c| layout(c))
             .unwrap();

@@ -93,7 +93,6 @@ mod tests {
             io_pages: 0.0,
             breakdown: vec![],
             peak_intermediate_bytes: 0,
-            mixed_demotions: 0,
         }
     }
 

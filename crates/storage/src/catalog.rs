@@ -170,13 +170,13 @@ impl OpenStatement {
         patch: RowPatch,
         vers: &mut BTreeMap<String, TableVersions>,
         key: String,
-    ) -> Displaced {
-        let undo = table.apply_patch(patch);
+    ) -> Result<Displaced> {
+        let undo = table.apply_patch(patch)?;
         // One copy for the caller (its delta), one to roll back with.
         let displaced = undo.displaced.clone();
         self.bump(vers, &key, true);
         self.undo.push(Undo::Rows { key, patch: undo });
-        displaced
+        Ok(displaced)
     }
 }
 
@@ -422,7 +422,9 @@ impl Catalog {
                 }
                 Undo::Rows { key, patch } => {
                     if let Some(slot) = tables.get_mut(&key) {
-                        Arc::make_mut(slot).revert_patch(patch);
+                        // Puts back rows the table held: its columns take
+                        // them, so there is no error to report.
+                        let _ = Arc::make_mut(slot).revert_patch(patch);
                     }
                 }
                 Undo::Versions { key, prev } => {
@@ -586,19 +588,19 @@ impl Catalog {
     fn patch_rows(
         &self,
         name: &str,
-        patch: RowPatch,
+        mut patch: RowPatch,
         record: impl FnOnce(&mut Frame, &str, &RowPatch),
     ) -> Result<(usize, Displaced)> {
         self.statement(|| {
             let key = name.to_ascii_lowercase();
             let mut map = self.tables.write();
             let table = Arc::make_mut(map.get_mut(&key).ok_or_else(|| unknown_table(name))?);
-            table.check_patch(&patch)?;
+            table.check_patch(&mut patch)?;
             let mut vers = self.versions.write();
             let mut open = self.open.lock();
             open.log(|f| record(f, &key, &patch));
             let before = table.len();
-            Ok((before, open.patch(table, patch, &mut vers, key)))
+            Ok((before, open.patch(table, patch, &mut vers, key)?))
         })
     }
 
@@ -644,7 +646,8 @@ impl Catalog {
 
     /// Replace the rows at the given positions (strictly increasing, in
     /// bounds) with `rows[i]`, returning `(old, new)` pairs in position
-    /// order. The pairs become a Z-set delta: `-old ⊕ +new` per row.
+    /// order, `new` as stored (conformed to the schema). The pairs
+    /// become a Z-set delta: `-old ⊕ +new` per row.
     ///
     /// Primary-key uniqueness is checked on the table as it will be
     /// after the whole batch (two rows may swap keys), so an update that
@@ -663,10 +666,13 @@ impl Catalog {
                 rows.len()
             )));
         }
-        // The new rows end up in the table and in the pairs both.
-        let updates = indices.iter().copied().zip(rows.iter().cloned()).collect();
+        let updates = indices.iter().copied().zip(rows).collect();
         let old = self.replace_rows(name, updates)?;
-        Ok(old.into_iter().zip(rows).collect())
+        let t = self.get(name)?;
+        Ok(old
+            .into_iter()
+            .zip(indices.iter().map(|&i| t.row(i)))
+            .collect())
     }
 
     /// Replace the row at each `(position, new content)`; returns the
@@ -724,7 +730,7 @@ impl Catalog {
     pub fn patch_extent(
         &self,
         view: &str,
-        patch: RowPatch,
+        mut patch: RowPatch,
         base_versions: Vec<u64>,
     ) -> Result<Displaced> {
         self.statement(|| {
@@ -749,7 +755,7 @@ impl Catalog {
             // An empty patch must not cost a copy of a shared extent.
             let mut table = (!patch.is_empty()).then(|| Arc::make_mut(slot));
             if let Some(t) = &mut table {
-                t.check_patch(&patch)?;
+                t.check_patch(&mut patch)?;
             }
             let mut open = self.open.lock();
             open.log(|f| f.patch_extent(view, &patch, &base_versions));
@@ -759,7 +765,7 @@ impl Catalog {
                 prev,
             });
             Ok(match table {
-                Some(t) => open.patch(t, patch, &mut vers, key),
+                Some(t) => open.patch(t, patch, &mut vers, key)?,
                 None => Displaced::default(),
             })
         })

@@ -27,7 +27,7 @@
 //!
 //! A table that is never mutated never builds a summary.
 
-use aggview_common::{CmpOp, ColumnVec, DataType, Tuple, Value};
+use aggview_common::{CmpOp, ColumnVec, Tuple, Value};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashSet};
 
@@ -211,14 +211,37 @@ pub const HISTOGRAM_BUCKETS: usize = 128;
 
 /// Compute exact statistics over `rows` of arity `ncols` — the
 /// reference a table's carried statistics are checked against. Reads
-/// every value through the type-blind arm of the per-column pass, so it
-/// shares none of the typed sweeps a table's own build uses.
+/// the rows value by value, so it shares none of the typed sweeps a
+/// table's own build uses.
 pub fn analyze(rows: impl AsRef<[Tuple]>, ncols: usize) -> TableStats {
     let rows = rows.as_ref();
-    let cols: Vec<ColumnVec> = (0..ncols)
-        .map(|c| ColumnVec::Mixed(rows.iter().map(|r| r.get(c).clone()).collect()))
+    if rows.is_empty() {
+        return TableStats::empty(ncols);
+    }
+    let n = rows.len() as f64;
+    let mut bytes = 0u64;
+    let columns = (0..ncols)
+        .map(|c| {
+            let values = || rows.iter().map(|r| r.get(c));
+            let distinct: HashSet<&Value> = values().collect();
+            let views: Option<Vec<f64>> = values().map(Value::as_f64).collect();
+            let ((min, max), views) = views.map(|v| (range_of(&v), v)).unwrap_or_default();
+            let width: u64 = values().map(|v| v.width() as u64).sum();
+            bytes += width;
+            ColumnStats {
+                distinct: distinct.len() as u64,
+                min,
+                max,
+                avg_width: width as f64 / n,
+                histogram: Histogram::equi_depth(views, HISTOGRAM_BUCKETS),
+            }
+        })
         .collect();
-    analyze_columns(&cols, rows.len())
+    TableStats {
+        rows: rows.len() as u64,
+        row_width: bytes as f64 / n,
+        columns,
+    }
 }
 
 /// Exact statistics of a table whose rows are the `len` entries of each
@@ -235,10 +258,9 @@ pub(crate) fn analyze_columns(cols: &[ColumnVec], len: usize) -> TableStats {
     }
 }
 
-/// One non-empty column's statistics. A typed column is sorted once —
-/// for its distinct count and, being numeric, as the sample its
-/// histogram is cut from; what it yields is what the value-by-value
-/// pass of the `Mixed` arm would.
+/// One non-empty column's statistics. A numeric column is sorted once —
+/// for its distinct count and as the sample its histogram is cut from;
+/// what it yields is what [`analyze`]'s value-by-value pass does.
 fn analyze_column(col: &ColumnVec) -> ColumnStats {
     // The distinct count and, of an all-numeric column, the range and
     // the float views (in `total_cmp` order already, when typed).
@@ -268,11 +290,6 @@ fn analyze_column(col: &ColumnVec) -> ColumnStats {
             let both = usize::from(xs.contains(&true)) + usize::from(xs.contains(&false));
             (both, None)
         }
-        ColumnVec::Mixed(xs) => {
-            let distinct: HashSet<&Value> = xs.iter().collect();
-            let views: Option<Vec<f64>> = xs.iter().map(Value::as_f64).collect();
-            (distinct.len(), views.map(|views| (range_of(&views), views)))
-        }
     };
     let ((min, max), views) = numeric.unwrap_or_default();
     ColumnStats {
@@ -299,16 +316,14 @@ fn range_of(xs: &[f64]) -> (Option<f64>, Option<f64>) {
 /// One column's values as a multiset, ordered as [`Value`] orders them
 /// (numerics by `f64::total_cmp` of their float view — the order
 /// [`Histogram::equi_depth`] sorts by).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ColumnSummary {
     counts: BTreeMap<Value, u64>,
     /// Sum of [`Value::width`] over the column.
     width: u64,
-    /// How many values are of each [`DataType`], by discriminant. One
-    /// without a float view is enough to switch `min`, `max` and the
-    /// histogram off, as in [`analyze`]; all being of the declared type
-    /// is what lets the table keep the column typed.
-    of_type: [u64; 4],
+    /// Whether the column's type is numeric: only then does it have a
+    /// `min`, a `max` and a histogram, as in [`analyze`].
+    numeric: bool,
 }
 
 impl ColumnSummary {
@@ -320,7 +335,6 @@ impl ColumnSummary {
             }
         }
         self.width += v.width() as u64;
-        self.of_type[v.data_type() as usize] += 1;
     }
 
     fn remove(&mut self, v: &Value) {
@@ -330,17 +344,12 @@ impl ColumnSummary {
                 self.counts.remove(v);
             }
             self.width -= v.width() as u64;
-            self.of_type[v.data_type() as usize] -= 1;
         }
     }
 
-    fn non_numeric(&self) -> bool {
-        self.of_type[DataType::Str as usize] + self.of_type[DataType::Bool as usize] > 0
-    }
-
-    /// `(min, max)` of an all-numeric column.
+    /// `(min, max)` of a numeric column.
     fn range(&self) -> (Option<f64>, Option<f64>) {
-        if self.non_numeric() {
+        if !self.numeric {
             return (None, None);
         }
         let mut keys = self.counts.keys().filter_map(Value::as_f64);
@@ -349,7 +358,7 @@ impl ColumnSummary {
     }
 
     fn histogram(&self, rows: u64) -> Option<Histogram> {
-        if self.non_numeric() {
+        if !self.numeric {
             return None;
         }
         let runs = self
@@ -376,7 +385,11 @@ impl StatsSummary {
     /// histograms are exact.
     pub(crate) fn of(cols: &[ColumnVec], len: usize) -> StatsSummary {
         let summarize = |col: &ColumnVec| {
-            let mut summary = ColumnSummary::default();
+            let mut summary = ColumnSummary {
+                counts: BTreeMap::new(),
+                width: 0,
+                numeric: col.data_type().is_numeric(),
+            };
             (0..len).for_each(|i| summary.add(&col.value_at(i)));
             summary
         };
@@ -399,11 +412,6 @@ impl StatsSummary {
         for (c, v) in self.columns.iter_mut().zip(row.values()) {
             c.remove(v);
         }
-    }
-
-    /// True when every value of column `p` is a `ty`.
-    pub(crate) fn all_of(&self, p: usize, ty: DataType) -> bool {
-        self.columns[p].of_type[ty as usize] == self.rows
     }
 
     /// Sum of [`Tuple::width`] over the summarized rows.

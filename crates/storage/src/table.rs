@@ -14,8 +14,10 @@ use std::sync::Arc;
 /// table: scans read them and patches edit them in place, and a
 /// [`Tuple`] exists only where a row is handed in or out. A column is
 /// the typed vector of its declared type (strings as codes into its own
-/// dictionary) while every value is of that type, and `Mixed` while one
-/// is not — an `Int` stored in a `Float` column stays the `Int` it was.
+/// dictionary). Every row that enters — built, appended, updated,
+/// decoded from a snapshot or the WAL — is conformed to the schema
+/// first (`conform`): an `Int` written to a FLOAT column is stored as
+/// the `Float` it widens to, and any other mismatch is refused.
 ///
 /// Tables are built via [`TableBuilder`] (which validates arity, types
 /// and key uniqueness, then computes exact statistics) and shared behind
@@ -237,8 +239,10 @@ impl Table {
     /// Check everything that can make `patch` fail — positions, row
     /// arity and types, primary-key uniqueness of the result — without
     /// changing rows, keys or statistics, so that a rejected patch
-    /// leaves no trace and an accepted one cannot fail half-way.
-    pub(crate) fn check_patch(&mut self, patch: &RowPatch) -> Result<()> {
+    /// leaves no trace and an accepted one cannot fail half-way. The
+    /// patch's rows are conformed to the schema in place: what is logged
+    /// and applied afterwards is what the table stores.
+    pub(crate) fn check_patch(&mut self, patch: &mut RowPatch) -> Result<()> {
         let Table {
             name,
             schema,
@@ -259,10 +263,11 @@ impl Table {
                 "row position {i} of `{name}` is both updated and deleted"
             )));
         }
-        let incoming = || patch.updates.iter().map(|(_, r)| r).chain(&patch.inserts);
-        for row in incoming() {
-            check_row(name, schema, row)?;
+        let arriving = patch.updates.iter_mut().map(|(_, r)| r);
+        for row in arriving.chain(&mut patch.inserts) {
+            conform(name, schema, row)?;
         }
+        let incoming = || patch.updates.iter().map(|(_, r)| r).chain(&patch.inserts);
         let live = Live::of(live, cols, *len, primary_key.as_ref());
         let (Some(pk), Some(keys)) = (primary_key, &live.keys) else {
             return Ok(());
@@ -290,9 +295,8 @@ impl Table {
     /// pass per column, inserts are appended. Returns what
     /// [`revert_patch`](Table::revert_patch) needs to take it back, the
     /// displaced rows among it.
-    pub(crate) fn apply_patch(&mut self, patch: RowPatch) -> PatchUndo {
+    pub(crate) fn apply_patch(&mut self, patch: RowPatch) -> Result<PatchUndo> {
         let Table {
-            schema,
             cols,
             len,
             primary_key,
@@ -330,7 +334,7 @@ impl Table {
         for (i, new) in patch.updates {
             arrive(&new, i);
             for (col, v) in cols.iter_mut().zip(new.into_values()) {
-                col.set_value(i, v);
+                col.set_value(i, v)?;
             }
         }
         if !patch.deletes.is_empty() {
@@ -341,26 +345,20 @@ impl Table {
         }
         for row in patch.inserts {
             arrive(&row, *len);
-            push_row(cols, row);
+            push_row(cols, row)?;
             *len += 1;
         }
 
         summary.refresh(stats, changed);
-        for (p, col) in cols.iter_mut().enumerate() {
-            // A column off-type values made `Mixed` is typed again once
-            // the last of them is gone.
-            let ty = schema.field(p).ty;
-            if summary.all_of(p, ty) {
-                col.retype(ty);
-            }
-            trim_dictionary(col, stats.columns[p].distinct);
+        for (col, of) in cols.iter_mut().zip(&stats.columns) {
+            trim_dictionary(col, of.distinct);
         }
-        PatchUndo {
+        Ok(PatchUndo {
             updated,
             deleted: patch.deletes,
             inserted,
             displaced,
-        }
+        })
     }
 
     /// Take back the patch `undo` came from — the last one applied, or
@@ -369,8 +367,9 @@ impl Table {
     /// patch (key index, statistics summary) is dropped rather than
     /// walked backwards: the statistics are re-derived from the columns
     /// here, the key index by the next patch — exactly as on a table no
-    /// patch has touched yet.
-    pub(crate) fn revert_patch(&mut self, undo: PatchUndo) {
+    /// patch has touched yet. The rows put back are rows the table held,
+    /// of its columns' types, so nothing here can be refused.
+    pub(crate) fn revert_patch(&mut self, undo: PatchUndo) -> Result<()> {
         let PatchUndo {
             updated,
             deleted,
@@ -386,17 +385,16 @@ impl Table {
                 let mut from = 0;
                 for (&at, row) in deleted.iter().zip(&displaced.removed) {
                     let run = at - out.len();
-                    out.append_range(col, from..from + run);
-                    out.push_value(row.get(p).clone());
+                    out.append_range(col, from..from + run)?;
+                    out.push_value(row.get(p).clone())?;
                     from += run;
                 }
-                out.append_range(col, from..kept);
+                out.append_range(col, from..kept)?;
                 *col = out;
             }
             for (&at, row) in updated.iter().zip(&displaced.replaced) {
-                col.set_value(at, row.get(p).clone());
+                col.set_value(at, row.get(p).clone())?;
             }
-            col.retype(self.schema.field(p).ty);
         }
         self.len = kept + deleted.len();
         self.live = None;
@@ -404,6 +402,7 @@ impl Table {
         for (col, of) in self.cols.iter_mut().zip(&self.stats.columns) {
             trim_dictionary(col, of.distinct);
         }
+        Ok(())
     }
 }
 
@@ -430,11 +429,11 @@ fn key_at(cols: &[ColumnVec], pk: &PrimaryKey, i: usize) -> Tuple {
     pk.cols.iter().map(|&c| cols[c].value_at(i)).collect()
 }
 
-/// Append a row that [`check_row`] accepted.
-fn push_row(cols: &mut [ColumnVec], row: Tuple) {
-    for (col, v) in cols.iter_mut().zip(row.into_values()) {
-        col.push_value(v);
-    }
+/// Append a row that [`conform`] accepted.
+fn push_row(cols: &mut [ColumnVec], row: Tuple) -> Result<()> {
+    cols.iter_mut()
+        .zip(row.into_values())
+        .try_for_each(|(col, v)| col.push_value(v))
 }
 
 fn duplicate_key(table: &str, row: &Tuple) -> AggViewError {
@@ -479,8 +478,12 @@ fn check_positions(name: &str, indices: &[usize], len: usize) -> Result<()> {
     Ok(())
 }
 
-/// Arity and column types of one row against a table's schema.
-fn check_row(table: &str, schema: &Schema, row: &Tuple) -> Result<()> {
+/// The one place a value meets its column's type: check one row's
+/// arity and column types against a table's schema, widening an `Int`
+/// in a FLOAT column to the `Float` it is stored as (exact up to 2^53 in
+/// magnitude, rounded beyond, as under SQL `CAST`). Every other
+/// mismatch is refused.
+fn conform(table: &str, schema: &Schema, row: &mut Tuple) -> Result<()> {
     if row.arity() != schema.len() {
         return Err(AggViewError::Schema(format!(
             "table `{table}` expects {} columns, row has {}",
@@ -488,17 +491,27 @@ fn check_row(table: &str, schema: &Schema, row: &Tuple) -> Result<()> {
             row.arity()
         )));
     }
-    for (i, v) in row.values().iter().enumerate() {
-        let expect = schema.field(i).ty;
-        let got = v.data_type();
-        // Int is acceptable where Float is declared (numeric widening).
-        let ok = got == expect || (expect == DataType::Float && got == DataType::Int);
-        if !ok {
+    let mut widen = false;
+    for (v, field) in row.values().iter().zip(schema.fields()) {
+        let (expect, got) = (field.ty, v.data_type());
+        if expect == DataType::Float && got == DataType::Int {
+            widen = true;
+        } else if got != expect {
             return Err(AggViewError::Schema(format!(
                 "table `{table}` column `{}` expects {expect}, got {got}",
-                schema.field(i).name
+                field.name
             )));
         }
+    }
+    if widen {
+        let values = std::mem::take(row).into_values().into_iter();
+        *row = values
+            .zip(schema.fields())
+            .map(|(v, field)| match v {
+                Value::Int(x) if field.ty == DataType::Float => Value::Float(x as f64),
+                v => v,
+            })
+            .collect();
     }
     Ok(())
 }
@@ -568,11 +581,11 @@ impl TableBuilder {
         Ok(self)
     }
 
-    /// Append a row (non-consuming form for loops): checked, then taken
-    /// apart into the columns.
-    pub fn push(&mut self, row: Tuple) -> Result<()> {
-        check_row(&self.name, &self.schema, &row)?;
-        push_row(&mut self.cols, row);
+    /// Append a row (non-consuming form for loops): conformed, then
+    /// taken apart into the columns.
+    pub fn push(&mut self, mut row: Tuple) -> Result<()> {
+        conform(&self.name, &self.schema, &mut row)?;
+        push_row(&mut self.cols, row)?;
         self.len += 1;
         Ok(())
     }

@@ -362,16 +362,39 @@ fn value_types_round_trip_through_wal_and_snapshot() {
                     Value::Float(-0.0),
                     Value::str("end"),
                 ]),
+                // An integer in the FLOAT column is stored widened.
+                tuple![7, 50000, "int"],
             ],
         )
         .unwrap();
+        // UPDATE stores what INSERT does, and hands back the row stored.
+        let pairs = cat.update_rows("mixed", &[0], vec![tuple![1, 50000, "upd"]]);
+        assert_eq!(
+            format!("{:?}", pairs.unwrap()[0].1.get(1)),
+            "Float(50000.0)"
+        );
+        let refused = cat.append_rows("mixed", vec![tuple![8, "lots", "str"]]);
+        assert_eq!(refused.unwrap_err().kind(), "schema");
         cat.describe_state()
     };
+    let stored_as_floats = |cat: &Catalog| {
+        let t = cat.get("mixed").unwrap();
+        assert!(matches!(t.column(1), aggview_common::ColumnVec::Float(_)));
+        let f = |i: usize| format!("{:?}", t.row(i).get(1));
+        assert_eq!(
+            (f(0), f(3)),
+            ("Float(50000.0)".into(), "Float(50000.0)".into())
+        );
+    };
+    stored_as_floats(&Catalog::open(&dir).unwrap());
     // Once via WAL replay, once via snapshot.
     assert_eq!(Catalog::open(&dir).unwrap().describe_state(), expected);
     let cat = Catalog::open(&dir).unwrap();
     cat.checkpoint().unwrap();
     drop(cat);
-    assert_eq!(Catalog::open(&dir).unwrap().describe_state(), expected);
+    let cat = Catalog::open(&dir).unwrap();
+    assert_eq!(cat.describe_state(), expected);
+    stored_as_floats(&cat);
+    drop(cat);
     std::fs::remove_dir_all(&dir).unwrap();
 }

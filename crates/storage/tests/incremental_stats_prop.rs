@@ -46,8 +46,8 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// `t(id INT PRIMARY KEY, g INT, x FLOAT, s STRING)`; `x` sometimes
-/// holds an Int (numeric widening), `s` has varying width.
+/// `t(id INT PRIMARY KEY, g INT, x FLOAT, s STRING)`; `x` is sometimes
+/// written as an Int (which the table widens), `s` has varying width.
 fn row(id: i64, rng: &mut TestRng) -> Tuple {
     let x = rng.below(2000) as i64 - 1000;
     Tuple::new(vec![
@@ -116,23 +116,31 @@ fn identical(a: &Value, b: &Value) -> bool {
     }
 }
 
+/// `r` as `t` stores it: an Int written to a FLOAT column is the Float
+/// it widens to.
+fn stored(t: &Table, r: &Tuple) -> Vec<Value> {
+    let fields = t.schema().fields();
+    let widen = |(v, f): (&Value, &aggview_common::Field)| match v {
+        Value::Int(x) if f.ty == DataType::Float => Value::Float(*x as f64),
+        v => v.clone(),
+    };
+    r.values().iter().zip(fields).map(widen).collect()
+}
+
 /// Every cell of every column, the point read and the materialized rows
-/// against `rows`; a column is typed exactly while all it holds is of
-/// the declared type.
+/// against `rows` as stored; every column is the vector of its declared
+/// type.
 fn columns_hold(t: &Table, rows: &[Tuple]) -> bool {
     let cells = |i: usize, r: &Tuple| {
-        (0..r.arity()).all(|p| identical(&t.column(p).value_at(i), r.get(p)))
+        let want = stored(t, r);
+        (0..r.arity()).all(|p| identical(&t.column(p).value_at(i), &want[p]))
             && t.row(i)
                 .values()
                 .iter()
-                .zip(r.values())
+                .zip(&want)
                 .all(|(a, b)| identical(a, b))
     };
-    let typed = |p: usize| {
-        let declared = t.schema().field(p).ty;
-        let mixed = matches!(t.column(p), ColumnVec::Mixed(_));
-        !mixed || rows.iter().any(|r| r.get(p).data_type() != declared)
-    };
+    let typed = |p: usize| t.column(p).data_type() == t.schema().field(p).ty;
     let sized = |p: usize| {
         let bytes: usize = rows.iter().map(|r| r.get(p).width()).sum();
         t.column(p).len() == rows.len() && t.column(p).total_bytes() == bytes as u64
@@ -621,8 +629,8 @@ fn joined_on_strings(cat: &Catalog, a: &Modelled, b: &Modelled) {
             assert_eq!(ca.eq_rows(i, cb, j), equal, "rows {i} and {j}");
             if equal {
                 assert_eq!(ha[i], hb[j]);
-                out.append_gather(ca, &[i as u32]);
-                out.append_gather(cb, &[j as u32]);
+                out.append_gather(ca, &[i as u32]).unwrap();
+                out.append_gather(cb, &[j as u32]).unwrap();
                 want.extend([ra.get(2).clone(), rb.get(0).clone()]);
             }
         }

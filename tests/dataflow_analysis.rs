@@ -11,7 +11,8 @@
 //!    output value lies inside its predicted domain and every measured
 //!    resource counter meets its static lower bound;
 //! 4. **type certification** — corpus plans, two-phase ones included,
-//!    certify Mixed-free and execute with zero runtime demotions.
+//!    type cleanly, and every value they put out has its column's
+//!    certified type.
 
 use aggview::common::{AggFunc, AggSpec, CmpOp, Col, Expr, Predicate, Value, ViewId};
 use aggview::core::analyze::dataflow;
@@ -151,8 +152,10 @@ fn eager_selfjoin_query() -> CanonicalQuery {
     }
 }
 
+/// Every corpus plan types cleanly, and every value it puts out at run
+/// time has the static type the pass gave its column.
 #[test]
-fn certified_corpus_executes_without_mixed_demotions() {
+fn certified_corpus_executes_with_the_types_it_certifies() {
     let cat = catalog();
     let big = gen_empdept(&EmpDeptConfig {
         n_depts: 200,
@@ -187,18 +190,23 @@ fn certified_corpus_executes_without_mixed_demotions() {
         saw_partial |= opt.plan.explain().contains("PartialAggregate");
         let df = dataflow::analyze_plan(&opt.plan, cat, Some(q.env.rel_tables.as_slice()));
         assert!(
-            df.mixed_free,
+            df.findings.iter().all(|v| v.rule != dataflow::RULE_SCHEMA),
             "corpus plan failed type certification:\n{}",
             opt.plan.explain()
         );
         let engine = Engine::new(cat, &q.env, model);
         let rs = engine.execute(&opt.plan).unwrap();
-        assert_eq!(
-            rs.mixed_demotions,
-            0,
-            "certified plan demoted typed columns at runtime:\n{}",
-            opt.plan.explain()
-        );
+        assert!(!rs.rows.is_empty());
+        for (k, c) in rs.cols.iter().enumerate() {
+            let certified = df.columns[c].ty;
+            assert!(
+                rs.rows
+                    .iter()
+                    .all(|r| Some(r.get(k).data_type()) == certified),
+                "column {c} is not all {certified:?} at run time:\n{}",
+                opt.plan.explain()
+            );
+        }
     }
     assert!(saw_partial, "the corpus must hold a two-phase plan");
 }

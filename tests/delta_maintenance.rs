@@ -14,6 +14,7 @@
 //! targeted recompute), and UPDATEs that move rows between groups
 //! (simultaneous retraction from one group and insertion into another).
 
+use aggview::common::ColumnVec;
 use aggview::sql::Session;
 use aggview::storage::{Catalog, Table};
 use aggview::{DataType, Schema, Tuple, Value};
@@ -297,4 +298,54 @@ fn wal_bytes_of_a_one_row_insert_do_not_depend_on_table_size() {
     let (small, large) = (logged(250), logged(4000));
     assert_eq!(small, large, "1 000 vs 16 000 base rows");
     assert!(small < 1024, "{small} bytes for one row and three groups");
+}
+
+/// An integer literal written to the FLOAT column `sal` is the Float it
+/// widens to: in the column, in what a scan returns, in every view
+/// maintained from it (bitwise equal to a refresh), after a checkpoint
+/// and a reopen, whether INSERT or UPDATE wrote it. A string is refused.
+#[test]
+fn an_integer_written_to_a_float_column_is_stored_as_a_float() {
+    let dir = std::env::temp_dir().join(format!("aggview-intfloat-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let check = |s: &mut Session, n: usize| {
+        assert!(matches!(
+            s.catalog().get("emp").unwrap().column(3),
+            ColumnVec::Float(_)
+        ));
+        let got = s
+            .execute("select eno, sal from emp where sal > 40000.0")
+            .unwrap();
+        let sals: Vec<String> = got.rows.iter().map(|r| format!("{:?}", r.get(1))).collect();
+        assert_eq!(sals, vec!["Float(50000.0)"; n]);
+        for (view, _) in VIEWS {
+            let incremental = format!("{:?}", extent_rows(s, view));
+            s.execute(&format!("refresh materialized view {view}"))
+                .unwrap();
+            assert_eq!(incremental, format!("{:?}", extent_rows(s, view)), "{view}");
+        }
+    };
+    let mut s = Session::open(&dir).unwrap();
+    s.catalog().add(emp_table(6)).unwrap();
+    for (_, create) in VIEWS {
+        s.execute(create).unwrap();
+    }
+    s.execute("insert into emp values (99001, 'pat', 0, 50000, 25)")
+        .unwrap();
+    s.execute("update emp set sal = 50000 where eno = 1")
+        .unwrap();
+    check(&mut s, 2);
+    let refused = s.execute("insert into emp values (99002, 'sam', 1, 'lots', 26)");
+    assert_eq!(refused.unwrap_err().kind(), "schema");
+
+    s.checkpoint().unwrap();
+    s.execute("insert into emp values (99003, 'kim', 2, 50000, 27)")
+        .unwrap();
+    s.execute("update emp set sal = 25000 + 25000 where eno = 2")
+        .unwrap();
+    drop(s);
+    let mut s = Session::open(&dir).unwrap();
+    check(&mut s, 4);
+    drop(s);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

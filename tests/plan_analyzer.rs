@@ -25,8 +25,8 @@ use aggview::core::query::examples::{
 };
 use aggview::core::query::{CanonicalQuery, QueryEnv, TopGroup};
 use aggview::core::{
-    optimize, optimize_governed, CostModel, GroupBySpec, JoinAlgo, OptimizerConfig, Plan,
-    PlanAnalyzer, PullUpLevel, ResourceGovernor, ResourceLimits,
+    optimize, optimize_governed, CostModel, GroupBySpec, OptimizerConfig, Plan, PlanAnalyzer,
+    PullUpLevel, ResourceGovernor, ResourceLimits,
 };
 use aggview::executor::Engine;
 use aggview::sql::Session;
@@ -561,13 +561,12 @@ fn partial_aggregation_requires_a_matching_merge_stage() {
 /// A merge group-by types each aggregate from the partial states below
 /// it, so two-phase plans — hand-built coalescing and eager shapes, the
 /// optimizer's eager self-join, and a matview answer merging stored
-/// partials — certify Mixed-free with no finding at all.
+/// partials — type cleanly, with no finding at all.
 #[test]
-fn two_phase_plans_are_clean_and_mixed_free() {
+fn two_phase_plans_are_clean() {
     let assert_clean = |analyzer: PlanAnalyzer, plan: &Plan| {
-        let (report, flow) = analyzer.analyze_flow(plan);
+        let report = analyzer.analyze(plan);
         assert!(report.is_clean(), "{report}{}", plan.explain());
-        assert!(flow.mixed_free, "not Mixed-free:\n{}", plan.explain());
     };
     let catalog = catalog();
     assert_clean(PlanAnalyzer::new(&catalog), &coalescing_plan());
@@ -649,24 +648,20 @@ fn unpriceable_joins_fail_cost_sanity() {
     let mut env = QueryEnv::default();
     let e = env.add_rel("emp");
     let d = env.add_rel("dept");
-    let left = scan_emp(e);
-    let right = scan_dept(d);
-    let mut project = left.output_cols().to_vec();
-    project.extend_from_slice(right.output_cols());
-    // A hash join demands an equality predicate; pricing this plan is
-    // impossible, which the cost-sanity rule reports as a violation
-    // instead of letting the analyzer error out.
-    let plan = Plan::Join {
-        algo: JoinAlgo::Hash,
-        left: left.into(),
-        right: right.into(),
-        preds: vec![Predicate::new(
+    let g = env.add_rel("ghost");
+    // No statistics price a scan of a table the catalog does not hold,
+    // nor the joins above it: the cost-sanity rule reports that as a
+    // violation instead of letting the analyzer error out.
+    let ghost = Plan::scan(g, "ghost", vec![], vec![Col::base(g, 0)]);
+    let plan = Plan::join_all(
+        Plan::join_all(scan_emp(e), scan_dept(d), vec![]),
+        ghost,
+        vec![Predicate::new(
             Expr::col(Col::base(e, emp::SAL)),
             CmpOp::Gt,
             Expr::col(Col::base(d, dept::BUDGET)),
         )],
-        project,
-    };
+    );
     let report = PlanAnalyzer::new(&catalog)
         .with_env(&env)
         .with_model(model(64.0))

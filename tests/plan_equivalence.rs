@@ -186,7 +186,6 @@ fn pull_up_transformation_preserves_results() {
     // declared key visible).
     let j1 = {
         let Plan::Join {
-            algo,
             left,
             right,
             preds,
@@ -215,7 +214,6 @@ fn pull_up_transformation_preserves_results() {
             }
         };
         Plan::Join {
-            algo,
             left: widen(left),
             right: widen(right),
             preds,
