@@ -7,7 +7,7 @@
 
 use crate::column::ColumnVec;
 use crate::error::{AggViewError, Result};
-use crate::ids::{Col, ColRef, RelId};
+use crate::ids::Col;
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
 use std::collections::BTreeSet;
@@ -88,43 +88,32 @@ impl Expr {
     /// All columns referenced by this expression.
     pub fn cols_used(&self) -> BTreeSet<Col> {
         let mut out = BTreeSet::new();
-        self.collect_cols(&mut out);
+        self.for_each_col(&mut |c| {
+            out.insert(c);
+        });
         out
     }
 
-    fn collect_cols(&self, out: &mut BTreeSet<Col>) {
+    /// Call `f` on every column reference, left to right, repeats
+    /// included.
+    pub fn for_each_col<F: FnMut(Col) + ?Sized>(&self, f: &mut F) {
         match self {
-            Expr::Col(c) => {
-                out.insert(*c);
-            }
+            Expr::Col(c) => f(*c),
             Expr::Const(_) => {}
             Expr::Binary { left, right, .. } => {
-                left.collect_cols(out);
-                right.collect_cols(out);
+                left.for_each_col(f);
+                right.for_each_col(f);
             }
         }
     }
 
-    /// Base relation instances referenced (aggregate columns contribute
-    /// nothing here — they belong to a group-by operator, not a relation).
-    pub fn rels_used(&self) -> BTreeSet<RelId> {
-        self.cols_used()
-            .into_iter()
-            .filter_map(|c| c.as_base().map(|b| b.rel))
-            .collect()
-    }
-
-    /// Base columns referenced.
-    pub fn base_cols_used(&self) -> BTreeSet<ColRef> {
-        self.cols_used()
-            .into_iter()
-            .filter_map(|c| c.as_base())
-            .collect()
-    }
-
     /// True if any referenced column is an aggregate output.
     pub fn uses_agg(&self) -> bool {
-        self.cols_used().iter().any(Col::is_agg)
+        match self {
+            Expr::Col(c) => c.is_agg(),
+            Expr::Const(_) => false,
+            Expr::Binary { left, right, .. } => left.uses_agg() || right.uses_agg(),
+        }
     }
 
     /// Rewrite every column reference through `f` (used when plan
@@ -366,7 +355,7 @@ fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ViewId;
+    use crate::ids::{RelId, ViewId};
     use crate::tuple;
 
     fn c0() -> Expr {
@@ -380,12 +369,16 @@ mod tests {
     fn cols_and_rels_used() {
         let e = c0().binary(BinaryOp::Add, c1().binary(BinaryOp::Mul, Expr::val(2i64)));
         assert_eq!(e.cols_used().len(), 2);
-        let rels = e.rels_used();
-        assert!(rels.contains(&RelId(0)) && rels.contains(&RelId(1)));
+        let rels: Vec<RelId> = e
+            .cols_used()
+            .iter()
+            .filter_map(|c| Some(c.as_base()?.rel))
+            .collect();
+        assert_eq!(rels, [RelId(0), RelId(1)]);
         assert!(!e.uses_agg());
         let a = Expr::col(Col::agg(ViewId::View(0), 0));
         assert!(a.uses_agg());
-        assert!(a.rels_used().is_empty());
+        assert!(a.cols_used().iter().all(|c| c.as_base().is_none()));
     }
 
     #[test]
@@ -504,8 +497,9 @@ mod tests {
             Col::Base(b) => Col::base(RelId(b.rel.0 + 10), b.col as usize),
             other => other,
         });
-        let rels = shifted.rels_used();
-        assert!(rels.contains(&RelId(10)) && rels.contains(&RelId(11)));
+        let cols = shifted.cols_used();
+        let rels: Vec<RelId> = cols.iter().filter_map(|c| Some(c.as_base()?.rel)).collect();
+        assert_eq!(rels, [RelId(10), RelId(11)]);
     }
 
     #[test]

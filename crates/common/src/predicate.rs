@@ -11,7 +11,7 @@
 
 use crate::error::Result;
 use crate::expr::{BoundExpr, Expr};
-use crate::ids::{Col, ColRef, RelId};
+use crate::ids::Col;
 use crate::tuple::Tuple;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -106,22 +106,18 @@ impl Predicate {
 
     /// All columns referenced on either side.
     pub fn cols_used(&self) -> BTreeSet<Col> {
-        let mut c = self.left.cols_used();
-        c.extend(self.right.cols_used());
-        c
+        let mut out = BTreeSet::new();
+        self.for_each_col(&mut |c| {
+            out.insert(c);
+        });
+        out
     }
 
-    /// Base columns referenced on either side.
-    pub fn base_cols_used(&self) -> BTreeSet<ColRef> {
-        self.cols_used()
-            .into_iter()
-            .filter_map(|c| c.as_base())
-            .collect()
-    }
-
-    /// Base relation instances referenced on either side.
-    pub fn rels_used(&self) -> BTreeSet<RelId> {
-        self.base_cols_used().into_iter().map(|c| c.rel).collect()
+    /// Call `f` on every column reference, left side first, repeats
+    /// included.
+    pub fn for_each_col<F: FnMut(Col) + ?Sized>(&self, f: &mut F) {
+        self.left.for_each_col(f);
+        self.right.for_each_col(f);
     }
 
     /// True if the predicate reads any aggregated column.
@@ -222,7 +218,7 @@ impl BoundPredicate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ViewId;
+    use crate::ids::{RelId, ViewId};
     use crate::tuple;
     use crate::value::Value;
 
@@ -253,7 +249,7 @@ mod tests {
     #[test]
     fn join_predicate_classification() {
         let p = Predicate::eq_cols(Col::base(RelId(0), 2), Col::base(RelId(1), 0));
-        assert_eq!(p.rels_used().len(), 2);
+        assert_eq!(p.cols_used().len(), 2);
         assert!(!p.uses_agg());
         let (a, b) = p.as_col_eq_col().unwrap();
         assert_eq!(a, Col::base(RelId(0), 2));

@@ -34,6 +34,11 @@ impl Tuple {
         &self.values
     }
 
+    /// The values in order, for rewriting in place.
+    pub fn values_mut(&mut self) -> &mut [Value] {
+        &mut self.values
+    }
+
     /// Value at position `i`.
     pub fn get(&self, i: usize) -> &Value {
         &self.values[i]

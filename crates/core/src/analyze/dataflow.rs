@@ -447,17 +447,27 @@ pub fn analyze_plan(plan: &Plan, catalog: &Catalog, rel_tables: Option<&[String]
 /// and the count is 0 or 1. The rewrite is skipped (never guessed) when
 /// any output column's type did not resolve.
 pub fn prune_empty(plan: &Plan, catalog: &Catalog, rel_tables: Option<&[String]>) -> (Plan, usize) {
+    match empty_rewrite(plan, catalog, rel_tables) {
+        Some(empty) => (empty, 1),
+        None => (plan.clone(), 0),
+    }
+}
+
+/// The [`Plan::EmptyScan`] [`prune_empty`] rewrites `plan` to; `None`
+/// when it keeps the plan.
+pub fn empty_rewrite(
+    plan: &Plan,
+    catalog: &Catalog,
+    rel_tables: Option<&[String]>,
+) -> Option<Plan> {
     let df = analyze_plan(plan, catalog, rel_tables);
     if !df.provably_empty {
-        return (plan.clone(), 0);
+        return None;
     }
     let project: Vec<Col> = plan.output_cols().to_vec();
     let mut types = Vec::with_capacity(project.len());
     for c in &project {
-        match df.columns.get(c).and_then(|d| d.ty) {
-            Some(t) => types.push(t),
-            None => return (plan.clone(), 0),
-        }
+        types.push(df.columns.get(c).and_then(|d| d.ty)?);
     }
     let mask = plan.rel_set();
     let covers: Vec<RelId> = (0..64)
@@ -465,14 +475,14 @@ pub fn prune_empty(plan: &Plan, catalog: &Catalog, rel_tables: Option<&[String]>
         .map(RelId)
         .collect();
     if covers.is_empty() {
-        return (plan.clone(), 0);
+        return None;
     }
     let reason = df
         .contradictions
         .first()
         .map(|(path, why)| format!("{why} (at {path})"))
         .unwrap_or_else(|| "contradictory predicates".into());
-    (Plan::empty_scan(covers, project, types, reason), 1)
+    Some(Plan::empty_scan(covers, project, types, reason))
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 //! Cardinality estimation and plan costing, one node at a time.
 //!
 //! [`CardEstimator::cost_node`] derives a node's [`PlanProps`] from its
-//! children's; it holds every formula below exactly once.
-//! [`CardEstimator::cost_plan`] is the recursion over it, and block
-//! enumeration calls `cost_node` directly with the properties it stored
-//! for the sub-plans a candidate is built from. Base-table statistics
-//! are read in place through tables resolved once per estimator.
+//! children's; every formula below is in it, or in the join and
+//! aggregation prices it calls, exactly once.
+//! [`CardEstimator::cost_plan`] is the recursion over it. Block
+//! enumeration calls those prices directly with the properties it stored
+//! for a candidate's inputs, and gives the candidate it keeps the
+//! distinct counts `cost_node` would, so an unbuilt candidate costs what
+//! its built node does, to the bit. Base-table statistics are read in
+//! place through tables resolved once per estimator.
 //!
 //! Estimation follows the System-R tradition the paper builds on:
 //! uniformity within columns, independence across predicates, equijoin
@@ -24,8 +27,9 @@ use crate::cost::ops::{self, GroupLookup, IoParams, JoinSides};
 use crate::plan::Plan;
 use crate::query::QueryEnv;
 use crate::transform::grouping_determinant;
-use aggview_common::{AggViewError, Col, ColRef, DataType, Expr, Predicate, Result};
-use aggview_storage::{Catalog, PageModel, Table, TableStats};
+use aggview_common::{AggViewError, Col, ColRef, DataType, Expr, Predicate, RelId, Result};
+use aggview_storage::{Catalog, MatViewMeta, PageModel, Table, TableStats};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -114,14 +118,50 @@ impl PlanProps {
     pub fn out_bytes(&self) -> f64 {
         self.card * self.width
     }
+
+    /// The distinct count it holds for `c`.
+    pub(crate) fn distinct_of(&self, c: &Col) -> Option<f64> {
+        self.distinct.get(c).copied()
+    }
+
+    /// A join priced `self` — [`CardEstimator::join_price`], which leaves
+    /// the distinct counts out — with the counts of its `project`ed
+    /// columns, from inputs whose columns have the `input` counts.
+    pub(crate) fn join_props(
+        mut self,
+        project: impl IntoIterator<Item = Col>,
+        input: Distinct,
+    ) -> PlanProps {
+        self.distinct = capped(project, input, self.card);
+        self
+    }
+
+    /// An aggregation priced `self` by [`CardEstimator::group_price`],
+    /// of `groups` groups, with the counts of its `project`ed columns
+    /// ([`group_output`]).
+    pub(crate) fn group_props(
+        mut self,
+        project: impl IntoIterator<Item = Col>,
+        known: Distinct,
+        cols: (&[Col], &[Col]),
+        groups: f64,
+    ) -> PlanProps {
+        self.distinct = projected(project, &group_output(known, cols, groups));
+        self
+    }
 }
+
+/// Distinct counts by column, for an input or output whose map is not
+/// built.
+pub(crate) type Distinct<'a> = &'a dyn Fn(&Col) -> Option<f64>;
 
 /// Statistics-driven estimator bound to a catalog and query environment.
 ///
 /// Construction resolves every relation instance of the environment to
-/// its table once; column widths and constant selectivities then read
-/// the table's statistics in place, with no name lookup, lock or copy
-/// per column.
+/// its table once; scans, column widths, constant selectivities and the
+/// optimizer's key checks then read that table in place, with no name
+/// lookup, lock or copy per column. The fresh materialized views are
+/// resolved once too, the first time a block asks for them.
 #[derive(Debug, Clone)]
 pub struct CardEstimator<'a> {
     pub model: CostModel,
@@ -130,6 +170,9 @@ pub struct CardEstimator<'a> {
     /// `tables[r]` is the table bound to `RelId(r)`; `None` when the
     /// catalog does not know it (its columns then price at the defaults).
     tables: Vec<Option<Arc<Table>>>,
+    /// The materialized views fresh when first asked, each after its
+    /// extent table when the catalog has it.
+    matviews: OnceCell<Vec<(Option<Arc<Table>>, MatViewMeta)>>,
 }
 
 impl<'a> CardEstimator<'a> {
@@ -143,7 +186,27 @@ impl<'a> CardEstimator<'a> {
                 .iter()
                 .map(|t| Self::table(catalog, t).ok())
                 .collect(),
+            matviews: OnceCell::new(),
         }
+    }
+
+    /// The table bound to relation instance `rel`.
+    pub(crate) fn rel_table(&self, rel: RelId) -> Result<&Arc<Table>> {
+        let t = self.tables.get(rel.idx()).and_then(Option::as_ref);
+        t.ok_or_else(|| AggViewError::Catalog(format!("no table bound to {rel}")))
+    }
+
+    /// The materialized views whose extents are fresh, read from the
+    /// catalog the first time any block asks.
+    pub(crate) fn fresh_matviews(&self) -> &[(Option<Arc<Table>>, MatViewMeta)] {
+        self.matviews.get_or_init(|| {
+            let (catalog, names) = (self.catalog, self.catalog.matview_names());
+            let metas = names.iter().filter_map(|n| catalog.matview(n));
+            let fresh = metas.filter(|m| !m.is_stale(catalog));
+            fresh
+                .map(|m| (Self::table(catalog, &m.extent).ok(), m))
+                .collect()
+        })
     }
 
     /// The one place the estimator takes a table (and so its statistics)
@@ -155,6 +218,16 @@ impl<'a> CardEstimator<'a> {
             "cost model read stale statistics for `{name}` (data changed without re-analyze)"
         );
         Ok(t)
+    }
+
+    /// This estimator, with the CPU term or without it.
+    #[cfg(test)]
+    pub(crate) fn with_cpu(&self, cpu: bool) -> CardEstimator<'a> {
+        let model = CostModel { cpu, ..self.model };
+        CardEstimator {
+            model,
+            ..self.clone()
+        }
     }
 
     /// Average stored width of a column in bytes.
@@ -182,13 +255,14 @@ impl<'a> CardEstimator<'a> {
         Some((t.stats(), c.col as usize))
     }
 
-    /// Selectivity of a predicate, given per-side distinct maps (used for
-    /// join selectivity) and base statistics (for column-vs-constant).
-    fn pred_selectivity(&self, p: &Predicate, distinct: &BTreeMap<Col, f64>) -> f64 {
+    /// Selectivity of a predicate, given the distinct counts of the
+    /// columns it is evaluated over (used for join selectivity) and base
+    /// statistics (for column-vs-constant).
+    fn pred_selectivity(&self, p: &Predicate, distinct: &dyn Fn(&Col) -> Option<f64>) -> f64 {
         // Column = column: 1 / max(d1, d2).
         if let Some((a, b)) = p.as_col_eq_col() {
-            let da = distinct.get(&a).copied().unwrap_or(f64::NAN);
-            let db = distinct.get(&b).copied().unwrap_or(f64::NAN);
+            let da = distinct(&a).unwrap_or(f64::NAN);
+            let db = distinct(&b).unwrap_or(f64::NAN);
             let d = da.max(db);
             if d.is_finite() && d >= 1.0 {
                 return 1.0 / d;
@@ -251,24 +325,11 @@ impl<'a> CardEstimator<'a> {
 
     /// Price the top node of `plan` from the properties of its children
     /// (`children` parallel to the node's inputs: left then right for a
-    /// join, none for a leaf). Every formula of the model lives here,
-    /// once; an enumerator that keeps each sub-plan's properties prices
-    /// a candidate with one call. Joins and aggregations are charged the
-    /// cheapest of the paper's formulas that applies, as the executor
-    /// charges them.
+    /// join, none for a leaf). Every formula of the model is reached from
+    /// here, once. Joins and aggregations are charged the cheapest of the
+    /// paper's formulas that applies, as the executor charges them.
     pub fn cost_node(&self, plan: &Plan, children: &[&PlanProps]) -> Result<PlanProps> {
-        self.price_node(plan, children, self.model.cpu)
-    }
-
-    /// [`Self::cost_node`] without the CPU term: every estimate, and the
-    /// page IO. An enumerator that rejects candidates on their size
-    /// prices only the ones it keeps in full.
-    pub(crate) fn shape_node(&self, plan: &Plan, children: &[&PlanProps]) -> Result<PlanProps> {
-        self.price_node(plan, children, false)
-    }
-
-    /// [`Self::cost_node`], with the CPU term when `cpu`.
-    fn price_node(&self, plan: &Plan, children: &[&PlanProps], cpu: bool) -> Result<PlanProps> {
+        let cpu = self.model.cpu;
         match (plan, children) {
             (Plan::EmptyScan { project, types, .. }, []) => {
                 // Produces nothing and reads nothing. Distincts floor at
@@ -292,13 +353,20 @@ impl<'a> CardEstimator<'a> {
                 },
                 [],
             ) => {
-                let t = Self::table(self.catalog, table)?;
-                let stats = t.stats();
-                let distinct = (0..t.schema().len())
-                    .map(|c| (Col::base(*rel, c), column_distinct(stats, c)))
-                    .collect();
+                // The table bound to `rel` when it is the one scanned.
+                let t = match self.rel_table(*rel) {
+                    Ok(t) if t.name().eq_ignore_ascii_case(table) => Arc::clone(t),
+                    _ => Self::table(self.catalog, table)?,
+                };
+                let (stats, arity) = (t.stats(), t.schema().len());
+                let distinct = |c: &Col| {
+                    let b = c
+                        .as_base()
+                        .filter(|b| b.rel == *rel && (b.col as usize) < arity)?;
+                    Some(column_distinct(stats, b.col as usize))
+                };
                 let width: f64 = project.iter().map(|c| self.col_width(*c)).sum();
-                Ok(self.scanned(cpu, stats, distinct, filters, project, width))
+                Ok(self.scanned(cpu, stats, &distinct, filters, project, width))
             }
             (
                 Plan::Join {
@@ -309,55 +377,12 @@ impl<'a> CardEstimator<'a> {
                 },
                 [l, r],
             ) => {
-                let mut distinct = l.distinct.clone();
-                distinct.extend(r.distinct.iter().map(|(k, v)| (*k, *v)));
-                // `pairs`: the key matches, which the residual predicates
-                // are evaluated on.
-                let mut card = l.card * r.card;
-                let (mut pairs, mut residuals) = (card, 0);
-                for p in preds {
-                    let s = self.pred_selectivity(p, &distinct);
-                    card *= s;
-                    match p.as_col_eq_col() {
-                        Some(_) => pairs *= s,
-                        None => residuals += 1,
-                    }
-                }
-                let keyed = residuals < preds.len();
-                card = card.max(0.0);
-                for d in distinct.values_mut() {
-                    *d = d.min(card.max(1.0));
-                }
-                distinct.retain(|c, _| project.contains(c));
-                let width: f64 = project.iter().map(|c| self.col_width(*c)).sum();
-                let sides = JoinSides {
-                    left_rows: l.card,
-                    left_pages: l.pages(&self.model.page),
-                    right_rows: r.card,
-                    right_pages: r.pages(&self.model.page),
-                };
-                let extra = ops::best_join(&sides, preds, self.model.io.mem_pages).1;
-                // The probe streams, but the build side (the smaller
-                // input) is held while the output accumulates.
-                let build_bytes = l.out_bytes().min(r.out_bytes());
-                let peak_bytes = l
-                    .peak_bytes
-                    .max(r.peak_bytes)
-                    .max(card * width + build_bytes);
-                let work = ops::cpu_pages(cpu, || {
-                    let (build, probe) = match builds_left(left, right, l, r, keyed) {
-                        true => (l.card, r.card),
-                        false => (r.card, l.card),
-                    };
-                    ops::join_ns(build, probe, (pairs, residuals), card, project.len())
-                });
-                Ok(PlanProps {
-                    cost: l.cost + r.cost + extra + work,
-                    card,
-                    width,
-                    peak_bytes,
-                    distinct,
-                })
+                // A column both inputs produce takes the right's count.
+                let input = |c: &Col| r.distinct_of(c).or_else(|| l.distinct_of(c));
+                let sides = ((*l, streams(left)), (*r, streams(right)));
+                let price =
+                    self.join_price(cpu, sides, &input, preds.iter(), project.iter().copied());
+                Ok(price.join_props(project.iter().copied(), &input))
             }
             (
                 Plan::GroupBy {
@@ -369,8 +394,7 @@ impl<'a> CardEstimator<'a> {
             ) => Ok(self.grouped(
                 cpu,
                 (input, i),
-                &spec.group_cols,
-                spec.agg_cols(),
+                (&spec.group_cols, &spec.agg_cols()),
                 &spec.having,
                 project,
             )),
@@ -384,8 +408,7 @@ impl<'a> CardEstimator<'a> {
             ) => Ok(self.grouped(
                 cpu,
                 (input, i),
-                &spec.group_cols,
-                spec.all_part_cols(),
+                (&spec.group_cols, &spec.all_part_cols()),
                 &[],
                 project,
             )),
@@ -404,13 +427,16 @@ impl<'a> CardEstimator<'a> {
                 // materialized row count, widths and distinct counts come
                 // from the extent table's own statistics, exposed under
                 // the logical identities the scan maps them to.
-                let t = Self::table(self.catalog, table)?;
+                let mut fresh = self.fresh_matviews().iter();
+                let t = match fresh.find(|(_, m)| m.extent.eq_ignore_ascii_case(table)) {
+                    Some((Some(t), _)) => Arc::clone(t),
+                    _ => Self::table(self.catalog, table)?,
+                };
                 let stats = t.stats();
-                let distinct = cols
-                    .iter()
-                    .zip(outputs)
-                    .map(|(&c, &o)| (o, column_distinct(stats, c)))
-                    .collect();
+                let distinct = |c: &Col| {
+                    let i = outputs.iter().rposition(|o| o == c)?;
+                    Some(column_distinct(stats, cols[i]))
+                };
                 let width: f64 = project
                     .iter()
                     .map(|p| {
@@ -422,7 +448,7 @@ impl<'a> CardEstimator<'a> {
                             .unwrap_or(8.0)
                     })
                     .sum();
-                Ok(self.scanned(cpu, stats, distinct, filters, project, width))
+                Ok(self.scanned(cpu, stats, &distinct, filters, project, width))
             }
             _ => Err(AggViewError::Plan(format!(
                 "cost_node was given {} child properties for a node that takes another number",
@@ -439,7 +465,7 @@ impl<'a> CardEstimator<'a> {
         &self,
         cpu: bool,
         stats: &TableStats,
-        mut distinct: BTreeMap<Col, f64>,
+        distinct: &dyn Fn(&Col) -> Option<f64>,
         filters: &[Predicate],
         project: &[Col],
         width: f64,
@@ -450,13 +476,10 @@ impl<'a> CardEstimator<'a> {
             .pages_for(stats.rows as f64, stats.row_width.max(1.0));
         let mut card = stats.rows as f64;
         for f in filters {
-            card *= self.pred_selectivity(f, &distinct);
+            card *= self.pred_selectivity(f, distinct);
         }
         card = card.max(0.0);
-        for d in distinct.values_mut() {
-            *d = d.min(card.max(1.0));
-        }
-        distinct.retain(|c, _| project.contains(c));
+        let distinct = capped(project.iter().copied(), distinct, card);
         let rows = stats.rows as f64;
         let work = ops::cpu_pages(cpu, || {
             ops::scan_ns(rows, filters.len(), card, project.len())
@@ -470,90 +493,182 @@ impl<'a> CardEstimator<'a> {
         }
     }
 
+    /// The properties, but for distinct counts, of a join of inputs `l`
+    /// and `r` — each flagged when it streams (is itself a join) rather
+    /// than arriving whole — under `preds`, projecting `project`, whose
+    /// input columns have the `input` distinct counts. Joins are charged
+    /// the cheapest of the paper's formulas that applies, as the executor
+    /// charges them.
+    pub(crate) fn join_price<'p>(
+        &self,
+        cpu: bool,
+        (l, r): ((&PlanProps, bool), (&PlanProps, bool)),
+        input: Distinct,
+        preds: impl Iterator<Item = &'p Predicate>,
+        project: impl Iterator<Item = Col> + Clone,
+    ) -> PlanProps {
+        let ((l, left_streams), (r, right_streams)) = (l, r);
+        // `pairs`: the key matches, which the residual predicates are
+        // evaluated on.
+        let mut card = l.card * r.card;
+        let (mut pairs, mut residuals, mut keyed) = (card, 0, false);
+        for p in preds {
+            let s = self.pred_selectivity(p, input);
+            card *= s;
+            match p.as_col_eq_col() {
+                Some(_) => (pairs, keyed) = (pairs * s, true),
+                None => residuals += 1,
+            }
+        }
+        card = card.max(0.0);
+        let width: f64 = project.clone().map(|c| self.col_width(c)).sum();
+        let sides = JoinSides {
+            left_rows: l.card,
+            left_pages: l.pages(&self.model.page),
+            right_rows: r.card,
+            right_pages: r.pages(&self.model.page),
+        };
+        let extra = ops::best_join(&sides, keyed, self.model.io.mem_pages).1;
+        // The probe streams, but the build side (the smaller input) is
+        // held while the output accumulates.
+        let build_bytes = l.out_bytes().min(r.out_bytes());
+        let peak_bytes = l
+            .peak_bytes
+            .max(r.peak_bytes)
+            .max(card * width + build_bytes);
+        let work = ops::cpu_pages(cpu, || {
+            let builds_left = match (left_streams, right_streams) {
+                (false, false) => keyed && l.card <= r.card,
+                (false, true) => true,
+                (true, _) => false,
+            };
+            let (build, probe) = match builds_left {
+                true => (l.card, r.card),
+                false => (r.card, l.card),
+            };
+            ops::join_ns(build, probe, (pairs, residuals), card, project.count())
+        });
+        PlanProps {
+            cost: l.cost + r.cost + extra + work,
+            card,
+            width,
+            peak_bytes,
+            distinct: BTreeMap::new(),
+        }
+    }
+
     /// A (full or partial) aggregation of `input`, whose properties are
-    /// `i`, by `group_cols`: the group count is Yao's estimate over the
-    /// grouping domain, every `produced` column (aggregate outputs or
-    /// partial states) takes one value per group, HAVING predicates thin
-    /// the groups.
-    #[allow(clippy::too_many_arguments)]
+    /// `i`: [`Self::group_price`], and one distinct count per projected
+    /// column ([`group_output`]).
     fn grouped(
         &self,
         cpu: bool,
         (input, i): (&Plan, &PlanProps),
-        group_cols: &[Col],
-        produced: Vec<Col>,
+        cols: (&[Col], &[Col]),
         having: &[Predicate],
         project: &[Col],
     ) -> PlanProps {
+        let known = |c: &Col| i.distinct_of(c);
+        let (price, groups) = self.group_price(
+            (cpu.then_some(input), i),
+            &known,
+            cols,
+            having,
+            project.iter().copied(),
+        );
+        price.group_props(project.iter().copied(), &known, cols, groups)
+    }
+
+    /// The properties but for distinct counts, and the group count, of
+    /// aggregating `input`, with properties `i` and the `known` distinct
+    /// counts, by `group_cols` into the
+    /// `produced` columns (aggregate outputs or partial states), under
+    /// `having`, projecting `project`: the group count is Yao's estimate
+    /// over the grouping domain, HAVING predicates thin the groups, and
+    /// aggregation is charged the cheaper of the paper's formulas. The
+    /// CPU term is priced only when `input`'s plan is given: the work
+    /// depends on how the group table will look its rows up.
+    pub(crate) fn group_price(
+        &self,
+        (input, i): (Option<&Plan>, &PlanProps),
+        known: Distinct,
+        (group_cols, produced): (&[Col], &[Col]),
+        having: &[Predicate],
+        project: impl Iterator<Item = Col>,
+    ) -> (PlanProps, f64) {
         let (accs, out_cols) = (produced.len(), group_cols.len() + produced.len());
-        let known = |c: &Col| i.distinct.get(c).copied().unwrap_or(DEFAULT_AGG_DISTINCT);
-        let groups = Self::groups(group_cols, i);
-        let work = ops::cpu_pages(cpu, || {
-            let lookup = self.group_lookup(group_cols, input);
-            let table_groups = match &lookup.reduced {
-                None => groups,
-                Some(cols) => Self::groups(cols, i),
-            };
-            ops::agg_ns(i.card, (lookup.kind, accs), table_groups, out_cols)
+        let groups = Self::groups(group_cols, i.card, known);
+        let work = input.map_or(0.0, |input| {
+            ops::cpu_pages(true, || {
+                let lookup = self.group_lookup(group_cols, input);
+                let table_groups = match &lookup.reduced {
+                    None => groups,
+                    Some(cols) => Self::groups(cols, i.card, known),
+                };
+                ops::agg_ns(i.card, (lookup.kind, accs), table_groups, out_cols)
+            })
         });
-        let mut distinct: BTreeMap<Col, f64> = group_cols
-            .iter()
-            .map(|c| (*c, known(c).min(groups.max(1.0))))
-            .collect();
-        distinct.extend(produced.into_iter().map(|c| (c, groups.max(1.0))));
+        let output = group_output(known, (group_cols, produced), groups);
         let mut card = groups;
         for h in having {
-            card *= self.pred_selectivity(h, &distinct);
+            card *= self.pred_selectivity(h, &output);
         }
         card = card.max(0.0);
-        distinct.retain(|c, _| project.contains(c));
-        let width: f64 = project.iter().map(|c| self.col_width(*c)).sum();
+        let width: f64 = project.map(|c| self.col_width(c)).sum();
         let in_pages = i.pages(&self.model.page);
         let out_pages = self.model.page.pages_for(groups, width.max(1.0));
         let extra = ops::best_agg(in_pages, out_pages, &self.model.io).1;
-        PlanProps {
+        let price = PlanProps {
             cost: i.cost + extra + work,
             card,
             width,
             peak_bytes: i.peak_bytes.max(groups * width),
-            distinct,
-        }
+            distinct: BTreeMap::new(),
+        };
+        (price, groups)
     }
 
-    /// The CPU term, in pages, of aggregating rows with properties `i` by
-    /// `group_cols`, found by `lookup`, into `accs` accumulators
-    /// (aggregate outputs or partial states) and `cols` output columns;
-    /// zero under the paper's model.
+    /// The CPU term, in pages, of aggregating `card` rows whose columns
+    /// have the `known` distinct counts by `group_cols`, found by
+    /// `lookup`, into `accs` accumulators (aggregate outputs or partial
+    /// states) and `cols` output columns; zero under the paper's model.
     pub(crate) fn group_cpu(
         &self,
         (group_cols, lookup): (&[Col], &Lookup),
-        i: &PlanProps,
+        (card, known): (f64, Distinct),
         accs: usize,
         cols: usize,
     ) -> f64 {
         ops::cpu_pages(self.model.cpu, || {
-            let groups = Self::groups(lookup.cols(group_cols), i);
-            ops::agg_ns(i.card, (lookup.kind, accs), groups, cols)
+            let groups = Self::groups(lookup.cols(group_cols), card, known);
+            ops::agg_ns(card, (lookup.kind, accs), groups, cols)
         })
     }
 
-    /// The groups of rows with properties `i` by `cols`: Yao's estimate
-    /// over their domain. A lookup by a determinant of the grouping
-    /// columns makes the same groups, and is estimated over its own,
-    /// smaller, domain.
-    fn groups(cols: &[Col], i: &PlanProps) -> f64 {
-        let known = |c: &Col| i.distinct.get(c).copied().unwrap_or(DEFAULT_AGG_DISTINCT);
+    /// The groups of `card` rows by `cols`, whose distinct counts are
+    /// `known`: Yao's estimate over their domain. A lookup by a
+    /// determinant of the grouping columns makes the same groups, and is
+    /// estimated over its own, smaller, domain.
+    fn groups(cols: &[Col], card: f64, known: Distinct) -> f64 {
+        let known = |c: &Col| known(c).unwrap_or(DEFAULT_AGG_DISTINCT);
         let domain = cols.iter().map(known).fold(1.0, |a, b| (a * b).min(1e18));
-        Self::yao_distinct(domain, i.card)
+        Self::yao_distinct(domain, card)
     }
 
     /// How the engine's group table will find the groups of `input`'s
     /// rows: by the subset of `group_cols` that determines the rest,
     /// through its ordinal when that is one `Int` or string column.
     pub(crate) fn group_lookup(&self, group_cols: &[Col], input: &Plan) -> Lookup {
-        let reduced = grouping_determinant(group_cols, input, self.catalog)
-            .ok()
-            .filter(|cols| cols.len() < group_cols.len());
+        self.lookup_by(
+            group_cols,
+            grouping_determinant(group_cols, input, self.catalog).ok(),
+        )
+    }
+
+    /// How the group table finds groups by `group_cols`, given their
+    /// `determinant` when one was found.
+    pub(crate) fn lookup_by(&self, group_cols: &[Col], determinant: Option<Vec<Col>>) -> Lookup {
+        let reduced = determinant.filter(|cols| cols.len() < group_cols.len());
         let kind = match reduced.as_deref().unwrap_or(group_cols) {
             [c] if matches!(self.col_type(*c), Some(DataType::Int | DataType::Str)) => {
                 GroupLookup::Ordinal
@@ -614,18 +729,61 @@ impl<'a> CardEstimator<'a> {
     }
 }
 
-/// Whether the engine builds a join's index on its left input: of two
-/// inputs of known size — anything but a join, which streams — the
-/// smaller (ties to the left; without an equality the right is held);
-/// a streaming input always probes; of two streams the right is
-/// collected and built on.
-fn builds_left(left: &Plan, right: &Plan, l: &PlanProps, r: &PlanProps, keyed: bool) -> bool {
-    let streams = |p: &Plan| matches!(p, Plan::Join { .. });
-    match (streams(left), streams(right)) {
-        (false, false) => keyed && l.card <= r.card,
-        (false, true) => true,
-        (true, _) => false,
+/// Whether `plan` streams its output (a join) rather than delivering a
+/// collected input of known size. The engine builds a join's index on
+/// the smaller of two inputs of known size (ties to the left; without an
+/// equality the right is held); a streaming input always probes; of two
+/// streams the right is collected and built on.
+pub(crate) fn streams(plan: &Plan) -> bool {
+    matches!(plan, Plan::Join { .. })
+}
+
+/// The distinct counts of an aggregation's output, of `groups` groups
+/// over an input with the `known` counts: one value per group of every
+/// `produced` column; grouping columns keep their input counts, capped
+/// at the groups.
+pub(crate) fn group_output<'a>(
+    known: Distinct<'a>,
+    (group_cols, produced): (&'a [Col], &'a [Col]),
+    groups: f64,
+) -> impl Fn(&Col) -> Option<f64> + 'a {
+    let cap = groups.max(1.0);
+    move |c| match produced.contains(c) {
+        true => Some(cap),
+        false => group_cols
+            .contains(c)
+            .then(|| known(c).unwrap_or(DEFAULT_AGG_DISTINCT).min(cap)),
     }
+}
+
+/// The distinct counts of the `project`ed columns `counts` knows.
+fn projected(
+    project: impl IntoIterator<Item = Col>,
+    counts: &dyn Fn(&Col) -> Option<f64>,
+) -> BTreeMap<Col, f64> {
+    let mut out = BTreeMap::new();
+    for c in project {
+        if let Some(d) = counts(&c) {
+            out.insert(c, d);
+        }
+    }
+    out
+}
+
+/// The distinct counts of the `project`ed columns an operator's input
+/// has counts for, each [`capped_at`] its `card` rows.
+fn capped(
+    project: impl IntoIterator<Item = Col>,
+    input: Distinct,
+    card: f64,
+) -> BTreeMap<Col, f64> {
+    projected(project, &|c| capped_at(input(c), card))
+}
+
+/// A distinct count `d` of an operator's input, at most its `card`
+/// output rows (and at least one).
+pub(crate) fn capped_at(d: Option<f64>, card: f64) -> Option<f64> {
+    Some(d?.min(card.max(1.0)))
 }
 
 /// The distinct count of physical column `c`; 1 when the table's
@@ -893,7 +1051,9 @@ mod tests {
                 let lookup = paper.group_lookup(&spec.group_cols, input);
                 let cols = spec.group_cols.len() + spec.aggs.len();
                 let by = (&spec.group_cols[..], &lookup);
-                assert_eq!(paper.group_cpu(by, &i, spec.aggs.len(), cols), 0.0);
+                let known = |c: &Col| i.distinct_of(c);
+                let rows = (i.card, &known as Distinct);
+                assert_eq!(paper.group_cpu(by, rows, spec.aggs.len(), cols), 0.0);
             }
         }
     }

@@ -11,8 +11,6 @@
 //!   estimator, measured byte-derived values in the executor).
 //! * `mem` is the operator's memory budget in pages.
 
-use aggview_common::Predicate;
-
 /// Shared parameters: memory budget and aggregation spill model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoParams {
@@ -242,10 +240,10 @@ pub fn sort_agg_io(input_pages: f64, mem: f64) -> f64 {
 
 /// The cheapest of the paper's join formulas for the given sides: its
 /// label (`nl`, `bnl`, `hash`, `merge`) and extra IO. Hash and
-/// sort-merge apply only to a join with a column equality. The label
-/// names a formula, not what runs: the engine always probes a hash
-/// index.
-pub fn best_join(sides: &JoinSides, preds: &[Predicate], mem: f64) -> (&'static str, f64) {
+/// sort-merge apply only to a `keyed` join, one with a column equality.
+/// The label names a formula, not what runs: the engine always probes a
+/// hash index.
+pub fn best_join(sides: &JoinSides, keyed: bool, mem: f64) -> (&'static str, f64) {
     let mut best = ("nl", nested_loop_io(sides));
     let mut consider = |label, io: f64| {
         if io < best.1 {
@@ -253,7 +251,7 @@ pub fn best_join(sides: &JoinSides, preds: &[Predicate], mem: f64) -> (&'static 
         }
     };
     consider("bnl", block_nl_io(sides, mem));
-    if preds.iter().any(|p| p.as_col_eq_col().is_some()) {
+    if keyed {
         consider("hash", hash_join_io(sides, mem));
         consider("merge", sort_merge_join_io(sides, mem));
     }
@@ -276,8 +274,6 @@ pub fn best_agg(input_pages: f64, output_pages: f64, io: &IoParams) -> (&'static
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aggview_common::{Col, Predicate, RelId};
-
     fn sides(lr: f64, lp: f64, rr: f64, rp: f64) -> JoinSides {
         JoinSides {
             left_rows: lr,
@@ -285,13 +281,6 @@ mod tests {
             right_rows: rr,
             right_pages: rp,
         }
-    }
-
-    fn eq_pred() -> Vec<Predicate> {
-        vec![Predicate::eq_cols(
-            Col::base(RelId(0), 0),
-            Col::base(RelId(1), 0),
-        )]
     }
 
     #[test]
@@ -338,21 +327,21 @@ mod tests {
         // Hash would be free here, and is only offered with an equality.
         let s = sides(1e4, 100.0, 1e4, 50.0);
         assert_eq!(hash_join_io(&s, 64.0), 0.0);
-        assert_eq!(best_join(&s, &eq_pred(), 64.0), ("hash", 0.0));
-        let (label, io) = best_join(&s, &[], 64.0);
+        assert_eq!(best_join(&s, true, 64.0), ("hash", 0.0));
+        let (label, io) = best_join(&s, false, 64.0);
         assert!(label != "hash" && label != "merge" && io > 0.0, "{label}");
     }
 
     #[test]
     fn best_join_prefers_hash_for_equijoins_that_fit() {
-        let (algo, io) = best_join(&sides(1e5, 1000.0, 1e4, 50.0), &eq_pred(), 64.0);
+        let (algo, io) = best_join(&sides(1e5, 1000.0, 1e4, 50.0), true, 64.0);
         assert_eq!(algo, "hash");
         assert_eq!(io, 0.0);
     }
 
     #[test]
     fn best_join_without_equality_falls_back() {
-        let (algo, _) = best_join(&sides(1e4, 100.0, 1e4, 100.0), &[], 64.0);
+        let (algo, _) = best_join(&sides(1e4, 100.0, 1e4, 100.0), false, 64.0);
         assert_eq!(algo, "bnl");
     }
 

@@ -35,6 +35,14 @@
 
 #![forbid(unsafe_code)]
 
+// The shapes the cost-invariant tests share name this crate as their
+// integration tests see it.
+#[cfg(test)]
+extern crate self as aggview_core;
+#[cfg(test)]
+#[path = "../tests/support/shapes.rs"]
+mod shapes;
+
 pub mod analyze;
 pub mod cost;
 pub mod governor;
@@ -50,7 +58,6 @@ pub use governor::{
     CancellationToken, DegradationReason, OptimizeOutcome, ResourceGovernor, ResourceLimits,
 };
 pub use optimizer::multi_view::{optimize, optimize_governed, Optimized};
-pub use optimizer::single_view::{optimize_single_view, optimize_single_view_governed};
 pub use optimizer::traditional::{optimize_traditional, optimize_traditional_governed};
 pub use optimizer::{OptimizerConfig, PullUpLevel, SearchStats};
 pub use plan::{GroupBySpec, PartialAggSpec, Plan};

@@ -27,7 +27,8 @@
 //! The rewritten access path is enumerated *in addition to* the inlined
 //! plan and chosen purely by cost, so the optimizer's never-worse
 //! guarantee is untouched. Stale extents (base data modified since the
-//! last build or refresh) are never matched.
+//! last build or refresh) are never matched; freshness is read once per
+//! statement.
 
 use crate::cost::CardEstimator;
 use crate::governor::ResourceGovernor;
@@ -36,24 +37,24 @@ use crate::optimizer::stats::SearchStats;
 use crate::optimizer::Planned;
 use crate::plan::{GroupBySpec, Plan};
 use aggview_common::{AggSpec, Col, Predicate, RelId, Result};
-use aggview_storage::{stores_partial_state, Catalog, MatViewMeta};
+use aggview_storage::{stores_partial_state, MatViewMeta};
 use std::collections::BTreeSet;
 
 /// The block's leaves, flattened: parallel relation / table-name lists
 /// plus every predicate (scan-local and multi-relation).
-struct FlatBlock {
+struct FlatBlock<'a> {
     rels: Vec<RelId>,
-    tables: Vec<String>,
-    preds: Vec<Predicate>,
+    tables: Vec<&'a str>,
+    preds: Vec<&'a Predicate>,
 }
 
 /// Flatten a block whose items are all plain base-table scans; `None`
 /// when any leaf is already a planned sub-block (extents only answer
 /// blocks over base tables).
-fn flatten(q: &BlockQuery) -> Option<FlatBlock> {
+fn flatten<'a>(q: &'a BlockQuery) -> Option<FlatBlock<'a>> {
     let mut rels = Vec::with_capacity(q.items.len());
     let mut tables = Vec::with_capacity(q.items.len());
-    let mut preds: Vec<Predicate> = Vec::new();
+    let mut preds: Vec<&Predicate> = Vec::new();
     for it in &q.items {
         let Plan::Scan {
             rel,
@@ -65,10 +66,10 @@ fn flatten(q: &BlockQuery) -> Option<FlatBlock> {
             return None;
         };
         rels.push(*rel);
-        tables.push(table.clone());
-        preds.extend(filters.iter().cloned());
+        tables.push(table.as_str());
+        preds.extend(filters);
     }
-    preds.extend(q.preds.iter().cloned());
+    preds.extend(q.preds.iter().map(|f| &f.pred));
     Some(FlatBlock {
         rels,
         tables,
@@ -77,32 +78,38 @@ fn flatten(q: &BlockQuery) -> Option<FlatBlock> {
 }
 
 /// Find the cheapest matching extent access path for the block, if any
-/// fresh registered materialized view subsumes it. Each candidate is
+/// fresh registered materialized view subsumes it. The fresh views are
+/// those `est` resolved once for the statement. Each candidate is
 /// costed through `est` and charged to the search budget; the caller
 /// compares the result against its best inlined plan.
-pub fn best_extent_entry(
+pub(crate) fn best_extent_entry(
     q: &BlockQuery,
     est: &CardEstimator<'_>,
-    catalog: &Catalog,
     stats: &mut SearchStats,
     gov: &ResourceGovernor,
 ) -> Result<Option<Planned>> {
     let Some(gspec) = q.group.as_ref() else {
         return Ok(None);
     };
+    // A view answers only a block over as many relations as it joins,
+    // each scanning one of its tables.
+    let fresh = est.fresh_matviews();
+    let scanned = |t: &String| {
+        let scans = |it: &Planned| matches!(&*it.plan, Plan::Scan { table, .. } if table.eq_ignore_ascii_case(t));
+        q.items.iter().any(scans)
+    };
+    let answers =
+        |m: &MatViewMeta| m.def.tables.len() == q.items.len() && m.def.tables.iter().all(scanned);
+    if !fresh.iter().any(|(_, m)| answers(m)) {
+        return Ok(None);
+    }
     let Some(flat) = flatten(q) else {
         return Ok(None);
     };
     let mut best: Option<Planned> = None;
-    for name in catalog.matview_names() {
-        let Some(meta) = catalog.matview(&name) else {
-            continue;
-        };
-        if meta.is_stale(catalog) {
-            continue;
-        }
+    for (_, meta) in fresh {
         for theta in bijections(&meta.def.tables, &flat.tables) {
-            let Some(plan) = match_view(&meta, &theta, &flat, gspec, &q.project) else {
+            let Some(plan) = match_view(meta, &theta, &flat, gspec, &q.project) else {
                 continue;
             };
             stats.plans_built += 1;
@@ -126,7 +133,7 @@ pub fn best_extent_entry(
 /// block's relation list for view-local relation `i`. Self-joins make
 /// this a backtracking search; for the common no-repeated-table case at
 /// most one assignment survives.
-fn bijections(view_tables: &[String], block_tables: &[String]) -> Vec<Vec<usize>> {
+fn bijections(view_tables: &[String], block_tables: &[&str]) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     if view_tables.len() != block_tables.len() {
         return out;
@@ -139,7 +146,7 @@ fn bijections(view_tables: &[String], block_tables: &[String]) -> Vec<Vec<usize>
 
 fn assign(
     view_tables: &[String],
-    block_tables: &[String],
+    block_tables: &[&str],
     used: &mut [bool],
     current: &mut Vec<usize>,
     out: &mut Vec<Vec<usize>>,
@@ -150,7 +157,7 @@ fn assign(
         return;
     }
     for j in 0..block_tables.len() {
-        if !used[j] && view_tables[i].eq_ignore_ascii_case(&block_tables[j]) {
+        if !used[j] && view_tables[i].eq_ignore_ascii_case(block_tables[j]) {
             used[j] = true;
             current.push(j);
             assign(view_tables, block_tables, used, current, out);
@@ -193,7 +200,7 @@ fn match_view(
     // as an extent-scan filter.
     let mut covered = vec![false; mapped_preds.len()];
     let mut residue: Vec<Predicate> = Vec::new();
-    for bp in &flat.preds {
+    for &bp in &flat.preds {
         if let Some(k) = mapped_preds.iter().position(|vp| preds_equal(bp, vp)) {
             covered[k] = true;
         } else if bp.cols_used().iter().all(|c| group_set.contains(c)) {
@@ -305,7 +312,7 @@ mod tests {
     #[test]
     fn bijections_respect_table_names() {
         let view = vec!["emp".to_string(), "dept".to_string()];
-        let block = vec!["dept".to_string(), "emp".to_string()];
+        let block = vec!["dept", "emp"];
         assert_eq!(bijections(&view, &block), vec![vec![1, 0]]);
         // Arity mismatch: no assignment.
         assert!(bijections(&view, &block[..1]).is_empty());
@@ -314,7 +321,7 @@ mod tests {
     #[test]
     fn self_join_yields_both_assignments() {
         let view = vec!["emp".to_string(), "emp".to_string()];
-        let block = view.clone();
+        let block = vec!["emp", "emp"];
         let all = bijections(&view, &block);
         assert_eq!(all.len(), 2);
         assert!(all.contains(&vec![0, 1]) && all.contains(&vec![1, 0]));

@@ -43,7 +43,7 @@ impl ColSet {
     }
 
     /// Member numbers, ascending.
-    pub(crate) fn iter(self) -> impl Iterator<Item = usize> {
+    pub(crate) fn iter(self) -> impl Iterator<Item = usize> + Clone {
         self.0
             .into_iter()
             .enumerate()
@@ -120,7 +120,7 @@ impl ColUniverse {
     }
 
     /// The members of `set`, in `Col` order.
-    pub(crate) fn cols(&self, set: ColSet) -> impl Iterator<Item = Col> + '_ {
+    pub(crate) fn cols(&self, set: ColSet) -> impl Iterator<Item = Col> + Clone + '_ {
         set.iter().map(|i| self.cols[i])
     }
 }

@@ -35,41 +35,46 @@
 //! plans compare once each has paid for the block's group-by
 //! (`Ctx::settled`).
 //!
-//! **A candidate costs one node.** A memo entry holds the sub-plan
-//! behind an `Arc`, its [`PlanProps`] and its
-//! output columns as a bitset. `joinplan` shares the two inputs, prices
-//! the new join from their stored properties
-//! ([`CardEstimator::cost_node`]) and answers every set question
-//! (evaluable predicates, projection, early group-by legality) with
-//! mask operations over the block's column universe, numbered once per
-//! block; column and predicate vectors are materialised only for the
-//! node being built. An early group-by and the join above it are first
-//! priced without their CPU work (`CardEstimator::shape_node`): most
-//! are rejected on their size, and only the rest pay for finding how
-//! their group table looks rows up.
+//! **A candidate costs one price, and is not built.** A memo entry holds
+//! its [`PlanProps`], its output columns as a bitset and how it is made
+//! (which entry it extends, with which item, through which early
+//! aggregation). `joinplan` prices the new join from its inputs' stored
+//! properties with the cost model's own arithmetic
+//! (`CardEstimator::join_price`, `group_price`: what `cost_node` runs)
+//! and answers every set question (evaluable predicates, projection,
+//! early group-by legality) with mask operations over the block's
+//! column universe, numbered once per block. Only the candidate a subset
+//! keeps gets its distinct counts, and nodes are built only for the plan
+//! the block returns. An early group-by and the join above it are first
+//! priced without their CPU work: most are rejected on their size, and
+//! only the rest pay for finding how their group table looks rows up.
 
+use crate::cost::model::{capped_at, group_output, streams};
 use crate::cost::{CardEstimator, Lookup, PlanProps};
 use crate::governor::ResourceGovernor;
 use crate::optimizer::colset::{ColSet, ColUniverse};
+use crate::optimizer::facts::PredFacts;
 use crate::optimizer::stats::SearchStats;
 use crate::optimizer::{bits_of, OptimizerConfig, Planned};
 use crate::plan::{GroupBySpec, PartialAggSpec, Plan};
-use crate::transform::props::output_key;
+use crate::transform::props::{determinant_over, output_key};
 use aggview_common::{AggViewError, Col, Predicate, Result};
-use aggview_storage::Catalog;
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// A single-block query: items to join, conjunctive predicates, an
 /// optional group-by, and what the block must output.
 #[derive(Debug, Clone)]
-pub struct BlockQuery {
+pub(crate) struct BlockQuery<'a> {
     /// Leaves (scans or already-planned view blocks).
     pub items: Vec<Planned>,
     /// Multi-item predicates (single-item predicates belong in the
-    /// leaves — scan filters or view HAVINGs).
-    pub preds: Vec<Predicate>,
+    /// leaves — scan filters or view HAVINGs), with the answers the
+    /// statement worked out for them.
+    pub preds: Vec<&'a PredFacts>,
     /// The block's group-by, if any (HAVING included in the spec).
     pub group: Option<GroupBySpec>,
     /// The block's output layout.
@@ -87,42 +92,78 @@ enum GState {
     Partial,
 }
 
-/// A planned subtree inside one block's search: with its group-by
-/// progress and its output columns in the block's numbering.
+/// The best plan found for one subset of a block's items: its
+/// properties, its group-by progress, its output columns in the block's
+/// numbering, and how it is made. Its nodes are built only when a plan
+/// that contains it is ([`Ctx::plan_of`]).
 #[derive(Debug)]
-struct Entry {
-    sub: Planned,
+struct Entry<'a> {
+    props: Cow<'a, PlanProps>,
     state: GState,
     out: ColSet,
+    made: Made,
+    /// Its plan, once built.
+    plan: OnceCell<Arc<Plan>>,
+}
+
+/// How a memo entry is made.
+#[derive(Debug)]
+enum Made {
+    /// It is item `i`.
+    Item(usize),
+    /// Item `last` joined onto the entry of subset `prior`, or onto an
+    /// early aggregation of it.
+    Join {
+        prior: u64,
+        early: Option<Early>,
+        last: usize,
+    },
+}
+
+/// The best plan found for each subset of a block's items.
+type Memo<'a> = HashMap<u64, Entry<'a>, BuildHasherDefault<SubsetHash>>;
+
+/// Hashes a subset by one multiplication (Fibonacci hashing): a subset
+/// is its own well-spread key, and SipHash's resistance to chosen keys
+/// buys nothing here.
+#[derive(Default)]
+struct SubsetHash(u64);
+
+impl Hasher for SubsetHash {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 << 8 | u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, subset: u64) {
+        self.0 = subset.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Optimize a single block over the linear-aggregate-join-tree space,
 /// without resource limits.
-pub fn optimize_block(
+#[cfg(test)]
+fn optimize_block(
     q: &BlockQuery,
     est: &CardEstimator<'_>,
-    catalog: &Catalog,
     config: &OptimizerConfig,
     stats: &mut SearchStats,
 ) -> Result<Planned> {
-    optimize_block_governed(
-        q,
-        est,
-        catalog,
-        config,
-        stats,
-        &ResourceGovernor::unlimited(),
-    )
+    optimize_block_governed(q, est, config, stats, &ResourceGovernor::unlimited())
 }
 
 /// Optimize a single block under a [`ResourceGovernor`]: every subset
 /// extension checks cancellation/deadline and charges the search budget,
 /// so an exhausted budget surfaces as `ResourceExhausted` at the next
 /// enumeration boundary (callers degrade to the traditional plan).
-pub fn optimize_block_governed(
+pub(crate) fn optimize_block_governed(
     q: &BlockQuery,
     est: &CardEstimator<'_>,
-    catalog: &Catalog,
     config: &OptimizerConfig,
     stats: &mut SearchStats,
     gov: &ResourceGovernor,
@@ -136,17 +177,52 @@ pub fn optimize_block_governed(
             "block too large for exhaustive enumeration: {n} items"
         )));
     }
-    let ctx = Ctx::new(q, est, catalog, config, gov)?;
+    let entry = match n {
+        1 => {
+            stats.memo_entries += 1;
+            gov.charge_memo(1)?;
+            only_item(q, est, stats)?
+        }
+        _ => search(q, est, config, stats, gov)?,
+    };
+
+    // Materialized extents are one more costed access path for the
+    // whole block: take the extent plan only when strictly cheaper, so
+    // the never-worse guarantee carries over unchanged.
+    if config.use_matviews {
+        if let Some(alt) = crate::matview::best_extent_entry(q, est, stats, gov)? {
+            if alt.props.cost < entry.props.cost {
+                return Ok(alt);
+            }
+        }
+    }
+    Ok(entry)
+}
+
+/// Search a block of several items: every subset, smallest first, then
+/// the whole block completed.
+fn search(
+    q: &BlockQuery,
+    est: &CardEstimator<'_>,
+    config: &OptimizerConfig,
+    stats: &mut SearchStats,
+    gov: &ResourceGovernor,
+) -> Result<Planned> {
+    let n = q.items.len();
+    let ctx = Ctx::new(q, est, config, gov)?;
     let full = ctx.full;
 
-    let mut memo: HashMap<u64, Entry> = HashMap::new();
+    // Room for every subset of a small block, so the memo never rehashes.
+    let mut memo = Memo::with_capacity_and_hasher(1 << n.min(6), Default::default());
     for (i, it) in q.items.iter().enumerate() {
         memo.insert(
             1u64 << i,
             Entry {
-                sub: it.clone(),
+                props: Cow::Borrowed(&it.props),
                 state: GState::Raw,
                 out: ctx.outsets[i],
+                made: Made::Item(i),
+                plan: OnceCell::from(it.plan.clone()),
             },
         );
         stats.memo_entries += 1;
@@ -170,19 +246,32 @@ pub fn optimize_block_governed(
     let entry = memo
         .remove(&full)
         .ok_or_else(|| AggViewError::Optimize("block enumeration failed".into()))?;
-    let entry = finish(&ctx, entry, stats)?;
+    finish(&ctx, entry, &memo, stats)
+}
 
-    // Materialized extents are one more costed access path for the
-    // whole block: take the extent plan only when strictly cheaper, so
-    // the never-worse guarantee carries over unchanged.
-    if config.use_matviews {
-        if let Some(alt) = crate::matview::best_extent_entry(q, est, catalog, stats, gov)? {
-            if alt.props.cost < entry.props.cost {
-                return Ok(alt);
-            }
-        }
+/// A one-item block: its item under the block's group-by, or narrowed to
+/// the block's output and priced whole.
+fn only_item(q: &BlockQuery, est: &CardEstimator<'_>, stats: &mut SearchStats) -> Result<Planned> {
+    let item = &q.items[0];
+    let project = q.project.clone();
+    if let Some(g) = &q.group {
+        stats.groupby_placements += 1;
+        let node = Plan::group_by(item.plan.clone(), g.clone(), project);
+        return Planned::over(node, &[&item.props], est);
     }
-    Ok(entry)
+    let outputs = item.plan.output_cols();
+    if let Some(missing) = project.iter().find(|c| !outputs.contains(c)) {
+        return Err(AggViewError::Optimize(format!(
+            "block cannot produce required column {missing}"
+        )));
+    }
+    if outputs == project {
+        return Ok(item.clone());
+    }
+    Planned::new(
+        Arc::unwrap_or_clone(item.plan.clone()).with_project(project),
+        est,
+    )
 }
 
 /// The block's group-by, with its columns in the block's numbering.
@@ -198,9 +287,22 @@ struct GroupSets<'a> {
     having: ColSet,
 }
 
+impl GroupSets<'_> {
+    /// The partial-state columns of aggregates `aggs`, in order.
+    fn partial_states<'s>(
+        &'s self,
+        aggs: impl Iterator<Item = usize> + 's,
+    ) -> impl Iterator<Item = Col> + 's {
+        let g = self.spec;
+        aggs.flat_map(move |i| {
+            (0..g.aggs[i].func.partial_arity()).map(move |k| Col::part(g.agg_ref(i), k))
+        })
+    }
+}
+
 /// Everything about a block that does not change while it is searched.
 struct Ctx<'a, 'b> {
-    q: &'a BlockQuery,
+    q: &'a BlockQuery<'a>,
     est: &'a CardEstimator<'b>,
     config: &'a OptimizerConfig,
     gov: &'a ResourceGovernor,
@@ -212,9 +314,8 @@ struct Ctx<'a, 'b> {
     /// Output columns of each item, and of all of them.
     outsets: Vec<ColSet>,
     all_out: ColSet,
-    /// Operands of each predicate; for a bare `a = b`, the two sides.
+    /// Operands of each predicate.
     pred_cols: Vec<ColSet>,
-    pred_eq: Vec<Option<(ColSet, ColSet)>>,
     /// Columns the block must deliver upward, before the group-by's
     /// perspective: the group-by's own needs plus the final projection.
     required: ColSet,
@@ -223,8 +324,9 @@ struct Ctx<'a, 'b> {
     /// Partial-state columns anywhere in the universe.
     part_cols: ColSet,
     group: Option<GroupSets<'a>>,
-    /// A key of each item's output (only early grouping reads them).
-    keys: Vec<Option<ColSet>>,
+    /// A key of each item's output, worked out the first time an early
+    /// grouping asks ([`Ctx::item_keys`]).
+    keys: OnceCell<Vec<Option<ColSet>>>,
     connected_graph: bool,
     /// How the block's group-by will find its groups, when partial plans
     /// are compared with what they still owe it (see [`Ctx::settled`]);
@@ -234,35 +336,34 @@ struct Ctx<'a, 'b> {
 
 impl<'a, 'b> Ctx<'a, 'b> {
     fn new(
-        q: &'a BlockQuery,
+        q: &'a BlockQuery<'a>,
         est: &'a CardEstimator<'b>,
-        catalog: &Catalog,
         config: &'a OptimizerConfig,
         gov: &'a ResourceGovernor,
     ) -> Result<Self> {
-        let pred_operands: Vec<_> = q.preds.iter().map(Predicate::cols_used).collect();
-        let mut mentioned: Vec<Col> = q.project.clone();
+        let mut mentioned: Vec<Col> = Vec::with_capacity(64);
+        mentioned.extend_from_slice(&q.project);
         for it in &q.items {
             mentioned.extend_from_slice(it.plan.output_cols());
         }
-        mentioned.extend(pred_operands.iter().flatten());
-        let mut agg_args = Vec::new();
-        let mut having_raw = Vec::new();
+        for f in &q.preds {
+            mentioned.extend_from_slice(&f.cols);
+        }
         if let Some(g) = &q.group {
             mentioned.extend_from_slice(&g.group_cols);
-            mentioned.extend(g.agg_cols());
+            mentioned.extend((0..g.aggs.len()).map(|i| Col::agg(g.owner, i)));
             // What an early aggregation can output: the aggregates, or
             // their partial states and the duplicate-factor count.
-            for (i, a) in g.aggs.iter().enumerate() {
-                mentioned.extend((0..a.func.partial_arity()).map(|k| Col::part(g.agg_ref(i), k)));
-                agg_args.push(a.cols_used());
-            }
+            mentioned.extend(g.aggs.iter().enumerate().flat_map(|(i, a)| {
+                (0..a.func.partial_arity()).map(move |k| Col::part(g.agg_ref(i), k))
+            }));
             mentioned.push(Col::part(g.agg_ref(g.aggs.len()), 0));
-            mentioned.extend(agg_args.iter().flatten());
-            for h in &g.having {
-                having_raw.extend(h.cols_used().into_iter().filter(|c| !c.is_agg()));
+            for arg in g.aggs.iter().filter_map(|a| a.arg.as_ref()) {
+                arg.for_each_col(&mut |c| mentioned.push(c));
             }
-            mentioned.extend_from_slice(&having_raw);
+            for h in &g.having {
+                h.for_each_col(&mut |c| mentioned.extend((!c.is_agg()).then_some(c)));
+            }
         }
         let uni = ColUniverse::new(mentioned)?;
 
@@ -272,40 +373,49 @@ impl<'a, 'b> Ctx<'a, 'b> {
             .map(|it| uni.set(it.plan.output_cols()))
             .collect();
         let all_out = outsets.iter().fold(ColSet::default(), |a, o| a | *o);
-        let pred_cols: Vec<ColSet> = pred_operands.iter().map(|cols| uni.set(cols)).collect();
-        let pred_eq = q
-            .preds
-            .iter()
-            .map(|p| {
-                p.as_col_eq_col()
-                    .map(|(a, b)| (uni.set(&[a]), uni.set(&[b])))
-            })
-            .collect();
+        let pred_cols: Vec<ColSet> = q.preds.iter().map(|f| uni.set(&f.cols)).collect();
         let project = uni.set(&q.project);
         let group = q.group.as_ref().map(|g| {
-            let args: Vec<ColSet> = agg_args.iter().map(|cols| uni.set(cols)).collect();
+            let mut having = ColSet::default();
+            for h in &g.having {
+                h.for_each_col(&mut |c| {
+                    if let Some(i) = uni.index(c).filter(|_| !c.is_agg()) {
+                        having.insert(i);
+                    }
+                });
+            }
+            let args: Vec<ColSet> = g
+                .aggs
+                .iter()
+                .map(|a| {
+                    let mut set = ColSet::default();
+                    if let Some(arg) = &a.arg {
+                        arg.for_each_col(&mut |c| {
+                            if let Some(i) = uni.index(c) {
+                                set.insert(i);
+                            }
+                        });
+                    }
+                    set
+                })
+                .collect();
             GroupSets {
                 spec: g,
                 keys: uni.set(&g.group_cols),
                 key_idx: g.group_cols.iter().filter_map(|c| uni.index(*c)).collect(),
                 all_args: args.iter().fold(ColSet::default(), |a, s| a | *s),
                 args,
-                having: uni.set(&having_raw),
+                having,
             }
         });
         let required = group
             .as_ref()
             .map_or(project, |g| project | g.keys | g.all_args | g.having);
-        let keys = if config.push_down && q.group.is_some() {
-            q.items
-                .iter()
-                .map(|it| Ok(output_key(&it.plan, catalog)?.map(|k| uni.set(&k))))
-                .collect::<Result<_>>()?
-        } else {
-            vec![None; q.items.len()]
-        };
         let connected_graph = graph_connected(&outsets, &pred_cols);
-        let part_cols = uni.set(uni.all().iter().filter(|c| c.is_part()));
+        // Partial states sort last in `Col` order.
+        let mut part_cols = ColSet::default();
+        let first_part = uni.all().partition_point(|c| !c.is_part());
+        (first_part..uni.all().len()).for_each(|i| part_cols.insert(i));
         Ok(Ctx {
             q,
             est,
@@ -317,41 +427,25 @@ impl<'a, 'b> Ctx<'a, 'b> {
             outsets,
             all_out,
             pred_cols,
-            pred_eq,
             required,
             project,
             group,
-            keys,
+            keys: OnceCell::new(),
             connected_graph,
             owed: OnceCell::new(),
         })
     }
-}
 
-/// The block's items joined under all of its predicates: the rows its
-/// group-by reads, for finding how it will look them up.
-fn whole_block(q: &BlockQuery) -> Option<Arc<Plan>> {
-    let mut items = q.items.iter().map(|it| it.plan.clone());
-    let first = items.next()?;
-    let mut preds = q.preds.clone();
-    Some(items.fold(first, |joined, item| {
-        Arc::new(Plan::join(
-            joined,
-            item,
-            std::mem::take(&mut preds),
-            Vec::new(),
-        ))
-    }))
-}
-
-/// How [`Ctx`] prices a node it builds.
-#[derive(Debug, Clone, Copy)]
-enum Price {
-    /// [`CardEstimator::cost_node`].
-    Full,
-    /// [`CardEstimator::shape_node`]: an early aggregation, and the join
-    /// above it, are rejected on their size before their work is priced.
-    Shape,
+    /// A key of each item's output, in the block's numbering.
+    fn item_keys(&self) -> Result<&[Option<ColSet>]> {
+        if let Some(keys) = self.keys.get() {
+            return Ok(keys);
+        }
+        let key =
+            |it: &Planned| Ok(output_key(&it.plan, self.est.catalog)?.map(|k| self.uni.set(&k)));
+        let keys = self.q.items.iter().map(key).collect::<Result<_>>()?;
+        Ok(self.keys.get_or_init(|| keys))
+    }
 }
 
 /// Is the item graph connected under the predicates? (An edge links
@@ -360,26 +454,24 @@ enum Price {
 /// reachable through connected extensions; when it is not, cross
 /// products are unavoidable and allowed everywhere.
 fn graph_connected(outsets: &[ColSet], pred_cols: &[ColSet]) -> bool {
-    let n = outsets.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], x: usize) -> usize {
-        if parent[x] != x {
-            let r = find(parent, parent[x]);
-            parent[x] = r;
-        }
-        parent[x]
-    }
-    for pc in pred_cols {
-        let mut touched = (0..n).filter(|&i| pc.intersects(outsets[i]));
-        if let Some(first) = touched.next() {
-            for other in touched {
-                let a = find(&mut parent, first);
-                let b = find(&mut parent, other);
-                parent[a] = b;
+    let touched = |pc: &ColSet| {
+        let items = outsets.iter().enumerate();
+        items.fold(0u64, |m, (i, o)| m | u64::from(pc.intersects(*o)) << i)
+    };
+    // Grow the items reachable from the first until no predicate adds one.
+    let mut reached = 1u64;
+    loop {
+        let before = reached;
+        for pc in pred_cols {
+            let t = touched(pc);
+            if t & reached != 0 {
+                reached |= t;
             }
         }
+        if reached == before {
+            return reached.count_ones() as usize == outsets.len();
+        }
     }
-    (1..n).all(|i| find(&mut parent, i) == find(&mut parent, 0))
 }
 
 impl Ctx<'_, '_> {
@@ -416,77 +508,228 @@ impl Ctx<'_, '_> {
         self.needed_above(avail) | (avail & self.part_cols)
     }
 
-    /// `joinplan(left, Rⱼ)`: join item `last` onto `left`, which
-    /// produces `left_out`, and price the one new node as `price` says.
-    fn join(
+    /// `joinplan(left, Rⱼ)`: item `last` joined onto `from`, the entry of
+    /// subset `prior`, or onto an `early` aggregation of it; priced (its
+    /// CPU work only when `cpu`) and not built. Every candidate counts as
+    /// a plan built.
+    fn join<'m>(
         &self,
-        left: &Planned,
-        left_out: ColSet,
+        (prior, from): (u64, &'m Entry<'m>),
+        early: Option<Early>,
         last: usize,
         stats: &mut SearchStats,
-        price: Price,
-    ) -> Result<(Planned, ColSet)> {
-        let right = &self.q.items[last];
-        let new = self.outsets[last];
-        let preds = self
-            .q
-            .preds
-            .iter()
-            .zip(&self.pred_cols)
-            .filter(|(_, pc)| Self::newly_evaluable(**pc, left_out, new))
-            .map(|(p, _)| p.clone())
-            .collect();
-        let out = self.projection_for(left_out | new);
-        let node = Plan::join(
-            left.plan.clone(),
-            right.plan.clone(),
-            preds,
-            self.uni.cols(out).collect(),
-        );
+        cpu: bool,
+    ) -> Result<Cand<'m>> {
         stats.plans_built += 1;
         self.gov.charge_plans(1)?;
-        let joined = self.price(node, &[&left.props, &right.props], price)?;
-        Ok((joined, out))
-    }
-
-    /// Plan `node` over `inputs`, priced as `price` says.
-    fn price(&self, node: Plan, inputs: &[&PlanProps], price: Price) -> Result<Planned> {
-        match price {
-            Price::Full => Planned::over(node, inputs, self.est),
-            Price::Shape => Ok(Planned {
-                props: self.est.shape_node(&node, inputs)?,
-                plan: Arc::new(node),
-            }),
-        }
-    }
-
-    /// Price in full a candidate early aggregation `early` over `sub`,
-    /// and `joined`, item `last` joined onto it; both were priced by
-    /// [`Price::Shape`].
-    fn price_in_full(
-        &self,
-        sub: &Planned,
-        early: &Planned,
-        joined: Planned,
-        last: usize,
-    ) -> Result<Planned> {
-        if !self.est.model.cpu {
-            return Ok(joined);
-        }
-        let early = self.est.cost_node(&early.plan, &[&sub.props])?;
-        let right = &self.q.items[last].props;
-        let props = self.est.cost_node(&joined.plan, &[&early, right])?;
-        Ok(Planned {
-            plan: joined.plan,
-            props,
+        let (left_out, state) = match &early {
+            None => (from.out, from.state),
+            Some(e) if e.kind == EarlyKind::Group => (e.out, GState::Grouped),
+            Some(e) => (e.out, GState::Partial),
+        };
+        let out = self.projection_for(left_out | self.outsets[last]);
+        let price = self.join_price(from, early.as_ref(), last, out, cpu);
+        Ok(Cand {
+            prior,
+            from,
+            early,
+            last,
+            out,
+            state,
+            price,
         })
+    }
+
+    /// The predicates that become evaluable when item `last` joins a
+    /// subtree producing `left_out`.
+    fn join_preds(&self, left_out: ColSet, last: usize) -> impl Iterator<Item = &Predicate> {
+        let new = self.outsets[last];
+        let preds = self.q.preds.iter().zip(&self.pred_cols);
+        preds
+            .filter(move |(_, pc)| Self::newly_evaluable(**pc, left_out, new))
+            .map(|(f, _)| &f.pred)
+    }
+
+    /// The properties, but for distinct counts, of joining item `last`
+    /// onto `from` (or `early` over it) and projecting `out`.
+    fn join_price(
+        &self,
+        from: &Entry,
+        early: Option<&Early>,
+        last: usize,
+        out: ColSet,
+        cpu: bool,
+    ) -> PlanProps {
+        let right = &self.q.items[last];
+        let (left, left_out, left_streams) = match (early, &from.made) {
+            (Some(e), _) => (&e.price, e.out, false),
+            (None, Made::Item(i)) => (&*from.props, from.out, streams(&self.q.items[*i].plan)),
+            (None, Made::Join { .. }) => (&*from.props, from.out, true),
+        };
+        let input = |c: &Col| {
+            let left = || self.left_distinct(from, early, c);
+            right.props.distinct_of(c).or_else(left)
+        };
+        let sides = ((left, left_streams), (&*right.props, streams(&right.plan)));
+        let preds = self.join_preds(left_out, last);
+        self.est
+            .join_price(cpu, sides, &input, preds, self.uni.cols(out))
+    }
+
+    /// The distinct count of `c` in a candidate join's left input:
+    /// `from`, or an `early` aggregation of it.
+    fn left_distinct(&self, from: &Entry, early: Option<&Early>, c: &Col) -> Option<f64> {
+        let known = |c: &Col| from.props.distinct_of(c);
+        match early {
+            None => known(c),
+            Some(e) => group_output(&known, (&e.group_cols, &e.produced), e.groups)(c),
+        }
+    }
+
+    /// The distinct count of `col` in the output of `cand`: what its
+    /// built node's properties would hold.
+    fn distinct(&self, cand: &Cand, col: &Col) -> Option<f64> {
+        let i = self.uni.index(*col)?;
+        if !cand.out.contains(i) {
+            return None;
+        }
+        let right = &self.q.items[cand.last].props;
+        let d = right.distinct_of(col);
+        let d = d.or_else(|| self.left_distinct(cand.from, cand.early.as_ref(), col));
+        capped_at(d, cand.price.card)
+    }
+
+    /// Price in full a candidate priced without its CPU work: its early
+    /// aggregation, and the join above it.
+    fn price_in_full<'m>(&self, mut cand: Cand<'m>, memo: &Memo) -> Result<Cand<'m>> {
+        if self.est.model.cpu {
+            if let Some(e) = &mut cand.early {
+                let input = self.plan_of(cand.from, memo)?;
+                let cols = (&e.group_cols[..], &e.produced[..]);
+                (e.price, e.groups) = self.early_price(e.kind, cols, cand.from, Some(&input));
+            }
+            let early = cand.early.as_ref();
+            cand.price = self.join_price(cand.from, early, cand.last, cand.out, true);
+        }
+        Ok(cand)
+    }
+
+    /// The entry a subset keeps: `cand`'s properties, the distinct counts
+    /// of its projected columns included; not its nodes.
+    fn keep<'e>(&self, cand: Cand) -> Entry<'e> {
+        let right = &self.q.items[cand.last].props;
+        let input = |c: &Col| {
+            let left = || self.left_distinct(cand.from, cand.early.as_ref(), c);
+            right.distinct_of(c).or_else(left)
+        };
+        let props = cand.price.join_props(self.uni.cols(cand.out), &input);
+        Entry {
+            props: Cow::Owned(props),
+            state: cand.state,
+            out: cand.out,
+            made: Made::Join {
+                prior: cand.prior,
+                early: cand.early,
+                last: cand.last,
+            },
+            plan: OnceCell::new(),
+        }
+    }
+
+    /// The plan of `entry`, built (with the plans it extends) the first
+    /// time it is asked for.
+    fn plan_of(&self, entry: &Entry, memo: &Memo) -> Result<Arc<Plan>> {
+        if let Some(plan) = entry.plan.get() {
+            return Ok(plan.clone());
+        }
+        let project = self.uni.cols(entry.out).collect();
+        let plan = Arc::new(self.join_node(entry, memo, project)?.0);
+        Ok(entry.plan.get_or_init(|| plan).clone())
+    }
+
+    /// The join `entry` is made of, projecting `project`, and the
+    /// properties of its left input when that is an early aggregation.
+    fn join_node(
+        &self,
+        entry: &Entry,
+        memo: &Memo,
+        project: Vec<Col>,
+    ) -> Result<(Plan, Option<PlanProps>)> {
+        let Made::Join { prior, early, last } = &entry.made else {
+            return Err(AggViewError::Optimize("an item is not a join".into()));
+        };
+        let from = memo
+            .get(prior)
+            .ok_or_else(|| AggViewError::Optimize("a memo entry's input is missing".into()))?;
+        let mut left = self.plan_of(from, memo)?;
+        let mut left_out = from.out;
+        let mut early_props = None;
+        if let Some(e) = early {
+            let known = |c: &Col| from.props.distinct_of(c);
+            let node = self.early_node(e, left, from.out);
+            let cols = (&e.group_cols[..], &e.produced[..]);
+            early_props = Some(e.price.clone().group_props(
+                node.output_cols().iter().copied(),
+                &known,
+                cols,
+                e.groups,
+            ));
+            (left, left_out) = (Arc::new(node), e.out);
+        }
+        let preds = self.join_preds(left_out, *last).cloned().collect();
+        let right = self.q.items[*last].plan.clone();
+        Ok((Plan::join(left, right, preds, project), early_props))
+    }
+
+    /// Check that `cand`, priced with the CPU term when `cpu`, has the
+    /// properties [`CardEstimator::cost_node`] gives its built nodes, to
+    /// the bit — distinct counts included, and every one it answers
+    /// unbuilt.
+    #[cfg(test)]
+    fn audit(&self, cand: &Cand, cpu: bool, memo: &Memo) -> Result<()> {
+        let (early, price) = (cand.early.clone(), cand.price.clone());
+        let entry: Entry = self.keep(Cand {
+            early,
+            price,
+            ..*cand
+        });
+        let project = self.uni.cols(entry.out).collect();
+        let (node, early) = self.join_node(&entry, memo, project)?;
+        let explain = || node.explain();
+        let est = self.est.with_cpu(cpu);
+        let from = &*cand.from.props;
+        let left = match (&node, &early) {
+            (Plan::Join { left, .. }, Some(early)) => {
+                let priced = props_bits(&est.cost_node(left.as_ref(), &[from])?);
+                assert_eq!(
+                    props_bits(early),
+                    priced,
+                    "early aggregation\n{}",
+                    explain()
+                );
+                early
+            }
+            _ => from,
+        };
+        let right = &*self.q.items[cand.last].props;
+        let priced = props_bits(&est.cost_node(&node, &[left, right])?);
+        assert_eq!(props_bits(&entry.props), priced, "join\n{}", explain());
+        for c in self.uni.all() {
+            let built = entry.props.distinct_of(c).map(f64::to_bits);
+            let answered = self.distinct(cand, c).map(f64::to_bits);
+            assert_eq!(answered, built, "distinct count of {c}\n{}", explain());
+        }
+        AUDITED.with(|n| n.set(n.get() + 1));
+        Ok(())
     }
 
     /// Is an *invariant grouping* placement of the block's group-by
     /// legal over subset `prior`, whose plan produces `avail` (items
     /// outside joined afterwards)?
-    fn group_placement_ok(&self, prior: u64, avail: ColSet) -> bool {
-        let Some(g) = &self.group else { return false };
+    fn group_placement_ok(&self, prior: u64, avail: ColSet) -> Result<bool> {
+        let Some(g) = &self.group else {
+            return Ok(false);
+        };
         // Aggregate arguments must be computed here. Grouping columns may
         // be split: those inside `prior` become the pushed group-by's
         // grouping columns; those belonging to *outside* items are
@@ -494,7 +737,7 @@ impl Ctx<'_, '_> {
         // after the group-by — the [YL94] generalization the paper's
         // Section 4.1 builds on.
         if !g.all_args.is_subset(avail) {
-            return false;
+            return Ok(false);
         }
         let inside_group = g.keys & avail;
         // Every outside grouping column must come from some item (not be
@@ -502,12 +745,12 @@ impl Ctx<'_, '_> {
         // columns on the prior side, cross predicates cannot reference
         // grouping columns; keep the group-by later.
         if !(g.keys & !avail).is_subset(self.all_out) || inside_group.is_empty() {
-            return false;
+            return Ok(false);
         }
         // HAVING runs at the pushed group-by: it may only read inside
         // grouping columns and the aggregates.
         if !g.having.is_subset(inside_group) {
-            return false;
+            return Ok(false);
         }
         // Raw columns needed *above the group-by* must survive it:
         // the block's final projection and the operands of predicates
@@ -516,40 +759,42 @@ impl Ctx<'_, '_> {
         // strict.) Outside grouping columns are produced by later joins.
         let above = (self.project & avail) | self.pending_operands(avail);
         if !above.is_subset(inside_group) {
-            return false;
+            return Ok(false);
         }
         // Conditions per outside item.
+        let keys = self.item_keys()?;
         for o in bits_of(self.full & !prior) {
             let out = self.outsets[o];
             let mut touched = false;
             let mut equated = ColSet::default();
-            for (pc, eq) in self.pred_cols.iter().zip(&self.pred_eq) {
+            for (f, pc) in self.q.preds.iter().zip(&self.pred_cols) {
                 if !pc.intersects(out) {
                     continue;
                 }
                 touched = true;
                 // Prior-side operands must be grouping columns.
                 if !(*pc & avail).is_subset(inside_group) {
-                    return false;
+                    return Ok(false);
                 }
                 // Key-coverage evidence from equalities anywhere.
-                if let Some((a, b)) = eq {
+                if let Some((a, b)) = f.eq {
+                    let (a, b) = (self.uni.set(&[a]), self.uni.set(&[b]));
                     if a.is_subset(out) && !b.is_subset(out) {
-                        equated |= *a;
+                        equated |= a;
                     }
                     if b.is_subset(out) && !a.is_subset(out) {
-                        equated |= *b;
+                        equated |= b;
                     }
                 }
             }
             // An outside item no predicate touches is a cross product
             // risk; and each outside item must be joined on a full key
             // so groups are never duplicated.
-            if !touched || !self.keys[o].is_some_and(|key| key.is_subset(equated)) {
-                return false;
+            if !touched || !keys[o].is_some_and(|key| key.is_subset(equated)) {
+                return Ok(false);
             }
         }
-        true
+        Ok(true)
     }
 
     /// Is a *simple coalescing* partial group-by legal over `prior`?
@@ -618,26 +863,28 @@ impl Ctx<'_, '_> {
         self.group.as_ref().expect("checked by caller")
     }
 
-    /// What `e` will have cost once the block's group-by is paid for: its
-    /// cost, plus the CPU price of that group-by over its output if it
+    /// What `cand` will have cost once the block's group-by is paid for:
+    /// its cost, plus the CPU price of that group-by over its output if it
     /// still owes it (raw, or partial states awaiting the merge). A plan
     /// that grouped early has paid already, so partial plans compare as
     /// they will be paid for. Under the paper's IO-only model the owed
     /// price is zero and partial plans compare as they stand.
-    fn settled(&self, e: &Entry) -> f64 {
+    fn settled(&self, cand: &Cand) -> f64 {
         let Some(g) = &self.group else {
-            return e.sub.props.cost;
+            return cand.price.cost;
         };
-        let owed = match (self.owed_lookup(), e.state) {
+        let owed = match (self.owed_lookup(), cand.state) {
             (Some(lookup), GState::Raw | GState::Partial) => {
                 let accs = g.spec.aggs.len();
                 let cols = g.spec.group_cols.len() + accs;
                 let by = (&g.spec.group_cols[..], lookup);
-                self.est.group_cpu(by, &e.sub.props, accs, cols)
+                let known = |c: &Col| self.distinct(cand, c);
+                self.est
+                    .group_cpu(by, (cand.price.card, &known), accs, cols)
             }
             _ => 0.0,
         };
-        e.sub.props.cost + owed
+        cand.price.cost + owed
     }
 
     /// How the block's group-by will find its groups, over every item of
@@ -649,102 +896,207 @@ impl Ctx<'_, '_> {
             if !self.est.model.cpu {
                 return None;
             }
-            let whole = whole_block(self.q)?;
-            Some(self.est.group_lookup(&g.spec.group_cols, &whole))
+            // The rows it reads: every item, joined under every predicate.
+            let (items, preds) = (self.q.items.iter(), self.q.preds.iter());
+            let by = &g.spec.group_cols;
+            let catalog = self.est.catalog;
+            let det = determinant_over(
+                by,
+                items.map(|it| &*it.plan),
+                preds.map(|f| &f.pred),
+                catalog,
+            );
+            Some(self.est.lookup_by(by, det.ok()))
         };
         self.owed.get_or_init(lookup).as_ref()
     }
 
-    /// Plan an early aggregation node over `sub`, priced by
-    /// [`Price::Shape`].
-    fn early(&self, node: Plan, state: GState, sub: &Entry) -> Result<Entry> {
-        let out = self.uni.set(node.output_cols());
-        Ok(Entry {
-            sub: self.price(node, &[&sub.sub.props], Price::Shape)?,
-            state,
-            out,
-        })
-    }
-
-    /// Group-by applied *inline* (not at the block root): projects its
-    /// grouping columns and aggregates for the joins above. Grouping
-    /// columns are restricted to what the subtree produces; the
-    /// remaining (functionally determined) grouping columns attach via
-    /// the later key joins — see `group_placement_ok`.
-    fn apply_group_inline(&self, sub: &Entry) -> Result<Entry> {
+    /// An early aggregation of `from` (callers checked its placement),
+    /// priced without its CPU work: most are rejected on their size.
+    ///
+    /// - *Invariant grouping* applies the block's group-by inline,
+    ///   grouping by the grouping columns `from` produces; the remaining
+    ///   (functionally determined) ones attach via the later key joins —
+    ///   see `group_placement_ok`.
+    /// - *Simple coalescing* decomposes every aggregate, with no
+    ///   duplicate factor, grouping by the block's grouping columns
+    ///   inside `from` plus everything needed above.
+    /// - *Eager aggregation* groups by the block's grouping columns inside
+    ///   `from` plus the operands of still-pending (join) predicates —
+    ///   Definition 1's "grouping columns extended with join keys"; pushed
+    ///   aggregate arguments are deliberately *not* keys, the partial node
+    ///   consumes them. It pushes the aggregates whose arguments `from`
+    ///   holds and always carries the duplicate-factor COUNT(*), so the
+    ///   merge can scale the partner side's duplicate-sensitive
+    ///   aggregates.
+    fn early(&self, kind: EarlyKind, from: &Entry) -> Early {
         let g = self.grouping();
-        let spec = GroupBySpec {
-            owner: g.spec.owner,
-            group_cols: g
-                .spec
-                .group_cols
-                .iter()
-                .zip(&g.key_idx)
-                .filter(|(_, &i)| sub.out.contains(i))
-                .map(|(c, _)| *c)
-                .collect(),
-            aggs: g.spec.aggs.clone(),
-            having: g.spec.having.clone(),
+        let (group_cols, produced) = match kind {
+            EarlyKind::Group => {
+                let inside = g.spec.group_cols.iter().zip(&g.key_idx);
+                let inside = inside.filter(|(_, &i)| from.out.contains(i));
+                (inside.map(|(c, _)| *c).collect(), g.spec.agg_cols())
+            }
+            EarlyKind::Coalesce => {
+                let (mut cols, seen) = Self::keys_inside(g, from.out);
+                cols.extend(self.uni.cols(self.needed_above(from.out) & !seen));
+                (cols, g.partial_states(0..g.spec.aggs.len()).collect())
+            }
+            EarlyKind::Eager => {
+                let (mut cols, mut keys) = Self::keys_inside(g, from.out);
+                for pc in self.pred_cols.iter().filter(|pc| !pc.is_subset(from.out)) {
+                    let add = *pc & from.out & !keys;
+                    cols.extend(self.uni.cols(add));
+                    keys |= add;
+                }
+                let n = g.spec.aggs.len();
+                let mut produced: Vec<Col> = g.partial_states(self.pushed(from.out)).collect();
+                produced.push(Col::part(g.spec.agg_ref(n), 0));
+                (cols, produced)
+            }
         };
-        let node = Plan::group_by_all(sub.sub.plan.clone(), spec);
-        self.early(node, GState::Grouped, sub)
-    }
-
-    /// Build the simple-coalescing partial aggregate over `sub`: every
-    /// aggregate decomposed, no duplicate factor. It groups by the
-    /// block's grouping columns inside `sub` plus everything needed
-    /// above.
-    fn make_partial(&self, sub: &Entry) -> Result<Entry> {
-        let g = self.grouping();
-        let (mut group_cols, seen) = Self::keys_inside(g, sub.out);
-        group_cols.extend(self.uni.cols(self.needed_above(sub.out) & !seen));
-        let spec = PartialAggSpec {
+        let (price, groups) = self.early_price(kind, (&group_cols, &produced), from, None);
+        Early {
+            kind,
+            out: self.uni.set(group_cols.iter().chain(&produced)),
             group_cols,
-            aggs: (0..g.spec.aggs.len())
-                .map(|i| (g.spec.agg_ref(i), g.spec.aggs[i].clone()))
-                .collect(),
-            count: None,
-        };
-        let node = Plan::partial_aggregate_all(sub.sub.plan.clone(), spec);
-        self.early(node, GState::Partial, sub)
-    }
-
-    /// Build the eager partial-aggregate node over `sub`: pushed
-    /// grouping keys are the block's grouping columns inside `sub` plus
-    /// the operands of still-pending (join) predicates — Definition 1's
-    /// "grouping columns extended with join keys"; pushed aggregate
-    /// arguments are deliberately *not* keys, the partial node consumes
-    /// them. The node always carries the duplicate-factor COUNT(*) so
-    /// the merge can scale the partner side's duplicate-sensitive
-    /// aggregates.
-    fn make_eager(&self, sub: &Entry) -> Result<Entry> {
-        let g = self.grouping();
-        let (mut group_cols, mut keys) = Self::keys_inside(g, sub.out);
-        for pc in self.pred_cols.iter().filter(|pc| !pc.is_subset(sub.out)) {
-            let add = *pc & sub.out & !keys;
-            group_cols.extend(self.uni.cols(add));
-            keys |= add;
+            produced,
+            groups,
+            price,
         }
-        let n = g.spec.aggs.len();
-        let spec = PartialAggSpec {
-            group_cols,
-            aggs: (0..n)
-                .filter(|&i| g.args[i].is_subset(sub.out))
-                .map(|i| (g.spec.agg_ref(i), g.spec.aggs[i].clone()))
-                .collect(),
-            count: Some(g.spec.agg_ref(n)),
+    }
+
+    /// The properties, but for distinct counts, and the groups of an
+    /// early aggregation `kind` over `from` by `group_cols` into
+    /// `produced`, with its CPU work over `from`'s plan when that is
+    /// given.
+    fn early_price(
+        &self,
+        kind: EarlyKind,
+        (group_cols, produced): (&[Col], &[Col]),
+        from: &Entry,
+        plan: Option<&Plan>,
+    ) -> (PlanProps, f64) {
+        let having: &[Predicate] = match kind {
+            EarlyKind::Group => &self.grouping().spec.having,
+            EarlyKind::Coalesce | EarlyKind::Eager => &[],
         };
-        let node = Plan::partial_aggregate_all(sub.sub.plan.clone(), spec);
-        self.early(node, GState::Partial, sub)
+        let known = |c: &Col| from.props.distinct_of(c);
+        let project = group_cols.iter().chain(produced).copied();
+        let cols = (group_cols, produced);
+        self.est
+            .group_price((plan, &from.props), &known, cols, having, project)
+    }
+
+    /// The aggregates an eager aggregation over a subtree producing
+    /// `avail` pushes: those whose arguments it holds.
+    fn pushed(&self, avail: ColSet) -> impl Iterator<Item = usize> + '_ {
+        let g = self.grouping();
+        (0..g.spec.aggs.len()).filter(move |&i| g.args[i].is_subset(avail))
+    }
+
+    /// The node of `early`, over `input`, which produces `avail`.
+    fn early_node(&self, early: &Early, input: Arc<Plan>, avail: ColSet) -> Plan {
+        let g = self.grouping();
+        let group_cols = early.group_cols.clone();
+        let partial = |i: usize| (g.spec.agg_ref(i), g.spec.aggs[i].clone());
+        match early.kind {
+            EarlyKind::Group => {
+                let spec = GroupBySpec {
+                    owner: g.spec.owner,
+                    group_cols,
+                    aggs: g.spec.aggs.clone(),
+                    having: g.spec.having.clone(),
+                };
+                Plan::group_by_all(input, spec)
+            }
+            EarlyKind::Coalesce => {
+                let spec = PartialAggSpec {
+                    group_cols,
+                    aggs: (0..g.spec.aggs.len()).map(partial).collect(),
+                    count: None,
+                };
+                Plan::partial_aggregate_all(input, spec)
+            }
+            EarlyKind::Eager => {
+                let spec = PartialAggSpec {
+                    group_cols,
+                    aggs: self.pushed(avail).map(partial).collect(),
+                    count: Some(g.spec.agg_ref(g.spec.aggs.len())),
+                };
+                Plan::partial_aggregate_all(input, spec)
+            }
+        }
     }
 }
 
-fn extend(
-    ctx: &Ctx<'_, '_>,
-    subset: u64,
-    memo: &mut HashMap<u64, Entry>,
-    stats: &mut SearchStats,
-) -> Result<()> {
+/// Every number of `p`, as bits.
+#[cfg(test)]
+fn props_bits(p: &PlanProps) -> ([u64; 4], Vec<(Col, u64)>) {
+    let scalars = [p.cost, p.card, p.width, p.peak_bytes].map(f64::to_bits);
+    (
+        scalars,
+        p.distinct.iter().map(|(c, d)| (*c, d.to_bits())).collect(),
+    )
+}
+
+#[cfg(test)]
+thread_local! {
+    static AUDITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many candidates this thread's searches have priced and then
+/// built, to check that their prices agree bit for bit.
+#[cfg(test)]
+fn candidates_audited() -> u64 {
+    AUDITED.with(|n| n.get())
+}
+
+/// An early aggregation of a memo entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EarlyKind {
+    /// Invariant grouping: the block's group-by itself.
+    Group,
+    /// Simple coalescing: a partial aggregation of every aggregate.
+    Coalesce,
+    /// Eager aggregation: a partial aggregation of the aggregates whose
+    /// arguments are below it, with a duplicate-factor count.
+    Eager,
+}
+
+/// An early aggregation of a memo entry, priced and not built.
+#[derive(Debug, Clone)]
+struct Early {
+    kind: EarlyKind,
+    /// Its grouping columns, then the aggregate outputs or partial states
+    /// it produces: its output, in order.
+    group_cols: Vec<Col>,
+    produced: Vec<Col>,
+    out: ColSet,
+    /// Its estimated groups, which its output's distinct counts read.
+    groups: f64,
+    /// Its properties, but for distinct counts.
+    price: PlanProps,
+}
+
+/// `joinplan(…, Rⱼ)` priced and not built: item `last` joined onto
+/// `from`, the memo entry of subset `prior`, or onto an early
+/// aggregation of it. Only the candidate its subset keeps becomes an
+/// entry ([`Ctx::keep`]).
+struct Cand<'m> {
+    prior: u64,
+    from: &'m Entry<'m>,
+    early: Option<Early>,
+    last: usize,
+    /// The join's output columns, and its group-by progress.
+    out: ColSet,
+    state: GState,
+    /// Its properties, but for distinct counts ([`Ctx::distinct`]
+    /// answers those).
+    price: PlanProps,
+}
+
+fn extend(ctx: &Ctx<'_, '_>, subset: u64, memo: &mut Memo, stats: &mut SearchStats) -> Result<()> {
     ctx.gov.check_interrupt()?;
 
     // Prefer connected extensions (no cross products when avoidable).
@@ -763,7 +1115,8 @@ fn extend(
         connected
     };
 
-    let mut best: Option<(Entry, Option<f64>)> = None;
+    let mut best: Option<(Cand, Option<f64>)> = None;
+    let cpu = ctx.est.model.cpu;
     for last in bits_of(candidates) {
         let prior = subset & !(1u64 << last);
         let Some(sub) = memo.get(&prior) else {
@@ -771,35 +1124,37 @@ fn extend(
         };
 
         // Plan (1): plain extension.
-        let (plain, out) = ctx.join(&sub.sub, sub.out, last, stats, Price::Full)?;
-        let plain_bytes = plain.props.out_bytes();
-        let plain_peak = plain.props.peak_bytes;
-        let mut chosen = Entry {
-            sub: plain,
-            state: sub.state,
-            out,
-        };
+        let mut chosen = ctx.join((prior, sub), None, last, stats, cpu)?;
+        #[cfg(test)]
+        ctx.audit(&chosen, cpu, memo)?;
+        let plain_bytes = chosen.price.out_bytes();
+        let plain_peak = chosen.price.peak_bytes;
         // Its settled cost, once a comparison needs it.
         let mut chosen_cost = None;
 
         // Plans (2)/(2'): early group-by, only from a Raw prefix and only
         // when push-down is enabled.
         if sub.state == GState::Raw && ctx.config.push_down && ctx.group.is_some() {
-            let mut alternatives: Vec<Entry> = Vec::new();
-            if ctx.group_placement_ok(prior, sub.out) {
-                alternatives.push(ctx.apply_group_inline(sub)?);
-            }
-            if ctx.coalesce_placement_ok(prior, sub.out) {
-                alternatives.push(ctx.make_partial(sub)?);
-            }
-            if ctx.config.use_eager_agg && ctx.eager_placement_ok(prior, sub.out) {
-                alternatives.push(ctx.make_eager(sub)?);
-            }
-            for early in alternatives {
+            let placements = [
+                (EarlyKind::Group, ctx.group_placement_ok(prior, sub.out)?),
+                (
+                    EarlyKind::Coalesce,
+                    ctx.coalesce_placement_ok(prior, sub.out),
+                ),
+                (
+                    EarlyKind::Eager,
+                    ctx.config.use_eager_agg && ctx.eager_placement_ok(prior, sub.out),
+                ),
+            ];
+            for (kind, _) in placements.into_iter().filter(|(_, ok)| *ok) {
                 stats.groupby_placements += 1;
                 // Join predicates and projection are recomputed against
-                // the grouped output.
-                let (cand, out) = ctx.join(&early.sub, early.out, last, stats, Price::Shape)?;
+                // the grouped output; the early aggregation and the join
+                // above it are first priced without their CPU work.
+                let early = ctx.early(kind, sub);
+                let cand = ctx.join((prior, sub), Some(early), last, stats, false)?;
+                #[cfg(test)]
+                ctx.audit(&cand, false, memo)?;
                 // Greedy conservative rule. The paper compares cost and
                 // *width*; since a grouped plan never has more tuples
                 // than the plain plan, comparing total bytes
@@ -813,16 +1168,14 @@ fn extend(
                 // aggregation that would hold a larger working set than
                 // the plain join (e.g. a wide partial-state table) is
                 // rejected even when its IO cost is lower.
-                if cand.props.out_bytes() > plain_bytes + 1e-6
-                    || cand.props.peak_bytes > plain_peak + 1e-6
+                if cand.price.out_bytes() > plain_bytes + 1e-6
+                    || cand.price.peak_bytes > plain_peak + 1e-6
                 {
                     continue;
                 }
-                let cand = Entry {
-                    sub: ctx.price_in_full(&sub.sub, &early.sub, cand, last)?,
-                    state: early.state,
-                    out,
-                };
+                let cand = ctx.price_in_full(cand, memo)?;
+                #[cfg(test)]
+                ctx.audit(&cand, cpu, memo)?;
                 let cand_cost = ctx.settled(&cand);
                 if cand_cost < *chosen_cost.get_or_insert_with(|| ctx.settled(&chosen)) {
                     chosen = cand;
@@ -837,7 +1190,7 @@ fn extend(
             None => true,
             Some((b, b_cost)) => match (b.state, chosen.state) {
                 (GState::Raw, GState::Raw) | (GState::Grouped, GState::Grouped) => {
-                    chosen.sub.props.cost < b.sub.props.cost
+                    chosen.price.cost < b.price.cost
                 }
                 _ => {
                     let b_cost = *b_cost.get_or_insert_with(|| ctx.settled(b));
@@ -849,16 +1202,26 @@ fn extend(
             best = Some((chosen, chosen_cost));
         }
     }
-    if let Some((b, _)) = best {
-        memo.insert(subset, b);
+    // Only the candidate the subset keeps becomes an entry.
+    if let Some(entry) = best.map(|(b, _)| ctx.keep(b)) {
+        memo.insert(subset, entry);
         stats.memo_entries += 1;
         ctx.gov.charge_memo(1)?;
     }
     Ok(())
 }
 
-/// Complete the block: apply the group-by if still pending, re-project.
-fn finish(ctx: &Ctx<'_, '_>, entry: Entry, stats: &mut SearchStats) -> Result<Planned> {
+/// Complete the block: apply the group-by if still pending, re-project,
+/// and build the plan. Either way one node is priced, from stored
+/// properties: the pending group-by's input is `entry`, and a
+/// re-projected root join's inputs are the memo entry it extended, or
+/// the early group-by over it, and the item it joined.
+fn finish(
+    ctx: &Ctx<'_, '_>,
+    entry: Entry,
+    memo: &Memo,
+    stats: &mut SearchStats,
+) -> Result<Planned> {
     let project = ctx.q.project.clone();
     match (&ctx.q.group, entry.state) {
         // Raw: the group-by at the block root. Partial: the coalescing
@@ -868,12 +1231,10 @@ fn finish(ctx: &Ctx<'_, '_>, entry: Entry, stats: &mut SearchStats) -> Result<Pl
             if entry.state == GState::Raw {
                 stats.groupby_placements += 1;
             }
-            let node = Plan::group_by(entry.sub.plan, g.clone(), project);
-            Planned::over(node, &[&entry.sub.props], ctx.est)
+            let node = Plan::group_by(ctx.plan_of(&entry, memo)?, g.clone(), project);
+            Planned::over(node, &[&entry.props], ctx.est)
         }
-        // Narrow (or reorder) the root's output to the block's. The
-        // root's inputs are not entries of their own, so this one plan
-        // per block is priced from the leaves.
+        // Narrow (or reorder) the root's output to the block's.
         (None, _) | (Some(_), GState::Grouped) => {
             let produced = |c: &&Col| ctx.uni.index(**c).is_some_and(|i| entry.out.contains(i));
             if let Some(missing) = project.iter().find(|c| !produced(c)) {
@@ -881,8 +1242,22 @@ fn finish(ctx: &Ctx<'_, '_>, entry: Entry, stats: &mut SearchStats) -> Result<Pl
                     "block cannot produce required column {missing}"
                 )));
             }
-            let root = Arc::unwrap_or_clone(entry.sub.plan).with_project(project);
-            Planned::new(root, ctx.est)
+            let Made::Join { prior, last, .. } = entry.made else {
+                return Err(AggViewError::Optimize(
+                    "a searched block ends in an item".into(),
+                ));
+            };
+            if ctx.uni.cols(entry.out).eq(project.iter().copied()) {
+                let plan = ctx.plan_of(&entry, memo)?;
+                let props = Arc::new(entry.props.into_owned());
+                return Ok(Planned { plan, props });
+            }
+            let (root, early) = ctx.join_node(&entry, memo, project)?;
+            let prior = memo
+                .get(&prior)
+                .ok_or_else(|| AggViewError::Optimize("a memo entry's input is missing".into()))?;
+            let left = early.as_ref().unwrap_or(&prior.props);
+            Planned::over(root, &[left, &ctx.q.items[last].props], ctx.est)
         }
     }
 }
@@ -897,6 +1272,7 @@ mod tests {
     use crate::query::QueryEnv;
     use aggview_common::{AggFunc, AggSpec, CmpOp, Expr, RelId, Value, ViewId};
     use aggview_storage::datagen::{gen_empdept, EmpDeptConfig};
+    use aggview_storage::Catalog;
 
     fn setup(n_depts: usize, emps_per_dept: usize) -> (Catalog, QueryEnv) {
         let cat = gen_empdept(&EmpDeptConfig {
@@ -908,8 +1284,16 @@ mod tests {
         (cat, QueryEnv::new(vec!["emp".into(), "dept".into()]))
     }
 
+    /// Example 2's join predicate, emp.dno = dept.dno.
+    fn example2_join() -> [PredFacts; 1] {
+        [PredFacts::new(&Predicate::eq_cols(
+            Col::base(RelId(0), emp::DNO),
+            Col::base(RelId(1), dept::DNO),
+        ))]
+    }
+
     /// Example 2 as a BlockQuery: G0(emp ⋈ dept) with avg(sal) by dno.
-    fn example2_block(_cat: &Catalog, _env: &QueryEnv, est: &CardEstimator<'_>) -> BlockQuery {
+    fn example2_block<'a>(est: &CardEstimator<'_>, join: &'a [PredFacts]) -> BlockQuery<'a> {
         let q = example2_query();
         let e = RelId(0);
         let d = RelId(1);
@@ -933,10 +1317,7 @@ mod tests {
         ];
         BlockQuery {
             items,
-            preds: vec![Predicate::eq_cols(
-                Col::base(e, emp::DNO),
-                Col::base(d, dept::DNO),
-            )],
+            preds: join.iter().collect(),
             group: Some(GroupBySpec {
                 owner: ViewId::Top,
                 group_cols: g.group_cols,
@@ -951,10 +1332,10 @@ mod tests {
     fn block_with_group_by_produces_legal_plan() {
         let (cat, env) = setup(20, 10);
         let est = CardEstimator::new(CostModel::default(), &cat, &env);
-        let q = example2_block(&cat, &env, &est);
+        let join = example2_join();
+        let q = example2_block(&est, &join);
         let mut stats = SearchStats::default();
-        let entry =
-            optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
+        let entry = optimize_block(&q, &est, &OptimizerConfig::default(), &mut stats).unwrap();
         PlanAnalyzer::new(&cat)
             .with_env(&env)
             .verify(&entry.plan)
@@ -980,12 +1361,11 @@ mod tests {
             ..Default::default()
         };
         let est = CardEstimator::new(model, &cat, &env);
-        let q = example2_block(&cat, &env, &est);
+        let join = example2_join();
+        let q = example2_block(&est, &join);
         let mut stats = SearchStats::default();
-        let greedy =
-            optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
-        let trad =
-            optimize_block(&q, &est, &cat, &OptimizerConfig::traditional(), &mut stats).unwrap();
+        let greedy = optimize_block(&q, &est, &OptimizerConfig::default(), &mut stats).unwrap();
+        let trad = optimize_block(&q, &est, &OptimizerConfig::traditional(), &mut stats).unwrap();
         assert!(
             greedy.props.cost <= trad.props.cost + 1e-9,
             "greedy {} vs traditional {}",
@@ -998,10 +1378,10 @@ mod tests {
     fn traditional_config_keeps_group_by_at_top() {
         let (cat, env) = setup(10, 10);
         let est = CardEstimator::new(CostModel::default(), &cat, &env);
-        let q = example2_block(&cat, &env, &est);
+        let join = example2_join();
+        let q = example2_block(&est, &join);
         let mut stats = SearchStats::default();
-        let entry =
-            optimize_block(&q, &est, &cat, &OptimizerConfig::traditional(), &mut stats).unwrap();
+        let entry = optimize_block(&q, &est, &OptimizerConfig::traditional(), &mut stats).unwrap();
         // Exactly one group-by, at the root.
         assert_eq!(entry.plan.group_by_count(), 1);
         assert!(matches!(*entry.plan, Plan::GroupBy { .. }));
@@ -1011,12 +1391,12 @@ mod tests {
     fn no_group_block_is_plain_spj() {
         let (cat, env) = setup(10, 10);
         let est = CardEstimator::new(CostModel::default(), &cat, &env);
-        let mut q = example2_block(&cat, &env, &est);
+        let join = example2_join();
+        let mut q = example2_block(&est, &join);
         q.group = None;
         q.project = vec![Col::base(RelId(0), emp::SAL)];
         let mut stats = SearchStats::default();
-        let entry =
-            optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
+        let entry = optimize_block(&q, &est, &OptimizerConfig::default(), &mut stats).unwrap();
         PlanAnalyzer::new(&cat)
             .with_env(&env)
             .verify(&entry.plan)
@@ -1039,12 +1419,12 @@ mod tests {
             ..CostModel::paper()
         };
         let est = CardEstimator::new(model, &cat, &env);
-        let q = example2_block(&cat, &env, &est);
+        let join = example2_join();
+        let q = example2_block(&est, &join);
         let mut s1 = SearchStats::default();
         let mut s2 = SearchStats::default();
-        let greedy = optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut s1).unwrap();
-        let trad =
-            optimize_block(&q, &est, &cat, &OptimizerConfig::traditional(), &mut s2).unwrap();
+        let greedy = optimize_block(&q, &est, &OptimizerConfig::default(), &mut s1).unwrap();
+        let trad = optimize_block(&q, &est, &OptimizerConfig::traditional(), &mut s2).unwrap();
         assert!((greedy.props.cost - trad.props.cost).abs() < 1e-9);
     }
 
@@ -1052,18 +1432,12 @@ mod tests {
     fn search_stats_grow_with_push_down() {
         let (cat, env) = setup(10, 10);
         let est = CardEstimator::new(CostModel::default(), &cat, &env);
-        let q = example2_block(&cat, &env, &est);
+        let join = example2_join();
+        let q = example2_block(&est, &join);
         let mut with = SearchStats::default();
         let mut without = SearchStats::default();
-        optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut with).unwrap();
-        optimize_block(
-            &q,
-            &est,
-            &cat,
-            &OptimizerConfig::traditional(),
-            &mut without,
-        )
-        .unwrap();
+        optimize_block(&q, &est, &OptimizerConfig::default(), &mut with).unwrap();
+        optimize_block(&q, &est, &OptimizerConfig::traditional(), &mut without).unwrap();
         assert!(with.groupby_placements >= without.groupby_placements);
         assert!(with.total() >= without.total());
     }
@@ -1080,7 +1454,7 @@ mod tests {
             project: vec![],
         };
         let mut stats = SearchStats::default();
-        assert!(optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).is_err());
+        assert!(optimize_block(&q, &est, &OptimizerConfig::default(), &mut stats).is_err());
     }
 
     #[test]
@@ -1096,22 +1470,106 @@ mod tests {
             ..Default::default()
         };
         let est = CardEstimator::new(model, &cat, &env);
-        let mut q = example2_block(&cat, &env, &est);
+        let join = example2_join();
+        let mut q = example2_block(&est, &join);
         q.group.as_mut().unwrap().aggs = vec![AggSpec::new(
             AggFunc::Sum,
             Expr::col(Col::base(RelId(0), emp::SAL)),
         )];
         let mut stats = SearchStats::default();
-        let entry =
-            optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
+        let entry = optimize_block(&q, &est, &OptimizerConfig::default(), &mut stats).unwrap();
         PlanAnalyzer::new(&cat)
             .with_env(&env)
             .verify(&entry.plan)
             .unwrap();
         let mut s2 = SearchStats::default();
-        let trad =
-            optimize_block(&q, &est, &cat, &OptimizerConfig::traditional(), &mut s2).unwrap();
+        let trad = optimize_block(&q, &est, &OptimizerConfig::traditional(), &mut s2).unwrap();
         assert!(entry.props.cost <= trad.props.cost + 1e-9);
+    }
+
+    /// Example 2's block with `aggs` by `emp.dno`, emp joined to dept on
+    /// `on` = `dept.dno`, and its memo of single items.
+    fn coalescing_block<'a>(
+        est: &CardEstimator<'_>,
+        join: &'a [PredFacts],
+        aggs: Vec<AggSpec>,
+    ) -> BlockQuery<'a> {
+        let mut q = example2_block(est, join);
+        q.group.as_mut().unwrap().aggs = aggs;
+        q
+    }
+
+    fn singletons<'a>(ctx: &Ctx<'a, '_>) -> Memo<'a> {
+        let mut memo = Memo::default();
+        for (i, it) in ctx.q.items.iter().enumerate() {
+            let entry = Entry {
+                props: Cow::Borrowed(&it.props),
+                state: GState::Raw,
+                out: ctx.outsets[i],
+                made: Made::Item(i),
+                plan: OnceCell::from(it.plan.clone()),
+            };
+            memo.insert(1 << i, entry);
+        }
+        memo
+    }
+
+    /// Simple coalescing groups the early side by the final grouping
+    /// columns it holds *and* the columns later join predicates read:
+    /// final grouping on `emp.dno`, join on `emp.eno`.
+    #[test]
+    fn partial_group_includes_distinct_join_cols() {
+        let (cat, env) = setup(10, 10);
+        let est = CardEstimator::new(CostModel::paper(), &cat, &env);
+        let e = RelId(0);
+        let on_eno = Predicate::eq_cols(Col::base(e, emp::ENO), Col::base(RelId(1), dept::DNO));
+        let join = [PredFacts::new(&on_eno)];
+        let min_sal = AggSpec::new(AggFunc::Min, Expr::col(Col::base(e, emp::SAL)));
+        let q = coalescing_block(&est, &join, vec![min_sal]);
+        let config = OptimizerConfig::default();
+        let gov = ResourceGovernor::unlimited();
+        let ctx = Ctx::new(&q, &est, &config, &gov).unwrap();
+        let memo = singletons(&ctx);
+        let emp_entry = &memo[&1];
+        assert!(ctx.coalesce_placement_ok(1, emp_entry.out));
+        let early = ctx.early(EarlyKind::Coalesce, emp_entry);
+        assert_eq!(early.group_cols[0], Col::base(e, emp::DNO));
+        assert!(early.group_cols.contains(&Col::base(e, emp::ENO)));
+        let node = ctx.early_node(&early, emp_entry.plan.get().unwrap().clone(), emp_entry.out);
+        let Plan::PartialAggregate { spec, .. } = &node else {
+            panic!("a partial aggregation expected")
+        };
+        assert_eq!((spec.aggs.len(), spec.count), (1, None));
+        assert_eq!(spec.group_cols, early.group_cols);
+    }
+
+    /// The coalescing partial below the join and the block's group-by
+    /// above it, completed by the block, form a legal plan.
+    #[test]
+    fn full_coalescing_pipeline_is_legal() {
+        let (cat, env) = setup(10, 10);
+        let est = CardEstimator::new(CostModel::default(), &cat, &env);
+        let join = example2_join();
+        let sum_sal = AggSpec::new(AggFunc::Sum, Expr::col(Col::base(RelId(0), emp::SAL)));
+        let q = coalescing_block(&est, &join, vec![sum_sal, AggSpec::count_star()]);
+        let config = OptimizerConfig::default();
+        let gov = ResourceGovernor::unlimited();
+        let ctx = Ctx::new(&q, &est, &config, &gov).unwrap();
+        let memo = singletons(&ctx);
+        let mut stats = SearchStats::default();
+        let early = ctx.early(EarlyKind::Coalesce, &memo[&1]);
+        let cand = ctx
+            .join((1, &memo[&1]), Some(early), 1, &mut stats, false)
+            .unwrap();
+        let entry = ctx.keep(ctx.price_in_full(cand, &memo).unwrap());
+        assert_eq!(entry.state, GState::Partial);
+        let block = finish(&ctx, entry, &memo, &mut stats).unwrap();
+        PlanAnalyzer::new(&cat)
+            .with_env(&env)
+            .verify(&block.plan)
+            .unwrap();
+        assert_eq!(block.plan.group_by_count(), 2);
+        assert_eq!(*block.props, est.cost_plan(&block.plan).unwrap());
     }
 
     /// customer ⋈ orders ⋈ lineitem, customer ⋈ nation: four full-width
@@ -1146,18 +1604,18 @@ mod tests {
         (cat, env, scans, preds, vec![project])
     }
 
-    fn spj_block(
+    fn spj_block<'a>(
         scans: &[Plan],
-        preds: &[Predicate],
+        preds: &'a [PredFacts],
         project: &[Col],
         est: &CardEstimator<'_>,
-    ) -> BlockQuery {
+    ) -> BlockQuery<'a> {
         BlockQuery {
             items: scans
                 .iter()
                 .map(|s| Planned::new(s.clone(), est).unwrap())
                 .collect(),
-            preds: preds.to_vec(),
+            preds: preds.iter().collect(),
             group: None,
             project: project.to_vec(),
         }
@@ -1167,10 +1625,10 @@ mod tests {
     fn avoids_cross_products_when_connected_order_exists() {
         let (cat, env, scans, preds, project) = star_block(Col::base(RelId(0), 0));
         let est = CardEstimator::new(CostModel::default(), &cat, &env);
-        let q = spj_block(&scans, &preds, &project, &est);
+        let facts: Vec<PredFacts> = preds.iter().map(PredFacts::new).collect();
+        let q = spj_block(&scans, &facts, &project, &est);
         let mut stats = SearchStats::default();
-        let entry =
-            optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
+        let entry = optimize_block(&q, &est, &OptimizerConfig::default(), &mut stats).unwrap();
         PlanAnalyzer::new(&cat)
             .with_env(&env)
             .verify(&entry.plan)
@@ -1199,8 +1657,7 @@ mod tests {
         // No predicates at all → cross products are unavoidable.
         let q = spj_block(&scans[..2], &[], &project, &est);
         let mut stats = SearchStats::default();
-        let entry =
-            optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
+        let entry = optimize_block(&q, &est, &OptimizerConfig::default(), &mut stats).unwrap();
         assert_eq!(entry.plan.join_count(), 1);
     }
 
@@ -1208,9 +1665,10 @@ mod tests {
     fn best_order_never_costs_more_than_declaration_order() {
         let (cat, env, scans, preds, project) = star_block(Col::base(RelId(3), 1));
         let est = CardEstimator::new(CostModel::default(), &cat, &env);
-        let q = spj_block(&scans, &preds, &project, &est);
+        let facts: Vec<PredFacts> = preds.iter().map(PredFacts::new).collect();
+        let q = spj_block(&scans, &facts, &project, &est);
         let mut stats = SearchStats::default();
-        let best = optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap();
+        let best = optimize_block(&q, &est, &OptimizerConfig::default(), &mut stats).unwrap();
 
         // ((customer ⋈ orders) ⋈ lineitem) ⋈ nation, a legal member of
         // the space: each join applies the predicate that became
@@ -1248,8 +1706,39 @@ mod tests {
         let many: Vec<Plan> = (0..25).map(|_| scans[0].clone()).collect();
         let q = spj_block(&many, &[], &project, &est);
         let mut stats = SearchStats::default();
-        let err =
-            optimize_block(&q, &est, &cat, &OptimizerConfig::default(), &mut stats).unwrap_err();
+        let err = optimize_block(&q, &est, &OptimizerConfig::default(), &mut stats).unwrap_err();
         assert!(err.message().contains("block too large"), "{err}");
+    }
+
+    /// Block enumeration prices every candidate — each join, each early
+    /// aggregation and the join above it — from the stored properties of
+    /// its inputs, without building it. Under test, each such price is
+    /// checked where it is made: the candidate's nodes are built and
+    /// priced by `cost_node` (with the CPU term as the candidate was
+    /// priced), and every field, distinct counts included, must agree to
+    /// the bit. This drives that check over the emp/dept grid and the star
+    /// shapes of a short multi-view statement mix, under both weight
+    /// vectors and every configuration, and counts that it ran for every
+    /// candidate.
+    #[test]
+    fn candidate_prices_equal_cost_node_bit_for_bit() {
+        use crate::shapes::{configs, empdept_grid, star_grid};
+        let before = candidates_audited();
+        let mut candidates = 0;
+        for (cat, queries) in empdept_grid().into_iter().chain(star_grid()) {
+            for q in &queries {
+                for m in [CostModel::paper(), CostModel::default()] {
+                    for config in &configs() {
+                        let opt = crate::optimize(q, &cat, m, config).unwrap();
+                        candidates += opt.stats.plans_built;
+                    }
+                }
+            }
+        }
+        let audited = candidates_audited() - before;
+        assert!(
+            candidates > 1000 && audited >= candidates,
+            "{audited} candidates audited of {candidates} priced"
+        );
     }
 }

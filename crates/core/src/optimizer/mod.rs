@@ -10,17 +10,16 @@
 //! * [`traditional`] — the baseline two-phase optimizer: each view
 //!   optimized locally as an SPJ block, then the outer block over
 //!   views-as-base-relations;
-//! * [`single_view`] — Section 5.3: pull-up enumeration `Φ(V₀, W)` for a
-//!   query with one aggregate view;
-//! * [`multi_view`] — Section 5.4: the general case, with disjoint
-//!   pulled-up sets per view;
+//! * [`multi_view`] — Sections 5.3 and 5.4: pull-up enumeration
+//!   `Φ(V₀, W)` for each aggregate view, with disjoint pulled-up sets
+//!   per view;
 //! * [`stats`] — search-effort accounting (plans built, subsets
 //!   explored) used by experiment E5.
 
 mod colset;
+pub(crate) mod facts;
 pub mod greedy;
 pub mod multi_view;
-pub mod single_view;
 pub mod stats;
 pub mod traditional;
 
@@ -36,19 +35,19 @@ use std::sync::Arc;
 /// the enumerator sequences (a base-table scan or an already-optimized
 /// view block — the paper's phase 2 treats "relations in the latter set
 /// as base relations"), what its memo holds per subset, and what it
-/// returns. The plan sits behind an `Arc`, so placing a planned subtree
-/// under a new join shares it.
+/// returns. Plan and properties sit behind an `Arc` each, so placing a
+/// planned subtree under a new join, or in another block, shares them.
 #[derive(Debug, Clone)]
 pub struct Planned {
     pub plan: Arc<Plan>,
-    pub props: PlanProps,
+    pub props: Arc<PlanProps>,
 }
 
 impl Planned {
     /// Plan a whole tree, costing it from the leaves.
     pub fn new(plan: impl Into<Arc<Plan>>, est: &CardEstimator<'_>) -> Result<Planned> {
         let plan = plan.into();
-        let props = est.cost_plan(&plan)?;
+        let props = Arc::new(est.cost_plan(&plan)?);
         Ok(Planned { plan, props })
     }
 
@@ -58,7 +57,7 @@ impl Planned {
         let props = est.cost_node(&node, inputs)?;
         Ok(Planned {
             plan: Arc::new(node),
-            props,
+            props: Arc::new(props),
         })
     }
 }
@@ -158,7 +157,7 @@ pub(crate) fn bitset(rels: &[RelId]) -> u64 {
 }
 
 /// The positions of the set bits of `set`, ascending.
-pub(crate) fn bits_of(mut set: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn bits_of(mut set: u64) -> impl Iterator<Item = usize> + Clone {
     std::iter::from_fn(move || {
         if set == 0 {
             return None;

@@ -2,6 +2,19 @@
 //! aggregate views (paper Section 5.4), which subsumes the single-view
 //! algorithm of Section 5.3.
 //!
+//! With one view (`m = 1`) it is exactly Section 5.3's procedure:
+//! (a) generate the query `Φ(V₀, B′)`; (b) single-block optimization of
+//! the pulled blocks; (c) choose a plan for `Φ(V₀, W)` for each `W ⊆ B′`
+//! (adding `G1` on top); (d) optimize the single-block query (with
+//! `G0`) consisting of `B′ − W` and `Φ(V₀, W)` for each choice of `W`.
+//! The paper's three cases map onto `W` as:
+//! * `W = V − V₀` — the original aggregate view, optimized locally
+//!   (Figure 4(a)/(b));
+//! * `W ⊋ V − V₀` — an *extended* aggregate view including base
+//!   relations, i.e. pull-up (Figure 4(c)); with `W = B′` the query
+//!   collapses to a single block;
+//! * `W ⊉ V − V₀` — combined push-down and pull-up (Figure 4(d)).
+//!
 //! Two-phase structure, following the paper:
 //!
 //! **Phase 1.** For each view `Qi = Gi(Vi)`: compute the minimal
@@ -27,15 +40,18 @@
 
 use crate::cost::{CardEstimator, CostModel, PlanProps};
 use crate::governor::{OptimizeOutcome, ResourceGovernor};
+use crate::optimizer::facts::PredFacts;
 use crate::optimizer::greedy::{optimize_block_governed, BlockQuery};
 use crate::optimizer::stats::SearchStats;
-use crate::optimizer::{bitset, rels_of, OptimizerConfig, Planned};
-use crate::plan::{all_cols, GroupBySpec, Plan};
-use crate::query::{CanonicalQuery, ViewDef};
+use crate::optimizer::{bits_of, bitset, rels_of, OptimizerConfig, Planned};
+use crate::plan::{GroupBySpec, Plan};
+use crate::query::CanonicalQuery;
 use crate::transform::pushdown::{group_applicable_at, minimal_invariant_set, InvariantGroupBy};
-use aggview_common::{AggViewError, Col, Predicate, RelId, Result, ViewId};
+use aggview_common::{AggViewError, Col, RelId, Result, ViewId};
 use aggview_storage::Catalog;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The result of an optimizer run.
@@ -138,7 +154,7 @@ fn optimize_inner(
     gov: &ResourceGovernor,
 ) -> Result<Optimized> {
     query.validate(catalog)?;
-    let est = CardEstimator::new(model, catalog, &query.env);
+    let st = Statement::new(query, CardEstimator::new(model, catalog, &query.env));
     let mut stats = SearchStats::default();
 
     // Phase 0: minimal invariant sets; B' = B ∪ ⋃(Vi − V₀i).
@@ -170,14 +186,11 @@ fn optimize_inner(
 
     // Phase 1: per-view W candidates and their optimized blocks.
     let mut per_view: Vec<Vec<ViewBlock>> = Vec::with_capacity(query.views.len());
-    for (i, v) in query.views.iter().enumerate() {
+    for (i, &v0) in v0.iter().enumerate() {
         gov.check_interrupt()?;
-        let ws = w_candidates(query, v, v0[i], d[i], bprime, config);
         let mut blocks = Vec::new();
-        for w in ws {
-            if let Some(vb) =
-                build_view_block(query, v, v0[i], w, &est, catalog, config, &mut stats, gov)?
-            {
+        for w in st.w_candidates(i, d[i], bprime, config) {
+            if let Some(vb) = st.build_view_block(i, v0, w, config, &mut stats, gov)? {
                 blocks.push(vb);
             }
         }
@@ -196,26 +209,20 @@ fn optimize_inner(
     let mut combo: Vec<usize> = vec![0; per_view.len()];
     loop {
         gov.check_interrupt()?;
+        let chosen: Vec<&ViewBlock> = combo
+            .iter()
+            .zip(&per_view)
+            .map(|(&c, vbs)| &vbs[c])
+            .collect();
         // Disjointness of pulled sets.
         let mut used = 0u64;
-        let mut disjoint = true;
-        for (i, &c) in combo.iter().enumerate() {
-            let w = per_view[i][c].w & bprime;
-            if used & w != 0 {
-                disjoint = false;
-                break;
-            }
-            used |= w;
-        }
+        let disjoint = chosen.iter().all(|vb| {
+            let free = used & vb.w & bprime == 0;
+            used |= vb.w & bprime;
+            free
+        });
         if disjoint {
-            let chosen: Vec<&ViewBlock> = combo
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| &per_view[i][c])
-                .collect();
-            match outer_phase(
-                query, &chosen, bprime, &est, catalog, config, &mut stats, gov,
-            ) {
+            match st.outer_phase(&chosen, bprime, config, &mut stats, gov) {
                 Ok(candidate) => {
                     if best
                         .as_ref()
@@ -236,23 +243,13 @@ fn optimize_inner(
                 Err(e) => return Err(e),
             }
         }
-        // Advance the mixed-radix counter.
-        let mut i = 0;
-        loop {
-            if i == combo.len() {
-                break;
-            }
-            combo[i] += 1;
-            if combo[i] < per_view[i].len() {
-                break;
-            }
-            combo[i] = 0;
-            i += 1;
-        }
-        if i == combo.len() {
-            break;
-        }
-        if combo.iter().all(|&c| c == 0) {
+        // Advance the mixed-radix counter; it is done when every digit
+        // wraps.
+        let carry = combo.iter_mut().zip(&per_view).all(|(c, vbs)| {
+            *c = (*c + 1) % vbs.len();
+            *c == 0
+        });
+        if carry {
             break;
         }
     }
@@ -262,7 +259,7 @@ fn optimize_inner(
     })?;
     let mut out = Optimized {
         plan: Arc::unwrap_or_clone(best.plan),
-        props: best.props,
+        props: Arc::unwrap_or_clone(best.props),
         stats: SearchStats::default(),
         pulled,
         outcome: OptimizeOutcome::Full,
@@ -277,25 +274,24 @@ fn optimize_inner(
             .verify(plan)
             .is_ok()
     };
-    let combined = crate::transform::combine::combine_all(&out.plan);
-    if combined != out.plan && legal(&combined) {
-        if let Ok(props) = est.cost_plan(&combined) {
-            if props.cost <= out.props.cost + 1e-9 {
-                out.plan = combined;
-                out.props = props;
+    if let Some(combined) = crate::transform::combine::combine_all(&out.plan) {
+        if legal(&combined) {
+            if let Ok(props) = st.est.cost_plan(&combined) {
+                if props.cost <= out.props.cost + 1e-9 {
+                    out.plan = combined;
+                    out.props = props;
+                }
             }
         }
     }
     // Post-pass: rewrite a provably-empty plan (contradictory
     // predicates found by the dataflow pass) to an `EmptyScan` so the
     // executor never scans for rows that cannot exist.
-    let (pruned, n_pruned) = crate::analyze::dataflow::prune_empty(
-        &out.plan,
-        catalog,
-        Some(query.env.rel_tables.as_slice()),
-    );
-    if n_pruned > 0 && legal(&pruned) {
-        if let Ok(props) = est.cost_plan(&pruned) {
+    let rel_tables = Some(query.env.rel_tables.as_slice());
+    if let Some(pruned) = crate::analyze::dataflow::empty_rewrite(&out.plan, catalog, rel_tables)
+        .filter(|pruned| legal(pruned))
+    {
+        if let Ok(props) = st.est.cost_plan(&pruned) {
             out.plan = pruned;
             out.props = props;
         }
@@ -324,539 +320,441 @@ struct ViewBlock {
     w: u64,
     /// Optimized block plan.
     item: Planned,
-    /// Indexes into `query.preds` absorbed by this block.
-    absorbed: BTreeSet<usize>,
+    /// Which of `query.preds` this block absorbed.
+    absorbed: Vec<bool>,
     /// View predicates expelled to the outer block (they touch excluded
-    /// removable relations).
-    expelled: Vec<Predicate>,
+    /// removable relations), as indexes into [`Statement::preds`].
+    expelled: Vec<usize>,
     /// Relations of the block (V₀ ∪ W ∩ view ∪ pulled base rels).
     block_set: u64,
 }
 
-/// Enumerate admissible W sets for a view: always the original view
-/// (`W = Vi − V₀i`); plus, when pull-up is enabled, connected subsets of
-/// B′ relations that share a predicate with the view, combined with
-/// subsets of the view's own removable relations (case iii).
-fn w_candidates(
-    query: &CanonicalQuery,
-    view: &ViewDef,
-    _v0: u64,
-    d: u64,
-    bprime: u64,
-    config: &OptimizerConfig,
-) -> Vec<u64> {
-    let mut out: Vec<u64> = vec![d]; // the original view
-    let cap = config.pull_up.cap(32);
-    if cap == 0 {
-        return out;
-    }
-
-    // Base-side candidates: relations of B′ (outside this view) that
-    // share a predicate with the view's relations or exports.
-    let view_set = bitset(&view.rels);
-    let shares_pred = |w: RelId| {
-        query.preds.iter().chain(view.preds.iter()).any(|p| {
-            let rels = p.rels_used();
-            let touches_w = rels.contains(&w);
-            let touches_view = rels.iter().any(|r| view_set & r.bit() != 0)
-                || p.cols_used()
-                    .iter()
-                    .any(|c| matches!(c.as_agg(), Some(a) if a.owner == view.id()));
-            touches_w && touches_view
-        })
-    };
-    let base_candidates: Vec<RelId> = rels_of(bprime & !view_set)
-        .filter(|w| !config.require_shared_predicate || shares_pred(*w))
-        .collect();
-
-    // Subsets of the view's removable relations (case iii): exhaustive
-    // when small, else just all-or-nothing.
-    let d_rels: Vec<RelId> = rels_of(d).collect();
-    let d_subsets: Vec<u64> = if d_rels.len() <= 3 {
-        (0..(1u64 << d_rels.len()))
-            .map(|m| {
-                d_rels
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| m & (1 << j) != 0)
-                    .map(|(_, r)| r.bit())
-                    .fold(0, |a, b| a | b)
-            })
-            .collect()
-    } else {
-        vec![0, d]
-    };
-
-    // Connected subsets of base candidates up to the k-level cap.
-    let mut base_subsets: Vec<u64> = vec![0];
-    let mut frontier: Vec<u64> = vec![0];
-    for _ in 0..cap {
-        let mut next = Vec::new();
-        for &s in &frontier {
-            for w in &base_candidates {
-                if s & w.bit() != 0 {
-                    continue;
-                }
-                let ns = s | w.bit();
-                if !base_subsets.contains(&ns) {
-                    base_subsets.push(ns);
-                    next.push(ns);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-
-    for &ds in &d_subsets {
-        for &bs in &base_subsets {
-            let w = ds | bs;
-            if !out.contains(&w) {
-                out.push(w);
-            }
-        }
-    }
-    // Keep the candidate list bounded.
-    out.truncate(96);
-    out
+/// The statement's optimizer facts, worked out once at the top of
+/// [`optimize_inner`]: every W candidate, view block and outer
+/// combination reads them, and hands each block's context the
+/// predicate facts it needs. Relations are resolved once by the
+/// estimator, and each distinct scan leaf is built and priced once.
+struct Statement<'a> {
+    query: &'a CanonicalQuery,
+    est: CardEstimator<'a>,
+    /// `query.preds`, then each view's predicates in view order.
+    preds: Vec<PredFacts>,
+    /// `preds[view_preds[i]]` are view `i`'s.
+    view_preds: Vec<Range<usize>>,
+    /// What the query reads above its blocks: `G0`'s grouping columns and
+    /// aggregate operands, and the projection.
+    top_cols: Vec<Col>,
+    /// Scan leaves built so far (a handful: a list beats hashing keys).
+    leaves: RefCell<Vec<(LeafKey, Planned)>>,
 }
 
-/// Build and optimize Φ(V₀, W) for one view. Returns `None` when the
-/// choice of W is unsound (an excluded removable relation cannot legally
-/// stay outside the deferred group-by).
-#[allow(clippy::too_many_arguments)]
-fn build_view_block(
-    query: &CanonicalQuery,
-    view: &ViewDef,
-    v0: u64,
-    w: u64,
-    est: &CardEstimator<'_>,
-    catalog: &Catalog,
-    config: &OptimizerConfig,
-    stats: &mut SearchStats,
-    gov: &ResourceGovernor,
-) -> Result<Option<ViewBlock>> {
-    let view_set = bitset(&view.rels);
-    let block_set = v0 | w;
-    let excluded = view_set & !block_set; // removable rels left outside
-    let in_block = |r: RelId| block_set & r.bit() != 0;
+/// A scan leaf's relation and filters (indexes into
+/// [`Statement::preds`], in order); its projection is its plan's.
+type LeafKey = (RelId, Vec<usize>);
 
-    // Split view predicates: inside the block vs expelled.
-    let mut block_preds: Vec<Predicate> = Vec::new();
-    let mut expelled: Vec<Predicate> = Vec::new();
-    for p in &view.preds {
-        if p.rels_used().iter().all(|r| in_block(*r)) {
-            block_preds.push(p.clone());
-        } else {
-            expelled.push(p.clone());
+impl<'a> Statement<'a> {
+    fn new(query: &'a CanonicalQuery, est: CardEstimator<'a>) -> Statement<'a> {
+        let mut preds: Vec<PredFacts> = query.preds.iter().map(PredFacts::new).collect();
+        let view_preds = query
+            .views
+            .iter()
+            .map(|v| {
+                let start = preds.len();
+                preds.extend(v.preds.iter().map(PredFacts::new));
+                start..preds.len()
+            })
+            .collect();
+        let mut top_cols = query.projection.clone();
+        if let Some(g) = &query.group {
+            top_cols.extend_from_slice(&g.group_cols);
+            top_cols.extend(g.aggs.iter().flat_map(|a| a.cols_used()));
+        }
+        Statement {
+            query,
+            est,
+            preds,
+            view_preds,
+            top_cols,
+            leaves: RefCell::default(),
         }
     }
 
-    // Absorb outer predicates fully contained in the block.
-    let mut absorbed: BTreeSet<usize> = BTreeSet::new();
-    let mut deferred: Vec<Predicate> = Vec::new();
-    for (i, p) in query.preds.iter().enumerate() {
-        if !p.rels_used().iter().all(|r| in_block(*r)) {
-            continue;
-        }
-        let aggs_used: Vec<_> = p.cols_used().iter().filter_map(|c| c.as_agg()).collect();
-        if aggs_used.is_empty() {
-            block_preds.push(p.clone());
-            absorbed.insert(i);
-        } else if aggs_used.iter().all(|a| a.owner == view.id()) {
-            deferred.push(p.clone());
-            absorbed.insert(i);
-        }
-        // Predicates referencing other views' aggregates stay outer.
+    /// The indexes of `query.preds` in [`Self::preds`].
+    fn query_preds(&self) -> Range<usize> {
+        0..self.query.preds.len()
     }
 
-    // Columns of this block referenced outside it.
-    let mut needed_outside: BTreeSet<Col> = BTreeSet::new();
-    let note = |c: Col, needed: &mut BTreeSet<Col>| match c {
-        Col::Base(b) if in_block(b.rel) => {
-            needed.insert(c);
+    /// Enumerate admissible W sets for view `i`: always the original view
+    /// (`W = Vi − V₀i`); plus, when pull-up is enabled, connected subsets
+    /// of B′ relations that share a predicate with the view, combined
+    /// with subsets of the view's own removable relations (case iii).
+    fn w_candidates(&self, i: usize, d: u64, bprime: u64, config: &OptimizerConfig) -> Vec<u64> {
+        let mut out: Vec<u64> = vec![d]; // the original view
+        let cap = config.pull_up.cap(32);
+        if cap == 0 {
+            return out;
         }
-        Col::Agg(a) if a.owner == view.id() => {
-            needed.insert(c);
+
+        // Base-side candidates: relations of B′ (outside this view) that
+        // share a predicate with the view's relations or exports.
+        let view = &self.query.views[i];
+        let view_set = bitset(&view.rels);
+        let shares_pred = |w: RelId| {
+            let mut preds = self.query_preds().chain(self.view_preds[i].clone());
+            preds.any(|k| {
+                let f = &self.preds[k];
+                f.rels & w.bit() != 0 && (f.rels & view_set != 0 || f.aggs.contains(&view.id()))
+            })
+        };
+        let base_candidates: Vec<RelId> = rels_of(bprime & !view_set)
+            .filter(|w| !config.require_shared_predicate || shares_pred(*w))
+            .collect();
+
+        // Subsets of the view's removable relations (case iii): exhaustive
+        // when small, else just all-or-nothing.
+        let d_rels: Vec<RelId> = rels_of(d).collect();
+        let d_subsets: Vec<u64> = match d_rels.len() {
+            n @ 0..=3 => (0..1u64 << n)
+                .map(|m| bits_of(m).fold(0, |a, j| a | d_rels[j].bit()))
+                .collect(),
+            _ => vec![0, d],
+        };
+
+        // Connected subsets of base candidates up to the k-level cap.
+        let mut base_subsets: Vec<u64> = vec![0];
+        let mut frontier: Vec<u64> = vec![0];
+        for _ in 0..cap {
+            let mut next = Vec::new();
+            for &s in &frontier {
+                for w in &base_candidates {
+                    if s & w.bit() != 0 {
+                        continue;
+                    }
+                    let ns = s | w.bit();
+                    if !base_subsets.contains(&ns) {
+                        base_subsets.push(ns);
+                        next.push(ns);
+                    }
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            frontier = next;
         }
-        _ => {}
-    };
-    for (i, p) in query.preds.iter().enumerate() {
-        if !absorbed.contains(&i) {
-            for c in p.cols_used() {
-                note(c, &mut needed_outside);
+
+        for &ds in &d_subsets {
+            for &bs in &base_subsets {
+                let w = ds | bs;
+                if !out.contains(&w) {
+                    out.push(w);
+                }
             }
         }
-    }
-    for p in &expelled {
-        for c in p.cols_used() {
-            note(c, &mut needed_outside);
-        }
-    }
-    if let Some(g) = &query.group {
-        for c in &g.group_cols {
-            note(*c, &mut needed_outside);
-        }
-        for a in &g.aggs {
-            for c in a.cols_used() {
-                note(c, &mut needed_outside);
-            }
-        }
-    }
-    for c in &query.projection {
-        note(*c, &mut needed_outside);
+        // Keep the candidate list bounded.
+        out.truncate(96);
+        out
     }
 
-    // Deferred group-by G′: grouping columns.
-    let g_set: BTreeSet<Col> = view.group_cols.iter().copied().collect();
-    // Relations pulled *through* the group-by: members of W that are not
-    // the view's own relations. (Re-included removable relations sit
-    // below G′ exactly where the original view had them — they need no
-    // key machinery.)
-    let pulled_foreign = w & !view_set;
-    let mut group_cols: Vec<Col> = view.group_cols.clone();
-    let mut gseen: BTreeSet<Col> = g_set.clone();
-    let add_group = |c: Col, gseen: &mut BTreeSet<Col>, out: &mut Vec<Col>| {
-        if gseen.insert(c) {
-            out.push(c);
-        }
-    };
-    // May column `c` be added to G′'s grouping columns without changing
-    // group identities? Original grouping columns: trivially. Columns of
-    // pulled foreign relations: yes — they are functionally determined
-    // by the relation's key, which pull-up adds below. Other view-side
-    // columns (of V₀ or re-included removable relations): no — grouping
-    // by them would split the view's groups.
-    let exportable = |c: &Col| -> bool {
-        if g_set.contains(c) {
-            return true;
-        }
-        match c.as_base() {
-            Some(b) => pulled_foreign & b.rel.bit() != 0,
-            None => false,
-        }
-    };
-    // Needed-outside base columns must pass through G′.
-    for c in &needed_outside {
-        if let Some(_b) = c.as_base() {
-            if !exportable(c) {
-                return Ok(None);
+    /// Build and optimize Φ(V₀, W) for view `i`. Returns `None` when the
+    /// choice of W is unsound (an excluded removable relation cannot
+    /// legally stay outside the deferred group-by).
+    fn build_view_block(
+        &self,
+        i: usize,
+        v0: u64,
+        w: u64,
+        config: &OptimizerConfig,
+        stats: &mut SearchStats,
+        gov: &ResourceGovernor,
+    ) -> Result<Option<ViewBlock>> {
+        let view = &self.query.views[i];
+        let view_set = bitset(&view.rels);
+        let block_set = v0 | w;
+        let excluded = view_set & !block_set; // removable rels left outside
+        let in_block = |r: RelId| block_set & r.bit() != 0;
+        let inside = |k: &usize| self.preds[*k].rels & !block_set == 0;
+
+        // Split view predicates: inside the block vs expelled.
+        let (mut block_preds, expelled): (Vec<usize>, Vec<usize>) =
+            self.view_preds[i].clone().partition(inside);
+
+        // Absorb outer predicates fully contained in the block.
+        let mut absorbed = vec![false; self.query.preds.len()];
+        let mut deferred: Vec<usize> = Vec::new();
+        for k in self.query_preds().filter(inside) {
+            let aggs = &self.preds[k].aggs;
+            if aggs.is_empty() {
+                block_preds.push(k);
+                absorbed[k] = true;
+            } else if aggs.iter().all(|&o| o == view.id()) {
+                deferred.push(k);
+                absorbed[k] = true;
             }
-            add_group(*c, &mut gseen, &mut group_cols);
+            // Predicates referencing other views' aggregates stay outer.
         }
-    }
-    // Deferred HAVING predicates may only read grouping columns and the
-    // view's aggregates: their base operands become grouping columns.
-    for p in &deferred {
-        for c in p.cols_used() {
+
+        // Columns of this block referenced outside it, in `Col` order.
+        let note = |c: &&Col| match c {
+            Col::Base(b) => in_block(b.rel),
+            Col::Agg(a) => a.owner == view.id(),
+            Col::Part(_) => false,
+        };
+        let outside = self.query_preds().filter(|&k| !absorbed[k]);
+        let outside = outside.chain(expelled.iter().copied());
+        let mut needed_outside: Vec<Col> = outside
+            .flat_map(|k| self.preds[k].cols.iter())
+            .chain(&self.top_cols)
+            .filter(note)
+            .copied()
+            .collect();
+        needed_outside.sort_unstable();
+        needed_outside.dedup();
+
+        // Deferred group-by G′: grouping columns, the view's first.
+        // Relations pulled *through* the group-by: members of W that are not
+        // the view's own relations. (Re-included removable relations sit
+        // below G′ exactly where the original view had them — they need no
+        // key machinery.)
+        let pulled_foreign = w & !view_set;
+        let mut group_cols: Vec<Col> = view.group_cols.clone();
+        let add_group = |c: Col, out: &mut Vec<Col>| {
+            if !out.contains(&c) {
+                out.push(c);
+            }
+        };
+        // May column `c` be added to G′'s grouping columns without changing
+        // group identities? Original grouping columns: trivially. Columns of
+        // pulled foreign relations: yes — they are functionally determined
+        // by the relation's key, which pull-up adds below. Other view-side
+        // columns (of V₀ or re-included removable relations): no — grouping
+        // by them would split the view's groups.
+        let exportable = |c: &Col| -> bool {
+            if view.group_cols.contains(c) {
+                return true;
+            }
+            match c.as_base() {
+                Some(b) => pulled_foreign & b.rel.bit() != 0,
+                None => false,
+            }
+        };
+        // Needed-outside base columns must pass through G′; deferred HAVING
+        // predicates may only read grouping columns and the view's
+        // aggregates, so their base operands become grouping columns too.
+        let deferred_cols = deferred.iter().flat_map(|&k| &self.preds[k].cols);
+        for c in needed_outside.iter().chain(deferred_cols) {
             if c.as_base().is_some() {
-                if !exportable(&c) {
+                if !exportable(c) {
                     return Ok(None);
                 }
-                add_group(c, &mut gseen, &mut group_cols);
+                add_group(*c, &mut group_cols);
             }
         }
-    }
-    // Cross-predicate block-side columns for excluded relations.
-    for r in rels_of(excluded) {
-        for p in view.preds.iter().chain(query.preds.iter()) {
-            let rels = p.rels_used();
-            if !rels.contains(&r) {
-                continue;
-            }
-            for c in p.cols_used() {
-                if let Some(b) = c.as_base() {
-                    if in_block(b.rel) {
-                        if !exportable(&c) {
+        // Cross-predicate block-side columns for excluded relations.
+        let view_then_query = || self.view_preds[i].clone().chain(self.query_preds());
+        for r in rels_of(excluded) {
+            for k in view_then_query().filter(|&k| self.preds[k].rels & r.bit() != 0) {
+                for c in &self.preds[k].cols {
+                    if c.as_base().is_some_and(|b| in_block(b.rel)) {
+                        if !exportable(c) {
                             return Ok(None); // unsound exclusion
                         }
-                        add_group(c, &mut gseen, &mut group_cols);
+                        add_group(*c, &mut group_cols);
                     }
                 }
             }
         }
-    }
-    // Keys of pulled foreign relations (Definition 1 item 2), with the
-    // foreign-key-join omission.
-    for wr in rels_of(pulled_foreign) {
-        let table = catalog.get(query.env.table_of(wr)?)?;
-        let Some(pk) = table.primary_key() else {
-            return Ok(None); // no derivable key → pull-up inadmissible
-        };
-        let key_cols: Vec<Col> = pk.cols.iter().map(|&c| Col::base(wr, c)).collect();
-        // FK omission: all key columns equated (by block predicates) to
-        // existing grouping columns.
-        let fk_covered = key_cols.iter().all(|k| {
-            block_preds.iter().any(|p| match p.as_col_eq_col() {
-                Some((a, b)) => (a == *k && gseen.contains(&b)) || (b == *k && gseen.contains(&a)),
-                None => false,
-            })
-        });
-        if !fk_covered {
-            for k in key_cols {
-                add_group(k, &mut gseen, &mut group_cols);
-            }
-        }
-    }
-
-    // Soundness for excluded relations: key coverage into the block.
-    for r in rels_of(excluded) {
-        let table = catalog.get(query.env.table_of(r)?)?;
-        let mut equated: BTreeSet<usize> = BTreeSet::new();
-        for p in view.preds.iter().chain(query.preds.iter()) {
-            if let Some((a, b)) = p.as_col_eq_col() {
-                if let (Some(x), Some(y)) = (a.as_base(), b.as_base()) {
-                    if x.rel == r && in_block(y.rel) {
-                        equated.insert(x.col as usize);
+        // Keys of pulled foreign relations (Definition 1 item 2), with the
+        // foreign-key-join omission.
+        for wr in rels_of(pulled_foreign) {
+            let Some(pk) = self.est.rel_table(wr)?.primary_key() else {
+                return Ok(None); // no derivable key → pull-up inadmissible
+            };
+            let key_cols: Vec<Col> = pk.cols.iter().map(|&c| Col::base(wr, c)).collect();
+            // FK omission: all key columns equated (by block predicates) to
+            // existing grouping columns.
+            let fk_covered = key_cols.iter().all(|k| {
+                block_preds.iter().any(|&p| match self.preds[p].eq {
+                    Some((a, b)) => {
+                        (a == *k && group_cols.contains(&b)) || (b == *k && group_cols.contains(&a))
                     }
-                    if y.rel == r && in_block(x.rel) {
-                        equated.insert(y.col as usize);
-                    }
+                    None => false,
+                })
+            });
+            if !fk_covered {
+                for k in key_cols {
+                    add_group(k, &mut group_cols);
                 }
             }
         }
-        let eq: Vec<usize> = equated.into_iter().collect();
-        if !table.cols_contain_key(&eq) {
-            return Ok(None);
-        }
-    }
 
-    let mut having = view.having.clone();
-    having.extend(deferred);
-    let gspec = GroupBySpec {
-        owner: view.id(),
-        group_cols: group_cols.clone(),
-        aggs: view.aggs.clone(),
-        having,
-    };
-
-    // Block output: exported needed-outside columns (grouping columns
-    // pass through; aggregates are produced by G′). Always export the
-    // view's declared exports that are needed.
-    let mut project: Vec<Col> = Vec::new();
-    let mut pseen = BTreeSet::new();
-    for c in needed_outside {
-        if pseen.insert(c) {
-            project.push(c);
-        }
-    }
-    if project.is_empty() {
-        // Nothing referenced outside (degenerate); export the grouping
-        // columns so the block has an output.
-        for c in &group_cols {
-            if pseen.insert(*c) {
-                project.push(*c);
+        // Soundness for excluded relations: key coverage into the block.
+        for r in rels_of(excluded) {
+            let mut equated: BTreeSet<usize> = BTreeSet::new();
+            for k in view_then_query() {
+                if let Some((a, b)) = self.preds[k].eq {
+                    if let (Some(x), Some(y)) = (a.as_base(), b.as_base()) {
+                        if x.rel == r && in_block(y.rel) {
+                            equated.insert(x.col as usize);
+                        }
+                        if y.rel == r && in_block(x.rel) {
+                            equated.insert(y.col as usize);
+                        }
+                    }
+                }
+            }
+            let eq: Vec<usize> = equated.into_iter().collect();
+            if !self.est.rel_table(r)?.cols_contain_key(&eq) {
+                return Ok(None);
             }
         }
-    }
 
-    // Leaf scans for the block relations; single-relation predicates
-    // become scan filters.
-    let (items, multi_preds) = make_leaves(
-        query,
-        block_set,
-        &block_preds,
-        &gspec,
-        &project,
-        est,
-        catalog,
-    )?;
-
-    let bq = BlockQuery {
-        items,
-        preds: multi_preds,
-        group: Some(gspec),
-        project,
-    };
-    stats.pulled_blocks += 1;
-    let entry = optimize_block_governed(&bq, est, catalog, config, stats, gov)?;
-    Ok(Some(ViewBlock {
-        w,
-        item: entry,
-        absorbed,
-        expelled,
-        block_set,
-    }))
-}
-
-/// Build scan leaves for `rel_set`, assigning single-relation predicates
-/// as scan filters and returning the remaining multi-relation ones.
-fn make_leaves(
-    query: &CanonicalQuery,
-    rel_set: u64,
-    preds: &[Predicate],
-    gspec: &GroupBySpec,
-    project: &[Col],
-    est: &CardEstimator<'_>,
-    catalog: &Catalog,
-) -> Result<(Vec<Planned>, Vec<Predicate>)> {
-    let mut needed: BTreeSet<Col> = project.iter().copied().collect();
-    needed.extend(gspec.group_cols.iter().copied());
-    for a in &gspec.aggs {
-        needed.extend(a.cols_used());
-    }
-    for h in &gspec.having {
-        needed.extend(h.cols_used().into_iter().filter(|c| !c.is_agg()));
-    }
-    let mut multi: Vec<Predicate> = Vec::new();
-    let mut filters: Vec<(RelId, Predicate)> = Vec::new();
-    for p in preds {
-        let rels: Vec<RelId> = p.rels_used().into_iter().collect();
-        if rels.len() == 1 && !p.uses_agg() {
-            filters.push((rels[0], p.clone()));
-        } else {
-            multi.push(p.clone());
-            needed.extend(p.cols_used().into_iter().filter(|c| !c.is_agg()));
-        }
-    }
-    let mut items = Vec::new();
-    for r in rels_of(rel_set) {
-        let table_name = query.env.table_of(r)?.to_string();
-        let table = catalog.get(&table_name)?;
-        let fs: Vec<Predicate> = filters
-            .iter()
-            .filter(|(fr, _)| *fr == r)
-            .map(|(_, p)| {
-                needed.extend(p.cols_used());
-                p.clone()
-            })
-            .collect();
-        let proj: Vec<Col> = all_cols(r, table.schema().len())
-            .into_iter()
-            .filter(|c| needed.contains(c))
-            .collect();
-        let proj = if proj.is_empty() {
-            // Keep at least the first column so the scan has an output
-            // (e.g. a relation used purely for its existence).
-            vec![Col::base(r, 0)]
-        } else {
-            proj
+        let mut having = view.having.clone();
+        having.extend(deferred.iter().map(|&k| self.preds[k].pred.clone()));
+        let gspec = GroupBySpec {
+            owner: view.id(),
+            group_cols,
+            aggs: view.aggs.clone(),
+            having,
         };
-        let plan = Plan::scan(r, table_name, fs, proj);
-        items.push(Planned::new(plan, est)?);
-    }
-    Ok((items, multi))
-}
 
-/// Phase 2: enumerate the outer block for one combination of view
-/// blocks.
-#[allow(clippy::too_many_arguments)]
-fn outer_phase(
-    query: &CanonicalQuery,
-    chosen: &[&ViewBlock],
-    bprime: u64,
-    est: &CardEstimator<'_>,
-    catalog: &Catalog,
-    config: &OptimizerConfig,
-    stats: &mut SearchStats,
-    gov: &ResourceGovernor,
-) -> Result<Planned> {
-    // Outer predicate pool: query preds not absorbed anywhere, plus all
-    // expelled view predicates.
-    let absorbed: BTreeSet<usize> = chosen
-        .iter()
-        .flat_map(|vb| vb.absorbed.iter().copied())
-        .collect();
-    let mut pool: Vec<Predicate> = query
-        .preds
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !absorbed.contains(i))
-        .map(|(_, p)| p.clone())
-        .collect();
-    for vb in chosen {
-        pool.extend(vb.expelled.iter().cloned());
-    }
-
-    // Outer relations: B′ minus everything consumed by blocks.
-    let consumed: u64 = chosen.iter().fold(0, |a, vb| a | vb.block_set);
-    let outer_rels = bprime & !consumed;
-
-    // Group spec for G0.
-    let g0 = query.group.as_ref().map(|g| GroupBySpec {
-        owner: ViewId::Top,
-        group_cols: g.group_cols.clone(),
-        aggs: g.aggs.clone(),
-        having: g.having.clone(),
-    });
-
-    // Needed columns for scans: projection + pool preds + G0.
-    let mut needed: BTreeSet<Col> = query.projection.iter().copied().collect();
-    for p in &pool {
-        needed.extend(p.cols_used());
-    }
-    if let Some(g) = &g0 {
-        needed.extend(g.group_cols.iter().copied());
-        for a in &g.aggs {
-            needed.extend(a.cols_used());
-        }
-    }
-
-    // Split pool: single-item predicates become scan filters; the rest
-    // feed the enumerator. "Item" granularity: a view block is one item.
-    let item_of_rel = |r: RelId| -> usize {
-        for (i, vb) in chosen.iter().enumerate() {
-            if vb.block_set & r.bit() != 0 {
-                return i;
-            }
-        }
-        usize::MAX // outer scan; refined below
-    };
-    let mut scan_filters: Vec<(RelId, Predicate)> = Vec::new();
-    let mut multi: Vec<Predicate> = Vec::new();
-    for p in &pool {
-        let rels: Vec<RelId> = p.rels_used().into_iter().collect();
-        let has_agg = p.uses_agg();
-        if rels.len() == 1 && !has_agg && outer_rels & rels[0].bit() != 0 {
-            scan_filters.push((rels[0], p.clone()));
-        } else if !has_agg && !rels.is_empty() && {
-            let first = item_of_rel(rels[0]);
-            first != usize::MAX && rels.iter().all(|r| item_of_rel(*r) == first)
-        } {
-            // Single-item predicate on a view block's exports: apply as a
-            // join-time predicate is impossible; it should have been
-            // absorbed. Treat as multi to be safe (it will be evaluable
-            // at the first join involving the block).
-            multi.push(p.clone());
+        // Block output: exported needed-outside columns (grouping columns
+        // pass through; aggregates are produced by G′). Nothing referenced
+        // outside (degenerate): export the grouping columns so the block
+        // has an output.
+        let project = if needed_outside.is_empty() {
+            gspec.group_cols.clone()
         } else {
-            multi.push(p.clone());
-        }
-    }
-
-    // Items: view blocks first, then outer scans.
-    let mut items: Vec<Planned> = chosen.iter().map(|vb| vb.item.clone()).collect();
-    for r in rels_of(outer_rels) {
-        let table_name = query.env.table_of(r)?.to_string();
-        let table = catalog.get(&table_name)?;
-        let fs: Vec<Predicate> = scan_filters
-            .iter()
-            .filter(|(fr, _)| *fr == r)
-            .map(|(_, p)| {
-                needed.extend(p.cols_used());
-                p.clone()
-            })
-            .collect();
-        let proj: Vec<Col> = all_cols(r, table.schema().len())
-            .into_iter()
-            .filter(|c| needed.contains(c))
-            .collect();
-        let proj = if proj.is_empty() {
-            vec![Col::base(r, 0)]
-        } else {
-            proj
+            needed_outside
         };
-        items.push(Planned::new(Plan::scan(r, table_name, fs, proj), est)?);
+
+        // Leaf scans for the block relations; single-relation predicates
+        // become scan filters.
+        let mut needed = project.clone();
+        needed.extend_from_slice(&gspec.group_cols);
+        needed.extend(gspec.aggs.iter().flat_map(|a| a.cols_used()));
+        needed.extend(gspec.having.iter().flat_map(|h| h.cols_used()));
+        let (items, preds) = self.leaves(block_set, &block_preds, needed)?;
+
+        let bq = BlockQuery {
+            items,
+            preds,
+            group: Some(gspec),
+            project,
+        };
+        stats.pulled_blocks += 1;
+        let entry = optimize_block_governed(&bq, &self.est, config, stats, gov)?;
+        Ok(Some(ViewBlock {
+            w,
+            item: entry,
+            absorbed,
+            expelled,
+            block_set,
+        }))
     }
 
-    let bq = BlockQuery {
-        items,
-        preds: multi,
-        group: g0,
-        project: query.projection.clone(),
-    };
-    optimize_block_governed(&bq, est, catalog, config, stats, gov)
+    /// Scan leaves for the relations of `rels`. Each takes as filters the
+    /// predicates of `preds` that read it alone, and projects the columns
+    /// of `needed` and of `preds` it holds (at least one). Returns the
+    /// leaves and the predicates left for the block.
+    fn leaves(
+        &self,
+        rels: u64,
+        preds: &[usize],
+        mut needed: Vec<Col>,
+    ) -> Result<(Vec<Planned>, Vec<&PredFacts>)> {
+        needed.extend(preds.iter().flat_map(|&k| &self.preds[k].cols));
+        needed.sort_unstable();
+        needed.dedup();
+        let mut items = Vec::with_capacity(rels.count_ones() as usize);
+        for r in rels_of(rels) {
+            let reads_r = |&&k: &&usize| {
+                let f = &self.preds[k];
+                f.is_filter() && f.rels == r.bit()
+            };
+            let width = self.est.rel_table(r)?.schema().len();
+            let proj = needed.iter().copied().filter(move |c| {
+                c.as_base()
+                    .is_some_and(|b| b.rel == r && (b.col as usize) < width)
+            });
+            items.push(self.leaf(r, preds.iter().filter(reads_r).copied(), proj)?);
+        }
+        let multi = preds.iter().map(|&k| &self.preds[k]);
+        let multi = multi.filter(|f| !(f.is_filter() && f.rels & rels != 0));
+        Ok((items, multi.collect()))
+    }
+
+    /// The scan of `r` under `filters` projecting `proj` (at least its
+    /// first column: a relation used purely for its existence still needs
+    /// an output), built and priced the first time any block asks for it.
+    fn leaf(
+        &self,
+        r: RelId,
+        filters: impl Iterator<Item = usize> + Clone,
+        proj: impl Iterator<Item = Col> + Clone,
+    ) -> Result<Planned> {
+        let bare = proj.clone().next().is_none();
+        let proj = proj.chain(bare.then(|| Col::base(r, 0)));
+        let same = |((rel, fs), scan): &&(LeafKey, Planned)| {
+            let projects = scan.plan.output_cols().iter().copied();
+            *rel == r && fs.iter().copied().eq(filters.clone()) && projects.eq(proj.clone())
+        };
+        if let Some((_, hit)) = self.leaves.borrow().iter().find(same) {
+            return Ok(hit.clone());
+        }
+        let key = (r, filters.collect::<Vec<_>>());
+        let fs = key.1.iter().map(|&k| self.preds[k].pred.clone()).collect();
+        let table = self.query.env.table_of(r)?;
+        let scan = Planned::new(Plan::scan(r, table, fs, proj.collect()), &self.est)?;
+        self.leaves.borrow_mut().push((key, scan.clone()));
+        Ok(scan)
+    }
+
+    /// Phase 2: enumerate the outer block for one combination of view
+    /// blocks.
+    fn outer_phase(
+        &self,
+        chosen: &[&ViewBlock],
+        bprime: u64,
+        config: &OptimizerConfig,
+        stats: &mut SearchStats,
+        gov: &ResourceGovernor,
+    ) -> Result<Planned> {
+        // Outer predicate pool: query preds not absorbed anywhere, plus all
+        // expelled view predicates.
+        let mut pool: Vec<usize> = self
+            .query_preds()
+            .filter(|&k| !chosen.iter().any(|vb| vb.absorbed[k]))
+            .collect();
+        for vb in chosen {
+            pool.extend_from_slice(&vb.expelled);
+        }
+
+        // Outer relations: B′ minus everything consumed by blocks.
+        let consumed: u64 = chosen.iter().fold(0, |a, vb| a | vb.block_set);
+        let outer_rels = bprime & !consumed;
+
+        // Items: view blocks first, then outer scans. Predicates of the
+        // pool reading one outer relation alone become its scan filters;
+        // the rest feed the enumerator ("item" granularity: a view block
+        // is one item).
+        let (scans, preds) = self.leaves(outer_rels, &pool, self.top_cols.clone())?;
+        let mut items: Vec<Planned> = chosen.iter().map(|vb| vb.item.clone()).collect();
+        items.extend(scans);
+
+        let bq = BlockQuery {
+            items,
+            preds,
+            group: self.query.group.as_ref().map(|g| GroupBySpec {
+                owner: ViewId::Top,
+                group_cols: g.group_cols.clone(),
+                aggs: g.aggs.clone(),
+                having: g.having.clone(),
+            }),
+            project: self.query.projection.clone(),
+        };
+        optimize_block_governed(&bq, &self.est, config, stats, gov)
+    }
 }
 
 #[cfg(test)]

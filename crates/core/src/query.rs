@@ -7,9 +7,8 @@
 //! binder lowers parsed SQL (including flattened nested subqueries) into
 //! this form.
 
-use aggview_common::{AggSpec, AggViewError, Col, Predicate, RelId, Result, ViewId};
+use aggview_common::{AggSpec, AggViewError, Col, ColRef, Predicate, RelId, Result, ViewId};
 use aggview_storage::Catalog;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Per-query environment: which base table each relation instance
@@ -176,7 +175,8 @@ impl CanonicalQuery {
 
         // Column availability within views.
         for v in &self.views {
-            let avail = self.base_cols_of(&v.rels, catalog)?;
+            let base = self.base_cols_of(&v.rels, catalog)?;
+            let avail = |c: &Col| base.contains(c);
             for p in &v.preds {
                 if p.uses_agg() {
                     return Err(AggViewError::Plan(format!(
@@ -184,10 +184,14 @@ impl CanonicalQuery {
                         v.index + 1
                     )));
                 }
-                check_cols(&p.cols_used(), &avail, &format!("view Q{}", v.index + 1))?;
+                check_cols(
+                    |f| p.for_each_col(f),
+                    avail,
+                    format_args!("view Q{}", v.index + 1),
+                )?;
             }
             for g in &v.group_cols {
-                if !avail.contains(g) {
+                if !avail(g) {
                     return Err(AggViewError::Plan(format!(
                         "view Q{} groups on unavailable column {g}",
                         v.index + 1
@@ -195,49 +199,49 @@ impl CanonicalQuery {
                 }
             }
             for a in &v.aggs {
-                check_cols(&a.cols_used(), &avail, &format!("view Q{}", v.index + 1))?;
+                let args = |f: &mut dyn FnMut(Col)| a.arg.iter().for_each(|e| e.for_each_col(f));
+                check_cols(args, avail, format_args!("view Q{}", v.index + 1))?;
             }
             // View HAVING sees group cols + own aggs.
-            let mut havail: BTreeSet<Col> = v.group_cols.iter().copied().collect();
-            havail.extend((0..v.aggs.len()).map(|i| Col::agg(v.id(), i)));
+            let havail = grouped_output(&v.group_cols, v.id(), v.aggs.len());
             for h in &v.having {
-                check_cols(
-                    &h.cols_used(),
-                    &havail,
-                    &format!("view Q{} HAVING", v.index + 1),
-                )?;
+                let ctx = format_args!("view Q{} HAVING", v.index + 1);
+                check_cols(|f| h.for_each_col(f), &havail, ctx)?;
             }
         }
 
         // Outer block: base columns of base rels + exported view columns.
-        let mut outer: BTreeSet<Col> = self.base_cols_of(&self.base_rels, catalog)?;
-        for v in &self.views {
-            outer.extend(v.exported_cols());
-        }
+        let base = self.base_cols_of(&self.base_rels, catalog)?;
+        let exported = |c: &Col| {
+            let view = |v: &ViewDef| grouped_output(&v.group_cols, v.id(), v.aggs.len())(c);
+            self.views.iter().any(view)
+        };
+        let outer = |c: &Col| base.contains(c) || exported(c);
         for p in &self.preds {
-            check_cols(&p.cols_used(), &outer, "outer block")?;
+            check_cols(|f| p.for_each_col(f), outer, "outer block")?;
         }
         // Top group-by / projection.
         match &self.group {
             Some(g) => {
                 for c in &g.group_cols {
-                    if !outer.contains(c) {
+                    if !outer(c) {
                         return Err(AggViewError::Plan(format!(
                             "G0 groups on unavailable column {c}"
                         )));
                     }
                 }
                 for a in &g.aggs {
-                    check_cols(&a.cols_used(), &outer, "G0 aggregates")?;
+                    let args =
+                        |f: &mut dyn FnMut(Col)| a.arg.iter().for_each(|e| e.for_each_col(f));
+                    check_cols(args, outer, "G0 aggregates")?;
                 }
-                let mut havail: BTreeSet<Col> = g.group_cols.iter().copied().collect();
-                havail.extend((0..g.aggs.len()).map(|i| Col::agg(ViewId::Top, i)));
+                let havail = grouped_output(&g.group_cols, ViewId::Top, g.aggs.len());
                 for h in &g.having {
-                    check_cols(&h.cols_used(), &havail, "G0 HAVING")?;
+                    check_cols(|f| h.for_each_col(f), &havail, "G0 HAVING")?;
                 }
                 // SQL semantics: projection ⊆ grouping cols ∪ aggregates.
                 for c in &self.projection {
-                    if !havail.contains(c) {
+                    if !havail(c) {
                         return Err(AggViewError::Plan(format!(
                             "projection column {c} is neither grouped nor aggregated"
                         )));
@@ -246,7 +250,7 @@ impl CanonicalQuery {
             }
             None => {
                 for c in &self.projection {
-                    if !outer.contains(c) {
+                    if !outer(c) {
                         return Err(AggViewError::Plan(format!(
                             "projection references unavailable column {c}"
                         )));
@@ -260,15 +264,10 @@ impl CanonicalQuery {
         Ok(())
     }
 
-    fn base_cols_of(&self, rels: &[RelId], catalog: &Catalog) -> Result<BTreeSet<Col>> {
-        let mut avail = BTreeSet::new();
-        for r in rels {
-            let t = catalog.get(self.env.table_of(*r)?)?;
-            for c in 0..t.schema().len() {
-                avail.insert(Col::base(*r, c));
-            }
-        }
-        Ok(avail)
+    /// The columns of relations `rels`: each with its table's arity.
+    fn base_cols_of(&self, rels: &[RelId], catalog: &Catalog) -> Result<BaseCols> {
+        let arity = |r: &RelId| Ok((*r, catalog.get(self.env.table_of(*r)?)?.schema().len()));
+        Ok(BaseCols(rels.iter().map(arity).collect::<Result<_>>()?))
     }
 
     /// Outer-block predicates partitioned into (those referencing any
@@ -303,15 +302,48 @@ impl fmt::Display for CanonicalQuery {
     }
 }
 
-fn check_cols(used: &BTreeSet<Col>, avail: &BTreeSet<Col>, ctx: &str) -> Result<()> {
-    for c in used {
-        if !avail.contains(c) {
-            return Err(AggViewError::Plan(format!(
-                "{ctx} references unavailable column {c}"
-            )));
-        }
+/// The columns of some base relations, each relation with its arity.
+struct BaseCols(Vec<(RelId, usize)>);
+
+impl BaseCols {
+    fn contains(&self, c: &Col) -> bool {
+        let holds = |b: ColRef| {
+            self.0
+                .iter()
+                .any(|&(r, n)| r == b.rel && (b.col as usize) < n)
+        };
+        c.as_base().is_some_and(holds)
     }
-    Ok(())
+}
+
+/// Is a column an output of a group-by by `group_cols`, owned by `owner`,
+/// with `aggs` aggregates?
+fn grouped_output(group_cols: &[Col], owner: ViewId, aggs: usize) -> impl Fn(&Col) -> bool + '_ {
+    move |c| {
+        matches!(c, Col::Agg(a) if a.owner == owner && (a.idx as usize) < aggs)
+            || group_cols.contains(c)
+    }
+}
+
+/// Fail on the first column, in `Col` order, that `visit` reaches and
+/// `avail` lacks.
+fn check_cols(
+    visit: impl FnOnce(&mut dyn FnMut(Col)),
+    avail: impl Fn(&Col) -> bool,
+    ctx: impl fmt::Display,
+) -> Result<()> {
+    let mut missing: Option<Col> = None;
+    visit(&mut |c| {
+        if !avail(&c) {
+            missing = Some(missing.map_or(c, |m| m.min(c)));
+        }
+    });
+    match missing {
+        Some(c) => Err(AggViewError::Plan(format!(
+            "{ctx} references unavailable column {c}"
+        ))),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]

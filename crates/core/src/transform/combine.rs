@@ -94,42 +94,47 @@ pub fn combine_groupbys(plan: &Plan) -> Option<Plan> {
 }
 
 /// Apply [`combine_groupbys`] everywhere in the tree, bottom-up, until a
-/// fixpoint.
-pub fn combine_all(plan: &Plan) -> Plan {
+/// fixpoint; `None` when no pair combines. Subtrees without one are
+/// shared, not copied.
+pub fn combine_all(plan: &Plan) -> Option<Plan> {
+    let combined = |sub: &Arc<Plan>| combine_all(sub).map(Arc::new);
     let rebuilt = match plan {
-        Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => plan.clone(),
+        Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => None,
         Plan::Join {
             left,
             right,
             preds,
             project,
-        } => Plan::Join {
-            left: Arc::new(combine_all(left)),
-            right: Arc::new(combine_all(right)),
-            preds: preds.clone(),
-            project: project.clone(),
+        } => match (combined(left), combined(right)) {
+            (None, None) => None,
+            (l, r) => Some(Plan::Join {
+                left: l.unwrap_or_else(|| left.clone()),
+                right: r.unwrap_or_else(|| right.clone()),
+                preds: preds.clone(),
+                project: project.clone(),
+            }),
         },
         Plan::GroupBy {
             input,
             spec,
             project,
-        } => Plan::GroupBy {
-            input: Arc::new(combine_all(input)),
+        } => combined(input).map(|input| Plan::GroupBy {
+            input,
             spec: spec.clone(),
             project: project.clone(),
-        },
+        }),
         Plan::PartialAggregate {
             input,
             spec,
             project,
-        } => Plan::PartialAggregate {
-            input: Arc::new(combine_all(input)),
+        } => combined(input).map(|input| Plan::PartialAggregate {
+            input,
             spec: spec.clone(),
             project: project.clone(),
-        },
+        }),
     };
-    match combine_groupbys(&rebuilt) {
-        Some(combined) => combine_all(&combined),
+    match combine_groupbys(rebuilt.as_ref().unwrap_or(plan)) {
+        Some(pair) => Some(combine_all(&pair).unwrap_or(pair)),
         None => rebuilt,
     }
 }
@@ -248,16 +253,15 @@ mod tests {
     #[test]
     fn combine_all_reaches_fixpoint() {
         let p = stacked(AggFunc::Sum, AggFunc::Sum, false);
-        let c = combine_all(&p);
+        let c = combine_all(&p).unwrap();
         assert_eq!(c.group_by_count(), 1);
         // Idempotent.
-        assert_eq!(combine_all(&c), c);
+        assert_eq!(combine_all(&c), None);
     }
 
     #[test]
     fn non_adjacent_groupbys_untouched() {
         let p = stacked(AggFunc::Avg, AggFunc::Avg, false);
-        let c = combine_all(&p);
-        assert_eq!(c.group_by_count(), 2);
+        assert_eq!(combine_all(&p), None);
     }
 }

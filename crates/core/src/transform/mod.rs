@@ -6,23 +6,23 @@
 //!   defer a group-by past a join,
 //! * [`pushdown`] — Section 4.1's invariant grouping: move a group-by
 //!   below a join, and the *minimal invariant set* computation,
-//! * [`coalesce`] — Section 4.2's simple coalescing grouping: add a
-//!   partial group-by below a join for decomposable aggregates,
 //! * [`combine`] — Section 3's note on merging *successive* group-by
 //!   operators (e.g. after a full pull-up stacks `G0` over a deferred
 //!   view group-by).
 //!
 //! None of these is universally beneficial (the paper's Section 3 lists
 //! advantages and disadvantages of each); they define the expanded
-//! execution space that [`crate::optimizer`] searches cost-based.
+//! execution space that [`crate::optimizer`] searches cost-based. Section
+//! 4.2's simple coalescing grouping — a partial group-by added below a
+//! join for decomposable aggregates — has no rewrite of its own: the
+//! block enumerator ([`crate::optimizer::greedy`]) places it as one of
+//! its early aggregations.
 
-pub mod coalesce;
 pub mod combine;
 pub mod props;
 pub mod pullup;
 pub mod pushdown;
 
-pub use coalesce::{coalescing_applicable, make_coalescing_pair};
 pub use combine::{combine_all, combine_groupbys};
 pub use props::{grouping_determinant, is_fk_join_into, output_key};
 pub use pullup::pull_up;

@@ -28,7 +28,6 @@ use std::sync::Arc;
 ///   projected.
 /// * **PartialAggregate** — its pushed grouping columns, likewise.
 pub fn output_key(plan: &Plan, catalog: &Catalog) -> Result<Option<Vec<Col>>> {
-    let out: BTreeSet<Col> = plan.output_cols().iter().copied().collect();
     let key = match plan {
         Plan::Scan { rel, table, .. } => {
             let t = catalog.get(table)?;
@@ -76,7 +75,7 @@ pub fn output_key(plan: &Plan, catalog: &Catalog) -> Result<Option<Vec<Col>>> {
             }
         }
     };
-    Ok(key.filter(|k| k.iter().all(|c| out.contains(c))))
+    Ok(key.filter(|k| k.iter().all(|c| plan.output_cols().contains(c))))
 }
 
 /// What the left-hand side of a functional dependency determines.
@@ -84,13 +83,32 @@ enum Determined {
     /// Every column of one relation instance (a primary key's reach).
     Rel(RelId),
     Cols(Vec<Col>),
+    /// The other side of an equality.
+    Col(Col),
+}
+
+/// The left-hand side of a functional dependency.
+enum Lhs<'p> {
+    Cols(Vec<Col>),
+    Grouping(&'p [Col]),
+    Col(Col),
+}
+
+impl Lhs<'_> {
+    fn cols(&self) -> &[Col] {
+        match self {
+            Lhs::Cols(cols) => cols,
+            Lhs::Grouping(cols) => cols,
+            Lhs::Col(c) => std::slice::from_ref(c),
+        }
+    }
 }
 
 /// The functional dependencies a plan proves about its own output, and
 /// what [`grouping_determinant`] needs to vet the equalities among them.
 #[derive(Default)]
-struct Dependencies {
-    fds: Vec<(Vec<Col>, Determined)>,
+struct Dependencies<'p> {
+    fds: Vec<(Lhs<'p>, Determined)>,
     /// `a = b` conjuncts of joins and scan filters, not yet vetted.
     equalities: Vec<(Col, Col)>,
     /// The table behind each scanned relation instance.
@@ -99,15 +117,12 @@ struct Dependencies {
     extent_types: Vec<(Col, DataType)>,
 }
 
-impl Dependencies {
+impl<'p> Dependencies<'p> {
     /// Collect from `plan`'s whole subtree. A dependency proven below
     /// an operator still holds above it: selections and inner joins
     /// only drop or pair rows, and a group-by's output rows take their
     /// grouping values from input rows.
-    fn collect(&mut self, plan: &Plan, catalog: &Catalog) -> Result<()> {
-        let equalities = |preds: &[Predicate]| -> Vec<(Col, Col)> {
-            preds.iter().filter_map(Predicate::as_col_eq_col).collect()
-        };
+    fn collect(&mut self, plan: &'p Plan, catalog: &Catalog) -> Result<()> {
         match plan {
             Plan::Scan {
                 rel,
@@ -118,27 +133,29 @@ impl Dependencies {
                 let t = catalog.get(table)?;
                 if let Some(pk) = t.primary_key() {
                     let key = pk.cols.iter().map(|&c| Col::base(*rel, c)).collect();
-                    self.fds.push((key, Determined::Rel(*rel)));
+                    self.fds.push((Lhs::Cols(key), Determined::Rel(*rel)));
                 }
                 self.tables.push((*rel, t));
-                self.equalities.extend(equalities(filters));
+                self.add_equalities(filters);
             }
             Plan::Join {
                 left, right, preds, ..
             } => {
                 self.collect(left, catalog)?;
                 self.collect(right, catalog)?;
-                self.equalities.extend(equalities(preds));
+                self.add_equalities(preds);
             }
             Plan::GroupBy { input, spec, .. } => {
                 self.collect(input, catalog)?;
-                self.fds
-                    .push((spec.group_cols.clone(), Determined::Cols(spec.agg_cols())));
+                self.fds.push((
+                    Lhs::Grouping(&spec.group_cols),
+                    Determined::Cols(spec.agg_cols()),
+                ));
             }
             Plan::PartialAggregate { input, spec, .. } => {
                 self.collect(input, catalog)?;
                 self.fds.push((
-                    spec.group_cols.clone(),
+                    Lhs::Grouping(&spec.group_cols),
                     Determined::Cols(spec.all_part_cols()),
                 ));
             }
@@ -158,18 +175,25 @@ impl Dependencies {
                     .primary_key()
                     .and_then(|pk| pk.cols.iter().map(|&k| logical(k)).collect())
                 {
-                    self.fds.push((key, Determined::Cols(outputs.clone())));
+                    self.fds
+                        .push((Lhs::Cols(key), Determined::Cols(outputs.clone())));
                 }
                 for (&o, &c) in outputs.iter().zip(cols) {
                     if let Some(f) = t.schema().fields().get(c) {
                         self.extent_types.push((o, f.ty));
                     }
                 }
-                self.equalities.extend(equalities(filters));
+                self.add_equalities(filters);
             }
             Plan::EmptyScan { .. } => {}
         }
         Ok(())
+    }
+
+    /// Note the `a = b` conjuncts of `preds`.
+    fn add_equalities(&mut self, preds: &'p [Predicate]) {
+        self.equalities
+            .extend(preds.iter().filter_map(Predicate::as_col_eq_col));
     }
 
     fn declared_type(&self, c: Col) -> Option<DataType> {
@@ -202,18 +226,20 @@ impl Dependencies {
                 _ => false,
             };
             if exact {
-                self.fds.push((vec![a], Determined::Cols(vec![b])));
-                self.fds.push((vec![b], Determined::Cols(vec![a])));
+                self.fds.push((Lhs::Col(a), Determined::Col(b)));
+                self.fds.push((Lhs::Col(b), Determined::Col(a)));
             }
         }
     }
 
     /// Does the closure of `from` under the dependencies contain `target`?
-    fn determines(&self, from: &[Col], target: Col) -> bool {
-        let mut cols: BTreeSet<Col> = from.iter().copied().collect();
+    /// `used` is scratch space, one flag per dependency.
+    fn determines(&self, from: &[Col], target: Col, used: &mut Vec<bool>) -> bool {
+        let mut cols: Vec<Col> = from.to_vec();
         let mut rels = 0u64;
-        let mut used = vec![false; self.fds.len()];
-        let holds = |c: &Col, cols: &BTreeSet<Col>, rels: u64| match c {
+        used.clear();
+        used.resize(self.fds.len(), false);
+        let holds = |c: &Col, cols: &[Col], rels: u64| match c {
             Col::Base(b) if rels & b.rel.bit() != 0 => true,
             _ => cols.contains(c),
         };
@@ -223,14 +249,15 @@ impl Dependencies {
             }
             let mut grew = false;
             for (i, (lhs, rhs)) in self.fds.iter().enumerate() {
-                if used[i] || !lhs.iter().all(|c| holds(c, &cols, rels)) {
+                if used[i] || !lhs.cols().iter().all(|c| holds(c, &cols, rels)) {
                     continue;
                 }
                 used[i] = true;
                 grew = true;
                 match rhs {
                     Determined::Rel(r) => rels |= r.bit(),
-                    Determined::Cols(cs) => cols.extend(cs.iter().copied()),
+                    Determined::Cols(cs) => cols.extend_from_slice(cs),
+                    Determined::Col(c) => cols.push(*c),
                 }
             }
             if !grew {
@@ -264,18 +291,34 @@ pub fn grouping_determinant(
     input: &Plan,
     catalog: &Catalog,
 ) -> Result<Vec<Col>> {
+    determinant_over(group_cols, [input], std::iter::empty(), catalog)
+}
+
+/// [`grouping_determinant`] over `inputs` joined under `preds`, without
+/// building the join.
+pub(crate) fn determinant_over<'p>(
+    group_cols: &[Col],
+    inputs: impl IntoIterator<Item = &'p Plan>,
+    preds: impl Iterator<Item = &'p Predicate>,
+    catalog: &Catalog,
+) -> Result<Vec<Col>> {
     let mut kept = group_cols.to_vec();
     if kept.len() < 2 {
         return Ok(kept);
     }
     let mut deps = Dependencies::default();
-    deps.collect(input, catalog)?;
+    for input in inputs {
+        deps.collect(input, catalog)?;
+    }
+    deps.equalities
+        .extend(preds.filter_map(Predicate::as_col_eq_col));
     deps.admit_equalities();
     // Later columns go first: the pull-up appends what it carries upward
     // after the key that determines it.
+    let mut used = Vec::new();
     for i in (0..kept.len()).rev() {
         let c = kept.remove(i);
-        if !deps.determines(&kept, c) {
+        if !deps.determines(&kept, c, &mut used) {
             kept.insert(i, c);
         }
     }

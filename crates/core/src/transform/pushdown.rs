@@ -26,6 +26,7 @@
 //! the subset `S`?* — because removability of each remaining relation
 //! depends on which relations are actually in `S`.
 
+use crate::optimizer::facts::rel_mask;
 use crate::query::QueryEnv;
 use aggview_common::{AggSpec, Col, Predicate, RelId, Result};
 use aggview_storage::Catalog;
@@ -96,10 +97,8 @@ pub fn group_applicable_at(
     // Condition 2: cross predicates touch only grouping columns on the
     // subset side.
     for p in q.preds {
-        let rels_used: Vec<RelId> = p.rels_used().into_iter().collect();
-        let touches_subset = rels_used.iter().any(|r| in_subset(*r));
-        let touches_outside = rels_used.iter().any(|r| !in_subset(*r));
-        if !(touches_subset && touches_outside) {
+        let rels = rel_mask(&p.cols_used());
+        if rels & subset == 0 || rels & !subset == 0 {
             continue; // fully inside (before G) or fully outside (after G)
         }
         for c in p.cols_used() {
@@ -129,8 +128,8 @@ pub fn group_applicable_at(
     // subset* must be joined on a full key.
     for r in q.rels.iter().filter(|r| !in_subset(**r)) {
         let connected = q.preds.iter().any(|p| {
-            let rs = p.rels_used();
-            rs.contains(r) && rs.iter().any(|x| in_subset(*x))
+            let rels = rel_mask(&p.cols_used());
+            rels & r.bit() != 0 && rels & subset != 0
         });
         if !connected {
             // A cross product after the group-by duplicates every group

@@ -504,7 +504,8 @@ impl<'a> Engine<'a> {
                 right_rows: right.rows as f64,
                 right_pages: self.pages_for(right.bytes),
             };
-            let (algo, pages) = ops::best_join(&sides, join.preds, mem);
+            let keyed = join.preds.iter().any(|p| p.as_col_eq_col().is_some());
+            let (algo, pages) = ops::best_join(&sides, keyed, mem);
             ctx.breakdown[join.slot] = IoBreakdown {
                 op: format!("join[{algo}]"),
                 pages,

@@ -51,6 +51,7 @@ use crate::table::{Displaced, PatchUndo, RowPatch, Table};
 use crate::wal::{Frame, FrameMark, WalContents, WalReader, WalRecord, WalWriter};
 use aggview_common::{AggViewError, FaultInjector, NoFaults, Result, Tuple};
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -212,6 +213,17 @@ pub struct Catalog {
     turn: Mutex<()>,
     open: Mutex<OpenStatement>,
     durable: Option<Durable>,
+}
+
+/// The map key of a case-insensitive name: the name itself unless it
+/// holds an ASCII uppercase letter, so a lookup by an already lowercase
+/// name allocates nothing.
+fn key_of(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
 }
 
 fn unknown_table(name: &str) -> AggViewError {
@@ -508,14 +520,14 @@ impl Catalog {
     pub fn get(&self, name: &str) -> Result<Arc<Table>> {
         self.tables
             .read()
-            .get(&name.to_ascii_lowercase())
+            .get(&*key_of(name))
             .cloned()
             .ok_or_else(|| unknown_table(name))
     }
 
     /// True if a table with this name exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.tables.read().contains_key(&name.to_ascii_lowercase())
+        self.tables.read().contains_key(&*key_of(name))
     }
 
     /// Names of all registered tables, sorted.
@@ -539,7 +551,7 @@ impl Catalog {
     pub fn data_version(&self, name: &str) -> u64 {
         self.versions
             .read()
-            .get(&name.to_ascii_lowercase())
+            .get(&*key_of(name))
             .map_or(0, |v| v.data)
     }
 
@@ -547,7 +559,7 @@ impl Catalog {
     pub fn stats_version(&self, name: &str) -> u64 {
         self.versions
             .read()
-            .get(&name.to_ascii_lowercase())
+            .get(&*key_of(name))
             .map_or(0, |v| v.stats)
     }
 
@@ -556,7 +568,7 @@ impl Catalog {
     pub fn stats_fresh(&self, name: &str) -> bool {
         self.versions
             .read()
-            .get(&name.to_ascii_lowercase())
+            .get(&*key_of(name))
             .is_none_or(|v| v.stats == v.data)
     }
 
@@ -773,10 +785,7 @@ impl Catalog {
 
     /// Metadata for one materialized view.
     pub fn matview(&self, name: &str) -> Option<MatViewMeta> {
-        self.matviews
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
+        self.matviews.read().get(&*key_of(name)).cloned()
     }
 
     /// Names of all materialized views, sorted.

@@ -13,6 +13,7 @@
 //! A1 and A2 may be significantly less expensive." The knobs below let
 //! experiment E1 sweep exactly that grid.
 
+use super::Names;
 use crate::catalog::Catalog;
 use crate::table::Table;
 use aggview_common::{DataType, Result, Schema, Value};
@@ -66,21 +67,22 @@ pub fn gen_empdept(cfg: &EmpDeptConfig) -> Result<Catalog> {
         ("loc", DataType::Str),
     ]);
     let mut dept = Table::builder("dept", dept_schema).primary_key(&["dno"])?;
+    // Rows are arrays and each location is one shared string: a row
+    // allocates only its name.
+    let locs = LOCS.map(Value::str);
+    let mut names = Names::default();
     for d in 0..cfg.n_depts {
         let budget = if rng.gen_bool(cfg.low_budget_fraction.clamp(0.0, 1.0)) {
             rng.gen_range(100_000.0..1_000_000.0)
         } else {
             rng.gen_range(1_000_000.0..10_000_000.0)
         };
-        dept.push(
-            vec![
-                Value::Int(d as i64),
-                Value::str(format!("dept{d}")),
-                Value::Float(budget),
-                Value::str(LOCS[d % LOCS.len()]),
-            ]
-            .into(),
-        )?;
+        dept.push_values([
+            Value::Int(d as i64),
+            names.value("dept", d),
+            Value::Float(budget),
+            locs[d % LOCS.len()].clone(),
+        ])?;
     }
     catalog.add(dept.build()?)?;
 
@@ -103,16 +105,13 @@ pub fn gen_empdept(cfg: &EmpDeptConfig) -> Result<Catalog> {
                 rng.gen_range(22..65)
             };
             let sal = rng.gen_range(30_000.0..200_000.0);
-            emp.push(
-                vec![
-                    Value::Int(eno),
-                    Value::str(format!("emp{eno}")),
-                    Value::Int(d as i64),
-                    Value::Float(sal),
-                    Value::Int(age),
-                ]
-                .into(),
-            )?;
+            emp.push_values([
+                Value::Int(eno),
+                names.value("emp", eno as usize),
+                Value::Int(d as i64),
+                Value::Float(sal),
+                Value::Int(age),
+            ])?;
             eno += 1;
         }
     }

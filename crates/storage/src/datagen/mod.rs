@@ -28,3 +28,19 @@ pub use empdept::{gen_empdept, EmpDeptConfig};
 pub use random::{gen_random_catalog, RandomCatalogConfig};
 pub use star::{gen_star, StarConfig};
 pub use zipf::{gen_zipf_table, ZipfConfig};
+
+use aggview_common::Value;
+use std::fmt::Write;
+
+/// Generated names (`emp17`, `nation3`), formatted into one reused
+/// buffer: a row allocates only its name's string value.
+#[derive(Default)]
+struct Names(String);
+
+impl Names {
+    fn value(&mut self, prefix: &str, n: usize) -> Value {
+        self.0.clear();
+        let _ = write!(self.0, "{prefix}{n}");
+        Value::str(&self.0)
+    }
+}

@@ -9,6 +9,7 @@
 //! depends only on this structure (cardinalities, keys, selectivities),
 //! which the config controls precisely.
 
+use super::Names;
 use crate::catalog::Catalog;
 use crate::table::Table;
 use aggview_common::{DataType, Result, Schema, Value};
@@ -63,6 +64,10 @@ const STATUSES: [&str; 3] = ["open", "filled", "returned"];
 pub fn gen_star(cfg: &StarConfig) -> Result<Catalog> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let catalog = Catalog::new();
+    // Rows are arrays and each segment and status is one shared string:
+    // a row allocates only its name.
+    let (segments, statuses) = (SEGMENTS.map(Value::str), STATUSES.map(Value::str));
+    let mut names = Names::default();
 
     let mut region = Table::builder(
         "region",
@@ -70,7 +75,7 @@ pub fn gen_star(cfg: &StarConfig) -> Result<Catalog> {
     )
     .primary_key(&["rno"])?;
     for (i, name) in REGIONS.iter().enumerate() {
-        region.push(vec![Value::Int(i as i64), Value::str(*name)].into())?;
+        region.push_values([Value::Int(i as i64), Value::str(name)])?;
     }
     catalog.add(region.build()?)?;
 
@@ -85,14 +90,11 @@ pub fn gen_star(cfg: &StarConfig) -> Result<Catalog> {
     .primary_key(&["nno"])?
     .foreign_key(&["rno"], "region", &[0])?;
     for n in 0..cfg.nations {
-        nation.push(
-            vec![
-                Value::Int(n as i64),
-                Value::Int((n % REGIONS.len()) as i64),
-                Value::str(format!("nation{n}")),
-            ]
-            .into(),
-        )?;
+        nation.push_values([
+            Value::Int(n as i64),
+            Value::Int((n % REGIONS.len()) as i64),
+            names.value("nation", n),
+        ])?;
     }
     catalog.add(nation.build()?)?;
 
@@ -109,16 +111,13 @@ pub fn gen_star(cfg: &StarConfig) -> Result<Catalog> {
     .primary_key(&["cno"])?
     .foreign_key(&["nno"], "nation", &[0])?;
     for c in 0..cfg.customers {
-        customer.push(
-            vec![
-                Value::Int(c as i64),
-                Value::Int(rng.gen_range(0..cfg.nations) as i64),
-                Value::str(format!("customer{c}")),
-                Value::str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())]),
-                Value::Float(rng.gen_range(-999.0..10_000.0)),
-            ]
-            .into(),
-        )?;
+        customer.push_values([
+            Value::Int(c as i64),
+            Value::Int(rng.gen_range(0..cfg.nations) as i64),
+            names.value("customer", c),
+            segments[rng.gen_range(0..SEGMENTS.len())].clone(),
+            Value::Float(rng.gen_range(-999.0..10_000.0)),
+        ])?;
     }
     catalog.add(customer.build()?)?;
 
@@ -136,16 +135,13 @@ pub fn gen_star(cfg: &StarConfig) -> Result<Catalog> {
     .foreign_key(&["cno"], "customer", &[0])?;
     let n_orders = cfg.customers * cfg.orders_per_customer;
     for o in 0..n_orders {
-        orders.push(
-            vec![
-                Value::Int(o as i64),
-                Value::Int(rng.gen_range(0..cfg.customers) as i64),
-                Value::Int(rng.gen_range(0..2557)), // ~7 years of days
-                Value::str(STATUSES[rng.gen_range(0..STATUSES.len())]),
-                Value::Float(rng.gen_range(100.0..500_000.0)),
-            ]
-            .into(),
-        )?;
+        orders.push_values([
+            Value::Int(o as i64),
+            Value::Int(rng.gen_range(0..cfg.customers) as i64),
+            Value::Int(rng.gen_range(0..2557)), // ~7 years of days
+            statuses[rng.gen_range(0..STATUSES.len())].clone(),
+            Value::Float(rng.gen_range(100.0..500_000.0)),
+        ])?;
     }
     catalog.add(orders.build()?)?;
 
@@ -163,16 +159,13 @@ pub fn gen_star(cfg: &StarConfig) -> Result<Catalog> {
     .foreign_key(&["ono"], "orders", &[0])?;
     let n_lines = n_orders * cfg.lines_per_order;
     for l in 0..n_lines {
-        lineitem.push(
-            vec![
-                Value::Int(l as i64),
-                Value::Int(rng.gen_range(0..n_orders) as i64),
-                Value::Int(rng.gen_range(1..51)),
-                Value::Float(rng.gen_range(1.0..10_000.0)),
-                Value::Float(rng.gen_range(0.0..0.1)),
-            ]
-            .into(),
-        )?;
+        lineitem.push_values([
+            Value::Int(l as i64),
+            Value::Int(rng.gen_range(0..n_orders) as i64),
+            Value::Int(rng.gen_range(1..51)),
+            Value::Float(rng.gen_range(1.0..10_000.0)),
+            Value::Float(rng.gen_range(0.0..0.1)),
+        ])?;
     }
     catalog.add(lineitem.build()?)?;
 

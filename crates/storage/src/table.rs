@@ -265,7 +265,7 @@ impl Table {
         }
         let arriving = patch.updates.iter_mut().map(|(_, r)| r);
         for row in arriving.chain(&mut patch.inserts) {
-            conform(name, schema, row)?;
+            conform(name, schema, row.values_mut())?;
         }
         let incoming = || patch.updates.iter().map(|(_, r)| r).chain(&patch.inserts);
         let live = Live::of(live, cols, *len, primary_key.as_ref());
@@ -345,7 +345,7 @@ impl Table {
         }
         for row in patch.inserts {
             arrive(&row, *len);
-            push_row(cols, row)?;
+            push_row(cols, row.into_values())?;
             *len += 1;
         }
 
@@ -430,9 +430,9 @@ fn key_at(cols: &[ColumnVec], pk: &PrimaryKey, i: usize) -> Tuple {
 }
 
 /// Append a row that [`conform`] accepted.
-fn push_row(cols: &mut [ColumnVec], row: Tuple) -> Result<()> {
+fn push_row(cols: &mut [ColumnVec], row: impl IntoIterator<Item = Value>) -> Result<()> {
     cols.iter_mut()
-        .zip(row.into_values())
+        .zip(row)
         .try_for_each(|(col, v)| col.push_value(v))
 }
 
@@ -483,16 +483,16 @@ fn check_positions(name: &str, indices: &[usize], len: usize) -> Result<()> {
 /// in a FLOAT column to the `Float` it is stored as (exact up to 2^53 in
 /// magnitude, rounded beyond, as under SQL `CAST`). Every other
 /// mismatch is refused.
-fn conform(table: &str, schema: &Schema, row: &mut Tuple) -> Result<()> {
-    if row.arity() != schema.len() {
+fn conform(table: &str, schema: &Schema, row: &mut [Value]) -> Result<()> {
+    if row.len() != schema.len() {
         return Err(AggViewError::Schema(format!(
             "table `{table}` expects {} columns, row has {}",
             schema.len(),
-            row.arity()
+            row.len()
         )));
     }
     let mut widen = false;
-    for (v, field) in row.values().iter().zip(schema.fields()) {
+    for (v, field) in row.iter().zip(schema.fields()) {
         let (expect, got) = (field.ty, v.data_type());
         if expect == DataType::Float && got == DataType::Int {
             widen = true;
@@ -504,14 +504,11 @@ fn conform(table: &str, schema: &Schema, row: &mut Tuple) -> Result<()> {
         }
     }
     if widen {
-        let values = std::mem::take(row).into_values().into_iter();
-        *row = values
-            .zip(schema.fields())
-            .map(|(v, field)| match v {
-                Value::Int(x) if field.ty == DataType::Float => Value::Float(x as f64),
-                v => v,
-            })
-            .collect();
+        for (v, field) in row.iter_mut().zip(schema.fields()) {
+            if let (Value::Int(x), DataType::Float) = (&*v, field.ty) {
+                *v = Value::Float(*x as f64);
+            }
+        }
     }
     Ok(())
 }
@@ -583,8 +580,17 @@ impl TableBuilder {
 
     /// Append a row (non-consuming form for loops): conformed, then
     /// taken apart into the columns.
-    pub fn push(&mut self, mut row: Tuple) -> Result<()> {
-        conform(&self.name, &self.schema, &mut row)?;
+    pub fn push(&mut self, row: Tuple) -> Result<()> {
+        self.push_values(row.into_values())
+    }
+
+    /// [`Self::push`] for a row given as its values — an array, so a
+    /// generator allocates no row.
+    pub fn push_values(
+        &mut self,
+        mut row: impl AsMut<[Value]> + IntoIterator<Item = Value>,
+    ) -> Result<()> {
+        conform(&self.name, &self.schema, row.as_mut())?;
         push_row(&mut self.cols, row)?;
         self.len += 1;
         Ok(())
