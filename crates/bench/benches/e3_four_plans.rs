@@ -88,7 +88,7 @@ fn shape_of(plan: &Plan) -> &'static str {
             }
             Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => find_gb(input),
             Plan::Join { left, right, .. } => find_gb(left).or_else(|| find_gb(right)),
-            Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => None,
+            Plan::Scan { .. } | Plan::ExtentScan { .. } => None,
         }
     }
     let Some(rels) = find_gb(plan) else {

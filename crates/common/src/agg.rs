@@ -535,31 +535,6 @@ impl PartialAggState {
     }
 }
 
-/// Direct (non-decomposed) accumulator — a thin convenience wrapper over
-/// [`PartialAggState`] used by the executor's one-shot aggregation path.
-#[derive(Debug, Clone)]
-pub struct AggAccumulator {
-    state: PartialAggState,
-}
-
-impl AggAccumulator {
-    pub fn new(func: AggFunc) -> AggAccumulator {
-        AggAccumulator {
-            state: PartialAggState::empty(func),
-        }
-    }
-
-    /// Absorb one input value.
-    pub fn update(&mut self, arg: Option<&Value>) -> Result<()> {
-        self.state.update(arg)
-    }
-
-    /// Final result.
-    pub fn finalize(&self) -> Result<Value> {
-        self.state.finalize()
-    }
-}
-
 fn require_arg<'v>(arg: Option<&'v Value>, func: &str) -> Result<&'v Value> {
     arg.ok_or_else(|| AggViewError::Exec(format!("{func} requires an argument")))
 }
@@ -663,7 +638,7 @@ mod tests {
     use super::*;
 
     fn run(func: AggFunc, vals: &[Value]) -> Value {
-        let mut acc = AggAccumulator::new(func);
+        let mut acc = PartialAggState::empty(func);
         for v in vals {
             acc.update(Some(v)).unwrap();
         }
@@ -672,7 +647,7 @@ mod tests {
 
     #[test]
     fn count_star() {
-        let mut acc = AggAccumulator::new(AggFunc::Count);
+        let mut acc = PartialAggState::empty(AggFunc::Count);
         for _ in 0..5 {
             acc.update(None).unwrap();
         }
@@ -739,10 +714,10 @@ mod tests {
             AggFunc::Avg,
             AggFunc::StdDev,
         ] {
-            assert!(AggAccumulator::new(f).finalize().is_err(), "{f}");
+            assert!(PartialAggState::empty(f).finalize().is_err(), "{f}");
         }
         assert_eq!(
-            AggAccumulator::new(AggFunc::Count).finalize().unwrap(),
+            PartialAggState::empty(AggFunc::Count).finalize().unwrap(),
             Value::Int(0)
         );
     }
@@ -782,7 +757,7 @@ mod tests {
 
     #[test]
     fn sum_int_overflow_is_an_error_not_a_wrap() {
-        let mut acc = AggAccumulator::new(AggFunc::Sum);
+        let mut acc = PartialAggState::empty(AggFunc::Sum);
         acc.update(Some(&Value::Int(i64::MAX))).unwrap();
         let err = acc.update(Some(&Value::Int(1))).unwrap_err();
         assert_eq!(err.kind(), "exec");

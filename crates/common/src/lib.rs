@@ -37,7 +37,7 @@ pub mod tuple;
 pub mod value;
 pub mod zset;
 
-pub use agg::{AggAccumulator, AggFunc, AggSpec, PartialAggState, Retraction};
+pub use agg::{AggFunc, AggSpec, PartialAggState, Retraction};
 pub use batch::{hash_columns, Batch};
 pub use column::{ColumnVec, StrCol, StrDict};
 pub use error::{AggViewError, Result};

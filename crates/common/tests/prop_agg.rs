@@ -3,7 +3,7 @@
 //! any partition and merging partial states must equal one-shot
 //! aggregation.
 
-use aggview_common::{AggAccumulator, AggFunc, PartialAggState, Value};
+use aggview_common::{AggFunc, PartialAggState, Value};
 use proptest::prelude::*;
 
 const FUNCS: [AggFunc; 6] = [
@@ -16,7 +16,7 @@ const FUNCS: [AggFunc; 6] = [
 ];
 
 fn oneshot(func: AggFunc, vals: &[f64]) -> Value {
-    let mut acc = AggAccumulator::new(func);
+    let mut acc = PartialAggState::empty(func);
     for v in vals {
         acc.update(Some(&Value::Float(*v))).unwrap();
     }

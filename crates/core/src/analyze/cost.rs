@@ -47,7 +47,7 @@ fn props_checked(
     out: &mut Vec<Violation>,
 ) -> Option<PlanProps> {
     let children: Vec<PlanProps> = match plan {
-        Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => Vec::new(),
+        Plan::Scan { .. } | Plan::ExtentScan { .. } => Vec::new(),
         Plan::Join { left, right, .. } => {
             let l = props_checked(left, est, catalog, out);
             let r = props_checked(right, est, catalog, out);
@@ -123,17 +123,6 @@ fn props_checked(
                         ),
                     );
                 }
-            }
-        }
-        Plan::EmptyScan { .. } => {
-            if props.card > EPS {
-                push(
-                    out,
-                    format!(
-                        "empty scan estimates {:.1} rows but provably produces none",
-                        props.card
-                    ),
-                );
             }
         }
         Plan::Join { .. } => {

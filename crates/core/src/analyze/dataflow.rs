@@ -25,9 +25,11 @@
 //!   column left unresolved is not reported again above it.
 //! * **Contradiction detection** — a predicate whose truth value is
 //!   provably `false` over the current domains (e.g. `x > 5 AND x < 3`)
-//!   makes the subtree provably empty. The optimizer rewrites such
-//!   subtrees to [`Plan::EmptyScan`] via [`prune_empty`]; the analyzer
-//!   flags any that survive as `dataflow-domain` warnings.
+//!   makes the subtree provably empty, and emptiness propagates through
+//!   every operator above it. The analyzer reports each contradiction
+//!   where it arose as a `dataflow-domain` warning, and the executor's
+//!   gate answers a plan whose root is provably empty with no rows
+//!   before any operator runs.
 //! * **Type certification** — a plan with no schema finding gives every
 //!   operator output a static type, and the executor runs it on typed
 //!   columns only: every kernel is chosen once per operator from its
@@ -56,9 +58,7 @@
 
 use super::Violation;
 use crate::plan::Plan;
-use aggview_common::{
-    AggFunc, AggRef, AggSpec, CmpOp, Col, DataType, Expr, Predicate, RelId, Value,
-};
+use aggview_common::{AggFunc, AggRef, AggSpec, CmpOp, Col, DataType, Expr, Predicate, Value};
 use aggview_storage::{Catalog, ColumnStats};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -68,18 +68,10 @@ use std::fmt;
 /// relation the query binds elsewhere, overlapping join children, an
 /// ill-typed expression or comparison. Severity: error.
 pub const RULE_SCHEMA: &str = "schema";
-/// Rule name for contradiction findings (provably-empty subtrees the
-/// optimizer did not prune). Severity: warning — the plan is correct,
-/// just wasteful.
+/// Rule name for contradiction findings (a predicate that makes the
+/// plan provably empty). Severity: warning — the plan is correct, and
+/// the executor answers it without running it.
 pub const RULE_DOMAIN: &str = "dataflow-domain";
-/// Rule name for an [`Plan::EmptyScan`] whose recorded types contradict
-/// the catalog schema. Severity: error.
-pub const RULE_TYPE: &str = "dataflow-type";
-/// Rule name for admission-bounds bookkeeping defects: an
-/// [`Plan::EmptyScan`] covering a relation the query never declared,
-/// which would corrupt relation-set and bounds accounting. Severity:
-/// error.
-pub const RULE_BOUNDS: &str = "dataflow-bounds";
 
 /// A closed interval over `f64`, empty when `lo > hi`.
 ///
@@ -401,16 +393,16 @@ pub struct Dataflow {
     /// empty child makes every ancestor empty, so ancestors are not
     /// repeated.
     pub contradictions: Vec<(String, String)>,
-    /// Every finding, in discovery order: schema errors, `EmptyScan`
-    /// bookkeeping errors, then one warning per contradiction.
+    /// Every finding, in discovery order: schema errors, then one
+    /// warning per contradiction.
     pub findings: Vec<Violation>,
 }
 
 /// Run the pass over `plan`.
 ///
 /// `rel_tables` (the query environment's relation-to-table binding)
-/// enables the scan-binding and [`Plan::EmptyScan`] bookkeeping checks;
-/// without it they are skipped, never guessed.
+/// enables the scan-binding check; without it the check is skipped,
+/// never guessed.
 pub fn analyze_plan(plan: &Plan, catalog: &Catalog, rel_tables: Option<&[String]>) -> Dataflow {
     let mut cx = Cx {
         catalog,
@@ -425,7 +417,7 @@ pub fn analyze_plan(plan: &Plan, catalog: &Catalog, rel_tables: Option<&[String]
         Violation::warn(
             RULE_DOMAIN,
             path.clone(),
-            format!("provably empty subtree was not pruned: {why}"),
+            format!("plan is provably empty: {why}"),
         )
     }));
     Dataflow {
@@ -435,54 +427,6 @@ pub fn analyze_plan(plan: &Plan, catalog: &Catalog, rel_tables: Option<&[String]
         contradictions: cx.contradictions,
         findings,
     }
-}
-
-/// Rewrite a provably-empty plan to [`Plan::EmptyScan`].
-///
-/// Returns the (possibly unchanged) plan and the number of subtrees
-/// pruned. Because emptiness propagates through every operator (a join
-/// with an empty child is empty, a group-by over no rows produces no
-/// groups), the maximal provably-empty subtree containing any
-/// contradiction is always the root — so the rewrite is root-or-nothing
-/// and the count is 0 or 1. The rewrite is skipped (never guessed) when
-/// any output column's type did not resolve.
-pub fn prune_empty(plan: &Plan, catalog: &Catalog, rel_tables: Option<&[String]>) -> (Plan, usize) {
-    match empty_rewrite(plan, catalog, rel_tables) {
-        Some(empty) => (empty, 1),
-        None => (plan.clone(), 0),
-    }
-}
-
-/// The [`Plan::EmptyScan`] [`prune_empty`] rewrites `plan` to; `None`
-/// when it keeps the plan.
-pub fn empty_rewrite(
-    plan: &Plan,
-    catalog: &Catalog,
-    rel_tables: Option<&[String]>,
-) -> Option<Plan> {
-    let df = analyze_plan(plan, catalog, rel_tables);
-    if !df.provably_empty {
-        return None;
-    }
-    let project: Vec<Col> = plan.output_cols().to_vec();
-    let mut types = Vec::with_capacity(project.len());
-    for c in &project {
-        types.push(df.columns.get(c).and_then(|d| d.ty)?);
-    }
-    let mask = plan.rel_set();
-    let covers: Vec<RelId> = (0..64)
-        .filter(|b| mask & (1u64 << b) != 0)
-        .map(RelId)
-        .collect();
-    if covers.is_empty() {
-        return None;
-    }
-    let reason = df
-        .contradictions
-        .first()
-        .map(|(path, why)| format!("{why} (at {path})"))
-        .unwrap_or_else(|| "contradictory predicates".into());
-    Some(Plan::empty_scan(covers, project, types, reason))
 }
 
 // ---------------------------------------------------------------------------
@@ -530,21 +474,14 @@ struct Cx<'a> {
     findings: Vec<Violation>,
 }
 
-impl Cx<'_> {
-    /// Record an error of `rule` at `path`.
-    fn error(&mut self, rule: &'static str, path: &Path<'_>, message: fmt::Arguments<'_>) {
-        self.findings.push(Violation::error_at(
-            rule,
-            path.to_string(),
-            message.to_string(),
-        ));
-    }
-}
-
 /// Record a schema (`AV001`) error at `path`.
 macro_rules! schema {
     ($cx:expr, $path:expr, $($msg:tt)+) => {
-        $cx.error(RULE_SCHEMA, $path, format_args!($($msg)+))
+        $cx.findings.push(Violation::error_at(
+            RULE_SCHEMA,
+            $path.to_string(),
+            format!($($msg)+),
+        ))
     };
 }
 
@@ -557,7 +494,6 @@ impl fmt::Display for Named<'_> {
         match self.0 {
             Plan::Scan { rel, .. } => write!(f, "scan of {rel}"),
             Plan::ExtentScan { view, .. } => write!(f, "extent scan of `{view}`"),
-            Plan::EmptyScan { .. } => f.write_str("empty scan"),
             Plan::Join { .. } => f.write_str("join"),
             Plan::GroupBy { spec, .. } => write!(f, "group-by {}", spec.owner),
             Plan::PartialAggregate { .. } => f.write_str("partial aggregate"),
@@ -713,59 +649,6 @@ fn summarize(plan: &Plan, path: &Path<'_>, cx: &mut Cx<'_>) -> Node {
             check_predicates(filters, &avail, who, "filter", path, cx);
             let (empty, all_true) = apply_filters(filters, &mut avail, path, cx);
             (avail, if all_true { t.len() as u64 } else { 0 }, empty)
-        }
-        Plan::EmptyScan {
-            covers,
-            project,
-            types,
-            ..
-        } => {
-            if covers.is_empty() {
-                schema!(cx, path, "{who} covers no relations");
-            }
-            if types.len() != project.len() {
-                let (t, p) = (types.len(), project.len());
-                schema!(
-                    cx,
-                    path,
-                    "{who} records {t} types for {p} projected columns"
-                );
-                return unresolved(plan);
-            }
-            let mut avail = DomainMap::new();
-            for (c, ty) in project.iter().zip(types) {
-                let mut d = ColDomain::within(Some(*ty), Interval::EMPTY);
-                d.distinct = Some(0);
-                avail.insert(*c, d);
-            }
-            if let Some(rel_tables) = cx.rel_tables {
-                for r in covers.iter().filter(|r| r.idx() >= rel_tables.len()) {
-                    let msg = format_args!(
-                        "{who} covers undeclared relation {r}: relation-set and \
-                         admission-bounds bookkeeping would be corrupted"
-                    );
-                    cx.error(RULE_BOUNDS, path, msg);
-                }
-                for (c, ty) in project.iter().zip(types) {
-                    let Some(cr) = c.as_base() else { continue };
-                    let Some(table) = rel_tables.get(cr.rel.idx()) else {
-                        continue;
-                    };
-                    let Ok(t) = cx.catalog.get(table) else {
-                        continue;
-                    };
-                    if let Some(f) = t.schema().fields().get(cr.col as usize) {
-                        if f.ty != *ty {
-                            let declared = f.ty;
-                            let msg = format_args!(
-                                "{who} records {c} as {ty} but `{table}` declares {declared}"
-                            );
-                            cx.error(RULE_TYPE, path, msg);
-                        }
-                    }
-                }
-            }
-            (avail, 0, true)
         }
         Plan::Join {
             left, right, preds, ..
@@ -1352,7 +1235,7 @@ mod tests {
     use super::super::Severity;
     use super::*;
     use crate::plan::{all_cols, GroupBySpec};
-    use aggview_common::{AggSpec, Schema, ViewId};
+    use aggview_common::{AggSpec, RelId, Schema, ViewId};
     use aggview_storage::Table;
 
     fn catalog() -> Catalog {
@@ -1508,27 +1391,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_rewrites_root_to_empty_scan() {
-        let cat = catalog();
-        let p = scan(vec![
-            Predicate::cmp_const(Col::base(RelId(0), 2), CmpOp::Gt, Value::Float(5000.0)),
-            Predicate::cmp_const(Col::base(RelId(0), 2), CmpOp::Lt, Value::Float(3000.0)),
-        ]);
-        let (pruned, n) = prune_empty(&p, &cat, None);
-        assert_eq!(n, 1);
-        match &pruned {
-            Plan::EmptyScan { covers, types, .. } => {
-                assert_eq!(covers, &vec![RelId(0)]);
-                assert_eq!(types, &vec![DataType::Int, DataType::Int, DataType::Float]);
-            }
-            other => panic!("expected EmptyScan, got {other:?}"),
-        }
-        let (same, n) = prune_empty(&scan(vec![]), &cat, None);
-        assert_eq!(n, 0);
-        assert_eq!(same, scan(vec![]));
-    }
-
-    #[test]
     fn group_by_domains_and_bounds() {
         let cat = catalog();
         let spec = GroupBySpec {
@@ -1606,40 +1468,6 @@ mod tests {
         );
         let df = analyze_plan(&gb, &cat, None);
         assert!(!df.provably_empty);
-    }
-
-    #[test]
-    fn empty_scan_type_lie_is_an_error() {
-        let cat = catalog();
-        let rels = vec!["emp".to_string()];
-        let good = Plan::empty_scan(
-            vec![RelId(0)],
-            vec![Col::base(RelId(0), 0)],
-            vec![DataType::Int],
-            "test",
-        );
-        let out = analyze_plan(&good, &cat, Some(&rels)).findings;
-        assert!(out.is_empty(), "{out:?}");
-        let lie = Plan::empty_scan(
-            vec![RelId(0)],
-            vec![Col::base(RelId(0), 0)],
-            vec![DataType::Str],
-            "test",
-        );
-        let out = analyze_plan(&lie, &cat, Some(&rels)).findings;
-        assert!(out
-            .iter()
-            .any(|v| v.rule == RULE_TYPE && v.severity == Severity::Error));
-        let phantom = Plan::empty_scan(
-            vec![RelId(0), RelId(9)],
-            vec![Col::base(RelId(0), 0)],
-            vec![DataType::Int],
-            "test",
-        );
-        let out = analyze_plan(&phantom, &cat, Some(&rels)).findings;
-        assert!(out
-            .iter()
-            .any(|v| v.rule == RULE_BOUNDS && v.severity == Severity::Error));
     }
 
     #[test]

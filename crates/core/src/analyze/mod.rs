@@ -46,8 +46,8 @@ use std::fmt;
 /// **Errors** are integrity defects: the plan would compute wrong
 /// results or crash, so the pre-execution gate rejects it. **Warnings**
 /// are correct-but-suboptimal facts the dataflow pass surfaces (a
-/// provably-empty subtree the optimizer did not prune); the plan still
-/// executes.
+/// contradiction that makes the plan provably empty); the plan still
+/// passes the gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Rejecting: the plan must not execute.
@@ -77,8 +77,6 @@ pub fn code_for(rule: &str) -> &'static str {
         "degraded-shape" => "AV006",
         "cost-sanity" => "AV007",
         "dataflow-domain" => "DF001",
-        "dataflow-type" => "DF002",
-        "dataflow-bounds" => "DF003",
         _ => "AV000",
     }
 }
@@ -88,8 +86,7 @@ pub fn code_for(rule: &str) -> &'static str {
 pub struct Violation {
     /// Stable rule identifier (`schema`, `pull-up-key`,
     /// `invariant-grouping`, `coalescing-merge`, `matview-extent`,
-    /// `degraded-shape`, `cost-sanity`, `dataflow-domain`,
-    /// `dataflow-type`, `dataflow-bounds`).
+    /// `degraded-shape`, `cost-sanity`, `dataflow-domain`).
     pub rule: &'static str,
     /// Stable diagnostic code (`AV001`…, `DF001`…), derived from the
     /// rule.
@@ -206,7 +203,7 @@ impl fmt::Display for AnalysisReport {
 ///
 /// Construction is incremental: the catalog alone enables the dataflow
 /// pass and the structural transformation rules; adding the query
-/// environment enables scan-binding and `EmptyScan` bookkeeping checks;
+/// environment enables scan-binding checks;
 /// adding the canonical query enables the pull-up key rule (which must
 /// know each view's original relations) and the degraded-shape check;
 /// adding a cost model enables cost-annotation sanity.

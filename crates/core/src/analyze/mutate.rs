@@ -10,7 +10,7 @@
 //! corpus spans several plan shapes to exercise every kind.
 
 use crate::plan::Plan;
-use aggview_common::{AggFunc, CmpOp, Col, DataType, Expr, Predicate, RelId, Value};
+use aggview_common::{AggFunc, CmpOp, Col, Expr, Predicate, RelId, Value};
 use std::sync::Arc;
 
 /// A deliberately corrupted plan the analyzer must reject.
@@ -57,15 +57,10 @@ pub fn mutants(plan: &Plan) -> Vec<Mutant> {
 /// Every applicable dataflow-specific mutation of `plan`: corruptions
 /// only the [`dataflow`](super::dataflow) pass can see. Kept separate
 /// from [`mutants`] because the contradictory-filter mutant produces a
-/// *warning* (the plan still computes correct results, just wastefully)
-/// rather than a rejection, and the `EmptyScan` lies need a plan shape
-/// the optimizer only emits after pruning.
+/// *warning* (the plan still computes correct results: the executor
+/// answers it with no rows) rather than a rejection.
 pub fn dataflow_mutants(plan: &Plan) -> Vec<Mutant> {
-    let kinds: [(&'static str, Mutation); 3] = [
-        ("contradictory-filter", contradictory_filter),
-        ("empty-scan-type-lie", empty_scan_type_lie),
-        ("empty-scan-phantom-cover", empty_scan_phantom_cover),
-    ];
+    let kinds: [(&'static str, Mutation); 1] = [("contradictory-filter", contradictory_filter)];
     kinds
         .into_iter()
         .filter_map(|(name, f)| {
@@ -82,7 +77,7 @@ fn map_first(plan: &Plan, f: &mut impl FnMut(&Plan) -> Option<Plan>) -> Option<P
         return Some(p);
     }
     match plan {
-        Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => None,
+        Plan::Scan { .. } | Plan::ExtentScan { .. } => None,
         Plan::Join {
             left,
             right,
@@ -419,7 +414,7 @@ fn nonlocal_scan_filter(node: &Plan) -> Option<Plan> {
 
 /// Add a constant-false filter to a scan. The subtree becomes provably
 /// empty — still *correct*, so the dataflow pass reports it as a
-/// `dataflow-domain` warning (an unpruned empty subtree), not an error.
+/// `dataflow-domain` warning (a provably-empty plan), not an error.
 /// Constants keep the mutation schema-safe on any table.
 fn contradictory_filter(node: &Plan) -> Option<Plan> {
     let Plan::Scan {
@@ -442,55 +437,6 @@ fn contradictory_filter(node: &Plan) -> Option<Plan> {
         table: table.clone(),
         filters,
         project: project.clone(),
-    })
-}
-
-/// Flip one declared output type of an `EmptyScan`: the recorded schema
-/// no longer matches the catalog's, and the executor would choose its
-/// kernels for the wrong type — a `dataflow-type` error.
-fn empty_scan_type_lie(node: &Plan) -> Option<Plan> {
-    let Plan::EmptyScan {
-        covers,
-        project,
-        types,
-        reason,
-    } = node
-    else {
-        return None;
-    };
-    let mut types = types.clone();
-    let first = types.first_mut()?;
-    *first = match first {
-        DataType::Int => DataType::Str,
-        _ => DataType::Int,
-    };
-    Some(Plan::EmptyScan {
-        covers: covers.clone(),
-        project: project.clone(),
-        types,
-        reason: reason.clone(),
-    })
-}
-
-/// Claim an `EmptyScan` covers a relation the query never declared: the
-/// pruning provenance is unaccountable — a `dataflow-bounds` error.
-fn empty_scan_phantom_cover(node: &Plan) -> Option<Plan> {
-    let Plan::EmptyScan {
-        covers,
-        project,
-        types,
-        reason,
-    } = node
-    else {
-        return None;
-    };
-    let mut covers = covers.clone();
-    covers.push(RelId(63));
-    Some(Plan::EmptyScan {
-        covers,
-        project: project.clone(),
-        types: types.clone(),
-        reason: reason.clone(),
     })
 }
 

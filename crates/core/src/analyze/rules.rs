@@ -155,7 +155,7 @@ fn exposes_top_group(plan: &Plan) -> bool {
     match plan {
         // An extent scan exposes finalized *view* aggregates; the top
         // group-by (when matched at all) sits above it as compensation.
-        Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => false,
+        Plan::Scan { .. } | Plan::ExtentScan { .. } => false,
         Plan::Join { left, right, .. } => exposes_top_group(left) || exposes_top_group(right),
         Plan::GroupBy { spec, .. } => spec.owner == ViewId::Top,
         Plan::PartialAggregate { input, .. } => exposes_top_group(input),
@@ -203,7 +203,7 @@ fn merge_walk<'p>(
     out: &mut Vec<Violation>,
 ) {
     match plan {
-        Plan::Scan { .. } | Plan::EmptyScan { .. } => {}
+        Plan::Scan { .. } => {}
         Plan::ExtentScan { outputs, .. } => {
             // Stored partial states must be coalesced by a group-by above,
             // exactly like the output of a partial aggregate.
@@ -476,7 +476,7 @@ pub(crate) fn check_degraded_shape(plan: &Plan, query: &CanonicalQuery, out: &mu
 fn walk<'p>(plan: &'p Plan, f: &mut impl FnMut(&'p Plan)) {
     f(plan);
     match plan {
-        Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => {}
+        Plan::Scan { .. } | Plan::ExtentScan { .. } => {}
         Plan::Join { left, right, .. } => {
             walk(left, f);
             walk(right, f);
@@ -505,9 +505,7 @@ impl EquivClasses {
             let preds = match node {
                 Plan::Scan { filters, .. } | Plan::ExtentScan { filters, .. } => filters.as_slice(),
                 Plan::Join { preds, .. } => preds.as_slice(),
-                Plan::GroupBy { .. } | Plan::PartialAggregate { .. } | Plan::EmptyScan { .. } => {
-                    &[]
-                }
+                Plan::GroupBy { .. } | Plan::PartialAggregate { .. } => &[],
             };
             for p in preds {
                 if let Some(pair) = p.as_col_eq_col() {

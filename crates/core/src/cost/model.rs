@@ -317,9 +317,7 @@ impl<'a> CardEstimator<'a> {
                 let i = self.cost_plan(input)?;
                 self.cost_node(plan, &[&i])
             }
-            Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => {
-                self.cost_node(plan, &[])
-            }
+            Plan::Scan { .. } | Plan::ExtentScan { .. } => self.cost_node(plan, &[]),
         }
     }
 
@@ -331,19 +329,6 @@ impl<'a> CardEstimator<'a> {
     pub fn cost_node(&self, plan: &Plan, children: &[&PlanProps]) -> Result<PlanProps> {
         let cpu = self.model.cpu;
         match (plan, children) {
-            (Plan::EmptyScan { project, types, .. }, []) => {
-                // Produces nothing and reads nothing. Distincts floor at
-                // 1.0 like every other estimate so selectivity math above
-                // an empty input stays finite.
-                let width: f64 = types.iter().map(|t| t.default_width() as f64).sum();
-                Ok(PlanProps {
-                    cost: 0.0,
-                    card: 0.0,
-                    width,
-                    peak_bytes: 0.0,
-                    distinct: project.iter().map(|c| (*c, 1.0)).collect(),
-                })
-            }
             (
                 Plan::Scan {
                     rel,
@@ -719,9 +704,7 @@ impl<'a> CardEstimator<'a> {
             Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
                 self.cost_node(plan, &[&self.collect_peaks(input, out)?])
             }
-            Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => {
-                self.cost_node(plan, &[])
-            }
+            Plan::Scan { .. } | Plan::ExtentScan { .. } => self.cost_node(plan, &[]),
         }
         .ok()?;
         out[at] = Some(props.peak_bytes);

@@ -58,7 +58,6 @@ pub use governor::{
     CancellationToken, DegradationReason, OptimizeOutcome, ResourceGovernor, ResourceLimits,
 };
 pub use optimizer::multi_view::{optimize, optimize_governed, Optimized};
-pub use optimizer::traditional::{optimize_traditional, optimize_traditional_governed};
 pub use optimizer::{OptimizerConfig, PullUpLevel, SearchStats};
 pub use plan::{GroupBySpec, PartialAggSpec, Plan};
 pub use query::{CanonicalQuery, QueryEnv, TopGroup, ViewDef};

@@ -1641,7 +1641,7 @@ mod tests {
                 Plan::Join {
                     left, right, preds, ..
                 } => !preds.is_empty() && no_cross(left) && no_cross(right),
-                Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => true,
+                Plan::Scan { .. } | Plan::ExtentScan { .. } => true,
                 Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
                     no_cross(input)
                 }

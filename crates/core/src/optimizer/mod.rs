@@ -7,9 +7,8 @@
 //!   conservative heuristic** (early group-by placement kept only when
 //!   cheaper and no wider, which preserves the never-worse guarantee).
 //!   A block without a group-by is the plain SPJ search;
-//! * [`traditional`] — the baseline two-phase optimizer: each view
-//!   optimized locally as an SPJ block, then the outer block over
-//!   views-as-base-relations;
+//! * [`OptimizerConfig::traditional`] — the baseline two-phase
+//!   optimizer: the general algorithm with pull-up and push-down off;
 //! * [`multi_view`] — Sections 5.3 and 5.4: pull-up enumeration
 //!   `Φ(V₀, W)` for each aggregate view, with disjoint pulled-up sets
 //!   per view;
@@ -21,7 +20,6 @@ pub(crate) mod facts;
 pub mod greedy;
 pub mod multi_view;
 pub mod stats;
-pub mod traditional;
 
 pub use stats::SearchStats;
 
@@ -126,8 +124,18 @@ impl Default for OptimizerConfig {
 }
 
 impl OptimizerConfig {
-    /// The traditional optimizer: no pull-up, no push-down, no
-    /// materialized extents.
+    /// The traditional two-phase optimizer (paper Section 5.1), the
+    /// baseline every experiment compares against:
+    ///
+    /// "1. Optimize each aggregate view Qi locally using the traditional
+    /// optimization algorithm for SPJ queries that determines a linear
+    /// join order. 2. Determine a linear join order among relations in B
+    /// and relations corresponding to view definitions in Q, treating
+    /// relations in the latter set as base relations."
+    ///
+    /// It is the general algorithm with no pull-up, no push-down and no
+    /// materialized extents: each view's only block is the view itself,
+    /// with its group-by at the root, and no early group-by is placed.
     pub fn traditional() -> Self {
         OptimizerConfig {
             pull_up: PullUpLevel::Disabled,

@@ -46,7 +46,7 @@ use crate::optimizer::stats::SearchStats;
 use crate::optimizer::{bits_of, bitset, rels_of, OptimizerConfig, Planned};
 use crate::plan::{GroupBySpec, Plan};
 use crate::query::CanonicalQuery;
-use crate::transform::pushdown::{group_applicable_at, minimal_invariant_set, InvariantGroupBy};
+use crate::transform::pushdown::{minimal_invariant_set, InvariantGroupBy};
 use aggview_common::{AggViewError, Col, RelId, Result, ViewId};
 use aggview_storage::Catalog;
 use std::cell::RefCell;
@@ -167,16 +167,10 @@ fn optimize_inner(
             group_cols: &v.group_cols,
             aggs: &v.aggs,
         };
-        let (v0_rels, removed) = minimal_invariant_set(&igb, &query.env, catalog)?;
+        // Every removal was accepted by `group_applicable_at` on the
+        // smaller set, so the fixpoint needs no re-check.
+        let (v0_rels, _) = minimal_invariant_set(&igb, &query.env, catalog)?;
         let v0_set = bitset(&v0_rels);
-        // Defensive re-validation of the fixpoint (greedy removal order
-        // could in principle leave an inconsistent set).
-        let v0_set =
-            if removed.is_empty() || group_applicable_at(&igb, v0_set, &query.env, catalog)? {
-                v0_set
-            } else {
-                bitset(&v.rels)
-            };
         v0.push(v0_set);
         d.push(bitset(&v.rels) & !v0_set);
     }
@@ -268,32 +262,18 @@ fn optimize_inner(
     // "pull-up may result in combining G0 and G1"). Combining removes an
     // operator, so the estimated cost never increases; keep the combined
     // plan when it is valid and no costlier.
-    let legal = |plan: &Plan| {
-        crate::analyze::PlanAnalyzer::new(catalog)
-            .with_env(&query.env)
-            .verify(plan)
-            .is_ok()
-    };
     if let Some(combined) = crate::transform::combine::combine_all(&out.plan) {
-        if legal(&combined) {
+        let legal = crate::analyze::PlanAnalyzer::new(catalog)
+            .with_env(&query.env)
+            .verify(&combined)
+            .is_ok();
+        if legal {
             if let Ok(props) = st.est.cost_plan(&combined) {
                 if props.cost <= out.props.cost + 1e-9 {
                     out.plan = combined;
                     out.props = props;
                 }
             }
-        }
-    }
-    // Post-pass: rewrite a provably-empty plan (contradictory
-    // predicates found by the dataflow pass) to an `EmptyScan` so the
-    // executor never scans for rows that cannot exist.
-    let rel_tables = Some(query.env.rel_tables.as_slice());
-    if let Some(pruned) = crate::analyze::dataflow::empty_rewrite(&out.plan, catalog, rel_tables)
-        .filter(|pruned| legal(pruned))
-    {
-        if let Ok(props) = st.est.cost_plan(&pruned) {
-            out.plan = pruned;
-            out.props = props;
         }
     }
     out.stats = stats;
@@ -761,7 +741,8 @@ impl<'a> Statement<'a> {
 mod tests {
     use super::*;
     use crate::analyze::PlanAnalyzer;
-    use crate::query::examples::{example1_query, example2_query};
+    use crate::query::examples::{dept, emp, example1_query, example2_query};
+    use aggview_common::Predicate;
     use aggview_storage::datagen::{gen_empdept, EmpDeptConfig};
 
     fn catalog(n_depts: usize, emps: usize, young: f64) -> Catalog {
@@ -856,6 +837,120 @@ mod tests {
         )
         .unwrap();
         assert!(opt.props.cost <= trad.props.cost + 1e-6);
+    }
+
+    #[test]
+    fn traditional_never_pulls_up() {
+        let cat = catalog(30, 5, 0.1);
+        let q = example1_query();
+        let t = optimize(
+            &q,
+            &cat,
+            CostModel::default(),
+            &OptimizerConfig::traditional(),
+        )
+        .unwrap();
+        assert!(t.pulled.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn traditional_explores_no_more_than_full() {
+        let cat = catalog(10, 10, 0.1);
+        let q = example1_query();
+        let model = CostModel::default();
+        let t = optimize(&q, &cat, model, &OptimizerConfig::traditional()).unwrap();
+        let f = optimize(&q, &cat, model, &OptimizerConfig::default()).unwrap();
+        assert!(t.stats.total() <= f.stats.total());
+        assert!(f.props.cost <= t.props.cost + 1e-6);
+    }
+
+    /// Example 1 with the department joined on the view's grouping
+    /// column and its name in the output:
+    ///
+    /// ```sql
+    /// select e1.sal, d.dname from emp e1, A1 b, <dept_table> d
+    ///  where e1.dno = b.dno and b.dno = d.dno
+    ///    and e1.age < 22 and e1.sal > b.Asal
+    /// ```
+    ///
+    /// `r0` = emp e1, `r1` = emp e2 (the view's), `r2` = dept d.
+    fn example1_with_dept(dept_table: &str) -> CanonicalQuery {
+        let mut q = example1_query();
+        let d = q.env.add_rel(dept_table);
+        q.base_rels.push(d);
+        q.preds.push(Predicate::eq_cols(
+            Col::base(RelId(1), emp::DNO),
+            Col::base(d, dept::DNO),
+        ));
+        q.projection.push(Col::base(d, dept::DNAME));
+        q
+    }
+
+    /// Phase 1 for view Q1 of `q` with `W` = {dept}: G′'s grouping
+    /// columns, or `None` when the block is inadmissible.
+    fn pulled_dept_block(q: &CanonicalQuery, cat: &Catalog) -> Option<Vec<Col>> {
+        let st = Statement::new(q, CardEstimator::new(CostModel::default(), cat, &q.env));
+        let gov = ResourceGovernor::unlimited();
+        // No push-down: G′ stays at the block's root as built.
+        let config = OptimizerConfig {
+            push_down: false,
+            use_eager_agg: false,
+            ..OptimizerConfig::default()
+        };
+        let vb = st
+            .build_view_block(
+                0,
+                RelId(1).bit(),
+                RelId(2).bit(),
+                &config,
+                &mut SearchStats::default(),
+                &gov,
+            )
+            .unwrap()?;
+        fn owned_by_view(p: &Plan) -> Option<&GroupBySpec> {
+            match p {
+                Plan::GroupBy { spec, .. } if spec.owner == ViewId::View(0) => Some(spec),
+                Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
+                    owned_by_view(input)
+                }
+                Plan::Join { left, right, .. } => {
+                    owned_by_view(left).or_else(|| owned_by_view(right))
+                }
+                Plan::Scan { .. } | Plan::ExtentScan { .. } => None,
+            }
+        }
+        Some(owned_by_view(&vb.item.plan).expect("G′").group_cols.clone())
+    }
+
+    /// Definition 1 item 2 with the foreign-key omission: `d.dno` is
+    /// equated to the view's grouping column `e2.dno`, so G′ does not
+    /// group by it; `d.dname`, read above the block, is carried as a
+    /// grouping column.
+    #[test]
+    fn pulled_fk_join_omits_the_key_from_grouping() {
+        let cat = catalog(10, 5, 0.1);
+        let g = pulled_dept_block(&example1_with_dept("dept"), &cat).expect("admissible");
+        assert!(g.contains(&Col::base(RelId(1), emp::DNO)), "{g:?}");
+        assert!(g.contains(&Col::base(RelId(2), dept::DNAME)), "{g:?}");
+        assert!(
+            !g.contains(&Col::base(RelId(2), dept::DNO)),
+            "FK key kept: {g:?}"
+        );
+    }
+
+    /// A relation without a primary key cannot be pulled through a
+    /// view: no key to add to G′ (Definition 1 item 2).
+    #[test]
+    fn pulling_a_keyless_relation_is_inadmissible() {
+        let cat = catalog(10, 5, 0.1);
+        let dept = cat.get("dept").unwrap();
+        let mut keyless = aggview_storage::Table::builder("dept_nokey", dept.schema().clone());
+        for row in dept.rows() {
+            keyless.push(row).unwrap();
+        }
+        cat.add(keyless.build().unwrap()).unwrap();
+        assert!(pulled_dept_block(&example1_with_dept("dept_nokey"), &cat).is_none());
+        assert!(pulled_dept_block(&example1_with_dept("dept"), &cat).is_some());
     }
 
     #[test]

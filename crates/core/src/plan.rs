@@ -19,7 +19,7 @@
 //! plans are immutable values, and the optimizer builds thousands of
 //! candidates over the same memoized sub-plans.
 
-use aggview_common::{AggRef, AggSpec, Col, ColRef, DataType, Predicate, RelId, ViewId};
+use aggview_common::{AggRef, AggSpec, Col, ColRef, Predicate, RelId, ViewId};
 use std::sync::Arc;
 
 /// A group-by operator's annotations (paper Section 2): grouping
@@ -188,21 +188,6 @@ pub enum Plan {
         /// Output columns (subset of `outputs`).
         project: Vec<Col>,
     },
-    /// A subtree the dataflow pass proved empty (a contradictory
-    /// predicate set). Leaf node: produces zero rows of the recorded
-    /// layout without touching storage. The covered relation instances
-    /// are kept so relation-set bookkeeping (join disjointness,
-    /// degraded-shape checks) still holds after the rewrite.
-    EmptyScan {
-        /// Base relation instances the pruned subtree covered.
-        covers: Vec<RelId>,
-        /// Output columns.
-        project: Vec<Col>,
-        /// Static type of each output column, parallel to `project`.
-        types: Vec<DataType>,
-        /// The contradiction that proved the subtree empty.
-        reason: String,
-    },
 }
 
 impl Plan {
@@ -297,21 +282,6 @@ impl Plan {
         }
     }
 
-    /// A provably-empty subtree replacement with an explicit layout.
-    pub fn empty_scan(
-        covers: Vec<RelId>,
-        project: Vec<Col>,
-        types: Vec<DataType>,
-        reason: impl Into<String>,
-    ) -> Plan {
-        Plan::EmptyScan {
-            covers,
-            project,
-            types,
-            reason: reason.into(),
-        }
-    }
-
     /// This node's output layout.
     pub fn output_cols(&self) -> &[Col] {
         match self {
@@ -319,8 +289,7 @@ impl Plan {
             | Plan::Join { project, .. }
             | Plan::GroupBy { project, .. }
             | Plan::PartialAggregate { project, .. }
-            | Plan::ExtentScan { project, .. }
-            | Plan::EmptyScan { project, .. } => project,
+            | Plan::ExtentScan { project, .. } => project,
         }
     }
 
@@ -333,23 +302,6 @@ impl Plan {
             | Plan::GroupBy { project, .. }
             | Plan::PartialAggregate { project, .. }
             | Plan::ExtentScan { project, .. } => *project = new_project,
-            Plan::EmptyScan { project, types, .. } => {
-                // Keep the recorded types parallel to the projection.
-                // Unknown columns get a placeholder; the analyzer rejects
-                // them before anything downstream reads the type.
-                let old: Vec<(Col, DataType)> =
-                    project.iter().copied().zip(types.iter().copied()).collect();
-                *types = new_project
-                    .iter()
-                    .map(|c| {
-                        old.iter()
-                            .find(|(o, _)| o == c)
-                            .map(|&(_, t)| t)
-                            .unwrap_or(DataType::Int)
-                    })
-                    .collect();
-                *project = new_project;
-            }
         }
         self
     }
@@ -360,9 +312,7 @@ impl Plan {
             Plan::Scan { rel, .. } => rel.bit(),
             Plan::Join { left, right, .. } => left.rel_set() | right.rel_set(),
             Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => input.rel_set(),
-            Plan::ExtentScan { covers, .. } | Plan::EmptyScan { covers, .. } => {
-                covers.iter().fold(0, |s, r| s | r.bit())
-            }
+            Plan::ExtentScan { covers, .. } => covers.iter().fold(0, |s, r| s | r.bit()),
         }
     }
 
@@ -375,7 +325,7 @@ impl Plan {
     /// Number of group-by operators (full or partial) in the tree.
     pub fn group_by_count(&self) -> usize {
         match self {
-            Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => 0,
+            Plan::Scan { .. } | Plan::ExtentScan { .. } => 0,
             Plan::Join { left, right, .. } => left.group_by_count() + right.group_by_count(),
             Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
                 1 + input.group_by_count()
@@ -386,7 +336,7 @@ impl Plan {
     /// Number of join operators in the tree.
     pub fn join_count(&self) -> usize {
         match self {
-            Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => 0,
+            Plan::Scan { .. } | Plan::ExtentScan { .. } => 0,
             Plan::Join { left, right, .. } => 1 + left.join_count() + right.join_count(),
             Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
                 input.join_count()
@@ -489,10 +439,6 @@ impl Plan {
                     let _ = write!(out, " filter [{}]", fs.join(" AND "));
                 }
                 let _ = writeln!(out);
-            }
-            Plan::EmptyScan { covers, reason, .. } => {
-                let rs: Vec<String> = covers.iter().map(|r| r.to_string()).collect();
-                let _ = writeln!(out, "{pad}EmptyScan covers [{}] ({reason})", rs.join(", "));
             }
         }
     }
@@ -810,18 +756,6 @@ mod tests {
             vec![Col::base(RelId(1), 0)],
             vec![],
             vec![Col::base(RelId(1), 0)],
-        );
-        let err = verify(&bare).unwrap_err();
-        assert!(err.message().contains("covers no relations"), "{err}");
-    }
-
-    #[test]
-    fn empty_scan_must_cover_relations() {
-        let bare = Plan::empty_scan(
-            vec![],
-            vec![Col::base(RelId(0), 0)],
-            vec![DataType::Int],
-            "test",
         );
         let err = verify(&bare).unwrap_err();
         assert!(err.message().contains("covers no relations"), "{err}");

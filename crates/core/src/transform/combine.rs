@@ -99,7 +99,7 @@ pub fn combine_groupbys(plan: &Plan) -> Option<Plan> {
 pub fn combine_all(plan: &Plan) -> Option<Plan> {
     let combined = |sub: &Arc<Plan>| combine_all(sub).map(Arc::new);
     let rebuilt = match plan {
-        Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => None,
+        Plan::Scan { .. } | Plan::ExtentScan { .. } => None,
         Plan::Join {
             left,
             right,

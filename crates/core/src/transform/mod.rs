@@ -2,8 +2,6 @@
 //!
 //! * [`props`] — key derivation for operator outputs (pull-up and
 //!   invariant grouping both reason about keys),
-//! * [`pullup`] — Section 3's pull-up transformation (Definition 1):
-//!   defer a group-by past a join,
 //! * [`pushdown`] — Section 4.1's invariant grouping: move a group-by
 //!   below a join, and the *minimal invariant set* computation,
 //! * [`combine`] — Section 3's note on merging *successive* group-by
@@ -16,14 +14,14 @@
 //! 4.2's simple coalescing grouping — a partial group-by added below a
 //! join for decomposable aggregates — has no rewrite of its own: the
 //! block enumerator ([`crate::optimizer::greedy`]) places it as one of
-//! its early aggregations.
+//! its early aggregations. Nor does Section 3's pull-up (Definition 1):
+//! [`crate::optimizer::multi_view`] builds each pulled block Φ(V₀, W)
+//! directly, and the analyzer's pull-up key rule checks what it builds.
 
 pub mod combine;
 pub mod props;
-pub mod pullup;
 pub mod pushdown;
 
 pub use combine::{combine_all, combine_groupbys};
 pub use props::{grouping_determinant, is_fk_join_into, output_key};
-pub use pullup::pull_up;
 pub use pushdown::{group_applicable_at, minimal_invariant_set, InvariantGroupBy};

@@ -45,9 +45,6 @@ pub fn output_key(plan: &Plan, catalog: &Catalog) -> Result<Option<Vec<Col>>> {
         }
         Plan::GroupBy { spec, .. } => Some(spec.group_cols.clone()),
         Plan::PartialAggregate { spec, .. } => Some(spec.group_cols.clone()),
-        // Zero rows trivially satisfy any key, but claiming one would
-        // let invariant-grouping reason from a vacuous property.
-        Plan::EmptyScan { .. } => None,
         Plan::ExtentScan {
             table,
             cols,
@@ -185,7 +182,6 @@ impl<'p> Dependencies<'p> {
                 }
                 self.add_equalities(filters);
             }
-            Plan::EmptyScan { .. } => {}
         }
         Ok(())
     }

@@ -18,7 +18,7 @@
 //! table. Experiment E7 compares this against the flattened, optimized
 //! plan.
 
-use aggview_common::{AggAccumulator, AggFunc, AggViewError, CmpOp, Predicate, Result, Tuple};
+use aggview_common::{AggFunc, AggViewError, CmpOp, PartialAggState, Predicate, Result, Tuple};
 use aggview_core::cost::CostModel;
 use aggview_storage::Catalog;
 
@@ -92,7 +92,7 @@ pub fn execute_correlated(
         // One full inner scan for this outer tuple.
         inner_scans += 1;
         io_pages += inner_pages;
-        let mut acc = AggAccumulator::new(q.agg);
+        let mut acc = PartialAggState::empty(q.agg);
         let corr = o.get(q.corr_outer);
         let mut matched = false;
         for i in &inner_rows {

@@ -18,9 +18,7 @@ use crate::partition::AggInput;
 use crate::vector::{self, Flow, Held, JoinShape, Probe, Slot};
 use aggview_common::fault::{maybe_fault, FaultInjector};
 use aggview_common::predicate::BoundPredicate;
-use aggview_common::{
-    AggFunc, AggRef, AggViewError, Batch, Col, ColumnVec, Predicate, Result, Tuple,
-};
+use aggview_common::{AggFunc, AggRef, AggViewError, Batch, Col, Predicate, Result, Tuple};
 use aggview_core::analyze::dataflow::Bounds;
 use aggview_core::cost::ops::{self, JoinSides};
 use aggview_core::cost::CostModel;
@@ -210,7 +208,9 @@ impl<'a> Engine<'a> {
     /// row or byte budget, a plan whose *floor* already exceeds it can
     /// only end in [`AggViewError::ResourceExhausted`] after wasted
     /// work, so it is rejected up front with
-    /// [`AggViewError::PlanInadmissible`].
+    /// [`AggViewError::PlanInadmissible`]. A plan the pass proves
+    /// empty (a contradictory predicate set) is answered there: no
+    /// rows, no IO, nothing charged, and no operator runs.
     pub fn execute_governed(
         &self,
         plan: &Plan,
@@ -221,6 +221,16 @@ impl<'a> Engine<'a> {
             .with_env(self.env)
             .verify_flow(plan)?;
         admit(&flow.bounds, gov)?;
+        if flow.provably_empty {
+            gov.check_interrupt()?;
+            return Ok(ResultSet {
+                cols: plan.output_cols().to_vec(),
+                rows: Vec::new(),
+                io_pages: 0.0,
+                breakdown: Vec::new(),
+                peak_intermediate_bytes: 0,
+            });
+        }
         let mut ctx = ExecCtx {
             breakdown: Vec::new(),
             gov,
@@ -285,23 +295,6 @@ impl<'a> Engine<'a> {
                 let op = format!("extent-scan {table} (matview {view})");
                 let layout = |_arity| outputs.iter().copied().zip(cols.iter().copied()).collect();
                 self.scan(ctx, table, op, layout, filters, project)
-            }
-            // A subtree the dataflow pass proved empty: the declared
-            // layout with zero rows, charging no IO and touching no
-            // storage. The (empty) columns are typed from the operator's
-            // recorded schema so downstream kernels stay on their fast
-            // paths.
-            Plan::EmptyScan { project, types, .. } => {
-                ctx.gov.check_interrupt()?;
-                ctx.breakdown.push(IoBreakdown {
-                    op: "empty-scan".into(),
-                    pages: 0.0,
-                });
-                let cols = types.iter().map(|&t| ColumnVec::with_type(t)).collect();
-                Ok(Stream::held(
-                    project,
-                    Held::batch(Batch::from_parts(cols, 0)),
-                ))
             }
             Plan::Join {
                 left,

@@ -129,7 +129,6 @@ fn eval(plan: &Plan, catalog: &Catalog) -> Result<Relation> {
             let rows = select(outputs, rows, filters)?;
             project(outputs, rows, onto)
         }
-        Plan::EmptyScan { project: onto, .. } => Ok((onto.clone(), Vec::new())),
         Plan::Join {
             left,
             right,

@@ -16,8 +16,8 @@
 //! * `rows`, `row_width`, and per column `avg_width`, `distinct`, `min`
 //!   and `max` are **exact** and equal to what [`analyze`] computes over
 //!   the same rows (on NaN-free columns; the engine has no NaN literal).
-//!   The plan dataflow analysis prunes on `min`/`max`, so these may
-//!   never lag.
+//!   The plan dataflow analysis proves plans empty from `min`/`max`,
+//!   so these may never lag.
 //! * the equi-depth `histogram` may **lag by at most
 //!   `rows / HISTOGRAM_BUCKETS` changed rows** — one bucket's depth, its
 //!   own resolution. When a mutation takes the lag past that, every

@@ -76,14 +76,14 @@ fn groups_over(plan: &Plan, table: &str) -> bool {
             Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
                 scans(input, table)
             }
-            Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => false,
+            Plan::ExtentScan { .. } => false,
         }
     }
     match plan {
         Plan::GroupBy { input, .. } => scans(input, table) || groups_over(input, table),
         Plan::Join { left, right, .. } => groups_over(left, table) || groups_over(right, table),
         Plan::PartialAggregate { input, .. } => groups_over(input, table),
-        Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => false,
+        Plan::Scan { .. } | Plan::ExtentScan { .. } => false,
     }
 }
 

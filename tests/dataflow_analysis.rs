@@ -1,8 +1,9 @@
 //! Integration tests for the plan-dataflow subsystem:
 //!
-//! 1. **contradiction pruning** — a SQL query with contradictory
-//!    predicates executes through `Plan::EmptyScan` without touching
-//!    storage (zero IO pages, zero governed rows);
+//! 1. **contradictions** — a SQL query with contradictory predicates
+//!    is answered at the executor's gate without touching storage
+//!    (zero IO pages, zero governed rows), and the analyzer names the
+//!    contradiction;
 //! 2. **static admission control** — a plan whose guaranteed row/byte
 //!    floor exceeds the budget is rejected *before* execution with a
 //!    structured `plan-inadmissible` error and no work performed;
@@ -14,6 +15,7 @@
 //!    type cleanly, and every value they put out has its column's
 //!    certified type.
 
+use aggview::common::fault::{FaultInjector, SeededFaultInjector};
 use aggview::common::{AggFunc, AggSpec, CmpOp, Col, Expr, Predicate, Value, ViewId};
 use aggview::core::analyze::dataflow;
 use aggview::core::cost::ops::IoParams;
@@ -40,25 +42,33 @@ fn emp_scan_env() -> (Plan, QueryEnv) {
 }
 
 #[test]
-fn contradictory_sql_query_executes_via_empty_scan() {
+fn contradictory_sql_query_is_answered_at_the_gate() {
     let mut session = Session::new(catalog());
-    let r = session
-        .execute("select eno from emp where sal > 5 and sal < 3;")
-        .unwrap();
+    let sql = "select eno from emp where sal > 5 and sal < 3;";
+    let r = session.execute(sql).unwrap();
     assert!(r.rows.is_empty(), "contradictory predicates admit no rows");
-    assert!(
-        r.plan.contains("EmptyScan"),
-        "expected the plan to be pruned to an EmptyScan:\n{}",
-        r.plan
-    );
-    assert_eq!(r.io_pages, 0.0, "a pruned plan must not read any pages");
+    assert_eq!(r.io_pages, 0.0, "a provably-empty plan reads no pages");
+    // The plan keeps its filters; the analyzer names the contradiction
+    // and where it arose.
+    let report = session.verify(sql).unwrap();
+    let df001: Vec<String> = report
+        .rows
+        .iter()
+        .filter(|row| *row.get(0) == Value::str("DF001"))
+        .map(|row| row.get(3).to_string())
+        .collect();
+    assert_eq!(df001.len(), 1, "{:?}", report.rows);
+    assert!(df001[0].contains("provably empty"), "{df001:?}");
+    // `r0.c3` is `emp.sal`.
+    assert!(df001[0].contains("r0.c3"), "{df001:?}");
 }
 
-#[test]
-fn pruned_plan_reports_a_single_empty_scan_and_charges_nothing() {
-    let cat = catalog();
+/// `select * from emp where sal > 5 and sal < 3`, unpruned, alone and
+/// under a join with `dept`.
+fn contradictory_plans() -> (Vec<Plan>, QueryEnv) {
     let mut env = QueryEnv::default();
     let e = env.add_rel("emp");
+    let d = env.add_rel("dept");
     let contradictory = Plan::scan(
         e,
         "emp",
@@ -68,20 +78,35 @@ fn pruned_plan_reports_a_single_empty_scan_and_charges_nothing() {
         ],
         all_cols(e, 5),
     );
-    let (pruned, n) = dataflow::prune_empty(&contradictory, &cat, Some(env.rel_tables.as_slice()));
-    assert_eq!(n, 1, "the contradictory scan must be pruned");
-    assert!(matches!(pruned, Plan::EmptyScan { .. }));
+    let joined = Plan::join_all(
+        contradictory.clone(),
+        Plan::scan(d, "dept", vec![], all_cols(d, 4)),
+        vec![Predicate::eq_cols(Col::base(e, emp::DNO), Col::base(d, 0))],
+    );
+    (vec![contradictory, joined], env)
+}
 
+#[test]
+fn provably_empty_plan_runs_no_operator_and_charges_nothing() {
+    let cat = catalog();
+    let (plans, env) = contradictory_plans();
     let engine = Engine::new(&cat, &env, CostModel::default());
-    let gov = ResourceGovernor::unlimited();
-    let rs = engine.execute_governed(&pruned, &gov, None).unwrap();
-    assert!(rs.rows.is_empty());
-    assert_eq!(rs.io_pages, 0.0);
-    assert_eq!(rs.breakdown.len(), 1, "exactly one operator must report");
-    assert_eq!(rs.breakdown[0].op, "empty-scan");
-    assert_eq!(rs.breakdown[0].pages, 0.0);
-    assert_eq!(gov.rows_used(), 0, "no tuples may be charged");
-    assert_eq!(gov.bytes_used(), 0, "no bytes may be charged");
+    // A fault at every scan and operator site: none may be reached.
+    let always = SeededFaultInjector::new(7, 1000);
+    for plan in &plans {
+        for faults in [None, Some(&always as &dyn FaultInjector)] {
+            let gov = ResourceGovernor::unlimited();
+            let rs = engine.execute_governed(plan, &gov, faults).unwrap();
+            assert!(rs.rows.is_empty(), "{}", plan.explain());
+            assert_eq!(rs.cols, plan.output_cols());
+            assert_eq!(rs.io_pages, 0.0);
+            assert!(rs.breakdown.is_empty(), "{:?}", rs.breakdown);
+            assert_eq!(rs.peak_intermediate_bytes, 0);
+            assert_eq!(gov.rows_used(), 0, "no tuples may be charged");
+            assert_eq!(gov.bytes_used(), 0, "no bytes may be charged");
+        }
+    }
+    assert_eq!(always.calls(), 0, "no fault site was consulted");
 }
 
 #[test]

@@ -133,7 +133,7 @@ fn contains_partial_aggregate(p: &Plan) -> bool {
             contains_partial_aggregate(left) || contains_partial_aggregate(right)
         }
         Plan::GroupBy { input, .. } => contains_partial_aggregate(input),
-        Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => false,
+        Plan::Scan { .. } | Plan::ExtentScan { .. } => false,
     }
 }
 

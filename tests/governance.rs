@@ -8,8 +8,8 @@ use aggview::common::ScheduledFaults;
 use aggview::core::analyze::dataflow;
 use aggview::core::query::examples::{example1_query, example2_query};
 use aggview::core::{
-    optimize, optimize_governed, optimize_traditional, CancellationToken, CostModel,
-    DegradationReason, OptimizerConfig, ResourceGovernor, ResourceLimits,
+    optimize, optimize_governed, CancellationToken, CostModel, DegradationReason, OptimizerConfig,
+    ResourceGovernor, ResourceLimits,
 };
 use aggview::executor::{assert_equivalent, Engine};
 use aggview::storage::datagen::{gen_empdept, EmpDeptConfig};
@@ -43,7 +43,7 @@ fn tiny_search_budget_degrades_to_the_traditional_plan() {
 
     // The fallback is exactly the traditional two-phase plan: same
     // estimated cost, same results.
-    let trad = optimize_traditional(&q, &catalog, model).unwrap();
+    let trad = optimize(&q, &catalog, model, &OptimizerConfig::traditional()).unwrap();
     assert!(
         (opt.props.cost - trad.props.cost).abs() < 1e-9,
         "degraded cost {} != traditional cost {}",

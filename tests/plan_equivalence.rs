@@ -4,12 +4,10 @@
 
 use aggview::core::cost::ops::IoParams;
 use aggview::core::query::examples::{example1_query, example2_query, example2_wide_query};
-use aggview::core::transform::pull_up;
-use aggview::core::{optimize, CostModel, OptimizerConfig, Plan, PlanAnalyzer, PullUpLevel};
+use aggview::core::{optimize, CostModel, OptimizerConfig, PlanAnalyzer, PullUpLevel};
 use aggview::executor::{assert_equivalent, Engine};
 use aggview::storage::datagen::{gen_empdept, EmpDeptConfig};
 use aggview::storage::Catalog;
-use std::sync::Arc;
 
 fn catalog(n_depts: usize, emps: usize, young: f64, seed: u64) -> Catalog {
     gen_empdept(&EmpDeptConfig {
@@ -151,89 +149,38 @@ fn never_worse_guarantee_estimated_cost() {
     }
 }
 
-/// Definition 1 as an executable statement: P1 ≡ pull_up(P1), on the
-/// optimizer-produced traditional plan for Example 1 (a join over a
-/// group-by).
+/// Definition 1 as an executable statement, in E1's pull-up regime
+/// (many departments, few young employees, 4 memory pages): the
+/// optimizer pulls `emp e1` through the view, and the pulled plan
+/// returns the traditional plan's rows.
 #[test]
-fn pull_up_transformation_preserves_results() {
-    let cat = catalog(12, 6, 0.3, 7);
+fn pulled_plan_preserves_results() {
+    let cat = catalog(8000, 2, 0.002, 1);
     let q = example1_query();
-    let model = CostModel::default();
-    let trad = optimize(&q, &cat, model, &OptimizerConfig::traditional()).unwrap();
-    // Find the join-over-group-by node (the traditional plan's root or
-    // just below it).
-    fn find_join_over_gb(p: &Plan) -> Option<&Plan> {
-        match p {
-            Plan::Join { left, right, .. } => {
-                if matches!(left.as_ref(), Plan::GroupBy { .. })
-                    || matches!(right.as_ref(), Plan::GroupBy { .. })
-                {
-                    Some(p)
-                } else {
-                    find_join_over_gb(left).or_else(|| find_join_over_gb(right))
-                }
-            }
-            Plan::GroupBy { input, .. } | Plan::PartialAggregate { input, .. } => {
-                find_join_over_gb(input)
-            }
-            Plan::Scan { .. } | Plan::ExtentScan { .. } | Plan::EmptyScan { .. } => None,
-        }
-    }
-    let j1 = find_join_over_gb(&trad.plan).expect("traditional plan joins the view");
-    // The optimizer projects scans narrowly, which can drop the key
-    // pull-up needs; widen the non-grouped side to the full table (the
-    // paper's "internal tuple id" fallback corresponds to keeping the
-    // declared key visible).
-    let j1 = {
-        let Plan::Join {
-            left,
-            right,
-            preds,
-            project,
-        } = j1.clone()
-        else {
-            unreachable!()
-        };
-        let widen = |p: Arc<Plan>| -> Arc<Plan> {
-            match &*p {
-                Plan::Scan {
-                    rel,
-                    table,
-                    filters,
-                    ..
-                } => {
-                    let arity = cat.get(table).unwrap().schema().len();
-                    Arc::new(Plan::scan(
-                        *rel,
-                        table,
-                        filters.clone(),
-                        aggview::core::plan::all_cols(*rel, arity),
-                    ))
-                }
-                _ => p,
-            }
-        };
-        Plan::Join {
-            left: widen(left),
-            right: widen(right),
-            preds,
-            project,
-        }
+    let model = CostModel {
+        io: IoParams {
+            mem_pages: 4.0,
+            ..Default::default()
+        },
+        ..CostModel::paper()
     };
-    let j1 = &j1;
-    let p2 = pull_up(j1, &cat).unwrap();
-    PlanAnalyzer::new(&cat)
-        .with_env(&q.env)
-        .verify(&p2)
-        .unwrap();
+    let full = optimize(&q, &cat, model, &OptimizerConfig::default()).unwrap();
+    assert!(
+        full.pulled.iter().any(|w| !w.is_empty()),
+        "expected a pull-up:\n{}",
+        full.plan.explain()
+    );
+    let trad = optimize(&q, &cat, model, &OptimizerConfig::traditional()).unwrap();
+    assert!(trad.pulled.iter().all(Vec::is_empty));
     let engine = Engine::new(&cat, &q.env, model);
-    let a = engine.execute(j1).unwrap();
-    let b = engine.execute(&p2).unwrap();
+    let a = engine.execute(&trad.plan).unwrap();
+    let b = engine.execute(&full.plan).unwrap();
+    assert!(!a.rows.is_empty(), "a vacuous comparison");
     assert_equivalent(&a, &b).unwrap_or_else(|e| {
         panic!(
-            "pull-up changed results: {e}\nP1:\n{}\nP2:\n{}",
-            j1.explain(),
-            p2.explain()
+            "pull-up changed results: {e}\ntraditional:\n{}\npulled:\n{}",
+            trad.plan.explain(),
+            full.plan.explain()
         )
     });
 }
