@@ -5,11 +5,14 @@
 //! of a group-by or partial aggregate, a join's build side — or
 //! *streams* tiles through the joins above it into the next breaker's
 //! sink ([`crate::vector`] runs the pipelines); a join's output never
-//! exists whole, and rows are materialized only at the plan boundary
-//! ([`ResultSet::rows`]). IO is *accounted*, not performed: every
-//! operator charges the pages the paper's cost model says it would
-//! transfer, computed from the **actual** sizes of its inputs and
-//! outputs via the shared formulas in [`aggview_core::cost::ops`].
+//! exists whole, and the plan's result comes out as columns
+//! ([`ResultBatch`]); rows are materialized once, past the plan
+//! boundary, by whoever consumes them ([`ResultSet::rows`], or the SQL
+//! session after projection, ORDER BY and LIMIT). IO is *accounted*,
+//! not performed: every operator charges the pages the paper's cost
+//! model says it would transfer, computed from the **actual** sizes of
+//! its inputs and outputs via the shared formulas in
+//! [`aggview_core::cost::ops`].
 //!
 //! The differential oracle for this engine is the naive interpreter in
 //! [`crate::reference`], which shares none of this code.
@@ -18,7 +21,9 @@ use crate::partition::AggInput;
 use crate::vector::{self, Flow, Held, JoinShape, Probe, Slot};
 use aggview_common::fault::{maybe_fault, FaultInjector};
 use aggview_common::predicate::BoundPredicate;
-use aggview_common::{AggFunc, AggRef, AggViewError, Batch, Col, Predicate, Result, Tuple};
+use aggview_common::{
+    AggFunc, AggRef, AggViewError, Batch, Col, ColumnVec, DataType, Predicate, Result, Tuple,
+};
 use aggview_core::analyze::dataflow::Bounds;
 use aggview_core::cost::ops::{self, JoinSides};
 use aggview_core::cost::CostModel;
@@ -65,6 +70,43 @@ impl ResultSet {
     /// Position of a column in the layout.
     pub fn col_index(&self, c: Col) -> Option<usize> {
         self.cols.iter().position(|x| *x == c)
+    }
+}
+
+/// The result of executing a plan as the engine's one execution body
+/// leaves it: columns, not yet rows. [`ResultSet`] is this with the
+/// batch materialized; a caller that keeps only some columns, or some
+/// rows in another order, projects and reorders the batch first and
+/// materializes once.
+#[derive(Debug, Clone)]
+pub struct ResultBatch {
+    /// Output layout: column `k` of `batch` holds `cols[k]`.
+    pub cols: Vec<Col>,
+    /// The root's output.
+    pub batch: Batch,
+    /// As [`ResultSet::io_pages`].
+    pub io_pages: f64,
+    /// As [`ResultSet::breakdown`].
+    pub breakdown: Vec<IoBreakdown>,
+    /// As [`ResultSet::peak_intermediate_bytes`].
+    pub peak_intermediate_bytes: u64,
+}
+
+impl ResultBatch {
+    /// Position of a column in the layout.
+    pub fn col_index(&self, c: Col) -> Option<usize> {
+        self.cols.iter().position(|x| *x == c)
+    }
+
+    /// Materialize every row, in the layout's column order.
+    pub fn into_rows(self) -> ResultSet {
+        ResultSet {
+            rows: self.batch.to_tuples(),
+            cols: self.cols,
+            io_pages: self.io_pages,
+            breakdown: self.breakdown,
+            peak_intermediate_bytes: self.peak_intermediate_bytes,
+        }
     }
 }
 
@@ -217,15 +259,35 @@ impl<'a> Engine<'a> {
         gov: &ResourceGovernor,
         faults: Option<&dyn FaultInjector>,
     ) -> Result<ResultSet> {
+        self.execute_columns(plan, gov, faults)
+            .map(ResultBatch::into_rows)
+    }
+
+    /// [`Self::execute_governed`] without the materialization: the
+    /// root's columns, one per [`Plan::output_cols`] entry, whatever
+    /// answered — the operators or the gate.
+    pub fn execute_columns(
+        &self,
+        plan: &Plan,
+        gov: &ResourceGovernor,
+        faults: Option<&dyn FaultInjector>,
+    ) -> Result<ResultBatch> {
         let flow = aggview_core::PlanAnalyzer::new(self.catalog)
             .with_env(self.env)
             .verify_flow(plan)?;
         admit(&flow.bounds, gov)?;
         if flow.provably_empty {
             gov.check_interrupt()?;
-            return Ok(ResultSet {
-                cols: plan.output_cols().to_vec(),
-                rows: Vec::new(),
+            // A zero-row column of the type the pass derived (any type
+            // holds no rows when it is unknown).
+            let cols = plan.output_cols().to_vec();
+            let empty = cols.iter().map(|c| {
+                let ty = flow.columns.get(c).and_then(|d| d.ty);
+                ColumnVec::with_type(ty.unwrap_or(DataType::Int))
+            });
+            return Ok(ResultBatch {
+                batch: Batch::from_parts(empty.collect(), 0),
+                cols,
                 io_pages: 0.0,
                 breakdown: Vec::new(),
                 peak_intermediate_bytes: 0,
@@ -239,19 +301,19 @@ impl<'a> Engine<'a> {
             live: 0,
             peak_bytes: 0,
         };
-        let mut root = self.stream(plan, &mut ctx)?;
+        let root = self.stream(plan, &mut ctx)?;
         // The result is what the plan is for, not an intermediate: a
         // breaker at the root hands its batch over, anything else is
         // collected, and neither counts towards the peak.
-        let data = if root.joins.is_empty() && !root.source.is_scan() {
-            root.source.into_batch()
+        let batch = if root.joins.is_empty() && !root.source.is_scan() {
+            root.source.into_batch().unwrap_or_default()
         } else {
-            Some(self.collect(&root, &mut ctx, |_| 0)?)
+            self.collect(&root, &mut ctx, |_| 0)?
         };
         let io_pages = ctx.breakdown.iter().map(|b| b.pages).sum();
-        Ok(ResultSet {
-            cols: std::mem::take(&mut root.cols),
-            rows: data.map_or_else(Vec::new, |d| d.to_tuples()),
+        Ok(ResultBatch {
+            cols: root.cols,
+            batch,
             io_pages,
             breakdown: ctx.breakdown,
             peak_intermediate_bytes: ctx.peak_bytes,

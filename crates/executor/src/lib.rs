@@ -50,6 +50,6 @@ pub mod vector;
 pub mod verify;
 
 pub use delta::{dependency_graph, DependencyGraph};
-pub use engine::{Engine, ExecOptions, IoBreakdown, ResultSet};
+pub use engine::{Engine, ExecOptions, IoBreakdown, ResultBatch, ResultSet};
 pub use subscribe::{SubscriptionHub, ViewEvent};
 pub use verify::{assert_equivalent, canonical_rows};

@@ -124,6 +124,24 @@ impl FromItem {
     }
 }
 
+/// One `ORDER BY` key: an output column by alias or name, or a
+/// qualified column `q.col` the select list carries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OrderKey {
+    pub qualifier: Option<String>,
+    pub name: String,
+    pub desc: bool,
+}
+
+impl fmt::Display for OrderKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.qualifier {
+            Some(q) => write!(f, "{q}.{}", self.name),
+            None => f.write_str(&self.name),
+        }
+    }
+}
+
 /// A SELECT statement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectStmt {
@@ -132,9 +150,8 @@ pub struct SelectStmt {
     pub where_preds: Vec<AstPred>,
     pub group_by: Vec<AstExpr>,
     pub having: Vec<AstPred>,
-    /// `ORDER BY <output column> [ASC|DESC], ...` — names must refer to
-    /// output columns (by alias or column name).
-    pub order_by: Vec<(String, bool)>,
+    /// `ORDER BY <key> [ASC|DESC], ...`.
+    pub order_by: Vec<OrderKey>,
     /// `LIMIT n`.
     pub limit: Option<usize>,
 }

@@ -14,7 +14,7 @@
 //!   ([`crate::flatten`]);
 //! * a GROUP BY / aggregate select list becomes the top group-by `G0`.
 
-use crate::ast::{AstExpr, AstPred, FromItem, SelectStmt};
+use crate::ast::{AstExpr, AstPred, FromItem, OrderKey, SelectStmt};
 use crate::flatten::flatten_subquery;
 use aggview_common::{AggSpec, AggViewError, Col, Expr, Predicate, RelId, Result, ViewId};
 use aggview_core::query::{CanonicalQuery, QueryEnv, TopGroup, ViewDef};
@@ -65,6 +65,11 @@ pub struct BoundQuery {
     pub query: CanonicalQuery,
     /// Output column names, parallel to `query.projection`.
     pub column_names: Vec<String>,
+    /// `ORDER BY` keys as (select-list position, descending), major key
+    /// first.
+    pub order_by: Vec<(usize, bool)>,
+    /// `LIMIT n`.
+    pub limit: Option<usize>,
 }
 
 /// One visible FROM binding.
@@ -103,6 +108,11 @@ pub fn bind(stmt: &SelectStmt, catalog: &Catalog, views: &ViewRegistry) -> Resul
     b.bind_where(&stmt.where_preds)?;
     let (group, projection, column_names) =
         b.bind_select_and_group(&stmt.items, &stmt.group_by, &stmt.having)?;
+    let order_by = stmt
+        .order_by
+        .iter()
+        .map(|k| bind_order_key(k, &column_names, &projection, &b.scopes))
+        .collect::<Result<_>>()?;
     let query = CanonicalQuery {
         env: b.env,
         views: b.view_defs,
@@ -114,7 +124,46 @@ pub fn bind(stmt: &SelectStmt, catalog: &Catalog, views: &ViewRegistry) -> Resul
     Ok(BoundQuery {
         query,
         column_names,
+        order_by,
+        limit: stmt.limit,
     })
+}
+
+/// The select-list position an `ORDER BY` key sorts by, and whether it
+/// sorts descending. An unqualified key names an output column (its
+/// alias, or its column name); `q.col` names the select items that are
+/// that column. The items a key names must all be one column — `select
+/// dno, dno ... order by dno` sorts by either — or the key is ambiguous.
+fn bind_order_key(
+    key: &OrderKey,
+    names: &[String],
+    projection: &[Col],
+    scopes: &[Scope],
+) -> Result<(usize, bool)> {
+    let hits: Vec<usize> = match &key.qualifier {
+        None => (0..names.len())
+            .filter(|&i| names[i].eq_ignore_ascii_case(&key.name))
+            .collect(),
+        Some(q) => match resolve_col(Some(q), &key.name, scopes) {
+            Ok(c) => (0..projection.len())
+                .filter(|&i| projection[i] == c)
+                .collect(),
+            Err(_) => Vec::new(),
+        },
+    };
+    let Some(&first) = hits.first() else {
+        return Err(AggViewError::Bind(format!(
+            "ORDER BY column `{key}` is not in the select list"
+        )));
+    };
+    if let Some(other) = hits.iter().find(|&&i| projection[i] != projection[first]) {
+        return Err(AggViewError::Bind(format!(
+            "ORDER BY column `{key}` is ambiguous: it names select items {} and {}",
+            first + 1,
+            other + 1
+        )));
+    }
+    Ok((first, key.desc))
 }
 
 struct Binder<'a> {

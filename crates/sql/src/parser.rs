@@ -1,6 +1,6 @@
 //! Recursive-descent parser.
 
-use crate::ast::{AstExpr, AstPred, FromItem, SelectItem, SelectStmt, Stmt};
+use crate::ast::{AstExpr, AstPred, FromItem, OrderKey, SelectItem, SelectStmt, Stmt};
 use crate::lexer::{tokenize, Token};
 use aggview_common::{AggFunc, AggViewError, BinaryOp, CmpOp, Result, Value};
 
@@ -280,14 +280,24 @@ impl Parser {
         if self.kw("order") {
             self.expect_kw("by")?;
             loop {
-                let name = self.ident()?;
+                let first = self.ident()?;
+                let (qualifier, name) = if self.peek() == Some(&Token::Dot) {
+                    self.pos += 1;
+                    (Some(first), self.ident()?)
+                } else {
+                    (None, first)
+                };
                 let desc = if self.kw("desc") {
                     true
                 } else {
                     let _ = self.kw("asc");
                     false
                 };
-                order_by.push((name, desc));
+                order_by.push(OrderKey {
+                    qualifier,
+                    name,
+                    desc,
+                });
                 if self.peek() != Some(&Token::Comma) {
                     break;
                 }

@@ -4,8 +4,8 @@ use crate::ast::{AstExpr, AstPred, Stmt};
 use crate::binder::{bind, bind_matview, BoundQuery, ViewRegistry};
 use crate::parser::parse_script;
 use aggview_common::{
-    AggViewError, BinaryOp, Col, Expr, FaultInjector, Predicate, RelId, Result, Schema, Tuple,
-    Value, ZSet,
+    AggViewError, Batch, BinaryOp, Col, ColumnVec, Expr, FaultInjector, Predicate, RelId, Result,
+    Schema, Tuple, Value, ZSet,
 };
 use aggview_core::analyze::PlanAnalyzer;
 use aggview_core::cost::{CardEstimator, CostModel};
@@ -15,6 +15,7 @@ use aggview_core::OptimizerConfig;
 use aggview_executor::subscribe::PendingRounds;
 use aggview_executor::{Engine, ExecOptions};
 use aggview_storage::{Catalog, Table};
+use std::cmp::Ordering;
 use std::path::Path;
 use std::time::Duration;
 
@@ -242,9 +243,7 @@ impl Session {
                 }
                 Stmt::Select(s) => {
                     let bound = bind(&s, &self.catalog, &self.registry)?;
-                    let mut result = self.run_bound(&bound)?;
-                    apply_order_and_limit(&mut result, &s.order_by, s.limit)?;
-                    last = Some(result);
+                    last = Some(self.run_bound(&bound)?);
                 }
                 Stmt::ExplainVerify(s) => {
                     let bound = bind(&s, &self.catalog, &self.registry)?;
@@ -616,8 +615,8 @@ impl Session {
         let opt = optimize_governed(&bound.query, &self.catalog, self.model, &self.config, &gov)?;
         let engine =
             Engine::new(&self.catalog, &bound.query.env, self.model).with_options(self.exec);
-        let rs = engine.execute_governed(&opt.plan, &gov, self.faults.as_deref())?;
-        // Reorder executed rows to the query's declared projection.
+        let rs = engine.execute_columns(&opt.plan, &gov, self.faults.as_deref())?;
+        // The query's declared projection, over the result's columns.
         let positions: Vec<usize> = bound
             .query
             .projection
@@ -627,10 +626,11 @@ impl Session {
                     .ok_or_else(|| AggViewError::Exec(format!("plan lost projected column {c}")))
             })
             .collect::<Result<_>>()?;
-        let rows: Vec<Tuple> = rs.rows.iter().map(|r| r.project(&positions)).collect();
+        let batch = rs.batch.project(&positions);
+        let batch = order_and_limit(batch, &bound.order_by, bound.limit)?;
         Ok(SqlResult {
             columns: bound.column_names.clone(),
-            rows,
+            rows: batch.to_tuples(),
             io_pages: rs.io_pages,
             estimated_cost: opt.props.cost,
             plan: opt.plan.explain(),
@@ -770,43 +770,44 @@ fn eval_literal(e: &AstExpr) -> Result<Value> {
     }
 }
 
-/// Apply a client-side ORDER BY / LIMIT to a finished result.
-fn apply_order_and_limit(
-    result: &mut SqlResult,
-    order_by: &[(String, bool)],
+/// `batch`, a projected result, in `order_by` order and cut at
+/// `limit`: a stable sort of its row numbers by each key column's
+/// [`Value`] order (`true` reverses a key), then one gather of the rows
+/// kept. With neither clause the batch comes back as it is.
+fn order_and_limit(
+    batch: Batch,
+    order_by: &[(usize, bool)],
     limit: Option<usize>,
-) -> Result<()> {
+) -> Result<Batch> {
+    let n = batch.len();
+    let keep = limit.map_or(n, |l| l.min(n));
+    if order_by.is_empty() && keep == n {
+        return Ok(batch);
+    }
+    let rows = u32::try_from(n)
+        .map_err(|_| AggViewError::Exec(format!("{n} result rows are too many to order")))?;
+    let mut perm: Vec<u32> = (0..rows).collect();
     if !order_by.is_empty() {
-        let keys: Vec<(usize, bool)> = order_by
+        let keys: Vec<(Vec<Value>, bool)> = order_by
             .iter()
-            .map(|(name, desc)| {
-                result
-                    .columns
-                    .iter()
-                    .position(|c| c.eq_ignore_ascii_case(name))
-                    .map(|i| (i, *desc))
-                    .ok_or_else(|| {
-                        AggViewError::Bind(format!(
-                            "ORDER BY column `{name}` is not in the select list"
-                        ))
-                    })
-            })
-            .collect::<Result<_>>()?;
-        result.rows.sort_by(|a, b| {
-            for &(i, desc) in &keys {
-                let ord = a.get(i).cmp(b.get(i));
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
+            .map(|&(p, desc)| ((0..n).map(|r| batch.value_at(p, r)).collect(), desc))
+            .collect();
+        perm.sort_by(|&a, &b| {
+            for (vals, desc) in &keys {
+                let ord = vals[a as usize].cmp(&vals[b as usize]);
+                let ord = if *desc { ord.reverse() } else { ord };
+                if ord != Ordering::Equal {
                     return ord;
                 }
             }
-            std::cmp::Ordering::Equal
+            Ordering::Equal
         });
     }
-    if let Some(n) = limit {
-        result.rows.truncate(n);
-    }
-    Ok(())
+    let all: Vec<usize> = (0..batch.n_cols()).collect();
+    let empty = batch.cols().iter().map(ColumnVec::empty_like).collect();
+    let mut out = Batch::from_parts(empty, 0);
+    out.gather_from(&batch, &all, Some(&perm[..keep]), 0..0)?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1472,5 +1473,161 @@ mod order_limit_tests {
         let err = s.execute("select eno from emp order by bogus").unwrap_err();
         assert!(err.message().contains("ORDER BY"));
         assert!(s.execute("select eno from emp limit -1").is_err());
+        // A qualified key must name a select item: an unselected column
+        // and an unknown binding are not in the select list.
+        for key in ["e.sal", "x.eno", "e.bogus"] {
+            let err = s
+                .execute(&format!("select e.eno from emp e order by {key}"))
+                .unwrap_err();
+            assert!(matches!(err, AggViewError::Bind(_)), "{key}: {err}");
+            assert!(err.message().contains("not in the select list"), "{err}");
+        }
+    }
+
+    fn ints(r: &SqlResult, i: usize) -> Vec<i64> {
+        r.rows.iter().map(|t| t.get(i).as_i64().unwrap()).collect()
+    }
+
+    #[test]
+    fn order_by_qualified_alias_and_output_name_keys() {
+        let mut s = session();
+        let by_qualified = s
+            .execute("select e.dno, count(*) from emp e group by e.dno order by e.dno desc")
+            .unwrap();
+        assert_eq!(ints(&by_qualified, 0), [4, 3, 2, 1, 0]);
+        // The same item under an alias: the qualified key still names it,
+        // and so does the alias.
+        for key in ["e.dno", "d"] {
+            let r = s
+                .execute(&format!(
+                    "select e.eno, e.dno as d from emp e order by {key} desc, eno"
+                ))
+                .unwrap();
+            let (enos, dnos) = (ints(&r, 0), ints(&r, 1));
+            assert!(dnos.windows(2).all(|w| w[0] >= w[1]), "{key}");
+            assert!((1..enos.len()).all(|i| dnos[i - 1] != dnos[i] || enos[i - 1] < enos[i]));
+        }
+        let by_name = s
+            .execute("select e.sal, e.eno from emp e order by eno desc limit 4")
+            .unwrap();
+        assert_eq!(ints(&by_name, 1), [29, 28, 27, 26]);
+    }
+
+    #[test]
+    fn order_by_a_name_two_select_items_carry_is_ambiguous() {
+        let mut s = session();
+        let err = s
+            .execute(
+                "select e1.sal, e2.sal from emp e1, emp e2 \
+                  where e1.dno = e2.dno order by sal",
+            )
+            .unwrap_err();
+        assert!(matches!(err, AggViewError::Bind(_)), "{err}");
+        assert!(err.message().contains("ambiguous"), "{err}");
+        // The qualified keys are not.
+        assert!(s
+            .execute(
+                "select e1.sal, e2.sal from emp e1, emp e2 \
+                  where e1.dno = e2.dno order by e2.sal"
+            )
+            .is_ok());
+        // One column selected twice is one key.
+        let twice = s
+            .execute("select dno, dno from emp order by dno desc")
+            .unwrap();
+        assert!(ints(&twice, 0).windows(2).all(|w| w[0] >= w[1]));
+        assert_eq!(ints(&twice, 0), ints(&twice, 1));
+    }
+
+    #[test]
+    fn order_by_keeps_ties_in_result_order() {
+        let mut s = session();
+        let unordered = s.execute("select eno, dno from emp").unwrap();
+        let ordered = s.execute("select eno, dno from emp order by dno").unwrap();
+        let mut want = unordered.rows.clone();
+        want.sort_by(|a, b| a.get(1).cmp(b.get(1)));
+        assert_eq!(ordered.rows, want);
+        // Ties keep the plan's order, whatever it is: not sorted by eno
+        // descending unless the plan emitted them that way.
+        let desc = s
+            .execute("select eno, dno from emp order by dno desc")
+            .unwrap();
+        let mut want = unordered.rows;
+        want.sort_by(|a, b| b.get(1).cmp(a.get(1)));
+        assert_eq!(desc.rows, want);
+    }
+
+    /// A small deterministic generator (xorshift64*).
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// What ORDER BY and LIMIT did before they ran on columns: sort the
+    /// finished rows, then truncate them.
+    fn sort_then_truncate(
+        mut rows: Vec<Tuple>,
+        keys: &[(usize, bool)],
+        limit: Option<usize>,
+    ) -> Vec<Tuple> {
+        rows.sort_by(|a, b| {
+            for &(i, desc) in keys {
+                let ord = a.get(i).cmp(b.get(i));
+                let ord = if desc { ord.reverse() } else { ord };
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            Ordering::Equal
+        });
+        if let Some(n) = limit {
+            rows.truncate(n);
+        }
+        rows
+    }
+
+    #[test]
+    fn ordering_columns_equals_sorting_rows() {
+        use aggview_common::DataType;
+        let mut g = Gen(0x35_5eed);
+        let types = [DataType::Int, DataType::Float, DataType::Str, DataType::Int];
+        for round in 0..200 {
+            let n = g.below(40) as usize;
+            // Few distinct values per column, so ties are common.
+            let rows: Vec<Tuple> = (0..n)
+                .map(|_| {
+                    Tuple::new(vec![
+                        Value::Int(g.below(5) as i64 - 2),
+                        Value::Float(g.below(4) as f64 * 0.5 - 1.0),
+                        Value::str(["b", "a", "ab", ""][g.below(4) as usize]),
+                        Value::Int(g.below(1000) as i64),
+                    ])
+                })
+                .collect();
+            let batch = Batch::from_tuples(&rows, &[0, 1, 2, 3], &types).unwrap();
+            let nkeys = 1 + g.below(3) as usize;
+            let keys: Vec<(usize, bool)> = (0..nkeys)
+                .map(|_| (g.below(3) as usize, g.below(2) == 1))
+                .collect();
+            for limit in [None, Some(0), Some(1), Some(n), Some(n + 3)] {
+                for keys in [&keys[..], &[]] {
+                    let got = order_and_limit(batch.clone(), keys, limit)
+                        .unwrap()
+                        .to_tuples();
+                    let want = sort_then_truncate(rows.clone(), keys, limit);
+                    assert_eq!(got, want, "round {round}: keys {keys:?}, limit {limit:?}");
+                }
+            }
+        }
     }
 }

@@ -271,3 +271,50 @@ fn optimizer_modes_agree_through_sql() {
     assert_eq!(rows_by_mode[0], rows_by_mode[1]);
     assert_eq!(rows_by_mode[0], rows_by_mode[2]);
 }
+
+/// Empty results come back through the same projection as any other:
+/// the select list's names, no rows. The gate answers a provably empty
+/// plan without running it (no IO); a WHERE that just matches nothing
+/// runs.
+#[test]
+fn empty_results_keep_their_select_list() {
+    let mut s = empdept_session();
+    let proven = s
+        .execute("select e.sal, e.dno from emp e where e.sal > 5 and e.sal < 3")
+        .unwrap();
+    assert_eq!(proven.columns, ["sal", "dno"]);
+    assert!(proven.rows.is_empty());
+    assert_eq!(proven.io_pages, 0.0);
+
+    // A salary between two neighbouring ones: inside the column's range,
+    // so nothing proves the equality false before the scan does.
+    let mut sals: Vec<f64> = s
+        .catalog()
+        .get("emp")
+        .unwrap()
+        .rows()
+        .iter()
+        .map(|r| r.get(3).as_f64().unwrap())
+        .collect();
+    sals.sort_by(f64::total_cmp);
+    sals.dedup();
+    let gap = (sals[0] + sals[1]) / 2.0;
+    let unmatched = s
+        .execute(&format!(
+            "select e.sal, e.dno from emp e where e.sal = {gap}"
+        ))
+        .unwrap();
+    assert_eq!(unmatched.columns, ["sal", "dno"]);
+    assert!(unmatched.rows.is_empty());
+    assert!(unmatched.io_pages > 0.0);
+
+    for wheres in ["e.sal > 5 and e.sal < 3", &format!("e.sal = {gap}")] {
+        let repeated = s
+            .execute(&format!(
+                "select e.sal, e.dno, e.sal from emp e where {wheres} order by sal limit 3"
+            ))
+            .unwrap();
+        assert_eq!(repeated.columns, ["sal", "dno", "sal"]);
+        assert!(repeated.rows.is_empty());
+    }
+}
