@@ -1741,6 +1741,14 @@ impl<'a> BatchGroupTable<'a> {
                 }));
                 self.find = Lookup::Ordinal { min, seats };
             }
+            // No lookup column: every row is in the one group, made from
+            // the first row (no rows, no group).
+            _ if self.lookup.is_empty() => {
+                if self.len == 0 && !r.is_empty() {
+                    self.push_group(&key_cols, r.start)?;
+                }
+                slots.resize(r.len(), 0);
+            }
             _ => {
                 let mut hashes = Vec::new();
                 let lookup_cols = self.lookup.iter().map(|&l| key_cols[l]);

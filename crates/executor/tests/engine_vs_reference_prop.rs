@@ -796,6 +796,70 @@ proptest! {
         }
     }
 
+    /// A global aggregate — no grouping column, so no lookup column — is
+    /// one group made from the first row, whichever tile brings it, and
+    /// no group over no rows: SUM, COUNT, AVG, MIN and MAX over one
+    /// table or above a join give the reference's answer at every tile
+    /// size.
+    #[test]
+    fn global_aggregates_match_reference_at_every_tile_size(
+        seed in 0u64..5000,
+        rows in 0usize..90,
+        family in 0usize..4,
+        cut in -5i64..6,
+        joined in 0usize..2,
+    ) {
+        let (cat, env) = keyed_setup(seed, rows, family);
+        let (id0, tag0, val0, n0) = (
+            Col::base(RelId(0), 0),
+            Col::base(RelId(0), 2),
+            Col::base(RelId(0), 3),
+            Col::base(RelId(0), 4),
+        );
+        let filter = vec![Predicate::cmp_const(n0, CmpOp::Ge, Value::Int(cut))];
+        let scan0 = Plan::scan(RelId(0), "k0", filter, all_cols(RelId(0), 5));
+        let input = match joined {
+            0 => scan0,
+            _ => Plan::join_all(
+                Plan::scan(RelId(1), "k1", vec![], all_cols(RelId(1), 3)),
+                scan0,
+                vec![Predicate::eq_cols(Col::base(RelId(1), 1), id0)],
+            ),
+        };
+        let arg = |f, c| AggSpec::new(f, Expr::col(c));
+        let plan = Plan::group_by_all(
+            input,
+            GroupBySpec {
+                owner: ViewId::Top,
+                group_cols: vec![],
+                aggs: vec![
+                    AggSpec::count_star(),
+                    arg(AggFunc::Count, tag0),
+                    arg(AggFunc::Sum, val0),
+                    arg(AggFunc::Sum, n0),
+                    arg(AggFunc::Avg, n0),
+                    arg(AggFunc::Avg, val0),
+                    arg(AggFunc::Min, val0),
+                    arg(AggFunc::Min, n0),
+                    arg(AggFunc::Max, tag0),
+                    arg(AggFunc::Max, n0),
+                ],
+                having: vec![],
+            },
+        );
+        let expect = reference::evaluate(&plan, &cat).unwrap();
+        for batch_rows in [1usize, 7, 1024] {
+            let got = Engine::new(&cat, &env, CostModel::default())
+                .with_options(ExecOptions { batch_rows, ..ExecOptions::default() })
+                .execute(&plan)
+                .unwrap();
+            prop_assert!(got.rows.len() <= 1, "{} groups", got.rows.len());
+            if let Err(e) = assert_equivalent(&expect, &got) {
+                prop_assert!(false, "joined {} at {} rows a tile: {}", joined, batch_rows, e);
+            }
+        }
+    }
+
     /// The engine agrees with the reference interpreter, as a multiset
     /// up to canonical float rounding (the
     /// reference emits groups in key order and sums in input order).

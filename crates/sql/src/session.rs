@@ -155,8 +155,9 @@ impl Session {
         self.catalog.is_durable()
     }
 
-    /// Fold the catalog's committed state into a snapshot and truncate
-    /// its WAL. Errors on a non-durable session.
+    /// Fold the catalog's committed state into a snapshot and reset its
+    /// WAL, which keeps the file's blocks for the next commits to
+    /// overwrite. Errors on a non-durable session.
     pub fn checkpoint(&self) -> Result<()> {
         self.catalog.checkpoint()
     }

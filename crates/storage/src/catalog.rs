@@ -301,7 +301,7 @@ impl Catalog {
         for (i, (lsn, rec)) in contents.records.iter().enumerate() {
             if snap.covers(*lsn) {
                 // The snapshot already reflects this frame — the crash
-                // landed between its rename and the WAL truncation.
+                // landed between its rename and the WAL reset.
                 continue;
             }
             self.apply(rec).map_err(|e| {
@@ -838,11 +838,13 @@ impl Catalog {
 
     // ---- durability ------------------------------------------------
 
-    /// Fold all committed state into a fresh snapshot and truncate the
-    /// WAL. Errors on an in-memory catalog.
+    /// Fold all committed state into a fresh snapshot and reset the
+    /// WAL: the log ends right after its magic, and the file keeps its
+    /// blocks (at most twice the log it closes) for the next commits to
+    /// overwrite. Errors on an in-memory catalog.
     ///
     /// The snapshot is written atomically (temp + fsync + rename)
-    /// *before* the WAL is truncated, so a crash anywhere inside the
+    /// *before* the WAL is reset, so a crash anywhere inside the
     /// checkpoint loses nothing: recovery uses the surviving snapshot
     /// and skips any WAL frames it already covers (by LSN). Waits for
     /// an open statement to end; errors inside one.

@@ -5,7 +5,7 @@
 //! version counters, and every materialized-view meta — plus the LSN of
 //! the last WAL record it covers. Checkpointing writes the snapshot
 //! **atomically** (temp file → fsync → rename → directory fsync) and
-//! only then truncates the WAL; a crash anywhere in that window leaves
+//! only then resets the WAL; a crash anywhere in that window leaves
 //! either the old snapshot or the new one, never a torn mix, and the
 //! `last_lsn` field lets recovery skip WAL records the surviving
 //! snapshot already covers.

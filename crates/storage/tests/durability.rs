@@ -174,14 +174,25 @@ fn a_statement_is_one_frame_or_nothing() {
 #[test]
 fn checkpoint_truncates_wal_and_preserves_state() {
     let dir = tmpdir("ckpt");
-    let expected = {
+    let wal = dir.join(WAL_FILE);
+    let (expected, closed) = {
         let cat = Catalog::open(&dir).unwrap();
         workload(&cat);
+        let closed = WalReader::read_committed(&wal).unwrap().committed_len;
         cat.checkpoint().unwrap();
-        cat.describe_state()
+        (cat.describe_state(), closed)
     };
-    // The WAL is back to just its magic; the snapshot carries the state.
-    assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 8);
+    // The log holds no records and ends right after its magic; the file
+    // keeps its blocks, at most twice the interval it closed. The
+    // snapshot carries the state.
+    let contents = WalReader::read_committed(&wal).unwrap();
+    assert!(contents.records.is_empty(), "{:?}", contents.records);
+    assert_eq!(contents.committed_len, 8);
+    let kept = std::fs::metadata(&wal).unwrap().len();
+    assert!(
+        kept > 8 && kept <= 2 * closed,
+        "{kept} bytes after {closed}"
+    );
     assert!(dir.join(SNAPSHOT_FILE).exists());
     let cat = Catalog::open(&dir).unwrap();
     assert_eq!(cat.describe_state(), expected);
@@ -194,6 +205,43 @@ fn checkpoint_truncates_wal_and_preserves_state() {
     let cat = Catalog::open(&dir).unwrap();
     assert_eq!(cat.describe_state(), expected2);
     assert_eq!(cat.get("emp").unwrap().len(), 4);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A crash between the snapshot's rename and the log's reset leaves the
+/// snapshot beside the frames it covers: recovery skips them, and LSNs
+/// run on from the snapshot's, behind the old frames and after the next
+/// reset alike.
+#[test]
+fn a_crash_between_snapshot_and_reset_keeps_lsns_running() {
+    let dir = tmpdir("ckpt-crash");
+    let wal = dir.join(WAL_FILE);
+    let lsns = || -> Vec<u64> {
+        let contents = WalReader::read_committed(&wal).unwrap();
+        contents.records.iter().map(|(lsn, _)| *lsn).collect()
+    };
+    let expected = {
+        let faults = ScheduledIoFaults::at("wal.truncate", 0, IoFaultKind::Error);
+        let cat = Catalog::open_with_faults(&dir, Arc::new(faults)).unwrap();
+        workload(&cat);
+        assert_eq!(cat.checkpoint().unwrap_err().kind(), "io");
+        cat.describe_state()
+    };
+    assert!(dir.join(SNAPSHOT_FILE).exists());
+    let covered = lsns();
+    let last = *covered.last().unwrap();
+    let cat = Catalog::open(&dir).unwrap();
+    assert_eq!(cat.describe_state(), expected);
+    cat.append_rows("emp", vec![tuple![13, 0]]).unwrap();
+    assert_eq!(lsns(), [covered, vec![last + 1]].concat());
+    cat.checkpoint().unwrap();
+    cat.append_rows("emp", vec![tuple![14, 1]]).unwrap();
+    assert_eq!(lsns(), vec![last + 2]);
+    let expected = cat.describe_state();
+    drop(cat);
+    for _ in 0..2 {
+        assert_eq!(Catalog::open(&dir).unwrap().describe_state(), expected);
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -134,7 +134,7 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
                  .open <dir>                  switch to a durable catalog at <dir> (WAL +\n\
                  \u{20}                            checkpoints; seeds from the current catalog\n\
                  \u{20}                            when <dir> is empty)\n\
-                 .checkpoint                  write a snapshot and truncate the WAL\n\
+                 .checkpoint                  write a snapshot and reset the WAL\n\
                  .stats <table>               table/extent statistics (rows, widths, distincts)\n\
                  .subscribe <view>            stream the view's extent changes after each statement\n\
                  .unsubscribe <view>          stop streaming a view\n\
@@ -306,7 +306,7 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
                 println!("catalog is in-memory — use .open <dir> first");
             } else {
                 match session.checkpoint() {
-                    Ok(()) => println!("checkpoint written; WAL truncated"),
+                    Ok(()) => println!("checkpoint written; WAL reset"),
                     Err(e) => println!("{e}"),
                 }
             }

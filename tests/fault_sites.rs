@@ -86,7 +86,7 @@ fn representative_workload_consults_every_registered_site() {
         .unwrap();
 
     // Durability sites: one logged mutation (append + fsync) and one
-    // checkpoint (snapshot write/fsync/rename + WAL truncation).
+    // checkpoint (snapshot write/fsync/rename + WAL reset).
     let dir = std::env::temp_dir().join(format!("aggview-sites-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let durable = Catalog::open_with_faults(&dir, rec.clone()).unwrap();

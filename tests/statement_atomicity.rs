@@ -331,7 +331,7 @@ fn a_lone_append_writes_the_plain_insert_frame() {
     let cat = Catalog::open(&dir).unwrap();
     cat.add(emp_table()).unwrap();
     let wal = dir.join(WAL_FILE);
-    let before = std::fs::read(&wal).unwrap().len();
+    let before = WalReader::read_committed(&wal).unwrap().committed_len as usize;
     let rows = vec![Tuple::new(vec![
         Value::Int(900),
         Value::str("late"),
@@ -350,6 +350,8 @@ fn a_lone_append_writes_the_plain_insert_frame() {
     let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
     frame.extend_from_slice(&crc32(&payload).to_le_bytes());
     frame.extend_from_slice(&payload);
+    // ... and behind it the end-of-log marker, eight 0xFF bytes.
+    frame.extend_from_slice(&[0xFF; 8]);
     assert_eq!(std::fs::read(&wal).unwrap()[before..], frame[..]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
