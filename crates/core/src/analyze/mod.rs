@@ -18,9 +18,10 @@
 //!   invariant-grouping key-join condition, the coalescing merge-stage
 //!   identity, and the degraded-plan (traditional two-phase) shape;
 //! * [`cost`] — cost-model sanity: finite non-negative cost/cardinality
-//!   /width and monotone bounds against the inputs;
-//! * [`mutate`] — a negative-test harness of seeded plan mutations the
-//!   analyzer must reject.
+//!   /width and monotone bounds against the inputs.
+//!
+//! The seeded plan mutations the analyzer must reject live with its
+//! integration tests (`tests/support/mutate.rs`).
 //!
 //! The analyzer is wired three ways: as a debug-mode post-condition
 //! after optimization and after each pull-up application, as a hard
@@ -30,7 +31,6 @@
 
 pub mod cost;
 pub mod dataflow;
-pub mod mutate;
 pub mod rules;
 
 use crate::cost::CostModel;

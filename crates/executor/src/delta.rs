@@ -49,13 +49,11 @@
 //!
 //! The module also exposes the base-table → dependent-view
 //! [`DependencyGraph`] (REPL `.deps`), and the [`maintain_after_dml`]
-//! round driver, which notes each watched view's consolidated
-//! visible-projection delta in the statement's [`PendingRounds`] — the
-//! caller publishes them once the statement has committed.
+//! round driver, which folds the delta into each dependent view and
+//! rebuilds the views whose round was refused.
 
 use crate::engine::{Engine, ExecOptions};
 use crate::matview;
-use crate::subscribe::{ExtentChange, PendingRounds};
 use aggview_common::{
     AggFunc, AggViewError, Col, PartialAggState, Predicate, RelId, Result, Retraction, Schema,
     Tuple, ZSet,
@@ -133,10 +131,6 @@ pub fn dependency_graph(catalog: &Catalog) -> DependencyGraph {
 /// Maintain every registered view that references `table` after the
 /// Z-set `delta` has been applied to the base table: retractable
 /// incremental maintenance where admissible, full rebuild otherwise.
-/// When `rounds` is supplied, each watched view's consolidated
-/// visible-projection delta is noted there as one round — not
-/// published: a later view, or the statement's commit, can still fail,
-/// and the caller publishes only what committed.
 /// Returns the names of the views maintained.
 pub fn maintain_after_dml(
     table: &str,
@@ -145,7 +139,6 @@ pub fn maintain_after_dml(
     model: CostModel,
     options: ExecOptions,
     gov: &ResourceGovernor,
-    mut rounds: Option<&mut PendingRounds<'_>>,
 ) -> Result<Vec<String>> {
     let mut maintained = Vec::new();
     let views = catalog.matviews_on(table);
@@ -154,37 +147,12 @@ pub fn maintain_after_dml(
     }
     let delta = DeltaTables::new(table, delta, catalog)?;
     for meta in views {
-        let name = meta.def.name.clone();
-        let mut watched = rounds.as_deref_mut().filter(|r| r.watches(&name));
-        match apply_zset_delta(&meta, &delta, catalog, model, options, gov)? {
-            Some(change) => {
-                if let Some(r) = &mut watched {
-                    r.change(&name, &meta.layout, &change);
-                }
-            }
-            None => {
-                // The refused round left the extent as it was: snapshot
-                // it now, rebuild, and note what the rebuild changed.
-                let before = watched.as_ref().map(|_| extent_rows(catalog, &meta));
-                matview::build_extent(&meta.def, catalog, model, options, gov)?;
-                if let (Some(r), Some(before)) = (&mut watched, before) {
-                    let after = extent_rows(catalog, &meta);
-                    r.diff(&name, &meta.layout, &before, &after);
-                }
-            }
+        if !apply_zset_delta(&meta, &delta, catalog, model, options, gov)? {
+            matview::build_extent(&meta.def, catalog, model, options, gov)?;
         }
-        maintained.push(name);
+        maintained.push(meta.def.name);
     }
     Ok(maintained)
-}
-
-/// The view's current extent rows ([] when the extent table is absent,
-/// e.g. quarantined after a crash).
-fn extent_rows(catalog: &Catalog, meta: &MatViewMeta) -> Vec<Tuple> {
-    catalog
-        .get(&meta.extent)
-        .map(|t| t.rows())
-        .unwrap_or_default()
 }
 
 /// A Z-set delta on one base table, expanded once for every view over
@@ -251,12 +219,11 @@ impl TouchedGroup {
 }
 
 /// Incrementally fold a signed delta into the extent of the view `meta`
-/// describes. Returns `Ok(None)` — extent untouched —
+/// describes. Returns `Ok(false)` — extent untouched —
 /// when the view is inadmissible for incremental maintenance or the
 /// delta's evidence contradicts the stored state (either way the caller
-/// rebuilds); `Ok(Some(change))` when the extent now reflects the delta
-/// and its recorded versions are current, with the extent rows the
-/// round replaced, removed and added.
+/// rebuilds); `Ok(true)` when the extent now reflects the delta and its
+/// recorded versions are current.
 pub fn apply_zset_delta(
     meta: &MatViewMeta,
     delta: &DeltaTables,
@@ -264,7 +231,7 @@ pub fn apply_zset_delta(
     model: CostModel,
     options: ExecOptions,
     gov: &ResourceGovernor,
-) -> Result<Option<ExtentChange>> {
+) -> Result<bool> {
     let (def, table) = (&meta.def, delta.table.as_str());
     let occurrences = def
         .tables
@@ -272,7 +239,7 @@ pub fn apply_zset_delta(
         .filter(|t| t.eq_ignore_ascii_case(table))
         .count();
     if occurrences != 1 || !def.aggs.iter().all(|a| stores_partial_state(a.func)) {
-        return Ok(None);
+        return Ok(false);
     }
 
     // Version gate: the extent absorbs exactly this delta only if the
@@ -286,7 +253,7 @@ pub fn apply_zset_delta(
     let recorded = &meta.base_versions;
     let untouched = recorded.iter().zip(&versions).all(|(&r, &c)| c == r);
     if delta.is_empty() && untouched {
-        return Ok(Some(ExtentChange::default()));
+        return Ok(true);
     }
     let in_sync =
         def.tables
@@ -301,7 +268,7 @@ pub fn apply_zset_delta(
                 }
             });
     if !in_sync {
-        return Ok(None);
+        return Ok(false);
     }
 
     // Propagate the delta through the view's state plan: the plus and
@@ -379,7 +346,7 @@ pub fn apply_zset_delta(
                     groups.push(g);
                     groups.len() - 1
                 }
-                None => return Ok(None),
+                None => return Ok(false),
             },
         };
         let g = &mut groups[slot];
@@ -390,7 +357,7 @@ pub fn apply_zset_delta(
                 Ok(Retraction::NeedsRecompute) => needs_recompute = true,
                 // Impossible retraction (below zero, beyond extremum):
                 // stored state and delta disagree — rebuild.
-                Err(_) => return Ok(None),
+                Err(_) => return Ok(false),
             }
         }
         // A group whose count component reached zero is dead.
@@ -449,16 +416,10 @@ pub fn apply_zset_delta(
     patch.deletes.sort_unstable();
     // Holding the extent across the commit would force it to be copied.
     drop(extent);
-    let new_rows: Vec<Tuple> = patch.updates.iter().map(|(_, r)| r.clone()).collect();
-    let created = patch.inserts.clone();
     // Stamp the versions verified above, not a re-read (a concurrent
     // mutation between the gate and here must leave the extent stale).
-    let displaced = catalog.patch_extent(&def.name, patch, versions)?;
-    Ok(Some(ExtentChange {
-        updated: displaced.replaced.into_iter().zip(new_rows).collect(),
-        deleted: displaced.removed,
-        created,
-    }))
+    catalog.patch_extent(&def.name, patch, versions)?;
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -682,9 +643,7 @@ mod tests {
         let (model, opts, gov) = exec_env();
         let meta = cat.matview(view).unwrap();
         let delta = DeltaTables::new("emp", delta, cat).unwrap();
-        apply_zset_delta(&meta, &delta, cat, model, opts, &gov)
-            .unwrap()
-            .is_some()
+        apply_zset_delta(&meta, &delta, cat, model, opts, &gov).unwrap()
     }
 
     fn extent_sorted(cat: &Catalog, view: &str) -> Vec<Tuple> {
@@ -724,27 +683,20 @@ mod tests {
         ];
         cat.append_rows("emp", rows.clone()).unwrap();
         assert!(cat.matview("young").unwrap().is_stale(&cat));
-        let change = apply_zset_delta(
-            &cat.matview("young").unwrap(),
-            &DeltaTables::new("emp", &ZSet::from_inserts(rows), &cat).unwrap(),
-            &cat,
-            model,
-            opts,
-            &gov,
-        )
-        .unwrap()
-        .expect("insert-only deltas merge incrementally");
+        assert!(
+            maintained("young", &ZSet::from_inserts(rows), &cat),
+            "insert-only deltas merge incrementally"
+        );
         assert!(!cat.matview("young").unwrap().is_stale(&cat));
-        assert_eq!(change.updated.len(), 1);
-        assert_eq!(change.created.len(), 1);
-        assert!(change.deleted.is_empty());
-        // A patch, not a rebuild: untouched rows keep their positions,
-        // the merged group is replaced in place, the new one appended.
+        // A patch, not a rebuild: the merged group is replaced at its
+        // own position, untouched rows keep theirs, the new group is
+        // appended — exactly two rows changed.
         let after = cat.get("__mv_young").unwrap().rows();
         assert_eq!(after.len(), before.len() + 1);
-        assert_eq!(after[0], change.updated[0].1);
+        assert_eq!(after[0].get(0), &Value::Int(0));
+        assert_ne!(after[0], before[0]);
         assert_eq!(after[1..before.len()], before[1..]);
-        assert_eq!(after[before.len()], change.created[0]);
+        assert_eq!(after[before.len()].get(0), &Value::Int(77));
         assert_matches_refresh(&cat, "young");
     }
 
@@ -926,21 +878,31 @@ mod tests {
         victims.extend([cheapest(0), cheapest(1)]);
         victims.sort_unstable();
         let delta = ZSet::from_deletes(cat.delete_rows("emp", &victims).unwrap());
+        let before = cat.get("__mv_m").unwrap().rows();
         RECOMPUTE_RUNS.with(|n| n.set(0));
-        let meta = cat.matview("m").unwrap();
-        let delta = DeltaTables::new("emp", &delta, &cat).unwrap();
-        let change = apply_zset_delta(&meta, &delta, &cat, model, opts, &gov)
-            .unwrap()
-            .expect("extremum retraction maintains incrementally");
-        assert_eq!(RECOMPUTE_RUNS.with(|n| n.get()), 1);
-        assert_eq!(change.updated.len(), 2);
-        assert_eq!(change.deleted.len(), 1);
-        assert_eq!(change.deleted[0].get(0), &Value::Int(2));
-        let extent = extent_sorted(&cat, "m");
         assert!(
-            extent.iter().all(|r| r.get(0) != &Value::Int(2)),
-            "{extent:?}"
+            maintained("m", &delta, &cat),
+            "extremum retraction maintains incrementally"
         );
+        assert_eq!(RECOMPUTE_RUNS.with(|n| n.get()), 1);
+        // The dead group is gone; the survivors keep their order, and
+        // exactly two of them — departments 0 and 1 — changed.
+        let after = cat.get("__mv_m").unwrap().rows();
+        let survivors: Vec<&Tuple> = before
+            .iter()
+            .filter(|r| r.get(0) != &Value::Int(2))
+            .collect();
+        assert_eq!(survivors.len(), before.len() - 1);
+        assert_eq!(after.len(), survivors.len());
+        let changed: Vec<&Value> = survivors
+            .iter()
+            .zip(&after)
+            .filter_map(|(old, new)| {
+                assert_eq!(old.get(0), new.get(0), "rows moved: {after:?}");
+                (*old != new).then(|| new.get(0))
+            })
+            .collect();
+        assert_eq!(changed, [&Value::Int(0), &Value::Int(1)]);
         assert_matches_refresh(&cat, "m");
     }
 
@@ -1025,11 +987,9 @@ mod tests {
         assert!(young.len() >= 2);
         let victims = cat.delete_rows("emp", &[young[0]]).unwrap();
         let delta = ZSet::from_deletes(victims);
-        assert!(
-            maintain_after_dml("emp", &delta, &cat, model, opts, &gov, None)
-                .unwrap()
-                .contains(&"jv".to_string())
-        );
+        assert!(maintain_after_dml("emp", &delta, &cat, model, opts, &gov)
+            .unwrap()
+            .contains(&"jv".to_string()));
         assert_matches_refresh(&cat, "jv");
     }
 
@@ -1066,7 +1026,7 @@ mod tests {
         let delta = ZSet::from_deletes([emp(9999, 77, 100.0, 20)]);
         assert!(!maintained("v", &delta, &cat));
         // maintain_after_dml rebuilds on the fallback.
-        let names = maintain_after_dml("emp", &delta, &cat, model, opts, &gov, None).unwrap();
+        let names = maintain_after_dml("emp", &delta, &cat, model, opts, &gov).unwrap();
         assert_eq!(names, vec!["v".to_string()]);
         assert!(!cat.matview("v").unwrap().is_stale(&cat));
     }
@@ -1109,57 +1069,10 @@ mod tests {
         assert!(cat.matview("v").unwrap().is_stale(&cat));
         // A later unbudgeted round repairs it.
         let gov = ResourceGovernor::unlimited();
-        let names = maintain_after_dml("emp", &delta, &cat, model, opts, &gov, None).unwrap();
+        let names = maintain_after_dml("emp", &delta, &cat, model, opts, &gov).unwrap();
         assert_eq!(names, vec!["v".to_string()]);
         assert!(!cat.matview("v").unwrap().is_stale(&cat));
         assert_matches_refresh(&cat, "v");
-    }
-
-    #[test]
-    fn rounds_publish_consolidated_events_to_subscribers() {
-        let cat = setup();
-        let (model, opts, gov) = exec_env();
-        matview::build_extent(&sum_count_view("v"), &cat, model, opts, &gov).unwrap();
-        let hub = crate::subscribe::SubscriptionHub::new();
-        hub.subscribe("watcher", "v");
-        // Delete all of dept 3 (a Deleted event) and one row of dept 0
-        // (an Updated event) in a single round.
-        let rows = cat.get("emp").unwrap().rows();
-        let mut indices: Vec<usize> = rows
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.get(2) == &Value::Int(3))
-            .map(|(i, _)| i)
-            .collect();
-        indices.push(
-            rows.iter()
-                .enumerate()
-                .find(|(i, r)| r.get(2) == &Value::Int(0) && !indices.contains(i))
-                .map(|(i, _)| i)
-                .unwrap(),
-        );
-        indices.sort();
-        let victims = cat.delete_rows("emp", &indices).unwrap();
-        let delta = ZSet::from_deletes(victims);
-        let mut rounds = hub.pending_rounds();
-        maintain_after_dml("emp", &delta, &cat, model, opts, &gov, Some(&mut rounds)).unwrap();
-        assert_eq!(hub.pending("watcher"), 0, "noted, not yet published");
-        rounds.publish();
-        let events = hub.drain("watcher");
-        use crate::subscribe::ViewEvent;
-        assert!(
-            events.iter().any(
-                |e| matches!(e, ViewEvent::Deleted { row, .. } if row.get(0) == &Value::Int(3))
-            ),
-            "{events:?}"
-        );
-        assert!(
-            events.iter().any(
-                |e| matches!(e, ViewEvent::Updated { new, .. } if new.get(0) == &Value::Int(0))
-            ),
-            "{events:?}"
-        );
-        assert_eq!(events.len(), 2, "consolidated: exactly one event per group");
     }
 
     #[test]

@@ -45,11 +45,9 @@ pub mod engine;
 pub mod matview;
 pub mod partition;
 pub mod reference;
-pub mod subscribe;
 pub mod vector;
 pub mod verify;
 
 pub use delta::{dependency_graph, DependencyGraph};
 pub use engine::{Engine, ExecOptions, IoBreakdown, ResultBatch, ResultSet};
-pub use subscribe::{SubscriptionHub, ViewEvent};
 pub use verify::{assert_equivalent, canonical_rows};

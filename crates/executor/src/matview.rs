@@ -352,7 +352,7 @@ mod tests {
         ])];
         cat.append_rows("emp", delta.clone()).unwrap();
         let delta = ZSet::from_inserts(delta);
-        maintain_after_dml("emp", &delta, &cat, model, opts, &gov, None).unwrap();
+        maintain_after_dml("emp", &delta, &cat, model, opts, &gov).unwrap();
         let row0 = cat.get("__mv_by_loc").unwrap().rows()[0].clone();
         let after = row0.get(1).as_f64().unwrap();
         assert!((after - (young + 100.0) * depts).abs() < 1e-6);
@@ -392,7 +392,7 @@ mod tests {
         ])];
         cat.append_rows("emp", delta.clone()).unwrap();
         let delta = ZSet::from_inserts(delta);
-        let names = maintain_after_dml("emp", &delta, &cat, model, opts, &gov, None).unwrap();
+        let names = maintain_after_dml("emp", &delta, &cat, model, opts, &gov).unwrap();
         assert_eq!(names, vec!["dsal".to_string()]);
         assert!(!cat.matview("dsal").unwrap().is_stale(&cat));
 

@@ -12,7 +12,6 @@ use aggview_core::cost::{CardEstimator, CostModel};
 use aggview_core::governor::{OptimizeOutcome, ResourceGovernor, ResourceLimits};
 use aggview_core::optimizer::multi_view::{optimize_governed, Optimized};
 use aggview_core::OptimizerConfig;
-use aggview_executor::subscribe::PendingRounds;
 use aggview_executor::{Engine, ExecOptions};
 use aggview_storage::{Catalog, Table};
 use std::cmp::Ordering;
@@ -113,10 +112,6 @@ pub struct Session {
     /// Executor tile size (REPL `.set batch_rows N`). Execution is
     /// serial: `exec.threads` is accepted and ignored.
     pub exec: ExecOptions,
-    /// Live view subscriptions: every committed DML/refresh statement
-    /// publishes each maintained view's consolidated visible delta here
-    /// (REPL `.subscribe`).
-    pub subs: std::sync::Arc<aggview_executor::SubscriptionHub>,
     faults: Option<Box<dyn FaultInjector>>,
 }
 
@@ -131,7 +126,6 @@ impl Session {
             limits: ResourceLimits::unlimited(),
             max_retries: 2,
             exec: ExecOptions::default(),
-            subs: std::sync::Arc::new(aggview_executor::SubscriptionHub::new()),
             faults: None,
         }
     }
@@ -184,7 +178,7 @@ impl Session {
     /// maintenance it causes, `CREATE MATERIALIZED VIEW`, `REFRESH` — is
     /// one [`Catalog::statement`]: it commits as a whole (one WAL frame,
     /// one fsync on a durable session) or returns `Err` having changed
-    /// nothing, and its subscribers hear of it only once it committed.
+    /// nothing.
     pub fn execute(&mut self, sql: &str) -> Result<SqlResult> {
         let stmts = parse_script(sql)?;
         let mut last = None;
@@ -214,16 +208,8 @@ impl Session {
                     last = Some(self.delete_stmt(&table, &preds)?);
                 }
                 Stmt::RefreshMaterializedView { name } => {
-                    last = Some(self.commit_statement(|rounds| {
+                    last = Some(self.commit_statement(|| {
                         let gov = ResourceGovernor::new(self.limits);
-                        // A refresh is a maintenance round like any other:
-                        // subscribers see its consolidated visible delta.
-                        let watched = rounds.watches(&name);
-                        let before = if watched {
-                            self.extent_rows(&name)
-                        } else {
-                            Vec::new()
-                        };
                         let n = aggview_executor::matview::refresh(
                             &name,
                             &self.catalog,
@@ -231,12 +217,6 @@ impl Session {
                             self.exec,
                             &gov,
                         )?;
-                        if watched {
-                            if let Some(meta) = self.catalog.matview(&name) {
-                                let after = self.extent_rows(&name);
-                                rounds.diff(&meta.def.name, &meta.layout, &before, &after);
-                            }
-                        }
                         Ok(format!(
                             "refreshed materialized view `{name}`: {n} extent row(s)"
                         ))
@@ -278,7 +258,7 @@ impl Session {
             &self.catalog,
             &self.registry,
         )?;
-        let result = self.commit_statement(|_| {
+        let result = self.commit_statement(|| {
             let gov = ResourceGovernor::new(self.limits);
             let n = aggview_executor::matview::build_extent(
                 &def,
@@ -308,7 +288,7 @@ impl Session {
             })
             .collect::<Result<_>>()?;
         let n = tuples.len();
-        self.commit_statement(|rounds| {
+        self.commit_statement(|| {
             let prev = self.catalog.append_rows(table, tuples.clone())?;
             let total = prev + n;
             let stored = self.catalog.get(table)?;
@@ -321,23 +301,12 @@ impl Session {
                 self.model,
                 self.exec,
                 &gov,
-                Some(rounds),
             )?;
             Ok(format!(
                 "inserted {n} row(s) into `{table}` ({total} total){}",
                 maintained_suffix(&maintained)
             ))
         })
-    }
-
-    /// Current extent rows of a registered view ([] when the view or
-    /// its extent is absent).
-    fn extent_rows(&self, view: &str) -> Vec<Tuple> {
-        self.catalog
-            .matview(view)
-            .and_then(|m| self.catalog.get(&m.extent).ok())
-            .map(|t| t.rows())
-            .unwrap_or_default()
     }
 
     /// Positions of the rows of `t` a DML WHERE conjunction matches
@@ -374,7 +343,7 @@ impl Session {
         sets: &[(String, AstExpr)],
         preds: &[AstPred],
     ) -> Result<SqlResult> {
-        self.commit_statement(|rounds| {
+        self.commit_statement(|| {
             let t = self.catalog.get(table)?;
             let bound_sets = bind_set_list(table, t.schema(), sets)?;
             let gov = ResourceGovernor::new(self.limits);
@@ -405,7 +374,6 @@ impl Session {
                 self.model,
                 self.exec,
                 &gov,
-                Some(rounds),
             )?;
             Ok(format!(
                 "updated {n} row(s) in `{table}`{}",
@@ -418,7 +386,7 @@ impl Session {
     /// maintain dependent materialized views from the `-row` Z-set
     /// delta.
     fn delete_stmt(&mut self, table: &str, preds: &[AstPred]) -> Result<SqlResult> {
-        self.commit_statement(|rounds| {
+        self.commit_statement(|| {
             let t = self.catalog.get(table)?;
             let gov = ResourceGovernor::new(self.limits);
             let indices = self.matched_indices(&t, preds, &gov)?;
@@ -435,7 +403,6 @@ impl Session {
                 self.model,
                 self.exec,
                 &gov,
-                Some(rounds),
             )?;
             Ok(format!(
                 "deleted {n} row(s) from `{table}` ({remaining} remaining){}",
@@ -592,20 +559,11 @@ impl Session {
 
     /// Run a statement that changes the catalog: `body` — the change
     /// and whatever maintenance it causes — is one [`Catalog::statement`],
-    /// committed whole or not at all, and the rounds it noted reach the
-    /// subscribers only after the commit. A failed attempt has changed
+    /// committed whole or not at all. A failed attempt has changed
     /// nothing, so a retryable failure (a failed fsync) is retried like
     /// a query's. Returns `body`'s message as a status row.
-    fn commit_statement(
-        &self,
-        body: impl Fn(&mut PendingRounds<'_>) -> Result<String>,
-    ) -> Result<SqlResult> {
-        let (status, retries) = self.with_retries(|| {
-            let mut rounds = self.subs.pending_rounds();
-            let status = self.catalog.statement(|| body(&mut rounds))?;
-            rounds.publish();
-            Ok(status)
-        })?;
+    fn commit_statement(&self, body: impl Fn() -> Result<String>) -> Result<SqlResult> {
+        let (status, retries) = self.with_retries(|| self.catalog.statement(&body))?;
         let mut result = status_result(status);
         result.retries = retries;
         Ok(result)
@@ -1319,26 +1277,6 @@ mod dml_tests {
         assert_eq!(err.kind(), "resource-exhausted");
         // The budget abort left the table untouched.
         assert_eq!(s.catalog().get("emp").unwrap().rows().len(), 24);
-    }
-
-    #[test]
-    fn subscribers_see_consolidated_dml_rounds() {
-        let mut s = session();
-        s.execute(
-            "create materialized view dsal(dno, total, n) as \
-             select dno, sum(sal), count(*) from emp group by dno",
-        )
-        .unwrap();
-        let subs = s.subs.clone();
-        subs.subscribe("repl", "dsal");
-        s.execute("delete from emp where dno = 0").unwrap();
-        let events = subs.drain("repl");
-        assert_eq!(events.len(), 1, "{events:?}");
-        assert!(
-            matches!(&events[0], aggview_executor::ViewEvent::Deleted { row, .. }
-                     if row.get(0) == &aggview_common::Value::Int(0)),
-            "{events:?}"
-        );
     }
 }
 

@@ -342,9 +342,7 @@ impl Catalog {
                 view,
                 patch,
                 base_versions,
-            } => self
-                .patch_extent(view, patch.clone(), base_versions.clone())
-                .map(drop),
+            } => self.patch_extent(view, patch.clone(), base_versions.clone()),
             WalRecord::Statement(members) => {
                 self.statement(|| members.iter().try_for_each(|m| self.apply(m)))
             }
@@ -737,14 +735,13 @@ impl Catalog {
     /// (`tables → versions → matviews`), so no reader and no crash sees
     /// the extent patched but not stamped or the reverse. The extent
     /// goes through the same check-log-apply steps as any table
-    /// (`patch_rows`); an empty patch only restamps. Returns the extent
-    /// rows the patch displaced.
+    /// (`patch_rows`); an empty patch only restamps.
     pub fn patch_extent(
         &self,
         view: &str,
         mut patch: RowPatch,
         base_versions: Vec<u64>,
-    ) -> Result<Displaced> {
+    ) -> Result<()> {
         self.statement(|| {
             let mut map = self.tables.write();
             let mut vers = self.versions.write();
@@ -776,10 +773,10 @@ impl Catalog {
                 key: view_key,
                 prev,
             });
-            Ok(match table {
-                Some(t) => open.patch(t, patch, &mut vers, key)?,
-                None => Displaced::default(),
-            })
+            if let Some(t) = table {
+                open.patch(t, patch, &mut vers, key)?;
+            }
+            Ok(())
         })
     }
 
@@ -1159,12 +1156,13 @@ mod tests {
             deletes: vec![],
             inserts: vec![tuple![30i64, 1i64, 1i64]],
         };
-        let displaced = c
-            .patch_extent("by_v", patch, vec![c.data_version("k")])
+        c.patch_extent("by_v", patch, vec![c.data_version("k")])
             .unwrap();
-        assert_eq!(displaced.replaced, vec![tuple![10i64, 1i64, 1i64]]);
         assert!(!c.matview("by_v").unwrap().is_stale(&c));
-        assert_eq!(c.get("__mv_by_v").unwrap().len(), 2);
+        assert_eq!(
+            c.get("__mv_by_v").unwrap().rows(),
+            vec![tuple![10i64, 2i64, 2i64], tuple![30i64, 1i64, 1i64]]
+        );
         assert_eq!(c.data_version("__mv_by_v"), 2);
 
         // A patch that fails its check changes neither rows nor stamp.

@@ -19,9 +19,6 @@
 //! plus `batch_rows` for the executor), `.limits`,
 //! `.explain <sql>`,
 //! `.open <dir>` (durable catalog: WAL + checkpoints), `.checkpoint`,
-//! `.subscribe <view>` / `.unsubscribe <view>` (live view-change feed:
-//! after every statement the REPL drains and prints the consolidated
-//! created/updated/deleted events of each maintenance round),
 //! `.deps` (the table → materialized-view dependency graph),
 //! `.quit`. Everything else is SQL (`;`-terminated, may span lines).
 
@@ -97,20 +94,7 @@ fn run_sql(sql: &str, session: &mut Session) {
         }
         Err(e) => println!("{e}"),
     }
-    drain_events(session);
 }
-
-/// Print any view-change events queued for the REPL's subscriber since
-/// the last statement. Rounds are consolidated per statement: one event
-/// per changed extent row, in group-key order for deletions.
-fn drain_events(session: &Session) {
-    for ev in session.subs.drain(REPL_SUBSCRIBER) {
-        println!("* {ev}");
-    }
-}
-
-/// The REPL is a single subscriber; SDK users pick their own names.
-const REPL_SUBSCRIBER: &str = "repl";
 
 /// Returns false to quit.
 fn dot_command(cmd: &str, session: &mut Session) -> bool {
@@ -136,8 +120,6 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
                  \u{20}                            when <dir> is empty)\n\
                  .checkpoint                  write a snapshot and reset the WAL\n\
                  .stats <table>               table/extent statistics (rows, widths, distincts)\n\
-                 .subscribe <view>            stream the view's extent changes after each statement\n\
-                 .unsubscribe <view>          stop streaming a view\n\
                  .deps                        table -> materialized-view dependency graph\n\
                  .explain <sql>               show the chosen plan without running\n\
                  .lint <sql>                  run the plan-integrity analyzer without running\n\
@@ -354,31 +336,6 @@ fn dot_command(cmd: &str, session: &mut Session) -> bool {
             },
             None => println!("usage: .explain <sql>"),
         },
-        ".subscribe" => match parts.get(1).map(|s| s.trim()) {
-            Some(view) if !view.is_empty() => {
-                if session.catalog().matview(view).is_none() {
-                    println!("unknown materialized view `{view}` — try .views");
-                } else {
-                    session.subs.subscribe(REPL_SUBSCRIBER, view);
-                    println!(
-                        "subscribed to `{view}` — changes print after each statement \
-                         (watching: {})",
-                        session.subs.subscriptions(REPL_SUBSCRIBER).join(", ")
-                    );
-                }
-            }
-            _ => println!("usage: .subscribe <view>"),
-        },
-        ".unsubscribe" => match parts.get(1).map(|s| s.trim()) {
-            Some(view) if !view.is_empty() => {
-                if session.subs.unsubscribe(REPL_SUBSCRIBER, view) {
-                    println!("unsubscribed from `{view}`");
-                } else {
-                    println!("not subscribed to `{view}`");
-                }
-            }
-            _ => println!("usage: .unsubscribe <view>"),
-        },
         ".deps" => {
             print!(
                 "{}",
@@ -471,8 +428,5 @@ fn with_settings(old: &Session, catalog: aggview::storage::Catalog) -> Session {
     s.limits = old.limits;
     s.max_retries = old.max_retries;
     s.exec = old.exec;
-    // Subscriptions survive catalog switches: views with the same name
-    // in the new catalog keep streaming.
-    s.subs = old.subs.clone();
     s
 }

@@ -14,10 +14,12 @@
 //! 5. **SQL surface** — `EXPLAIN VERIFY` and `Session::verify` report
 //!    the analyzer verdict.
 
+#[path = "support/mutate.rs"]
+mod mutate;
+
 use aggview::common::{
     AggFunc, AggRef, AggSpec, CmpOp, Col, Expr, Predicate, RelId, Value, ViewId,
 };
-use aggview::core::analyze::mutate::mutants;
 use aggview::core::cost::ops::IoParams;
 use aggview::core::plan::{all_cols, PartialAggSpec};
 use aggview::core::query::examples::{
@@ -32,6 +34,7 @@ use aggview::executor::Engine;
 use aggview::sql::Session;
 use aggview::storage::datagen::{gen_empdept, EmpDeptConfig};
 use aggview::storage::Catalog;
+use mutate::mutants;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -385,8 +388,8 @@ fn analyzer_rejects_every_seeded_mutant() {
 
 #[test]
 fn dataflow_mutants_are_flagged() {
-    use aggview::core::analyze::mutate::dataflow_mutants;
     use aggview::core::analyze::Severity;
+    use mutate::dataflow_mutants;
     let catalog = catalog();
     let mut env = QueryEnv::default();
     let e = env.add_rel("emp");

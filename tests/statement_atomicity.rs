@@ -1,6 +1,6 @@
 //! One statement, one commit: a statement that changes the catalog —
 //! DML with the view maintenance it causes, `CREATE MATERIALIZED VIEW`,
-//! `REFRESH` — is present as a whole or absent as a whole, in three
+//! `REFRESH` — is present as a whole or absent as a whole, in two
 //! places:
 //!
 //! * **on disk** — after any injected fault at the statement's write or
@@ -9,9 +9,7 @@
 //! * **in memory** — after any `Err` from `Session::execute` (a failed
 //!   commit, a budget abort in the middle of maintenance) rows, version
 //!   counters, statistics, key lookups, view metadata and stamps are as
-//!   before the statement;
-//! * **at the subscribers** — no event from a statement that did not
-//!   commit.
+//!   before the statement.
 //!
 //! The property tests drive random INSERT/UPDATE/DELETE streams through
 //! a durable session over two views and compare it, after every
@@ -21,7 +19,7 @@
 use aggview::common::{IoFaultKind, ScheduledIoFaults};
 use aggview::core::governor::{ResourceGovernor, ResourceLimits};
 use aggview::core::CostModel;
-use aggview::executor::{ExecOptions, ViewEvent};
+use aggview::executor::ExecOptions;
 use aggview::sql::Session;
 use aggview::storage::catalog::WAL_FILE;
 use aggview::storage::codec::{crc32, enc_rows, Enc};
@@ -353,42 +351,6 @@ fn a_lone_append_writes_the_plain_insert_frame() {
     // ... and behind it the end-of-log marker, eight 0xFF bytes.
     frame.extend_from_slice(&[0xFF; 8]);
     assert_eq!(std::fs::read(&wal).unwrap()[before..], frame[..]);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn subscribers_hear_nothing_of_a_statement_that_did_not_commit() {
-    let dir = tmpdir("subs");
-    let mut s = session(Some(&dir));
-    s.max_retries = 0;
-    let subs = s.subs.clone();
-    for (view, _) in VIEWS {
-        subs.subscribe("watcher", view);
-    }
-    let sql = "delete from emp where dno = 0"; // one group disappears
-    let before = s.catalog().describe_state();
-    s.catalog().set_io_faults(Arc::new(ScheduledIoFaults::at(
-        "wal.fsync",
-        0,
-        IoFaultKind::Error,
-    )));
-    let err = s.execute(sql).unwrap_err();
-    assert_eq!(err.kind(), "io");
-    assert_eq!(subs.drain("watcher"), vec![], "rolled back: no round");
-    assert_eq!(s.catalog().describe_state(), before);
-
-    // The same statement, committed: one consolidated event per changed
-    // group of each view, in maintenance order.
-    s.execute(sql).unwrap();
-    let events = subs.drain("watcher");
-    assert_eq!(events.len(), 2, "{events:?}");
-    for (event, (view, _)) in events.iter().zip(VIEWS) {
-        assert!(
-            matches!(event, ViewEvent::Deleted { view: v, row }
-                     if v == view && row.get(0) == &Value::Int(0)),
-            "{event:?}"
-        );
-    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
