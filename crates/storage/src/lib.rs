@@ -36,5 +36,5 @@ pub use matview::{stores_partial_state, AggColumns, ExtentLayout, MatViewDef, Ma
 pub use page::PageModel;
 pub use snapshot::Snapshot;
 pub use stats::{ColumnStats, Histogram, TableStats};
-pub use table::{Displaced, RowPatch, Table, TableBuilder};
+pub use table::{RowPatch, Table, TableBuilder};
 pub use wal::{WalReader, WalRecord, WalWriter};

@@ -79,12 +79,12 @@ impl RowPatch {
 }
 
 /// The rows a [`RowPatch`] displaced, in position order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Displaced {
+#[derive(Debug, Clone)]
+pub(crate) struct Displaced {
     /// Previous content of each updated position.
-    pub replaced: Vec<Tuple>,
+    pub(crate) replaced: Vec<Tuple>,
     /// The deleted rows.
-    pub removed: Vec<Tuple>,
+    pub(crate) removed: Vec<Tuple>,
 }
 
 /// What it takes to take an applied [`RowPatch`] back: where it wrote,
