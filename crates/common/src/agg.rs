@@ -378,7 +378,7 @@ impl PartialAggState {
     }
 
     /// Retract raw state components: the inverse of
-    /// [`merge_components`](Self::merge_components), used by Z-set view
+    /// [`merge_components`](Self::merge_components), used by view
     /// maintenance to subtract deleted rows' contribution from a stored
     /// group.
     ///

@@ -14,8 +14,8 @@
 //! * [`AggFunc`] / [`AggSpec`] — aggregate functions, including the
 //!   decomposability machinery needed by the *simple coalescing grouping*
 //!   transformation (partial/combine/finalize states),
-//! * [`hash`] — allocation-free, deterministic key hashing used by the
-//!   executor's hash join and hash aggregation,
+//! * [`hash`] — the allocation-free key-hash chain of the executor's
+//!   hash join and hash aggregation,
 //! * [`ColumnVec`] / [`Batch`] — typed column vectors (strings as
 //!   [`StrCol`] codes into a shared [`StrDict`]) and column-major
 //!   batches, the data representation of the vectorized executor,
@@ -35,7 +35,6 @@ pub mod predicate;
 pub mod schema;
 pub mod tuple;
 pub mod value;
-pub mod zset;
 
 pub use agg::{AggFunc, AggSpec, PartialAggState, Retraction};
 pub use batch::{hash_columns, Batch};
@@ -46,10 +45,8 @@ pub use fault::{
     registered_site, FaultInjector, IoFaultKind, NoFaults, RecordingFaults, ScheduledFaults,
     ScheduledIoFaults, SeededFaultInjector, REGISTERED_FAULT_SITES,
 };
-pub use hash::{hash_values, PrehashedMap};
 pub use ids::{AggRef, Col, ColRef, PartRef, RelId, ViewId};
 pub use predicate::{CmpOp, Predicate};
 pub use schema::{Field, Schema};
 pub use tuple::Tuple;
 pub use value::{DataType, Value};
-pub use zset::ZSet;

@@ -96,12 +96,6 @@ impl Schema {
         self.index_of(name)
             .ok_or_else(|| AggViewError::Bind(format!("unknown column `{name}`")))
     }
-
-    /// Fixed-width estimate of a row of this schema in bytes; the page/IO
-    /// model uses this when no measured statistics exist.
-    pub fn default_row_width(&self) -> usize {
-        self.fields.iter().map(|f| f.ty.default_width()).sum()
-    }
 }
 
 impl fmt::Display for Schema {
@@ -157,12 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn row_width_sums_defaults() {
-        // 8 + 16 + 8 + 8 + 8
-        assert_eq!(emp().default_row_width(), 48);
-    }
-
-    #[test]
     fn display_lists_fields() {
         let s = Schema::of(&[("a", DataType::Int), ("b", DataType::Bool)]);
         assert_eq!(s.to_string(), "(a INT, b BOOL)");
@@ -173,6 +161,5 @@ mod tests {
         let s = Schema::default();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-        assert_eq!(s.default_row_width(), 0);
     }
 }

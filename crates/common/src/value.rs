@@ -28,17 +28,6 @@ impl DataType {
     pub fn is_numeric(self) -> bool {
         matches!(self, DataType::Int | DataType::Float)
     }
-
-    /// Width in bytes used by the page/IO model. Strings are charged a
-    /// fixed declared width; actual average widths live in table
-    /// statistics and override this when available.
-    pub fn default_width(self) -> usize {
-        match self {
-            DataType::Int | DataType::Float => 8,
-            DataType::Str => 16,
-            DataType::Bool => 1,
-        }
-    }
 }
 
 impl fmt::Display for DataType {
@@ -285,7 +274,6 @@ mod tests {
         assert_eq!(Value::Int(7).width(), 8);
         assert_eq!(Value::str("abcd").width(), 4);
         assert_eq!(Value::Bool(false).width(), 1);
-        assert_eq!(DataType::Str.default_width(), 16);
     }
 
     #[test]

@@ -119,14 +119,6 @@ pub struct CanonicalQuery {
 }
 
 impl CanonicalQuery {
-    /// All relation instances of the query (view-internal and base).
-    pub fn all_rels(&self) -> Vec<RelId> {
-        let mut rels: Vec<RelId> = self.views.iter().flat_map(|v| v.rels.clone()).collect();
-        rels.extend(self.base_rels.iter().copied());
-        rels.sort_unstable();
-        rels
-    }
-
     /// Structural validation: relation sets are disjoint and cover the
     /// environment; every predicate references only columns available at
     /// its level; aggregate references resolve to declared aggregates.
@@ -269,17 +261,6 @@ impl CanonicalQuery {
         let arity = |r: &RelId| Ok((*r, catalog.get(self.env.table_of(*r)?)?.schema().len()));
         Ok(BaseCols(rels.iter().map(arity).collect::<Result<_>>()?))
     }
-
-    /// Outer-block predicates partitioned into (those referencing any
-    /// aggregate output of view `v`, the rest). The first set is what
-    /// pull-up must defer into a HAVING clause.
-    pub fn preds_on_view_aggs(&self, view: ViewId) -> (Vec<Predicate>, Vec<Predicate>) {
-        self.preds.iter().cloned().partition(|p| {
-            p.cols_used()
-                .iter()
-                .any(|c| matches!(c.as_agg(), Some(a) if a.owner == view))
-        })
-    }
 }
 
 impl fmt::Display for CanonicalQuery {
@@ -369,7 +350,6 @@ mod tests {
         q.validate(&cat).unwrap();
         assert_eq!(q.views.len(), 1);
         assert_eq!(q.base_rels.len(), 1);
-        assert_eq!(q.all_rels().len(), 2);
     }
 
     #[test]
@@ -379,16 +359,6 @@ mod tests {
         q.validate(&cat).unwrap();
         assert!(q.group.is_some());
         assert!(q.views.is_empty());
-    }
-
-    #[test]
-    fn preds_on_view_aggs_partitions() {
-        let q = example1_query();
-        let (on_agg, rest) = q.preds_on_view_aggs(ViewId::View(0));
-        // e1.sal > Q1.Asal is the only aggregate-referencing predicate.
-        assert_eq!(on_agg.len(), 1);
-        assert!(on_agg[0].uses_agg());
-        assert!(rest.iter().all(|p| !p.uses_agg()));
     }
 
     #[test]

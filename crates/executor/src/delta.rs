@@ -1,9 +1,10 @@
-//! Z-set delta maintenance of materialized aggregate-view extents.
+//! Delta maintenance of materialized aggregate-view extents.
 //!
-//! The one incremental maintenance path: a **signed** delta
-//! ([`aggview_common::ZSet`]: row → weight, with INSERT = `+row`,
-//! UPDATE = `-old ⊕ +new` and DELETE = `-row`) on one base table is
-//! folded into the extent of a view over it, at a cost proportional to
+//! The one incremental maintenance path: a [`RowDelta`] on one base
+//! table — the rows a DML statement removed from it (*minus*) and the
+//! rows it added (*plus*): INSERT adds, DELETE removes, UPDATE removes
+//! each changed row's old version and adds its new one — is folded into
+//! the extent of a view over it, at a cost proportional to
 //! the delta and the groups it touches — the extent as a whole is never
 //! read, rebuilt or logged. Every aggregation of a round is one governed
 //! run of the view's state plan (`matview::state_plan`: its SPJ body
@@ -14,8 +15,8 @@
 //!    versions are exactly one mutation behind on the modified table
 //!    and current elsewhere; anything else falls back to a full rebuild
 //!    ([`crate::matview::build_extent`]).
-//! 2. **Delta propagation** — the Z-set expands into a *plus* and a
-//!    *minus* multiset; the state plan runs over each, against a catalog
+//! 2. **Delta propagation** — the state plan runs over the plus and
+//!    over the minus rows, each against a catalog
 //!    in which the modified table is the delta rows alone (other base
 //!    tables joined as-is — sound because the modified table occurs
 //!    once, so `Δ(R ⋈ S) = ΔR ⋈ S`). Validation, the analyzer and
@@ -56,7 +57,7 @@ use crate::engine::{Engine, ExecOptions};
 use crate::matview;
 use aggview_common::{
     AggFunc, AggViewError, Col, PartialAggState, Predicate, RelId, Result, Retraction, Schema,
-    Tuple, ZSet,
+    Tuple,
 };
 use aggview_core::cost::CostModel;
 use aggview_core::governor::ResourceGovernor;
@@ -79,15 +80,6 @@ pub struct DependencyGraph {
 }
 
 impl DependencyGraph {
-    /// Views that must be maintained when `table` changes.
-    pub fn views_on(&self, table: &str) -> &[String] {
-        let key = table.to_ascii_lowercase();
-        self.edges
-            .iter()
-            .find(|(t, _)| *t == key)
-            .map_or(&[], |(_, v)| v.as_slice())
-    }
-
     /// Render as indented text (REPL `.deps`).
     pub fn render(&self) -> String {
         if self.edges.is_empty() {
@@ -128,13 +120,31 @@ pub fn dependency_graph(catalog: &Catalog) -> DependencyGraph {
     }
 }
 
-/// Maintain every registered view that references `table` after the
-/// Z-set `delta` has been applied to the base table: retractable
-/// incremental maintenance where admissible, full rebuild otherwise.
-/// Returns the names of the views maintained.
+/// The rows one DML statement removed from a base table and the rows it
+/// added. A row both removed and added — an UPDATE that wrote it back
+/// unchanged — is in neither list.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RowDelta {
+    pub minus: Vec<Tuple>,
+    pub plus: Vec<Tuple>,
+}
+
+impl RowDelta {
+    /// The delta of an UPDATE from its `(old, new)` row pairs; a pair
+    /// whose new row equals the old one changed nothing and is dropped.
+    pub fn of_updates(pairs: Vec<(Tuple, Tuple)>) -> RowDelta {
+        let (minus, plus) = pairs.into_iter().filter(|(old, new)| old != new).unzip();
+        RowDelta { minus, plus }
+    }
+}
+
+/// Maintain every registered view that references `table` after `delta`
+/// has been applied to the base table: retractable incremental
+/// maintenance where admissible, full rebuild otherwise. Returns the
+/// names of the views maintained.
 pub fn maintain_after_dml(
     table: &str,
-    delta: &ZSet,
+    delta: RowDelta,
     catalog: &Catalog,
     model: CostModel,
     options: ExecOptions,
@@ -147,7 +157,7 @@ pub fn maintain_after_dml(
     }
     let delta = DeltaTables::new(table, delta, catalog)?;
     for meta in views {
-        if !apply_zset_delta(&meta, &delta, catalog, model, options, gov)? {
+        if !fold_delta(&meta, &delta, catalog, model, options, gov)? {
             matview::build_extent(&meta.def, catalog, model, options, gov)?;
         }
         maintained.push(meta.def.name);
@@ -155,9 +165,9 @@ pub fn maintain_after_dml(
     Ok(maintained)
 }
 
-/// A Z-set delta on one base table, expanded once for every view over
-/// it: the plus and the minus rows, each held as a table of the base
-/// table's name and schema — what a view's state plan reads in place of
+/// A delta on one base table, built once for every view over it: the
+/// plus and the minus rows, each held as a table of the base table's
+/// name and schema — what a view's state plan reads in place of
 /// the base table. Building a table analyzes its rows, so validation,
 /// the analyzer and admission derive their floors and domains from the
 /// delta.
@@ -169,8 +179,8 @@ pub struct DeltaTables {
 }
 
 impl DeltaTables {
-    /// Expand `delta`, a delta on base table `table` of `catalog`.
-    pub fn new(table: &str, delta: &ZSet, catalog: &Catalog) -> Result<DeltaTables> {
+    /// Hold `delta`, a delta on base table `table` of `catalog`.
+    pub fn new(table: &str, delta: RowDelta, catalog: &Catalog) -> Result<DeltaTables> {
         let base = catalog.get(table)?;
         let side = |rows: Vec<Tuple>| -> Result<Option<Arc<Table>>> {
             if rows.is_empty() {
@@ -182,11 +192,10 @@ impl DeltaTables {
             }
             builder.build().map(Some)
         };
-        let (plus, minus) = delta.expand();
         Ok(DeltaTables {
             table: table.to_string(),
-            plus: side(plus)?,
-            minus: side(minus)?,
+            plus: side(delta.plus)?,
+            minus: side(delta.minus)?,
         })
     }
 
@@ -218,13 +227,13 @@ impl TouchedGroup {
     }
 }
 
-/// Incrementally fold a signed delta into the extent of the view `meta`
+/// Incrementally fold a delta into the extent of the view `meta`
 /// describes. Returns `Ok(false)` — extent untouched —
 /// when the view is inadmissible for incremental maintenance or the
 /// delta's evidence contradicts the stored state (either way the caller
 /// rebuilds); `Ok(true)` when the extent now reflects the delta and its
 /// recorded versions are current.
-pub fn apply_zset_delta(
+pub fn fold_delta(
     meta: &MatViewMeta,
     delta: &DeltaTables,
     catalog: &Catalog,
@@ -272,9 +281,9 @@ pub fn apply_zset_delta(
     }
 
     // Propagate the delta through the view's state plan: the plus and
-    // minus expansions each come out as per-group partial states. (An
-    // empty delta — an UPDATE to identical values bumped the version —
-    // runs nothing and ends as an empty patch that only restamps.)
+    // minus rows each come out as per-group partial states. (An empty
+    // delta — an UPDATE to identical values bumped the version — runs
+    // nothing and ends as an empty patch that only restamps.)
     let exec = Exec {
         def,
         model,
@@ -639,11 +648,25 @@ mod tests {
 
     /// One unbudgeted incremental round on `view` for a delta on `emp`;
     /// false when the round was refused (the caller would rebuild).
-    fn maintained(view: &str, delta: &ZSet, cat: &Catalog) -> bool {
+    fn maintained(view: &str, delta: &RowDelta, cat: &Catalog) -> bool {
         let (model, opts, gov) = exec_env();
         let meta = cat.matview(view).unwrap();
-        let delta = DeltaTables::new("emp", delta, cat).unwrap();
-        apply_zset_delta(&meta, &delta, cat, model, opts, &gov).unwrap()
+        let delta = DeltaTables::new("emp", delta.clone(), cat).unwrap();
+        fold_delta(&meta, &delta, cat, model, opts, &gov).unwrap()
+    }
+
+    fn inserts(rows: Vec<Tuple>) -> RowDelta {
+        RowDelta {
+            plus: rows,
+            ..RowDelta::default()
+        }
+    }
+
+    fn deletes(rows: Vec<Tuple>) -> RowDelta {
+        RowDelta {
+            minus: rows,
+            ..RowDelta::default()
+        }
     }
 
     fn extent_sorted(cat: &Catalog, view: &str) -> Vec<Tuple> {
@@ -684,7 +707,7 @@ mod tests {
         cat.append_rows("emp", rows.clone()).unwrap();
         assert!(cat.matview("young").unwrap().is_stale(&cat));
         assert!(
-            maintained("young", &ZSet::from_inserts(rows), &cat),
+            maintained("young", &inserts(rows), &cat),
             "insert-only deltas merge incrementally"
         );
         assert!(!cat.matview("young").unwrap().is_stale(&cat));
@@ -714,7 +737,7 @@ mod tests {
         let rows = vec![emp(9001, 0, 1250.0, 25)];
         cat.append_rows("emp", rows.clone()).unwrap();
         assert!(
-            !maintained("sd", &ZSet::from_inserts(rows), &cat),
+            !maintained("sd", &inserts(rows), &cat),
             "stddev stores no partial state"
         );
     }
@@ -746,7 +769,7 @@ mod tests {
         let rows = vec![emp(9100, 3, 500.0, 33)];
         cat.append_rows("emp", rows.clone()).unwrap();
         assert!(
-            maintained("jv", &ZSet::from_inserts(rows), &cat),
+            maintained("jv", &inserts(rows), &cat),
             "single-occurrence join views maintain incrementally"
         );
         assert_matches_refresh(&cat, "jv");
@@ -756,7 +779,7 @@ mod tests {
         cat.mark_modified("dept").unwrap();
         let rows = vec![emp(9101, 4, 600.0, 28)];
         cat.append_rows("emp", rows.clone()).unwrap();
-        assert!(!maintained("jv", &ZSet::from_inserts(rows), &cat));
+        assert!(!maintained("jv", &inserts(rows), &cat));
         assert!(cat.matview("jv").unwrap().is_stale(&cat));
     }
 
@@ -766,7 +789,7 @@ mod tests {
         let (model, opts, gov) = exec_env();
         matview::build_extent(&sum_count_view("v"), &cat, model, opts, &gov).unwrap();
         let victims = cat.delete_rows("emp", &[0, 3, 17]).unwrap();
-        let delta = ZSet::from_deletes(victims);
+        let delta = deletes(victims);
         assert!(
             maintained("v", &delta, &cat),
             "pure COUNT/SUM deletes are exactly retractable"
@@ -786,10 +809,10 @@ mod tests {
         vals[2] = Value::Int(4);
         vals[3] = Value::Float(4321.0);
         let new = Tuple::new(vals);
-        cat.update_rows("emp", &[1], vec![new.clone()]).unwrap();
-        let mut delta = ZSet::new();
-        delta.add(old, -1);
-        delta.add(new, 1);
+        let pairs = cat.update_rows("emp", &[1], vec![new.clone()]).unwrap();
+        let delta = RowDelta::of_updates(pairs);
+        assert_eq!(delta.minus, [old]);
+        assert_eq!(delta.plus, [new]);
         assert!(maintained("v", &delta, &cat));
         assert_matches_refresh(&cat, "v");
     }
@@ -809,7 +832,7 @@ mod tests {
             .collect();
         assert!(!indices.is_empty());
         let victims = cat.delete_rows("emp", &indices).unwrap();
-        let delta = ZSet::from_deletes(victims);
+        let delta = deletes(victims);
         assert!(maintained("v", &delta, &cat));
         let extent = extent_sorted(&cat, "v");
         assert!(
@@ -834,7 +857,7 @@ mod tests {
             .min_by(|(_, a), (_, b)| a.get(3).cmp(b.get(3)))
             .unwrap();
         let victims = cat.delete_rows("emp", &[idx]).unwrap();
-        let delta = ZSet::from_deletes(victims);
+        let delta = deletes(victims);
         assert!(maintained("m", &delta, &cat));
         assert_matches_refresh(&cat, "m");
 
@@ -848,7 +871,7 @@ mod tests {
             .max_by(|(_, a), (_, b)| a.get(3).cmp(b.get(3)))
             .unwrap();
         let victims = cat.delete_rows("emp", &[idx]).unwrap();
-        let delta = ZSet::from_deletes(victims);
+        let delta = deletes(victims);
         assert!(maintained("m", &delta, &cat));
         assert_matches_refresh(&cat, "m");
     }
@@ -877,7 +900,7 @@ mod tests {
             .collect();
         victims.extend([cheapest(0), cheapest(1)]);
         victims.sort_unstable();
-        let delta = ZSet::from_deletes(cat.delete_rows("emp", &victims).unwrap());
+        let delta = deletes(cat.delete_rows("emp", &victims).unwrap());
         let before = cat.get("__mv_m").unwrap().rows();
         RECOMPUTE_RUNS.with(|n| n.set(0));
         assert!(
@@ -946,7 +969,7 @@ mod tests {
         let rows = cat.get("emp").unwrap().rows();
         let cheapest = (0..rows.len()).min_by(|&a, &b| rows[a].get(3).cmp(rows[b].get(3)));
         let victims = cat.delete_rows("emp", &[cheapest.unwrap()]).unwrap();
-        let delta = ZSet::from_deletes(victims);
+        let delta = deletes(victims);
         for view in ["jv", "all"] {
             RECOMPUTE_RUNS.with(|n| n.set(0));
             assert!(maintained(view, &delta, &cat), "{view}");
@@ -986,8 +1009,8 @@ mod tests {
             .collect();
         assert!(young.len() >= 2);
         let victims = cat.delete_rows("emp", &[young[0]]).unwrap();
-        let delta = ZSet::from_deletes(victims);
-        assert!(maintain_after_dml("emp", &delta, &cat, model, opts, &gov)
+        let delta = deletes(victims);
+        assert!(maintain_after_dml("emp", delta, &cat, model, opts, &gov)
             .unwrap()
             .contains(&"jv".to_string()));
         assert_matches_refresh(&cat, "jv");
@@ -999,18 +1022,20 @@ mod tests {
         let (model, opts, gov) = exec_env();
         matview::build_extent(&sum_count_view("v"), &cat, model, opts, &gov).unwrap();
         // Empty delta over untouched bases: trivially fresh.
-        assert!(maintained("v", &ZSet::new(), &cat));
-        // Update a row to identical values: version bumps, delta cancels
-        // to empty, and the extent is restamped fresh without a fold.
+        assert!(maintained("v", &RowDelta::default(), &cat));
+        // Update a row to identical values: version bumps, the pair is
+        // dropped from the delta, and the extent is restamped fresh
+        // without a fold.
         let row = cat.get("emp").unwrap().rows()[0].clone();
-        cat.update_rows("emp", &[0], vec![row.clone()]).unwrap();
-        let mut delta = ZSet::new();
-        delta.add(row.clone(), -1);
-        delta.add(row, 1);
-        delta.consolidate();
-        assert!(delta.is_empty());
+        let pairs = cat.update_rows("emp", &[0], vec![row]).unwrap();
+        assert_eq!(pairs.len(), 1);
+        let delta = RowDelta::of_updates(pairs);
+        assert_eq!(delta, RowDelta::default());
+        assert!(cat.matview("v").unwrap().is_stale(&cat));
+        let before = cat.get("__mv_v").unwrap().rows();
         assert!(maintained("v", &delta, &cat));
         assert!(!cat.matview("v").unwrap().is_stale(&cat));
+        assert_eq!(cat.get("__mv_v").unwrap().rows(), before, "an empty patch");
         assert_matches_refresh(&cat, "v");
     }
 
@@ -1023,10 +1048,10 @@ mod tests {
         // incremental path must refuse (and report false) rather than
         // fabricate a negative group.
         cat.mark_modified("emp").unwrap();
-        let delta = ZSet::from_deletes([emp(9999, 77, 100.0, 20)]);
+        let delta = deletes(vec![emp(9999, 77, 100.0, 20)]);
         assert!(!maintained("v", &delta, &cat));
         // maintain_after_dml rebuilds on the fallback.
-        let names = maintain_after_dml("emp", &delta, &cat, model, opts, &gov).unwrap();
+        let names = maintain_after_dml("emp", delta, &cat, model, opts, &gov).unwrap();
         assert_eq!(names, vec!["v".to_string()]);
         assert!(!cat.matview("v").unwrap().is_stale(&cat));
     }
@@ -1040,7 +1065,7 @@ mod tests {
         // both.
         cat.mark_modified("emp").unwrap();
         let victims = cat.delete_rows("emp", &[0]).unwrap();
-        let delta = ZSet::from_deletes(victims);
+        let delta = deletes(victims);
         assert!(!maintained("v", &delta, &cat));
         assert!(cat.matview("v").unwrap().is_stale(&cat));
     }
@@ -1053,15 +1078,15 @@ mod tests {
         matview::build_extent(&sum_count_view("v"), &cat, model, opts, &gov).unwrap();
         let before = extent_sorted(&cat, "v");
         let victims = cat.delete_rows("emp", &[0]).unwrap();
-        let delta = ZSet::from_deletes(victims);
+        let delta = deletes(victims);
         // A governor too tight for even the extent reconstruction:
         // maintenance must abort with a structured error...
         let tight = ResourceGovernor::new(
             aggview_core::governor::ResourceLimits::unlimited().with_max_rows(2),
         );
         let meta = cat.matview("v").unwrap();
-        let tables = DeltaTables::new("emp", &delta, &cat).unwrap();
-        let err = apply_zset_delta(&meta, &tables, &cat, model, opts, &tight).unwrap_err();
+        let tables = DeltaTables::new("emp", delta.clone(), &cat).unwrap();
+        let err = fold_delta(&meta, &tables, &cat, model, opts, &tight).unwrap_err();
         assert_eq!(err.kind(), "resource-exhausted");
         // ...leaving the old extent bytes intact and the view stale —
         // never a half-merged extent stamped fresh.
@@ -1069,7 +1094,7 @@ mod tests {
         assert!(cat.matview("v").unwrap().is_stale(&cat));
         // A later unbudgeted round repairs it.
         let gov = ResourceGovernor::unlimited();
-        let names = maintain_after_dml("emp", &delta, &cat, model, opts, &gov).unwrap();
+        let names = maintain_after_dml("emp", delta, &cat, model, opts, &gov).unwrap();
         assert_eq!(names, vec!["v".to_string()]);
         assert!(!cat.matview("v").unwrap().is_stale(&cat));
         assert_matches_refresh(&cat, "v");
@@ -1093,10 +1118,14 @@ mod tests {
         };
         matview::build_extent(&def, &cat, model, opts, &gov).unwrap();
         let g = dependency_graph(&cat);
-        assert_eq!(g.views_on("emp"), &["a".to_string(), "b".to_string()]);
-        assert_eq!(g.views_on("EMP"), g.views_on("emp"));
-        assert_eq!(g.views_on("dept"), &["b".to_string()]);
-        assert!(g.views_on("nosuch").is_empty());
+        let views = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            g.edges,
+            [
+                ("dept".to_string(), views(&["b"])),
+                ("emp".to_string(), views(&["a", "b"]))
+            ]
+        );
         let text = g.render();
         assert!(text.contains("emp"), "{text}");
         assert!(text.contains("└─ b"), "{text}");

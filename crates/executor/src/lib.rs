@@ -25,8 +25,9 @@
 //! * [`matview`] / [`delta`] — building and maintaining materialized
 //!   aggregate-view extents, every aggregation of them one governed run
 //!   of the view's state plan (its SPJ body under the partial
-//!   aggregate): full builds/refreshes, and Z-set delta maintenance that
-//!   merges, retracts or recomputes — by a semijoin on the queued keys —
+//!   aggregate): full builds/refreshes, and maintenance from a DML
+//!   statement's removed and added rows that merges, retracts or
+//!   recomputes — by a semijoin on the queued keys —
 //!   exactly the stored groups a DML statement touched;
 //! * [`correlated`] — naive tuple-at-a-time evaluation of correlated
 //!   aggregate subqueries (Kim's type-JA shape), the baseline the

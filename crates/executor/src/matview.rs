@@ -242,9 +242,9 @@ pub(crate) fn materialize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::maintain_after_dml;
+    use crate::delta::{maintain_after_dml, RowDelta};
     use crate::reference;
-    use aggview_common::{AggFunc, AggSpec, CmpOp, DataType, Expr, Schema, Value, ZSet};
+    use aggview_common::{AggFunc, AggSpec, CmpOp, DataType, Expr, Schema, Value};
     use aggview_core::plan::GroupBySpec;
     use aggview_storage::datagen::{
         gen_empdept, gen_random_catalog, EmpDeptConfig, RandomCatalogConfig,
@@ -351,8 +351,11 @@ mod tests {
             Value::Int(20),
         ])];
         cat.append_rows("emp", delta.clone()).unwrap();
-        let delta = ZSet::from_inserts(delta);
-        maintain_after_dml("emp", &delta, &cat, model, opts, &gov).unwrap();
+        let delta = RowDelta {
+            plus: delta,
+            ..RowDelta::default()
+        };
+        maintain_after_dml("emp", delta, &cat, model, opts, &gov).unwrap();
         let row0 = cat.get("__mv_by_loc").unwrap().rows()[0].clone();
         let after = row0.get(1).as_f64().unwrap();
         assert!((after - (young + 100.0) * depts).abs() < 1e-6);
@@ -391,8 +394,11 @@ mod tests {
             Value::Int(24),
         ])];
         cat.append_rows("emp", delta.clone()).unwrap();
-        let delta = ZSet::from_inserts(delta);
-        let names = maintain_after_dml("emp", &delta, &cat, model, opts, &gov).unwrap();
+        let delta = RowDelta {
+            plus: delta,
+            ..RowDelta::default()
+        };
+        let names = maintain_after_dml("emp", delta, &cat, model, opts, &gov).unwrap();
         assert_eq!(names, vec!["dsal".to_string()]);
         assert!(!cat.matview("dsal").unwrap().is_stale(&cat));
 

@@ -37,13 +37,6 @@ impl AstExpr {
         }
     }
 
-    pub fn qcol(q: &str, name: &str) -> AstExpr {
-        AstExpr::Col {
-            qualifier: Some(q.to_string()),
-            name: name.to_string(),
-        }
-    }
-
     /// Does the expression contain an aggregate call?
     pub fn has_agg(&self) -> bool {
         match self {
@@ -236,7 +229,11 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        assert_eq!(AstExpr::qcol("e", "sal").to_string(), "e.sal");
+        let qualified = AstExpr::Col {
+            qualifier: Some("e".into()),
+            name: "sal".into(),
+        };
+        assert_eq!(qualified.to_string(), "e.sal");
         let p = AstPred {
             left: AstExpr::col("age"),
             op: CmpOp::Lt,

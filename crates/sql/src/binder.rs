@@ -4,8 +4,10 @@
 //! [`CanonicalQuery`] (the paper's Figure 3):
 //!
 //! * base tables in FROM become outer-block relations `B1..Bn`;
-//! * references to registered **aggregate views** become [`ViewDef`]s
-//!   `Q1..Qm` (the view body is bound in its own scope);
+//! * references to registered **aggregate views** and to the catalog's
+//!   **materialized views** become [`ViewDef`]s `Q1..Qm` (a registered
+//!   body is bound in its own scope; a materialized view's definition is
+//!   moved from its local frame into the query's);
 //! * registered **non-aggregate views** are merged into the referencing
 //!   block — the "traditional reduction to a single block query" the
 //!   paper contrasts with;
@@ -13,10 +15,13 @@
 //!   additional aggregate views plus join predicates
 //!   ([`crate::flatten`]);
 //! * a GROUP BY / aggregate select list becomes the top group-by `G0`.
+//!
+//! Every group-by block — the top block, an aggregate view's body and a
+//! materialized view's body — is bound by one function, `bind_grouped`.
 
-use crate::ast::{AstExpr, AstPred, FromItem, OrderKey, SelectStmt};
+use crate::ast::{AstExpr, AstPred, FromItem, OrderKey, SelectItem, SelectStmt};
 use crate::flatten::flatten_subquery;
-use aggview_common::{AggSpec, AggViewError, Col, Expr, Predicate, RelId, Result, ViewId};
+use aggview_common::{AggFunc, AggSpec, AggViewError, Col, Expr, Predicate, RelId, Result, ViewId};
 use aggview_core::query::{CanonicalQuery, QueryEnv, TopGroup, ViewDef};
 use aggview_storage::{Catalog, MatViewDef};
 use std::collections::HashMap;
@@ -47,14 +52,6 @@ impl ViewRegistry {
 
     pub fn get(&self, name: &str) -> Option<&RegisteredView> {
         self.views.get(&name.to_ascii_lowercase())
-    }
-
-    pub fn len(&self) -> usize {
-        self.views.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
     }
 }
 
@@ -90,20 +87,32 @@ impl Scope {
     }
 }
 
+/// Add the base table a FROM item names to `env` as a new relation, and
+/// the scope that exposes its columns under the item's binding name.
+pub(crate) fn table_scope(
+    catalog: &Catalog,
+    env: &mut QueryEnv,
+    item: &FromItem,
+) -> Result<(RelId, Scope)> {
+    let table = catalog.get(&item.name)?;
+    let rel = env.add_rel(table.name().to_string());
+    let outputs = table
+        .schema()
+        .fields()
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.name.clone(), Col::base(rel, i)))
+        .collect();
+    let name = item.binding_name().to_ascii_lowercase();
+    Ok((rel, Scope { name, outputs }))
+}
+
 /// Bind a SELECT statement against a catalog and view registry.
 ///
 /// The canonical query is not validated here: the optimizer validates
 /// every query it is handed, bound or built by hand, as its first step.
 pub fn bind(stmt: &SelectStmt, catalog: &Catalog, views: &ViewRegistry) -> Result<BoundQuery> {
-    let mut b = Binder {
-        catalog,
-        registry: views,
-        env: QueryEnv::default(),
-        scopes: Vec::new(),
-        view_defs: Vec::new(),
-        base_rels: Vec::new(),
-        preds: Vec::new(),
-    };
+    let mut b = Binder::new(catalog, views);
     b.bind_from(&stmt.from)?;
     b.bind_where(&stmt.where_preds)?;
     let (group, projection, column_names) =
@@ -176,7 +185,21 @@ struct Binder<'a> {
     preds: Vec<Predicate>,
 }
 
-impl Binder<'_> {
+impl<'a> Binder<'a> {
+    fn new(catalog: &'a Catalog, registry: &'a ViewRegistry) -> Self {
+        Binder {
+            catalog,
+            registry,
+            env: QueryEnv::default(),
+            scopes: Vec::new(),
+            view_defs: Vec::new(),
+            base_rels: Vec::new(),
+            preds: Vec::new(),
+        }
+    }
+
+    /// Bind each FROM item: a registered view, else a materialized view
+    /// of the catalog, else a base table.
     fn bind_from(&mut self, from: &[FromItem]) -> Result<()> {
         for item in from {
             let binding = item.binding_name().to_ascii_lowercase();
@@ -185,200 +208,124 @@ impl Binder<'_> {
                     "duplicate FROM binding `{binding}`"
                 )));
             }
-            if let Some(view) = self.registry.get(&item.name) {
-                let view = view.clone();
+            let registry = self.registry;
+            let outputs = if let Some(view) = registry.get(&item.name) {
                 if is_aggregate_view(&view.query) {
-                    self.bind_aggregate_view(&binding, &view)?;
+                    self.bind_aggregate_view(&item.name, view)?
                 } else {
-                    self.inline_plain_view(&binding, &view)?;
+                    self.inline_plain_view(&item.name, view)?
                 }
+            } else if let Some(meta) = self.catalog.matview(&item.name) {
+                self.bind_catalog_view(&meta.def)
             } else {
-                // Base table.
-                let table = self.catalog.get(&item.name)?;
-                let rel = self.env.add_rel(table.name().to_string());
+                let (rel, scope) = table_scope(self.catalog, &mut self.env, item)?;
                 self.base_rels.push(rel);
-                let outputs = table
-                    .schema()
-                    .fields()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| (f.name.clone(), Col::base(rel, i)))
-                    .collect();
-                self.scopes.push(Scope {
-                    name: binding,
-                    outputs,
-                });
-            }
+                scope.outputs
+            };
+            self.scopes.push(Scope {
+                name: binding,
+                outputs,
+            });
         }
         Ok(())
     }
 
-    /// Bind an aggregate view's body in its own scope, producing a
-    /// `ViewDef` and an outer scope exposing its outputs.
-    fn bind_aggregate_view(&mut self, binding: &str, view: &RegisteredView) -> Result<()> {
-        let q = &view.query;
-        // View FROM: base tables only (the paper's Section 2: every
-        // aggregate view is a single-block query).
-        let mut scopes: Vec<Scope> = Vec::new();
-        let mut rels: Vec<RelId> = Vec::new();
-        for item in &q.from {
-            if self.registry.get(&item.name).is_some() {
+    /// Add the relations of a view body's FROM list — base tables only
+    /// (the paper's Section 2: every aggregate view is a single-block
+    /// query) — and return them with their scopes.
+    fn body_scopes(&mut self, from: &[FromItem]) -> Result<(Vec<RelId>, Vec<Scope>)> {
+        let mut rels = Vec::with_capacity(from.len());
+        let mut scopes = Vec::with_capacity(from.len());
+        for item in from {
+            if self.registry.get(&item.name).is_some() || self.catalog.matview(&item.name).is_some()
+            {
                 return Err(AggViewError::Bind(format!(
-                    "aggregate view bodies must reference base tables only \
-                     (found view `{}`)",
+                    "view bodies must reference base tables only (found view `{}`)",
                     item.name
                 )));
             }
-            let table = self.catalog.get(&item.name)?;
-            let rel = self.env.add_rel(table.name().to_string());
+            let (rel, scope) = table_scope(self.catalog, &mut self.env, item)?;
             rels.push(rel);
-            let outputs = table
-                .schema()
-                .fields()
-                .iter()
-                .enumerate()
-                .map(|(i, f)| (f.name.clone(), Col::base(rel, i)))
-                .collect();
-            scopes.push(Scope {
-                name: item.binding_name().to_ascii_lowercase(),
-                outputs,
-            });
+            scopes.push(scope);
         }
-        // WHERE: plain predicates, no aggregates, no subqueries.
-        let mut preds = Vec::new();
-        for p in &q.where_preds {
-            if p.left.has_subquery() || p.right.has_subquery() {
-                return Err(AggViewError::Bind(
-                    "subqueries inside view bodies are not supported".into(),
-                ));
-            }
-            preds.push(Predicate::new(
-                bind_scalar(&p.left, &scopes)?,
-                p.op,
-                bind_scalar(&p.right, &scopes)?,
-            ));
-        }
-        // GROUP BY.
-        let mut group_cols = Vec::new();
-        for g in &q.group_by {
-            match bind_scalar(g, &scopes)? {
-                Expr::Col(c) => group_cols.push(c),
-                other => {
-                    return Err(AggViewError::Bind(format!(
-                        "GROUP BY expression `{other}` must be a column"
-                    )))
-                }
-            }
-        }
+        Ok((rels, scopes))
+    }
+
+    /// Bind an aggregate view's body in its own scope, producing a
+    /// `ViewDef`; returns the outputs the view exposes.
+    fn bind_aggregate_view(
+        &mut self,
+        name: &str,
+        view: &RegisteredView,
+    ) -> Result<Vec<(String, Col)>> {
+        let q = &view.query;
+        let (rels, scopes) = self.body_scopes(&q.from)?;
+        let preds = bind_body_preds(&q.where_preds, &scopes)?;
         let index = self.view_defs.len() as u32;
-        let owner = ViewId::View(index);
-        // SELECT items: grouping columns or aggregates; collect names.
-        let mut aggs: Vec<AggSpec> = Vec::new();
-        let mut outputs: Vec<(String, Col)> = Vec::new();
-        for (i, item) in q.items.iter().enumerate() {
-            let fallback_name = || format!("col{}", i + 1);
-            let name = view
-                .columns
-                .as_ref()
-                .and_then(|cs| cs.get(i).cloned())
-                .or_else(|| item.alias.clone())
-                .or_else(|| match &item.expr {
-                    AstExpr::Col { name, .. } => Some(name.clone()),
-                    _ => None,
-                })
-                .unwrap_or_else(fallback_name);
-            match &item.expr {
-                AstExpr::Agg { func, arg } => {
-                    let spec = AggSpec {
-                        func: *func,
-                        arg: arg.as_ref().map(|a| bind_scalar(a, &scopes)).transpose()?,
-                    };
-                    let idx = push_agg(&mut aggs, spec);
-                    outputs.push((name, Col::agg(owner, idx)));
-                }
-                e => match bind_scalar(e, &scopes)? {
-                    Expr::Col(c) => {
-                        if !group_cols.contains(&c) {
-                            return Err(AggViewError::Bind(format!(
-                                "view column `{name}` must be grouped or aggregated"
-                            )));
-                        }
-                        outputs.push((name, c));
-                    }
-                    other => {
-                        return Err(AggViewError::Bind(format!(
-                            "view select item `{other}` must be a column or aggregate"
-                        )))
-                    }
-                },
-            }
-        }
-        // HAVING: over group columns and the view's own aggregates.
-        let mut having = Vec::new();
-        for p in &q.having {
-            having.push(Predicate::new(
-                bind_scalar_with_aggs(&p.left, &scopes, &mut aggs, owner)?,
-                p.op,
-                bind_scalar_with_aggs(&p.right, &scopes, &mut aggs, owner)?,
-            ));
-        }
+        let g = bind_grouped(
+            &q.items,
+            &q.group_by,
+            &q.having,
+            &scopes,
+            ViewId::View(index),
+        )?;
+        let names = view_column_names(name, view.columns.as_deref(), &q.items)?;
         self.view_defs.push(ViewDef {
             index,
             rels,
             preds,
-            group_cols,
-            aggs,
-            having,
+            group_cols: g.group_cols,
+            aggs: g.aggs,
+            having: g.having,
         });
-        self.scopes.push(Scope {
-            name: binding.to_string(),
-            outputs,
-        });
-        Ok(())
+        Ok(names.into_iter().zip(g.items).collect())
     }
 
-    /// Merge a non-aggregate view into the outer block.
-    fn inline_plain_view(&mut self, binding: &str, view: &RegisteredView) -> Result<()> {
+    /// Bind a materialized view of the catalog: its definition, moved
+    /// from its local frame (relation `i` is `def.tables[i]`) onto new
+    /// relations of the query. Returns the outputs the view exposes.
+    fn bind_catalog_view(&mut self, def: &MatViewDef) -> Vec<(String, Col)> {
+        let rels: Vec<RelId> = def
+            .tables
+            .iter()
+            .map(|t| self.env.add_rel(t.clone()))
+            .collect();
+        let frame = |c: Col| match c {
+            Col::Base(b) => Col::base(rels[b.rel.idx()], b.col as usize),
+            other => other,
+        };
+        let aggs = def.aggs.iter().map(|a| AggSpec {
+            func: a.func,
+            arg: a.arg.as_ref().map(|e| e.map_cols(&frame)),
+        });
+        let view = ViewDef {
+            index: self.view_defs.len() as u32,
+            preds: def.preds.iter().map(|p| p.map_cols(&frame)).collect(),
+            group_cols: def.group_cols.iter().map(|&c| frame(c)).collect(),
+            aggs: aggs.collect(),
+            having: Vec::new(),
+            rels,
+        };
+        let outputs = def.column_names.iter().cloned();
+        let outputs = outputs.zip(view.exported_cols()).collect();
+        self.view_defs.push(view);
+        outputs
+    }
+
+    /// Merge a non-aggregate view into the outer block; returns the
+    /// outputs the view exposes.
+    fn inline_plain_view(
+        &mut self,
+        name: &str,
+        view: &RegisteredView,
+    ) -> Result<Vec<(String, Col)>> {
         let q = &view.query;
-        let mut scopes: Vec<Scope> = Vec::new();
-        for item in &q.from {
-            if self.registry.get(&item.name).is_some() {
-                return Err(AggViewError::Bind("nested views are not supported".into()));
-            }
-            let table = self.catalog.get(&item.name)?;
-            let rel = self.env.add_rel(table.name().to_string());
-            self.base_rels.push(rel);
-            let outputs = table
-                .schema()
-                .fields()
-                .iter()
-                .enumerate()
-                .map(|(i, f)| (f.name.clone(), Col::base(rel, i)))
-                .collect();
-            scopes.push(Scope {
-                name: item.binding_name().to_ascii_lowercase(),
-                outputs,
-            });
-        }
-        for p in &q.where_preds {
-            self.preds.push(Predicate::new(
-                bind_scalar(&p.left, &scopes)?,
-                p.op,
-                bind_scalar(&p.right, &scopes)?,
-            ));
-        }
-        let mut outputs: Vec<(String, Col)> = Vec::new();
-        for (i, item) in q.items.iter().enumerate() {
-            let name = view
-                .columns
-                .as_ref()
-                .and_then(|cs| cs.get(i).cloned())
-                .or_else(|| item.alias.clone())
-                .or_else(|| match &item.expr {
-                    AstExpr::Col { name, .. } => Some(name.clone()),
-                    _ => None,
-                })
-                .unwrap_or_else(|| format!("col{}", i + 1));
+        let (rels, scopes) = self.body_scopes(&q.from)?;
+        self.base_rels.extend(rels);
+        self.preds.extend(bind_body_preds(&q.where_preds, &scopes)?);
+        let names = view_column_names(name, view.columns.as_deref(), &q.items)?;
+        let mut outputs = Vec::with_capacity(names.len());
+        for (name, item) in names.into_iter().zip(&q.items) {
             match bind_scalar(&item.expr, &scopes)? {
                 Expr::Col(c) => outputs.push((name, c)),
                 other => {
@@ -388,11 +335,7 @@ impl Binder<'_> {
                 }
             }
         }
-        self.scopes.push(Scope {
-            name: binding.to_string(),
-            outputs,
-        });
-        Ok(())
+        Ok(outputs)
     }
 
     fn bind_where(&mut self, preds: &[AstPred]) -> Result<()> {
@@ -422,98 +365,145 @@ impl Binder<'_> {
     #[allow(clippy::type_complexity)]
     fn bind_select_and_group(
         &mut self,
-        items: &[crate::ast::SelectItem],
+        items: &[SelectItem],
         group_by: &[AstExpr],
         having: &[AstPred],
     ) -> Result<(Option<TopGroup>, Vec<Col>, Vec<String>)> {
+        let names = items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| output_name(item, i))
+            .collect();
         let grouped =
             !group_by.is_empty() || !having.is_empty() || items.iter().any(|i| i.expr.has_agg());
-        if !grouped {
-            let mut projection = Vec::new();
-            let mut names = Vec::new();
-            for (i, item) in items.iter().enumerate() {
-                match bind_scalar(&item.expr, &self.scopes)? {
-                    Expr::Col(c) => {
-                        projection.push(c);
-                        names.push(output_name(item, i));
-                    }
-                    other => {
-                        return Err(AggViewError::Bind(format!(
-                            "select item `{other}` must be a column \
-                             (computed projections are not supported)"
-                        )))
-                    }
-                }
-            }
-            return Ok((None, projection, names));
+        if grouped {
+            let g = bind_grouped(items, group_by, having, &self.scopes, ViewId::Top)?;
+            let group = TopGroup {
+                group_cols: g.group_cols,
+                aggs: g.aggs,
+                having: g.having,
+            };
+            return Ok((Some(group), g.items, names));
         }
-
-        let mut group_cols = Vec::new();
-        for g in group_by {
-            match bind_scalar(g, &self.scopes)? {
-                Expr::Col(c) => group_cols.push(c),
+        let mut projection = Vec::with_capacity(items.len());
+        for item in items {
+            match bind_scalar(&item.expr, &self.scopes)? {
+                Expr::Col(c) => projection.push(c),
                 other => {
                     return Err(AggViewError::Bind(format!(
-                        "GROUP BY expression `{other}` must be a column"
+                        "select item `{other}` must be a column \
+                         (computed projections are not supported)"
                     )))
                 }
             }
         }
-        let mut aggs: Vec<AggSpec> = Vec::new();
-        let mut projection = Vec::new();
-        let mut names = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            match &item.expr {
-                AstExpr::Agg { func, arg } => {
-                    let spec = AggSpec {
-                        func: *func,
-                        arg: arg
-                            .as_ref()
-                            .map(|a| bind_scalar(a, &self.scopes))
-                            .transpose()?,
-                    };
-                    let idx = push_agg(&mut aggs, spec);
-                    projection.push(Col::agg(ViewId::Top, idx));
-                }
-                e => match bind_scalar(e, &self.scopes)? {
-                    Expr::Col(c) => {
-                        if !group_cols.contains(&c) {
-                            return Err(AggViewError::Bind(format!(
-                                "select item `{e}` must appear in GROUP BY"
-                            )));
-                        }
-                        projection.push(c);
-                    }
-                    other => {
-                        return Err(AggViewError::Bind(format!(
-                            "select item `{other}` must be a column or aggregate"
-                        )))
-                    }
-                },
-            }
-            names.push(output_name(item, i));
-        }
-        let mut having_preds = Vec::new();
-        for p in having {
-            having_preds.push(Predicate::new(
-                bind_scalar_with_aggs(&p.left, &self.scopes, &mut aggs, ViewId::Top)?,
-                p.op,
-                bind_scalar_with_aggs(&p.right, &self.scopes, &mut aggs, ViewId::Top)?,
-            ));
-        }
-        Ok((
-            Some(TopGroup {
-                group_cols,
-                aggs,
-                having: having_preds,
-            }),
-            projection,
-            names,
-        ))
+        Ok((None, projection, names))
     }
 }
 
-fn output_name(item: &crate::ast::SelectItem, i: usize) -> String {
+/// A group-by block's GROUP BY, select list and HAVING, bound.
+struct Grouped {
+    group_cols: Vec<Col>,
+    /// Each distinct aggregate once, in order of first mention: the
+    /// select list, then HAVING.
+    aggs: Vec<AggSpec>,
+    having: Vec<Predicate>,
+    /// One column per select item: a grouping column, or
+    /// `Col::agg(owner, i)` for `aggs[i]`.
+    items: Vec<Col>,
+}
+
+/// Bind one group-by block over `scopes`: GROUP BY columns, a select
+/// list of grouping columns and aggregates, and HAVING over both. The
+/// aggregates are outputs of the group-by `owner`.
+fn bind_grouped(
+    items: &[SelectItem],
+    group_by: &[AstExpr],
+    having: &[AstPred],
+    scopes: &[Scope],
+    owner: ViewId,
+) -> Result<Grouped> {
+    let mut group_cols = Vec::with_capacity(group_by.len());
+    for g in group_by {
+        match bind_scalar(g, scopes)? {
+            Expr::Col(c) => group_cols.push(c),
+            other => {
+                return Err(AggViewError::Bind(format!(
+                    "GROUP BY expression `{other}` must be a column"
+                )))
+            }
+        }
+    }
+    let mut aggs = Vec::new();
+    let mut cols = Vec::with_capacity(items.len());
+    for item in items {
+        let col = match &item.expr {
+            AstExpr::Agg { func, arg } => {
+                bind_agg(*func, arg.as_deref(), scopes, &mut aggs, owner)?
+            }
+            e => match bind_scalar(e, scopes)? {
+                Expr::Col(c) if group_cols.contains(&c) => c,
+                Expr::Col(_) => {
+                    return Err(AggViewError::Bind(format!(
+                        "select item `{e}` must appear in GROUP BY"
+                    )))
+                }
+                other => {
+                    return Err(AggViewError::Bind(format!(
+                        "select item `{other}` must be a column or aggregate"
+                    )))
+                }
+            },
+        };
+        cols.push(col);
+    }
+    let mut having_preds = Vec::with_capacity(having.len());
+    for p in having {
+        having_preds.push(Predicate::new(
+            bind_scalar_with_aggs(&p.left, scopes, &mut aggs, owner)?,
+            p.op,
+            bind_scalar_with_aggs(&p.right, scopes, &mut aggs, owner)?,
+        ));
+    }
+    Ok(Grouped {
+        group_cols,
+        aggs,
+        having: having_preds,
+        items: cols,
+    })
+}
+
+/// The names a view gives its select items: its column list where the
+/// list reaches, else an item's alias, else the column an item names,
+/// else `colN`. A column list longer than the select list is an error.
+pub(crate) fn view_column_names(
+    view: &str,
+    columns: Option<&[String]>,
+    items: &[SelectItem],
+) -> Result<Vec<String>> {
+    let columns = columns.unwrap_or_default();
+    if columns.len() > items.len() {
+        return Err(AggViewError::Bind(format!(
+            "view `{view}` names {} columns but its select list has {}",
+            columns.len(),
+            items.len()
+        )));
+    }
+    let name = |(i, item): (usize, &SelectItem)| {
+        columns
+            .get(i)
+            .or(item.alias.as_ref())
+            .cloned()
+            .or_else(|| match &item.expr {
+                AstExpr::Col { name, .. } => Some(name.clone()),
+                _ => None,
+            })
+            .unwrap_or_else(|| format!("col{}", i + 1))
+    };
+    Ok(items.iter().enumerate().map(name).collect())
+}
+
+fn output_name(item: &SelectItem, i: usize) -> String {
     item.alias.clone().unwrap_or_else(|| match &item.expr {
         AstExpr::Col { name, .. } => name.clone(),
         e => {
@@ -527,14 +517,14 @@ fn output_name(item: &crate::ast::SelectItem, i: usize) -> String {
     })
 }
 
-/// Deduplicating aggregate-spec insertion.
-fn push_agg(aggs: &mut Vec<AggSpec>, spec: AggSpec) -> usize {
-    if let Some(i) = aggs.iter().position(|a| *a == spec) {
-        i
-    } else {
-        aggs.push(spec);
-        aggs.len() - 1
-    }
+/// A view body's WHERE conjunction: plain predicates, no aggregates or
+/// subqueries.
+fn bind_body_preds(preds: &[AstPred], scopes: &[Scope]) -> Result<Vec<Predicate>> {
+    let bind = |p: &AstPred| {
+        let left = bind_scalar(&p.left, scopes)?;
+        Ok(Predicate::new(left, p.op, bind_scalar(&p.right, scopes)?))
+    };
+    preds.iter().map(bind).collect()
 }
 
 /// Bind an aggregate-free scalar expression against scopes.
@@ -558,6 +548,26 @@ pub(crate) fn bind_scalar(e: &AstExpr, scopes: &[Scope]) -> Result<Expr> {
     }
 }
 
+/// The output column of the group-by `owner` an aggregate call names,
+/// registering its spec in `aggs` unless an equal one is there.
+fn bind_agg(
+    func: AggFunc,
+    arg: Option<&AstExpr>,
+    scopes: &[Scope],
+    aggs: &mut Vec<AggSpec>,
+    owner: ViewId,
+) -> Result<Col> {
+    let spec = AggSpec {
+        func,
+        arg: arg.map(|a| bind_scalar(a, scopes)).transpose()?,
+    };
+    let idx = aggs.iter().position(|a| *a == spec).unwrap_or_else(|| {
+        aggs.push(spec);
+        aggs.len() - 1
+    });
+    Ok(Col::agg(owner, idx))
+}
+
 /// Bind a scalar expression where aggregate calls resolve to outputs of
 /// the group-by `owner` (registering new specs as needed) — the HAVING
 /// binding mode.
@@ -568,14 +578,13 @@ fn bind_scalar_with_aggs(
     owner: ViewId,
 ) -> Result<Expr> {
     match e {
-        AstExpr::Agg { func, arg } => {
-            let spec = AggSpec {
-                func: *func,
-                arg: arg.as_ref().map(|a| bind_scalar(a, scopes)).transpose()?,
-            };
-            let idx = push_agg(aggs, spec);
-            Ok(Expr::Col(Col::agg(owner, idx)))
-        }
+        AstExpr::Agg { func, arg } => Ok(Expr::Col(bind_agg(
+            *func,
+            arg.as_deref(),
+            scopes,
+            aggs,
+            owner,
+        )?)),
         AstExpr::Binary { op, left, right } => Ok(Expr::Binary {
             op: *op,
             left: Box::new(bind_scalar_with_aggs(left, scopes, aggs, owner)?),
@@ -622,9 +631,11 @@ pub fn is_aggregate_view(q: &SelectStmt) -> bool {
 /// `RelId(i)` and refers to base table `tables[i]`.
 ///
 /// Materialized-view bodies are the paper's single-block aggregate
-/// views: base tables only, conjunctive WHERE, column GROUP BY, and a
-/// select list of grouping columns and aggregates (every grouping
-/// column must be selected — it becomes part of the extent's key).
+/// views, bound as an aggregate view's body is, in a binder of their
+/// own (so the FROM list numbers relations from 0). On top of that: no
+/// HAVING, ORDER BY or LIMIT; each grouping column and aggregate is
+/// selected exactly once (the grouping columns become the extent's
+/// key); key columns are named first.
 pub fn bind_matview(
     name: &str,
     columns: Option<&[String]>,
@@ -642,118 +653,40 @@ pub fn bind_matview(
             "ORDER BY / LIMIT are not supported in materialized view bodies".into(),
         ));
     }
-    let mut scopes: Vec<Scope> = Vec::new();
-    let mut tables: Vec<String> = Vec::new();
-    for (i, item) in query.from.iter().enumerate() {
-        if registry.get(&item.name).is_some() {
+    let mut b = Binder::new(catalog, registry);
+    let (_, scopes) = b.body_scopes(&query.from)?;
+    let preds = bind_body_preds(&query.where_preds, &scopes)?;
+    let owner = ViewId::View(0);
+    let g = bind_grouped(&query.items, &query.group_by, &[], &scopes, owner)?;
+    let names = view_column_names(name, columns, &query.items)?;
+    for (i, c) in g.items.iter().enumerate() {
+        if let Some(j) = g.items[..i].iter().position(|d| d == c) {
             return Err(AggViewError::Bind(format!(
-                "materialized view bodies must reference base tables only \
-                 (found view `{}`)",
-                item.name
+                "materialized view `{name}` selects the same value twice \
+                 (columns `{}` and `{}`)",
+                names[j], names[i]
             )));
         }
-        let table = catalog.get(&item.name)?;
-        let rel = RelId(i as u32);
-        tables.push(table.name().to_string());
-        let outputs = table
-            .schema()
-            .fields()
-            .iter()
-            .enumerate()
-            .map(|(j, f)| (f.name.clone(), Col::base(rel, j)))
-            .collect();
-        scopes.push(Scope {
-            name: item.binding_name().to_ascii_lowercase(),
-            outputs,
-        });
     }
-    let mut preds = Vec::new();
-    for p in &query.where_preds {
-        if p.left.has_subquery() || p.right.has_subquery() {
-            return Err(AggViewError::Bind(
-                "subqueries inside materialized view bodies are not supported".into(),
-            ));
-        }
-        preds.push(Predicate::new(
-            bind_scalar(&p.left, &scopes)?,
-            p.op,
-            bind_scalar(&p.right, &scopes)?,
-        ));
+    let keys = g.group_cols.iter().copied();
+    let outputs = keys.chain((0..g.aggs.len()).map(|i| Col::agg(owner, i)));
+    let mut column_names = Vec::with_capacity(names.len());
+    for (i, c) in outputs.enumerate() {
+        let Some(at) = g.items.iter().position(|&d| d == c) else {
+            return Err(AggViewError::Bind(format!(
+                "grouping column {} of materialized view `{name}` must \
+                 appear in the select list",
+                i + 1
+            )));
+        };
+        column_names.push(names[at].clone());
     }
-    let mut group_cols = Vec::new();
-    for g in &query.group_by {
-        match bind_scalar(g, &scopes)? {
-            Expr::Col(c) => group_cols.push(c),
-            other => {
-                return Err(AggViewError::Bind(format!(
-                    "GROUP BY expression `{other}` must be a column"
-                )))
-            }
-        }
-    }
-    // Select list: grouping columns (named) and aggregates, in any
-    // order; the extent stores keys first, so names are reassembled in
-    // (group columns, aggregates) order.
-    let mut aggs: Vec<AggSpec> = Vec::new();
-    let mut agg_names: Vec<String> = Vec::new();
-    let mut key_names: Vec<(Col, String)> = Vec::new();
-    for (i, item) in query.items.iter().enumerate() {
-        let item_name = columns
-            .and_then(|cs| cs.get(i).cloned())
-            .or_else(|| item.alias.clone())
-            .or_else(|| match &item.expr {
-                AstExpr::Col { name, .. } => Some(name.clone()),
-                _ => None,
-            })
-            .unwrap_or_else(|| format!("col{}", i + 1));
-        match &item.expr {
-            AstExpr::Agg { func, arg } => {
-                aggs.push(AggSpec {
-                    func: *func,
-                    arg: arg.as_ref().map(|a| bind_scalar(a, &scopes)).transpose()?,
-                });
-                agg_names.push(item_name);
-            }
-            e => match bind_scalar(e, &scopes)? {
-                Expr::Col(c) => {
-                    if !group_cols.contains(&c) {
-                        return Err(AggViewError::Bind(format!(
-                            "materialized view column `{item_name}` must be \
-                             grouped or aggregated"
-                        )));
-                    }
-                    key_names.push((c, item_name));
-                }
-                other => {
-                    return Err(AggViewError::Bind(format!(
-                        "materialized view select item `{other}` must be a \
-                         column or aggregate"
-                    )))
-                }
-            },
-        }
-    }
-    let mut column_names = Vec::with_capacity(group_cols.len() + aggs.len());
-    for (i, g) in group_cols.iter().enumerate() {
-        let named = key_names.iter().find(|(c, _)| c == g).map(|(_, n)| n);
-        match named {
-            Some(n) => column_names.push(n.clone()),
-            None => {
-                return Err(AggViewError::Bind(format!(
-                    "grouping column {} of materialized view `{name}` must \
-                     appear in the select list",
-                    i + 1
-                )))
-            }
-        }
-    }
-    column_names.extend(agg_names);
     let def = MatViewDef {
         name: name.to_string(),
-        tables,
+        tables: b.env.rel_tables,
         preds,
-        group_cols,
-        aggs,
+        group_cols: g.group_cols,
+        aggs: g.aggs,
         column_names,
     };
     def.validate()?;
@@ -915,6 +848,96 @@ mod tests {
         assert_eq!(bq.query.base_rels.len(), 2);
         // The view's WHERE predicate travelled along.
         assert_eq!(bq.query.preds.len(), 2);
+    }
+
+    /// A materialized view's body bound as an aggregate view of the
+    /// registry, and its definition read back from the catalog, are one
+    /// `ViewDef` exposing the same columns under the same names.
+    #[test]
+    fn catalog_and_registry_bind_a_matview_alike() {
+        use aggview_core::{cost::CostModel, governor::ResourceGovernor};
+        use aggview_executor::{matview::build_extent, ExecOptions};
+        let (cat, _) = setup();
+        for (ddl, cols) in [
+            (
+                "create materialized view dept_pay(dno, total, n) as \
+                 select dno, sum(sal), count(*) from emp group by dno",
+                "v.dno, total, n",
+            ),
+            (
+                "create materialized view dept_range(dno, lo, hi, n) as \
+                 select dno, min(sal), max(sal), count(*) from emp group by dno",
+                "lo, hi, v.dno, n",
+            ),
+            (
+                "create materialized view young_avg(dno, asal) as \
+                 select dno, avg(sal) from emp where age < 30 group by dno",
+                "asal, v.dno",
+            ),
+        ] {
+            let crate::ast::Stmt::CreateMaterializedView {
+                name,
+                columns,
+                query,
+            } = parse(ddl).unwrap()
+            else {
+                panic!()
+            };
+            let def = bind_matview(
+                &name,
+                columns.as_deref(),
+                &query,
+                &cat,
+                &ViewRegistry::new(),
+            );
+            let gov = ResourceGovernor::unlimited();
+            let opts = ExecOptions::default();
+            build_extent(&def.unwrap(), &cat, CostModel::default(), opts, &gov).unwrap();
+            let mut reg = ViewRegistry::new();
+            reg.register(&name, columns, query);
+            let sql = format!("select {cols} from emp e, {name} v where e.dno = v.dno");
+            let from_catalog = bind(&select(&sql), &cat, &ViewRegistry::new()).unwrap();
+            let from_registry = bind(&select(&sql), &cat, &reg).unwrap();
+            assert_eq!(from_catalog.query.views.len(), 1, "{name}");
+            assert_eq!(
+                from_catalog.query.views, from_registry.query.views,
+                "{name}"
+            );
+            assert_eq!(
+                from_catalog.query.projection, from_registry.query.projection,
+                "{name}"
+            );
+            assert_eq!(
+                from_catalog.query.env.rel_tables, from_registry.query.env.rel_tables,
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_view_column_list_longer_than_the_select_list_is_rejected() {
+        let (cat, mut reg) = setup();
+        for body in [
+            "select dno, avg(sal) from emp group by dno",
+            "select dno, sal from emp",
+        ] {
+            let crate::ast::Stmt::CreateView {
+                name,
+                columns,
+                query,
+            } = parse(&format!("create view v(a, b, c) as {body}")).unwrap()
+            else {
+                panic!()
+            };
+            reg.register(&name, columns, query);
+            let err = bind(&select("select a from v"), &cat, &reg).unwrap_err();
+            assert!(matches!(err, AggViewError::Bind(_)), "{body}: {err}");
+            assert!(
+                err.message()
+                    .contains("names 3 columns but its select list has 2"),
+                "{body}: {err}"
+            );
+        }
     }
 
     #[test]

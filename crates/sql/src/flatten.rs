@@ -25,7 +25,7 @@
 //! ranges are rejected rather than silently mis-evaluated.
 
 use crate::ast::{AstExpr, AstPred};
-use crate::binder::{bind_scalar, resolve_col, Scope};
+use crate::binder::{bind_scalar, resolve_col, table_scope, Scope};
 use aggview_common::{AggFunc, AggSpec, AggViewError, Col, Expr, Predicate, Result, ViewId};
 use aggview_core::query::{QueryEnv, ViewDef};
 use aggview_storage::Catalog;
@@ -75,24 +75,13 @@ pub(crate) fn flatten_subquery(
     }
 
     // Inner scopes: base tables only.
-    let mut inner_scopes: Vec<Scope> = Vec::new();
-    let mut rels = Vec::new();
-    for item in &sub.from {
-        let table = catalog.get(&item.name)?;
-        let rel = env.add_rel(table.name().to_string());
-        rels.push(rel);
-        let outputs = table
-            .schema()
-            .fields()
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.clone(), Col::base(rel, i)))
-            .collect();
-        inner_scopes.push(Scope {
-            name: item.binding_name().to_ascii_lowercase(),
-            outputs,
-        });
-    }
+    let (rels, inner_scopes): (Vec<_>, Vec<_>) = sub
+        .from
+        .iter()
+        .map(|item| table_scope(catalog, env, item))
+        .collect::<Result<Vec<_>>>()?
+        .into_iter()
+        .unzip();
 
     // Partition the subquery's WHERE into local predicates and
     // correlation equalities (inner column = outer column).

@@ -1,17 +1,18 @@
 //! A REPL-style session: parse → bind → optimize → execute.
 
 use crate::ast::{AstExpr, AstPred, Stmt};
-use crate::binder::{bind, bind_matview, BoundQuery, ViewRegistry};
+use crate::binder::{bind, bind_matview, view_column_names, BoundQuery, ViewRegistry};
 use crate::parser::parse_script;
 use aggview_common::{
     AggViewError, Batch, BinaryOp, Col, ColumnVec, Expr, FaultInjector, Predicate, RelId, Result,
-    Schema, Tuple, Value, ZSet,
+    Schema, Tuple, Value,
 };
 use aggview_core::analyze::PlanAnalyzer;
 use aggview_core::cost::{CardEstimator, CostModel};
 use aggview_core::governor::{OptimizeOutcome, ResourceGovernor, ResourceLimits};
 use aggview_core::optimizer::multi_view::{optimize_governed, Optimized};
 use aggview_core::OptimizerConfig;
+use aggview_executor::delta::{maintain_after_dml, RowDelta};
 use aggview_executor::{Engine, ExecOptions};
 use aggview_storage::{Catalog, Table};
 use std::cmp::Ordering;
@@ -162,11 +163,6 @@ impl Session {
         self.faults = faults;
     }
 
-    /// Number of registered views.
-    pub fn view_count(&self) -> usize {
-        self.registry.len()
-    }
-
     /// Execute a script: `CREATE VIEW`s register views; `CREATE
     /// MATERIALIZED VIEW` additionally builds and stores the extent;
     /// `INSERT INTO ... VALUES` appends rows and incrementally
@@ -189,6 +185,7 @@ impl Session {
                     columns,
                     query,
                 } => {
+                    view_column_names(&name, columns.as_deref(), &query.items)?;
                     self.registry.register(&name, columns, query);
                 }
                 Stmt::CreateMaterializedView {
@@ -196,7 +193,7 @@ impl Session {
                     columns,
                     query,
                 } => {
-                    last = Some(self.create_matview(&name, columns, query)?);
+                    last = Some(self.create_matview(&name, columns.as_deref(), &query)?);
                 }
                 Stmt::Insert { table, rows } => {
                     last = Some(self.insert_rows(&table, &rows)?);
@@ -236,14 +233,14 @@ impl Session {
     }
 
     /// `CREATE MATERIALIZED VIEW`: bind the body to a self-contained
-    /// definition, build and store its extent, and register the view
-    /// for name resolution (so queries referencing it by name inline
-    /// its body — the optimizer then picks the extent purely by cost).
+    /// definition and store it with its extent in the catalog, which is
+    /// where a query naming the view finds it (the optimizer then picks
+    /// the extent or the body purely by cost).
     fn create_matview(
         &mut self,
         name: &str,
-        columns: Option<Vec<String>>,
-        query: crate::ast::SelectStmt,
+        columns: Option<&[String]>,
+        query: &crate::ast::SelectStmt,
     ) -> Result<SqlResult> {
         if self.catalog.matview(name).is_some() {
             return Err(AggViewError::Catalog(format!(
@@ -251,14 +248,8 @@ impl Session {
                  (use REFRESH MATERIALIZED VIEW to rebuild it)"
             )));
         }
-        let def = bind_matview(
-            name,
-            columns.as_deref(),
-            &query,
-            &self.catalog,
-            &self.registry,
-        )?;
-        let result = self.commit_statement(|| {
+        let def = bind_matview(name, columns, query, &self.catalog, &self.registry)?;
+        self.commit_statement(|| {
             let gov = ResourceGovernor::new(self.limits);
             let n = aggview_executor::matview::build_extent(
                 &def,
@@ -268,9 +259,7 @@ impl Session {
                 &gov,
             )?;
             Ok(format!("materialized view `{name}`: {n} extent row(s)"))
-        })?;
-        self.registry.register(name, columns, query);
-        Ok(result)
+        })
     }
 
     /// `INSERT INTO ... VALUES`: append literal rows to a base table,
@@ -292,19 +281,14 @@ impl Session {
             let prev = self.catalog.append_rows(table, tuples.clone())?;
             let total = prev + n;
             let stored = self.catalog.get(table)?;
-            let delta = ZSet::from_inserts((prev..total).map(|i| stored.row(i)));
+            let delta = RowDelta {
+                plus: (prev..total).map(|i| stored.row(i)).collect(),
+                minus: Vec::new(),
+            };
             let gov = ResourceGovernor::new(self.limits);
-            let maintained = aggview_executor::delta::maintain_after_dml(
-                table,
-                &delta,
-                &self.catalog,
-                self.model,
-                self.exec,
-                &gov,
-            )?;
+            let maintained = self.maintain(table, delta, &gov)?;
             Ok(format!(
-                "inserted {n} row(s) into `{table}` ({total} total){}",
-                maintained_suffix(&maintained)
+                "inserted {n} row(s) into `{table}` ({total} total){maintained}"
             ))
         })
     }
@@ -336,7 +320,7 @@ impl Session {
     /// `UPDATE table SET col = expr, ... [WHERE ...]`: evaluate each SET
     /// expression against the *old* row for every matching row, replace
     /// the rows in place, and maintain dependent materialized views from
-    /// the resulting Z-set delta (`-old ⊕ +new` per row).
+    /// the old rows removed and the new rows added.
     fn update_stmt(
         &mut self,
         table: &str,
@@ -361,30 +345,13 @@ impl Session {
             drop(t);
             let pairs = self.catalog.update_rows(table, &indices, replacements)?;
             let n = pairs.len();
-            let mut delta = ZSet::new();
-            for (old, new) in pairs {
-                delta.add(old, -1);
-                delta.add(new, 1);
-            }
-            delta.consolidate();
-            let maintained = aggview_executor::delta::maintain_after_dml(
-                table,
-                &delta,
-                &self.catalog,
-                self.model,
-                self.exec,
-                &gov,
-            )?;
-            Ok(format!(
-                "updated {n} row(s) in `{table}`{}",
-                maintained_suffix(&maintained)
-            ))
+            let maintained = self.maintain(table, RowDelta::of_updates(pairs), &gov)?;
+            Ok(format!("updated {n} row(s) in `{table}`{maintained}"))
         })
     }
 
     /// `DELETE FROM table [WHERE ...]`: remove matching rows and
-    /// maintain dependent materialized views from the `-row` Z-set
-    /// delta.
+    /// maintain dependent materialized views from the rows removed.
     fn delete_stmt(&mut self, table: &str, preds: &[AstPred]) -> Result<SqlResult> {
         self.commit_statement(|| {
             let t = self.catalog.get(table)?;
@@ -395,20 +362,26 @@ impl Session {
             drop(t);
             let removed = self.catalog.delete_rows(table, &indices)?;
             let n = removed.len();
-            let delta = ZSet::from_deletes(removed);
-            let maintained = aggview_executor::delta::maintain_after_dml(
-                table,
-                &delta,
-                &self.catalog,
-                self.model,
-                self.exec,
-                &gov,
-            )?;
+            let delta = RowDelta {
+                minus: removed,
+                plus: Vec::new(),
+            };
+            let maintained = self.maintain(table, delta, &gov)?;
             Ok(format!(
-                "deleted {n} row(s) from `{table}` ({remaining} remaining){}",
-                maintained_suffix(&maintained)
+                "deleted {n} row(s) from `{table}` ({remaining} remaining){maintained}"
             ))
         })
+    }
+
+    /// Maintain every materialized view over `table` after a DML
+    /// statement changed it by `delta`. Returns the status row's suffix
+    /// naming the views maintained (empty when there are none).
+    fn maintain(&self, table: &str, delta: RowDelta, gov: &ResourceGovernor) -> Result<String> {
+        let views = maintain_after_dml(table, delta, &self.catalog, self.model, self.exec, gov)?;
+        if views.is_empty() {
+            return Ok(String::new());
+        }
+        Ok(format!("; maintained views: {}", views.join(", ")))
     }
 
     /// Walk a script without executing it — view definitions are
@@ -596,15 +569,6 @@ impl Session {
             outcome: opt.outcome,
             retries: 0,
         })
-    }
-}
-
-/// Render the `; maintained views: ...` suffix of a DML status row.
-fn maintained_suffix(maintained: &[String]) -> String {
-    if maintained.is_empty() {
-        String::new()
-    } else {
-        format!("; maintained views: {}", maintained.join(", "))
     }
 }
 
@@ -879,7 +843,8 @@ mod tests {
             .execute("create view v as select dno, avg(sal) from emp group by dno")
             .unwrap_err();
         assert!(err.message().contains("no SELECT"));
-        assert_eq!(s.view_count(), 1);
+        // The view was registered all the same.
+        assert!(s.execute("select dno from v").is_ok());
     }
 
     #[test]
@@ -1145,6 +1110,76 @@ mod matview_tests {
         assert!(err.message().contains("literal"), "{err}");
         let err = s.execute("refresh materialized view ghost").unwrap_err();
         assert!(err.message().contains("unknown materialized view"));
+    }
+
+    #[test]
+    fn a_matview_body_may_select_each_value_once() {
+        let mut s = session();
+        for body in [
+            "select dno, sum(sal), sum(sal) from emp group by dno",
+            "select dno, dno, sum(sal) from emp group by dno",
+            "select e.dno, sum(e.sal), dno from emp e group by dno",
+        ] {
+            let err = s
+                .execute(&format!("create materialized view x as {body}"))
+                .unwrap_err();
+            assert!(matches!(err, AggViewError::Bind(_)), "{body}: {err}");
+            assert!(err.message().contains("twice"), "{body}: {err}");
+        }
+        assert!(s.catalog().matview("x").is_none());
+    }
+
+    #[test]
+    fn a_matview_column_list_longer_than_its_select_list_is_rejected() {
+        let mut s = session();
+        let err = s
+            .execute(
+                "create materialized view mv(a, b, c) as \
+                 select dno, sum(sal) from emp group by dno",
+            )
+            .unwrap_err();
+        assert!(matches!(err, AggViewError::Bind(_)), "{err}");
+        assert!(
+            err.message()
+                .contains("`mv` names 3 columns but its select list has 2"),
+            "{err}"
+        );
+        assert!(s.catalog().matview("mv").is_none());
+        // A shorter list names the leading columns only.
+        s.execute(
+            "create materialized view mv(d) as \
+             select dno, sum(sal) as total from emp group by dno",
+        )
+        .unwrap();
+        let r = s.execute("select d, total from mv").unwrap();
+        assert_eq!(r.rows.len(), 30);
+    }
+
+    #[test]
+    fn a_view_column_list_longer_than_its_select_list_is_rejected() {
+        let mut s = session();
+        for body in [
+            "select dno, avg(sal) from emp group by dno",
+            "select eno, dno from emp",
+        ] {
+            let err = s
+                .execute(&format!("create view v(a, b, c) as {body}"))
+                .unwrap_err();
+            assert!(matches!(err, AggViewError::Bind(_)), "{body}: {err}");
+            assert!(
+                err.message()
+                    .contains("`v` names 3 columns but its select list has 2"),
+                "{body}: {err}"
+            );
+        }
+        assert!(s.execute("select a from v").is_err(), "nothing registered");
+        let r = s
+            .execute(
+                "create view v(d) as select dno, avg(sal) as a from emp group by dno; \
+                 select d, a from v",
+            )
+            .unwrap();
+        assert_eq!(r.rows.len(), 30);
     }
 }
 

@@ -635,8 +635,8 @@ impl Catalog {
 
     /// Remove the rows at the given positions (which must be strictly
     /// increasing and in bounds), returning the removed rows in position
-    /// order. Callers maintaining materialized views turn the result
-    /// into the negative half of a Z-set delta.
+    /// order. Callers maintaining materialized views hand the result
+    /// to maintenance as the rows removed.
     ///
     /// Same discipline as [`append_rows`](Catalog::append_rows); the
     /// record is positional (every mutator keeps the surviving rows in
@@ -656,8 +656,8 @@ impl Catalog {
 
     /// Replace the rows at the given positions (strictly increasing, in
     /// bounds) with `rows[i]`, returning `(old, new)` pairs in position
-    /// order, `new` as stored (conformed to the schema). The pairs
-    /// become a Z-set delta: `-old ⊕ +new` per row.
+    /// order, `new` as stored (conformed to the schema). Maintenance
+    /// reads each pair as the old row removed and the new one added.
     ///
     /// Primary-key uniqueness is checked on the table as it will be
     /// after the whole batch (two rows may swap keys), so an update that

@@ -41,15 +41,6 @@ impl PageModel {
     pub fn pages_for(&self, rows: f64, width: f64) -> f64 {
         self.pages_for_bytes(rows * width)
     }
-
-    /// Whole-page count for concrete (measured) data.
-    pub fn whole_pages(&self, bytes: usize) -> u64 {
-        if bytes == 0 {
-            0
-        } else {
-            bytes.div_ceil(self.page_size) as u64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -60,7 +51,6 @@ mod tests {
     fn zero_bytes_is_zero_pages() {
         let m = PageModel::default();
         assert_eq!(m.pages_for_bytes(0.0), 0.0);
-        assert_eq!(m.whole_pages(0), 0);
         assert_eq!(m.pages_for(0.0, 48.0), 0.0);
     }
 
@@ -68,7 +58,6 @@ mod tests {
     fn nonempty_data_takes_at_least_one_page() {
         let m = PageModel::default();
         assert_eq!(m.pages_for_bytes(1.0), 1.0);
-        assert_eq!(m.whole_pages(1), 1);
     }
 
     #[test]
@@ -76,13 +65,6 @@ mod tests {
         let m = PageModel::new(1000);
         assert_eq!(m.pages_for(100.0, 50.0), 5.0);
         assert_eq!(m.pages_for_bytes(2500.0), 2.5);
-    }
-
-    #[test]
-    fn whole_pages_round_up() {
-        let m = PageModel::new(1000);
-        assert_eq!(m.whole_pages(1001), 2);
-        assert_eq!(m.whole_pages(2000), 2);
     }
 
     #[test]

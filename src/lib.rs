@@ -14,7 +14,8 @@
 //!
 //! * [`common`] — values, schemas, expressions, predicates, aggregates;
 //! * [`storage`] — tables, catalog, keys, statistics, data generators;
-//! * [`executor`] — volcano-style execution with page-IO accounting;
+//! * [`executor`] — vectorized, pipelined execution with page-IO
+//!   accounting, and materialized-view builds and delta maintenance;
 //! * [`core`] — the paper's contribution: transformations, cost model,
 //!   and optimization algorithms;
 //! * [`sql`] — SQL frontend and nested-subquery flattening.

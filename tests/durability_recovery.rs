@@ -475,3 +475,31 @@ fn log_in_the_previous_format_replays() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A materialized view lives in the catalog, so a reopened session
+/// answers a query that names it exactly as the session that created it
+/// did, and still refuses to create it a second time.
+#[test]
+fn a_materialized_view_is_queryable_by_name_after_reopen() {
+    let dir = tmpdir("byname");
+    let ddl = "create materialized view by_dno(dno, n) as \
+               select dno, count(*) from emp group by dno";
+    let query = "select v.dno, v.n from by_dno v where v.n > 0 order by dno";
+    let before = {
+        let mut s = Session::open(&dir).unwrap();
+        s.catalog().add(emp()).unwrap();
+        s.execute("insert into emp values (10, 0), (11, 1), (12, 1)")
+            .unwrap();
+        s.execute(ddl).unwrap();
+        s.execute("insert into emp values (13, 2)").unwrap();
+        s.execute(query).unwrap().rows
+    };
+    assert_eq!(before, [tuple![0, 1], tuple![1, 2], tuple![2, 1]]);
+    let mut s = Session::open(&dir).unwrap();
+    assert_eq!(s.execute(query).unwrap().rows, before);
+    let err = s.execute(ddl).unwrap_err();
+    assert!(err.message().contains("already exists"), "{err}");
+    assert_eq!(s.execute(query).unwrap().rows, before);
+    drop(s);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
