@@ -3,9 +3,9 @@
 # `.unwrap()`, `.expect(` or `panic!` — failures flow through `Result`
 # as structured `AggViewError`s so every caller can handle them.
 #
-# `#[cfg(test)]` modules are stripped before matching (the attribute
-# plus the brace-balanced block, or single `;`-terminated item, that
-# follows it), and the `src/bin` trees are out of scope: binaries own
+# `#[cfg(test)]` items are stripped before matching (by
+# ci/strip_tests.awk, which ci/line_count.sh counts with), comment
+# lines are skipped, and the `src/bin` trees are out of scope: binaries own
 # the process and may abort it. The few justified remaining uses are
 # allowlisted in ci/forbidden_patterns_allowlist.txt — each
 # non-comment line there is an extended regex matched against the
@@ -16,21 +16,11 @@ cd "$(dirname "$0")/.."
 allow="ci/forbidden_patterns_allowlist.txt"
 
 hits=$(
-    for f in $(find crates/*/src src -name '*.rs' ! -path '*/bin/*' | sort); do
-        awk -v FNAME="$f" '
-            /#\[cfg\(test\)\]/ { intest = 1; started = 0; depth = 0; next }
-            intest {
-                n = gsub(/\{/, "{"); m = gsub(/\}/, "}")
-                if (n > 0) started = 1
-                depth += n - m
-                if (!started && /;/) { intest = 0 }
-                else if (started && depth <= 0) { intest = 0; started = 0 }
-                next
-            }
-            /^[[:space:]]*\/\// { next }
-            /\.unwrap\(\)|\.expect\(|panic!/ { print FNAME ":" NR ": " $0 }
-        ' "$f"
-    done | grep -Ev -f <(grep -Ev '^(#|[[:space:]]*$)' "$allow") || true
+    find crates/*/src src -name '*.rs' ! -path '*/bin/*' | sort \
+        | xargs awk -f ci/strip_tests.awk \
+        | grep -Ev '^[^:]*:[0-9]+: [[:space:]]*//' \
+        | grep -E '\.unwrap\(\)|\.expect\(|panic!' \
+        | grep -Ev -f <(grep -Ev '^(#|[[:space:]]*$)' "$allow") || true
 )
 
 if [ -n "$hits" ]; then

@@ -9,27 +9,39 @@
 //!
 //! ## The contract under DML
 //!
-//! A table that is mutated keeps a `StatsSummary` — one value →
-//! multiplicity map per column — and derives its [`TableStats`] from it
-//! after every mutation, in time proportional to the rows changed:
+//! A table that is mutated keeps a `StatsSummary` — per column a
+//! multiset of its values, held in the column's declared type: INT
+//! values in an ordered `i64` map, FLOAT values in an ordered map keyed
+//! by their bits remapped so that unsigned order is `f64::total_cmp`
+//! order, STRING values counted by content, BOOL values as two counters
+//! — and derives its [`TableStats`] from it after every mutation, in
+//! time proportional to the rows changed. The table's first patch
+//! builds the summary from its columns in one pass per column (a
+//! numeric column sorted once and its runs collected, a string column
+//! counted per dictionary code, widths from the columns' byte totals);
+//! later patches count each leaving and arriving cell out and in.
 //!
 //! * `rows`, `row_width`, and per column `avg_width`, `distinct`, `min`
-//!   and `max` are **exact** and equal to what [`analyze`] computes over
-//!   the same rows (on NaN-free columns; the engine has no NaN literal).
-//!   The plan dataflow analysis proves plans empty from `min`/`max`,
-//!   so these may never lag.
+//!   and `max` are **exact** and bit-identical to what [`analyze`]
+//!   computes over the same rows. `min` and `max` are taken by
+//!   `f64::total_cmp` over the values that are not NaN, so `-0.0` is
+//!   below `0.0` whatever order the rows hold them in. The plan
+//!   dataflow analysis proves plans empty from `min`/`max`, so these
+//!   may never lag.
 //! * the equi-depth `histogram` may **lag by at most
 //!   `rows / HISTOGRAM_BUCKETS` changed rows** — one bucket's depth, its
 //!   own resolution. When a mutation takes the lag past that, every
-//!   histogram of the table is rebuilt from the summary and is then
-//!   equal to [`analyze`]'s again. Tables under [`HISTOGRAM_BUCKETS`]
-//!   rows therefore never lag.
+//!   histogram of the table is rebuilt from the ordered maps, without a
+//!   sort, and is then bit-identical to [`analyze`]'s again. Tables
+//!   under [`HISTOGRAM_BUCKETS`] rows therefore never lag.
 //!
 //! A table that is never mutated never builds a summary.
 
 use aggview_common::{CmpOp, ColumnVec, Tuple, Value};
 use serde::Serialize;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// Statistics for one column.
 #[derive(Debug, Clone, Serialize)]
@@ -262,15 +274,15 @@ pub(crate) fn analyze_columns(cols: &[ColumnVec], len: usize) -> TableStats {
 /// for its distinct count and as the sample its histogram is cut from;
 /// what it yields is what [`analyze`]'s value-by-value pass does.
 fn analyze_column(col: &ColumnVec) -> ColumnStats {
-    // The distinct count and, of an all-numeric column, the range and
-    // the float views (in `total_cmp` order already, when typed).
-    let (distinct, numeric) = match col {
+    // The distinct count and, of a numeric column, the float views in
+    // `total_cmp` order.
+    let (distinct, views) = match col {
         ColumnVec::Int(xs) => {
             let mut sorted = xs.clone();
             sorted.sort_unstable();
             let views: Vec<f64> = sorted.iter().map(|&x| x as f64).collect();
             sorted.dedup();
-            (sorted.len(), Some((range_of(&views), views)))
+            (sorted.len(), Some(views))
         }
         ColumnVec::Float(xs) => {
             // Value equality on floats is `total_cmp`: equal bits.
@@ -279,7 +291,7 @@ fn analyze_column(col: &ColumnVec) -> ColumnStats {
             let steps = sorted
                 .windows(2)
                 .filter(|w| w[0].to_bits() != w[1].to_bits());
-            (1 + steps.count(), Some((range_of(xs), sorted)))
+            (1 + steps.count(), Some(sorted))
         }
         ColumnVec::Str(xs) => {
             let mut seen = vec![false; xs.dict().len()];
@@ -291,81 +303,195 @@ fn analyze_column(col: &ColumnVec) -> ColumnStats {
             (both, None)
         }
     };
-    let ((min, max), views) = numeric.unwrap_or_default();
+    let (min, max) = views
+        .as_deref()
+        .map_or((None, None), |v| ends(v.iter().copied()));
     ColumnStats {
         distinct: distinct as u64,
         min,
         max,
         avg_width: col.total_bytes() as f64 / col.len() as f64,
-        histogram: Histogram::equi_depth(views, HISTOGRAM_BUCKETS),
+        histogram: Histogram::equi_depth(views.unwrap_or_default(), HISTOGRAM_BUCKETS),
     }
 }
 
-/// `(min, max)` as a left fold of `f64::min`/`f64::max` in the order
-/// given (which is what decides between `0.0` and `-0.0`, and skips
-/// NaNs — sorted `Int` views hold neither).
-fn range_of(xs: &[f64]) -> (Option<f64>, Option<f64>) {
-    xs.iter().fold((None, None), |(min, max), &x| {
-        (
-            Some(min.map_or(x, |m: f64| m.min(x))),
-            Some(max.map_or(x, |m: f64| m.max(x))),
-        )
-    })
+/// `(min, max)` of values in `f64::total_cmp` order: the first and the
+/// last that are not NaN, since `total_cmp` puts NaNs at either end.
+fn ends(sorted: impl DoubleEndedIterator<Item = f64>) -> (Option<f64>, Option<f64>) {
+    let mut numbers = sorted.filter(|x| !x.is_nan());
+    let min = numbers.next();
+    (min, numbers.next_back().or(min))
 }
 
-/// One column's values as a multiset, ordered as [`Value`] orders them
-/// (numerics by `f64::total_cmp` of their float view — the order
-/// [`Histogram::equi_depth`] sorts by).
-#[derive(Debug, Clone)]
+/// `(min, max)` of the values that are not NaN, by `f64::total_cmp`:
+/// so `-0.0` is below `0.0`, whatever order the rows hold them in.
+fn range_of(xs: &[f64]) -> (Option<f64>, Option<f64>) {
+    let numbers = || xs.iter().copied().filter(|x| !x.is_nan());
+    (
+        numbers().min_by(f64::total_cmp),
+        numbers().max_by(f64::total_cmp),
+    )
+}
+
+/// A FLOAT's bits, remapped so that unsigned order is
+/// `f64::total_cmp` order: the sign bit flipped on non-negatives, every
+/// bit flipped on negatives. Equal keys are equal bits, which is
+/// [`Value`] equality on floats.
+fn float_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The float whose [`float_key`] is `key`.
+fn float_of(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
+}
+
+/// The multiset of `keys`: sorted once, each run of equal keys one
+/// entry of the ordered map.
+fn runs<K: Ord + Copy>(mut keys: Vec<K>) -> BTreeMap<K, u64> {
+    keys.sort_unstable();
+    keys.chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u64))
+        .collect()
+}
+
+/// Take one `key` out of `counts`; false when it holds none.
+fn take_one<K: Ord>(counts: &mut BTreeMap<K, u64>, key: K) -> bool {
+    match counts.entry(key) {
+        Entry::Occupied(mut n) if *n.get() > 1 => *n.get_mut() -= 1,
+        Entry::Occupied(n) => {
+            n.remove();
+        }
+        Entry::Vacant(_) => return false,
+    }
+    true
+}
+
+/// One column's values as a multiset, held in the column's declared
+/// type. The numeric maps iterate in `f64::total_cmp` order of the
+/// values' float views — the order [`Histogram::equi_depth`] sorts by —
+/// so a histogram is cut from them without a sort.
+#[derive(Debug, Clone, PartialEq)]
+enum Multiset {
+    Int(BTreeMap<i64, u64>),
+    /// Keyed by [`float_key`].
+    Float(BTreeMap<u64, u64>),
+    /// Keyed by content.
+    Str(BTreeMap<Arc<str>, u64>),
+    /// The counts of `false` and `true`.
+    Bool([u64; 2]),
+}
+
+impl Multiset {
+    fn distinct(&self) -> u64 {
+        match self {
+            Multiset::Int(m) => m.len() as u64,
+            Multiset::Float(m) => m.len() as u64,
+            Multiset::Str(m) => m.len() as u64,
+            Multiset::Bool(n) => n.iter().filter(|&&n| n > 0).count() as u64,
+        }
+    }
+
+    /// A numeric column's values as floats with their multiplicities,
+    /// in `f64::total_cmp` order.
+    fn views(&self) -> Option<Box<dyn DoubleEndedIterator<Item = (f64, u64)> + '_>> {
+        match self {
+            Multiset::Int(m) => Some(Box::new(m.iter().map(|(&k, &n)| (k as f64, n)))),
+            Multiset::Float(m) => Some(Box::new(m.iter().map(|(&k, &n)| (float_of(k), n)))),
+            Multiset::Str(_) | Multiset::Bool(_) => None,
+        }
+    }
+
+    fn range(&self) -> (Option<f64>, Option<f64>) {
+        self.views()
+            .map_or((None, None), |v| ends(v.map(|(x, _)| x)))
+    }
+
+    fn histogram(&self, rows: u64) -> Option<Histogram> {
+        Histogram::from_sorted_runs(self.views()?, rows as usize, HISTOGRAM_BUCKETS)
+    }
+}
+
+/// One column of a [`StatsSummary`].
+#[derive(Debug, Clone, PartialEq)]
 struct ColumnSummary {
-    counts: BTreeMap<Value, u64>,
+    counts: Multiset,
     /// Sum of [`Value::width`] over the column.
     width: u64,
-    /// Whether the column's type is numeric: only then does it have a
-    /// `min`, a `max` and a histogram, as in [`analyze`].
-    numeric: bool,
 }
 
 impl ColumnSummary {
-    fn add(&mut self, v: &Value) {
-        match self.counts.get_mut(v) {
-            Some(n) => *n += 1,
-            None => {
-                self.counts.insert(v.clone(), 1);
+    /// The summary of a whole column in one pass over its vector: a
+    /// numeric column sorted once and its runs collected, a string
+    /// column counted per dictionary code and then keyed by content,
+    /// the width its running byte total.
+    fn of(col: &ColumnVec) -> ColumnSummary {
+        let counts = match col {
+            ColumnVec::Int(xs) => Multiset::Int(runs(xs.clone())),
+            ColumnVec::Float(xs) => {
+                Multiset::Float(runs(xs.iter().map(|&x| float_key(x)).collect()))
             }
+            ColumnVec::Str(xs) => {
+                let mut per_code = vec![0u64; xs.dict().len()];
+                xs.codes().iter().for_each(|&c| per_code[c as usize] += 1);
+                let used = xs
+                    .dict()
+                    .strs()
+                    .iter()
+                    .zip(per_code)
+                    .filter(|(_, n)| *n > 0);
+                Multiset::Str(used.map(|(s, n)| (Arc::clone(s), n)).collect())
+            }
+            ColumnVec::Bool(xs) => {
+                let trues = xs.iter().filter(|&&b| b).count() as u64;
+                Multiset::Bool([xs.len() as u64 - trues, trues])
+            }
+        };
+        ColumnSummary {
+            counts,
+            width: col.total_bytes(),
+        }
+    }
+
+    /// Count `v` in. Every row is conformed to its table's schema before
+    /// it reaches the summary (an `Int` bound for a FLOAT column arrives
+    /// as the `Float` it widens to), so `v` has the column's type; a
+    /// value of another type is ignored, as [`remove`](Self::remove)
+    /// ignores one the column does not hold.
+    fn add(&mut self, v: &Value) {
+        match (&mut self.counts, v) {
+            (Multiset::Int(m), Value::Int(x)) => *m.entry(*x).or_insert(0) += 1,
+            (Multiset::Float(m), Value::Float(x)) => *m.entry(float_key(*x)).or_insert(0) += 1,
+            (Multiset::Str(m), Value::Str(s)) => *m.entry(Arc::clone(s)).or_insert(0) += 1,
+            (Multiset::Bool(n), Value::Bool(b)) => n[usize::from(*b)] += 1,
+            _ => return,
         }
         self.width += v.width() as u64;
     }
 
+    /// Count `v` out; a value the column does not hold (of its type or
+    /// not) changes nothing.
     fn remove(&mut self, v: &Value) {
-        if let Some(n) = self.counts.get_mut(v) {
-            *n -= 1;
-            if *n == 0 {
-                self.counts.remove(v);
+        let found = match (&mut self.counts, v) {
+            (Multiset::Int(m), Value::Int(x)) => take_one(m, *x),
+            (Multiset::Float(m), Value::Float(x)) => take_one(m, float_key(*x)),
+            (Multiset::Str(m), Value::Str(s)) => take_one(m, Arc::clone(s)),
+            (Multiset::Bool(n), Value::Bool(b)) => {
+                let n = &mut n[usize::from(*b)];
+                let held = *n > 0;
+                *n -= u64::from(held);
+                held
             }
+            _ => false,
+        };
+        if found {
             self.width -= v.width() as u64;
         }
-    }
-
-    /// `(min, max)` of a numeric column.
-    fn range(&self) -> (Option<f64>, Option<f64>) {
-        if !self.numeric {
-            return (None, None);
-        }
-        let mut keys = self.counts.keys().filter_map(Value::as_f64);
-        let min = keys.next();
-        (min, keys.next_back().or(min))
-    }
-
-    fn histogram(&self, rows: u64) -> Option<Histogram> {
-        if !self.numeric {
-            return None;
-        }
-        let runs = self
-            .counts
-            .iter()
-            .filter_map(|(v, &n)| v.as_f64().map(|x| (x, n)));
-        Histogram::from_sorted_runs(runs, rows as usize, HISTOGRAM_BUCKETS)
     }
 }
 
@@ -384,18 +510,9 @@ impl StatsSummary {
     /// Summarize a table of `len` rows held as `cols`, whose current
     /// histograms are exact.
     pub(crate) fn of(cols: &[ColumnVec], len: usize) -> StatsSummary {
-        let summarize = |col: &ColumnVec| {
-            let mut summary = ColumnSummary {
-                counts: BTreeMap::new(),
-                width: 0,
-                numeric: col.data_type().is_numeric(),
-            };
-            (0..len).for_each(|i| summary.add(&col.value_at(i)));
-            summary
-        };
         StatsSummary {
             rows: len as u64,
-            columns: cols.iter().map(summarize).collect(),
+            columns: cols.iter().map(ColumnSummary::of).collect(),
             histogram_lag: 0,
         }
     }
@@ -437,11 +554,11 @@ impl StatsSummary {
         stats.rows = rows;
         stats.row_width = self.bytes() as f64 / rows as f64;
         for (c, out) in self.columns.iter().zip(&mut stats.columns) {
-            out.distinct = c.counts.len() as u64;
-            (out.min, out.max) = c.range();
+            out.distinct = c.counts.distinct();
+            (out.min, out.max) = c.counts.range();
             out.avg_width = c.width as f64 / rows as f64;
             if rebuild {
-                out.histogram = c.histogram(rows);
+                out.histogram = c.counts.histogram(rows);
             }
         }
     }
@@ -450,7 +567,8 @@ impl StatsSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aggview_common::tuple;
+    use crate::Table;
+    use aggview_common::{tuple, DataType, Schema, StrCol};
 
     fn rows() -> Vec<Tuple> {
         (0..100)
@@ -539,6 +657,219 @@ mod tests {
         assert!(ge > 0.9, "all rows match: {ge}");
         let lt = s.columns[0].selectivity(CmpOp::Lt, &Value::Int(7));
         assert!(lt < 0.1, "no rows match: {lt}");
+    }
+
+    /// Every field of `s` as bits, histograms included.
+    fn bits(s: &TableStats) -> Vec<u64> {
+        let mut out = vec![s.rows, s.row_width.to_bits()];
+        for c in &s.columns {
+            let opt = |x: Option<f64>| x.map_or(u64::MAX, f64::to_bits);
+            out.extend([c.distinct, opt(c.min), opt(c.max), c.avg_width.to_bits()]);
+            if let Some(h) = &c.histogram {
+                out.push(h.lo.to_bits());
+                out.extend(h.bounds.iter().map(|b| b.to_bits()));
+            }
+            out.push(u64::MAX);
+        }
+        out
+    }
+
+    /// The statistics a summary gives once its histograms are rebuilt.
+    fn derived(mut summary: StatsSummary) -> TableStats {
+        let mut stats = TableStats::empty(summary.columns.len());
+        summary.refresh(&mut stats, summary.rows + 1);
+        stats
+    }
+
+    /// The summary built from `cols`, the summary built by adding the
+    /// rows one at a time, `analyze` of the rows and the table's own
+    /// build give bit-identical statistics.
+    fn agree(cols: &[ColumnVec]) {
+        let len = cols.first().map_or(0, ColumnVec::len);
+        let rows: Vec<Tuple> = (0..len)
+            .map(|i| cols.iter().map(|c| c.value_at(i)).collect())
+            .collect();
+        let empty: Vec<ColumnVec> = cols.iter().map(ColumnVec::empty_like).collect();
+        let mut by_rows = StatsSummary::of(&empty, 0);
+        rows.iter().for_each(|r| by_rows.add(r));
+        let want = bits(&analyze(&rows, cols.len()));
+        assert_eq!(bits(&derived(StatsSummary::of(cols, len))), want);
+        assert_eq!(bits(&derived(by_rows)), want);
+        assert_eq!(bits(&analyze_columns(cols, len)), want);
+    }
+
+    fn strs(xs: &[&str]) -> StrCol {
+        xs.iter().map(|&x| Arc::from(x)).collect()
+    }
+
+    #[test]
+    fn summaries_agree_with_analyze_on_signed_zeros_and_nans() {
+        let xs = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            1.5,
+            -0.0,
+            -f64::NAN,
+            0.0,
+            -2.5,
+            f64::NAN,
+        ];
+        agree(&[ColumnVec::Float(xs.to_vec())]);
+        let (min, max) = range_of(&xs);
+        assert_eq!(min.map(f64::to_bits), Some((-2.5f64).to_bits()));
+        assert_eq!(max.map(f64::to_bits), Some(1.5f64.to_bits()));
+        let zeros = [0.0, -0.0, 0.0];
+        let (min, max) = range_of(&zeros);
+        assert_eq!(min.map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert_eq!(max.map(f64::to_bits), Some(0.0f64.to_bits()));
+        agree(&[ColumnVec::Float(zeros.to_vec())]);
+        agree(&[ColumnVec::Float(vec![f64::NAN, -f64::NAN])]);
+    }
+
+    #[test]
+    fn summaries_agree_on_ints_widened_into_a_float_column() {
+        let two53 = 1i64 << 53;
+        let written: Vec<Value> = [two53 + 1, two53, -7, two53 + 1, 3]
+            .map(Value::Int)
+            .into_iter()
+            .chain([Value::Float(-7.0), Value::Float(0.5)])
+            .collect();
+        let table = Table::builder("t", Schema::of(&[("x", DataType::Float)]));
+        let table = written
+            .iter()
+            .try_fold(table, |b, v| b.row(vec![v.clone()]))
+            .unwrap()
+            .build()
+            .unwrap();
+        // 2^53 + 1 widens to 2^53, and -7 to the -7.0 already there.
+        assert_eq!(table.stats().columns[0].distinct, 4);
+        agree(&[table.column(0).clone()]);
+    }
+
+    #[test]
+    fn summaries_agree_on_the_int_extremes() {
+        let xs = vec![i64::MAX, 0, i64::MIN, i64::MAX, -1, i64::MIN + 1, 1];
+        agree(&[ColumnVec::Int(xs)]);
+    }
+
+    #[test]
+    fn summaries_agree_on_empty_strings_and_reinterned_dictionaries() {
+        let col = strs(&["", "ab", "", "c", "ab", "dddd"]);
+        agree(&[ColumnVec::Str(col.clone())]);
+        // A column over part of its dictionary: unreferenced entries
+        // count for nothing.
+        let mut part = col.with_codes(vec![2, 2, 0]);
+        assert!(part.dict().len() > 2);
+        agree(&[ColumnVec::Str(part.clone())]);
+        part.reintern();
+        assert_eq!(part.dict().len(), 2);
+        agree(&[ColumnVec::Str(part)]);
+    }
+
+    #[test]
+    fn summaries_agree_on_bool_columns_and_empty_tables() {
+        let both = ColumnVec::Bool(vec![true, false, true, true]);
+        let trues = ColumnVec::Bool(vec![true; 4]);
+        agree(&[both, trues]);
+        let types = [
+            DataType::Int,
+            DataType::Float,
+            DataType::Str,
+            DataType::Bool,
+        ];
+        agree(&types.map(ColumnVec::with_type));
+        agree(&[]);
+    }
+
+    #[test]
+    fn a_table_of_every_type_agrees_through_adds_and_removes() {
+        let cols = [
+            ColumnVec::Int(vec![5, -3, 5, i64::MIN]),
+            ColumnVec::Float(vec![-0.0, 2.0, 0.0, f64::NAN]),
+            ColumnVec::Str(strs(&["x", "", "x", "yz"])),
+            ColumnVec::Bool(vec![false, false, true, false]),
+        ];
+        agree(&cols);
+        let mut summary = StatsSummary::of(&cols, 4);
+        let row = |i: usize| -> Tuple { cols.iter().map(|c| c.value_at(i)).collect() };
+        // Take out the rows holding every extremum, then put them back.
+        [0, 3, 1].iter().for_each(|&i| summary.remove(&row(i)));
+        let kept = [row(2)];
+        assert_eq!(bits(&derived(summary.clone())), bits(&analyze(&kept, 4)));
+        [0, 3, 1].iter().for_each(|&i| summary.add(&row(i)));
+        let all: Vec<Tuple> = (0..4).map(row).collect();
+        assert_eq!(bits(&derived(summary)), bits(&analyze(&all, 4)));
+    }
+
+    #[test]
+    fn removing_an_absent_value_changes_nothing() {
+        let cols = [
+            ColumnVec::Int(vec![1, 2]),
+            ColumnVec::Float(vec![0.0, 2.0]),
+            ColumnVec::Str(strs(&["a", "b"])),
+            ColumnVec::Bool(vec![true, true]),
+        ];
+        let absent = [
+            Value::Int(3),
+            Value::Float(-0.0),
+            Value::str("c"),
+            Value::Bool(false),
+        ];
+        for (col, v) in cols.iter().zip(&absent) {
+            let mut summary = ColumnSummary::of(col);
+            let before = summary.clone();
+            summary.remove(v);
+            assert_eq!(summary, before, "removing {v:?}");
+        }
+    }
+
+    #[test]
+    fn a_cell_of_another_type_is_ignored() {
+        let cols = [
+            ColumnVec::Int(vec![1]),
+            ColumnVec::Float(vec![1.0]),
+            ColumnVec::Str(strs(&["1"])),
+            ColumnVec::Bool(vec![true]),
+        ];
+        let foreign = [
+            [Value::Float(1.0), Value::str("1"), Value::Bool(true)],
+            [Value::Int(1), Value::str("1"), Value::Bool(true)],
+            [Value::Int(1), Value::Float(1.0), Value::Bool(true)],
+            [Value::Int(1), Value::Float(1.0), Value::str("true")],
+        ];
+        for (col, vs) in cols.iter().zip(&foreign) {
+            for v in vs {
+                let mut summary = ColumnSummary::of(col);
+                let before = summary.clone();
+                summary.add(v);
+                assert_eq!(summary, before, "adding {v:?}");
+                summary.remove(v);
+                assert_eq!(summary, before, "removing {v:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn float_keys_order_as_total_cmp() {
+        let xs = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.5,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for w in xs.windows(2) {
+            assert!(float_key(w[0]) < float_key(w[1]), "{} < {}", w[0], w[1]);
+        }
+        for x in xs {
+            assert_eq!(float_of(float_key(x)).to_bits(), x.to_bits());
+        }
     }
 
     #[test]
