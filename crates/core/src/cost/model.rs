@@ -283,11 +283,12 @@ impl<'a> CardEstimator<'a> {
             _ => return None,
         };
         let b = col.as_base()?;
-        let (stats, idx) = self.table_stats(b)?;
+        let t = self.tables.get(b.rel.idx())?.as_ref()?;
+        let (stats, idx) = (t.stats(), b.col as usize);
         if stats.rows == 0 {
             return Some(0.0);
         }
-        Some(stats.columns[idx].selectivity(op, &constant))
+        Some(stats.columns[idx].selectivity(op, &constant, || t.histogram(idx)))
     }
 
     /// Expected number of distinct combinations when drawing `n` rows

@@ -164,20 +164,21 @@ impl OpenStatement {
     }
 
     /// Apply a patch its table has checked, bump the table's version
-    /// and note how to take both back. Returns the displaced rows.
-    fn patch(
+    /// and note how to take both back. Returns what `keep` copies out of
+    /// the displaced rows; the undo log keeps them.
+    fn patch<T>(
         &mut self,
         table: &mut Table,
         patch: RowPatch,
         vers: &mut BTreeMap<String, TableVersions>,
         key: String,
-    ) -> Result<Displaced> {
+        keep: impl FnOnce(&Displaced) -> T,
+    ) -> Result<T> {
         let undo = table.apply_patch(patch)?;
-        // One copy for the caller (its delta), one to roll back with.
-        let displaced = undo.displaced.clone();
+        let kept = keep(&undo.displaced);
         self.bump(vers, &key, true);
         self.undo.push(Undo::Rows { key, patch: undo });
-        Ok(displaced)
+        Ok(kept)
     }
 }
 
@@ -588,19 +589,21 @@ impl Catalog {
     /// (durable catalogs), apply the patch, bump the table's version
     /// and note the undo, all under the tables write lock, so concurrent
     /// mutations of one table serialize and none is lost. Returns the
-    /// row count before the patch and the rows it displaced.
+    /// row count before the patch and what `keep` copies out of the rows
+    /// it displaced.
     ///
     /// The table is edited through `Arc::make_mut`: in place when the
     /// catalog holds the only reference, on a copy when a reader still
     /// holds the `Arc` it got from [`Catalog::get`] — that reader keeps
     /// seeing the rows it started with. A patch that fails its check
     /// changes nothing and logs nothing.
-    fn patch_rows(
+    fn patch_rows<T>(
         &self,
         name: &str,
         mut patch: RowPatch,
         record: impl FnOnce(&mut Frame, &str, &RowPatch),
-    ) -> Result<(usize, Displaced)> {
+        keep: impl FnOnce(&Displaced) -> T,
+    ) -> Result<(usize, T)> {
         self.statement(|| {
             let key = name.to_ascii_lowercase();
             let mut map = self.tables.write();
@@ -610,7 +613,7 @@ impl Catalog {
             let mut open = self.open.lock();
             open.log(|f| record(f, &key, &patch));
             let before = table.len();
-            Ok((before, open.patch(table, patch, &mut vers, key)?))
+            Ok((before, open.patch(table, patch, &mut vers, key, keep)?))
         })
     }
 
@@ -630,7 +633,7 @@ impl Catalog {
             ..RowPatch::default()
         };
         let record = |f: &mut Frame, table: &str, p: &RowPatch| f.insert_batch(table, &p.inserts);
-        Ok(self.patch_rows(name, patch, record)?.0)
+        Ok(self.patch_rows(name, patch, record, |_| ())?.0)
     }
 
     /// Remove the rows at the given positions (which must be strictly
@@ -651,7 +654,8 @@ impl Catalog {
             ..RowPatch::default()
         };
         let record = |f: &mut Frame, table: &str, p: &RowPatch| f.delete_batch(table, &p.deletes);
-        Ok(self.patch_rows(name, patch, record)?.1.removed)
+        let removed = |d: &Displaced| d.removed.clone();
+        Ok(self.patch_rows(name, patch, record, removed)?.1)
     }
 
     /// Replace the rows at the given positions (strictly increasing, in
@@ -696,7 +700,8 @@ impl Catalog {
             ..RowPatch::default()
         };
         let record = |f: &mut Frame, table: &str, p: &RowPatch| f.update_batch(table, &p.updates);
-        Ok(self.patch_rows(name, patch, record)?.1.replaced)
+        let replaced = |d: &Displaced| d.replaced.clone();
+        Ok(self.patch_rows(name, patch, record, replaced)?.1)
     }
 
     // ---- materialized views ----------------------------------------
@@ -774,7 +779,7 @@ impl Catalog {
                 prev,
             });
             if let Some(t) = table {
-                open.patch(t, patch, &mut vers, key)?;
+                open.patch(t, patch, &mut vers, key, |_| ())?;
             }
             Ok(())
         })
@@ -1302,7 +1307,7 @@ mod tests {
                     deletes: doomed.iter().copied().filter(|&i| i != 3).collect(),
                     inserts: vec![tuple![6i64, 60i64]],
                 };
-                c.patch_rows("k", patch, |_, _, _| {})?;
+                c.patch_rows("k", patch, |_, _, _| {}, |_| ())?;
                 abort()
             });
             assert!(out.is_err());

@@ -9,8 +9,9 @@
 //!   `Arc` and edited copy-on-write by [`RowPatch`]es,
 //! * [`Catalog`] — a concurrent name → table registry,
 //! * [`TableStats`] / [`ColumnStats`] — row counts, distinct counts,
-//!   min/max, average widths and equi-depth histograms feeding the cost
-//!   model's cardinality estimation,
+//!   min/max and average widths, and equi-depth [`Histogram`]s built on
+//!   first read (`Table::histogram`), feeding the cost model's
+//!   cardinality estimation,
 //! * [`PageModel`] — the byte→page accounting shared by the cost model
 //!   (estimates) and the executor (measurements),
 //! * [`datagen`] — synthetic workload generators: the paper's Emp/Dept

@@ -1,13 +1,13 @@
 //! In-memory tables: built in bulk, then edited copy-on-write.
 
 use crate::keys::{ForeignKey, PrimaryKey};
-use crate::stats::{analyze_columns, StatsSummary, TableStats};
+use crate::stats::{analyze_columns, column_histogram, Histogram, StatsSummary, TableStats};
 use aggview_common::{
     hash_columns, AggViewError, ColumnVec, DataType, Result, Schema, Tuple, Value,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A relation: schema, key declarations, statistics — and its rows,
 /// held as one [`ColumnVec`] per schema column. The columns *are* the
@@ -37,6 +37,10 @@ pub struct Table {
     primary_key: Option<PrimaryKey>,
     foreign_keys: Vec<ForeignKey>,
     stats: TableStats,
+    /// One cell per column: its histogram, built by the first read
+    /// ([`Table::histogram`]) and emptied by the patch that takes it
+    /// past the lag [`crate::stats`] allows.
+    histograms: Vec<OnceLock<Option<Histogram>>>,
     /// Built by the first patch and carried forward; a table that is
     /// only ever read never allocates it.
     live: Option<Box<Live>>,
@@ -79,7 +83,7 @@ impl RowPatch {
 }
 
 /// The rows a [`RowPatch`] displaced, in position order.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Displaced {
     /// Previous content of each updated position.
     pub(crate) replaced: Vec<Tuple>,
@@ -199,6 +203,23 @@ impl Table {
     /// the [`crate::stats`] contract by every patch.
     pub fn stats(&self) -> &TableStats {
         &self.stats
+    }
+
+    /// The equi-depth histogram of numeric column `col` (`None` for any
+    /// other column, and for an empty table). Built on first read — from
+    /// the statistics summary once a patch has made one, from the column
+    /// before — and kept under the [`crate::stats`] contract.
+    pub fn histogram(&self, col: usize) -> Option<&Histogram> {
+        let build = || match &self.live {
+            Some(live) => live.summary.histogram(col),
+            None => column_histogram(&self.cols[col]),
+        };
+        self.histograms.get(col)?.get_or_init(build).as_ref()
+    }
+
+    /// Drop every histogram built so far; the next read rebuilds it.
+    fn drop_histograms(&mut self) {
+        self.histograms.fill_with(OnceLock::new);
     }
 
     /// True if `cols` is a superset of some key of this table — i.e.
@@ -349,9 +370,12 @@ impl Table {
             *len += 1;
         }
 
-        summary.refresh(stats, changed);
+        let expired = summary.refresh(stats, changed);
         for (col, of) in cols.iter_mut().zip(&stats.columns) {
             trim_dictionary(col, of.distinct);
+        }
+        if expired {
+            self.drop_histograms();
         }
         Ok(PatchUndo {
             updated,
@@ -366,9 +390,10 @@ impl Table {
     /// were, position by position. What the table carried from patch to
     /// patch (key index, statistics summary) is dropped rather than
     /// walked backwards: the statistics are re-derived from the columns
-    /// here, the key index by the next patch — exactly as on a table no
-    /// patch has touched yet. The rows put back are rows the table held,
-    /// of its columns' types, so nothing here can be refused.
+    /// here, the key index by the next patch, the histograms by the next
+    /// read — exactly as on a table no patch has touched yet. The rows
+    /// put back are rows the table held, of its columns' types, so
+    /// nothing here can be refused.
     pub(crate) fn revert_patch(&mut self, undo: PatchUndo) -> Result<()> {
         let PatchUndo {
             updated,
@@ -398,6 +423,7 @@ impl Table {
         }
         self.len = kept + deleted.len();
         self.live = None;
+        self.drop_histograms();
         self.stats = analyze_columns(&self.cols, self.len);
         for (col, of) in self.cols.iter_mut().zip(&self.stats.columns) {
             trim_dictionary(col, of.distinct);
@@ -607,6 +633,7 @@ impl TableBuilder {
         Ok(Arc::new(Table {
             name: self.name,
             schema: self.schema,
+            histograms: self.cols.iter().map(|_| OnceLock::new()).collect(),
             cols: self.cols,
             len: self.len,
             primary_key: self.primary_key,
@@ -752,6 +779,129 @@ mod tests {
             .unwrap();
         assert_eq!(t.foreign_keys().len(), 1);
         assert_eq!(t.foreign_keys()[0].parent, "dept");
+    }
+
+    /// Which columns' histograms are built.
+    fn built(t: &Table) -> Vec<bool> {
+        t.histograms.iter().map(|h| h.get().is_some()).collect()
+    }
+
+    fn bits(h: Option<&Histogram>) -> Option<(u64, Vec<u64>)> {
+        h.map(|h| {
+            (
+                h.lo.to_bits(),
+                h.bounds.iter().map(|b| b.to_bits()).collect(),
+            )
+        })
+    }
+
+    /// `Histogram::equi_depth` of column `col` as it is stored now.
+    fn cut(t: &Table, col: usize) -> Option<(u64, Vec<u64>)> {
+        let views: Vec<f64> = (0..t.len())
+            .map(|i| t.column(col).value_at(i).as_f64().unwrap())
+            .collect();
+        bits(Histogram::equi_depth(views, crate::stats::HISTOGRAM_BUCKETS).as_ref())
+    }
+
+    /// Check and apply `patch`, as the catalog does.
+    fn patch(t: &mut Table, mut patch: RowPatch) -> PatchUndo {
+        t.check_patch(&mut patch).unwrap();
+        t.apply_patch(patch).unwrap()
+    }
+
+    /// `t(id INT PRIMARY KEY, x FLOAT)` of `n` rows, `x` from `-0.0`
+    /// and `NaN` upwards.
+    fn numbers(n: i64) -> Table {
+        let schema = Schema::of(&[("id", DataType::Int), ("x", DataType::Float)]);
+        let mut b = Table::builder("t", schema).primary_key(&["id"]).unwrap();
+        for i in 0..n {
+            let x = match i % 7 {
+                0 => -0.0,
+                1 => f64::NAN,
+                k => (i * k) as f64 / 8.0,
+            };
+            b.push(tuple![i * 37 % n, x]).unwrap();
+        }
+        Arc::try_unwrap(b.build().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn a_built_table_cuts_each_histogram_from_its_column_on_first_read() {
+        let t = Table::builder("dept", dept_schema())
+            .row(vec![Value::Int(3), Value::str("eng"), Value::Float(0.0)])
+            .unwrap()
+            .row(vec![Value::Int(-1), Value::str("hr"), Value::Float(-0.0)])
+            .unwrap()
+            .row(vec![Value::Int(3), Value::str(""), Value::Float(f64::NAN)])
+            .unwrap()
+            .build()
+            .unwrap();
+        assert_eq!(built(&t), [false; 3]);
+        assert_eq!(bits(t.histogram(2)), cut(&t, 2));
+        assert!(bits(t.histogram(2)).is_some());
+        assert_eq!(built(&t), [false, false, true]);
+        assert_eq!(bits(t.histogram(0)), cut(&t, 0));
+        assert!(t.histogram(1).is_none());
+        assert!(t.histogram(3).is_none());
+        let bools = Schema::of(&[("b", DataType::Bool)]);
+        let b = Table::builder("b", bools).row(vec![Value::Bool(true)]);
+        assert!(b.unwrap().build().unwrap().histogram(0).is_none());
+        let empty = Table::builder("dept", dept_schema()).build().unwrap();
+        assert!((0..3).all(|c| empty.histogram(c).is_none()));
+        let t = numbers(500);
+        assert_eq!(bits(t.histogram(1)), cut(&t, 1));
+        assert_eq!(bits(t.histogram(0)), cut(&t, 0));
+    }
+
+    #[test]
+    fn a_patched_table_that_is_never_read_builds_no_histogram() {
+        let mut t = numbers(300);
+        for i in 0..20 {
+            let p = RowPatch {
+                updates: vec![(i, tuple![t.row(i).get(0).clone(), 1.5])],
+                deletes: vec![i + 100],
+                inserts: vec![tuple![1000 + i as i64, -3.0]],
+            };
+            patch(&mut t, p);
+        }
+        assert!(t.live.is_some());
+        assert_eq!(built(&t), [false, false]);
+    }
+
+    #[test]
+    fn a_histogram_lives_until_the_patches_pass_one_bucket_depth() {
+        // 1,280 rows: a bucket holds 10.
+        let mut t = numbers(1280);
+        let first = bits(t.histogram(1));
+        assert_eq!(first, cut(&t, 1));
+        let insert = |id: i64| RowPatch {
+            inserts: vec![tuple![id, 1e6 + id as f64]],
+            ..RowPatch::default()
+        };
+        for id in 0..10 {
+            patch(&mut t, insert(5000 + id));
+            assert_eq!(built(&t), [false, true], "after {} rows", id + 1);
+            assert_eq!(bits(t.histogram(1)), first);
+        }
+        assert_ne!(cut(&t, 1), first);
+        patch(&mut t, insert(6000));
+        assert_eq!(built(&t), [false, false]);
+        assert_eq!(bits(t.histogram(1)), cut(&t, 1));
+        // Cut from the summary, which a reverted patch throws away: the
+        // next read cuts the restored column.
+        let undo = patch(
+            &mut t,
+            RowPatch {
+                deletes: (0..20).collect(),
+                ..RowPatch::default()
+            },
+        );
+        assert_eq!(bits(t.histogram(1)), cut(&t, 1));
+        t.revert_patch(undo).unwrap();
+        assert_eq!(built(&t), [false, false]);
+        assert!(t.live.is_none());
+        assert_eq!(bits(t.histogram(1)), cut(&t, 1));
+        assert_eq!(t.len(), 1291);
     }
 
     #[test]

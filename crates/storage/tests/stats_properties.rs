@@ -4,7 +4,7 @@
 //! exceeding the row count.
 
 use aggview_common::{tuple, CmpOp, Tuple, Value};
-use aggview_storage::stats::analyze;
+use aggview_storage::stats::{analyze, histogram_of};
 use proptest::prelude::*;
 
 proptest! {
@@ -16,9 +16,9 @@ proptest! {
         c in -1200i64..1200,
     ) {
         let rows: Vec<Tuple> = vals.iter().map(|v| tuple![*v]).collect();
-        let s = analyze(&rows, 1);
+        let (s, h) = (analyze(&rows, 1), histogram_of(&rows, 0));
         for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-            let sel = s.columns[0].selectivity(op, &Value::Int(c));
+            let sel = s.columns[0].selectivity(op, &Value::Int(c), || h.as_ref());
             prop_assert!((0.0..=1.0).contains(&sel), "{op} -> {sel}");
         }
     }
@@ -30,9 +30,9 @@ proptest! {
     ) {
         // Uniform integers 0..n.
         let rows: Vec<Tuple> = (0..n).map(|i| tuple![i as i64]).collect();
-        let s = analyze(&rows, 1);
+        let (s, h) = (analyze(&rows, 1), histogram_of(&rows, 0));
         let cut = (n as f64 * cut_pct as f64 / 100.0) as i64;
-        let est = s.columns[0].selectivity(CmpOp::Lt, &Value::Int(cut));
+        let est = s.columns[0].selectivity(CmpOp::Lt, &Value::Int(cut), || h.as_ref());
         let truth = rows
             .iter()
             .filter(|r| r.get(0).as_i64().unwrap() < cut)
@@ -64,8 +64,8 @@ proptest! {
     ) {
         let rows: Vec<Tuple> = vals.iter().map(|v| tuple![*v]).collect();
         let s = analyze(&rows, 1);
-        let eq = s.columns[0].selectivity(CmpOp::Eq, &Value::Int(c));
-        let ne = s.columns[0].selectivity(CmpOp::Ne, &Value::Int(c));
+        let eq = s.columns[0].selectivity(CmpOp::Eq, &Value::Int(c), || None);
+        let ne = s.columns[0].selectivity(CmpOp::Ne, &Value::Int(c), || None);
         prop_assert!((eq + ne - 1.0).abs() < 1e-9);
     }
 }

@@ -476,6 +476,54 @@ fn log_in_the_previous_format_replays() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A checkpoint and a two-statement log tail written before the CRC-32
+/// became table-driven (`tests/fixtures/snapshot_agvsnp01`: tables of
+/// every column type, signed zeros and a NaN among them, and a
+/// materialized view) read back to the state that build printed. A
+/// catalog opened from the checkpoint alone writes it again byte for
+/// byte, and running the same two statements there logs the same frames.
+#[test]
+fn files_checksummed_bit_by_bit_read_back_and_are_written_again() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/snapshot_agvsnp01");
+    let read = |name: &str| std::fs::read(fixture.join(name)).unwrap();
+    let text = |name: &str| String::from_utf8(read(name)).unwrap();
+    let dir = tmpdir("oldsnap");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(fixture.join("snapshot.agv"), dir.join("snapshot.agv")).unwrap();
+    std::fs::copy(fixture.join(WAL_FILE), dir.join(WAL_FILE)).unwrap();
+    assert_eq!(
+        Catalog::open(&dir).unwrap().describe_state(),
+        text("state.txt")
+    );
+
+    let again = tmpdir("oldsnap-again");
+    std::fs::create_dir_all(&again).unwrap();
+    std::fs::copy(fixture.join("snapshot.agv"), again.join("snapshot.agv")).unwrap();
+    let mut s = Session::open(&again).unwrap();
+    assert_eq!(s.catalog().describe_state(), text("checkpoint.txt"));
+    s.checkpoint().unwrap();
+    assert_eq!(
+        std::fs::read(again.join("snapshot.agv")).unwrap(),
+        read("snapshot.agv")
+    );
+    s.execute("insert into emp values (101, 'n101', 2, 1212.5, 31)")
+        .unwrap();
+    s.execute("update emp set sal = sal + 25.0 where dno = 1")
+        .unwrap();
+    assert_eq!(s.catalog().describe_state(), text("state.txt"));
+    drop(s);
+    let frames = WalReader::read_committed(&again.join(WAL_FILE)).unwrap();
+    assert_eq!(frames.records.len(), 2);
+    let log = std::fs::read(again.join(WAL_FILE)).unwrap();
+    assert!(
+        read(WAL_FILE).starts_with(&log),
+        "{} log bytes differ",
+        log.len()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&again).unwrap();
+}
+
 /// A materialized view lives in the catalog, so a reopened session
 /// answers a query that names it exactly as the session that created it
 /// did, and still refuses to create it a second time.
