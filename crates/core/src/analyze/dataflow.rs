@@ -5,8 +5,8 @@
 //! transformation invariants; this pass reasons about the columns and
 //! *values* flowing through a plan. For every operator output it
 //! computes a [`ColDomain`] per column — a static type, a closed numeric
-//! interval, an optional known constant, and an upper bound on distinct
-//! values, seeded from fresh [`aggview_storage::TableStats`] — by
+//! interval and an optional known constant, seeded from the `min`/`max`
+//! bounds of fresh [`aggview_storage::TableStats`] — by
 //! propagating intervals through [`Predicate`]s and [`Expr`]s, folding
 //! constants, and intersecting the domains of columns equated by join
 //! predicates (the implied-predicate fixpoint subsumes an explicit
@@ -295,8 +295,6 @@ pub struct ColDomain {
     pub interval: Interval,
     /// Exact value taken by *every* row, when known.
     pub constant: Option<Value>,
-    /// Upper bound on the number of distinct values, when known.
-    pub distinct: Option<u64>,
     /// The engine has no NULLs; kept explicit so the lattice is honest
     /// about what it certifies.
     pub nullable: bool,
@@ -323,17 +321,16 @@ impl ColDomain {
             ty,
             interval,
             constant: None,
-            distinct: None,
             nullable: false,
         }
     }
 
-    /// A stored column's domain: its type, plus its distinct count and
-    /// value range when its statistics are fresh.
+    /// A stored column's domain: its type, plus the `min`/`max` bounds
+    /// of its statistics when they are fresh (a superset of the values
+    /// it holds, which is what soundness asks).
     fn stored(ty: DataType, stats: Option<&ColumnStats>) -> ColDomain {
         let mut d = ColDomain::unknown(Some(ty));
         if let Some(cs) = stats {
-            d.distinct = Some(cs.distinct);
             if ty.is_numeric() {
                 if let (Some(lo), Some(hi)) = (cs.min, cs.max) {
                     d.interval = Interval { lo, hi };
@@ -1154,7 +1151,6 @@ fn refine_side(
                     None => {
                         if d.ty.is_none() || d.ty == Some(v.data_type()) || numeric {
                             d.constant = Some(v.clone());
-                            d.distinct = Some(1);
                         }
                     }
                 }
@@ -1222,9 +1218,6 @@ fn refine_side(
                 Some(DataType::Float) => Some(Value::Float(x)),
                 _ => None,
             };
-            if d.constant.is_some() {
-                d.distinct = Some(1);
-            }
         }
     }
     Ok(())
@@ -1296,7 +1289,6 @@ mod tests {
         assert_eq!(sal.ty, Some(DataType::Float));
         assert!(sal.interval.contains(1000.0) && sal.interval.contains(1900.0));
         assert!(!sal.interval.contains(999.0) || sal.interval.lo <= 999.0);
-        assert_eq!(sal.distinct, Some(10));
         assert!(df.findings.is_empty());
         assert!(!df.provably_empty);
         // Unfiltered scan must charge all 10 rows: 3 numeric cols × 8B.
@@ -1311,7 +1303,6 @@ mod tests {
         let df = analyze_plan(&scan(vec![]), &cat, None);
         let sal = &df.columns[&Col::base(RelId(0), 2)];
         assert!(sal.interval.is_full());
-        assert_eq!(sal.distinct, None);
     }
 
     #[test]

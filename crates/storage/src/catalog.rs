@@ -64,12 +64,16 @@ pub const WAL_FILE: &str = "wal.agv";
 /// Per-table modification bookkeeping.
 ///
 /// `data` increments on every registration or data change; `stats` records
-/// the data version the table's statistics reflect. The two stay equal
-/// under every mutator of this module (registration analyzes the rows,
-/// a row patch carries the statistics forward with them — see
-/// [`crate::stats`]); only [`Catalog::mark_modified`] moves `data` alone.
-/// `stats != data` therefore flags statistics that went stale silently —
-/// the cost model debug-asserts on it via [`Catalog::stats_fresh`].
+/// the data version the table's statistics are kept under the
+/// [`crate::stats`] contract for: exact row count and widths, `min`/`max`
+/// bounds that contain every value, estimates no more than a tenth of
+/// the rows stale. The two stay equal under every mutator of this module
+/// (registration analyzes the rows, a row patch carries the statistics
+/// forward with them); only [`Catalog::mark_modified`] moves `data`
+/// alone. `stats != data` therefore flags statistics that went stale
+/// silently — the cost model debug-asserts on it via
+/// [`Catalog::stats_fresh`], and the dataflow analysis then seeds no
+/// bounds from them.
 #[derive(Debug, Clone, Copy, Default)]
 struct TableVersions {
     data: u64,

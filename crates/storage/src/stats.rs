@@ -2,57 +2,48 @@
 //!
 //! The optimizer's cardinality estimation (selection selectivity, join
 //! selectivity via distinct counts, group-by output cardinality) reads
-//! these statistics. They are computed exactly from the in-memory data by
-//! [`analyze`] — a luxury a disk-based system doesn't have, but the right
-//! choice for a reproduction: estimation error is then a controlled,
-//! measurable quantity (experiment E9) rather than noise.
-//!
-//! A table carries two kinds. Its [`TableStats`] — `rows`, `row_width`,
-//! and per column `distinct`, `min`, `max` and `avg_width` — are kept
-//! current by every patch. A numeric column's equi-depth [`Histogram`]
-//! is built only when something reads it (`Table::histogram`: the cost
-//! model pricing a column-vs-constant range), one column at a time, and
-//! then kept until the table has changed by more than one bucket's depth.
+//! these statistics, and the plan dataflow analysis seeds scan domains
+//! from their `min`/`max`. A table computes them exactly from its
+//! columns when it is built — a luxury a disk-based system doesn't
+//! have, but the right choice for a reproduction: estimation error is
+//! then a controlled, measurable quantity (experiment E9) rather than
+//! noise. [`analyze`] is the value-by-value reference they are checked
+//! against.
 //!
 //! ## The contract under DML
 //!
-//! A table that is mutated keeps a `StatsSummary` — per column a
-//! multiset of its values, held in the column's declared type: INT
-//! values in an ordered `i64` map, FLOAT values in an ordered map keyed
-//! by their bits remapped so that unsigned order is `f64::total_cmp`
-//! order, STRING values counted by content, BOOL values as two counters
-//! — and derives its [`TableStats`] from it after every mutation, in
-//! time proportional to the rows changed. The table's first patch
-//! builds the summary from its columns in one pass per column (a
-//! numeric column sorted once and its runs collected, a string column
-//! counted per dictionary code, widths from the columns' byte totals);
-//! later patches count each leaving and arriving cell out and in.
+//! No patch counts a cell in or out. Across patches a table's
+//! [`TableStats`] are kept as follows:
 //!
-//! * `rows`, `row_width`, and per column `avg_width`, `distinct`, `min`
-//!   and `max` are **exact** and bit-identical to what [`analyze`]
-//!   computes over the same rows. `min` and `max` are taken by
-//!   `f64::total_cmp` over the values that are not NaN, so `-0.0` is
-//!   below `0.0` whatever order the rows hold them in. The plan
-//!   dataflow analysis proves plans empty from `min`/`max`, so these
-//!   may never lag.
-//! * a histogram, when read, is exact for a state at most
-//!   `rows / HISTOGRAM_BUCKETS` changed rows old — one bucket's depth,
-//!   its own resolution. When a mutation takes the changes since the
-//!   histograms were last dropped past that, the table drops every
-//!   histogram it holds instead of rebuilding them; the next read of a
-//!   column cuts its histogram from the summary's ordered map, without a
-//!   sort, bit-identical to [`histogram_of`] over the rows then. Tables
-//!   under [`HISTOGRAM_BUCKETS`] rows therefore drop them at every
-//!   patch that changes a row.
+//! * `rows`, `row_width`, and per column `avg_width` are **exact**: the
+//!   row count and the columns' byte totals are running totals.
+//! * `min` and `max` are **sound bounds**. Each arriving value that is
+//!   not NaN widens them, by `f64::total_cmp`, and nothing narrows them,
+//!   so every value a column holds that is not NaN lies in
+//!   `[min, max]`. The plan dataflow analysis proves plans empty from
+//!   them, which takes containment, not exactness.
+//! * `distinct` keeps its last exact value, capped at `rows`. A string
+//!   column whose dictionary is re-interned takes the dictionary's
+//!   length, which is exact.
 //!
-//! A table that is never mutated never builds a summary; a histogram it
-//! is asked for is cut from the column, sorted once.
+//! A table counts the rows its patches changed since its statistics
+//! were last computed. The patch that takes that count past
+//! `rows / REANALYZE_DIVISOR` (a tenth of the table), or that empties
+//! the table, computes them again from the columns: they are then
+//! bit-identical to [`analyze`] over the rows. `min` and `max` are taken
+//! by `f64::total_cmp` over the values that are not NaN, so `-0.0` is
+//! below `0.0` whatever order the rows hold them in.
+//!
+//! A numeric column's equi-depth [`Histogram`] is not part of
+//! [`TableStats`]. `Table::histogram` cuts it from the column on its
+//! first read (the cost model pricing a column-vs-constant range),
+//! bit-identical to [`histogram_of`] over the rows then, and keeps it
+//! until the statistics are next computed. A histogram that is read is
+//! therefore never more than a tenth of the rows stale either.
 
 use aggview_common::{CmpOp, ColumnVec, Tuple, Value};
 use serde::Serialize;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashSet;
 
 /// Statistics for one column.
 #[derive(Debug, Clone, Serialize)]
@@ -148,38 +139,20 @@ impl Histogram {
     /// Build an equi-depth histogram with up to `buckets` buckets from
     /// numeric samples. Returns `None` for empty input.
     pub fn equi_depth(mut samples: Vec<f64>, buckets: usize) -> Option<Histogram> {
-        samples.sort_by(f64::total_cmp);
         let n = samples.len();
-        Histogram::from_sorted_runs(samples.into_iter().map(|x| (x, 1)), n, buckets)
-    }
-
-    /// [`equi_depth`](Histogram::equi_depth) over samples already in
-    /// `f64::total_cmp` order and run-length encoded as
-    /// `(value, multiplicity)`; `n` is the total multiplicity.
-    fn from_sorted_runs(
-        runs: impl IntoIterator<Item = (f64, u64)>,
-        n: usize,
-        buckets: usize,
-    ) -> Option<Histogram> {
         if n == 0 || buckets == 0 {
             return None;
         }
-        let mut runs = runs.into_iter();
-        let (mut value, mut seen) = runs.next()?;
-        let lo = value;
-        let mut bounds = Vec::with_capacity(buckets);
-        for b in 1..=buckets {
-            // Bucket `b` ends at the sample of this rank.
-            let rank = (b * n / buckets).saturating_sub(1).min(n - 1) as u64;
-            while seen <= rank {
-                let (v, count) = runs.next()?;
-                value = v;
-                seen += count;
-            }
-            bounds.push(value);
-        }
+        samples.sort_by(f64::total_cmp);
+        // Bucket `b` ends at the sample of rank `b * n / buckets - 1`.
+        let mut bounds: Vec<f64> = (1..=buckets)
+            .map(|b| samples[(b * n / buckets).saturating_sub(1).min(n - 1)])
+            .collect();
         bounds.dedup_by(|a, b| a == b);
-        Some(Histogram { lo, bounds })
+        Some(Histogram {
+            lo: samples[0],
+            bounds,
+        })
     }
 
     /// Fraction of rows with value `< c` (approximately).
@@ -216,6 +189,35 @@ pub struct TableStats {
 }
 
 impl TableStats {
+    /// Take an arriving row's values into each column's `min`/`max`
+    /// (module docs: the contract under DML).
+    pub(crate) fn widen(&mut self, row: &Tuple) {
+        for (c, v) in self.columns.iter_mut().zip(row.values()) {
+            let Some(x) = v.as_f64().filter(|x| !x.is_nan()) else {
+                continue;
+            };
+            if c.min.is_none_or(|m| x.total_cmp(&m).is_lt()) {
+                c.min = Some(x);
+            }
+            if c.max.is_none_or(|m| x.total_cmp(&m).is_gt()) {
+                c.max = Some(x);
+            }
+        }
+    }
+
+    /// Carry the statistics to a table now of `len > 0` rows held as
+    /// `cols`, whose arriving rows were [`widen`](Self::widen)ed in:
+    /// exact widths, `distinct` capped at the rows.
+    pub(crate) fn carry(&mut self, cols: &[ColumnVec], len: usize) {
+        let n = len as f64;
+        self.rows = len as u64;
+        self.row_width = cols.iter().map(ColumnVec::total_bytes).sum::<u64>() as f64 / n;
+        for (c, col) in self.columns.iter_mut().zip(cols) {
+            c.distinct = c.distinct.min(len as u64);
+            c.avg_width = col.total_bytes() as f64 / n;
+        }
+    }
+
     /// Stats for an empty table of `ncols` columns.
     pub fn empty(ncols: usize) -> TableStats {
         TableStats {
@@ -235,6 +237,11 @@ impl TableStats {
 
 /// Number of histogram buckets built per numeric column.
 pub const HISTOGRAM_BUCKETS: usize = 128;
+
+/// A patched table computes its statistics again once the rows changed
+/// since they were last computed pass `rows / REANALYZE_DIVISOR`: a
+/// tenth, PostgreSQL's default `autovacuum_analyze_scale_factor`.
+pub const REANALYZE_DIVISOR: u64 = 10;
 
 /// Compute exact statistics over `rows` of arity `ncols` — the
 /// reference a table's carried statistics are checked against. Reads
@@ -279,7 +286,8 @@ pub fn histogram_of(rows: &[Tuple], col: usize) -> Option<Histogram> {
 }
 
 /// Exact statistics of a table whose rows are the `len` entries of each
-/// of `cols`.
+/// of `cols`: the one place a table's statistics are computed from its
+/// columns.
 pub(crate) fn analyze_columns(cols: &[ColumnVec], len: usize) -> TableStats {
     if len == 0 {
         return TableStats::empty(cols.len());
@@ -360,246 +368,12 @@ fn range_of(xs: &[f64]) -> (Option<f64>, Option<f64>) {
     )
 }
 
-/// A FLOAT's bits, remapped so that unsigned order is
-/// `f64::total_cmp` order: the sign bit flipped on non-negatives, every
-/// bit flipped on negatives. Equal keys are equal bits, which is
-/// [`Value`] equality on floats.
-fn float_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 0 {
-        bits | 1 << 63
-    } else {
-        !bits
-    }
-}
-
-/// The float whose [`float_key`] is `key`.
-fn float_of(key: u64) -> f64 {
-    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
-}
-
-/// The multiset of `keys`: sorted once, each run of equal keys one
-/// entry of the ordered map.
-fn runs<K: Ord + Copy>(mut keys: Vec<K>) -> BTreeMap<K, u64> {
-    keys.sort_unstable();
-    keys.chunk_by(|a, b| a == b)
-        .map(|run| (run[0], run.len() as u64))
-        .collect()
-}
-
-/// Take one `key` out of `counts`; false when it holds none.
-fn take_one<K: Ord>(counts: &mut BTreeMap<K, u64>, key: K) -> bool {
-    match counts.entry(key) {
-        Entry::Occupied(mut n) if *n.get() > 1 => *n.get_mut() -= 1,
-        Entry::Occupied(n) => {
-            n.remove();
-        }
-        Entry::Vacant(_) => return false,
-    }
-    true
-}
-
-/// One column's values as a multiset, held in the column's declared
-/// type. The numeric maps iterate in `f64::total_cmp` order of the
-/// values' float views — the order [`Histogram::equi_depth`] sorts by —
-/// so a histogram is cut from them without a sort.
-#[derive(Debug, Clone, PartialEq)]
-enum Multiset {
-    Int(BTreeMap<i64, u64>),
-    /// Keyed by [`float_key`].
-    Float(BTreeMap<u64, u64>),
-    /// Keyed by content.
-    Str(BTreeMap<Arc<str>, u64>),
-    /// The counts of `false` and `true`.
-    Bool([u64; 2]),
-}
-
-impl Multiset {
-    fn distinct(&self) -> u64 {
-        match self {
-            Multiset::Int(m) => m.len() as u64,
-            Multiset::Float(m) => m.len() as u64,
-            Multiset::Str(m) => m.len() as u64,
-            Multiset::Bool(n) => n.iter().filter(|&&n| n > 0).count() as u64,
-        }
-    }
-
-    /// A numeric column's values as floats with their multiplicities,
-    /// in `f64::total_cmp` order.
-    fn views(&self) -> Option<Box<dyn DoubleEndedIterator<Item = (f64, u64)> + '_>> {
-        match self {
-            Multiset::Int(m) => Some(Box::new(m.iter().map(|(&k, &n)| (k as f64, n)))),
-            Multiset::Float(m) => Some(Box::new(m.iter().map(|(&k, &n)| (float_of(k), n)))),
-            Multiset::Str(_) | Multiset::Bool(_) => None,
-        }
-    }
-
-    fn range(&self) -> (Option<f64>, Option<f64>) {
-        self.views()
-            .map_or((None, None), |v| ends(v.map(|(x, _)| x)))
-    }
-
-    fn histogram(&self, rows: u64) -> Option<Histogram> {
-        Histogram::from_sorted_runs(self.views()?, rows as usize, HISTOGRAM_BUCKETS)
-    }
-}
-
-/// One column of a [`StatsSummary`].
-#[derive(Debug, Clone, PartialEq)]
-struct ColumnSummary {
-    counts: Multiset,
-    /// Sum of [`Value::width`] over the column.
-    width: u64,
-}
-
-impl ColumnSummary {
-    /// The summary of a whole column in one pass over its vector: a
-    /// numeric column sorted once and its runs collected, a string
-    /// column counted per dictionary code and then keyed by content,
-    /// the width its running byte total.
-    fn of(col: &ColumnVec) -> ColumnSummary {
-        let counts = match col {
-            ColumnVec::Int(xs) => Multiset::Int(runs(xs.clone())),
-            ColumnVec::Float(xs) => {
-                Multiset::Float(runs(xs.iter().map(|&x| float_key(x)).collect()))
-            }
-            ColumnVec::Str(xs) => {
-                let mut per_code = vec![0u64; xs.dict().len()];
-                xs.codes().iter().for_each(|&c| per_code[c as usize] += 1);
-                let used = xs
-                    .dict()
-                    .strs()
-                    .iter()
-                    .zip(per_code)
-                    .filter(|(_, n)| *n > 0);
-                Multiset::Str(used.map(|(s, n)| (Arc::clone(s), n)).collect())
-            }
-            ColumnVec::Bool(xs) => {
-                let trues = xs.iter().filter(|&&b| b).count() as u64;
-                Multiset::Bool([xs.len() as u64 - trues, trues])
-            }
-        };
-        ColumnSummary {
-            counts,
-            width: col.total_bytes(),
-        }
-    }
-
-    /// Count `v` in. Every row is conformed to its table's schema before
-    /// it reaches the summary (an `Int` bound for a FLOAT column arrives
-    /// as the `Float` it widens to), so `v` has the column's type; a
-    /// value of another type is ignored, as [`remove`](Self::remove)
-    /// ignores one the column does not hold.
-    fn add(&mut self, v: &Value) {
-        match (&mut self.counts, v) {
-            (Multiset::Int(m), Value::Int(x)) => *m.entry(*x).or_insert(0) += 1,
-            (Multiset::Float(m), Value::Float(x)) => *m.entry(float_key(*x)).or_insert(0) += 1,
-            (Multiset::Str(m), Value::Str(s)) => *m.entry(Arc::clone(s)).or_insert(0) += 1,
-            (Multiset::Bool(n), Value::Bool(b)) => n[usize::from(*b)] += 1,
-            _ => return,
-        }
-        self.width += v.width() as u64;
-    }
-
-    /// Count `v` out; a value the column does not hold (of its type or
-    /// not) changes nothing.
-    fn remove(&mut self, v: &Value) {
-        let found = match (&mut self.counts, v) {
-            (Multiset::Int(m), Value::Int(x)) => take_one(m, *x),
-            (Multiset::Float(m), Value::Float(x)) => take_one(m, float_key(*x)),
-            (Multiset::Str(m), Value::Str(s)) => take_one(m, Arc::clone(s)),
-            (Multiset::Bool(n), Value::Bool(b)) => {
-                let n = &mut n[usize::from(*b)];
-                let held = *n > 0;
-                *n -= u64::from(held);
-                held
-            }
-            _ => false,
-        };
-        if found {
-            self.width -= v.width() as u64;
-        }
-    }
-}
-
-/// What a mutated table keeps so that its [`TableStats`] follow every
-/// mutation at a cost proportional to the rows changed (module docs:
-/// the contract under DML).
-#[derive(Debug, Clone)]
-pub(crate) struct StatsSummary {
-    rows: u64,
-    columns: Vec<ColumnSummary>,
-    /// Rows changed since the table's histograms were last dropped.
-    histogram_lag: u64,
-}
-
-impl StatsSummary {
-    /// Summarize a table of `len` rows held as `cols`, whose current
-    /// histograms, if any, are exact.
-    pub(crate) fn of(cols: &[ColumnVec], len: usize) -> StatsSummary {
-        StatsSummary {
-            rows: len as u64,
-            columns: cols.iter().map(ColumnSummary::of).collect(),
-            histogram_lag: 0,
-        }
-    }
-
-    pub(crate) fn add(&mut self, row: &Tuple) {
-        self.rows += 1;
-        for (c, v) in self.columns.iter_mut().zip(row.values()) {
-            c.add(v);
-        }
-    }
-
-    pub(crate) fn remove(&mut self, row: &Tuple) {
-        self.rows -= 1;
-        for (c, v) in self.columns.iter_mut().zip(row.values()) {
-            c.remove(v);
-        }
-    }
-
-    /// Sum of [`Tuple::width`] over the summarized rows.
-    fn bytes(&self) -> u64 {
-        self.columns.iter().map(|c| c.width).sum()
-    }
-
-    /// The histogram of column `col` now, cut from its ordered map.
-    pub(crate) fn histogram(&self, col: usize) -> Option<Histogram> {
-        self.columns[col].counts.histogram(self.rows)
-    }
-
-    /// Bring `stats` up to date with the summary after a mutation that
-    /// changed `changed` rows. True when the histograms built before it
-    /// have to go: their lag passed one bucket's depth.
-    #[must_use]
-    pub(crate) fn refresh(&mut self, stats: &mut TableStats, changed: u64) -> bool {
-        let rows = self.rows;
-        if rows == 0 {
-            self.histogram_lag = 0;
-            *stats = TableStats::empty(self.columns.len());
-            return true;
-        }
-        self.histogram_lag += changed;
-        let expired = self.histogram_lag > rows / HISTOGRAM_BUCKETS as u64;
-        if expired {
-            self.histogram_lag = 0;
-        }
-        stats.rows = rows;
-        stats.row_width = self.bytes() as f64 / rows as f64;
-        for (c, out) in self.columns.iter().zip(&mut stats.columns) {
-            out.distinct = c.counts.distinct();
-            (out.min, out.max) = c.counts.range();
-            out.avg_width = c.width as f64 / rows as f64;
-        }
-        expired
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Table;
     use aggview_common::{tuple, DataType, Schema, StrCol};
+    use std::sync::Arc;
 
     fn rows() -> Vec<Tuple> {
         (0..100)
@@ -728,49 +502,49 @@ mod tests {
         bits(&analyze(rows, ncols), hists.iter().map(Option::as_ref))
     }
 
-    /// The statistics a summary gives, and the histograms it cuts, as
-    /// bits.
-    fn derived(mut summary: StatsSummary) -> Vec<u64> {
-        let mut stats = TableStats::empty(summary.columns.len());
-        assert!(summary.refresh(&mut stats, summary.rows + 1));
-        let hists: Vec<_> = (0..stats.columns.len())
-            .map(|c| summary.histogram(c))
-            .collect();
-        bits(&stats, hists.iter().map(Option::as_ref))
-    }
-
-    /// The summary built from `cols`, the summary built by adding the
-    /// rows one at a time, `analyze` and `histogram_of` of the rows, the
-    /// columns' own build, and a table built from the rows give
-    /// bit-identical statistics and histograms.
-    fn agree(cols: &[ColumnVec]) {
-        let len = cols.first().map_or(0, ColumnVec::len);
-        let rows: Vec<Tuple> = (0..len)
-            .map(|i| cols.iter().map(|c| c.value_at(i)).collect())
-            .collect();
-        let empty: Vec<ColumnVec> = cols.iter().map(ColumnVec::empty_like).collect();
-        let mut by_rows = StatsSummary::of(&empty, 0);
-        rows.iter().for_each(|r| by_rows.add(r));
-        let want = exact(&rows, cols.len());
-        assert_eq!(derived(StatsSummary::of(cols, len)), want);
-        assert_eq!(derived(by_rows), want);
-        let hists: Vec<_> = cols.iter().map(column_histogram).collect();
-        let by_columns = bits(
-            &analyze_columns(cols, len),
-            hists.iter().map(Option::as_ref),
-        );
-        assert_eq!(by_columns, want);
+    /// A table of `cols`' types, empty.
+    fn table_like(cols: &[ColumnVec]) -> crate::TableBuilder {
         let names: Vec<String> = (0..cols.len()).map(|c| format!("c{c}")).collect();
         let fields: Vec<(&str, DataType)> = names
             .iter()
             .zip(cols)
             .map(|(n, c)| (n.as_str(), c.data_type()))
             .collect();
-        let mut table = Table::builder("t", Schema::of(&fields));
+        Table::builder("t", Schema::of(&fields))
+    }
+
+    /// `analyze` and `histogram_of` of the rows, the columns' own build,
+    /// and a table built from the rows give bit-identical statistics and
+    /// histograms; and the rows widened in one at a time carry an exact
+    /// range and exact widths (only `distinct` is not carried).
+    fn agree(cols: &[ColumnVec]) {
+        let len = cols.first().map_or(0, ColumnVec::len);
+        let rows: Vec<Tuple> = (0..len)
+            .map(|i| cols.iter().map(|c| c.value_at(i)).collect())
+            .collect();
+        let want = exact(&rows, cols.len());
+        let hists: Vec<_> = cols.iter().map(column_histogram).collect();
+        let by_columns = bits(
+            &analyze_columns(cols, len),
+            hists.iter().map(Option::as_ref),
+        );
+        assert_eq!(by_columns, want);
+        let mut table = table_like(cols);
         rows.iter().for_each(|r| table.push(r.clone()).unwrap());
         let table = table.build().unwrap();
         let read = (0..cols.len()).map(|c| table.histogram(c));
         assert_eq!(bits(table.stats(), read), want);
+
+        let truth = analyze(&rows, cols.len());
+        let mut carried = TableStats::empty(cols.len());
+        rows.iter().for_each(|r| carried.widen(r));
+        if len > 0 {
+            carried.carry(cols, len);
+        }
+        for (c, t) in carried.columns.iter_mut().zip(&truth.columns) {
+            c.distinct = t.distinct;
+        }
+        assert_eq!(bits(&carried, []), bits(&truth, []));
     }
 
     fn strs(xs: &[&str]) -> StrCol {
@@ -866,85 +640,29 @@ mod tests {
             ColumnVec::Bool(vec![false, false, true, false]),
         ];
         agree(&cols);
-        let mut summary = StatsSummary::of(&cols, 4);
         let row = |i: usize| -> Tuple { cols.iter().map(|c| c.value_at(i)).collect() };
-        // Take out the rows holding every extremum, then put them back.
-        [0, 3, 1].iter().for_each(|&i| summary.remove(&row(i)));
-        let kept = [row(2)];
-        assert_eq!(derived(summary.clone()), exact(&kept, 4));
-        [0, 3, 1].iter().for_each(|&i| summary.add(&row(i)));
-        let all: Vec<Tuple> = (0..4).map(row).collect();
-        assert_eq!(derived(summary), exact(&all, 4));
-    }
-
-    #[test]
-    fn removing_an_absent_value_changes_nothing() {
-        let cols = [
-            ColumnVec::Int(vec![1, 2]),
-            ColumnVec::Float(vec![0.0, 2.0]),
-            ColumnVec::Str(strs(&["a", "b"])),
-            ColumnVec::Bool(vec![true, true]),
-        ];
-        let absent = [
-            Value::Int(3),
-            Value::Float(-0.0),
-            Value::str("c"),
-            Value::Bool(false),
-        ];
-        for (col, v) in cols.iter().zip(&absent) {
-            let mut summary = ColumnSummary::of(col);
-            let before = summary.clone();
-            summary.remove(v);
-            assert_eq!(summary, before, "removing {v:?}");
-        }
-    }
-
-    #[test]
-    fn a_cell_of_another_type_is_ignored() {
-        let cols = [
-            ColumnVec::Int(vec![1]),
-            ColumnVec::Float(vec![1.0]),
-            ColumnVec::Str(strs(&["1"])),
-            ColumnVec::Bool(vec![true]),
-        ];
-        let foreign = [
-            [Value::Float(1.0), Value::str("1"), Value::Bool(true)],
-            [Value::Int(1), Value::str("1"), Value::Bool(true)],
-            [Value::Int(1), Value::Float(1.0), Value::Bool(true)],
-            [Value::Int(1), Value::Float(1.0), Value::str("true")],
-        ];
-        for (col, vs) in cols.iter().zip(&foreign) {
-            for v in vs {
-                let mut summary = ColumnSummary::of(col);
-                let before = summary.clone();
-                summary.add(v);
-                assert_eq!(summary, before, "adding {v:?}");
-                summary.remove(v);
-                assert_eq!(summary, before, "removing {v:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn float_keys_order_as_total_cmp() {
-        let xs = [
-            -f64::NAN,
-            f64::NEG_INFINITY,
-            -1.5,
-            -f64::MIN_POSITIVE,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            1.5,
-            f64::INFINITY,
-            f64::NAN,
-        ];
-        for w in xs.windows(2) {
-            assert!(float_key(w[0]) < float_key(w[1]), "{} < {}", w[0], w[1]);
-        }
-        for x in xs {
-            assert_eq!(float_of(float_key(x)).to_bits(), x.to_bits());
-        }
+        let mut b = table_like(&cols);
+        (0..4).for_each(|i| b.push(row(i)).unwrap());
+        let mut t = Arc::try_unwrap(b.build().unwrap()).unwrap();
+        let mut apply = |mut p: crate::RowPatch| {
+            t.check_patch(&mut p).unwrap();
+            t.apply_patch(p).unwrap();
+            let read: Vec<_> = (0..4).map(|c| t.histogram(c).cloned()).collect();
+            bits(t.stats(), read.iter().map(Option::as_ref))
+        };
+        // Take out the rows holding every extremum, then put them back:
+        // on a table this small each patch computes the statistics anew.
+        let gone = crate::RowPatch {
+            deletes: vec![0, 1, 3],
+            ..Default::default()
+        };
+        assert_eq!(apply(gone), exact(&[row(2)], 4));
+        let back = crate::RowPatch {
+            inserts: [0, 3, 1].map(row).to_vec(),
+            ..Default::default()
+        };
+        let all = [2, 0, 3, 1].map(row);
+        assert_eq!(apply(back), exact(&all, 4));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! In-memory tables: built in bulk, then edited copy-on-write.
 
 use crate::keys::{ForeignKey, PrimaryKey};
-use crate::stats::{analyze_columns, column_histogram, Histogram, StatsSummary, TableStats};
+use crate::stats::{analyze_columns, column_histogram, Histogram, TableStats, REANALYZE_DIVISOR};
 use aggview_common::{
     hash_columns, AggViewError, ColumnVec, DataType, Result, Schema, Tuple, Value,
 };
@@ -37,24 +37,19 @@ pub struct Table {
     primary_key: Option<PrimaryKey>,
     foreign_keys: Vec<ForeignKey>,
     stats: TableStats,
+    /// Rows changed by patches since `stats` were last computed from the
+    /// columns.
+    stats_lag: u64,
     /// One cell per column: its histogram, built by the first read
-    /// ([`Table::histogram`]) and emptied by the patch that takes it
-    /// past the lag [`crate::stats`] allows.
+    /// ([`Table::histogram`]) and emptied whenever `stats` are computed
+    /// again.
     histograms: Vec<OnceLock<Option<Histogram>>>,
-    /// Built by the first patch and carried forward; a table that is
-    /// only ever read never allocates it.
-    live: Option<Box<Live>>,
-}
-
-/// What a table under DML carries from one patch to the next, so that
-/// neither key uniqueness nor statistics are recomputed from the rows.
-#[derive(Debug, Clone)]
-struct Live {
     /// Primary-key value → an upper bound on its row's position (exact
     /// when written; deletions only ever move rows towards the front).
-    /// `None` for a table without a primary key.
+    /// Built by the first patch of a table with a primary key and
+    /// carried forward, so that key uniqueness is never checked against
+    /// the rows again; a table that is only ever read never allocates it.
     keys: Option<HashMap<Tuple, usize>>,
-    summary: StatsSummary,
 }
 
 /// A positional edit of a table's row vector. Positions refer to the
@@ -103,6 +98,9 @@ pub(crate) struct PatchUndo {
     /// Rows the patch appended.
     inserted: usize,
     pub(crate) displaced: Displaced,
+    /// The table's statistics and their lag before the patch.
+    stats: TableStats,
+    stats_lag: u64,
 }
 
 impl Table {
@@ -199,27 +197,20 @@ impl Table {
         &self.foreign_keys
     }
 
-    /// Statistics of the current rows: exact at build time, kept under
-    /// the [`crate::stats`] contract by every patch.
+    /// Statistics of the current rows, kept under the [`crate::stats`]
+    /// contract: exact at build time and whenever a patch computes them
+    /// again; between those, `rows` and the widths exact, `min`/`max`
+    /// bounds that contain every value, `distinct` its last exact count.
     pub fn stats(&self) -> &TableStats {
         &self.stats
     }
 
     /// The equi-depth histogram of numeric column `col` (`None` for any
-    /// other column, and for an empty table). Built on first read — from
-    /// the statistics summary once a patch has made one, from the column
-    /// before — and kept under the [`crate::stats`] contract.
+    /// other column, and for an empty table). Cut from the column on
+    /// first read and kept under the [`crate::stats`] contract.
     pub fn histogram(&self, col: usize) -> Option<&Histogram> {
-        let build = || match &self.live {
-            Some(live) => live.summary.histogram(col),
-            None => column_histogram(&self.cols[col]),
-        };
+        let build = || column_histogram(&self.cols[col]);
         self.histograms.get(col)?.get_or_init(build).as_ref()
-    }
-
-    /// Drop every histogram built so far; the next read rebuilds it.
-    fn drop_histograms(&mut self) {
-        self.histograms.fill_with(OnceLock::new);
     }
 
     /// True if `cols` is a superset of some key of this table — i.e.
@@ -248,7 +239,7 @@ impl Table {
                 .zip(key.values())
                 .all(|(&c, k)| self.cols[c].value_at(*i) == *k)
         };
-        match self.live.as_ref().and_then(|l| l.keys.as_ref()) {
+        match &self.keys {
             Some(keys) => {
                 let bound = *keys.get(key)?;
                 (0..self.len.min(bound + 1)).rev().find(is_key)
@@ -270,7 +261,7 @@ impl Table {
             cols,
             len,
             primary_key,
-            live,
+            keys,
             ..
         } = self;
         let positions: Vec<usize> = patch.updates.iter().map(|(i, _)| *i).collect();
@@ -289,10 +280,10 @@ impl Table {
             conform(name, schema, row.values_mut())?;
         }
         let incoming = || patch.updates.iter().map(|(_, r)| r).chain(&patch.inserts);
-        let live = Live::of(live, cols, *len, primary_key.as_ref());
-        let (Some(pk), Some(keys)) = (primary_key, &live.keys) else {
+        let Some(pk) = primary_key else {
             return Ok(());
         };
+        let keys = key_index(keys, cols, *len, pk);
         // The result is duplicate-free when every arriving key is new to
         // the patch and either absent from the table or on its way out.
         let outgoing: HashSet<Tuple> = positions
@@ -313,7 +304,8 @@ impl Table {
 
     /// Apply a patch that [`check_patch`](Table::check_patch) accepted:
     /// updates overwrite their cells, deletes close their gaps in one
-    /// pass per column, inserts are appended. Returns what
+    /// pass per column, inserts are appended, and the statistics follow
+    /// under the [`crate::stats`] contract. Returns what
     /// [`revert_patch`](Table::revert_patch) needs to take it back, the
     /// displaced rows among it.
     pub(crate) fn apply_patch(&mut self, patch: RowPatch) -> Result<PatchUndo> {
@@ -322,13 +314,18 @@ impl Table {
             len,
             primary_key,
             stats,
-            live,
+            stats_lag,
+            histograms,
+            keys,
             ..
         } = self;
-        let changed = patch.len() as u64;
-        let Live { keys, summary } = Live::of(live, cols, *len, primary_key.as_ref());
-        // Both are `Some` or both `None`: a key index exists iff a key does.
-        let mut keyed = keys.as_mut().zip(primary_key.as_ref());
+        let (stats_before, lag_before) = (stats.clone(), *stats_lag);
+        let after = (*len - patch.deletes.len() + patch.inserts.len()) as u64;
+        *stats_lag += patch.len() as u64;
+        let reanalyze = after == 0 || *stats_lag > after / REANALYZE_DIVISOR;
+        let mut keyed = primary_key
+            .as_ref()
+            .map(|pk| (key_index(keys, cols, *len, pk), pk));
         let updated: Vec<usize> = patch.updates.iter().map(|(i, _)| *i).collect();
         let inserted = patch.inserts.len();
 
@@ -336,7 +333,6 @@ impl Table {
         // hand a key from one row to another.
         let mut leave = |i: &usize| {
             let row = row_at(cols, *i);
-            summary.remove(&row);
             if let Some((keys, pk)) = &mut keyed {
                 keys.remove(&row.project(&pk.cols));
             }
@@ -347,7 +343,9 @@ impl Table {
             removed: patch.deletes.iter().map(&mut leave).collect(),
         };
         let mut arrive = |row: &Tuple, at: usize| {
-            summary.add(row);
+            if !reanalyze {
+                stats.widen(row);
+            }
             if let Some((keys, pk)) = &mut keyed {
                 keys.insert(row.project(&pk.cols), at);
             }
@@ -370,28 +368,35 @@ impl Table {
             *len += 1;
         }
 
-        let expired = summary.refresh(stats, changed);
-        for (col, of) in cols.iter_mut().zip(&stats.columns) {
-            trim_dictionary(col, of.distinct);
+        if reanalyze {
+            *stats = analyze_columns(cols, *len);
+            *stats_lag = 0;
+            histograms.fill_with(OnceLock::new);
+        } else {
+            stats.carry(cols, *len);
         }
-        if expired {
-            self.drop_histograms();
+        for (col, of) in cols.iter_mut().zip(&mut stats.columns) {
+            if let Some(distinct) = trim_dictionary(col, of.distinct) {
+                of.distinct = distinct;
+            }
         }
         Ok(PatchUndo {
             updated,
             deleted: patch.deletes,
             inserted,
             displaced,
+            stats: stats_before,
+            stats_lag: lag_before,
         })
     }
 
     /// Take back the patch `undo` came from — the last one applied, or
     /// the last one not yet taken back. The rows return to what they
-    /// were, position by position. What the table carried from patch to
-    /// patch (key index, statistics summary) is dropped rather than
-    /// walked backwards: the statistics are re-derived from the columns
-    /// here, the key index by the next patch, the histograms by the next
-    /// read — exactly as on a table no patch has touched yet. The rows
+    /// were, position by position, and the statistics and their lag to
+    /// what they were before it, bit for bit. The key index is dropped
+    /// rather than walked backwards (the next patch rebuilds it, as on a
+    /// table no patch has touched yet), and the histograms are emptied
+    /// (the next read cuts them from the restored columns). The rows
     /// put back are rows the table held, of its columns' types, so
     /// nothing here can be refused.
     pub(crate) fn revert_patch(&mut self, undo: PatchUndo) -> Result<()> {
@@ -400,6 +405,8 @@ impl Table {
             deleted,
             inserted,
             displaced,
+            stats,
+            stats_lag,
         } = undo;
         let kept = self.len - inserted;
         for (p, col) in self.cols.iter_mut().enumerate() {
@@ -422,9 +429,12 @@ impl Table {
             }
         }
         self.len = kept + deleted.len();
-        self.live = None;
-        self.drop_histograms();
-        self.stats = analyze_columns(&self.cols, self.len);
+        self.keys = None;
+        self.histograms.fill_with(OnceLock::new);
+        (self.stats, self.stats_lag) = (stats, stats_lag);
+        // Every string the restored rows hold was held before the patch,
+        // when the dictionary was within twice `distinct`: a trim here
+        // keeps it so without touching the statistics.
         for (col, of) in self.cols.iter_mut().zip(&self.stats.columns) {
             trim_dictionary(col, of.distinct);
         }
@@ -433,15 +443,18 @@ impl Table {
 }
 
 /// A table's dictionaries outlive its patches, so strings that updates
-/// and deletes took out of a column stay entered; once fewer than half
-/// the entries are referenced (`distinct` counts those exactly) the
-/// column moves to a fresh dictionary. A move re-enters no more strings
-/// than were dropped since the last: constant work per dropped string.
-fn trim_dictionary(col: &mut ColumnVec, distinct: u64) {
-    if let ColumnVec::Str(strs) = col {
-        if strs.dict().len() as u64 > 2 * distinct {
+/// and deletes took out of a column stay entered; once the entries pass
+/// twice the column's `distinct` the column moves to a fresh dictionary
+/// of the strings it references, whose length it returns: the column's
+/// exact distinct count. A move re-enters no more strings than the
+/// column holds.
+fn trim_dictionary(col: &mut ColumnVec, distinct: u64) -> Option<u64> {
+    match col {
+        ColumnVec::Str(strs) if strs.dict().len() as u64 > 2 * distinct => {
             strs.reintern();
+            Some(strs.dict().len() as u64)
         }
+        _ => None,
     }
 }
 
@@ -468,21 +481,15 @@ fn duplicate_key(table: &str, row: &Tuple) -> AggViewError {
     ))
 }
 
-impl Live {
-    /// The table's carried state, built from its columns on first use.
-    fn of<'a>(
-        slot: &'a mut Option<Box<Live>>,
-        cols: &[ColumnVec],
-        len: usize,
-        pk: Option<&PrimaryKey>,
-    ) -> &'a mut Live {
-        slot.get_or_insert_with(|| {
-            Box::new(Live {
-                keys: pk.map(|pk| (0..len).map(|i| (key_at(cols, pk, i), i)).collect()),
-                summary: StatsSummary::of(cols, len),
-            })
-        })
-    }
+/// The key index of a table with primary key `pk`, built from its
+/// columns on first use.
+fn key_index<'a>(
+    slot: &'a mut Option<HashMap<Tuple, usize>>,
+    cols: &[ColumnVec],
+    len: usize,
+    pk: &PrimaryKey,
+) -> &'a mut HashMap<Tuple, usize> {
+    slot.get_or_insert_with(|| (0..len).map(|i| (key_at(cols, pk, i), i)).collect())
 }
 
 /// Positional DML operates on strictly increasing, in-bounds row
@@ -639,7 +646,8 @@ impl TableBuilder {
             primary_key: self.primary_key,
             foreign_keys: self.foreign_keys,
             stats,
-            live: None,
+            stats_lag: 0,
+            keys: None,
         }))
     }
 }
@@ -864,44 +872,58 @@ mod tests {
             };
             patch(&mut t, p);
         }
-        assert!(t.live.is_some());
+        assert!(t.keys.is_some());
         assert_eq!(built(&t), [false, false]);
     }
 
     #[test]
-    fn a_histogram_lives_until_the_patches_pass_one_bucket_depth() {
-        // 1,280 rows: a bucket holds 10.
-        let mut t = numbers(1280);
+    fn a_histogram_lives_until_the_patches_pass_a_tenth_of_the_rows() {
+        // 1,000 rows: a tenth is 100.
+        let mut t = numbers(1000);
         let first = bits(t.histogram(1));
         assert_eq!(first, cut(&t, 1));
-        let insert = |id: i64| RowPatch {
-            inserts: vec![tuple![id, 1e6 + id as f64]],
+        // Debug prints each float so that it reads back to the same bits.
+        let stats = |t: &Table| format!("{:?}", t.stats());
+        let exact = |t: &Table| format!("{:?}", crate::stats::analyze(t.rows(), 2));
+        let update = |t: &Table, at: usize| RowPatch {
+            updates: vec![(at, tuple![t.row(at).get(0).clone(), 1e6 + at as f64])],
             ..RowPatch::default()
         };
-        for id in 0..10 {
-            patch(&mut t, insert(5000 + id));
-            assert_eq!(built(&t), [false, true], "after {} rows", id + 1);
+        for at in 0..100 {
+            let p = update(&t, at);
+            patch(&mut t, p);
+            assert_eq!(built(&t), [false, true], "after {} rows", at + 1);
             assert_eq!(bits(t.histogram(1)), first);
+            // The carried range takes the new maximum in at once.
+            assert_eq!(t.stats().columns[1].max, Some(1e6 + at as f64));
         }
         assert_ne!(cut(&t, 1), first);
-        patch(&mut t, insert(6000));
+        assert_ne!(stats(&t), exact(&t));
+        let before = stats(&t);
+        let p = update(&t, 100);
+        let undo = patch(&mut t, p);
         assert_eq!(built(&t), [false, false]);
+        assert_eq!(stats(&t), exact(&t));
         assert_eq!(bits(t.histogram(1)), cut(&t, 1));
-        // Cut from the summary, which a reverted patch throws away: the
-        // next read cuts the restored column.
-        let undo = patch(
-            &mut t,
-            RowPatch {
-                deletes: (0..20).collect(),
-                ..RowPatch::default()
-            },
-        );
-        assert_eq!(bits(t.histogram(1)), cut(&t, 1));
+        // Taken back, the patch leaves the statistics as they were before
+        // it, and the histograms to be cut from the restored column.
         t.revert_patch(undo).unwrap();
         assert_eq!(built(&t), [false, false]);
-        assert!(t.live.is_none());
+        assert!(t.keys.is_none());
+        assert_eq!(stats(&t), before);
+        assert_eq!(t.stats_lag, 100);
         assert_eq!(bits(t.histogram(1)), cut(&t, 1));
-        assert_eq!(t.len(), 1291);
+        assert_eq!(t.len(), 1000);
+        // Applied again it recomputes them, and the next patch carries
+        // them and the histogram it finds.
+        let p = update(&t, 100);
+        patch(&mut t, p);
+        assert_eq!((t.stats_lag, built(&t)), (0, vec![false, false]));
+        let now = bits(t.histogram(1));
+        let p = update(&t, 101);
+        patch(&mut t, p);
+        assert_eq!((t.stats_lag, built(&t)), (1, vec![false, true]));
+        assert_eq!(bits(t.histogram(1)), now);
     }
 
     #[test]

@@ -1,29 +1,34 @@
 //! The statistics contract under DML (`aggview_storage::stats` module
 //! docs), checked over random INSERT/UPDATE/DELETE histories against a
-//! durable catalog:
+//! durable catalog and the test's own model of when a table computes
+//! its statistics again ([`Lag`]):
 //!
-//! * after every mutation the exact fields — `rows`, `row_width`, and
-//!   per column `distinct`, `min`, `max`, `avg_width` — are bit-identical
-//!   to `analyze(rows)`, `byte_size` is the sum of the row widths, and
-//!   every row is found under its key;
-//! * every histogram, when read, is the exact histogram of a state at
-//!   most `rows / HISTOGRAM_BUCKETS` changed rows old — histograms are
-//!   read on every third step only, so some are built in the middle of
-//!   a lag window and carried across later patches;
+//! * after every mutation `rows`, `row_width` and every `avg_width` are
+//!   bit-identical to `analyze(rows)`; every value that is not NaN lies
+//!   within `[min, max]`; `distinct` is within the model's lag of the
+//!   true count; `byte_size` is the sum of the row widths, and every row
+//!   is found under its key;
+//! * at every mutation the model marks as a recomputation (the changed
+//!   rows passed a tenth of the table, or the table was emptied), the
+//!   statistics are bit-identical to `analyze(rows)` and every histogram
+//!   to `histogram_of(rows)`;
+//! * every histogram, when read, is the exact histogram of a state since
+//!   the last recomputation — histograms are read on every third step
+//!   only, so some are built in the middle of a lag window and carried
+//!   across later patches;
 //! * a rejected batch (duplicate key on INSERT or UPDATE) leaves rows,
 //!   key index, statistics, versions and the WAL untouched;
 //! * after every batch, accepted or rejected, the columns scans read
 //!   (`Table::column`) hold the rows cell for cell, and a reader that
 //!   took the table before the batch keeps its rows and its columns;
 //! * a statement that applied several patches and was then rolled back
-//!   leaves rows, versions and the WAL as they were, statistics equal to
-//!   `analyze(rows)` and every surviving key findable — and the next
-//!   patch is accepted or rejected exactly as on a table that never saw
-//!   the rolled-back ones.
+//!   leaves rows, versions, statistics and the WAL as they were and
+//!   every surviving key findable — and the next patch is accepted or
+//!   rejected exactly as on a table that never saw the rolled-back ones.
 //!
-//! The op mix includes the cases an incremental summary gets wrong
-//! first: deleting the current minimum and maximum, emptying the table,
-//! and an UPDATE that swaps the keys of two rows.
+//! The op mix includes the cases carried statistics get wrong first:
+//! deleting the current minimum and maximum, emptying the table, and an
+//! UPDATE that swaps the keys of two rows.
 //!
 //! A second property checks the table itself — its columns *are* the
 //! rows — against a plain `Vec<Tuple>` model over random `RowPatch`
@@ -33,7 +38,7 @@ use aggview_common::{
     hash_columns, AggSpec, AggViewError, Col, ColumnVec, DataType, RelId, Schema, Tuple, Value,
 };
 use aggview_storage::catalog::WAL_FILE;
-use aggview_storage::stats::{analyze, histogram_of, Histogram, HISTOGRAM_BUCKETS};
+use aggview_storage::stats::{analyze, histogram_of, Histogram, TableStats, REANALYZE_DIVISOR};
 use aggview_storage::{Catalog, ExtentLayout, MatViewDef, MatViewMeta, RowPatch, Table};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -190,18 +195,87 @@ fn extremum(rows: &[Tuple], max: bool) -> Option<usize> {
     found.map(|(i, _)| i)
 }
 
-/// The exact half of the statistics contract, and the key index: the
-/// table's statistics are those of its rows, its size is the sum of
-/// their widths, and every row is found under its key.
-fn assert_exact_and_keyed(t: &Table, step: usize) {
-    let (exact, got) = (analyze(t.rows(), NCOLS), t.stats());
+/// The test's model of a table's statistics lag: the rows its accepted
+/// patches changed since its statistics were last computed.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lag(u64);
+
+impl Lag {
+    /// One accepted patch that changed `n` rows and left `rows`: true
+    /// when it computes the statistics again.
+    fn patch(&mut self, n: usize, rows: usize) -> bool {
+        self.0 += n as u64;
+        let again = rows == 0 || self.0 > rows as u64 / REANALYZE_DIVISOR;
+        if again {
+            self.0 = 0;
+        }
+        again
+    }
+}
+
+/// `a <= b` by `f64::total_cmp`; vacuous when either is missing.
+fn within(a: Option<f64>, b: Option<f64>) -> bool {
+    a.zip(b).is_none_or(|(a, b)| a.total_cmp(&b).is_le())
+}
+
+/// The contract between recomputations, against `exact = analyze(rows)`:
+/// `rows` and the widths bit-identical, `[min, max]` around every value
+/// that is not NaN (there is a bound wherever there is such a value),
+/// `distinct` off by at most the rows changed since the last
+/// recomputation, and no more than the rows.
+fn assert_sound(got: &TableStats, exact: &TableStats, lag: Lag, step: usize) {
     assert_eq!(got.rows, exact.rows, "step {step}");
     assert_eq!(got.row_width.to_bits(), exact.row_width.to_bits());
-    for (g, e) in got.columns.iter().zip(&exact.columns) {
-        assert_eq!(g.distinct, e.distinct, "step {step}");
-        assert_eq!(g.min.map(f64::to_bits), e.min.map(f64::to_bits));
-        assert_eq!(g.max.map(f64::to_bits), e.max.map(f64::to_bits));
+    for (p, (g, e)) in got.columns.iter().zip(&exact.columns).enumerate() {
         assert_eq!(g.avg_width.to_bits(), e.avg_width.to_bits());
+        assert!(e.min.is_none() || g.min.is_some(), "step {step} column {p}");
+        assert!(e.max.is_none() || g.max.is_some(), "step {step} column {p}");
+        assert!(
+            within(g.min, e.min) && within(e.max, g.max),
+            "step {step} column {p}: {g:?} {e:?}"
+        );
+        assert!(
+            g.distinct.abs_diff(e.distinct) <= lag.0,
+            "step {step} column {p}: {g:?} {e:?} {lag:?}"
+        );
+        assert!(g.distinct <= got.rows, "step {step} column {p}");
+    }
+}
+
+/// Every field bit-identical.
+fn assert_exact(got: &TableStats, exact: &TableStats, step: usize) {
+    assert_sound(got, exact, Lag(0), step);
+    for (g, e) in got.columns.iter().zip(&exact.columns) {
+        assert_eq!(
+            g.min.map(f64::to_bits),
+            e.min.map(f64::to_bits),
+            "step {step}"
+        );
+        assert_eq!(
+            g.max.map(f64::to_bits),
+            e.max.map(f64::to_bits),
+            "step {step}"
+        );
+    }
+}
+
+/// The statistics contract at `lag` (exact, histograms included, when
+/// the last patch computed them again), and the key index: the table's
+/// size is the sum of its rows' widths, and every row is found under its
+/// key.
+fn assert_stats_and_keys(t: &Table, lag: Lag, again: bool, step: usize) {
+    let exact = analyze(t.rows(), NCOLS);
+    if again {
+        assert_exact(t.stats(), &exact, step);
+        // Read from a copy, so that this check builds no histogram the
+        // history below does not read.
+        assert_eq!(
+            hists(&Table::clone(t)),
+            exact_hists(&t.rows()),
+            "step {step}"
+        );
+    } else {
+        assert_sound(t.stats(), &exact, lag, step);
     }
     let bytes: usize = t.rows().iter().map(Tuple::width).sum();
     assert_eq!(t.byte_size(), bytes as u64, "step {step}");
@@ -226,9 +300,10 @@ proptest! {
         fresh(&cat, initial, &mut rng);
         let mut next_id = initial as i64;
 
-        // (changed rows so far, exact histograms then) of every state.
-        let mut changed = 0u64;
-        let mut history = vec![(0u64, hists(&cat.get("t").unwrap()))];
+        // The exact histograms of every state, and where in that history
+        // the statistics were last computed.
+        let mut history = vec![hists(&cat.get("t").unwrap())];
+        let (mut lag, mut since) = (Lag::default(), 0);
 
         for step in 0..40 {
             let rows = cat.get("t").unwrap().rows();
@@ -324,6 +399,7 @@ proptest! {
                     // fails: all three patches are taken back.
                     let at = positions(rows.len(), 1 + rng.below(3) as usize, &mut rng);
                     let state = (cat.describe_state(), before.2, before.3, before.4);
+                    let stats = format!("{:?}", cat.get("t").unwrap().stats());
                     let aborted = cat.statement(|| {
                         let batch = vec![row(next_id + 1, &mut rng), row(next_id + 2, &mut rng)];
                         cat.append_rows("t", batch)?;
@@ -342,7 +418,8 @@ proptest! {
                     prop_assert!(aborted.is_err());
                     let after = fingerprint(&cat, &wal, read);
                     prop_assert_eq!((after.0, after.2, after.3, after.4), state, "step {}", step);
-                    assert_exact_and_keyed(&cat.get("t").unwrap(), step);
+                    prop_assert_eq!(format!("{:?}", cat.get("t").unwrap().stats()), stats);
+                    assert_stats_and_keys(&cat.get("t").unwrap(), lag, false, step);
                     // A key the statement took and gave back is free; a
                     // key the table holds is still held.
                     if let Some(held) = rows.first() {
@@ -356,27 +433,32 @@ proptest! {
                 }
                 _ => Some(0),
             };
-            match outcome {
-                None => prop_assert_eq!(&fingerprint(&cat, &wal, read), &before, "step {}", step),
-                Some(n) => changed += n as u64,
-            }
+            let t = cat.get("t").unwrap();
+            let again = match outcome {
+                None => {
+                    prop_assert_eq!(&fingerprint(&cat, &wal, read), &before, "step {}", step);
+                    false
+                }
+                Some(0) => false,
+                Some(n) => lag.patch(n, t.len()),
+            };
 
             if let Some(held) = reader {
                 prop_assert!(columns_hold(&held, &rows), "step {}", step);
             }
-            let t = cat.get("t").unwrap();
             prop_assert!(columns_hold(&t, &t.rows()), "step {}", step);
-            assert_exact_and_keyed(&t, step);
+            assert_stats_and_keys(&t, lag, again, step);
             prop_assert!(cat.stats_fresh("t"));
-            history.push((changed, exact_hists(&t.rows())));
+            history.push(exact_hists(&t.rows()));
+            if again {
+                since = history.len() - 1;
+            }
             if read {
-                let rows = t.stats().rows;
-                let lag = rows / HISTOGRAM_BUCKETS as u64;
                 let current = hists(&t);
                 prop_assert!(
-                    history.iter().any(|(at, h)| changed - at <= lag && *h == current),
-                    "step {}: histograms older than {} changed rows ({} rows)",
-                    step, lag, rows
+                    history[since..].contains(&current),
+                    "step {}: histograms older than the last recomputation ({} rows)",
+                    step, t.len()
                 );
             }
         }
@@ -430,6 +512,10 @@ struct Modelled {
     rows: Vec<Tuple>,
     next_id: i64,
     fresh: u64,
+    lag: Lag,
+    /// Rows changed by the patches logged since the checkpoint, which a
+    /// reopened catalog replays.
+    replayed: usize,
 }
 
 impl Modelled {
@@ -562,11 +648,10 @@ impl Modelled {
         (patch, valid)
     }
 
-    /// Everything the table answers, against the model. `exact_range`:
-    /// the statistics were derived from the rows just now, not carried
-    /// (carried `min`/`max` are only promised on NaN-free columns, and
-    /// as numbers: which of `0.0` and `-0.0` stands for zero is not).
-    fn check(&self, cat: &Catalog, exact_range: bool, step: usize) {
+    /// Everything the table answers, against the model. `again`: the
+    /// last patch computed the statistics anew, so they and the
+    /// histograms are exact; otherwise they are sound at `lag`.
+    fn check(&self, cat: &Catalog, lag: Lag, again: bool, step: usize) {
         let t = cat.get(self.table).unwrap();
         let rows = &self.rows;
         assert!(
@@ -581,34 +666,19 @@ impl Modelled {
             assert_eq!(found, self.keyed.then_some(i), "step {step}");
         }
         let (exact, got) = (analyze(rows, t.schema().len()), t.stats());
-        assert_eq!(got.rows, exact.rows, "step {step}");
-        assert_eq!(got.row_width.to_bits(), exact.row_width.to_bits());
-        for (p, (g, e)) in got.columns.iter().zip(&exact.columns).enumerate() {
-            assert_eq!(g.distinct, e.distinct, "step {step} column {p}");
-            assert_eq!(g.avg_width.to_bits(), e.avg_width.to_bits());
-            let nan_free = !rows
-                .iter()
-                .any(|r| r.get(p).as_f64().is_some_and(f64::is_nan));
-            if exact_range {
-                assert_eq!(
-                    g.min.map(f64::to_bits),
-                    e.min.map(f64::to_bits),
-                    "step {step}"
-                );
-                assert_eq!(
-                    g.max.map(f64::to_bits),
-                    e.max.map(f64::to_bits),
-                    "step {step}"
-                );
-                assert_eq!(
-                    hist_bits(t.histogram(p)),
-                    hist_bits(histogram_of(rows, p).as_ref())
-                );
-            } else if nan_free {
-                assert_eq!((g.min, g.max), (e.min, e.max), "step {step} column {p}");
+        if again {
+            assert_exact(got, &exact, step);
+            // A copy reads them, so that no check builds a histogram.
+            let copy = Table::clone(&t);
+            for p in 0..t.schema().len() {
+                let want = histogram_of(rows, p);
+                assert_eq!(hist_bits(copy.histogram(p)), hist_bits(want.as_ref()));
             }
-            // A string column's dictionary stays within twice what its
-            // rows reference.
+        } else {
+            assert_sound(got, &exact, lag, step);
+        }
+        // A string column's dictionary stays within twice its `distinct`.
+        for (p, g) in got.columns.iter().enumerate() {
             if let Some(strs) = t.column(p).as_strs() {
                 assert!(strs.dict().len() as u64 <= 2 * g.distinct, "step {step}");
             }
@@ -679,14 +749,16 @@ proptest! {
         let cat = Catalog::open(&dir).unwrap();
         let mut keyed = Modelled {
             view: "v_keyed", table: "keyed", keyed: true, rows: vec![], next_id: 0, fresh: 0,
+            lag: Lag::default(), replayed: 0,
         };
         let mut loose = Modelled {
             view: "v_loose", table: "loose", keyed: false, rows: vec![], next_id: 0, fresh: 1000,
+            lag: Lag::default(), replayed: 0,
         };
         keyed.register(&cat, initial, &mut rng);
         loose.register(&cat, initial / 2, &mut rng);
-        keyed.check(&cat, true, 0);
-        loose.check(&cat, true, 0);
+        keyed.check(&cat, Lag::default(), true, 0);
+        loose.check(&cat, Lag::default(), true, 0);
 
         for step in 1..=40 {
             let m = if rng.below(3) == 0 { &mut loose } else { &mut keyed };
@@ -708,26 +780,33 @@ proptest! {
                 let applied = cat.patch_extent(m.view, patch.clone(), vec![step as u64]);
                 prop_assert_eq!(applied.is_ok(), valid, "step {}: {:?}", step, patch);
             }
+            let mut again = false;
             if valid && !rolled_back {
                 m.rows = patched(&m.rows, &patch);
+                again = m.lag.patch(patch.len(), m.rows.len());
+                m.replayed += patch.len();
             } else {
                 prop_assert_eq!(cat.describe_state(), before, "step {}", step);
             }
-            m.check(&cat, rolled_back, step);
+            m.check(&cat, m.lag, again, step);
             if let Some((held, rows)) = reader {
                 prop_assert!(columns_hold(&held, &rows), "step {}", step);
             }
             if step == 20 {
                 cat.checkpoint().unwrap();
+                keyed.replayed = 0;
+                loose.replayed = 0;
             }
         }
 
         joined_on_strings(&cat, &keyed, &loose);
         drop(cat);
         // (The two stand-in views come back quarantined: no base table.)
+        // Replay computes the statistics from the checkpoint's tables and
+        // carries them through the logged patches.
         let reopened = Catalog::open(&dir).unwrap();
-        keyed.check(&reopened, false, 41);
-        loose.check(&reopened, false, 41);
+        keyed.check(&reopened, Lag(keyed.replayed as u64), false, 41);
+        loose.check(&reopened, Lag(loose.replayed as u64), false, 41);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

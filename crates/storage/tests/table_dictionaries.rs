@@ -3,6 +3,7 @@
 
 use aggview_common::{tuple, AggViewError, DataType, Result, Schema};
 use aggview_storage::{Catalog, Table};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// `names(id, name)` holding `n` rows named `n0`, `n1`, ...
@@ -40,6 +41,34 @@ fn a_dictionary_sheds_the_strings_its_column_dropped() {
     assert_eq!(t.stats().columns[1].distinct, 50);
     assert_eq!(t.row(49), tuple![49i64, "r9999"]);
     assert_eq!(t.column(1).total_bytes(), 50 * 5);
+}
+
+#[test]
+fn a_large_table_keeps_its_dictionary_within_twice_its_distinct_count() {
+    // 1,000 rows: most patches carry the statistics instead of computing
+    // them again (that takes more than 100 changed rows).
+    let c = Catalog::new();
+    c.add(named(1000)).unwrap();
+    let mut next = 1000i64;
+    for round in 0..3_000i64 {
+        let at = (round * 7 % 1000) as usize;
+        let id = c.get("names").unwrap().row(at).get(0).clone();
+        let renamed = tuple![id, format!("r{round}").as_str()];
+        c.update_rows("names", &[at], vec![renamed]).unwrap();
+        if round % 5 == 0 {
+            c.delete_rows("names", &[at]).unwrap();
+            next += 1;
+            let row = tuple![next, format!("new{next}").as_str()];
+            c.append_rows("names", vec![row]).unwrap();
+        }
+        let t = c.get("names").unwrap();
+        let strs = t.column(1).as_strs().unwrap();
+        let referenced: HashSet<u32> = strs.codes().iter().copied().collect();
+        assert_eq!(referenced.len(), 1000, "every name is its own");
+        let dict = strs.dict().len() as u64;
+        assert!(dict <= 2 * t.stats().columns[1].distinct, "round {round}");
+        assert!(dict <= 2000, "round {round}: {dict} entries");
+    }
 }
 
 #[test]

@@ -13,7 +13,12 @@
 //!    resource counter meets its static lower bound;
 //! 4. **type certification** — corpus plans, two-phase ones included,
 //!    type cleanly, and every value they put out has its column's
-//!    certified type.
+//!    certified type;
+//! 5. **carried bounds** — between two recomputations of a table's
+//!    statistics, the `min`/`max` the scan domains seed from still hold
+//!    every value: a deleted extreme leaves them wide, an inserted value
+//!    beyond them widens them, and SELECTs filtered at the old and new
+//!    extremes answer what the reference interpreter does.
 
 use aggview::common::fault::{FaultInjector, SeededFaultInjector};
 use aggview::common::{AggFunc, AggSpec, CmpOp, Col, Expr, Predicate, Value, ViewId};
@@ -23,7 +28,7 @@ use aggview::core::plan::all_cols;
 use aggview::core::query::examples::{emp, example1_query, example2_query, example2_wide_query};
 use aggview::core::query::{CanonicalQuery, QueryEnv, TopGroup};
 use aggview::core::{optimize, CostModel, OptimizerConfig, Plan, ResourceGovernor, ResourceLimits};
-use aggview::executor::Engine;
+use aggview::executor::{reference, Engine};
 use aggview::sql::Session;
 use aggview::storage::datagen::{gen_empdept, EmpDeptConfig};
 use aggview::storage::Catalog;
@@ -234,6 +239,88 @@ fn certified_corpus_executes_with_the_types_it_certifies() {
         }
     }
     assert!(saw_partial, "the corpus must hold a two-phase plan");
+}
+
+/// Run `sql` through the session: it returns what the reference
+/// interpreter does over the same plan, `n` rows, and the gate (which
+/// reads no page) answers it only if that is none.
+fn answers(s: &mut Session, sql: &str, n: usize) {
+    let got = s.execute(sql).unwrap();
+    let (bound, opt) = s.plan(sql).unwrap();
+    let oracle = reference::evaluate(&opt.plan, s.catalog()).unwrap();
+    let projection = &bound.query.projection;
+    let at: Vec<usize> = projection
+        .iter()
+        .map(|c| oracle.col_index(*c).unwrap())
+        .collect();
+    let mut want: Vec<_> = oracle.rows.iter().map(|r| r.project(&at)).collect();
+    let gated = got.io_pages == 0.0;
+    let mut rows = got.rows;
+    rows.sort();
+    want.sort();
+    assert_eq!(rows, want, "{sql}");
+    assert_eq!(rows.len(), n, "{sql}");
+    assert!(
+        !gated || rows.is_empty(),
+        "{sql}: answered empty at the gate"
+    );
+}
+
+#[test]
+fn carried_bounds_stay_sound_between_recomputations() {
+    // 5,000 `emp` rows: a tenth is 500, far more than this test changes,
+    // so every statistic below is carried, none computed again.
+    let mut s = Session::new(catalog());
+    let sal = |s: &Session| {
+        let t = s.catalog().get("emp").unwrap();
+        (
+            t.stats().columns[emp::SAL].min.unwrap(),
+            t.stats().columns[emp::SAL].max.unwrap(),
+        )
+    };
+    let (lo, hi) = sal(&s);
+    let at_max = format!("select eno from emp where sal >= {hi:?}");
+    let top = s.execute(&at_max).unwrap().rows.len();
+    assert!((1..100).contains(&top), "{top} rows hold the maximum");
+    answers(&mut s, &at_max, top);
+
+    // The rows holding the maximum go: the carried bound stays wide.
+    s.execute(&format!("delete from emp where sal >= {hi:?}"))
+        .unwrap();
+    assert_eq!(sal(&s), (lo, hi), "no recomputation yet");
+    answers(&mut s, &at_max, 0);
+    answers(
+        &mut s,
+        &format!("select eno from emp where sal > {hi:?}"),
+        0,
+    );
+    // Then values beyond both old ends arrive.
+    let (above, below) = (hi + 250.0, lo - 250.0);
+    s.execute(&format!(
+        "insert into emp values (900001, 'high', 1, {above:?}, 70), (900002, 'low', 2, {below:?}, 17)"
+    ))
+    .unwrap();
+    assert_eq!(sal(&s), (below, above));
+
+    let queries = [
+        (at_max, 1),
+        (format!("select eno from emp where sal > {hi:?}"), 1),
+        (format!("select eno from emp where sal >= {above:?}"), 1),
+        (format!("select eno from emp where sal > {above:?}"), 0),
+        (format!("select eno from emp where sal < {lo:?}"), 1),
+        (
+            format!("select eno from emp where sal <= {below:?} and age < 18"),
+            1,
+        ),
+        (format!("select eno from emp where sal < {below:?}"), 0),
+        (
+            format!("select eno from emp where sal > {hi:?} and sal < {above:?}"),
+            0,
+        ),
+    ];
+    for (sql, n) in queries {
+        answers(&mut s, &sql, n);
+    }
 }
 
 proptest! {

@@ -450,12 +450,17 @@ fn an_aborted_statement_leaves_versions_statistics_and_keys_alone() {
         assert_eq!(cat_versions(&s), versions, "{sql}");
         assert_eq!(exact(&s), stats, "{sql}");
         let t = s.catalog().get("emp").unwrap();
+        // The statistics restored are carried ones: they contain the
+        // truth (rows exact, every value within `[min, max]`).
         let fresh = analyze(t.rows(), 5);
         assert_eq!(t.stats().rows, fresh.rows);
         for (got, want) in t.stats().columns.iter().zip(&fresh.columns) {
-            assert_eq!(got.distinct, want.distinct);
-            assert_eq!(got.min.map(f64::to_bits), want.min.map(f64::to_bits));
-            assert_eq!(got.max.map(f64::to_bits), want.max.map(f64::to_bits));
+            assert!(got.distinct <= fresh.rows);
+            let below = |a: Option<f64>, b: Option<f64>| {
+                a.zip(b).is_none_or(|(a, b)| a.total_cmp(&b).is_le())
+            };
+            assert_eq!(got.min.is_some(), want.min.is_some());
+            assert!(below(got.min, want.min) && below(want.max, got.max));
         }
         for (i, row) in t.rows().iter().enumerate() {
             assert_eq!(t.find_key(&row.project(&[0])), Some(i));
