@@ -32,7 +32,7 @@ use aggview_core::plan::{all_cols, GroupBySpec, Plan};
 use aggview_core::query::examples::{dept, emp, example1_query};
 use aggview_core::query::{CanonicalQuery, QueryEnv, TopGroup, ViewDef};
 use aggview_core::{CostModel, OptimizerConfig};
-use aggview_executor::partition::AggInput;
+use aggview_executor::lookup::AggInput;
 use aggview_executor::vector::{self, Held, JoinShape, Probe, Slot};
 use aggview_executor::{Engine, ExecOptions};
 use aggview_storage::datagen::{gen_empdept, gen_star, EmpDeptConfig, StarConfig};

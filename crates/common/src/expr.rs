@@ -337,7 +337,12 @@ fn float_arith(op: BinaryOp, a: f64, b: f64) -> Result<f64> {
     }
 }
 
-fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
+/// `l op r` with SQL's scalar arithmetic, the only copy of it: `Int op
+/// Int` is an `Int` (overflow is an error) except `/`, which is a
+/// `Float`; any `Float` operand makes a `Float`; division by zero is an
+/// error. The column kernel ([`BoundExpr::eval_columns`]) computes the
+/// same values through the same helpers.
+pub fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
     if let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) {
         return match op {
             BinaryOp::Div => int_div(a, b).map(Value::Float),

@@ -40,7 +40,7 @@ pub use agg::{AggFunc, AggSpec, PartialAggState, Retraction};
 pub use batch::{hash_columns, Batch};
 pub use column::{ColumnVec, StrCol, StrDict};
 pub use error::{AggViewError, Result};
-pub use expr::{BinaryOp, Expr};
+pub use expr::{eval_binary, BinaryOp, Expr};
 pub use fault::{
     registered_site, FaultInjector, IoFaultKind, NoFaults, RecordingFaults, ScheduledFaults,
     ScheduledIoFaults, SeededFaultInjector, REGISTERED_FAULT_SITES,

@@ -8,7 +8,8 @@
 //! interval and an optional known constant, seeded from the `min`/`max`
 //! bounds of fresh [`aggview_storage::TableStats`] — by
 //! propagating intervals through [`Predicate`]s and [`Expr`]s, folding
-//! constants, and intersecting the domains of columns equated by join
+//! constants with the runtime's [`aggview_common::eval_binary`] (an
+//! `INT` node that may overflow bounds nothing), and intersecting the domains of columns equated by join
 //! predicates (the implied-predicate fixpoint subsumes an explicit
 //! equivalence-class closure: `x = y` and `y = z` converge to a shared
 //! interval after two passes).
@@ -58,7 +59,9 @@
 
 use super::Violation;
 use crate::plan::Plan;
-use aggview_common::{AggFunc, AggRef, AggSpec, CmpOp, Col, DataType, Expr, Predicate, Value};
+use aggview_common::{
+    eval_binary, AggFunc, AggRef, AggSpec, BinaryOp, CmpOp, Col, DataType, Expr, Predicate, Value,
+};
 use aggview_storage::{Catalog, ColumnStats};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -939,73 +942,60 @@ fn check_predicates(
 struct ExprDom {
     interval: Interval,
     constant: Option<Value>,
+    /// The value is an `INT` (a column or constant of that type, or
+    /// `INT op INT` with `op` other than `/`).
+    int: bool,
 }
+
+/// 2⁶³: an `INT` node whose interval is not strictly inside
+/// `(−2⁶³, 2⁶³)` may overflow.
+const INT_EDGE: f64 = 9_223_372_036_854_775_808.0;
 
 fn eval_expr(e: &Expr, cols: &DomainMap) -> ExprDom {
     match e {
         Expr::Const(v) => ExprDom {
             interval: v.as_f64().map_or(Interval::FULL, Interval::point),
             constant: Some(v.clone()),
+            int: v.data_type() == DataType::Int,
         },
         Expr::Col(c) => match cols.get(c) {
             Some(d) => ExprDom {
                 interval: d.interval,
                 constant: d.constant.clone(),
+                int: d.ty == Some(DataType::Int),
             },
             None => ExprDom {
                 interval: Interval::FULL,
                 constant: None,
+                int: false,
             },
         },
         Expr::Binary { op, left, right } => {
             let l = eval_expr(left, cols);
             let r = eval_expr(right, cols);
-            let interval = match op {
-                aggview_common::BinaryOp::Add => l.interval + r.interval,
-                aggview_common::BinaryOp::Sub => l.interval - r.interval,
-                aggview_common::BinaryOp::Mul => l.interval * r.interval,
-                aggview_common::BinaryOp::Div => l.interval / r.interval,
+            let int = l.int && r.int && *op != BinaryOp::Div;
+            let mut interval = match op {
+                BinaryOp::Add => l.interval + r.interval,
+                BinaryOp::Sub => l.interval - r.interval,
+                BinaryOp::Mul => l.interval * r.interval,
+                BinaryOp::Div => l.interval / r.interval,
             };
-            // Constant folding mirrors `eval_binary` exactly: checked
-            // integer arithmetic (overflow would error at runtime, so
-            // the fold abstains), float division by a non-zero.
+            // Where INT arithmetic may leave `i64` the runtime raises an
+            // error rather than compute a value in the interval, so the
+            // node bounds nothing (as a divisor touching zero does).
+            if int && !(interval.lo > -INT_EDGE && interval.hi < INT_EDGE) {
+                interval = Interval::FULL;
+            }
+            // Folding is the runtime's arithmetic, abstaining where it
+            // errors.
             let constant = match (&l.constant, &r.constant) {
-                (Some(a), Some(b)) => fold_binary(*op, a, b),
+                (Some(a), Some(b)) => eval_binary(*op, a, b).ok(),
                 _ => None,
             };
-            ExprDom { interval, constant }
-        }
-    }
-}
-
-/// Constant-fold `a op b` with the runtime's exact semantics, or
-/// abstain (`None`) where the runtime would error.
-fn fold_binary(op: aggview_common::BinaryOp, a: &Value, b: &Value) -> Option<Value> {
-    use aggview_common::BinaryOp;
-    if let (Some(x), Some(y)) = (a.as_i64(), b.as_i64()) {
-        return match op {
-            BinaryOp::Add => x.checked_add(y).map(Value::Int),
-            BinaryOp::Sub => x.checked_sub(y).map(Value::Int),
-            BinaryOp::Mul => x.checked_mul(y).map(Value::Int),
-            BinaryOp::Div => {
-                if y == 0 {
-                    None
-                } else {
-                    Some(Value::Float(x as f64 / y as f64))
-                }
-            }
-        };
-    }
-    let (x, y) = (a.as_f64()?, b.as_f64()?);
-    match op {
-        BinaryOp::Add => Some(Value::Float(x + y)),
-        BinaryOp::Sub => Some(Value::Float(x - y)),
-        BinaryOp::Mul => Some(Value::Float(x * y)),
-        BinaryOp::Div => {
-            if y == 0.0 {
-                None
-            } else {
-                Some(Value::Float(x / y))
+            ExprDom {
+                interval,
+                constant,
+                int,
             }
         }
     }

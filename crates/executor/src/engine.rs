@@ -17,7 +17,7 @@
 //! The differential oracle for this engine is the naive interpreter in
 //! [`crate::reference`], which shares none of this code.
 
-use crate::partition::AggInput;
+use crate::lookup::AggInput;
 use crate::vector::{self, Flow, Held, JoinShape, Probe, Slot};
 use aggview_common::fault::{maybe_fault, FaultInjector};
 use aggview_common::predicate::BoundPredicate;

@@ -20,7 +20,7 @@
 //!   vectors, and the one driver that runs them, serially on the
 //!   caller's thread. Tile size comes from [`ExecOptions`] (REPL
 //!   `.set batch_rows N`);
-//! * [`partition`] — the hash structures beneath them: the flat join
+//! * [`lookup`] — the hash structures beneath them: the flat join
 //!   index, the ordinal rule, and how an aggregate reads its input;
 //! * [`matview`] / [`delta`] — building and maintaining materialized
 //!   aggregate-view extents, every aggregation of them one governed run
@@ -43,8 +43,8 @@
 pub mod correlated;
 pub mod delta;
 pub mod engine;
+pub mod lookup;
 pub mod matview;
-pub mod partition;
 pub mod reference;
 pub mod vector;
 pub mod verify;

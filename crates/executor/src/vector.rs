@@ -28,7 +28,7 @@
 //! output.
 
 use crate::engine::ExecOptions;
-use crate::partition::{dir_cells, dir_index, ordinal_cell, AggInput, JoinIndex, Ordinals};
+use crate::lookup::{dir_cells, dir_index, ordinal_cell, AggInput, JoinIndex, Ordinals};
 use aggview_common::expr::{BoundExpr, NumColumn};
 use aggview_common::predicate::BoundPredicate;
 use aggview_common::{

@@ -16,7 +16,7 @@ use aggview_core::cost::CostModel;
 use aggview_core::governor::{ResourceGovernor, ResourceLimits};
 use aggview_core::plan::{GroupBySpec, Plan};
 use aggview_core::query::QueryEnv;
-use aggview_executor::partition::dir_cells;
+use aggview_executor::lookup::dir_cells;
 use aggview_executor::{Engine, ExecOptions, ResultSet};
 use aggview_storage::datagen::{gen_star, StarConfig};
 use aggview_storage::Catalog;

@@ -166,7 +166,8 @@ pub enum Stmt {
         columns: Option<Vec<String>>,
         query: SelectStmt,
     },
-    /// `INSERT INTO table VALUES (lit, ...), ...` — literal rows only.
+    /// `INSERT INTO table VALUES (expr, ...), ...` — each value a scalar
+    /// over no columns (literals and arithmetic on them).
     Insert {
         table: String,
         rows: Vec<Vec<AstExpr>>,

@@ -18,9 +18,15 @@
 //!
 //! Every group-by block — the top block, an aggregate view's body and a
 //! materialized view's body — is bound by one function, `bind_grouped`.
+//!
+//! DML is bound here too, by the same name rules: an UPDATE or DELETE as
+//! `select … from <table>` would be (`bind_dml`), and `INSERT … VALUES`
+//! rows as scalars over no columns (`bind_values`).
 
 use crate::ast::{AstExpr, AstPred, FromItem, OrderKey, SelectItem, SelectStmt};
 use crate::flatten::flatten_subquery;
+use aggview_common::expr::BoundExpr;
+use aggview_common::predicate::BoundPredicate;
 use aggview_common::{AggFunc, AggSpec, AggViewError, Col, Expr, Predicate, RelId, Result, ViewId};
 use aggview_core::query::{CanonicalQuery, QueryEnv, TopGroup, ViewDef};
 use aggview_storage::{Catalog, MatViewDef};
@@ -691,6 +697,54 @@ pub fn bind_matview(
     };
     def.validate()?;
     Ok(def)
+}
+
+/// A single-table UPDATE or DELETE, bound over its table's rows (base
+/// column `i` at position `i`): the WHERE conjunction, and each SET
+/// target's position with the expression computing its new value from
+/// the old row.
+pub(crate) struct BoundDml {
+    pub preds: Vec<BoundPredicate>,
+    pub sets: Vec<(usize, BoundExpr)>,
+}
+
+/// Bind an UPDATE (`sets`) or a DELETE (no `sets`) of `table`. Names
+/// resolve as in `select … from table`: WHERE is a view body's
+/// conjunction, each SET right-hand side a scalar, and no column may be
+/// SET twice.
+pub(crate) fn bind_dml(
+    catalog: &Catalog,
+    table: &str,
+    sets: &[(String, AstExpr)],
+    preds: &[AstPred],
+) -> Result<BoundDml> {
+    let item = FromItem {
+        name: table.to_string(),
+        alias: None,
+    };
+    let (_, scope) = table_scope(catalog, &mut QueryEnv::default(), &item)?;
+    let scopes = [scope];
+    let row = |c: Col| c.as_base().map(|b| b.col as usize);
+    let preds = bind_body_preds(preds, &scopes)?;
+    let preds = preds.iter().map(|p| p.bind(&row)).collect::<Result<_>>()?;
+    let mut bound: Vec<(usize, BoundExpr)> = Vec::with_capacity(sets.len());
+    for (name, e) in sets {
+        let pos = row(resolve_col(None, name, &scopes)?)
+            .ok_or_else(|| AggViewError::Bind(format!("cannot SET `{name}`")))?;
+        if bound.iter().any(|(p, _)| *p == pos) {
+            return Err(AggViewError::Bind(format!(
+                "column `{name}` is SET more than once"
+            )));
+        }
+        bound.push((pos, bind_scalar(e, &scopes)?.bind(&row)?));
+    }
+    Ok(BoundDml { preds, sets: bound })
+}
+
+/// Bind `INSERT … VALUES` rows: each value is a scalar over no columns.
+pub(crate) fn bind_values(rows: &[Vec<AstExpr>]) -> Result<Vec<Vec<BoundExpr>>> {
+    let value = |e: &AstExpr| bind_scalar(e, &[])?.bind(&|_| None);
+    rows.iter().map(|r| r.iter().map(value).collect()).collect()
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 //!   (traditional view reduction), and correlated aggregate subqueries
 //!   are **flattened** into joins with aggregate views
 //!   ([`flatten`], after Kim's type-A/type-JA algorithms — the pathway
-//!   the paper's Section 1 builds on);
+//!   the paper's Section 1 builds on); DML's expressions are bound
+//!   here by the same rules;
 //! * [`session`] — a convenience REPL-style API: `CREATE VIEW` + query
 //!   → optimize → execute, returning rows plus measured IO, plus the
 //!   materialized-view statements (`CREATE MATERIALIZED VIEW`,

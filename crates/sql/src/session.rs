@@ -1,20 +1,20 @@
 //! A REPL-style session: parse → bind → optimize → execute.
 
 use crate::ast::{AstExpr, AstPred, Stmt};
-use crate::binder::{bind, bind_matview, view_column_names, BoundQuery, ViewRegistry};
-use crate::parser::parse_script;
-use aggview_common::{
-    AggViewError, Batch, BinaryOp, Col, ColumnVec, Expr, FaultInjector, Predicate, RelId, Result,
-    Schema, Tuple, Value,
+use crate::binder::{
+    bind, bind_dml, bind_matview, bind_values, view_column_names, BoundQuery, ViewRegistry,
 };
+use crate::parser::parse_script;
+use aggview_common::{AggViewError, Batch, ColumnVec, FaultInjector, Result, Tuple, Value};
 use aggview_core::analyze::PlanAnalyzer;
 use aggview_core::cost::{CardEstimator, CostModel};
 use aggview_core::governor::{OptimizeOutcome, ResourceGovernor, ResourceLimits};
 use aggview_core::optimizer::multi_view::{optimize_governed, Optimized};
 use aggview_core::OptimizerConfig;
 use aggview_executor::delta::{maintain_after_dml, RowDelta};
+use aggview_executor::vector::matching_rows;
 use aggview_executor::{Engine, ExecOptions};
-use aggview_storage::{Catalog, Table};
+use aggview_storage::Catalog;
 use std::cmp::Ordering;
 use std::path::Path;
 use std::time::Duration;
@@ -262,19 +262,17 @@ impl Session {
         })
     }
 
-    /// `INSERT INTO ... VALUES`: append literal rows to a base table,
-    /// then maintain every materialized view that references it
+    /// `INSERT INTO ... VALUES`: evaluate each bound value as a SELECT
+    /// would (over no columns), append the rows to a base table, then
+    /// maintain every materialized view that references it
     /// (incremental partial-state merge where possible, full rebuild
     /// otherwise) from the rows as the table stored them.
     fn insert_rows(&mut self, table: &str, rows: &[Vec<AstExpr>]) -> Result<SqlResult> {
-        let tuples: Vec<Tuple> = rows
+        let empty = Tuple::new(Vec::new());
+        let tuples: Vec<Tuple> = bind_values(rows)?
             .iter()
-            .map(|r| {
-                r.iter()
-                    .map(eval_literal)
-                    .collect::<Result<Vec<Value>>>()
-                    .map(Tuple::new)
-            })
+            .map(|r| r.iter().map(|e| e.eval(&empty)).collect::<Result<_>>())
+            .map(|r| r.map(Tuple::new))
             .collect::<Result<_>>()?;
         let n = tuples.len();
         self.commit_statement(|| {
@@ -293,30 +291,6 @@ impl Session {
         })
     }
 
-    /// Positions of the rows of `t` a DML WHERE conjunction matches
-    /// (ascending, as the catalog mutators require), found by the
-    /// executor's columnar filter and charged to `gov` row by row swept.
-    fn matched_indices(
-        &self,
-        t: &Table,
-        preds: &[AstPred],
-        gov: &ResourceGovernor,
-    ) -> Result<Vec<usize>> {
-        let (table, schema) = (t.name(), t.schema());
-        let bound = preds
-            .iter()
-            .map(|p| {
-                Predicate::new(
-                    dml_expr(table, schema, &p.left, "WHERE predicate")?,
-                    p.op,
-                    dml_expr(table, schema, &p.right, "WHERE predicate")?,
-                )
-                .bind(&dml_layout)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        aggview_executor::vector::matching_rows(&self.exec, gov, t, &bound)
-    }
-
     /// `UPDATE table SET col = expr, ... [WHERE ...]`: evaluate each SET
     /// expression against the *old* row for every matching row, replace
     /// the rows in place, and maintain dependent materialized views from
@@ -328,15 +302,15 @@ impl Session {
         preds: &[AstPred],
     ) -> Result<SqlResult> {
         self.commit_statement(|| {
+            let dml = bind_dml(&self.catalog, table, sets, preds)?;
             let t = self.catalog.get(table)?;
-            let bound_sets = bind_set_list(table, t.schema(), sets)?;
             let gov = ResourceGovernor::new(self.limits);
-            let indices = self.matched_indices(&t, preds, &gov)?;
+            let indices = matching_rows(&self.exec, &gov, &t, &dml.preds)?;
             let mut replacements = Vec::with_capacity(indices.len());
             for &i in &indices {
                 let old = t.row(i);
                 let mut vals = old.values().to_vec();
-                for (pos, expr) in &bound_sets {
+                for (pos, expr) in &dml.sets {
                     vals[*pos] = expr.eval(&old)?;
                 }
                 replacements.push(Tuple::new(vals));
@@ -354,9 +328,10 @@ impl Session {
     /// maintain dependent materialized views from the rows removed.
     fn delete_stmt(&mut self, table: &str, preds: &[AstPred]) -> Result<SqlResult> {
         self.commit_statement(|| {
+            let dml = bind_dml(&self.catalog, table, &[], preds)?;
             let t = self.catalog.get(table)?;
             let gov = ResourceGovernor::new(self.limits);
-            let indices = self.matched_indices(&t, preds, &gov)?;
+            let indices = matching_rows(&self.exec, &gov, &t, &dml.preds)?;
             let remaining = t.len() - indices.len();
             // A table still referenced here would be copied, not edited.
             drop(t);
@@ -572,69 +547,6 @@ impl Session {
     }
 }
 
-/// Lower a single-table DML scalar expression (WHERE operand or SET
-/// right-hand side) to a bound [`Expr`] over the table's row layout.
-/// Aggregates and subqueries are rejected; a qualifier, if present,
-/// must name the target table.
-fn dml_expr(table: &str, schema: &Schema, e: &AstExpr, what: &str) -> Result<Expr> {
-    match e {
-        AstExpr::Col { qualifier, name } => {
-            if let Some(q) = qualifier {
-                if !q.eq_ignore_ascii_case(table) {
-                    return Err(AggViewError::Bind(format!(
-                        "{what} references `{q}.{name}`, but only `{table}` is in scope"
-                    )));
-                }
-            }
-            let pos = schema.resolve(name)?;
-            Ok(Expr::col(Col::base(RelId(0), pos)))
-        }
-        AstExpr::Lit(v) => Ok(Expr::val(v.clone())),
-        AstExpr::Binary { op, left, right } => {
-            Ok(dml_expr(table, schema, left, what)?
-                .binary(*op, dml_expr(table, schema, right, what)?))
-        }
-        AstExpr::Agg { .. } => Err(AggViewError::Bind(format!(
-            "{what} must not contain aggregates"
-        ))),
-        AstExpr::Subquery(_) => Err(AggViewError::Bind(format!(
-            "{what} must not contain subqueries"
-        ))),
-    }
-}
-
-/// Identity layout for a single-table DML row: base column `i` lives at
-/// tuple position `i`.
-fn dml_layout(c: Col) -> Option<usize> {
-    match c {
-        Col::Base(b) => Some(b.col as usize),
-        _ => None,
-    }
-}
-
-/// Bind an UPDATE's SET list: each target column resolves to its
-/// position (no column may be assigned twice) and each right-hand side
-/// is bound against the old row. The value it computes is conformed to
-/// the column's type where the table stores it.
-fn bind_set_list(
-    table: &str,
-    schema: &Schema,
-    sets: &[(String, AstExpr)],
-) -> Result<Vec<(usize, aggview_common::expr::BoundExpr)>> {
-    let mut out: Vec<(usize, aggview_common::expr::BoundExpr)> = Vec::new();
-    for (name, e) in sets {
-        let pos = schema.resolve(name)?;
-        if out.iter().any(|(p, _)| *p == pos) {
-            return Err(AggViewError::Bind(format!(
-                "column `{name}` is SET more than once"
-            )));
-        }
-        let expr = dml_expr(table, schema, e, "UPDATE SET expression")?;
-        out.push((pos, expr.bind(&dml_layout)?));
-    }
-    Ok(out)
-}
-
 /// A single status row describing a DDL/DML statement's effect.
 fn status_result(msg: String) -> SqlResult {
     SqlResult {
@@ -645,51 +557,6 @@ fn status_result(msg: String) -> SqlResult {
         plan: String::new(),
         outcome: OptimizeOutcome::Full,
         retries: 0,
-    }
-}
-
-/// Constant-fold an `INSERT ... VALUES` expression: literals and
-/// arithmetic over them (which is how the parser spells negative
-/// numbers); anything referencing a column or subquery is rejected.
-fn eval_literal(e: &AstExpr) -> Result<Value> {
-    match e {
-        AstExpr::Lit(v) => Ok(v.clone()),
-        AstExpr::Binary { op, left, right } => {
-            let l = eval_literal(left)?;
-            let r = eval_literal(right)?;
-            if let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) {
-                let v = match op {
-                    BinaryOp::Add => a.checked_add(b),
-                    BinaryOp::Sub => a.checked_sub(b),
-                    BinaryOp::Mul => a.checked_mul(b),
-                    BinaryOp::Div => {
-                        if b == 0 {
-                            return Err(AggViewError::Bind(
-                                "division by zero in INSERT value".into(),
-                            ));
-                        }
-                        a.checked_div(b)
-                    }
-                };
-                return v.map(Value::Int).ok_or_else(|| {
-                    AggViewError::Bind(format!("integer overflow in INSERT value `{e}`"))
-                });
-            }
-            let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
-                return Err(AggViewError::Bind(format!(
-                    "INSERT value `{e}` is not numeric"
-                )));
-            };
-            Ok(Value::Float(match op {
-                BinaryOp::Add => a + b,
-                BinaryOp::Sub => a - b,
-                BinaryOp::Mul => a * b,
-                BinaryOp::Div => a / b,
-            }))
-        }
-        other => Err(AggViewError::Bind(format!(
-            "INSERT values must be literals, found `{other}`"
-        ))),
     }
 }
 
@@ -1107,7 +974,7 @@ mod matview_tests {
         let err = s
             .execute("insert into emp values (1, bogus, 2, 3.0, 4)")
             .unwrap_err();
-        assert!(err.message().contains("literal"), "{err}");
+        assert!(err.message().contains("bogus"), "{err}");
         let err = s.execute("refresh materialized view ghost").unwrap_err();
         assert!(err.message().contains("unknown materialized view"));
     }
@@ -1289,10 +1156,7 @@ mod dml_tests {
             ("delete from emp where bogus = 1", "bogus"),
             ("update emp set bogus = 1", "bogus"),
             ("update emp set sal = 1.0, sal = 2.0", "SET more than once"),
-            (
-                "update emp set sal = sum(sal)",
-                "must not contain aggregates",
-            ),
+            ("update emp set sal = sum(sal)", "aggregate"),
             ("update emp set sal = 1.0 where dept.dno = 1", "dept"),
         ] {
             let err = s.execute(sql).unwrap_err();

@@ -68,6 +68,30 @@ fn contradictory_sql_query_is_answered_at_the_gate() {
     assert!(df001[0].contains("r0.c3"), "{df001:?}");
 }
 
+/// INT arithmetic that may leave `i64` bounds nothing at the gate: the
+/// executor raises an error on such a plan, so the gate must never
+/// answer it empty. A plain contradiction is still answered there.
+#[test]
+fn the_gate_never_answers_a_plan_whose_execution_fails() {
+    let mut session = Session::new(catalog());
+    for sql in [
+        "select count(*) from emp where age * 9223372036854775807 < 0",
+        "select count(*) from emp where age * 9223372036854775807 > 0",
+        "select count(*) from emp where age > 9223372036854775807 + 1",
+        "select count(*) from emp where age < 9223372036854775807 + 1",
+    ] {
+        match session.execute(sql) {
+            Err(e) => assert!(e.message().contains("integer overflow"), "{sql}: {e}"),
+            Ok(r) => panic!("{sql}: answered {:?} at {} pages", r.rows, r.io_pages),
+        }
+    }
+    let r = session
+        .execute("select eno from emp where sal > 5 and sal < 3")
+        .unwrap();
+    assert!(r.rows.is_empty());
+    assert_eq!(r.io_pages, 0.0);
+}
+
 /// `select * from emp where sal > 5 and sal < 3`, unpruned, alone and
 /// under a join with `dept`.
 fn contradictory_plans() -> (Vec<Plan>, QueryEnv) {

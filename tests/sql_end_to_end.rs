@@ -234,6 +234,55 @@ fn errors_are_reported_not_panicked() {
     }
 }
 
+/// INSERT values, UPDATE's SET and WHERE, and SELECT share one
+/// arithmetic and one set of name rules: `INT / INT` is a FLOAT, a
+/// value the column's type refuses or an arithmetic error inserts
+/// nothing, and DML names resolve as a SELECT's do.
+#[test]
+fn insert_update_and_select_share_one_arithmetic() {
+    let mut s = empdept_session();
+    let state = |s: &Session| {
+        let c = s.catalog();
+        (c.get("emp").unwrap().len(), c.data_version("emp"))
+    };
+    s.execute("insert into emp values (90001, 'a', 1, 7/2, 30)")
+        .unwrap();
+    let found = s
+        .execute("select eno, sal from emp where sal = 7/2")
+        .unwrap();
+    assert_eq!(found.rows.len(), 1, "{:?}", found.rows);
+    assert_eq!(*found.rows[0].get(0), Value::Int(90001));
+    assert_eq!(*found.rows[0].get(1), Value::Float(3.5));
+
+    let before = state(&s);
+    for (sql, needle) in [
+        ("insert into emp values (90002, 'b', 1, 1.0, 7/2)", "age"),
+        (
+            "insert into emp values (90003, 'c', 1, 1.0/0, 30)",
+            "division by zero",
+        ),
+        (
+            "insert into emp values (90004, 'd', 1, 1.0, 30 / 0)",
+            "division by zero",
+        ),
+    ] {
+        let err = s.execute(sql).unwrap_err();
+        assert!(err.message().contains(needle), "{sql}: {err}");
+        assert_eq!(state(&s), before, "{sql} changed emp");
+    }
+
+    s.execute("update emp set sal = emp.sal + 1 where EMP.eno = 90001")
+        .unwrap();
+    let r = s
+        .execute("select e.sal from emp e where e.eno = 90001")
+        .unwrap();
+    assert_eq!(*r.rows[0].get(0), Value::Float(4.5));
+    let err = s
+        .execute("update emp set sal = 1.0 where e.eno = 90001")
+        .unwrap_err();
+    assert!(err.message().contains("unknown table alias `e`"), "{err}");
+}
+
 /// The binder leaves the canonical query's checks to the optimizer,
 /// which makes them first: one that binds but is not well formed is
 /// still rejected, as a plan error, before anything runs.
